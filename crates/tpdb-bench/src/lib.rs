@@ -473,8 +473,8 @@ fn session_over(w: &Workload) -> tpdb_query::Session {
 /// Four series, `iterations` executions each:
 ///
 /// * `join-reparse` / `scan-reparse` — every execution re-parses the text,
-///   re-binds the parameters and re-plans against the catalog (the old
-///   one-shot `QueryEngine` contract, cache disabled).
+///   re-binds the parameters and re-plans against the catalog (a
+///   one-shot front-end without a plan cache).
 /// * `join-prepared` / `scan-prepared` — prepared once through
 ///   [`tpdb_query::Session::prepare`], then bound and executed
 ///   `iterations` times.

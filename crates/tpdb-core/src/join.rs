@@ -1,33 +1,27 @@
 //! Temporal-probabilistic joins with negation (Table II of the paper).
 //!
-//! Every TP join with negation is the union of window sets:
+//! Every TP join with negation is the union of window sets — which ones,
+//! per operator, is stated once, in the operator table of
+//! [`crate::optable`]. An output tuple is formed for each window: the facts
+//! and the interval are used in their exact form and the output lineage
+//! combines `λr` and `λs` with the window class's lineage-concatenation
+//! function (`and` for overlapping, `andNot` for negating, pass-through for
+//! unmatched). The output probability is the probability of that lineage
+//! under tuple independence.
 //!
-//! | operator                  | window sets used                                               |
-//! |---------------------------|----------------------------------------------------------------|
-//! | inner join `r ⋈ s`        | `WO(r;s,θ)`                                                    |
-//! | anti join `r ▷ s`         | `WU(r;s,θ)`, `WN(r;s,θ)`                                       |
-//! | left outer `r ⟕ s`        | `WU(r;s,θ)`, `WN(r;s,θ)`, `WO(r;s,θ)`                          |
-//! | right outer `r ⟖ s`       | `WO(r;s,θ)`, `WU(s;r,θ)`, `WN(s;r,θ)`                          |
-//! | full outer `r ⟗ s`        | all five sets                                                  |
-//!
-//! An output tuple is formed for each window: the facts and the interval are
-//! used in their exact form and the output lineage combines `λr` and `λs`
-//! with the window class's lineage-concatenation function (`and` for
-//! overlapping, `andNot` for negating, pass-through for unmatched). The
-//! output probability is the probability of that lineage under tuple
-//! independence.
-
 //! The NJ implementation executes the whole computation as a **streaming
 //! pipeline**: the overlap join produces windows one `r`-tuple group at a
 //! time ([`OverlapWindowStream`]), the LAWAU and LAWAN adaptors extend each
 //! group in place, and output tuples are formed as the windows come out —
 //! no intermediate window vector is ever materialized.
 
+use crate::optable::{LineageFn, PassSpec, TpOp};
 use crate::overlap::OverlapJoinPlan;
+use crate::stream::registered_engine;
 use crate::theta::ThetaCondition;
-use crate::window::{Window, WindowKind};
+use crate::window::Window;
 use tpdb_lineage::{Lineage, LineageRef, ProbabilityEngine};
-use tpdb_storage::{Schema, StorageError, TpRelation, TpTuple, Value};
+use tpdb_storage::{StorageError, TpRelation, TpTuple};
 
 /// Which TP join with negation to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,9 +124,7 @@ pub fn tp_join_with_plan(
     kind: TpJoinKind,
     plan: Option<OverlapJoinPlan>,
 ) -> Result<TpRelation, StorageError> {
-    let mut engine = ProbabilityEngine::new();
-    r.register_probabilities(&mut engine);
-    s.register_probabilities(&mut engine);
+    let mut engine = registered_engine(r, s);
     tp_join_with_engine_and_plan(r, s, theta, kind, plan, &mut engine)
 }
 
@@ -184,193 +176,113 @@ pub fn assemble_join_result(
     right_windows: &[Window],
     engine: &mut ProbabilityEngine,
 ) -> TpRelation {
-    let schema = output_schema(r, s, kind);
-    let name = format!("{}{}{}", r.name(), kind.symbol(), s.name());
-    let mut out = TpRelation::new(&name, schema);
+    assemble_result(TpOp::Join(kind), r, s, left_windows, right_windows, engine)
+}
 
-    for w in left_windows {
-        if let Some(tuple) = form_output_tuple(w, r, s, kind, Side::Left, engine) {
-            out.push_unchecked(tuple);
-        }
-    }
-    for w in right_windows {
-        if w.is_overlapping() {
-            continue;
-        }
-        if let Some(tuple) = form_output_tuple(w, s, r, kind, Side::Right, engine) {
-            out.push_unchecked(tuple);
+/// [`assemble_join_result`] for any row of the operator table: the `r;s`
+/// pass forms its tuples from `left_windows`, the flipped pass (if the
+/// operator has one) from `right_windows`.
+pub(crate) fn assemble_result(
+    op: TpOp,
+    r: &TpRelation,
+    s: &TpRelation,
+    left_windows: &[Window],
+    right_windows: &[Window],
+    engine: &mut ProbabilityEngine,
+) -> TpRelation {
+    let (name, schema) = op.output(r, s);
+    let mut out = TpRelation::new(&name, schema);
+    for spec in op.passes() {
+        let (windows, pos, neg) = if spec.flipped {
+            (right_windows, s, r)
+        } else {
+            (left_windows, r, s)
+        };
+        for w in windows {
+            if let Some(tuple) = form_output_tuple(w, pos, neg, spec, engine) {
+                out.push_unchecked(tuple);
+            }
         }
     }
     out
 }
 
-/// Which input relation plays the role of the window's positive relation.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum Side {
-    /// Windows of `r` with respect to `s`.
-    Left,
-    /// Windows of `s` with respect to `r` (right/full outer joins only).
-    Right,
+/// Forms the output tuple of a window under a pass of the operator table
+/// (`None` when the pass does not emit the window's class): the facts in
+/// the pass's layout, the window interval, and the lineage and probability
+/// `concat` derives from `(λr, λs)` with the class's lineage function.
+fn form_tuple<L>(
+    w: &Window<L>,
+    pos: &TpRelation,
+    neg: &TpRelation,
+    spec: &PassSpec,
+    concat: impl FnOnce(LineageFn, &L, Option<&L>) -> (Lineage, f64),
+) -> Option<TpTuple> {
+    let lineage_fn = spec.lineage_fn(w.kind)?;
+    let (lineage, probability) = concat(lineage_fn, &w.lambda_r, w.lambda_s.as_ref());
+    let facts = spec.layout.facts(
+        pos.tuple(w.r_idx).facts(),
+        w.s_idx.map(|si| neg.tuple(si).facts()),
+        neg.schema().arity(),
+    );
+    Some(TpTuple::new(facts, lineage, w.interval, probability))
 }
 
-/// The fact schema of the join result.
-pub(crate) fn output_schema(r: &TpRelation, s: &TpRelation, kind: TpJoinKind) -> Schema {
-    match kind {
-        TpJoinKind::Anti => r.schema().clone(),
-        _ => r.schema().concat(s.schema(), &format!("{}_", s.name())),
-    }
-}
-
-/// Forms the output tuple of a window (or `None` when the window class does
-/// not participate in the operator, per Table II).
+/// Output formation over tree windows (the TA baseline and the
+/// materializing reference paths): the lineage is concatenated as a tree.
 pub(crate) fn form_output_tuple(
     w: &Window,
     pos: &TpRelation,
     neg: &TpRelation,
-    kind: TpJoinKind,
-    side: Side,
+    spec: &PassSpec,
     engine: &mut ProbabilityEngine,
 ) -> Option<TpTuple> {
-    // Which window classes participate, per operator and side (Table II).
-    let participates = match (kind, side, w.kind) {
-        // inner join: only WO(r;s,θ)
-        (TpJoinKind::Inner, _, k) => k == WindowKind::Overlapping,
-        // anti join: WU(r;s,θ) and WN(r;s,θ)
-        (TpJoinKind::Anti, Side::Left, k) => k != WindowKind::Overlapping,
-        (TpJoinKind::Anti, Side::Right, _) => false,
-        // left outer: WO ∪ WU(r;s) ∪ WN(r;s)
-        (TpJoinKind::LeftOuter, Side::Left, _) => true,
-        (TpJoinKind::LeftOuter, Side::Right, _) => false,
-        // right outer: WO plus WU(s;r) ∪ WN(s;r)
-        (TpJoinKind::RightOuter, Side::Left, k) => k == WindowKind::Overlapping,
-        (TpJoinKind::RightOuter, Side::Right, k) => k != WindowKind::Overlapping,
-        // full outer: all five sets
-        (TpJoinKind::FullOuter, Side::Left, _) => true,
-        (TpJoinKind::FullOuter, Side::Right, k) => k != WindowKind::Overlapping,
-    };
-    if !participates {
-        return None;
-    }
-
-    // Output lineage via the window class's concatenation function.
-    let lineage = match w.kind {
-        WindowKind::Overlapping => {
-            // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
-            Lineage::and_concat(&w.lambda_r, w.lambda_s.as_ref().expect("λs"))
-        }
-        WindowKind::Unmatched => w.lambda_r.clone(),
-        WindowKind::Negating => {
-            // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
-            Lineage::and_not_concat(&w.lambda_r, w.lambda_s.as_ref().expect("λs"))
-        }
-    };
-    let probability = engine.probability(&lineage);
-
-    // Output facts: Fr ∘ Fs with NULL padding where Fs (or Fr, on the right
-    // side) is null.
-    let pos_facts = pos.tuple(w.r_idx).facts();
-    let facts: Vec<Value> = match kind {
-        TpJoinKind::Anti => pos_facts.to_vec(),
-        _ => {
-            let neg_facts: Vec<Value> = match w.s_idx {
-                Some(si) => neg.tuple(si).facts().to_vec(),
-                None => vec![Value::Null; neg.schema().arity()],
-            };
-            match side {
-                Side::Left => pos_facts.iter().cloned().chain(neg_facts).collect(),
-                // On the right side the window's positive relation is `s`:
-                // its facts go into the right-hand columns of the output.
-                Side::Right => neg_facts
-                    .into_iter()
-                    .chain(pos_facts.iter().cloned())
-                    .collect(),
-            }
-        }
-    };
-
-    Some(TpTuple::new(facts, lineage, w.interval, probability))
+    form_tuple(w, pos, neg, spec, |lineage_fn, lr, ls| {
+        // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
+        let ls = || ls.expect("overlapping and negating windows carry λs");
+        let lineage = match lineage_fn {
+            LineageFn::Pos => lr.clone(),
+            LineageFn::And => Lineage::and_concat(lr, ls()),
+            LineageFn::AndNot => Lineage::and_not_concat(lr, ls()),
+            LineageFn::Or => Lineage::or2(lr.clone(), ls().clone()),
+        };
+        let probability = engine.probability(&lineage);
+        (lineage, probability)
+    })
 }
 
-/// [`form_output_tuple`] over the interned window representation: the
-/// output lineage is built as an arena node, its probability is computed
-/// through the id-keyed memo, and only the surviving output tuple converts
-/// the formula back into a [`Lineage`] tree (at the serde/API boundary).
+/// Output formation over the interned window representation — the one
+/// function the executing pipelines (serial and morsel-parallel) form
+/// tuples with: the output lineage is built as an arena node, its
+/// probability is computed through the id-keyed memo, and only the
+/// surviving output tuple converts the formula back into a [`Lineage`]
+/// tree (at the serde/API boundary).
 pub(crate) fn form_output_tuple_interned(
     w: &Window<LineageRef>,
     pos: &TpRelation,
     neg: &TpRelation,
-    kind: TpJoinKind,
-    side: Side,
+    spec: &PassSpec,
     engine: &mut ProbabilityEngine,
 ) -> Option<TpTuple> {
-    // Which window classes participate, per operator and side (Table II).
-    let participates = match (kind, side, w.kind) {
-        // inner join: only WO(r;s,θ)
-        (TpJoinKind::Inner, _, k) => k == WindowKind::Overlapping,
-        // anti join: WU(r;s,θ) and WN(r;s,θ)
-        (TpJoinKind::Anti, Side::Left, k) => k != WindowKind::Overlapping,
-        (TpJoinKind::Anti, Side::Right, _) => false,
-        // left outer: WO ∪ WU(r;s) ∪ WN(r;s)
-        (TpJoinKind::LeftOuter, Side::Left, _) => true,
-        (TpJoinKind::LeftOuter, Side::Right, _) => false,
-        // right outer: WO plus WU(s;r) ∪ WN(s;r)
-        (TpJoinKind::RightOuter, Side::Left, k) => k == WindowKind::Overlapping,
-        (TpJoinKind::RightOuter, Side::Right, k) => k != WindowKind::Overlapping,
-        // full outer: all five sets
-        (TpJoinKind::FullOuter, Side::Left, _) => true,
-        (TpJoinKind::FullOuter, Side::Right, k) => k != WindowKind::Overlapping,
-    };
-    if !participates {
-        return None;
-    }
-
-    // Output lineage via the window class's concatenation function, built
-    // directly in the arena.
-    let lineage_ref = match w.kind {
-        WindowKind::Overlapping => {
-            // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
-            let ls = w.lambda_s.expect("λs");
-            engine.interner_mut().and2(w.lambda_r, ls)
-        }
-        WindowKind::Unmatched => w.lambda_r,
-        WindowKind::Negating => {
-            // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
-            let ls = w.lambda_s.expect("λs");
-            engine.interner_mut().and_not(w.lambda_r, ls)
-        }
-    };
-    let probability = engine.probability_ref(lineage_ref);
-    let lineage = engine.to_lineage(lineage_ref);
-
-    // Output facts: Fr ∘ Fs with NULL padding where Fs (or Fr, on the right
-    // side) is null.
-    let pos_facts = pos.tuple(w.r_idx).facts();
-    let facts: Vec<Value> = match kind {
-        TpJoinKind::Anti => pos_facts.to_vec(),
-        _ => {
-            let neg_facts: Vec<Value> = match w.s_idx {
-                Some(si) => neg.tuple(si).facts().to_vec(),
-                None => vec![Value::Null; neg.schema().arity()],
-            };
-            match side {
-                Side::Left => pos_facts.iter().cloned().chain(neg_facts).collect(),
-                // On the right side the window's positive relation is `s`:
-                // its facts go into the right-hand columns of the output.
-                Side::Right => neg_facts
-                    .into_iter()
-                    .chain(pos_facts.iter().cloned())
-                    .collect(),
-            }
-        }
-    };
-
-    Some(TpTuple::new(facts, lineage, w.interval, probability))
+    form_tuple(w, pos, neg, spec, |lineage_fn, &lr, ls| {
+        // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
+        let ls = || *ls.expect("overlapping and negating windows carry λs");
+        let id = match lineage_fn {
+            LineageFn::Pos => lr,
+            LineageFn::And => engine.interner_mut().and2(lr, ls()),
+            LineageFn::AndNot => engine.interner_mut().and_not(lr, ls()),
+            LineageFn::Or => engine.interner_mut().or2(lr, ls()),
+        };
+        let probability = engine.probability_ref(id);
+        (engine.to_lineage(id), probability)
+    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::testutil::booking_relations;
+    use tpdb_storage::Value;
     use tpdb_temporal::Interval;
 
     fn theta() -> ThetaCondition {
@@ -426,6 +338,35 @@ mod tests {
         let t = find(&q, "Jim", Interval::new(7, 10)).unwrap();
         assert!(t.fact(2).is_null());
         assert!((t.probability() - 0.80).abs() < 1e-9);
+    }
+
+    #[test]
+    fn tree_assembly_from_materialized_windows_equals_the_streaming_join() {
+        // The tree and the interned formation differ only in how the
+        // lineage is concatenated: assembling the materialized window sets
+        // reproduces the streaming join for every operator.
+        use crate::{lawan, lawau, overlapping_windows};
+        let (a, b, _) = booking_relations();
+        let left = lawan(&lawau(&overlapping_windows(&a, &b, &theta()).unwrap(), &a));
+        let right = lawan(&lawau(
+            &overlapping_windows(&b, &a, &theta().flipped()).unwrap(),
+            &b,
+        ));
+        for kind in [
+            TpJoinKind::Inner,
+            TpJoinKind::Anti,
+            TpJoinKind::LeftOuter,
+            TpJoinKind::RightOuter,
+            TpJoinKind::FullOuter,
+        ] {
+            let mut engine = registered_engine(&a, &b);
+            let assembled = assemble_join_result(&a, &b, kind, &left, &right, &mut engine);
+            assert_eq!(
+                assembled,
+                tp_join(&a, &b, &theta(), kind).unwrap(),
+                "{kind:?}"
+            );
+        }
     }
 
     #[test]

@@ -75,6 +75,7 @@ mod join;
 mod lawan;
 mod lawau;
 mod morsel;
+mod optable;
 mod overlap;
 mod parallel;
 mod pipeline;

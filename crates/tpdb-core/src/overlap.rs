@@ -367,7 +367,7 @@ impl ProbeIndex {
 /// Like [`Window`], the stream is generic over the lineage representation
 /// `L`: the default emits [`Lineage`] trees, while the executing join and
 /// set-operation pipelines construct it through the crate-internal
-/// `interned` constructor to emit `Copy`
+/// `over_index` constructor to emit `Copy`
 /// [`LineageRef`] ids. Both input lineage columns are materialized once at
 /// construction (`Arc`-shared with the downstream LAWAU adaptor), so no
 /// per-window tree clone happens on either path.
@@ -442,38 +442,6 @@ impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
     }
 }
 
-impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>>
-    OverlapWindowStream<R, S, Vec<usize>, LineageRef>
-{
-    /// Creates the interned stream: both lineage columns are interned into
-    /// `interner` up front and every emitted window carries `Copy`
-    /// [`LineageRef`] ids. This is the construction path of the executing
-    /// join/set-operation pipelines.
-    pub(crate) fn interned(
-        r: R,
-        s: S,
-        bound: BoundTheta,
-        plan: OverlapJoinPlan,
-        interner: &mut LineageInterner,
-    ) -> Result<Self, StorageError> {
-        let index = Arc::new(ProbeIndex::build(s.borrow(), &bound, plan)?);
-        let r_lins = interned_lineages(r.borrow(), interner);
-        let s_lins = interned_lineages(s.borrow(), interner);
-        Ok(Self {
-            r,
-            s,
-            bound,
-            index,
-            r_lins,
-            s_lins,
-            pos: 0,
-            probes: None,
-            ready: VecDeque::new(),
-            scratch: Vec::new(),
-        })
-    }
-}
-
 impl<R, S, P, L> OverlapWindowStream<R, S, P, L>
 where
     R: Borrow<TpRelation>,
@@ -481,10 +449,11 @@ where
     P: AsRef<[usize]>,
     L: Clone,
 {
-    /// Creates a morsel-local stream over a **prebuilt shared** build-side
-    /// index and pre-materialized lineage columns: only the `r` indices in
-    /// `probes` are probed. This is the morsel workers' constructor — the
-    /// expensive parts (index build, column materialization/interning) are
+    /// Creates a stream over a **prebuilt shared** build-side index and
+    /// pre-materialized lineage columns: only the `r` indices in `probes`
+    /// are probed (`None` = all of `r`, the serial pipeline's one morsel
+    /// spanning every probe). This is the constructor of the executing
+    /// pipelines — the expensive parts (index build, column interning) are
     /// paid once per pass or per worker and `Arc`-shared, so creating a
     /// stream per stolen morsel costs a few pointer bumps.
     pub(crate) fn over_index(
@@ -492,7 +461,7 @@ where
         s: S,
         bound: BoundTheta,
         index: Arc<ProbeIndex>,
-        probes: P,
+        probes: Option<P>,
         r_lins: Arc<Vec<L>>,
         s_lins: Arc<Vec<L>>,
     ) -> Self {
@@ -504,7 +473,7 @@ where
             r_lins,
             s_lins,
             pos: 0,
-            probes: Some(probes),
+            probes,
             ready: VecDeque::new(),
             scratch: Vec::new(),
         }

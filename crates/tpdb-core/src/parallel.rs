@@ -31,34 +31,33 @@
 //!   the registered marginals, so the floating-point results are identical
 //!   bit-for-bit regardless of which thread computes them.
 //!
-//! The set operations ride the same machinery ([`tp_set_op_parallel`]):
-//! difference and intersection are the anti/inner join in disguise, and the
-//! union's two window passes (r-vs-s and s-vs-r) each become one
-//! work-stealing pass whose outputs merge by probe index — the streaming
-//! union is no longer a serial fallback.
+//! Joins and set operations are the same driver ([`run_parallel`]): every
+//! pass of the operator's row in [`crate::optable`] becomes one
+//! work-stealing pass whose outputs merge by probe index.
 //!
 //! ## Fallback
 //!
 //! The nested-loop plan compares every pair of tuples and cannot shard by
 //! key. Requesting `parallelism > 1` for a join that resolves to a
 //! nested-loop plan (a non-equi θ) is not an error: the join runs serially
-//! and [`parallel_degree`] — which the query layer's `EXPLAIN` uses —
-//! reports degree 1.
+//! — the same pass runner with one morsel spanning every probe — and
+//! [`parallel_degree`], which the query layer's `EXPLAIN` uses, reports
+//! degree 1.
 
-use crate::join::{form_output_tuple_interned, output_schema, Side};
+use crate::join::form_output_tuple_interned;
 use crate::morsel::{scope_workers, Injector, MorselPlan};
+use crate::optable::{PassSpec, TpOp};
 use crate::overlap::{
     auto_plan, interned_lineages, lineage_column, OverlapJoinPlan, OverlapWindowStream, ProbeIndex,
 };
-use crate::pipeline::{LawanStream, LawauStream};
-use crate::setops::{all_columns_equal, TpSetOpKind, TpSetOpStream};
+use crate::pipeline::LawauStream;
+use crate::setops::{all_columns_equal, TpSetOpKind};
+use crate::stream::{registered_engine, Pipe, TpJoinStream};
 use crate::theta::{BoundTheta, ThetaCondition};
-use crate::window::{Window, WindowKind};
 use crate::TpJoinKind;
 use std::sync::Arc;
-use tpdb_lineage::{LineageRef, ProbabilityEngine};
+use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{StorageError, TpRelation, TpTuple};
-use tpdb_temporal::Interval;
 
 /// The default degree of parallelism: the number of hardware threads the
 /// host exposes (1 when it cannot be determined).
@@ -107,99 +106,113 @@ fn merge_in_index_order(parts: Vec<TaggedTuples>, out: &mut TpRelation) {
     }
 }
 
-/// How deep into the window pipeline one parallel pass runs before output
-/// formation — mirrors the serial pipeline composition per operator.
-#[derive(Clone, Copy)]
-enum PassDepth {
-    /// Raw overlap-join windows (inner/right-outer left pass).
-    Overlap,
-    /// Overlap join → LAWAU (the union's second pass).
-    Unmatched,
-    /// Overlap join → LAWAU → LAWAN (everything else).
-    Full,
-}
-
-/// One work-stealing pass of the window pipeline: `r`'s probe indices are
-/// cut into morsels, up to `degree` scoped workers steal them, and each
-/// stolen morsel runs the serial pipeline (to `depth`) against the shared
-/// build-side index over `s`. `form` turns each window leaving the
-/// pipeline into at most one output tuple; results are returned per worker,
-/// tagged with the global probe index for [`merge_in_index_order`].
-// The pass is fully parameterized (inputs, bound θ, plan, depth, degree,
-// engine, formation) — bundling arguments into a struct would only rename
-// the two call sites.
-#[allow(clippy::too_many_arguments)]
-fn run_pass<F>(
-    r: &TpRelation,
-    s: &TpRelation,
+/// The index + morsel + injector scaffold of one parallel pass: builds the
+/// probe index over the full build side `neg` **once** (shared read-only —
+/// no per-shard rebuild), cuts `pos`'s probe indices into morsels, and runs
+/// up to `degree` scoped workers. Each worker is handed the shared index
+/// and the stream of morsels it steals; the per-worker results are returned
+/// in worker order.
+fn steal_morsels<T, F>(
+    pos: &TpRelation,
+    neg: &TpRelation,
     bound: &BoundTheta,
     plan: OverlapJoinPlan,
-    depth: PassDepth,
     degree: usize,
-    engine: &ProbabilityEngine,
-    form: F,
-) -> Result<Vec<TaggedTuples>, StorageError>
+    work: F,
+) -> Result<Vec<T>, StorageError>
 where
-    F: Fn(&Window<LineageRef>, &mut ProbabilityEngine) -> Option<TpTuple> + Sync,
+    T: Send,
+    F: Fn(&Arc<ProbeIndex>, &mut dyn Iterator<Item = &[usize]>) -> T + Sync,
 {
-    // Built once over the full build side and shared read-only — no
-    // per-shard index rebuild.
-    let index = Arc::new(ProbeIndex::build(s, bound, plan)?);
-    let morsels = MorselPlan::build(r, bound);
-    if morsels.morsel_count() == 0 {
-        return Ok(Vec::new());
-    }
+    let index = Arc::new(ProbeIndex::build(neg, bound, plan)?);
+    let morsels = MorselPlan::build(pos, bound);
     let injector = Injector::new(morsels.morsel_count());
+    // Surplus workers would find the injector already drained.
     let workers = degree.min(morsels.morsel_count());
     Ok(scope_workers(workers, |_| {
+        let mut stolen = std::iter::from_fn(|| injector.steal().map(|m| morsels.morsel(m)));
+        work(&index, &mut stolen)
+    }))
+}
+
+/// One work-stealing pass of the window pipeline: each stolen morsel of
+/// `pos`'s probe indices runs the pass of `spec` — the same [`Pipe`] and
+/// output formation as the serial runner — against the shared build-side
+/// index over `neg`. Results are returned per worker, tagged with the
+/// global probe index for [`merge_in_index_order`].
+fn run_pass(
+    pos: &TpRelation,
+    neg: &TpRelation,
+    bound: &BoundTheta,
+    plan: OverlapJoinPlan,
+    spec: &PassSpec,
+    degree: usize,
+    engine: &ProbabilityEngine,
+) -> Result<Vec<TaggedTuples>, StorageError> {
+    steal_morsels(pos, neg, bound, plan, degree, |index, morsels| {
         // Per-worker state, paid once per worker (not per morsel): a cloned
         // engine and both lineage columns interned into it.
         let mut engine = engine.clone();
-        let r_lins = interned_lineages(r, engine.interner_mut());
-        let s_lins = interned_lineages(s, engine.interner_mut());
+        let pos_lins = interned_lineages(pos, engine.interner_mut());
+        let neg_lins = interned_lineages(neg, engine.interner_mut());
         let mut out: TaggedTuples = Vec::new();
-        while let Some(m) = injector.steal() {
+        for probes in morsels {
             let wo = OverlapWindowStream::over_index(
-                r,
-                s,
+                pos,
+                neg,
                 bound.clone(),
-                Arc::clone(&index),
-                morsels.morsel(m),
-                Arc::clone(&r_lins),
-                Arc::clone(&s_lins),
+                Arc::clone(index),
+                Some(probes),
+                Arc::clone(&pos_lins),
+                Arc::clone(&neg_lins),
             );
-            match depth {
-                PassDepth::Overlap => {
-                    for w in wo {
-                        let idx = w.r_idx;
-                        if let Some(t) = form(&w, &mut engine) {
-                            out.push((idx, t));
-                        }
-                    }
-                }
-                PassDepth::Unmatched => {
-                    let lins = wo.positive_lineages();
-                    for w in LawauStream::with_lineages(wo, r, lins) {
-                        let idx = w.r_idx;
-                        if let Some(t) = form(&w, &mut engine) {
-                            out.push((idx, t));
-                        }
-                    }
-                }
-                PassDepth::Full => {
-                    let lins = wo.positive_lineages();
-                    let mut stream = LawanStream::new(LawauStream::with_lineages(wo, r, lins));
-                    while let Some(w) = stream.next_with(engine.interner_mut()) {
-                        let idx = w.r_idx;
-                        if let Some(t) = form(&w, &mut engine) {
-                            out.push((idx, t));
-                        }
-                    }
+            let mut pipe = Pipe::over(wo, pos, spec.depth);
+            while let Some(w) = pipe.next_with(engine.interner_mut()) {
+                if let Some(t) = form_output_tuple_interned(&w, pos, neg, spec, &mut engine) {
+                    out.push((w.r_idx, t));
                 }
             }
         }
         out
-    }))
+    })
+}
+
+/// The morsel-driven driver behind [`tp_join_parallel`] and
+/// [`tp_set_op_parallel`]: runs every pass of `op` as a work-stealing job
+/// and merges each pass's output back into the serial emission order.
+///
+/// Everything that cannot (or should not) shard runs the serial stream
+/// instead: a requested degree of 1, a non-shardable plan, or a keyed plan
+/// forced on a non-equi θ — for the latter the serial path returns the same
+/// `PlanNotApplicable` error the serial contract promises.
+fn run_parallel(
+    op: TpOp,
+    r: &TpRelation,
+    s: &TpRelation,
+    theta: &ThetaCondition,
+    plan: Option<OverlapJoinPlan>,
+    parallelism: usize,
+    engine: &ProbabilityEngine,
+) -> Result<TpRelation, StorageError> {
+    let bound = theta.bind(r.schema(), s.schema())?;
+    let plan = plan.unwrap_or_else(|| auto_plan(&bound));
+    let degree = parallel_degree(plan, parallelism);
+    if degree <= 1 || !bound.is_equi_join() {
+        let stream = TpJoinStream::for_op(r, s, op, theta, Some(plan), engine.clone())?;
+        return Ok(stream.collect_relation());
+    }
+    let (name, schema) = op.output(r, s);
+    let mut out = TpRelation::new(&name, schema);
+    for spec in op.passes() {
+        let parts = if spec.flipped {
+            let flipped = theta.flipped().bind(s.schema(), r.schema())?;
+            run_pass(s, r, &flipped, plan, spec, degree, engine)?
+        } else {
+            run_pass(r, s, &bound, plan, spec, degree, engine)?
+        };
+        merge_in_index_order(parts, &mut out);
+    }
+    Ok(out)
 }
 
 /// [`crate::tp_join`] executed with morsel-driven work-stealing
@@ -245,9 +258,7 @@ pub fn tp_join_parallel_with_plan(
     plan: Option<OverlapJoinPlan>,
     parallelism: usize,
 ) -> Result<TpRelation, StorageError> {
-    let mut engine = ProbabilityEngine::new();
-    r.register_probabilities(&mut engine);
-    s.register_probabilities(&mut engine);
+    let engine = registered_engine(r, s);
     tp_join_parallel_with_engine_and_plan(r, s, theta, kind, plan, parallelism, &engine)
 }
 
@@ -266,84 +277,7 @@ pub fn tp_join_parallel_with_engine_and_plan(
     parallelism: usize,
     engine: &ProbabilityEngine,
 ) -> Result<TpRelation, StorageError> {
-    let bound = theta.bind(r.schema(), s.schema())?;
-    let plan = plan.unwrap_or_else(|| auto_plan(&bound));
-    let degree = parallel_degree(plan, parallelism);
-    // Serial fallback for everything that cannot (or should not) shard: a
-    // requested degree of 1, a non-shardable plan, or a keyed plan forced on
-    // a non-equi θ — for the latter the serial path returns the same
-    // `PlanNotApplicable` error the serial join contract promises.
-    if degree <= 1 || !bound.is_equi_join() {
-        let mut engine = engine.clone();
-        return crate::join::tp_join_with_engine_and_plan(
-            r,
-            s,
-            theta,
-            kind,
-            Some(plan),
-            &mut engine,
-        );
-    }
-
-    let schema = output_schema(r, s, kind);
-    let name = format!("{}{}{}", r.name(), kind.symbol(), s.name());
-    let mut out = TpRelation::new(&name, schema);
-
-    // Windows of r with respect to s (all operators), at the depth the
-    // serial pipeline uses for this operator.
-    let left_depth = match kind {
-        TpJoinKind::Inner | TpJoinKind::RightOuter => PassDepth::Overlap,
-        TpJoinKind::Anti | TpJoinKind::LeftOuter | TpJoinKind::FullOuter => PassDepth::Full,
-    };
-    let lefts = run_pass(r, s, &bound, plan, left_depth, degree, engine, |w, eng| {
-        form_output_tuple_interned(w, r, s, kind, Side::Left, eng)
-    })?;
-    merge_in_index_order(lefts, &mut out);
-
-    // Windows of s with respect to r (right-hand null-extension);
-    // overlapping windows are skipped as duplicates of side one.
-    if matches!(kind, TpJoinKind::RightOuter | TpJoinKind::FullOuter) {
-        let flipped_bound = theta.flipped().bind(s.schema(), r.schema())?;
-        let rights = run_pass(
-            s,
-            r,
-            &flipped_bound,
-            plan,
-            PassDepth::Full,
-            degree,
-            engine,
-            |w, eng| {
-                if w.is_overlapping() {
-                    return None;
-                }
-                form_output_tuple_interned(w, s, r, kind, Side::Right, eng)
-            },
-        )?;
-        merge_in_index_order(rights, &mut out);
-    }
-    Ok(out)
-}
-
-/// Forms one union output tuple: prices `lambda`, re-wraps it as a tree and
-/// copies the source tuple's facts — exactly the serial
-/// [`TpSetOpStream`] union formation.
-fn form_union_tuple(
-    rel: &TpRelation,
-    idx: usize,
-    lambda: LineageRef,
-    interval: Interval,
-    engine: &mut ProbabilityEngine,
-) -> TpTuple {
-    let probability = engine.probability_ref(lambda);
-    // Output-formation boundary: ids become trees exactly once, on the
-    // emitted tuple. tpdb-lint: allow(no-lineage-clone-in-streams)
-    let lineage = engine.to_lineage(lambda);
-    TpTuple::new(
-        rel.tuple(idx).facts().to_vec(),
-        lineage,
-        interval,
-        probability,
-    )
+    run_parallel(TpOp::Join(kind), r, s, theta, plan, parallelism, engine)
 }
 
 /// A TP set operation executed with morsel-driven work-stealing
@@ -351,7 +285,7 @@ fn form_union_tuple(
 /// see [`tp_set_op_parallel_with_engine_and_plan`] for the full-control
 /// variant.
 ///
-/// The result is byte-identical to the streaming [`TpSetOpStream`] (and
+/// The result is byte-identical to the streaming [`crate::TpSetOpStream`] (and
 /// therefore to the one-shot [`crate::tp_union`] /
 /// [`crate::tp_intersection`] / [`crate::tp_difference`]):
 ///
@@ -369,9 +303,7 @@ pub fn tp_set_op_parallel(
     kind: TpSetOpKind,
     parallelism: usize,
 ) -> Result<TpRelation, StorageError> {
-    let mut engine = ProbabilityEngine::new();
-    r.register_probabilities(&mut engine);
-    s.register_probabilities(&mut engine);
+    let engine = registered_engine(r, s);
     tp_set_op_parallel_with_engine_and_plan(r, s, kind, None, parallelism, &engine)
 }
 
@@ -379,10 +311,10 @@ pub fn tp_set_op_parallel(
 /// engine (cloned into every worker) and an optional forced overlap-join
 /// plan.
 ///
-/// Difference and intersection reuse the anti/inner join passes;
-/// the union runs its two window passes (r-vs-s at full pipeline depth,
-/// s-vs-r to LAWAU) as work-stealing morsel jobs, replicating the serial
-/// [`TpSetOpStream`] window-by-window formation. Falls back to the
+/// Difference and intersection run the anti/inner join pass; the union
+/// runs its two window passes (r-vs-s at full pipeline depth, s-vs-r to
+/// LAWAU) as work-stealing morsel jobs — the serial
+/// [`crate::TpSetOpStream`] passes, morsel by morsel. Falls back to the
 /// streaming set operation when the effective degree is 1 (requested
 /// `parallelism` of 1, or a forced nested-loop plan).
 ///
@@ -399,111 +331,7 @@ pub fn tp_set_op_parallel_with_engine_and_plan(
     engine: &ProbabilityEngine,
 ) -> Result<TpRelation, StorageError> {
     let theta = all_columns_equal(r, s)?;
-    let bound = theta.bind(r.schema(), s.schema())?;
-    let plan = plan.unwrap_or_else(|| auto_plan(&bound));
-    let degree = parallel_degree(plan, parallelism);
-    // The all-attribute equality θ is always an equi-join; only a degree of
-    // 1 or a forced nested-loop plan lands here.
-    if degree <= 1 || !bound.is_equi_join() {
-        return Ok(
-            TpSetOpStream::with_engine_and_plan(r, s, kind, Some(plan), engine.clone())?
-                .collect_relation(),
-        );
-    }
-
-    let name = format!("{}{}{}", r.name(), kind.symbol(), s.name());
-    let mut out = TpRelation::new(&name, r.schema().clone());
-    match kind {
-        TpSetOpKind::Difference => {
-            let parts = run_pass(
-                r,
-                s,
-                &bound,
-                plan,
-                PassDepth::Full,
-                degree,
-                engine,
-                |w, eng| form_output_tuple_interned(w, r, s, TpJoinKind::Anti, Side::Left, eng),
-            )?;
-            merge_in_index_order(parts, &mut out);
-        }
-        TpSetOpKind::Intersection => {
-            let arity = r.schema().arity();
-            let parts = run_pass(
-                r,
-                s,
-                &bound,
-                plan,
-                PassDepth::Overlap,
-                degree,
-                engine,
-                |w, eng| {
-                    form_output_tuple_interned(w, r, s, TpJoinKind::Inner, Side::Left, eng).map(
-                        |t| {
-                            TpTuple::new(
-                                t.facts()[..arity].to_vec(),
-                                // Projection back to r's schema re-wraps the
-                                // finished tuple's tree.
-                                // tpdb-lint: allow(no-lineage-clone-in-streams)
-                                t.lineage().clone(),
-                                t.interval(),
-                                t.probability(),
-                            )
-                        },
-                    )
-                },
-            )?;
-            merge_in_index_order(parts, &mut out);
-        }
-        TpSetOpKind::Union => {
-            // First pass: windows of r with respect to s. Overlapping
-            // windows are skipped — the negating windows of the same group
-            // cover the identical sub-intervals and already carry the full
-            // disjunction λs of the matching s tuples.
-            let lefts = run_pass(
-                r,
-                s,
-                &bound,
-                plan,
-                PassDepth::Full,
-                degree,
-                engine,
-                |w, eng| {
-                    let lambda = match w.kind {
-                        WindowKind::Unmatched => w.lambda_r,
-                        WindowKind::Negating => eng.interner_mut().or2(
-                            w.lambda_r,
-                            // Window-kind invariant.
-                            // tpdb-lint: allow(no-panic-in-lib)
-                            w.lambda_s.expect("negating windows carry λs"),
-                        ),
-                        WindowKind::Overlapping => return None,
-                    };
-                    Some(form_union_tuple(r, w.r_idx, lambda, w.interval, eng))
-                },
-            )?;
-            merge_in_index_order(lefts, &mut out);
-
-            // Second pass: only the unmatched sub-intervals of s are new;
-            // everything else was covered from r's perspective.
-            let flipped_bound = theta.flipped().bind(s.schema(), r.schema())?;
-            let rights = run_pass(
-                s,
-                r,
-                &flipped_bound,
-                plan,
-                PassDepth::Unmatched,
-                degree,
-                engine,
-                |w, eng| {
-                    (w.kind == WindowKind::Unmatched)
-                        .then(|| form_union_tuple(s, w.r_idx, w.lambda_r, w.interval, eng))
-                },
-            )?;
-            merge_in_index_order(rights, &mut out);
-        }
-    }
-    Ok(out)
+    run_parallel(TpOp::SetOp(kind), r, s, &theta, plan, parallelism, engine)
 }
 
 /// Counts the `WUO` windows (overlap join → LAWAU) of an equi-join with
@@ -524,33 +352,26 @@ pub fn parallel_wuo_count(
         let wo = OverlapWindowStream::with_plan(r, s, bound, plan)?;
         return Ok(LawauStream::new(wo, r).count());
     }
-    let index = Arc::new(ProbeIndex::build(s, &bound, plan)?);
-    let morsels = MorselPlan::build(r, &bound);
-    if morsels.morsel_count() == 0 {
-        return Ok(0);
-    }
     // The count consumes Lineage windows like the legacy stream; both
     // columns are materialized once and shared by every worker.
     let r_lins = lineage_column(r);
     let s_lins = lineage_column(s);
-    let injector = Injector::new(morsels.morsel_count());
-    let workers = degree.min(morsels.morsel_count());
-    let counts = scope_workers(workers, |_| {
-        let mut total = 0usize;
-        while let Some(m) = injector.steal() {
-            let wo = OverlapWindowStream::over_index(
-                r,
-                s,
-                bound.clone(),
-                Arc::clone(&index),
-                morsels.morsel(m),
-                Arc::clone(&r_lins),
-                Arc::clone(&s_lins),
-            );
-            total += LawauStream::new(wo, r).count();
-        }
-        total
-    });
+    let counts = steal_morsels(r, s, &bound, plan, degree, |index, morsels| {
+        morsels
+            .map(|probes| {
+                let wo = OverlapWindowStream::over_index(
+                    r,
+                    s,
+                    bound.clone(),
+                    Arc::clone(index),
+                    Some(probes),
+                    Arc::clone(&r_lins),
+                    Arc::clone(&s_lins),
+                );
+                LawauStream::new(wo, r).count()
+            })
+            .sum::<usize>()
+    })?;
     Ok(counts.into_iter().sum())
 }
 
@@ -560,7 +381,7 @@ mod tests {
     use crate::testutil::booking_relations;
     use crate::theta::CompareOp;
     use crate::tp_join_with_plan;
-    use crate::{tp_difference, tp_intersection, tp_union};
+    use crate::{tp_difference, tp_intersection, tp_union, TpSetOpStream};
 
     const KINDS: [TpJoinKind; 5] = [
         TpJoinKind::Inner,

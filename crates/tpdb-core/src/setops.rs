@@ -18,24 +18,25 @@
 //!   negating windows of both sides.
 //!
 //! All three operations execute lazily through [`TpSetOpStream`] — the set
-//! operation counterpart of [`TpJoinStream`] and the engine behind the
-//! query layer's set-operation result cursors. The one-shot functions
-//! ([`tp_union`], [`tp_intersection`], [`tp_difference`]) simply drain the
-//! stream; nothing is materialized besides the output itself.
+//! operation counterpart of [`TpJoinStream`], running its rows of the
+//! operator table ([`crate::optable`]) through that same pass runner, and
+//! the engine behind the query layer's set-operation result cursors.
+//! The one-shot functions ([`tp_union`], [`tp_intersection`],
+//! [`tp_difference`]) simply drain the stream; nothing is materialized
+//! besides the output itself.
 //!
 //! All three are also *shardable*: [`crate::tp_set_op_parallel`] runs the
-//! identical window-by-window formation as work-stealing morsel passes
-//! (difference and intersection through the anti/inner join machinery, the
-//! union as its two tagged window passes) with byte-identical output.
+//! identical passes as work-stealing morsel jobs with byte-identical
+//! output.
 
-use crate::join::TpJoinKind;
+use crate::join::assemble_result;
+use crate::optable::TpOp;
 use crate::overlap::OverlapJoinPlan;
-use crate::stream::{Pipe, PipeDepth, TpJoinStream};
+use crate::stream::{registered_engine, TpJoinStream};
 use crate::theta::ThetaCondition;
-use crate::window::WindowKind;
 use crate::{lawan, lawau, overlapping_windows};
 use std::borrow::{Borrow, BorrowMut};
-use tpdb_lineage::{Lineage, ProbabilityEngine};
+use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{Schema, StorageError, TpRelation, TpTuple};
 
 /// Which TP set operation to compute.
@@ -156,108 +157,14 @@ pub fn tp_union(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageErr
 /// (the `--check-union-streaming` guard of the `setops` experiment).
 pub fn tp_union_materialized(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageError> {
     let theta = all_columns_equal(r, s)?;
-    let mut engine = ProbabilityEngine::new();
-    r.register_probabilities(&mut engine);
-    s.register_probabilities(&mut engine);
-
-    let schema: Schema = r.schema().clone();
-    let mut out = TpRelation::new(&format!("{}∪{}", r.name(), s.name()), schema);
-
-    // Windows of r with respect to s give, per r fact, the sub-intervals
-    // where s is absent (unmatched → λr), present (negating → λr ∨ λs), and
-    // the pairings themselves (overlapping — skipped: the negating windows of
-    // the same group cover the identical sub-intervals and already carry the
-    // full disjunction λs of the matching s tuples).
-    // Legacy materialized path: output formation builds the result trees
-    // here (the streaming union below works on interned ids instead).
-    for w in lawan(&lawau(&overlapping_windows(r, s, &theta)?, r)) {
-        let lineage = match w.kind {
-            WindowKind::Unmatched => w.lambda_r.clone(), // tpdb-lint: allow(no-lineage-clone-in-streams)
-            WindowKind::Negating => Lineage::or2(
-                // tpdb-lint: allow(no-lineage-clone-in-streams)
-                w.lambda_r.clone(),
-                // Window-kind invariant.
-                // tpdb-lint: allow(no-lineage-clone-in-streams, no-panic-in-lib)
-                w.lambda_s.clone().expect("negating windows carry λs"),
-            ),
-            WindowKind::Overlapping => continue,
-        };
-        let probability = engine.probability(&lineage);
-        out.push_unchecked(TpTuple::new(
-            r.tuple(w.r_idx).facts().to_vec(),
-            lineage,
-            w.interval,
-            probability,
-        ));
-    }
-
-    // Windows of s with respect to r: only the unmatched parts are new; the
-    // overlapping/negating parts were already covered from r's perspective.
-    let flipped = theta.flipped();
-    let s_windows = lawau(&overlapping_windows(s, r, &flipped)?, s);
-    for w in s_windows.iter().filter(|w| w.kind == WindowKind::Unmatched) {
-        let st = s.tuple(w.r_idx);
-        // Legacy materialized output formation (see the first pass).
-        // tpdb-lint: allow(no-lineage-clone-in-streams)
-        let lineage = w.lambda_r.clone();
-        let probability = engine.probability(&lineage);
-        out.push_unchecked(TpTuple::new(
-            st.facts().to_vec(),
-            lineage,
-            w.interval,
-            probability,
-        ));
-    }
-    Ok(out)
-}
-
-/// The two window passes of the streaming union.
-struct UnionStream<R, S>
-where
-    R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
-{
-    /// Windows of `r` with respect to `s` — the full `WO → LAWAU → LAWAN`
-    /// pipeline; `None` once exhausted.
-    left: Option<Pipe<R, S>>,
-    /// Windows of `s` with respect to `r` — overlap join → LAWAU only
-    /// (solely the unmatched sub-intervals are new); `None` once exhausted.
-    right: Option<Pipe<S, R>>,
-}
-
-/// Execution plan of a [`TpSetOpStream`]: difference and intersection ride
-/// directly on [`TpJoinStream`]; the union runs its own two window passes.
-// One Inner exists per stream; the size difference between the variants is
-// irrelevant at that cardinality.
-#[allow(clippy::large_enum_variant)]
-enum Inner<R, S, E>
-where
-    R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
-    E: BorrowMut<ProbabilityEngine>,
-{
-    /// Difference: the TP anti join under all-attribute equality.
-    Join(TpJoinStream<R, S, E>),
-    /// Intersection: the TP inner join, projected back to `r`'s arity.
-    Project {
-        /// The inner join stream.
-        stream: TpJoinStream<R, S, E>,
-        /// `r`'s arity — the prefix of the joined facts to keep.
-        arity: usize,
-    },
-    /// Union: the two window passes plus output formation.
-    Union {
-        /// The window passes.
-        passes: UnionStream<R, S>,
-        /// Both input relations (facts are formed by index).
-        r: R,
-        /// The right input.
-        s: S,
-        /// Probability engine for the formed lineages.
-        engine: E,
-        /// Windows pulled out of the pipeline so far.
-        windows_consumed: usize,
-    },
+    let mut engine = registered_engine(r, s);
+    // Windows of r with respect to s (the full WUON set), then the WUO
+    // windows of s with respect to r; which of them form output tuples, and
+    // how, is the union's row of the operator table.
+    let left = lawan(&lawau(&overlapping_windows(r, s, &theta)?, r));
+    let right = lawau(&overlapping_windows(s, r, &theta.flipped())?, s);
+    let union = TpOp::SetOp(TpSetOpKind::Union);
+    Ok(assemble_result(union, r, s, &left, &right, &mut engine))
 }
 
 /// A TP set operation executed lazily: an iterator producing the output
@@ -266,10 +173,10 @@ where
 /// ([`TpSetOpStream::collect_relation`]) gives exactly the relation the
 /// one-shot functions return — they are implemented as this collect.
 ///
-/// Difference and intersection ride on [`TpJoinStream`] (the TP anti and
-/// inner join under the all-attribute equality θ); the union drives its own
-/// two window passes — `WO → LAWAU → LAWAN` of `r` against `s`, then
-/// `WO → LAWAU` of `s` against `r` for the right side's unmatched
+/// Difference and intersection are the TP anti and inner join under the
+/// all-attribute equality θ (the intersection keeping `r`'s columns only);
+/// the union runs two window passes — `WO → LAWAU → LAWAN` of `r` against
+/// `s`, then `WO → LAWAU` of `s` against `r` for the right side's unmatched
 /// sub-intervals. Like the join stream, the probe indexes are built eagerly
 /// at construction; everything downstream is lazy.
 ///
@@ -284,16 +191,11 @@ where
 /// let rest = stream.count();
 /// assert_eq!(1 + rest, tpdb_core::tp_difference(&a, &b).unwrap().len());
 /// ```
-pub struct TpSetOpStream<R, S, E = ProbabilityEngine>
+pub struct TpSetOpStream<R, S, E = ProbabilityEngine>(TpJoinStream<R, S, E>)
 where
     R: Borrow<TpRelation> + Clone,
     S: Borrow<TpRelation> + Clone,
-    E: BorrowMut<ProbabilityEngine>,
-{
-    inner: Inner<R, S, E>,
-    schema: Schema,
-    name: String,
-}
+    E: BorrowMut<ProbabilityEngine>;
 
 impl<R, S> TpSetOpStream<R, S, ProbabilityEngine>
 where
@@ -316,9 +218,7 @@ where
         kind: TpSetOpKind,
         plan: Option<OverlapJoinPlan>,
     ) -> Result<Self, StorageError> {
-        let mut engine = ProbabilityEngine::new();
-        r.borrow().register_probabilities(&mut engine);
-        s.borrow().register_probabilities(&mut engine);
+        let engine = registered_engine(r.borrow(), s.borrow());
         Self::with_engine_and_plan(r, s, kind, plan, engine)
     }
 }
@@ -345,86 +245,23 @@ where
         s: S,
         kind: TpSetOpKind,
         plan: Option<OverlapJoinPlan>,
-        mut engine: E,
+        engine: E,
     ) -> Result<Self, StorageError> {
         let theta = all_columns_equal(r.borrow(), s.borrow())?;
-        let schema = r.borrow().schema().clone();
-        let name = format!(
-            "{}{}{}",
-            r.borrow().name(),
-            kind.symbol(),
-            s.borrow().name()
-        );
-        let inner = match kind {
-            TpSetOpKind::Difference => Inner::Join(TpJoinStream::with_engine_and_plan(
-                r,
-                s,
-                &theta,
-                TpJoinKind::Anti,
-                plan,
-                engine,
-            )?),
-            TpSetOpKind::Intersection => {
-                let arity = schema.arity();
-                Inner::Project {
-                    stream: TpJoinStream::with_engine_and_plan(
-                        r,
-                        s,
-                        &theta,
-                        TpJoinKind::Inner,
-                        plan,
-                        engine,
-                    )?,
-                    arity,
-                }
-            }
-            TpSetOpKind::Union => {
-                let left = Pipe::build(
-                    r.clone(),
-                    s.clone(),
-                    &theta,
-                    plan,
-                    PipeDepth::Full,
-                    engine.borrow_mut().interner_mut(),
-                )?;
-                let right = Pipe::build(
-                    s.clone(),
-                    r.clone(),
-                    &theta.flipped(),
-                    plan,
-                    PipeDepth::Unmatched,
-                    engine.borrow_mut().interner_mut(),
-                )?;
-                Inner::Union {
-                    passes: UnionStream {
-                        left: Some(left),
-                        right: Some(right),
-                    },
-                    r,
-                    s,
-                    engine,
-                    windows_consumed: 0,
-                }
-            }
-        };
-        Ok(Self {
-            inner,
-            schema,
-            name,
-        })
+        TpJoinStream::for_op(r, s, TpOp::SetOp(kind), &theta, plan, engine).map(Self)
     }
 
     /// The fact schema of the output tuples (always the left input's).
     #[must_use]
     pub fn schema(&self) -> &Schema {
-        &self.schema
+        self.0.schema()
     }
 
     /// The name the collected result relation carries (`r∪s`, `r∩s`,
     /// `r∖s`).
     #[must_use]
     pub fn name(&self) -> &str {
-        &self.name
+        self.0.name()
     }
 
     /// How many windows have left the underlying pipeline so far — the
@@ -434,13 +271,7 @@ where
     /// count of the operation.
     #[must_use]
     pub fn windows_consumed(&self) -> usize {
-        match &self.inner {
-            Inner::Join(stream) => stream.windows_consumed(),
-            Inner::Project { stream, .. } => stream.windows_consumed(),
-            Inner::Union {
-                windows_consumed, ..
-            } => *windows_consumed,
-        }
+        self.0.windows_consumed()
     }
 
     /// Drains the remaining stream into a materialized relation — the exact
@@ -448,12 +279,7 @@ where
     /// fresh inputs.
     #[must_use]
     pub fn collect_relation(self) -> TpRelation {
-        let name = self.name.clone();
-        let mut out = TpRelation::new(&name, self.schema.clone());
-        for t in self {
-            out.push_unchecked(t);
-        }
-        out
+        self.0.collect_relation()
     }
 }
 
@@ -466,88 +292,7 @@ where
     type Item = TpTuple;
 
     fn next(&mut self) -> Option<TpTuple> {
-        match &mut self.inner {
-            Inner::Join(stream) => stream.next(),
-            Inner::Project { stream, arity } => stream.next().map(|t| {
-                TpTuple::new(
-                    t.facts()[..*arity].to_vec(),
-                    // Output formation: re-wraps a finished tuple's tree.
-                    // tpdb-lint: allow(no-lineage-clone-in-streams)
-                    t.lineage().clone(),
-                    t.interval(),
-                    t.probability(),
-                )
-            }),
-            Inner::Union {
-                passes,
-                r,
-                s,
-                engine,
-                windows_consumed,
-            } => {
-                // First pass: windows of r with respect to s. Overlapping
-                // windows are skipped — the negating windows of the same
-                // group cover the identical sub-intervals and already carry
-                // the full disjunction λs of the matching s tuples.
-                while let Some(pipe) = &mut passes.left {
-                    match pipe.next_with(engine.borrow_mut().interner_mut()) {
-                        Some(w) => {
-                            *windows_consumed += 1;
-                            let eng = engine.borrow_mut();
-                            let lineage_ref = match w.kind {
-                                WindowKind::Unmatched => w.lambda_r,
-                                WindowKind::Negating => eng.interner_mut().or2(
-                                    w.lambda_r,
-                                    // Window-kind invariant.
-                                    // tpdb-lint: allow(no-panic-in-lib)
-                                    w.lambda_s.expect("negating windows carry λs"),
-                                ),
-                                WindowKind::Overlapping => continue,
-                            };
-                            let probability = eng.probability_ref(lineage_ref);
-                            // Output-formation boundary: ids become trees
-                            // exactly once, on the emitted tuple.
-                            // tpdb-lint: allow(no-lineage-clone-in-streams)
-                            let lineage = eng.to_lineage(lineage_ref);
-                            let facts = <R as Borrow<TpRelation>>::borrow(r).tuple(w.r_idx).facts();
-                            return Some(TpTuple::new(
-                                facts.to_vec(),
-                                lineage,
-                                w.interval,
-                                probability,
-                            ));
-                        }
-                        None => passes.left = None,
-                    }
-                }
-                // Second pass: only the unmatched sub-intervals of s are
-                // new; everything else was covered from r's perspective.
-                while let Some(pipe) = &mut passes.right {
-                    match pipe.next_with(engine.borrow_mut().interner_mut()) {
-                        Some(w) => {
-                            *windows_consumed += 1;
-                            if w.kind != WindowKind::Unmatched {
-                                continue;
-                            }
-                            let eng = engine.borrow_mut();
-                            let probability = eng.probability_ref(w.lambda_r);
-                            // Output-formation boundary (see the first pass).
-                            // tpdb-lint: allow(no-lineage-clone-in-streams)
-                            let lineage = eng.to_lineage(w.lambda_r);
-                            let facts = <S as Borrow<TpRelation>>::borrow(s).tuple(w.r_idx).facts();
-                            return Some(TpTuple::new(
-                                facts.to_vec(),
-                                lineage,
-                                w.interval,
-                                probability,
-                            ));
-                        }
-                        None => passes.right = None,
-                    }
-                }
-                None
-            }
-        }
+        self.0.next()
     }
 }
 
@@ -555,7 +300,7 @@ where
 mod tests {
     use super::*;
     use std::sync::Arc;
-    use tpdb_lineage::{SymbolTable, VarId};
+    use tpdb_lineage::{Lineage, SymbolTable, VarId};
     use tpdb_storage::{DataType, Value};
     use tpdb_temporal::Interval;
 
@@ -671,23 +416,25 @@ mod tests {
     }
 
     #[test]
-    fn union_stream_produces_the_first_tuple_lazily() {
+    fn set_op_streams_produce_the_first_tuple_lazily() {
         let (r, s) = tpdb_datagen::meteo_like(2_000, 7);
-        let mut stream = TpSetOpStream::new(&r, &s, TpSetOpKind::Union).unwrap();
-        let first = stream.next();
-        assert!(first.is_some());
-        // Forming the first tuple consumes only the windows preceding it
-        // in the pipeline (skipped overlapping windows included) — a
-        // handful, not the full window mass of the operation.
-        let consumed_at_first = stream.windows_consumed();
-        assert!(consumed_at_first >= 1);
-        let produced = 1 + stream.by_ref().count();
-        assert!(produced > 1_000, "expected a large union, got {produced}");
-        let consumed_total = stream.windows_consumed();
-        assert!(
-            consumed_at_first * 100 <= consumed_total,
-            "first tuple consumed {consumed_at_first} of {consumed_total} windows — not lazy"
-        );
+        for kind in [
+            TpSetOpKind::Union,
+            TpSetOpKind::Intersection,
+            TpSetOpKind::Difference,
+        ] {
+            let mut stream = TpSetOpStream::new(&r, &s, kind).unwrap();
+            assert!(stream.next().is_some(), "{kind}");
+            // Forming the first tuple consumes exactly one window: on this
+            // seeded workload the first window of every operation is of a
+            // class it emits (skipped classes would count too).
+            let consumed_at_first = stream.windows_consumed();
+            assert_eq!(consumed_at_first, 1, "{kind}");
+            let produced = 1 + stream.by_ref().count();
+            assert!(produced > 100, "expected a large {kind}, got {produced}");
+            // Draining consumes the rest: orders of magnitude more windows.
+            assert!(stream.windows_consumed() >= 100, "{kind}");
+        }
     }
 
     #[test]

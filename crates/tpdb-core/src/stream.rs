@@ -1,46 +1,41 @@
-//! The TP join as a lazy tuple stream.
+//! The TP operators as lazy tuple streams.
 //!
-//! [`TpJoinStream`] drives the full streaming window pipeline
-//! (`OverlapWindowStream → LawauStream → LawanStream → output formation`)
-//! one **output tuple** at a time, instead of collecting the join into a
-//! [`TpRelation`]. It is the engine behind the query layer's result
-//! cursors: the first output tuple is available after probing a single
-//! positive tuple's window group — the full output is never materialized
-//! unless the caller drains the stream.
+//! [`TpJoinStream`] is the one pass runner of the crate: it executes a row
+//! of the operator table ([`crate::optable`]) through the streaming window
+//! pipeline (`OverlapWindowStream → LawauStream → LawanStream → output
+//! formation`) one **output tuple** at a time, instead of collecting the
+//! result into a [`TpRelation`]. Its public constructors run the join
+//! rows, [`crate::TpSetOpStream`] wraps it for the set-operation rows; both
+//! are the engine behind the query layer's result cursors: the first output
+//! tuple is available after probing a single positive tuple's window group
+//! — the full output is never materialized unless the caller drains the
+//! stream.
 //!
-//! The input relations are held through any [`Borrow`]`<TpRelation>`, so
-//! the stream works with plain references inside a one-shot join (this is
-//! how [`crate::tp_join`] itself is implemented) and with
-//! `Arc<TpRelation>` in long-lived cursors that must own their inputs.
-//!
-//! Like a conventional hash join, the stream builds its probe index (and,
-//! for right and full outer joins, the index of the flipped second pass)
-//! eagerly at construction; everything downstream of the build side is
+//! Serial execution is the morsel driver's special case "one morsel
+//! spanning every probe": [`Pipe::build`] builds the probe index and
+//! interns both lineage columns — eagerly, at construction, like the build
+//! side of a conventional hash join — and then stacks the same
+//! [`Pipe::over`] adaptors a stolen morsel of [`crate::parallel`] runs over
+//! its slice of the probe side. Everything downstream of the build side is
 //! lazy.
 //!
-//! ```
-//! use tpdb_core::{ThetaCondition, TpJoinKind, TpJoinStream};
-//!
-//! let (a, b) = tpdb_datagen::booking_example();
-//! let theta = ThetaCondition::column_equals("Loc", "Loc");
-//!
-//! let mut stream = TpJoinStream::new(&a, &b, &theta, TpJoinKind::LeftOuter).unwrap();
-//! let first = stream.next().unwrap();
-//! // Exactly one window was consumed to form the first answer tuple.
-//! assert_eq!(stream.windows_consumed(), 1);
-//! assert!((0.0..=1.0).contains(&first.probability()));
-//!
-//! // Draining the stream yields the full Fig. 1b result (7 tuples).
-//! assert_eq!(1 + stream.count(), 7);
-//! ```
+//! The input relations are held through any [`Borrow`]`<TpRelation>`, so
+//! the streams work with plain references inside a one-shot join (this is
+//! how [`crate::tp_join`] itself is implemented) and with
+//! `Arc<TpRelation>` in long-lived cursors that must own their inputs.
 
-use crate::join::{form_output_tuple_interned, output_schema, Side};
-use crate::overlap::{auto_plan, OverlapJoinPlan, OverlapWindowStream};
+use crate::join::form_output_tuple_interned;
+use crate::optable::{PassSpec, TpOp};
+use crate::overlap::{
+    auto_plan, interned_lineages, OverlapJoinPlan, OverlapWindowStream, ProbeIndex,
+};
 use crate::pipeline::{LawanStream, LawauStream};
 use crate::theta::ThetaCondition;
 use crate::window::Window;
 use crate::TpJoinKind;
 use std::borrow::{Borrow, BorrowMut};
+use std::collections::VecDeque;
+use std::sync::Arc;
 use tpdb_lineage::{LineageInterner, LineageRef, ProbabilityEngine};
 use tpdb_storage::{Schema, StorageError, TpRelation, TpTuple};
 
@@ -48,67 +43,59 @@ use tpdb_storage::{Schema, StorageError, TpRelation, TpTuple};
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum PipeDepth {
     /// Overlapping + whole-interval unmatched windows only (the bare
-    /// overlap join: inner joins and the first pass of right outer joins
-    /// need no left null-extension).
+    /// overlap join: passes that emit `WO` alone need no null-extension).
     Overlap,
-    /// Overlap join → LAWAU (the second pass of the streaming union only
-    /// needs the unmatched sub-intervals of the right side).
+    /// Overlap join → LAWAU (the second pass of the union only needs the
+    /// unmatched sub-intervals of the right side).
     Unmatched,
     /// The full stack: overlap join → LAWAU → LAWAN.
     Full,
 }
 
 /// The interned overlap join → LAWAU stack (the `Wu` depth of a [`Pipe`]).
-type WuStream<P, N> = LawauStream<OverlapWindowStream<P, N, Vec<usize>, LineageRef>, P, LineageRef>;
+type WuStream<P, N, Q> = LawauStream<OverlapWindowStream<P, N, Q, LineageRef>, P, LineageRef>;
 
-/// One pass of the window pipeline, cut off at a [`PipeDepth`].
-// One Pipe exists per stream (two for right/full outer joins and unions);
-// the size difference between the variants is irrelevant at that
+/// One pass of the window pipeline over the probe list `Q` (a stolen
+/// morsel's indices, or every probe), cut off at a [`PipeDepth`].
+// A handful of Pipes exist per statement (one per pass, or per stolen
+// morsel); the size difference between the variants is irrelevant at that
 // cardinality.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Pipe<P, N>
+pub(crate) enum Pipe<P, N, Q = Vec<usize>>
 where
     P: Borrow<TpRelation> + Clone,
     N: Borrow<TpRelation>,
+    Q: AsRef<[usize]>,
 {
     /// Overlapping + whole-interval unmatched windows only.
-    Wo(OverlapWindowStream<P, N, Vec<usize>, LineageRef>),
+    Wo(OverlapWindowStream<P, N, Q, LineageRef>),
     /// Overlap join → LAWAU.
-    Wu(WuStream<P, N>),
+    Wu(WuStream<P, N, Q>),
     /// The full pipeline: overlap join → LAWAU → LAWAN.
-    Wuon(LawanStream<WuStream<P, N>, LineageRef>),
+    Wuon(LawanStream<WuStream<P, N, Q>, LineageRef>),
 }
 
-impl<P, N> Pipe<P, N>
+impl<P, N, Q> Pipe<P, N, Q>
 where
     P: Borrow<TpRelation> + Clone,
     N: Borrow<TpRelation>,
+    Q: AsRef<[usize]>,
 {
-    /// Builds the pipe for windows of `pos` with respect to `neg`. The
-    /// lineage columns of both inputs are interned into `interner` up
-    /// front; everything downstream moves [`LineageRef`] ids only.
-    pub(crate) fn build(
+    /// Stacks the adaptors `depth` asks for on an overlap stream of `pos`.
+    pub(crate) fn over(
+        wo: OverlapWindowStream<P, N, Q, LineageRef>,
         pos: P,
-        neg: N,
-        theta: &ThetaCondition,
-        plan: Option<OverlapJoinPlan>,
         depth: PipeDepth,
-        interner: &mut LineageInterner,
-    ) -> Result<Self, StorageError> {
-        let bound = theta.bind(pos.borrow().schema(), neg.borrow().schema())?;
-        let plan = plan.unwrap_or_else(|| auto_plan(&bound));
-        let wo = OverlapWindowStream::interned(pos.clone(), neg, bound, plan, interner)?;
-        Ok(match depth {
+    ) -> Self {
+        let lawau = |wo: OverlapWindowStream<P, N, Q, LineageRef>| {
+            let lins = wo.positive_lineages();
+            LawauStream::with_lineages(wo, pos, lins)
+        };
+        match depth {
             PipeDepth::Overlap => Pipe::Wo(wo),
-            PipeDepth::Unmatched => {
-                let lins = wo.positive_lineages();
-                Pipe::Wu(LawauStream::with_lineages(wo, pos, lins))
-            }
-            PipeDepth::Full => {
-                let lins = wo.positive_lineages();
-                Pipe::Wuon(LawanStream::new(LawauStream::with_lineages(wo, pos, lins)))
-            }
-        })
+            PipeDepth::Unmatched => Pipe::Wu(lawau(wo)),
+            PipeDepth::Full => Pipe::Wuon(LawanStream::new(lawau(wo))),
+        }
     }
 
     /// The next window of the pass; `interner` receives the `λs`
@@ -124,6 +111,72 @@ where
             Pipe::Wuon(inner) => inner.next_with(interner),
         }
     }
+}
+
+impl<P, N> Pipe<P, N>
+where
+    P: Borrow<TpRelation> + Clone,
+    N: Borrow<TpRelation>,
+{
+    /// Builds the whole-pass pipe for windows of `pos` with respect to
+    /// `neg` — the serial form, one morsel spanning every probe. The probe
+    /// index is built and the lineage columns of both inputs are interned
+    /// into `interner` up front; everything downstream moves
+    /// [`LineageRef`] ids only.
+    pub(crate) fn build(
+        pos: P,
+        neg: N,
+        theta: &ThetaCondition,
+        plan: Option<OverlapJoinPlan>,
+        depth: PipeDepth,
+        interner: &mut LineageInterner,
+    ) -> Result<Self, StorageError> {
+        let bound = theta.bind(pos.borrow().schema(), neg.borrow().schema())?;
+        let plan = plan.unwrap_or_else(|| auto_plan(&bound));
+        let index = Arc::new(ProbeIndex::build(neg.borrow(), &bound, plan)?);
+        let pos_lins = interned_lineages(pos.borrow(), interner);
+        let neg_lins = interned_lineages(neg.borrow(), interner);
+        let wo = OverlapWindowStream::over_index(
+            pos.clone(),
+            neg,
+            bound,
+            index,
+            None,
+            pos_lins,
+            neg_lins,
+        );
+        Ok(Self::over(wo, pos, depth))
+    }
+}
+
+/// Either input of an operator, so that a pass over `r;s` and a flipped
+/// pass over `s;r` share one pipe type.
+#[derive(Clone)]
+enum Input<R, S> {
+    Left(R),
+    Right(S),
+}
+
+impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> Borrow<TpRelation> for Input<R, S> {
+    fn borrow(&self) -> &TpRelation {
+        match self {
+            Input::Left(r) => r.borrow(),
+            Input::Right(s) => s.borrow(),
+        }
+    }
+}
+
+/// One table row being executed: its spec, its positive and negative
+/// relation, and the window pipe between them.
+struct Pass<R, S>
+where
+    R: Borrow<TpRelation> + Clone,
+    S: Borrow<TpRelation> + Clone,
+{
+    spec: &'static PassSpec,
+    pos: Input<R, S>,
+    neg: Input<R, S>,
+    pipe: Pipe<Input<R, S>, Input<R, S>>,
 }
 
 /// A TP join with negation, executed lazily: an iterator producing the
@@ -156,24 +209,21 @@ where
 /// // Draining the stream yields the full Fig. 1b result (7 tuples).
 /// assert_eq!(1 + stream.count(), 7);
 /// ```
+// The stream is the crate's one lazy pass runner: it executes the passes of
+// any row of the operator table ([`TpJoinStream::for_op`]) in table order,
+// forming one output tuple per accepted window. Finished passes are dropped
+// (releasing their probe index) before the next one starts.
 pub struct TpJoinStream<R, S, E = ProbabilityEngine>
 where
     R: Borrow<TpRelation> + Clone,
     S: Borrow<TpRelation> + Clone,
     E: BorrowMut<ProbabilityEngine>,
 {
-    r: R,
-    s: S,
-    kind: TpJoinKind,
     engine: E,
     schema: Schema,
     name: String,
-    /// Windows of `r` with respect to `s` (all operators); `None` once
-    /// exhausted.
-    left: Option<Pipe<R, S>>,
-    /// Windows of `s` with respect to `r` (right/full outer joins only);
-    /// overlapping windows of this pass are skipped as duplicates.
-    right: Option<Pipe<S, R>>,
+    /// The passes still to run; the front one is executing.
+    passes: VecDeque<Pass<R, S>>,
     windows_consumed: usize,
     produced: usize,
 }
@@ -205,11 +255,18 @@ where
         kind: TpJoinKind,
         plan: Option<OverlapJoinPlan>,
     ) -> Result<Self, StorageError> {
-        let mut engine = ProbabilityEngine::new();
-        r.borrow().register_probabilities(&mut engine);
-        s.borrow().register_probabilities(&mut engine);
+        let engine = registered_engine(r.borrow(), s.borrow());
         Self::with_engine_and_plan(r, s, theta, kind, plan, engine)
     }
+}
+
+/// A fresh probability engine preloaded with the base-tuple probabilities
+/// of the two inputs.
+pub(crate) fn registered_engine(r: &TpRelation, s: &TpRelation) -> ProbabilityEngine {
+    let mut engine = ProbabilityEngine::new();
+    r.register_probabilities(&mut engine);
+    s.register_probabilities(&mut engine);
+    engine
 }
 
 impl<R, S, E> TpJoinStream<R, S, E>
@@ -228,54 +285,49 @@ where
         theta: &ThetaCondition,
         kind: TpJoinKind,
         plan: Option<OverlapJoinPlan>,
+        engine: E,
+    ) -> Result<Self, StorageError> {
+        Self::for_op(r, s, TpOp::Join(kind), theta, plan, engine)
+    }
+
+    /// The runner behind every operator: builds the passes of `op`'s table
+    /// row over `r` and `s` under θ (flipped for the `s;r` passes).
+    pub(crate) fn for_op(
+        r: R,
+        s: S,
+        op: TpOp,
+        theta: &ThetaCondition,
+        plan: Option<OverlapJoinPlan>,
         mut engine: E,
     ) -> Result<Self, StorageError> {
-        let schema = output_schema(r.borrow(), s.borrow(), kind);
-        let name = format!(
-            "{}{}{}",
-            r.borrow().name(),
-            kind.symbol(),
-            s.borrow().name()
-        );
-        // The operators with left null-extension pipe the overlap join
-        // through the LAWAU and LAWAN adaptors; inner and right outer joins
-        // only need the overlapping windows of this pass.
-        let left_depth = if matches!(kind, TpJoinKind::Inner | TpJoinKind::RightOuter) {
-            PipeDepth::Overlap
-        } else {
-            PipeDepth::Full
-        };
-        let left = Pipe::build(
-            r.clone(),
-            s.clone(),
-            theta,
-            plan,
-            left_depth,
-            engine.borrow_mut().interner_mut(),
-        )?;
-        // Right-hand null-extension for right and full outer joins: the
-        // same pipeline with the roles of r and s flipped.
-        let right = if matches!(kind, TpJoinKind::RightOuter | TpJoinKind::FullOuter) {
-            Some(Pipe::build(
-                s.clone(),
-                r.clone(),
-                &theta.flipped(),
-                plan,
-                PipeDepth::Full,
-                engine.borrow_mut().interner_mut(),
-            )?)
-        } else {
-            None
-        };
+        let (name, schema) = op.output(r.borrow(), s.borrow());
+        let mut passes = VecDeque::new();
+        for spec in op.passes() {
+            let flipped_theta;
+            let (pos, neg, theta) = if spec.flipped {
+                flipped_theta = theta.flipped();
+                (
+                    Input::Right(s.clone()),
+                    Input::Left(r.clone()),
+                    &flipped_theta,
+                )
+            } else {
+                (Input::Left(r.clone()), Input::Right(s.clone()), theta)
+            };
+            let interner = engine.borrow_mut().interner_mut();
+            let pipe = Pipe::build(pos.clone(), neg.clone(), theta, plan, spec.depth, interner)?;
+            passes.push_back(Pass {
+                spec,
+                pos,
+                neg,
+                pipe,
+            });
+        }
         Ok(Self {
-            r,
-            s,
-            kind,
             engine,
             schema,
             name,
-            left: Some(left),
-            right,
+            passes,
             windows_consumed: 0,
             produced: 0,
         })
@@ -311,8 +363,7 @@ where
     /// relation [`crate::tp_join`] returns when called on fresh inputs.
     #[must_use]
     pub fn collect_relation(self) -> TpRelation {
-        let name = self.name.clone();
-        let mut out = TpRelation::new(&name, self.schema.clone());
+        let mut out = TpRelation::new(&self.name, self.schema.clone());
         for t in self {
             out.push_unchecked(t);
         }
@@ -329,47 +380,17 @@ where
     type Item = TpTuple;
 
     fn next(&mut self) -> Option<TpTuple> {
-        while let Some(pipe) = &mut self.left {
-            match pipe.next_with(self.engine.borrow_mut().interner_mut()) {
-                Some(w) => {
-                    self.windows_consumed += 1;
-                    if let Some(t) = form_output_tuple_interned(
-                        &w,
-                        self.r.borrow(),
-                        self.s.borrow(),
-                        self.kind,
-                        Side::Left,
-                        self.engine.borrow_mut(),
-                    ) {
-                        self.produced += 1;
-                        return Some(t);
-                    }
-                }
-                None => self.left = None,
-            }
-        }
-        while let Some(pipe) = &mut self.right {
-            match pipe.next_with(self.engine.borrow_mut().interner_mut()) {
-                Some(w) => {
-                    self.windows_consumed += 1;
-                    // WO(r;s,θ) = WO(s;r,θ) was already produced by the
-                    // first pass.
-                    if w.is_overlapping() {
-                        continue;
-                    }
-                    if let Some(t) = form_output_tuple_interned(
-                        &w,
-                        self.s.borrow(),
-                        self.r.borrow(),
-                        self.kind,
-                        Side::Right,
-                        self.engine.borrow_mut(),
-                    ) {
-                        self.produced += 1;
-                        return Some(t);
-                    }
-                }
-                None => self.right = None,
+        let engine = self.engine.borrow_mut();
+        while let Some(pass) = self.passes.front_mut() {
+            let Some(w) = pass.pipe.next_with(engine.interner_mut()) else {
+                self.passes.pop_front();
+                continue;
+            };
+            self.windows_consumed += 1;
+            let (pos, neg): (&TpRelation, &TpRelation) = (pass.pos.borrow(), pass.neg.borrow());
+            if let Some(t) = form_output_tuple_interned(&w, pos, neg, pass.spec, engine) {
+                self.produced += 1;
+                return Some(t);
             }
         }
         None
@@ -432,6 +453,58 @@ mod tests {
         // Draining consumes the rest: orders of magnitude more windows.
         let total = 1 + stream.count();
         assert!(total > 1_000, "expected a large output, got {total}");
+    }
+
+    #[test]
+    fn flipped_pass_counts_the_overlapping_windows_it_skips() {
+        // A right outer join pulls the bare overlap join of a;b, then the
+        // full pipeline of b;a — whose overlapping windows are consumed
+        // (and counted) but form no second copy of the inner part.
+        use crate::{lawan, lawau, overlapping_windows};
+        let (a, b, _) = booking_relations();
+        let first = overlapping_windows(&a, &b, &theta()).unwrap();
+        let second = lawan(&lawau(
+            &overlapping_windows(&b, &a, &theta().flipped()).unwrap(),
+            &b,
+        ));
+        let mut stream = TpJoinStream::new(&a, &b, &theta(), TpJoinKind::RightOuter).unwrap();
+        let produced = stream.by_ref().count();
+        assert_eq!(stream.windows_consumed(), first.len() + second.len());
+        assert_eq!(stream.produced(), produced);
+        let emitted = first.iter().filter(|w| w.is_overlapping()).count()
+            + second.iter().filter(|w| !w.is_overlapping()).count();
+        assert_eq!(produced, emitted);
+    }
+
+    #[test]
+    fn pipe_depth_cuts_the_window_pipeline() {
+        use crate::window::WindowKind::{Negating, Overlapping, Unmatched};
+        let (a, b, _) = booking_relations();
+        for (depth, kinds, windows) in [
+            // the bare overlap join: a1's two pairings + a2 whole-interval
+            (PipeDepth::Overlap, vec![Overlapping, Unmatched], 3),
+            // + LAWAU: a1's uncovered prefix [2,4)
+            (PipeDepth::Unmatched, vec![Overlapping, Unmatched], 4),
+            // + LAWAN: the three negating windows of Fig. 1b
+            (PipeDepth::Full, vec![Overlapping, Unmatched, Negating], 7),
+        ] {
+            let mut engine = registered_engine(&a, &b);
+            let interner = engine.interner_mut();
+            let mut pipe = Pipe::build(&a, &b, &theta(), None, depth, interner).unwrap();
+            let mut seen = Vec::new();
+            while let Some(w) = pipe.next_with(interner) {
+                seen.push(w.kind);
+            }
+            assert_eq!(seen.len(), windows, "{depth:?}");
+            assert!(
+                seen.iter().all(|k| kinds.contains(k)),
+                "{depth:?}: {seen:?}"
+            );
+            assert!(
+                kinds.iter().all(|k| seen.contains(k)),
+                "{depth:?}: {seen:?}"
+            );
+        }
     }
 
     #[test]

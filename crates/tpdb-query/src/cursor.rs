@@ -47,9 +47,7 @@ use tpdb_storage::{Schema, TpRelation, TpTuple};
 /// assert_eq!(rest.len(), 6); // 7 answer tuples minus the one fetched
 /// ```
 pub struct ResultCursor {
-    /// Output schema, snapshotted at open time (before the join adopts its
-    /// runtime column prefixes) so that cursor results are byte-identical
-    /// to materializing execution.
+    /// Output schema, snapshotted at open time.
     schema: Schema,
     op: Box<dyn PhysicalOperator>,
     fetched: usize,

@@ -2,13 +2,14 @@
 //!
 //! Every operator implements [`PhysicalOperator`] and produces its output
 //! one tuple at a time through `next()`. Scans, filters and projections are
-//! fully streaming. The TP join operator materializes its two inputs
-//! (joins need the complete negative relation to build windows — exactly as
-//! the hash/merge join of a conventional DBMS materializes its build side)
-//! and then produces output tuples lazily: with an effective degree of
-//! parallelism of 1 the NJ strategy drives the streaming
-//! [`TpJoinStream`](tpdb_core::TpJoinStream) pipeline tuple by tuple (the
-//! path result cursors use); with a higher degree it runs the partitioned
+//! fully streaming. The TP window operator (joins and set operations)
+//! materializes its two inputs (the windows need the complete negative
+//! relation — exactly as the hash/merge join of a conventional DBMS
+//! materializes its build side) and then produces output tuples lazily:
+//! with an effective degree of parallelism of 1 the NJ machinery drives the
+//! streaming [`TpJoinStream`](tpdb_core::TpJoinStream) /
+//! [`TpSetOpStream`](tpdb_core::TpSetOpStream) pipeline tuple by tuple (the
+//! path result cursors use); with a higher degree it runs the morsel-driven
 //! parallel driver and streams the merged result. The TA strategy runs the
 //! alignment baseline.
 //!
@@ -206,386 +207,226 @@ impl PhysicalOperator for ProjectExec {
     }
 }
 
-/// Execution state of the TP join operator.
-// One JoinState exists per join operator; the size difference between the
-// streaming and materialized variants is irrelevant at that cardinality.
-#[allow(clippy::large_enum_variant)]
-enum JoinState {
+/// Which window operator a [`WindowOpExec`] runs: a TP join (which adds θ
+/// and the choice of the TA baseline) or a TP set operation.
+pub enum WindowOp {
+    /// A TP join with negation under θ, by the NJ or the TA strategy.
+    Join {
+        /// The join condition.
+        theta: ThetaCondition,
+        /// Which join.
+        kind: TpJoinKind,
+        /// NJ window pipeline or the Temporal Alignment baseline.
+        strategy: JoinStrategy,
+    },
+    /// `UNION` / `INTERSECT` / `EXCEPT` under all-attribute equality
+    /// (NJ machinery only).
+    SetOp(TpSetOpKind),
+}
+
+/// Execution state of the window operator.
+enum OpState {
     /// Inputs not yet materialized.
     Pending,
-    /// Serial lazy execution: output tuples leave the streaming pipeline
-    /// one at a time (the path result cursors ride on).
-    Streaming(TpJoinStream<Arc<TpRelation>, Arc<TpRelation>, ProbabilityEngine>),
-    /// Parallel (or TA) execution: the result is materialized and streamed
-    /// from memory.
-    Materialized(std::vec::IntoIter<TpTuple>),
+    /// Producing output: lazily out of the serial streaming pipeline (the
+    /// path result cursors ride on), or from the materialized result of
+    /// parallel NJ / TA execution.
+    Running(Box<dyn Iterator<Item = TpTuple> + Send>),
     /// Exhausted, or an error was already reported.
     Done,
 }
 
-/// TP join operator. The two inputs are materialized when the first output
-/// tuple is requested; output tuples are then produced lazily (serial NJ)
-/// or streamed from the computed result (parallel NJ, TA).
-pub struct TpJoinExec {
+/// The TP window operator: joins and set operations (`UNION` / `INTERSECT`
+/// / `EXCEPT`). The two inputs are materialized when the first output tuple
+/// is requested — the operators need the complete negative side to build
+/// windows. Output tuples are then produced lazily through
+/// [`TpJoinStream`] / [`TpSetOpStream`] (serial NJ), or streamed from the
+/// materialized morsel-parallel result (any operator with an effective
+/// degree above 1) or TA result.
+pub struct WindowOpExec {
     left: Box<dyn PhysicalOperator>,
     right: Box<dyn PhysicalOperator>,
-    theta: ThetaCondition,
-    kind: TpJoinKind,
-    strategy: JoinStrategy,
+    op: WindowOp,
     overlap_plan: Option<OverlapJoinPlan>,
-    /// Requested degree of parallelism for the NJ strategy (already resolved
-    /// against the session default by the planner). The effective degree may
-    /// be 1: nested-loop plans cannot shard.
+    /// Requested degree of parallelism for the NJ machinery (already
+    /// resolved against the session default by the planner). The effective
+    /// degree may be 1: nested-loop plans cannot shard.
     parallelism: usize,
     /// Base-tuple probabilities known to the catalog, preloaded by the
-    /// planner. The inputs' own base tuples are registered on top at start:
-    /// the catalog engine is what lets the join price lineages of *derived*
-    /// inputs (e.g. a set-operation result) whose compound lineages
-    /// reference base tuples not present in the input itself.
+    /// planner and taken at start. The inputs' own base tuples are
+    /// registered on top: the catalog engine is what lets the operator
+    /// price lineages of *derived* inputs (e.g. `(r UNION s) EXCEPT r`)
+    /// whose compound lineages reference base tuples not present in the
+    /// input itself.
     base_engine: ProbabilityEngine,
     schema: Schema,
-    state: JoinState,
+    state: OpState,
 }
 
-impl TpJoinExec {
-    /// Creates a TP join operator. `overlap_plan` forces the NJ strategy's
-    /// overlap-join plan (`None` = automatic: sweep for equi-joins, nested
-    /// loop otherwise); `parallelism` is the requested worker count for the
-    /// NJ strategy (`1` = serial). The TA strategy ignores both.
-    /// `base_engine` carries the base-tuple probabilities known to the
-    /// catalog (usually [`tpdb_storage::Catalog::probability_engine`]), so
-    /// derived inputs with compound lineages can be priced.
-    // The operator genuinely has eight independent knobs; bundling them
-    // into a one-off struct would only move the argument list.
-    #[allow(clippy::too_many_arguments)]
+impl WindowOpExec {
+    /// Creates a window operator. `overlap_plan` forces the NJ overlap-join
+    /// plan (`None` = automatic: sweep for equi-joins — always, for set
+    /// operations — and nested loop otherwise); `parallelism` is the
+    /// requested worker count for the NJ machinery (`1` = serial). The TA
+    /// strategy ignores both. `base_engine` carries the base-tuple
+    /// probabilities known to the catalog (usually
+    /// [`tpdb_storage::Catalog::probability_engine`]), so derived inputs
+    /// with compound lineages can be priced.
     #[must_use]
     pub fn new(
         left: Box<dyn PhysicalOperator>,
         right: Box<dyn PhysicalOperator>,
-        theta: ThetaCondition,
-        kind: TpJoinKind,
-        strategy: JoinStrategy,
+        op: WindowOp,
         overlap_plan: Option<OverlapJoinPlan>,
         parallelism: usize,
         base_engine: ProbabilityEngine,
     ) -> Self {
-        let schema = match kind {
-            TpJoinKind::Anti => left.schema().clone(),
-            _ => left.schema().concat(right.schema(), "s_"),
+        // Set operations and the anti join keep the left input's schema;
+        // the other joins append the right input's columns.
+        let schema = match &op {
+            WindowOp::SetOp(_)
+            | WindowOp::Join {
+                kind: TpJoinKind::Anti,
+                ..
+            } => left.schema().clone(),
+            WindowOp::Join { .. } => left.schema().concat(right.schema(), "s_"),
         };
         Self {
             left,
             right,
-            theta,
-            kind,
-            strategy,
+            op,
             overlap_plan,
             parallelism: parallelism.max(1),
             base_engine,
             schema,
-            state: JoinState::Pending,
+            state: OpState::Pending,
         }
     }
 
-    /// The overlap-join plan that will run: the forced one, or the automatic
-    /// choice resolved against the child schemas (`None` when θ does not
-    /// bind — the error will surface at execution).
+    /// The overlap-join plan that will run: the forced one, or the
+    /// automatic choice — for a join resolved against the child schemas
+    /// (`None` when θ does not bind; the error will surface at execution),
+    /// for a set operation always sweep (all-attribute equality is an
+    /// equi-join).
     fn resolved_plan(&self) -> Option<OverlapJoinPlan> {
-        match self.overlap_plan {
-            Some(p) => Some(p),
-            None => self
-                .theta
+        self.overlap_plan.or_else(|| match &self.op {
+            WindowOp::Join { theta, .. } => theta
                 .bind(self.left.schema(), self.right.schema())
                 .ok()
                 .map(|bound| tpdb_core::auto_plan(&bound)),
-        }
+            WindowOp::SetOp(_) => Some(OverlapJoinPlan::Sweep),
+        })
     }
 
-    /// Materializes the inputs and starts the join. Scan children hand over
-    /// their stored relation without a tuple-by-tuple copy.
-    fn start(&mut self) -> Result<JoinState, TpdbError> {
+    /// Materializes the inputs and starts the operator. Scan children hand
+    /// over their stored relation without a tuple-by-tuple copy.
+    fn start(&mut self) -> Result<OpState, TpdbError> {
         let left = self.left.materialize("left")?;
         let right = self.right.materialize("right")?;
-        match self.strategy {
-            JoinStrategy::Nj => {
-                let mut engine = self.base_engine.clone();
-                left.register_probabilities(&mut engine);
-                right.register_probabilities(&mut engine);
-                let effective = self
-                    .resolved_plan()
-                    .map_or(1, |p| tpdb_core::parallel_degree(p, self.parallelism));
-                if effective > 1 {
-                    let joined = tpdb_core::tp_join_parallel_with_engine_and_plan(
-                        &left,
-                        &right,
-                        &self.theta,
-                        self.kind,
-                        self.overlap_plan,
-                        self.parallelism,
-                        &engine,
-                    )?;
-                    // Adopt the join's schema (column prefixes depend on
-                    // input names).
-                    self.schema = joined.schema().clone();
-                    Ok(JoinState::Materialized(
-                        joined.tuples().to_vec().into_iter(),
-                    ))
-                } else {
-                    let stream = TpJoinStream::with_engine_and_plan(
-                        left,
-                        right,
-                        &self.theta,
-                        self.kind,
-                        self.overlap_plan,
-                        engine,
-                    )?;
-                    self.schema = stream.schema().clone();
-                    Ok(JoinState::Streaming(stream))
-                }
-            }
-            JoinStrategy::Ta => {
-                let joined = tpdb_ta::ta_join(&left, &right, &self.theta, self.kind)?;
-                self.schema = joined.schema().clone();
-                Ok(JoinState::Materialized(
-                    joined.tuples().to_vec().into_iter(),
-                ))
-            }
-        }
-    }
-}
-
-impl PhysicalOperator for TpJoinExec {
-    fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    fn next(&mut self) -> Option<Result<TpTuple, TpdbError>> {
-        if matches!(self.state, JoinState::Pending) {
-            match self.start() {
-                Ok(state) => self.state = state,
-                Err(e) => {
-                    self.state = JoinState::Done;
-                    return Some(Err(e));
-                }
-            }
-        }
-        match &mut self.state {
-            JoinState::Streaming(stream) => stream.next().map(Ok),
-            JoinState::Materialized(tuples) => tuples.next().map(Ok),
-            JoinState::Pending | JoinState::Done => None,
-        }
-    }
-
-    fn describe(&self) -> String {
-        // Name the overlap-join plan that will actually run: the forced one,
-        // or the automatic choice resolved against the child schemas.
-        let resolved = self.resolved_plan();
-        let plan_note = match (self.strategy, self.overlap_plan) {
-            (_, Some(p)) => format!(" plan={p}"),
-            (JoinStrategy::Nj, None) => match resolved {
-                Some(p) => format!(" plan=auto({p})"),
-                None => String::new(),
-            },
-            (JoinStrategy::Ta, None) => String::new(),
-        };
-        // Report the degree of parallelism that will actually be used, not
-        // merely the requested one: a nested-loop plan cannot shard, so a
-        // requested degree above 1 silently becoming serial would misreport.
-        let par_note = match self.strategy {
-            JoinStrategy::Nj => match resolved {
-                Some(plan) => {
-                    let effective = tpdb_core::parallel_degree(plan, self.parallelism);
-                    if effective == 1 && self.parallelism > 1 {
-                        format!(
-                            " parallel=1 (serial fallback: the {} plan cannot shard)",
-                            plan.label()
-                        )
-                    } else {
-                        format!(" parallel={effective}")
-                    }
-                }
-                None => String::new(),
-            },
-            // TA always runs the serial alignment baseline.
-            JoinStrategy::Ta => String::new(),
-        };
-        format!(
-            "TpJoin {} [{}{}{}] ({}) over [{}; {}]",
-            self.kind.symbol(),
-            self.strategy,
-            plan_note,
-            par_note,
-            self.theta,
-            self.left.describe(),
-            self.right.describe()
-        )
-    }
-}
-
-/// Execution state of the set-operation operator.
-// One SetOpState exists per operator; the size difference between the
-// streaming and materialized variants is irrelevant at that cardinality.
-#[allow(clippy::large_enum_variant)]
-enum SetOpState {
-    /// Inputs not yet materialized.
-    Pending,
-    /// Serial lazy execution through the streaming set-operation pipeline
-    /// (the path result cursors ride on).
-    Streaming(TpSetOpStream<Arc<TpRelation>, Arc<TpRelation>, ProbabilityEngine>),
-    /// Parallel execution: the result is materialized and streamed from
-    /// memory.
-    Materialized(std::vec::IntoIter<TpTuple>),
-    /// Exhausted, or an error was already reported.
-    Done,
-}
-
-/// TP set operation operator (`UNION` / `INTERSECT` / `EXCEPT`). The two
-/// inputs are materialized when the first output tuple is requested — the
-/// set operations, like the joins they are built on, need the complete
-/// negative side to build windows. Output tuples are then produced lazily
-/// through [`TpSetOpStream`] (serial), or streamed from the materialized
-/// morsel-parallel result (any kind with an effective degree above 1 —
-/// including `UNION`, whose two window passes shard like the joins).
-pub struct SetOpExec {
-    left: Box<dyn PhysicalOperator>,
-    right: Box<dyn PhysicalOperator>,
-    kind: TpSetOpKind,
-    overlap_plan: Option<OverlapJoinPlan>,
-    /// Requested degree of parallelism (already resolved against the
-    /// session default by the planner).
-    parallelism: usize,
-    /// Base-tuple probabilities known to the catalog, preloaded by the
-    /// planner — what lets a *chained* set operation price the compound
-    /// lineages of a derived input (e.g. `(r UNION s) EXCEPT r`).
-    base_engine: ProbabilityEngine,
-    schema: Schema,
-    state: SetOpState,
-}
-
-impl SetOpExec {
-    /// Creates a set-operation operator. `overlap_plan` forces the plan of
-    /// the internal all-attribute-equality overlap join (`None` =
-    /// automatic: sweep); `parallelism` is the requested worker count
-    /// (`1` = serial). `base_engine` carries the base-tuple probabilities
-    /// known to the catalog (usually
-    /// [`tpdb_storage::Catalog::probability_engine`]).
-    #[must_use]
-    pub fn new(
-        left: Box<dyn PhysicalOperator>,
-        right: Box<dyn PhysicalOperator>,
-        kind: TpSetOpKind,
-        overlap_plan: Option<OverlapJoinPlan>,
-        parallelism: usize,
-        base_engine: ProbabilityEngine,
-    ) -> Self {
-        // The output schema of every TP set operation is the left input's.
-        let schema = left.schema().clone();
-        Self {
-            left,
-            right,
+        let materialized =
+            |result: TpRelation| OpState::Running(Box::new(result.into_tuples().into_iter()));
+        if let WindowOp::Join {
+            theta,
             kind,
-            overlap_plan,
-            parallelism: parallelism.max(1),
-            base_engine,
-            schema,
-            state: SetOpState::Pending,
+            strategy: JoinStrategy::Ta,
+        } = &self.op
+        {
+            return Ok(materialized(tpdb_ta::ta_join(&left, &right, theta, *kind)?));
         }
-    }
-
-    /// The overlap-join plan of the internal machinery: the forced one, or
-    /// sweep (the all-attribute equality θ is always an equi-join).
-    fn resolved_plan(&self) -> OverlapJoinPlan {
-        self.overlap_plan.unwrap_or(OverlapJoinPlan::Sweep)
-    }
-
-    /// The degree of parallelism that will actually be used. All three set
-    /// operations shard like the keyed TP joins they are built on (the
-    /// all-attribute equality θ is always an equi-join), so only a forced
-    /// nested-loop plan pins this to 1.
-    fn effective_parallelism(&self) -> usize {
-        tpdb_core::parallel_degree(self.resolved_plan(), self.parallelism)
-    }
-
-    /// Materializes the inputs and starts the set operation. Scan children
-    /// hand over their stored relation without a tuple-by-tuple copy.
-    fn start(&mut self) -> Result<SetOpState, TpdbError> {
-        let left = self.left.materialize("left")?;
-        let right = self.right.materialize("right")?;
-        let mut engine = self.base_engine.clone();
+        let mut engine = std::mem::take(&mut self.base_engine);
         left.register_probabilities(&mut engine);
         right.register_probabilities(&mut engine);
-        if self.effective_parallelism() > 1 {
-            let computed = tpdb_core::tp_set_op_parallel_with_engine_and_plan(
-                &left,
-                &right,
-                self.kind,
-                self.overlap_plan,
-                self.parallelism,
-                &engine,
-            )?;
-            Ok(SetOpState::Materialized(
-                computed.tuples().to_vec().into_iter(),
-            ))
-        } else {
-            Ok(SetOpState::Streaming(TpSetOpStream::with_engine_and_plan(
-                left,
-                right,
-                self.kind,
-                self.overlap_plan,
-                engine,
-            )?))
-        }
+        let (plan, degree) = (self.overlap_plan, self.parallelism);
+        let parallel = self
+            .resolved_plan()
+            .is_some_and(|p| tpdb_core::parallel_degree(p, degree) > 1);
+        Ok(match (&self.op, parallel) {
+            (WindowOp::Join { theta, kind, .. }, true) => {
+                materialized(tpdb_core::tp_join_parallel_with_engine_and_plan(
+                    &left, &right, theta, *kind, plan, degree, &engine,
+                )?)
+            }
+            (WindowOp::Join { theta, kind, .. }, false) => OpState::Running(Box::new(
+                TpJoinStream::with_engine_and_plan(left, right, theta, *kind, plan, engine)?,
+            )),
+            (WindowOp::SetOp(kind), true) => {
+                materialized(tpdb_core::tp_set_op_parallel_with_engine_and_plan(
+                    &left, &right, *kind, plan, degree, &engine,
+                )?)
+            }
+            (WindowOp::SetOp(kind), false) => OpState::Running(Box::new(
+                TpSetOpStream::with_engine_and_plan(left, right, *kind, plan, engine)?,
+            )),
+        })
+    }
+
+    /// The ` plan=…` and ` parallel=…` notes of `EXPLAIN`. They name the
+    /// overlap-join plan and the degree of parallelism that will actually
+    /// run, not merely the requested ones: a nested-loop plan cannot shard,
+    /// so a requested degree above 1 silently becoming serial would
+    /// misreport. TA always runs the serial alignment baseline and only
+    /// echoes a forced plan.
+    fn plan_and_parallel_notes(&self) -> String {
+        let ta =
+            matches!(&self.op, WindowOp::Join { strategy, .. } if *strategy == JoinStrategy::Ta);
+        let resolved = self.resolved_plan().filter(|_| !ta);
+        let plan_note = match (self.overlap_plan, resolved) {
+            (Some(p), _) => format!(" plan={p}"),
+            (None, Some(p)) => format!(" plan=auto({p})"),
+            (None, None) => String::new(),
+        };
+        let par_note = match resolved {
+            Some(plan) => {
+                let effective = tpdb_core::parallel_degree(plan, self.parallelism);
+                if effective == 1 && self.parallelism > 1 {
+                    format!(" parallel=1 (serial fallback: the {plan} plan cannot shard)")
+                } else {
+                    format!(" parallel={effective}")
+                }
+            }
+            None => String::new(),
+        };
+        plan_note + &par_note
     }
 }
 
-impl PhysicalOperator for SetOpExec {
+impl PhysicalOperator for WindowOpExec {
     fn schema(&self) -> &Schema {
         &self.schema
     }
 
     fn next(&mut self) -> Option<Result<TpTuple, TpdbError>> {
-        if matches!(self.state, SetOpState::Pending) {
+        if matches!(self.state, OpState::Pending) {
             match self.start() {
                 Ok(state) => self.state = state,
                 Err(e) => {
-                    self.state = SetOpState::Done;
+                    self.state = OpState::Done;
                     return Some(Err(e));
                 }
             }
         }
         match &mut self.state {
-            SetOpState::Streaming(stream) => stream.next().map(Ok),
-            SetOpState::Materialized(tuples) => tuples.next().map(Ok),
-            SetOpState::Pending | SetOpState::Done => None,
+            OpState::Running(tuples) => tuples.next().map(Ok),
+            OpState::Pending | OpState::Done => None,
         }
     }
 
     fn describe(&self) -> String {
-        let plan_note = match self.overlap_plan {
-            Some(p) => format!(" plan={p}"),
-            None => format!(" plan=auto({})", self.resolved_plan()),
-        };
-        // Like the join operator, report the degree that will actually run:
-        // a parallel request on a forced nested-loop plan must not
-        // misreport.
-        let effective = self.effective_parallelism();
-        let par_note = if effective == 1 && self.parallelism > 1 {
-            format!(
-                " parallel=1 (serial fallback: the {} plan cannot shard)",
-                self.resolved_plan()
-            )
-        } else {
-            format!(" parallel={effective}")
-        };
-        format!(
-            "SetOp {} [{}{}{}] over [{}; {}]",
-            self.kind,
-            self.kind.symbol(),
-            plan_note,
-            par_note,
-            self.left.describe(),
-            self.right.describe()
-        )
+        let notes = self.plan_and_parallel_notes();
+        let inputs = format!("[{}; {}]", self.left.describe(), self.right.describe());
+        match &self.op {
+            WindowOp::Join {
+                theta,
+                kind,
+                strategy,
+            } => format!(
+                "TpJoin {} [{strategy}{notes}] ({theta}) over {inputs}",
+                kind.symbol()
+            ),
+            WindowOp::SetOp(kind) => {
+                format!("SetOp {kind} [{}{notes}] over {inputs}", kind.symbol())
+            }
+        }
     }
 }
 
@@ -875,6 +716,80 @@ mod tests {
         }
         assert_eq!(n, 7);
         assert!(op.next().is_none(), "exhausted operators stay exhausted");
+    }
+
+    #[test]
+    fn join_schema_is_stable_across_the_first_next() {
+        // Regression: the operator used to adopt the core join's schema
+        // (`b_Loc`) on start, after parents and cursors had already bound
+        // against the planned one (`s_Loc`).
+        let c = catalog();
+        let join = |strategy| {
+            LogicalPlan::scan("a").tp_join(
+                LogicalPlan::scan("b"),
+                ThetaCondition::column_equals("Loc", "Loc"),
+                TpJoinKind::LeftOuter,
+                strategy,
+            )
+        };
+        for plan in [
+            join(JoinStrategy::Nj).with_parallelism(1),
+            join(JoinStrategy::Nj).with_parallelism(3),
+            join(JoinStrategy::Ta),
+        ] {
+            let mut op = plan_query(&c, &plan).unwrap();
+            let before = op.schema().clone();
+            assert!(before.index_of("s_Loc").is_some(), "{before:?}");
+            assert!(op.next().unwrap().is_ok());
+            assert_eq!(op.schema(), &before, "{}", op.describe());
+        }
+    }
+
+    #[test]
+    fn explain_text_of_joins_and_set_ops_is_pinned() {
+        let mut c = catalog();
+        let (r, s) = tpdb_datagen::meteo_like(50, 3);
+        c.register(r).unwrap();
+        c.register(s).unwrap();
+        let join = |strategy| {
+            LogicalPlan::scan("a").tp_join(
+                LogicalPlan::scan("b"),
+                ThetaCondition::column_equals("Loc", "Loc"),
+                TpJoinKind::LeftOuter,
+                strategy,
+            )
+        };
+        let union =
+            LogicalPlan::scan("meteo_r").set_op(TpSetOpKind::Union, LogicalPlan::scan("meteo_s"));
+        let inputs = "[Scan a (2 tuples); Scan b (3 tuples)]";
+        for (plan, expected) in [
+            (
+                join(JoinStrategy::Nj).with_parallelism(2),
+                format!("TpJoin ⟕ [NJ plan=auto(sweep) parallel=2] (r.Loc = s.Loc) over {inputs}"),
+            ),
+            (
+                join(JoinStrategy::Nj)
+                    .with_overlap_plan(OverlapJoinPlan::Hash)
+                    .with_parallelism(1),
+                format!("TpJoin ⟕ [NJ plan=hash parallel=1] (r.Loc = s.Loc) over {inputs}"),
+            ),
+            (
+                join(JoinStrategy::Ta).with_parallelism(2),
+                format!("TpJoin ⟕ [TA] (r.Loc = s.Loc) over {inputs}"),
+            ),
+            (
+                join(JoinStrategy::Ta).with_overlap_plan(OverlapJoinPlan::Sweep),
+                format!("TpJoin ⟕ [TA plan=sweep] (r.Loc = s.Loc) over {inputs}"),
+            ),
+            (
+                union.with_parallelism(3),
+                "SetOp UNION [∪ plan=auto(sweep) parallel=3] over \
+                 [Scan meteo_r (50 tuples); Scan meteo_s (50 tuples)]"
+                    .to_owned(),
+            ),
+        ] {
+            assert_eq!(plan_query(&c, &plan).unwrap().describe(), expected);
+        }
     }
 
     #[test]

@@ -22,8 +22,7 @@
 //!   streaming window pipeline instead of materializing the result.
 //!
 //! Every API returns the unified [`TpdbError`]; parse errors carry byte
-//! spans and the offending token. The pre-session [`QueryEngine`] remains
-//! as a deprecated shim.
+//! spans and the offending token.
 //!
 //! ## Example
 //!
@@ -55,7 +54,6 @@
 #![warn(missing_docs)]
 
 mod cursor;
-mod engine;
 mod error;
 mod exec;
 mod expr;
@@ -66,8 +64,6 @@ mod session;
 mod shared_cache;
 
 pub use cursor::ResultCursor;
-#[allow(deprecated)]
-pub use engine::QueryEngine;
 pub use error::{ParseError, Span, TpdbError};
 pub use exec::{execute_plan, execute_plan_with, PhysicalOperator};
 pub use expr::{LiteralPredicate, Operand, PredicateOp};
@@ -79,7 +75,3 @@ pub use shared_cache::{
     normalize_text, prepare_plan, PreparedPlan, ShardedPlanCache, SharedCacheStats,
 };
 pub use tpdb_core::TpSetOpKind;
-
-/// The former name of [`TpdbError`].
-#[deprecated(since = "0.2.0", note = "renamed to `TpdbError`")]
-pub type QueryError = TpdbError;

@@ -1,6 +1,6 @@
 //! Lowering of logical plans to physical operator trees.
 
-use crate::exec::{FilterExec, PhysicalOperator, ProjectExec, ScanExec, SetOpExec, TpJoinExec};
+use crate::exec::{FilterExec, PhysicalOperator, ProjectExec, ScanExec, WindowOp, WindowOpExec};
 use crate::plan::LogicalPlan;
 use crate::TpdbError;
 use tpdb_storage::{Catalog, Value};
@@ -117,12 +117,14 @@ fn lower(
                 }
             }
             let requested = parallelism.unwrap_or(options.parallelism).max(1);
-            Ok(Box::new(TpJoinExec::new(
+            Ok(Box::new(WindowOpExec::new(
                 left,
                 right,
-                theta.clone(),
-                *kind,
-                *strategy,
+                WindowOp::Join {
+                    theta: theta.clone(),
+                    kind: *kind,
+                    strategy: *strategy,
+                },
                 *overlap_plan,
                 requested,
                 base_engine
@@ -156,10 +158,10 @@ fn lower(
                 }
             }
             let requested = parallelism.unwrap_or(options.parallelism).max(1);
-            Ok(Box::new(SetOpExec::new(
+            Ok(Box::new(WindowOpExec::new(
                 left,
                 right,
-                *kind,
+                WindowOp::SetOp(*kind),
                 *overlap_plan,
                 requested,
                 base_engine

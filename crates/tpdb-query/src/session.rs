@@ -5,10 +5,10 @@ use crate::cursor::ResultCursor;
 use crate::exec::execute_plan_with;
 use crate::plan::LogicalPlan;
 use crate::planner::{explain_with, plan_query_with, QueryOptions};
-use crate::shared_cache::{normalize_text, prepare_plan, PreparedPlan};
+use crate::shared_cache::{PreparedPlan, ShardedPlanCache};
 use crate::TpdbError;
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 use tpdb_storage::{Catalog, DataType, Schema, TpRelation, TpTuple, Value};
 
 /// Upper bound on cached plans per session; the oldest entry is evicted
@@ -67,18 +67,12 @@ const MAX_CACHED_PLANS: usize = 128;
 pub struct Session {
     catalog: Catalog,
     options: QueryOptions,
-    cache: Mutex<PlanCache>,
-}
-
-#[derive(Debug, Default)]
-struct PlanCache {
-    entries: HashMap<String, Arc<PreparedPlan>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<String>,
-    hits: u64,
-    misses: u64,
-    prepared: u64,
-    executions: u64,
+    /// The plan cache: a session is a one-shard [`ShardedPlanCache`].
+    cache: ShardedPlanCache,
+    /// `prepare` calls served (a statistic; publishes no other data).
+    prepared: AtomicU64,
+    /// Statements executed (a statistic; publishes no other data).
+    executions: AtomicU64,
 }
 
 /// Counters of a session's plan cache and execution activity
@@ -106,7 +100,9 @@ impl Session {
         Self {
             catalog,
             options: QueryOptions::default(),
-            cache: Mutex::new(PlanCache::default()),
+            cache: ShardedPlanCache::new(1, MAX_CACHED_PLANS),
+            prepared: AtomicU64::new(0),
+            executions: AtomicU64::new(0),
         }
     }
 
@@ -139,12 +135,9 @@ impl Session {
         self.options.parallelism = degree.max(1);
     }
 
-    /// Locks the plan cache, recovering from poisoning: the cache holds
-    /// counters and `Arc`'d immutable plans, every mutation is a single
-    /// map/deque call, so a panicking thread cannot leave it torn — and a
-    /// best-effort cache must never take the session down with it.
-    fn cache_guard(&self) -> MutexGuard<'_, PlanCache> {
-        self.cache.lock().unwrap_or_else(PoisonError::into_inner)
+    /// Counts one executed statement.
+    fn count_execution(&self) {
+        self.executions.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Parses, validates and caches a statement, returning a handle that
@@ -153,7 +146,7 @@ impl Session {
     /// without re-parsing, until a catalog mutation invalidates the entry.
     pub fn prepare(&self, text: &str) -> Result<PreparedQuery<'_>, TpdbError> {
         let plan = self.cached_plan(text)?;
-        self.cache_guard().prepared += 1;
+        self.prepared.fetch_add(1, Ordering::Relaxed);
         Ok(PreparedQuery {
             session: self,
             plan,
@@ -184,7 +177,7 @@ impl Session {
         match &prepared.plan {
             LogicalPlan::LoadSnapshot { path } => {
                 self.catalog.load_snapshot(path)?;
-                self.cache_guard().executions += 1;
+                self.count_execution();
                 snapshot_summary(&self.catalog)
             }
             _ => self.run_prepared(&prepared, &[]),
@@ -214,7 +207,7 @@ impl Session {
 
     /// Executes an already-built logical plan (no text, no cache).
     pub fn run(&self, plan: &LogicalPlan) -> Result<TpRelation, TpdbError> {
-        self.cache_guard().executions += 1;
+        self.count_execution();
         execute_plan_with(&self.catalog, plan, &self.options)
     }
 
@@ -233,13 +226,13 @@ impl Session {
     /// A snapshot of the session's plan-cache and execution counters.
     #[must_use]
     pub fn stats(&self) -> SessionStats {
-        let cache = self.cache_guard();
+        let cache = self.cache.stats();
         SessionStats {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
-            cached_plans: cache.entries.len(),
-            statements_prepared: cache.prepared,
-            executions: cache.executions,
+            cached_plans: cache.entries,
+            statements_prepared: self.prepared.load(Ordering::Relaxed),
+            executions: self.executions.load(Ordering::Relaxed),
         }
     }
 
@@ -254,37 +247,8 @@ impl Session {
 
     /// Looks up (or parses, validates and caches) the plan of `text`.
     fn cached_plan(&self, text: &str) -> Result<Arc<PreparedPlan>, TpdbError> {
-        let key = normalize_text(text);
-        let epoch = self.catalog.schema_epoch();
-        {
-            let mut cache = self.cache_guard();
-            let cached = cache
-                .entries
-                .get(&key)
-                .filter(|entry| entry.epoch == epoch)
-                .map(Arc::clone);
-            if let Some(entry) = cached {
-                cache.hits += 1;
-                return Ok(entry);
-            }
-            cache.misses += 1;
-        }
-        // Parse and validate outside the lock; a racing prepare of the same
-        // text at worst parses twice. `prepare_plan` is the shared
-        // parse-and-validate path (also used by the server's
-        // [`crate::ShardedPlanCache`]).
-        let prepared = Arc::new(prepare_plan(&self.catalog, &self.options, text)?);
-        let mut cache = self.cache_guard();
-        if !cache.entries.contains_key(&key) {
-            cache.order.push_back(key.clone());
-            if cache.order.len() > MAX_CACHED_PLANS {
-                if let Some(evicted) = cache.order.pop_front() {
-                    cache.entries.remove(&evicted);
-                }
-            }
-        }
-        cache.entries.insert(key, Arc::clone(&prepared));
-        Ok(prepared)
+        self.cache
+            .get_or_prepare(&self.catalog, &self.options, text)
     }
 
     /// Binds parameters and executes to a materialized relation.
@@ -299,7 +263,7 @@ impl Session {
             // `execute_statement` (&mut self) instead.
             LogicalPlan::SaveSnapshot { path } => {
                 self.catalog.save_snapshot(path)?;
-                self.cache_guard().executions += 1;
+                self.count_execution();
                 snapshot_summary(&self.catalog)
             }
             LogicalPlan::LoadSnapshot { .. } => Err(TpdbError::Storage(
@@ -312,7 +276,7 @@ impl Session {
             )),
             _ => {
                 let bound = self.bound_plan(prepared, params)?;
-                self.cache_guard().executions += 1;
+                self.count_execution();
                 execute_plan_with(&self.catalog, &bound, &self.options)
             }
         }
@@ -337,7 +301,7 @@ impl Session {
             ));
         }
         let bound = self.bound_plan(prepared, params)?;
-        self.cache_guard().executions += 1;
+        self.count_execution();
         let op = plan_query_with(&self.catalog, &bound, &QueryOptions::serial())?;
         Ok(ResultCursor::new(op))
     }
@@ -482,6 +446,7 @@ impl PreparedQuery<'_> {
 mod tests {
     use super::*;
     use crate::parser::parse_query;
+    use crate::shared_cache::normalize_text;
     use tpdb_storage::{DataType, Schema};
 
     fn session() -> Session {
@@ -557,6 +522,8 @@ mod tests {
     #[test]
     fn prepare_validates_against_the_catalog_up_front() {
         let s = session();
+        // not a statement at all
+        assert!(s.prepare("not a query").is_err());
         // unknown relation
         assert!(s.prepare("SELECT * FROM missing").is_err());
         // unknown column inside a parameterized predicate
@@ -565,6 +532,23 @@ mod tests {
         assert!(s
             .prepare("SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc STRATEGY TA")
             .is_ok());
+    }
+
+    #[test]
+    fn a_failed_prepare_counts_a_miss_and_caches_nothing() {
+        let s = session();
+        assert!(s.execute("SELECT * FROM missing").is_err());
+        assert!(s.prepare("SELECT * FROM missing").is_err());
+        assert_eq!(
+            s.stats(),
+            SessionStats {
+                cache_hits: 0,
+                cache_misses: 2,
+                cached_plans: 0,
+                statements_prepared: 0,
+                executions: 0
+            }
+        );
     }
 
     #[test]
@@ -867,7 +851,14 @@ mod tests {
     fn parallelism_knob_is_clamped_and_honored() {
         let mut s = session();
         s.set_parallelism(0);
-        assert_eq!(s.parallelism(), 1);
+        assert_eq!(s.parallelism(), 1, "degree 0 clamps to serial");
+        let q = "SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc";
+        assert!(s.explain(q).unwrap().contains("parallel=1"));
+        // a per-query pin overrides a serial session default, too
+        let pinned = format!("{q} PARALLEL 4");
+        let text = s.explain(&pinned).unwrap();
+        assert!(text.contains("parallel=4"), "{text}");
+        assert_eq!(s.execute(&pinned).unwrap().len(), 7);
         s.set_parallelism(4);
         assert_eq!(s.parallelism(), 4);
         let text = s

@@ -3,16 +3,17 @@
 //! [`prepare_plan`] is the one parse-and-validate path of the query layer:
 //! it turns statement text into a [`PreparedPlan`] — the parsed
 //! [`LogicalPlan`], its `$n` parameter-slot count, and the catalog schema
-//! epoch the validation ran against. [`crate::Session`] caches prepared
-//! plans per session; [`ShardedPlanCache`] is the *shared* variant the
-//! server front-end hangs off one `Arc`: N independently locked shards
-//! (keyed by a hash of the normalized statement text) so that concurrent
-//! workers preparing different statements never contend on one mutex.
+//! epoch the validation ran against. [`ShardedPlanCache`] is the one plan
+//! cache: N independently locked shards (keyed by a hash of the normalized
+//! statement text) so that concurrent workers preparing different
+//! statements never contend on one mutex. The server front-end hangs a
+//! shared one off an `Arc`; a [`crate::Session`] owns a private one-shard
+//! instance.
 //!
-//! Cache keying is identical to the session cache: the whitespace-
-//! normalized text is the key, and an entry only answers a lookup when its
-//! recorded schema epoch matches the reading catalog's current epoch — any
-//! DDL or snapshot load invalidates every older entry implicitly.
+//! The whitespace-normalized text is the key, and an entry only answers a
+//! lookup when its recorded schema epoch matches the reading catalog's
+//! current epoch — any DDL or snapshot load invalidates every older entry
+//! implicitly.
 //!
 //! ```
 //! use tpdb_query::{QueryOptions, ShardedPlanCache};
@@ -42,8 +43,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tpdb_storage::{Catalog, Value};
 
-/// A statement parsed and validated once: the immutable unit both the
-/// per-session cache and the [`ShardedPlanCache`] hand out behind `Arc`s.
+/// A statement parsed and validated once: the immutable unit the
+/// [`ShardedPlanCache`] hands out behind `Arc`s.
 #[derive(Debug)]
 pub struct PreparedPlan {
     /// The parsed logical plan, `$n` placeholders unbound.

@@ -63,6 +63,14 @@ impl TpRelation {
         &self.tuples
     }
 
+    /// Consumes the relation into its tuples, in insertion order — the
+    /// move counterpart of [`tuples`](Self::tuples) for consumers that
+    /// stream a finished result.
+    #[must_use]
+    pub fn into_tuples(self) -> Vec<TpTuple> {
+        self.tuples
+    }
+
     /// The tuple at position `idx`.
     #[must_use]
     pub fn tuple(&self, idx: usize) -> &TpTuple {
@@ -308,6 +316,13 @@ mod tests {
         assert_eq!(lin, Lineage::var(VarId(0)));
         let none = r.lineage_at(&[Value::str("Ann"), Value::str("ZAK")], 9);
         assert!(none.is_false());
+    }
+
+    #[test]
+    fn into_tuples_moves_the_tuples_out_in_order() {
+        let r = rel();
+        let expected = r.tuples().to_vec();
+        assert_eq!(r.into_tuples(), expected);
     }
 
     #[test]

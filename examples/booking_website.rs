@@ -58,22 +58,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         stats.cache_hits, stats.cache_misses, stats.cached_plans
     );
     assert!(stats.cache_hits >= 1);
-
-    // The deprecated pre-session shim still compiles and agrees — kept as
-    // the compatibility demonstration for code that has not migrated yet.
-    #[allow(deprecated)]
-    {
-        let (a, b) = tpdb::datagen::booking_example();
-        let mut catalog = Catalog::new();
-        catalog.register(a)?;
-        catalog.register(b)?;
-        let engine = tpdb::query::QueryEngine::new(catalog);
-        let legacy = engine.query(q)?;
-        assert_eq!(legacy.len(), result.len());
-        println!(
-            "(deprecated QueryEngine shim returns the same {} tuples)",
-            legacy.len()
-        );
-    }
     Ok(())
 }

@@ -11,10 +11,11 @@
 
 use proptest::prelude::*;
 use tpdb::core::{
-    tp_difference, tp_intersection, tp_join, tp_join_parallel, tp_set_op_parallel, tp_union,
-    ThetaCondition, TpJoinKind, TpSetOpKind,
+    tp_difference, tp_intersection, tp_join, tp_join_parallel, tp_set_op_parallel,
+    tp_set_op_parallel_with_engine_and_plan, tp_union, OverlapJoinPlan, ThetaCondition, TpJoinKind,
+    TpSetOpKind, TpSetOpStream,
 };
-use tpdb::lineage::{Lineage, VarId};
+use tpdb::lineage::{Lineage, ProbabilityEngine, VarId};
 use tpdb::storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb::temporal::Interval;
 
@@ -84,7 +85,9 @@ fn assert_byte_identical(serial: &TpRelation, stolen: &TpRelation, context: &str
     assert_eq!(stolen.tuples(), serial.tuples(), "{context}: tuples");
 }
 
-/// Every join kind and set operation, serial vs stolen at each degree.
+/// Every join kind and set operation, serial vs stolen at each degree —
+/// the set operations additionally under a forced hash plan, whose
+/// partitions are unsorted (the per-probe sort runs inside each morsel).
 fn assert_stolen_equals_serial(r: &TpRelation, s: &TpRelation) {
     let theta = ThetaCondition::column_equals("k", "k");
     for kind in JOIN_KINDS {
@@ -103,6 +106,18 @@ fn assert_stolen_equals_serial(r: &TpRelation, s: &TpRelation) {
         for degree in DEGREES {
             let stolen = tp_set_op_parallel(r, s, kind, degree).unwrap();
             assert_byte_identical(&serial, &stolen, &format!("{kind:?} P={degree}"));
+        }
+        let hash = Some(OverlapJoinPlan::Hash);
+        let serial = TpSetOpStream::with_plan(r, s, kind, hash)
+            .unwrap()
+            .collect_relation();
+        let mut engine = ProbabilityEngine::new();
+        r.register_probabilities(&mut engine);
+        s.register_probabilities(&mut engine);
+        for degree in [2, 4] {
+            let stolen =
+                tp_set_op_parallel_with_engine_and_plan(r, s, kind, hash, degree, &engine).unwrap();
+            assert_byte_identical(&serial, &stolen, &format!("{kind:?} hash P={degree}"));
         }
     }
 }

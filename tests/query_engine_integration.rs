@@ -1,8 +1,7 @@
 //! Integration test: the session API on generated workloads — parsing,
 //! preparing, parameter binding, cursor streaming, strategy selection and
 //! result consistency across the whole stack (datagen → storage → query →
-//! core/ta). The deprecated `QueryEngine` shim is exercised once to pin
-//! its compatibility contract.
+//! core/ta).
 
 use tpdb::core::ThetaCondition;
 use tpdb::query::{parse_query, LogicalPlan, Session};
@@ -37,20 +36,25 @@ fn textual_query_equals_programmatic_plan() {
 #[test]
 fn strategy_choice_does_not_change_the_answer() {
     let session = session_with_webkit(300);
-    let nj = session
-        .execute("SELECT * FROM webkit_r TP LEFT JOIN webkit_s ON webkit_r.Key = webkit_s.Key STRATEGY NJ")
-        .unwrap();
-    let ta = session
-        .execute("SELECT * FROM webkit_r TP LEFT JOIN webkit_s ON webkit_r.Key = webkit_s.Key STRATEGY TA")
-        .unwrap();
-    assert_eq!(nj.len(), ta.len());
     // total probability mass (probability × duration) must agree
     let mass = |rel: &tpdb::storage::TpRelation| -> f64 {
         rel.iter()
             .map(|t| t.probability() * t.interval().duration() as f64)
             .sum()
     };
-    assert!((mass(&nj) - mass(&ta)).abs() < 1e-6);
+    for kind in ["LEFT", "FULL OUTER"] {
+        let run = |strategy: &str| {
+            session
+                .execute(&format!(
+                    "SELECT * FROM webkit_r TP {kind} JOIN webkit_s \
+                     ON webkit_r.Key = webkit_s.Key STRATEGY {strategy}"
+                ))
+                .unwrap()
+        };
+        let (nj, ta) = (run("NJ"), run("TA"));
+        assert_eq!(nj.len(), ta.len(), "{kind}");
+        assert!((mass(&nj) - mass(&ta)).abs() < 1e-6, "{kind}");
+    }
 }
 
 #[test]
@@ -107,18 +111,4 @@ fn explain_runs_without_executing() {
     assert!(text.contains("⟗"));
     assert!(text.contains("strategy=TA"));
     assert!(text.contains("Plan cache:"));
-}
-
-#[test]
-#[allow(deprecated)]
-fn deprecated_query_engine_shim_still_works() {
-    let (r, s) = tpdb::datagen::webkit_like(150, 3);
-    let mut catalog = Catalog::new();
-    catalog.register(r).unwrap();
-    catalog.register(s).unwrap();
-    let engine = tpdb::query::QueryEngine::new(catalog);
-    let q = "SELECT * FROM webkit_r TP ANTI JOIN webkit_s ON webkit_r.Key = webkit_s.Key";
-    let via_shim = engine.query(q).unwrap();
-    let via_session = engine.session().execute(q).unwrap();
-    assert_eq!(via_shim, via_session);
 }

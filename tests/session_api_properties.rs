@@ -1,8 +1,8 @@
 //! Property tests for the session API: for random queries and data, the
 //! three execution paths —
 //!
-//! 1. the legacy one-shot shim (`QueryEngine::query` with the literal
-//!    inlined in the text),
+//! 1. one-shot execution (`Session::execute` with the literal inlined in
+//!    the text),
 //! 2. prepared-then-bound execution (`Session::prepare` + `$1` binding),
 //! 3. cursor streaming (a drained [`ResultCursor`]),
 //!
@@ -56,8 +56,6 @@ fn catalog_over(r: &TpRelation, s: &TpRelation) -> Catalog {
 /// filter threshold.
 fn assert_paths_identical(r: &TpRelation, s: &TpRelation, threshold: i64) {
     let session = Session::new(catalog_over(r, s));
-    #[allow(deprecated)]
-    let legacy_engine = tpdb::query::QueryEngine::new(catalog_over(r, s));
 
     for kw in KIND_KEYWORDS {
         let literal_text =
@@ -65,13 +63,9 @@ fn assert_paths_identical(r: &TpRelation, s: &TpRelation, threshold: i64) {
         let param_text = format!("SELECT * FROM r TP {kw} JOIN s ON r.k = s.k WHERE k >= $1");
         let params = [Value::Int(threshold)];
 
-        // Path 1: the legacy one-shot shim with the literal inlined.
-        #[allow(deprecated)]
-        let legacy = legacy_engine.query(&literal_text).unwrap();
-
-        // Path 2a: one-shot session execution (plan cache; literal text).
+        // Path 1: one-shot session execution (plan cache; literal text).
         let one_shot = session.execute(&literal_text).unwrap();
-        // Path 2b: prepared once, bound, executed (twice — re-execution
+        // Path 2: prepared once, bound, executed (twice — re-execution
         // must not change the answer).
         let stmt = session.prepare(&param_text).unwrap();
         let prepared = stmt.execute(&params).unwrap();
@@ -90,11 +84,10 @@ fn assert_paths_identical(r: &TpRelation, s: &TpRelation, threshold: i64) {
             manual.push_unchecked(t.unwrap());
         }
 
-        assert_eq!(one_shot, legacy, "{kw}: session vs legacy shim");
-        assert_eq!(prepared, legacy, "{kw}: prepared vs legacy shim");
+        assert_eq!(prepared, one_shot, "{kw}: prepared vs one-shot");
         assert_eq!(prepared_again, prepared, "{kw}: prepared re-execution");
-        assert_eq!(collected, legacy, "{kw}: cursor collect vs legacy shim");
-        assert_eq!(manual, legacy, "{kw}: manual cursor drain vs legacy shim");
+        assert_eq!(collected, one_shot, "{kw}: cursor collect vs one-shot");
+        assert_eq!(manual, one_shot, "{kw}: manual cursor drain vs one-shot");
     }
 }
 
@@ -115,7 +108,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     #[test]
-    fn legacy_prepared_and_cursor_paths_are_identical(
+    fn one_shot_prepared_and_cursor_paths_are_identical(
         rr in adversarial_rows(),
         ss in adversarial_rows(),
         threshold in 0i64..3,
