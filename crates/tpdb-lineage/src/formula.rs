@@ -173,6 +173,15 @@ impl Lineage {
         }
     }
 
+    /// Wraps a node that already satisfies the constructors' normal form
+    /// (flattened, constant-free, deduplicated `And`/`Or` of ≥ 2 children;
+    /// `Not` over neither a constant nor a `Not`) — the arena's invariants,
+    /// so [`crate::LineageInterner::to_lineage`] emits trees through here
+    /// without re-normalizing them.
+    pub(crate) fn from_normalized(node: LineageNode) -> Self {
+        Lineage(Arc::new(node))
+    }
+
     /// Binary conjunction convenience wrapper.
     #[must_use]
     pub fn and2(a: Lineage, b: Lineage) -> Self {

@@ -12,22 +12,31 @@
 //! ([`LineageRef`]). Hash-consing turns structural equality into id
 //! equality (`O(1)`), makes cloning a formula a `Copy`, and lets the
 //! probability engine key its memo by id instead of deep hashing. The
-//! cons table is keyed by cached per-node structural hashes using a
-//! vendored FxHash-style hasher (the dependency-free mix used by rustc's
-//! `FxHashMap`), so interning a node costs one multiply-rotate per child.
+//! cons table is an open-addressed array of node ids probed by cached
+//! per-node structural hashes (a vendored FxHash-style mix, the
+//! dependency-free one used by rustc's `FxHashMap`), so interning a node
+//! costs one multiply-rotate per child and a hit allocates nothing.
 //!
 //! The arena only ever grows: ids stay valid for the interner's lifetime,
 //! which is the lifetime of one join/set-operation execution (the
 //! [`crate::ProbabilityEngine`] owns the interner and both are dropped
 //! together). The legacy [`Lineage`] tree remains the *conversion
 //! boundary*: output tuples, serde and the equality-based tests convert
-//! back through [`LineageInterner::to_lineage`], which caches conversions
-//! per node so shared sub-formulas become shared `Arc`s.
+//! back through [`LineageInterner::to_lineage`], which wraps each arena
+//! node — already in the tree constructors' normal form — directly and
+//! caches conversions per node so shared sub-formulas become shared `Arc`s.
+//!
+//! Every node also carries a sticky **read-once** flag, decided when the
+//! node is interned: no variable occurs twice in the node's tree expansion.
+//! The probability of a read-once formula is a plain product over its
+//! children, which is what lets [`crate::ProbabilityEngine`] price the
+//! paper's output lineages without grouping children by shared variables.
 
 use crate::formula::{Lineage, LineageNode};
 use crate::symbols::VarId;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::mem;
 
 /// The multiplier of the FxHash mix (the 64-bit golden-ratio constant used
 /// by rustc's `FxHasher`).
@@ -129,29 +138,6 @@ pub enum InternedNode {
     Or(Box<[LineageRef]>),
 }
 
-/// Order-preserving duplicate elimination over refs (the interned
-/// counterpart of the tree constructors' `Deduper` — membership is a
-/// cheap integer-hash lookup).
-struct RefDedup {
-    ordered: Vec<LineageRef>,
-    seen: HashSet<LineageRef, BuildHasherDefault<FxHasher>>,
-}
-
-impl RefDedup {
-    fn with_capacity(capacity: usize) -> Self {
-        Self {
-            ordered: Vec::with_capacity(capacity),
-            seen: HashSet::with_capacity_and_hasher(capacity, BuildHasherDefault::default()),
-        }
-    }
-
-    fn push(&mut self, r: LineageRef) {
-        if self.seen.insert(r) {
-            self.ordered.push(r);
-        }
-    }
-}
-
 /// A hash-consed arena of lineage formula nodes.
 ///
 /// Structurally equal formulas intern to the same [`LineageRef`]; the
@@ -166,11 +152,33 @@ pub struct LineageInterner {
     /// Cached structural hash per node (mixes the tag with the *child
     /// hashes*, so it is stable across interners).
     hashes: Vec<u64>,
-    /// Cons table: structural hash → candidate node ids.
-    table: FxHashMap<u64, Vec<u32>>,
+    /// Cons table: open-addressed, linearly probed slots holding a node id
+    /// or [`EMPTY`]; a node's home slot is the top bits of its cached hash.
+    /// Always a power of two long and at most three quarters full.
+    table: Vec<u32>,
     /// Conversion cache: interned node → legacy tree (shared `Arc`s).
     legacy: Vec<Option<Lineage>>,
+    /// Sticky per-node flag: no variable occurs twice in the node's tree
+    /// expansion (its children are read-once and pairwise
+    /// variable-disjoint). A function of the structure alone, so it is
+    /// decided once, when the node is interned.
+    read_once: Vec<bool>,
+    /// Per-node epoch stamps, the allocation-free "seen" set of operand
+    /// deduplication and of the read-once leaf walk: a node is marked in
+    /// the current pass iff its stamp equals `epoch`. Stamps are by *node
+    /// id*, never by `VarId` — variable ids are sparse (the generators'
+    /// span 10⁸…6·10⁸), node ids are dense.
+    stamps: Vec<u32>,
+    epoch: u32,
+    /// Reused operand buffer of the n-ary constructors.
+    operands: Vec<LineageRef>,
+    /// Reused stack of the read-once leaf walk.
+    walk: Vec<LineageRef>,
 }
+
+/// The cons-table marker of a free slot (never a node id: interning
+/// panics before the arena reaches `u32::MAX` nodes).
+const EMPTY: u32 = u32::MAX;
 
 /// The pre-interned constant `true` (id 0 in every interner).
 const TRUE: LineageRef = LineageRef(0);
@@ -182,8 +190,13 @@ impl Default for LineageInterner {
         let mut interner = Self {
             nodes: Vec::new(),
             hashes: Vec::new(),
-            table: FxHashMap::default(),
+            table: vec![EMPTY; 16],
             legacy: Vec::new(),
+            read_once: Vec::new(),
+            stamps: Vec::new(),
+            epoch: 0,
+            operands: Vec::new(),
+            walk: Vec::new(),
         };
         let t = interner.intern_node(InternedNode::True);
         let f = interner.intern_node(InternedNode::False);
@@ -230,6 +243,15 @@ impl LineageInterner {
         r == FALSE
     }
 
+    /// Is the formula *read-once*: does no variable occur twice in its
+    /// tree expansion? Under tuple independence the probability of such a
+    /// formula is a product over its children, with no shared variable to
+    /// condition on. The flag is decided when the node is interned.
+    #[must_use]
+    pub fn is_read_once(&self, r: LineageRef) -> bool {
+        self.read_once[r.index()]
+    }
+
     // ----- constructors (mirror the `Lineage` tree constructors) ---------
 
     /// The constant-true lineage.
@@ -265,48 +287,57 @@ impl LineageInterner {
     /// structural). `and(&[])` is `true`; a conjunction containing `false`
     /// collapses to `false`.
     pub fn and(&mut self, operands: &[LineageRef]) -> LineageRef {
-        let mut flat = RefDedup::with_capacity(operands.len());
-        for &op in operands {
-            match &self.nodes[op.index()] {
-                InternedNode::True => {}
-                InternedNode::False => return FALSE,
-                InternedNode::And(children) => {
-                    for &c in children.iter() {
-                        flat.push(c);
-                    }
-                }
-                _ => flat.push(op),
-            }
-        }
-        match flat.ordered.len() {
-            0 => TRUE,
-            1 => flat.ordered[0],
-            _ => self.intern_node(InternedNode::And(flat.ordered.into_boxed_slice())),
-        }
+        self.nary(true, operands)
     }
 
     /// N-ary disjunction with flattening, unit elimination and
     /// deduplication. `or(&[])` is `false`; a disjunction containing
     /// `true` collapses to `true`.
     pub fn or(&mut self, operands: &[LineageRef]) -> LineageRef {
-        let mut flat = RefDedup::with_capacity(operands.len());
+        self.nary(false, operands)
+    }
+
+    /// The shared body of [`and`](Self::and) / [`or`](Self::or): flattens
+    /// one level, drops the unit, collapses on the absorbing constant and
+    /// deduplicates in first-occurrence order — through the epoch stamps
+    /// and the reused operand buffer, so a call that finds its node already
+    /// interned allocates nothing.
+    fn nary(&mut self, is_and: bool, operands: &[LineageRef]) -> LineageRef {
+        let (unit, absorbing) = if is_and { (TRUE, FALSE) } else { (FALSE, TRUE) };
+        let epoch = self.next_epoch();
+        let mut flat = mem::take(&mut self.operands);
+        let (nodes, stamps) = (&self.nodes, &mut self.stamps);
+        let mut push = |r: LineageRef| {
+            if stamps[r.index()] != epoch {
+                stamps[r.index()] = epoch;
+                flat.push(r);
+            }
+        };
+        let mut absorbed = false;
         for &op in operands {
-            match &self.nodes[op.index()] {
-                InternedNode::False => {}
-                InternedNode::True => return TRUE,
-                InternedNode::Or(children) => {
-                    for &c in children.iter() {
-                        flat.push(c);
-                    }
+            if op == absorbing {
+                absorbed = true;
+                break;
+            }
+            if op == unit {
+                continue;
+            }
+            match (&nodes[op.index()], is_and) {
+                (InternedNode::And(children), true) | (InternedNode::Or(children), false) => {
+                    children.iter().copied().for_each(&mut push);
                 }
-                _ => flat.push(op),
+                _ => push(op),
             }
         }
-        match flat.ordered.len() {
-            0 => FALSE,
-            1 => flat.ordered[0],
-            _ => self.intern_node(InternedNode::Or(flat.ordered.into_boxed_slice())),
-        }
+        let result = match flat.len() {
+            _ if absorbed => absorbing,
+            0 => unit,
+            1 => flat[0],
+            _ => self.intern_nary(is_and, &flat),
+        };
+        flat.clear();
+        self.operands = flat;
+        result
     }
 
     /// Builds a disjunction from operands that are already flattened (no
@@ -324,7 +355,7 @@ impl LineageInterner {
         match operands.len() {
             0 => FALSE,
             1 => operands[0],
-            _ => self.intern_node(InternedNode::Or(operands.into_boxed_slice())),
+            _ => self.intern_nary(false, &operands),
         }
     }
 
@@ -372,25 +403,55 @@ impl LineageInterner {
 
     /// Converts an interned formula back into a legacy [`Lineage`] tree.
     ///
-    /// Conversions are cached per node, so the trees of shared
-    /// sub-formulas (every `λr` of a window group, every disjunction
-    /// operand) are shared `Arc`s — converting `n` output tuples allocates
-    /// `O(distinct nodes)`, not `O(total tree size)`.
+    /// An arena node is already in the tree constructors' normal form, so
+    /// it is wrapped as is — no re-flattening, no deep-hashing
+    /// deduplication. Conversions are cached per node, so the trees of
+    /// shared sub-formulas (every `λr` of a window group, every
+    /// disjunction operand) are shared `Arc`s — converting `n` output
+    /// tuples allocates `O(distinct nodes)`, not `O(total tree size)`.
     pub fn to_lineage(&mut self, r: LineageRef) -> Lineage {
         if let Some(l) = &self.legacy[r.index()] {
             return l.clone();
         }
-        let node = self.nodes[r.index()].clone();
-        let lineage = match node {
-            InternedNode::True => Lineage::tru(),
-            InternedNode::False => Lineage::fls(),
-            InternedNode::Var(v) => Lineage::var(v),
-            InternedNode::Not(c) => Lineage::not(self.to_lineage(c)),
-            InternedNode::And(cs) => Lineage::and(cs.iter().map(|&c| self.to_lineage(c)).collect()),
-            InternedNode::Or(cs) => Lineage::or(cs.iter().map(|&c| self.to_lineage(c)).collect()),
+        let node = match &self.nodes[r.index()] {
+            InternedNode::True => LineageNode::True,
+            InternedNode::False => LineageNode::False,
+            InternedNode::Var(v) => LineageNode::Var(*v),
+            InternedNode::Not(c) => {
+                let c = *c;
+                LineageNode::Not(self.to_lineage(c))
+            }
+            InternedNode::And(_) => LineageNode::And(self.children_to_lineage(r)),
+            InternedNode::Or(_) => LineageNode::Or(self.children_to_lineage(r)),
         };
+        let lineage = Lineage::from_normalized(node);
         self.legacy[r.index()] = Some(lineage.clone());
         lineage
+    }
+
+    /// The converted children of the n-ary node `r`, in child order.
+    fn children_to_lineage(&mut self, r: LineageRef) -> Vec<Lineage> {
+        (0..self.children(r).len())
+            .map(|k| {
+                let child = self.children(r)[k];
+                self.to_lineage(child)
+            })
+            .collect()
+    }
+
+    /// All nodes in arena (topological) order; position = ref index.
+    pub(crate) fn nodes(&self) -> &[InternedNode] {
+        &self.nodes
+    }
+
+    /// The child list of an `And`/`Or` node (empty for every other node).
+    /// Re-borrowing it per child lets callers recurse with `&mut self`
+    /// between children without copying the list out first.
+    pub(crate) fn children(&self, r: LineageRef) -> &[LineageRef] {
+        match &self.nodes[r.index()] {
+            InternedNode::And(cs) | InternedNode::Or(cs) => cs,
+            _ => &[],
+        }
     }
 
     // ----- inspection -----------------------------------------------------
@@ -417,6 +478,27 @@ impl LineageInterner {
             }
         }
         out
+    }
+
+    /// Calls `visit` with the variable of every distinct `Var` node under
+    /// `r`, each once (a DAG walk: shared sub-formulas are entered once).
+    /// Allocation-free — visited nodes are marked in the stamp table.
+    pub(crate) fn for_each_var(&mut self, r: LineageRef, mut visit: impl FnMut(VarId)) {
+        let epoch = self.next_epoch();
+        let mut stack = mem::take(&mut self.walk);
+        stack.push(r);
+        while let Some(cur) = stack.pop() {
+            if mem::replace(&mut self.stamps[cur.index()], epoch) == epoch {
+                continue;
+            }
+            match &self.nodes[cur.index()] {
+                InternedNode::True | InternedNode::False => {}
+                InternedNode::Var(v) => visit(*v),
+                InternedNode::Not(c) => stack.push(*c),
+                InternedNode::And(cs) | InternedNode::Or(cs) => stack.extend_from_slice(cs),
+            }
+        }
+        self.walk = stack;
     }
 
     /// Conditions the formula on `var = value` (Shannon cofactor),
@@ -457,8 +539,8 @@ impl LineageInterner {
     ///
     /// Checked invariants:
     ///
-    /// * the parallel tables (`nodes`, `hashes`, conversion cache) have
-    ///   equal lengths;
+    /// * the parallel tables (`nodes`, `hashes`, conversion cache,
+    ///   read-once flags, stamps) have equal lengths;
     /// * ids 0/1 are the pre-interned constants `true`/`false`, and no
     ///   other node is a constant (the constructors always return the
     ///   canonical ids);
@@ -468,9 +550,14 @@ impl LineageInterner {
     ///   nested node of the same kind; `Not` wraps neither a constant nor
     ///   another `Not` (the canonical normal form of the tree
     ///   constructors);
-    /// * every cached hash equals the recomputed structural hash and the
-    ///   cons table lists the id under it (a mismatch would make
-    ///   hash-consing silently duplicate nodes, breaking `O(1)` equality);
+    /// * every cached hash equals the recomputed structural hash and
+    ///   probing the cons table under it finds the id (a mismatch would
+    ///   make hash-consing silently duplicate nodes, breaking `O(1)`
+    ///   equality); the table is a power of two long and ≤ 3/4 full, so a
+    ///   probe always terminates;
+    /// * every read-once flag equals a from-scratch recomputation over the
+    ///   node's tree expansion (a wrong `true` would price a correlated
+    ///   formula as a product);
     /// * every cached legacy conversion has the same top-level shape as
     ///   the node it was converted from.
     ///
@@ -480,12 +567,24 @@ impl LineageInterner {
     // free-form description of the first broken invariant, for assertion
     // messages. tpdb-lint: allow(error-taxonomy)
     pub fn verify_arena(&self) -> Result<(), String> {
-        if self.hashes.len() != self.nodes.len() || self.legacy.len() != self.nodes.len() {
+        let side_tables = [
+            self.hashes.len(),
+            self.legacy.len(),
+            self.read_once.len(),
+            self.stamps.len(),
+        ];
+        if side_tables.iter().any(|&len| len != self.nodes.len()) {
             return Err(format!(
-                "parallel tables out of sync: {} nodes, {} hashes, {} cached conversions",
+                "parallel tables out of sync: {} nodes, {side_tables:?} hashes / cached \
+                 conversions / read-once flags / stamps",
                 self.nodes.len(),
-                self.hashes.len(),
-                self.legacy.len()
+            ));
+        }
+        if !self.table.len().is_power_of_two() || self.nodes.len() * 4 > self.table.len() * 3 {
+            return Err(format!(
+                "cons table of {} slots cannot hold {} nodes at ≤ 3/4 load",
+                self.table.len(),
+                self.nodes.len()
             ));
         }
         if self.nodes.first() != Some(&InternedNode::True)
@@ -504,14 +603,16 @@ impl LineageInterner {
                     self.hashes[i]
                 ));
             }
-            let listed = self
-                .table
-                .get(&expected)
-                .is_some_and(|bucket| bucket.contains(&(i as u32)));
-            if !listed {
+            if self.find(expected, |existing| existing == node) != Ok(LineageRef(i as u32)) {
                 return Err(format!(
-                    "node {i} is missing from its cons-table bucket — interning its structure \
-                     again would allocate a duplicate id"
+                    "probing the cons table for node {i} does not find it — interning its \
+                     structure again would allocate a duplicate id"
+                ));
+            }
+            if self.read_once[i] != self.recompute_read_once(i) {
+                return Err(format!(
+                    "node {i}: read-once flag {} disagrees with a from-scratch recomputation",
+                    self.read_once[i]
                 ));
             }
             if let Some(cached) = &self.legacy[i] {
@@ -592,16 +693,80 @@ impl LineageInterner {
             InternedNode::False => fx_mix(0, 2),
             InternedNode::Var(v) => fx_mix(fx_mix(0, 3), u64::from(v.0)),
             InternedNode::Not(c) => fx_mix(fx_mix(0, 4), self.hashes[c.index()]),
-            InternedNode::And(cs) => cs
-                .iter()
-                .fold(fx_mix(0, 5), |h, c| fx_mix(h, self.hashes[c.index()])),
-            InternedNode::Or(cs) => cs
-                .iter()
-                .fold(fx_mix(0, 6), |h, c| fx_mix(h, self.hashes[c.index()])),
+            InternedNode::And(cs) => self.nary_hash(true, cs),
+            InternedNode::Or(cs) => self.nary_hash(false, cs),
         }
     }
 
+    fn nary_hash(&self, is_and: bool, children: &[LineageRef]) -> u64 {
+        children
+            .iter()
+            .fold(fx_mix(0, if is_and { 5 } else { 6 }), |h, c| {
+                fx_mix(h, self.hashes[c.index()])
+            })
+    }
+
+    /// Interns a constant, variable or negation node.
     fn intern_node(&mut self, node: InternedNode) -> LineageRef {
+        let hash = self.structural_hash(&node);
+        match self.find(hash, |existing| *existing == node) {
+            Ok(found) => found,
+            Err(slot) => self.push_node(node, hash, slot),
+        }
+    }
+
+    /// Interns an `And`/`Or` over normalized children. The lookup compares
+    /// against the borrowed slice; only a miss boxes the children.
+    fn intern_nary(&mut self, is_and: bool, children: &[LineageRef]) -> LineageRef {
+        let hash = self.nary_hash(is_and, children);
+        let found = self.find(hash, |existing| match (existing, is_and) {
+            (InternedNode::And(cs), true) | (InternedNode::Or(cs), false) => **cs == *children,
+            _ => false,
+        });
+        match found {
+            Ok(found) => found,
+            Err(slot) => {
+                let children = Box::from(children);
+                let node = if is_and {
+                    InternedNode::And(children)
+                } else {
+                    InternedNode::Or(children)
+                };
+                self.push_node(node, hash, slot)
+            }
+        }
+    }
+
+    /// The home slot of a hash: its top bits (the well-mixed end of the
+    /// multiplicative hash).
+    fn home_slot(&self, hash: u64) -> usize {
+        (hash >> (u64::BITS - self.table.len().trailing_zeros())) as usize
+    }
+
+    /// Probes the cons table for a node with this hash that `matches`:
+    /// `Ok` is the interned id, `Err` the free slot a new node would take.
+    fn find(
+        &self,
+        hash: u64,
+        matches: impl Fn(&InternedNode) -> bool,
+    ) -> Result<LineageRef, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = self.home_slot(hash);
+        loop {
+            let id = self.table[slot];
+            if id == EMPTY {
+                return Err(slot);
+            }
+            if self.hashes[id as usize] == hash && matches(&self.nodes[id as usize]) {
+                return Ok(LineageRef(id));
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Appends a node that [`find`](Self::find) reported missing, claiming
+    /// the free `slot` it returned.
+    fn push_node(&mut self, node: InternedNode, hash: u64, slot: usize) -> LineageRef {
         // In debug builds every freshly interned node is checked against
         // the canonical-form invariants (`verify_arena` documents them);
         // checking only the new node keeps interning O(node size).
@@ -611,20 +776,107 @@ impl LineageInterner {
                 debug_assert!(false, "interning a malformed node: {problem}");
             }
         }
-        let hash = self.structural_hash(&node);
-        if let Some(bucket) = self.table.get(&hash) {
-            for &id in bucket {
-                if self.nodes[id as usize] == node {
-                    return LineageRef(id);
-                }
-            }
-        }
-        let id = u32::try_from(self.nodes.len()).expect("interner arena exceeds u32 ids");
+        let id = u32::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("interner arena exceeds u32 ids");
+        let read_once = self.classify(&node);
         self.nodes.push(node);
         self.hashes.push(hash);
         self.legacy.push(None);
-        self.table.entry(hash).or_default().push(id);
+        self.read_once.push(read_once);
+        self.stamps.push(0);
+        self.table[slot] = id;
+        if self.nodes.len() * 4 > self.table.len() * 3 {
+            self.grow_table();
+        }
         LineageRef(id)
+    }
+
+    /// Doubles the cons table and re-seats every node from its cached hash.
+    fn grow_table(&mut self) {
+        self.table = vec![EMPTY; self.table.len() * 2];
+        let mask = self.table.len() - 1;
+        for (id, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = self.home_slot(hash);
+            while self.table[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.table[slot] = id as u32;
+        }
+    }
+
+    /// Starts a fresh marking pass over the stamp table.
+    fn next_epoch(&mut self) -> u32 {
+        if self.epoch == u32::MAX {
+            self.stamps.fill(0);
+            self.epoch = 0;
+        }
+        self.epoch += 1;
+        self.epoch
+    }
+
+    /// The read-once flag of a node about to be appended (its children are
+    /// interned, so their flags are final).
+    fn classify(&mut self, node: &InternedNode) -> bool {
+        match node {
+            InternedNode::True | InternedNode::False | InternedNode::Var(_) => true,
+            InternedNode::Not(c) => self.read_once[c.index()],
+            InternedNode::And(cs) | InternedNode::Or(cs) => {
+                cs.iter().all(|c| self.read_once[c.index()]) && self.leaves_are_distinct(cs)
+            }
+        }
+    }
+
+    /// Walks the tree expansions of `roots` and reports whether every `Var`
+    /// leaf reached is reached once. Allocation-free: leaves are marked in
+    /// the stamp table and the stack is reused. Each of `roots` being
+    /// read-once bounds the walk by the number of distinct leaves: the
+    /// first revisit — of a leaf, or of a shared inner node's first leaf —
+    /// ends it.
+    fn leaves_are_distinct(&mut self, roots: &[LineageRef]) -> bool {
+        let epoch = self.next_epoch();
+        let mut stack = mem::take(&mut self.walk);
+        stack.extend_from_slice(roots);
+        let mut distinct = true;
+        while let Some(cur) = stack.pop() {
+            match &self.nodes[cur.index()] {
+                InternedNode::True | InternedNode::False => {}
+                InternedNode::Var(_) => {
+                    if self.stamps[cur.index()] == epoch {
+                        distinct = false;
+                        break;
+                    }
+                    self.stamps[cur.index()] = epoch;
+                }
+                InternedNode::Not(c) => stack.push(*c),
+                InternedNode::And(cs) | InternedNode::Or(cs) => stack.extend_from_slice(cs),
+            }
+        }
+        stack.clear();
+        self.walk = stack;
+        distinct
+    }
+
+    /// The read-once flag of node `i` recomputed from the structure alone
+    /// (no cached flags, its own seen-set) — the oracle of
+    /// [`verify_arena`](Self::verify_arena).
+    fn recompute_read_once(&self, i: usize) -> bool {
+        let mut seen: FxHashSet<VarId> = HashSet::default();
+        let mut stack = vec![LineageRef(i as u32)];
+        while let Some(cur) = stack.pop() {
+            match &self.nodes[cur.index()] {
+                InternedNode::True | InternedNode::False => {}
+                InternedNode::Var(v) => {
+                    if !seen.insert(*v) {
+                        return false;
+                    }
+                }
+                InternedNode::Not(c) => stack.push(*c),
+                InternedNode::And(cs) | InternedNode::Or(cs) => stack.extend_from_slice(cs),
+            }
+        }
+        true
     }
 }
 
@@ -776,6 +1028,21 @@ mod tests {
         let nodes_after_first = i.len();
         let _ = i.intern(&g);
         assert_eq!(i.len(), nodes_after_first, "re-interning allocates nothing");
+    }
+
+    #[test]
+    fn cons_table_survives_growth() {
+        let mut i = LineageInterner::new();
+        let vars: Vec<LineageRef> = (0..1000).map(|k| i.var(VarId(k * 7919))).collect();
+        let wide = i.or(&vars);
+        assert_eq!(i.verify_arena(), Ok(()));
+        // Every node is still found under its hash after the re-seatings.
+        let nodes = i.len();
+        for (k, &r) in vars.iter().enumerate() {
+            assert_eq!(i.var(VarId(k as u32 * 7919)), r);
+        }
+        assert_eq!(i.or(&vars), wide);
+        assert_eq!(i.len(), nodes, "re-interning allocates nothing");
     }
 
     #[test]

@@ -1,11 +1,19 @@
 //! Exact probability computation for lineage formulas.
 
 use crate::formula::Lineage;
-use crate::intern::{FxHashSet, InternedNode, LineageInterner, LineageRef};
+use crate::intern::{FxHashMap, InternedNode, LineageInterner, LineageRef};
 use crate::symbols::VarId;
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::hash_map::Entry;
 use std::fmt;
 use std::sync::Arc;
+
+/// Marginal probabilities by base-tuple variable: the one map type the
+/// catalog stores and the engine prices from, so handing a catalog's
+/// marginals to an engine is an [`Arc`] clone
+/// ([`ProbabilityEngine::with_marginals`]). Keys are variable ids the
+/// program assigns itself, so the fast non-keyed hasher is safe.
+pub type MarginalMap = FxHashMap<VarId, f64>;
 
 /// Errors produced by the probability engine.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,30 +46,37 @@ impl std::error::Error for ProbabilityError {}
 /// engine computes this exactly:
 ///
 /// 1. structural cases (`true`, `false`, variables, negation),
-/// 2. *independent decomposition*: the children of an `And`/`Or` are grouped
-///    into connected components over shared variables; distinct components
-///    are mutually independent, so their probabilities combine by
-///    multiplication (`And`) or inclusion-exclusion on the complement (`Or`),
-/// 3. a *Shannon expansion* fallback for components whose children share
+/// 2. *read-once formulas* — no variable occurs twice, which the arena
+///    records per node ([`LineageInterner::is_read_once`]): the children of
+///    an `And`/`Or` are mutually independent, so their probabilities
+///    combine by multiplication (`And`) or on the complement (`Or`), in
+///    child order, with nothing to group, hash or allocate,
+/// 3. *independent decomposition* for everything else: the children are
+///    grouped into connected components over shared variables; distinct
+///    components are mutually independent and combine as above (singleton
+///    components in child order — the same multiplications, bit for bit, as
+///    case 2),
+/// 4. a *Shannon expansion* fallback for components whose children share
 ///    variables, expanding on the most frequent variable and memoizing
 ///    intermediate results.
 ///
 /// The lineages produced by TP joins with negation are of the shapes
-/// `λr ∧ λs`, `λr`, and `λr ∧ ¬(s₁ ∨ s₂ ∨ …)` over *distinct base tuples*,
-/// so in practice the decomposition path answers almost every query without
-/// expansion; the Shannon fallback keeps the engine exact for arbitrarily
-/// correlated lineages (e.g. after self-joins).
+/// `λr ∧ λs`, `λr`, and `λr ∧ ¬(s₁ ∨ s₂ ∨ …)` over *distinct base tuples* —
+/// read-once — so case 2 answers almost every query; the fallbacks keep the
+/// engine exact for arbitrarily correlated lineages (e.g. after self-joins
+/// or `(r ∪ s) − r`).
 ///
 /// # Representation
 ///
 /// The engine owns a [`LineageInterner`]: formulas are evaluated in
 /// hash-consed form ([`LineageRef`]), and the memo is a dense vector
 /// indexed by node id (`NaN` marking absent entries) instead of a map
-/// keyed by deep structural hashes of trees. Marginal probabilities live
-/// behind an [`Arc`] with copy-on-write semantics, so cloning an engine —
-/// as the query layer does once per execution, and the parallel join does
-/// once per worker — is cheap and shares the registered probabilities
-/// until one side writes.
+/// keyed by deep structural hashes of trees; a `Var` node's entry is its
+/// marginal, so pricing hashes each variable once, not once per
+/// occurrence. Registered marginals live behind an [`Arc`] with
+/// copy-on-write semantics, so cloning an engine — as the query layer does
+/// once per execution, and the parallel join does once per worker — is
+/// cheap and shares the registered probabilities until one side writes.
 ///
 /// Callers on the hot path intern once ([`intern`](Self::intern) or the
 /// interned stream constructors) and evaluate with
@@ -69,15 +84,20 @@ impl std::error::Error for ProbabilityError {}
 /// accepts legacy trees and interns on the fly.
 #[derive(Debug, Clone, Default)]
 pub struct ProbabilityEngine {
-    probs: Arc<HashMap<VarId, f64>>,
+    probs: Arc<MarginalMap>,
     interner: LineageInterner,
-    /// Dense memo indexed by node id; `NaN` marks an absent entry. Cleared
-    /// when a registered probability changes.
+    /// Dense memo indexed by node id; `NaN` marks an absent entry. Holds
+    /// the probability of every priced `And`/`Or` node and — the dense
+    /// marginal table — of every priced `Var` node. Cleared when a
+    /// registered probability changes.
     memo: Vec<f64>,
-    /// Sticky per-node flag: every variable under this node has a
-    /// registered probability. Registration only ever adds or overwrites
-    /// variables, so a `true` entry stays valid forever.
+    /// Per-node flag over an arena prefix: every variable under the node
+    /// has a registered probability. Extended bottom-up in arena order by
+    /// [`check_vars`](Self::check_vars); cleared with the memo, because a
+    /// registration can turn a `false` stale.
     verified: Vec<bool>,
+    /// Reused buffers of the decomposition and Shannon fallbacks.
+    scratch: Scratch,
     /// Counts Shannon expansions performed (exposed for the ablation bench).
     expansions: u64,
     /// When true, the decomposition shortcuts are disabled and every
@@ -86,11 +106,40 @@ pub struct ProbabilityEngine {
     force_shannon: bool,
 }
 
+/// Buffers the fallback paths fill and drain within one call; they only
+/// carry capacity from call to call.
+#[derive(Debug, Clone, Default)]
+struct Scratch {
+    /// Variable → first child mentioning it (`connected_components`).
+    owner: FxHashMap<VarId, usize>,
+    /// Union-find forest over child indices (`connected_components`).
+    parent: Vec<usize>,
+    /// Variable → occurrences (`most_frequent_var`).
+    counts: FxHashMap<VarId, usize>,
+    stack: Vec<LineageRef>,
+}
+
 impl ProbabilityEngine {
     /// Creates an engine with no registered variables.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
+    }
+
+    /// Creates an engine over an existing marginal map without copying it.
+    /// The map is shared until the engine registers a value that differs
+    /// (copy-on-write). Its values must already lie in `[0, 1]`, as the
+    /// [`try_set`](Self::try_set) family enforces for later registrations.
+    #[must_use]
+    pub fn with_marginals(marginals: Arc<MarginalMap>) -> Self {
+        debug_assert!(
+            marginals.values().all(|p| (0.0..=1.0).contains(p)),
+            "shared marginals must be probabilities"
+        );
+        Self {
+            probs: marginals,
+            ..Self::default()
+        }
     }
 
     /// Registers (or overwrites) the marginal probability of a variable.
@@ -113,6 +162,7 @@ impl ProbabilityEngine {
         }
         Arc::make_mut(&mut self.probs).insert(var, p);
         self.memo.clear();
+        self.verified.clear();
         Ok(())
     }
 
@@ -157,6 +207,7 @@ impl ProbabilityEngine {
             probs.insert(var, p);
         }
         self.memo.clear();
+        self.verified.clear();
         Ok(())
     }
 
@@ -249,55 +300,37 @@ impl ProbabilityEngine {
         Ok(self.prob_rec(r))
     }
 
-    /// Verifies every variable under `r` has a registered probability.
-    /// Nodes that pass are marked in the sticky `verified` table, so
-    /// re-pricing formulas over already-checked sub-DAGs is `O(1)`.
+    /// Verifies every variable under `root` has a registered probability.
+    /// The flags are extended over the nodes appended since the last call
+    /// in one bottom-up pass — the arena is topologically ordered, so a
+    /// node's flag is the conjunction of its children's — and `root`'s is
+    /// then a table read.
     fn check_vars(&mut self, root: LineageRef) -> Result<(), ProbabilityError> {
-        if self.verified.len() < self.interner.len() {
-            self.verified.resize(self.interner.len(), false);
+        for node in &self.interner.nodes()[self.verified.len()..] {
+            let verified = vars_registered(&self.probs, node, &self.verified);
+            self.verified.push(verified);
         }
         if self.verified[root.index()] {
             return Ok(());
         }
-        let mut stack = vec![root];
-        let mut walked: Vec<usize> = Vec::new();
-        let mut in_walk: FxHashSet<usize> = FxHashSet::default();
-        let mut missing: Option<VarId> = None;
-        while let Some(cur) = stack.pop() {
-            let i = cur.index();
-            if self.verified[i] || !in_walk.insert(i) {
-                continue;
-            }
-            walked.push(i);
-            match self.interner.node(cur) {
-                InternedNode::True | InternedNode::False => {}
-                InternedNode::Var(v) => {
-                    if !self.probs.contains_key(v) {
-                        missing = Some(match missing {
-                            Some(m) if m < *v => m,
-                            _ => *v,
-                        });
-                    }
-                }
-                InternedNode::Not(c) => stack.push(*c),
-                InternedNode::And(cs) | InternedNode::Or(cs) => stack.extend(cs.iter().copied()),
-            }
-        }
-        if let Some(v) = missing {
-            return Err(ProbabilityError::MissingVariable(v));
-        }
-        for i in walked {
-            self.verified[i] = true;
-        }
-        Ok(())
+        let missing = self
+            .interner
+            .vars(root)
+            .into_iter()
+            .find(|v| !self.probs.contains_key(v))
+            .expect("an unverified node mentions an unregistered variable");
+        Err(ProbabilityError::MissingVariable(missing))
     }
 
     /// Checks the engine's arena and memo invariants, returning a
     /// description of the first violation (`Ok(())` when healthy):
     /// the owned interner passes [`LineageInterner::verify_arena`], the
     /// id-keyed side tables never outgrow the arena, every present memo
-    /// entry is a probability in `[0, 1]`, and the two constants — when
-    /// memoized — carry their exact probabilities.
+    /// entry is a probability in `[0, 1]`, the two constants — when
+    /// memoized — carry their exact probabilities, every memoized `Var`
+    /// node (the dense marginal table) holds exactly the registered value
+    /// of its variable, and every `verified` flag equals a from-scratch
+    /// bottom-up recomputation against the registered variables.
     ///
     /// `O(arena size)`; intended for debug builds and property tests.
     // The constants are seeded with exactly 1.0/0.0, so the sentinel check
@@ -332,6 +365,27 @@ impl ProbabilityEngine {
             if (i == 0 && p != 1.0) || (i == 1 && p != 0.0) {
                 return Err(format!("constant node {i} memoized with probability {p}"));
             }
+            if let InternedNode::Var(v) = &self.interner.nodes()[i] {
+                if self.probs.get(v).map(|q| q.to_bits()) != Some(p.to_bits()) {
+                    return Err(format!(
+                        "dense marginal memo[{i}] = {p} differs from the registered value of {v}"
+                    ));
+                }
+            }
+        }
+        let mut fresh: Vec<bool> = Vec::with_capacity(self.verified.len());
+        for (i, node) in self.interner.nodes()[..self.verified.len()]
+            .iter()
+            .enumerate()
+        {
+            fresh.push(vars_registered(&self.probs, node, &fresh));
+            if fresh[i] != self.verified[i] {
+                return Err(format!(
+                    "verified[{i}] = {} but its variables are{} all registered",
+                    self.verified[i],
+                    if fresh[i] { "" } else { " not" }
+                ));
+            }
         }
         Ok(())
     }
@@ -348,51 +402,80 @@ impl ProbabilityEngine {
         self.memo[i] = p;
     }
 
+    /// The marginal of the variable at `Var` node `r`, through the dense
+    /// table: the shared map is hashed once per variable node per memo
+    /// lifetime.
+    fn marginal(&mut self, r: LineageRef, var: VarId) -> f64 {
+        if let Some(p) = self.memo_get(r) {
+            return p;
+        }
+        let p = self.probs[&var];
+        self.memo_insert(r, p);
+        p
+    }
+
     fn prob_rec(&mut self, r: LineageRef) -> f64 {
-        match self.interner.node(r) {
+        let is_and = match self.interner.node(r) {
             InternedNode::True => return 1.0,
             InternedNode::False => return 0.0,
-            InternedNode::Var(v) => return self.probs[v],
+            InternedNode::Var(v) => {
+                let v = *v;
+                return self.marginal(r, v);
+            }
             InternedNode::Not(c) => {
                 let c = *c;
                 return 1.0 - self.prob_rec(c);
             }
-            _ => {}
-        }
+            InternedNode::And(_) => true,
+            InternedNode::Or(_) => false,
+        };
         if let Some(p) = self.memo_get(r) {
             return p;
         }
         let p = if self.force_shannon {
             self.shannon(r)
+        } else if self.interner.is_read_once(r) {
+            self.prob_read_once(r, is_and)
         } else {
-            match self.interner.node(r) {
-                InternedNode::And(cs) => {
-                    let children: Vec<LineageRef> = cs.to_vec();
-                    self.prob_nary(&children, true)
-                }
-                InternedNode::Or(cs) => {
-                    let children: Vec<LineageRef> = cs.to_vec();
-                    self.prob_nary(&children, false)
-                }
-                _ => unreachable!("handled above"),
-            }
+            let children = self.interner.children(r).to_vec();
+            self.prob_nary(&children, is_and)
         };
         self.memo_insert(r, p);
         p
     }
 
-    /// Probability of an n-ary conjunction (`is_and`) or disjunction.
+    /// Probability of a read-once conjunction (`is_and`) or disjunction:
+    /// the children share no variable, so it is the product over them — in
+    /// child order, the order [`prob_nary`](Self::prob_nary)'s singleton
+    /// groups multiply in, which keeps the result bit-identical to the
+    /// decomposition path.
+    fn prob_read_once(&mut self, r: LineageRef, is_and: bool) -> f64 {
+        let mut acc = 1.0;
+        for k in 0..self.interner.children(r).len() {
+            let child = self.interner.children(r)[k];
+            let p = self.prob_rec(child);
+            acc *= if is_and { p } else { 1.0 - p };
+        }
+        if is_and {
+            acc
+        } else {
+            1.0 - acc
+        }
+    }
+
+    /// Probability of an n-ary conjunction (`is_and`) or disjunction whose
+    /// children may share variables.
     fn prob_nary(&mut self, children: &[LineageRef], is_and: bool) -> f64 {
         // Group children into connected components over shared variables.
-        let groups = connected_components(&self.interner, children);
+        let groups = self.connected_components(children);
         let mut acc = 1.0;
-        for group in groups {
-            let p_group = if group.len() == 1 {
-                self.prob_rec(children[group[0]])
+        for group in groups.chunk_by(|a, b| a.0 == b.0) {
+            let p_group = if let [(_, only)] = group {
+                self.prob_rec(children[*only])
             } else {
                 // children in this group share variables: expand the joint
                 // sub-formula with Shannon.
-                let subs: Vec<LineageRef> = group.iter().map(|&i| children[i]).collect();
+                let subs: Vec<LineageRef> = group.iter().map(|&(_, i)| children[i]).collect();
                 let joint = if is_and {
                     self.interner.and(&subs)
                 } else {
@@ -413,12 +496,74 @@ impl ProbabilityEngine {
         }
     }
 
+    /// Groups child indices into connected components over shared
+    /// variables, as `(first member, member)` pairs sorted so that each
+    /// group is a run, groups come in order of their first member and
+    /// members ascend within a group.
+    fn connected_components(&mut self, children: &[LineageRef]) -> Vec<(usize, usize)> {
+        fn find(parent: &mut [usize], mut i: usize) -> usize {
+            while parent[i] != i {
+                parent[i] = parent[parent[i]];
+                i = parent[i];
+            }
+            i
+        }
+        let Scratch { owner, parent, .. } = &mut self.scratch;
+        owner.clear();
+        parent.clear();
+        parent.extend(0..children.len());
+        // Union children that share at least one variable. We link via a map
+        // from variable to the first child using it, so the cost is
+        // O(total vars · α(n)) instead of O(n²) pairwise comparisons. The
+        // smaller index becomes the root: a group's root is its first member.
+        for (i, &child) in children.iter().enumerate() {
+            self.interner.for_each_var(child, |v| match owner.entry(v) {
+                Entry::Occupied(first) => {
+                    let (a, b) = (find(parent, i), find(parent, *first.get()));
+                    parent[a.max(b)] = a.min(b);
+                }
+                Entry::Vacant(free) => {
+                    free.insert(i);
+                }
+            });
+        }
+        let mut groups: Vec<(usize, usize)> =
+            (0..children.len()).map(|i| (find(parent, i), i)).collect();
+        groups.sort_unstable();
+        groups
+    }
+
+    /// The variable occurring in the largest number of sub-formulas (a
+    /// standard branching heuristic for Shannon expansion). Occurrences are
+    /// counted with multiplicity — each appearance in the formula counts,
+    /// exactly as the legacy tree walk did; ties go to the smallest id.
+    fn most_frequent_var(&mut self, r: LineageRef) -> Option<VarId> {
+        let Scratch { counts, stack, .. } = &mut self.scratch;
+        counts.clear();
+        stack.push(r);
+        while let Some(cur) = stack.pop() {
+            match self.interner.node(cur) {
+                InternedNode::True | InternedNode::False => {}
+                InternedNode::Var(v) => *counts.entry(*v).or_insert(0) += 1,
+                InternedNode::Not(c) => stack.push(*c),
+                InternedNode::And(cs) | InternedNode::Or(cs) => stack.extend_from_slice(cs),
+            }
+        }
+        counts
+            .iter()
+            .max_by_key(|&(&v, &c)| (c, Reverse(v)))
+            .map(|(&v, _)| v)
+    }
+
     /// Shannon expansion on the most frequent variable.
     fn shannon(&mut self, r: LineageRef) -> f64 {
         match self.interner.node(r) {
             InternedNode::True => return 1.0,
             InternedNode::False => return 0.0,
-            InternedNode::Var(v) => return self.probs[v],
+            InternedNode::Var(v) => {
+                let v = *v;
+                return self.marginal(r, v);
+            }
             InternedNode::Not(c) => {
                 let c = *c;
                 return 1.0 - self.shannon(c);
@@ -428,8 +573,9 @@ impl ProbabilityEngine {
         if let Some(p) = self.memo_get(r) {
             return p;
         }
-        let var =
-            most_frequent_var(&self.interner, r).expect("compound formula must mention a variable");
+        let var = self
+            .most_frequent_var(r)
+            .expect("compound formula must mention a variable");
         self.expansions += 1;
         let p_var = self.probs[&var];
         let pos = self.interner.condition(r, var, true);
@@ -490,73 +636,15 @@ impl ProbabilityEngine {
     }
 }
 
-/// Groups formula indices into connected components over shared variables.
-fn connected_components(interner: &LineageInterner, children: &[LineageRef]) -> Vec<Vec<usize>> {
-    let var_sets: Vec<BTreeSet<VarId>> = children.iter().map(|&c| interner.vars(c)).collect();
-    let n = children.len();
-    let mut parent: Vec<usize> = (0..n).collect();
-
-    fn find(parent: &mut Vec<usize>, i: usize) -> usize {
-        if parent[i] != i {
-            let root = find(parent, parent[i]);
-            parent[i] = root;
-        }
-        parent[i]
+/// Is every variable under `node` registered in `probs`, given that verdict
+/// (`below`) for every node interned before it?
+fn vars_registered(probs: &MarginalMap, node: &InternedNode, below: &[bool]) -> bool {
+    match node {
+        InternedNode::True | InternedNode::False => true,
+        InternedNode::Var(v) => probs.contains_key(v),
+        InternedNode::Not(c) => below[c.index()],
+        InternedNode::And(cs) | InternedNode::Or(cs) => cs.iter().all(|c| below[c.index()]),
     }
-
-    // Union children that share at least one variable. We link via a map
-    // from variable to the first child using it, so the cost is
-    // O(total vars · α(n)) instead of O(n²) pairwise comparisons.
-    let mut owner: HashMap<VarId, usize> = HashMap::new();
-    for (i, vs) in var_sets.iter().enumerate() {
-        for v in vs {
-            match owner.get(v) {
-                Some(&j) => {
-                    let (ri, rj) = (find(&mut parent, i), find(&mut parent, j));
-                    if ri != rj {
-                        parent[ri] = rj;
-                    }
-                }
-                None => {
-                    owner.insert(*v, i);
-                }
-            }
-        }
-    }
-
-    let mut groups: HashMap<usize, Vec<usize>> = HashMap::new();
-    for i in 0..n {
-        let root = find(&mut parent, i);
-        groups.entry(root).or_default().push(i);
-    }
-    let mut out: Vec<Vec<usize>> = groups.into_values().collect();
-    out.sort_by_key(|g| g[0]);
-    out
-}
-
-/// The variable occurring in the largest number of sub-formulas (a standard
-/// branching heuristic for Shannon expansion). Occurrences are counted with
-/// multiplicity — each appearance in the formula counts, exactly as the
-/// legacy tree walk did.
-fn most_frequent_var(interner: &LineageInterner, r: LineageRef) -> Option<VarId> {
-    let mut counts: HashMap<VarId, usize> = HashMap::new();
-    fn walk(interner: &LineageInterner, r: LineageRef, counts: &mut HashMap<VarId, usize>) {
-        match interner.node(r) {
-            InternedNode::Var(v) => *counts.entry(*v).or_insert(0) += 1,
-            InternedNode::Not(c) => walk(interner, *c, counts),
-            InternedNode::And(cs) | InternedNode::Or(cs) => {
-                for &c in cs.iter() {
-                    walk(interner, c, counts);
-                }
-            }
-            _ => {}
-        }
-    }
-    walk(interner, r, &mut counts);
-    counts
-        .into_iter()
-        .max_by_key(|&(v, c)| (c, std::cmp::Reverse(v)))
-        .map(|(v, _)| v)
 }
 
 #[cfg(test)]
@@ -636,26 +724,83 @@ mod tests {
         let p = e.probability(&f);
         // exact: P(x0) * P(x1 ∨ x2) = 0.5 * 0.75 = 0.375
         assert!((p - 0.375).abs() < 1e-12);
-        assert!(
-            e.expansions() > 0,
-            "shared-variable formula must trigger expansion"
+        assert_eq!(
+            e.expansions(),
+            1,
+            "one expansion on x0 leaves two read-once cofactors"
         );
+
+        // (a ∨ b) ∧ (a ∨ c): both children are read-once, the node is not —
+        // the flag must keep it off the product path. The counts and bits
+        // are the ones the engine produced before read-once pricing.
+        let mut e = engine(&[0.3, 0.6, 0.2]);
+        let g = Lineage::and2(Lineage::or2(v(0), v(1)), Lineage::or2(v(0), v(2)));
+        let r = e.intern(&g);
+        assert!(!e.interner().is_read_once(r));
+        let p = e.probability_ref(r);
+        assert_eq!(p.to_bits(), 0x3fd8_9374_bc6a_7efa);
+        assert!((p - e.probability_by_enumeration(&g).unwrap()).abs() < 1e-12);
+        assert_eq!(e.expansions(), 1);
+        // … and a read-once-looking wrapper over a correlated child is not
+        // read-once either: x0 occurs under both conjuncts.
+        let wrapped = Lineage::and2(g, v(0));
+        assert_eq!(e.probability(&wrapped).to_bits(), 0x3fd3_3333_3333_3333);
+        assert_eq!(e.expansions(), 2);
+
+        // Mixed: two children share x0, the third is independent of both.
+        let mut e = engine(&[0.3, 0.6, 0.2, 0.8, 0.5]);
+        let h = Lineage::or(vec![
+            Lineage::and2(v(0), v(1)),
+            Lineage::and2(v(2), Lineage::not(v(3))),
+            Lineage::and2(v(0), v(4)),
+        ]);
+        assert_eq!(e.probability(&h).to_bits(), 0x3fd1_4e3b_cd35_a858);
+        assert_eq!(e.expansions(), 1);
     }
 
     #[test]
     fn decomposition_avoids_expansion_for_disjoint_children() {
         let mut e = engine(&[0.5, 0.5, 0.5, 0.5]);
         let f = Lineage::or2(Lineage::and2(v(0), v(1)), Lineage::and2(v(2), v(3)));
-        let p = e.probability(&f);
+        let r = e.intern(&f);
+        assert!(e.interner().is_read_once(r));
+        let p = e.probability_ref(r);
         assert!((p - (1.0 - 0.75 * 0.75)).abs() < 1e-12);
         assert_eq!(e.expansions(), 0);
+        // The paper's negating-window shape, λr ∧ ¬(s₁ ∨ s₂ ∨ s₃).
+        let neg = Lineage::and_not_concat(&v(0), &Lineage::or(vec![v(1), v(2), v(3)]));
+        let r = e.intern(&neg);
+        assert!(e.interner().is_read_once(r));
+        assert_eq!(e.probability_ref(r), 0.5 * (0.5 * 0.5 * 0.5));
+        assert_eq!(e.expansions(), 0);
+    }
+
+    #[test]
+    fn sparse_variable_ids_keep_side_tables_arena_sized() {
+        // Variable ids are sparse (the generators' start at 10⁸): every
+        // table is indexed by node id, so two far-apart ids cost two slots.
+        let (a, b) = (VarId(4_000_000_000), VarId(7));
+        let mut e = ProbabilityEngine::new();
+        e.set(a, 0.5);
+        e.set(b, 0.25);
+        let f = Lineage::and_not_concat(&Lineage::var(a), &Lineage::var(b));
+        assert_eq!(e.probability(&f), 0.5 * 0.75);
+        let arena = e.interner().len();
+        assert_eq!(arena, 6, "⊤, ⊥, a, b, ¬b, a ∧ ¬b");
+        assert!(e.memo.len() <= arena && e.verified.len() <= arena);
+        assert_eq!(e.verify_arena(), Ok(()));
     }
 
     #[test]
     fn missing_variable_is_reported() {
         let mut e = engine(&[0.5]);
-        let err = e.try_probability(&Lineage::and2(v(0), v(7))).unwrap_err();
+        let f = Lineage::and2(v(0), v(7));
+        let err = e.try_probability(&f).unwrap_err();
         assert_eq!(err, ProbabilityError::MissingVariable(VarId(7)));
+        // Registering the variable afterwards must un-stick the verdict.
+        e.set(VarId(7), 0.5);
+        assert_eq!(e.try_probability(&f), Ok(0.25));
+        assert_eq!(e.verify_arena(), Ok(()));
     }
 
     #[test]
@@ -767,7 +912,54 @@ mod tests {
         })
     }
 
+    /// Brute force: does no variable occur twice in the tree expansion?
+    fn occurs_once(f: &Lineage, seen: &mut Vec<VarId>) -> bool {
+        match f.node() {
+            crate::LineageNode::True | crate::LineageNode::False => true,
+            crate::LineageNode::Var(v) => {
+                let fresh = !seen.contains(v);
+                seen.push(*v);
+                fresh
+            }
+            crate::LineageNode::Not(c) => occurs_once(c, seen),
+            crate::LineageNode::And(cs) | crate::LineageNode::Or(cs) => {
+                cs.iter().all(|c| occurs_once(c, seen))
+            }
+        }
+    }
+
     proptest! {
+        #[test]
+        fn prop_read_once_flag_matches_brute_force(f in arb_lineage()) {
+            let mut e = ProbabilityEngine::new();
+            let r = e.intern(&f);
+            prop_assert_eq!(
+                e.interner().is_read_once(r),
+                occurs_once(&f, &mut Vec::new()),
+                "read-once flag of {:?}", f
+            );
+            prop_assert_eq!(e.verify_arena(), Ok(()));
+        }
+
+        #[test]
+        fn prop_pricing_is_exact_and_bit_stable(f in arb_lineage(), ps in proptest::collection::vec(0.0f64..=1.0, 5)) {
+            let mut e = ProbabilityEngine::new();
+            e.set_all(ps.iter().enumerate().map(|(i, &p)| (VarId(i as u32), p)));
+            let r = e.intern(&f);
+            // A clone taken before pricing carries the new tables cold.
+            let mut fork = e.clone();
+            let cold = e.probability_ref(r);
+            let exact = e.probability_by_enumeration(&f).unwrap();
+            prop_assert!((exact - cold).abs() < 1e-12, "exact {exact} vs computed {cold} for {f:?}");
+            let warm = e.probability_ref(r);
+            prop_assert_eq!(cold.to_bits(), warm.to_bits(), "cold vs warm memo");
+            prop_assert_eq!(cold.to_bits(), fork.probability_ref(r).to_bits(), "cloned engine");
+            // … and one taken after it carries them warm.
+            prop_assert_eq!(cold.to_bits(), e.clone().probability_ref(r).to_bits(), "warm clone");
+            prop_assert_eq!(e.verify_arena(), Ok(()));
+            prop_assert_eq!(fork.verify_arena(), Ok(()));
+        }
+
         #[test]
         fn prop_probability_matches_enumeration(f in arb_lineage(), ps in proptest::collection::vec(0.0f64..=1.0, 5)) {
             let mut e = ProbabilityEngine::new();

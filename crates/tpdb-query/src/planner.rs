@@ -53,29 +53,13 @@ pub fn plan_query_with(
     plan: &LogicalPlan,
     options: &QueryOptions,
 ) -> Result<Box<dyn PhysicalOperator>, TpdbError> {
-    // The catalog-wide base-probability engine is built at most once per
-    // lowering — lazily, so scan-only plans never pay for it — and cloned
-    // into each join/set-op operator.
-    let mut base_engine = None;
-    lower(catalog, plan, options, &mut base_engine)
-}
-
-/// Recursive lowering behind [`plan_query_with`]. `base_engine` caches the
-/// catalog's [`probability engine`](Catalog::probability_engine) across the
-/// operator nodes of one lowering.
-fn lower(
-    catalog: &Catalog,
-    plan: &LogicalPlan,
-    options: &QueryOptions,
-    base_engine: &mut Option<tpdb_lineage::ProbabilityEngine>,
-) -> Result<Box<dyn PhysicalOperator>, TpdbError> {
     match plan {
         LogicalPlan::Scan { relation } => {
             let rel = catalog.relation(relation)?;
             Ok(Box::new(ScanExec::new(rel)))
         }
         LogicalPlan::Filter { input, predicates } => {
-            let child = lower(catalog, input, options, base_engine)?;
+            let child = plan_query_with(catalog, input, options)?;
             let bound = predicates
                 .iter()
                 .map(|p| p.bind(child.schema()))
@@ -83,7 +67,7 @@ fn lower(
             Ok(Box::new(FilterExec::new(child, bound)))
         }
         LogicalPlan::Project { input, columns } => {
-            let child = lower(catalog, input, options, base_engine)?;
+            let child = plan_query_with(catalog, input, options)?;
             let indices = columns
                 .iter()
                 .map(|c| child.schema().require(c))
@@ -99,8 +83,8 @@ fn lower(
             overlap_plan,
             parallelism,
         } => {
-            let left = lower(catalog, left, options, base_engine)?;
-            let right = lower(catalog, right, options, base_engine)?;
+            let left = plan_query_with(catalog, left, options)?;
+            let right = plan_query_with(catalog, right, options)?;
             // Validate θ against the child schemas at plan time so that
             // errors surface before execution.
             let bound = theta.bind(left.schema(), right.schema())?;
@@ -127,9 +111,7 @@ fn lower(
                 },
                 *overlap_plan,
                 requested,
-                base_engine
-                    .get_or_insert_with(|| catalog.probability_engine())
-                    .clone(),
+                catalog.probability_engine(),
             )))
         }
         LogicalPlan::SetOp {
@@ -139,8 +121,8 @@ fn lower(
             overlap_plan,
             parallelism,
         } => {
-            let left = lower(catalog, left, options, base_engine)?;
-            let right = lower(catalog, right, options, base_engine)?;
+            let left = plan_query_with(catalog, left, options)?;
+            let right = plan_query_with(catalog, right, options)?;
             // Union compatibility fails at plan time, not at the first
             // execution: arity and per-position value types through the
             // core check, plus matching column names — the output schema is
@@ -164,9 +146,7 @@ fn lower(
                 WindowOp::SetOp(*kind),
                 *overlap_plan,
                 requested,
-                base_engine
-                    .get_or_insert_with(|| catalog.probability_engine())
-                    .clone(),
+                catalog.probability_engine(),
             )))
         }
         // Utility statements have no streamable physical operator; they

@@ -7,38 +7,9 @@ use crate::schema::Schema;
 use crate::tuple::TpTuple;
 use crate::value::Value;
 use std::collections::HashMap;
-use std::hash::BuildHasherDefault;
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use tpdb_lineage::{Lineage, ProbabilityEngine, SymbolTable, VarId};
+use tpdb_lineage::{Lineage, MarginalMap, ProbabilityEngine, SymbolTable, VarId};
 use tpdb_temporal::Interval;
-
-/// A multiply-and-fold hasher for dense `u32` lineage-variable ids. The
-/// marginal map takes one insert per base tuple on the snapshot-load and
-/// bulk-import paths, where SipHash shows up in profiles; Fibonacci
-/// multiplication is plenty for keys the catalog itself hands out.
-#[derive(Debug, Default)]
-pub(crate) struct VarIdHasher(u64);
-
-impl std::hash::Hasher for VarIdHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            self.0 ^= self.0 >> 32;
-        }
-    }
-
-    fn write_u32(&mut self, n: u32) {
-        self.0 = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 ^= self.0 >> 32;
-    }
-}
-
-/// The catalog's marginal-probability map (one entry per base tuple).
-pub(crate) type MarginalMap = HashMap<VarId, f64, BuildHasherDefault<VarIdHasher>>;
 
 /// The catalog of a TP database.
 ///
@@ -62,7 +33,12 @@ pub(crate) type MarginalMap = HashMap<VarId, f64, BuildHasherDefault<VarIdHasher
 pub struct Catalog {
     relations: RwLock<HashMap<String, Arc<TpRelation>>>,
     symbols: SymbolTable,
-    probabilities: MarginalMap,
+    /// One entry per base tuple, in the map type the probability engine
+    /// prices from and behind an `Arc`, so every engine handed out shares
+    /// it ([`probability_engine`](Self::probability_engine)); mutations go
+    /// through `Arc::make_mut`, which copies only while an engine still
+    /// holds the previous version.
+    probabilities: Arc<MarginalMap>,
     /// Monotonic counter of relation-set mutations (the plan-cache key).
     epoch: u64,
 }
@@ -72,8 +48,9 @@ type RelationMap = HashMap<String, Arc<TpRelation>>;
 
 impl Clone for Catalog {
     /// Deep-clones the catalog metadata while sharing the relation data:
-    /// the clone gets its own relation map, symbol table, marginals and
-    /// epoch counter, but the `Arc<TpRelation>` payloads are shared. This
+    /// the clone gets its own relation map, symbol table and epoch counter,
+    /// but the `Arc<TpRelation>` payloads and the marginal map (until one
+    /// side writes) are shared. This
     /// is the copy-on-write step of [`crate::SharedCatalog::update`]: a
     /// mutation clones the current catalog, applies its change and swaps
     /// the result in, so pinned readers keep an immutable view.
@@ -90,7 +67,7 @@ impl Clone for Catalog {
         Self {
             relations: RwLock::new(relations),
             symbols: self.symbols.clone(),
-            probabilities: self.probabilities.clone(),
+            probabilities: Arc::clone(&self.probabilities),
             epoch: self.epoch,
         }
     }
@@ -146,9 +123,10 @@ impl Catalog {
         if self.read_relations()?.contains_key(&name) {
             return Err(StorageError::RelationExists(name));
         }
+        let probabilities = Arc::make_mut(&mut self.probabilities);
         for t in relation.iter() {
             if let tpdb_lineage::LineageNode::Var(v) = t.lineage().node() {
-                self.probabilities.insert(*v, t.probability());
+                probabilities.insert(*v, t.probability());
             }
         }
         self.write_relations()?.insert(name, Arc::new(relation));
@@ -220,13 +198,13 @@ impl Catalog {
         self.probabilities.get(&var).copied()
     }
 
-    /// Builds a [`ProbabilityEngine`] preloaded with every base-tuple
-    /// probability known to the catalog.
+    /// A [`ProbabilityEngine`] over every base-tuple probability known to
+    /// the catalog. The engine shares the catalog's map — an `Arc` clone,
+    /// whatever the number of base tuples; every value in it was
+    /// range-checked when its tuple was pushed or its snapshot decoded.
     #[must_use]
     pub fn probability_engine(&self) -> ProbabilityEngine {
-        let mut engine = ProbabilityEngine::new();
-        engine.set_all(self.probabilities.iter().map(|(&v, &p)| (v, p)));
-        engine
+        ProbabilityEngine::with_marginals(Arc::clone(&self.probabilities))
     }
 
     /// The full marginal-probability map (snapshot serialization support).
@@ -251,7 +229,7 @@ impl Catalog {
             .collect();
         *self.write_relations()? = map;
         self.symbols = symbols;
-        self.probabilities = probabilities;
+        self.probabilities = Arc::new(probabilities);
         self.epoch += 1;
         Ok(())
     }
@@ -281,7 +259,7 @@ impl RelationBuilder<'_> {
         if let Err(e) = self.relation.push(tuple) {
             self.error = Some(e);
         } else {
-            self.catalog.probabilities.insert(var, probability);
+            Arc::make_mut(&mut self.catalog.probabilities).insert(var, probability);
         }
         self
     }

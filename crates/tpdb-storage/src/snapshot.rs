@@ -52,7 +52,7 @@
 //! [`SnapshotInvalidProbability`](StorageError::SnapshotInvalidProbability)
 //! and [`SnapshotIo`](StorageError::SnapshotIo).
 
-use crate::catalog::{Catalog, MarginalMap};
+use crate::catalog::Catalog;
 use crate::error::StorageError;
 use crate::relation::TpRelation;
 use crate::schema::{DataType, Field, Schema};
@@ -61,7 +61,7 @@ use crate::value::Value;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
-use tpdb_lineage::{Lineage, LineageNode, SymbolTable, VarId};
+use tpdb_lineage::{Lineage, LineageNode, MarginalMap, SymbolTable, VarId};
 use tpdb_temporal::Interval;
 
 /// The magic bytes every snapshot file starts with.

@@ -120,3 +120,90 @@ fn equivalence_with_asymmetric_cardinalities() {
     let theta = ThetaCondition::column_equals("Key", "Key");
     assert_equivalent(&r, &s, &theta, "asymmetric");
 }
+
+/// Order-independent checksum of a result's
+/// `(facts, interval, probability.to_bits())` rows: FNV-1a per row, summed.
+fn bits_checksum(rel: &TpRelation) -> (usize, u64) {
+    fn fnv(h: u64, bytes: &[u8]) -> u64 {
+        bytes.iter().fold(h, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+    let sum = rel
+        .iter()
+        .map(|t| {
+            let mut h = 0xcbf2_9ce4_8422_2325;
+            for v in t.facts() {
+                h = fnv(fnv(h, v.to_string().as_bytes()), &[0xff]);
+            }
+            h = fnv(h, &t.interval().start().to_le_bytes());
+            h = fnv(h, &t.interval().end().to_le_bytes());
+            fnv(h, &t.probability().to_bits().to_le_bytes())
+        })
+        .fold(0u64, u64::wrapping_add);
+    (rel.len(), sum)
+}
+
+/// Pins output probabilities *bit for bit across commits* (the other
+/// oracles compare two paths inside one binary). The constants were computed
+/// at the commit before read-once pricing landed; a change that moves one of
+/// them changed an answer, not just a code path.
+#[test]
+fn golden_probability_bits_are_pinned_across_commits() {
+    let meteo = tpdb::datagen::meteo_like(300, 7);
+    let webkit = tpdb::datagen::webkit_like(600, 7);
+    let workloads = [
+        (
+            "meteo",
+            &meteo,
+            ThetaCondition::column_equals("Metric", "Metric"),
+        ),
+        (
+            "webkit",
+            &webkit,
+            ThetaCondition::column_equals("Key", "Key"),
+        ),
+    ];
+    let mut got = Vec::new();
+    for (label, (r, s), theta) in &workloads {
+        got.push((
+            format!("{label} left"),
+            bits_checksum(&tp_left_outer_join(r, s, theta).unwrap()),
+        ));
+        got.push((
+            format!("{label} full"),
+            bits_checksum(&tp_full_outer_join(r, s, theta).unwrap()),
+        ));
+        got.push((
+            format!("{label} anti"),
+            bits_checksum(&tp_anti_join(r, s, theta).unwrap()),
+        ));
+    }
+    // (r ∪ s) − r: shared variables, so this one prices through Shannon
+    // expansion; the catalog engine supplies the base marginals.
+    let mut catalog = tpdb::storage::Catalog::new();
+    catalog.register(meteo.0.clone()).unwrap();
+    catalog.register(meteo.1.clone()).unwrap();
+    let chain = tpdb::prelude::Session::new(catalog)
+        .execute("(SELECT * FROM meteo_r UNION SELECT * FROM meteo_s) EXCEPT SELECT * FROM meteo_r")
+        .unwrap();
+    got.push(("meteo (r ∪ s) − r".to_owned(), bits_checksum(&chain)));
+
+    let expected: [(&str, (usize, u64)); 7] = [
+        ("meteo left", (1102, 15_642_589_732_705_347_820)),
+        ("meteo full", (1799, 8_350_241_503_033_750_227)),
+        ("meteo anti", (678, 1_130_367_718_183_760_042)),
+        ("webkit left", (2536, 694_698_940_042_601_221)),
+        ("webkit full", (4113, 14_082_959_367_934_354_091)),
+        ("webkit anti", (1532, 1_935_535_375_009_231_908)),
+        ("meteo (r ∪ s) − r", (918, 15_897_236_887_087_416_106)),
+    ];
+    for ((label, checksum), (expected_label, expected_checksum)) in got.iter().zip(expected) {
+        assert_eq!(label, expected_label);
+        assert_eq!(
+            *checksum, expected_checksum,
+            "{label}: (rows, checksum) moved"
+        );
+    }
+    assert_eq!(got.len(), expected.len());
+}
