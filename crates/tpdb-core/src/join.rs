@@ -20,7 +20,7 @@ use crate::overlap::OverlapJoinPlan;
 use crate::stream::registered_engine;
 use crate::theta::ThetaCondition;
 use crate::window::Window;
-use tpdb_lineage::{Lineage, LineageRef, ProbabilityEngine};
+use tpdb_lineage::{Concat, Lineage, LineageRef, ProbabilityEngine};
 use tpdb_storage::{StorageError, TpRelation, TpTuple};
 
 /// Which TP join with negation to compute.
@@ -253,10 +253,11 @@ pub(crate) fn form_output_tuple(
 
 /// Output formation over the interned window representation — the one
 /// function the executing pipelines (serial and morsel-parallel) form
-/// tuples with: the output lineage is built as an arena node, its
-/// probability is computed through the id-keyed memo, and only the
-/// surviving output tuple converts the formula back into a [`Lineage`]
-/// tree (at the serde/API boundary).
+/// tuples with. `λr` and `λs` stay decoupled to the end: the engine
+/// concatenates them **at the boundary**, returning the output tuple's
+/// tree and probability without interning a node for a read-once root
+/// (every root of a join over base relations) — only concatenations that
+/// share variables enter the arena, to be priced by decomposition.
 pub(crate) fn form_output_tuple_interned(
     w: &Window<LineageRef>,
     pos: &TpRelation,
@@ -267,14 +268,12 @@ pub(crate) fn form_output_tuple_interned(
     form_tuple(w, pos, neg, spec, |lineage_fn, &lr, ls| {
         // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
         let ls = || *ls.expect("overlapping and negating windows carry λs");
-        let id = match lineage_fn {
-            LineageFn::Pos => lr,
-            LineageFn::And => engine.interner_mut().and2(lr, ls()),
-            LineageFn::AndNot => engine.interner_mut().and_not(lr, ls()),
-            LineageFn::Or => engine.interner_mut().or2(lr, ls()),
-        };
-        let probability = engine.probability_ref(id);
-        (engine.to_lineage(id), probability)
+        match lineage_fn {
+            LineageFn::Pos => engine.output(lr),
+            LineageFn::And => engine.concat_output(Concat::And, lr, ls()),
+            LineageFn::AndNot => engine.concat_output(Concat::AndNot, lr, ls()),
+            LineageFn::Or => engine.concat_output(Concat::Or, lr, ls()),
+        }
     })
 }
 

@@ -20,11 +20,24 @@
 //! paper describes.
 //!
 //! The disjunction `λs` of the active lineages is maintained
-//! **incrementally** ([`IncrementalDisjunction`]): a window starting or
-//! ending at a boundary updates the flattened, reference-counted operand
-//! list in time proportional to its own lineage, and emitting a negating
-//! window only clones the live operands — the full active set is never
-//! re-flattened or re-deduplicated at a boundary.
+//! **incrementally**: a window starting or ending at a boundary updates an
+//! ordered vector of reference-counted operands
+//! ([`IncrementalDisjunction`] over trees, [`InternedDisjunction`] over
+//! arena ids) in time proportional to its own lineage times the active-set
+//! size, and emitting a negating window only copies the live operands — the
+//! full active set is never re-flattened or re-deduplicated at a boundary.
+//! Nothing in the sweep hashes or, in the steady state, allocates per
+//! boundary: membership is a linear search (the active set is the handful
+//! of `s` tuples valid at one time point under one `r` tuple — 6 on
+//! average on the meteo workload, 1 on webkit — and every update is
+//! followed by an emission that copies the whole set anyway), expired
+//! ending points are popped one at a time, and the interned emission
+//! gathers its operands in the interner's reused buffer.
+//!
+//! There is **one sweep body**, [`sweep_group`], generic over the lineage
+//! representation through the [`ActiveSet`] operations: the tree streams,
+//! the materializing [`lawan`] (and through it the TA baseline) and the
+//! executing interned pipelines all run it.
 
 use crate::window::{Window, WindowSink};
 use tpdb_lineage::{
@@ -47,15 +60,94 @@ pub fn lawan(wuo: &[Window]) -> Vec<Window> {
         while idx < wuo.len() && wuo[idx].r_idx == r_idx {
             idx += 1;
         }
-        sweep_group(&wuo[group_start..idx], &mut out);
+        sweep_group(
+            &wuo[group_start..idx],
+            IncrementalDisjunction::new(),
+            &mut out,
+        );
     }
     out
 }
 
+/// The multiset of `λs` lineages active at the sweep line, in the lineage
+/// representation `L` — what [`sweep_group`] needs of
+/// [`IncrementalDisjunction`] / [`InternedDisjunction`].
+pub(crate) trait ActiveSet<L> {
+    /// An `s` tuple with lineage `lambda_s` starts being valid.
+    fn activate(&mut self, lambda_s: &L);
+    /// One previously activated `s` tuple with lineage `lambda_s` expires.
+    fn expire(&mut self, lambda_s: &L);
+    /// Is no `s` tuple active?
+    fn is_empty(&self) -> bool;
+    /// The disjunction of the active lineages, operands in activation
+    /// order.
+    fn disjunction(&mut self) -> L;
+}
+
+impl ActiveSet<Lineage> for IncrementalDisjunction {
+    fn activate(&mut self, lambda_s: &Lineage) {
+        self.insert(lambda_s);
+    }
+
+    fn expire(&mut self, lambda_s: &Lineage) {
+        self.remove(lambda_s);
+    }
+
+    fn is_empty(&self) -> bool {
+        IncrementalDisjunction::is_empty(self)
+    }
+
+    fn disjunction(&mut self) -> Lineage {
+        IncrementalDisjunction::disjunction(self)
+    }
+}
+
+/// An [`InternedDisjunction`] together with the arena its operands live in
+/// and its emitted disjunctions are interned into.
+pub(crate) struct InternedActiveSet<'a> {
+    active: InternedDisjunction,
+    interner: &'a mut LineageInterner,
+}
+
+impl<'a> InternedActiveSet<'a> {
+    pub(crate) fn new(interner: &'a mut LineageInterner) -> Self {
+        Self {
+            active: InternedDisjunction::new(),
+            interner,
+        }
+    }
+}
+
+impl ActiveSet<LineageRef> for InternedActiveSet<'_> {
+    fn activate(&mut self, lambda_s: &LineageRef) {
+        self.active.insert(*lambda_s, self.interner);
+    }
+
+    fn expire(&mut self, lambda_s: &LineageRef) {
+        self.active.remove(*lambda_s, self.interner);
+    }
+
+    fn is_empty(&self) -> bool {
+        self.active.is_empty()
+    }
+
+    fn disjunction(&mut self) -> LineageRef {
+        self.active.disjunction(self.interner)
+    }
+}
+
 /// Sweeps one group (all `WUO` windows of a single `r` tuple): copies the
 /// unmatched and overlapping windows to the output and inserts the negating
-/// windows derived from the overlapping ones.
-pub(crate) fn sweep_group(group: &[Window], out: &mut impl WindowSink<Lineage>) {
+/// windows derived from the overlapping ones. `active` is the (empty)
+/// active set of the group in the windows' lineage representation; operand
+/// order is the activation order in every representation, so the tree and
+/// the interned sweep yield the same windows — and the same output bytes —
+/// after conversion.
+pub(crate) fn sweep_group<L: Clone>(
+    group: &[Window<L>],
+    mut active: impl ActiveSet<L>,
+    out: &mut impl WindowSink<L>,
+) {
     // Copy every existing window through (Case 1 alternates these copies
     // with the creation of negating windows; emitting them up front keeps
     // the output grouped by r tuple, which is all downstream consumers
@@ -64,20 +156,23 @@ pub(crate) fn sweep_group(group: &[Window], out: &mut impl WindowSink<Lineage>) 
         out.put(w.clone());
     }
 
-    let overlapping: Vec<&Window> = group.iter().filter(|w| w.is_overlapping()).collect();
+    let overlapping: Vec<&Window<L>> = group.iter().filter(|w| w.is_overlapping()).collect();
     let Some(first) = overlapping.first() else {
         return;
     };
     let r_idx = first.r_idx;
-    // Legacy tree-lineage path (the interned sweep below copies ids): λr is
-    // cloned once per group. tpdb-lint: allow(no-lineage-clone-in-streams)
-    let lambda_r = first.lambda_r.clone();
+    let lambda_r = &first.lambda_r;
+    fn lambda_s<L>(w: &Window<L>) -> &L {
+        w.lambda_s
+            .as_ref()
+            // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
+            .expect("overlapping windows always carry λs")
+    }
 
     // Sweep the overlapping windows of the group in start order, keeping the
     // ending points of the active windows in a priority queue and their
     // lineage disjunction in an incrementally maintained operand list.
     let mut queue = EventQueue::new();
-    let mut active = IncrementalDisjunction::new();
     let mut i = 0usize;
     let mut wind_ts: Option<TimePoint> = None;
 
@@ -101,7 +196,10 @@ pub(crate) fn sweep_group(group: &[Window], out: &mut impl WindowSink<Lineage>) 
                 out.put(Window::negating(
                     Interval::new(ts, boundary),
                     r_idx,
-                    lambda_r.clone(), // tpdb-lint: allow(no-lineage-clone-in-streams)
+                    // One λr per negating window: a `u32` copy on the
+                    // interned path, an `Arc` bump on the tree one.
+                    // tpdb-lint: allow(no-lineage-clone-in-streams)
+                    lambda_r.clone(),
                     active.disjunction(),
                 ));
             }
@@ -109,100 +207,14 @@ pub(crate) fn sweep_group(group: &[Window], out: &mut impl WindowSink<Lineage>) 
 
         // Apply all events at `boundary`: expire ended windows first (their
         // intervals are half-open), then activate windows starting here.
-        for item in queue.pop_expired(boundary) {
-            active.remove(
-                overlapping[item]
-                    .lambda_s
-                    .as_ref()
-                    // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
-                    .expect("overlapping windows always carry λs"),
-            );
+        while let Some(item) = queue.pop_if_expired(boundary) {
+            active.expire(lambda_s(overlapping[item]));
         }
         while let Some(w) = overlapping.get(i) {
             if w.interval.start() != boundary {
                 break;
             }
-            active.insert(
-                w.lambda_s
-                    .as_ref()
-                    // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
-                    .expect("overlapping windows always carry λs"),
-            );
-            queue.push(w.interval.end(), i);
-            i += 1;
-        }
-        wind_ts = Some(boundary);
-    }
-}
-
-/// The interned counterpart of [`sweep_group`]: the identical sweep over
-/// [`LineageRef`] windows, maintaining the active disjunction as an
-/// [`InternedDisjunction`] (membership updates hash a single `u32`) and
-/// emitting each negating window's `λs` through the interner. Operand order
-/// and slot discipline match the legacy sweep exactly, so the converted
-/// trees — and therefore the output tuples — are byte-identical.
-pub(crate) fn sweep_group_interned(
-    group: &[Window<LineageRef>],
-    interner: &mut LineageInterner,
-    out: &mut impl WindowSink<LineageRef>,
-) {
-    for w in group {
-        out.put(w.clone());
-    }
-
-    let overlapping: Vec<&Window<LineageRef>> =
-        group.iter().filter(|w| w.is_overlapping()).collect();
-    let Some(first) = overlapping.first() else {
-        return;
-    };
-    let r_idx = first.r_idx;
-    let lambda_r = first.lambda_r;
-
-    let mut queue = EventQueue::new();
-    let mut active = InternedDisjunction::new();
-    let mut i = 0usize;
-    let mut wind_ts: Option<TimePoint> = None;
-
-    loop {
-        let next_start = overlapping.get(i).map(|w| w.interval.start());
-        let next_end = queue.peek().map(|(t, _)| t);
-        let boundary = match (next_start, next_end) {
-            (Some(s), Some(e)) => s.min(e),
-            (Some(s), None) => s,
-            (None, Some(e)) => e,
-            (None, None) => break,
-        };
-
-        if let Some(ts) = wind_ts {
-            if !active.is_empty() && ts < boundary {
-                let lambda_s = active.disjunction(interner);
-                out.put(Window::negating(
-                    Interval::new(ts, boundary),
-                    r_idx,
-                    lambda_r,
-                    lambda_s,
-                ));
-            }
-        }
-
-        for item in queue.pop_expired(boundary) {
-            active.remove(
-                overlapping[item]
-                    .lambda_s
-                    // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
-                    .expect("overlapping windows always carry λs"),
-                interner,
-            );
-        }
-        while let Some(w) = overlapping.get(i) {
-            if w.interval.start() != boundary {
-                break;
-            }
-            active.insert(
-                // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
-                w.lambda_s.expect("overlapping windows always carry λs"),
-                interner,
-            );
+            active.activate(lambda_s(w));
             queue.push(w.interval.end(), i);
             i += 1;
         }

@@ -40,13 +40,13 @@
 //! assert_eq!(windows.iter().filter(|w| w.is_negating()).count(), 3);
 //! ```
 
-use crate::lawan;
+use crate::lawan::{self, InternedActiveSet};
 use crate::lawau;
 use crate::window::Window;
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tpdb_lineage::{Lineage, LineageInterner, LineageRef};
+use tpdb_lineage::{IncrementalDisjunction, Lineage, LineageInterner, LineageRef};
 use tpdb_storage::TpRelation;
 
 /// A stream of generalized lineage-aware temporal windows grouped by the
@@ -203,7 +203,7 @@ impl<I: Iterator<Item = Window>> Iterator for LawanStream<I, Lineage> {
 
     fn next(&mut self) -> Option<Window> {
         if self.ready.is_empty() && next_group(&mut self.input, &mut self.group).is_some() {
-            lawan::sweep_group(&self.group, &mut self.ready);
+            lawan::sweep_group(&self.group, IncrementalDisjunction::new(), &mut self.ready);
         }
         self.ready.pop_front()
     }
@@ -217,7 +217,11 @@ impl<I: Iterator<Item = Window<LineageRef>>> LawanStream<I, LineageRef> {
         interner: &mut LineageInterner,
     ) -> Option<Window<LineageRef>> {
         if self.ready.is_empty() && next_group(&mut self.input, &mut self.group).is_some() {
-            lawan::sweep_group_interned(&self.group, interner, &mut self.ready);
+            lawan::sweep_group(
+                &self.group,
+                InternedActiveSet::new(interner),
+                &mut self.ready,
+            );
         }
         self.ready.pop_front()
     }

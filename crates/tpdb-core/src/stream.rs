@@ -12,10 +12,10 @@
 //! stream.
 //!
 //! Serial execution is the morsel driver's special case "one morsel
-//! spanning every probe": [`Pipe::build`] builds the probe index and
-//! interns both lineage columns — eagerly, at construction, like the build
-//! side of a conventional hash join — and then stacks the same
-//! [`Pipe::over`] adaptors a stolen morsel of [`crate::parallel`] runs over
+//! spanning every probe": the runner interns both lineage columns once per
+//! operator and [`Pipe::build`] builds each pass's probe index — eagerly,
+//! at construction, like the build side of a conventional hash join — and
+//! then stacks the same [`Pipe::over`] adaptors a stolen morsel of [`crate::parallel`] runs over
 //! its slice of the probe side. Everything downstream of the build side is
 //! lazy.
 //!
@@ -120,22 +120,22 @@ where
 {
     /// Builds the whole-pass pipe for windows of `pos` with respect to
     /// `neg` — the serial form, one morsel spanning every probe. The probe
-    /// index is built and the lineage columns of both inputs are interned
-    /// into `interner` up front; everything downstream moves
-    /// [`LineageRef`] ids only.
+    /// index is built up front; `pos_lins` / `neg_lins` are the two inputs'
+    /// lineage columns, interned once per operator by the caller
+    /// ([`interned_lineages`]) and shared by its passes. Everything
+    /// downstream moves [`LineageRef`] ids only.
     pub(crate) fn build(
         pos: P,
         neg: N,
         theta: &ThetaCondition,
         plan: Option<OverlapJoinPlan>,
         depth: PipeDepth,
-        interner: &mut LineageInterner,
+        pos_lins: Arc<Vec<LineageRef>>,
+        neg_lins: Arc<Vec<LineageRef>>,
     ) -> Result<Self, StorageError> {
         let bound = theta.bind(pos.borrow().schema(), neg.borrow().schema())?;
         let plan = plan.unwrap_or_else(|| auto_plan(&bound));
         let index = Arc::new(ProbeIndex::build(neg.borrow(), &bound, plan)?);
-        let pos_lins = interned_lineages(pos.borrow(), interner);
-        let neg_lins = interned_lineages(neg.borrow(), interner);
         let wo = OverlapWindowStream::over_index(
             pos.clone(),
             neg,
@@ -301,21 +301,31 @@ where
         mut engine: E,
     ) -> Result<Self, StorageError> {
         let (name, schema) = op.output(r.borrow(), s.borrow());
+        // Both lineage columns are interned once per operator; a flipped
+        // second pass swaps the same two columns.
+        let interner = engine.borrow_mut().interner_mut();
+        let r_lins = interned_lineages(r.borrow(), interner);
+        let s_lins = interned_lineages(s.borrow(), interner);
         let mut passes = VecDeque::new();
         for spec in op.passes() {
             let flipped_theta;
-            let (pos, neg, theta) = if spec.flipped {
+            let (pos, pos_lins, neg, neg_lins, theta) = if spec.flipped {
                 flipped_theta = theta.flipped();
-                (
-                    Input::Right(s.clone()),
-                    Input::Left(r.clone()),
-                    &flipped_theta,
-                )
+                let (pos, neg) = (Input::Right(s.clone()), Input::Left(r.clone()));
+                (pos, &s_lins, neg, &r_lins, &flipped_theta)
             } else {
-                (Input::Left(r.clone()), Input::Right(s.clone()), theta)
+                let (pos, neg) = (Input::Left(r.clone()), Input::Right(s.clone()));
+                (pos, &r_lins, neg, &s_lins, theta)
             };
-            let interner = engine.borrow_mut().interner_mut();
-            let pipe = Pipe::build(pos.clone(), neg.clone(), theta, plan, spec.depth, interner)?;
+            let pipe = Pipe::build(
+                pos.clone(),
+                neg.clone(),
+                theta,
+                plan,
+                spec.depth,
+                Arc::clone(pos_lins),
+                Arc::clone(neg_lins),
+            )?;
             passes.push_back(Pass {
                 spec,
                 pos,
@@ -490,7 +500,11 @@ mod tests {
         ] {
             let mut engine = registered_engine(&a, &b);
             let interner = engine.interner_mut();
-            let mut pipe = Pipe::build(&a, &b, &theta(), None, depth, interner).unwrap();
+            let (a_lins, b_lins) = (
+                interned_lineages(&a, interner),
+                interned_lineages(&b, interner),
+            );
+            let mut pipe = Pipe::build(&a, &b, &theta(), None, depth, a_lins, b_lins).unwrap();
             let mut seen = Vec::new();
             while let Some(w) = pipe.next_with(interner) {
                 seen.push(w.kind);

@@ -6,8 +6,9 @@
 
 use proptest::prelude::*;
 use tpdb_core::{
-    assemble_join_result, lawan, lawau, overlapping_windows, tp_join, tp_join_parallel, tp_union,
-    tp_union_materialized, ThetaCondition, TpJoinKind, Window,
+    assemble_join_result, lawan, lawau, overlapping_windows, tp_join, tp_join_parallel,
+    tp_join_with_engine, tp_union, tp_union_materialized, ThetaCondition, TpJoinKind, TpSetOpKind,
+    TpSetOpStream, Window,
 };
 use tpdb_lineage::{Lineage, LineageInterner, ProbabilityEngine, VarId};
 use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
@@ -62,10 +63,27 @@ fn rows() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
 /// path (still exercised by the TA baseline), with the same per-kind window
 /// participation as the streaming pipeline.
 fn legacy_join(r: &TpRelation, s: &TpRelation, kind: TpJoinKind) -> TpRelation {
-    let theta = ThetaCondition::column_equals("k", "k");
+    legacy_join_with_engine(r, s, kind, &mut engine_over(&[r, s]))
+}
+
+/// A fresh engine holding the marginals of the base tuples of `inputs`.
+fn engine_over(inputs: &[&TpRelation]) -> ProbabilityEngine {
     let mut engine = ProbabilityEngine::new();
-    r.register_probabilities(&mut engine);
-    s.register_probabilities(&mut engine);
+    for input in inputs {
+        input.register_probabilities(&mut engine);
+    }
+    engine
+}
+
+/// [`legacy_join`] over inputs whose lineages may be derived: `engine`
+/// supplies the marginals.
+fn legacy_join_with_engine(
+    r: &TpRelation,
+    s: &TpRelation,
+    kind: TpJoinKind,
+    engine: &mut ProbabilityEngine,
+) -> TpRelation {
+    let theta = ThetaCondition::column_equals("k", "k");
     let wo = overlapping_windows(r, s, &theta).unwrap();
     let left: Vec<Window> = match kind {
         TpJoinKind::Inner | TpJoinKind::RightOuter => wo,
@@ -78,7 +96,7 @@ fn legacy_join(r: &TpRelation, s: &TpRelation, kind: TpJoinKind) -> TpRelation {
         }
         _ => Vec::new(),
     };
-    assemble_join_result(r, s, kind, &left, &right, &mut engine)
+    assemble_join_result(r, s, kind, &left, &right, engine)
 }
 
 /// A random lineage formula over the variables `0..8` (small enough that
@@ -179,6 +197,31 @@ proptest! {
             let legacy = legacy_join(&r, &s, kind);
             prop_assert_eq!(&interned, &legacy, "kind {:?}", kind);
         }
+        // The one LAWAN sweep over tree and over interned windows: a left
+        // outer join emits every window as one tuple, in window order, so
+        // the streamed tuples are the tree windows after conversion. The
+        // negative side is a union, whose `Or` lineages recur across its
+        // tuples: the active set flattens operands and counts contributors.
+        let t = build("t", 2000, &rr);
+        let u = tp_union(&s, &t).unwrap();
+        let mut engine = engine_over(&[&r, &s, &t]);
+        let streamed = tp_join_with_engine(&r, &u, &theta, TpJoinKind::LeftOuter, &mut engine).unwrap();
+        let wuon = lawan(&lawau(&overlapping_windows(&r, &u, &theta).unwrap(), &r));
+        prop_assert_eq!(streamed.len(), wuon.len());
+        for (tuple, w) in streamed.iter().zip(&wuon) {
+            let lineage = match &w.lambda_s {
+                None => w.lambda_r.clone(),
+                Some(ls) if w.is_negating() => Lineage::and_not_concat(&w.lambda_r, ls),
+                Some(ls) => Lineage::and_concat(&w.lambda_r, ls),
+            };
+            prop_assert_eq!(tuple.interval(), w.interval);
+            prop_assert_eq!(tuple.lineage(), &lineage);
+        }
+        for kind in ALL_KINDS {
+            let interned = tp_join_with_engine(&r, &u, &theta, kind, &mut engine).unwrap();
+            let legacy = legacy_join_with_engine(&r, &u, kind, &mut engine_over(&[&r, &s, &t]));
+            prop_assert_eq!(&interned, &legacy, "derived negative side, kind {:?}", kind);
+        }
     }
 
     /// Partitioned parallel execution (interned per-worker pipelines) is
@@ -232,4 +275,58 @@ proptest! {
             }
         }
     }
+}
+
+/// Output roots are formed at the boundary: a join over base relations
+/// interns the inputs, LAWAN's disjunctions and their negations — nothing
+/// per output row.
+#[test]
+fn the_arena_does_not_grow_per_output_row() {
+    let (r, s) = tpdb_datagen::meteo_like(300, 7);
+    let theta = ThetaCondition::column_equals("Metric", "Metric");
+    let mut engine = engine_over(&[&r, &s]);
+    let out = tp_join_with_engine(&r, &s, &theta, TpJoinKind::LeftOuter, &mut engine).unwrap();
+    let negating = lawan(&lawau(&overlapping_windows(&r, &s, &theta).unwrap(), &r))
+        .iter()
+        .filter(|w| w.is_negating())
+        .count();
+    assert!(negating > 100, "the workload must exercise LAWAN");
+    let arena = engine.interner().len();
+    assert!(arena < out.len(), "{arena} nodes for {} rows", out.len());
+    assert!(
+        arena <= 2 + r.len() + s.len() + 2 * negating,
+        "{arena} nodes for {} + {} inputs and {negating} negating windows",
+        r.len(),
+        s.len()
+    );
+    assert_eq!(engine.expansions(), 0);
+    assert_eq!(engine.verify_arena(), Ok(()));
+}
+
+/// … while roots that share variables still take the node path: every row
+/// of `(r ∪ s) − r` mentions an `r` variable on both sides of the negation,
+/// so its root is interned and priced by Shannon expansion.
+#[test]
+fn correlated_roots_are_still_interned_and_expanded() {
+    let (r, s) = tpdb_datagen::meteo_like(300, 7);
+    let mut engine = engine_over(&[&r, &s]);
+    let union = TpSetOpStream::with_engine_and_plan(&r, &s, TpSetOpKind::Union, None, &mut engine)
+        .unwrap()
+        .collect_relation();
+    assert_eq!(
+        engine.expansions(),
+        0,
+        "a union of base relations is read-once"
+    );
+    let before = engine.interner().len();
+    let chain =
+        TpSetOpStream::with_engine_and_plan(&union, &r, TpSetOpKind::Difference, None, &mut engine)
+            .unwrap()
+            .collect_relation();
+    assert!(engine.expansions() > 0);
+    assert!(
+        engine.interner().len() >= before + chain.len(),
+        "every correlated root is a node"
+    );
+    assert_eq!(engine.verify_arena(), Ok(()));
 }

@@ -3,33 +3,95 @@
 //! The LAWAN sweep emits one negating window per elementary interval, each
 //! carrying `λs = ∨ {lineages of the currently active s tuples}`. Building
 //! that disjunction from scratch at every boundary — flattening, constant
-//! elimination and hash-based deduplication over the full active set — is
-//! what made the sweep quadratic in the active-set size. An
+//! elimination and deduplication over the full active set — is what made
+//! the sweep quadratic in the active-set size. An
 //! [`IncrementalDisjunction`] maintains the flattened, deduplicated operand
-//! list *across* boundaries instead: activating or expiring a lineage costs
-//! time proportional to that lineage's own operand count, and emitting the
-//! current disjunction only clones the live operands into a fresh `Or` node
-//! (no re-flattening, no re-hashing).
+//! list *across* boundaries instead, and emitting the current disjunction
+//! only copies the live operands into an `Or` node (no re-flattening).
 //!
-//! Operands are kept in first-activation order with reference counts, so a
-//! lineage contributed by several active tuples (shared sub-lineages are
-//! common after self-joins) is stored once and survives until its last
-//! contributor expires.
+//! # Representation
+//!
+//! Both this type and its id-keyed twin [`crate::InternedDisjunction`] are
+//! one **ordered vector** of `(operand, reference count)` pairs in
+//! first-activation order: a lineage contributed by several active tuples
+//! (shared sub-lineages are common after self-joins) is stored once and
+//! survives until its last contributor expires; an expired operand is
+//! removed in place, keeping the order of the rest, so the emitted operand
+//! order is the activation order of the live operands — what the converted
+//! trees, and every downstream byte, depend on.
+//!
+//! Membership is a **linear search**, with no hash index beside the
+//! vector. That is the right cost here, not a shortcut: the active set of a
+//! sweep is the set of `s` tuples valid at one time point under one `r`
+//! tuple — 6 operands on average on the meteo workload, 1 on webkit — so a
+//! scan touches a cache line or two where a map would hash (whole trees, on
+//! this side), probe, and keep a second structure in step on every
+//! activation and expiry. Asymptotically it is no worse than what the sweep
+//! already pays: every boundary that changes the set is followed by an
+//! emission, which copies all `n` live operands, so an `O(n)` update never
+//! dominates the `O(n)` emission next to it.
 
 use crate::formula::{Lineage, LineageNode};
-use std::collections::HashMap;
 
-/// A multiset of lineages with an incrementally maintained disjunction.
+/// Distinct operands in first-activation order with their reference
+/// counts: the ordered vector behind [`IncrementalDisjunction`] and
+/// [`crate::InternedDisjunction`] (see the module docs for why it is
+/// searched linearly).
+#[derive(Debug, Clone)]
+pub(crate) struct Operands<T>(Vec<(T, usize)>);
+
+impl<T> Default for Operands<T> {
+    fn default() -> Self {
+        Self(Vec::new())
+    }
+}
+
+impl<T: Clone + PartialEq> Operands<T> {
+    /// Counts one more contributor of `operand`, appending it if new.
+    pub(crate) fn insert(&mut self, operand: &T) {
+        match self.0.iter_mut().find(|(o, _)| o == operand) {
+            Some((_, count)) => *count += 1,
+            None => self.0.push((operand.clone(), 1)),
+        }
+    }
+
+    /// Counts one contributor of `operand` less; its last contributor
+    /// removes it, keeping the order of the rest.
+    pub(crate) fn remove(&mut self, operand: &T) {
+        let Some(pos) = self.0.iter().position(|(o, _)| o == operand) else {
+            debug_assert!(false, "removing operand that was never inserted");
+            return;
+        };
+        self.0[pos].1 -= 1;
+        if self.0[pos].1 == 0 {
+            self.0.remove(pos);
+        }
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The live operands in first-activation order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
+        self.0.iter().map(|(o, _)| o)
+    }
+}
+
+/// A multiset of lineages with an incrementally maintained disjunction:
+/// an ordered vector of reference-counted operands in first-activation
+/// order, searched linearly — LAWAN's active sets average 6 operands on
+/// the meteo workload and 1 on webkit, and every update is followed by an
+/// emission that copies the whole set anyway, so there is no hash index to
+/// build, probe or keep in step.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalDisjunction {
-    /// Distinct non-constant operands in first-insertion order, with their
-    /// reference counts. `None` marks a slot whose operand expired
-    /// (compacted away periodically).
-    slots: Vec<Option<(Lineage, usize)>>,
-    /// Operand → slot position.
-    index: HashMap<Lineage, usize>,
-    /// Number of live (non-tombstone) slots.
-    live: usize,
+    /// Distinct non-constant operands.
+    operands: Operands<Lineage>,
     /// How many inserted lineages were the constant `true` (each makes the
     /// whole disjunction `true`).
     true_count: usize,
@@ -54,7 +116,7 @@ impl IncrementalDisjunction {
                     self.insert(c);
                 }
             }
-            _ => self.insert_operand(lineage),
+            _ => self.operands.insert(lineage),
         }
     }
 
@@ -73,54 +135,20 @@ impl IncrementalDisjunction {
                     self.remove(c);
                 }
             }
-            _ => self.remove_operand(lineage),
-        }
-    }
-
-    fn insert_operand(&mut self, operand: &Lineage) {
-        if let Some(&slot) = self.index.get(operand) {
-            let entry = self.slots[slot].as_mut().expect("indexed slot is live");
-            entry.1 += 1;
-        } else {
-            self.index.insert(operand.clone(), self.slots.len());
-            self.slots.push(Some((operand.clone(), 1)));
-            self.live += 1;
-        }
-    }
-
-    fn remove_operand(&mut self, operand: &Lineage) {
-        let Some(&slot) = self.index.get(operand) else {
-            debug_assert!(false, "removing operand that was never inserted");
-            return;
-        };
-        let entry = self.slots[slot].as_mut().expect("indexed slot is live");
-        entry.1 -= 1;
-        if entry.1 == 0 {
-            self.slots[slot] = None;
-            self.index.remove(operand);
-            self.live -= 1;
-            // Compact when tombstones dominate, re-pointing the index at the
-            // surviving slots (amortized O(1) per removal).
-            if self.slots.len() > 8 && self.slots.len() >= 2 * self.live.max(1) {
-                self.slots.retain(Option::is_some);
-                for (pos, s) in self.slots.iter().enumerate() {
-                    let (l, _) = s.as_ref().expect("retained slots are live");
-                    *self.index.get_mut(l).expect("live operand is indexed") = pos;
-                }
-            }
+            _ => self.operands.remove(lineage),
         }
     }
 
     /// Is the disjunction `false` (no live operand, no `true` contributor)?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live == 0 && self.true_count == 0
+        self.operands.is_empty() && self.true_count == 0
     }
 
     /// Number of distinct live operands.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live
+        self.operands.len()
     }
 
     /// The current disjunction as a [`Lineage`].
@@ -129,18 +157,12 @@ impl IncrementalDisjunction {
         if self.true_count > 0 {
             return Lineage::tru();
         }
-        let operands: Vec<Lineage> = self
-            .slots
-            .iter()
-            .flatten()
-            .map(|(l, _)| l.clone())
-            .collect();
-        Lineage::or_flattened(operands)
+        Lineage::or_flattened(self.operands.iter().cloned().collect())
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::symbols::VarId;
 
@@ -206,20 +228,54 @@ mod tests {
 
     #[test]
     fn heavy_churn_with_compaction_matches_rebuild() {
+        // Every checkpoint compares against a from-scratch `Lineage::or` of
+        // the survivors in activation order.
         let mut d = IncrementalDisjunction::new();
-        // Activate 64 vars, expire the first 63, then compare against a
-        // from-scratch Lineage::or of the survivors plus newcomers.
-        for i in 0..64 {
-            d.insert(&v(i));
+        for (activate, lineage, expected) in churn_script() {
+            if activate {
+                d.insert(&lineage);
+            } else {
+                d.remove(&lineage);
+            }
+            if let Some(survivors) = expected {
+                assert_eq!(d.len(), survivors.len());
+                assert_eq!(d.is_empty(), survivors.is_empty());
+                assert_eq!(d.disjunction(), Lineage::or(survivors));
+            }
         }
-        for i in 0..63 {
-            d.remove(&v(i));
-        }
-        for i in 100..104 {
-            d.insert(&v(i));
-        }
-        let expected = Lineage::or(vec![v(63), v(100), v(101), v(102), v(103)]);
-        assert_eq!(d.disjunction(), expected);
-        assert_eq!(d.len(), 5);
+    }
+
+    /// A churn of `(activate?, lineage, survivors after the step)` exercising
+    /// what fixes the emitted operand order: mass expiry, re-activation after
+    /// expiry (the operand re-enters at the end), duplicate contributors (the
+    /// operand keeps its place until the last one expires) and `Or` operands
+    /// (flattened, each child counted on its own). Shared with the interned
+    /// twin's test, which must agree step by step.
+    pub(crate) fn churn_script() -> Vec<(bool, Lineage, Option<Vec<Lineage>>)> {
+        let v = |i: u32| Lineage::var(VarId(i));
+        let vs = |ids: &[u32]| Some(ids.iter().map(|&i| v(i)).collect::<Vec<_>>());
+        let mut script = Vec::new();
+        // Activate 64 vars, expire the first 63, add newcomers.
+        script.extend((0..64).map(|i| (true, v(i), None)));
+        script.extend((0..63).map(|i| (false, v(i), None)));
+        script.extend((100..104).map(|i| (true, v(i), None)));
+        script.last_mut().expect("non-empty").2 = vs(&[63, 100, 101, 102, 103]);
+        // Re-activation after expiry re-enters at the end.
+        script.push((true, v(5), vs(&[63, 100, 101, 102, 103, 5])));
+        // A second contributor changes nothing, nor does the first expiry.
+        script.push((true, v(100), vs(&[63, 100, 101, 102, 103, 5])));
+        script.push((false, v(100), vs(&[63, 100, 101, 102, 103, 5])));
+        script.push((false, v(100), vs(&[63, 101, 102, 103, 5])));
+        // An Or operand is flattened: 200 is new, 101 gains a contributor and
+        // outlives its own expiry until the Or expires too.
+        let or = Lineage::or(vec![v(200), v(101)]);
+        script.push((true, or.clone(), vs(&[63, 101, 102, 103, 5, 200])));
+        script.push((false, v(101), vs(&[63, 101, 102, 103, 5, 200])));
+        script.push((false, or, vs(&[63, 102, 103, 5])));
+        // Drain to ⊥, then start over.
+        script.extend([63, 102, 103].map(|i| (false, v(i), None)));
+        script.push((false, v(5), vs(&[])));
+        script.push((true, v(102), vs(&[102])));
+        script
     }
 }

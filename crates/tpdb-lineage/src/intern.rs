@@ -32,6 +32,7 @@
 //! children, which is what lets [`crate::ProbabilityEngine`] price the
 //! paper's output lineages without grouping children by shared variables.
 
+use crate::disjunction::Operands;
 use crate::formula::{Lineage, LineageNode};
 use crate::symbols::VarId;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -176,6 +177,18 @@ pub struct LineageInterner {
     walk: Vec<LineageRef>,
 }
 
+/// What an operand list normalizes to ([`LineageInterner::normalize`]).
+pub(crate) enum Normalized {
+    /// The list collapses to a node that already exists: a constant, or
+    /// its only remaining operand.
+    Node(LineageRef),
+    /// ≥ 2 flattened, constant-free, deduplicated operands — the child list
+    /// of the node [`LineageInterner::intern_nary`] would find or create.
+    /// The vector is the interner's reused operand buffer: hand it back
+    /// through [`LineageInterner::recycle`].
+    List(Vec<LineageRef>),
+}
+
 /// The cons-table marker of a free slot (never a node id: interning
 /// panics before the arena reaches `u32::MAX` nodes).
 const EMPTY: u32 = u32::MAX;
@@ -297,12 +310,25 @@ impl LineageInterner {
         self.nary(false, operands)
     }
 
-    /// The shared body of [`and`](Self::and) / [`or`](Self::or): flattens
-    /// one level, drops the unit, collapses on the absorbing constant and
-    /// deduplicates in first-occurrence order — through the epoch stamps
-    /// and the reused operand buffer, so a call that finds its node already
-    /// interned allocates nothing.
+    /// The shared body of [`and`](Self::and) / [`or`](Self::or): normalizes
+    /// the operand list and interns what is left of it. A call that finds
+    /// its node already interned allocates nothing.
     fn nary(&mut self, is_and: bool, operands: &[LineageRef]) -> LineageRef {
+        match self.normalize(is_and, operands) {
+            Normalized::Node(existing) => existing,
+            Normalized::List(flat) => {
+                let result = self.intern_nary(is_and, &flat);
+                self.recycle(flat);
+                result
+            }
+        }
+    }
+
+    /// Normalizes the operands of a conjunction (`is_and`) or disjunction:
+    /// flattens one level, drops the unit, collapses on the absorbing
+    /// constant and deduplicates in first-occurrence order, through the
+    /// epoch stamps and the reused operand buffer.
+    pub(crate) fn normalize(&mut self, is_and: bool, operands: &[LineageRef]) -> Normalized {
         let (unit, absorbing) = if is_and { (TRUE, FALSE) } else { (FALSE, TRUE) };
         let epoch = self.next_epoch();
         let mut flat = mem::take(&mut self.operands);
@@ -329,34 +355,45 @@ impl LineageInterner {
                 _ => push(op),
             }
         }
-        let result = match flat.len() {
+        let existing = match flat.len() {
             _ if absorbed => absorbing,
             0 => unit,
             1 => flat[0],
-            _ => self.intern_nary(is_and, &flat),
+            _ => return Normalized::List(flat),
         };
+        self.recycle(flat);
+        Normalized::Node(existing)
+    }
+
+    /// Takes back the operand buffer a [`Normalized::List`] lent out.
+    pub(crate) fn recycle(&mut self, mut flat: Vec<LineageRef>) {
         flat.clear();
         self.operands = flat;
-        result
     }
 
     /// Builds a disjunction from operands that are already flattened (no
     /// nested `Or`, no constants) and deduplicated, skipping the
     /// flattening pass of [`or`](Self::or). This is the emission path of
-    /// [`InternedDisjunction`].
-    pub fn or_flattened(&mut self, operands: Vec<LineageRef>) -> LineageRef {
+    /// [`InternedDisjunction`]; the operands are gathered in the reused
+    /// operand buffer, so an emission that finds its node already interned
+    /// allocates nothing.
+    pub fn or_flattened(&mut self, operands: impl IntoIterator<Item = LineageRef>) -> LineageRef {
+        let mut flat = mem::take(&mut self.operands);
+        flat.extend(operands);
         debug_assert!(
-            operands.iter().all(|o| !matches!(
+            flat.iter().all(|o| !matches!(
                 self.nodes[o.index()],
                 InternedNode::Or(_) | InternedNode::True | InternedNode::False
             )),
             "or_flattened operands must be flattened and constant-free"
         );
-        match operands.len() {
+        let result = match flat.len() {
             0 => FALSE,
-            1 => operands[0],
-            _ => self.intern_nary(false, &operands),
-        }
+            1 => flat[0],
+            _ => self.intern_nary(false, &flat),
+        };
+        self.recycle(flat);
+        result
     }
 
     /// Binary conjunction convenience wrapper.
@@ -717,7 +754,7 @@ impl LineageInterner {
 
     /// Interns an `And`/`Or` over normalized children. The lookup compares
     /// against the borrowed slice; only a miss boxes the children.
-    fn intern_nary(&mut self, is_and: bool, children: &[LineageRef]) -> LineageRef {
+    pub(crate) fn intern_nary(&mut self, is_and: bool, children: &[LineageRef]) -> LineageRef {
         let hash = self.nary_hash(is_and, children);
         let found = self.find(hash, |existing| match (existing, is_and) {
             (InternedNode::And(cs), true) | (InternedNode::Or(cs), false) => **cs == *children,
@@ -834,7 +871,7 @@ impl LineageInterner {
     /// read-once bounds the walk by the number of distinct leaves: the
     /// first revisit — of a leaf, or of a shared inner node's first leaf —
     /// ends it.
-    fn leaves_are_distinct(&mut self, roots: &[LineageRef]) -> bool {
+    pub(crate) fn leaves_are_distinct(&mut self, roots: &[LineageRef]) -> bool {
         let epoch = self.next_epoch();
         let mut stack = mem::take(&mut self.walk);
         stack.extend_from_slice(roots);
@@ -882,20 +919,16 @@ impl LineageInterner {
 
 /// The id-keyed counterpart of [`crate::IncrementalDisjunction`]: a
 /// multiset of interned lineages with an incrementally maintained
-/// disjunction. Operands are kept in first-activation order with
-/// reference counts (identical slot/compaction discipline, so the emitted
-/// operand order — and therefore the converted trees — match the legacy
-/// sweep exactly); membership checks hash a single `u32` instead of a
-/// formula tree.
+/// disjunction — the same ordered vector of reference-counted operands
+/// (first-activation order, linear search, order-preserving removal: the
+/// active sets of a sweep are a handful of operands, see
+/// [`crate::IncrementalDisjunction`]), so the emitted operand order — and
+/// therefore the converted trees — match the tree sweep exactly. A
+/// membership check compares `u32`s.
 #[derive(Debug, Clone, Default)]
 pub struct InternedDisjunction {
-    /// Distinct non-constant operands in first-insertion order with their
-    /// reference counts; `None` marks an expired (tombstoned) slot.
-    slots: Vec<Option<(LineageRef, usize)>>,
-    /// Operand → slot position.
-    index: FxHashMap<LineageRef, usize>,
-    /// Number of live (non-tombstone) slots.
-    live: usize,
+    /// Distinct non-constant operands.
+    operands: Operands<LineageRef>,
     /// How many inserted lineages were the constant `true`.
     true_count: usize,
 }
@@ -918,10 +951,10 @@ impl InternedDisjunction {
                 // Children of a normalized Or are themselves neither Or
                 // nor constants, so one level of flattening suffices.
                 for &c in children.iter() {
-                    self.insert_operand(c);
+                    self.operands.insert(&c);
                 }
             }
-            _ => self.insert_operand(lineage),
+            _ => self.operands.insert(&lineage),
         }
     }
 
@@ -937,44 +970,10 @@ impl InternedDisjunction {
             }
             InternedNode::Or(children) => {
                 for &c in children.iter() {
-                    self.remove_operand(c);
+                    self.operands.remove(&c);
                 }
             }
-            _ => self.remove_operand(lineage),
-        }
-    }
-
-    fn insert_operand(&mut self, operand: LineageRef) {
-        if let Some(&slot) = self.index.get(&operand) {
-            let entry = self.slots[slot].as_mut().expect("indexed slot is live");
-            entry.1 += 1;
-        } else {
-            self.index.insert(operand, self.slots.len());
-            self.slots.push(Some((operand, 1)));
-            self.live += 1;
-        }
-    }
-
-    fn remove_operand(&mut self, operand: LineageRef) {
-        let Some(&slot) = self.index.get(&operand) else {
-            debug_assert!(false, "removing operand that was never inserted");
-            return;
-        };
-        let entry = self.slots[slot].as_mut().expect("indexed slot is live");
-        entry.1 -= 1;
-        if entry.1 == 0 {
-            self.slots[slot] = None;
-            self.index.remove(&operand);
-            self.live -= 1;
-            // Compact when tombstones dominate, re-pointing the index at
-            // the surviving slots (amortized O(1) per removal).
-            if self.slots.len() > 8 && self.slots.len() >= 2 * self.live.max(1) {
-                self.slots.retain(Option::is_some);
-                for (pos, s) in self.slots.iter().enumerate() {
-                    let (l, _) = s.as_ref().expect("retained slots are live");
-                    *self.index.get_mut(l).expect("live operand is indexed") = pos;
-                }
-            }
+            _ => self.operands.remove(&lineage),
         }
     }
 
@@ -982,13 +981,13 @@ impl InternedDisjunction {
     /// contributor)?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.live == 0 && self.true_count == 0
+        self.operands.is_empty() && self.true_count == 0
     }
 
     /// Number of distinct live operands.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.live
+        self.operands.len()
     }
 
     /// The current disjunction as an interned formula.
@@ -996,8 +995,7 @@ impl InternedDisjunction {
         if self.true_count > 0 {
             return interner.tru();
         }
-        let operands: Vec<LineageRef> = self.slots.iter().flatten().map(|&(l, _)| l).collect();
-        interner.or_flattened(operands)
+        interner.or_flattened(self.operands.iter().copied())
     }
 }
 
@@ -1139,28 +1137,24 @@ mod tests {
         let mut legacy = IncrementalDisjunction::new();
         assert!(interned.is_empty());
 
-        // Same churn pattern as the legacy heavy-churn test.
-        for i in 0..64 {
-            let l = v(i);
+        // The tree twin's churn (re-activation after expiry, duplicate
+        // contributors, Or operands): the emitted operand order must agree
+        // after every step, not only at the end.
+        for (activate, l, _) in crate::disjunction::tests::churn_script() {
             let r = interner.intern(&l);
-            interned.insert(r, &interner);
-            legacy.insert(&l);
+            if activate {
+                interned.insert(r, &interner);
+                legacy.insert(&l);
+            } else {
+                interned.remove(r, &interner);
+                legacy.remove(&l);
+            }
+            assert_eq!(interned.len(), legacy.len());
+            assert_eq!(interned.is_empty(), legacy.is_empty());
+            let d = interned.disjunction(&mut interner);
+            assert_eq!(interner.to_lineage(d), legacy.disjunction());
         }
-        for i in 0..63 {
-            let l = v(i);
-            let r = interner.intern(&l);
-            interned.remove(r, &interner);
-            legacy.remove(&l);
-        }
-        for i in 100..104 {
-            let l = v(i);
-            let r = interner.intern(&l);
-            interned.insert(r, &interner);
-            legacy.insert(&l);
-        }
-        assert_eq!(interned.len(), legacy.len());
-        let d = interned.disjunction(&mut interner);
-        assert_eq!(interner.to_lineage(d), legacy.disjunction());
+        assert_eq!(interner.verify_arena(), Ok(()));
     }
 
     #[test]

@@ -63,7 +63,7 @@ pub use formula::{Lineage, LineageNode};
 pub use intern::{
     FxHashMap, FxHashSet, FxHasher, InternedDisjunction, InternedNode, LineageInterner, LineageRef,
 };
-pub use prob::{MarginalMap, ProbabilityEngine, ProbabilityError};
+pub use prob::{Concat, MarginalMap, ProbabilityEngine, ProbabilityError};
 pub use symbols::{SymbolTable, SymbolTableError, VarId};
 
 /// Lineage concatenation for overlapping windows: `λr ∧ λs`.

@@ -1,7 +1,7 @@
 //! Exact probability computation for lineage formulas.
 
-use crate::formula::Lineage;
-use crate::intern::{FxHashMap, InternedNode, LineageInterner, LineageRef};
+use crate::formula::{Lineage, LineageNode};
+use crate::intern::{FxHashMap, InternedNode, LineageInterner, LineageRef, Normalized};
 use crate::symbols::VarId;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -38,6 +38,19 @@ impl fmt::Display for ProbabilityError {
 }
 
 impl std::error::Error for ProbabilityError {}
+
+/// The paper's lineage-concatenation functions: how an output tuple's
+/// lineage is formed from a window's `λr` and `λs`
+/// ([`ProbabilityEngine::concat_output`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Concat {
+    /// `λr ∧ λs` — overlapping windows.
+    And,
+    /// `λr ∧ ¬λs` — negating windows.
+    AndNot,
+    /// `λr ∨ λs` — the union's negating windows.
+    Or,
+}
 
 /// Exact probability computation under tuple independence.
 ///
@@ -80,8 +93,11 @@ impl std::error::Error for ProbabilityError {}
 ///
 /// Callers on the hot path intern once ([`intern`](Self::intern) or the
 /// interned stream constructors) and evaluate with
-/// [`probability_ref`](Self::probability_ref); [`probability`](Self::probability)
-/// accepts legacy trees and interns on the fly.
+/// [`probability_ref`](Self::probability_ref); output formation hands a
+/// window's two lineages to [`concat_output`](Self::concat_output), which
+/// prices their concatenation without interning it when it is read-once;
+/// [`probability`](Self::probability) accepts legacy trees and interns on
+/// the fly.
 #[derive(Debug, Clone, Default)]
 pub struct ProbabilityEngine {
     probs: Arc<MarginalMap>,
@@ -300,16 +316,121 @@ impl ProbabilityEngine {
         Ok(self.prob_rec(r))
     }
 
-    /// Verifies every variable under `root` has a registered probability.
-    /// The flags are extended over the nodes appended since the last call
-    /// in one bottom-up pass — the arena is topologically ordered, so a
-    /// node's flag is the conjunction of its children's — and `root`'s is
-    /// then a table read.
-    fn check_vars(&mut self, root: LineageRef) -> Result<(), ProbabilityError> {
+    /// Prices the interned formula and converts it to a tree — what an
+    /// output tuple stores of a lineage that is already a node.
+    ///
+    /// # Panics
+    /// Panics if a variable of `λ` has no registered probability. Use
+    /// [`ProbabilityEngine::try_output`] for a fallible variant.
+    pub fn output(&mut self, r: LineageRef) -> (Lineage, f64) {
+        self.try_output(r)
+            .expect("all lineage variables must have probabilities")
+    }
+
+    /// [`output`](Self::output), reporting missing variables as errors.
+    pub fn try_output(&mut self, r: LineageRef) -> Result<(Lineage, f64), ProbabilityError> {
+        let probability = self.try_probability_ref(r)?;
+        Ok((self.interner.to_lineage(r), probability))
+    }
+
+    /// Forms an output tuple's lineage from a window's `λr` and `λs` with
+    /// the concatenation function `how`, returning its tree and its
+    /// probability — the same pair, bit for bit, as interning the
+    /// concatenation ([`LineageInterner::and2`] / `and_not` / `or2`) and
+    /// calling [`output`](Self::output) on the node.
+    ///
+    /// The concatenation is formed **at the boundary**: when it is
+    /// read-once — the operands are, and share no variable — the result is
+    /// computed from the operands and no arena node, memo slot or
+    /// conversion-cache entry is created for a root that nothing will look
+    /// up again. Every other concatenation (one that collapses to an
+    /// existing node, shares variables, mentions an unregistered variable,
+    /// or is priced under [`set_force_shannon`](Self::set_force_shannon))
+    /// is interned and takes the node path.
+    ///
+    /// # Panics
+    /// Panics if a variable of either operand has no registered
+    /// probability. Use [`ProbabilityEngine::try_concat_output`] for a
+    /// fallible variant.
+    pub fn concat_output(
+        &mut self,
+        how: Concat,
+        lambda_r: LineageRef,
+        lambda_s: LineageRef,
+    ) -> (Lineage, f64) {
+        self.try_concat_output(how, lambda_r, lambda_s)
+            .expect("all lineage variables must have probabilities")
+    }
+
+    /// [`concat_output`](Self::concat_output), reporting missing variables
+    /// as errors (the smallest one missing from the concatenation).
+    pub fn try_concat_output(
+        &mut self,
+        how: Concat,
+        lambda_r: LineageRef,
+        lambda_s: LineageRef,
+    ) -> Result<(Lineage, f64), ProbabilityError> {
+        let is_and = how != Concat::Or;
+        // The negation (and the disjunction under it) stays a node: the
+        // negating windows of a group share it.
+        let lambda_s = match how {
+            Concat::AndNot => self.interner.not(lambda_s),
+            Concat::And | Concat::Or => lambda_s,
+        };
+        let operands = match self.interner.normalize(is_and, &[lambda_r, lambda_s]) {
+            Normalized::Node(existing) => return self.try_output(existing),
+            Normalized::List(operands) => operands,
+        };
+        if !self.product_applies(&operands) {
+            let root = self.interner.intern_nary(is_and, &operands);
+            self.interner.recycle(operands);
+            return self.try_output(root);
+        }
+        // The multiplications of `prob_read_once` over the node's children,
+        // in the same order from the same 1.0 — the same bits.
+        let mut acc = 1.0;
+        let mut trees = Vec::with_capacity(operands.len());
+        for &operand in &operands {
+            let p = self.prob_rec(operand);
+            acc *= if is_and { p } else { 1.0 - p };
+            trees.push(self.interner.to_lineage(operand));
+        }
+        self.interner.recycle(operands);
+        Ok(if is_and {
+            (Lineage::from_normalized(LineageNode::And(trees)), acc)
+        } else {
+            (Lineage::from_normalized(LineageNode::Or(trees)), 1.0 - acc)
+        })
+    }
+
+    /// Is the connective over the normalized `operands` priced by the
+    /// read-once product — the criterion [`prob_rec`](Self::prob_rec)
+    /// applies to a node (not forced to Shannon, flagged read-once: children
+    /// read-once with pairwise distinct leaves), decided before the node
+    /// exists — with every variable under it registered?
+    fn product_applies(&mut self, operands: &[LineageRef]) -> bool {
+        if self.force_shannon || !operands.iter().all(|&o| self.interner.is_read_once(o)) {
+            return false;
+        }
+        self.extend_verified();
+        operands.iter().all(|o| self.verified[o.index()])
+            && self.interner.leaves_are_distinct(operands)
+    }
+
+    /// Extends the `verified` flags over the nodes appended since the last
+    /// call, in one bottom-up pass — the arena is topologically ordered, so
+    /// a node's flag is the conjunction of its children's.
+    fn extend_verified(&mut self) {
         for node in &self.interner.nodes()[self.verified.len()..] {
             let verified = vars_registered(&self.probs, node, &self.verified);
             self.verified.push(verified);
         }
+    }
+
+    /// Verifies every variable under `root` has a registered probability:
+    /// a table read once the flags cover the arena.
+    fn check_vars(&mut self, root: LineageRef) -> Result<(), ProbabilityError> {
+        self.extend_verified();
         if self.verified[root.index()] {
             return Ok(());
         }
@@ -928,7 +1049,181 @@ mod tests {
         }
     }
 
+    const CONCATS: [Concat; 3] = [Concat::And, Concat::AndNot, Concat::Or];
+
+    /// The arena path the boundary concatenation replaces: intern the
+    /// concatenation as a node, then price and convert the node.
+    fn concat_through_the_arena(
+        e: &mut ProbabilityEngine,
+        how: Concat,
+        lr: LineageRef,
+        ls: LineageRef,
+    ) -> Result<(Lineage, f64), ProbabilityError> {
+        let root = match how {
+            Concat::And => e.interner_mut().and2(lr, ls),
+            Concat::AndNot => e.interner_mut().and_not(lr, ls),
+            Concat::Or => e.interner_mut().or2(lr, ls),
+        };
+        let p = e.try_probability_ref(root)?;
+        Ok((e.to_lineage(root), p))
+    }
+
+    /// Asserts `try_concat_output` on `boundary` equals the arena path on
+    /// `arena` — tree, probability bits (or error) and expansion count —
+    /// twice, so the second round runs on a warm memo.
+    fn assert_boundary_equals_arena(
+        boundary: &mut ProbabilityEngine,
+        arena: &mut ProbabilityEngine,
+        how: Concat,
+        lr: &Lineage,
+        ls: &Lineage,
+    ) {
+        for round in ["cold", "warm"] {
+            let (br, bs) = (boundary.intern(lr), boundary.intern(ls));
+            let (ar, as_) = (arena.intern(lr), arena.intern(ls));
+            let got = boundary.try_concat_output(how, br, bs);
+            let want = concat_through_the_arena(arena, how, ar, as_);
+            let bits = |r: &Result<(Lineage, f64), ProbabilityError>| {
+                r.clone().map(|(tree, p)| (tree, p.to_bits()))
+            };
+            assert_eq!(
+                bits(&got),
+                bits(&want),
+                "{how:?}({lr:?}, {ls:?}), {round} memo"
+            );
+            assert_eq!(
+                boundary.expansions(),
+                arena.expansions(),
+                "{how:?}, {round} memo"
+            );
+            assert_eq!(boundary.verify_arena(), Ok(()));
+        }
+    }
+
+    #[test]
+    fn boundary_concatenation_collapses_like_the_interned_constructors() {
+        let ps = [0.3, 0.6, 0.2, 0.8, 0.5];
+        let r = v(0);
+        let cases = [
+            // operands that are themselves And/Or: flattening to > 2 operands
+            (Lineage::and2(v(0), v(1)), Lineage::and2(v(2), v(3))),
+            (
+                Lineage::or2(v(0), v(1)),
+                Lineage::or(vec![v(2), v(3), v(4)]),
+            ),
+            (Lineage::and2(v(0), v(1)), Lineage::and2(v(1), v(2))),
+            // constants on either side
+            (r.clone(), Lineage::tru()),
+            (r.clone(), Lineage::fls()),
+            (Lineage::tru(), r.clone()),
+            (Lineage::fls(), r.clone()),
+            (Lineage::tru(), Lineage::fls()),
+            // λs = ¬λr and λr = λs
+            (r.clone(), Lineage::not(r.clone())),
+            (
+                Lineage::or2(v(1), v(2)),
+                Lineage::not(Lineage::or2(v(1), v(2))),
+            ),
+            (r.clone(), r.clone()),
+            (Lineage::and2(v(1), v(2)), Lineage::and2(v(1), v(2))),
+        ];
+        for (lr, ls) in &cases {
+            for how in CONCATS {
+                for force in [false, true] {
+                    let (mut boundary, mut arena) = (engine(&ps), engine(&ps));
+                    boundary.set_force_shannon(force);
+                    arena.set_force_shannon(force);
+                    assert_boundary_equals_arena(&mut boundary, &mut arena, how, lr, ls);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn boundary_concatenation_interns_only_what_it_cannot_price_as_a_product() {
+        let mut e = engine(&[0.5, 0.5, 0.5, 0.5]);
+        let lr = e.intern(&v(0));
+        let ls = e.intern(&Lineage::or(vec![v(1), v(2), v(3)]));
+        let before = e.interner().len();
+        // Read-once: λr ∧ λs and λr ∨ λs add nothing, λr ∧ ¬λs only the
+        // (shared) negation.
+        let (tree, p) = e.concat_output(Concat::And, lr, ls);
+        assert_eq!(
+            tree,
+            Lineage::and2(v(0), Lineage::or(vec![v(1), v(2), v(3)]))
+        );
+        assert_eq!(p, 0.5 * (1.0 - 0.5 * 0.5 * 0.5));
+        let _ = e.concat_output(Concat::Or, lr, ls);
+        assert_eq!(e.interner().len(), before);
+        let (tree, p) = e.concat_output(Concat::AndNot, lr, ls);
+        assert_eq!(
+            tree,
+            Lineage::and_not_concat(&v(0), &Lineage::or(vec![v(1), v(2), v(3)]))
+        );
+        assert_eq!(p, 0.5 * (0.5 * 0.5 * 0.5));
+        assert_eq!(e.interner().len(), before + 1, "¬λs is the one new node");
+        assert_eq!(e.expansions(), 0);
+        // Shared variables: the root is interned and priced by expansion.
+        let shared = e.intern(&Lineage::or2(v(0), v(1)));
+        let _ = e.concat_output(Concat::And, ls, shared);
+        assert!(e.interner().len() > before + 2);
+        assert_eq!(e.expansions(), 1);
+        // … as is every root under the ablation switch.
+        let nodes = e.interner().len();
+        e.set_force_shannon(true);
+        let _ = e.concat_output(Concat::And, lr, ls);
+        assert_eq!(e.interner().len(), nodes + 1);
+        assert_eq!(e.verify_arena(), Ok(()));
+    }
+
+    #[test]
+    fn boundary_concatenation_reports_the_smallest_missing_variable() {
+        // x7 and x9 are unregistered on both engines; x9 is registered
+        // afterwards, which must un-stick the verdict for the other pairs.
+        for how in CONCATS {
+            let (mut boundary, mut arena) = (engine(&[0.5, 0.25]), engine(&[0.5, 0.25]));
+            let (lr, ls) = (Lineage::and2(v(0), v(9)), Lineage::or2(v(7), v(1)));
+            assert_boundary_equals_arena(&mut boundary, &mut arena, how, &lr, &ls);
+            let (br, bs) = (boundary.intern(&lr), boundary.intern(&ls));
+            assert_eq!(
+                boundary.try_concat_output(how, br, bs),
+                Err(ProbabilityError::MissingVariable(VarId(7)))
+            );
+            boundary.set(VarId(7), 0.5);
+            arena.set(VarId(7), 0.5);
+            assert_eq!(
+                boundary.try_concat_output(how, br, bs),
+                Err(ProbabilityError::MissingVariable(VarId(9)))
+            );
+            boundary.set(VarId(9), 0.5);
+            arena.set(VarId(9), 0.5);
+            assert_boundary_equals_arena(&mut boundary, &mut arena, how, &lr, &ls);
+        }
+    }
+
     proptest! {
+        /// Boundary concatenation equals the arena path: same tree, same
+        /// probability bits, same expansion count — cold and warm memo,
+        /// with and without `force_shannon`. Five variables make pairs that
+        /// share variables (the fallback) as common as read-once ones.
+        #[test]
+        fn prop_boundary_concatenation_equals_the_arena_path(
+            lr in arb_lineage(),
+            ls in arb_lineage(),
+            ps in proptest::collection::vec(0.0f64..=1.0, 5),
+        ) {
+            for force in [false, true] {
+                let (mut boundary, mut arena) = (engine(&ps), engine(&ps));
+                boundary.set_force_shannon(force);
+                arena.set_force_shannon(force);
+                // One engine pair across the three concatenations: later
+                // ones meet a warm memo and the earlier ones' nodes.
+                for how in CONCATS {
+                    assert_boundary_equals_arena(&mut boundary, &mut arena, how, &lr, &ls);
+                }
+            }
+        }
+
         #[test]
         fn prop_read_once_flag_matches_brute_force(f in arb_lineage()) {
             let mut e = ProbabilityEngine::new();

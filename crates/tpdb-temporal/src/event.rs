@@ -99,19 +99,17 @@ impl EventQueue {
         self.heap.pop().map(|r| r.0)
     }
 
-    /// Removes every queued ending point that is `<= t` and returns the item
-    /// indices whose intervals have expired.
-    pub fn pop_expired(&mut self, t: TimePoint) -> Vec<usize> {
-        let mut out = Vec::new();
-        while let Some((end, item)) = self.peek() {
-            if end <= t {
-                self.pop();
-                out.push(item);
-            } else {
-                break;
-            }
+    /// Removes the smallest queued ending point if it is `<= t` and returns
+    /// the item whose interval has expired; `None` leaves the queue
+    /// untouched. Called in a `while let`, it drains everything expired at
+    /// `t` — smallest end first, ties by item index — without allocating.
+    pub fn pop_if_expired(&mut self, t: TimePoint) -> Option<usize> {
+        let (end, item) = self.peek()?;
+        if end > t {
+            return None;
         }
-        out
+        self.heap.pop();
+        Some(item)
     }
 
     /// Number of queued ending points.
@@ -175,18 +173,23 @@ mod tests {
     }
 
     #[test]
-    fn pop_expired_removes_all_past_entries() {
+    fn pop_if_expired_drains_all_past_entries_in_order() {
         let mut q = EventQueue::new();
-        q.push(3, 0);
-        q.push(5, 1);
         q.push(5, 2);
+        q.push(3, 0);
         q.push(9, 3);
-        let expired = q.pop_expired(5);
+        q.push(5, 1);
+        let drain = |q: &mut EventQueue, t| std::iter::from_fn(|| q.pop_if_expired(t)).collect();
+        // smallest end first, ties by item index
+        let expired: Vec<usize> = drain(&mut q, 5);
         assert_eq!(expired, vec![0, 1, 2]);
         assert_eq!(q.len(), 1);
-        assert!(q.pop_expired(4).is_empty());
-        assert_eq!(q.pop_expired(100), vec![3]);
+        assert_eq!(q.pop_if_expired(4), None);
+        assert_eq!(q.peek(), Some((9, 3)), "an unexpired head stays queued");
+        let expired: Vec<usize> = drain(&mut q, 100);
+        assert_eq!(expired, vec![3]);
         assert!(q.is_empty());
+        assert_eq!(q.pop_if_expired(100), None);
     }
 
     #[test]

@@ -1,0 +1,88 @@
+#!/usr/bin/env bash
+# A/B two pre-built tpbench binaries on one workload: alternating runs per
+# seed, then per end-to-end metric the median, quartiles and win count of
+# each side. Exits non-zero when any run reports `correct: false` or
+# `failed > 0`, so a wrong answer can never be read as a speed-up.
+#
+#   scripts/ab_tpbench.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS SEED...
+#
+# Build each side's tpbench once from its own checkout
+# (`cargo build --release --offline --manifest-path tpbench/Cargo.toml`),
+# copy `tpbench/target/release/tpbench` out, and pass the two copies. The
+# side that runs first alternates with the seed's position. Every run's
+# result line is kept in $AB_LOG (default: ab_<workload>.log in $PWD).
+set -euo pipefail
+
+if [ "$#" -lt 5 ]; then
+    sed -n '2,13p' "$0" >&2
+    exit 2
+fi
+parent=$1 change=$2 workload=$3 seconds=$4
+shift 4
+log=${AB_LOG:-ab_${workload}.log}
+: >"$log"
+
+bad=0
+n=0
+for seed in "$@"; do
+    if [ $((n % 2)) -eq 0 ]; then order="parent change"; else order="change parent"; fi
+    n=$((n + 1))
+    for side in $order; do
+        if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
+        line=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | grep '"metrics"' || true)
+        echo "$side $seed $line" >>"$log"
+        case $line in
+        *'"correct": true'*'"failed": 0,'*) ;;
+        *)
+            echo "BAD RUN ($side, seed $seed): ${line:-no result line}" >&2
+            bad=1
+            ;;
+        esac
+    done
+done
+
+# One row per metric: "side seed value" triples are paired by seed.
+awk '
+function quantile(v, n, q,    h, lo) {
+    h = (n - 1) * q + 1; lo = int(h)
+    return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
+}
+function summary(side, m,    n, i, j, x, v) {
+    n = 0
+    for (i = 1; i <= seeds; i++) {
+        if (!((side, seed[i], m) in val)) continue
+        # insertion sort (portable: mawk has no asort)
+        x = val[side, seed[i], m]
+        for (j = n++; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
+        v[j + 1] = x
+    }
+    if (n == 0) return "-"
+    return sprintf("%.6g [%.6g-%.6g]", quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
+}
+{
+    side = $1; s = $2
+    if (!(s in seen)) { seen[s] = 1; seed[++seeds] = s }
+    rest = $0
+    while (match(rest, /"[a-z_]+": \{"value": [-+0-9.eE]+/)) {
+        pair = substr(rest, RSTART, RLENGTH); rest = substr(rest, RSTART + RLENGTH)
+        m = pair; sub(/^"/, "", m); sub(/".*/, "", m)
+        x = pair; sub(/.*"value": /, "", x)
+        val[side, s, m] = x + 0
+        if (!(m in known)) { known[m] = 1; metric[++metrics] = m }
+    }
+}
+END {
+    printf "%-14s %-34s %-34s %s\n", "metric", "parent median [q1-q3]", "change median [q1-q3]", "change wins"
+    for (k = 1; k <= metrics; k++) {
+        m = metric[k]; wins = 0; pairs = 0
+        for (i = 1; i <= seeds; i++) {
+            if (!(("parent", seed[i], m) in val) || !(("change", seed[i], m) in val)) continue
+            p = val["parent", seed[i], m]; c = val["change", seed[i], m]; pairs++
+            # out_per_s is the one higher-is-better end-to-end metric.
+            if (m == "out_per_s" ? c > p : c < p) wins++
+        }
+        printf "%-14s %-34s %-34s %d/%d\n", m, summary("parent", m), summary("change", m), wins, pairs
+    }
+}' "$log"
+
+exit "$bad"
