@@ -704,8 +704,8 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// serial in-process [`Session`](tpdb_query::Session) baseline doing the
 /// identical work (execute + render the wire rows, minus the socket).
 ///
-/// Per concurrency level `n` the server runs `n` workers; `n` client
-/// threads each issue `rounds` queries back-to-back and every response is
+/// Per concurrency level `n` the server admits `n` statements at once; `n`
+/// client threads each issue `rounds` queries back-to-back and every response is
 /// asserted byte-identical to the serial reference rendering — the
 /// correctness half of the figure. Series produced:
 ///

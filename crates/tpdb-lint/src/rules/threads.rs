@@ -5,12 +5,12 @@
 //! depends on.
 //!
 //! One module is sanctioned to call `thread::spawn`:
-//! `crates/tpdb-server/src/pool.rs`. A server's acceptor, connection and
-//! worker threads are *long-lived* — they outlive the function that starts
-//! the server, which `thread::scope` cannot express. The pool module
-//! restores the invariant the rule enforces by construction: every handle
-//! it returns is recorded by the server and joined during shutdown, and it
-//! only closes over `Arc`'d state (no borrows to outlive). Spawning
+//! `crates/tpdb-server/src/pool.rs`. A server's acceptor and connection
+//! threads are *long-lived* — they outlive the function that starts the
+//! server, which `thread::scope` cannot express. The pool module restores
+//! the invariant the rule enforces by construction: every handle it
+//! returns is recorded by the server and joined by shutdown at the latest,
+//! and it only closes over `Arc`'d state (no borrows to outlive). Spawning
 //! anywhere else in the server crate is still flagged, which keeps the
 //! exemption auditable: one file to review, one place threads are born.
 //!
@@ -25,9 +25,9 @@
 
 use crate::{pattern, Diagnostic, Rule, SourceFile};
 
-/// The one module sanctioned to call `thread::spawn`: the server's thread
-/// pool, whose contract is that every returned handle is joined at
-/// shutdown (see module docs).
+/// The one module sanctioned to call `thread::spawn`: the server's spawn
+/// site, whose contract is that every returned handle is joined by
+/// shutdown at the latest (see module docs).
 const SANCTIONED_POOL_MODULE: &str = "crates/tpdb-server/src/pool.rs";
 
 /// The one `tpdb-core` module sanctioned to call `thread::scope`: the

@@ -72,6 +72,6 @@ pub use plan::{JoinStrategy, LogicalPlan};
 pub use planner::{explain, explain_with, plan_query, plan_query_with, QueryOptions};
 pub use session::{snapshot_summary, PreparedQuery, Session, SessionStats};
 pub use shared_cache::{
-    normalize_text, prepare_plan, PreparedPlan, ShardedPlanCache, SharedCacheStats,
+    normalize_text, prepare_plan, run_prepared, PreparedPlan, ShardedPlanCache, SharedCacheStats,
 };
 pub use tpdb_core::TpSetOpKind;

@@ -5,7 +5,7 @@ use crate::cursor::ResultCursor;
 use crate::exec::execute_plan_with;
 use crate::plan::LogicalPlan;
 use crate::planner::{explain_with, plan_query_with, QueryOptions};
-use crate::shared_cache::{PreparedPlan, ShardedPlanCache};
+use crate::shared_cache::{run_prepared, PreparedPlan, ShardedPlanCache};
 use crate::TpdbError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -251,35 +251,18 @@ impl Session {
             .get_or_prepare(&self.catalog, &self.options, text)
     }
 
-    /// Binds parameters and executes to a materialized relation.
+    /// Binds parameters and executes to a materialized relation, counting
+    /// the statements that complete.
     fn run_prepared(
         &self,
         prepared: &PreparedPlan,
         params: &[Value],
     ) -> Result<TpRelation, TpdbError> {
-        match &prepared.plan {
-            // Saving only reads the catalog, so the shared-session paths may
-            // run it; loading replaces the catalog and is routed to
-            // `execute_statement` (&mut self) instead.
-            LogicalPlan::SaveSnapshot { path } => {
-                self.catalog.save_snapshot(path)?;
-                self.count_execution();
-                snapshot_summary(&self.catalog)
-            }
-            LogicalPlan::LoadSnapshot { .. } => Err(TpdbError::Storage(
-                tpdb_storage::StorageError::PlanNotApplicable {
-                    plan: "LoadSnapshot".to_owned(),
-                    reason: "LOAD SNAPSHOT replaces the catalog; run it through \
-                             Session::execute_statement on an exclusive session"
-                        .to_owned(),
-                },
-            )),
-            _ => {
-                let bound = self.bound_plan(prepared, params)?;
-                self.count_execution();
-                execute_plan_with(&self.catalog, &bound, &self.options)
-            }
+        let result = run_prepared(&self.catalog, prepared, params, &self.options);
+        if result.is_ok() {
+            self.count_execution();
         }
+        result
     }
 
     /// Binds parameters and opens a streaming cursor. Joins under a cursor
@@ -300,30 +283,10 @@ impl Session {
                 },
             ));
         }
-        let bound = self.bound_plan(prepared, params)?;
+        let bound = prepared.plan.bind_parameters(params)?;
         self.count_execution();
         let op = plan_query_with(&self.catalog, &bound, &QueryOptions::serial())?;
         Ok(ResultCursor::new(op))
-    }
-
-    /// The plan with `$n` placeholders substituted (validating the value
-    /// count).
-    fn bound_plan(
-        &self,
-        prepared: &PreparedPlan,
-        params: &[Value],
-    ) -> Result<LogicalPlan, TpdbError> {
-        if params.len() != prepared.parameters {
-            return Err(TpdbError::ParameterCount {
-                expected: prepared.parameters,
-                got: params.len(),
-            });
-        }
-        if prepared.parameters == 0 {
-            Ok(prepared.plan.clone())
-        } else {
-            prepared.plan.bind_parameters(params)
-        }
     }
 }
 
@@ -427,7 +390,7 @@ impl PreparedQuery<'_> {
     /// is printed with the bound values in place of the placeholders, and
     /// a `Parameters:` line lists each binding.
     pub fn explain_bound(&self, params: &[Value]) -> Result<String, TpdbError> {
-        let bound = self.session.bound_plan(&self.plan, params)?;
+        let bound = self.plan.plan.bind_parameters(params)?;
         let mut out = explain_with(&self.session.catalog, &bound, &self.session.options)?;
         if !params.is_empty() {
             let bindings: Vec<String> = params

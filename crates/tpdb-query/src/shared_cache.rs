@@ -34,14 +34,16 @@
 //! assert_eq!((stats.hits, stats.misses), (1, 1));
 //! ```
 
+use crate::exec::execute_plan_with;
 use crate::parser::parse_query;
 use crate::plan::LogicalPlan;
 use crate::planner::{plan_query_with, QueryOptions};
+use crate::session::snapshot_summary;
 use crate::TpdbError;
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
-use tpdb_storage::{Catalog, Value};
+use tpdb_storage::{Catalog, TpRelation, Value};
 
 /// A statement parsed and validated once: the immutable unit the
 /// [`ShardedPlanCache`] hands out behind `Arc`s.
@@ -54,6 +56,35 @@ pub struct PreparedPlan {
     /// Schema epoch of the catalog the plan was validated against; a
     /// catalog reporting any other epoch makes this plan stale.
     pub epoch: u64,
+}
+
+/// Binds `params` and executes `prepared` against a catalog the caller
+/// only reads — the one bind-and-run path of both front-ends (a
+/// [`crate::Session`] over its own catalog, the server over a pinned
+/// snapshot). `SAVE SNAPSHOT` runs here and reports its summary; `LOAD
+/// SNAPSHOT` replaces the catalog and is refused: each front-end routes it
+/// to the catalog it owns before calling this.
+pub fn run_prepared(
+    catalog: &Catalog,
+    prepared: &PreparedPlan,
+    params: &[Value],
+    options: &QueryOptions,
+) -> Result<TpRelation, TpdbError> {
+    match &prepared.plan {
+        LogicalPlan::SaveSnapshot { path } => {
+            catalog.save_snapshot(path)?;
+            snapshot_summary(catalog)
+        }
+        LogicalPlan::LoadSnapshot { .. } => Err(TpdbError::Storage(
+            tpdb_storage::StorageError::PlanNotApplicable {
+                plan: "LoadSnapshot".to_owned(),
+                reason: "LOAD SNAPSHOT replaces the catalog; run it through \
+                         Session::execute_statement on an exclusive session"
+                    .to_owned(),
+            },
+        )),
+        _ => execute_plan_with(catalog, &prepared.plan.bind_parameters(params)?, options),
+    }
 }
 
 /// Parses and validates `text` against `catalog`, the single

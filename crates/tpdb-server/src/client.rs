@@ -166,8 +166,8 @@ impl Client {
         }
     }
 
-    /// Occupies a server worker for `millis` (diagnostics; see
-    /// [`crate::protocol::Request::Sleep`]).
+    /// Occupies an execution slot of the server for `millis` (diagnostics;
+    /// see [`crate::protocol::Request::Sleep`]).
     pub fn sleep_ms(&mut self, millis: u64) -> Result<(), ClientError> {
         match self.request(&format!("SLEEP {millis}"))? {
             Response::Text(_) => Ok(()),

@@ -7,9 +7,11 @@
 //! * **Line protocol** ([`protocol`]): newline-delimited requests carrying
 //!   the existing query text (plus `PREPARE`/`EXECUTE`/`EXPLAIN`/snapshot
 //!   statements), count-delimited response frames.
-//! * **Worker pool with backpressure** ([`Server`]): a fixed pool executes
-//!   statements from a *bounded* admission queue; a full queue answers
-//!   `ERR ServerBusy` instead of buffering without limit.
+//! * **Bounded execution with backpressure** ([`Server`]): statements run
+//!   on their connection's thread behind a counting admission gate — at
+//!   most `workers` at once, at most `queue_depth` waiting in arrival
+//!   order; beyond that the server answers `ERR ServerBusy` instead of
+//!   letting requests pile up without limit.
 //! * **Epoch-consistent reads**: each request pins an
 //!   [`Arc<Catalog>`](tpdb_storage::Catalog) snapshot via
 //!   [`SharedCatalog`](tpdb_storage::SharedCatalog); `LOAD SNAPSHOT` and

@@ -1,15 +1,18 @@
 //! The one sanctioned thread-spawn site of the workspace.
 //!
 //! The `no-unscoped-threads` lint forbids `std::thread::spawn` everywhere
-//! except this module: a server's acceptor, connection and worker threads
-//! are *long-lived* — they outlive the function that starts the server,
-//! which `std::thread::scope` cannot express. This module restores the
-//! invariant the lint enforces, by construction instead of by scoping:
+//! except this module: a server's acceptor and connection threads are
+//! *long-lived* — they outlive the function that starts the server, which
+//! `std::thread::scope` cannot express. (There is no third kind: a
+//! statement executes on its connection's thread.) This module restores
+//! the invariant the lint enforces, by construction instead of by scoping:
 //!
 //! 1. **Every spawn returns a [`JoinHandle`]** — there is no fire-and-
 //!    forget variant — and every caller in this crate stores the handle in
-//!    the server state that [`crate::ServerHandle::shutdown`] drains and
-//!    joins. A thread born here cannot outlive the server.
+//!    server state: the acceptor's in the [`crate::ServerHandle`], a
+//!    connection's in the registry, where the acceptor joins it once the
+//!    thread has finished and [`crate::ServerHandle::shutdown`] joins the
+//!    rest. A thread born here cannot outlive the server.
 //! 2. **Closures own their state.** Callers pass `'static` closures over
 //!    `Arc`'d server internals; there are no borrows for a leaked thread
 //!    to outlive, so the memory-safety half of the scoped-thread

@@ -56,8 +56,9 @@ pub enum Request {
     },
     /// `EXPLAIN <text>`: plan without executing.
     Explain(String),
-    /// `SLEEP <millis>`: occupy a worker for the given time (diagnostics;
-    /// the concurrency tests use it to create deterministic backlog).
+    /// `SLEEP <millis>`: occupy an execution slot for the given time
+    /// (diagnostics; the concurrency tests use it to create deterministic
+    /// backlog).
     Sleep(u64),
     /// `PING`: liveness probe.
     Ping,

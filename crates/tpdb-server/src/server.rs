@@ -1,41 +1,44 @@
-//! The server: acceptor, per-connection readers, a fixed worker pool with
-//! a bounded admission queue, and graceful shutdown.
+//! The server: acceptor, per-connection threads that execute their own
+//! statements behind a counting admission gate, and graceful shutdown.
 //!
 //! ## Thread and data topology
 //!
 //! ```text
-//! acceptor ──► connection threads (1/conn) ──► bounded queue ──► workers (N)
-//!                   │  parse request,                              │ pin catalog snapshot,
-//!                   │  try_send + wait reply,                      │ plan via sharded cache,
-//!                   │  write response frame                        │ execute, render frame
-//!                   └──────────────◄── reply channel ◄─────────────┘
+//! acceptor ──► connection threads (1/conn), each in a loop:
+//!                read a line, parse the request
+//!                pass the admission gate (run │ wait in line │ `ServerBusy`)
+//!                pin catalog snapshot, plan via sharded cache, execute, render
+//!                give the slot back, then write the response frame
 //! ```
 //!
 //! Every thread is spawned through [`crate::pool`] and joined at
-//! shutdown. Workers never touch sockets; connection threads never touch
-//! the engine — the admission queue is the only coupling, and it is
-//! *bounded*: when it is full, the connection thread answers
-//! `ERR ServerBusy` itself instead of buffering (explicit backpressure).
+//! shutdown: one acceptor plus one thread per open connection, whatever
+//! `workers` is. A connection thread runs its statement itself; the gate
+//! (`admit`) only counts: at most `workers` statements execute at once,
+//! at most `queue_depth` requests wait — first come, first served — and
+//! the next one is answered `ERR ServerBusy` on the spot (explicit
+//! backpressure). The slot is given back before the response frame is
+//! written, so a client that is slow to read its reply keeps its own
+//! thread busy, never an execution slot.
 //!
 //! ## Reads, writes and epochs
 //!
-//! A worker pins one [`Catalog`] snapshot per request
+//! A request pins one [`Catalog`] snapshot
 //! ([`SharedCatalog::snapshot`]) and executes entirely against it, so a
 //! query sees one schema epoch — never a torn mix — while `LOAD SNAPSHOT`
 //! or DDL swaps the published catalog atomically underneath. Plans come
-//! from one [`ShardedPlanCache`] shared by all workers, keyed by
+//! from one [`ShardedPlanCache`] shared by all connections, keyed by
 //! normalized text and validated against the pinned snapshot's epoch.
 //!
 //! ## Shutdown sequence
 //!
 //! [`ServerHandle::shutdown`]: set the draining flag → wake and join the
 //! acceptor (the listener closes; new connects are refused) → half-close
-//! (`Shutdown::Read`) every live connection so readers see EOF after
-//! their in-flight reply → join connection threads → drop the master
-//! queue sender → workers drain the queue (answering not-yet-started
-//! requests with `ERR ServerShuttingDown`), see the channel disconnect,
-//! and exit → join workers. In-flight statements complete normally; no
-//! thread outlives the call.
+//! (`Shutdown::Read`) every live connection so its thread sees EOF after
+//! its in-flight reply → wake the gate's waiters, which see the flag and
+//! answer `ERR ServerShuttingDown` without executing → join the
+//! connection threads. In-flight statements complete normally and their
+//! replies are delivered; no thread outlives the call.
 
 use crate::pool;
 use crate::protocol::{parse_request, rows_response, ErrorCode, Request, Response};
@@ -43,32 +46,35 @@ use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
+use std::time::Duration;
 use tpdb_query::{
-    execute_plan_with, explain_with, snapshot_summary, LogicalPlan, QueryOptions, ShardedPlanCache,
-    TpdbError,
+    explain_with, run_prepared, snapshot_summary, LogicalPlan, PreparedPlan, QueryOptions,
+    ShardedPlanCache, TpdbError,
 };
 use tpdb_storage::{Catalog, SharedCatalog};
 
 /// Server sizing and execution knobs.
 #[derive(Debug, Clone, Copy)]
 pub struct ServerConfig {
-    /// Worker threads executing statements. Default: 4.
+    /// Statements executing at once (each on its connection's thread).
+    /// Default: 4.
     pub workers: usize,
-    /// Admission-queue capacity. A request arriving while `queue_depth`
-    /// requests wait is rejected with `ServerBusy`. Default: 16.
+    /// Requests that may wait for an execution slot, served in arrival
+    /// order. A request arriving while `queue_depth` requests wait is
+    /// rejected with `ServerBusy`. Default: 16.
     pub queue_depth: usize,
-    /// Per-statement degree of parallelism inside a worker. Default: 1.
+    /// Per-statement degree of parallelism. Default: 1.
     ///
-    /// This is a *floor*, not a fixed degree: when the pool is busy,
-    /// concurrency comes from the workers and per-query fan-out on top of
-    /// it would oversubscribe the cores — but when a statement finds the
-    /// pool otherwise idle (nothing queued, no other statement executing),
-    /// the worker widens its morsel degree to cover the idle workers, so a
-    /// lone expensive query still uses the whole machine. See
-    /// `dynamic_parallelism` in this module for the exact rule.
+    /// This is a *floor*, not a fixed degree: when the server is busy,
+    /// concurrency comes from the statements executing side by side and
+    /// per-query fan-out on top of it would oversubscribe the cores — but
+    /// when a statement finds the server otherwise idle (nothing waiting,
+    /// no other statement executing), it widens its morsel degree to cover
+    /// the unused slots, so a lone expensive query still uses the whole
+    /// machine. See `dynamic_parallelism` in this module for the exact
+    /// rule.
     pub parallelism: usize,
 }
 
@@ -88,6 +94,8 @@ impl Default for ServerConfig {
 pub struct ServerStats {
     /// Connections accepted since start.
     pub connections: u64,
+    /// Connections open right now.
+    pub connections_open: u64,
     /// Request lines read (parseable or not).
     pub requests: u64,
     /// Statements executed to completion (success or engine error).
@@ -96,9 +104,9 @@ pub struct ServerStats {
     pub busy_rejections: u64,
     /// Requests rejected with `ServerShuttingDown`.
     pub shutdown_rejections: u64,
-    /// Requests currently executing on a worker.
+    /// Requests currently executing.
     pub executing: u64,
-    /// Requests admitted and waiting for a worker.
+    /// Requests admitted and waiting for an execution slot.
     pub queued: u64,
     /// Shared plan-cache hits.
     pub cache_hits: u64,
@@ -113,24 +121,56 @@ struct Counters {
     executed: AtomicU64,
     busy_rejections: AtomicU64,
     shutdown_rejections: AtomicU64,
-    executing: AtomicU64,
-    queued: AtomicU64,
 }
 
-/// One admitted request: what to run, whose connection state to use, and
-/// where to send the rendered response.
-struct Job {
-    request: Request,
-    conn: Arc<Mutex<ConnState>>,
-    reply: SyncSender<Response>,
+/// The admission gate's state, guarded by one mutex: how many statements
+/// execute, and a ticket pair that keeps the waiters in arrival order.
+#[derive(Debug, Default)]
+struct Gate {
+    executing: usize,
+    /// The ticket the next waiter draws.
+    next_ticket: usize,
+    /// The ticket whose holder is admitted next; the waiters hold
+    /// `now_serving..next_ticket`.
+    now_serving: usize,
+}
+
+impl Gate {
+    fn queued(&self) -> usize {
+        self.next_ticket - self.now_serving
+    }
+}
+
+/// One execution slot, given back on drop — also when the statement
+/// panics, which therefore costs its connection and nothing else.
+struct Slot<'a> {
+    inner: &'a Inner,
+    /// The gate as this request saw it on admission (itself included in
+    /// `executing`): the input of [`dynamic_parallelism`].
+    executing: usize,
+    queued: usize,
+}
+
+impl Drop for Slot<'_> {
+    fn drop(&mut self) {
+        let mut gate = lock(&self.inner.gate);
+        gate.executing -= 1;
+        if gate.queued() > 0 {
+            self.inner.turn.notify_all();
+        }
+    }
 }
 
 /// Per-connection session state: the named prepared statements of this
 /// connection. (Statement *plans* live in the shared cache; the
 /// connection only owns the name → text binding.)
-#[derive(Debug, Default)]
-struct ConnState {
-    prepared: HashMap<String, String>,
+type ConnState = HashMap<String, String>;
+
+/// One accepted connection as shutdown needs it: a clone of its socket to
+/// half-close, and its thread to join.
+struct Conn {
+    stream: TcpStream,
+    handle: JoinHandle<()>,
 }
 
 /// Everything the threads share.
@@ -138,17 +178,18 @@ struct Inner {
     shared: SharedCatalog,
     cache: ShardedPlanCache,
     options: QueryOptions,
-    /// Pool size, used to widen a statement's parallelism when the rest
-    /// of the pool is idle ([`dynamic_parallelism`]).
+    /// Statements that may execute at once.
     workers: usize,
-    /// Master sender; connection threads clone it per request. Dropped at
-    /// shutdown so workers observe the disconnect once the queue drains.
-    queue: Mutex<Option<SyncSender<Job>>>,
+    /// Requests that may wait for a slot.
+    queue_depth: usize,
+    gate: Mutex<Gate>,
+    /// Signalled when the head waiter may be admitted, and at shutdown.
+    turn: Condvar,
     shutting_down: AtomicBool,
     counters: Counters,
-    /// Read-half clones of live connections, half-closed at shutdown.
-    conn_streams: Mutex<Vec<TcpStream>>,
-    conn_handles: Mutex<Vec<JoinHandle<()>>>,
+    /// The connections whose threads have not been joined yet; finished
+    /// ones are reaped on every accept.
+    conns: Mutex<Vec<Conn>>,
 }
 
 /// Entry point: [`Server::start`] binds a listener and returns the
@@ -162,7 +203,6 @@ impl Server {
     pub fn start(catalog: Catalog, config: ServerConfig) -> io::Result<ServerHandle> {
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        let (tx, rx) = mpsc::sync_channel(config.queue_depth.max(1));
         let inner = Arc::new(Inner {
             shared: SharedCatalog::new(catalog),
             cache: ShardedPlanCache::default(),
@@ -170,21 +210,13 @@ impl Server {
                 parallelism: config.parallelism.max(1),
             },
             workers: config.workers.max(1),
-            queue: Mutex::new(Some(tx)),
+            queue_depth: config.queue_depth.max(1),
+            gate: Mutex::new(Gate::default()),
+            turn: Condvar::new(),
             shutting_down: AtomicBool::new(false),
             counters: Counters::default(),
-            conn_streams: Mutex::new(Vec::new()),
-            conn_handles: Mutex::new(Vec::new()),
+            conns: Mutex::new(Vec::new()),
         });
-        let rx = Arc::new(Mutex::new(rx));
-        let mut workers = Vec::with_capacity(config.workers.max(1));
-        for i in 0..config.workers.max(1) {
-            let inner = Arc::clone(&inner);
-            let rx = Arc::clone(&rx);
-            workers.push(pool::spawn(&format!("worker-{i}"), move || {
-                worker_loop(&inner, &rx);
-            })?);
-        }
         let acceptor = {
             let inner = Arc::clone(&inner);
             pool::spawn("acceptor", move || acceptor_loop(&inner, &listener))?
@@ -193,7 +225,6 @@ impl Server {
             inner,
             addr,
             acceptor: Some(acceptor),
-            workers,
         })
     }
 }
@@ -203,7 +234,6 @@ pub struct ServerHandle {
     inner: Arc<Inner>,
     addr: SocketAddr,
     acceptor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
 }
 
 impl ServerHandle {
@@ -219,14 +249,14 @@ impl ServerHandle {
         stats_snapshot(&self.inner)
     }
 
-    /// A pinned snapshot of the current catalog (same view a worker would
-    /// pin for a request arriving now).
+    /// A pinned snapshot of the current catalog (same view a request
+    /// arriving now would pin).
     #[must_use]
     pub fn catalog(&self) -> Arc<Catalog> {
         self.inner.shared.snapshot()
     }
 
-    /// Stops the server: drains in-flight statements, answers queued ones
+    /// Stops the server: drains in-flight statements, answers waiting ones
     /// with `ServerShuttingDown`, closes the listener and joins every
     /// thread. Returns the final counters. See the module docs for the
     /// exact sequence.
@@ -245,23 +275,19 @@ impl ServerHandle {
         if let Some(acceptor) = self.acceptor.take() {
             drop(acceptor.join());
         }
-        // Half-close live connections: readers see EOF after writing the
-        // reply of any in-flight request, then exit. Already-closed
+        // Half-close live connections: their threads see EOF after writing
+        // the reply of any in-flight request, then exit. Already-closed
         // sockets error harmlessly.
-        let streams = std::mem::take(&mut *lock(&self.inner.conn_streams));
-        for stream in streams {
-            drop(stream.shutdown(Shutdown::Read));
+        let conns = std::mem::take(&mut *lock(&self.inner.conns));
+        for conn in &conns {
+            drop(conn.stream.shutdown(Shutdown::Read));
         }
-        let handles = std::mem::take(&mut *lock(&self.inner.conn_handles));
-        for handle in handles {
-            drop(handle.join());
-        }
-        // All per-request sender clones are gone with the connection
-        // threads; dropping the master sender lets workers drain the queue
-        // (rejecting unstarted work) and observe the disconnect.
-        drop(lock(&self.inner.queue).take());
-        for worker in self.workers.drain(..) {
-            drop(worker.join());
+        // Waiters test the flag under the gate's lock, so passing through
+        // it once puts this wake-up after any test that still read `false`.
+        drop(lock(&self.inner.gate));
+        self.inner.turn.notify_all();
+        for conn in conns {
+            drop(conn.handle.join());
         }
     }
 }
@@ -272,10 +298,10 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Locks a mutex, recovering from poisoning: all guarded state is either
-/// a plain collection of handles/streams or an `Option`, mutated by
-/// single calls that cannot leave it torn — and shutdown must proceed
-/// even if some thread panicked.
+/// Locks a mutex, recovering from poisoning: the guarded state is the
+/// gate's three counters or the connection registry, mutated by single
+/// steps that cannot leave it torn — and shutdown must proceed even if
+/// some thread panicked.
 fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -283,66 +309,79 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 fn stats_snapshot(inner: &Inner) -> ServerStats {
     let cache = inner.cache.stats();
     let c = &inner.counters;
+    let (executing, queued) = {
+        let gate = lock(&inner.gate);
+        (gate.executing, gate.queued())
+    };
+    let open = lock(&inner.conns)
+        .iter()
+        .filter(|conn| !conn.handle.is_finished())
+        .count();
     ServerStats {
         connections: c.connections.load(Ordering::Relaxed),
+        connections_open: open as u64,
         requests: c.requests.load(Ordering::Relaxed),
         executed: c.executed.load(Ordering::Relaxed),
         busy_rejections: c.busy_rejections.load(Ordering::Relaxed),
         shutdown_rejections: c.shutdown_rejections.load(Ordering::Relaxed),
-        executing: c.executing.load(Ordering::Relaxed),
-        queued: c.queued.load(Ordering::Relaxed),
+        executing: executing as u64,
+        queued: queued as u64,
         cache_hits: cache.hits,
         cache_misses: cache.misses,
     }
 }
 
-fn shutting_down_response() -> Response {
-    Response::Error {
-        code: ErrorCode::ServerShuttingDown,
-        message: "server is shutting down".to_owned(),
-    }
-}
+/// How long the acceptor pauses after a failed `accept()` (out of file
+/// descriptors, typically) before trying again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Accepts connections until the shutdown flag is raised; each connection
-/// gets its own reader thread whose handle is retained for shutdown.
+/// gets its own thread, registered with a clone of its socket for
+/// shutdown. Threads that have finished are joined and their sockets
+/// closed here, so the registry holds the open connections plus whatever
+/// closed since the last accept.
 fn acceptor_loop(inner: &Arc<Inner>, listener: &TcpListener) {
     loop {
-        let Ok((stream, _peer)) = listener.accept() else {
-            // accept() only fails transiently on loopback; re-check the
-            // flag and keep serving.
-            if inner.shutting_down.load(Ordering::SeqCst) {
-                return;
-            }
-            continue;
-        };
+        let accepted = listener.accept();
         if inner.shutting_down.load(Ordering::SeqCst) {
             // The wake-up connect (or a client racing shutdown): refuse.
             return;
         }
+        let Ok((stream, _peer)) = accepted else {
+            std::thread::sleep(ACCEPT_BACKOFF);
+            continue;
+        };
         inner.counters.connections.fetch_add(1, Ordering::Relaxed);
         // Responses are written as one frame each; disable Nagle so the
         // frame leaves immediately instead of waiting on a delayed ACK.
         stream.set_nodelay(true).ok();
-        if let Ok(read_half) = stream.try_clone() {
-            lock(&inner.conn_streams).push(read_half);
+
+        let mut conns = lock(&inner.conns);
+        for done in conns.extract_if(.., |conn| conn.handle.is_finished()) {
+            drop(done.handle.join());
         }
+        // A connection that cannot be registered could not be shut down
+        // either: it is dropped, which closes it.
+        let Ok(registered) = stream.try_clone() else {
+            continue;
+        };
         let conn_inner = Arc::clone(inner);
-        if let Ok(handle) = pool::spawn("conn", move || serve_connection(&conn_inner, stream)) {
-            lock(&inner.conn_handles).push(handle);
+        if let Ok(handle) = pool::spawn("conn", move || serve_connection(&conn_inner, &stream)) {
+            conns.push(Conn {
+                stream: registered,
+                handle,
+            });
         }
     }
 }
 
-/// Reads request lines off one connection, submits them for execution,
-/// and writes response frames back — strictly one request in flight per
-/// connection.
-fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let mut reader = BufReader::new(read_half);
+/// Reads request lines off one connection, executes them behind the
+/// admission gate and writes response frames back — strictly one request
+/// in flight per connection.
+fn serve_connection(inner: &Inner, stream: &TcpStream) {
+    let mut reader = BufReader::new(stream);
     let mut writer = stream;
-    let conn = Arc::new(Mutex::new(ConnState::default()));
+    let mut conn = ConnState::new();
     let mut line = String::new();
     loop {
         line.clear();
@@ -365,7 +404,13 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) {
                 drop(writer.write_all(frame.as_bytes()));
                 return;
             }
-            Ok(request) => submit(inner, request, &conn),
+            // The slot lives for this arm only: it is given back before
+            // the frame is written, so a slow reader never holds one.
+            Ok(request) => match admit(inner) {
+                Ok(slot) => handle_request(inner, &mut conn, &slot, request)
+                    .unwrap_or_else(|e| Response::from_error(&e)),
+                Err(refusal) => refusal,
+            },
         };
         if writer.write_all(response.encode().as_bytes()).is_err() {
             return;
@@ -373,98 +418,71 @@ fn serve_connection(inner: &Arc<Inner>, stream: TcpStream) {
     }
 }
 
-/// Admission control: try to enqueue the request and wait for the reply.
-/// A full queue is answered with `ServerBusy` right here — bounded
-/// buffering, explicit backpressure.
-fn submit(inner: &Inner, request: Request, conn: &Arc<Mutex<ConnState>>) -> Response {
-    if inner.shutting_down.load(Ordering::SeqCst) {
-        inner
-            .counters
-            .shutdown_rejections
-            .fetch_add(1, Ordering::Relaxed);
-        return shutting_down_response();
-    }
-    let Some(tx) = lock(&inner.queue).as_ref().map(SyncSender::clone) else {
-        inner
-            .counters
-            .shutdown_rejections
-            .fetch_add(1, Ordering::Relaxed);
-        return shutting_down_response();
-    };
-    let (reply_tx, reply_rx) = mpsc::sync_channel(1);
-    let job = Job {
-        request,
-        conn: Arc::clone(conn),
-        reply: reply_tx,
-    };
-    match tx.try_send(job) {
-        Ok(()) => {
-            inner.counters.queued.fetch_add(1, Ordering::SeqCst);
-            match reply_rx.recv() {
-                Ok(response) => response,
-                Err(_) => shutting_down_response(),
-            }
-        }
-        Err(TrySendError::Full(_)) => {
+/// Admission control. A request runs at once when fewer than `workers`
+/// statements execute and nobody waits; otherwise it waits its turn — in
+/// arrival order, behind at most `queue_depth` others — and beyond that
+/// it is answered with `ServerBusy` right here: bounded waiting, explicit
+/// backpressure. Requests that arrive, or are still waiting, once
+/// shutdown began get `ServerShuttingDown`.
+fn admit(inner: &Inner) -> Result<Slot<'_>, Response> {
+    let closing = || inner.shutting_down.load(Ordering::SeqCst);
+    let mut gate = lock(&inner.gate);
+    if !closing() && (gate.executing >= inner.workers || gate.queued() > 0) {
+        if gate.queued() >= inner.queue_depth {
             inner
                 .counters
                 .busy_rejections
                 .fetch_add(1, Ordering::Relaxed);
-            Response::Error {
+            return Err(Response::Error {
                 code: ErrorCode::ServerBusy,
-                message: format!(
-                    "admission queue full ({} waiting); retry",
-                    inner.counters.queued.load(Ordering::SeqCst)
-                ),
-            }
+                message: format!("admission queue full ({} waiting); retry", gate.queued()),
+            });
         }
-        Err(TrySendError::Disconnected(_)) => {
-            inner
-                .counters
-                .shutdown_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            shutting_down_response()
-        }
+        let ticket = gate.next_ticket;
+        gate.next_ticket += 1;
+        gate = inner
+            .turn
+            .wait_while(gate, |gate| {
+                !closing() && (gate.now_serving != ticket || gate.executing >= inner.workers)
+            })
+            .unwrap_or_else(PoisonError::into_inner);
+        // Leaving the queue, admitted or not: nobody is admitted once the
+        // flag is up, so the order in which waiters leave then is immaterial.
+        gate.now_serving += 1;
     }
+    if closing() {
+        inner
+            .counters
+            .shutdown_rejections
+            .fetch_add(1, Ordering::Relaxed);
+        return Err(Response::Error {
+            code: ErrorCode::ServerShuttingDown,
+            message: "server is shutting down".to_owned(),
+        });
+    }
+    gate.executing += 1;
+    if gate.queued() > 0 && gate.executing < inner.workers {
+        // Another slot is free as well: the new head waiter may take it.
+        inner.turn.notify_all();
+    }
+    Ok(Slot {
+        inner,
+        executing: gate.executing,
+        queued: gate.queued(),
+    })
 }
 
-/// Takes jobs off the shared queue until every sender is gone. Jobs
-/// dequeued after the shutdown flag was raised are answered with
-/// `ServerShuttingDown` without executing (the drain half of graceful
-/// shutdown); everything else executes against a pinned snapshot.
-fn worker_loop(inner: &Arc<Inner>, rx: &Mutex<Receiver<Job>>) {
-    loop {
-        // Holding the lock across recv() is the standard shared-receiver
-        // pattern: the blocked holder wakes with a job, releases, and the
-        // next worker takes its place at the channel.
-        let job = lock(rx).recv();
-        let Ok(job) = job else {
-            return;
-        };
-        inner.counters.queued.fetch_sub(1, Ordering::SeqCst);
-        let response = if inner.shutting_down.load(Ordering::SeqCst) {
-            inner
-                .counters
-                .shutdown_rejections
-                .fetch_add(1, Ordering::Relaxed);
-            shutting_down_response()
-        } else {
-            inner.counters.executing.fetch_add(1, Ordering::SeqCst);
-            let response = handle_request(inner, &job.conn, job.request);
-            inner.counters.executing.fetch_sub(1, Ordering::SeqCst);
-            response
-        };
-        // The connection may have died while we executed; nothing to do.
-        drop(job.reply.send(response));
-    }
-}
-
-/// Executes one request on a worker thread.
-fn handle_request(inner: &Inner, conn: &Mutex<ConnState>, request: Request) -> Response {
-    match request {
+/// Executes one request on its connection's thread, holding `slot`.
+fn handle_request(
+    inner: &Inner,
+    conn: &mut ConnState,
+    slot: &Slot<'_>,
+    request: Request,
+) -> Result<Response, TpdbError> {
+    Ok(match request {
         Request::Ping => Response::Text(vec!["PONG".to_owned()]),
         Request::Sleep(millis) => {
-            std::thread::sleep(std::time::Duration::from_millis(millis));
+            std::thread::sleep(Duration::from_millis(millis));
             Response::Text(vec![format!("SLEPT {millis}")])
         }
         Request::Stats => {
@@ -480,67 +498,62 @@ fn handle_request(inner: &Inner, conn: &Mutex<ConnState>, request: Request) -> R
                 format!("cache_hits={}", s.cache_hits),
                 format!("cache_misses={}", s.cache_misses),
                 format!("schema_epoch={}", inner.shared.schema_epoch()),
+                format!("connections_open={}", s.connections_open),
             ])
         }
         Request::Explain(text) => {
-            let snapshot = inner.shared.snapshot();
-            let prepared = match inner.cache.get_or_prepare(&snapshot, &inner.options, &text) {
-                Ok(p) => p,
-                Err(e) => return Response::from_error(&e),
-            };
-            match explain_with(&snapshot, &prepared.plan, &inner.options) {
-                Ok(out) => Response::Text(out.lines().map(str::to_owned).collect()),
-                Err(e) => Response::from_error(&e),
-            }
+            let (snapshot, prepared) = plan(inner, &text)?;
+            let out = explain_with(&snapshot, &prepared.plan, &inner.options)?;
+            Response::Text(out.lines().map(str::to_owned).collect())
         }
-        Request::Query(text) => run_statement(inner, &text, &[]),
+        Request::Query(text) => run_statement(inner, slot, &text, &[])?,
         Request::Prepare { name, text } => {
-            let snapshot = inner.shared.snapshot();
-            match inner.cache.get_or_prepare(&snapshot, &inner.options, &text) {
-                Ok(prepared) => {
-                    let parameters = prepared.parameters;
-                    lock(conn).prepared.insert(name.clone(), text);
-                    Response::Text(vec![format!("PREPARED {name} PARAMS {parameters}")])
-                }
-                Err(e) => Response::from_error(&e),
-            }
+            let parameters = plan(inner, &text)?.1.parameters;
+            conn.insert(name.clone(), text);
+            Response::Text(vec![format!("PREPARED {name} PARAMS {parameters}")])
         }
-        Request::Execute { name, params } => {
-            let text = lock(conn).prepared.get(&name).cloned();
-            match text {
-                None => Response::Error {
-                    code: ErrorCode::Protocol,
-                    message: format!("unknown prepared statement `{name}`"),
-                },
-                Some(text) => run_statement(inner, &text, &params),
-            }
-        }
-        // Close never reaches a worker (handled on the connection thread).
+        Request::Execute { name, params } => match conn.get(&name) {
+            None => Response::Error {
+                code: ErrorCode::Protocol,
+                message: format!("unknown prepared statement `{name}`"),
+            },
+            Some(text) => run_statement(inner, slot, text, &params)?,
+        },
+        // Close is answered before admission (see `serve_connection`).
         Request::Close => Response::Text(vec!["BYE".to_owned()]),
-    }
+    })
+}
+
+/// Pins a catalog snapshot and plans `text` against it through the shared
+/// cache.
+fn plan(inner: &Inner, text: &str) -> Result<(Arc<Catalog>, Arc<PreparedPlan>), TpdbError> {
+    let snapshot = inner.shared.snapshot();
+    let prepared = inner
+        .cache
+        .get_or_prepare(&snapshot, &inner.options, text)?;
+    Ok((snapshot, prepared))
 }
 
 /// The effective morsel degree for a statement about to execute, given
-/// the pool state at admission time.
+/// the gate's state at admission time.
 ///
-/// * Statements are waiting in the queue → stick to the configured
-///   `floor`: the queued work will occupy the other workers, and fanning
-///   out on top of them oversubscribes the cores.
-/// * The queue is empty → widen to cover the idle workers. `executing`
-///   includes the calling statement itself (the worker increments the
-///   counter before executing), so `workers - executing + 1` is "me plus
-///   every worker with nothing to do". A lone expensive query on an
-///   otherwise idle 4-worker pool gets degree 4.
+/// * Requests are waiting for a slot → stick to the configured `floor`:
+///   the waiting work will occupy the other slots, and fanning out on top
+///   of them oversubscribes the cores.
+/// * Nobody waits → widen to cover the unused slots. `executing` includes
+///   the calling statement itself (the gate counts it on admission), so
+///   `workers - executing + 1` is "me plus every slot with nothing to
+///   do". A lone expensive query on an otherwise idle 4-slot server gets
+///   degree 4.
 ///
 /// The decision is a point-in-time heuristic, not a reservation: a
 /// statement admitted a microsecond later may briefly share the cores.
 /// That trade (bounded oversubscription vs. idle cores) is deliberate.
-fn dynamic_parallelism(floor: usize, workers: usize, executing: u64, queued: u64) -> usize {
+fn dynamic_parallelism(floor: usize, workers: usize, executing: usize, queued: usize) -> usize {
     if queued > 0 {
         return floor;
     }
-    let executing = usize::try_from(executing.max(1)).unwrap_or(usize::MAX);
-    floor.max(workers.saturating_sub(executing) + 1)
+    floor.max(workers.saturating_sub(executing.max(1)) + 1)
 }
 
 /// Runs one statement: pin a snapshot, plan through the shared cache,
@@ -548,70 +561,41 @@ fn dynamic_parallelism(floor: usize, workers: usize, executing: u64, queued: u64
 /// and goes through the shared catalog's atomic swap instead.
 ///
 /// Planning and the cache key use the configured options (so cached plans
-/// are shared regardless of pool load), but execution runs at
-/// [`dynamic_parallelism`] — the configured floor, widened over idle
-/// workers.
-fn run_statement(inner: &Inner, text: &str, params: &[tpdb_storage::Value]) -> Response {
-    let snapshot = inner.shared.snapshot();
-    let prepared = match inner.cache.get_or_prepare(&snapshot, &inner.options, text) {
-        Ok(p) => p,
-        Err(e) => return Response::from_error(&e),
-    };
-    let exec_options = QueryOptions {
-        parallelism: dynamic_parallelism(
-            inner.options.parallelism,
-            inner.workers,
-            inner.counters.executing.load(Ordering::SeqCst),
-            inner.counters.queued.load(Ordering::SeqCst),
-        ),
-    };
-    let result = match &prepared.plan {
-        LogicalPlan::SaveSnapshot { path } => snapshot
-            .save_snapshot(path)
-            .map_err(TpdbError::from)
-            .and_then(|()| snapshot_summary(&snapshot)),
+/// are shared regardless of load), but execution runs at
+/// [`dynamic_parallelism`] — the configured floor, widened over unused
+/// slots.
+fn run_statement(
+    inner: &Inner,
+    slot: &Slot<'_>,
+    text: &str,
+    params: &[tpdb_storage::Value],
+) -> Result<Response, TpdbError> {
+    let (snapshot, prepared) = plan(inner, text)?;
+    let relation = match &prepared.plan {
         LogicalPlan::LoadSnapshot { path } => {
-            match inner.shared.update(|catalog| {
+            let loaded = inner.shared.update(|catalog| {
                 catalog.load_snapshot(path)?;
                 // A cheap clone (relations stay shared) pins the freshly
                 // loaded state for the summary even if another update
                 // lands right behind this one.
                 Ok::<Catalog, tpdb_storage::StorageError>(catalog.clone())
-            }) {
-                Ok(Ok(loaded)) => snapshot_summary(&loaded),
-                Ok(Err(e)) => Err(TpdbError::from(e)),
-                Err(e) => Err(TpdbError::from(e)),
-            }
+            })??;
+            snapshot_summary(&loaded)?
         }
-        _ => bind(prepared.parameters, &prepared.plan, params)
-            .and_then(|bound| execute_plan_with(&snapshot, &bound, &exec_options)),
+        _ => {
+            let exec_options = QueryOptions {
+                parallelism: dynamic_parallelism(
+                    inner.options.parallelism,
+                    inner.workers,
+                    slot.executing,
+                    slot.queued,
+                ),
+            };
+            run_prepared(&snapshot, &prepared, params, &exec_options)?
+        }
     };
-    match result {
-        Ok(relation) => {
-            inner.counters.executed.fetch_add(1, Ordering::Relaxed);
-            rows_response(&relation)
-        }
-        Err(e) => Response::from_error(&e),
-    }
-}
-
-/// Substitutes `$n` placeholders, checking the value count.
-fn bind(
-    parameters: usize,
-    plan: &LogicalPlan,
-    params: &[tpdb_storage::Value],
-) -> Result<LogicalPlan, TpdbError> {
-    if params.len() != parameters {
-        return Err(TpdbError::ParameterCount {
-            expected: parameters,
-            got: params.len(),
-        });
-    }
-    if parameters == 0 {
-        Ok(plan.clone())
-    } else {
-        plan.bind_parameters(params)
-    }
+    inner.counters.executed.fetch_add(1, Ordering::Relaxed);
+    Ok(rows_response(&relation))
 }
 
 #[cfg(test)]

@@ -1,10 +1,14 @@
 //! Concurrency properties of the server: N clients hammering one server
-//! get results byte-identical to a serial in-process `Session` run, and
-//! interleaved catalog swaps never produce a torn read.
+//! get results byte-identical to a serial in-process `Session` run,
+//! interleaved catalog swaps never produce a torn read, and the admission
+//! gate keeps its bounds under load and never waits on a client's socket.
 
 use std::collections::HashSet;
+use std::io::Write;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::time::{Duration, Instant};
 use tpdb_query::Session;
-use tpdb_server::{protocol, Client, Server, ServerConfig};
+use tpdb_server::{protocol, Client, ErrorCode, Server, ServerConfig};
 use tpdb_storage::Catalog;
 
 /// All five TP join kinds plus a set operation, over the meteo workload.
@@ -167,4 +171,121 @@ fn interleaved_catalog_swaps_never_yield_a_torn_read() {
 
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_gate_keeps_its_bounds_under_a_hammer() {
+    const SCAN: &str = "SELECT * FROM meteo_r";
+    let catalog = meteo_catalog(40, 5);
+    let mut serial = Session::new(catalog.clone());
+    serial.set_parallelism(1);
+    let scan_rows = serial_rows(&serial, SCAN);
+    let join_rows = serial_rows(&serial, QUERIES[1]);
+    assert!(!scan_rows.is_empty() && !join_rows.is_empty());
+
+    let server = Server::start(
+        catalog,
+        ServerConfig {
+            workers: 2,
+            queue_depth: 2,
+            parallelism: 1,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let done = AtomicBool::new(false);
+
+    let (samples, busy) = std::thread::scope(|scope| {
+        let sampler = scope.spawn(|| {
+            let mut samples = 0_u64;
+            while !done.load(Ordering::SeqCst) {
+                let s = server.stats();
+                assert!(s.executing <= 2 && s.queued <= 2, "{s:?}");
+                samples += 1;
+                std::thread::yield_now();
+            }
+            samples
+        });
+        let clients: Vec<_> = (0..8)
+            .map(|_| {
+                let (scan_rows, join_rows) = (&scan_rows, &join_rows);
+                scope.spawn(move || {
+                    // Any refusal must be the typed backpressure error.
+                    let mut rejected = 0_u64;
+                    let mut busy = |e: tpdb_server::ClientError| {
+                        assert_eq!(e.server_code(), Some(ErrorCode::ServerBusy), "{e}");
+                        rejected += 1;
+                    };
+                    let mut client = Client::connect(addr).unwrap();
+                    while let Err(e) = client.prepare("scan", SCAN) {
+                        busy(e);
+                    }
+                    for i in 0..200 {
+                        let reply = match i % 3 {
+                            0 => client.ping().map(|()| None),
+                            1 => client.execute("scan", &[]).map(|r| Some((r, scan_rows))),
+                            _ => client.query(QUERIES[1]).map(|r| Some((r, join_rows))),
+                        };
+                        match reply {
+                            Ok(None) => {}
+                            Ok(Some((got, expected))) => assert_eq!(&got.rows, expected),
+                            Err(e) => busy(e),
+                        }
+                    }
+                    client.close().unwrap();
+                    rejected
+                })
+            })
+            .collect();
+        let busy: u64 = clients.into_iter().map(|c| c.join().unwrap()).sum();
+        done.store(true, Ordering::SeqCst);
+        (sampler.join().unwrap(), busy)
+    });
+
+    assert!(samples > 0);
+    let stats = server.shutdown();
+    assert_eq!((stats.executing, stats.queued), (0, 0), "{stats:?}");
+    assert_eq!(stats.busy_rejections, busy, "{stats:?}");
+}
+
+#[test]
+fn a_reader_that_stalls_on_its_reply_holds_no_slot() {
+    let server = Server::start(
+        meteo_catalog(3000, 1),
+        ServerConfig {
+            workers: 1,
+            queue_depth: 1,
+            parallelism: 1,
+        },
+    )
+    .unwrap();
+    let addr = server.local_addr();
+    let wait_for = |what: &str, cond: &dyn Fn(tpdb_server::ServerStats) -> bool| {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        while !cond(server.stats()) {
+            assert!(Instant::now() < deadline, "timed out waiting for {what}");
+            std::thread::sleep(Duration::from_millis(2));
+        }
+    };
+
+    // A asks for a reply of several MB — more than the socket buffers
+    // take — and never reads a byte of it.
+    let mut stalled = std::net::TcpStream::connect(addr).unwrap();
+    stalled
+        .write_all(format!("{}\n", QUERIES[1]).as_bytes())
+        .unwrap();
+    wait_for("A's statement to finish", &|s| s.executed == 1);
+    wait_for("A's slot to be given back", &|s| s.executing == 0);
+
+    // The only slot is free again although A's frame is still being
+    // written: B is served at once.
+    let mut b = Client::connect(addr).unwrap();
+    let before = Instant::now();
+    b.ping().unwrap();
+    assert!(before.elapsed() < Duration::from_secs(1));
+    b.close().unwrap();
+
+    // Hanging up fails A's pending write, so its thread can be joined.
+    drop(stalled);
+    server.shutdown();
 }
