@@ -19,31 +19,35 @@
 //! overlapping windows in a priority queue ([`EventQueue`]) exactly as the
 //! paper describes.
 //!
-//! The disjunction `λs` of the active lineages is maintained
-//! **incrementally**: a window starting or ending at a boundary updates an
-//! ordered vector of reference-counted operands
-//! ([`IncrementalDisjunction`] over trees, [`InternedDisjunction`] over
-//! arena ids) in time proportional to its own lineage times the active-set
-//! size, and emitting a negating window only copies the live operands — the
-//! full active set is never re-flattened or re-deduplicated at a boundary.
-//! Nothing in the sweep hashes or, in the steady state, allocates per
-//! boundary: membership is a linear search (the active set is the handful
-//! of `s` tuples valid at one time point under one `r` tuple — 6 on
-//! average on the meteo workload, 1 on webkit — and every update is
-//! followed by an emission that copies the whole set anyway), expired
-//! ending points are popped one at a time, and the interned emission
-//! gathers its operands in the interner's reused buffer.
+//! There is **one sweep body**, [`sweep_group`], and it runs **in place**
+//! on the tail of the output buffer: the group's `WUO` windows are already
+//! there (written by the upstream stage on the streaming path, cloned in by
+//! the materializing [`lawan`], which owns no windows), the negating windows
+//! are appended behind them, and the overlapping windows are read back by
+//! buffer index — no window is cloned or regrouped and no per-group list is
+//! built. Copied windows first, negating windows after: that keeps the
+//! output grouped by `r` tuple, which is all downstream consumers need, and
+//! is the row order every golden fixture pins.
 //!
-//! There is **one sweep body**, [`sweep_group`], generic over the lineage
-//! representation through the [`ActiveSet`] operations: the tree streams,
-//! the materializing [`lawan`] (and through it the TA baseline) and the
-//! executing interned pipelines all run it.
+//! What outlives a group is the sweep state: the ending-point queue and the
+//! active set, owned by the stream. Both are empty when a group's sweep ends (every activated
+//! window has expired — debug-asserted), so the next group reuses their
+//! storage and the steady-state sweep allocates only the `λs` it emits.
+//!
+//! `λs` is maintained **incrementally** in an ordered vector of
+//! reference-counted operands ([`IncrementalDisjunction`] over trees,
+//! [`InternedDisjunction`] over arena ids; see `tpdb_lineage::disjunction`
+//! for why it is searched linearly and never hashed): a window starting or
+//! ending at a boundary updates it, and emitting a negating window only
+//! copies the live operands.
 
-use crate::window::{Window, WindowSink};
+use crate::window::Window;
+use std::collections::VecDeque;
+use std::fmt::Debug;
 use tpdb_lineage::{
     IncrementalDisjunction, InternedDisjunction, Lineage, LineageInterner, LineageRef,
 };
-use tpdb_temporal::{EventQueue, Interval, TimePoint};
+use tpdb_temporal::{EventQueue, Interval};
 
 /// Runs LAWAN over the output `WUO` of [`lawau`](crate::lawau::lawau).
 ///
@@ -52,135 +56,121 @@ use tpdb_temporal::{EventQueue, Interval, TimePoint};
 /// windows, grouped by `r_idx`.
 #[must_use]
 pub fn lawan(wuo: &[Window]) -> Vec<Window> {
-    let mut out: Vec<Window> = Vec::with_capacity(wuo.len() * 2);
-    let mut idx = 0;
-    while idx < wuo.len() {
-        let r_idx = wuo[idx].r_idx;
-        let group_start = idx;
-        while idx < wuo.len() && wuo[idx].r_idx == r_idx {
-            idx += 1;
-        }
-        sweep_group(
-            &wuo[group_start..idx],
-            IncrementalDisjunction::new(),
-            &mut out,
-        );
+    let mut out = VecDeque::with_capacity(wuo.len() * 2);
+    let (mut queue, mut active) = (EventQueue::new(), IncrementalDisjunction::new());
+    for group in wuo.chunk_by(|a, b| a.r_idx == b.r_idx) {
+        let from = out.len();
+        out.extend(group.iter().cloned());
+        sweep_group(&mut out, from, &mut queue, &mut active, &mut ());
     }
-    out
+    out.into()
 }
 
-/// The multiset of `λs` lineages active at the sweep line, in the lineage
-/// representation `L` — what [`sweep_group`] needs of
-/// [`IncrementalDisjunction`] / [`InternedDisjunction`].
-pub(crate) trait ActiveSet<L> {
+/// A lineage representation the LAWAN sweep can run over — [`Lineage`]
+/// trees and interned [`LineageRef`] ids: names the multiset of `λs`
+/// lineages active at the sweep line and the operations the sweep
+/// needs of it. Operand order is the activation order in every
+/// representation, so the tree and the interned sweep yield the same
+/// windows — and the same output bytes — after conversion.
+pub trait WindowLineage: Clone {
+    /// The active set ([`IncrementalDisjunction`] / [`InternedDisjunction`]).
+    type Active: Default + Debug;
+    /// Where the operands live and emitted disjunctions are built: nothing
+    /// for trees, the interner for ids.
+    type Arena;
     /// An `s` tuple with lineage `lambda_s` starts being valid.
-    fn activate(&mut self, lambda_s: &L);
+    fn activate(active: &mut Self::Active, lambda_s: &Self, arena: &Self::Arena);
     /// One previously activated `s` tuple with lineage `lambda_s` expires.
-    fn expire(&mut self, lambda_s: &L);
+    fn expire(active: &mut Self::Active, lambda_s: &Self, arena: &Self::Arena);
     /// Is no `s` tuple active?
-    fn is_empty(&self) -> bool;
+    fn is_empty(active: &Self::Active) -> bool;
     /// The disjunction of the active lineages, operands in activation
     /// order.
-    fn disjunction(&mut self) -> L;
+    fn disjunction(active: &Self::Active, arena: &mut Self::Arena) -> Self;
 }
 
-impl ActiveSet<Lineage> for IncrementalDisjunction {
-    fn activate(&mut self, lambda_s: &Lineage) {
-        self.insert(lambda_s);
+impl WindowLineage for Lineage {
+    type Active = IncrementalDisjunction;
+    type Arena = ();
+
+    fn activate(active: &mut Self::Active, lambda_s: &Self, (): &()) {
+        active.insert(lambda_s);
     }
 
-    fn expire(&mut self, lambda_s: &Lineage) {
-        self.remove(lambda_s);
+    fn expire(active: &mut Self::Active, lambda_s: &Self, (): &()) {
+        active.remove(lambda_s);
     }
 
-    fn is_empty(&self) -> bool {
-        IncrementalDisjunction::is_empty(self)
+    fn is_empty(active: &Self::Active) -> bool {
+        active.is_empty()
     }
 
-    fn disjunction(&mut self) -> Lineage {
-        IncrementalDisjunction::disjunction(self)
-    }
-}
-
-/// An [`InternedDisjunction`] together with the arena its operands live in
-/// and its emitted disjunctions are interned into.
-pub(crate) struct InternedActiveSet<'a> {
-    active: InternedDisjunction,
-    interner: &'a mut LineageInterner,
-}
-
-impl<'a> InternedActiveSet<'a> {
-    pub(crate) fn new(interner: &'a mut LineageInterner) -> Self {
-        Self {
-            active: InternedDisjunction::new(),
-            interner,
-        }
+    fn disjunction(active: &Self::Active, (): &mut ()) -> Self {
+        active.disjunction()
     }
 }
 
-impl ActiveSet<LineageRef> for InternedActiveSet<'_> {
-    fn activate(&mut self, lambda_s: &LineageRef) {
-        self.active.insert(*lambda_s, self.interner);
+impl WindowLineage for LineageRef {
+    type Active = InternedDisjunction;
+    type Arena = LineageInterner;
+
+    fn activate(active: &mut Self::Active, lambda_s: &Self, interner: &LineageInterner) {
+        active.insert(*lambda_s, interner);
     }
 
-    fn expire(&mut self, lambda_s: &LineageRef) {
-        self.active.remove(*lambda_s, self.interner);
+    fn expire(active: &mut Self::Active, lambda_s: &Self, interner: &LineageInterner) {
+        active.remove(*lambda_s, interner);
     }
 
-    fn is_empty(&self) -> bool {
-        self.active.is_empty()
+    fn is_empty(active: &Self::Active) -> bool {
+        active.is_empty()
     }
 
-    fn disjunction(&mut self) -> LineageRef {
-        self.active.disjunction(self.interner)
+    fn disjunction(active: &Self::Active, interner: &mut LineageInterner) -> Self {
+        active.disjunction(interner)
     }
 }
 
-/// Sweeps one group (all `WUO` windows of a single `r` tuple): copies the
-/// unmatched and overlapping windows to the output and inserts the negating
-/// windows derived from the overlapping ones. `active` is the (empty)
-/// active set of the group in the windows' lineage representation; operand
-/// order is the activation order in every representation, so the tree and
-/// the interned sweep yield the same windows — and the same output bytes —
-/// after conversion.
-pub(crate) fn sweep_group<L: Clone>(
-    group: &[Window<L>],
-    mut active: impl ActiveSet<L>,
-    out: &mut impl WindowSink<L>,
+/// The first overlapping window of `out[i..end]` (`end` if there is none).
+fn next_overlapping<L>(out: &VecDeque<Window<L>>, mut i: usize, end: usize) -> usize {
+    while i < end && !out[i].is_overlapping() {
+        i += 1;
+    }
+    i
+}
+
+/// Sweeps one group in place: `out[from..]` holds all `WUO` windows of a
+/// single `r` tuple in start order; the negating windows derived from the
+/// overlapping ones are appended behind them. `queue` and `active` — the
+/// sweep state whose storage outlives a group — are empty on entry and on
+/// return; `arena` is where the emitted `λs` disjunctions are built.
+pub(crate) fn sweep_group<L: WindowLineage>(
+    out: &mut VecDeque<Window<L>>,
+    from: usize,
+    queue: &mut EventQueue,
+    active: &mut L::Active,
+    arena: &mut L::Arena,
 ) {
-    // Copy every existing window through (Case 1 alternates these copies
-    // with the creation of negating windows; emitting them up front keeps
-    // the output grouped by r tuple, which is all downstream consumers
-    // need).
-    for w in group {
-        out.put(w.clone());
-    }
-
-    let overlapping: Vec<&Window<L>> = group.iter().filter(|w| w.is_overlapping()).collect();
-    let Some(first) = overlapping.first() else {
-        return;
-    };
-    let r_idx = first.r_idx;
-    let lambda_r = &first.lambda_r;
     fn lambda_s<L>(w: &Window<L>) -> &L {
         w.lambda_s
             .as_ref()
             // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
             .expect("overlapping windows always carry λs")
     }
+    debug_assert!(queue.is_empty() && L::is_empty(active));
 
     // Sweep the overlapping windows of the group in start order, keeping the
-    // ending points of the active windows in a priority queue and their
-    // lineage disjunction in an incrementally maintained operand list.
-    let mut queue = EventQueue::new();
-    let mut i = 0usize;
-    let mut wind_ts: Option<TimePoint> = None;
-
+    // ending points of the active windows in the priority queue (by buffer
+    // index) and their lineage disjunction in the operand list.
+    let end = out.len();
+    let first = next_overlapping(out, from, end);
+    let mut i = first;
+    let mut wind_ts = None;
     loop {
         // Determine the next boundary: the smaller of the next start point
         // (Case 3: a new window group/start follows) and the next ending
         // point in the priority queue (Case 2).
-        let next_start = overlapping.get(i).map(|w| w.interval.start());
+        let next_start = (i < end).then(|| out[i].interval.start());
         let next_end = queue.peek().map(|(t, _)| t);
         let boundary = match (next_start, next_end) {
             (Some(s), Some(e)) => s.min(e),
@@ -192,15 +182,16 @@ pub(crate) fn sweep_group<L: Clone>(
         // Close the sweeping window [wind_ts, boundary) if any s tuple was
         // active over it.
         if let Some(ts) = wind_ts {
-            if !active.is_empty() && ts < boundary {
-                out.put(Window::negating(
+            if !L::is_empty(active) && ts < boundary {
+                // One λr per negating window: a `u32` copy on the interned
+                // path, an `Arc` bump on the tree one.
+                // tpdb-lint: allow(no-lineage-clone-in-streams)
+                let lambda_r = out[first].lambda_r.clone();
+                out.push_back(Window::negating(
                     Interval::new(ts, boundary),
-                    r_idx,
-                    // One λr per negating window: a `u32` copy on the
-                    // interned path, an `Arc` bump on the tree one.
-                    // tpdb-lint: allow(no-lineage-clone-in-streams)
-                    lambda_r.clone(),
-                    active.disjunction(),
+                    out[first].r_idx,
+                    lambda_r,
+                    L::disjunction(active, arena),
                 ));
             }
         }
@@ -208,18 +199,16 @@ pub(crate) fn sweep_group<L: Clone>(
         // Apply all events at `boundary`: expire ended windows first (their
         // intervals are half-open), then activate windows starting here.
         while let Some(item) = queue.pop_if_expired(boundary) {
-            active.expire(lambda_s(overlapping[item]));
+            L::expire(active, lambda_s(&out[item]), arena);
         }
-        while let Some(w) = overlapping.get(i) {
-            if w.interval.start() != boundary {
-                break;
-            }
-            active.activate(lambda_s(w));
-            queue.push(w.interval.end(), i);
-            i += 1;
+        while i < end && out[i].interval.start() == boundary {
+            L::activate(active, lambda_s(&out[i]), arena);
+            queue.push(out[i].interval.end(), i);
+            i = next_overlapping(out, i + 1, end);
         }
         wind_ts = Some(boundary);
     }
+    debug_assert!(queue.is_empty() && L::is_empty(active));
 }
 
 #[cfg(test)]

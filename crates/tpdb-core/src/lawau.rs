@@ -21,8 +21,16 @@
 //! * **Case 5** — the group is exhausted and the cursor lies before the end
 //!   of the `r` tuple's interval: a final unmatched window
 //!   `[cursor, r.Te)` is produced.
+//!
+//! There is **one sweep body**, [`sweep_group`], and it takes its group
+//! **by value**: every incoming window is moved — never cloned — into the
+//! output buffer, the gap windows are interleaved while moving. The
+//! streaming adaptor drains its group buffer into it, the materializing
+//! [`lawau`] (which owns no windows) feeds it `slice.iter().cloned()`. The
+//! sweep keeps no state besides the cursor, so nothing outlives a group.
 
-use crate::window::{Window, WindowSink};
+use crate::window::Window;
+use std::collections::VecDeque;
 use tpdb_storage::TpRelation;
 use tpdb_temporal::Interval;
 
@@ -35,77 +43,54 @@ use tpdb_temporal::Interval;
 /// grouped by `r_idx` and sorted by start within each group.
 #[must_use]
 pub fn lawau(windows: &[Window], r: &TpRelation) -> Vec<Window> {
-    let mut out: Vec<Window> = Vec::with_capacity(windows.len() + windows.len() / 2);
-    let mut idx = 0;
-    while idx < windows.len() {
-        let r_idx = windows[idx].r_idx;
-        let group_start = idx;
-        while idx < windows.len() && windows[idx].r_idx == r_idx {
-            idx += 1;
-        }
-        let r_tuple = r.tuple(r_idx);
+    let mut out = VecDeque::with_capacity(windows.len() + windows.len() / 2);
+    for group in windows.chunk_by(|a, b| a.r_idx == b.r_idx) {
+        let Some(first) = group.first() else { continue };
+        let r_tuple = r.tuple(first.r_idx);
         sweep_group(
-            &windows[group_start..idx],
+            group.iter().cloned(),
+            first.r_idx,
             r_tuple.interval(),
             r_tuple.lineage(),
             &mut out,
         );
     }
-    out
+    out.into()
 }
 
-/// Sweeps one group (all windows of a single `r` tuple), copying the
-/// existing windows to the output and inserting the gap-filling unmatched
-/// windows in chronological position. Generic over the lineage
-/// representation: `r_interval`/`lambda_r` describe the originating `r`
-/// tuple (the interned pipeline passes the tuple's [`LineageRef`] here, so
-/// the sweep never touches a formula tree).
+/// Sweeps one group (all windows of the `r` tuple `r_idx`, by value, in
+/// start order): moves the existing windows to the back of `out` and
+/// inserts the gap-filling unmatched windows in chronological position.
+/// Generic over the lineage representation: `r_interval`/`lambda_r` describe
+/// the originating `r` tuple (the interned pipeline passes the tuple's
+/// [`LineageRef`](tpdb_lineage::LineageRef) here, so the sweep never
+/// touches a formula tree).
 pub(crate) fn sweep_group<L: Clone>(
-    group: &[Window<L>],
+    group: impl Iterator<Item = Window<L>>,
+    r_idx: usize,
     r_interval: Interval,
     lambda_r: &L,
-    out: &mut impl WindowSink<L>,
+    out: &mut VecDeque<Window<L>>,
 ) {
-    let Some(first) = group.first() else {
-        return;
-    };
-    let r_idx = first.r_idx;
-
-    // Whole-interval unmatched windows (produced by the outer part of the
-    // overlap join) already cover the entire tuple: copy and return.
-    if group.len() == 1 && first.is_unmatched() && first.interval == r_interval {
-        out.put(first.clone());
-        return;
-    }
-
+    // One λr per created window: a `u32` copy on the interned path, an
+    // `Arc` bump on the tree one.
+    // tpdb-lint: allow(no-lineage-clone-in-streams)
+    let gap = |from, to| Window::unmatched(Interval::new(from, to), r_idx, lambda_r.clone());
     // `cursor` is the end of the covered prefix of r.T (Cases 3/4 advance
-    // it, Cases 1/2 emit a gap before it advances).
+    // it, Cases 1/2 emit a gap before it advances). A whole-interval
+    // unmatched window of the overlap join covers all of r.T by itself.
     let mut cursor = r_interval.start();
     for w in group {
-        let ws = w.interval.start();
-        if ws > cursor {
-            // Cases 1/2: a gap [cursor, ws) not covered by any overlapping
-            // window — emit an unmatched window.
-            out.put(Window::unmatched(
-                Interval::new(cursor, ws),
-                r_idx,
-                // Generic over L: a `u32` copy on the interned path.
-                // tpdb-lint: allow(no-lineage-clone-in-streams)
-                lambda_r.clone(),
-            ));
+        if w.interval.start() > cursor {
+            // Cases 1/2: [cursor, w.Ts) is covered by no overlapping window.
+            out.push_back(gap(cursor, w.interval.start()));
         }
-        out.put(w.clone());
         cursor = cursor.max(w.interval.end());
+        out.push_back(w);
     }
     if cursor < r_interval.end() {
         // Case 5: the suffix of r.T after the last overlapping window.
-        out.put(Window::unmatched(
-            Interval::new(cursor, r_interval.end()),
-            r_idx,
-            // Generic over L: a `u32` copy on the interned path.
-            // tpdb-lint: allow(no-lineage-clone-in-streams)
-            lambda_r.clone(),
-        ));
+        out.push_back(gap(cursor, r_interval.end()));
     }
 }
 

@@ -92,7 +92,7 @@ pub use join::{
     tp_join_with_engine, tp_join_with_engine_and_plan, tp_join_with_plan, tp_left_outer_join,
     tp_right_outer_join, TpJoinKind,
 };
-pub use lawan::lawan;
+pub use lawan::{lawan, WindowLineage};
 pub use lawau::lawau;
 pub use overlap::{
     auto_plan, overlapping_windows, overlapping_windows_with_plan, OverlapJoinPlan,
@@ -103,7 +103,7 @@ pub use parallel::{
     tp_join_parallel_with_engine_and_plan, tp_join_parallel_with_plan, tp_set_op_parallel,
     tp_set_op_parallel_with_engine_and_plan, MAX_PARALLELISM,
 };
-pub use pipeline::{LawanStream, LawauStream, WindowStream};
+pub use pipeline::{LawanStream, LawauStream, WindowGroups, WindowStream};
 pub use setops::{
     all_columns_equal, check_union_compatible, tp_difference, tp_intersection, tp_union,
     tp_union_materialized, TpSetOpKind, TpSetOpStream,

@@ -36,6 +36,7 @@
 //! pipeline (overlap join → LAWAU → LAWAN → output formation) run without
 //! materializing any intermediate window vector.
 
+use crate::pipeline::{next_window, WindowGroups};
 use crate::theta::{BoundTheta, ThetaCondition};
 use crate::window::Window;
 use std::borrow::Borrow;
@@ -191,13 +192,11 @@ pub fn overlapping_windows_with_plan(
 ) -> Result<Vec<Window>, StorageError> {
     let index = ProbeIndex::build(s, bound, plan)?;
     let s_lins = lineage_column(s);
-    let mut out = Vec::new();
-    let mut scratch = Vec::new();
+    let mut out = VecDeque::new();
     for (ri, rt) in r.iter().enumerate() {
-        index.probe_into(ri, rt, s, bound, rt.lineage(), &s_lins, &mut scratch);
-        out.append(&mut scratch);
+        index.probe_into(ri, rt, s, bound, rt.lineage(), &s_lins, &mut out);
     }
-    Ok(out)
+    Ok(out.into())
 }
 
 /// The build-side structure of the overlap join, probed once per `r` tuple.
@@ -247,7 +246,8 @@ impl ProbeIndex {
 
     /// Appends the windows of the probe tuple `r[ri]` to `out`, sorted by
     /// `(start, end)`: its overlapping windows, or one whole-interval
-    /// unmatched window when nothing matches. Generic over the lineage
+    /// unmatched window when nothing matches. Each window is written once,
+    /// in the buffer its consumer reads it from. Generic over the lineage
     /// representation: `r_lambda` is the probe tuple's lineage and `s_lins`
     /// the build side's lineage column (indexed by global `s` position).
     // The generic lineage plumbing (the probe tuple's λ plus the build
@@ -263,89 +263,68 @@ impl ProbeIndex {
         bound: &BoundTheta,
         r_lambda: &L,
         s_lins: &[L],
-        out: &mut Vec<Window<L>>,
+        out: &mut VecDeque<Window<L>>,
     ) {
-        debug_assert!(out.is_empty(), "probe scratch must be drained");
+        let from = out.len();
         let r_iv = rt.interval();
+        // Window formation: `u32` copies on the interned path, column
+        // clones (`Arc` bumps) on the tree one.
+        let mut emit = |inter, si: usize| {
+            // tpdb-lint: allow(no-lineage-clone-in-streams)
+            let (lambda_r, lambda_s) = (r_lambda.clone(), s_lins[si].clone());
+            out.push_back(Window::overlapping(inter, ri, si, lambda_r, lambda_s));
+        };
         match self {
             ProbeIndex::Sweep(partitions) => {
                 if let Some(partition) = partitions.get(&bound.left_key(rt)) {
                     for (s_iv, si) in partition.overlapping(r_iv) {
-                        let st = s.tuple(si);
                         // The sorted partition covers the equality part of θ
                         // and the temporal overlap; re-check the bound
                         // condition for its NULL semantics (NULL keys hash
                         // together but never satisfy θ).
-                        if !bound.matches(rt, st) {
+                        if !bound.matches(rt, s.tuple(si)) {
                             continue;
                         }
                         let inter = r_iv
                             .intersect(&s_iv)
                             // Index invariant. tpdb-lint: allow(no-panic-in-lib)
                             .expect("sorted-partition candidates overlap the probe");
-                        out.push(Window::overlapping(
-                            inter,
-                            ri,
-                            si,
-                            // Generic window formation: `u32` copies on the
-                            // interned path, column clones on the legacy one.
-                            // tpdb-lint: allow(no-lineage-clone-in-streams)
-                            r_lambda.clone(),
-                            s_lins[si].clone(), // tpdb-lint: allow(no-lineage-clone-in-streams)
-                        ));
+                        emit(inter, si);
                     }
                 }
             }
             ProbeIndex::Hash(partitions) => {
-                if let Some(candidates) = partitions.get(&bound.left_key(rt)) {
-                    for &si in candidates {
-                        let st = s.tuple(si);
-                        if !bound.matches(rt, st) {
-                            continue;
-                        }
-                        if let Some(inter) = r_iv.intersect(&st.interval()) {
-                            out.push(Window::overlapping(
-                                inter,
-                                ri,
-                                si,
-                                // Generic window formation (see the sweep arm).
-                                // tpdb-lint: allow(no-lineage-clone-in-streams)
-                                r_lambda.clone(),
-                                s_lins[si].clone(), // tpdb-lint: allow(no-lineage-clone-in-streams)
-                            ));
+                let candidates = partitions.get(&bound.left_key(rt));
+                for &si in candidates.into_iter().flatten() {
+                    let st = s.tuple(si);
+                    if let Some(inter) = r_iv.intersect(&st.interval()) {
+                        if bound.matches(rt, st) {
+                            emit(inter, si);
                         }
                     }
                 }
             }
             ProbeIndex::NestedLoop => {
                 for (si, st) in s.iter().enumerate() {
-                    if !bound.matches(rt, st) {
-                        continue;
-                    }
                     if let Some(inter) = r_iv.intersect(&st.interval()) {
-                        out.push(Window::overlapping(
-                            inter,
-                            ri,
-                            si,
-                            // Generic window formation (see the sweep arm).
-                            // tpdb-lint: allow(no-lineage-clone-in-streams)
-                            r_lambda.clone(),
-                            s_lins[si].clone(), // tpdb-lint: allow(no-lineage-clone-in-streams)
-                        ));
+                        if bound.matches(rt, st) {
+                            emit(inter, si);
+                        }
                     }
                 }
             }
         }
-        if out.is_empty() {
+        if out.len() == from {
             // tpdb-lint: allow(no-lineage-clone-in-streams)
-            out.push(Window::unmatched(r_iv, ri, r_lambda.clone()));
+            out.push_back(Window::unmatched(r_iv, ri, r_lambda.clone()));
         } else {
             // The sweep plan already yields non-decreasing intersection
             // starts, so this is a near-no-op run detection; the hash and
             // nested-loop plans emit in s-index order and genuinely sort
-            // here. Either way the sort is per probe group — the global
-            // re-sort of the whole join output is gone.
-            out.sort_by_key(|w| (w.interval.start(), w.interval.end()));
+            // here. Either way the sort is per probe group, never a global
+            // re-sort of the join output. (The buffer only ever grows from
+            // a cleared state, so it is already contiguous.)
+            out.make_contiguous()[from..].sort_by_key(|w| (w.interval.start(), w.interval.end()));
         }
     }
 }
@@ -399,8 +378,9 @@ pub struct OverlapWindowStream<
     /// downstream adaptors and the merge step never need to translate
     /// indices.
     probes: Option<P>,
+    /// The current probe's windows when the stream is consumed as an
+    /// iterator (reused across probes); moved out of the front.
     ready: VecDeque<Window<L>>,
-    scratch: Vec<Window<L>>,
 }
 
 impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
@@ -437,7 +417,6 @@ impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
             pos: 0,
             probes: None,
             ready: VecDeque::new(),
-            scratch: Vec::new(),
         })
     }
 }
@@ -475,7 +454,6 @@ where
             pos: 0,
             probes,
             ready: VecDeque::new(),
-            scratch: Vec::new(),
         }
     }
 
@@ -497,6 +475,30 @@ where
     }
 }
 
+impl<R, S, P, L> WindowGroups<L> for OverlapWindowStream<R, S, P, L>
+where
+    R: Borrow<TpRelation>,
+    S: Borrow<TpRelation>,
+    P: AsRef<[usize]>,
+    L: Clone,
+{
+    /// A probe *is* a group: the next `r` tuple's windows are written
+    /// straight into the consumer's buffer.
+    fn next_group(&mut self, out: &mut VecDeque<Window<L>>) -> Option<usize> {
+        let ri = self.next_probe()?;
+        self.index.probe_into(
+            ri,
+            self.r.borrow().tuple(ri),
+            self.s.borrow(),
+            &self.bound,
+            &self.r_lins[ri],
+            &self.s_lins,
+            out,
+        );
+        Some(ri)
+    }
+}
+
 impl<R, S, P, L> Iterator for OverlapWindowStream<R, S, P, L>
 where
     R: Borrow<TpRelation>,
@@ -507,21 +509,7 @@ where
     type Item = Window<L>;
 
     fn next(&mut self) -> Option<Window<L>> {
-        while self.ready.is_empty() {
-            let Some(ri) = self.next_probe() else { break };
-            let r = self.r.borrow();
-            self.index.probe_into(
-                ri,
-                r.tuple(ri),
-                self.s.borrow(),
-                &self.bound,
-                &self.r_lins[ri],
-                &self.s_lins,
-                &mut self.scratch,
-            );
-            self.ready.extend(self.scratch.drain(..));
-        }
-        self.ready.pop_front()
+        next_window(self, |stream| &mut stream.ready)
     }
 }
 

@@ -6,7 +6,7 @@
 //! intermediate relations or replicating tuples. [`LawauStream`] and
 //! [`LawanStream`] are iterator adaptors implementing exactly that: they
 //! consume an upstream window iterator grouped by `r` tuple and emit the
-//! extended window stream, buffering at most one group (the windows of a
+//! extended window stream, holding at most one group (the windows of a
 //! single `r` tuple) at a time. Stacked on top of
 //! [`OverlapWindowStream`](crate::overlap::OverlapWindowStream) they form
 //! the fully streaming NJ pipeline that
@@ -16,10 +16,26 @@
 //! OverlapWindowStream → LawauStream → LawanStream → output formation
 //! ```
 //!
-//! Each adaptor owns two reusable buffers — the current input group and the
-//! group's output windows — so the steady-state streaming path performs no
-//! per-group allocations: buffers are cleared and refilled in place, and
-//! windows move (rather than clone) from the output buffer to the consumer.
+//! **A window is written once and moved at most once per stage.** A stage
+//! does not pull its upstream window by window and regroup what it gets: it
+//! asks for a whole group ([`WindowGroups::next_group`]) and names the
+//! buffer the group is written into. The overlap join probes straight into
+//! LAWAU's `group` buffer; LAWAU's sweep drains that buffer *by value* into
+//! LAWAN's `ready` buffer, interleaving the gap windows while moving; LAWAN
+//! sweeps the group in place there, appending the negating windows and
+//! reading the overlapping ones back by index; the consumer pops `ready`
+//! off the front. Nothing is cloned, and only the outermost stream of a
+//! stack uses its `ready` buffer at all. Every buffer is cleared and
+//! refilled in place, and besides them only LAWAN's sweep state (ending-point
+//! queue and active set — empty between groups) outlives a group, so the
+//! steady-state stream allocates nothing per group beyond the `λs` of the
+//! negating windows it emits.
+//!
+//! The three streams are group sources; any other window iterator becomes
+//! one through [`Iterator::peekable`] (finding the end of a group in a plain
+//! iterator needs one window of lookahead), so
+//! `LawanStream::new(wuo.into_iter().peekable())` runs the same sweep over a
+//! materialized vector.
 //!
 //! The positive relation is held through any [`Borrow`]`<TpRelation>`, so
 //! the adaptors work with plain references inside a join operator and with
@@ -40,14 +56,16 @@
 //! assert_eq!(windows.iter().filter(|w| w.is_negating()).count(), 3);
 //! ```
 
-use crate::lawan::{self, InternedActiveSet};
+use crate::lawan::{self, WindowLineage};
 use crate::lawau;
 use crate::window::Window;
 use std::borrow::Borrow;
 use std::collections::VecDeque;
+use std::iter::Peekable;
 use std::sync::Arc;
-use tpdb_lineage::{IncrementalDisjunction, Lineage, LineageInterner, LineageRef};
+use tpdb_lineage::{Lineage, LineageRef};
 use tpdb_storage::TpRelation;
+use tpdb_temporal::EventQueue;
 
 /// A stream of generalized lineage-aware temporal windows grouped by the
 /// originating tuple of the positive relation.
@@ -55,19 +73,41 @@ pub trait WindowStream: Iterator<Item = Window> {}
 
 impl<T: Iterator<Item = Window>> WindowStream for T {}
 
-/// Pulls the next complete `r`-tuple group from `input` into `group`
-/// (cleared first). Returns the group's `r_idx`, or `None` when the input
-/// is exhausted (`Some` implies a non-empty group).
-fn next_group<L, I: Iterator<Item = Window<L>>>(
-    input: &mut std::iter::Peekable<I>,
-    group: &mut Vec<Window<L>>,
-) -> Option<usize> {
-    group.clear();
-    let r_idx = input.peek()?.r_idx;
-    while let Some(w) = input.next_if(|w| w.r_idx == r_idx) {
-        group.push(w);
+/// A source of windows handed over one whole `r`-tuple group at a time —
+/// what a window stage consumes. Implemented by the three window streams
+/// and, for everything else, by any [`Peekable`] window iterator.
+#[diagnostic::on_unimplemented(
+    note = "the window streams are group sources; make any other window iterator one with `.peekable()`"
+)]
+pub trait WindowGroups<L> {
+    /// Appends the next group (all windows of one `r` tuple, in start
+    /// order) to the back of `out` and returns its `r_idx`; `None`, with
+    /// `out` untouched, when the source is exhausted.
+    fn next_group(&mut self, out: &mut VecDeque<Window<L>>) -> Option<usize>;
+}
+
+impl<L, I: Iterator<Item = Window<L>>> WindowGroups<L> for Peekable<I> {
+    fn next_group(&mut self, out: &mut VecDeque<Window<L>>) -> Option<usize> {
+        let r_idx = self.peek()?.r_idx;
+        out.extend(std::iter::from_fn(|| self.next_if(|w| w.r_idx == r_idx)));
+        Some(r_idx)
     }
-    Some(r_idx)
+}
+
+/// `Iterator::next` of a group source that keeps its current group in the
+/// buffer `ready` projects out of it: pops the front window, refilling the
+/// (cleared, hence never wrapping) buffer with the next group when empty.
+pub(crate) fn next_window<L, G: WindowGroups<L>>(
+    source: &mut G,
+    ready: impl Fn(&mut G) -> &mut VecDeque<Window<L>>,
+) -> Option<Window<L>> {
+    if ready(source).is_empty() {
+        let mut group = std::mem::take(ready(source));
+        group.clear();
+        source.next_group(&mut group);
+        *ready(source) = group;
+    }
+    ready(source).pop_front()
 }
 
 /// Streaming LAWAU: extends a stream of overlap-join windows with the
@@ -79,29 +119,30 @@ fn next_group<L, I: Iterator<Item = Window<L>>>(
 /// `with_lineages` constructor) reads it from the pre-interned lineage
 /// column shared with the upstream overlap stream.
 #[derive(Debug)]
-pub struct LawauStream<I: Iterator<Item = Window<L>>, P: Borrow<TpRelation>, L = Lineage> {
-    input: std::iter::Peekable<I>,
+pub struct LawauStream<I, P: Borrow<TpRelation>, L = Lineage> {
+    input: I,
     positive: P,
     /// The positive side's lineage column for non-tree representations
-    /// (`None` on the default [`Lineage`] path, which clones from the
-    /// relation instead).
+    /// (`None` on the default [`Lineage`] path, which reads the relation
+    /// instead).
     lins: Option<Arc<Vec<L>>>,
-    /// Scratch buffer holding the current input group (reused across
-    /// groups).
-    group: Vec<Window<L>>,
-    /// Output buffer of the current group (reused across groups); windows
-    /// are moved out of the front.
+    /// The current input group (reused across groups), drained by value
+    /// into the sweep.
+    group: VecDeque<Window<L>>,
+    /// Output windows of the current group when the stream is consumed as
+    /// an iterator (reused across groups); moved out of the front.
     ready: VecDeque<Window<L>>,
 }
 
-impl<I: Iterator<Item = Window<L>>, P: Borrow<TpRelation>, L> LawauStream<I, P, L> {
-    /// Wraps `input` (grouped by `r_idx`, sorted by start within groups).
+impl<I: WindowGroups<L>, P: Borrow<TpRelation>, L> LawauStream<I, P, L> {
+    /// Wraps `input` (grouped by `r_idx`, sorted by start within groups): a
+    /// window stream, or any other window iterator made `.peekable()`.
     pub fn new(input: I, positive: P) -> Self {
         Self {
-            input: input.peekable(),
+            input,
             positive,
             lins: None,
-            group: Vec::new(),
+            group: VecDeque::new(),
             ready: VecDeque::new(),
         }
     }
@@ -109,7 +150,7 @@ impl<I: Iterator<Item = Window<L>>, P: Borrow<TpRelation>, L> LawauStream<I, P, 
 
 impl<I, P> LawauStream<I, P, LineageRef>
 where
-    I: Iterator<Item = Window<LineageRef>>,
+    I: WindowGroups<LineageRef>,
     P: Borrow<TpRelation>,
 {
     /// Wraps an interned window stream, taking the positive side's interned
@@ -118,56 +159,54 @@ where
     /// per-group `λr`.
     pub(crate) fn with_lineages(input: I, positive: P, lins: Arc<Vec<LineageRef>>) -> Self {
         Self {
-            input: input.peekable(),
-            positive,
             lins: Some(lins),
-            group: Vec::new(),
-            ready: VecDeque::new(),
+            ..Self::new(input, positive)
         }
     }
 }
 
-impl<I: Iterator<Item = Window>, P: Borrow<TpRelation>> Iterator for LawauStream<I, P, Lineage> {
-    type Item = Window;
-
-    fn next(&mut self) -> Option<Window> {
-        if self.ready.is_empty() {
-            if let Some(r_idx) = next_group(&mut self.input, &mut self.group) {
-                let r_tuple = self.positive.borrow().tuple(r_idx);
-                lawau::sweep_group(
-                    &self.group,
-                    r_tuple.interval(),
-                    r_tuple.lineage(),
-                    &mut self.ready,
-                );
-            }
-        }
-        self.ready.pop_front()
-    }
-}
-
-impl<I, P> Iterator for LawauStream<I, P, LineageRef>
+impl<I, P> WindowGroups<Lineage> for LawauStream<I, P, Lineage>
 where
-    I: Iterator<Item = Window<LineageRef>>,
+    I: WindowGroups<Lineage>,
     P: Borrow<TpRelation>,
 {
-    type Item = Window<LineageRef>;
+    fn next_group(&mut self, out: &mut VecDeque<Window>) -> Option<usize> {
+        let r_idx = self.input.next_group(&mut self.group)?;
+        let r_tuple = self.positive.borrow().tuple(r_idx);
+        let (interval, lambda_r) = (r_tuple.interval(), r_tuple.lineage());
+        lawau::sweep_group(self.group.drain(..), r_idx, interval, lambda_r, out);
+        Some(r_idx)
+    }
+}
 
-    fn next(&mut self) -> Option<Window<LineageRef>> {
-        if self.ready.is_empty() {
-            if let Some(r_idx) = next_group(&mut self.input, &mut self.group) {
-                let interval = self.positive.borrow().tuple(r_idx).interval();
-                let lins = self
-                    .lins
-                    .as_ref()
-                    // `with_lineages` is the only `LineageRef` constructor,
-                    // so the column is always present.
-                    // tpdb-lint: allow(no-panic-in-lib)
-                    .expect("interned LAWAU streams carry the lineage column");
-                lawau::sweep_group(&self.group, interval, &lins[r_idx], &mut self.ready);
-            }
-        }
-        self.ready.pop_front()
+impl<I, P> WindowGroups<LineageRef> for LawauStream<I, P, LineageRef>
+where
+    I: WindowGroups<LineageRef>,
+    P: Borrow<TpRelation>,
+{
+    fn next_group(&mut self, out: &mut VecDeque<Window<LineageRef>>) -> Option<usize> {
+        let r_idx = self.input.next_group(&mut self.group)?;
+        let interval = self.positive.borrow().tuple(r_idx).interval();
+        let lins = self
+            .lins
+            .as_ref()
+            // `with_lineages` is the only `LineageRef` constructor, so the
+            // column is always present.
+            // tpdb-lint: allow(no-panic-in-lib)
+            .expect("interned LAWAU streams carry the lineage column");
+        lawau::sweep_group(self.group.drain(..), r_idx, interval, &lins[r_idx], out);
+        Some(r_idx)
+    }
+}
+
+impl<I, P: Borrow<TpRelation>, L> Iterator for LawauStream<I, P, L>
+where
+    Self: WindowGroups<L>,
+{
+    type Item = Window<L>;
+
+    fn next(&mut self) -> Option<Window<L>> {
+        next_window(self, |stream| &mut stream.ready)
     }
 }
 
@@ -178,52 +217,57 @@ where
 /// stream is driven through the crate-internal `next_with`, which takes
 /// the interner the negating windows' `λs` disjunctions are built in.
 #[derive(Debug)]
-pub struct LawanStream<I: Iterator<Item = Window<L>>, L = Lineage> {
-    input: std::iter::Peekable<I>,
-    /// Scratch buffer holding the current input group (reused across
-    /// groups).
-    group: Vec<Window<L>>,
-    /// Output buffer of the current group (reused across groups).
+pub struct LawanStream<I, L: WindowLineage = Lineage> {
+    input: I,
+    /// The current group, swept in place (reused across groups); windows are
+    /// moved out of the front.
     ready: VecDeque<Window<L>>,
+    /// The sweep's ending-point queue and active set (empty between groups,
+    /// storage reused).
+    queue: EventQueue,
+    active: L::Active,
 }
 
-impl<I: Iterator<Item = Window<L>>, L> LawanStream<I, L> {
-    /// Wraps `input` (grouped by `r_idx`).
+impl<I: WindowGroups<L>, L: WindowLineage> LawanStream<I, L> {
+    /// Wraps `input` (grouped by `r_idx`): a window stream, or any other
+    /// window iterator made `.peekable()`.
     pub fn new(input: I) -> Self {
         Self {
-            input: input.peekable(),
-            group: Vec::new(),
+            input,
             ready: VecDeque::new(),
+            queue: EventQueue::new(),
+            active: L::Active::default(),
         }
+    }
+
+    /// The next window of the stream; `arena` is where the `λs`
+    /// disjunctions of emitted negating windows are built (the interner on
+    /// the interned path).
+    pub(crate) fn next_with(&mut self, arena: &mut L::Arena) -> Option<Window<L>> {
+        if self.ready.is_empty() {
+            self.ready.clear();
+            if self.input.next_group(&mut self.ready).is_some() {
+                lawan::sweep_group(&mut self.ready, 0, &mut self.queue, &mut self.active, arena);
+            }
+        }
+        self.ready.pop_front()
     }
 }
 
-impl<I: Iterator<Item = Window>> Iterator for LawanStream<I, Lineage> {
+impl<I: WindowGroups<Lineage>> WindowGroups<Lineage> for LawanStream<I, Lineage> {
+    fn next_group(&mut self, out: &mut VecDeque<Window>) -> Option<usize> {
+        let from = out.len();
+        let r_idx = self.input.next_group(out)?;
+        lawan::sweep_group(out, from, &mut self.queue, &mut self.active, &mut ());
+        Some(r_idx)
+    }
+}
+
+impl<I: WindowGroups<Lineage>> Iterator for LawanStream<I, Lineage> {
     type Item = Window;
 
     fn next(&mut self) -> Option<Window> {
-        if self.ready.is_empty() && next_group(&mut self.input, &mut self.group).is_some() {
-            lawan::sweep_group(&self.group, IncrementalDisjunction::new(), &mut self.ready);
-        }
-        self.ready.pop_front()
-    }
-}
-
-impl<I: Iterator<Item = Window<LineageRef>>> LawanStream<I, LineageRef> {
-    /// The next window of the interned stream; `interner` receives the
-    /// `λs` disjunction nodes of emitted negating windows.
-    pub(crate) fn next_with(
-        &mut self,
-        interner: &mut LineageInterner,
-    ) -> Option<Window<LineageRef>> {
-        if self.ready.is_empty() && next_group(&mut self.input, &mut self.group).is_some() {
-            lawan::sweep_group(
-                &self.group,
-                InternedActiveSet::new(interner),
-                &mut self.ready,
-            );
-        }
-        self.ready.pop_front()
+        self.next_with(&mut ())
     }
 }
 
@@ -246,7 +290,8 @@ mod tests {
     fn streaming_lawau_matches_materializing_lawau() {
         let (wo, a) = setup();
         let materialized = lawau::lawau(&wo, &a);
-        let streamed: Vec<Window> = LawauStream::new(wo.into_iter(), Arc::clone(&a)).collect();
+        let streamed: Vec<Window> =
+            LawauStream::new(wo.into_iter().peekable(), Arc::clone(&a)).collect();
         assert_eq!(streamed, materialized);
     }
 
@@ -255,7 +300,7 @@ mod tests {
         let (wo, a) = setup();
         let wuo = lawau::lawau(&wo, &a);
         let materialized = lawan::lawan(&wuo);
-        let streamed: Vec<Window> = LawanStream::new(wuo.into_iter()).collect();
+        let streamed: Vec<Window> = LawanStream::new(wuo.into_iter().peekable()).collect();
         assert_eq!(streamed, materialized);
     }
 
@@ -264,7 +309,7 @@ mod tests {
         let (wo, a) = setup();
         let expected = lawan::lawan(&lawau::lawau(&wo, &a));
         let piped: Vec<Window> =
-            LawanStream::new(LawauStream::new(wo.into_iter(), Arc::clone(&a))).collect();
+            LawanStream::new(LawauStream::new(wo.into_iter().peekable(), Arc::clone(&a))).collect();
         assert_eq!(piped, expected);
     }
 
@@ -284,7 +329,8 @@ mod tests {
     fn empty_stream() {
         let (_, a) = setup();
         let piped: Vec<Window> =
-            LawanStream::new(LawauStream::new(std::iter::empty::<Window>(), a)).collect();
+            LawanStream::new(LawauStream::new(std::iter::empty::<Window>().peekable(), a))
+                .collect();
         assert!(piped.is_empty());
     }
 }

@@ -521,6 +521,48 @@ mod tests {
         }
     }
 
+    proptest::proptest! {
+        /// The interned pipe is the tree stream, window for window, at every
+        /// depth: same order, kinds and indices, and the same λr/λs after
+        /// conversion — on a derived negative side (`r ∪ s` followed by `s`)
+        /// whose `Or` lineages and duplicate contributors reach the sweep.
+        #[test]
+        fn interned_pipe_is_the_tree_stream_at_every_depth(
+            rr in proptest::collection::vec((0i64..3, 0i64..30, 1i64..10), 1..8),
+            ss in proptest::collection::vec((0i64..3, 0i64..30, 1i64..10), 1..8),
+        ) {
+            use crate::testutil::keyed_relation;
+            let (r, s) = (keyed_relation("r", 0, &rr), keyed_relation("s", 100, &ss));
+            let mut neg = crate::tp_union(&r, &s).unwrap();
+            s.iter().for_each(|t| neg.push_unchecked(t.clone()));
+            let theta = ThetaCondition::column_equals("k", "k");
+            for depth in [PipeDepth::Overlap, PipeDepth::Unmatched, PipeDepth::Full] {
+                let wo = OverlapWindowStream::new(&r, &neg, &theta).unwrap();
+                let tree: Vec<Window> = match depth {
+                    PipeDepth::Overlap => wo.collect(),
+                    PipeDepth::Unmatched => LawauStream::new(wo, &r).collect(),
+                    PipeDepth::Full => LawanStream::new(LawauStream::new(wo, &r)).collect(),
+                };
+                let mut engine = registered_engine(&r, &s);
+                let interner = engine.interner_mut();
+                let lins = (interned_lineages(&r, interner), interned_lineages(&neg, interner));
+                let mut pipe = Pipe::build(&r, &neg, &theta, None, depth, lins.0, lins.1).unwrap();
+                let mut interned = Vec::new();
+                while let Some(w) = pipe.next_with(interner) {
+                    interned.push(Window {
+                        kind: w.kind,
+                        interval: w.interval,
+                        r_idx: w.r_idx,
+                        s_idx: w.s_idx,
+                        lambda_r: interner.to_lineage(w.lambda_r),
+                        lambda_s: w.lambda_s.map(|l| interner.to_lineage(l)),
+                    });
+                }
+                proptest::prop_assert_eq!(&interned, &tree, "{:?}", depth);
+            }
+        }
+    }
+
     #[test]
     fn forced_plan_errors_match_the_one_shot_contract() {
         let (a, b, _) = booking_relations();

@@ -1,6 +1,6 @@
 //! Shared test fixtures for the core crate (test builds only).
 
-use tpdb_lineage::{Lineage, SymbolTable};
+use tpdb_lineage::{Lineage, SymbolTable, VarId};
 use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb_temporal::Interval;
 
@@ -60,4 +60,22 @@ pub(crate) fn booking_relations() -> (TpRelation, TpRelation, SymbolTable) {
     ))
     .unwrap();
     (a, b, syms)
+}
+
+/// A single-column relation with one tuple per `(key, start, duration)` row
+/// and variables numbered from `var_offset`. Same-key tuples may overlap, so
+/// as a negative side it gives LAWAN active sets of several operands,
+/// identical intervals included.
+pub(crate) fn keyed_relation(name: &str, var_offset: u32, rows: &[(i64, i64, i64)]) -> TpRelation {
+    let mut rel = TpRelation::new(name, Schema::tp(&[("k", DataType::Int)]));
+    for (i, (key, start, duration)) in rows.iter().enumerate() {
+        rel.push(TpTuple::new(
+            vec![Value::Int(*key)],
+            Lineage::var(VarId(var_offset + i as u32)),
+            Interval::new(*start, *start + *duration),
+            0.5,
+        ))
+        .unwrap();
+    }
+    rel
 }

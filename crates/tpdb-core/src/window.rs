@@ -65,27 +65,6 @@ pub struct Window<L = Lineage> {
     pub lambda_s: Option<L>,
 }
 
-/// A destination for produced windows: the materializing algorithms write
-/// into a `Vec`, the streaming adaptors into their reusable `VecDeque` group
-/// buffer. Keeping the sweep kernels generic over the sink is what lets the
-/// streaming path run without per-group intermediate vectors.
-pub(crate) trait WindowSink<L> {
-    /// Accepts one produced window.
-    fn put(&mut self, w: Window<L>);
-}
-
-impl<L> WindowSink<L> for Vec<Window<L>> {
-    fn put(&mut self, w: Window<L>) {
-        self.push(w);
-    }
-}
-
-impl<L> WindowSink<L> for std::collections::VecDeque<Window<L>> {
-    fn put(&mut self, w: Window<L>) {
-        self.push_back(w);
-    }
-}
-
 impl<L> Window<L> {
     /// Creates an overlapping window for the pair `(r[r_idx], s[s_idx])`.
     #[must_use]

@@ -2,7 +2,12 @@
 //! and Table I of the paper, on randomized duplicate-free inputs.
 
 use proptest::prelude::*;
-use tpdb_core::{lawan, lawau, overlapping_windows, ThetaCondition, Window, WindowKind};
+use std::cell::Cell;
+use std::collections::VecDeque;
+use tpdb_core::{
+    lawan, lawau, overlapping_windows, tp_union, LawanStream, LawauStream, OverlapWindowStream,
+    ThetaCondition, Window, WindowGroups, WindowKind,
+};
 use tpdb_lineage::{Lineage, VarId};
 use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb_temporal::Interval;
@@ -36,6 +41,42 @@ fn rows() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
     proptest::collection::vec((0i64..5, 0i64..40, 1i64..10), 1..15)
 }
 
+/// A derived negative side: the tuples of `r ∪ s` followed by those of `s`
+/// itself. It is *not* duplicate-free, so under one `r` tuple several
+/// negative tuples are valid at once: `Or` lineages (`rᵢ ∨ sⱼ`) are
+/// flattened into the active set next to a second contributor of `sⱼ`, and
+/// identical and meeting intervals reach the sweep.
+fn derived_negative(r: &TpRelation, s: &TpRelation) -> TpRelation {
+    let mut derived = TpRelation::new("rs", r.schema().clone());
+    for t in tp_union(r, s).unwrap().iter().chain(s.iter()) {
+        derived.push(t.clone()).unwrap();
+    }
+    derived
+}
+
+/// WUON four ways — the stacked streams popped window by window, the same
+/// stages fed from a plain vector, the stack drained group by group, the
+/// materializing algorithms — which must agree window for window: order,
+/// kind, `s_idx`, λr and λs.
+fn assert_streamed_is_materialized(r: &TpRelation, s: &TpRelation, theta: &ThetaCondition) {
+    let wo = overlapping_windows(r, s, theta).unwrap();
+    let materialized = lawan(&lawau(&wo, r));
+    let overlap = OverlapWindowStream::new(r, s, theta).unwrap();
+    let streamed: Vec<Window> = LawanStream::new(LawauStream::new(overlap, r)).collect();
+    assert_eq!(streamed, materialized);
+    let from_vec = LawauStream::new(wo.into_iter().peekable(), r);
+    let from_vec: Vec<Window> =
+        LawanStream::new(from_vec.collect::<Vec<_>>().into_iter().peekable()).collect();
+    assert_eq!(from_vec, materialized);
+    // As a group source, LAWAN sweeps each group on the tail of a buffer
+    // that still holds the earlier ones.
+    let overlap = OverlapWindowStream::new(r, s, theta).unwrap();
+    let mut groups = LawanStream::new(LawauStream::new(overlap, r));
+    let mut appended = VecDeque::new();
+    while groups.next_group(&mut appended).is_some() {}
+    assert_eq!(Vec::from(appended), materialized);
+}
+
 fn all_windows(r: &TpRelation, s: &TpRelation) -> Vec<Window> {
     let theta = ThetaCondition::column_equals("k", "k");
     lawan(&lawau(&overlapping_windows(r, s, &theta).unwrap(), r))
@@ -43,6 +84,22 @@ fn all_windows(r: &TpRelation, s: &TpRelation) -> Vec<Window> {
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// The streaming pipeline is the materializing one, window for window —
+    /// not merely as a multiset: on duplicate-free sides under the key
+    /// equality, and with a derived, overlapping negative side under the
+    /// key equality and under θ = true (every negative tuple matches, so
+    /// the active sets are as large as the data allows).
+    #[test]
+    fn streamed_wuon_is_the_materialized_wuon(rr in rows(), ss in rows()) {
+        let r = build("r", 0, &rr);
+        let s = build("s", 1000, &ss);
+        let on_key = ThetaCondition::column_equals("k", "k");
+        assert_streamed_is_materialized(&r, &s, &on_key);
+        let derived = derived_negative(&r, &s);
+        assert_streamed_is_materialized(&r, &derived, &on_key);
+        assert_streamed_is_materialized(&r, &derived, &ThetaCondition::always());
+    }
 
     /// Unmatched and negating windows of one r tuple partition its interval:
     /// every time point of the tuple is covered by exactly one of them.
@@ -159,4 +216,110 @@ proptest! {
             }
         }
     }
+}
+
+/// One positive tuple per `(key, start, end)` and one negative tuple per
+/// `(key, start, end)`, variables numbered from 0 and 100.
+fn relations(pos: &[(i64, i64, i64)], neg: &[(i64, i64, i64)]) -> (TpRelation, TpRelation) {
+    let rel = |name: &str, offset: u32, rows: &[(i64, i64, i64)]| {
+        let mut rel = TpRelation::new(name, Schema::tp(&[("k", DataType::Int)]));
+        for (i, (key, start, end)) in rows.iter().enumerate() {
+            rel.push(TpTuple::new(
+                vec![Value::Int(*key)],
+                Lineage::var(VarId(offset + i as u32)),
+                Interval::new(*start, *end),
+                0.5,
+            ))
+            .unwrap();
+        }
+        rel
+    };
+    (rel("r", 0, pos), rel("s", 100, neg))
+}
+
+/// Three positive tuples — two of key 0 around one of key 1 — and four
+/// staggered negative tuples of key 0: the groups' active sets are large,
+/// empty, large.
+fn large_empty_large() -> (TpRelation, TpRelation) {
+    relations(
+        &[(0, 0, 20), (1, 0, 20), (0, 2, 18)],
+        &[(0, 1, 9), (0, 3, 12), (0, 3, 12), (0, 9, 19)],
+    )
+}
+
+#[test]
+fn lawan_pulls_one_group_at_a_time() {
+    /// Counts the groups LAWAN asks its upstream for.
+    struct Counted<'a, G>(G, &'a Cell<usize>);
+    impl<G: WindowGroups<Lineage>> WindowGroups<Lineage> for Counted<'_, G> {
+        fn next_group(&mut self, out: &mut VecDeque<Window>) -> Option<usize> {
+            self.1.set(self.1.get() + 1);
+            self.0.next_group(out)
+        }
+    }
+
+    let (r, s) = large_empty_large();
+    let theta = ThetaCondition::column_equals("k", "k");
+    let wuo = lawau(&overlapping_windows(&r, &s, &theta).unwrap(), &r);
+    let wuon = lawan(&wuo);
+    let group_len = |windows: &[Window], ri| windows.iter().filter(|w| w.r_idx == ri).count();
+
+    // Stacked on a group source: exactly one group is pulled before the
+    // first window, and no further one until that group is used up.
+    let groups = Cell::new(0);
+    let overlap = OverlapWindowStream::new(&r, &s, &theta).unwrap();
+    let mut stream = LawanStream::new(Counted(LawauStream::new(overlap, &r), &groups));
+    assert_eq!(groups.get(), 0, "nothing is pulled at construction");
+    for pulled in 1..=3 {
+        for _ in 0..group_len(&wuon, pulled - 1) {
+            assert!(stream.next().is_some());
+            assert_eq!(groups.get(), pulled);
+        }
+    }
+    assert!(stream.next().is_none());
+
+    // Fed from a plain iterator: the first group and the one window of
+    // lookahead that ends it, nothing more.
+    let windows = Cell::new(0);
+    let counted = wuo
+        .clone()
+        .into_iter()
+        .inspect(|_| windows.set(windows.get() + 1));
+    let mut stream = LawanStream::new(counted.peekable());
+    assert_eq!(windows.get(), 0);
+    for _ in 0..group_len(&wuon, 0) {
+        assert!(stream.next().is_some());
+        assert_eq!(windows.get(), group_len(&wuo, 0) + 1);
+    }
+    assert!(stream.next().is_some());
+    assert_eq!(windows.get(), group_len(&wuo, 0) + group_len(&wuo, 1) + 1);
+}
+
+#[test]
+fn sweep_state_is_clean_after_a_drained_group() {
+    // One stream sweeps a group with a large active set, one with none, and
+    // a second large one that re-activates the very same operands: the
+    // reused queue and active set must behave as new.
+    let (r, s) = large_empty_large();
+    let theta = ThetaCondition::column_equals("k", "k");
+    let overlap = OverlapWindowStream::new(&r, &s, &theta).unwrap();
+    let all: Vec<Window> = LawanStream::new(LawauStream::new(overlap, &r)).collect();
+    assert!(all.iter().any(|w| w.r_idx == 0 && w.is_negating()));
+    assert!(all
+        .iter()
+        .filter(|w| w.r_idx == 1)
+        .all(|w| w.is_unmatched()));
+
+    let mut last = TpRelation::new("r", r.schema().clone());
+    last.push(r.tuple(2).clone()).unwrap();
+    let overlap = OverlapWindowStream::new(&last, &s, &theta).unwrap();
+    let fresh: Vec<Window> = LawanStream::new(LawauStream::new(overlap, &last)).collect();
+    let reused: Vec<Window> = all
+        .into_iter()
+        .filter(|w| w.r_idx == 2)
+        .map(|w| Window { r_idx: 0, ..w })
+        .collect();
+    // [2,3), [3,9), [9,12), [12,18)
+    assert_eq!(fresh.iter().filter(|w| w.is_negating()).count(), 4);
+    assert_eq!(reused, fresh);
 }

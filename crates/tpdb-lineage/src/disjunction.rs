@@ -32,40 +32,54 @@
 //! dominates the `O(n)` emission next to it.
 
 use crate::formula::{Lineage, LineageNode};
+use crate::symbols::VarId;
 
 /// Distinct operands in first-activation order with their reference
 /// counts: the ordered vector behind [`IncrementalDisjunction`] and
 /// [`crate::InternedDisjunction`] (see the module docs for why it is
 /// searched linearly).
+///
+/// Each operand is stored beside a `Copy` key `K` that equal operands
+/// share; the scan compares keys first and touches an operand only on a
+/// key match. Ids are their own key (`K = ()`); a tree is keyed by the
+/// [`VarId`] of a `Var` leaf — nearly every operand of a sweep — so the
+/// scan reads the vector alone instead of dereferencing two `Arc`s per
+/// comparison.
 #[derive(Debug, Clone)]
-pub(crate) struct Operands<T>(Vec<(T, usize)>);
+pub(crate) struct Operands<T, K = ()>(Vec<(K, T, usize)>);
 
-impl<T> Default for Operands<T> {
+impl<T, K> Default for Operands<T, K> {
     fn default() -> Self {
         Self(Vec::new())
     }
 }
 
-impl<T: Clone + PartialEq> Operands<T> {
+impl<T: Clone + PartialEq, K: Copy + PartialEq> Operands<T, K> {
     /// Counts one more contributor of `operand`, appending it if new.
-    pub(crate) fn insert(&mut self, operand: &T) {
-        match self.0.iter_mut().find(|(o, _)| o == operand) {
-            Some((_, count)) => *count += 1,
-            None => self.0.push((operand.clone(), 1)),
+    pub(crate) fn insert(&mut self, key: K, operand: &T) {
+        match self.position(key, operand) {
+            Some(pos) => self.0[pos].2 += 1,
+            None => self.0.push((key, operand.clone(), 1)),
         }
     }
 
     /// Counts one contributor of `operand` less; its last contributor
     /// removes it, keeping the order of the rest.
-    pub(crate) fn remove(&mut self, operand: &T) {
-        let Some(pos) = self.0.iter().position(|(o, _)| o == operand) else {
+    pub(crate) fn remove(&mut self, key: K, operand: &T) {
+        let Some(pos) = self.position(key, operand) else {
             debug_assert!(false, "removing operand that was never inserted");
             return;
         };
-        self.0[pos].1 -= 1;
-        if self.0[pos].1 == 0 {
+        self.0[pos].2 -= 1;
+        if self.0[pos].2 == 0 {
             self.0.remove(pos);
         }
+    }
+
+    fn position(&self, key: K, operand: &T) -> Option<usize> {
+        self.0
+            .iter()
+            .position(|(k, o, _)| *k == key && o == operand)
     }
 
     pub(crate) fn len(&self) -> usize {
@@ -78,7 +92,7 @@ impl<T: Clone + PartialEq> Operands<T> {
 
     /// The live operands in first-activation order.
     pub(crate) fn iter(&self) -> impl Iterator<Item = &T> {
-        self.0.iter().map(|(o, _)| o)
+        self.0.iter().map(|(_, o, _)| o)
     }
 }
 
@@ -90,8 +104,8 @@ impl<T: Clone + PartialEq> Operands<T> {
 /// build, probe or keep in step.
 #[derive(Debug, Clone, Default)]
 pub struct IncrementalDisjunction {
-    /// Distinct non-constant operands.
-    operands: Operands<Lineage>,
+    /// Distinct non-constant operands, `Var` leaves keyed by their id.
+    operands: Operands<Lineage, Option<VarId>>,
     /// How many inserted lineages were the constant `true` (each makes the
     /// whole disjunction `true`).
     true_count: usize,
@@ -116,7 +130,8 @@ impl IncrementalDisjunction {
                     self.insert(c);
                 }
             }
-            _ => self.operands.insert(lineage),
+            LineageNode::Var(v) => self.operands.insert(Some(*v), lineage),
+            _ => self.operands.insert(None, lineage),
         }
     }
 
@@ -135,7 +150,8 @@ impl IncrementalDisjunction {
                     self.remove(c);
                 }
             }
-            _ => self.operands.remove(lineage),
+            LineageNode::Var(v) => self.operands.remove(Some(*v), lineage),
+            _ => self.operands.remove(None, lineage),
         }
     }
 
@@ -164,7 +180,6 @@ impl IncrementalDisjunction {
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::symbols::VarId;
 
     fn v(i: u32) -> Lineage {
         Lineage::var(VarId(i))

@@ -951,10 +951,10 @@ impl InternedDisjunction {
                 // Children of a normalized Or are themselves neither Or
                 // nor constants, so one level of flattening suffices.
                 for &c in children.iter() {
-                    self.operands.insert(&c);
+                    self.operands.insert((), &c);
                 }
             }
-            _ => self.operands.insert(&lineage),
+            _ => self.operands.insert((), &lineage),
         }
     }
 
@@ -970,10 +970,10 @@ impl InternedDisjunction {
             }
             InternedNode::Or(children) => {
                 for &c in children.iter() {
-                    self.operands.remove(&c);
+                    self.operands.remove((), &c);
                 }
             }
-            _ => self.operands.remove(&lineage),
+            _ => self.operands.remove((), &lineage),
         }
     }
 
