@@ -99,9 +99,9 @@ pub use overlap::{
     OverlapWindowStream,
 };
 pub use parallel::{
-    default_parallelism, parallel_degree, parallel_wuo_count, tp_join_parallel,
-    tp_join_parallel_with_engine_and_plan, tp_join_parallel_with_plan, tp_set_op_parallel,
-    tp_set_op_parallel_with_engine_and_plan, MAX_PARALLELISM,
+    default_parallelism, parallel_degree, tp_join_parallel, tp_join_parallel_with_engine_and_plan,
+    tp_join_parallel_with_plan, tp_set_op_parallel, tp_set_op_parallel_with_engine_and_plan,
+    MAX_PARALLELISM,
 };
 pub use pipeline::{LawanStream, LawauStream, WindowGroups, WindowStream};
 pub use setops::{

@@ -48,9 +48,8 @@ use crate::join::form_output_tuple_interned;
 use crate::morsel::{scope_workers, Injector, MorselPlan};
 use crate::optable::{PassSpec, TpOp};
 use crate::overlap::{
-    auto_plan, interned_lineages, lineage_column, OverlapJoinPlan, OverlapWindowStream, ProbeIndex,
+    auto_plan, interned_lineages, OverlapJoinPlan, OverlapWindowStream, ProbeIndex,
 };
-use crate::pipeline::LawauStream;
 use crate::setops::{all_columns_equal, TpSetOpKind};
 use crate::stream::{registered_engine, Pipe, TpJoinStream};
 use crate::theta::{BoundTheta, ThetaCondition};
@@ -334,47 +333,6 @@ pub fn tp_set_op_parallel_with_engine_and_plan(
     run_parallel(TpOp::SetOp(kind), r, s, &theta, plan, parallelism, engine)
 }
 
-/// Counts the `WUO` windows (overlap join → LAWAU) of an equi-join with
-/// morsel-driven parallelism — the parallel counterpart of the Fig. 5
-/// measurement kernel, consuming windows exactly as the join operator does.
-/// Falls back to the serial stream when the resolved plan cannot shard or
-/// `parallelism` is 1.
-pub fn parallel_wuo_count(
-    r: &TpRelation,
-    s: &TpRelation,
-    theta: &ThetaCondition,
-    parallelism: usize,
-) -> Result<usize, StorageError> {
-    let bound = theta.bind(r.schema(), s.schema())?;
-    let plan = auto_plan(&bound);
-    let degree = parallel_degree(plan, parallelism);
-    if degree <= 1 {
-        let wo = OverlapWindowStream::with_plan(r, s, bound, plan)?;
-        return Ok(LawauStream::new(wo, r).count());
-    }
-    // The count consumes Lineage windows like the legacy stream; both
-    // columns are materialized once and shared by every worker.
-    let r_lins = lineage_column(r);
-    let s_lins = lineage_column(s);
-    let counts = steal_morsels(r, s, &bound, plan, degree, |index, morsels| {
-        morsels
-            .map(|probes| {
-                let wo = OverlapWindowStream::over_index(
-                    r,
-                    s,
-                    bound.clone(),
-                    Arc::clone(index),
-                    Some(probes),
-                    Arc::clone(&r_lins),
-                    Arc::clone(&s_lins),
-                );
-                LawauStream::new(wo, r).count()
-            })
-            .sum::<usize>()
-    })?;
-    Ok(counts.into_iter().sum())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -554,29 +512,6 @@ mod tests {
         );
         let err = tp_set_op_parallel(&a, &skinny, TpSetOpKind::Union, 4).unwrap_err();
         assert!(matches!(err, StorageError::ArityMismatch { .. }));
-    }
-
-    #[test]
-    fn parallel_wuo_count_matches_serial_stream() {
-        let (a, b, _) = booking_relations();
-        let serial = {
-            let wo = OverlapWindowStream::new(&a, &b, &theta()).unwrap();
-            LawauStream::new(wo, &a).count()
-        };
-        for degree in [1, 2, 4, 7] {
-            assert_eq!(
-                parallel_wuo_count(&a, &b, &theta(), degree).unwrap(),
-                serial,
-                "degree = {degree}"
-            );
-        }
-        // Non-equi θ falls back to the serial nested-loop stream.
-        let always = ThetaCondition::always();
-        let serial_nl = {
-            let wo = OverlapWindowStream::new(&a, &b, &always).unwrap();
-            LawauStream::new(wo, &a).count()
-        };
-        assert_eq!(parallel_wuo_count(&a, &b, &always, 4).unwrap(), serial_nl);
     }
 
     #[test]

@@ -144,7 +144,7 @@ pub fn tp_intersection(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, Sto
 /// (lineage `λr ∨ λs` where both are valid, and the single-side lineage
 /// elsewhere). Executes streaming via [`TpSetOpStream`] — no window list is
 /// materialized (the pre-streaming implementation survives as
-/// [`tp_union_materialized`], the reference of the CI regression guard).
+/// [`tp_union_materialized`], the reference the tests compare against).
 pub fn tp_union(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageError> {
     Ok(TpSetOpStream::new(r, s, TpSetOpKind::Union)?.collect_relation())
 }
@@ -153,8 +153,8 @@ pub fn tp_union(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageErr
 /// materialized before any output tuple is formed.
 ///
 /// Kept as the reference implementation: the streamed [`tp_union`] must
-/// produce the identical relation (tested here) and must not be slower
-/// (the `--check-union-streaming` guard of the `setops` experiment).
+/// produce the identical relation (tested here and in
+/// `tests/lineage_intern_properties.rs`).
 pub fn tp_union_materialized(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageError> {
     let theta = all_columns_equal(r, s)?;
     let mut engine = registered_engine(r, s);

@@ -404,7 +404,7 @@ impl ProbabilityEngine {
     }
 
     /// Is the connective over the normalized `operands` priced by the
-    /// read-once product — the criterion [`prob_rec`](Self::prob_rec)
+    /// read-once product — the condition [`prob_rec`](Self::prob_rec)
     /// applies to a node (not forced to Shannon, flagged read-once: children
     /// read-once with pairwise distinct leaves), decided before the node
     /// exists — with every variable under it registered?

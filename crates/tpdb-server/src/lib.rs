@@ -21,7 +21,7 @@
 //!   [`ShardedPlanCache`](tpdb_query::ShardedPlanCache) serves all
 //!   sessions, keyed by normalized text + schema epoch.
 //! * **Blocking client** ([`Client`]): used by the tests, the
-//!   `concurrent_clients` example and the `experiments throughput` figure.
+//!   `concurrent_clients` example and `tpbench`'s `served_mix` workload.
 //!
 //! ```
 //! use tpdb_server::{Client, Server, ServerConfig};

@@ -36,9 +36,13 @@
 //! acceptor (the listener closes; new connects are refused) → half-close
 //! (`Shutdown::Read`) every live connection so its thread sees EOF after
 //! its in-flight reply → wake the gate's waiters, which see the flag and
-//! answer `ERR ServerShuttingDown` without executing → join the
+//! answer `ERR ServerShuttingDown` without executing → wait until the
+//! connection threads have finished, at most `SHUTDOWN_GRACE` (2 s) beyond the
+//! last executing statement → close (`Shutdown::Both`) the sockets of the
+//! threads still writing to a client that does not read → join the
 //! connection threads. In-flight statements complete normally and their
-//! replies are delivered; no thread outlives the call.
+//! replies are delivered to every client that reads them; no thread
+//! outlives the call.
 
 use crate::pool;
 use crate::protocol::{parse_request, rows_response, ErrorCode, Request, Response};
@@ -167,7 +171,8 @@ impl Drop for Slot<'_> {
 type ConnState = HashMap<String, String>;
 
 /// One accepted connection as shutdown needs it: a clone of its socket to
-/// half-close, and its thread to join.
+/// half-close (and close, should its client never read), and its thread to
+/// join.
 struct Conn {
     stream: TcpStream,
     handle: JoinHandle<()>,
@@ -290,7 +295,20 @@ impl ServerHandle {
         // it once puts this wake-up after any test that still read `false`.
         drop(lock(&self.inner.gate));
         self.inner.turn.notify_all();
+        // Statements finish however long they take; once none executes,
+        // what is left is reply writing, which only a reading client ends.
+        let mut polls_left = SHUTDOWN_GRACE.as_millis() / GRACE_POLL.as_millis();
+        while polls_left > 0 && conns.iter().any(|conn| !conn.handle.is_finished()) {
+            if lock(&self.inner.gate).executing == 0 {
+                polls_left -= 1;
+            }
+            std::thread::sleep(GRACE_POLL);
+        }
         for conn in conns {
+            if !conn.handle.is_finished() {
+                // Fails the write the thread is blocked in.
+                drop(conn.stream.shutdown(Shutdown::Both));
+            }
             drop(conn.handle.join());
         }
     }
@@ -334,6 +352,17 @@ fn stats_snapshot(inner: &Inner) -> ServerStats {
         cache_misses: cache.misses,
     }
 }
+
+/// How long shutdown lets connection threads go on writing replies once no
+/// statement executes, before it closes the sockets of those still blocked
+/// (a client that never reads its reply would otherwise hold the join
+/// forever).
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
+
+/// How often shutdown looks whether the connection threads have finished
+/// (an idle connection's thread exits within microseconds of the
+/// half-close, so a clean shutdown sleeps once).
+const GRACE_POLL: Duration = Duration::from_millis(1);
 
 /// How long the acceptor pauses after a failed `accept()` (out of file
 /// descriptors, typically) before trying again.

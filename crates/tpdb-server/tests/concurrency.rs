@@ -289,3 +289,35 @@ fn a_reader_that_stalls_on_its_reply_holds_no_slot() {
     drop(stalled);
     server.shutdown();
 }
+
+#[test]
+fn shutdown_does_not_wait_for_a_client_that_never_reads() {
+    let server = Server::start(meteo_catalog(3000, 1), ServerConfig::default()).unwrap();
+
+    // The same several-MB reply nobody reads — and this time the client
+    // does not hang up either: the socket stays open across the shutdown.
+    let mut stalled = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stalled
+        .write_all(format!("{}\n", QUERIES[1]).as_bytes())
+        .unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while server.stats().executed < 1 {
+        assert!(Instant::now() < deadline, "the statement never finished");
+        std::thread::sleep(Duration::from_millis(2));
+    }
+
+    // Shutdown's grace is 2 s; it must be back 3 s after that at most.
+    let started = Instant::now();
+    let shutdown = std::thread::spawn(move || server.shutdown());
+    while !shutdown.is_finished() {
+        assert!(
+            started.elapsed() < Duration::from_secs(5),
+            "shutdown still waits for the client that never reads"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    let stats = shutdown.join().unwrap();
+    assert_eq!(stats.connections_open, 0);
+    assert_eq!(stats.executing, 0);
+    drop(stalled);
+}
