@@ -19,7 +19,7 @@ use crate::optable::{LineageFn, PassSpec, TpOp};
 use crate::overlap::OverlapJoinPlan;
 use crate::stream::registered_engine;
 use crate::theta::ThetaCondition;
-use crate::window::Window;
+use crate::window::{SideRef, Window};
 use tpdb_lineage::{Concat, Lineage, LineageRef, ProbabilityEngine};
 use tpdb_storage::{StorageError, TpRelation, TpTuple};
 
@@ -211,12 +211,12 @@ pub(crate) fn assemble_result(
 /// (`None` when the pass does not emit the window's class): the facts in
 /// the pass's layout, the window interval, and the lineage and probability
 /// `concat` derives from `(λr, λs)` with the class's lineage function.
-fn form_tuple<L>(
-    w: &Window<L>,
+fn form_tuple<L, S>(
+    w: &Window<L, S>,
     pos: &TpRelation,
     neg: &TpRelation,
     spec: &PassSpec,
-    concat: impl FnOnce(LineageFn, &L, Option<&L>) -> (Lineage, f64),
+    concat: impl FnOnce(LineageFn, &L, Option<&S>) -> (Lineage, f64),
 ) -> Option<TpTuple> {
     let lineage_fn = spec.lineage_fn(w.kind)?;
     let (lineage, probability) = concat(lineage_fn, &w.lambda_r, w.lambda_s.as_ref());
@@ -257,22 +257,33 @@ pub(crate) fn form_output_tuple(
 /// concatenates them **at the boundary**, returning the output tuple's
 /// tree and probability without interning a node for a read-once root
 /// (every root of a join over base relations) — only concatenations that
-/// share variables enter the arena, to be priced by decomposition.
+/// share variables enter the arena, to be priced by decomposition. A `λs`
+/// span indexes `operands`, the pass's buffer.
 pub(crate) fn form_output_tuple_interned(
-    w: &Window<LineageRef>,
+    w: &Window<LineageRef, SideRef>,
     pos: &TpRelation,
     neg: &TpRelation,
     spec: &PassSpec,
+    operands: &[LineageRef],
     engine: &mut ProbabilityEngine,
 ) -> Option<TpTuple> {
     form_tuple(w, pos, neg, spec, |lineage_fn, &lr, ls| {
+        let how = match lineage_fn {
+            LineageFn::Pos => return engine.output(lr),
+            LineageFn::And => Concat::And,
+            LineageFn::AndNot => Concat::AndNot,
+            LineageFn::Or => Concat::Or,
+        };
         // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
-        let ls = || *ls.expect("overlapping and negating windows carry λs");
-        match lineage_fn {
-            LineageFn::Pos => engine.output(lr),
-            LineageFn::And => engine.concat_output(Concat::And, lr, ls()),
-            LineageFn::AndNot => engine.concat_output(Concat::AndNot, lr, ls()),
-            LineageFn::Or => engine.concat_output(Concat::Or, lr, ls()),
+        match *ls.expect("overlapping and negating windows carry λs") {
+            SideRef::Node(ls) => engine.concat_output(how, lr, ls),
+            SideRef::Span { start, len } => {
+                let span = start as usize..start as usize + len as usize;
+                debug_assert!(span.end <= operands.len(), "span outside the buffer");
+                let output = engine.try_concat_disjunction_output(how, lr, &operands[span]);
+                // As in `concat_output`. tpdb-lint: allow(no-panic-in-lib)
+                output.expect("all lineage variables must have probabilities")
+            }
         }
     })
 }

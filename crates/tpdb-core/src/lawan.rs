@@ -32,16 +32,17 @@
 //! What outlives a group is the sweep state: the ending-point queue and the
 //! active set, owned by the stream. Both are empty when a group's sweep ends (every activated
 //! window has expired — debug-asserted), so the next group reuses their
-//! storage and the steady-state sweep allocates only the `λs` it emits.
+//! storage and the steady-state sweep allocates only the tree path's `λs`.
 //!
 //! `λs` is maintained **incrementally** in an ordered vector of
 //! reference-counted operands ([`IncrementalDisjunction`] over trees,
 //! [`InternedDisjunction`] over arena ids; see `tpdb_lineage::disjunction`
 //! for why it is searched linearly and never hashed): a window starting or
 //! ending at a boundary updates it, and emitting a negating window only
-//! copies the live operands.
+//! copies the live operands: into an `Or` tree, or into the pass's operand
+//! buffer, whose [`SideRef::Span`] the interned window carries — no node.
 
-use crate::window::Window;
+use crate::window::{SideRef, Window};
 use std::collections::VecDeque;
 use std::fmt::Debug;
 use tpdb_lineage::{
@@ -61,35 +62,37 @@ pub fn lawan(wuo: &[Window]) -> Vec<Window> {
     for group in wuo.chunk_by(|a, b| a.r_idx == b.r_idx) {
         let from = out.len();
         out.extend(group.iter().cloned());
-        sweep_group(&mut out, from, &mut queue, &mut active, &mut ());
+        sweep_group(&mut out, from, &mut queue, &mut active, &(), &mut vec![]);
     }
     out.into()
 }
 
 /// A lineage representation the LAWAN sweep can run over — [`Lineage`]
-/// trees and interned [`LineageRef`] ids: names the multiset of `λs`
-/// lineages active at the sweep line and the operations the sweep
-/// needs of it. Operand order is the activation order in every
+/// trees and interned [`LineageRef`] ids: names the form of `λs`, the
+/// multiset of `λs` lineages active at the sweep line and the operations
+/// the sweep needs of it. Operand order is the activation order in every
 /// representation, so the tree and the interned sweep yield the same
 /// windows — and the same output bytes — after conversion.
 pub trait WindowLineage: Clone {
+    /// `λs` in a window: a tree, or a [`SideRef`] (`From` an `s` lineage).
+    type Side: Clone + Debug + PartialEq + From<Self>;
     /// The active set ([`IncrementalDisjunction`] / [`InternedDisjunction`]).
     type Active: Default + Debug;
-    /// Where the operands live and emitted disjunctions are built: nothing
-    /// for trees, the interner for ids.
+    /// Where the operands live: nothing for trees, the interner for ids.
     type Arena;
     /// An `s` tuple with lineage `lambda_s` starts being valid.
-    fn activate(active: &mut Self::Active, lambda_s: &Self, arena: &Self::Arena);
+    fn activate(active: &mut Self::Active, lambda_s: &Self::Side, arena: &Self::Arena);
     /// One previously activated `s` tuple with lineage `lambda_s` expires.
-    fn expire(active: &mut Self::Active, lambda_s: &Self, arena: &Self::Arena);
+    fn expire(active: &mut Self::Active, lambda_s: &Self::Side, arena: &Self::Arena);
     /// Is no `s` tuple active?
     fn is_empty(active: &Self::Active) -> bool;
     /// The disjunction of the active lineages, operands in activation
-    /// order.
-    fn disjunction(active: &Self::Active, arena: &mut Self::Arena) -> Self;
+    /// order (≥ 2 interned ones: appended to `operands`, as their span).
+    fn disjunction(active: &Self::Active, operands: &mut Vec<LineageRef>) -> Self::Side;
 }
 
 impl WindowLineage for Lineage {
+    type Side = Lineage;
     type Active = IncrementalDisjunction;
     type Arena = ();
 
@@ -105,34 +108,53 @@ impl WindowLineage for Lineage {
         active.is_empty()
     }
 
-    fn disjunction(active: &Self::Active, (): &mut ()) -> Self {
+    fn disjunction(active: &Self::Active, _: &mut Vec<LineageRef>) -> Self {
         active.disjunction()
     }
 }
 
+/// The `λs` of an overlapping window: its `s` tuple's node.
+fn node(lambda_s: &SideRef) -> LineageRef {
+    match *lambda_s {
+        SideRef::Node(lineage) => lineage,
+        // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
+        SideRef::Span { .. } => unreachable!("only negating windows carry spans"),
+    }
+}
+
 impl WindowLineage for LineageRef {
+    type Side = SideRef;
     type Active = InternedDisjunction;
     type Arena = LineageInterner;
 
-    fn activate(active: &mut Self::Active, lambda_s: &Self, interner: &LineageInterner) {
-        active.insert(*lambda_s, interner);
+    fn activate(active: &mut Self::Active, lambda_s: &SideRef, interner: &LineageInterner) {
+        active.insert(node(lambda_s), interner);
     }
 
-    fn expire(active: &mut Self::Active, lambda_s: &Self, interner: &LineageInterner) {
-        active.remove(*lambda_s, interner);
+    fn expire(active: &mut Self::Active, lambda_s: &SideRef, interner: &LineageInterner) {
+        active.remove(node(lambda_s), interner);
     }
 
     fn is_empty(active: &Self::Active) -> bool {
         active.is_empty()
     }
 
-    fn disjunction(active: &Self::Active, interner: &mut LineageInterner) -> Self {
-        active.disjunction(interner)
+    fn disjunction(active: &Self::Active, operands: &mut Vec<LineageRef>) -> SideRef {
+        let start = operands.len();
+        operands.extend(active.operands());
+        if let [only] = operands[start..] {
+            operands.truncate(start);
+            return SideRef::Node(only);
+        }
+        // tpdb-lint: allow(no-panic-in-lib)
+        let index = |i: usize| u32::try_from(i).expect("span beyond u32 indices");
+        let (start, len) = (index(start), index(operands.len() - start));
+        SideRef::Span { start, len }
     }
 }
 
 /// The first overlapping window of `out[i..end]` (`end` if there is none).
-fn next_overlapping<L>(out: &VecDeque<Window<L>>, mut i: usize, end: usize) -> usize {
+fn next_overlapping<L, S>(out: &VecDeque<Window<L, S>>, mut i: usize, end: usize) -> usize {
     while i < end && !out[i].is_overlapping() {
         i += 1;
     }
@@ -143,21 +165,23 @@ fn next_overlapping<L>(out: &VecDeque<Window<L>>, mut i: usize, end: usize) -> u
 /// single `r` tuple in start order; the negating windows derived from the
 /// overlapping ones are appended behind them. `queue` and `active` — the
 /// sweep state whose storage outlives a group — are empty on entry and on
-/// return; `arena` is where the emitted `λs` disjunctions are built.
+/// return; `arena` is where the operands live; `operands`, empty on entry,
+/// receives the operands of the `λs` spans.
 pub(crate) fn sweep_group<L: WindowLineage>(
-    out: &mut VecDeque<Window<L>>,
+    out: &mut VecDeque<Window<L, L::Side>>,
     from: usize,
     queue: &mut EventQueue,
     active: &mut L::Active,
-    arena: &mut L::Arena,
+    arena: &L::Arena,
+    operands: &mut Vec<LineageRef>,
 ) {
-    fn lambda_s<L>(w: &Window<L>) -> &L {
+    fn lambda_s<L, S>(w: &Window<L, S>) -> &S {
         w.lambda_s
             .as_ref()
             // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
             .expect("overlapping windows always carry λs")
     }
-    debug_assert!(queue.is_empty() && L::is_empty(active));
+    debug_assert!(queue.is_empty() && L::is_empty(active) && operands.is_empty());
 
     // Sweep the overlapping windows of the group in start order, keeping the
     // ending points of the active windows in the priority queue (by buffer
@@ -191,7 +215,7 @@ pub(crate) fn sweep_group<L: WindowLineage>(
                     Interval::new(ts, boundary),
                     out[first].r_idx,
                     lambda_r,
-                    L::disjunction(active, arena),
+                    L::disjunction(active, operands),
                 ));
             }
         }

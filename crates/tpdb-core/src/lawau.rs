@@ -65,12 +65,12 @@ pub fn lawau(windows: &[Window], r: &TpRelation) -> Vec<Window> {
 /// the originating `r` tuple (the interned pipeline passes the tuple's
 /// [`LineageRef`](tpdb_lineage::LineageRef) here, so the sweep never
 /// touches a formula tree).
-pub(crate) fn sweep_group<L: Clone>(
-    group: impl Iterator<Item = Window<L>>,
+pub(crate) fn sweep_group<L: Clone, S>(
+    group: impl Iterator<Item = Window<L, S>>,
     r_idx: usize,
     r_interval: Interval,
     lambda_r: &L,
-    out: &mut VecDeque<Window<L>>,
+    out: &mut VecDeque<Window<L, S>>,
 ) {
     // One λr per created window: a `u32` copy on the interned path, an
     // `Arc` bump on the tree one.

@@ -110,4 +110,4 @@ pub use setops::{
 };
 pub use stream::TpJoinStream;
 pub use theta::{BoundTheta, CompareOp, ThetaCondition};
-pub use window::{Window, WindowKind};
+pub use window::{SideRef, Window, WindowKind};

@@ -36,6 +36,7 @@
 //! pipeline (overlap join → LAWAU → LAWAN → output formation) run without
 //! materializing any intermediate window vector.
 
+use crate::lawan::WindowLineage;
 use crate::pipeline::{next_window, WindowGroups};
 use crate::theta::{BoundTheta, ThetaCondition};
 use crate::window::Window;
@@ -255,7 +256,7 @@ impl ProbeIndex {
     // argument budget; bundling the two into a struct would only rename
     // the call sites.
     #[allow(clippy::too_many_arguments)]
-    fn probe_into<L: Clone>(
+    fn probe_into<L: WindowLineage>(
         &self,
         ri: usize,
         rt: &TpTuple,
@@ -263,7 +264,7 @@ impl ProbeIndex {
         bound: &BoundTheta,
         r_lambda: &L,
         s_lins: &[L],
-        out: &mut VecDeque<Window<L>>,
+        out: &mut VecDeque<Window<L, L::Side>>,
     ) {
         let from = out.len();
         let r_iv = rt.interval();
@@ -271,7 +272,7 @@ impl ProbeIndex {
         // clones (`Arc` bumps) on the tree one.
         let mut emit = |inter, si: usize| {
             // tpdb-lint: allow(no-lineage-clone-in-streams)
-            let (lambda_r, lambda_s) = (r_lambda.clone(), s_lins[si].clone());
+            let (lambda_r, lambda_s) = (r_lambda.clone(), L::Side::from(s_lins[si].clone()));
             out.push_back(Window::overlapping(inter, ri, si, lambda_r, lambda_s));
         };
         match self {
@@ -357,7 +358,7 @@ pub struct OverlapWindowStream<
     L = Lineage,
 > where
     P: AsRef<[usize]>,
-    L: Clone,
+    L: WindowLineage,
 {
     r: R,
     s: S,
@@ -380,7 +381,7 @@ pub struct OverlapWindowStream<
     probes: Option<P>,
     /// The current probe's windows when the stream is consumed as an
     /// iterator (reused across probes); moved out of the front.
-    ready: VecDeque<Window<L>>,
+    ready: VecDeque<Window<L, L::Side>>,
 }
 
 impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
@@ -426,7 +427,7 @@ where
     R: Borrow<TpRelation>,
     S: Borrow<TpRelation>,
     P: AsRef<[usize]>,
-    L: Clone,
+    L: WindowLineage,
 {
     /// Creates a stream over a **prebuilt shared** build-side index and
     /// pre-materialized lineage columns: only the `r` indices in `probes`
@@ -480,11 +481,11 @@ where
     R: Borrow<TpRelation>,
     S: Borrow<TpRelation>,
     P: AsRef<[usize]>,
-    L: Clone,
+    L: WindowLineage,
 {
     /// A probe *is* a group: the next `r` tuple's windows are written
     /// straight into the consumer's buffer.
-    fn next_group(&mut self, out: &mut VecDeque<Window<L>>) -> Option<usize> {
+    fn next_group(&mut self, out: &mut VecDeque<Window<L, L::Side>>) -> Option<usize> {
         let ri = self.next_probe()?;
         self.index.probe_into(
             ri,
@@ -504,11 +505,11 @@ where
     R: Borrow<TpRelation>,
     S: Borrow<TpRelation>,
     P: AsRef<[usize]>,
-    L: Clone,
+    L: WindowLineage,
 {
-    type Item = Window<L>;
+    type Item = Window<L, L::Side>;
 
-    fn next(&mut self) -> Option<Window<L>> {
+    fn next(&mut self) -> Option<Window<L, L::Side>> {
         next_window(self, |stream| &mut stream.ready)
     }
 }

@@ -150,11 +150,12 @@ fn run_pass(
 ) -> Result<Vec<TaggedTuples>, StorageError> {
     steal_morsels(pos, neg, bound, plan, degree, |index, morsels| {
         // Per-worker state, paid once per worker (not per morsel): a cloned
-        // engine and both lineage columns interned into it.
+        // engine, both lineage columns interned into it, the span buffer.
         let mut engine = engine.clone();
         let pos_lins = interned_lineages(pos, engine.interner_mut());
         let neg_lins = interned_lineages(neg, engine.interner_mut());
         let mut out: TaggedTuples = Vec::new();
+        let mut ops = Vec::new();
         for probes in morsels {
             let wo = OverlapWindowStream::over_index(
                 pos,
@@ -166,8 +167,8 @@ fn run_pass(
                 Arc::clone(&neg_lins),
             );
             let mut pipe = Pipe::over(wo, pos, spec.depth);
-            while let Some(w) = pipe.next_with(engine.interner_mut()) {
-                if let Some(t) = form_output_tuple_interned(&w, pos, neg, spec, &mut engine) {
+            while let Some(w) = pipe.next_with(engine.interner(), &mut ops) {
+                if let Some(t) = form_output_tuple_interned(&w, pos, neg, spec, &ops, &mut engine) {
                     out.push((w.r_idx, t));
                 }
             }

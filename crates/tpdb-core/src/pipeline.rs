@@ -28,8 +28,7 @@
 //! stack uses its `ready` buffer at all. Every buffer is cleared and
 //! refilled in place, and besides them only LAWAN's sweep state (ending-point
 //! queue and active set — empty between groups) outlives a group, so the
-//! steady-state stream allocates nothing per group beyond the `λs` of the
-//! negating windows it emits.
+//! steady-state stream allocates nothing per group beyond the tree path's `λs`.
 //!
 //! The three streams are group sources; any other window iterator becomes
 //! one through [`Iterator::peekable`] (finding the end of a group in a plain
@@ -58,7 +57,7 @@
 
 use crate::lawan::{self, WindowLineage};
 use crate::lawau;
-use crate::window::Window;
+use crate::window::{SideRef, Window};
 use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::iter::Peekable;
@@ -79,15 +78,15 @@ impl<T: Iterator<Item = Window>> WindowStream for T {}
 #[diagnostic::on_unimplemented(
     note = "the window streams are group sources; make any other window iterator one with `.peekable()`"
 )]
-pub trait WindowGroups<L> {
+pub trait WindowGroups<L: WindowLineage> {
     /// Appends the next group (all windows of one `r` tuple, in start
     /// order) to the back of `out` and returns its `r_idx`; `None`, with
     /// `out` untouched, when the source is exhausted.
-    fn next_group(&mut self, out: &mut VecDeque<Window<L>>) -> Option<usize>;
+    fn next_group(&mut self, out: &mut VecDeque<Window<L, L::Side>>) -> Option<usize>;
 }
 
-impl<L, I: Iterator<Item = Window<L>>> WindowGroups<L> for Peekable<I> {
-    fn next_group(&mut self, out: &mut VecDeque<Window<L>>) -> Option<usize> {
+impl<L: WindowLineage, I: Iterator<Item = Window<L, L::Side>>> WindowGroups<L> for Peekable<I> {
+    fn next_group(&mut self, out: &mut VecDeque<Window<L, L::Side>>) -> Option<usize> {
         let r_idx = self.peek()?.r_idx;
         out.extend(std::iter::from_fn(|| self.next_if(|w| w.r_idx == r_idx)));
         Some(r_idx)
@@ -97,10 +96,10 @@ impl<L, I: Iterator<Item = Window<L>>> WindowGroups<L> for Peekable<I> {
 /// `Iterator::next` of a group source that keeps its current group in the
 /// buffer `ready` projects out of it: pops the front window, refilling the
 /// (cleared, hence never wrapping) buffer with the next group when empty.
-pub(crate) fn next_window<L, G: WindowGroups<L>>(
+pub(crate) fn next_window<L: WindowLineage, G: WindowGroups<L>>(
     source: &mut G,
-    ready: impl Fn(&mut G) -> &mut VecDeque<Window<L>>,
-) -> Option<Window<L>> {
+    ready: impl Fn(&mut G) -> &mut VecDeque<Window<L, L::Side>>,
+) -> Option<Window<L, L::Side>> {
     if ready(source).is_empty() {
         let mut group = std::mem::take(ready(source));
         group.clear();
@@ -119,7 +118,7 @@ pub(crate) fn next_window<L, G: WindowGroups<L>>(
 /// `with_lineages` constructor) reads it from the pre-interned lineage
 /// column shared with the upstream overlap stream.
 #[derive(Debug)]
-pub struct LawauStream<I, P: Borrow<TpRelation>, L = Lineage> {
+pub struct LawauStream<I, P: Borrow<TpRelation>, L: WindowLineage = Lineage> {
     input: I,
     positive: P,
     /// The positive side's lineage column for non-tree representations
@@ -128,13 +127,13 @@ pub struct LawauStream<I, P: Borrow<TpRelation>, L = Lineage> {
     lins: Option<Arc<Vec<L>>>,
     /// The current input group (reused across groups), drained by value
     /// into the sweep.
-    group: VecDeque<Window<L>>,
+    group: VecDeque<Window<L, L::Side>>,
     /// Output windows of the current group when the stream is consumed as
     /// an iterator (reused across groups); moved out of the front.
-    ready: VecDeque<Window<L>>,
+    ready: VecDeque<Window<L, L::Side>>,
 }
 
-impl<I: WindowGroups<L>, P: Borrow<TpRelation>, L> LawauStream<I, P, L> {
+impl<I: WindowGroups<L>, P: Borrow<TpRelation>, L: WindowLineage> LawauStream<I, P, L> {
     /// Wraps `input` (grouped by `r_idx`, sorted by start within groups): a
     /// window stream, or any other window iterator made `.peekable()`.
     pub fn new(input: I, positive: P) -> Self {
@@ -184,7 +183,7 @@ where
     I: WindowGroups<LineageRef>,
     P: Borrow<TpRelation>,
 {
-    fn next_group(&mut self, out: &mut VecDeque<Window<LineageRef>>) -> Option<usize> {
+    fn next_group(&mut self, out: &mut VecDeque<Window<LineageRef, SideRef>>) -> Option<usize> {
         let r_idx = self.input.next_group(&mut self.group)?;
         let interval = self.positive.borrow().tuple(r_idx).interval();
         let lins = self
@@ -199,13 +198,13 @@ where
     }
 }
 
-impl<I, P: Borrow<TpRelation>, L> Iterator for LawauStream<I, P, L>
+impl<I, P: Borrow<TpRelation>, L: WindowLineage> Iterator for LawauStream<I, P, L>
 where
     Self: WindowGroups<L>,
 {
-    type Item = Window<L>;
+    type Item = Window<L, L::Side>;
 
-    fn next(&mut self) -> Option<Window<L>> {
+    fn next(&mut self) -> Option<Window<L, L::Side>> {
         next_window(self, |stream| &mut stream.ready)
     }
 }
@@ -215,13 +214,13 @@ where
 ///
 /// The default [`Lineage`] stream is a plain [`Iterator`]; the interned
 /// stream is driven through the crate-internal `next_with`, which takes
-/// the interner the negating windows' `λs` disjunctions are built in.
+/// the interner the active lineages live in.
 #[derive(Debug)]
 pub struct LawanStream<I, L: WindowLineage = Lineage> {
     input: I,
     /// The current group, swept in place (reused across groups); windows are
     /// moved out of the front.
-    ready: VecDeque<Window<L>>,
+    ready: VecDeque<Window<L, L::Side>>,
     /// The sweep's ending-point queue and active set (empty between groups,
     /// storage reused).
     queue: EventQueue,
@@ -240,14 +239,19 @@ impl<I: WindowGroups<L>, L: WindowLineage> LawanStream<I, L> {
         }
     }
 
-    /// The next window of the stream; `arena` is where the `λs`
-    /// disjunctions of emitted negating windows are built (the interner on
-    /// the interned path).
-    pub(crate) fn next_with(&mut self, arena: &mut L::Arena) -> Option<Window<L>> {
+    /// The next window of the stream; `arena` is where the active lineages
+    /// live. A new group clears `operands`, which [`SideRef::Span`]s index.
+    pub(crate) fn next_with(
+        &mut self,
+        arena: &L::Arena,
+        operands: &mut Vec<LineageRef>,
+    ) -> Option<Window<L, L::Side>> {
         if self.ready.is_empty() {
             self.ready.clear();
+            operands.clear();
             if self.input.next_group(&mut self.ready).is_some() {
-                lawan::sweep_group(&mut self.ready, 0, &mut self.queue, &mut self.active, arena);
+                let (queue, active) = (&mut self.queue, &mut self.active);
+                lawan::sweep_group(&mut self.ready, 0, queue, active, arena, operands);
             }
         }
         self.ready.pop_front()
@@ -258,7 +262,8 @@ impl<I: WindowGroups<Lineage>> WindowGroups<Lineage> for LawanStream<I, Lineage>
     fn next_group(&mut self, out: &mut VecDeque<Window>) -> Option<usize> {
         let from = out.len();
         let r_idx = self.input.next_group(out)?;
-        lawan::sweep_group(out, from, &mut self.queue, &mut self.active, &mut ());
+        let Self { queue, active, .. } = self;
+        lawan::sweep_group(out, from, queue, active, &(), &mut vec![]);
         Some(r_idx)
     }
 }
@@ -267,7 +272,7 @@ impl<I: WindowGroups<Lineage>> Iterator for LawanStream<I, Lineage> {
     type Item = Window;
 
     fn next(&mut self) -> Option<Window> {
-        self.next_with(&mut ())
+        self.next_with(&(), &mut vec![])
     }
 }
 

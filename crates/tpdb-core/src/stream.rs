@@ -31,7 +31,7 @@ use crate::overlap::{
 };
 use crate::pipeline::{LawanStream, LawauStream};
 use crate::theta::ThetaCondition;
-use crate::window::Window;
+use crate::window::{SideRef, Window};
 use crate::TpJoinKind;
 use std::borrow::{Borrow, BorrowMut};
 use std::collections::VecDeque;
@@ -98,17 +98,18 @@ where
         }
     }
 
-    /// The next window of the pass; `interner` receives the `λs`
-    /// disjunction nodes of negating windows (only the LAWAN stage builds
-    /// new lineage nodes).
+    /// The next window of the pass; `interner` is where its lineages live
+    /// (no stage builds a lineage node). A [`SideRef::Span`] indexes the
+    /// caller's `operands` until the next group: form the window first.
     pub(crate) fn next_with(
         &mut self,
-        interner: &mut LineageInterner,
-    ) -> Option<Window<LineageRef>> {
+        interner: &LineageInterner,
+        operands: &mut Vec<LineageRef>,
+    ) -> Option<Window<LineageRef, SideRef>> {
         match self {
             Pipe::Wo(inner) => inner.next(),
             Pipe::Wu(inner) => inner.next(),
-            Pipe::Wuon(inner) => inner.next_with(interner),
+            Pipe::Wuon(inner) => inner.next_with(interner, operands),
         }
     }
 }
@@ -224,6 +225,8 @@ where
     name: String,
     /// The passes still to run; the front one is executing.
     passes: VecDeque<Pass<R, S>>,
+    /// The operand buffer of the executing pass's `λs` spans.
+    operands: Vec<LineageRef>,
     windows_consumed: usize,
     produced: usize,
 }
@@ -338,6 +341,7 @@ where
             schema,
             name,
             passes,
+            operands: Vec::new(),
             windows_consumed: 0,
             produced: 0,
         })
@@ -392,13 +396,14 @@ where
     fn next(&mut self) -> Option<TpTuple> {
         let engine = self.engine.borrow_mut();
         while let Some(pass) = self.passes.front_mut() {
-            let Some(w) = pass.pipe.next_with(engine.interner_mut()) else {
+            let Some(w) = pass.pipe.next_with(engine.interner(), &mut self.operands) else {
                 self.passes.pop_front();
                 continue;
             };
             self.windows_consumed += 1;
             let (pos, neg): (&TpRelation, &TpRelation) = (pass.pos.borrow(), pass.neg.borrow());
-            if let Some(t) = form_output_tuple_interned(&w, pos, neg, pass.spec, engine) {
+            let ops = &self.operands;
+            if let Some(t) = form_output_tuple_interned(&w, pos, neg, pass.spec, ops, engine) {
                 self.produced += 1;
                 return Some(t);
             }
@@ -506,7 +511,7 @@ mod tests {
             );
             let mut pipe = Pipe::build(&a, &b, &theta(), None, depth, a_lins, b_lins).unwrap();
             let mut seen = Vec::new();
-            while let Some(w) = pipe.next_with(interner) {
+            while let Some(w) = pipe.next_with(interner, &mut Vec::new()) {
                 seen.push(w.kind);
             }
             assert_eq!(seen.len(), windows, "{depth:?}");
@@ -519,6 +524,69 @@ mod tests {
                 "{depth:?}: {seen:?}"
             );
         }
+    }
+
+    #[test]
+    fn spans_copy_the_active_operands_in_first_activation_order() {
+        // Under one r tuple: s₁ = a over [0,5), s₂ = b over [1,10) and
+        // s₃ = a again over [2,10). When s₁ expires at 5, `a` keeps its place
+        // through its second contributor: [a, b]. The live s tuples
+        // (s₂, s₃) in activation order would read [b, a].
+        use crate::window::WindowKind;
+        use tpdb_lineage::{Lineage, VarId};
+        use tpdb_storage::{DataType, Value};
+        use tpdb_temporal::Interval;
+        let tuple = |var, (from, to)| {
+            let lineage = Lineage::var(VarId(var));
+            TpTuple::new(vec![Value::Int(0)], lineage, Interval::new(from, to), 0.5)
+        };
+        let mut r = TpRelation::new("r", Schema::tp(&[("k", DataType::Int)]));
+        r.push_unchecked(tuple(0, (0, 20)));
+        let mut s = TpRelation::new("s", r.schema().clone());
+        for (var, interval) in [(1, (0, 5)), (2, (1, 10)), (1, (2, 10))] {
+            s.push_unchecked(tuple(var, interval));
+        }
+        let theta = ThetaCondition::column_equals("k", "k");
+        let mut engine = registered_engine(&r, &s);
+        let interner = engine.interner_mut();
+        let (r_lins, s_lins) = (
+            interned_lineages(&r, interner),
+            interned_lineages(&s, interner),
+        );
+        let (a, b) = (s_lins[0], s_lins[1]);
+        let mut pipe = Pipe::build(&r, &s, &theta, None, PipeDepth::Full, r_lins, s_lins).unwrap();
+        let (mut negating, mut buffer) = (Vec::new(), Vec::new());
+        while let Some(w) = pipe.next_with(interner, &mut buffer) {
+            let operands = match w.lambda_s {
+                Some(SideRef::Span { start, len }) if w.kind == WindowKind::Negating => {
+                    buffer[start as usize..(start + len) as usize].to_vec()
+                }
+                Some(SideRef::Node(node)) if w.kind == WindowKind::Negating => vec![node],
+                _ => continue,
+            };
+            negating.push((w.interval, operands));
+        }
+        let iv = Interval::new;
+        assert_eq!(
+            negating,
+            [
+                (iv(0, 1), vec![a]),
+                (iv(1, 2), vec![a, b]),
+                (iv(2, 5), vec![a, b]),
+                (iv(5, 10), vec![a, b]),
+            ]
+        );
+        // Output formation disjoins the span in that order.
+        let last = TpJoinStream::new(&r, &s, &theta, TpJoinKind::Anti)
+            .unwrap()
+            .last()
+            .unwrap();
+        let x = |var| Lineage::var(VarId(var));
+        assert_eq!(last.interval(), iv(5, 10));
+        assert_eq!(
+            last.lineage(),
+            &Lineage::and_not_concat(&x(0), &Lineage::or2(x(1), x(2)))
+        );
     }
 
     proptest::proptest! {
@@ -547,15 +615,23 @@ mod tests {
                 let interner = engine.interner_mut();
                 let lins = (interned_lineages(&r, interner), interned_lineages(&neg, interner));
                 let mut pipe = Pipe::build(&r, &neg, &theta, None, depth, lins.0, lins.1).unwrap();
-                let mut interned = Vec::new();
-                while let Some(w) = pipe.next_with(interner) {
+                let (mut interned, mut operands) = (Vec::new(), Vec::new());
+                while let Some(w) = pipe.next_with(interner, &mut operands) {
+                    // A span is live until the next group: intern it now.
+                    let lambda_s = w.lambda_s.map(|ls| match ls {
+                        SideRef::Node(node) => node,
+                        SideRef::Span { start, len } => {
+                            let (start, len) = (start as usize, len as usize);
+                            interner.or(&operands[start..start + len])
+                        }
+                    });
                     interned.push(Window {
                         kind: w.kind,
                         interval: w.interval,
                         r_idx: w.r_idx,
                         s_idx: w.s_idx,
                         lambda_r: interner.to_lineage(w.lambda_r),
-                        lambda_s: w.lambda_s.map(|l| interner.to_lineage(l)),
+                        lambda_s: lambda_s.map(|l| interner.to_lineage(l)),
                     });
                 }
                 proptest::prop_assert_eq!(&interned, &tree, "{:?}", depth);

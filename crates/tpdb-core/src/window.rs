@@ -2,7 +2,7 @@
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpdb_lineage::Lineage;
+use tpdb_lineage::{Lineage, LineageRef};
 use tpdb_storage::TpRelation;
 use tpdb_temporal::Interval;
 
@@ -40,13 +40,13 @@ impl fmt::Display for WindowKind {
 /// decoupled until output formation — is exactly what lets the window
 /// algorithms avoid the tuple replication of alignment-based approaches.
 ///
-/// The window is generic over the lineage representation `L`: the default
-/// [`Lineage`] tree is the serde/test conversion boundary, while the
-/// executing pipelines pass hash-consed
-/// [`LineageRef`](tpdb_lineage::LineageRef) ids (`Copy`, `O(1)` equality)
-/// so no formula tree is cloned at window boundaries.
+/// The window is generic over the lineage representation `L` (and `S` of
+/// `λs`): the default [`Lineage`] tree is the serde/test conversion
+/// boundary, while the executing pipelines pass hash-consed [`LineageRef`]
+/// ids (`Copy`, `O(1)` equality) and [`SideRef`]s, so no formula tree is
+/// cloned at window boundaries.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Window<L = Lineage> {
+pub struct Window<L = Lineage, S = L> {
     /// Which of the three window classes this window belongs to.
     pub kind: WindowKind,
     /// The window interval `T`.
@@ -62,10 +62,28 @@ pub struct Window<L = Lineage> {
     /// `λs` — for overlapping windows the lineage of the matching `s` tuple;
     /// for negating windows the disjunction of the lineages of all valid,
     /// θ-matching `s` tuples over `T`; for unmatched windows `None` (null).
-    pub lambda_s: Option<L>,
+    pub lambda_s: Option<S>,
 }
 
-impl<L> Window<L> {
+/// `λs` on the interned path: an arena node, or the span of the pass's
+/// operand buffer holding a negating window's ≥ 2 live operands (valid
+/// until the next `r` group), whose disjunction output formation forms.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SideRef {
+    /// An arena node.
+    Node(LineageRef),
+    /// `operands[start..start + len]`: distinct, in first-activation order.
+    #[allow(missing_docs)]
+    Span { start: u32, len: u32 },
+}
+
+impl From<LineageRef> for SideRef {
+    fn from(node: LineageRef) -> Self {
+        SideRef::Node(node)
+    }
+}
+
+impl<L, S> Window<L, S> {
     /// Creates an overlapping window for the pair `(r[r_idx], s[s_idx])`.
     #[must_use]
     pub fn overlapping(
@@ -73,7 +91,7 @@ impl<L> Window<L> {
         r_idx: usize,
         s_idx: usize,
         lambda_r: L,
-        lambda_s: L,
+        lambda_s: S,
     ) -> Self {
         Self {
             kind: WindowKind::Overlapping,
@@ -101,7 +119,7 @@ impl<L> Window<L> {
     /// Creates a negating window for `r[r_idx]` with the disjunction
     /// `lambda_s` of the matching negative lineages.
     #[must_use]
-    pub fn negating(interval: Interval, r_idx: usize, lambda_r: L, lambda_s: L) -> Self {
+    pub fn negating(interval: Interval, r_idx: usize, lambda_r: L, lambda_s: S) -> Self {
         Self {
             kind: WindowKind::Negating,
             interval,
@@ -187,7 +205,7 @@ mod tests {
         assert_eq!(o.s_idx, Some(2));
         assert_eq!(o.lambda_s, Some(ls.clone()));
 
-        let u = Window::unmatched(Interval::new(2, 4), 0, lr.clone());
+        let u: Window = Window::unmatched(Interval::new(2, 4), 0, lr.clone());
         assert!(u.is_unmatched());
         assert!(u.s_idx.is_none());
         assert!(u.lambda_s.is_none());

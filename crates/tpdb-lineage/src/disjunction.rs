@@ -11,14 +11,14 @@
 //!
 //! # Representation
 //!
-//! Both this type and its id-keyed twin [`crate::InternedDisjunction`] are
-//! one **ordered vector** of `(operand, reference count)` pairs in
+//! Both this type and its id-keyed twin [`crate::InternedDisjunction`] (whose
+//! caller copies the operands out instead of building an `Or`) are one
+//! **ordered vector** of `(operand, reference count)` pairs in
 //! first-activation order: a lineage contributed by several active tuples
-//! (shared sub-lineages are common after self-joins) is stored once and
-//! survives until its last contributor expires; an expired operand is
-//! removed in place, keeping the order of the rest, so the emitted operand
-//! order is the activation order of the live operands — what the converted
-//! trees, and every downstream byte, depend on.
+//! is stored once and survives until its last contributor expires; an
+//! expired operand is removed in place, keeping the order of the rest, so
+//! the emitted operand order is the activation order of the live operands —
+//! what the converted trees, and every downstream byte, depend on.
 //!
 //! Membership is a **linear search**, with no hash index beside the
 //! vector. That is the right cost here, not a shortcut: the active set of a

@@ -371,31 +371,6 @@ impl LineageInterner {
         self.operands = flat;
     }
 
-    /// Builds a disjunction from operands that are already flattened (no
-    /// nested `Or`, no constants) and deduplicated, skipping the
-    /// flattening pass of [`or`](Self::or). This is the emission path of
-    /// [`InternedDisjunction`]; the operands are gathered in the reused
-    /// operand buffer, so an emission that finds its node already interned
-    /// allocates nothing.
-    pub fn or_flattened(&mut self, operands: impl IntoIterator<Item = LineageRef>) -> LineageRef {
-        let mut flat = mem::take(&mut self.operands);
-        flat.extend(operands);
-        debug_assert!(
-            flat.iter().all(|o| !matches!(
-                self.nodes[o.index()],
-                InternedNode::Or(_) | InternedNode::True | InternedNode::False
-            )),
-            "or_flattened operands must be flattened and constant-free"
-        );
-        let result = match flat.len() {
-            0 => FALSE,
-            1 => flat[0],
-            _ => self.intern_nary(false, &flat),
-        };
-        self.recycle(flat);
-        result
-    }
-
     /// Binary conjunction convenience wrapper.
     pub fn and2(&mut self, a: LineageRef, b: LineageRef) -> LineageRef {
         self.and(&[a, b])
@@ -860,7 +835,8 @@ impl LineageInterner {
             InternedNode::True | InternedNode::False | InternedNode::Var(_) => true,
             InternedNode::Not(c) => self.read_once[c.index()],
             InternedNode::And(cs) | InternedNode::Or(cs) => {
-                cs.iter().all(|c| self.read_once[c.index()]) && self.leaves_are_distinct(cs)
+                cs.iter().all(|c| self.read_once[c.index()])
+                    && self.leaves_are_distinct(cs.iter().copied())
             }
         }
     }
@@ -871,10 +847,10 @@ impl LineageInterner {
     /// read-once bounds the walk by the number of distinct leaves: the
     /// first revisit — of a leaf, or of a shared inner node's first leaf —
     /// ends it.
-    pub(crate) fn leaves_are_distinct(&mut self, roots: &[LineageRef]) -> bool {
+    pub(crate) fn leaves_are_distinct(&mut self, roots: impl Iterator<Item = LineageRef>) -> bool {
         let epoch = self.next_epoch();
         let mut stack = mem::take(&mut self.walk);
-        stack.extend_from_slice(roots);
+        stack.extend(roots);
         let mut distinct = true;
         while let Some(cur) = stack.pop() {
             match &self.nodes[cur.index()] {
@@ -918,13 +894,13 @@ impl LineageInterner {
 }
 
 /// The id-keyed counterpart of [`crate::IncrementalDisjunction`]: a
-/// multiset of interned lineages with an incrementally maintained
-/// disjunction — the same ordered vector of reference-counted operands
+/// multiset of interned lineages as the operand list of their disjunction
+/// — the same ordered vector of reference-counted operands
 /// (first-activation order, linear search, order-preserving removal: the
 /// active sets of a sweep are a handful of operands, see
-/// [`crate::IncrementalDisjunction`]), so the emitted operand order — and
+/// [`crate::IncrementalDisjunction`]), so the operand order — and
 /// therefore the converted trees — match the tree sweep exactly. A
-/// membership check compares `u32`s.
+/// membership check compares `u32`s; the disjunction is never interned.
 #[derive(Debug, Clone, Default)]
 pub struct InternedDisjunction {
     /// Distinct non-constant operands.
@@ -984,18 +960,13 @@ impl InternedDisjunction {
         self.operands.is_empty() && self.true_count == 0
     }
 
-    /// Number of distinct live operands.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.operands.len()
-    }
-
-    /// The current disjunction as an interned formula.
-    pub fn disjunction(&self, interner: &mut LineageInterner) -> LineageRef {
-        if self.true_count > 0 {
-            return interner.tru();
-        }
-        interner.or_flattened(self.operands.iter().copied())
+    /// The disjunction's operands: the distinct, flattened, constant-free
+    /// live ones in first-activation order, or `[⊤]` while a `true`
+    /// contributor is active.
+    pub fn operands(&self) -> impl Iterator<Item = LineageRef> + '_ {
+        let absorbed = self.true_count > 0;
+        let live = self.operands.iter().copied().filter(move |_| !absorbed);
+        absorbed.then_some(TRUE).into_iter().chain(live)
     }
 }
 
@@ -1129,6 +1100,12 @@ mod tests {
         }
     }
 
+    /// The live operands of `d` as trees, in operand order.
+    fn operand_trees(d: &InternedDisjunction, interner: &mut LineageInterner) -> Vec<Lineage> {
+        let refs: Vec<LineageRef> = d.operands().collect();
+        refs.into_iter().map(|r| interner.to_lineage(r)).collect()
+    }
+
     #[test]
     fn interned_disjunction_matches_incremental_disjunction() {
         use crate::IncrementalDisjunction;
@@ -1138,9 +1115,10 @@ mod tests {
         assert!(interned.is_empty());
 
         // The tree twin's churn (re-activation after expiry, duplicate
-        // contributors, Or operands): the emitted operand order must agree
-        // after every step, not only at the end.
-        for (activate, l, _) in crate::disjunction::tests::churn_script() {
+        // contributors, Or operands): the operand lists must agree in order
+        // after every step, not only at the end. `Lineage::or` over them
+        // only wraps them: they are flattened, constant-free and distinct.
+        for (activate, l, survivors) in crate::disjunction::tests::churn_script() {
             let r = interner.intern(&l);
             if activate {
                 interned.insert(r, &interner);
@@ -1149,10 +1127,13 @@ mod tests {
                 interned.remove(r, &interner);
                 legacy.remove(&l);
             }
-            assert_eq!(interned.len(), legacy.len());
+            assert_eq!(interned.operands().count(), legacy.len());
             assert_eq!(interned.is_empty(), legacy.is_empty());
-            let d = interned.disjunction(&mut interner);
-            assert_eq!(interner.to_lineage(d), legacy.disjunction());
+            let operands = operand_trees(&interned, &mut interner);
+            if let Some(survivors) = survivors {
+                assert_eq!(operands, survivors);
+            }
+            assert_eq!(Lineage::or(operands), legacy.disjunction());
         }
         assert_eq!(interner.verify_arena(), Ok(()));
     }
@@ -1165,19 +1146,24 @@ mod tests {
         d.insert(or, &interner);
         let two = interner.intern(&v(2));
         d.insert(two, &interner);
-        assert_eq!(d.len(), 2);
+        assert_eq!(d.operands().count(), 2);
         let fls = interner.fls();
         d.insert(fls, &interner);
-        assert_eq!(d.len(), 2);
+        assert_eq!(d.operands().count(), 2);
         let tru = interner.tru();
         d.insert(tru, &interner);
-        let dis = d.disjunction(&mut interner);
-        assert!(interner.is_true(dis));
+        assert_eq!(
+            d.operands().collect::<Vec<_>>(),
+            [tru],
+            "⊤ absorbs the rest"
+        );
         d.remove(tru, &interner);
-        let dis = d.disjunction(&mut interner);
-        assert_eq!(interner.to_lineage(dis), Lineage::or2(v(1), v(2)));
+        assert_eq!(operand_trees(&d, &mut interner), vec![v(1), v(2)]);
         d.remove(or, &interner);
-        let dis = d.disjunction(&mut interner);
-        assert_eq!(interner.to_lineage(dis), v(2));
+        assert_eq!(operand_trees(&d, &mut interner), vec![v(2)]);
+        let nodes = interner.len();
+        d.remove(two, &interner);
+        assert!(d.is_empty());
+        assert_eq!(interner.len(), nodes, "the set never interns a node");
     }
 }

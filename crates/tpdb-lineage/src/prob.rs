@@ -94,8 +94,10 @@ pub enum Concat {
 /// Callers on the hot path intern once ([`intern`](Self::intern) or the
 /// interned stream constructors) and evaluate with
 /// [`probability_ref`](Self::probability_ref); output formation hands a
-/// window's two lineages to [`concat_output`](Self::concat_output), which
-/// prices their concatenation without interning it when it is read-once;
+/// window's two lineages to [`concat_output`](Self::concat_output) (or
+/// [`try_concat_disjunction_output`](Self::try_concat_disjunction_output)
+/// for an un-interned `λs`), which prices their concatenation without
+/// interning it when it is read-once;
 /// [`probability`](Self::probability) accepts legacy trees and interns on
 /// the fly.
 #[derive(Debug, Clone, Default)]
@@ -371,8 +373,8 @@ impl ProbabilityEngine {
         lambda_s: LineageRef,
     ) -> Result<(Lineage, f64), ProbabilityError> {
         let is_and = how != Concat::Or;
-        // The negation (and the disjunction under it) stays a node: the
-        // negating windows of a group share it.
+        // The negation stays a node: `λs` is an `s` tuple's lineage, which
+        // the negating windows of a group share.
         let lambda_s = match how {
             Concat::AndNot => self.interner.not(lambda_s),
             Concat::And | Concat::Or => lambda_s,
@@ -381,7 +383,7 @@ impl ProbabilityEngine {
             Normalized::Node(existing) => return self.try_output(existing),
             Normalized::List(operands) => operands,
         };
-        if !self.product_applies(&operands) {
+        if !self.product_applies(operands.iter().copied()) {
             let root = self.interner.intern_nary(is_and, &operands);
             self.interner.recycle(operands);
             return self.try_output(root);
@@ -403,17 +405,52 @@ impl ProbabilityEngine {
         })
     }
 
+    /// [`try_concat_output`](Self::try_concat_output) for a `λs` that is the
+    /// un-interned disjunction of `disjuncts` (an active set's operands).
+    /// A root `λr ∧ ¬(c₁ ∨ … ∨ c_k)` that the node path would price as a
+    /// product (k ≥ 2, `λr` no constant) is priced from the operands with
+    /// its float sequence, `p(λr) · (1 − (1 − ∏(1 − p(cᵢ))))`, and its tree
+    /// is built from theirs; anything else interns the disjunction.
+    pub fn try_concat_disjunction_output(
+        &mut self,
+        how: Concat,
+        lambda_r: LineageRef,
+        disjuncts: &[LineageRef],
+    ) -> Result<(Lineage, f64), ProbabilityError> {
+        let constant = self.interner.is_true(lambda_r) || self.interner.is_false(lambda_r);
+        let roots = std::iter::once(lambda_r).chain(disjuncts.iter().copied());
+        if how != Concat::AndNot || disjuncts.len() < 2 || constant || !self.product_applies(roots)
+        {
+            let lambda_s = self.interner.or(disjuncts);
+            return self.try_concat_output(how, lambda_r, lambda_s);
+        }
+        let (mut none, mut ors) = (1.0, Vec::with_capacity(disjuncts.len()));
+        for &c in disjuncts {
+            none *= 1.0 - self.prob_rec(c);
+            ors.push(self.interner.to_lineage(c));
+        }
+        let p = self.prob_rec(lambda_r) * (1.0 - (1.0 - none));
+        let (tree, or) = (self.interner.to_lineage(lambda_r), LineageNode::Or(ors));
+        let not = Lineage::from_normalized(LineageNode::Not(Lineage::from_normalized(or)));
+        let conjuncts = match tree.node() {
+            LineageNode::And(conjuncts) => conjuncts.as_slice(),
+            _ => std::slice::from_ref(&tree),
+        };
+        let trees = [conjuncts, std::slice::from_ref(&not)].concat();
+        Ok((Lineage::from_normalized(LineageNode::And(trees)), p))
+    }
+
     /// Is the connective over the normalized `operands` priced by the
     /// read-once product — the condition [`prob_rec`](Self::prob_rec)
     /// applies to a node (not forced to Shannon, flagged read-once: children
     /// read-once with pairwise distinct leaves), decided before the node
     /// exists — with every variable under it registered?
-    fn product_applies(&mut self, operands: &[LineageRef]) -> bool {
-        if self.force_shannon || !operands.iter().all(|&o| self.interner.is_read_once(o)) {
+    fn product_applies(&mut self, operands: impl Iterator<Item = LineageRef> + Clone) -> bool {
+        if self.force_shannon || !operands.clone().all(|o| self.interner.is_read_once(o)) {
             return false;
         }
         self.extend_verified();
-        operands.iter().all(|o| self.verified[o.index()])
+        operands.clone().all(|o| self.verified[o.index()])
             && self.interner.leaves_are_distinct(operands)
     }
 
@@ -1201,7 +1238,76 @@ mod tests {
         }
     }
 
+    /// The operand list an active set keeps for the disjunction of `ls`
+    /// (flattened, constant-free, distinct), interned into `e`.
+    fn disjuncts(e: &mut ProbabilityEngine, ls: &[Lineage]) -> Vec<LineageRef> {
+        let mut set = crate::InternedDisjunction::new();
+        for l in ls {
+            let r = e.intern(l);
+            set.insert(r, e.interner());
+        }
+        set.operands().collect()
+    }
+
+    #[test]
+    fn read_once_disjunction_concatenation_interns_nothing() {
+        let mut e = engine(&[0.7, 0.6, 0.7, 0.5]);
+        let lr = e.intern(&Lineage::and2(v(0), v(3)));
+        let ops = disjuncts(&mut e, &[v(2), v(1)]);
+        let before = e.interner().len();
+        let (tree, p) = e
+            .try_concat_disjunction_output(Concat::AndNot, lr, &ops)
+            .unwrap();
+        assert_eq!(
+            tree,
+            Lineage::and_not_concat(&Lineage::and2(v(0), v(3)), &Lineage::or2(v(2), v(1)))
+        );
+        assert_eq!(p, 0.7 * 0.5 * (1.0 - (1.0 - (1.0 - 0.7) * (1.0 - 0.6))));
+        assert_eq!(e.interner().len(), before, "no Or, no Not, no root");
+        // The union's `λr ∨ λs` and a correlated root intern the disjunction.
+        let _ = e.try_concat_disjunction_output(Concat::Or, lr, &ops);
+        let shared = disjuncts(&mut e, &[v(3), v(1)]);
+        let _ = e.try_concat_disjunction_output(Concat::AndNot, lr, &shared);
+        assert!(e.interner().len() > before + 2);
+        assert_eq!(e.verify_arena(), Ok(()));
+    }
+
     proptest! {
+        /// The disjunction entry equals interning the disjunction and taking
+        /// the arena path — same tree, probability bits (or error) and
+        /// expansion count, cold and warm memo, with and without
+        /// `force_shannon` — for every concatenation, on operand lists an
+        /// active set keeps. Disjuncts over λr's five variables make
+        /// correlated roots, fresh variables read-once ones; zero and one
+        /// operand fall back as well.
+        #[test]
+        fn prop_disjunction_concatenation_equals_the_arena_path(
+            lr in arb_lineage(),
+            ls in proptest::collection::vec(prop_oneof![arb_lineage(), (0u32..12).prop_map(v)], 0..5),
+            ps in proptest::collection::vec(0.0f64..=1.0, 11),
+        ) {
+            for force in [false, true] {
+                // x11 is unregistered: some roots report it missing.
+                let (mut boundary, mut arena) = (engine(&ps), engine(&ps));
+                boundary.set_force_shannon(force);
+                arena.set_force_shannon(force);
+                for how in CONCATS {
+                    for round in ["cold", "warm"] {
+                        let (br, ops) = (boundary.intern(&lr), disjuncts(&mut boundary, &ls));
+                        let got = boundary.try_concat_disjunction_output(how, br, &ops);
+                        let (ar, as_) = (arena.intern(&lr), arena.intern(&Lineage::or(ls.clone())));
+                        let want = concat_through_the_arena(&mut arena, how, ar, as_);
+                        let bits = |r: &Result<(Lineage, f64), ProbabilityError>| {
+                            r.clone().map(|(tree, p)| (tree, p.to_bits()))
+                        };
+                        prop_assert_eq!(bits(&got), bits(&want), "{:?}, {} memo", how, round);
+                        prop_assert_eq!(boundary.expansions(), arena.expansions());
+                        prop_assert_eq!(boundary.verify_arena(), Ok(()));
+                    }
+                }
+            }
+        }
+
         /// Boundary concatenation equals the arena path: same tree, same
         /// probability bits, same expansion count — cold and warm memo,
         /// with and without `force_shannon`. Five variables make pairs that

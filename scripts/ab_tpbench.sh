@@ -11,16 +11,32 @@
 # copy `tpbench/target/release/tpbench` out, and pass the two copies. The
 # side that runs first alternates with the seed's position. Every run's
 # result line is kept in $AB_LOG (default: ab_<workload>.log in $PWD).
+# A seventh, informational row, minflt_per_stmt, is the run's minor page
+# faults (the child's ru_minflt, set-up included) over its statements.
 set -euo pipefail
 
 if [ "$#" -lt 5 ]; then
-    sed -n '2,13p' "$0" >&2
+    sed -n '2,15p' "$0" >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3 seconds=$4
 shift 4
 log=${AB_LOG:-ab_${workload}.log}
 : >"$log"
+
+# Runs one binary; prints its result line with minflt_per_stmt appended.
+run() {
+    python3 - "$@" <<'EOF'
+import re, resource, subprocess, sys
+out = subprocess.run(sys.argv[1:], stdin=subprocess.DEVNULL, stdout=subprocess.PIPE, text=True).stdout
+faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
+samples = re.search(r'"samples": (\d+)', out)
+n = int(samples.group(1)) if samples else 0
+for line in out.splitlines():
+    if '"metrics"' in line:
+        print(line + (' "minflt_per_stmt": {"value": %.1f}' % (faults / n) if n else ""))
+EOF
+}
 
 bad=0
 n=0
@@ -29,7 +45,7 @@ for seed in "$@"; do
     n=$((n + 1))
     for side in $order; do
         if [ "$side" = parent ]; then bin=$parent; else bin=$change; fi
-        line=$("$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 | grep '"metrics"' || true)
+        line=$(run "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 || true)
         echo "$side $seed $line" >>"$log"
         case $line in
         *'"correct": true'*'"failed": 0,'*) ;;
@@ -72,7 +88,7 @@ function summary(side, m,    n, i, j, x, v) {
     }
 }
 END {
-    printf "%-14s %-34s %-34s %s\n", "metric", "parent median [q1-q3]", "change median [q1-q3]", "change wins"
+    printf "%-16s %-34s %-34s %s\n", "metric", "parent median [q1-q3]", "change median [q1-q3]", "change wins"
     for (k = 1; k <= metrics; k++) {
         m = metric[k]; wins = 0; pairs = 0
         for (i = 1; i <= seeds; i++) {
@@ -81,7 +97,7 @@ END {
             # out_per_s is the one higher-is-better end-to-end metric.
             if (m == "out_per_s" ? c > p : c < p) wins++
         }
-        printf "%-14s %-34s %-34s %d/%d\n", m, summary("parent", m), summary("change", m), wins, pairs
+        printf "%-16s %-34s %-34s %d/%d\n", m, summary("parent", m), summary("change", m), wins, pairs
     }
 }' "$log"
 
