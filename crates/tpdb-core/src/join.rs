@@ -20,7 +20,7 @@ use crate::overlap::OverlapJoinPlan;
 use crate::stream::registered_engine;
 use crate::theta::ThetaCondition;
 use crate::window::{SideRef, Window};
-use tpdb_lineage::{Concat, Lineage, LineageRef, ProbabilityEngine};
+use tpdb_lineage::{Concat, LazyLineage, Lineage, LineageRef, ProbabilityEngine};
 use tpdb_storage::{StorageError, TpRelation, TpTuple};
 
 /// Which TP join with negation to compute.
@@ -216,7 +216,7 @@ fn form_tuple<L, S>(
     pos: &TpRelation,
     neg: &TpRelation,
     spec: &PassSpec,
-    concat: impl FnOnce(LineageFn, &L, Option<&S>) -> (Lineage, f64),
+    concat: impl FnOnce(LineageFn, &L, Option<&S>) -> (LazyLineage, f64),
 ) -> Option<TpTuple> {
     let lineage_fn = spec.lineage_fn(w.kind)?;
     let (lineage, probability) = concat(lineage_fn, &w.lambda_r, w.lambda_s.as_ref());
@@ -225,7 +225,12 @@ fn form_tuple<L, S>(
         w.s_idx.map(|si| neg.tuple(si).facts()),
         neg.schema().arity(),
     );
-    Some(TpTuple::new(facts, lineage, w.interval, probability))
+    Some(TpTuple::with_lazy_lineage(
+        facts,
+        lineage,
+        w.interval,
+        probability,
+    ))
 }
 
 /// Output formation over tree windows (the TA baseline and the
@@ -247,18 +252,19 @@ pub(crate) fn form_output_tuple(
             LineageFn::Or => Lineage::or2(lr.clone(), ls().clone()),
         };
         let probability = engine.probability(&lineage);
-        (lineage, probability)
+        (lineage.into(), probability)
     })
 }
 
 /// Output formation over the interned window representation — the one
 /// function the executing pipelines (serial and morsel-parallel) form
 /// tuples with. `λr` and `λs` stay decoupled to the end: the engine
-/// concatenates them **at the boundary**, returning the output tuple's
-/// tree and probability without interning a node for a read-once root
-/// (every root of a join over base relations) — only concatenations that
-/// share variables enter the arena, to be priced by decomposition. A `λs`
-/// span indexes `operands`, the pass's buffer.
+/// concatenates them **at the boundary**, pricing a read-once root (every
+/// root of a join over base relations) from its operands and handing back
+/// a deferred lineage — no arena node, and no `And`/`Or`/`Not` tree until
+/// the tuple's [`lineage`](TpTuple::lineage) is read. Only concatenations
+/// that share variables enter the arena, to be priced by decomposition. A
+/// `λs` span indexes `operands`, the pass's buffer.
 pub(crate) fn form_output_tuple_interned(
     w: &Window<LineageRef, SideRef>,
     pos: &TpRelation,

@@ -1,0 +1,168 @@
+//! Output lineages whose tree is built on first read.
+//!
+//! The consumer of a TP join needs each output tuple's probability, which
+//! [`crate::ProbabilityEngine`] prices from the operands at output
+//! formation; the formula itself is read only by some consumers (display,
+//! snapshots, a join over the result). A read-once concatenation therefore
+//! travels as a *recipe* over its operands' already-converted trees, and the
+//! `And`/`Or`/`Not` wrapper of the root is allocated the first time
+//! [`LazyLineage::get`] is called — once, shared by every clone.
+
+use crate::formula::{Lineage, LineageNode};
+use crate::symbols::VarId;
+use std::fmt;
+use std::slice;
+use std::sync::{Arc, OnceLock};
+
+/// An output tuple's lineage: a built [`Lineage`] tree, or a read-once
+/// concatenation whose tree is built on the first [`get`](Self::get).
+/// Sixteen bytes either way; cloning is a reference-count increment.
+#[derive(Clone)]
+pub struct LazyLineage(Repr);
+
+#[derive(Clone)]
+enum Repr {
+    Tree(Lineage),
+    Deferred(Arc<Deferred>),
+}
+
+/// A recipe and the tree it builds, once.
+struct Deferred {
+    tree: OnceLock<Lineage>,
+    recipe: Recipe,
+}
+
+/// How a read-once root is assembled from its operands' trees. Both shapes
+/// are only formed when the operands share no variable, so concatenating
+/// their conjuncts is already the constructors' normal form.
+enum Recipe {
+    /// `a ∧ b`: the conjuncts of `a`, then those of `b`.
+    And2(Lineage, Lineage),
+    /// `[λr, c₁, …, c_k]` (k ≥ 2, the `cᵢ` flattened and distinct):
+    /// `λr ∧ ¬(c₁ ∨ … ∨ c_k)`.
+    AndNotOr(Box<[Lineage]>),
+}
+
+impl Recipe {
+    fn build(&self) -> Lineage {
+        let conjuncts = match self {
+            Recipe::And2(a, b) => [conjuncts(a), conjuncts(b)].concat(),
+            Recipe::AndNotOr(operands) => {
+                let (lambda_r, disjuncts) = operands
+                    .split_first()
+                    .expect("a span recipe holds λr and its disjuncts");
+                let or = Lineage::from_normalized(LineageNode::Or(disjuncts.to_vec()));
+                let not = Lineage::from_normalized(LineageNode::Not(or));
+                [conjuncts(lambda_r), slice::from_ref(&not)].concat()
+            }
+        };
+        Lineage::from_normalized(LineageNode::And(conjuncts))
+    }
+}
+
+/// The operands a conjunction flattens `l` into.
+fn conjuncts(l: &Lineage) -> &[Lineage] {
+    match l.node() {
+        LineageNode::And(children) => children,
+        _ => slice::from_ref(l),
+    }
+}
+
+impl LazyLineage {
+    /// `a ∧ b` over two non-constant trees that share no variable and
+    /// whose conjuncts are pairwise distinct.
+    pub(crate) fn and2(a: Lineage, b: Lineage) -> Self {
+        Self::deferred(Recipe::And2(a, b))
+    }
+
+    /// `λr ∧ ¬(c₁ ∨ … ∨ c_k)` over `[λr, c₁, …, c_k]`: a non-constant `λr`
+    /// and k ≥ 2 distinct, flattened disjuncts, no two sharing a variable.
+    pub(crate) fn and_not_or(operands: Vec<Lineage>) -> Self {
+        debug_assert!(operands.len() >= 3, "a span recipe needs two disjuncts");
+        Self::deferred(Recipe::AndNotOr(operands.into_boxed_slice()))
+    }
+
+    fn deferred(recipe: Recipe) -> Self {
+        Self(Repr::Deferred(Arc::new(Deferred {
+            tree: OnceLock::new(),
+            recipe,
+        })))
+    }
+
+    /// The lineage tree, built on the first call (thread-safe; every
+    /// clone sees the same tree).
+    #[must_use]
+    pub fn get(&self) -> &Lineage {
+        match &self.0 {
+            Repr::Tree(tree) => tree,
+            Repr::Deferred(d) => d.tree.get_or_init(|| d.recipe.build()),
+        }
+    }
+
+    /// The base-tuple variable when the lineage is atomic, without building
+    /// a deferred tree (a deferred root is always a conjunction).
+    #[must_use]
+    pub fn as_var(&self) -> Option<VarId> {
+        match &self.0 {
+            Repr::Tree(tree) => match tree.node() {
+                LineageNode::Var(v) => Some(*v),
+                _ => None,
+            },
+            Repr::Deferred(_) => None,
+        }
+    }
+
+    /// Is the tree still unbuilt?
+    #[must_use]
+    pub fn is_deferred(&self) -> bool {
+        matches!(&self.0, Repr::Deferred(d) if d.tree.get().is_none())
+    }
+}
+
+impl From<Lineage> for LazyLineage {
+    fn from(tree: Lineage) -> Self {
+        Self(Repr::Tree(tree))
+    }
+}
+
+impl PartialEq for LazyLineage {
+    fn eq(&self, other: &Self) -> bool {
+        self.get() == other.get()
+    }
+}
+
+impl fmt::Debug for LazyLineage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.get().fmt(f)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn var(v: u32) -> Lineage {
+        Lineage::var(VarId(v))
+    }
+
+    #[test]
+    fn recipes_build_the_constructors_trees() {
+        let (x, y, z) = (var(0), var(1), var(2));
+        let xy = Lineage::and2(x.clone(), y.clone());
+        let lazy = LazyLineage::and2(xy.clone(), Lineage::not(z.clone()));
+        assert!(lazy.is_deferred());
+        assert_eq!(lazy.get(), &Lineage::and_not_concat(&xy, &z));
+        assert!(!lazy.is_deferred());
+
+        let span = LazyLineage::and_not_or(vec![x.clone(), y.clone(), z.clone()]);
+        let or = Lineage::or2(y, z);
+        assert_eq!(span.get(), &Lineage::and_not_concat(&x, &or));
+        assert_eq!(span.as_var(), None);
+        assert_eq!(LazyLineage::from(x).as_var(), Some(VarId(0)));
+    }
+
+    #[test]
+    fn sixteen_bytes() {
+        assert_eq!(std::mem::size_of::<LazyLineage>(), 16);
+    }
+}

@@ -22,6 +22,9 @@
 //!   structurally equal nodes behind dense [`LineageRef`] ids — the
 //!   representation the window streams and the probability memo operate
 //!   on, with [`Lineage`] trees as the serde/test conversion boundary,
+//! * [`LazyLineage`], an output tuple's lineage: a tree, or a read-once
+//!   concatenation priced at output formation whose tree is built only
+//!   when it is first read,
 //! * a [`SymbolTable`] mapping human-readable base-tuple names (`a1`, `b3`,
 //!   ...) to variable identifiers.
 //!
@@ -55,6 +58,7 @@
 mod disjunction;
 mod formula;
 mod intern;
+mod lazy;
 mod prob;
 mod symbols;
 
@@ -63,6 +67,7 @@ pub use formula::{Lineage, LineageNode};
 pub use intern::{
     FxHashMap, FxHashSet, FxHasher, InternedDisjunction, InternedNode, LineageInterner, LineageRef,
 };
+pub use lazy::LazyLineage;
 pub use prob::{Concat, MarginalMap, ProbabilityEngine, ProbabilityError};
 pub use symbols::{SymbolTable, SymbolTableError, VarId};
 

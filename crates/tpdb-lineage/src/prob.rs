@@ -2,6 +2,7 @@
 
 use crate::formula::{Lineage, LineageNode};
 use crate::intern::{FxHashMap, InternedNode, LineageInterner, LineageRef, Normalized};
+use crate::lazy::LazyLineage;
 use crate::symbols::VarId;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -97,7 +98,8 @@ pub enum Concat {
 /// window's two lineages to [`concat_output`](Self::concat_output) (or
 /// [`try_concat_disjunction_output`](Self::try_concat_disjunction_output)
 /// for an un-interned `λs`), which prices their concatenation without
-/// interning it when it is read-once;
+/// interning it when it is read-once and returns it as a [`LazyLineage`]
+/// whose tree is built only when read;
 /// [`probability`](Self::probability) accepts legacy trees and interns on
 /// the fly.
 #[derive(Debug, Clone, Default)]
@@ -324,31 +326,35 @@ impl ProbabilityEngine {
     /// # Panics
     /// Panics if a variable of `λ` has no registered probability. Use
     /// [`ProbabilityEngine::try_output`] for a fallible variant.
-    pub fn output(&mut self, r: LineageRef) -> (Lineage, f64) {
+    pub fn output(&mut self, r: LineageRef) -> (LazyLineage, f64) {
         self.try_output(r)
             .expect("all lineage variables must have probabilities")
     }
 
     /// [`output`](Self::output), reporting missing variables as errors.
-    pub fn try_output(&mut self, r: LineageRef) -> Result<(Lineage, f64), ProbabilityError> {
+    pub fn try_output(&mut self, r: LineageRef) -> Result<(LazyLineage, f64), ProbabilityError> {
         let probability = self.try_probability_ref(r)?;
-        Ok((self.interner.to_lineage(r), probability))
+        Ok((self.interner.to_lineage(r).into(), probability))
     }
 
     /// Forms an output tuple's lineage from a window's `λr` and `λs` with
-    /// the concatenation function `how`, returning its tree and its
-    /// probability — the same pair, bit for bit, as interning the
-    /// concatenation ([`LineageInterner::and2`] / `and_not` / `or2`) and
-    /// calling [`output`](Self::output) on the node.
+    /// the concatenation function `how`, returning its lineage and its
+    /// probability — the same pair, bit for bit and tree for tree, as
+    /// interning the concatenation ([`LineageInterner::and2`] / `and_not` /
+    /// `or2`) and calling [`output`](Self::output) on the node.
     ///
-    /// The concatenation is formed **at the boundary**: when it is
-    /// read-once — the operands are, and share no variable — the result is
-    /// computed from the operands and no arena node, memo slot or
-    /// conversion-cache entry is created for a root that nothing will look
-    /// up again. Every other concatenation (one that collapses to an
-    /// existing node, shares variables, mentions an unregistered variable,
-    /// or is priced under [`set_force_shannon`](Self::set_force_shannon))
-    /// is interned and takes the node path.
+    /// The concatenation is formed **at the boundary**: when it is a
+    /// read-once conjunction of the two roots' conjuncts — the operands
+    /// are read-once and share no variable — it is priced from the operands
+    /// and returned as a deferred [`LazyLineage`] over their cached trees:
+    /// no arena node, memo slot or conversion-cache entry is created for a
+    /// root nothing will look up again, and its `And` is allocated only if
+    /// the tree is read. A read-once `λr ∨ λs` is priced the same way and
+    /// returned as a tree. Every other concatenation (one that collapses to
+    /// an existing node or merges a shared conjunct, shares variables,
+    /// mentions an unregistered variable, or is priced under
+    /// [`set_force_shannon`](Self::set_force_shannon)) is interned and
+    /// takes the node path.
     ///
     /// # Panics
     /// Panics if a variable of either operand has no registered
@@ -359,7 +365,7 @@ impl ProbabilityEngine {
         how: Concat,
         lambda_r: LineageRef,
         lambda_s: LineageRef,
-    ) -> (Lineage, f64) {
+    ) -> (LazyLineage, f64) {
         self.try_concat_output(how, lambda_r, lambda_s)
             .expect("all lineage variables must have probabilities")
     }
@@ -371,7 +377,7 @@ impl ProbabilityEngine {
         how: Concat,
         lambda_r: LineageRef,
         lambda_s: LineageRef,
-    ) -> Result<(Lineage, f64), ProbabilityError> {
+    ) -> Result<(LazyLineage, f64), ProbabilityError> {
         let is_and = how != Concat::Or;
         // The negation stays a node: `λs` is an `s` tuple's lineage, which
         // the negating windows of a group share.
@@ -383,7 +389,20 @@ impl ProbabilityEngine {
             Normalized::Node(existing) => return self.try_output(existing),
             Normalized::List(operands) => operands,
         };
-        if !self.product_applies(operands.iter().copied()) {
+        // A conjunction is priced here only when its operands are exactly
+        // the two roots' conjuncts (no constant dropped, no shared conjunct
+        // merged), so its deferred tree is theirs concatenated; a merged one
+        // takes the node path, which prices it with the same product.
+        let conjuncts = |r| match self.interner.node(r) {
+            InternedNode::True | InternedNode::False => None,
+            InternedNode::And(children) => Some(children.len()),
+            _ => Some(1),
+        };
+        let deferrable = match (conjuncts(lambda_r), conjuncts(lambda_s)) {
+            (Some(a), Some(b)) => a + b == operands.len(),
+            _ => false,
+        };
+        if (is_and && !deferrable) || !self.product_applies(operands.iter().copied()) {
             let root = self.interner.intern_nary(is_and, &operands);
             self.interner.recycle(operands);
             return self.try_output(root);
@@ -391,32 +410,34 @@ impl ProbabilityEngine {
         // The multiplications of `prob_read_once` over the node's children,
         // in the same order from the same 1.0 — the same bits.
         let mut acc = 1.0;
-        let mut trees = Vec::with_capacity(operands.len());
         for &operand in &operands {
             let p = self.prob_rec(operand);
             acc *= if is_and { p } else { 1.0 - p };
-            trees.push(self.interner.to_lineage(operand));
         }
+        if is_and {
+            self.interner.recycle(operands);
+            let (a, b) = (self.to_lineage(lambda_r), self.to_lineage(lambda_s));
+            return Ok((LazyLineage::and2(a, b), acc));
+        }
+        let trees = operands.iter().map(|&o| self.interner.to_lineage(o));
+        let tree = Lineage::from_normalized(LineageNode::Or(trees.collect()));
         self.interner.recycle(operands);
-        Ok(if is_and {
-            (Lineage::from_normalized(LineageNode::And(trees)), acc)
-        } else {
-            (Lineage::from_normalized(LineageNode::Or(trees)), 1.0 - acc)
-        })
+        Ok((tree.into(), 1.0 - acc))
     }
 
     /// [`try_concat_output`](Self::try_concat_output) for a `λs` that is the
     /// un-interned disjunction of `disjuncts` (an active set's operands).
     /// A root `λr ∧ ¬(c₁ ∨ … ∨ c_k)` that the node path would price as a
     /// product (k ≥ 2, `λr` no constant) is priced from the operands with
-    /// its float sequence, `p(λr) · (1 − (1 − ∏(1 − p(cᵢ))))`, and its tree
-    /// is built from theirs; anything else interns the disjunction.
+    /// its float sequence, `p(λr) · (1 − (1 − ∏(1 − p(cᵢ))))`, and returned
+    /// as a deferred [`LazyLineage`] over their cached trees; anything else
+    /// interns the disjunction.
     pub fn try_concat_disjunction_output(
         &mut self,
         how: Concat,
         lambda_r: LineageRef,
         disjuncts: &[LineageRef],
-    ) -> Result<(Lineage, f64), ProbabilityError> {
+    ) -> Result<(LazyLineage, f64), ProbabilityError> {
         let constant = self.interner.is_true(lambda_r) || self.interner.is_false(lambda_r);
         let roots = std::iter::once(lambda_r).chain(disjuncts.iter().copied());
         if how != Concat::AndNot || disjuncts.len() < 2 || constant || !self.product_applies(roots)
@@ -424,20 +445,15 @@ impl ProbabilityEngine {
             let lambda_s = self.interner.or(disjuncts);
             return self.try_concat_output(how, lambda_r, lambda_s);
         }
-        let (mut none, mut ors) = (1.0, Vec::with_capacity(disjuncts.len()));
+        let mut trees = Vec::with_capacity(1 + disjuncts.len());
+        trees.push(self.interner.to_lineage(lambda_r));
+        let mut none = 1.0;
         for &c in disjuncts {
             none *= 1.0 - self.prob_rec(c);
-            ors.push(self.interner.to_lineage(c));
+            trees.push(self.interner.to_lineage(c));
         }
         let p = self.prob_rec(lambda_r) * (1.0 - (1.0 - none));
-        let (tree, or) = (self.interner.to_lineage(lambda_r), LineageNode::Or(ors));
-        let not = Lineage::from_normalized(LineageNode::Not(Lineage::from_normalized(or)));
-        let conjuncts = match tree.node() {
-            LineageNode::And(conjuncts) => conjuncts.as_slice(),
-            _ => std::slice::from_ref(&tree),
-        };
-        let trees = [conjuncts, std::slice::from_ref(&not)].concat();
-        Ok((Lineage::from_normalized(LineageNode::And(trees)), p))
+        Ok((LazyLineage::and_not_or(trees), p))
     }
 
     /// Is the connective over the normalized `operands` priced by the
@@ -1105,6 +1121,13 @@ mod tests {
         Ok((e.to_lineage(root), p))
     }
 
+    /// An output pair with its lineage built, for comparison with a tree.
+    fn tree_bits(
+        output: Result<(LazyLineage, f64), ProbabilityError>,
+    ) -> Result<(Lineage, u64), ProbabilityError> {
+        output.map(|(lineage, p)| (lineage.get().clone(), p.to_bits()))
+    }
+
     /// Asserts `try_concat_output` on `boundary` equals the arena path on
     /// `arena` — tree, probability bits (or error) and expansion count —
     /// twice, so the second round runs on a warm memo.
@@ -1120,12 +1143,9 @@ mod tests {
             let (ar, as_) = (arena.intern(lr), arena.intern(ls));
             let got = boundary.try_concat_output(how, br, bs);
             let want = concat_through_the_arena(arena, how, ar, as_);
-            let bits = |r: &Result<(Lineage, f64), ProbabilityError>| {
-                r.clone().map(|(tree, p)| (tree, p.to_bits()))
-            };
             assert_eq!(
-                bits(&got),
-                bits(&want),
+                tree_bits(got),
+                want.map(|(tree, p)| (tree, p.to_bits())),
                 "{how:?}({lr:?}, {ls:?}), {round} memo"
             );
             assert_eq!(
@@ -1184,18 +1204,20 @@ mod tests {
         let before = e.interner().len();
         // Read-once: λr ∧ λs and λr ∨ λs add nothing, λr ∧ ¬λs only the
         // (shared) negation.
-        let (tree, p) = e.concat_output(Concat::And, lr, ls);
+        let (lineage, p) = e.concat_output(Concat::And, lr, ls);
+        assert!(lineage.is_deferred());
         assert_eq!(
-            tree,
-            Lineage::and2(v(0), Lineage::or(vec![v(1), v(2), v(3)]))
+            lineage.get(),
+            &Lineage::and2(v(0), Lineage::or(vec![v(1), v(2), v(3)]))
         );
         assert_eq!(p, 0.5 * (1.0 - 0.5 * 0.5 * 0.5));
         let _ = e.concat_output(Concat::Or, lr, ls);
         assert_eq!(e.interner().len(), before);
-        let (tree, p) = e.concat_output(Concat::AndNot, lr, ls);
+        let (lineage, p) = e.concat_output(Concat::AndNot, lr, ls);
+        assert!(lineage.is_deferred());
         assert_eq!(
-            tree,
-            Lineage::and_not_concat(&v(0), &Lineage::or(vec![v(1), v(2), v(3)]))
+            lineage.get(),
+            &Lineage::and_not_concat(&v(0), &Lineage::or(vec![v(1), v(2), v(3)]))
         );
         assert_eq!(p, 0.5 * (0.5 * 0.5 * 0.5));
         assert_eq!(e.interner().len(), before + 1, "¬λs is the one new node");
@@ -1255,12 +1277,13 @@ mod tests {
         let lr = e.intern(&Lineage::and2(v(0), v(3)));
         let ops = disjuncts(&mut e, &[v(2), v(1)]);
         let before = e.interner().len();
-        let (tree, p) = e
+        let (lineage, p) = e
             .try_concat_disjunction_output(Concat::AndNot, lr, &ops)
             .unwrap();
+        assert!(lineage.is_deferred());
         assert_eq!(
-            tree,
-            Lineage::and_not_concat(&Lineage::and2(v(0), v(3)), &Lineage::or2(v(2), v(1)))
+            lineage.get(),
+            &Lineage::and_not_concat(&Lineage::and2(v(0), v(3)), &Lineage::or2(v(2), v(1)))
         );
         assert_eq!(p, 0.7 * 0.5 * (1.0 - (1.0 - (1.0 - 0.7) * (1.0 - 0.6))));
         assert_eq!(e.interner().len(), before, "no Or, no Not, no root");
@@ -1297,10 +1320,8 @@ mod tests {
                         let got = boundary.try_concat_disjunction_output(how, br, &ops);
                         let (ar, as_) = (arena.intern(&lr), arena.intern(&Lineage::or(ls.clone())));
                         let want = concat_through_the_arena(&mut arena, how, ar, as_);
-                        let bits = |r: &Result<(Lineage, f64), ProbabilityError>| {
-                            r.clone().map(|(tree, p)| (tree, p.to_bits()))
-                        };
-                        prop_assert_eq!(bits(&got), bits(&want), "{:?}, {} memo", how, round);
+                        let want = want.map(|(tree, p)| (tree, p.to_bits()));
+                        prop_assert_eq!(tree_bits(got), want, "{:?}, {} memo", how, round);
                         prop_assert_eq!(boundary.expansions(), arena.expansions());
                         prop_assert_eq!(boundary.verify_arena(), Ok(()));
                     }

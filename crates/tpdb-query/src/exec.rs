@@ -190,9 +190,9 @@ impl PhysicalOperator for ProjectExec {
             Err(e) => return Some(Err(e)),
         };
         let facts = self.indices.iter().map(|&i| t.fact(i).clone()).collect();
-        Some(Ok(TpTuple::new(
+        Some(Ok(TpTuple::with_lazy_lineage(
             facts,
-            t.lineage().clone(),
+            t.lazy_lineage().clone(),
             t.interval(),
             t.probability(),
         )))

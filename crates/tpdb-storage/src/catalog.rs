@@ -125,8 +125,8 @@ impl Catalog {
         }
         let probabilities = Arc::make_mut(&mut self.probabilities);
         for t in relation.iter() {
-            if let tpdb_lineage::LineageNode::Var(v) = t.lineage().node() {
-                probabilities.insert(*v, t.probability());
+            if let Some(v) = t.lazy_lineage().as_var() {
+                probabilities.insert(v, t.probability());
             }
         }
         self.write_relations()?.insert(name, Arc::new(relation));

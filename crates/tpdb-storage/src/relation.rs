@@ -6,7 +6,7 @@ use crate::tuple::TpTuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpdb_lineage::{Lineage, LineageNode, ProbabilityEngine};
+use tpdb_lineage::{Lineage, ProbabilityEngine};
 use tpdb_temporal::TimePoint;
 
 /// A temporal-probabilistic relation with schema `(F, λ, T, p)`.
@@ -153,10 +153,11 @@ impl TpRelation {
     pub fn register_probabilities(&self, engine: &mut ProbabilityEngine) {
         // Batched: the engine clears its memo at most once for the whole
         // relation instead of once per tuple.
-        engine.set_all(self.tuples.iter().filter_map(|t| match t.lineage().node() {
-            LineageNode::Var(v) => Some((*v, t.probability())),
-            _ => None,
-        }));
+        engine.set_all(
+            self.tuples
+                .iter()
+                .filter_map(|t| Some((t.lazy_lineage().as_var()?, t.probability()))),
+        );
     }
 
     /// The tuples valid at time point `t` (point-wise semantics; used by the

@@ -3,20 +3,25 @@
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpdb_lineage::Lineage;
+use tpdb_lineage::{LazyLineage, Lineage};
 use tpdb_temporal::Interval;
 
 /// A temporal-probabilistic tuple `(F, λ, T, p)`.
 ///
 /// * `facts` — the values of the non-temporal attributes `F`,
-/// * `lineage` — the boolean lineage formula `λ`,
+/// * `lineage` — the boolean lineage formula `λ` (an output tuple's may be
+///   a deferred read-once concatenation, built on the first
+///   [`lineage`](Self::lineage) call),
 /// * `interval` — the validity interval `T = [Ts, Te)`,
 /// * `probability` — `p = Pr(λ)`, the probability that the fact holds at
 ///   each time point of `T`.
+///
+/// Equality and `Debug` compare and print the lineage as a tree, building a
+/// deferred one.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TpTuple {
     facts: Vec<Value>,
-    lineage: Lineage,
+    lineage: LazyLineage,
     interval: Interval,
     probability: f64,
 }
@@ -26,6 +31,18 @@ impl TpTuple {
     /// caller's validation; this constructor stores it verbatim.
     #[must_use]
     pub fn new(facts: Vec<Value>, lineage: Lineage, interval: Interval, probability: f64) -> Self {
+        Self::with_lazy_lineage(facts, lineage.into(), interval, probability)
+    }
+
+    /// [`new`](Self::new) over a lineage that may still be deferred — how
+    /// output formation stores the pair the probability engine returns.
+    #[must_use]
+    pub fn with_lazy_lineage(
+        facts: Vec<Value>,
+        lineage: LazyLineage,
+        interval: Interval,
+        probability: f64,
+    ) -> Self {
         Self {
             facts,
             lineage,
@@ -46,9 +63,15 @@ impl TpTuple {
         &self.facts[idx]
     }
 
-    /// The lineage formula.
+    /// The lineage formula, built on the first call when it is deferred.
     #[must_use]
     pub fn lineage(&self) -> &Lineage {
+        self.lineage.get()
+    }
+
+    /// The lineage as stored, without building a deferred tree.
+    #[must_use]
+    pub fn lazy_lineage(&self) -> &LazyLineage {
         &self.lineage
     }
 
@@ -76,13 +99,13 @@ impl TpTuple {
         }
     }
 
-    /// Returns a copy of the tuple with a different lineage and probability
-    /// (used when forming output tuples from windows).
+    /// Returns a copy of the tuple with a different lineage and
+    /// probability.
     #[must_use]
     pub fn with_lineage(&self, lineage: Lineage, probability: f64) -> Self {
         Self {
             facts: self.facts.clone(),
-            lineage,
+            lineage: lineage.into(),
             interval: self.interval,
             probability,
         }
@@ -107,7 +130,9 @@ impl fmt::Display for TpTuple {
         write!(
             f,
             " | {} | {} | {:.4})",
-            self.lineage, self.interval, self.probability
+            self.lineage(),
+            self.interval,
+            self.probability
         )
     }
 }

@@ -1,0 +1,167 @@
+//! Output tuples of a join carry deferred lineages: a read-once root is
+//! priced at output formation, and its tree is built on the first
+//! `lineage()` call. These tests pin the laziness contract (one tree per
+//! tuple, shared by its clones and across threads) and the consumers that
+//! force the tree: a join over a join result, and a snapshot of one.
+
+use std::sync::Arc;
+use tpdb::core::{tp_join, tp_join_with_engine, ThetaCondition, TpJoinKind};
+use tpdb::lineage::{Lineage, ProbabilityEngine, VarId};
+use tpdb::storage::{Catalog, TpRelation, TpTuple};
+
+// Deferral must not grow every stored tuple, and tuples stay shareable.
+const _: () = assert!(std::mem::size_of::<TpTuple>() <= 64);
+const fn assert_send_sync<T: Send + Sync>() {}
+const _: () = assert_send_sync::<TpTuple>();
+
+fn theta() -> ThetaCondition {
+    ThetaCondition::column_equals("Metric", "Metric")
+}
+
+/// `r ⟕ s` over a small meteo pair: negating windows with multi-operand
+/// `λs` spans and overlapping windows, all read-once.
+fn left_join() -> (TpRelation, TpRelation, TpRelation) {
+    let (r, s) = tpdb::datagen::meteo_like(300, 7);
+    let joined = tp_join(&r, &s, &theta(), TpJoinKind::LeftOuter).unwrap();
+    (r, s, joined)
+}
+
+fn deferred(rel: &TpRelation) -> usize {
+    rel.iter()
+        .filter(|t| t.lazy_lineage().is_deferred())
+        .count()
+}
+
+/// The same relation with every lineage built eagerly through
+/// [`TpTuple::new`].
+fn with_tree_lineages(rel: &TpRelation) -> TpRelation {
+    let mut out = TpRelation::new(rel.name(), rel.schema().clone());
+    for t in rel.iter() {
+        out.push_unchecked(TpTuple::new(
+            t.facts().to_vec(),
+            t.lineage().clone(),
+            t.interval(),
+            t.probability(),
+        ));
+    }
+    out
+}
+
+#[test]
+fn a_deferred_tree_is_built_once_and_shared_by_clones() {
+    let (_, _, joined) = left_join();
+    let t = joined
+        .iter()
+        .find(|t| t.lazy_lineage().is_deferred())
+        .expect("a read-once root is deferred");
+    let early = t.clone();
+    let first = t.lineage();
+    assert!(!t.lazy_lineage().is_deferred());
+    assert!(std::ptr::eq(first, t.lineage()), "one tree per tuple");
+    assert!(std::ptr::eq(first, early.lineage()), "clones share it");
+    assert_eq!(&early, t);
+}
+
+#[test]
+fn threads_reading_one_relation_see_equal_trees() {
+    let (_, _, joined) = left_join();
+    let reference = with_tree_lineages(&left_join().2);
+    let shared = Arc::new(joined);
+    assert!(deferred(&shared) > 100, "the join must defer its roots");
+    let read = |rel: Arc<TpRelation>| -> Vec<Lineage> {
+        rel.iter().map(|t| t.lineage().clone()).collect()
+    };
+    let (a, b) = std::thread::scope(|scope| {
+        let a = scope.spawn(|| read(Arc::clone(&shared)));
+        let b = scope.spawn(|| read(Arc::clone(&shared)));
+        (a.join().unwrap(), b.join().unwrap())
+    });
+    assert_eq!(a, b);
+    let trees: Vec<Lineage> = reference.iter().map(|t| t.lineage().clone()).collect();
+    assert_eq!(a, trees);
+    assert_eq!(*shared, reference);
+}
+
+/// A join whose input is a join result interns the input's lineages, which
+/// builds the deferred trees; the answer equals the same join over the
+/// eagerly built copy, probability bits included. The other input is `s`
+/// under fresh variables (read-once roots over derived `λr`) or `s` itself
+/// (roots sharing variables).
+#[test]
+fn a_join_over_deferred_lineages_equals_one_over_trees() {
+    let (r, s, joined) = left_join();
+    let trees = with_tree_lineages(&left_join().2);
+    assert!(deferred(&joined) > 100);
+    let mut fresh = TpRelation::new("t", s.schema().clone());
+    for t in s.iter() {
+        let Some(VarId(v)) = t.lazy_lineage().as_var() else {
+            unreachable!("meteo tuples are base tuples")
+        };
+        let lineage = Lineage::var(VarId(v + 1_000_000_000));
+        fresh.push_unchecked(TpTuple::new(
+            t.facts().to_vec(),
+            lineage,
+            t.interval(),
+            t.probability(),
+        ));
+    }
+    let engine = || {
+        let mut engine = ProbabilityEngine::new();
+        for rel in [&r, &s, &fresh] {
+            rel.register_probabilities(&mut engine);
+        }
+        engine
+    };
+    let bits =
+        |rel: &TpRelation| -> Vec<u64> { rel.iter().map(|t| t.probability().to_bits()).collect() };
+    for other in [&fresh, &s] {
+        for kind in [
+            TpJoinKind::LeftOuter,
+            TpJoinKind::Anti,
+            TpJoinKind::FullOuter,
+        ] {
+            let over_deferred =
+                tp_join_with_engine(&joined, other, &theta(), kind, &mut engine()).unwrap();
+            let over_trees =
+                tp_join_with_engine(&trees, other, &theta(), kind, &mut engine()).unwrap();
+            assert_eq!(over_deferred, over_trees, "{kind:?} over {}", other.name());
+            assert_eq!(bits(&over_deferred), bits(&over_trees), "{kind:?}");
+        }
+    }
+}
+
+/// A registered join result is saved through its (built) trees: the file
+/// is the one the eagerly built copy writes, and it loads back to equal
+/// relations and re-encodes to the same bytes.
+#[test]
+fn a_snapshot_of_a_join_result_round_trips_byte_identically() {
+    let catalog_with = |joined: TpRelation| {
+        let (r, s) = tpdb::datagen::meteo_like(300, 7);
+        let mut catalog = Catalog::new();
+        catalog.register(r).unwrap();
+        catalog.register(s).unwrap();
+        catalog.register(joined.renamed("j")).unwrap();
+        catalog
+    };
+    let deferred_catalog = catalog_with(left_join().2);
+    assert!(deferred(&deferred_catalog.relation("j").unwrap()) > 100);
+    let tree_catalog = catalog_with(with_tree_lineages(&left_join().2));
+
+    let path =
+        std::env::temp_dir().join(format!("tpdb-deferred-lineage-{}.snap", std::process::id()));
+    deferred_catalog.save_snapshot(&path).unwrap();
+    let mut loaded = Catalog::new();
+    loaded.load_snapshot(&path).unwrap();
+    std::fs::remove_file(&path).ok();
+
+    let bytes = tree_catalog.to_snapshot_bytes().unwrap();
+    assert_eq!(deferred_catalog.to_snapshot_bytes().unwrap(), bytes);
+    assert_eq!(loaded.to_snapshot_bytes().unwrap(), bytes);
+    for name in deferred_catalog.relation_names() {
+        assert_eq!(
+            loaded.relation(&name).unwrap(),
+            deferred_catalog.relation(&name).unwrap(),
+            "relation `{name}`"
+        );
+    }
+}
