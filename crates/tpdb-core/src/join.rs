@@ -20,7 +20,8 @@ use crate::overlap::OverlapJoinPlan;
 use crate::stream::registered_engine;
 use crate::theta::ThetaCondition;
 use crate::window::{SideRef, Window};
-use tpdb_lineage::{Concat, LazyLineage, Lineage, LineageRef, ProbabilityEngine};
+use std::slice;
+use tpdb_lineage::{Concat, LazyLineage, Lineage, LineageRef, ProbabilityEngine, ReadOnceColumns};
 use tpdb_storage::{StorageError, TpRelation, TpTuple};
 
 /// Which TP join with negation to compute.
@@ -259,34 +260,46 @@ pub(crate) fn form_output_tuple(
 /// Output formation over the interned window representation — the one
 /// function the executing pipelines (serial and morsel-parallel) form
 /// tuples with. `λr` and `λs` stay decoupled to the end: the engine
-/// concatenates them **at the boundary**, pricing a read-once root (every
-/// root of a join over base relations) from its operands and handing back
-/// a deferred lineage — no arena node, and no `And`/`Or`/`Not` tree until
-/// the tuple's [`lineage`](TpTuple::lineage) is read. Only concatenations
-/// that share variables enter the arena, to be priced by decomposition. A
-/// `λs` span indexes `operands`, the pass's buffer.
+/// concatenates them **at the boundary** and hands back a read-once root
+/// (every root of a join over base relations) as a deferred lineage — no
+/// arena node, and no `And`/`Or`/`Not` tree until the tuple's
+/// [`lineage`](TpTuple::lineage) is read. A statement whose columns the
+/// engine certified (`certificate`) is priced straight from the marginals;
+/// any other proves read-once per row, and its concatenations that share
+/// variables enter the arena, to be priced by decomposition. A `λs` span
+/// indexes `operands`, the pass's buffer.
 pub(crate) fn form_output_tuple_interned(
     w: &Window<LineageRef, SideRef>,
     pos: &TpRelation,
     neg: &TpRelation,
     spec: &PassSpec,
     operands: &[LineageRef],
+    certificate: Option<&ReadOnceColumns>,
     engine: &mut ProbabilityEngine,
 ) -> Option<TpTuple> {
     form_tuple(w, pos, neg, spec, |lineage_fn, &lr, ls| {
-        let how = match lineage_fn {
-            LineageFn::Pos => return engine.output(lr),
-            LineageFn::And => Concat::And,
-            LineageFn::AndNot => Concat::AndNot,
-            LineageFn::Or => Concat::Or,
+        let how = match (lineage_fn, certificate) {
+            (LineageFn::Pos, Some(proof)) => return engine.certified_output(proof, lr),
+            (LineageFn::Pos, None) => return engine.output(lr),
+            (LineageFn::And, _) => Concat::And,
+            (LineageFn::AndNot, _) => Concat::AndNot,
+            (LineageFn::Or, _) => Concat::Or,
         };
         // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
-        match *ls.expect("overlapping and negating windows carry λs") {
-            SideRef::Node(ls) => engine.concat_output(how, lr, ls),
+        let side = ls.expect("overlapping and negating windows carry λs");
+        let lambda_s = match side {
+            SideRef::Node(node) => slice::from_ref(node),
             SideRef::Span { start, len } => {
-                let span = start as usize..start as usize + len as usize;
+                let span = *start as usize..*start as usize + *len as usize;
                 debug_assert!(span.end <= operands.len(), "span outside the buffer");
-                let output = engine.try_concat_disjunction_output(how, lr, &operands[span]);
+                &operands[span]
+            }
+        };
+        match (certificate, side) {
+            (Some(proof), _) => engine.certified_concat(proof, how, lr, lambda_s),
+            (None, SideRef::Node(ls)) => engine.concat_output(how, lr, *ls),
+            (None, SideRef::Span { .. }) => {
+                let output = engine.try_concat_disjunction_output(how, lr, lambda_s);
                 // As in `concat_output`. tpdb-lint: allow(no-panic-in-lib)
                 output.expect("all lineage variables must have probabilities")
             }

@@ -56,14 +56,14 @@ pub(crate) fn lineage_column(rel: &TpRelation) -> Arc<Vec<Lineage>> {
     Arc::new(rel.iter().map(|t| t.lineage().clone()).collect())
 }
 
-/// The lineage column of a relation interned into `interner`, indexed by
-/// tuple position. Every window the stream emits then carries `Copy` ids
-/// instead of cloned trees.
+/// The lineage column of a relation interned into `interner`
+/// ([`LineageInterner::intern_column`]), indexed by tuple position. Every
+/// window the stream emits then carries `Copy` ids instead of cloned trees.
 pub(crate) fn interned_lineages(
     rel: &TpRelation,
     interner: &mut LineageInterner,
 ) -> Arc<Vec<LineageRef>> {
-    Arc::new(rel.iter().map(|t| interner.intern(t.lineage())).collect())
+    Arc::new(interner.intern_column(rel.tuples().iter().map(TpTuple::lineage)))
 }
 
 /// Which physical plan the overlap join uses.

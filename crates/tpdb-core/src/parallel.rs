@@ -150,10 +150,12 @@ fn run_pass(
 ) -> Result<Vec<TaggedTuples>, StorageError> {
     steal_morsels(pos, neg, bound, plan, degree, |index, morsels| {
         // Per-worker state, paid once per worker (not per morsel): a cloned
-        // engine, both lineage columns interned into it, the span buffer.
+        // engine, both lineage columns interned into it and certified, the
+        // span buffer.
         let mut engine = engine.clone();
         let pos_lins = interned_lineages(pos, engine.interner_mut());
         let neg_lins = interned_lineages(neg, engine.interner_mut());
+        let cert = engine.certify_columns(&pos_lins, &neg_lins);
         let mut out: TaggedTuples = Vec::new();
         let mut ops = Vec::new();
         for probes in morsels {
@@ -168,7 +170,9 @@ fn run_pass(
             );
             let mut pipe = Pipe::over(wo, pos, spec.depth);
             while let Some(w) = pipe.next_with(engine.interner(), &mut ops) {
-                if let Some(t) = form_output_tuple_interned(&w, pos, neg, spec, &ops, &mut engine) {
+                let cert = cert.as_ref();
+                let tuple = form_output_tuple_interned(&w, pos, neg, spec, &ops, cert, &mut engine);
+                if let Some(t) = tuple {
                     out.push((w.r_idx, t));
                 }
             }

@@ -274,6 +274,13 @@ where
         self.0.windows_consumed()
     }
 
+    /// Did the engine certify the statement read-once? See
+    /// [`TpJoinStream::is_certified`].
+    #[must_use]
+    pub fn is_certified(&self) -> bool {
+        self.0.is_certified()
+    }
+
     /// Drains the remaining stream into a materialized relation — the exact
     /// relation the one-shot set operation functions return when called on
     /// fresh inputs.

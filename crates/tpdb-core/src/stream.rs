@@ -13,7 +13,9 @@
 //!
 //! Serial execution is the morsel driver's special case "one morsel
 //! spanning every probe": the runner interns both lineage columns once per
-//! operator and [`Pipe::build`] builds each pass's probe index — eagerly,
+//! operator, asks the engine once whether they make every output root
+//! read-once ([`ProbabilityEngine::certify_columns`]), and [`Pipe::build`]
+//! builds each pass's probe index — eagerly,
 //! at construction, like the build side of a conventional hash join — and
 //! then stacks the same [`Pipe::over`] adaptors a stolen morsel of [`crate::parallel`] runs over
 //! its slice of the probe side. Everything downstream of the build side is
@@ -36,7 +38,7 @@ use crate::TpJoinKind;
 use std::borrow::{Borrow, BorrowMut};
 use std::collections::VecDeque;
 use std::sync::Arc;
-use tpdb_lineage::{LineageInterner, LineageRef, ProbabilityEngine};
+use tpdb_lineage::{LineageInterner, LineageRef, ProbabilityEngine, ReadOnceColumns};
 use tpdb_storage::{Schema, StorageError, TpRelation, TpTuple};
 
 /// How deep into the window pipeline a pass runs.
@@ -227,6 +229,10 @@ where
     passes: VecDeque<Pass<R, S>>,
     /// The operand buffer of the executing pass's `λs` spans.
     operands: Vec<LineageRef>,
+    /// The engine's proof that every output root is read-once, decided
+    /// once for the statement's two lineage columns; `None` prices each
+    /// row through the per-row proof.
+    certificate: Option<ReadOnceColumns>,
     windows_consumed: usize,
     produced: usize,
 }
@@ -304,11 +310,12 @@ where
         mut engine: E,
     ) -> Result<Self, StorageError> {
         let (name, schema) = op.output(r.borrow(), s.borrow());
-        // Both lineage columns are interned once per operator; a flipped
-        // second pass swaps the same two columns.
-        let interner = engine.borrow_mut().interner_mut();
-        let r_lins = interned_lineages(r.borrow(), interner);
-        let s_lins = interned_lineages(s.borrow(), interner);
+        // Both lineage columns are interned and certified once per
+        // operator; a flipped second pass swaps the same two columns.
+        let engine_mut = engine.borrow_mut();
+        let r_lins = interned_lineages(r.borrow(), engine_mut.interner_mut());
+        let s_lins = interned_lineages(s.borrow(), engine_mut.interner_mut());
+        let certificate = engine_mut.certify_columns(&r_lins, &s_lins);
         let mut passes = VecDeque::new();
         for spec in op.passes() {
             let flipped_theta;
@@ -342,6 +349,7 @@ where
             name,
             passes,
             operands: Vec::new(),
+            certificate,
             windows_consumed: 0,
             produced: 0,
         })
@@ -373,6 +381,16 @@ where
         self.produced
     }
 
+    /// Did the engine certify the statement read-once
+    /// ([`ProbabilityEngine::certify_columns`])? Then every row is priced
+    /// from the marginals and no lineage node is interned past the two
+    /// input columns; self-joins, derived inputs, unregistered variables
+    /// and the Shannon ablation are not certified.
+    #[must_use]
+    pub fn is_certified(&self) -> bool {
+        self.certificate.is_some()
+    }
+
     /// Drains the remaining stream into a materialized relation — the exact
     /// relation [`crate::tp_join`] returns when called on fresh inputs.
     #[must_use]
@@ -402,8 +420,9 @@ where
             };
             self.windows_consumed += 1;
             let (pos, neg): (&TpRelation, &TpRelation) = (pass.pos.borrow(), pass.neg.borrow());
-            let ops = &self.operands;
-            if let Some(t) = form_output_tuple_interned(&w, pos, neg, pass.spec, ops, engine) {
+            let (ops, cert) = (&self.operands, self.certificate.as_ref());
+            let tuple = form_output_tuple_interned(&w, pos, neg, pass.spec, ops, cert, engine);
+            if let Some(t) = tuple {
                 self.produced += 1;
                 return Some(t);
             }
@@ -635,6 +654,83 @@ mod tests {
                     });
                 }
                 proptest::prop_assert_eq!(&interned, &tree, "{:?}", depth);
+            }
+        }
+    }
+
+    /// `rel` with the probabilities of its tuples drawn from `ps` in turn.
+    fn with_probabilities(rel: &TpRelation, ps: &[f64]) -> TpRelation {
+        let mut out = TpRelation::new(rel.name(), rel.schema().clone());
+        for (t, p) in rel.iter().zip(ps.iter().cycle()) {
+            let facts = t.facts().to_vec();
+            out.push_unchecked(TpTuple::new(facts, t.lineage().clone(), t.interval(), *p));
+        }
+        out
+    }
+
+    /// The tree path of an operator: its passes' windows materialized as
+    /// trees, each output root formed as a tree and priced by interning it
+    /// ([`crate::join::assemble_result`]).
+    fn tree_path(op: TpOp, r: &TpRelation, s: &TpRelation, theta: &ThetaCondition) -> TpRelation {
+        use crate::{lawan, lawau, overlapping_windows};
+        let windows = |pos: &TpRelation, neg: &TpRelation, theta: &ThetaCondition, depth| {
+            let wo = overlapping_windows(pos, neg, theta).unwrap();
+            match depth {
+                PipeDepth::Overlap => wo,
+                PipeDepth::Unmatched => lawau(&wo, pos),
+                PipeDepth::Full => lawan(&lawau(&wo, pos)),
+            }
+        };
+        let (mut left, mut right) = (Vec::new(), Vec::new());
+        for spec in op.passes() {
+            if spec.flipped {
+                right = windows(s, r, &theta.flipped(), spec.depth);
+            } else {
+                left = windows(r, s, theta, spec.depth);
+            }
+        }
+        let mut engine = registered_engine(r, s);
+        crate::join::assemble_result(op, r, s, &left, &right, &mut engine)
+    }
+
+    proptest::proptest! {
+        /// A certified statement prices every row from the marginals and
+        /// interns nothing past its two columns, yet each row is the tree
+        /// path's: equal facts, interval and lineage tree, and equal
+        /// probability bits — for the five joins and the three set
+        /// operations over random base relations with random marginals.
+        #[test]
+        fn certified_pricing_is_the_tree_path_bit_for_bit(
+            rr in proptest::collection::vec((0i64..3, 0i64..30, 1i64..10), 1..8),
+            ss in proptest::collection::vec((0i64..3, 0i64..30, 1i64..10), 1..8),
+            ps in proptest::collection::vec(0.0f64..=1.0, 1..16),
+        ) {
+            use crate::testutil::keyed_relation;
+            use crate::TpSetOpKind;
+            let r = with_probabilities(&keyed_relation("r", 0, &rr), &ps);
+            let s = with_probabilities(&keyed_relation("s", 100, &ss), &ps[ps.len() / 2..]);
+            let join_theta = ThetaCondition::column_equals("k", "k");
+            let set_theta = crate::setops::all_columns_equal(&r, &s).unwrap();
+            let joins = KINDS.map(|kind| (TpOp::Join(kind), &join_theta));
+            let set_ops = [TpSetOpKind::Union, TpSetOpKind::Intersection, TpSetOpKind::Difference]
+                .map(|kind| (TpOp::SetOp(kind), &set_theta));
+            for (op, theta) in joins.into_iter().chain(set_ops) {
+                let mut engine = registered_engine(&r, &s);
+                let stream = TpJoinStream::for_op(&r, &s, op, theta, None, &mut engine).unwrap();
+                proptest::prop_assert!(stream.is_certified(), "{:?}", op);
+                let streamed = stream.collect_relation();
+                proptest::prop_assert_eq!(engine.interner().len(), 2 + r.len() + s.len());
+                let tree = tree_path(op, &r, &s, theta);
+                proptest::prop_assert_eq!(streamed.len(), tree.len(), "{:?}", op);
+                for (row, want) in streamed.iter().zip(tree.iter()) {
+                    proptest::prop_assert_eq!(row.lineage(), want.lineage(), "{:?}", op);
+                    proptest::prop_assert_eq!(
+                        row.probability().to_bits(),
+                        want.probability().to_bits(),
+                        "{:?} {}", op, want.lineage()
+                    );
+                    proptest::prop_assert_eq!(row, want, "{:?}", op);
+                }
             }
         }
     }

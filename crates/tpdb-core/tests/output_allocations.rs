@@ -2,7 +2,7 @@
 //! output root is priced from its operands and its lineage tree is built only
 //! when `lineage()` is read, so draining a join allocates little more than
 //! each row's facts and its deferred lineage. One test per binary: the counter
-//! is process-wide.
+//! is process-wide, so both drains share the one `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -11,6 +11,7 @@ use tpdb_core::{
     TpJoinStream,
 };
 use tpdb_lineage::ProbabilityEngine;
+use tpdb_storage::{TpRelation, TpTuple};
 
 /// Counts every allocation and reallocation; frees are not counted.
 struct Counting;
@@ -43,36 +44,50 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// A left outer join over the meteo workload (40 keys, long `λs`
-/// disjunctions) allocates at most 3 times per output row, stream set-up
-/// included — no `And`/`Or`/`Not` wrapper of a read-once root is built
-/// while the stream drains — and the deferred trees, once read, are the
-/// trees of the materializing path.
-#[test]
-fn a_drained_left_join_allocates_at_most_three_times_per_row() {
-    let (r, s) = tpdb_datagen::meteo_like(3000, 64);
-    let theta = ThetaCondition::column_equals("Metric", "Metric");
-    let rows = TpJoinStream::new(&r, &s, &theta, TpJoinKind::LeftOuter)
-        .unwrap()
-        .count();
-    assert!(rows > 10_000, "{rows} rows");
-
+/// Drains `kind` over `r` and `s`, returning the rows and the allocations
+/// per row (stream set-up included), and checks that the deferred trees,
+/// once read, are the trees of the materializing path.
+fn drain(r: &TpRelation, s: &TpRelation, column: &str, kind: TpJoinKind) -> (Vec<TpTuple>, f64) {
+    let theta = ThetaCondition::column_equals(column, column);
+    let rows = TpJoinStream::new(r, s, &theta, kind).unwrap().count();
     let mut out = Vec::with_capacity(rows);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    out.extend(TpJoinStream::new(&r, &s, &theta, TpJoinKind::LeftOuter).unwrap());
+    out.extend(TpJoinStream::new(r, s, &theta, kind).unwrap());
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(out.len(), rows);
-    let per_row = allocations as f64 / rows as f64;
-    assert!(per_row <= 3.0, "{allocations} allocations for {rows} rows");
 
-    let wuon = lawan(&lawau(&overlapping_windows(&r, &s, &theta).unwrap(), &r));
+    let wuon = |pos, neg, theta| lawan(&lawau(&overlapping_windows(pos, neg, theta).unwrap(), pos));
+    let left = wuon(r, s, &theta);
+    let right = match kind {
+        TpJoinKind::FullOuter => wuon(s, r, &theta.flipped()),
+        _ => Vec::new(),
+    };
     let mut engine = ProbabilityEngine::new();
     r.register_probabilities(&mut engine);
     s.register_probabilities(&mut engine);
-    let trees = assemble_join_result(&r, &s, TpJoinKind::LeftOuter, &wuon, &[], &mut engine);
+    let trees = assemble_join_result(r, s, kind, &left, &right, &mut engine);
     assert_eq!(trees.len(), rows);
     for (streamed, tree) in out.iter().zip(trees.iter()) {
         assert_eq!(streamed.lineage(), tree.lineage());
         assert_eq!(streamed, tree);
     }
+    (out, allocations as f64 / rows as f64)
+}
+
+/// A left outer join over the meteo workload (40 keys, long `λs`
+/// disjunctions) allocates at most 3 times per output row, and a full outer
+/// join over the webkit workload (mostly single-operand `λs`) at most 2.5
+/// times: no `And`/`Or`/`Not` wrapper of a read-once root is built while the
+/// stream drains, and no `¬λs` is interned as a node.
+#[test]
+fn a_drained_left_join_allocates_at_most_three_times_per_row() {
+    let (r, s) = tpdb_datagen::meteo_like(3000, 64);
+    let (rows, per_row) = drain(&r, &s, "Metric", TpJoinKind::LeftOuter);
+    assert!(rows.len() > 10_000, "{} rows", rows.len());
+    assert!(per_row <= 3.0, "{per_row} allocations per row");
+
+    let (r, s) = tpdb_datagen::webkit_like(12_000, 64);
+    let (rows, per_row) = drain(&r, &s, "Key", TpJoinKind::FullOuter);
+    assert!(rows.len() > 50_000, "{} rows", rows.len());
+    assert!(per_row <= 2.5, "{per_row} allocations per row");
 }

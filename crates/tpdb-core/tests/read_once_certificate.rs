@@ -1,0 +1,201 @@
+//! The read-once certificate's decision table. A statement is certified
+//! once, when its two lineage columns are interned: every root a registered
+//! `Var`, no variable in both columns, `force_shannon` off. Base inputs are
+//! certified; self-joins, derived inputs, shared variables, unregistered
+//! variables and the Shannon ablation are not, and keep the per-row path —
+//! whose rows are the tree path's, bits included, and whose failures are
+//! the ones it always had.
+
+use std::panic::{self, AssertUnwindSafe};
+use tpdb_core::{
+    assemble_join_result, lawan, lawau, overlapping_windows, tp_join, tp_union, ThetaCondition,
+    TpJoinKind, TpJoinStream, TpSetOpKind, TpSetOpStream, Window,
+};
+use tpdb_lineage::{Lineage, ProbabilityEngine, VarId};
+use tpdb_storage::{TpRelation, TpTuple};
+
+const KINDS: [TpJoinKind; 5] = [
+    TpJoinKind::Inner,
+    TpJoinKind::Anti,
+    TpJoinKind::LeftOuter,
+    TpJoinKind::RightOuter,
+    TpJoinKind::FullOuter,
+];
+
+/// An engine holding the marginals of the base tuples of `inputs`.
+fn engine_over(inputs: &[&TpRelation]) -> ProbabilityEngine {
+    let mut engine = ProbabilityEngine::new();
+    for input in inputs {
+        input.register_probabilities(&mut engine);
+    }
+    engine
+}
+
+/// The join over materialized tree windows, each root priced by interning
+/// its tree.
+fn tree_join(
+    r: &TpRelation,
+    s: &TpRelation,
+    theta: &ThetaCondition,
+    kind: TpJoinKind,
+    engine: &mut ProbabilityEngine,
+) -> TpRelation {
+    let wo = overlapping_windows(r, s, theta).unwrap();
+    let left: Vec<Window> = match kind {
+        TpJoinKind::Inner | TpJoinKind::RightOuter => wo,
+        _ => lawan(&lawau(&wo, r)),
+    };
+    let right: Vec<Window> = match kind {
+        TpJoinKind::RightOuter | TpJoinKind::FullOuter => lawan(&lawau(
+            &overlapping_windows(s, r, &theta.flipped()).unwrap(),
+            s,
+        )),
+        _ => Vec::new(),
+    };
+    assemble_join_result(r, s, kind, &left, &right, engine)
+}
+
+/// Runs every join kind with a fresh `engine()` and checks the certificate
+/// decision and, row for row, the tree path's answer and probability bits.
+fn assert_joins(
+    r: &TpRelation,
+    s: &TpRelation,
+    theta: &ThetaCondition,
+    engine: impl Fn() -> ProbabilityEngine,
+    certified: bool,
+) {
+    for kind in KINDS {
+        let mut streamed_engine = engine();
+        let stream =
+            TpJoinStream::with_engine_and_plan(r, s, theta, kind, None, &mut streamed_engine)
+                .unwrap();
+        assert_eq!(stream.is_certified(), certified, "{kind:?}");
+        let streamed = stream.collect_relation();
+        let tree = tree_join(r, s, theta, kind, &mut engine());
+        assert_eq!(streamed, tree, "{kind:?}");
+        let bits = |rel: &TpRelation| -> Vec<u64> {
+            rel.iter().map(|t| t.probability().to_bits()).collect()
+        };
+        assert_eq!(bits(&streamed), bits(&tree), "{kind:?}");
+    }
+}
+
+fn meteo() -> (TpRelation, TpRelation, ThetaCondition) {
+    let (r, s) = tpdb_datagen::meteo_like(300, 7);
+    (r, s, ThetaCondition::column_equals("Metric", "Metric"))
+}
+
+/// `rel` under fresh variables (same facts, intervals and marginals).
+fn fresh_copy(rel: &TpRelation, name: &str) -> TpRelation {
+    let mut out = TpRelation::new(name, rel.schema().clone());
+    for t in rel.iter() {
+        let var = t.lazy_lineage().as_var().expect("a base relation");
+        let lineage = Lineage::var(VarId(var.0 + 1_000_000_000));
+        out.push_unchecked(TpTuple::new(
+            t.facts().to_vec(),
+            lineage,
+            t.interval(),
+            t.probability(),
+        ));
+    }
+    out
+}
+
+#[test]
+fn base_relations_are_certified() {
+    let (a, b) = tpdb_datagen::booking_example();
+    let loc = ThetaCondition::column_equals("Loc", "Loc");
+    assert_joins(&a, &b, &loc, || engine_over(&[&a, &b]), true);
+    let (r, s, metric) = meteo();
+    assert_joins(&r, &s, &metric, || engine_over(&[&r, &s]), true);
+    let (r, s) = tpdb_datagen::webkit_like(600, 7);
+    let key = ThetaCondition::column_equals("Key", "Key");
+    assert_joins(&r, &s, &key, || engine_over(&[&r, &s]), true);
+    for kind in [
+        TpSetOpKind::Union,
+        TpSetOpKind::Intersection,
+        TpSetOpKind::Difference,
+    ] {
+        let (r, s, _) = meteo();
+        assert!(TpSetOpStream::new(&r, &s, kind).unwrap().is_certified());
+    }
+}
+
+#[test]
+fn a_self_join_is_not_certified() {
+    let (r, _, metric) = meteo();
+    let twin = r.renamed("twin");
+    assert_joins(&r, &twin, &metric, || engine_over(&[&r]), false);
+}
+
+#[test]
+fn derived_inputs_are_not_certified() {
+    let (r, s, metric) = meteo();
+    let t = fresh_copy(&s, "t");
+    let engine = || engine_over(&[&r, &s, &t]);
+    let joined = tp_join(&r, &s, &metric, TpJoinKind::LeftOuter).unwrap();
+    assert_joins(&joined, &t, &metric, engine, false);
+    let union = tp_union(&r, &s).unwrap();
+    assert!(union
+        .iter()
+        .any(|u| u.lazy_lineage().as_var().is_none() && !u.lineage().is_true()));
+    assert_joins(&union, &t, &metric, engine, false);
+    assert_joins(&t, &union, &metric, engine, false);
+}
+
+#[test]
+fn an_s_that_reuses_a_variable_of_r_is_not_certified() {
+    let (r, s, metric) = meteo();
+    let mut shared = TpRelation::new("shared", s.schema().clone());
+    for (i, t) in s.iter().enumerate() {
+        let (lineage, p) = if i == 0 {
+            (r.tuple(0).lineage().clone(), r.tuple(0).probability())
+        } else {
+            (t.lineage().clone(), t.probability())
+        };
+        shared.push_unchecked(TpTuple::new(t.facts().to_vec(), lineage, t.interval(), p));
+    }
+    assert_joins(&r, &shared, &metric, || engine_over(&[&r, &shared]), false);
+}
+
+#[test]
+fn the_shannon_ablation_is_not_certified() {
+    let (r, s, metric) = meteo();
+    let engine = || {
+        let mut engine = engine_over(&[&r, &s]);
+        engine.set_force_shannon(true);
+        engine
+    };
+    assert_joins(&r, &s, &metric, engine, false);
+}
+
+/// The panic message of `f`, which must panic.
+fn panic_message(f: impl FnOnce()) -> String {
+    let payload = panic::catch_unwind(AssertUnwindSafe(f)).expect_err("must panic");
+    match payload.downcast::<String>() {
+        Ok(message) => *message,
+        Err(payload) => (*payload.downcast::<&str>().unwrap()).to_owned(),
+    }
+}
+
+#[test]
+fn a_missing_marginal_is_not_certified_and_fails_as_before() {
+    let (r, s, metric) = meteo();
+    for kind in [TpJoinKind::LeftOuter, TpJoinKind::FullOuter] {
+        let mut engine = engine_over(&[&r]);
+        let stream =
+            TpJoinStream::with_engine_and_plan(&r, &s, &metric, kind, None, &mut engine).unwrap();
+        assert!(!stream.is_certified());
+        let streamed = panic_message(|| {
+            let _ = stream.count();
+        });
+        assert!(
+            streamed.starts_with("all lineage variables must have probabilities: MissingVariable"),
+            "{streamed}"
+        );
+        let tree = panic_message(|| {
+            let _ = tree_join(&r, &s, &metric, kind, &mut engine_over(&[&r]));
+        });
+        assert_eq!(streamed, tree, "{kind:?}");
+    }
+}

@@ -413,6 +413,27 @@ impl LineageInterner {
         }
     }
 
+    /// Interns a relation's lineage column — one tree per tuple, in tuple
+    /// order — and returns its roots. The arena and the cons table are
+    /// sized for the column up front, and each root's conversion-cache slot
+    /// is seeded with the tuple's own tree (normalized, as every
+    /// constructor-built [`Lineage`] is), so converting a root back
+    /// ([`to_lineage`](Self::to_lineage)) shares the input's `Arc` instead
+    /// of allocating a fresh tree.
+    pub fn intern_column<'a>(
+        &mut self,
+        column: impl ExactSizeIterator<Item = &'a Lineage>,
+    ) -> Vec<LineageRef> {
+        self.reserve(column.len());
+        column
+            .map(|lineage| {
+                let root = self.intern(lineage);
+                self.legacy[root.index()].get_or_insert_with(|| lineage.clone());
+                root
+            })
+            .collect()
+    }
+
     /// Converts an interned formula back into a legacy [`Lineage`] tree.
     ///
     /// An arena node is already in the tree constructors' normal form, so
@@ -800,14 +821,34 @@ impl LineageInterner {
         self.stamps.push(0);
         self.table[slot] = id;
         if self.nodes.len() * 4 > self.table.len() * 3 {
-            self.grow_table();
+            self.grow_table(self.table.len() * 2);
         }
         LineageRef(id)
     }
 
-    /// Doubles the cons table and re-seats every node from its cached hash.
-    fn grow_table(&mut self) {
-        self.table = vec![EMPTY; self.table.len() * 2];
+    /// Makes room for `additional` more nodes: the node tables reserve
+    /// them, and the cons table grows once to the size that holds them at
+    /// ≤ 3/4 load, instead of doubling (and re-seating every node) on the way.
+    fn reserve(&mut self, additional: usize) {
+        self.nodes.reserve(additional);
+        self.hashes.reserve(additional);
+        self.legacy.reserve(additional);
+        self.read_once.reserve(additional);
+        self.stamps.reserve(additional);
+        let needed = self.nodes.len() + additional;
+        let mut slots = self.table.len();
+        while needed * 4 > slots * 3 {
+            slots *= 2;
+        }
+        if slots > self.table.len() {
+            self.grow_table(slots);
+        }
+    }
+
+    /// Replaces the cons table by one of `slots` slots (a power of two) and
+    /// re-seats every node from its cached hash.
+    fn grow_table(&mut self, slots: usize) {
+        self.table = vec![EMPTY; slots];
         let mask = self.table.len() - 1;
         for (id, &hash) in self.hashes.iter().enumerate() {
             let mut slot = self.home_slot(hash);
@@ -869,6 +910,17 @@ impl LineageInterner {
         stack.clear();
         self.walk = stack;
         distinct
+    }
+
+    /// Do the two lists share no node? One stamp pass: mark `a`, probe `b`.
+    /// Over `Var` roots this is variable disjointness, because hash-consing
+    /// gives each variable exactly one node.
+    pub(crate) fn share_no_node(&mut self, a: &[LineageRef], b: &[LineageRef]) -> bool {
+        let epoch = self.next_epoch();
+        for r in a {
+            self.stamps[r.index()] = epoch;
+        }
+        b.iter().all(|r| self.stamps[r.index()] != epoch)
     }
 
     /// The read-once flag of node `i` recomputed from the structure alone
@@ -1098,6 +1150,52 @@ mod tests {
                 "condition on x{var}={value}"
             );
         }
+    }
+
+    #[test]
+    fn intern_column_seeds_the_conversion_cache_with_the_input_trees() {
+        let mut i = LineageInterner::new();
+        let column = [v(1), Lineage::and2(v(2), Lineage::not(v(3))), v(1), v(4)];
+        let roots = i.intern_column(column.iter());
+        assert_eq!(roots[0], roots[2], "hash-consed roots");
+        assert_eq!(i.len(), 8, "⊤, ⊥, x1, x2, x3, ¬x3, x2 ∧ ¬x3, x4");
+        for (tree, &root) in column.iter().zip(&roots) {
+            let converted = i.to_lineage(root);
+            assert_eq!(&converted, tree);
+        }
+        // A root converts to the input's own tree (the first one seen), not
+        // to a fresh allocation.
+        assert!(std::ptr::eq(
+            i.to_lineage(roots[0]).node(),
+            column[0].node()
+        ));
+        assert!(std::ptr::eq(
+            i.to_lineage(roots[1]).node(),
+            column[1].node()
+        ));
+        assert!(std::ptr::eq(
+            i.to_lineage(roots[2]).node(),
+            column[0].node()
+        ));
+        // The cons table was sized for the column at once and still finds
+        // every node.
+        let wide: Vec<Lineage> = (0..1000).map(|k| v(k * 7919)).collect();
+        let roots = i.intern_column(wide.iter());
+        assert_eq!(i.verify_arena(), Ok(()));
+        let nodes = i.len();
+        assert_eq!(i.intern_column(wide.iter()), roots);
+        assert_eq!(i.len(), nodes, "re-interning allocates nothing");
+    }
+
+    #[test]
+    fn share_no_node_compares_root_lists() {
+        let mut i = LineageInterner::new();
+        let (a, b, c) = (i.var(VarId(1)), i.var(VarId(2)), i.var(VarId(3)));
+        assert!(i.share_no_node(&[a, b], &[c]));
+        assert!(!i.share_no_node(&[a, b], &[c, b]));
+        assert!(i.share_no_node(&[a, a], &[]));
+        // Each call is a fresh pass: earlier marks do not leak.
+        assert!(i.share_no_node(&[c], &[a, b]));
     }
 
     /// The live operands of `d` as trees, in operand order.

@@ -32,12 +32,15 @@ struct Deferred {
     recipe: Recipe,
 }
 
-/// How a read-once root is assembled from its operands' trees. Both shapes
-/// are only formed when the operands share no variable, so concatenating
+/// How a read-once root is assembled from its operands' trees. Every shape
+/// is only formed when the operands share no variable, so concatenating
 /// their conjuncts is already the constructors' normal form.
 enum Recipe {
     /// `a ∧ b`: the conjuncts of `a`, then those of `b`.
     And2(Lineage, Lineage),
+    /// `a ∧ ¬b` (`b` neither a constant nor a negation): the conjuncts of
+    /// `a`, then `¬b`.
+    AndNot(Lineage, Lineage),
     /// `[λr, c₁, …, c_k]` (k ≥ 2, the `cᵢ` flattened and distinct):
     /// `λr ∧ ¬(c₁ ∨ … ∨ c_k)`.
     AndNotOr(Box<[Lineage]>),
@@ -47,6 +50,10 @@ impl Recipe {
     fn build(&self) -> Lineage {
         let conjuncts = match self {
             Recipe::And2(a, b) => [conjuncts(a), conjuncts(b)].concat(),
+            Recipe::AndNot(a, b) => {
+                let not = Lineage::from_normalized(LineageNode::Not(b.clone()));
+                [conjuncts(a), slice::from_ref(&not)].concat()
+            }
             Recipe::AndNotOr(operands) => {
                 let (lambda_r, disjuncts) = operands
                     .split_first()
@@ -73,6 +80,13 @@ impl LazyLineage {
     /// whose conjuncts are pairwise distinct.
     pub(crate) fn and2(a: Lineage, b: Lineage) -> Self {
         Self::deferred(Recipe::And2(a, b))
+    }
+
+    /// `a ∧ ¬b` over a non-constant `a` and a `b` that is neither a constant
+    /// nor a negation, sharing no variable with `a`: the tree of
+    /// `and2(a, ¬b)` without an interned `¬b`.
+    pub(crate) fn and_not(a: Lineage, b: Lineage) -> Self {
+        Self::deferred(Recipe::AndNot(a, b))
     }
 
     /// `λr ∧ ¬(c₁ ∨ … ∨ c_k)` over `[λr, c₁, …, c_k]`: a non-constant `λr`
@@ -153,6 +167,9 @@ mod tests {
         assert!(lazy.is_deferred());
         assert_eq!(lazy.get(), &Lineage::and_not_concat(&xy, &z));
         assert!(!lazy.is_deferred());
+
+        let negated = LazyLineage::and_not(xy.clone(), z.clone());
+        assert_eq!(negated.get(), &Lineage::and_not_concat(&xy, &z));
 
         let span = LazyLineage::and_not_or(vec![x.clone(), y.clone(), z.clone()]);
         let or = Lineage::or2(y, z);

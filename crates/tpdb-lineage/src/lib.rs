@@ -68,7 +68,7 @@ pub use intern::{
     FxHashMap, FxHashSet, FxHasher, InternedDisjunction, InternedNode, LineageInterner, LineageRef,
 };
 pub use lazy::LazyLineage;
-pub use prob::{Concat, MarginalMap, ProbabilityEngine, ProbabilityError};
+pub use prob::{Concat, MarginalMap, ProbabilityEngine, ProbabilityError, ReadOnceColumns};
 pub use symbols::{SymbolTable, SymbolTableError, VarId};
 
 /// Lineage concatenation for overlapping windows: `λr ∧ λs`.

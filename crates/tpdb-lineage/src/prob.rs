@@ -53,6 +53,22 @@ pub enum Concat {
     Or,
 }
 
+/// Proof, issued once per statement by
+/// [`ProbabilityEngine::certify_columns`], that every output root formed
+/// from its two lineage columns is read-once: each root of both columns is
+/// a registered `Var`, no variable occurs in both, and `force_shannon` is
+/// off. Holding it is what lets output formation call
+/// [`certified_output`](ProbabilityEngine::certified_output) and
+/// [`certified_concat`](ProbabilityEngine::certified_concat), which price a
+/// row from the dense marginals with no normalization, leaf walk or new
+/// node. It stays valid for the engine that issued it while that engine's
+/// marginals and `force_shannon` are unchanged — for as long as a pass
+/// runner holds the engine.
+#[derive(Debug)]
+pub struct ReadOnceColumns {
+    _sealed: (),
+}
+
 /// Exact probability computation under tuple independence.
 ///
 /// Base tuples of a TP database are independent boolean random variables;
@@ -88,20 +104,25 @@ pub enum Concat {
 /// keyed by deep structural hashes of trees; a `Var` node's entry is its
 /// marginal, so pricing hashes each variable once, not once per
 /// occurrence. Registered marginals live behind an [`Arc`] with
-/// copy-on-write semantics, so cloning an engine — as the query layer does
-/// once per execution, and the parallel join does once per worker — is
-/// cheap and shares the registered probabilities until one side writes.
+/// copy-on-write semantics: the query layer builds each operator's engine
+/// over the catalog's map with [`with_marginals`](Self::with_marginals),
+/// and the parallel join clones one per worker, both without copying the
+/// registered probabilities until one side writes.
 ///
-/// Callers on the hot path intern once ([`intern`](Self::intern) or the
-/// interned stream constructors) and evaluate with
-/// [`probability_ref`](Self::probability_ref); output formation hands a
+/// Callers on the hot path intern once ([`intern`](Self::intern), or
+/// [`LineageInterner::intern_column`] for a relation's lineage column) and
+/// evaluate with [`probability_ref`](Self::probability_ref). Output
+/// formation first asks [`certify_columns`](Self::certify_columns) once per
+/// statement whether every output root is read-once; if so, each row is
+/// priced from the dense marginals by
+/// [`certified_concat`](Self::certified_concat). Otherwise it hands a
 /// window's two lineages to [`concat_output`](Self::concat_output) (or
 /// [`try_concat_disjunction_output`](Self::try_concat_disjunction_output)
-/// for an un-interned `λs`), which prices their concatenation without
-/// interning it when it is read-once and returns it as a [`LazyLineage`]
-/// whose tree is built only when read;
-/// [`probability`](Self::probability) accepts legacy trees and interns on
-/// the fly.
+/// for an un-interned `λs`), which proves read-once per row and prices the
+/// concatenation without interning it when it is. Either way a read-once
+/// conjunction comes back as a [`LazyLineage`] whose tree is built only
+/// when read; [`probability`](Self::probability) accepts legacy trees and
+/// interns on the fly.
 #[derive(Debug, Clone, Default)]
 pub struct ProbabilityEngine {
     probs: Arc<MarginalMap>,
@@ -454,6 +475,123 @@ impl ProbabilityEngine {
         }
         let p = self.prob_rec(lambda_r) * (1.0 - (1.0 - none));
         Ok((LazyLineage::and_not_or(trees), p))
+    }
+
+    /// Certifies a statement whose two lineage columns (their roots, as
+    /// [`LineageInterner::intern_column`] returns them) are `r` and `s`:
+    /// `Some` when every root is a `Var` whose variable is registered, no
+    /// variable is a root of both columns and `force_shannon` is off. Then
+    /// every output root of Table II — `λr`, `λr ∧ λs`, `λr ∧ ¬(c₁ ∨ … ∨ c_k)`
+    /// and the union's `λr ∨ λs`, with `λr` from one column and the `cᵢ`
+    /// distinct roots of the other — is read-once. One pass over both
+    /// columns, which also seeds each root's marginal into the dense memo.
+    /// Self-joins, derived inputs and unregistered variables get `None` and
+    /// keep the per-row path.
+    pub fn certify_columns(
+        &mut self,
+        r: &[LineageRef],
+        s: &[LineageRef],
+    ) -> Option<ReadOnceColumns> {
+        if self.force_shannon {
+            return None;
+        }
+        for &root in r.iter().chain(s) {
+            let InternedNode::Var(var) = self.interner.node(root) else {
+                return None;
+            };
+            let p = *self.probs.get(var)?;
+            self.memo_insert(root, p);
+        }
+        self.interner
+            .share_no_node(r, s)
+            .then_some(ReadOnceColumns { _sealed: () })
+    }
+
+    /// [`output`](Self::output) of a root of a certified column: its
+    /// marginal and its cached tree.
+    pub fn certified_output(
+        &mut self,
+        _proof: &ReadOnceColumns,
+        lambda_r: LineageRef,
+    ) -> (LazyLineage, f64) {
+        let p = self.prob_rec(lambda_r);
+        (self.interner.to_lineage(lambda_r).into(), p)
+    }
+
+    /// The output root `how(λr, c₁ ∨ … ∨ c_k)` of a certified statement:
+    /// `λr` a root of one column, `lambda_s` the distinct roots of the
+    /// other that form `λs` — one node, or a negating window's span. The
+    /// same lineage and probability bits as [`concat_output`](Self::concat_output)
+    /// / [`try_concat_disjunction_output`](Self::try_concat_disjunction_output),
+    /// whose product it runs without their per-row proof, from the dense
+    /// marginals:
+    ///
+    /// - `and`: `p(λr) · p(λs)`;
+    /// - `andNot`: `p(λr) · (1 − p(λs))`;
+    /// - `or`: `1 − (1 − p(λr)) · ∏(1 − p(cᵢ))`;
+    ///
+    /// where a span's `p(λs)` is `1 − ∏(1 − p(cᵢ))` in span order from
+    /// `1.0`. No node is interned: a conjunction comes back deferred
+    /// (`¬λs` included), the union's disjunction as a tree.
+    pub fn certified_concat(
+        &mut self,
+        _proof: &ReadOnceColumns,
+        how: Concat,
+        lambda_r: LineageRef,
+        lambda_s: &[LineageRef],
+    ) -> (LazyLineage, f64) {
+        debug_assert!(!self.force_shannon, "a certificate outlived force_shannon");
+        debug_assert!(
+            !lambda_s.is_empty()
+                && std::iter::once(&lambda_r)
+                    .chain(lambda_s)
+                    .all(|&o| matches!(self.interner.node(o), InternedNode::Var(_))),
+            "certified roots concatenate column roots"
+        );
+        let p_r = self.prob_rec(lambda_r);
+        let tree_r = self.interner.to_lineage(lambda_r);
+        if how == Concat::Or {
+            let mut none = 1.0 - p_r;
+            let mut trees = Vec::with_capacity(1 + lambda_s.len());
+            trees.push(tree_r);
+            for &c in lambda_s {
+                none *= 1.0 - self.prob_rec(c);
+                trees.push(self.interner.to_lineage(c));
+            }
+            let tree = Lineage::from_normalized(LineageNode::Or(trees));
+            return (tree.into(), 1.0 - none);
+        }
+        let p_s = match lambda_s {
+            [c] => self.prob_rec(*c),
+            span => {
+                let mut none = 1.0;
+                for &c in span {
+                    none *= 1.0 - self.prob_rec(c);
+                }
+                1.0 - none
+            }
+        };
+        let lineage = match (how, lambda_s) {
+            (Concat::AndNot, [c]) => LazyLineage::and_not(tree_r, self.interner.to_lineage(*c)),
+            (Concat::AndNot, span) => {
+                let mut trees = Vec::with_capacity(1 + span.len());
+                trees.push(tree_r);
+                trees.extend(span.iter().map(|&c| self.interner.to_lineage(c)));
+                LazyLineage::and_not_or(trees)
+            }
+            (_, [c]) => LazyLineage::and2(tree_r, self.interner.to_lineage(*c)),
+            (_, span) => {
+                let trees = span.iter().map(|&c| self.interner.to_lineage(c));
+                let or = Lineage::from_normalized(LineageNode::Or(trees.collect()));
+                LazyLineage::and2(tree_r, or)
+            }
+        };
+        let p = if how == Concat::And {
+            p_r * p_s
+        } else {
+            p_r * (1.0 - p_s)
+        };
+        (lineage, p)
     }
 
     /// Is the connective over the normalized `operands` priced by the
@@ -1295,7 +1433,68 @@ mod tests {
         assert_eq!(e.verify_arena(), Ok(()));
     }
 
+    /// Interns `vars` as a column of base lineages.
+    fn column(e: &mut ProbabilityEngine, vars: &[u32]) -> Vec<LineageRef> {
+        let trees: Vec<Lineage> = vars.iter().map(|&i| v(i)).collect();
+        e.interner_mut().intern_column(trees.iter())
+    }
+
+    #[test]
+    fn columns_are_certified_only_when_every_root_is_read_once() {
+        let mut e = engine(&[0.5, 0.4, 0.3, 0.2]);
+        let (r, s) = (column(&mut e, &[0, 1]), column(&mut e, &[2, 3]));
+        assert!(e.certify_columns(&r, &s).is_some());
+        assert!(e.certify_columns(&r, &[]).is_some(), "an empty side");
+        // A shared variable, an unregistered one, a compound root.
+        let shared = column(&mut e, &[3, 1]);
+        assert!(e.certify_columns(&r, &shared).is_none());
+        let unregistered = column(&mut e, &[9]);
+        assert!(e.certify_columns(&r, &unregistered).is_none());
+        let compound = e.intern(&Lineage::and2(v(2), v(3)));
+        assert!(e.certify_columns(&r, &[compound]).is_none());
+        assert!(e.certify_columns(&[e.interner().tru()], &s).is_none());
+        // The ablation switch keeps every root on the node path.
+        e.set_force_shannon(true);
+        assert!(e.certify_columns(&r, &s).is_none());
+        assert_eq!(e.verify_arena(), Ok(()));
+    }
+
     proptest! {
+        /// Certified pricing is the per-row path, bit for bit and tree for
+        /// tree, for every concatenation of a root with one node or a span
+        /// of distinct roots of the other column — and interns nothing.
+        #[test]
+        fn prop_certified_concat_equals_the_arena_path(
+            ps in proptest::collection::vec(0.0f64..=1.0, 8),
+            lr in 0u32..3,
+            draws in proptest::collection::vec(3u32..8, 1..6),
+        ) {
+            // An active set's operands: distinct, in first-activation order.
+            let mut ls: Vec<u32> = Vec::new();
+            for i in draws {
+                if !ls.contains(&i) {
+                    ls.push(i);
+                }
+            }
+            let (mut certified, mut arena) = (engine(&ps), engine(&ps));
+            let (r, s) = (column(&mut certified, &[0, 1, 2]), column(&mut certified, &[3, 4, 5, 6, 7]));
+            let proof = certified.certify_columns(&r, &s).expect("distinct registered vars");
+            let nodes = certified.interner().len();
+            let lambda_s: Vec<LineageRef> = ls.iter().map(|&i| s[i as usize - 3]).collect();
+            let span = Lineage::or(ls.iter().map(|&i| v(i)).collect());
+            for how in CONCATS {
+                let got = certified.certified_concat(&proof, how, r[lr as usize], &lambda_s);
+                let (ar, as_) = (arena.intern(&v(lr)), arena.intern(&span));
+                let want = concat_through_the_arena(&mut arena, how, ar, as_);
+                prop_assert_eq!(tree_bits(Ok(got)), want.map(|(t, p)| (t, p.to_bits())), "{:?}", how);
+            }
+            let (lineage, p) = certified.certified_output(&proof, r[lr as usize]);
+            prop_assert_eq!((lineage.get(), p.to_bits()), (&v(lr), ps[lr as usize].to_bits()));
+            prop_assert_eq!(certified.interner().len(), nodes);
+            prop_assert_eq!(certified.expansions(), 0);
+            prop_assert_eq!(certified.verify_arena(), Ok(()));
+        }
+
         /// The disjunction entry equals interning the disjunction and taking
         /// the arena path — same tree, probability bits (or error) and
         /// expansion count, cold and warm memo, with and without
