@@ -3,8 +3,8 @@
 //! Workload construction and the seven NJ/TA series of the paper's
 //! Figs. 5–7, used by the `experiments` binary that regenerates those
 //! figures (see `docs/EXPERIMENTS.md` at the workspace root). Everything
-//! else about the engine — parallel speed-up, plan cache, query-layer
-//! overhead, ingest, served throughput, Shannon expansion — is measured by
+//! else about the engine — plan cache, query-layer overhead, ingest,
+//! served throughput, Shannon expansion — is measured by
 //! `tpbench/` (declared in `BENCHMARK.json`), and only there.
 
 #![forbid(unsafe_code)]

@@ -111,6 +111,29 @@ pub fn tp_join(
     tp_join_with_plan(r, s, theta, kind, None)
 }
 
+/// [`tp_join`] under its former parallel name: a serial alias that ignores
+/// `_parallelism` and is kept for source compatibility. Statements run on
+/// the caller's thread whatever degree is asked for.
+///
+/// ```
+/// use tpdb_core::{tp_join, tp_join_parallel, ThetaCondition, TpJoinKind};
+///
+/// let (a, b) = tpdb_datagen::booking_example();
+/// let theta = ThetaCondition::column_equals("Loc", "Loc");
+/// let serial = tp_join(&a, &b, &theta, TpJoinKind::LeftOuter).unwrap();
+/// let aliased = tp_join_parallel(&a, &b, &theta, TpJoinKind::LeftOuter, 4).unwrap();
+/// assert_eq!(aliased, serial);
+/// ```
+pub fn tp_join_parallel(
+    r: &TpRelation,
+    s: &TpRelation,
+    theta: &ThetaCondition,
+    kind: TpJoinKind,
+    _parallelism: usize,
+) -> Result<TpRelation, StorageError> {
+    tp_join(r, s, theta, kind)
+}
+
 /// [`tp_join`] with an explicitly chosen overlap-join plan (`None` lets the
 /// engine pick: sweep for equi-joins, nested loop otherwise).
 ///
@@ -258,7 +281,7 @@ pub(crate) fn form_output_tuple(
 }
 
 /// Output formation over the interned window representation — the one
-/// function the executing pipelines (serial and morsel-parallel) form
+/// function the executing pass runner ([`crate::TpJoinStream`]) forms
 /// tuples with. `λr` and `λs` stay decoupled to the end: the engine
 /// concatenates them **at the boundary** and hands back a read-once root
 /// (every root of a join over base relations) as a deferred lineage — no

@@ -31,14 +31,8 @@
 //! [`lawan`], [`overlapping_windows`]) remain available for callers that
 //! need whole window sets.
 //!
-//! On multi-core hosts the pipeline also executes with **morsel-driven
-//! work stealing**: [`tp_join_parallel`] (and [`tp_set_op_parallel`] for
-//! the set operations) builds the probe index once, cuts the probe side
-//! into small key-group-respecting morsels, and lets scoped worker threads
-//! steal morsels from a shared injector until the queue drains; outputs
-//! are tagged with the global probe index and merged back into the serial
-//! emission order, so the result is byte-identical to serial execution
-//! (see the [`parallel`](crate::tp_join_parallel) module functions).
+//! Every statement runs as one such pass on the caller's thread; the crate
+//! creates no threads.
 //!
 //! ## Example — the query of Fig. 1
 //!
@@ -74,10 +68,8 @@
 mod join;
 mod lawan;
 mod lawau;
-mod morsel;
 mod optable;
 mod overlap;
-mod parallel;
 mod pipeline;
 mod setops;
 mod stream;
@@ -89,19 +81,14 @@ pub(crate) mod testutil;
 
 pub use join::{
     assemble_join_result, tp_anti_join, tp_full_outer_join, tp_inner_join, tp_join,
-    tp_join_with_engine, tp_join_with_engine_and_plan, tp_join_with_plan, tp_left_outer_join,
-    tp_right_outer_join, TpJoinKind,
+    tp_join_parallel, tp_join_with_engine, tp_join_with_engine_and_plan, tp_join_with_plan,
+    tp_left_outer_join, tp_right_outer_join, TpJoinKind,
 };
 pub use lawan::{lawan, WindowLineage};
 pub use lawau::lawau;
 pub use overlap::{
     auto_plan, overlapping_windows, overlapping_windows_with_plan, OverlapJoinPlan,
     OverlapWindowStream,
-};
-pub use parallel::{
-    default_parallelism, parallel_degree, tp_join_parallel, tp_join_parallel_with_engine_and_plan,
-    tp_join_parallel_with_plan, tp_set_op_parallel, tp_set_op_parallel_with_engine_and_plan,
-    MAX_PARALLELISM,
 };
 pub use pipeline::{LawanStream, LawauStream, WindowGroups, WindowStream};
 pub use setops::{

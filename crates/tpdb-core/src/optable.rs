@@ -20,10 +20,9 @@
 //!
 //! A pass only runs the pipeline as deep as the classes it accepts need
 //! ([`PipeDepth`]): `WO` alone stops after the overlap join, the union's
-//! second pass after LAWAU. The serial streams ([`crate::stream`]), the
-//! morsel driver ([`crate::parallel`]) and the TA baseline's output
-//! assembly ([`crate::assemble_join_result`]) all execute these rows; none
-//! of them names an operator.
+//! second pass after LAWAU. The pass runner ([`crate::stream`]) and the TA
+//! baseline's output assembly ([`crate::assemble_join_result`]) both
+//! execute these rows; neither names an operator.
 
 use crate::join::TpJoinKind;
 use crate::setops::TpSetOpKind;

@@ -68,11 +68,8 @@ pub(crate) fn interned_lineages(
 
 /// Which physical plan the overlap join uses.
 ///
-/// The keyed plans (sweep, hash) require a pure equi-join θ and are
-/// shardable — they are what the morsel-driven parallel driver
-/// ([`crate::tp_join_parallel`]) distributes across stealing workers.
-/// Forcing a keyed plan on a non-equi θ is a loud error, never a silent
-/// downgrade:
+/// The keyed plans (sweep, hash) require a pure equi-join θ. Forcing a
+/// keyed plan on a non-equi θ is a loud error, never a silent downgrade:
 ///
 /// ```
 /// use tpdb_core::{overlapping_windows_with_plan, OverlapJoinPlan, ThetaCondition};
@@ -82,9 +79,6 @@ pub(crate) fn interned_lineages(
 ///     .bind(a.schema(), b.schema())
 ///     .unwrap();
 /// let non_equi = ThetaCondition::always().bind(a.schema(), b.schema()).unwrap();
-///
-/// assert!(OverlapJoinPlan::Sweep.is_shardable());
-/// assert!(!OverlapJoinPlan::NestedLoop.is_shardable());
 ///
 /// // the sweep runs on the equi-join ...
 /// assert!(overlapping_windows_with_plan(&a, &b, &equi, OverlapJoinPlan::Sweep).is_ok());
@@ -121,18 +115,6 @@ impl OverlapJoinPlan {
     #[must_use]
     pub fn requires_equi_join(&self) -> bool {
         !matches!(self, OverlapJoinPlan::NestedLoop)
-    }
-
-    /// Can the plan execute as independent probe morsels? The
-    /// key-partitioned plans (hash, sweep) can: each probe tuple's window
-    /// group depends only on its own key partition of the shared build
-    /// index, so any chunk of probe indices is a valid unit of parallel
-    /// work. The nested loop compares every pair and cannot shard — the
-    /// parallel driver falls back to serial execution for it (and `EXPLAIN`
-    /// says so).
-    #[must_use]
-    pub fn is_shardable(&self) -> bool {
-        self.requires_equi_join()
     }
 
     /// The error returned when this plan is forced on a θ it cannot execute.
@@ -200,12 +182,9 @@ pub fn overlapping_windows_with_plan(
     Ok(out.into())
 }
 
-/// The build-side structure of the overlap join, probed once per `r` tuple.
-///
-/// The index is immutable after construction, so the morsel-driven parallel
-/// driver builds it **once** over the full build side and shares it
-/// read-only (`Arc`) across all stealing workers — no per-shard rebuild.
-pub(crate) enum ProbeIndex {
+/// The build-side structure of the overlap join, built once per pass and
+/// probed once per `r` tuple.
+enum ProbeIndex {
     /// Per-key partitions sorted by interval start.
     Sweep(HashMap<Vec<Value>, SortedIntervalIndex>),
     /// Per-key partitions in `s` index order.
@@ -215,7 +194,7 @@ pub(crate) enum ProbeIndex {
 }
 
 impl ProbeIndex {
-    pub(crate) fn build(
+    fn build(
         s: &TpRelation,
         bound: &BoundTheta,
         plan: OverlapJoinPlan,
@@ -339,46 +318,29 @@ impl ProbeIndex {
 ///
 /// The two relations are held through any [`Borrow`]`<TpRelation>`: plain
 /// references inside a join operator, `Arc<TpRelation>` in long-lived
-/// cursors ([`crate::TpJoinStream`]) that must own their inputs. The probe
-/// list `P` is likewise generic (`AsRef<[usize]>`), so the morsel-driven
-/// parallel driver hands each stolen morsel's probe indices to a short-lived
-/// stream without copying the whole probe order.
+/// cursors ([`crate::TpJoinStream`]) that must own their inputs.
 ///
 /// Like [`Window`], the stream is generic over the lineage representation
 /// `L`: the default emits [`Lineage`] trees, while the executing join and
 /// set-operation pipelines construct it through the crate-internal
-/// `over_index` constructor to emit `Copy`
+/// `with_lineages` constructor to emit `Copy`
 /// [`LineageRef`] ids. Both input lineage columns are materialized once at
 /// construction (`Arc`-shared with the downstream LAWAU adaptor), so no
 /// per-window tree clone happens on either path.
-pub struct OverlapWindowStream<
-    R: Borrow<TpRelation>,
-    S: Borrow<TpRelation>,
-    P = Vec<usize>,
-    L = Lineage,
-> where
-    P: AsRef<[usize]>,
+pub struct OverlapWindowStream<R: Borrow<TpRelation>, S: Borrow<TpRelation>, L = Lineage>
+where
     L: WindowLineage,
 {
     r: R,
     s: S,
     bound: BoundTheta,
-    /// The build-side index, `Arc`-shared so the morsel workers of the
-    /// parallel driver probe one index instead of rebuilding it per shard.
-    index: Arc<ProbeIndex>,
-    /// The positive side's lineage column, indexed by global `r` position.
+    index: ProbeIndex,
+    /// The positive side's lineage column, indexed by `r` position.
     r_lins: Arc<Vec<L>>,
-    /// The build side's lineage column, indexed by global `s` position.
+    /// The build side's lineage column, indexed by `s` position.
     s_lins: Arc<Vec<L>>,
-    /// Probe cursor: the next position in `probes` (morsel execution) or
-    /// the next `r` index (whole-relation execution).
-    pos: usize,
-    /// The `r` indices this stream probes (`None` = all of `r`). Morsel
-    /// workers of the parallel driver receive one stolen morsel's probe
-    /// indices here; emitted windows carry the *global* `r_idx`, so the
-    /// downstream adaptors and the merge step never need to translate
-    /// indices.
-    probes: Option<P>,
+    /// The next `r` index to probe.
+    next_probe: usize,
     /// The current probe's windows when the stream is consumed as an
     /// iterator (reused across probes); moved out of the front.
     ready: VecDeque<Window<L, L::Side>>,
@@ -405,9 +367,29 @@ impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
         bound: BoundTheta,
         plan: OverlapJoinPlan,
     ) -> Result<Self, StorageError> {
-        let index = Arc::new(ProbeIndex::build(s.borrow(), &bound, plan)?);
-        let r_lins = lineage_column(r.borrow());
-        let s_lins = lineage_column(s.borrow());
+        let (r_lins, s_lins) = (lineage_column(r.borrow()), lineage_column(s.borrow()));
+        Self::with_lineages(r, s, bound, plan, r_lins, s_lins)
+    }
+}
+
+impl<R, S, L> OverlapWindowStream<R, S, L>
+where
+    R: Borrow<TpRelation>,
+    S: Borrow<TpRelation>,
+    L: WindowLineage,
+{
+    /// Creates the stream over pre-materialized lineage columns — the
+    /// constructor of the executing pipelines, whose passes share the two
+    /// columns interned once per operator. The probe index is built here.
+    pub(crate) fn with_lineages(
+        r: R,
+        s: S,
+        bound: BoundTheta,
+        plan: OverlapJoinPlan,
+        r_lins: Arc<Vec<L>>,
+        s_lins: Arc<Vec<L>>,
+    ) -> Result<Self, StorageError> {
+        let index = ProbeIndex::build(s.borrow(), &bound, plan)?;
         Ok(Self {
             r,
             s,
@@ -415,47 +397,9 @@ impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
             index,
             r_lins,
             s_lins,
-            pos: 0,
-            probes: None,
+            next_probe: 0,
             ready: VecDeque::new(),
         })
-    }
-}
-
-impl<R, S, P, L> OverlapWindowStream<R, S, P, L>
-where
-    R: Borrow<TpRelation>,
-    S: Borrow<TpRelation>,
-    P: AsRef<[usize]>,
-    L: WindowLineage,
-{
-    /// Creates a stream over a **prebuilt shared** build-side index and
-    /// pre-materialized lineage columns: only the `r` indices in `probes`
-    /// are probed (`None` = all of `r`, the serial pipeline's one morsel
-    /// spanning every probe). This is the constructor of the executing
-    /// pipelines — the expensive parts (index build, column interning) are
-    /// paid once per pass or per worker and `Arc`-shared, so creating a
-    /// stream per stolen morsel costs a few pointer bumps.
-    pub(crate) fn over_index(
-        r: R,
-        s: S,
-        bound: BoundTheta,
-        index: Arc<ProbeIndex>,
-        probes: Option<P>,
-        r_lins: Arc<Vec<L>>,
-        s_lins: Arc<Vec<L>>,
-    ) -> Self {
-        Self {
-            r,
-            s,
-            bound,
-            index,
-            r_lins,
-            s_lins,
-            pos: 0,
-            probes,
-            ready: VecDeque::new(),
-        }
     }
 
     /// The positive side's lineage column (`Arc`-shared with the LAWAU
@@ -463,48 +407,31 @@ where
     pub(crate) fn positive_lineages(&self) -> Arc<Vec<L>> {
         Arc::clone(&self.r_lins)
     }
-
-    /// The next `r` index to probe, advancing the cursor.
-    fn next_probe(&mut self) -> Option<usize> {
-        let ri = match &self.probes {
-            Some(list) => *list.as_ref().get(self.pos)?,
-            None if self.pos < self.r.borrow().len() => self.pos,
-            None => return None,
-        };
-        self.pos += 1;
-        Some(ri)
-    }
 }
 
-impl<R, S, P, L> WindowGroups<L> for OverlapWindowStream<R, S, P, L>
+impl<R, S, L> WindowGroups<L> for OverlapWindowStream<R, S, L>
 where
     R: Borrow<TpRelation>,
     S: Borrow<TpRelation>,
-    P: AsRef<[usize]>,
     L: WindowLineage,
 {
     /// A probe *is* a group: the next `r` tuple's windows are written
     /// straight into the consumer's buffer.
     fn next_group(&mut self, out: &mut VecDeque<Window<L, L::Side>>) -> Option<usize> {
-        let ri = self.next_probe()?;
-        self.index.probe_into(
-            ri,
-            self.r.borrow().tuple(ri),
-            self.s.borrow(),
-            &self.bound,
-            &self.r_lins[ri],
-            &self.s_lins,
-            out,
-        );
+        let ri = self.next_probe;
+        let rt = self.r.borrow().tuples().get(ri)?;
+        self.next_probe += 1;
+        let (s, bound) = (self.s.borrow(), &self.bound);
+        self.index
+            .probe_into(ri, rt, s, bound, &self.r_lins[ri], &self.s_lins, out);
         Some(ri)
     }
 }
 
-impl<R, S, P, L> Iterator for OverlapWindowStream<R, S, P, L>
+impl<R, S, L> Iterator for OverlapWindowStream<R, S, L>
 where
     R: Borrow<TpRelation>,
     S: Borrow<TpRelation>,
-    P: AsRef<[usize]>,
     L: WindowLineage,
 {
     type Item = Window<L, L::Side>;

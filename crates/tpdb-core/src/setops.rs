@@ -24,10 +24,6 @@
 //! The one-shot functions ([`tp_union`], [`tp_intersection`],
 //! [`tp_difference`]) simply drain the stream; nothing is materialized
 //! besides the output itself.
-//!
-//! All three are also *shardable*: [`crate::tp_set_op_parallel`] runs the
-//! identical passes as work-stealing morsel jobs with byte-identical
-//! output.
 
 use crate::join::assemble_result;
 use crate::optable::TpOp;

@@ -11,15 +11,13 @@
 //! — the full output is never materialized unless the caller drains the
 //! stream.
 //!
-//! Serial execution is the morsel driver's special case "one morsel
-//! spanning every probe": the runner interns both lineage columns once per
-//! operator, asks the engine once whether they make every output root
-//! read-once ([`ProbabilityEngine::certify_columns`]), and [`Pipe::build`]
-//! builds each pass's probe index — eagerly,
-//! at construction, like the build side of a conventional hash join — and
-//! then stacks the same [`Pipe::over`] adaptors a stolen morsel of [`crate::parallel`] runs over
-//! its slice of the probe side. Everything downstream of the build side is
-//! lazy.
+//! A statement is one such run on the caller's thread: the runner interns
+//! both lineage columns once per operator, asks the engine once whether
+//! they make every output root read-once
+//! ([`ProbabilityEngine::certify_columns`]), and [`Pipe::build`] builds each
+//! pass's probe index — eagerly, at construction, like the build side of a
+//! conventional hash join — under the window adaptors the pass needs.
+//! Everything downstream of the build side is lazy.
 //!
 //! The input relations are held through any [`Borrow`]`<TpRelation>`, so
 //! the streams work with plain references inside a one-shot join (this is
@@ -28,9 +26,7 @@
 
 use crate::join::form_output_tuple_interned;
 use crate::optable::{PassSpec, TpOp};
-use crate::overlap::{
-    auto_plan, interned_lineages, OverlapJoinPlan, OverlapWindowStream, ProbeIndex,
-};
+use crate::overlap::{auto_plan, interned_lineages, OverlapJoinPlan, OverlapWindowStream};
 use crate::pipeline::{LawanStream, LawauStream};
 use crate::theta::ThetaCondition;
 use crate::window::{SideRef, Window};
@@ -55,49 +51,57 @@ pub(crate) enum PipeDepth {
 }
 
 /// The interned overlap join → LAWAU stack (the `Wu` depth of a [`Pipe`]).
-type WuStream<P, N, Q> = LawauStream<OverlapWindowStream<P, N, Q, LineageRef>, P, LineageRef>;
+type WuStream<P, N> = LawauStream<OverlapWindowStream<P, N, LineageRef>, P, LineageRef>;
 
-/// One pass of the window pipeline over the probe list `Q` (a stolen
-/// morsel's indices, or every probe), cut off at a [`PipeDepth`].
-// A handful of Pipes exist per statement (one per pass, or per stolen
-// morsel); the size difference between the variants is irrelevant at that
-// cardinality.
+/// One pass of the window pipeline, cut off at a [`PipeDepth`].
+// A handful of Pipes exist per statement (one per pass); the size
+// difference between the variants is irrelevant at that cardinality.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Pipe<P, N, Q = Vec<usize>>
+pub(crate) enum Pipe<P, N>
 where
     P: Borrow<TpRelation> + Clone,
     N: Borrow<TpRelation>,
-    Q: AsRef<[usize]>,
 {
     /// Overlapping + whole-interval unmatched windows only.
-    Wo(OverlapWindowStream<P, N, Q, LineageRef>),
+    Wo(OverlapWindowStream<P, N, LineageRef>),
     /// Overlap join → LAWAU.
-    Wu(WuStream<P, N, Q>),
+    Wu(WuStream<P, N>),
     /// The full pipeline: overlap join → LAWAU → LAWAN.
-    Wuon(LawanStream<WuStream<P, N, Q>, LineageRef>),
+    Wuon(LawanStream<WuStream<P, N>, LineageRef>),
 }
 
-impl<P, N, Q> Pipe<P, N, Q>
+impl<P, N> Pipe<P, N>
 where
     P: Borrow<TpRelation> + Clone,
     N: Borrow<TpRelation>,
-    Q: AsRef<[usize]>,
 {
-    /// Stacks the adaptors `depth` asks for on an overlap stream of `pos`.
-    pub(crate) fn over(
-        wo: OverlapWindowStream<P, N, Q, LineageRef>,
+    /// Builds the pass pipe for windows of `pos` with respect to `neg`. The
+    /// probe index is built up front; `pos_lins` / `neg_lins` are the two
+    /// inputs' lineage columns, interned once per operator by the caller
+    /// ([`interned_lineages`]) and shared by its passes. Everything
+    /// downstream moves [`LineageRef`] ids only.
+    pub(crate) fn build(
         pos: P,
+        neg: N,
+        theta: &ThetaCondition,
+        plan: Option<OverlapJoinPlan>,
         depth: PipeDepth,
-    ) -> Self {
-        let lawau = |wo: OverlapWindowStream<P, N, Q, LineageRef>| {
+        pos_lins: Arc<Vec<LineageRef>>,
+        neg_lins: Arc<Vec<LineageRef>>,
+    ) -> Result<Self, StorageError> {
+        let bound = theta.bind(pos.borrow().schema(), neg.borrow().schema())?;
+        let plan = plan.unwrap_or_else(|| auto_plan(&bound));
+        let wo =
+            OverlapWindowStream::with_lineages(pos.clone(), neg, bound, plan, pos_lins, neg_lins)?;
+        let lawau = |wo: OverlapWindowStream<P, N, LineageRef>| {
             let lins = wo.positive_lineages();
             LawauStream::with_lineages(wo, pos, lins)
         };
-        match depth {
+        Ok(match depth {
             PipeDepth::Overlap => Pipe::Wo(wo),
             PipeDepth::Unmatched => Pipe::Wu(lawau(wo)),
             PipeDepth::Full => Pipe::Wuon(LawanStream::new(lawau(wo))),
-        }
+        })
     }
 
     /// The next window of the pass; `interner` is where its lineages live
@@ -113,42 +117,6 @@ where
             Pipe::Wu(inner) => inner.next(),
             Pipe::Wuon(inner) => inner.next_with(interner, operands),
         }
-    }
-}
-
-impl<P, N> Pipe<P, N>
-where
-    P: Borrow<TpRelation> + Clone,
-    N: Borrow<TpRelation>,
-{
-    /// Builds the whole-pass pipe for windows of `pos` with respect to
-    /// `neg` — the serial form, one morsel spanning every probe. The probe
-    /// index is built up front; `pos_lins` / `neg_lins` are the two inputs'
-    /// lineage columns, interned once per operator by the caller
-    /// ([`interned_lineages`]) and shared by its passes. Everything
-    /// downstream moves [`LineageRef`] ids only.
-    pub(crate) fn build(
-        pos: P,
-        neg: N,
-        theta: &ThetaCondition,
-        plan: Option<OverlapJoinPlan>,
-        depth: PipeDepth,
-        pos_lins: Arc<Vec<LineageRef>>,
-        neg_lins: Arc<Vec<LineageRef>>,
-    ) -> Result<Self, StorageError> {
-        let bound = theta.bind(pos.borrow().schema(), neg.borrow().schema())?;
-        let plan = plan.unwrap_or_else(|| auto_plan(&bound));
-        let index = Arc::new(ProbeIndex::build(neg.borrow(), &bound, plan)?);
-        let wo = OverlapWindowStream::over_index(
-            pos.clone(),
-            neg,
-            bound,
-            index,
-            None,
-            pos_lins,
-            neg_lins,
-        );
-        Ok(Self::over(wo, pos, depth))
     }
 }
 

@@ -2,13 +2,13 @@
 //! be an *invisible* representation change. Interned probabilities agree
 //! with exact enumeration over the legacy trees, and the interned streaming
 //! join/set-op pipelines produce byte-identical relations to the legacy
-//! tree-based window path — for every join kind, serial and partitioned.
+//! tree-based window path — for every join kind.
 
 use proptest::prelude::*;
 use tpdb_core::{
-    assemble_join_result, lawan, lawau, overlapping_windows, tp_join, tp_join_parallel,
-    tp_join_with_engine, tp_union, tp_union_materialized, ThetaCondition, TpJoinKind, TpSetOpKind,
-    TpSetOpStream, Window,
+    assemble_join_result, lawan, lawau, overlapping_windows, tp_join, tp_join_with_engine,
+    tp_union, tp_union_materialized, ThetaCondition, TpJoinKind, TpSetOpKind, TpSetOpStream,
+    Window,
 };
 use tpdb_lineage::{Lineage, LineageInterner, ProbabilityEngine, VarId};
 use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
@@ -255,22 +255,6 @@ proptest! {
             let nodes = legacy_join_with_engine(&r, &derived, kind, &mut engine_over(&[&r, &s]));
             prop_assert_eq!(&spans, &nodes, "kind {:?}", kind);
             prop_assert_eq!(bits(&spans), bits(&nodes), "kind {:?}", kind);
-        }
-    }
-
-    /// Partitioned parallel execution (interned per-worker pipelines) is
-    /// indistinguishable from the serial join at 2 and 4 workers.
-    #[test]
-    fn parallel_interned_join_matches_serial(rr in rows(), ss in rows()) {
-        let r = build("r", 0, &rr);
-        let s = build("s", 1000, &ss);
-        let theta = ThetaCondition::column_equals("k", "k");
-        for kind in ALL_KINDS {
-            let serial = tp_join(&r, &s, &theta, kind).unwrap();
-            for workers in [2, 4] {
-                let parallel = tp_join_parallel(&r, &s, &theta, kind, workers).unwrap();
-                prop_assert_eq!(&parallel, &serial, "kind {:?}, {} workers", kind, workers);
-            }
         }
     }
 

@@ -105,9 +105,8 @@ pub struct ReadOnceColumns {
 /// marginal, so pricing hashes each variable once, not once per
 /// occurrence. Registered marginals live behind an [`Arc`] with
 /// copy-on-write semantics: the query layer builds each operator's engine
-/// over the catalog's map with [`with_marginals`](Self::with_marginals),
-/// and the parallel join clones one per worker, both without copying the
-/// registered probabilities until one side writes.
+/// over the catalog's map with [`with_marginals`](Self::with_marginals)
+/// without copying the registered probabilities until one side writes.
 ///
 /// Callers on the hot path intern once ([`intern`](Self::intern), or
 /// [`LineageInterner::intern_column`] for a relation's lineage column) and

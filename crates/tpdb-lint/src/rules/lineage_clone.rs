@@ -13,7 +13,6 @@ const STREAM_MODULES: &[&str] = &[
     "crates/tpdb-core/src/lawan.rs",
     "crates/tpdb-core/src/stream.rs",
     "crates/tpdb-core/src/setops.rs",
-    "crates/tpdb-core/src/parallel.rs",
 ];
 
 /// Identifier fragments that mark a value as carrying lineage.

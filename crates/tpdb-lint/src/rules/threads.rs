@@ -15,13 +15,9 @@
 //! exemption auditable: one file to review, one place threads are born.
 //!
 //! Inside `tpdb-core` the rule is one notch stricter: even `thread::scope`
-//! is confined to `crates/tpdb-core/src/morsel.rs`, the morsel scheduler's
-//! `scope_workers` helper. The engine's parallelism is morsel-driven work
-//! stealing; an operator that scoped its own threads would bypass the
-//! shared injector (re-introducing static-partition skew) and scatter the
-//! crate's thread topology across modules. Keeping one creation point
-//! keeps it auditable — exactly the argument for the pool exemption, moved
-//! with the code it protects.
+//! is forbidden. A statement runs on its caller's thread; concurrency lives
+//! at the connection level, in the server, and an operator that scoped its
+//! own threads would bring back a second execution path.
 
 use crate::{pattern, Diagnostic, Rule, SourceFile};
 
@@ -30,13 +26,7 @@ use crate::{pattern, Diagnostic, Rule, SourceFile};
 /// shutdown at the latest (see module docs).
 const SANCTIONED_POOL_MODULE: &str = "crates/tpdb-server/src/pool.rs";
 
-/// The one `tpdb-core` module sanctioned to call `thread::scope`: the
-/// morsel scheduler, whose `scope_workers` is the crate's single thread
-/// creation point (see module docs).
-const SANCTIONED_SCHEDULER_MODULE: &str = "crates/tpdb-core/src/morsel.rs";
-
-/// The source tree where `thread::scope` is restricted to
-/// [`SANCTIONED_SCHEDULER_MODULE`].
+/// The source tree where `thread::scope` is forbidden too.
 const CORE_SRC_TREE: &str = "crates/tpdb-core/src/";
 
 /// See module docs.
@@ -49,8 +39,7 @@ impl Rule for NoUnscopedThreads {
 
     fn description(&self) -> &'static str {
         "std::thread::spawn is forbidden — use thread::scope so workers are joined and \
-         borrows are bounded; inside tpdb-core even thread::scope belongs to the morsel \
-         scheduler only"
+         borrows are bounded; inside tpdb-core even thread::scope is forbidden"
     }
 
     fn applies(&self, file: &SourceFile) -> bool {
@@ -76,7 +65,6 @@ impl Rule for NoUnscopedThreads {
                 });
             }
             if file.rel_path.starts_with(CORE_SRC_TREE)
-                && file.rel_path != SANCTIONED_SCHEDULER_MODULE
                 && pattern::path_pair(tokens, i, "thread", "scope")
             {
                 let t = &tokens[i];
@@ -85,9 +73,8 @@ impl Rule for NoUnscopedThreads {
                     path: file.rel_path.clone(),
                     line: t.line,
                     col: t.col,
-                    message: "`thread::scope` outside the morsel scheduler — tpdb-core \
-                              workers are born in `morsel::scope_workers` only; route \
-                              parallel work through the shared injector"
+                    message: "`thread::scope` in tpdb-core — a statement runs on its \
+                              caller's thread; concurrency belongs to the server's connections"
                         .to_owned(),
                 });
             }

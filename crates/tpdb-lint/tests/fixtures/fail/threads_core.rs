@@ -1,8 +1,8 @@
-// tpdb-lint-fixture: path=crates/tpdb-core/src/workers.rs
+// tpdb-lint-fixture: path=crates/tpdb-core/src/stream.rs
 // tpdb-lint-expect: no-unscoped-threads:7:10
 
-// Inside tpdb-core, even thread::scope is confined to the morsel
-// scheduler: ad-hoc scoped workers bypass the shared injector.
+// Inside tpdb-core even thread::scope is forbidden: a statement runs on
+// its caller's thread.
 fn launch(xs: &mut [u64]) {
     std::thread::scope(|scope| {
         for x in xs.iter_mut() {

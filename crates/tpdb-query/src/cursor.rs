@@ -16,10 +16,8 @@ use tpdb_storage::{Schema, TpRelation, TpTuple};
 /// * The cursor snapshots its input relations at open time (scans hold
 ///   `Arc` handles): dropping or replacing a relation in the catalog while
 ///   a cursor is open does not affect the tuples it yields.
-/// * TP joins under a cursor run the serial streaming pipeline, so the
-///   first tuple is available after a single window group is processed;
-///   an explicit `PARALLEL n` pin still executes partitioned and streams
-///   the merged result.
+/// * TP joins under a cursor run the streaming pipeline, so the first
+///   tuple is available after a single window group is processed.
 /// * An error fuses the cursor: after yielding `Err(_)` once it yields
 ///   `None` forever. Dropping a cursor early simply abandons the rest of
 ///   the computation.

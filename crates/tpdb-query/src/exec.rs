@@ -5,13 +5,11 @@
 //! fully streaming. The TP window operator (joins and set operations)
 //! materializes its two inputs (the windows need the complete negative
 //! relation — exactly as the hash/merge join of a conventional DBMS
-//! materializes its build side) and then produces output tuples lazily:
-//! with an effective degree of parallelism of 1 the NJ machinery drives the
-//! streaming [`TpJoinStream`](tpdb_core::TpJoinStream) /
-//! [`TpSetOpStream`](tpdb_core::TpSetOpStream) pipeline tuple by tuple (the
-//! path result cursors use); with a higher degree it runs the morsel-driven
-//! parallel driver and streams the merged result. The TA strategy runs the
-//! alignment baseline.
+//! materializes its build side) and then produces output tuples lazily: the
+//! NJ machinery drives the streaming
+//! [`TpJoinStream`](tpdb_core::TpJoinStream) /
+//! [`TpSetOpStream`](tpdb_core::TpSetOpStream) pipeline tuple by tuple on
+//! the caller's thread. The TA strategy runs the alignment baseline.
 //!
 //! Operators yield `Result` items: any error cuts the stream short and is
 //! reported as the single unified [`TpdbError`].
@@ -228,9 +226,8 @@ pub enum WindowOp {
 enum OpState {
     /// Inputs not yet materialized.
     Pending,
-    /// Producing output: lazily out of the serial streaming pipeline (the
-    /// path result cursors ride on), or from the materialized result of
-    /// parallel NJ / TA execution.
+    /// Producing output: lazily out of the NJ streaming pipeline, or from
+    /// the materialized TA result.
     Running(Box<dyn Iterator<Item = TpTuple> + Send>),
     /// Exhausted, or an error was already reported.
     Done,
@@ -240,18 +237,13 @@ enum OpState {
 /// / `EXCEPT`). The two inputs are materialized when the first output tuple
 /// is requested — the operators need the complete negative side to build
 /// windows. Output tuples are then produced lazily through
-/// [`TpJoinStream`] / [`TpSetOpStream`] (serial NJ), or streamed from the
-/// materialized morsel-parallel result (any operator with an effective
-/// degree above 1) or TA result.
+/// [`TpJoinStream`] / [`TpSetOpStream`] (NJ), or streamed from the
+/// materialized TA result.
 pub struct WindowOpExec {
     left: Box<dyn PhysicalOperator>,
     right: Box<dyn PhysicalOperator>,
     op: WindowOp,
     overlap_plan: Option<OverlapJoinPlan>,
-    /// Requested degree of parallelism for the NJ machinery (already
-    /// resolved against the session default by the planner). The effective
-    /// degree may be 1: nested-loop plans cannot shard.
-    parallelism: usize,
     /// Base-tuple probabilities known to the catalog, preloaded by the
     /// planner and taken at start. The inputs' own base tuples are
     /// registered on top: the catalog engine is what lets the operator
@@ -266,9 +258,8 @@ pub struct WindowOpExec {
 impl WindowOpExec {
     /// Creates a window operator. `overlap_plan` forces the NJ overlap-join
     /// plan (`None` = automatic: sweep for equi-joins — always, for set
-    /// operations — and nested loop otherwise); `parallelism` is the
-    /// requested worker count for the NJ machinery (`1` = serial). The TA
-    /// strategy ignores both. `base_engine` carries the base-tuple
+    /// operations — and nested loop otherwise); the TA strategy ignores it.
+    /// `base_engine` carries the base-tuple
     /// probabilities known to the catalog (usually
     /// [`tpdb_storage::Catalog::probability_engine`]), so derived inputs
     /// with compound lineages can be priced.
@@ -278,7 +269,6 @@ impl WindowOpExec {
         right: Box<dyn PhysicalOperator>,
         op: WindowOp,
         overlap_plan: Option<OverlapJoinPlan>,
-        parallelism: usize,
         base_engine: ProbabilityEngine,
     ) -> Self {
         // Set operations and the anti join keep the left input's schema;
@@ -296,7 +286,6 @@ impl WindowOpExec {
             right,
             op,
             overlap_plan,
-            parallelism: parallelism.max(1),
             base_engine,
             schema,
             state: OpState::Pending,
@@ -323,70 +312,40 @@ impl WindowOpExec {
     fn start(&mut self) -> Result<OpState, TpdbError> {
         let left = self.left.materialize("left")?;
         let right = self.right.materialize("right")?;
-        let materialized =
-            |result: TpRelation| OpState::Running(Box::new(result.into_tuples().into_iter()));
         if let WindowOp::Join {
             theta,
             kind,
             strategy: JoinStrategy::Ta,
         } = &self.op
         {
-            return Ok(materialized(tpdb_ta::ta_join(&left, &right, theta, *kind)?));
+            let result = tpdb_ta::ta_join(&left, &right, theta, *kind)?;
+            return Ok(OpState::Running(Box::new(result.into_tuples().into_iter())));
         }
         let mut engine = std::mem::take(&mut self.base_engine);
         left.register_probabilities(&mut engine);
         right.register_probabilities(&mut engine);
-        let (plan, degree) = (self.overlap_plan, self.parallelism);
-        let parallel = self
-            .resolved_plan()
-            .is_some_and(|p| tpdb_core::parallel_degree(p, degree) > 1);
-        Ok(match (&self.op, parallel) {
-            (WindowOp::Join { theta, kind, .. }, true) => {
-                materialized(tpdb_core::tp_join_parallel_with_engine_and_plan(
-                    &left, &right, theta, *kind, plan, degree, &engine,
-                )?)
-            }
-            (WindowOp::Join { theta, kind, .. }, false) => OpState::Running(Box::new(
-                TpJoinStream::with_engine_and_plan(left, right, theta, *kind, plan, engine)?,
-            )),
-            (WindowOp::SetOp(kind), true) => {
-                materialized(tpdb_core::tp_set_op_parallel_with_engine_and_plan(
-                    &left, &right, *kind, plan, degree, &engine,
-                )?)
-            }
-            (WindowOp::SetOp(kind), false) => OpState::Running(Box::new(
-                TpSetOpStream::with_engine_and_plan(left, right, *kind, plan, engine)?,
-            )),
-        })
+        let plan = self.overlap_plan;
+        Ok(OpState::Running(match &self.op {
+            WindowOp::Join { theta, kind, .. } => Box::new(TpJoinStream::with_engine_and_plan(
+                left, right, theta, *kind, plan, engine,
+            )?),
+            WindowOp::SetOp(kind) => Box::new(TpSetOpStream::with_engine_and_plan(
+                left, right, *kind, plan, engine,
+            )?),
+        }))
     }
 
-    /// The ` plan=…` and ` parallel=…` notes of `EXPLAIN`. They name the
-    /// overlap-join plan and the degree of parallelism that will actually
-    /// run, not merely the requested ones: a nested-loop plan cannot shard,
-    /// so a requested degree above 1 silently becoming serial would
-    /// misreport. TA always runs the serial alignment baseline and only
-    /// echoes a forced plan.
-    fn plan_and_parallel_notes(&self) -> String {
+    /// The ` plan=…` note of `EXPLAIN`: the overlap-join plan that will
+    /// actually run, not merely the requested one. TA always runs the
+    /// alignment baseline and only echoes a forced plan.
+    fn plan_note(&self) -> String {
         let ta =
             matches!(&self.op, WindowOp::Join { strategy, .. } if *strategy == JoinStrategy::Ta);
-        let resolved = self.resolved_plan().filter(|_| !ta);
-        let plan_note = match (self.overlap_plan, resolved) {
+        match (self.overlap_plan, self.resolved_plan().filter(|_| !ta)) {
             (Some(p), _) => format!(" plan={p}"),
             (None, Some(p)) => format!(" plan=auto({p})"),
             (None, None) => String::new(),
-        };
-        let par_note = match resolved {
-            Some(plan) => {
-                let effective = tpdb_core::parallel_degree(plan, self.parallelism);
-                if effective == 1 && self.parallelism > 1 {
-                    format!(" parallel=1 (serial fallback: the {plan} plan cannot shard)")
-                } else {
-                    format!(" parallel={effective}")
-                }
-            }
-            None => String::new(),
-        };
-        plan_note + &par_note
+        }
     }
 }
 
@@ -412,7 +371,7 @@ impl PhysicalOperator for WindowOpExec {
     }
 
     fn describe(&self) -> String {
-        let notes = self.plan_and_parallel_notes();
+        let notes = self.plan_note();
         let inputs = format!("[{}; {}]", self.left.describe(), self.right.describe());
         match &self.op {
             WindowOp::Join {
@@ -430,20 +389,10 @@ impl PhysicalOperator for WindowOpExec {
     }
 }
 
-/// Plans and executes a logical plan against a catalog with the default
-/// [`QueryOptions`](crate::QueryOptions), returning the materialized result
-/// relation.
+/// Plans and executes a logical plan against a catalog, returning the
+/// materialized result relation.
 pub fn execute_plan(catalog: &Catalog, plan: &LogicalPlan) -> Result<TpRelation, TpdbError> {
-    execute_plan_with(catalog, plan, &crate::QueryOptions::default())
-}
-
-/// [`execute_plan`] with explicit execution options.
-pub fn execute_plan_with(
-    catalog: &Catalog,
-    plan: &LogicalPlan,
-    options: &crate::QueryOptions,
-) -> Result<TpRelation, TpdbError> {
-    let mut root = crate::planner::plan_query_with(catalog, plan, options)?;
+    let mut root = crate::planner::plan_query(catalog, plan)?;
     root.collect("result")
 }
 
@@ -545,61 +494,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_plans_return_identical_results() {
-        let c = catalog();
-        let base = LogicalPlan::scan("a").tp_join(
-            LogicalPlan::scan("b"),
-            ThetaCondition::column_equals("Loc", "Loc"),
-            TpJoinKind::FullOuter,
-            JoinStrategy::Nj,
-        );
-        let serial = execute_plan(&c, &base.clone().with_parallelism(1)).unwrap();
-        for degree in [2, 4, 7] {
-            let parallel = execute_plan(&c, &base.clone().with_parallelism(degree)).unwrap();
-            assert_eq!(parallel.tuples(), serial.tuples(), "degree = {degree}");
-        }
-    }
-
-    #[test]
-    fn describe_reports_effective_parallelism() {
-        let c = catalog();
-        let plan = LogicalPlan::scan("a")
-            .tp_join(
-                LogicalPlan::scan("b"),
-                ThetaCondition::column_equals("Loc", "Loc"),
-                TpJoinKind::LeftOuter,
-                JoinStrategy::Nj,
-            )
-            .with_parallelism(4);
-        let op = plan_query(&c, &plan).unwrap();
-        assert!(op.describe().contains("parallel=4"), "{}", op.describe());
-    }
-
-    #[test]
-    fn parallel_on_nested_loop_falls_back_to_serial_with_a_note() {
-        // θ = true resolves to the nested-loop plan, which cannot shard:
-        // the join must run serially (not panic) and EXPLAIN must say so.
-        let c = catalog();
-        let plan = LogicalPlan::scan("a")
-            .tp_join(
-                LogicalPlan::scan("b"),
-                ThetaCondition::always(),
-                TpJoinKind::LeftOuter,
-                JoinStrategy::Nj,
-            )
-            .with_parallelism(4);
-        let op = plan_query(&c, &plan).unwrap();
-        let description = op.describe();
-        assert!(
-            description.contains("parallel=1 (serial fallback: the nested-loop plan cannot shard)"),
-            "{description}"
-        );
-        let result = execute_plan(&c, &plan).unwrap();
-        let serial = execute_plan(&c, &plan.clone().with_parallelism(1)).unwrap();
-        assert_eq!(result.tuples(), serial.tuples());
-    }
-
-    #[test]
     fn set_operations_match_the_core_functions() {
         // The booking relations are not union-compatible (different
         // schemas), so run the set ops on a self-union-compatible pair.
@@ -619,53 +513,10 @@ mod tests {
             ),
         ] {
             let plan = LogicalPlan::scan("meteo_r").set_op(kind, LogicalPlan::scan("meteo_s"));
-            let serial = execute_plan_with(&c, &plan, &crate::QueryOptions::serial()).unwrap();
-            assert_eq!(serial.tuples(), reference.tuples(), "{kind} serial");
-            assert_eq!(serial.schema(), reference.schema(), "{kind} schema");
-            for degree in [2, 4] {
-                let parallel = execute_plan(&c, &plan.clone().with_parallelism(degree)).unwrap();
-                assert_eq!(parallel.tuples(), reference.tuples(), "{kind} P={degree}");
-            }
+            let result = execute_plan(&c, &plan).unwrap();
+            assert_eq!(result.tuples(), reference.tuples(), "{kind}");
+            assert_eq!(result.schema(), reference.schema(), "{kind} schema");
         }
-    }
-
-    #[test]
-    fn set_op_describe_reports_plan_and_parallelism_honestly() {
-        let mut c = Catalog::new();
-        let (r, s) = tpdb_datagen::meteo_like(50, 3);
-        c.register(r).unwrap();
-        c.register(s).unwrap();
-        let base = LogicalPlan::scan("meteo_r");
-        // All three set operations shard through the morsel driver —
-        // including the union, which used to report a serial fallback.
-        for kind in [
-            TpSetOpKind::Difference,
-            TpSetOpKind::Intersection,
-            TpSetOpKind::Union,
-        ] {
-            let plan = base
-                .clone()
-                .set_op(kind, LogicalPlan::scan("meteo_s"))
-                .with_parallelism(4);
-            let op = plan_query(&c, &plan).unwrap();
-            let d = op.describe();
-            assert!(d.contains(&format!("SetOp {kind}")), "{d}");
-            assert!(d.contains("plan=auto(sweep)"), "{d}");
-            assert!(d.contains("parallel=4"), "{d}");
-            assert!(!d.contains("serial fallback"), "{d}");
-        }
-        // A forced nested-loop plan is the one remaining serial fallback,
-        // and EXPLAIN says so instead of misreporting the degree.
-        let forced = base
-            .set_op(TpSetOpKind::Union, LogicalPlan::scan("meteo_s"))
-            .with_overlap_plan(OverlapJoinPlan::NestedLoop)
-            .with_parallelism(4);
-        let op = plan_query(&c, &forced).unwrap();
-        let d = op.describe();
-        assert!(
-            d.contains("parallel=1 (serial fallback: the nested-loop plan cannot shard)"),
-            "{d}"
-        );
     }
 
     #[test]
@@ -677,8 +528,7 @@ mod tests {
         c.register(s).unwrap();
         let plan =
             LogicalPlan::scan("meteo_r").set_op(TpSetOpKind::Union, LogicalPlan::scan("meteo_s"));
-        let mut op =
-            crate::planner::plan_query_with(&c, &plan, &crate::QueryOptions::serial()).unwrap();
+        let mut op = plan_query(&c, &plan).unwrap();
         let mut n = 0;
         while let Some(t) = op.next() {
             assert!(t.is_ok());
@@ -697,17 +547,15 @@ mod tests {
 
     #[test]
     fn join_operator_streams_tuple_by_tuple() {
-        // Pulling from the operator directly: the serial NJ path yields
-        // tuples one at a time through the streaming pipeline.
+        // Pulling from the operator directly: the NJ path yields tuples one
+        // at a time through the streaming pipeline.
         let c = catalog();
-        let plan = LogicalPlan::scan("a")
-            .tp_join(
-                LogicalPlan::scan("b"),
-                ThetaCondition::column_equals("Loc", "Loc"),
-                TpJoinKind::LeftOuter,
-                JoinStrategy::Nj,
-            )
-            .with_parallelism(1);
+        let plan = LogicalPlan::scan("a").tp_join(
+            LogicalPlan::scan("b"),
+            ThetaCondition::column_equals("Loc", "Loc"),
+            TpJoinKind::LeftOuter,
+            JoinStrategy::Nj,
+        );
         let mut op = plan_query(&c, &plan).unwrap();
         let mut n = 0;
         while let Some(t) = op.next() {
@@ -732,11 +580,7 @@ mod tests {
                 strategy,
             )
         };
-        for plan in [
-            join(JoinStrategy::Nj).with_parallelism(1),
-            join(JoinStrategy::Nj).with_parallelism(3),
-            join(JoinStrategy::Ta),
-        ] {
+        for plan in [join(JoinStrategy::Nj), join(JoinStrategy::Ta)] {
             let mut op = plan_query(&c, &plan).unwrap();
             let before = op.schema().clone();
             assert!(before.index_of("s_Loc").is_some(), "{before:?}");
@@ -762,19 +606,18 @@ mod tests {
         let union =
             LogicalPlan::scan("meteo_r").set_op(TpSetOpKind::Union, LogicalPlan::scan("meteo_s"));
         let inputs = "[Scan a (2 tuples); Scan b (3 tuples)]";
+        let meteo = "[Scan meteo_r (50 tuples); Scan meteo_s (50 tuples)]";
         for (plan, expected) in [
             (
-                join(JoinStrategy::Nj).with_parallelism(2),
-                format!("TpJoin ⟕ [NJ plan=auto(sweep) parallel=2] (r.Loc = s.Loc) over {inputs}"),
+                join(JoinStrategy::Nj),
+                format!("TpJoin ⟕ [NJ plan=auto(sweep)] (r.Loc = s.Loc) over {inputs}"),
             ),
             (
-                join(JoinStrategy::Nj)
-                    .with_overlap_plan(OverlapJoinPlan::Hash)
-                    .with_parallelism(1),
-                format!("TpJoin ⟕ [NJ plan=hash parallel=1] (r.Loc = s.Loc) over {inputs}"),
+                join(JoinStrategy::Nj).with_overlap_plan(OverlapJoinPlan::Hash),
+                format!("TpJoin ⟕ [NJ plan=hash] (r.Loc = s.Loc) over {inputs}"),
             ),
             (
-                join(JoinStrategy::Ta).with_parallelism(2),
+                join(JoinStrategy::Ta),
                 format!("TpJoin ⟕ [TA] (r.Loc = s.Loc) over {inputs}"),
             ),
             (
@@ -782,10 +625,12 @@ mod tests {
                 format!("TpJoin ⟕ [TA plan=sweep] (r.Loc = s.Loc) over {inputs}"),
             ),
             (
-                union.with_parallelism(3),
-                "SetOp UNION [∪ plan=auto(sweep) parallel=3] over \
-                 [Scan meteo_r (50 tuples); Scan meteo_s (50 tuples)]"
-                    .to_owned(),
+                union.clone(),
+                format!("SetOp UNION [∪ plan=auto(sweep)] over {meteo}"),
+            ),
+            (
+                union.with_overlap_plan(OverlapJoinPlan::NestedLoop),
+                format!("SetOp UNION [∪ plan=nested-loop] over {meteo}"),
             ),
         ] {
             assert_eq!(plan_query(&c, &plan).unwrap().describe(), expected);

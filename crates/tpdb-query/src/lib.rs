@@ -65,11 +65,11 @@ mod shared_cache;
 
 pub use cursor::ResultCursor;
 pub use error::{ParseError, Span, TpdbError};
-pub use exec::{execute_plan, execute_plan_with, PhysicalOperator};
+pub use exec::{execute_plan, PhysicalOperator};
 pub use expr::{LiteralPredicate, Operand, PredicateOp};
 pub use parser::parse_query;
 pub use plan::{JoinStrategy, LogicalPlan};
-pub use planner::{explain, explain_with, plan_query, plan_query_with, QueryOptions};
+pub use planner::{explain, plan_query, plan_query_with, QueryOptions};
 pub use session::{snapshot_summary, PreparedQuery, Session, SessionStats};
 pub use shared_cache::{
     normalize_text, prepare_plan, run_prepared, PreparedPlan, ShardedPlanCache, SharedCacheStats,

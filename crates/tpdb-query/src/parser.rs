@@ -27,9 +27,9 @@
 //! parentheses override the grouping. A `STRATEGY`/`PARALLEL` suffix binds
 //! to the nearest enclosing construct that can accept it: a select with a
 //! TP join consumes its own suffixes, otherwise they apply to the set
-//! operation (where `PARALLEL n` pins the degree of the set-op node and
-//! `STRATEGY` is rejected — the set operations always run on the NJ window
-//! machinery).
+//! operation (where `STRATEGY` is rejected — the set operations always run
+//! on the NJ window machinery). `PARALLEL n` is accepted for source
+//! compatibility and ignored: every statement runs on one thread.
 //!
 //! Examples: `SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc STRATEGY TA`,
 //! `SELECT Name FROM a WHERE Loc = $1` (a parameterized statement — prepare
@@ -392,8 +392,8 @@ fn parse_set_expr(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
             plan = set_strategy(plan, strategy, keyword_span)?;
         } else if p.accept_keyword("PARALLEL") {
             let keyword_span = p.previous();
-            let degree = expect_parallel_degree(p)?;
-            plan = set_parallelism(plan, degree, keyword_span)?;
+            expect_degree(p)?;
+            accept_parallel(&plan, keyword_span)?;
         } else {
             break;
         }
@@ -429,11 +429,11 @@ fn parse_strategy_name(name: &str, at: Span) -> Result<JoinStrategy, ParseError>
 }
 
 /// Consumes the positive integer operand of a PARALLEL suffix.
-fn expect_parallel_degree(p: &mut Parser) -> Result<usize, ParseError> {
+fn expect_degree(p: &mut Parser) -> Result<(), ParseError> {
     match p.peek() {
         Some(&Token::Number(n)) if n >= 1.0 && n.fract() == 0.0 => {
             p.next();
-            Ok(n as usize)
+            Ok(())
         }
         _ => Err(p.expected("a positive integer after PARALLEL")),
     }
@@ -602,8 +602,8 @@ fn parse_select(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
             plan = set_strategy(plan, strategy, keyword_span)?;
         } else if p.accept_keyword("PARALLEL") {
             let keyword_span = p.previous();
-            let degree = expect_parallel_degree(p)?;
-            plan = set_parallelism(plan, degree, keyword_span)?;
+            expect_degree(p)?;
+            accept_parallel(&plan, keyword_span)?;
         } else {
             break;
         }
@@ -628,7 +628,6 @@ fn set_strategy(
             theta,
             kind,
             overlap_plan,
-            parallelism,
             ..
         } => LogicalPlan::TpJoin {
             left,
@@ -637,7 +636,6 @@ fn set_strategy(
             kind,
             strategy,
             overlap_plan,
-            parallelism,
         },
         LogicalPlan::Filter { input, predicates } => LogicalPlan::Filter {
             input: Box::new(set_strategy(*input, strategy, at)?),
@@ -667,44 +665,22 @@ fn set_strategy(
     })
 }
 
-/// Pins the degree of parallelism of the TP join — or set-operation — node
-/// the suffix binds to.
-fn set_parallelism(plan: LogicalPlan, degree: usize, at: Span) -> Result<LogicalPlan, ParseError> {
-    Ok(match plan {
-        join @ LogicalPlan::TpJoin { .. } => join.with_parallelism(degree),
-        // Pin the set-op node only: parallelism of the branches stays
-        // whatever their own suffixes (or the session default) chose.
-        LogicalPlan::SetOp {
-            kind,
-            left,
-            right,
-            overlap_plan,
-            ..
-        } => LogicalPlan::SetOp {
-            kind,
-            left,
-            right,
-            overlap_plan,
-            parallelism: Some(degree.max(1)),
-        },
-        LogicalPlan::Filter { input, predicates } => LogicalPlan::Filter {
-            input: Box::new(set_parallelism(*input, degree, at)?),
-            predicates,
-        },
-        LogicalPlan::Project { input, columns } => LogicalPlan::Project {
-            input: Box::new(set_parallelism(*input, degree, at)?),
-            columns,
-        },
+/// Accepts a `PARALLEL n` suffix where a TP join or set operation can take
+/// it. The degree itself is discarded: statements run on one thread.
+fn accept_parallel(plan: &LogicalPlan, at: Span) -> Result<(), ParseError> {
+    match plan {
+        LogicalPlan::TpJoin { .. } | LogicalPlan::SetOp { .. } => Ok(()),
+        LogicalPlan::Filter { input, .. } | LogicalPlan::Project { input, .. } => {
+            accept_parallel(input, at)
+        }
         LogicalPlan::Scan { .. }
         | LogicalPlan::SaveSnapshot { .. }
-        | LogicalPlan::LoadSnapshot { .. } => {
-            return Err(ParseError::new(
-                "PARALLEL requires a TP join or set operation in the query",
-            )
-            .at(at)
-            .with_token("PARALLEL"))
-        }
-    })
+        | LogicalPlan::LoadSnapshot { .. } => Err(ParseError::new(
+            "PARALLEL requires a TP join or set operation in the query",
+        )
+        .at(at)
+        .with_token("PARALLEL")),
+    }
 }
 
 #[cfg(test)]
@@ -759,27 +735,35 @@ mod tests {
 
     #[test]
     fn parses_parallel_suffix_in_either_order() {
+        // The suffix parses next to STRATEGY in either order and leaves no
+        // trace in the plan.
+        let bare =
+            parse_query("SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc STRATEGY TA").unwrap();
         for q in [
-            "SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc PARALLEL 4",
-            "SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc STRATEGY NJ PARALLEL 4",
-            "SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc PARALLEL 4 STRATEGY NJ",
+            "SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc STRATEGY TA PARALLEL 4",
+            "SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc PARALLEL 4 STRATEGY TA",
         ] {
-            match parse_query(q).unwrap() {
-                LogicalPlan::TpJoin { parallelism, .. } => {
-                    assert_eq!(parallelism, Some(4), "{q}");
-                }
-                other => panic!("expected TpJoin, got {other:?}"),
-            }
+            assert_eq!(parse_query(q).unwrap(), bare, "{q}");
         }
     }
 
     #[test]
     fn parallel_requires_a_join_and_a_positive_integer() {
-        assert!(parse_query("SELECT * FROM a PARALLEL 4").is_err());
-        assert!(parse_query("SELECT * FROM a WHERE Loc = 'ZAK' PARALLEL 4").is_err());
+        for no_operator in [
+            "SELECT * FROM a PARALLEL 4",
+            "SELECT * FROM a WHERE Loc = 'ZAK' PARALLEL 4",
+            "(SELECT * FROM a) PARALLEL 2",
+        ] {
+            let err = parse_query(no_operator).unwrap_err();
+            assert_eq!(err.token.as_deref(), Some("PARALLEL"), "{no_operator}");
+        }
         for bad in ["PARALLEL 0", "PARALLEL 2.5", "PARALLEL x", "PARALLEL"] {
-            let q = format!("SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc {bad}");
-            assert!(parse_query(&q).is_err(), "{bad}");
+            for q in [
+                format!("SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc {bad}"),
+                format!("SELECT * FROM a UNION SELECT * FROM b {bad}"),
+            ] {
+                assert!(parse_query(&q).is_err(), "{q}");
+            }
         }
     }
 
@@ -965,36 +949,15 @@ mod tests {
 
     #[test]
     fn trailing_parallel_binds_to_the_set_operation() {
-        let plan = parse_query("SELECT * FROM a UNION SELECT * FROM b PARALLEL 2").unwrap();
-        match plan {
-            LogicalPlan::SetOp {
-                parallelism,
-                left,
-                right,
-                ..
-            } => {
-                assert_eq!(parallelism, Some(2));
-                assert_eq!(*left, LogicalPlan::scan("a"));
-                assert_eq!(*right, LogicalPlan::scan("b"));
-            }
-            other => panic!("expected SetOp, got {other:?}"),
-        }
-        // ... but a branch with a TP join consumes its own suffix first
-        let plan = parse_query(
-            "SELECT * FROM a UNION SELECT * FROM b TP ANTI JOIN c ON b.k = c.k PARALLEL 3",
-        )
-        .unwrap();
-        match plan {
-            LogicalPlan::SetOp {
-                parallelism, right, ..
-            } => {
-                assert_eq!(parallelism, None);
-                match *right {
-                    LogicalPlan::TpJoin { parallelism, .. } => assert_eq!(parallelism, Some(3)),
-                    other => panic!("expected TpJoin, got {other:?}"),
-                }
-            }
-            other => panic!("expected SetOp, got {other:?}"),
+        // A select without a join leaves the suffix to the set operation,
+        // a joining branch consumes its own; either way the plan is the
+        // bare statement's.
+        for q in [
+            "SELECT * FROM a UNION SELECT * FROM b",
+            "SELECT * FROM a UNION SELECT * FROM b TP ANTI JOIN c ON b.k = c.k",
+        ] {
+            let pinned = parse_query(&format!("{q} PARALLEL 2")).unwrap();
+            assert_eq!(pinned, parse_query(q).unwrap(), "{q}");
         }
     }
 

@@ -67,12 +67,6 @@ pub enum LogicalPlan {
         /// forced plan that cannot execute θ fails at planning time instead
         /// of silently downgrading.
         overlap_plan: Option<OverlapJoinPlan>,
-        /// Requested degree of parallelism for the NJ strategy (`None` uses
-        /// the engine's configured default — all available cores). The
-        /// degree the executor actually uses may be lower: a plan that
-        /// cannot shard (nested loop) runs serially, and `EXPLAIN` reports
-        /// the effective degree.
-        parallelism: Option<usize>,
     },
     /// A TP set operation (`UNION` / `INTERSECT` / `EXCEPT`) between two
     /// union-compatible sub-plans. Lowered onto the all-attribute-equality
@@ -90,10 +84,6 @@ pub enum LogicalPlan {
         /// machinery (`None` lets the engine pick — sweep, since the
         /// condition is always an equi-join).
         overlap_plan: Option<OverlapJoinPlan>,
-        /// Requested degree of parallelism. `INTERSECT`/`EXCEPT` shard like
-        /// keyed TP joins; the streaming `UNION` always runs serially and
-        /// `EXPLAIN` reports the fallback.
-        parallelism: Option<usize>,
     },
     /// `SAVE SNAPSHOT '<path>'` — serialize the whole catalog to a snapshot
     /// file. A utility statement: it reads the catalog instead of scanning
@@ -155,7 +145,6 @@ impl LogicalPlan {
             kind,
             strategy,
             overlap_plan: None,
-            parallelism: None,
         }
     }
 
@@ -168,7 +157,6 @@ impl LogicalPlan {
             left: Box::new(self),
             right: Box::new(right),
             overlap_plan: None,
-            parallelism: None,
         }
     }
 
@@ -195,7 +183,6 @@ impl LogicalPlan {
                 theta,
                 kind,
                 strategy,
-                parallelism,
                 ..
             } => LogicalPlan::TpJoin {
                 left: Box::new(left.with_overlap_plan(plan)),
@@ -204,7 +191,6 @@ impl LogicalPlan {
                 kind,
                 strategy,
                 overlap_plan: Some(plan),
-                parallelism,
             },
             LogicalPlan::Filter { input, predicates } => LogicalPlan::Filter {
                 input: Box::new(input.with_overlap_plan(plan)),
@@ -215,83 +201,12 @@ impl LogicalPlan {
                 columns,
             },
             LogicalPlan::SetOp {
-                kind,
-                left,
-                right,
-                parallelism,
-                ..
+                kind, left, right, ..
             } => LogicalPlan::SetOp {
                 kind,
                 left: Box::new(left.with_overlap_plan(plan)),
                 right: Box::new(right.with_overlap_plan(plan)),
                 overlap_plan: Some(plan),
-                parallelism,
-            },
-            leaf @ (LogicalPlan::Scan { .. }
-            | LogicalPlan::SaveSnapshot { .. }
-            | LogicalPlan::LoadSnapshot { .. }) => leaf,
-        }
-    }
-
-    /// Requests a degree of parallelism for every TP join in this plan,
-    /// looking through filters and projections. `1` forces today's serial
-    /// pipeline; values above 1 enable partitioned parallel execution for
-    /// shardable (keyed) overlap-join plans.
-    ///
-    /// ```
-    /// use tpdb_query::{JoinStrategy, LogicalPlan};
-    /// use tpdb_core::{ThetaCondition, TpJoinKind};
-    ///
-    /// let plan = LogicalPlan::scan("a")
-    ///     .tp_join(
-    ///         LogicalPlan::scan("b"),
-    ///         ThetaCondition::column_equals("Loc", "Loc"),
-    ///         TpJoinKind::LeftOuter,
-    ///         JoinStrategy::Nj,
-    ///     )
-    ///     .with_parallelism(4);
-    /// assert!(plan.pretty().contains("parallel=4"));
-    /// ```
-    #[must_use]
-    pub fn with_parallelism(self, degree: usize) -> Self {
-        match self {
-            LogicalPlan::TpJoin {
-                left,
-                right,
-                theta,
-                kind,
-                strategy,
-                overlap_plan,
-                ..
-            } => LogicalPlan::TpJoin {
-                left: Box::new(left.with_parallelism(degree)),
-                right: Box::new(right.with_parallelism(degree)),
-                theta,
-                kind,
-                strategy,
-                overlap_plan,
-                parallelism: Some(degree.max(1)),
-            },
-            LogicalPlan::Filter { input, predicates } => LogicalPlan::Filter {
-                input: Box::new(input.with_parallelism(degree)),
-                predicates,
-            },
-            LogicalPlan::Project { input, columns } => LogicalPlan::Project {
-                input: Box::new(input.with_parallelism(degree)),
-                columns,
-            },
-            LogicalPlan::SetOp {
-                kind,
-                left,
-                right,
-                overlap_plan,
-                ..
-            } => LogicalPlan::SetOp {
-                kind,
-                left: Box::new(left.with_parallelism(degree)),
-                right: Box::new(right.with_parallelism(degree)),
-                overlap_plan,
-                parallelism: Some(degree.max(1)),
             },
             leaf @ (LogicalPlan::Scan { .. }
             | LogicalPlan::SaveSnapshot { .. }
@@ -365,7 +280,6 @@ impl LogicalPlan {
                 kind,
                 strategy,
                 overlap_plan,
-                parallelism,
             } => LogicalPlan::TpJoin {
                 left: Box::new(left.substitute(params)?),
                 right: Box::new(right.substitute(params)?),
@@ -373,20 +287,17 @@ impl LogicalPlan {
                 kind: *kind,
                 strategy: *strategy,
                 overlap_plan: *overlap_plan,
-                parallelism: *parallelism,
             },
             LogicalPlan::SetOp {
                 kind,
                 left,
                 right,
                 overlap_plan,
-                parallelism,
             } => LogicalPlan::SetOp {
                 kind: *kind,
                 left: Box::new(left.substitute(params)?),
                 right: Box::new(right.substitute(params)?),
                 overlap_plan: *overlap_plan,
-                parallelism: *parallelism,
             },
         })
     }
@@ -419,18 +330,13 @@ impl LogicalPlan {
                     kind,
                     strategy,
                     overlap_plan,
-                    parallelism,
                 } => {
                     let plan_note = match overlap_plan {
                         Some(p) => format!(" plan={p}"),
                         None => String::new(),
                     };
-                    let par_note = match parallelism {
-                        Some(p) => format!(" parallel={p}"),
-                        None => String::new(),
-                    };
                     out.push_str(&format!(
-                        "{pad}TpJoin {} ({theta}) strategy={strategy}{plan_note}{par_note}\n",
+                        "{pad}TpJoin {} ({theta}) strategy={strategy}{plan_note}\n",
                         kind.symbol()
                     ));
                     go(left, indent + 1, out);
@@ -441,18 +347,13 @@ impl LogicalPlan {
                     left,
                     right,
                     overlap_plan,
-                    parallelism,
                 } => {
                     let plan_note = match overlap_plan {
                         Some(p) => format!(" plan={p}"),
                         None => String::new(),
                     };
-                    let par_note = match parallelism {
-                        Some(p) => format!(" parallel={p}"),
-                        None => String::new(),
-                    };
                     out.push_str(&format!(
-                        "{pad}SetOp {kind} ({}){plan_note}{par_note}\n",
+                        "{pad}SetOp {kind} ({}){plan_note}\n",
                         kind.symbol()
                     ));
                     go(left, indent + 1, out);
@@ -505,30 +406,6 @@ mod tests {
     fn default_strategy_is_nj() {
         assert_eq!(JoinStrategy::default(), JoinStrategy::Nj);
         assert_eq!(JoinStrategy::Ta.to_string(), "TA");
-    }
-
-    #[test]
-    fn with_parallelism_reaches_joins_and_clamps_to_one() {
-        let plan = LogicalPlan::scan("a")
-            .tp_join(
-                LogicalPlan::scan("b"),
-                ThetaCondition::column_equals("Loc", "Loc"),
-                TpJoinKind::LeftOuter,
-                JoinStrategy::Nj,
-            )
-            .filter(vec![])
-            .project(vec!["Name".to_owned()])
-            .with_parallelism(4);
-        assert!(plan.pretty().contains("parallel=4"), "{}", plan.pretty());
-        let clamped = LogicalPlan::scan("a")
-            .tp_join(
-                LogicalPlan::scan("b"),
-                ThetaCondition::column_equals("Loc", "Loc"),
-                TpJoinKind::LeftOuter,
-                JoinStrategy::Nj,
-            )
-            .with_parallelism(0);
-        assert!(clamped.pretty().contains("parallel=1"));
     }
 
     #[test]
@@ -594,15 +471,9 @@ mod tests {
         let bound = plan.bind_parameters(&[Value::Int(3)]).unwrap();
         assert_eq!(bound.parameter_count(), 0);
         assert!(bound.pretty().contains("k >= 3"), "{}", bound.pretty());
-        // parallelism and forced plans reach the set op node
-        let tuned = bound
-            .with_parallelism(4)
-            .with_overlap_plan(OverlapJoinPlan::Hash);
-        let text = tuned.pretty();
-        assert!(
-            text.contains("SetOp UNION (∪) plan=hash parallel=4"),
-            "{text}"
-        );
+        // forced plans reach the set op node
+        let text = bound.with_overlap_plan(OverlapJoinPlan::Hash).pretty();
+        assert!(text.contains("SetOp UNION (∪) plan=hash\n"), "{text}");
     }
 
     #[test]

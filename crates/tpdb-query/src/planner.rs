@@ -5,53 +5,39 @@ use crate::plan::LogicalPlan;
 use crate::TpdbError;
 use tpdb_storage::{Catalog, Value};
 
-/// Session-level execution options the planner resolves logical plans
-/// against.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct QueryOptions {
-    /// Default degree of parallelism for TP joins that do not pin one via
-    /// [`LogicalPlan::with_parallelism`]. Defaults to all available cores;
-    /// `1` selects the serial pipeline everywhere.
-    pub parallelism: usize,
-}
-
-impl Default for QueryOptions {
-    fn default() -> Self {
-        Self {
-            parallelism: tpdb_core::default_parallelism(),
-        }
-    }
-}
+/// Execution options, kept for source compatibility: statements run on one
+/// thread and there is nothing left to configure.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct QueryOptions;
 
 impl QueryOptions {
-    /// Options forcing fully serial execution (used by tests and the
-    /// baseline series of the scaling experiments).
+    /// The options of serial execution — the only kind there is.
     #[must_use]
     pub fn serial() -> Self {
-        Self { parallelism: 1 }
+        Self
     }
 }
 
-/// Lowers a logical plan to a tree of physical operators with the default
-/// [`QueryOptions`], resolving relation names and column references against
-/// the catalog.
-pub fn plan_query(
+/// [`plan_query`] with execution options, which are ignored; kept for
+/// source compatibility.
+pub fn plan_query_with(
     catalog: &Catalog,
     plan: &LogicalPlan,
+    _options: &QueryOptions,
 ) -> Result<Box<dyn PhysicalOperator>, TpdbError> {
-    plan_query_with(catalog, plan, &QueryOptions::default())
+    plan_query(catalog, plan)
 }
 
-/// [`plan_query`] with explicit execution options.
+/// Lowers a logical plan to a tree of physical operators, resolving
+/// relation names and column references against the catalog.
 ///
 /// The plan must be fully bound: a `$n` placeholder in a filter predicate
 /// fails with [`TpdbError::UnboundParameter`] — substitute values first
 /// with [`LogicalPlan::bind_parameters`] (or prepare the statement through
 /// a [`crate::Session`], which does this for you).
-pub fn plan_query_with(
+pub fn plan_query(
     catalog: &Catalog,
     plan: &LogicalPlan,
-    options: &QueryOptions,
 ) -> Result<Box<dyn PhysicalOperator>, TpdbError> {
     match plan {
         LogicalPlan::Scan { relation } => {
@@ -59,7 +45,7 @@ pub fn plan_query_with(
             Ok(Box::new(ScanExec::new(rel)))
         }
         LogicalPlan::Filter { input, predicates } => {
-            let child = plan_query_with(catalog, input, options)?;
+            let child = plan_query(catalog, input)?;
             let bound = predicates
                 .iter()
                 .map(|p| p.bind(child.schema()))
@@ -67,7 +53,7 @@ pub fn plan_query_with(
             Ok(Box::new(FilterExec::new(child, bound)))
         }
         LogicalPlan::Project { input, columns } => {
-            let child = plan_query_with(catalog, input, options)?;
+            let child = plan_query(catalog, input)?;
             let indices = columns
                 .iter()
                 .map(|c| child.schema().require(c))
@@ -81,10 +67,9 @@ pub fn plan_query_with(
             kind,
             strategy,
             overlap_plan,
-            parallelism,
         } => {
-            let left = plan_query_with(catalog, left, options)?;
-            let right = plan_query_with(catalog, right, options)?;
+            let left = plan_query(catalog, left)?;
+            let right = plan_query(catalog, right)?;
             // Validate θ against the child schemas at plan time so that
             // errors surface before execution.
             let bound = theta.bind(left.schema(), right.schema())?;
@@ -100,7 +85,6 @@ pub fn plan_query_with(
                     ));
                 }
             }
-            let requested = parallelism.unwrap_or(options.parallelism).max(1);
             Ok(Box::new(WindowOpExec::new(
                 left,
                 right,
@@ -110,7 +94,6 @@ pub fn plan_query_with(
                     strategy: *strategy,
                 },
                 *overlap_plan,
-                requested,
                 catalog.probability_engine(),
             )))
         }
@@ -119,10 +102,9 @@ pub fn plan_query_with(
             left,
             right,
             overlap_plan,
-            parallelism,
         } => {
-            let left = plan_query_with(catalog, left, options)?;
-            let right = plan_query_with(catalog, right, options)?;
+            let left = plan_query(catalog, left)?;
+            let right = plan_query(catalog, right)?;
             // Union compatibility fails at plan time, not at the first
             // execution: arity and per-position value types through the
             // core check, plus matching column names — the output schema is
@@ -139,13 +121,11 @@ pub fn plan_query_with(
                     ));
                 }
             }
-            let requested = parallelism.unwrap_or(options.parallelism).max(1);
             Ok(Box::new(WindowOpExec::new(
                 left,
                 right,
                 WindowOp::SetOp(*kind),
                 *overlap_plan,
-                requested,
                 catalog.probability_engine(),
             )))
         }
@@ -162,21 +142,12 @@ pub fn plan_query_with(
 }
 
 /// Returns the physical plan description for a logical plan — the moral
-/// equivalent of `EXPLAIN` — with the default [`QueryOptions`].
-pub fn explain(catalog: &Catalog, plan: &LogicalPlan) -> Result<String, TpdbError> {
-    explain_with(catalog, plan, &QueryOptions::default())
-}
-
-/// [`explain`] with explicit execution options.
+/// equivalent of `EXPLAIN`.
 ///
 /// A parameterized plan explains without binding: the logical plan prints
 /// the `$n` placeholder slots, the physical plan is validated with `NULL`
 /// stand-ins, and a trailing `Parameters:` line reports the open slots.
-pub fn explain_with(
-    catalog: &Catalog,
-    plan: &LogicalPlan,
-    options: &QueryOptions,
-) -> Result<String, TpdbError> {
+pub fn explain(catalog: &Catalog, plan: &LogicalPlan) -> Result<String, TpdbError> {
     let slots = plan.parameter_count();
     // Validate and describe the physical plan; placeholders are stood in
     // by NULLs so that a parameterized query can be explained (but not
@@ -196,7 +167,7 @@ pub fn explain_with(
         LogicalPlan::LoadSnapshot { path } => {
             format!("SnapshotRead '{path}' (replaces the catalog, all-or-nothing)")
         }
-        other => plan_query_with(catalog, other, options)?.describe(),
+        other => plan_query(catalog, other)?.describe(),
     };
     let mut out = format!(
         "Logical plan:\n{}\nPhysical plan:\n  {physical}\n",
@@ -277,34 +248,6 @@ mod tests {
         assert!(op.describe().contains("plan=sweep"), "{}", op.describe());
         let result = crate::exec::execute_plan(&c, &plan).unwrap();
         assert_eq!(result.len(), 7);
-    }
-
-    #[test]
-    fn options_supply_the_default_parallelism() {
-        let c = catalog();
-        let plan = LogicalPlan::scan("a").tp_join(
-            LogicalPlan::scan("b"),
-            ThetaCondition::column_equals("Loc", "Loc"),
-            TpJoinKind::LeftOuter,
-            JoinStrategy::Nj,
-        );
-        let serial = plan_query_with(&c, &plan, &QueryOptions::serial()).unwrap();
-        assert!(
-            serial.describe().contains("parallel=1"),
-            "{}",
-            serial.describe()
-        );
-        let four = plan_query_with(&c, &plan, &QueryOptions { parallelism: 4 }).unwrap();
-        assert!(
-            four.describe().contains("parallel=4"),
-            "{}",
-            four.describe()
-        );
-        // a plan-pinned degree beats the session default
-        let pinned = plan.with_parallelism(2);
-        let op = plan_query_with(&c, &pinned, &QueryOptions { parallelism: 8 }).unwrap();
-        assert!(op.describe().contains("parallel=2"), "{}", op.describe());
-        assert!(QueryOptions::default().parallelism >= 1);
     }
 
     #[test]

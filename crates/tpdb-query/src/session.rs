@@ -2,9 +2,9 @@
 //! streaming execution.
 
 use crate::cursor::ResultCursor;
-use crate::exec::execute_plan_with;
+use crate::exec::execute_plan;
 use crate::plan::LogicalPlan;
-use crate::planner::{explain_with, plan_query_with, QueryOptions};
+use crate::planner::{explain, plan_query};
 use crate::shared_cache::{run_prepared, PreparedPlan, ShardedPlanCache};
 use crate::TpdbError;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -66,7 +66,6 @@ const MAX_CACHED_PLANS: usize = 128;
 #[derive(Debug)]
 pub struct Session {
     catalog: Catalog,
-    options: QueryOptions,
     /// The plan cache: a session is a one-shard [`ShardedPlanCache`].
     cache: ShardedPlanCache,
     /// `prepare` calls served (a statistic; publishes no other data).
@@ -93,13 +92,11 @@ pub struct SessionStats {
 }
 
 impl Session {
-    /// Creates a session over an existing catalog with default options
-    /// (parallelism = all available cores).
+    /// Creates a session over an existing catalog.
     #[must_use]
     pub fn new(catalog: Catalog) -> Self {
         Self {
             catalog,
-            options: QueryOptions::default(),
             cache: ShardedPlanCache::new(1, MAX_CACHED_PLANS),
             prepared: AtomicU64::new(0),
             executions: AtomicU64::new(0),
@@ -119,21 +116,9 @@ impl Session {
         &mut self.catalog
     }
 
-    /// The default degree of parallelism for TP joins run by this session.
-    #[must_use]
-    pub fn parallelism(&self) -> usize {
-        self.options.parallelism
-    }
-
-    /// Sets the default degree of parallelism for TP joins (`1` = serial;
-    /// clamped to at least 1). Plans that pin a degree via
-    /// [`LogicalPlan::with_parallelism`] or the `PARALLEL n` query suffix
-    /// override this default. Cursors opened with [`query`](Self::query)
-    /// always drive the serial streaming pipeline unless the query pins a
-    /// degree.
-    pub fn set_parallelism(&mut self, degree: usize) {
-        self.options.parallelism = degree.max(1);
-    }
+    /// Ignored; kept for source compatibility. Every statement runs on the
+    /// calling thread whatever degree is asked for.
+    pub fn set_parallelism(&mut self, _degree: usize) {}
 
     /// Counts one executed statement.
     fn count_execution(&self) {
@@ -208,7 +193,7 @@ impl Session {
     /// Executes an already-built logical plan (no text, no cache).
     pub fn run(&self, plan: &LogicalPlan) -> Result<TpRelation, TpdbError> {
         self.count_execution();
-        execute_plan_with(&self.catalog, plan, &self.options)
+        execute_plan(&self.catalog, plan)
     }
 
     /// Returns the `EXPLAIN` output of a statement without executing it:
@@ -218,7 +203,7 @@ impl Session {
     /// executing a statement costs one parse.
     pub fn explain(&self, text: &str) -> Result<String, TpdbError> {
         let plan = self.cached_plan(text)?;
-        let mut out = explain_with(&self.catalog, &plan.plan, &self.options)?;
+        let mut out = explain(&self.catalog, &plan.plan)?;
         out.push_str(&self.cache_line());
         Ok(out)
     }
@@ -247,8 +232,7 @@ impl Session {
 
     /// Looks up (or parses, validates and caches) the plan of `text`.
     fn cached_plan(&self, text: &str) -> Result<Arc<PreparedPlan>, TpdbError> {
-        self.cache
-            .get_or_prepare(&self.catalog, &self.options, text)
+        self.cache.get_or_prepare(&self.catalog, text)
     }
 
     /// Binds parameters and executes to a materialized relation, counting
@@ -258,17 +242,15 @@ impl Session {
         prepared: &PreparedPlan,
         params: &[Value],
     ) -> Result<TpRelation, TpdbError> {
-        let result = run_prepared(&self.catalog, prepared, params, &self.options);
+        let result = run_prepared(&self.catalog, prepared, params);
         if result.is_ok() {
             self.count_execution();
         }
         result
     }
 
-    /// Binds parameters and opens a streaming cursor. Joins under a cursor
-    /// run the serial streaming pipeline (an explicit `PARALLEL n` pin on
-    /// the query still wins), so the first tuple does not wait for the full
-    /// result.
+    /// Binds parameters and opens a streaming cursor: the first tuple does
+    /// not wait for the full result.
     fn open_cursor(
         &self,
         prepared: &PreparedPlan,
@@ -285,7 +267,7 @@ impl Session {
         }
         let bound = prepared.plan.bind_parameters(params)?;
         self.count_execution();
-        let op = plan_query_with(&self.catalog, &bound, &QueryOptions::serial())?;
+        let op = plan_query(&self.catalog, &bound)?;
         Ok(ResultCursor::new(op))
     }
 }
@@ -377,11 +359,7 @@ impl PreparedQuery<'_> {
     /// unbound: the logical plan prints the `$n` slots and a `Parameters:`
     /// line reports how many values an execution must bind.
     pub fn explain(&self) -> Result<String, TpdbError> {
-        let mut out = explain_with(
-            &self.session.catalog,
-            &self.plan.plan,
-            &self.session.options,
-        )?;
+        let mut out = explain(&self.session.catalog, &self.plan.plan)?;
         out.push_str(&self.session.cache_line());
         Ok(out)
     }
@@ -391,7 +369,7 @@ impl PreparedQuery<'_> {
     /// a `Parameters:` line lists each binding.
     pub fn explain_bound(&self, params: &[Value]) -> Result<String, TpdbError> {
         let bound = self.plan.plan.bind_parameters(params)?;
-        let mut out = explain_with(&self.session.catalog, &bound, &self.session.options)?;
+        let mut out = explain(&self.session.catalog, &bound)?;
         if !params.is_empty() {
             let bindings: Vec<String> = params
                 .iter()
@@ -808,30 +786,5 @@ mod tests {
             ),
             "{err}"
         );
-    }
-
-    #[test]
-    fn parallelism_knob_is_clamped_and_honored() {
-        let mut s = session();
-        s.set_parallelism(0);
-        assert_eq!(s.parallelism(), 1, "degree 0 clamps to serial");
-        let q = "SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc";
-        assert!(s.explain(q).unwrap().contains("parallel=1"));
-        // a per-query pin overrides a serial session default, too
-        let pinned = format!("{q} PARALLEL 4");
-        let text = s.explain(&pinned).unwrap();
-        assert!(text.contains("parallel=4"), "{text}");
-        assert_eq!(s.execute(&pinned).unwrap().len(), 7);
-        s.set_parallelism(4);
-        assert_eq!(s.parallelism(), 4);
-        let text = s
-            .explain("SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc")
-            .unwrap();
-        assert!(text.contains("parallel=4"), "{text}");
-        // per-query pins beat the session default
-        let text = s
-            .explain("SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc PARALLEL 2")
-            .unwrap();
-        assert!(text.contains("parallel=2"), "{text}");
     }
 }

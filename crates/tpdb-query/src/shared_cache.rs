@@ -16,7 +16,7 @@
 //! implicitly.
 //!
 //! ```
-//! use tpdb_query::{QueryOptions, ShardedPlanCache};
+//! use tpdb_query::ShardedPlanCache;
 //! use tpdb_storage::Catalog;
 //!
 //! let mut catalog = Catalog::new();
@@ -25,19 +25,18 @@
 //! catalog.register(b).unwrap();
 //!
 //! let cache = ShardedPlanCache::default();
-//! let options = QueryOptions::serial();
 //! let q = "SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc";
-//! let first = cache.get_or_prepare(&catalog, &options, q).unwrap();
-//! let again = cache.get_or_prepare(&catalog, &options, q).unwrap();
+//! let first = cache.get_or_prepare(&catalog, q).unwrap();
+//! let again = cache.get_or_prepare(&catalog, q).unwrap();
 //! assert_eq!(first.epoch, again.epoch);
 //! let stats = cache.stats();
 //! assert_eq!((stats.hits, stats.misses), (1, 1));
 //! ```
 
-use crate::exec::execute_plan_with;
+use crate::exec::execute_plan;
 use crate::parser::parse_query;
 use crate::plan::LogicalPlan;
-use crate::planner::{plan_query_with, QueryOptions};
+use crate::planner::plan_query;
 use crate::session::snapshot_summary;
 use crate::TpdbError;
 use std::collections::{HashMap, VecDeque};
@@ -68,7 +67,6 @@ pub fn run_prepared(
     catalog: &Catalog,
     prepared: &PreparedPlan,
     params: &[Value],
-    options: &QueryOptions,
 ) -> Result<TpRelation, TpdbError> {
     match &prepared.plan {
         LogicalPlan::SaveSnapshot { path } => {
@@ -83,7 +81,7 @@ pub fn run_prepared(
                     .to_owned(),
             },
         )),
-        _ => execute_plan_with(catalog, &prepared.plan.bind_parameters(params)?, options),
+        _ => execute_plan(catalog, &prepared.plan.bind_parameters(params)?),
     }
 }
 
@@ -93,11 +91,7 @@ pub fn run_prepared(
 /// for parameters), so unknown relations, unknown columns, θ binding
 /// failures and inapplicable forced plans all fail here — at prepare time,
 /// not at the first execution.
-pub fn prepare_plan(
-    catalog: &Catalog,
-    options: &QueryOptions,
-    text: &str,
-) -> Result<PreparedPlan, TpdbError> {
+pub fn prepare_plan(catalog: &Catalog, text: &str) -> Result<PreparedPlan, TpdbError> {
     let plan = parse_query(text)?;
     let parameters = plan.parameter_count();
     // Utility statements (snapshot save/load) have no physical plan to
@@ -108,7 +102,7 @@ pub fn prepare_plan(
         } else {
             plan.clone()
         };
-        plan_query_with(catalog, &probe, options)?;
+        plan_query(catalog, &probe)?;
     }
     Ok(PreparedPlan {
         plan,
@@ -217,7 +211,6 @@ impl ShardedPlanCache {
     pub fn get_or_prepare(
         &self,
         catalog: &Catalog,
-        options: &QueryOptions,
         text: &str,
     ) -> Result<Arc<PreparedPlan>, TpdbError> {
         let key = normalize_text(text);
@@ -235,7 +228,7 @@ impl ShardedPlanCache {
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        let prepared = Arc::new(prepare_plan(catalog, options, text)?);
+        let prepared = Arc::new(prepare_plan(catalog, text)?);
         let mut shard = self.shard(&key);
         if !shard.entries.contains_key(&key) {
             shard.order.push_back(key.clone());
@@ -316,15 +309,10 @@ mod tests {
     fn lookups_hit_after_one_miss_and_survive_reformatting() {
         let c = catalog();
         let cache = ShardedPlanCache::default();
-        let opts = QueryOptions::serial();
         let q = "SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc";
-        cache.get_or_prepare(&c, &opts, q).unwrap();
+        cache.get_or_prepare(&c, q).unwrap();
         cache
-            .get_or_prepare(
-                &c,
-                &opts,
-                "  SELECT *   FROM a\n TP ANTI JOIN b ON a.Loc = b.Loc ",
-            )
+            .get_or_prepare(&c, "  SELECT *   FROM a\n TP ANTI JOIN b ON a.Loc = b.Loc ")
             .unwrap();
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 1, 1));
@@ -334,17 +322,16 @@ mod tests {
     fn epoch_changes_invalidate_entries_in_place() {
         let mut c = catalog();
         let cache = ShardedPlanCache::default();
-        let opts = QueryOptions::serial();
         let q = "SELECT * FROM a";
-        let first = cache.get_or_prepare(&c, &opts, q).unwrap();
+        let first = cache.get_or_prepare(&c, q).unwrap();
         c.register(TpRelation::new("x", Schema::tp(&[("X", DataType::Int)])))
             .unwrap();
-        let second = cache.get_or_prepare(&c, &opts, q).unwrap();
+        let second = cache.get_or_prepare(&c, q).unwrap();
         assert_ne!(first.epoch, second.epoch);
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (0, 2, 1));
         // the refreshed entry answers the next lookup
-        cache.get_or_prepare(&c, &opts, q).unwrap();
+        cache.get_or_prepare(&c, q).unwrap();
         assert_eq!(cache.stats().hits, 1);
     }
 
@@ -352,11 +339,10 @@ mod tests {
     fn dropped_relations_fail_loudly_instead_of_reusing_stale_plans() {
         let mut c = catalog();
         let cache = ShardedPlanCache::default();
-        let opts = QueryOptions::serial();
         let q = "SELECT * FROM a";
-        cache.get_or_prepare(&c, &opts, q).unwrap();
+        cache.get_or_prepare(&c, q).unwrap();
         c.drop_relation("a").unwrap();
-        match cache.get_or_prepare(&c, &opts, q) {
+        match cache.get_or_prepare(&c, q) {
             Err(TpdbError::Storage(e)) => assert!(e.to_string().contains("unknown relation")),
             other => panic!("expected unknown relation, got {other:?}"),
         }
@@ -366,38 +352,10 @@ mod tests {
     fn per_shard_capacity_bounds_the_cache() {
         let c = catalog();
         let cache = ShardedPlanCache::new(2, 4);
-        let opts = QueryOptions::serial();
         for i in 0..64 {
             let q = format!("SELECT * FROM a WHERE Loc = 'L{i}'");
-            cache.get_or_prepare(&c, &opts, &q).unwrap();
+            cache.get_or_prepare(&c, &q).unwrap();
         }
         assert!(cache.stats().entries <= 8, "{:?}", cache.stats());
-    }
-
-    #[test]
-    fn concurrent_lookups_agree_with_serial_preparation() {
-        let c = catalog();
-        let cache = ShardedPlanCache::default();
-        let opts = QueryOptions::serial();
-        let queries: Vec<String> = (0..16)
-            .map(|i| format!("SELECT Name FROM a WHERE Loc = 'L{}'", i % 4))
-            .collect();
-        std::thread::scope(|scope| {
-            for _ in 0..4 {
-                scope.spawn(|| {
-                    for q in &queries {
-                        let plan = cache.get_or_prepare(&c, &opts, q).unwrap();
-                        assert_eq!(plan.parameters, 0);
-                        assert_eq!(plan.epoch, c.schema_epoch());
-                    }
-                });
-            }
-        });
-        let stats = cache.stats();
-        assert_eq!(stats.entries, 4);
-        assert_eq!(stats.hits + stats.misses, 64);
-        // every distinct text was parsed at least once, racing prepares at
-        // worst parse twice — never more than the 4 threads could race
-        assert!((4..=16).contains(&(stats.misses as usize)), "{stats:?}");
     }
 }

@@ -54,8 +54,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tpdb_query::{
-    explain_with, run_prepared, snapshot_summary, LogicalPlan, PreparedPlan, QueryOptions,
-    ShardedPlanCache, TpdbError,
+    explain, run_prepared, snapshot_summary, LogicalPlan, PreparedPlan, ShardedPlanCache, TpdbError,
 };
 use tpdb_storage::{Catalog, SharedCatalog};
 
@@ -69,16 +68,9 @@ pub struct ServerConfig {
     /// order. A request arriving while `queue_depth` requests wait is
     /// rejected with `ServerBusy`. Default: 16.
     pub queue_depth: usize,
-    /// Per-statement degree of parallelism. Default: 1.
-    ///
-    /// This is a *floor*, not a fixed degree: when the server is busy,
-    /// concurrency comes from the statements executing side by side and
-    /// per-query fan-out on top of it would oversubscribe the cores — but
-    /// when a statement finds the server otherwise idle (nothing waiting,
-    /// no other statement executing), it widens its morsel degree to cover
-    /// the unused slots — never past the host's hardware threads — so a
-    /// lone expensive query still uses the whole machine. See
-    /// `dynamic_parallelism` in this module for the exact rule.
+    /// Ignored; kept for source compatibility. Every statement runs on its
+    /// connection's thread, and concurrency comes from `workers`
+    /// statements executing side by side. Default: 1.
     pub parallelism: usize,
 }
 
@@ -149,10 +141,6 @@ impl Gate {
 /// panics, which therefore costs its connection and nothing else.
 struct Slot<'a> {
     inner: &'a Inner,
-    /// The gate as this request saw it on admission (itself included in
-    /// `executing`): the input of [`dynamic_parallelism`].
-    executing: usize,
-    queued: usize,
 }
 
 impl Drop for Slot<'_> {
@@ -182,14 +170,10 @@ struct Conn {
 struct Inner {
     shared: SharedCatalog,
     cache: ShardedPlanCache,
-    options: QueryOptions,
     /// Statements that may execute at once.
     workers: usize,
     /// Requests that may wait for a slot.
     queue_depth: usize,
-    /// Hardware threads of the host (read once at start): the ceiling of
-    /// [`dynamic_parallelism`]'s widening.
-    cores: usize,
     gate: Mutex<Gate>,
     /// Signalled when the head waiter may be admitted, and at shutdown.
     turn: Condvar,
@@ -214,12 +198,8 @@ impl Server {
         let inner = Arc::new(Inner {
             shared: SharedCatalog::new(catalog),
             cache: ShardedPlanCache::default(),
-            options: QueryOptions {
-                parallelism: config.parallelism.max(1),
-            },
             workers: config.workers.max(1),
             queue_depth: config.queue_depth.max(1),
-            cores: std::thread::available_parallelism().map_or(1, usize::from),
             gate: Mutex::new(Gate::default()),
             turn: Condvar::new(),
             shutting_down: AtomicBool::new(false),
@@ -440,7 +420,7 @@ fn serve_connection(inner: &Inner, stream: &TcpStream) {
             // The slot lives for this arm only: it is given back before
             // the frame is written, so a slow reader never holds one.
             Ok(request) => match admit(inner) {
-                Ok(slot) => handle_request(inner, &mut conn, &slot, request)
+                Ok(_slot) => handle_request(inner, &mut conn, request)
                     .unwrap_or_else(|e| Response::from_error(&e)),
                 Err(refusal) => refusal,
             },
@@ -498,18 +478,13 @@ fn admit(inner: &Inner) -> Result<Slot<'_>, Response> {
         // Another slot is free as well: the new head waiter may take it.
         inner.turn.notify_all();
     }
-    Ok(Slot {
-        inner,
-        executing: gate.executing,
-        queued: gate.queued(),
-    })
+    Ok(Slot { inner })
 }
 
-/// Executes one request on its connection's thread, holding `slot`.
+/// Executes one request on its connection's thread (which holds a slot).
 fn handle_request(
     inner: &Inner,
     conn: &mut ConnState,
-    slot: &Slot<'_>,
     request: Request,
 ) -> Result<Response, TpdbError> {
     Ok(match request {
@@ -536,10 +511,10 @@ fn handle_request(
         }
         Request::Explain(text) => {
             let (snapshot, prepared) = plan(inner, &text)?;
-            let out = explain_with(&snapshot, &prepared.plan, &inner.options)?;
+            let out = explain(&snapshot, &prepared.plan)?;
             Response::Text(out.lines().map(str::to_owned).collect())
         }
-        Request::Query(text) => run_statement(inner, slot, &text, &[])?,
+        Request::Query(text) => run_statement(inner, &text, &[])?,
         Request::Prepare { name, text } => {
             let parameters = plan(inner, &text)?.1.parameters;
             conn.insert(name.clone(), text);
@@ -550,7 +525,7 @@ fn handle_request(
                 code: ErrorCode::Protocol,
                 message: format!("unknown prepared statement `{name}`"),
             },
-            Some(text) => run_statement(inner, slot, text, &params)?,
+            Some(text) => run_statement(inner, text, &params)?,
         },
         // Close is answered before admission (see `serve_connection`).
         Request::Close => Response::Text(vec!["BYE".to_owned()]),
@@ -561,55 +536,15 @@ fn handle_request(
 /// cache.
 fn plan(inner: &Inner, text: &str) -> Result<(Arc<Catalog>, Arc<PreparedPlan>), TpdbError> {
     let snapshot = inner.shared.snapshot();
-    let prepared = inner
-        .cache
-        .get_or_prepare(&snapshot, &inner.options, text)?;
+    let prepared = inner.cache.get_or_prepare(&snapshot, text)?;
     Ok((snapshot, prepared))
-}
-
-/// The effective morsel degree for a statement about to execute, given
-/// the gate's state at admission time.
-///
-/// * Requests are waiting for a slot → stick to the configured `floor`:
-///   the waiting work will occupy the other slots, and fanning out on top
-///   of them oversubscribes the cores.
-/// * Nobody waits → widen to cover the unused slots. `executing` includes
-///   the calling statement itself (the gate counts it on admission), so
-///   `workers - executing + 1` is "me plus every slot with nothing to
-///   do". A lone expensive query on an otherwise idle 4-slot server gets
-///   degree 4 — on a host with at least 4 `cores`. A slot beyond the
-///   host's hardware threads has no core to run on, so only
-///   `min(workers, cores)` slots count: a pool configured wider than the
-///   machine never fans a statement out past it (that cost 10–15 % of the
-///   4-client throughput on a 2-core host).
-///
-/// The decision is a point-in-time heuristic, not a reservation: a
-/// statement admitted a microsecond later may briefly share the cores.
-/// That trade (bounded oversubscription vs. idle cores) is deliberate.
-fn dynamic_parallelism(
-    floor: usize,
-    workers: usize,
-    cores: usize,
-    executing: usize,
-    queued: usize,
-) -> usize {
-    if queued > 0 {
-        return floor;
-    }
-    floor.max(workers.min(cores).saturating_sub(executing.max(1)) + 1)
 }
 
 /// Runs one statement: pin a snapshot, plan through the shared cache,
 /// bind, execute, render. `LOAD SNAPSHOT` is the one mutating statement
 /// and goes through the shared catalog's atomic swap instead.
-///
-/// Planning and the cache key use the configured options (so cached plans
-/// are shared regardless of load), but execution runs at
-/// [`dynamic_parallelism`] — the configured floor, widened over unused
-/// slots.
 fn run_statement(
     inner: &Inner,
-    slot: &Slot<'_>,
     text: &str,
     params: &[tpdb_storage::Value],
 ) -> Result<Response, TpdbError> {
@@ -625,86 +560,8 @@ fn run_statement(
             })??;
             snapshot_summary(&loaded)?
         }
-        _ => {
-            let exec_options = QueryOptions {
-                parallelism: dynamic_parallelism(
-                    inner.options.parallelism,
-                    inner.workers,
-                    inner.cores,
-                    slot.executing,
-                    slot.queued,
-                ),
-            };
-            run_prepared(&snapshot, &prepared, params, &exec_options)?
-        }
+        _ => run_prepared(&snapshot, &prepared, params)?,
     };
     inner.counters.executed.fetch_add(1, Ordering::Relaxed);
     Ok(rows_response(&relation))
-}
-
-#[cfg(test)]
-mod tests {
-    use super::dynamic_parallelism;
-
-    /// A host with at least as many cores as any pool below has workers.
-    const WIDE: usize = 64;
-
-    #[test]
-    fn a_lone_statement_on_an_idle_pool_gets_every_worker() {
-        // executing == 1 is the calling statement itself.
-        assert_eq!(dynamic_parallelism(1, 4, WIDE, 1, 0), 4);
-        assert_eq!(dynamic_parallelism(1, 8, WIDE, 1, 0), 8);
-    }
-
-    #[test]
-    fn busy_peers_shrink_the_widening_down_to_the_floor() {
-        assert_eq!(dynamic_parallelism(1, 4, WIDE, 2, 0), 3);
-        assert_eq!(dynamic_parallelism(1, 4, WIDE, 4, 0), 1);
-        // More executing than workers (racing counters): saturates, floor.
-        assert_eq!(dynamic_parallelism(1, 4, WIDE, 9, 0), 1);
-    }
-
-    #[test]
-    fn queued_work_pins_the_degree_to_the_configured_floor() {
-        assert_eq!(dynamic_parallelism(1, 8, WIDE, 1, 1), 1);
-        assert_eq!(dynamic_parallelism(2, 8, WIDE, 1, 5), 2);
-    }
-
-    #[test]
-    fn the_configured_floor_is_never_lowered() {
-        assert_eq!(dynamic_parallelism(6, 4, WIDE, 4, 0), 6);
-        assert_eq!(dynamic_parallelism(6, 4, WIDE, 1, 3), 6);
-    }
-
-    #[test]
-    fn a_zero_executing_count_is_treated_as_self() {
-        // run_statement always increments `executing` first, but the pure
-        // rule must not widen past the pool if handed a stale zero.
-        assert_eq!(dynamic_parallelism(1, 4, WIDE, 0, 0), 4);
-    }
-
-    #[test]
-    fn a_pool_no_wider_than_the_host_widens_over_its_slots() {
-        assert_eq!(dynamic_parallelism(1, 4, 4, 1, 0), 4);
-        assert_eq!(dynamic_parallelism(1, 2, 8, 1, 0), 2);
-        assert_eq!(dynamic_parallelism(1, 4, 8, 3, 0), 2);
-    }
-
-    #[test]
-    fn a_pool_wider_than_the_host_widens_over_its_cores_only() {
-        // 8 slots on 2 cores: a lone statement gets both cores, a second
-        // one none beyond its own, and the floor still stands.
-        assert_eq!(dynamic_parallelism(1, 8, 2, 1, 0), 2);
-        assert_eq!(dynamic_parallelism(1, 8, 2, 2, 0), 1);
-        assert_eq!(dynamic_parallelism(1, 8, 2, 5, 0), 1);
-        assert_eq!(dynamic_parallelism(1, 4, 1, 1, 0), 1);
-        assert_eq!(dynamic_parallelism(3, 8, 2, 1, 0), 3);
-    }
-
-    #[test]
-    fn queued_work_pins_the_degree_whatever_the_host() {
-        assert_eq!(dynamic_parallelism(1, 8, 2, 1, 1), 1);
-        assert_eq!(dynamic_parallelism(1, 2, 8, 1, 4), 1);
-        assert_eq!(dynamic_parallelism(2, 8, 2, 1, 1), 2);
-    }
 }

@@ -38,8 +38,7 @@ fn serial_rows(session: &Session, query: &str) -> Vec<String> {
 #[test]
 fn concurrent_prepared_queries_match_serial_execution_byte_for_byte() {
     let catalog = meteo_catalog(200, 7);
-    let mut serial = Session::new(catalog.clone());
-    serial.set_parallelism(1);
+    let serial = Session::new(catalog.clone());
     let expected: Vec<Vec<String>> = QUERIES.iter().map(|q| serial_rows(&serial, q)).collect();
     assert!(
         expected.iter().any(|rows| !rows.is_empty()),
@@ -51,7 +50,7 @@ fn concurrent_prepared_queries_match_serial_execution_byte_for_byte() {
         ServerConfig {
             workers: 4,
             queue_depth: 32,
-            parallelism: 1,
+            ..ServerConfig::default()
         },
     )
     .unwrap();
@@ -104,10 +103,8 @@ fn interleaved_catalog_swaps_never_yield_a_torn_read() {
     catalog_b.save_snapshot(&path_b).unwrap();
 
     let query = QUERIES[1]; // TP LEFT JOIN
-    let mut serial_a = Session::new(catalog_a.clone());
-    serial_a.set_parallelism(1);
-    let mut serial_b = Session::new(catalog_b.clone());
-    serial_b.set_parallelism(1);
+    let serial_a = Session::new(catalog_a.clone());
+    let serial_b = Session::new(catalog_b.clone());
     let rows_a = serial_rows(&serial_a, query);
     let rows_b = serial_rows(&serial_b, query);
     assert_ne!(rows_a, rows_b, "states must be distinguishable");
@@ -117,7 +114,7 @@ fn interleaved_catalog_swaps_never_yield_a_torn_read() {
         ServerConfig {
             workers: 4,
             queue_depth: 32,
-            parallelism: 1,
+            ..ServerConfig::default()
         },
     )
     .unwrap();
@@ -177,8 +174,7 @@ fn interleaved_catalog_swaps_never_yield_a_torn_read() {
 fn the_gate_keeps_its_bounds_under_a_hammer() {
     const SCAN: &str = "SELECT * FROM meteo_r";
     let catalog = meteo_catalog(40, 5);
-    let mut serial = Session::new(catalog.clone());
-    serial.set_parallelism(1);
+    let serial = Session::new(catalog.clone());
     let scan_rows = serial_rows(&serial, SCAN);
     let join_rows = serial_rows(&serial, QUERIES[1]);
     assert!(!scan_rows.is_empty() && !join_rows.is_empty());
@@ -188,7 +184,7 @@ fn the_gate_keeps_its_bounds_under_a_hammer() {
         ServerConfig {
             workers: 2,
             queue_depth: 2,
-            parallelism: 1,
+            ..ServerConfig::default()
         },
     )
     .unwrap();
@@ -255,7 +251,7 @@ fn a_reader_that_stalls_on_its_reply_holds_no_slot() {
         ServerConfig {
             workers: 1,
             queue_depth: 1,
-            parallelism: 1,
+            ..ServerConfig::default()
         },
     )
     .unwrap();

@@ -141,7 +141,7 @@ fn full_admission_queue_rejects_with_server_busy() {
     let server = booking_server(ServerConfig {
         workers: 1,
         queue_depth: 1,
-        parallelism: 1,
+        ..ServerConfig::default()
     });
     let addr = server.local_addr();
 
@@ -187,7 +187,7 @@ fn graceful_shutdown_drains_in_flight_and_rejects_queued_requests() {
     let server = booking_server(ServerConfig {
         workers: 1,
         queue_depth: 4,
-        parallelism: 1,
+        ..ServerConfig::default()
     });
     let addr = server.local_addr();
 
@@ -253,7 +253,7 @@ fn waiting_requests_are_admitted_in_arrival_order() {
     let server = booking_server(ServerConfig {
         workers: 1,
         queue_depth: 4,
-        parallelism: 1,
+        ..ServerConfig::default()
     });
     let addr = server.local_addr();
     let finished = std::sync::Mutex::new(Vec::new());
@@ -295,7 +295,7 @@ fn error_replies_release_their_slot() {
     let server = booking_server(ServerConfig {
         workers: 1,
         queue_depth: 1,
-        parallelism: 1,
+        ..ServerConfig::default()
     });
     let mut client = Client::connect(server.local_addr()).unwrap();
     for _ in 0..100 {

@@ -26,8 +26,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // Serial reference: the rows every concurrent client must reproduce,
     // rendered exactly as the server renders them.
-    let mut serial = Session::new(catalog.clone());
-    serial.set_parallelism(1);
+    let serial = Session::new(catalog.clone());
     let reference = protocol::render_relation_rows(&serial.execute(JOIN)?);
     println!(
         "reference result: {} rows (serial session)",
@@ -39,7 +38,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ServerConfig {
             workers: CLIENTS,
             queue_depth: 4 * CLIENTS,
-            parallelism: 1,
+            ..ServerConfig::default()
         },
     )?;
     let addr = server.local_addr();

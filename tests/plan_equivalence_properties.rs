@@ -12,9 +12,7 @@
 //!   windows, adjacent to everything around them.
 
 use proptest::prelude::*;
-use tpdb::core::{
-    tp_join_parallel_with_plan, tp_join_with_plan, OverlapJoinPlan, ThetaCondition, TpJoinKind,
-};
+use tpdb::core::{tp_join_with_plan, OverlapJoinPlan, ThetaCondition, TpJoinKind};
 use tpdb::lineage::{Lineage, VarId};
 use tpdb::storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb::ta::ta_join;
@@ -25,10 +23,6 @@ const PLANS: [OverlapJoinPlan; 3] = [
     OverlapJoinPlan::Hash,
     OverlapJoinPlan::NestedLoop,
 ];
-
-/// Worker counts of the parallel == serial determinism property (chosen to
-/// cover an even, a power-of-two and an odd degree above the key count).
-const DEGREES: [usize; 3] = [2, 4, 7];
 
 const KINDS: [TpJoinKind; 5] = [
     TpJoinKind::Inner,
@@ -90,22 +84,11 @@ fn assert_all_plans_match_ta(r: &TpRelation, s: &TpRelation) {
     for kind in KINDS {
         let ta = canon(&ta_join(r, s, &theta, kind).unwrap());
         for plan in PLANS {
-            let serial = tp_join_with_plan(r, s, &theta, kind, Some(plan)).unwrap();
-            let nj = canon(&serial);
+            let nj = canon(&tp_join_with_plan(r, s, &theta, kind, Some(plan)).unwrap());
             assert_eq!(
                 nj, ta,
                 "NJ ({plan}) and TA disagree on the {kind:?} join of r={r} s={s}"
             );
-            // Partitioned parallel execution reproduces the serial result
-            // byte for byte on the same adversarial inputs.
-            for degree in DEGREES {
-                let parallel =
-                    tp_join_parallel_with_plan(r, s, &theta, kind, Some(plan), degree).unwrap();
-                assert_eq!(
-                    parallel, serial,
-                    "parallel (P={degree}, {plan}) diverges on the {kind:?} join of r={r} s={s}"
-                );
-            }
         }
     }
 }
@@ -136,30 +119,6 @@ proptest! {
             for plan in PLANS {
                 let nj = canon(&tp_join_with_plan(&r, &s, &theta, kind, Some(plan)).unwrap());
                 prop_assert_eq!(&nj, &ta, "kind = {:?}, plan = {}", kind, plan);
-            }
-        }
-    }
-
-    /// Parallel partitioned execution must be **byte-identical** to serial
-    /// execution — same tuples, same order, bit-equal probabilities — for
-    /// all five join kinds under every plan (the nested-loop plan exercises
-    /// the serial fallback path).
-    #[test]
-    fn parallel_equals_serial_under_every_plan(rr in adversarial_rows(), ss in adversarial_rows()) {
-        let r = build("r", 0, &rr);
-        let s = build("s", 1000, &ss);
-        let theta = ThetaCondition::column_equals("k", "k");
-        for kind in KINDS {
-            for plan in PLANS {
-                let serial = tp_join_with_plan(&r, &s, &theta, kind, Some(plan)).unwrap();
-                for degree in DEGREES {
-                    let parallel =
-                        tp_join_parallel_with_plan(&r, &s, &theta, kind, Some(plan), degree).unwrap();
-                    prop_assert_eq!(
-                        &parallel, &serial,
-                        "kind = {:?}, plan = {}, degree = {}", kind, plan, degree
-                    );
-                }
             }
         }
     }

@@ -2,8 +2,8 @@
 //! union-compatible relations and adversarial data, `UNION` / `INTERSECT`
 //! / `EXCEPT` executed through the query layer are **byte-identical** to
 //! the core `tp_union` / `tp_intersection` / `tp_difference` functions —
-//! under serial and parallel plans, and through every session path
-//! (one-shot text, prepared-then-bound, drained cursor).
+//! through every session path (one-shot text, prepared-then-bound, drained
+//! cursor).
 //!
 //! The generators reuse the adversarial shapes of the plan-equivalence
 //! suite (dense keys, shared endpoints, single-point intervals).
@@ -73,7 +73,7 @@ fn filtered(rel: &TpRelation, threshold: i64) -> TpRelation {
 }
 
 /// Asserts that every query-layer path produces exactly the core result,
-/// for all three set operations, serial and parallel.
+/// for all three set operations.
 fn assert_setops_identical(r: &TpRelation, s: &TpRelation, threshold: i64) {
     let mut catalog = Catalog::new();
     catalog.register(r.clone()).unwrap();
@@ -84,15 +84,9 @@ fn assert_setops_identical(r: &TpRelation, s: &TpRelation, threshold: i64) {
         let reference = core_reference(kind, r, s);
         let plain_text = format!("SELECT * FROM r {kw} SELECT * FROM s");
 
-        // One-shot text, serial and parallel set-op plans. The session
-        // default parallelism also exercises whatever the host offers.
-        for suffix in [
-            "",
-            " PARALLEL 1",
-            " PARALLEL 2",
-            " PARALLEL 4",
-            " PARALLEL 7",
-        ] {
+        // One-shot text, bare and with the (ignored) PARALLEL suffix,
+        // which must still parse on a set operation.
+        for suffix in ["", " PARALLEL 2"] {
             let result = session.execute(&format!("{plain_text}{suffix}")).unwrap();
             assert_eq!(
                 result.tuples(),
