@@ -267,7 +267,7 @@ pub(crate) fn form_output_tuple(
     engine: &mut ProbabilityEngine,
 ) -> Option<TpTuple> {
     form_tuple(w, pos, neg, spec, |lineage_fn, lr, ls| {
-        // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
+        #[expect(clippy::expect_used, reason = "window-kind invariant")]
         let ls = || ls.expect("overlapping and negating windows carry λs");
         let lineage = match lineage_fn {
             LineageFn::Pos => lr.clone(),
@@ -308,7 +308,7 @@ pub(crate) fn form_output_tuple_interned(
             (LineageFn::AndNot, _) => Concat::AndNot,
             (LineageFn::Or, _) => Concat::Or,
         };
-        // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
+        #[expect(clippy::expect_used, reason = "window-kind invariant")]
         let side = ls.expect("overlapping and negating windows carry λs");
         let lambda_s = match side {
             SideRef::Node(node) => slice::from_ref(node),
@@ -321,11 +321,10 @@ pub(crate) fn form_output_tuple_interned(
         match (certificate, side) {
             (Some(proof), _) => engine.certified_concat(proof, how, lr, lambda_s),
             (None, SideRef::Node(ls)) => engine.concat_output(how, lr, *ls),
-            (None, SideRef::Span { .. }) => {
-                let output = engine.try_concat_disjunction_output(how, lr, lambda_s);
-                // As in `concat_output`. tpdb-lint: allow(no-panic-in-lib)
-                output.expect("all lineage variables must have probabilities")
-            }
+            #[expect(clippy::expect_used, reason = "as in `concat_output`")]
+            (None, SideRef::Span { .. }) => engine
+                .try_concat_disjunction_output(how, lr, lambda_s)
+                .expect("all lineage variables must have probabilities"),
         }
     })
 }

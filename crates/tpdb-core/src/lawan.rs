@@ -117,7 +117,7 @@ impl WindowLineage for Lineage {
 fn node(lambda_s: &SideRef) -> LineageRef {
     match *lambda_s {
         SideRef::Node(lineage) => lineage,
-        // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
+        #[expect(clippy::unreachable, reason = "window-kind invariant")]
         SideRef::Span { .. } => unreachable!("only negating windows carry spans"),
     }
 }
@@ -146,7 +146,10 @@ impl WindowLineage for LineageRef {
             operands.truncate(start);
             return SideRef::Node(only);
         }
-        // tpdb-lint: allow(no-panic-in-lib)
+        #[expect(
+            clippy::expect_used,
+            reason = "a span indexes one pass's operand buffer"
+        )]
         let index = |i: usize| u32::try_from(i).expect("span beyond u32 indices");
         let (start, len) = (index(start), index(operands.len() - start));
         SideRef::Span { start, len }
@@ -175,10 +178,10 @@ pub(crate) fn sweep_group<L: WindowLineage>(
     arena: &L::Arena,
     operands: &mut Vec<LineageRef>,
 ) {
+    #[expect(clippy::expect_used, reason = "window-kind invariant")]
     fn lambda_s<L, S>(w: &Window<L, S>) -> &S {
         w.lambda_s
             .as_ref()
-            // Window-kind invariant. tpdb-lint: allow(no-panic-in-lib)
             .expect("overlapping windows always carry λs")
     }
     debug_assert!(queue.is_empty() && L::is_empty(active) && operands.is_empty());
@@ -209,7 +212,6 @@ pub(crate) fn sweep_group<L: WindowLineage>(
             if !L::is_empty(active) && ts < boundary {
                 // One λr per negating window: a `u32` copy on the interned
                 // path, an `Arc` bump on the tree one.
-                // tpdb-lint: allow(no-lineage-clone-in-streams)
                 let lambda_r = out[first].lambda_r.clone();
                 out.push_back(Window::negating(
                     Interval::new(ts, boundary),

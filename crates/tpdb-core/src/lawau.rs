@@ -74,7 +74,6 @@ pub(crate) fn sweep_group<L: Clone, S>(
 ) {
     // One λr per created window: a `u32` copy on the interned path, an
     // `Arc` bump on the tree one.
-    // tpdb-lint: allow(no-lineage-clone-in-streams)
     let gap = |from, to| Window::unmatched(Interval::new(from, to), r_idx, lambda_r.clone());
     // `cursor` is the end of the covered prefix of r.T (Cases 3/4 advance
     // it, Cases 1/2 emit a gap before it advances). A whole-interval

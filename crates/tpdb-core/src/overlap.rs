@@ -52,7 +52,6 @@ use tpdb_temporal::{SortedIntervalIndex, SortedIntervalIndexBuilder};
 /// bumps), indexed by tuple position. This is the legacy tree path's single
 /// sanctioned cloning point: every window downstream shares these columns.
 pub(crate) fn lineage_column(rel: &TpRelation) -> Arc<Vec<Lineage>> {
-    // tpdb-lint: allow(no-lineage-clone-in-streams)
     Arc::new(rel.iter().map(|t| t.lineage().clone()).collect())
 }
 
@@ -250,7 +249,6 @@ impl ProbeIndex {
         // Window formation: `u32` copies on the interned path, column
         // clones (`Arc` bumps) on the tree one.
         let mut emit = |inter, si: usize| {
-            // tpdb-lint: allow(no-lineage-clone-in-streams)
             let (lambda_r, lambda_s) = (r_lambda.clone(), L::Side::from(s_lins[si].clone()));
             out.push_back(Window::overlapping(inter, ri, si, lambda_r, lambda_s));
         };
@@ -265,9 +263,9 @@ impl ProbeIndex {
                         if !bound.matches(rt, s.tuple(si)) {
                             continue;
                         }
+                        #[expect(clippy::expect_used, reason = "index invariant")]
                         let inter = r_iv
                             .intersect(&s_iv)
-                            // Index invariant. tpdb-lint: allow(no-panic-in-lib)
                             .expect("sorted-partition candidates overlap the probe");
                         emit(inter, si);
                     }
@@ -295,7 +293,6 @@ impl ProbeIndex {
             }
         }
         if out.len() == from {
-            // tpdb-lint: allow(no-lineage-clone-in-streams)
             out.push_back(Window::unmatched(r_iv, ri, r_lambda.clone()));
         } else {
             // The sweep plan already yields non-decreasing intersection

@@ -186,12 +186,13 @@ where
     fn next_group(&mut self, out: &mut VecDeque<Window<LineageRef, SideRef>>) -> Option<usize> {
         let r_idx = self.input.next_group(&mut self.group)?;
         let interval = self.positive.borrow().tuple(r_idx).interval();
+        #[expect(
+            clippy::expect_used,
+            reason = "`with_lineages` is the only `LineageRef` constructor, so the column is always present"
+        )]
         let lins = self
             .lins
             .as_ref()
-            // `with_lineages` is the only `LineageRef` constructor, so the
-            // column is always present.
-            // tpdb-lint: allow(no-panic-in-lib)
             .expect("interned LAWAU streams carry the lineage column");
         lawau::sweep_group(self.group.drain(..), r_idx, interval, &lins[r_idx], out);
         Some(r_idx)

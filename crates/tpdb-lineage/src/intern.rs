@@ -598,7 +598,7 @@ impl LineageInterner {
     /// property tests; the engine's hot paths never call it.
     // A diagnostic self-check, not an operational API: the payload is a
     // free-form description of the first broken invariant, for assertion
-    // messages. tpdb-lint: allow(error-taxonomy)
+    // messages.
     pub fn verify_arena(&self) -> Result<(), String> {
         let side_tables = [
             self.hashes.len(),

@@ -649,7 +649,6 @@ impl ProbabilityEngine {
     #[allow(clippy::float_cmp)]
     // A diagnostic self-check like the interner's: the String payload is an
     // assertion message, not an error callers match on.
-    // tpdb-lint: allow(error-taxonomy)
     pub fn verify_arena(&self) -> Result<(), String> {
         self.interner.verify_arena()?;
         if self.memo.len() > self.interner.len() {

@@ -172,6 +172,10 @@ impl fmt::Display for TpdbError {
 }
 
 impl std::error::Error for TpdbError {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "`Error::source` names `dyn Error` by its trait signature"
+    )]
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             TpdbError::Parse(e) => Some(e),

@@ -734,6 +734,7 @@ mod tests {
             .execute("SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc")
             .unwrap();
         assert_eq!(before, after);
+        #[expect(clippy::disallowed_methods, reason = "the test cleans up its snapshot")]
         std::fs::remove_file(&path).ok();
     }
 

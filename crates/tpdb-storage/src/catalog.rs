@@ -271,9 +271,11 @@ impl RelationBuilder<'_> {
     /// Panics if any push failed; use [`RelationBuilder::try_finish`] to
     /// handle errors.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "the panic is this method's documented contract; the fallible sibling is `try_finish`"
+    )]
     pub fn finish(self) -> Arc<TpRelation> {
-        // The panic is this method's documented contract (the fallible
-        // sibling is `try_finish`). tpdb-lint: allow(no-panic-in-lib)
         self.try_finish().expect("relation construction failed")
     }
 

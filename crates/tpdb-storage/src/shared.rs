@@ -147,6 +147,7 @@ mod tests {
     #[test]
     fn updates_from_many_threads_serialize() {
         let shared = SharedCatalog::new(Catalog::new());
+        #[expect(clippy::disallowed_methods, reason = "the test races writers")]
         std::thread::scope(|scope| {
             for i in 0..8 {
                 let shared = &shared;

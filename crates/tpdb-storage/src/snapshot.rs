@@ -921,6 +921,10 @@ impl Catalog {
     }
 
     /// Saves the catalog to a snapshot file at `path`.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "snapshot.rs owns the catalog's filesystem access and its typed SnapshotIo errors"
+    )]
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), StorageError> {
         let path = path.as_ref();
         let bytes = self.to_snapshot_bytes()?;
@@ -935,6 +939,10 @@ impl Catalog {
     /// unchanged.
     pub fn load_snapshot(&mut self, path: impl AsRef<Path>) -> Result<(), StorageError> {
         let path = path.as_ref();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "snapshot.rs owns the catalog's filesystem access and its typed SnapshotIo errors"
+        )]
         let bytes = std::fs::read(path).map_err(|e| StorageError::SnapshotIo {
             path: path.display().to_string(),
             message: e.to_string(),
@@ -1054,6 +1062,10 @@ impl Catalog {
         path: impl AsRef<Path>,
     ) -> Result<Arc<TpRelation>, StorageError> {
         let path = path.as_ref();
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "snapshot.rs owns the catalog's filesystem access and its typed SnapshotIo errors"
+        )]
         let text = std::fs::read_to_string(path).map_err(|e| StorageError::SnapshotIo {
             path: path.display().to_string(),
             message: e.to_string(),

@@ -1,69 +1,7 @@
-//! Boundary events used by sweep-line algorithms.
+//! The priority queue of ending points LAWAN sweeps with.
 
-use crate::{Interval, TimePoint};
-use serde::{Deserialize, Serialize};
+use crate::TimePoint;
 use std::collections::BinaryHeap;
-
-/// The kind of boundary an event represents.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum EventKind {
-    /// A tuple/window starts being valid at the event's time point.
-    Start,
-    /// A tuple/window stops being valid at the event's time point
-    /// (exclusive end of its interval).
-    End,
-}
-
-/// A time-point boundary of some interval, tagged with the index of the item
-/// that produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub struct Event {
-    /// Time point at which the boundary occurs.
-    pub time: TimePoint,
-    /// Whether the item starts or ends here.
-    pub kind: EventKind,
-    /// Index of the originating item in the caller's collection.
-    pub item: usize,
-}
-
-/// A single boundary (start or end point) without item attribution; used by
-/// the LAWAN sweep to reason about "the next point at which the set of valid
-/// negative tuples changes".
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
-pub struct Boundary(pub TimePoint);
-
-/// Generates the start/end events of a sequence of intervals, sorted by time
-/// with `End` events ordered before `Start` events at equal time points.
-///
-/// Ordering ends before starts at the same point matters: with half-open
-/// intervals an item ending at `t` and another starting at `t` do not
-/// co-exist at `t`.
-#[must_use]
-pub fn events_of<'a, I>(intervals: I) -> Vec<Event>
-where
-    I: IntoIterator<Item = &'a Interval>,
-{
-    let mut events = Vec::new();
-    for (item, iv) in intervals.into_iter().enumerate() {
-        events.push(Event {
-            time: iv.start(),
-            kind: EventKind::Start,
-            item,
-        });
-        events.push(Event {
-            time: iv.end(),
-            kind: EventKind::End,
-            item,
-        });
-    }
-    sort_events(&mut events);
-    events
-}
-
-/// Sorts events by `(time, End-before-Start, item)`.
-pub fn sort_events(events: &mut [Event]) {
-    events.sort_by_key(|e| (e.time, matches!(e.kind, EventKind::Start), e.item));
-}
 
 /// A min-heap of upcoming ending points.
 ///
@@ -133,30 +71,6 @@ impl EventQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn events_are_sorted_ends_before_starts() {
-        let ivs = vec![Interval::new(1, 4), Interval::new(4, 6)];
-        let ev = events_of(&ivs);
-        assert_eq!(ev.len(), 4);
-        // at t=4 the End of item 0 must come before the Start of item 1
-        assert_eq!(
-            ev[1],
-            Event {
-                time: 4,
-                kind: EventKind::End,
-                item: 0
-            }
-        );
-        assert_eq!(
-            ev[2],
-            Event {
-                time: 4,
-                kind: EventKind::Start,
-                item: 1
-            }
-        );
-    }
 
     #[test]
     fn event_queue_pops_in_time_order() {

@@ -104,12 +104,6 @@ impl Interval {
         self.start < other.end && other.start < self.end
     }
 
-    /// Are the two intervals adjacent (they meet without overlapping)?
-    #[must_use]
-    pub fn adjacent(&self, other: &Interval) -> bool {
-        self.end == other.start || other.end == self.start
-    }
-
     /// The intersection of the two intervals, or `None` when they are
     /// disjoint.
     #[must_use]
@@ -119,86 +113,10 @@ impl Interval {
         (start < end).then_some(Interval { start, end })
     }
 
-    /// The smallest interval containing both inputs (the temporal hull).
-    #[must_use]
-    pub fn hull(&self, other: &Interval) -> Interval {
-        Interval {
-            start: self.start.min(other.start),
-            end: self.end.max(other.end),
-        }
-    }
-
-    /// The union of the two intervals when they overlap or are adjacent
-    /// (i.e. when the union is itself an interval), otherwise `None`.
-    #[must_use]
-    pub fn union(&self, other: &Interval) -> Option<Interval> {
-        (self.overlaps(other) || self.adjacent(other)).then(|| self.hull(other))
-    }
-
-    /// The parts of `self` not covered by `other`: zero, one or two
-    /// intervals.
-    #[must_use]
-    pub fn difference(&self, other: &Interval) -> Vec<Interval> {
-        match self.intersect(other) {
-            None => vec![*self],
-            Some(inter) => {
-                let mut out = Vec::with_capacity(2);
-                if self.start < inter.start {
-                    out.push(Interval {
-                        start: self.start,
-                        end: inter.start,
-                    });
-                }
-                if inter.end < self.end {
-                    out.push(Interval {
-                        start: inter.end,
-                        end: self.end,
-                    });
-                }
-                out
-            }
-        }
-    }
-
-    /// Splits the interval at `t`, returning the part before and the part
-    /// from `t` on. If `t` lies outside the interval, one of the parts is
-    /// `None`.
-    #[must_use]
-    pub fn split_at(&self, t: TimePoint) -> (Option<Interval>, Option<Interval>) {
-        if t <= self.start {
-            (None, Some(*self))
-        } else if t >= self.end {
-            (Some(*self), None)
-        } else {
-            (
-                Some(Interval {
-                    start: self.start,
-                    end: t,
-                }),
-                Some(Interval {
-                    start: t,
-                    end: self.end,
-                }),
-            )
-        }
-    }
-
     /// Iterates over every time point covered by the interval. Intended for
     /// tests and semantic (point-wise) checks, not for production paths.
     pub fn points(&self) -> impl Iterator<Item = TimePoint> {
         self.start..self.end
-    }
-
-    /// Does `self` start strictly before `other` starts?
-    #[must_use]
-    pub fn starts_before(&self, other: &Interval) -> bool {
-        self.start < other.start
-    }
-
-    /// Does `self` end strictly after `other` ends?
-    #[must_use]
-    pub fn ends_after(&self, other: &Interval) -> bool {
-        self.end > other.end
     }
 }
 
@@ -251,9 +169,9 @@ mod tests {
         let b = Interval::new(5, 10);
         let c = Interval::new(8, 12);
         assert!(a.overlaps(&b));
+        // [2,8) and [8,12) meet at 8 but share no time point.
         assert!(!a.overlaps(&c));
-        assert!(a.adjacent(&c));
-        assert!(!a.adjacent(&b));
+        assert!(!c.overlaps(&a));
     }
 
     #[test]
@@ -269,56 +187,6 @@ mod tests {
         let b1 = Interval::new(1, 4);
         let a2 = Interval::new(7, 10);
         assert_eq!(a2.intersect(&b1), None);
-    }
-
-    #[test]
-    fn union_and_hull() {
-        let a = Interval::new(2, 5);
-        let b = Interval::new(4, 8);
-        let c = Interval::new(9, 12);
-        assert_eq!(a.union(&b), Some(Interval::new(2, 8)));
-        assert_eq!(a.union(&c), None);
-        assert_eq!(a.hull(&c), Interval::new(2, 12));
-        // adjacency unions
-        let d = Interval::new(5, 9);
-        assert_eq!(a.union(&d), Some(Interval::new(2, 9)));
-    }
-
-    #[test]
-    fn difference_cases() {
-        let a = Interval::new(2, 10);
-        // hole in the middle -> two pieces
-        assert_eq!(
-            a.difference(&Interval::new(4, 6)),
-            vec![Interval::new(2, 4), Interval::new(6, 10)]
-        );
-        // prefix removed
-        assert_eq!(
-            a.difference(&Interval::new(0, 4)),
-            vec![Interval::new(4, 10)]
-        );
-        // suffix removed
-        assert_eq!(
-            a.difference(&Interval::new(8, 12)),
-            vec![Interval::new(2, 8)]
-        );
-        // fully covered
-        assert_eq!(a.difference(&Interval::new(0, 12)), vec![]);
-        // disjoint
-        assert_eq!(a.difference(&Interval::new(20, 22)), vec![a]);
-    }
-
-    #[test]
-    fn split_at_cases() {
-        let a = Interval::new(2, 10);
-        assert_eq!(
-            a.split_at(5),
-            (Some(Interval::new(2, 5)), Some(Interval::new(5, 10)))
-        );
-        assert_eq!(a.split_at(2), (None, Some(a)));
-        assert_eq!(a.split_at(1), (None, Some(a)));
-        assert_eq!(a.split_at(10), (Some(a), None));
-        assert_eq!(a.split_at(15), (Some(a), None));
     }
 
     #[test]
@@ -365,35 +233,5 @@ mod tests {
             prop_assert_eq!(a.overlaps(&b), a.intersect(&b).is_some());
         }
 
-        #[test]
-        fn prop_difference_plus_intersection_covers_self(a in arb_interval(), b in arb_interval()) {
-            // Every point of `a` is either in a.difference(b) or in a∩b, never both.
-            let diff = a.difference(&b);
-            let inter = a.intersect(&b);
-            for t in a.points() {
-                let in_diff = diff.iter().any(|d| d.contains_point(t));
-                let in_inter = inter.map(|i| i.contains_point(t)).unwrap_or(false);
-                prop_assert!(in_diff ^ in_inter);
-            }
-        }
-
-        #[test]
-        fn prop_split_reassembles(a in arb_interval(), t in -1200i64..1200) {
-            let (l, r) = a.split_at(t);
-            let total: i64 = l.map(|i| i.duration()).unwrap_or(0) + r.map(|i| i.duration()).unwrap_or(0);
-            prop_assert_eq!(total, a.duration());
-            if let (Some(l), Some(r)) = (l, r) {
-                prop_assert_eq!(l.end(), r.start());
-                prop_assert_eq!(l.start(), a.start());
-                prop_assert_eq!(r.end(), a.end());
-            }
-        }
-
-        #[test]
-        fn prop_hull_contains_both(a in arb_interval(), b in arb_interval()) {
-            let h = a.hull(&b);
-            prop_assert!(h.contains(&a));
-            prop_assert!(h.contains(&b));
-        }
     }
 }

@@ -1,12 +1,12 @@
 //! # tpdb-temporal
 //!
-//! Interval algebra, timelines and sweep-line primitives for temporal databases.
+//! Intervals, the discrete timeline and the interval index of the overlap
+//! join.
 //!
 //! This crate provides the temporal substrate of the TPDB system: half-open
 //! validity intervals `[start, end)` over a discrete integer timeline, the
-//! classic Allen relations between intervals, coalescing interval sets, and a
-//! generic sweep-line driver that the lineage-aware window algorithms
-//! (LAWAU / LAWAN) and the Temporal Alignment baseline are built on.
+//! start-sorted [`SortedIntervalIndex`] the sweep overlap join probes, and
+//! the [`EventQueue`] of ending points LAWAN sweeps with.
 //!
 //! The time domain is a discrete, totally ordered set of [`TimePoint`]s
 //! (chronons). All intervals are half-open: a tuple with interval `[2, 8)` is
@@ -17,30 +17,33 @@
 //! ## Quick example
 //!
 //! ```
-//! use tpdb_temporal::{Interval, AllenRelation};
+//! use tpdb_temporal::Interval;
 //!
 //! let a = Interval::new(2, 8);
 //! let b = Interval::new(4, 6);
 //! assert!(a.overlaps(&b));
 //! assert_eq!(a.intersect(&b), Some(Interval::new(4, 6)));
-//! assert_eq!(a.allen_relation(&b), AllenRelation::Contains);
+//! // [2,8) and [8,12) meet at 8 but share no time point.
+//! let c = Interval::new(8, 12);
+//! assert!(!a.overlaps(&c));
+//! assert_eq!(a.intersect(&c), None);
 //! ```
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
-mod allen;
 mod event;
 mod interval;
 mod point;
-mod set;
 mod sorted;
-mod sweep;
 
-pub use allen::AllenRelation;
-pub use event::{events_of, sort_events, Boundary, Event, EventKind, EventQueue};
+pub use event::EventQueue;
 pub use interval::{Interval, IntervalError};
 pub use point::{TimePoint, MAX_TIME, MIN_TIME};
-pub use set::IntervalSet;
 pub use sorted::{SortedIntervalIndex, SortedIntervalIndexBuilder};
-pub use sweep::{sweep_segments, ActiveSet, Segment};

@@ -48,11 +48,9 @@ impl SortedIntervalIndex {
         }
     }
 
-    /// Starts an incremental build of an index. This is the shard-aware
-    /// construction path of the partitioned overlap join: every worker owns
-    /// the builders of the join-key partitions assigned to its shard and
-    /// streams its build-side tuples into them, so the (sorting) build work
-    /// is distributed across workers instead of happening once up front.
+    /// Starts an incremental build of an index: the overlap join streams
+    /// each build-side tuple into the builder of its join-key partition and
+    /// sorts every partition once, in [`finish`](SortedIntervalIndexBuilder::finish).
     ///
     /// ```
     /// use tpdb_temporal::{Interval, SortedIntervalIndex};

@@ -7,7 +7,7 @@
 //! The umbrella crate re-exports the public API of every component crate so
 //! that downstream users can depend on a single crate:
 //!
-//! * [`temporal`] — interval algebra and sweep-line primitives,
+//! * [`temporal`] — intervals, the timeline and the overlap-join interval index,
 //! * [`lineage`] — boolean lineage formulas and exact probability,
 //! * [`storage`] — the TP data model, relations and catalog,
 //! * [`core`] — lineage-aware temporal windows, LAWAU/LAWAN and TP joins,
@@ -34,6 +34,12 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    clippy::print_stdout,
+    clippy::print_stderr
+)]
 
 pub use tpdb_core as core;
 pub use tpdb_datagen as datagen;
