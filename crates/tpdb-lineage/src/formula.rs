@@ -308,61 +308,122 @@ impl Lineage {
     /// raw variable id when a name is unknown).
     #[must_use]
     pub fn display_with(&self, syms: &SymbolTable) -> String {
-        fn go(l: &Lineage, syms: &SymbolTable, out: &mut String, parent_prec: u8) {
-            // precedences: Or = 1, And = 2, Not/atom = 3
-            match l.node() {
-                LineageNode::True => out.push('⊤'),
-                LineageNode::False => out.push('⊥'),
-                LineageNode::Var(v) => match syms.name(*v) {
-                    Some(n) => out.push_str(n),
-                    None => out.push_str(&v.to_string()),
-                },
-                LineageNode::Not(c) => {
-                    out.push('¬');
-                    go(c, syms, out, 3);
-                }
-                LineageNode::And(cs) => {
-                    let need_paren = parent_prec > 2;
-                    if need_paren {
-                        out.push('(');
-                    }
-                    for (i, c) in cs.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(" ∧ ");
-                        }
-                        go(c, syms, out, 2);
-                    }
-                    if need_paren {
-                        out.push(')');
-                    }
-                }
-                LineageNode::Or(cs) => {
-                    let need_paren = parent_prec > 1;
-                    if need_paren {
-                        out.push('(');
-                    }
-                    for (i, c) in cs.iter().enumerate() {
-                        if i > 0 {
-                            out.push_str(" ∨ ");
-                        }
-                        go(c, syms, out, 1);
-                    }
-                    if need_paren {
-                        out.push(')');
-                    }
-                }
-            }
-        }
         let mut s = String::new();
-        go(self, syms, &mut s, 0);
+        write_lineage(&mut s, self, Some(syms), prec::TOP)
+            .expect("writing to a String cannot fail");
         s
     }
 }
 
 impl fmt::Display for Lineage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.display_with(&SymbolTable::new()))
+        write_lineage(f, self, None, prec::TOP)
     }
+}
+
+/// The binding strength of a formula's text form: a child whose operator
+/// binds more loosely than its parent's context is parenthesized.
+pub(crate) mod prec {
+    /// The context of a whole formula: nothing is parenthesized.
+    pub const TOP: u8 = 0;
+    /// `∨`, the loosest operator.
+    pub const OR: u8 = 1;
+    /// `∧`.
+    pub const AND: u8 = 2;
+    /// `¬` and atoms: the operand of `¬` is written in this context.
+    pub const ATOM: u8 = 3;
+}
+
+/// `And` or `Or` as text: its separator and its precedence.
+#[derive(Clone, Copy)]
+pub(crate) enum Junction {
+    And,
+    Or,
+}
+
+impl Junction {
+    fn prec(self) -> u8 {
+        match self {
+            Junction::And => prec::AND,
+            Junction::Or => prec::OR,
+        }
+    }
+
+    /// The separator between two operands.
+    pub(crate) fn separator(self) -> &'static str {
+        match self {
+            Junction::And => " ∧ ",
+            Junction::Or => " ∨ ",
+        }
+    }
+}
+
+/// The negation sign, written before its operand.
+pub(crate) const NOT: char = '¬';
+
+/// Writes `l` as text in a context of precedence `parent` (see [`prec`]),
+/// naming variables from `syms` where it knows them and `x<id>` otherwise.
+/// The one text writer of lineage formulas: [`Lineage`]'s `Display` and
+/// [`Lineage::display_with`] call it, and a deferred
+/// [`crate::LazyLineage`] prints its recipe through its pieces. It
+/// allocates nothing beyond what `out` does.
+pub(crate) fn write_lineage<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    l: &Lineage,
+    syms: Option<&SymbolTable>,
+    parent: u8,
+) -> fmt::Result {
+    match l.node() {
+        LineageNode::True => out.write_char('⊤'),
+        LineageNode::False => out.write_char('⊥'),
+        LineageNode::Var(v) => match syms.and_then(|s| s.name(*v)) {
+            Some(name) => out.write_str(name),
+            None => write!(out, "{v}"),
+        },
+        LineageNode::Not(c) => {
+            out.write_char(NOT)?;
+            write_lineage(out, c, syms, prec::ATOM)
+        }
+        LineageNode::And(cs) => write_junction(out, Junction::And, cs, syms, parent),
+        LineageNode::Or(cs) => write_junction(out, Junction::Or, cs, syms, parent),
+    }
+}
+
+/// Writes the `junction` of `operands` in a context of precedence
+/// `parent`, parenthesized when the junction binds more loosely.
+pub(crate) fn write_junction<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    junction: Junction,
+    operands: &[Lineage],
+    syms: Option<&SymbolTable>,
+    parent: u8,
+) -> fmt::Result {
+    let paren = parent > junction.prec();
+    if paren {
+        out.write_char('(')?;
+    }
+    write_operands(out, junction, operands, syms)?;
+    if paren {
+        out.write_char(')')?;
+    }
+    Ok(())
+}
+
+/// Writes `operands` separated by `junction`'s separator, each in the
+/// junction's context, without parentheses around the list.
+pub(crate) fn write_operands<W: fmt::Write + ?Sized>(
+    out: &mut W,
+    junction: Junction,
+    operands: &[Lineage],
+    syms: Option<&SymbolTable>,
+) -> fmt::Result {
+    for (i, c) in operands.iter().enumerate() {
+        if i > 0 {
+            out.write_str(junction.separator())?;
+        }
+        write_lineage(out, c, syms, junction.prec())?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]

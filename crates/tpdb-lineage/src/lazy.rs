@@ -8,7 +8,9 @@
 //! `And`/`Or`/`Not` wrapper of the root is allocated the first time
 //! [`LazyLineage::get`] is called — once, shared by every clone.
 
-use crate::formula::{Lineage, LineageNode};
+use crate::formula::{
+    prec, write_junction, write_lineage, write_operands, Junction, Lineage, LineageNode, NOT,
+};
 use crate::symbols::VarId;
 use std::fmt;
 use std::slice;
@@ -64,6 +66,34 @@ impl Recipe {
             }
         };
         Lineage::from_normalized(LineageNode::And(conjuncts))
+    }
+}
+
+/// The text of the tree [`Recipe::build`] builds, written without building
+/// it: the root's conjuncts in order, the negated operand last.
+impl fmt::Display for Recipe {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let and = Junction::And;
+        match self {
+            Recipe::And2(a, b) => {
+                write_operands(f, and, conjuncts(a), None)?;
+                f.write_str(and.separator())?;
+                write_operands(f, and, conjuncts(b), None)
+            }
+            Recipe::AndNot(a, b) => {
+                write_operands(f, and, conjuncts(a), None)?;
+                write!(f, "{}{NOT}", and.separator())?;
+                write_lineage(f, b, None, prec::ATOM)
+            }
+            Recipe::AndNotOr(operands) => {
+                let (lambda_r, disjuncts) = operands
+                    .split_first()
+                    .expect("a span recipe holds λr and its disjuncts");
+                write_operands(f, and, conjuncts(lambda_r), None)?;
+                write!(f, "{}{NOT}", and.separator())?;
+                write_junction(f, Junction::Or, disjuncts, None, prec::ATOM)
+            }
+        }
     }
 }
 
@@ -145,6 +175,17 @@ impl PartialEq for LazyLineage {
     }
 }
 
+/// The text of [`get`](Self::get)'s tree; a deferred root is printed from
+/// its recipe and stays deferred.
+impl fmt::Display for LazyLineage {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match &self.0 {
+            Repr::Tree(tree) => tree.fmt(f),
+            Repr::Deferred(d) => d.recipe.fmt(f),
+        }
+    }
+}
+
 impl fmt::Debug for LazyLineage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         self.get().fmt(f)
@@ -176,6 +217,30 @@ mod tests {
         assert_eq!(span.get(), &Lineage::and_not_concat(&x, &or));
         assert_eq!(span.as_var(), None);
         assert_eq!(LazyLineage::from(x).as_var(), Some(VarId(0)));
+    }
+
+    #[test]
+    fn recipes_print_their_trees_text_without_building_them() {
+        let (x, y, z, w) = (var(0), var(1), var(2), var(3));
+        let xy = Lineage::and2(x.clone(), y.clone());
+        let zw = Lineage::or2(z.clone(), w.clone());
+        let cases = [
+            LazyLineage::and2(x.clone(), y.clone()),
+            LazyLineage::and2(xy.clone(), Lineage::not(zw.clone())),
+            LazyLineage::and_not(x.clone(), z.clone()),
+            LazyLineage::and_not(xy.clone(), zw.clone()),
+            LazyLineage::and_not(x.clone(), Lineage::and2(z.clone(), w.clone())),
+            LazyLineage::and_not_or(vec![xy, z, Lineage::and2(w, Lineage::not(x))]),
+        ];
+        for lazy in cases {
+            let text = lazy.to_string();
+            assert!(lazy.is_deferred(), "{text}");
+            assert_eq!(text, lazy.get().to_string());
+        }
+        assert_eq!(
+            LazyLineage::and_not_or(vec![var(0), var(4), var(3)]).to_string(),
+            "x0 ∧ ¬(x4 ∨ x3)"
+        );
     }
 
     #[test]

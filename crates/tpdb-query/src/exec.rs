@@ -113,17 +113,35 @@ impl PhysicalOperator for ScanExec {
 }
 
 /// Streaming filter.
+///
+/// Over a fresh scan it reads the stored tuples by reference: the
+/// predicates are tested on each stored tuple, and only the matches are
+/// cloned. Over any other input it filters the tuples the input produces.
 pub struct FilterExec {
     input: Box<dyn PhysicalOperator>,
     predicates: Vec<BoundPredicate>,
+    /// The input's stored relation and the position of the next tuple to
+    /// test, when the input is a fresh scan; the input itself is then never
+    /// pulled.
+    stored: Option<(Arc<TpRelation>, usize)>,
 }
 
 impl FilterExec {
     /// Creates a filter over `input`.
     #[must_use]
     pub fn new(input: Box<dyn PhysicalOperator>, predicates: Vec<BoundPredicate>) -> Self {
-        Self { input, predicates }
+        let stored = input.as_relation().map(|relation| (relation, 0));
+        Self {
+            input,
+            predicates,
+            stored,
+        }
     }
+}
+
+/// Does `tuple` satisfy every predicate?
+fn satisfies(predicates: &[BoundPredicate], tuple: &TpTuple) -> bool {
+    predicates.iter().all(|p| p.matches(tuple))
 }
 
 impl PhysicalOperator for FilterExec {
@@ -132,10 +150,19 @@ impl PhysicalOperator for FilterExec {
     }
 
     fn next(&mut self) -> Option<Result<TpTuple, TpdbError>> {
+        if let Some((relation, cursor)) = &mut self.stored {
+            let rest = relation.tuples().get(*cursor..).unwrap_or_default();
+            let Some(i) = rest.iter().position(|t| satisfies(&self.predicates, t)) else {
+                *cursor = relation.len();
+                return None;
+            };
+            *cursor += i + 1;
+            return Some(Ok(rest[i].clone()));
+        }
         loop {
             match self.input.next()? {
                 Ok(t) => {
-                    if self.predicates.iter().all(|p| p.matches(&t)) {
+                    if satisfies(&self.predicates, &t) {
                         return Some(Ok(t));
                     }
                 }

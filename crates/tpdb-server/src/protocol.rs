@@ -26,11 +26,19 @@
 //! Row lines are tab-separated `fact₁ .. fact_k  [s,e)  p  λ` — the fact
 //! values, the validity interval, the probability and the lineage of one
 //! tuple, each field escaped ([`escape_field`]) so embedded tabs or
-//! newlines cannot break the framing. The same rendering functions serve
-//! the server and the test suites, which is what makes "byte-identical to
-//! a serial [`Session`](tpdb_query::Session) run" a checkable property.
+//! newlines cannot break the framing.
+//!
+//! One row writer, [`write_tuple`], appends a row to a caller's buffer
+//! through an escaping [`fmt::Write`] adapter: no per-field `String`, and a
+//! deferred lineage is printed from its recipe without building its tree.
+//! The server writes a whole `ROWS` frame with [`write_rows_frame`] into
+//! its connection's reused buffer; [`render_tuple`],
+//! [`render_relation_rows`] and [`rows_response`] are one-shot wrappers
+//! over the same writer for the tests and the benchmark, which is what
+//! makes "byte-identical to a serial [`Session`](tpdb_query::Session) run"
+//! a checkable property.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use tpdb_query::TpdbError;
 use tpdb_storage::{Schema, TpRelation, TpTuple, Value};
 
@@ -146,27 +154,36 @@ impl Response {
     /// Encodes the frame for the wire, including the trailing newline.
     #[must_use]
     pub fn encode(&self) -> String {
+        let mut out = String::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Appends the encoded frame, trailing newline included, to `out`.
+    pub(crate) fn encode_into(&self, out: &mut String) {
         match self {
             Self::Rows { schema, rows } => {
-                let mut out = format!("ROWS {}\nSCHEMA {}\n", rows.len(), schema);
+                let body: usize = rows.iter().map(|row| row.len() + 1).sum();
+                out.reserve(FRAME_OVERHEAD + schema.len() + body);
+                write_rows_header(out, rows.len(), |out| out.push_str(schema));
                 for row in rows {
                     out.push_str(row);
                     out.push('\n');
                 }
-                out.push_str("OK\n");
-                out
+                out.push_str(FRAME_END);
             }
             Self::Text(lines) => {
-                let mut out = format!("TEXT {}\n", lines.len());
+                push_fmt(out, format_args!("TEXT {}\n", lines.len()));
                 for line in lines {
-                    out.push_str(&escape_field(line));
+                    push_escaped(out, format_args!("{line}"));
                     out.push('\n');
                 }
-                out.push_str("OK\n");
-                out
+                out.push_str(FRAME_END);
             }
             Self::Error { code, message } => {
-                format!("ERR {code} {}\n", escape_field(message))
+                push_fmt(out, format_args!("ERR {code} "));
+                push_escaped(out, format_args!("{message}"));
+                out.push('\n');
             }
         }
     }
@@ -187,21 +204,68 @@ impl Response {
     }
 }
 
+/// The terminator line of `ROWS` and `TEXT` frames.
+const FRAME_END: &str = "OK\n";
+
+/// The bytes of a `ROWS` frame besides its schema and rows: the header
+/// words, a row count and the terminator.
+const FRAME_OVERHEAD: usize = 40;
+
+/// Writes the `ROWS <n>` and `SCHEMA …` lines; `schema` writes the
+/// payload of the latter.
+fn write_rows_header(out: &mut String, rows: usize, schema: impl FnOnce(&mut String)) {
+    push_fmt(out, format_args!("ROWS {rows}\nSCHEMA "));
+    schema(out);
+    out.push('\n');
+}
+
+/// Appends formatted text to a `String`, which cannot fail.
+fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
+    out.write_fmt(args)
+        .expect("writing to a String cannot fail");
+}
+
+/// Appends formatted text to a `String`, escaped as [`escape_field`]
+/// escapes it.
+fn push_escaped(out: &mut String, args: fmt::Arguments<'_>) {
+    Escaped(out)
+        .write_fmt(args)
+        .expect("writing to a String cannot fail");
+}
+
+/// A [`fmt::Write`] adapter that escapes everything written through it for
+/// the wire: backslash, tab, newline and carriage return become
+/// two-character escapes. Formatting a value through it gives the bytes of
+/// `escape_field(&value.to_string())` without the intermediate `String`.
+struct Escaped<'a>(&'a mut String);
+
+impl fmt::Write for Escaped<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        let mut rest = s;
+        // The four escaped characters are ASCII, so every split falls on a
+        // character boundary; runs between them are copied whole.
+        while let Some(i) = rest.find(['\\', '\t', '\n', '\r']) {
+            self.0.push_str(&rest[..i]);
+            self.0.push_str(match rest.as_bytes()[i] {
+                b'\\' => "\\\\",
+                b'\t' => "\\t",
+                b'\n' => "\\n",
+                _ => "\\r",
+            });
+            rest = &rest[i + 1..];
+        }
+        self.0.push_str(rest);
+        Ok(())
+    }
+}
+
 /// Escapes a field or text line for the wire: backslash, tab, newline and
 /// carriage return become two-character escapes, so one field can never
 /// split a row and one row can never split a frame.
 #[must_use]
 pub fn escape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            _ => out.push(c),
-        }
-    }
+    push_escaped(&mut out, format_args!("{s}"));
     out
 }
 
@@ -231,37 +295,68 @@ pub fn unescape_field(s: &str) -> String {
 /// `name:TYPE` pairs.
 #[must_use]
 pub fn render_schema(schema: &Schema) -> String {
-    let cols: Vec<String> = schema
-        .fields()
-        .iter()
-        .map(|f| format!("{}:{}", escape_field(&f.name), f.dtype))
-        .collect();
-    cols.join("\t")
+    let mut out = String::new();
+    write_schema(&mut out, schema);
+    out
 }
 
-/// Renders one tuple as a wire row: tab-separated escaped fact values,
-/// then the interval, the probability and the lineage.
+/// Appends the `SCHEMA` line payload of `schema` to `out`.
+fn write_schema(out: &mut String, schema: &Schema) {
+    for (i, field) in schema.fields().iter().enumerate() {
+        if i > 0 {
+            out.push('\t');
+        }
+        push_escaped(out, format_args!("{}", field.name));
+        push_fmt(out, format_args!(":{}", field.dtype));
+    }
+}
+
+/// Appends one tuple as a wire row, without its line terminator, to `out`:
+/// tab-separated escaped fact values, then the interval, the probability
+/// and the lineage. A deferred lineage is printed from its recipe and stays
+/// deferred; nothing is allocated beyond the growth of `out`.
+pub fn write_tuple(out: &mut String, tuple: &TpTuple) {
+    for value in tuple.facts() {
+        push_escaped(out, format_args!("{value}"));
+        out.push('\t');
+    }
+    push_fmt(
+        out,
+        format_args!("{}\t{}\t", tuple.interval(), tuple.probability()),
+    );
+    push_escaped(out, format_args!("{}", tuple.lazy_lineage()));
+}
+
+/// Appends the whole `ROWS` frame of `relation` to `out`: the header, the
+/// schema, one row line per tuple ([`write_tuple`]) and the terminator.
+pub fn write_rows_frame(out: &mut String, relation: &TpRelation) {
+    write_rows_header(out, relation.len(), |out| {
+        write_schema(out, relation.schema());
+    });
+    for tuple in relation.iter() {
+        write_tuple(out, tuple);
+        out.push('\n');
+    }
+    out.push_str(FRAME_END);
+}
+
+/// Renders one tuple as a wire row ([`write_tuple`] into a fresh `String`).
 #[must_use]
 pub fn render_tuple(tuple: &TpTuple) -> String {
-    let mut fields: Vec<String> = tuple
-        .facts()
-        .iter()
-        .map(|v| escape_field(&v.to_string()))
-        .collect();
-    fields.push(tuple.interval().to_string());
-    fields.push(tuple.probability().to_string());
-    fields.push(escape_field(&tuple.lineage().to_string()));
-    fields.join("\t")
+    let mut out = String::new();
+    write_tuple(&mut out, tuple);
+    out
 }
 
-/// Renders a whole relation as wire rows — the canonical rendering both
-/// the server and the byte-identity tests use.
+/// Renders a whole relation as wire rows, one [`render_tuple`] each — the
+/// rows of [`write_rows_frame`] as the client reads them back.
 #[must_use]
 pub fn render_relation_rows(relation: &TpRelation) -> Vec<String> {
     relation.iter().map(render_tuple).collect()
 }
 
-/// Builds the `ROWS` response for a result relation.
+/// Builds the `ROWS` response for a result relation; its
+/// [`encode`](Response::encode) is the frame [`write_rows_frame`] writes.
 #[must_use]
 pub fn rows_response(relation: &TpRelation) -> Response {
     Response::Rows {

@@ -7,8 +7,9 @@
 //! acceptor ──► connection threads (1/conn), each in a loop:
 //!                read a line, parse the request
 //!                pass the admission gate (run │ wait in line │ `ServerBusy`)
-//!                pin catalog snapshot, plan via sharded cache, execute, render
-//!                give the slot back, then write the response frame
+//!                pin catalog snapshot, plan via sharded cache, execute,
+//!                  render into the connection's buffer
+//!                give the slot back, then write the buffer (one `write_all`)
 //! ```
 //!
 //! Every thread is spawned through [`crate::pool`] and joined at
@@ -20,6 +21,14 @@
 //! backpressure). The slot is given back before the response frame is
 //! written, so a client that is slow to read its reply keeps its own
 //! thread busy, never an execution slot.
+//!
+//! Each connection owns one reply buffer. A statement's result rows are
+//! written into it straight from the result relation
+//! ([`write_rows_frame`]), lineage printed from its recipe, and the buffer
+//! goes out with a single `write_all`. It is cleared and reused for the
+//! next request, unless a reply grew it beyond [`MAX_RETAINED_REPLY`]: then
+//! it is released, so one huge reply does not pin its memory for the rest
+//! of the connection.
 //!
 //! ## Reads, writes and epochs
 //!
@@ -45,7 +54,7 @@
 //! outlives the call.
 
 use crate::pool;
-use crate::protocol::{parse_request, rows_response, ErrorCode, Request, Response};
+use crate::protocol::{parse_request, write_rows_frame, ErrorCode, Request, Response};
 use std::collections::HashMap;
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -348,6 +357,19 @@ const GRACE_POLL: Duration = Duration::from_millis(1);
 /// descriptors, typically) before trying again.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
+/// The largest reply buffer a connection keeps for its next request.
+const MAX_RETAINED_REPLY: usize = 1 << 20;
+
+/// Readies a connection's reply buffer for the next request: cleared, or
+/// released when the last reply grew it beyond [`MAX_RETAINED_REPLY`].
+fn recycle(reply: &mut String) {
+    if reply.capacity() > MAX_RETAINED_REPLY {
+        *reply = String::new();
+    } else {
+        reply.clear();
+    }
+}
+
 /// Accepts connections until the shutdown flag is raised; each connection
 /// gets its own thread, registered with a clone of its socket for
 /// shutdown. Threads that have finished are joined and their sockets
@@ -396,6 +418,7 @@ fn serve_connection(inner: &Inner, stream: &TcpStream) {
     let mut writer = stream;
     let mut conn = ConnState::new();
     let mut line = String::new();
+    let mut reply = String::new();
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -407,27 +430,33 @@ fn serve_connection(inner: &Inner, stream: &TcpStream) {
             continue;
         }
         inner.counters.requests.fetch_add(1, Ordering::Relaxed);
-        let response = match parse_request(text) {
+        match parse_request(text) {
             Err(e) => Response::Error {
                 code: ErrorCode::Protocol,
                 message: e.into_message(),
-            },
+            }
+            .encode_into(&mut reply),
             Ok(Request::Close) => {
-                let frame = Response::Text(vec!["BYE".to_owned()]).encode();
-                drop(writer.write_all(frame.as_bytes()));
+                Response::Text(vec!["BYE".to_owned()]).encode_into(&mut reply);
+                drop(writer.write_all(reply.as_bytes()));
                 return;
             }
             // The slot lives for this arm only: it is given back before
             // the frame is written, so a slow reader never holds one.
             Ok(request) => match admit(inner) {
-                Ok(_slot) => handle_request(inner, &mut conn, request)
-                    .unwrap_or_else(|e| Response::from_error(&e)),
-                Err(refusal) => refusal,
+                Ok(_slot) => {
+                    if let Err(e) = handle_request(inner, &mut conn, request, &mut reply) {
+                        reply.clear();
+                        Response::from_error(&e).encode_into(&mut reply);
+                    }
+                }
+                Err(refusal) => refusal.encode_into(&mut reply),
             },
-        };
-        if writer.write_all(response.encode().as_bytes()).is_err() {
+        }
+        if writer.write_all(reply.as_bytes()).is_err() {
             return;
         }
+        recycle(&mut reply);
     }
 }
 
@@ -481,13 +510,23 @@ fn admit(inner: &Inner) -> Result<Slot<'_>, Response> {
     Ok(Slot { inner })
 }
 
-/// Executes one request on its connection's thread (which holds a slot).
+/// Executes one request on its connection's thread (which holds a slot),
+/// writing its response frame into `reply`.
 fn handle_request(
     inner: &Inner,
     conn: &mut ConnState,
     request: Request,
-) -> Result<Response, TpdbError> {
-    Ok(match request {
+    reply: &mut String,
+) -> Result<(), TpdbError> {
+    let response = match request {
+        Request::Query(text) => return run_statement(inner, &text, &[], reply),
+        Request::Execute { name, params } => match conn.get(&name) {
+            Some(text) => return run_statement(inner, text, &params, reply),
+            None => Response::Error {
+                code: ErrorCode::Protocol,
+                message: format!("unknown prepared statement `{name}`"),
+            },
+        },
         Request::Ping => Response::Text(vec!["PONG".to_owned()]),
         Request::Sleep(millis) => {
             std::thread::sleep(Duration::from_millis(millis));
@@ -514,22 +553,16 @@ fn handle_request(
             let out = explain(&snapshot, &prepared.plan)?;
             Response::Text(out.lines().map(str::to_owned).collect())
         }
-        Request::Query(text) => run_statement(inner, &text, &[])?,
         Request::Prepare { name, text } => {
             let parameters = plan(inner, &text)?.1.parameters;
             conn.insert(name.clone(), text);
             Response::Text(vec![format!("PREPARED {name} PARAMS {parameters}")])
         }
-        Request::Execute { name, params } => match conn.get(&name) {
-            None => Response::Error {
-                code: ErrorCode::Protocol,
-                message: format!("unknown prepared statement `{name}`"),
-            },
-            Some(text) => run_statement(inner, text, &params)?,
-        },
         // Close is answered before admission (see `serve_connection`).
         Request::Close => Response::Text(vec!["BYE".to_owned()]),
-    })
+    };
+    response.encode_into(reply);
+    Ok(())
 }
 
 /// Pins a catalog snapshot and plans `text` against it through the shared
@@ -541,13 +574,15 @@ fn plan(inner: &Inner, text: &str) -> Result<(Arc<Catalog>, Arc<PreparedPlan>), 
 }
 
 /// Runs one statement: pin a snapshot, plan through the shared cache,
-/// bind, execute, render. `LOAD SNAPSHOT` is the one mutating statement
-/// and goes through the shared catalog's atomic swap instead.
+/// bind, execute, and write the result's `ROWS` frame into `reply`.
+/// `LOAD SNAPSHOT` is the one mutating statement and goes through the
+/// shared catalog's atomic swap instead.
 fn run_statement(
     inner: &Inner,
     text: &str,
     params: &[tpdb_storage::Value],
-) -> Result<Response, TpdbError> {
+    reply: &mut String,
+) -> Result<(), TpdbError> {
     let (snapshot, prepared) = plan(inner, text)?;
     let relation = match &prepared.plan {
         LogicalPlan::LoadSnapshot { path } => {
@@ -563,5 +598,27 @@ fn run_statement(
         _ => run_prepared(&snapshot, &prepared, params)?,
     };
     inner.counters.executed.fetch_add(1, Ordering::Relaxed);
-    Ok(rows_response(&relation))
+    write_rows_frame(reply, &relation);
+    Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn a_reply_buffer_is_kept_up_to_one_mib_and_released_beyond() {
+        let mut reply = String::with_capacity(MAX_RETAINED_REPLY);
+        reply.push_str("ROWS 0\nSCHEMA \nOK\n");
+        recycle(&mut reply);
+        assert!(reply.is_empty());
+        assert_eq!(reply.capacity(), MAX_RETAINED_REPLY, "kept for reuse");
+
+        reply.reserve(MAX_RETAINED_REPLY + 1);
+        reply.push_str("a huge reply");
+        recycle(&mut reply);
+        assert!(reply.is_empty());
+        assert_eq!(reply.capacity(), 0, "released");
+        assert_eq!(MAX_RETAINED_REPLY, 1024 * 1024);
+    }
 }

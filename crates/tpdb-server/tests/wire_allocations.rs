@@ -1,0 +1,101 @@
+//! The heap cost of the served read path, counted by a global allocator:
+//! a response is written into a buffer that already has room without one
+//! allocation, deferred lineages included, and a filtered scan copies only
+//! the tuples it returns. One test per binary: the counter is process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use tpdb_core::{tp_join, ThetaCondition, TpJoinKind};
+use tpdb_query::{parse_query, plan_query};
+use tpdb_server::protocol::write_rows_frame;
+use tpdb_storage::{Catalog, TpRelation, TpTuple};
+
+/// Counts every allocation and reallocation; frees are not counted.
+struct Counting;
+
+static ALLOCATIONS: AtomicUsize = AtomicUsize::new(0);
+
+// SAFETY: every call forwards to the system allocator with the caller's
+// arguments unchanged; the counter has no effect on the memory handed out.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// The allocations `f` makes.
+fn allocations<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let out = f();
+    (out, ALLOCATIONS.load(Ordering::Relaxed) - before)
+}
+
+fn deferred(relation: &TpRelation) -> Vec<bool> {
+    relation
+        .iter()
+        .map(|t| t.lazy_lineage().is_deferred())
+        .collect()
+}
+
+#[test]
+fn the_served_read_path_allocates_only_for_the_rows_it_returns() {
+    // A certified anti join: its rows carry deferred `λr ∧ ¬λs` recipes.
+    let (r, s) = tpdb_datagen::webkit_like(1000, 7);
+    let theta = ThetaCondition::column_equals("Key", "Key");
+    let anti = tp_join(&r, &s, &theta, TpJoinKind::Anti).unwrap();
+    let before = deferred(&anti);
+    assert!(
+        before.iter().filter(|&&d| d).count() > 100,
+        "the anti join must defer its roots"
+    );
+    let mut reply = String::new();
+    write_rows_frame(&mut reply, &anti);
+    let (capacity, len) = (reply.capacity(), reply.len());
+    reply.clear();
+    let ((), written) = allocations(|| write_rows_frame(&mut reply, &anti));
+    assert_eq!(written, 0, "allocations writing into a sized buffer");
+    assert_eq!((reply.capacity(), reply.len()), (capacity, len));
+    assert_eq!(deferred(&anti), before, "rendering built a deferred tree");
+
+    // A filter over a stored scan clones the matches, not every tuple.
+    let (meteo, _) = tpdb_datagen::meteo_like(4000, 7);
+    let stored = meteo.len();
+    let mut catalog = Catalog::new();
+    catalog.register(meteo).unwrap();
+    let plan = parse_query("SELECT * FROM meteo_r WHERE Metric = 7").unwrap();
+    let mut op = plan_query(&catalog, &plan).unwrap();
+    let mut rows: Vec<TpTuple> = Vec::with_capacity(stored);
+    let ((), drained) = allocations(|| {
+        while let Some(t) = op.next() {
+            rows.push(t.unwrap());
+        }
+    });
+    assert!(
+        !rows.is_empty() && rows.len() * 10 < stored,
+        "{} of {stored} rows match",
+        rows.len()
+    );
+    assert!(
+        drained <= 2 * rows.len() + 8,
+        "{drained} allocations draining {} of {stored} rows",
+        rows.len()
+    );
+}

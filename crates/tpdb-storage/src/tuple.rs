@@ -17,7 +17,7 @@ use tpdb_temporal::Interval;
 ///   each time point of `T`.
 ///
 /// Equality and `Debug` compare and print the lineage as a tree, building a
-/// deferred one.
+/// deferred one; `Display` prints a deferred lineage from its recipe.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TpTuple {
     facts: Vec<Value>,
@@ -130,9 +130,7 @@ impl fmt::Display for TpTuple {
         write!(
             f,
             " | {} | {} | {:.4})",
-            self.lineage(),
-            self.interval,
-            self.probability
+            self.lineage, self.interval, self.probability
         )
     }
 }
