@@ -282,15 +282,13 @@ pub(crate) fn form_output_tuple(
 
 /// Output formation over the interned window representation — the one
 /// function the executing pass runner ([`crate::TpJoinStream`]) forms
-/// tuples with. `λr` and `λs` stay decoupled to the end: the engine
-/// concatenates them **at the boundary** and hands back a read-once root
-/// (every root of a join over base relations) as a deferred lineage — no
-/// arena node, and no `And`/`Or`/`Not` tree until the tuple's
-/// [`lineage`](TpTuple::lineage) is read. A statement whose columns the
-/// engine certified (`certificate`) is priced straight from the marginals;
-/// any other proves read-once per row, and its concatenations that share
-/// variables enter the arena, to be priced by decomposition. A `λs` span
-/// indexes `operands`, the pass's buffer.
+/// tuples with. `λr` and `λs` stay decoupled to the end. In a statement
+/// whose columns the engine certified (`certificate`) the engine
+/// concatenates them **at the boundary**: it prices the row without an
+/// arena node and hands back a deferred lineage, with no `And`/`Or`/`Not`
+/// tree until the tuple's [`lineage`](TpTuple::lineage) is read. Every row
+/// of any other statement takes the node path: its root is interned and
+/// priced like any node. A `λs` span indexes `operands`, the pass's buffer.
 pub(crate) fn form_output_tuple_interned(
     w: &Window<LineageRef, SideRef>,
     pos: &TpRelation,
@@ -318,13 +316,9 @@ pub(crate) fn form_output_tuple_interned(
                 &operands[span]
             }
         };
-        match (certificate, side) {
-            (Some(proof), _) => engine.certified_concat(proof, how, lr, lambda_s),
-            (None, SideRef::Node(ls)) => engine.concat_output(how, lr, *ls),
-            #[expect(clippy::expect_used, reason = "as in `concat_output`")]
-            (None, SideRef::Span { .. }) => engine
-                .try_concat_disjunction_output(how, lr, lambda_s)
-                .expect("all lineage variables must have probabilities"),
+        match certificate {
+            Some(proof) => engine.certified_concat(proof, how, lr, lambda_s),
+            None => engine.concat_output(how, lr, lambda_s),
         }
     })
 }

@@ -29,7 +29,7 @@ use crate::optable::{PassSpec, TpOp};
 use crate::overlap::{auto_plan, interned_lineages, OverlapJoinPlan, OverlapWindowStream};
 use crate::pipeline::{LawanStream, LawauStream};
 use crate::theta::ThetaCondition;
-use crate::window::{SideRef, Window};
+use crate::window::{SideRef, Window, WindowKind};
 use crate::TpJoinKind;
 use std::borrow::{Borrow, BorrowMut};
 use std::collections::VecDeque;
@@ -199,7 +199,7 @@ where
     operands: Vec<LineageRef>,
     /// The engine's proof that every output root is read-once, decided
     /// once for the statement's two lineage columns; `None` prices each
-    /// row through the per-row proof.
+    /// row as an arena node.
     certificate: Option<ReadOnceColumns>,
     windows_consumed: usize,
     produced: usize,
@@ -279,11 +279,19 @@ where
     ) -> Result<Self, StorageError> {
         let (name, schema) = op.output(r.borrow(), s.borrow());
         // Both lineage columns are interned and certified once per
-        // operator; a flipped second pass swaps the same two columns.
+        // operator; a flipped second pass swaps the same two columns. A pass
+        // that emits negating windows draws `λs` spans from its negative
+        // column.
         let engine_mut = engine.borrow_mut();
         let r_lins = interned_lineages(r.borrow(), engine_mut.interner_mut());
         let s_lins = interned_lineages(s.borrow(), engine_mut.interner_mut());
-        let certificate = engine_mut.certify_columns(&r_lins, &s_lins);
+        let spanned = |flipped| {
+            op.passes().iter().any(|spec| {
+                spec.flipped == flipped && spec.lineage_fn(WindowKind::Negating).is_some()
+            })
+        };
+        let certificate =
+            engine_mut.certify_columns(&r_lins, &s_lins, spanned(true), spanned(false));
         let mut passes = VecDeque::new();
         for spec in op.passes() {
             let flipped_theta;
@@ -351,9 +359,10 @@ where
 
     /// Did the engine certify the statement read-once
     /// ([`ProbabilityEngine::certify_columns`])? Then every row is priced
-    /// from the marginals and no lineage node is interned past the two
-    /// input columns; self-joins, derived inputs, unregistered variables
-    /// and the Shannon ablation are not certified.
+    /// without an arena node and no lineage node is interned past the two
+    /// input columns. Self-joins, inputs that share a variable, a negated
+    /// input whose rows share one, unregistered variables and the Shannon
+    /// ablation are not certified: each of their rows interns its root.
     #[must_use]
     pub fn is_certified(&self) -> bool {
         self.certificate.is_some()
@@ -638,8 +647,14 @@ mod tests {
 
     /// The tree path of an operator: its passes' windows materialized as
     /// trees, each output root formed as a tree and priced by interning it
-    /// ([`crate::join::assemble_result`]).
-    fn tree_path(op: TpOp, r: &TpRelation, s: &TpRelation, theta: &ThetaCondition) -> TpRelation {
+    /// into `engine` ([`crate::join::assemble_result`]).
+    fn tree_path(
+        op: TpOp,
+        r: &TpRelation,
+        s: &TpRelation,
+        theta: &ThetaCondition,
+        engine: &mut ProbabilityEngine,
+    ) -> TpRelation {
         use crate::{lawan, lawau, overlapping_windows};
         let windows = |pos: &TpRelation, neg: &TpRelation, theta: &ThetaCondition, depth| {
             let wo = overlapping_windows(pos, neg, theta).unwrap();
@@ -657,8 +672,23 @@ mod tests {
                 left = windows(r, s, theta, spec.depth);
             }
         }
-        let mut engine = registered_engine(r, s);
-        crate::join::assemble_result(op, r, s, &left, &right, &mut engine)
+        crate::join::assemble_result(op, r, s, &left, &right, engine)
+    }
+
+    /// The five joins under `k = k` and the three set operations, over `r`
+    /// and `s`.
+    fn operators(r: &TpRelation, s: &TpRelation) -> Vec<(TpOp, ThetaCondition)> {
+        use crate::TpSetOpKind;
+        let join_theta = ThetaCondition::column_equals("k", "k");
+        let set_theta = crate::setops::all_columns_equal(r, s).unwrap();
+        let joins = KINDS.map(|kind| (TpOp::Join(kind), join_theta.clone()));
+        let set_ops = [
+            TpSetOpKind::Union,
+            TpSetOpKind::Intersection,
+            TpSetOpKind::Difference,
+        ]
+        .map(|kind| (TpOp::SetOp(kind), set_theta.clone()));
+        joins.into_iter().chain(set_ops).collect()
     }
 
     proptest::proptest! {
@@ -674,21 +704,15 @@ mod tests {
             ps in proptest::collection::vec(0.0f64..=1.0, 1..16),
         ) {
             use crate::testutil::keyed_relation;
-            use crate::TpSetOpKind;
             let r = with_probabilities(&keyed_relation("r", 0, &rr), &ps);
             let s = with_probabilities(&keyed_relation("s", 100, &ss), &ps[ps.len() / 2..]);
-            let join_theta = ThetaCondition::column_equals("k", "k");
-            let set_theta = crate::setops::all_columns_equal(&r, &s).unwrap();
-            let joins = KINDS.map(|kind| (TpOp::Join(kind), &join_theta));
-            let set_ops = [TpSetOpKind::Union, TpSetOpKind::Intersection, TpSetOpKind::Difference]
-                .map(|kind| (TpOp::SetOp(kind), &set_theta));
-            for (op, theta) in joins.into_iter().chain(set_ops) {
+            for (op, theta) in operators(&r, &s) {
                 let mut engine = registered_engine(&r, &s);
-                let stream = TpJoinStream::for_op(&r, &s, op, theta, None, &mut engine).unwrap();
+                let stream = TpJoinStream::for_op(&r, &s, op, &theta, None, &mut engine).unwrap();
                 proptest::prop_assert!(stream.is_certified(), "{:?}", op);
                 let streamed = stream.collect_relation();
                 proptest::prop_assert_eq!(engine.interner().len(), 2 + r.len() + s.len());
-                let tree = tree_path(op, &r, &s, theta);
+                let tree = tree_path(op, &r, &s, &theta, &mut registered_engine(&r, &s));
                 proptest::prop_assert_eq!(streamed.len(), tree.len(), "{:?}", op);
                 for (row, want) in streamed.iter().zip(tree.iter()) {
                     proptest::prop_assert_eq!(row.lineage(), want.lineage(), "{:?}", op);
@@ -700,6 +724,56 @@ mod tests {
                     proptest::prop_assert_eq!(row, want, "{:?}", op);
                 }
             }
+        }
+
+        /// A set-operation result as either input of every operator, beside
+        /// a base relation: certified unless the pass negating it draws spans
+        /// from rows that share a variable, and, certified or not, the tree
+        /// path row for row — compound roots, `Or` roots split into spans
+        /// and negated conjuncts included — with equal probability bits.
+        #[test]
+        fn derived_inputs_are_priced_as_the_tree_path_bit_for_bit(
+            rr in proptest::collection::vec((0i64..3, 0i64..30, 1i64..10), 1..6),
+            ss in proptest::collection::vec((0i64..3, 0i64..30, 1i64..10), 1..6),
+            tt in proptest::collection::vec((0i64..3, 0i64..30, 1i64..10), 1..6),
+            ps in proptest::collection::vec(0.0f64..=1.0, 1..16),
+        ) {
+            use crate::testutil::keyed_relation;
+            let r = with_probabilities(&keyed_relation("r", 0, &rr), &ps);
+            let s = with_probabilities(&keyed_relation("s", 100, &ss), &ps[ps.len() / 2..]);
+            let t = with_probabilities(&keyed_relation("t", 200, &tt), &ps[ps.len() / 3..]);
+            let base = || {
+                let mut engine = registered_engine(&r, &s);
+                t.register_probabilities(&mut engine);
+                engine
+            };
+            let derived = [
+                crate::tp_union(&r, &s).unwrap(),
+                crate::tp_intersection(&r, &s).unwrap(),
+                crate::tp_difference(&r, &s).unwrap(),
+            ];
+            let mut certified = 0;
+            for d in &derived {
+                for (left, right) in [(d, &t), (&t, d)] {
+                    for (op, theta) in operators(left, right) {
+                        let mut engine = base();
+                        let stream =
+                            TpJoinStream::for_op(left, right, op, &theta, None, &mut engine).unwrap();
+                        certified += usize::from(stream.is_certified());
+                        let streamed = stream.collect_relation();
+                        let tree = tree_path(op, left, right, &theta, &mut base());
+                        proptest::prop_assert_eq!(&streamed, &tree, "{:?}", op);
+                        let bits = |rel: &TpRelation| -> Vec<u64> {
+                            rel.iter().map(|t| t.probability().to_bits()).collect()
+                        };
+                        proptest::prop_assert_eq!(bits(&streamed), bits(&tree), "{:?}", op);
+                    }
+                }
+            }
+            // Whatever d's rows share, nine statements per d negate no span
+            // of it: (d, t) under all but the right and full outer joins,
+            // (t, d) under the inner and right outer joins and ∩.
+            proptest::prop_assert!(certified >= 3 * 9, "{certified} certified statements");
         }
     }
 

@@ -1,15 +1,18 @@
 //! The read-once certificate's decision table. A statement is certified
-//! once, when its two lineage columns are interned: every root a registered
-//! `Var`, no variable in both columns, `force_shannon` off. Base inputs are
-//! certified; self-joins, derived inputs, shared variables, unregistered
-//! variables and the Shannon ablation are not, and keep the per-row path —
-//! whose rows are the tree path's, bits included, and whose failures are
-//! the ones it always had.
+//! once, when its two lineage columns are interned: every root read-once,
+//! registered and neither a constant nor a negation, no variable in both
+//! columns, no variable in two roots of a column a negating pass draws `λs`
+//! spans from, and `force_shannon` off. Base inputs are certified, and so
+//! are derived inputs that meet the conditions; self-joins, shared
+//! variables, a spanned derived input whose rows share a variable,
+//! unregistered variables and the Shannon ablation are not, and take the
+//! node path. Either way every row is the tree path's, bits included, and
+//! the failures are the ones it always had.
 
 use std::panic::{self, AssertUnwindSafe};
 use tpdb_core::{
-    assemble_join_result, lawan, lawau, overlapping_windows, tp_join, tp_union, ThetaCondition,
-    TpJoinKind, TpJoinStream, TpSetOpKind, TpSetOpStream, Window,
+    assemble_join_result, lawan, lawau, overlapping_windows, tp_intersection, tp_join, tp_union,
+    ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind, TpSetOpStream, Window,
 };
 use tpdb_lineage::{Lineage, ProbabilityEngine, VarId};
 use tpdb_storage::{TpRelation, TpTuple};
@@ -19,6 +22,16 @@ const KINDS: [TpJoinKind; 5] = [
     TpJoinKind::Anti,
     TpJoinKind::LeftOuter,
     TpJoinKind::RightOuter,
+    TpJoinKind::FullOuter,
+];
+
+/// The join kinds whose flipped pass negates `r`: a span may draw from it.
+const R_SPANNED: [TpJoinKind; 2] = [TpJoinKind::RightOuter, TpJoinKind::FullOuter];
+
+/// The join kinds whose first pass negates `s`.
+const S_SPANNED: [TpJoinKind; 3] = [
+    TpJoinKind::Anti,
+    TpJoinKind::LeftOuter,
     TpJoinKind::FullOuter,
 ];
 
@@ -55,21 +68,22 @@ fn tree_join(
     assemble_join_result(r, s, kind, &left, &right, engine)
 }
 
-/// Runs every join kind with a fresh `engine()` and checks the certificate
-/// decision and, row for row, the tree path's answer and probability bits.
+/// Runs every join kind with a fresh `engine()`, checks that exactly the
+/// kinds in `certified` are certified and, row for row, the tree path's
+/// answer and probability bits.
 fn assert_joins(
     r: &TpRelation,
     s: &TpRelation,
     theta: &ThetaCondition,
     engine: impl Fn() -> ProbabilityEngine,
-    certified: bool,
+    certified: &[TpJoinKind],
 ) {
     for kind in KINDS {
         let mut streamed_engine = engine();
         let stream =
             TpJoinStream::with_engine_and_plan(r, s, theta, kind, None, &mut streamed_engine)
                 .unwrap();
-        assert_eq!(stream.is_certified(), certified, "{kind:?}");
+        assert_eq!(stream.is_certified(), certified.contains(&kind), "{kind:?}");
         let streamed = stream.collect_relation();
         let tree = tree_join(r, s, theta, kind, &mut engine());
         assert_eq!(streamed, tree, "{kind:?}");
@@ -78,6 +92,11 @@ fn assert_joins(
         };
         assert_eq!(bits(&streamed), bits(&tree), "{kind:?}");
     }
+}
+
+/// The join kinds that draw no span from a column in `spanned`.
+fn kinds_not_spanning(spanned: &[TpJoinKind]) -> Vec<TpJoinKind> {
+    KINDS.into_iter().filter(|k| !spanned.contains(k)).collect()
 }
 
 fn meteo() -> (TpRelation, TpRelation, ThetaCondition) {
@@ -105,12 +124,12 @@ fn fresh_copy(rel: &TpRelation, name: &str) -> TpRelation {
 fn base_relations_are_certified() {
     let (a, b) = tpdb_datagen::booking_example();
     let loc = ThetaCondition::column_equals("Loc", "Loc");
-    assert_joins(&a, &b, &loc, || engine_over(&[&a, &b]), true);
+    assert_joins(&a, &b, &loc, || engine_over(&[&a, &b]), &KINDS);
     let (r, s, metric) = meteo();
-    assert_joins(&r, &s, &metric, || engine_over(&[&r, &s]), true);
+    assert_joins(&r, &s, &metric, || engine_over(&[&r, &s]), &KINDS);
     let (r, s) = tpdb_datagen::webkit_like(600, 7);
     let key = ThetaCondition::column_equals("Key", "Key");
-    assert_joins(&r, &s, &key, || engine_over(&[&r, &s]), true);
+    assert_joins(&r, &s, &key, || engine_over(&[&r, &s]), &KINDS);
     for kind in [
         TpSetOpKind::Union,
         TpSetOpKind::Intersection,
@@ -125,22 +144,62 @@ fn base_relations_are_certified() {
 fn a_self_join_is_not_certified() {
     let (r, _, metric) = meteo();
     let twin = r.renamed("twin");
-    assert_joins(&r, &twin, &metric, || engine_over(&[&r]), false);
+    assert_joins(&r, &twin, &metric, || engine_over(&[&r]), &[]);
 }
 
+/// A join or union result shares variables between its rows: as an input
+/// a negating pass draws spans from, it is not certified; as any other
+/// input it is, its compound roots priced at the boundary.
 #[test]
-fn derived_inputs_are_not_certified() {
+fn derived_inputs_are_certified_unless_a_spanned_input_repeats_a_variable() {
     let (r, s, metric) = meteo();
     let t = fresh_copy(&s, "t");
     let engine = || engine_over(&[&r, &s, &t]);
     let joined = tp_join(&r, &s, &metric, TpJoinKind::LeftOuter).unwrap();
-    assert_joins(&joined, &t, &metric, engine, false);
+    assert_joins(
+        &joined,
+        &t,
+        &metric,
+        engine,
+        &kinds_not_spanning(&R_SPANNED),
+    );
     let union = tp_union(&r, &s).unwrap();
     assert!(union
         .iter()
         .any(|u| u.lazy_lineage().as_var().is_none() && !u.lineage().is_true()));
-    assert_joins(&union, &t, &metric, engine, false);
-    assert_joins(&t, &union, &metric, engine, false);
+    assert_joins(&union, &t, &metric, engine, &kinds_not_spanning(&R_SPANNED));
+    assert_joins(&t, &union, &metric, engine, &kinds_not_spanning(&S_SPANNED));
+}
+
+/// `(r ∪ s) − t` and `(r ∩ s) ∪ t` are certified: the union's flipped pass
+/// emits no negating window, so `r ∩ s` may repeat a variable.
+/// `(r ∪ s) − r` shares `r`'s variables and is not. Either way each row's
+/// probability is the node path's price of its lineage (the trees are
+/// held to the tree path by the `tpdb-core` unit
+/// `derived_inputs_are_priced_as_the_tree_path_bit_for_bit`).
+#[test]
+fn set_operations_over_derived_inputs_are_certified_when_disjoint() {
+    let (r, s, _) = meteo();
+    let t = fresh_copy(&s, "t");
+    let union = tp_union(&r, &s).unwrap();
+    let intersection = tp_intersection(&r, &s).unwrap();
+    for (left, right, kind, certified) in [
+        (&union, &t, TpSetOpKind::Difference, true),
+        (&intersection, &t, TpSetOpKind::Union, true),
+        (&union, &r, TpSetOpKind::Difference, false),
+    ] {
+        let mut engine = engine_over(&[&r, &s, &t]);
+        let stream =
+            TpSetOpStream::with_engine_and_plan(left, right, kind, None, &mut engine).unwrap();
+        assert_eq!(stream.is_certified(), certified, "{kind:?}");
+        let rows = stream.collect_relation();
+        assert!(!rows.is_empty(), "{kind:?}");
+        let mut node_path = engine_over(&[&r, &s, &t]);
+        for row in rows.iter() {
+            let p = node_path.probability(row.lineage());
+            assert_eq!(row.probability().to_bits(), p.to_bits(), "{kind:?} {row}");
+        }
+    }
 }
 
 #[test]
@@ -155,7 +214,7 @@ fn an_s_that_reuses_a_variable_of_r_is_not_certified() {
         };
         shared.push_unchecked(TpTuple::new(t.facts().to_vec(), lineage, t.interval(), p));
     }
-    assert_joins(&r, &shared, &metric, || engine_over(&[&r, &shared]), false);
+    assert_joins(&r, &shared, &metric, || engine_over(&[&r, &shared]), &[]);
 }
 
 #[test]
@@ -166,7 +225,7 @@ fn the_shannon_ablation_is_not_certified() {
         engine.set_force_shannon(true);
         engine
     };
-    assert_joins(&r, &s, &metric, engine, false);
+    assert_joins(&r, &s, &metric, engine, &[]);
 }
 
 /// The panic message of `f`, which must panic.

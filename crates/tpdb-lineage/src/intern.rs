@@ -177,18 +177,6 @@ pub struct LineageInterner {
     walk: Vec<LineageRef>,
 }
 
-/// What an operand list normalizes to ([`LineageInterner::normalize`]).
-pub(crate) enum Normalized {
-    /// The list collapses to a node that already exists: a constant, or
-    /// its only remaining operand.
-    Node(LineageRef),
-    /// ≥ 2 flattened, constant-free, deduplicated operands — the child list
-    /// of the node [`LineageInterner::intern_nary`] would find or create.
-    /// The vector is the interner's reused operand buffer: hand it back
-    /// through [`LineageInterner::recycle`].
-    List(Vec<LineageRef>),
-}
-
 /// The cons-table marker of a free slot (never a node id: interning
 /// panics before the arena reaches `u32::MAX` nodes).
 const EMPTY: u32 = u32::MAX;
@@ -242,18 +230,6 @@ impl LineageInterner {
     #[must_use]
     pub fn node(&self, r: LineageRef) -> &InternedNode {
         &self.nodes[r.index()]
-    }
-
-    /// Is this the constant-true formula?
-    #[must_use]
-    pub fn is_true(&self, r: LineageRef) -> bool {
-        r == TRUE
-    }
-
-    /// Is this the constant-false formula?
-    #[must_use]
-    pub fn is_false(&self, r: LineageRef) -> bool {
-        r == FALSE
     }
 
     /// Is the formula *read-once*: does no variable occur twice in its
@@ -311,24 +287,12 @@ impl LineageInterner {
     }
 
     /// The shared body of [`and`](Self::and) / [`or`](Self::or): normalizes
-    /// the operand list and interns what is left of it. A call that finds
-    /// its node already interned allocates nothing.
+    /// the operand list — flattens one level, drops the unit, collapses on
+    /// the absorbing constant and deduplicates in first-occurrence order,
+    /// through the epoch stamps and the reused operand buffer — and interns
+    /// what is left of it. A call that finds its node already interned
+    /// allocates nothing.
     fn nary(&mut self, is_and: bool, operands: &[LineageRef]) -> LineageRef {
-        match self.normalize(is_and, operands) {
-            Normalized::Node(existing) => existing,
-            Normalized::List(flat) => {
-                let result = self.intern_nary(is_and, &flat);
-                self.recycle(flat);
-                result
-            }
-        }
-    }
-
-    /// Normalizes the operands of a conjunction (`is_and`) or disjunction:
-    /// flattens one level, drops the unit, collapses on the absorbing
-    /// constant and deduplicates in first-occurrence order, through the
-    /// epoch stamps and the reused operand buffer.
-    pub(crate) fn normalize(&mut self, is_and: bool, operands: &[LineageRef]) -> Normalized {
         let (unit, absorbing) = if is_and { (TRUE, FALSE) } else { (FALSE, TRUE) };
         let epoch = self.next_epoch();
         let mut flat = mem::take(&mut self.operands);
@@ -355,20 +319,15 @@ impl LineageInterner {
                 _ => push(op),
             }
         }
-        let existing = match flat.len() {
+        let result = match flat.len() {
             _ if absorbed => absorbing,
             0 => unit,
             1 => flat[0],
-            _ => return Normalized::List(flat),
+            _ => self.intern_nary(is_and, &flat),
         };
-        self.recycle(flat);
-        Normalized::Node(existing)
-    }
-
-    /// Takes back the operand buffer a [`Normalized::List`] lent out.
-    pub(crate) fn recycle(&mut self, mut flat: Vec<LineageRef>) {
         flat.clear();
         self.operands = flat;
+        result
     }
 
     /// Binary conjunction convenience wrapper.
@@ -750,7 +709,7 @@ impl LineageInterner {
 
     /// Interns an `And`/`Or` over normalized children. The lookup compares
     /// against the borrowed slice; only a miss boxes the children.
-    pub(crate) fn intern_nary(&mut self, is_and: bool, children: &[LineageRef]) -> LineageRef {
+    fn intern_nary(&mut self, is_and: bool, children: &[LineageRef]) -> LineageRef {
         let hash = self.nary_hash(is_and, children);
         let found = self.find(hash, |existing| match (existing, is_and) {
             (InternedNode::And(cs), true) | (InternedNode::Or(cs), false) => **cs == *children,
@@ -877,31 +836,57 @@ impl LineageInterner {
             InternedNode::Not(c) => self.read_once[c.index()],
             InternedNode::And(cs) | InternedNode::Or(cs) => {
                 cs.iter().all(|c| self.read_once[c.index()])
-                    && self.leaves_are_distinct(cs.iter().copied())
+                    && self.share_no_node(cs, &[], true, false)
             }
         }
     }
 
-    /// Walks the tree expansions of `roots` and reports whether every `Var`
-    /// leaf reached is reached once. Allocation-free: leaves are marked in
-    /// the stamp table and the stack is reused. Each of `roots` being
-    /// read-once bounds the walk by the number of distinct leaves: the
-    /// first revisit — of a leaf, or of a shared inner node's first leaf —
-    /// ends it.
-    pub(crate) fn leaves_are_distinct(&mut self, roots: impl Iterator<Item = LineageRef>) -> bool {
+    /// Do the tree expansions of the two lists share no node — no variable,
+    /// hash-consing giving each variable one node — and, where
+    /// `a_distinct` / `b_distinct`, do no two roots of that list share one?
+    /// One stamp pass: mark the leaves under `a`, then probe those under
+    /// `b`, marking them too when they must be distinct. Read-once roots
+    /// bound the walk by their number of distinct leaves: the first
+    /// revisit ends it.
+    pub(crate) fn share_no_node(
+        &mut self,
+        a: &[LineageRef],
+        b: &[LineageRef],
+        a_distinct: bool,
+        b_distinct: bool,
+    ) -> bool {
         let epoch = self.next_epoch();
+        self.walk_leaves(a.iter().copied(), |stamp| {
+            mem::replace(stamp, epoch) != epoch || !a_distinct
+        }) && self.walk_leaves(b.iter().copied(), |stamp| {
+            let fresh = *stamp != epoch;
+            if b_distinct {
+                *stamp = epoch;
+            }
+            fresh
+        })
+    }
+
+    /// Hands the stamp of every `Var` leaf of the tree expansions of
+    /// `roots` — once per occurrence — to `visit`, and stops at the first
+    /// for which it returns `false`: returns whether none did.
+    /// Allocation-free: the stack is reused.
+    fn walk_leaves(
+        &mut self,
+        roots: impl Iterator<Item = LineageRef>,
+        mut visit: impl FnMut(&mut u32) -> bool,
+    ) -> bool {
         let mut stack = mem::take(&mut self.walk);
         stack.extend(roots);
-        let mut distinct = true;
+        let mut all = true;
         while let Some(cur) = stack.pop() {
             match &self.nodes[cur.index()] {
                 InternedNode::True | InternedNode::False => {}
                 InternedNode::Var(_) => {
-                    if self.stamps[cur.index()] == epoch {
-                        distinct = false;
+                    if !visit(&mut self.stamps[cur.index()]) {
+                        all = false;
                         break;
                     }
-                    self.stamps[cur.index()] = epoch;
                 }
                 InternedNode::Not(c) => stack.push(*c),
                 InternedNode::And(cs) | InternedNode::Or(cs) => stack.extend_from_slice(cs),
@@ -909,18 +894,7 @@ impl LineageInterner {
         }
         stack.clear();
         self.walk = stack;
-        distinct
-    }
-
-    /// Do the two lists share no node? One stamp pass: mark `a`, probe `b`.
-    /// Over `Var` roots this is variable disjointness, because hash-consing
-    /// gives each variable exactly one node.
-    pub(crate) fn share_no_node(&mut self, a: &[LineageRef], b: &[LineageRef]) -> bool {
-        let epoch = self.next_epoch();
-        for r in a {
-            self.stamps[r.index()] = epoch;
-        }
-        b.iter().all(|r| self.stamps[r.index()] != epoch)
+        all
     }
 
     /// The read-once flag of node `i` recomputed from the structure alone
@@ -1035,8 +1009,7 @@ mod tests {
         let mut i = LineageInterner::new();
         assert_eq!(i.tru(), i.intern(&Lineage::tru()));
         assert_eq!(i.fls(), i.intern(&Lineage::fls()));
-        assert!(i.is_true(i.tru()));
-        assert!(i.is_false(i.fls()));
+        assert_eq!((i.tru().index(), i.fls().index()), (0, 1));
         assert_eq!(i.len(), 2);
     }
 
@@ -1191,11 +1164,21 @@ mod tests {
     fn share_no_node_compares_root_lists() {
         let mut i = LineageInterner::new();
         let (a, b, c) = (i.var(VarId(1)), i.var(VarId(2)), i.var(VarId(3)));
-        assert!(i.share_no_node(&[a, b], &[c]));
-        assert!(!i.share_no_node(&[a, b], &[c, b]));
-        assert!(i.share_no_node(&[a, a], &[]));
+        assert!(i.share_no_node(&[a, b], &[c], true, true));
+        assert!(!i.share_no_node(&[a, b], &[c, b], false, false));
+        assert!(i.share_no_node(&[a, a], &[], false, true));
+        assert!(!i.share_no_node(&[a, a], &[], true, false));
+        assert!(i.share_no_node(&[c], &[a, a], false, false));
+        assert!(!i.share_no_node(&[c], &[a, a], false, true));
         // Each call is a fresh pass: earlier marks do not leak.
-        assert!(i.share_no_node(&[c], &[a, b]));
+        assert!(i.share_no_node(&[c], &[a, b], true, true));
+        // Compound roots compare by the variables below them.
+        let (ab, not_c) = (i.and2(a, b), i.not(c));
+        let or = i.or2(not_c, a);
+        assert!(i.share_no_node(&[ab, a], &[not_c], false, true));
+        assert!(!i.share_no_node(&[ab, a], &[not_c], true, true));
+        assert!(!i.share_no_node(&[ab], &[or], false, false));
+        assert!(!i.share_no_node(&[not_c], &[b, or], false, false));
     }
 
     /// The live operands of `d` as trees, in operand order.

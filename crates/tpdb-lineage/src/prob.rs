@@ -1,7 +1,7 @@
 //! Exact probability computation for lineage formulas.
 
 use crate::formula::{Lineage, LineageNode};
-use crate::intern::{FxHashMap, InternedNode, LineageInterner, LineageRef, Normalized};
+use crate::intern::{FxHashMap, InternedNode, LineageInterner, LineageRef};
 use crate::lazy::LazyLineage;
 use crate::symbols::VarId;
 use std::cmp::Reverse;
@@ -55,15 +55,15 @@ pub enum Concat {
 
 /// Proof, issued once per statement by
 /// [`ProbabilityEngine::certify_columns`], that every output root formed
-/// from its two lineage columns is read-once: each root of both columns is
-/// a registered `Var`, no variable occurs in both, and `force_shannon` is
-/// off. Holding it is what lets output formation call
+/// from its two lineage columns is read-once and that flattening its two
+/// operands yields the child list its node would have. Holding it is what
+/// lets output formation call
 /// [`certified_output`](ProbabilityEngine::certified_output) and
 /// [`certified_concat`](ProbabilityEngine::certified_concat), which price a
-/// row from the dense marginals with no normalization, leaf walk or new
-/// node. It stays valid for the engine that issued it while that engine's
-/// marginals and `force_shannon` are unchanged — for as long as a pass
-/// runner holds the engine.
+/// row through the memo with no normalization, leaf walk or new node. It
+/// stays valid for the engine that issued it while that engine's marginals
+/// and `force_shannon` are unchanged — for as long as a pass runner holds
+/// the engine.
 #[derive(Debug)]
 pub struct ReadOnceColumns {
     _sealed: (),
@@ -111,17 +111,15 @@ pub struct ReadOnceColumns {
 /// Callers on the hot path intern once ([`intern`](Self::intern), or
 /// [`LineageInterner::intern_column`] for a relation's lineage column) and
 /// evaluate with [`probability_ref`](Self::probability_ref). Output
-/// formation first asks [`certify_columns`](Self::certify_columns) once per
-/// statement whether every output root is read-once; if so, each row is
-/// priced from the dense marginals by
-/// [`certified_concat`](Self::certified_concat). Otherwise it hands a
-/// window's two lineages to [`concat_output`](Self::concat_output) (or
-/// [`try_concat_disjunction_output`](Self::try_concat_disjunction_output)
-/// for an un-interned `λs`), which proves read-once per row and prices the
-/// concatenation without interning it when it is. Either way a read-once
-/// conjunction comes back as a [`LazyLineage`] whose tree is built only
-/// when read; [`probability`](Self::probability) accepts legacy trees and
-/// interns on the fly.
+/// formation makes one pricing decision per statement: it asks
+/// [`certify_columns`](Self::certify_columns) whether every output root is
+/// read-once; if so, each row is priced without interning it by
+/// [`certified_concat`](Self::certified_concat), and its conjunction comes
+/// back as a [`LazyLineage`] whose tree is built only when read. Otherwise
+/// every row takes the node path, [`concat_output`](Self::concat_output):
+/// its root is interned and priced like any other node.
+/// [`probability`](Self::probability) accepts legacy trees and interns on
+/// the fly.
 #[derive(Debug, Clone, Default)]
 pub struct ProbabilityEngine {
     probs: Arc<MarginalMap>,
@@ -357,24 +355,15 @@ impl ProbabilityEngine {
         Ok((self.interner.to_lineage(r).into(), probability))
     }
 
-    /// Forms an output tuple's lineage from a window's `λr` and `λs` with
-    /// the concatenation function `how`, returning its lineage and its
-    /// probability — the same pair, bit for bit and tree for tree, as
-    /// interning the concatenation ([`LineageInterner::and2`] / `and_not` /
-    /// `or2`) and calling [`output`](Self::output) on the node.
-    ///
-    /// The concatenation is formed **at the boundary**: when it is a
-    /// read-once conjunction of the two roots' conjuncts — the operands
-    /// are read-once and share no variable — it is priced from the operands
-    /// and returned as a deferred [`LazyLineage`] over their cached trees:
-    /// no arena node, memo slot or conversion-cache entry is created for a
-    /// root nothing will look up again, and its `And` is allocated only if
-    /// the tree is read. A read-once `λr ∨ λs` is priced the same way and
-    /// returned as a tree. Every other concatenation (one that collapses to
-    /// an existing node or merges a shared conjunct, shares variables,
-    /// mentions an unregistered variable, or is priced under
-    /// [`set_force_shannon`](Self::set_force_shannon)) is interned and
-    /// takes the node path.
+    /// Forms an output tuple's lineage `how(λr, λs)` as an arena node —
+    /// `λs` the disjunction of `lambda_s`: one node, or a negating window's
+    /// span — and prices the node with [`output`](Self::output). This is the
+    /// node path every row of an uncertified statement takes (self-joins,
+    /// inputs that share a variable, unregistered variables, the Shannon
+    /// ablation). The arena's read-once flags still price a read-once root
+    /// as a product over its children, so such a row costs its root node
+    /// (and `¬λs`, a span's `Or`) and nothing else; a root whose operands
+    /// share variables is priced by decomposition.
     ///
     /// # Panics
     /// Panics if a variable of either operand has no registered
@@ -384,7 +373,7 @@ impl ProbabilityEngine {
         &mut self,
         how: Concat,
         lambda_r: LineageRef,
-        lambda_s: LineageRef,
+        lambda_s: &[LineageRef],
     ) -> (LazyLineage, f64) {
         self.try_concat_output(how, lambda_r, lambda_s)
             .expect("all lineage variables must have probabilities")
@@ -396,118 +385,69 @@ impl ProbabilityEngine {
         &mut self,
         how: Concat,
         lambda_r: LineageRef,
-        lambda_s: LineageRef,
+        lambda_s: &[LineageRef],
     ) -> Result<(LazyLineage, f64), ProbabilityError> {
-        let is_and = how != Concat::Or;
-        // The negation stays a node: `λs` is an `s` tuple's lineage, which
-        // the negating windows of a group share.
-        let lambda_s = match how {
-            Concat::AndNot => self.interner.not(lambda_s),
-            Concat::And | Concat::Or => lambda_s,
+        let lambda_s = self.interner.or(lambda_s);
+        let root = match how {
+            Concat::And => self.interner.and2(lambda_r, lambda_s),
+            Concat::AndNot => self.interner.and_not(lambda_r, lambda_s),
+            Concat::Or => self.interner.or2(lambda_r, lambda_s),
         };
-        let operands = match self.interner.normalize(is_and, &[lambda_r, lambda_s]) {
-            Normalized::Node(existing) => return self.try_output(existing),
-            Normalized::List(operands) => operands,
-        };
-        // A conjunction is priced here only when its operands are exactly
-        // the two roots' conjuncts (no constant dropped, no shared conjunct
-        // merged), so its deferred tree is theirs concatenated; a merged one
-        // takes the node path, which prices it with the same product.
-        let conjuncts = |r| match self.interner.node(r) {
-            InternedNode::True | InternedNode::False => None,
-            InternedNode::And(children) => Some(children.len()),
-            _ => Some(1),
-        };
-        let deferrable = match (conjuncts(lambda_r), conjuncts(lambda_s)) {
-            (Some(a), Some(b)) => a + b == operands.len(),
-            _ => false,
-        };
-        if (is_and && !deferrable) || !self.product_applies(operands.iter().copied()) {
-            let root = self.interner.intern_nary(is_and, &operands);
-            self.interner.recycle(operands);
-            return self.try_output(root);
-        }
-        // The multiplications of `prob_read_once` over the node's children,
-        // in the same order from the same 1.0 — the same bits.
-        let mut acc = 1.0;
-        for &operand in &operands {
-            let p = self.prob_rec(operand);
-            acc *= if is_and { p } else { 1.0 - p };
-        }
-        if is_and {
-            self.interner.recycle(operands);
-            let (a, b) = (self.to_lineage(lambda_r), self.to_lineage(lambda_s));
-            return Ok((LazyLineage::and2(a, b), acc));
-        }
-        let trees = operands.iter().map(|&o| self.interner.to_lineage(o));
-        let tree = Lineage::from_normalized(LineageNode::Or(trees.collect()));
-        self.interner.recycle(operands);
-        Ok((tree.into(), 1.0 - acc))
-    }
-
-    /// [`try_concat_output`](Self::try_concat_output) for a `λs` that is the
-    /// un-interned disjunction of `disjuncts` (an active set's operands).
-    /// A root `λr ∧ ¬(c₁ ∨ … ∨ c_k)` that the node path would price as a
-    /// product (k ≥ 2, `λr` no constant) is priced from the operands with
-    /// its float sequence, `p(λr) · (1 − (1 − ∏(1 − p(cᵢ))))`, and returned
-    /// as a deferred [`LazyLineage`] over their cached trees; anything else
-    /// interns the disjunction.
-    pub fn try_concat_disjunction_output(
-        &mut self,
-        how: Concat,
-        lambda_r: LineageRef,
-        disjuncts: &[LineageRef],
-    ) -> Result<(LazyLineage, f64), ProbabilityError> {
-        let constant = self.interner.is_true(lambda_r) || self.interner.is_false(lambda_r);
-        let roots = std::iter::once(lambda_r).chain(disjuncts.iter().copied());
-        if how != Concat::AndNot || disjuncts.len() < 2 || constant || !self.product_applies(roots)
-        {
-            let lambda_s = self.interner.or(disjuncts);
-            return self.try_concat_output(how, lambda_r, lambda_s);
-        }
-        let mut trees = Vec::with_capacity(1 + disjuncts.len());
-        trees.push(self.interner.to_lineage(lambda_r));
-        let mut none = 1.0;
-        for &c in disjuncts {
-            none *= 1.0 - self.prob_rec(c);
-            trees.push(self.interner.to_lineage(c));
-        }
-        let p = self.prob_rec(lambda_r) * (1.0 - (1.0 - none));
-        Ok((LazyLineage::and_not_or(trees), p))
+        self.try_output(root)
     }
 
     /// Certifies a statement whose two lineage columns (their roots, as
-    /// [`LineageInterner::intern_column`] returns them) are `r` and `s`:
-    /// `Some` when every root is a `Var` whose variable is registered, no
-    /// variable is a root of both columns and `force_shannon` is off. Then
-    /// every output root of Table II — `λr`, `λr ∧ λs`, `λr ∧ ¬(c₁ ∨ … ∨ c_k)`
-    /// and the union's `λr ∨ λs`, with `λr` from one column and the `cᵢ`
-    /// distinct roots of the other — is read-once. One pass over both
-    /// columns, which also seeds each root's marginal into the dense memo.
-    /// Self-joins, derived inputs and unregistered variables get `None` and
-    /// keep the per-row path.
+    /// [`LineageInterner::intern_column`] returns them) are `r` and `s`;
+    /// `r_spanned` / `s_spanned` say whether a negating window's `λs` span
+    /// may disjoin roots of that column (it is the negative side of a pass
+    /// that emits negating windows). `Some` when `force_shannon` is off and
+    ///
+    /// - every root of both columns is read-once, registered, and neither
+    ///   a constant nor a negation;
+    /// - the two columns share no variable;
+    /// - no two roots of a spanned column share a variable.
+    ///
+    /// Then every output root of Table II — `λr`, `λr ∧ λs`,
+    /// `λr ∧ ¬(c₁ ∨ … ∨ c_k)` and the union's `λr ∨ λs`, with `λr` a root of
+    /// one column and `λs` a root of the other or a span's distinct operands
+    /// — is read-once, and flattening its two operands gives the child list
+    /// of its node: nothing to deduplicate, fold or absorb. One pass over
+    /// the roots, which also seeds each `Var` root's marginal into the dense
+    /// memo, and one stamp pass over their leaves. Base relations are
+    /// certified, and so are derived inputs that meet the conditions
+    /// (`(r ∪ s) − t`, `(r ∩ s) ∪ t`); every other statement gets `None` and
+    /// takes the node path.
     pub fn certify_columns(
         &mut self,
         r: &[LineageRef],
         s: &[LineageRef],
+        r_spanned: bool,
+        s_spanned: bool,
     ) -> Option<ReadOnceColumns> {
         if self.force_shannon {
             return None;
         }
         for &root in r.iter().chain(s) {
-            let InternedNode::Var(var) = self.interner.node(root) else {
-                return None;
-            };
-            let p = *self.probs.get(var)?;
-            self.memo_insert(root, p);
+            match *self.interner.node(root) {
+                // `λr ∧ ¬¬x` would need normalizing to `λr ∧ x`.
+                InternedNode::True | InternedNode::False | InternedNode::Not(_) => return None,
+                InternedNode::Var(var) => {
+                    let p = *self.probs.get(&var)?;
+                    self.memo_insert(root, p);
+                }
+                _ if self.interner.is_read_once(root) => {
+                    self.try_probability_ref(root).ok()?;
+                }
+                _ => return None,
+            }
         }
         self.interner
-            .share_no_node(r, s)
+            .share_no_node(r, s, r_spanned, s_spanned)
             .then_some(ReadOnceColumns { _sealed: () })
     }
 
     /// [`output`](Self::output) of a root of a certified column: its
-    /// marginal and its cached tree.
+    /// probability and its cached tree.
     pub fn certified_output(
         &mut self,
         _proof: &ReadOnceColumns,
@@ -518,20 +458,18 @@ impl ProbabilityEngine {
     }
 
     /// The output root `how(λr, c₁ ∨ … ∨ c_k)` of a certified statement:
-    /// `λr` a root of one column, `lambda_s` the distinct roots of the
-    /// other that form `λs` — one node, or a negating window's span. The
-    /// same lineage and probability bits as [`concat_output`](Self::concat_output)
-    /// / [`try_concat_disjunction_output`](Self::try_concat_disjunction_output),
-    /// whose product it runs without their per-row proof, from the dense
-    /// marginals:
-    ///
-    /// - `and`: `p(λr) · p(λs)`;
-    /// - `andNot`: `p(λr) · (1 − p(λs))`;
-    /// - `or`: `1 − (1 − p(λr)) · ∏(1 − p(cᵢ))`;
-    ///
-    /// where a span's `p(λs)` is `1 − ∏(1 − p(cᵢ))` in span order from
-    /// `1.0`. No node is interned: a conjunction comes back deferred
-    /// (`¬λs` included), the union's disjunction as a tree.
+    /// `λr` a root of one column, `lambda_s` the operands of `λs` — one
+    /// root of the other column, or a negating window's span. The same
+    /// lineage and probability bits as [`concat_output`](Self::concat_output),
+    /// without its node: the root's child list is the two operands
+    /// flattened, so its read-once product runs over them in that order,
+    /// from `1.0` — `p` per conjunct of `λr ∧ λs'`, `1 − p` per disjunct of
+    /// `λr ∨ λs` (then complemented) — where `λs'` of `andNot` is the one
+    /// conjunct `¬λs`, priced `1 − p(λs)`, and a span's `p(λs)` is
+    /// `1 − ∏(1 − p(cᵢ))` in span order from `1.0`. So `andNot` over a span
+    /// is `p(λr) · (1 − (1 − ∏(1 − p(cᵢ))))`. No node is interned: a
+    /// conjunction comes back deferred (`¬λs` included), the union's
+    /// disjunction as a tree.
     pub fn certified_concat(
         &mut self,
         _proof: &ReadOnceColumns,
@@ -540,71 +478,74 @@ impl ProbabilityEngine {
         lambda_s: &[LineageRef],
     ) -> (LazyLineage, f64) {
         debug_assert!(!self.force_shannon, "a certificate outlived force_shannon");
-        debug_assert!(
-            !lambda_s.is_empty()
-                && std::iter::once(&lambda_r)
-                    .chain(lambda_s)
-                    .all(|&o| matches!(self.interner.node(o), InternedNode::Var(_))),
-            "certified roots concatenate column roots"
-        );
-        let p_r = self.prob_rec(lambda_r);
+        debug_assert!(!lambda_s.is_empty(), "λs has an operand");
         let tree_r = self.interner.to_lineage(lambda_r);
         if how == Concat::Or {
-            let mut none = 1.0 - p_r;
+            let none = self.fold_operands(1.0, lambda_r, false);
+            let none = lambda_s
+                .iter()
+                .fold(none, |none, &c| self.fold_operands(none, c, false));
             let mut trees = Vec::with_capacity(1 + lambda_s.len());
-            trees.push(tree_r);
-            for &c in lambda_s {
-                none *= 1.0 - self.prob_rec(c);
-                trees.push(self.interner.to_lineage(c));
+            let operands = lambda_s.iter().map(|&c| self.interner.to_lineage(c));
+            for tree in std::iter::once(tree_r).chain(operands) {
+                match tree.node() {
+                    LineageNode::Or(disjuncts) => trees.extend_from_slice(disjuncts),
+                    _ => trees.push(tree),
+                }
             }
             let tree = Lineage::from_normalized(LineageNode::Or(trees));
             return (tree.into(), 1.0 - none);
         }
-        let p_s = match lambda_s {
-            [c] => self.prob_rec(*c),
-            span => {
-                let mut none = 1.0;
-                for &c in span {
-                    none *= 1.0 - self.prob_rec(c);
-                }
-                1.0 - none
+        // The product over λr's conjuncts from 1.0 is p(λr) itself.
+        let p_r = self.prob_rec(lambda_r);
+        match (how, lambda_s) {
+            (Concat::AndNot, &[c]) => {
+                let p = p_r * (1.0 - self.prob_rec(c));
+                (LazyLineage::and_not(tree_r, self.interner.to_lineage(c)), p)
             }
-        };
-        let lineage = match (how, lambda_s) {
-            (Concat::AndNot, [c]) => LazyLineage::and_not(tree_r, self.interner.to_lineage(*c)),
-            (Concat::AndNot, span) => {
+            (_, &[c]) => {
+                let p = self.fold_operands(p_r, c, true);
+                (LazyLineage::and2(tree_r, self.interner.to_lineage(c)), p)
+            }
+            // A span's operands are flattened: no `cᵢ` is an `Or`.
+            (_, span) => {
+                let mut none = 1.0;
                 let mut trees = Vec::with_capacity(1 + span.len());
                 trees.push(tree_r);
-                trees.extend(span.iter().map(|&c| self.interner.to_lineage(c)));
-                LazyLineage::and_not_or(trees)
+                for &c in span {
+                    none *= 1.0 - self.prob_rec(c);
+                    trees.push(self.interner.to_lineage(c));
+                }
+                if how == Concat::AndNot {
+                    return (LazyLineage::and_not_or(trees), p_r * (1.0 - (1.0 - none)));
+                }
+                let tree_r = trees.remove(0);
+                let or = Lineage::from_normalized(LineageNode::Or(trees));
+                (LazyLineage::and2(tree_r, or), p_r * (1.0 - none))
             }
-            (_, [c]) => LazyLineage::and2(tree_r, self.interner.to_lineage(*c)),
-            (_, span) => {
-                let trees = span.iter().map(|&c| self.interner.to_lineage(c));
-                let or = Lineage::from_normalized(LineageNode::Or(trees.collect()));
-                LazyLineage::and2(tree_r, or)
-            }
-        };
-        let p = if how == Concat::And {
-            p_r * p_s
-        } else {
-            p_r * (1.0 - p_s)
-        };
-        (lineage, p)
+        }
     }
 
-    /// Is the connective over the normalized `operands` priced by the
-    /// read-once product — the condition [`prob_rec`](Self::prob_rec)
-    /// applies to a node (not forced to Shannon, flagged read-once: children
-    /// read-once with pairwise distinct leaves), decided before the node
-    /// exists — with every variable under it registered?
-    fn product_applies(&mut self, operands: impl Iterator<Item = LineageRef> + Clone) -> bool {
-        if self.force_shannon || !operands.clone().all(|o| self.interner.is_read_once(o)) {
-            return false;
+    /// Continues a read-once product over the operands `r` contributes to a
+    /// flattened conjunction (`is_and`) or disjunction — its children when
+    /// it is that connective, else `r` itself — multiplying `acc` by `p`
+    /// (`1 − p` for a disjunction) of each, in order. From `1.0` over a
+    /// node's own children this is the product
+    /// [`prob_read_once`](Self::prob_read_once) prices the node with.
+    fn fold_operands(&mut self, mut acc: f64, r: LineageRef, is_and: bool) -> f64 {
+        match (self.interner.node(r), is_and) {
+            (InternedNode::And(_), true) | (InternedNode::Or(_), false) => {
+                for k in 0..self.interner.children(r).len() {
+                    let child = self.interner.children(r)[k];
+                    acc = self.fold_operands(acc, child, is_and);
+                }
+                acc
+            }
+            _ => {
+                let p = self.prob_rec(r);
+                acc * if is_and { p } else { 1.0 - p }
+            }
         }
-        self.extend_verified();
-        operands.clone().all(|o| self.verified[o.index()])
-            && self.interner.leaves_are_distinct(operands)
     }
 
     /// Extends the `verified` flags over the nodes appended since the last
@@ -760,12 +701,7 @@ impl ProbabilityEngine {
     /// groups multiply in, which keeps the result bit-identical to the
     /// decomposition path.
     fn prob_read_once(&mut self, r: LineageRef, is_and: bool) -> f64 {
-        let mut acc = 1.0;
-        for k in 0..self.interner.children(r).len() {
-            let child = self.interner.children(r)[k];
-            let p = self.prob_rec(child);
-            acc *= if is_and { p } else { 1.0 - p };
-        }
+        let acc = self.fold_operands(1.0, r, is_and);
         if is_and {
             acc
         } else {
@@ -1264,9 +1200,28 @@ mod tests {
         output.map(|(lineage, p)| (lineage.get().clone(), p.to_bits()))
     }
 
-    /// Asserts `try_concat_output` on `boundary` equals the arena path on
-    /// `arena` — tree, probability bits (or error) and expansion count —
-    /// twice, so the second round runs on a warm memo.
+    /// Forms `how(λr, λs)` the way output formation does: at the boundary
+    /// when the engine certifies the columns `[λr]` and `s` (`s` spanned),
+    /// else on the node path. `lambda_s` holds `λs`'s operands: the one
+    /// root of `s`, or the span an active set keeps over `s`'s roots.
+    fn form(
+        e: &mut ProbabilityEngine,
+        how: Concat,
+        lr: LineageRef,
+        s: &[LineageRef],
+        lambda_s: &[LineageRef],
+    ) -> Result<(LazyLineage, f64), ProbabilityError> {
+        match e.certify_columns(&[lr], s, false, true) {
+            Some(proof) if !lambda_s.is_empty() => {
+                Ok(e.certified_concat(&proof, how, lr, lambda_s))
+            }
+            _ => e.try_concat_output(how, lr, lambda_s),
+        }
+    }
+
+    /// Asserts [`form`] on `boundary` equals the arena path on `arena` —
+    /// tree, probability bits (or error) and expansion count — twice, so
+    /// the second round runs on a warm memo.
     fn assert_boundary_equals_arena(
         boundary: &mut ProbabilityEngine,
         arena: &mut ProbabilityEngine,
@@ -1277,7 +1232,7 @@ mod tests {
         for round in ["cold", "warm"] {
             let (br, bs) = (boundary.intern(lr), boundary.intern(ls));
             let (ar, as_) = (arena.intern(lr), arena.intern(ls));
-            let got = boundary.try_concat_output(how, br, bs);
+            let got = form(boundary, how, br, &[bs], &[bs]);
             let want = concat_through_the_arena(arena, how, ar, as_);
             assert_eq!(
                 tree_bits(got),
@@ -1337,37 +1292,41 @@ mod tests {
         let mut e = engine(&[0.5, 0.5, 0.5, 0.5]);
         let lr = e.intern(&v(0));
         let ls = e.intern(&Lineage::or(vec![v(1), v(2), v(3)]));
+        let proof = e.certify_columns(&[lr], &[ls], false, true).unwrap();
         let before = e.interner().len();
-        // Read-once: λr ∧ λs and λr ∨ λs add nothing, λr ∧ ¬λs only the
-        // (shared) negation.
-        let (lineage, p) = e.concat_output(Concat::And, lr, ls);
+        // Certified: λr ∧ λs, λr ∧ ¬λs and λr ∨ λs add nothing.
+        let (lineage, p) = e.certified_concat(&proof, Concat::And, lr, &[ls]);
         assert!(lineage.is_deferred());
         assert_eq!(
             lineage.get(),
             &Lineage::and2(v(0), Lineage::or(vec![v(1), v(2), v(3)]))
         );
         assert_eq!(p, 0.5 * (1.0 - 0.5 * 0.5 * 0.5));
-        let _ = e.concat_output(Concat::Or, lr, ls);
-        assert_eq!(e.interner().len(), before);
-        let (lineage, p) = e.concat_output(Concat::AndNot, lr, ls);
+        let _ = e.certified_concat(&proof, Concat::Or, lr, &[ls]);
+        let (lineage, p) = e.certified_concat(&proof, Concat::AndNot, lr, &[ls]);
         assert!(lineage.is_deferred());
         assert_eq!(
             lineage.get(),
             &Lineage::and_not_concat(&v(0), &Lineage::or(vec![v(1), v(2), v(3)]))
         );
         assert_eq!(p, 0.5 * (0.5 * 0.5 * 0.5));
-        assert_eq!(e.interner().len(), before + 1, "¬λs is the one new node");
+        assert_eq!(e.interner().len(), before);
+        // The node path interns the root and ¬λs, and still prices the
+        // read-once root as a product: the same bits, no expansion.
+        let (lineage, node_p) = e.concat_output(Concat::AndNot, lr, &[ls]);
+        assert!(!lineage.is_deferred());
+        assert_eq!(node_p.to_bits(), p.to_bits());
+        assert_eq!(e.interner().len(), before + 2, "¬λs and the root");
         assert_eq!(e.expansions(), 0);
-        // Shared variables: the root is interned and priced by expansion.
+        // Shared variables: no certificate, and the root is priced by
+        // expansion.
         let shared = e.intern(&Lineage::or2(v(0), v(1)));
-        let _ = e.concat_output(Concat::And, ls, shared);
-        assert!(e.interner().len() > before + 2);
+        assert!(e.certify_columns(&[ls], &[shared], false, false).is_none());
+        let _ = e.concat_output(Concat::And, ls, &[shared]);
         assert_eq!(e.expansions(), 1);
-        // … as is every root under the ablation switch.
-        let nodes = e.interner().len();
+        // … and nothing is certified under the ablation switch.
         e.set_force_shannon(true);
-        let _ = e.concat_output(Concat::And, lr, ls);
-        assert_eq!(e.interner().len(), nodes + 1);
+        assert!(e.certify_columns(&[lr], &[ls], false, true).is_none());
         assert_eq!(e.verify_arena(), Ok(()));
     }
 
@@ -1380,14 +1339,17 @@ mod tests {
             let (lr, ls) = (Lineage::and2(v(0), v(9)), Lineage::or2(v(7), v(1)));
             assert_boundary_equals_arena(&mut boundary, &mut arena, how, &lr, &ls);
             let (br, bs) = (boundary.intern(&lr), boundary.intern(&ls));
+            assert!(boundary
+                .certify_columns(&[br], &[bs], false, false)
+                .is_none());
             assert_eq!(
-                boundary.try_concat_output(how, br, bs),
+                boundary.try_concat_output(how, br, &[bs]),
                 Err(ProbabilityError::MissingVariable(VarId(7)))
             );
             boundary.set(VarId(7), 0.5);
             arena.set(VarId(7), 0.5);
             assert_eq!(
-                boundary.try_concat_output(how, br, bs),
+                boundary.try_concat_output(how, br, &[bs]),
                 Err(ProbabilityError::MissingVariable(VarId(9)))
             );
             boundary.set(VarId(9), 0.5);
@@ -1411,22 +1373,24 @@ mod tests {
     fn read_once_disjunction_concatenation_interns_nothing() {
         let mut e = engine(&[0.7, 0.6, 0.7, 0.5]);
         let lr = e.intern(&Lineage::and2(v(0), v(3)));
+        let s = column(&mut e, &[2, 1]);
+        let proof = e.certify_columns(&[lr], &s, false, true).unwrap();
         let ops = disjuncts(&mut e, &[v(2), v(1)]);
         let before = e.interner().len();
-        let (lineage, p) = e
-            .try_concat_disjunction_output(Concat::AndNot, lr, &ops)
-            .unwrap();
+        let (lineage, p) = e.certified_concat(&proof, Concat::AndNot, lr, &ops);
         assert!(lineage.is_deferred());
         assert_eq!(
             lineage.get(),
             &Lineage::and_not_concat(&Lineage::and2(v(0), v(3)), &Lineage::or2(v(2), v(1)))
         );
         assert_eq!(p, 0.7 * 0.5 * (1.0 - (1.0 - (1.0 - 0.7) * (1.0 - 0.6))));
+        let _ = e.certified_concat(&proof, Concat::Or, lr, &ops);
         assert_eq!(e.interner().len(), before, "no Or, no Not, no root");
-        // The union's `λr ∨ λs` and a correlated root intern the disjunction.
-        let _ = e.try_concat_disjunction_output(Concat::Or, lr, &ops);
-        let shared = disjuncts(&mut e, &[v(3), v(1)]);
-        let _ = e.try_concat_disjunction_output(Concat::AndNot, lr, &shared);
+        // A span that shares a variable with λr is not certified; the node
+        // path interns its disjunction, negation and root.
+        let shared = column(&mut e, &[3, 1]);
+        assert!(e.certify_columns(&[lr], &shared, false, true).is_none());
+        let _ = e.concat_output(Concat::AndNot, lr, &shared);
         assert!(e.interner().len() > before + 2);
         assert_eq!(e.verify_arena(), Ok(()));
     }
@@ -1439,26 +1403,50 @@ mod tests {
 
     #[test]
     fn columns_are_certified_only_when_every_root_is_read_once() {
-        let mut e = engine(&[0.5, 0.4, 0.3, 0.2]);
+        let mut e = engine(&[0.5, 0.4, 0.3, 0.2, 0.1]);
         let (r, s) = (column(&mut e, &[0, 1]), column(&mut e, &[2, 3]));
-        assert!(e.certify_columns(&r, &s).is_some());
-        assert!(e.certify_columns(&r, &[]).is_some(), "an empty side");
-        // A shared variable, an unregistered one, a compound root.
+        assert!(e.certify_columns(&r, &s, true, true).is_some());
+        assert!(
+            e.certify_columns(&r, &[], true, true).is_some(),
+            "an empty side"
+        );
+        // Read-once compound roots are certified. Two of them may share a
+        // variable unless a span draws from their column.
+        let derived = [
+            e.intern(&Lineage::and2(v(0), v(1))),
+            e.intern(&Lineage::or2(v(0), Lineage::not(v(4)))),
+        ];
+        assert!(e.certify_columns(&derived, &s, false, true).is_some());
+        assert!(e.certify_columns(&derived, &s, true, true).is_none());
+        assert!(e.certify_columns(&s, &derived, false, true).is_none());
+        let twice = [s[0], s[0]];
+        assert!(e.certify_columns(&r, &twice, false, false).is_some());
+        assert!(e.certify_columns(&r, &twice, false, true).is_none());
+        // A shared variable, an unregistered one, a correlated root, a
+        // negation and a constant are not.
         let shared = column(&mut e, &[3, 1]);
-        assert!(e.certify_columns(&r, &shared).is_none());
+        assert!(e.certify_columns(&r, &shared, false, false).is_none());
         let unregistered = column(&mut e, &[9]);
-        assert!(e.certify_columns(&r, &unregistered).is_none());
-        let compound = e.intern(&Lineage::and2(v(2), v(3)));
-        assert!(e.certify_columns(&r, &[compound]).is_none());
-        assert!(e.certify_columns(&[e.interner().tru()], &s).is_none());
+        assert!(e.certify_columns(&r, &unregistered, false, false).is_none());
+        let unregistered = e.intern(&Lineage::and2(v(2), v(9)));
+        assert!(e
+            .certify_columns(&r, &[unregistered], false, false)
+            .is_none());
+        let correlated = e.intern(&Lineage::and2(v(2), Lineage::or2(v(2), v(3))));
+        assert!(e.certify_columns(&r, &[correlated], false, false).is_none());
+        let negation = e.intern(&Lineage::not(v(2)));
+        assert!(e.certify_columns(&r, &[negation], false, false).is_none());
+        assert!(e
+            .certify_columns(&[e.interner().tru()], &s, false, false)
+            .is_none());
         // The ablation switch keeps every root on the node path.
         e.set_force_shannon(true);
-        assert!(e.certify_columns(&r, &s).is_none());
+        assert!(e.certify_columns(&r, &s, true, true).is_none());
         assert_eq!(e.verify_arena(), Ok(()));
     }
 
     proptest! {
-        /// Certified pricing is the per-row path, bit for bit and tree for
+        /// Certified pricing is the node path, bit for bit and tree for
         /// tree, for every concatenation of a root with one node or a span
         /// of distinct roots of the other column — and interns nothing.
         #[test]
@@ -1476,7 +1464,7 @@ mod tests {
             }
             let (mut certified, mut arena) = (engine(&ps), engine(&ps));
             let (r, s) = (column(&mut certified, &[0, 1, 2]), column(&mut certified, &[3, 4, 5, 6, 7]));
-            let proof = certified.certify_columns(&r, &s).expect("distinct registered vars");
+            let proof = certified.certify_columns(&r, &s, true, true).expect("distinct registered vars");
             let nodes = certified.interner().len();
             let lambda_s: Vec<LineageRef> = ls.iter().map(|&i| s[i as usize - 3]).collect();
             let span = Lineage::or(ls.iter().map(|&i| v(i)).collect());
@@ -1493,13 +1481,14 @@ mod tests {
             prop_assert_eq!(certified.verify_arena(), Ok(()));
         }
 
-        /// The disjunction entry equals interning the disjunction and taking
-        /// the arena path — same tree, probability bits (or error) and
-        /// expansion count, cold and warm memo, with and without
-        /// `force_shannon` — for every concatenation, on operand lists an
-        /// active set keeps. Disjuncts over λr's five variables make
-        /// correlated roots, fresh variables read-once ones; zero and one
-        /// operand fall back as well.
+        /// Output formation over an active set's operands equals interning
+        /// the disjunction and taking the arena path — same tree,
+        /// probability bits (or error) and expansion count, cold and warm
+        /// memo, with and without `force_shannon` — for every
+        /// concatenation. Disjuncts over λr's five variables make correlated
+        /// roots, fresh variables read-once ones that are certified (λr and
+        /// the operands of compound roots included); zero and one operand
+        /// are covered as well.
         #[test]
         fn prop_disjunction_concatenation_equals_the_arena_path(
             lr in arb_lineage(),
@@ -1514,7 +1503,8 @@ mod tests {
                 for how in CONCATS {
                     for round in ["cold", "warm"] {
                         let (br, ops) = (boundary.intern(&lr), disjuncts(&mut boundary, &ls));
-                        let got = boundary.try_concat_disjunction_output(how, br, &ops);
+                        let s: Vec<LineageRef> = ls.iter().map(|l| boundary.intern(l)).collect();
+                        let got = form(&mut boundary, how, br, &s, &ops);
                         let (ar, as_) = (arena.intern(&lr), arena.intern(&Lineage::or(ls.clone())));
                         let want = concat_through_the_arena(&mut arena, how, ar, as_);
                         let want = want.map(|(tree, p)| (tree, p.to_bits()));
@@ -1526,10 +1516,12 @@ mod tests {
             }
         }
 
-        /// Boundary concatenation equals the arena path: same tree, same
+        /// Output formation equals the arena path: same tree, same
         /// probability bits, same expansion count — cold and warm memo,
         /// with and without `force_shannon`. Five variables make pairs that
-        /// share variables (the fallback) as common as read-once ones.
+        /// share variables (the node path) as common as certified read-once
+        /// ones, whose compound roots and `¬¬x` the boundary must flatten
+        /// as the node would.
         #[test]
         fn prop_boundary_concatenation_equals_the_arena_path(
             lr in arb_lineage(),
