@@ -19,9 +19,11 @@ use crate::optable::{LineageFn, PassSpec, TpOp};
 use crate::overlap::OverlapJoinPlan;
 use crate::stream::registered_engine;
 use crate::theta::ThetaCondition;
-use crate::window::{SideRef, Window};
+use crate::window::{Window, WindowKind, WindowSet};
 use std::slice;
-use tpdb_lineage::{Concat, LazyLineage, Lineage, LineageRef, ProbabilityEngine, ReadOnceColumns};
+use tpdb_lineage::{
+    Concat, InternedNode, LineageInterner, LineageRef, ProbabilityEngine, ReadOnceColumns,
+};
 use tpdb_storage::{StorageError, TpRelation, TpTuple};
 
 /// Which TP join with negation to compute.
@@ -189,41 +191,32 @@ pub fn tp_join_with_engine_and_plan(
 /// `left_windows` are windows of `r` with respect to `s`; `right_windows`
 /// are windows of `s` with respect to `r` (only consulted by right/full
 /// outer joins, and their overlapping windows are ignored because
-/// `WO(r;s,θ) = WO(s;r,θ)` is already contained in `left_windows`). This is
-/// shared by the NJ implementation and the Temporal Alignment baseline so
-/// that the two approaches differ only in *how the windows are computed*.
+/// `WO(r;s,θ) = WO(s;r,θ)` is already contained in `left_windows`). Each
+/// set carries the span buffer of its negating windows. Tuples are formed
+/// exactly as the streaming join forms them, so the NJ implementation and
+/// the Temporal Alignment baseline differ only in *how the windows are
+/// computed*.
 pub fn assemble_join_result(
     r: &TpRelation,
     s: &TpRelation,
     kind: TpJoinKind,
-    left_windows: &[Window],
-    right_windows: &[Window],
+    left_windows: &WindowSet,
+    right_windows: &WindowSet,
     engine: &mut ProbabilityEngine,
 ) -> TpRelation {
-    assemble_result(TpOp::Join(kind), r, s, left_windows, right_windows, engine)
-}
-
-/// [`assemble_join_result`] for any row of the operator table: the `r;s`
-/// pass forms its tuples from `left_windows`, the flipped pass (if the
-/// operator has one) from `right_windows`.
-pub(crate) fn assemble_result(
-    op: TpOp,
-    r: &TpRelation,
-    s: &TpRelation,
-    left_windows: &[Window],
-    right_windows: &[Window],
-    engine: &mut ProbabilityEngine,
-) -> TpRelation {
+    let op = TpOp::Join(kind);
     let (name, schema) = op.output(r, s);
     let mut out = TpRelation::new(&name, schema);
+    let mut formation = Formation::new(op, r, s, engine);
     for spec in op.passes() {
         let (windows, pos, neg) = if spec.flipped {
             (right_windows, s, r)
         } else {
             (left_windows, r, s)
         };
-        for w in windows {
-            if let Some(tuple) = form_output_tuple(w, pos, neg, spec, engine) {
+        for w in windows.iter() {
+            let spans = &windows.spans;
+            if let Some(tuple) = formation.form(w, spec, (pos, neg), spans, engine) {
                 out.push_unchecked(tuple);
             }
         }
@@ -231,96 +224,127 @@ pub(crate) fn assemble_result(
     out
 }
 
-/// Forms the output tuple of a window under a pass of the operator table
-/// (`None` when the pass does not emit the window's class): the facts in
-/// the pass's layout, the window interval, and the lineage and probability
-/// `concat` derives from `(λr, λs)` with the class's lineage function.
-fn form_tuple<L, S>(
-    w: &Window<L, S>,
-    pos: &TpRelation,
-    neg: &TpRelation,
-    spec: &PassSpec,
-    concat: impl FnOnce(LineageFn, &L, Option<&S>) -> (LazyLineage, f64),
-) -> Option<TpTuple> {
-    let lineage_fn = spec.lineage_fn(w.kind)?;
-    let (lineage, probability) = concat(lineage_fn, &w.lambda_r, w.lambda_s.as_ref());
-    let facts = spec.layout.facts(
-        pos.tuple(w.r_idx).facts(),
-        w.s_idx.map(|si| neg.tuple(si).facts()),
-        neg.schema().arity(),
-    );
-    Some(TpTuple::with_lazy_lineage(
-        facts,
-        lineage,
-        w.interval,
-        probability,
-    ))
+/// Output formation for one statement: both input lineage columns interned
+/// once, and the engine's decision whether they make every output root
+/// read-once. Windows carry indices only; a tuple's `λr` is its `r` root,
+/// an overlapping window's `λs` its `s` root, and a negating window's `λs`
+/// the disjunction of the roots its span lists.
+pub(crate) struct Formation {
+    /// The roots of `r`'s and `s`'s lineage columns, by tuple index.
+    r_col: Vec<LineageRef>,
+    s_col: Vec<LineageRef>,
+    /// The engine's proof that every output root is read-once
+    /// ([`ProbabilityEngine::certify_columns`]); `None` prices each row as
+    /// an arena node.
+    pub(crate) certificate: Option<ReadOnceColumns>,
+    /// A negating window's `λs` operands (reused across windows).
+    operands: Vec<LineageRef>,
 }
 
-/// Output formation over tree windows (the TA baseline and the
-/// materializing reference paths): the lineage is concatenated as a tree.
-pub(crate) fn form_output_tuple(
-    w: &Window,
-    pos: &TpRelation,
-    neg: &TpRelation,
-    spec: &PassSpec,
-    engine: &mut ProbabilityEngine,
-) -> Option<TpTuple> {
-    form_tuple(w, pos, neg, spec, |lineage_fn, lr, ls| {
-        #[expect(clippy::expect_used, reason = "window-kind invariant")]
-        let ls = || ls.expect("overlapping and negating windows carry λs");
-        let lineage = match lineage_fn {
-            LineageFn::Pos => lr.clone(),
-            LineageFn::And => Lineage::and_concat(lr, ls()),
-            LineageFn::AndNot => Lineage::and_not_concat(lr, ls()),
-            LineageFn::Or => Lineage::or2(lr.clone(), ls().clone()),
+impl Formation {
+    /// Interns the lineage columns of `r` and `s` into `engine` and
+    /// certifies them for `op`. A pass that emits negating windows draws
+    /// `λs` spans from its negative column.
+    pub(crate) fn new(
+        op: TpOp,
+        r: &TpRelation,
+        s: &TpRelation,
+        engine: &mut ProbabilityEngine,
+    ) -> Self {
+        let interner = engine.interner_mut();
+        let r_col = interner.intern_column(r.tuples().iter().map(TpTuple::lineage));
+        let s_col = interner.intern_column(s.tuples().iter().map(TpTuple::lineage));
+        let spanned = |flipped| {
+            op.passes().iter().any(|spec| {
+                spec.flipped == flipped && spec.lineage_fn(WindowKind::Negating).is_some()
+            })
         };
-        let probability = engine.probability(&lineage);
-        (lineage.into(), probability)
-    })
-}
+        let certificate = engine.certify_columns(&r_col, &s_col, spanned(true), spanned(false));
+        Self {
+            r_col,
+            s_col,
+            certificate,
+            operands: Vec::new(),
+        }
+    }
 
-/// Output formation over the interned window representation — the one
-/// function the executing pass runner ([`crate::TpJoinStream`]) forms
-/// tuples with. `λr` and `λs` stay decoupled to the end. In a statement
-/// whose columns the engine certified (`certificate`) the engine
-/// concatenates them **at the boundary**: it prices the row without an
-/// arena node and hands back a deferred lineage, with no `And`/`Or`/`Not`
-/// tree until the tuple's [`lineage`](TpTuple::lineage) is read. Every row
-/// of any other statement takes the node path: its root is interned and
-/// priced like any node. A `λs` span indexes `operands`, the pass's buffer.
-pub(crate) fn form_output_tuple_interned(
-    w: &Window<LineageRef, SideRef>,
-    pos: &TpRelation,
-    neg: &TpRelation,
-    spec: &PassSpec,
-    operands: &[LineageRef],
-    certificate: Option<&ReadOnceColumns>,
-    engine: &mut ProbabilityEngine,
-) -> Option<TpTuple> {
-    form_tuple(w, pos, neg, spec, |lineage_fn, &lr, ls| {
-        let how = match (lineage_fn, certificate) {
-            (LineageFn::Pos, Some(proof)) => return engine.certified_output(proof, lr),
-            (LineageFn::Pos, None) => return engine.output(lr),
-            (LineageFn::And, _) => Concat::And,
-            (LineageFn::AndNot, _) => Concat::AndNot,
-            (LineageFn::Or, _) => Concat::Or,
+    /// Forms the output tuple of `w` under the pass `spec` over `(pos,
+    /// neg)` (`None` when the pass does not emit the window's class): the
+    /// facts in the pass's layout, the window interval, and the lineage and
+    /// probability of `(λr, λs)` under the class's lineage function.
+    /// `spans` is the buffer `w`'s span indexes. In a certified statement
+    /// the engine concatenates `λr` and `λs` **at the boundary**: it prices
+    /// the row without an arena node and hands back a deferred lineage.
+    /// Every row of any other statement takes the node path: its root is
+    /// interned and priced like any node.
+    pub(crate) fn form(
+        &mut self,
+        w: &Window,
+        spec: &PassSpec,
+        (pos, neg): (&TpRelation, &TpRelation),
+        spans: &[u32],
+        engine: &mut ProbabilityEngine,
+    ) -> Option<TpTuple> {
+        let lineage_fn = spec.lineage_fn(w.kind)?;
+        let (pos_col, neg_col) = if spec.flipped {
+            (&self.s_col, &self.r_col)
+        } else {
+            (&self.r_col, &self.s_col)
         };
-        #[expect(clippy::expect_used, reason = "window-kind invariant")]
-        let side = ls.expect("overlapping and negating windows carry λs");
-        let lambda_s = match side {
-            SideRef::Node(node) => slice::from_ref(node),
-            SideRef::Span { start, len } => {
-                let span = *start as usize..*start as usize + *len as usize;
-                debug_assert!(span.end <= operands.len(), "span outside the buffer");
-                &operands[span]
+        let lr = pos_col[w.r_idx];
+        let (lineage, probability) = match (lineage_fn, &self.certificate) {
+            (LineageFn::Pos, Some(proof)) => engine.certified_output(proof, lr),
+            (LineageFn::Pos, None) => engine.output(lr),
+            (lineage_fn, certificate) => {
+                let how = match lineage_fn {
+                    LineageFn::And => Concat::And,
+                    LineageFn::AndNot => Concat::AndNot,
+                    _ => Concat::Or,
+                };
+                let ops = &mut self.operands;
+                let lambda_s = lambda_s(w, neg_col, spans, engine.interner(), ops);
+                match certificate {
+                    Some(proof) => engine.certified_concat(proof, how, lr, lambda_s),
+                    None => engine.concat_output(how, lr, lambda_s),
+                }
             }
         };
-        match certificate {
-            Some(proof) => engine.certified_concat(proof, how, lr, lambda_s),
-            None => engine.concat_output(how, lr, lambda_s),
+        let facts = spec.layout.facts(
+            pos.tuple(w.r_idx).facts(),
+            w.s_idx.map(|si| neg.tuple(si).facts()),
+            neg.schema().arity(),
+        );
+        Some(TpTuple::with_lazy_lineage(
+            facts,
+            lineage,
+            w.interval,
+            probability,
+        ))
+    }
+}
+
+/// The operands of `w`'s `λs`: an overlapping window's `s` root, or the
+/// roots a negating window's span lists, each `Or` root flattened into its
+/// disjuncts (written to `operands`), in span order.
+fn lambda_s<'a>(
+    w: &Window,
+    neg_col: &'a [LineageRef],
+    spans: &[u32],
+    interner: &LineageInterner,
+    operands: &'a mut Vec<LineageRef>,
+) -> &'a [LineageRef] {
+    if let Some(si) = w.s_idx {
+        return slice::from_ref(&neg_col[si]);
+    }
+    operands.clear();
+    for &si in w.span.of(spans) {
+        let root = neg_col[si as usize];
+        match interner.node(root) {
+            InternedNode::Or(disjuncts) => operands.extend_from_slice(disjuncts),
+            _ => operands.push(root),
         }
-    })
+    }
+    operands
 }
 
 #[cfg(test)]
@@ -386,9 +410,8 @@ mod tests {
     }
 
     #[test]
-    fn tree_assembly_from_materialized_windows_equals_the_streaming_join() {
-        // The tree and the interned formation differ only in how the
-        // lineage is concatenated: assembling the materialized window sets
+    fn assembly_from_materialized_windows_equals_the_streaming_join() {
+        // One output formation: assembling the materialized window sets
         // reproduces the streaming join for every operator.
         use crate::{lawan, lawau, overlapping_windows};
         let (a, b, _) = booking_relations();

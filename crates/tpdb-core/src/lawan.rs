@@ -21,177 +21,87 @@
 //!
 //! There is **one sweep body**, [`sweep_group`], and it runs **in place**
 //! on the tail of the output buffer: the group's `WUO` windows are already
-//! there (written by the upstream stage on the streaming path, cloned in by
-//! the materializing [`lawan`], which owns no windows), the negating windows
-//! are appended behind them, and the overlapping windows are read back by
-//! buffer index — no window is cloned or regrouped and no per-group list is
-//! built. Copied windows first, negating windows after: that keeps the
-//! output grouped by `r` tuple, which is all downstream consumers need, and
-//! is the row order every golden fixture pins.
+//! there (written by the upstream stage, or copied in by the materializing
+//! [`lawan`]), the negating windows are appended behind them, and the
+//! overlapping windows are read back by buffer index. Copied windows first,
+//! negating windows after: the output stays grouped by `r` tuple, in the
+//! row order every golden fixture pins.
 //!
-//! What outlives a group is the sweep state: the ending-point queue and the
-//! active set, owned by the stream. Both are empty when a group's sweep ends (every activated
-//! window has expired — debug-asserted), so the next group reuses their
-//! storage and the steady-state sweep allocates only the tree path's `λs`.
-//!
-//! `λs` is maintained **incrementally** in an ordered vector of
-//! reference-counted operands ([`IncrementalDisjunction`] over trees,
-//! [`InternedDisjunction`] over arena ids; see `tpdb_lineage::disjunction`
-//! for why it is searched linearly and never hashed): a window starting or
-//! ending at a boundary updates it, and emitting a negating window only
-//! copies the live operands: into an `Or` tree, or into the pass's operand
-//! buffer, whose [`SideRef::Span`] the interned window carries — no node.
+//! The sweep touches no lineage. Its active set is the list of the `s`
+//! indices of the active overlapping windows in activation order (a group
+//! has one overlapping window per `(r, s)` pair, so an index occurs once);
+//! an expiring window is removed in place. A negating window copies the
+//! set into a span buffer and carries its [`Span`]; output formation reads
+//! `λs` from the `s` tuples it lists. The set is searched linearly: it
+//! holds the `s` tuples valid at one time point under one `r` tuple (6 on
+//! average on the meteo workload, 1 on webkit), and every change is
+//! followed by an emission that copies all of it anyway. The queue and the
+//! set are empty between groups, so their storage is reused.
 
-use crate::window::{SideRef, Window};
+use crate::window::{Span, Window, WindowSet};
 use std::collections::VecDeque;
-use std::fmt::Debug;
-use tpdb_lineage::{
-    IncrementalDisjunction, InternedDisjunction, Lineage, LineageInterner, LineageRef,
-};
 use tpdb_temporal::{EventQueue, Interval};
 
 /// Runs LAWAN over the output `WUO` of [`lawau`](crate::lawau::lawau).
 ///
 /// `wuo` must be grouped by `r_idx` with windows sorted by start within each
 /// group. The result `WUON` contains every input window plus the negating
-/// windows, grouped by `r_idx`.
+/// windows, grouped by `r_idx`, and the span buffer of the negating windows.
 #[must_use]
-pub fn lawan(wuo: &[Window]) -> Vec<Window> {
+pub fn lawan(wuo: &[Window]) -> WindowSet {
     let mut out = VecDeque::with_capacity(wuo.len() * 2);
-    let (mut queue, mut active) = (EventQueue::new(), IncrementalDisjunction::new());
+    let (mut queue, mut active, mut spans) = (EventQueue::new(), Vec::new(), Vec::new());
     for group in wuo.chunk_by(|a, b| a.r_idx == b.r_idx) {
         let from = out.len();
-        out.extend(group.iter().cloned());
-        sweep_group(&mut out, from, &mut queue, &mut active, &(), &mut vec![]);
+        out.extend(group);
+        sweep_group(&mut out, from, &mut queue, &mut active, &mut spans);
     }
-    out.into()
-}
-
-/// A lineage representation the LAWAN sweep can run over — [`Lineage`]
-/// trees and interned [`LineageRef`] ids: names the form of `λs`, the
-/// multiset of `λs` lineages active at the sweep line and the operations
-/// the sweep needs of it. Operand order is the activation order in every
-/// representation, so the tree and the interned sweep yield the same
-/// windows — and the same output bytes — after conversion.
-pub trait WindowLineage: Clone {
-    /// `λs` in a window: a tree, or a [`SideRef`] (`From` an `s` lineage).
-    type Side: Clone + Debug + PartialEq + From<Self>;
-    /// The active set ([`IncrementalDisjunction`] / [`InternedDisjunction`]).
-    type Active: Default + Debug;
-    /// Where the operands live: nothing for trees, the interner for ids.
-    type Arena;
-    /// An `s` tuple with lineage `lambda_s` starts being valid.
-    fn activate(active: &mut Self::Active, lambda_s: &Self::Side, arena: &Self::Arena);
-    /// One previously activated `s` tuple with lineage `lambda_s` expires.
-    fn expire(active: &mut Self::Active, lambda_s: &Self::Side, arena: &Self::Arena);
-    /// Is no `s` tuple active?
-    fn is_empty(active: &Self::Active) -> bool;
-    /// The disjunction of the active lineages, operands in activation
-    /// order (≥ 2 interned ones: appended to `operands`, as their span).
-    fn disjunction(active: &Self::Active, operands: &mut Vec<LineageRef>) -> Self::Side;
-}
-
-impl WindowLineage for Lineage {
-    type Side = Lineage;
-    type Active = IncrementalDisjunction;
-    type Arena = ();
-
-    fn activate(active: &mut Self::Active, lambda_s: &Self, (): &()) {
-        active.insert(lambda_s);
-    }
-
-    fn expire(active: &mut Self::Active, lambda_s: &Self, (): &()) {
-        active.remove(lambda_s);
-    }
-
-    fn is_empty(active: &Self::Active) -> bool {
-        active.is_empty()
-    }
-
-    fn disjunction(active: &Self::Active, _: &mut Vec<LineageRef>) -> Self {
-        active.disjunction()
+    WindowSet {
+        windows: out.into(),
+        spans,
     }
 }
 
-/// The `λs` of an overlapping window: its `s` tuple's node.
-fn node(lambda_s: &SideRef) -> LineageRef {
-    match *lambda_s {
-        SideRef::Node(lineage) => lineage,
-        #[expect(clippy::unreachable, reason = "window-kind invariant")]
-        SideRef::Span { .. } => unreachable!("only negating windows carry spans"),
-    }
+/// An `s` index, or a span buffer position or length, as the `u32` the
+/// active set and a [`Span`] hold.
+fn as_u32(i: usize) -> u32 {
+    #[expect(
+        clippy::expect_used,
+        reason = "relations and span buffers stay below 2^32 entries"
+    )]
+    u32::try_from(i).expect("an index beyond u32")
 }
 
-impl WindowLineage for LineageRef {
-    type Side = SideRef;
-    type Active = InternedDisjunction;
-    type Arena = LineageInterner;
-
-    fn activate(active: &mut Self::Active, lambda_s: &SideRef, interner: &LineageInterner) {
-        active.insert(node(lambda_s), interner);
-    }
-
-    fn expire(active: &mut Self::Active, lambda_s: &SideRef, interner: &LineageInterner) {
-        active.remove(node(lambda_s), interner);
-    }
-
-    fn is_empty(active: &Self::Active) -> bool {
-        active.is_empty()
-    }
-
-    fn disjunction(active: &Self::Active, operands: &mut Vec<LineageRef>) -> SideRef {
-        let start = operands.len();
-        operands.extend(active.operands());
-        if let [only] = operands[start..] {
-            operands.truncate(start);
-            return SideRef::Node(only);
+/// The next overlapping window of `out[i..end]` at or after `i`: its
+/// position (`end` if there is none) and its `s` index.
+fn next_overlapping(out: &VecDeque<Window>, mut i: usize, end: usize) -> (usize, usize) {
+    while i < end {
+        if let Some(si) = out[i].s_idx {
+            return (i, si);
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "a span indexes one pass's operand buffer"
-        )]
-        let index = |i: usize| u32::try_from(i).expect("span beyond u32 indices");
-        let (start, len) = (index(start), index(operands.len() - start));
-        SideRef::Span { start, len }
-    }
-}
-
-/// The first overlapping window of `out[i..end]` (`end` if there is none).
-fn next_overlapping<L, S>(out: &VecDeque<Window<L, S>>, mut i: usize, end: usize) -> usize {
-    while i < end && !out[i].is_overlapping() {
         i += 1;
     }
-    i
+    (end, 0)
 }
 
 /// Sweeps one group in place: `out[from..]` holds all `WUO` windows of a
 /// single `r` tuple in start order; the negating windows derived from the
-/// overlapping ones are appended behind them. `queue` and `active` — the
-/// sweep state whose storage outlives a group — are empty on entry and on
-/// return; `arena` is where the operands live; `operands`, empty on entry,
-/// receives the operands of the `λs` spans.
-pub(crate) fn sweep_group<L: WindowLineage>(
-    out: &mut VecDeque<Window<L, L::Side>>,
+/// overlapping ones are appended behind them, their spans to `spans`.
+/// `queue` and `active` — the sweep state whose storage outlives a group —
+/// are empty on entry and on return.
+pub(crate) fn sweep_group(
+    out: &mut VecDeque<Window>,
     from: usize,
     queue: &mut EventQueue,
-    active: &mut L::Active,
-    arena: &L::Arena,
-    operands: &mut Vec<LineageRef>,
+    active: &mut Vec<u32>,
+    spans: &mut Vec<u32>,
 ) {
-    #[expect(clippy::expect_used, reason = "window-kind invariant")]
-    fn lambda_s<L, S>(w: &Window<L, S>) -> &S {
-        w.lambda_s
-            .as_ref()
-            .expect("overlapping windows always carry λs")
-    }
-    debug_assert!(queue.is_empty() && L::is_empty(active) && operands.is_empty());
-
+    debug_assert!(queue.is_empty() && active.is_empty());
     // Sweep the overlapping windows of the group in start order, keeping the
-    // ending points of the active windows in the priority queue (by buffer
-    // index) and their lineage disjunction in the operand list.
-    let end = out.len();
-    let first = next_overlapping(out, from, end);
-    let mut i = first;
+    // ending points of the active windows in the priority queue (by `s`
+    // index) and their `s` indices in the active set.
+    let (end, r_idx) = (out.len(), out[from].r_idx);
+    let (mut i, mut si) = next_overlapping(out, from, end);
     let mut wind_ts = None;
     loop {
         // Determine the next boundary: the smaller of the next start point
@@ -209,32 +119,32 @@ pub(crate) fn sweep_group<L: WindowLineage>(
         // Close the sweeping window [wind_ts, boundary) if any s tuple was
         // active over it.
         if let Some(ts) = wind_ts {
-            if !L::is_empty(active) && ts < boundary {
-                // One λr per negating window: a `u32` copy on the interned
-                // path, an `Arc` bump on the tree one.
-                let lambda_r = out[first].lambda_r.clone();
-                out.push_back(Window::negating(
-                    Interval::new(ts, boundary),
-                    out[first].r_idx,
-                    lambda_r,
-                    L::disjunction(active, operands),
-                ));
+            if !active.is_empty() && ts < boundary {
+                let start = as_u32(spans.len());
+                let span = Span {
+                    start,
+                    len: as_u32(active.len()),
+                };
+                spans.extend_from_slice(active);
+                out.push_back(Window::negating(Interval::new(ts, boundary), r_idx, span));
             }
         }
 
         // Apply all events at `boundary`: expire ended windows first (their
         // intervals are half-open), then activate windows starting here.
-        while let Some(item) = queue.pop_if_expired(boundary) {
-            L::expire(active, lambda_s(&out[item]), arena);
+        while let Some(expired) = queue.pop_if_expired(boundary) {
+            if let Some(pos) = active.iter().position(|&a| a as usize == expired) {
+                active.remove(pos);
+            }
         }
         while i < end && out[i].interval.start() == boundary {
-            L::activate(active, lambda_s(&out[i]), arena);
-            queue.push(out[i].interval.end(), i);
-            i = next_overlapping(out, i + 1, end);
+            active.push(as_u32(si));
+            queue.push(out[i].interval.end(), si);
+            (i, si) = next_overlapping(out, i + 1, end);
         }
         wind_ts = Some(boundary);
     }
-    debug_assert!(queue.is_empty() && L::is_empty(active));
+    debug_assert!(queue.is_empty() && active.is_empty());
 }
 
 #[cfg(test)]
@@ -248,37 +158,34 @@ mod tests {
     use tpdb_lineage::{Lineage, SymbolTable};
     use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
 
-    fn run_booking() -> (Vec<Window>, SymbolTable) {
+    fn run_booking() -> (WindowSet, TpRelation, SymbolTable) {
         let (a, b, syms) = booking_relations();
         let theta = ThetaCondition::column_equals("Loc", "Loc");
         let wo = overlapping_windows(&a, &b, &theta).unwrap();
         let wuo = lawau(&wo, &a);
-        (lawan(&wuo), syms)
+        (lawan(&wuo), b, syms)
     }
 
     #[test]
     fn paper_example_negating_windows() {
-        let (wuon, syms) = run_booking();
-        // Fig. 2: WN = { w5 = (a1, [4,5), b3), w6 = (a1, [5,6), b2 ∨ b3),
+        let (wuon, b, syms) = run_booking();
+        // Fig. 2: WN = { w5 = (a1, [4,5), b3), w6 = (a1, [5,6), b3 ∨ b2),
         //                w7 = (a1, [6,8), b2) }
         let negating: Vec<&Window> = wuon.iter().filter(|w| w.is_negating()).collect();
         assert_eq!(negating.len(), 3);
-
+        let lambda_s = |w: &Window| {
+            let span = w.span.of(&wuon.spans).iter();
+            let names: Vec<String> = span
+                .map(|&si| b.tuple(si as usize).lineage().display_with(&syms))
+                .collect();
+            names.join(" ∨ ")
+        };
         assert_eq!(negating[0].interval, Interval::new(4, 5));
-        assert_eq!(
-            negating[0].lambda_s.as_ref().unwrap().display_with(&syms),
-            "b3"
-        );
-
+        assert_eq!(lambda_s(negating[0]), "b3");
         assert_eq!(negating[1].interval, Interval::new(5, 6));
-        let l = negating[1].lambda_s.as_ref().unwrap().display_with(&syms);
-        assert!(l == "b3 ∨ b2" || l == "b2 ∨ b3", "got {l}");
-
+        assert_eq!(lambda_s(negating[1]), "b3 ∨ b2");
         assert_eq!(negating[2].interval, Interval::new(6, 8));
-        assert_eq!(
-            negating[2].lambda_s.as_ref().unwrap().display_with(&syms),
-            "b2"
-        );
+        assert_eq!(lambda_s(negating[2]), "b2");
 
         // all windows of WUO are preserved
         assert_eq!(wuon.iter().filter(|w| w.is_overlapping()).count(), 2);
@@ -288,7 +195,7 @@ mod tests {
 
     #[test]
     fn negating_windows_only_for_groups_with_overlaps() {
-        let (wuon, _) = run_booking();
+        let (wuon, _, _) = run_booking();
         // Jim (r_idx = 1) has no overlapping window, hence no negating ones.
         assert!(wuon
             .iter()
@@ -297,8 +204,10 @@ mod tests {
     }
 
     /// One positive tuple over [0, 20), several negative tuples; returns the
-    /// negating windows (interval, number of disjuncts in λs).
-    fn negating_for(negative_intervals: &[(i64, i64)]) -> Vec<(Interval, usize)> {
+    /// negating windows with the `s` indices their spans list, after
+    /// checking that each span is exactly the set of `s` tuples valid at
+    /// every point of its window.
+    fn negating_for(negative_intervals: &[(i64, i64)]) -> Vec<(Interval, Vec<u32>)> {
         let mut syms = SymbolTable::new();
         let mut r = TpRelation::new("r", Schema::tp(&[("k", DataType::Int)]));
         r.push(TpTuple::new(
@@ -321,29 +230,34 @@ mod tests {
         let theta = ThetaCondition::column_equals("k", "k");
         let wo = overlapping_windows(&r, &s, &theta).unwrap();
         let wuon = lawan(&lawau(&wo, &r));
-        wuon.into_iter()
+        let negating: Vec<(Interval, Vec<u32>)> = wuon
+            .iter()
             .filter(|w| w.is_negating())
-            .map(|w| {
-                let n = match w.lambda_s.as_ref().unwrap().node() {
-                    tpdb_lineage::LineageNode::Or(cs) => cs.len(),
-                    tpdb_lineage::LineageNode::Var(_) => 1,
-                    other => panic!("unexpected λs shape: {other:?}"),
-                };
-                (w.interval, n)
-            })
-            .collect()
+            .map(|w| (w.interval, w.span.of(&wuon.spans).to_vec()))
+            .collect();
+        for (interval, span) in &negating {
+            let mut listed = span.clone();
+            listed.sort_unstable();
+            for t in interval.points() {
+                let valid: Vec<u32> = (0..s.len() as u32)
+                    .filter(|&si| s.tuple(si as usize).valid_at(t))
+                    .collect();
+                assert_eq!(listed, valid, "{interval} at {t}");
+            }
+        }
+        negating
     }
 
     #[test]
     fn case2_boundaries_at_ending_points() {
         // two nested negative tuples: [2,10) and [4,6)
-        // elementary negating windows: [2,4){1}, [4,6){2}, [6,10){1}
+        // elementary negating windows: [2,4){s0}, [4,6){s0, s1}, [6,10){s0}
         assert_eq!(
             negating_for(&[(2, 10), (4, 6)]),
             vec![
-                (Interval::new(2, 4), 1),
-                (Interval::new(4, 6), 2),
-                (Interval::new(6, 10), 1)
+                (Interval::new(2, 4), vec![0]),
+                (Interval::new(4, 6), vec![0, 1]),
+                (Interval::new(6, 10), vec![0])
             ]
         );
     }
@@ -353,7 +267,10 @@ mod tests {
         // two disjoint negative tuples produce two separate negating windows
         assert_eq!(
             negating_for(&[(1, 3), (7, 9)]),
-            vec![(Interval::new(1, 3), 1), (Interval::new(7, 9), 1)]
+            vec![
+                (Interval::new(1, 3), vec![0]),
+                (Interval::new(7, 9), vec![1])
+            ]
         );
     }
 
@@ -361,7 +278,10 @@ mod tests {
     fn meeting_negative_tuples_produce_adjacent_windows() {
         assert_eq!(
             negating_for(&[(1, 5), (5, 9)]),
-            vec![(Interval::new(1, 5), 1), (Interval::new(5, 9), 1)]
+            vec![
+                (Interval::new(1, 5), vec![0]),
+                (Interval::new(5, 9), vec![1])
+            ]
         );
     }
 
@@ -369,27 +289,28 @@ mod tests {
     fn identical_negative_intervals_are_disjoined() {
         assert_eq!(
             negating_for(&[(3, 7), (3, 7)]),
-            vec![(Interval::new(3, 7), 2)]
+            vec![(Interval::new(3, 7), vec![0, 1])]
         );
     }
 
     #[test]
     fn staircase_of_overlapping_negative_tuples() {
+        // An expired tuple leaves the span; the rest keep activation order.
         assert_eq!(
             negating_for(&[(0, 6), (4, 12), (10, 20)]),
             vec![
-                (Interval::new(0, 4), 1),
-                (Interval::new(4, 6), 2),
-                (Interval::new(6, 10), 1),
-                (Interval::new(10, 12), 2),
-                (Interval::new(12, 20), 1),
+                (Interval::new(0, 4), vec![0]),
+                (Interval::new(4, 6), vec![0, 1]),
+                (Interval::new(6, 10), vec![1]),
+                (Interval::new(10, 12), vec![1, 2]),
+                (Interval::new(12, 20), vec![2]),
             ]
         );
     }
 
     #[test]
     fn negating_windows_cover_exactly_the_overlapped_part() {
-        let (wuon, _) = run_booking();
+        let (wuon, _, _) = run_booking();
         // For the Ann tuple (valid [2,8)): negating windows must cover
         // exactly the time points covered by overlapping windows.
         for t in 2..8 {
@@ -405,7 +326,7 @@ mod tests {
 
     #[test]
     fn negating_windows_do_not_overlap_each_other() {
-        let (wuon, _) = run_booking();
+        let (wuon, _, _) = run_booking();
         let negs: Vec<&Window> = wuon.iter().filter(|w| w.is_negating()).collect();
         for (i, w1) in negs.iter().enumerate() {
             for w2 in negs.iter().skip(i + 1) {
@@ -421,22 +342,27 @@ mod tests {
         assert!(lawan(&[]).is_empty());
     }
 
+    /// Overlapping windows name one `s` tuple, negating windows a non-empty
+    /// span of the `s` tuples matching over the window, unmatched windows
+    /// neither.
     #[test]
     fn kinds_partition_the_output() {
-        let (wuon, _) = run_booking();
-        for w in &wuon {
+        let (wuon, b, _) = run_booking();
+        for w in wuon.iter() {
+            let span = w.span.of(&wuon.spans);
             match w.kind {
-                WindowKind::Overlapping => {
-                    assert!(w.s_idx.is_some());
-                    assert!(w.lambda_s.is_some());
-                }
-                WindowKind::Unmatched => {
-                    assert!(w.s_idx.is_none());
-                    assert!(w.lambda_s.is_none());
+                WindowKind::Overlapping | WindowKind::Unmatched => {
+                    assert_eq!(w.s_idx.is_some(), w.is_overlapping());
+                    assert!(span.is_empty());
                 }
                 WindowKind::Negating => {
                     assert!(w.s_idx.is_none());
-                    assert!(w.lambda_s.is_some());
+                    assert!(!span.is_empty());
+                    for &si in span {
+                        let st = b.tuple(si as usize);
+                        assert!(st.interval().contains(&w.interval), "{w:?}");
+                        assert_eq!(st.fact(1), &Value::str("ZAK"));
+                    }
                 }
             }
         }

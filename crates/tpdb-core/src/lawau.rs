@@ -26,7 +26,7 @@
 //! **by value**: every incoming window is moved — never cloned — into the
 //! output buffer, the gap windows are interleaved while moving. The
 //! streaming adaptor drains its group buffer into it, the materializing
-//! [`lawau`] (which owns no windows) feeds it `slice.iter().cloned()`. The
+//! [`lawau`] (which owns no windows) feeds it `slice.iter().copied()`. The
 //! sweep keeps no state besides the cursor, so nothing outlives a group.
 
 use crate::window::Window;
@@ -46,35 +46,23 @@ pub fn lawau(windows: &[Window], r: &TpRelation) -> Vec<Window> {
     let mut out = VecDeque::with_capacity(windows.len() + windows.len() / 2);
     for group in windows.chunk_by(|a, b| a.r_idx == b.r_idx) {
         let Some(first) = group.first() else { continue };
-        let r_tuple = r.tuple(first.r_idx);
-        sweep_group(
-            group.iter().cloned(),
-            first.r_idx,
-            r_tuple.interval(),
-            r_tuple.lineage(),
-            &mut out,
-        );
+        let interval = r.tuple(first.r_idx).interval();
+        sweep_group(group.iter().copied(), first.r_idx, interval, &mut out);
     }
     out.into()
 }
 
-/// Sweeps one group (all windows of the `r` tuple `r_idx`, by value, in
-/// start order): moves the existing windows to the back of `out` and
-/// inserts the gap-filling unmatched windows in chronological position.
-/// Generic over the lineage representation: `r_interval`/`lambda_r` describe
-/// the originating `r` tuple (the interned pipeline passes the tuple's
-/// [`LineageRef`](tpdb_lineage::LineageRef) here, so the sweep never
-/// touches a formula tree).
-pub(crate) fn sweep_group<L: Clone, S>(
-    group: impl Iterator<Item = Window<L, S>>,
+/// Sweeps one group (all windows of the `r` tuple `r_idx`, valid over
+/// `r_interval`, by value, in start order): moves the existing windows to
+/// the back of `out` and inserts the gap-filling unmatched windows in
+/// chronological position.
+pub(crate) fn sweep_group(
+    group: impl Iterator<Item = Window>,
     r_idx: usize,
     r_interval: Interval,
-    lambda_r: &L,
-    out: &mut VecDeque<Window<L, S>>,
+    out: &mut VecDeque<Window>,
 ) {
-    // One λr per created window: a `u32` copy on the interned path, an
-    // `Arc` bump on the tree one.
-    let gap = |from, to| Window::unmatched(Interval::new(from, to), r_idx, lambda_r.clone());
+    let gap = |from, to| Window::unmatched(Interval::new(from, to), r_idx);
     // `cursor` is the end of the covered prefix of r.T (Cases 3/4 advance
     // it, Cases 1/2 emit a gap before it advances). A whole-interval
     // unmatched window of the overlap join covers all of r.T by itself.

@@ -18,9 +18,14 @@
 //! 3. [`lawan`] — a sweep with a priority queue of ending points producing
 //!    the negating windows `WN(r;s,θ)`.
 //!
-//! Output tuples are then formed per window with the appropriate
-//! lineage-concatenation function (`and`, `andNot`, pass-through) and their
-//! probabilities are computed from the combined lineage.
+//! A [`Window`] carries tuple indices, not lineage: `r_idx`, the `s_idx` of
+//! an overlapping window, or the [`Span`] of a negating window listing the
+//! `s` tuples valid over it. Output tuples are then formed per window with
+//! the appropriate lineage-concatenation function (`and`, `andNot`,
+//! pass-through) over the inputs' interned lineages, and their
+//! probabilities are computed from the combined lineage — one output
+//! formation for the NJ streams and for [`assemble_join_result`], which the
+//! TA baseline uses.
 //!
 //! The [`tp_join`] family executes all of this as a **streaming pipeline**:
 //! [`OverlapWindowStream`] (an endpoint-sorted sweep join by default — see
@@ -29,7 +34,8 @@
 //! extend each group in place; and output tuples are formed as the windows
 //! leave the pipeline. The materializing entry points ([`lawau`],
 //! [`lawan`], [`overlapping_windows`]) remain available for callers that
-//! need whole window sets.
+//! need whole window sets; [`lawan`] returns a [`WindowSet`], the windows
+//! with the span buffer of their negating windows.
 //!
 //! Every statement runs as one such pass on the caller's thread; the crate
 //! creates no threads.
@@ -90,23 +96,30 @@ mod window;
 
 #[cfg(test)]
 pub(crate) mod testutil;
+// The integration tests' tree reference, shared with the unit tests; it
+// names this crate by its public name.
+#[cfg(test)]
+extern crate self as tpdb_core;
+#[cfg(test)]
+#[path = "../tests/tree_reference/mod.rs"]
+pub(crate) mod tree_reference;
 
 pub use join::{
     assemble_join_result, tp_anti_join, tp_full_outer_join, tp_inner_join, tp_join,
     tp_join_parallel, tp_join_with_engine, tp_join_with_engine_and_plan, tp_join_with_plan,
     tp_left_outer_join, tp_right_outer_join, TpJoinKind,
 };
-pub use lawan::{lawan, WindowLineage};
+pub use lawan::lawan;
 pub use lawau::lawau;
 pub use overlap::{
     auto_plan, overlapping_windows, overlapping_windows_with_plan, OverlapJoinPlan,
     OverlapWindowStream,
 };
-pub use pipeline::{LawanStream, LawauStream, WindowGroups, WindowStream};
+pub use pipeline::{LawanStream, LawauStream, WindowGroups};
 pub use setops::{
     all_columns_equal, check_union_compatible, tp_difference, tp_intersection, tp_union,
-    tp_union_materialized, TpSetOpKind, TpSetOpStream,
+    TpSetOpKind, TpSetOpStream,
 };
 pub use stream::TpJoinStream;
 pub use theta::{BoundTheta, CompareOp, ThetaCondition};
-pub use window::{SideRef, Window, WindowKind};
+pub use window::{Span, Window, WindowKind, WindowSet};

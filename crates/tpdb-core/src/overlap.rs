@@ -36,34 +36,14 @@
 //! pipeline (overlap join → LAWAU → LAWAN → output formation) run without
 //! materializing any intermediate window vector.
 
-use crate::lawan::WindowLineage;
 use crate::pipeline::{next_window, WindowGroups};
 use crate::theta::{BoundTheta, ThetaCondition};
 use crate::window::Window;
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
 use std::fmt;
-use std::sync::Arc;
-use tpdb_lineage::{Lineage, LineageInterner, LineageRef};
 use tpdb_storage::{StorageError, TpRelation, TpTuple, Value};
 use tpdb_temporal::{SortedIntervalIndex, SortedIntervalIndexBuilder};
-
-/// The lineage column of a relation as one pre-cloned vector (cheap `Arc`
-/// bumps), indexed by tuple position. This is the legacy tree path's single
-/// sanctioned cloning point: every window downstream shares these columns.
-pub(crate) fn lineage_column(rel: &TpRelation) -> Arc<Vec<Lineage>> {
-    Arc::new(rel.iter().map(|t| t.lineage().clone()).collect())
-}
-
-/// The lineage column of a relation interned into `interner`
-/// ([`LineageInterner::intern_column`]), indexed by tuple position. Every
-/// window the stream emits then carries `Copy` ids instead of cloned trees.
-pub(crate) fn interned_lineages(
-    rel: &TpRelation,
-    interner: &mut LineageInterner,
-) -> Arc<Vec<LineageRef>> {
-    Arc::new(interner.intern_column(rel.tuples().iter().map(TpTuple::lineage)))
-}
 
 /// Which physical plan the overlap join uses.
 ///
@@ -172,13 +152,7 @@ pub fn overlapping_windows_with_plan(
     bound: &BoundTheta,
     plan: OverlapJoinPlan,
 ) -> Result<Vec<Window>, StorageError> {
-    let index = ProbeIndex::build(s, bound, plan)?;
-    let s_lins = lineage_column(s);
-    let mut out = VecDeque::new();
-    for (ri, rt) in r.iter().enumerate() {
-        index.probe_into(ri, rt, s, bound, rt.lineage(), &s_lins, &mut out);
-    }
-    Ok(out.into())
+    Ok(OverlapWindowStream::with_plan(r, s, bound.clone(), plan)?.collect())
 }
 
 /// The build-side structure of the overlap join, built once per pass and
@@ -226,32 +200,18 @@ impl ProbeIndex {
     /// Appends the windows of the probe tuple `r[ri]` to `out`, sorted by
     /// `(start, end)`: its overlapping windows, or one whole-interval
     /// unmatched window when nothing matches. Each window is written once,
-    /// in the buffer its consumer reads it from. Generic over the lineage
-    /// representation: `r_lambda` is the probe tuple's lineage and `s_lins`
-    /// the build side's lineage column (indexed by global `s` position).
-    // The generic lineage plumbing (the probe tuple's λ plus the build
-    // side's lineage column) pushes this private helper past clippy's
-    // argument budget; bundling the two into a struct would only rename
-    // the call sites.
-    #[allow(clippy::too_many_arguments)]
-    fn probe_into<L: WindowLineage>(
+    /// in the buffer its consumer reads it from.
+    fn probe_into(
         &self,
         ri: usize,
         rt: &TpTuple,
         s: &TpRelation,
         bound: &BoundTheta,
-        r_lambda: &L,
-        s_lins: &[L],
-        out: &mut VecDeque<Window<L, L::Side>>,
+        out: &mut VecDeque<Window>,
     ) {
         let from = out.len();
         let r_iv = rt.interval();
-        // Window formation: `u32` copies on the interned path, column
-        // clones (`Arc` bumps) on the tree one.
-        let mut emit = |inter, si: usize| {
-            let (lambda_r, lambda_s) = (r_lambda.clone(), L::Side::from(s_lins[si].clone()));
-            out.push_back(Window::overlapping(inter, ri, si, lambda_r, lambda_s));
-        };
+        let mut emit = |inter, si| out.push_back(Window::overlapping(inter, ri, si));
         match self {
             ProbeIndex::Sweep(partitions) => {
                 if let Some(partition) = partitions.get(&bound.left_key(rt)) {
@@ -293,7 +253,7 @@ impl ProbeIndex {
             }
         }
         if out.len() == from {
-            out.push_back(Window::unmatched(r_iv, ri, r_lambda.clone()));
+            out.push_back(Window::unmatched(r_iv, ri));
         } else {
             // The sweep plan already yields non-decreasing intersection
             // starts, so this is a near-no-op run detection; the hash and
@@ -316,31 +276,16 @@ impl ProbeIndex {
 /// The two relations are held through any [`Borrow`]`<TpRelation>`: plain
 /// references inside a join operator, `Arc<TpRelation>` in long-lived
 /// cursors ([`crate::TpJoinStream`]) that must own their inputs.
-///
-/// Like [`Window`], the stream is generic over the lineage representation
-/// `L`: the default emits [`Lineage`] trees, while the executing join and
-/// set-operation pipelines construct it through the crate-internal
-/// `with_lineages` constructor to emit `Copy`
-/// [`LineageRef`] ids. Both input lineage columns are materialized once at
-/// construction (`Arc`-shared with the downstream LAWAU adaptor), so no
-/// per-window tree clone happens on either path.
-pub struct OverlapWindowStream<R: Borrow<TpRelation>, S: Borrow<TpRelation>, L = Lineage>
-where
-    L: WindowLineage,
-{
+pub struct OverlapWindowStream<R: Borrow<TpRelation>, S: Borrow<TpRelation>> {
     r: R,
     s: S,
     bound: BoundTheta,
     index: ProbeIndex,
-    /// The positive side's lineage column, indexed by `r` position.
-    r_lins: Arc<Vec<L>>,
-    /// The build side's lineage column, indexed by `s` position.
-    s_lins: Arc<Vec<L>>,
     /// The next `r` index to probe.
     next_probe: usize,
     /// The current probe's windows when the stream is consumed as an
     /// iterator (reused across probes); moved out of the front.
-    ready: VecDeque<Window<L, L::Side>>,
+    ready: VecDeque<Window>,
 }
 
 impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
@@ -352,7 +297,8 @@ impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
         Self::with_plan(r, s, bound, plan)
     }
 
-    /// Creates the stream with an explicitly chosen plan.
+    /// Creates the stream with an explicitly chosen plan. The probe index
+    /// is built here.
     ///
     /// # Errors
     ///
@@ -364,76 +310,35 @@ impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
         bound: BoundTheta,
         plan: OverlapJoinPlan,
     ) -> Result<Self, StorageError> {
-        let (r_lins, s_lins) = (lineage_column(r.borrow()), lineage_column(s.borrow()));
-        Self::with_lineages(r, s, bound, plan, r_lins, s_lins)
-    }
-}
-
-impl<R, S, L> OverlapWindowStream<R, S, L>
-where
-    R: Borrow<TpRelation>,
-    S: Borrow<TpRelation>,
-    L: WindowLineage,
-{
-    /// Creates the stream over pre-materialized lineage columns — the
-    /// constructor of the executing pipelines, whose passes share the two
-    /// columns interned once per operator. The probe index is built here.
-    pub(crate) fn with_lineages(
-        r: R,
-        s: S,
-        bound: BoundTheta,
-        plan: OverlapJoinPlan,
-        r_lins: Arc<Vec<L>>,
-        s_lins: Arc<Vec<L>>,
-    ) -> Result<Self, StorageError> {
         let index = ProbeIndex::build(s.borrow(), &bound, plan)?;
         Ok(Self {
             r,
             s,
             bound,
             index,
-            r_lins,
-            s_lins,
             next_probe: 0,
             ready: VecDeque::new(),
         })
     }
-
-    /// The positive side's lineage column (`Arc`-shared with the LAWAU
-    /// adaptor so the sweep reuses the exact values this stream emits).
-    pub(crate) fn positive_lineages(&self) -> Arc<Vec<L>> {
-        Arc::clone(&self.r_lins)
-    }
 }
 
-impl<R, S, L> WindowGroups<L> for OverlapWindowStream<R, S, L>
-where
-    R: Borrow<TpRelation>,
-    S: Borrow<TpRelation>,
-    L: WindowLineage,
-{
+impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> WindowGroups for OverlapWindowStream<R, S> {
     /// A probe *is* a group: the next `r` tuple's windows are written
     /// straight into the consumer's buffer.
-    fn next_group(&mut self, out: &mut VecDeque<Window<L, L::Side>>) -> Option<usize> {
+    fn next_group(&mut self, out: &mut VecDeque<Window>) -> Option<usize> {
         let ri = self.next_probe;
         let rt = self.r.borrow().tuples().get(ri)?;
         self.next_probe += 1;
-        let (s, bound) = (self.s.borrow(), &self.bound);
         self.index
-            .probe_into(ri, rt, s, bound, &self.r_lins[ri], &self.s_lins, out);
+            .probe_into(ri, rt, self.s.borrow(), &self.bound, out);
         Some(ri)
     }
 }
 
-impl<R, S, L> Iterator for OverlapWindowStream<R, S, L>
-where
-    R: Borrow<TpRelation>,
-    S: Borrow<TpRelation>,
-    L: WindowLineage,
-{
-    type Item = Window<L, L::Side>;
+impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> Iterator for OverlapWindowStream<R, S> {
+    type Item = Window;
 
-    fn next(&mut self) -> Option<Window<L, L::Side>> {
+    fn next(&mut self) -> Option<Window> {
         next_window(self, |stream| &mut stream.ready)
     }
 }
@@ -451,6 +356,7 @@ mod tests {
         let (a, b, syms) = booking_relations();
         let theta = ThetaCondition::column_equals("Loc", "Loc");
         let windows = overlapping_windows(&a, &b, &theta).unwrap();
+        let lambda_s = |w: &Window| b.tuple(w.s_idx.unwrap()).lineage().display_with(&syms);
 
         // Expected (Fig. 2): overlapping windows w3 = (a1, b3, [4,6)) and
         // w4 = (a1, b2, [5,8)); unmatched window w2 = (a2, null, [7,10)).
@@ -459,23 +365,9 @@ mod tests {
         let overlapping: Vec<&Window> = windows.iter().filter(|w| w.is_overlapping()).collect();
         assert_eq!(overlapping.len(), 2);
         assert_eq!(overlapping[0].interval, Interval::new(4, 6));
-        assert_eq!(
-            overlapping[0]
-                .lambda_s
-                .as_ref()
-                .unwrap()
-                .display_with(&syms),
-            "b3"
-        );
+        assert_eq!(lambda_s(overlapping[0]), "b3");
         assert_eq!(overlapping[1].interval, Interval::new(5, 8));
-        assert_eq!(
-            overlapping[1]
-                .lambda_s
-                .as_ref()
-                .unwrap()
-                .display_with(&syms),
-            "b2"
-        );
+        assert_eq!(lambda_s(overlapping[1]), "b2");
 
         let unmatched: Vec<&Window> = windows.iter().filter(|w| w.is_unmatched()).collect();
         assert_eq!(unmatched.len(), 1);

@@ -25,12 +25,10 @@
 //! [`tp_difference`]) simply drain the stream; nothing is materialized
 //! besides the output itself.
 
-use crate::join::assemble_result;
 use crate::optable::TpOp;
 use crate::overlap::OverlapJoinPlan;
 use crate::stream::{registered_engine, TpJoinStream};
 use crate::theta::ThetaCondition;
-use crate::{lawan, lawau, overlapping_windows};
 use std::borrow::{Borrow, BorrowMut};
 use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{Schema, StorageError, TpRelation, TpTuple};
@@ -139,28 +137,9 @@ pub fn tp_intersection(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, Sto
 /// point, the probability that the fact holds in `r` **or** in `s`
 /// (lineage `λr ∨ λs` where both are valid, and the single-side lineage
 /// elsewhere). Executes streaming via [`TpSetOpStream`] — no window list is
-/// materialized (the pre-streaming implementation survives as
-/// [`tp_union_materialized`], the reference the tests compare against).
+/// materialized.
 pub fn tp_union(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageError> {
     Ok(TpSetOpStream::new(r, s, TpSetOpKind::Union)?.collect_relation())
-}
-
-/// The pre-streaming TP set union: both window passes are fully
-/// materialized before any output tuple is formed.
-///
-/// Kept as the reference implementation: the streamed [`tp_union`] must
-/// produce the identical relation (tested here and in
-/// `tests/lineage_intern_properties.rs`).
-pub fn tp_union_materialized(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageError> {
-    let theta = all_columns_equal(r, s)?;
-    let mut engine = registered_engine(r, s);
-    // Windows of r with respect to s (the full WUON set), then the WUO
-    // windows of s with respect to r; which of them form output tuples, and
-    // how, is the union's row of the operator table.
-    let left = lawan(&lawau(&overlapping_windows(r, s, &theta)?, r));
-    let right = lawau(&overlapping_windows(s, r, &theta.flipped())?, s);
-    let union = TpOp::SetOp(TpSetOpKind::Union);
-    Ok(assemble_result(union, r, s, &left, &right, &mut engine))
 }
 
 /// A TP set operation executed lazily: an iterator producing the output
@@ -404,18 +383,26 @@ mod tests {
 
     #[test]
     fn streamed_set_ops_match_the_materialized_union_reference() {
+        use crate::tree_reference::{bits, tree_rows, Op};
+        let union = |r: &TpRelation, s: &TpRelation| {
+            let theta = all_columns_equal(r, s).unwrap();
+            let rows = tree_rows(
+                Op::SetOp(TpSetOpKind::Union),
+                r,
+                s,
+                &theta,
+                &mut registered_engine(r, s),
+            );
+            let streamed = tp_union(r, s).unwrap();
+            assert_eq!(streamed.tuples(), &rows[..]);
+            assert_eq!(bits(streamed.tuples()), bits(&rows));
+        };
         let (r, s, _) = fixtures();
-        assert_eq!(
-            tp_union(&r, &s).unwrap(),
-            tp_union_materialized(&r, &s).unwrap()
-        );
+        union(&r, &s);
         // A larger adversarial sample: the meteo generator produces dense
         // same-key interval sequences with shared endpoints.
         let (mr, ms) = tpdb_datagen::meteo_like(600, 7);
-        assert_eq!(
-            tp_union(&mr, &ms).unwrap(),
-            tp_union_materialized(&mr, &ms).unwrap()
-        );
+        union(&mr, &ms);
     }
 
     #[test]

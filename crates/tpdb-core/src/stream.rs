@@ -24,17 +24,16 @@
 //! how [`crate::tp_join`] itself is implemented) and with
 //! `Arc<TpRelation>` in long-lived cursors that must own their inputs.
 
-use crate::join::form_output_tuple_interned;
+use crate::join::Formation;
 use crate::optable::{PassSpec, TpOp};
-use crate::overlap::{auto_plan, interned_lineages, OverlapJoinPlan, OverlapWindowStream};
+use crate::overlap::{auto_plan, OverlapJoinPlan, OverlapWindowStream};
 use crate::pipeline::{LawanStream, LawauStream};
 use crate::theta::ThetaCondition;
-use crate::window::{SideRef, Window, WindowKind};
+use crate::window::Window;
 use crate::TpJoinKind;
 use std::borrow::{Borrow, BorrowMut};
 use std::collections::VecDeque;
-use std::sync::Arc;
-use tpdb_lineage::{LineageInterner, LineageRef, ProbabilityEngine, ReadOnceColumns};
+use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{Schema, StorageError, TpRelation, TpTuple};
 
 /// How deep into the window pipeline a pass runs.
@@ -50,8 +49,8 @@ pub(crate) enum PipeDepth {
     Full,
 }
 
-/// The interned overlap join → LAWAU stack (the `Wu` depth of a [`Pipe`]).
-type WuStream<P, N> = LawauStream<OverlapWindowStream<P, N, LineageRef>, P, LineageRef>;
+/// The overlap join → LAWAU stack (the `Wu` depth of a [`Pipe`]).
+type WuStream<P, N> = LawauStream<OverlapWindowStream<P, N>, P>;
 
 /// One pass of the window pipeline, cut off at a [`PipeDepth`].
 // A handful of Pipes exist per statement (one per pass); the size
@@ -63,11 +62,11 @@ where
     N: Borrow<TpRelation>,
 {
     /// Overlapping + whole-interval unmatched windows only.
-    Wo(OverlapWindowStream<P, N, LineageRef>),
+    Wo(OverlapWindowStream<P, N>),
     /// Overlap join → LAWAU.
     Wu(WuStream<P, N>),
     /// The full pipeline: overlap join → LAWAU → LAWAN.
-    Wuon(LawanStream<WuStream<P, N>, LineageRef>),
+    Wuon(LawanStream<WuStream<P, N>>),
 }
 
 impl<P, N> Pipe<P, N>
@@ -76,46 +75,46 @@ where
     N: Borrow<TpRelation>,
 {
     /// Builds the pass pipe for windows of `pos` with respect to `neg`. The
-    /// probe index is built up front; `pos_lins` / `neg_lins` are the two
-    /// inputs' lineage columns, interned once per operator by the caller
-    /// ([`interned_lineages`]) and shared by its passes. Everything
-    /// downstream moves [`LineageRef`] ids only.
+    /// probe index is built up front.
     pub(crate) fn build(
         pos: P,
         neg: N,
         theta: &ThetaCondition,
         plan: Option<OverlapJoinPlan>,
         depth: PipeDepth,
-        pos_lins: Arc<Vec<LineageRef>>,
-        neg_lins: Arc<Vec<LineageRef>>,
     ) -> Result<Self, StorageError> {
         let bound = theta.bind(pos.borrow().schema(), neg.borrow().schema())?;
         let plan = plan.unwrap_or_else(|| auto_plan(&bound));
-        let wo =
-            OverlapWindowStream::with_lineages(pos.clone(), neg, bound, plan, pos_lins, neg_lins)?;
-        let lawau = |wo: OverlapWindowStream<P, N, LineageRef>| {
-            let lins = wo.positive_lineages();
-            LawauStream::with_lineages(wo, pos, lins)
-        };
+        let wo = OverlapWindowStream::with_plan(pos.clone(), neg, bound, plan)?;
         Ok(match depth {
             PipeDepth::Overlap => Pipe::Wo(wo),
-            PipeDepth::Unmatched => Pipe::Wu(lawau(wo)),
-            PipeDepth::Full => Pipe::Wuon(LawanStream::new(lawau(wo))),
+            PipeDepth::Unmatched => Pipe::Wu(LawauStream::new(wo, pos)),
+            PipeDepth::Full => Pipe::Wuon(LawanStream::new(LawauStream::new(wo, pos))),
         })
     }
 
-    /// The next window of the pass; `interner` is where its lineages live
-    /// (no stage builds a lineage node). A [`SideRef::Span`] indexes the
-    /// caller's `operands` until the next group: form the window first.
-    pub(crate) fn next_with(
-        &mut self,
-        interner: &LineageInterner,
-        operands: &mut Vec<LineageRef>,
-    ) -> Option<Window<LineageRef, SideRef>> {
+    /// The span buffer of the last window's group: form the window before
+    /// the next call of `next`.
+    pub(crate) fn spans(&self) -> &[u32] {
+        match self {
+            Pipe::Wuon(inner) => inner.spans(),
+            _ => &[],
+        }
+    }
+}
+
+impl<P, N> Iterator for Pipe<P, N>
+where
+    P: Borrow<TpRelation> + Clone,
+    N: Borrow<TpRelation>,
+{
+    type Item = Window;
+
+    fn next(&mut self) -> Option<Window> {
         match self {
             Pipe::Wo(inner) => inner.next(),
             Pipe::Wu(inner) => inner.next(),
-            Pipe::Wuon(inner) => inner.next_with(interner, operands),
+            Pipe::Wuon(inner) => inner.next(),
         }
     }
 }
@@ -195,12 +194,8 @@ where
     name: String,
     /// The passes still to run; the front one is executing.
     passes: VecDeque<Pass<R, S>>,
-    /// The operand buffer of the executing pass's `λs` spans.
-    operands: Vec<LineageRef>,
-    /// The engine's proof that every output root is read-once, decided
-    /// once for the statement's two lineage columns; `None` prices each
-    /// row as an arena node.
-    certificate: Option<ReadOnceColumns>,
+    /// The statement's lineage columns and read-once decision.
+    formation: Formation,
     windows_consumed: usize,
     produced: usize,
 }
@@ -279,39 +274,22 @@ where
     ) -> Result<Self, StorageError> {
         let (name, schema) = op.output(r.borrow(), s.borrow());
         // Both lineage columns are interned and certified once per
-        // operator; a flipped second pass swaps the same two columns. A pass
-        // that emits negating windows draws `λs` spans from its negative
-        // column.
-        let engine_mut = engine.borrow_mut();
-        let r_lins = interned_lineages(r.borrow(), engine_mut.interner_mut());
-        let s_lins = interned_lineages(s.borrow(), engine_mut.interner_mut());
-        let spanned = |flipped| {
-            op.passes().iter().any(|spec| {
-                spec.flipped == flipped && spec.lineage_fn(WindowKind::Negating).is_some()
-            })
-        };
-        let certificate =
-            engine_mut.certify_columns(&r_lins, &s_lins, spanned(true), spanned(false));
+        // operator; a flipped second pass swaps the same two columns.
+        let formation = Formation::new(op, r.borrow(), s.borrow(), engine.borrow_mut());
         let mut passes = VecDeque::new();
         for spec in op.passes() {
             let flipped_theta;
-            let (pos, pos_lins, neg, neg_lins, theta) = if spec.flipped {
+            let (pos, neg, theta) = if spec.flipped {
                 flipped_theta = theta.flipped();
-                let (pos, neg) = (Input::Right(s.clone()), Input::Left(r.clone()));
-                (pos, &s_lins, neg, &r_lins, &flipped_theta)
+                (
+                    Input::Right(s.clone()),
+                    Input::Left(r.clone()),
+                    &flipped_theta,
+                )
             } else {
-                let (pos, neg) = (Input::Left(r.clone()), Input::Right(s.clone()));
-                (pos, &r_lins, neg, &s_lins, theta)
+                (Input::Left(r.clone()), Input::Right(s.clone()), theta)
             };
-            let pipe = Pipe::build(
-                pos.clone(),
-                neg.clone(),
-                theta,
-                plan,
-                spec.depth,
-                Arc::clone(pos_lins),
-                Arc::clone(neg_lins),
-            )?;
+            let pipe = Pipe::build(pos.clone(), neg.clone(), theta, plan, spec.depth)?;
             passes.push_back(Pass {
                 spec,
                 pos,
@@ -324,8 +302,7 @@ where
             schema,
             name,
             passes,
-            operands: Vec::new(),
-            certificate,
+            formation,
             windows_consumed: 0,
             produced: 0,
         })
@@ -365,7 +342,7 @@ where
     /// ablation are not certified: each of their rows interns its root.
     #[must_use]
     pub fn is_certified(&self) -> bool {
-        self.certificate.is_some()
+        self.formation.certificate.is_some()
     }
 
     /// Drains the remaining stream into a materialized relation — the exact
@@ -391,15 +368,14 @@ where
     fn next(&mut self) -> Option<TpTuple> {
         let engine = self.engine.borrow_mut();
         while let Some(pass) = self.passes.front_mut() {
-            let Some(w) = pass.pipe.next_with(engine.interner(), &mut self.operands) else {
+            let Some(w) = pass.pipe.next() else {
                 self.passes.pop_front();
                 continue;
             };
             self.windows_consumed += 1;
-            let (pos, neg): (&TpRelation, &TpRelation) = (pass.pos.borrow(), pass.neg.borrow());
-            let (ops, cert) = (&self.operands, self.certificate.as_ref());
-            let tuple = form_output_tuple_interned(&w, pos, neg, pass.spec, ops, cert, engine);
-            if let Some(t) = tuple {
+            let inputs = (pass.pos.borrow(), pass.neg.borrow());
+            let spans = pass.pipe.spans();
+            if let Some(t) = self.formation.form(&w, pass.spec, inputs, spans, engine) {
                 self.produced += 1;
                 return Some(t);
             }
@@ -499,17 +475,8 @@ mod tests {
             // + LAWAN: the three negating windows of Fig. 1b
             (PipeDepth::Full, vec![Overlapping, Unmatched, Negating], 7),
         ] {
-            let mut engine = registered_engine(&a, &b);
-            let interner = engine.interner_mut();
-            let (a_lins, b_lins) = (
-                interned_lineages(&a, interner),
-                interned_lineages(&b, interner),
-            );
-            let mut pipe = Pipe::build(&a, &b, &theta(), None, depth, a_lins, b_lins).unwrap();
-            let mut seen = Vec::new();
-            while let Some(w) = pipe.next_with(interner, &mut Vec::new()) {
-                seen.push(w.kind);
-            }
+            let pipe = Pipe::build(&a, &b, &theta(), None, depth).unwrap();
+            let seen: Vec<_> = pipe.map(|w| w.kind).collect();
             assert_eq!(seen.len(), windows, "{depth:?}");
             assert!(
                 seen.iter().all(|k| kinds.contains(k)),
@@ -523,11 +490,12 @@ mod tests {
     }
 
     #[test]
-    fn spans_copy_the_active_operands_in_first_activation_order() {
-        // Under one r tuple: s₁ = a over [0,5), s₂ = b over [1,10) and
-        // s₃ = a again over [2,10). When s₁ expires at 5, `a` keeps its place
-        // through its second contributor: [a, b]. The live s tuples
-        // (s₂, s₃) in activation order would read [b, a].
+    fn spans_list_the_active_s_tuples_in_activation_order() {
+        // Under one r tuple: s₀ = a over [0,5), s₁ = b over [1,10) and
+        // s₂ = a again over [2,10). Each negating window lists the s tuples
+        // valid over it in activation order; when s₀ expires at 5, the
+        // span reads [s₁, s₂], so formation disjoins b before a.
+        use crate::tree_reference::{bits, tree_join};
         use crate::window::WindowKind;
         use tpdb_lineage::{Lineage, VarId};
         use tpdb_storage::{DataType, Value};
@@ -543,96 +511,49 @@ mod tests {
             s.push_unchecked(tuple(var, interval));
         }
         let theta = ThetaCondition::column_equals("k", "k");
-        let mut engine = registered_engine(&r, &s);
-        let interner = engine.interner_mut();
-        let (r_lins, s_lins) = (
-            interned_lineages(&r, interner),
-            interned_lineages(&s, interner),
-        );
-        let (a, b) = (s_lins[0], s_lins[1]);
-        let mut pipe = Pipe::build(&r, &s, &theta, None, PipeDepth::Full, r_lins, s_lins).unwrap();
-        let (mut negating, mut buffer) = (Vec::new(), Vec::new());
-        while let Some(w) = pipe.next_with(interner, &mut buffer) {
-            let operands = match w.lambda_s {
-                Some(SideRef::Span { start, len }) if w.kind == WindowKind::Negating => {
-                    buffer[start as usize..(start + len) as usize].to_vec()
-                }
-                Some(SideRef::Node(node)) if w.kind == WindowKind::Negating => vec![node],
-                _ => continue,
-            };
-            negating.push((w.interval, operands));
+        let mut pipe = Pipe::build(&r, &s, &theta, None, PipeDepth::Full).unwrap();
+        let mut negating = Vec::new();
+        while let Some(w) = pipe.next() {
+            if w.kind == WindowKind::Negating {
+                negating.push((w.interval, w.span.of(pipe.spans()).to_vec()));
+            }
         }
         let iv = Interval::new;
         assert_eq!(
             negating,
             [
-                (iv(0, 1), vec![a]),
-                (iv(1, 2), vec![a, b]),
-                (iv(2, 5), vec![a, b]),
-                (iv(5, 10), vec![a, b]),
+                (iv(0, 1), vec![0]),
+                (iv(1, 2), vec![0, 1]),
+                (iv(2, 5), vec![0, 1, 2]),
+                (iv(5, 10), vec![1, 2]),
             ]
         );
-        // Output formation disjoins the span in that order.
-        let last = TpJoinStream::new(&r, &s, &theta, TpJoinKind::Anti)
-            .unwrap()
-            .last()
-            .unwrap();
+        // Two active s tuples share the root `a` over [2,5): `a` is
+        // disjoined once. The statement repeats a variable in its negated
+        // column, so it is not certified: every row is the node path's.
+        let stream = TpJoinStream::new(&r, &s, &theta, TpJoinKind::Anti).unwrap();
+        assert!(!stream.is_certified());
+        let anti = stream.collect_relation();
         let x = |var| Lineage::var(VarId(var));
-        assert_eq!(last.interval(), iv(5, 10));
+        let and_not = |ls| Lineage::and_not_concat(&x(0), &ls);
+        let lineages: Vec<(Interval, Lineage)> = anti
+            .iter()
+            .map(|t| (t.interval(), t.lineage().clone()))
+            .collect();
         assert_eq!(
-            last.lineage(),
-            &Lineage::and_not_concat(&x(0), &Lineage::or2(x(1), x(2)))
+            lineages,
+            [
+                (iv(10, 20), x(0)),
+                (iv(0, 1), and_not(x(1))),
+                (iv(1, 2), and_not(Lineage::or2(x(1), x(2)))),
+                (iv(2, 5), and_not(Lineage::or2(x(1), x(2)))),
+                (iv(5, 10), and_not(Lineage::or2(x(2), x(1)))),
+            ]
         );
-    }
-
-    proptest::proptest! {
-        /// The interned pipe is the tree stream, window for window, at every
-        /// depth: same order, kinds and indices, and the same λr/λs after
-        /// conversion — on a derived negative side (`r ∪ s` followed by `s`)
-        /// whose `Or` lineages and duplicate contributors reach the sweep.
-        #[test]
-        fn interned_pipe_is_the_tree_stream_at_every_depth(
-            rr in proptest::collection::vec((0i64..3, 0i64..30, 1i64..10), 1..8),
-            ss in proptest::collection::vec((0i64..3, 0i64..30, 1i64..10), 1..8),
-        ) {
-            use crate::testutil::keyed_relation;
-            let (r, s) = (keyed_relation("r", 0, &rr), keyed_relation("s", 100, &ss));
-            let mut neg = crate::tp_union(&r, &s).unwrap();
-            s.iter().for_each(|t| neg.push_unchecked(t.clone()));
-            let theta = ThetaCondition::column_equals("k", "k");
-            for depth in [PipeDepth::Overlap, PipeDepth::Unmatched, PipeDepth::Full] {
-                let wo = OverlapWindowStream::new(&r, &neg, &theta).unwrap();
-                let tree: Vec<Window> = match depth {
-                    PipeDepth::Overlap => wo.collect(),
-                    PipeDepth::Unmatched => LawauStream::new(wo, &r).collect(),
-                    PipeDepth::Full => LawanStream::new(LawauStream::new(wo, &r)).collect(),
-                };
-                let mut engine = registered_engine(&r, &s);
-                let interner = engine.interner_mut();
-                let lins = (interned_lineages(&r, interner), interned_lineages(&neg, interner));
-                let mut pipe = Pipe::build(&r, &neg, &theta, None, depth, lins.0, lins.1).unwrap();
-                let (mut interned, mut operands) = (Vec::new(), Vec::new());
-                while let Some(w) = pipe.next_with(interner, &mut operands) {
-                    // A span is live until the next group: intern it now.
-                    let lambda_s = w.lambda_s.map(|ls| match ls {
-                        SideRef::Node(node) => node,
-                        SideRef::Span { start, len } => {
-                            let (start, len) = (start as usize, len as usize);
-                            interner.or(&operands[start..start + len])
-                        }
-                    });
-                    interned.push(Window {
-                        kind: w.kind,
-                        interval: w.interval,
-                        r_idx: w.r_idx,
-                        s_idx: w.s_idx,
-                        lambda_r: interner.to_lineage(w.lambda_r),
-                        lambda_s: lambda_s.map(|l| interner.to_lineage(l)),
-                    });
-                }
-                proptest::prop_assert_eq!(&interned, &tree, "{:?}", depth);
-            }
-        }
+        let mut engine = registered_engine(&r, &s);
+        let tree = tree_join(&r, &s, &theta, TpJoinKind::Anti, &mut engine);
+        assert_eq!(anti.tuples(), tree);
+        assert_eq!(bits(anti.tuples()), bits(&tree));
     }
 
     /// `rel` with the probabilities of its tuples drawn from `ps` in turn.
@@ -645,34 +566,20 @@ mod tests {
         out
     }
 
-    /// The tree path of an operator: its passes' windows materialized as
-    /// trees, each output root formed as a tree and priced by interning it
-    /// into `engine` ([`crate::join::assemble_result`]).
+    /// The tree reference's rows of an operator.
     fn tree_path(
         op: TpOp,
         r: &TpRelation,
         s: &TpRelation,
         theta: &ThetaCondition,
         engine: &mut ProbabilityEngine,
-    ) -> TpRelation {
-        use crate::{lawan, lawau, overlapping_windows};
-        let windows = |pos: &TpRelation, neg: &TpRelation, theta: &ThetaCondition, depth| {
-            let wo = overlapping_windows(pos, neg, theta).unwrap();
-            match depth {
-                PipeDepth::Overlap => wo,
-                PipeDepth::Unmatched => lawau(&wo, pos),
-                PipeDepth::Full => lawan(&lawau(&wo, pos)),
-            }
+    ) -> Vec<TpTuple> {
+        use crate::tree_reference::{tree_rows, Op};
+        let op = match op {
+            TpOp::Join(kind) => Op::Join(kind),
+            TpOp::SetOp(kind) => Op::SetOp(kind),
         };
-        let (mut left, mut right) = (Vec::new(), Vec::new());
-        for spec in op.passes() {
-            if spec.flipped {
-                right = windows(s, r, &theta.flipped(), spec.depth);
-            } else {
-                left = windows(r, s, theta, spec.depth);
-            }
-        }
-        crate::join::assemble_result(op, r, s, &left, &right, engine)
+        tree_rows(op, r, s, theta, engine)
     }
 
     /// The five joins under `k = k` and the three set operations, over `r`
@@ -714,7 +621,7 @@ mod tests {
                 proptest::prop_assert_eq!(engine.interner().len(), 2 + r.len() + s.len());
                 let tree = tree_path(op, &r, &s, &theta, &mut registered_engine(&r, &s));
                 proptest::prop_assert_eq!(streamed.len(), tree.len(), "{:?}", op);
-                for (row, want) in streamed.iter().zip(tree.iter()) {
+                for (row, want) in streamed.iter().zip(&tree) {
                     proptest::prop_assert_eq!(row.lineage(), want.lineage(), "{:?}", op);
                     proptest::prop_assert_eq!(
                         row.probability().to_bits(),
@@ -762,11 +669,9 @@ mod tests {
                         certified += usize::from(stream.is_certified());
                         let streamed = stream.collect_relation();
                         let tree = tree_path(op, left, right, &theta, &mut base());
-                        proptest::prop_assert_eq!(&streamed, &tree, "{:?}", op);
-                        let bits = |rel: &TpRelation| -> Vec<u64> {
-                            rel.iter().map(|t| t.probability().to_bits()).collect()
-                        };
-                        proptest::prop_assert_eq!(bits(&streamed), bits(&tree), "{:?}", op);
+                        proptest::prop_assert_eq!(streamed.tuples(), &tree[..], "{:?}", op);
+                        let bits = crate::tree_reference::bits;
+                        proptest::prop_assert_eq!(bits(streamed.tuples()), bits(&tree), "{:?}", op);
                     }
                 }
             }

@@ -1,13 +1,13 @@
 //! Generalized lineage-aware temporal windows (Definition 1 of the paper).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpdb_lineage::{Lineage, LineageRef};
+use std::ops::Deref;
+use tpdb_lineage::{Lineage, SymbolTable};
 use tpdb_storage::TpRelation;
 use tpdb_temporal::Interval;
 
 /// The three disjoint classes of generalized lineage-aware temporal windows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum WindowKind {
     /// `WO(r; s, θ)` — a maximal interval over which a tuple of `r` overlaps
     /// a tuple of `s` and θ is satisfied.
@@ -31,102 +31,90 @@ impl fmt::Display for WindowKind {
     }
 }
 
+/// A negating window's θ-matching `s` tuples: `len` indices of a span
+/// buffer from `start`, in the order LAWAN activated them.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
+pub struct Span {
+    /// First position in the buffer.
+    pub start: u32,
+    /// Number of `s` indices.
+    pub len: u32,
+}
+
+impl Span {
+    /// The `s` indices this span lists in `buffer`.
+    #[must_use]
+    pub fn of(self, buffer: &[u32]) -> &[u32] {
+        let start = self.start as usize;
+        &buffer[start..start + self.len as usize]
+    }
+}
+
 /// A generalized lineage-aware temporal window with schema
-/// `(Fr, Fs, T, λr, λs)`.
+/// `(Fr, Fs, T, λr, λs)`, held by reference.
 ///
-/// The facts `Fr`/`Fs` are not copied into the window: `r_idx` (and, for
-/// overlapping windows, `s_idx`) reference the originating tuples of the
-/// input relations. Keeping facts by reference — and keeping `λr` and `λs`
-/// decoupled until output formation — is exactly what lets the window
-/// algorithms avoid the tuple replication of alignment-based approaches.
-///
-/// The window is generic over the lineage representation `L` (and `S` of
-/// `λs`): the default [`Lineage`] tree is the serde/test conversion
-/// boundary, while the executing pipelines pass hash-consed [`LineageRef`]
-/// ids (`Copy`, `O(1)` equality) and [`SideRef`]s, so no formula tree is
-/// cloned at window boundaries.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct Window<L = Lineage, S = L> {
+/// No fact and no lineage is copied into the window: `r_idx` names the
+/// originating tuple of `r` (its facts `Fr` and its lineage `λr`), and
+/// `λs` is the lineage of the tuple `s_idx` of an overlapping window or the
+/// disjunction over the tuples a negating window's `span` lists. Keeping
+/// facts and lineages by reference until output formation is what lets the
+/// window algorithms avoid the tuple replication of alignment-based
+/// approaches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Window {
     /// Which of the three window classes this window belongs to.
     pub kind: WindowKind,
     /// The window interval `T`.
     pub interval: Interval,
     /// Index of the originating tuple of the positive relation `r`
-    /// (determines `Fr` and the tuple's full validity interval).
+    /// (determines `Fr`, `λr` and the tuple's full validity interval).
     pub r_idx: usize,
     /// Index of the matching tuple of the negative relation `s`
     /// (overlapping windows only; `None` means `Fs = null`).
     pub s_idx: Option<usize>,
-    /// `λr` — the lineage of the valid tuple of `r` over `T`.
-    pub lambda_r: L,
-    /// `λs` — for overlapping windows the lineage of the matching `s` tuple;
-    /// for negating windows the disjunction of the lineages of all valid,
-    /// θ-matching `s` tuples over `T`; for unmatched windows `None` (null).
-    pub lambda_s: Option<S>,
+    /// The valid, θ-matching `s` tuples of a negating window, in the span
+    /// buffer of the stream or [`WindowSet`] that produced it; empty for
+    /// the other classes.
+    pub span: Span,
 }
 
-/// `λs` on the interned path: an arena node, or the span of the pass's
-/// operand buffer holding a negating window's ≥ 2 live operands (valid
-/// until the next `r` group), whose disjunction output formation forms.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SideRef {
-    /// An arena node.
-    Node(LineageRef),
-    /// `operands[start..start + len]`: distinct, in first-activation order.
-    #[allow(missing_docs)]
-    Span { start: u32, len: u32 },
-}
+const _: () = assert!(std::mem::size_of::<Window>() <= 56);
 
-impl From<LineageRef> for SideRef {
-    fn from(node: LineageRef) -> Self {
-        SideRef::Node(node)
-    }
-}
-
-impl<L, S> Window<L, S> {
+impl Window {
     /// Creates an overlapping window for the pair `(r[r_idx], s[s_idx])`.
     #[must_use]
-    pub fn overlapping(
-        interval: Interval,
-        r_idx: usize,
-        s_idx: usize,
-        lambda_r: L,
-        lambda_s: S,
-    ) -> Self {
+    pub fn overlapping(interval: Interval, r_idx: usize, s_idx: usize) -> Self {
         Self {
             kind: WindowKind::Overlapping,
             interval,
             r_idx,
             s_idx: Some(s_idx),
-            lambda_r,
-            lambda_s: Some(lambda_s),
+            span: Span::default(),
         }
     }
 
     /// Creates an unmatched window for `r[r_idx]`.
     #[must_use]
-    pub fn unmatched(interval: Interval, r_idx: usize, lambda_r: L) -> Self {
+    pub fn unmatched(interval: Interval, r_idx: usize) -> Self {
         Self {
             kind: WindowKind::Unmatched,
             interval,
             r_idx,
             s_idx: None,
-            lambda_r,
-            lambda_s: None,
+            span: Span::default(),
         }
     }
 
-    /// Creates a negating window for `r[r_idx]` with the disjunction
-    /// `lambda_s` of the matching negative lineages.
+    /// Creates a negating window for `r[r_idx]` whose `span` lists the
+    /// matching `s` tuples.
     #[must_use]
-    pub fn negating(interval: Interval, r_idx: usize, lambda_r: L, lambda_s: S) -> Self {
+    pub fn negating(interval: Interval, r_idx: usize, span: Span) -> Self {
         Self {
             kind: WindowKind::Negating,
             interval,
             r_idx,
             s_idx: None,
-            lambda_r,
-            lambda_s: Some(lambda_s),
+            span,
         }
     }
 
@@ -147,78 +135,91 @@ impl<L, S> Window<L, S> {
     pub fn is_negating(&self) -> bool {
         self.kind == WindowKind::Negating
     }
-}
 
-impl Window<Lineage> {
-    /// Renders the window against its input relations, using the lineage
-    /// symbol names of `syms` (useful in examples and tests).
+    /// Renders the window against its input relations and the span buffer
+    /// it was produced with, using the lineage symbol names of `syms`
+    /// (useful in examples and tests).
     #[must_use]
     pub fn display_with(
         &self,
         r: &TpRelation,
         s: &TpRelation,
-        syms: &tpdb_lineage::SymbolTable,
+        spans: &[u32],
+        syms: &SymbolTable,
     ) -> String {
-        let fr: Vec<String> = r
-            .tuple(self.r_idx)
-            .facts()
-            .iter()
-            .map(|v| v.to_string())
-            .collect();
-        let fs = match self.s_idx {
-            Some(i) => s
-                .tuple(i)
-                .facts()
-                .iter()
-                .map(|v| v.to_string())
-                .collect::<Vec<_>>()
-                .join(","),
-            None => "null".to_owned(),
+        let facts = |rel: &TpRelation, i: usize| {
+            let facts: Vec<String> = rel.tuple(i).facts().iter().map(|v| v.to_string()).collect();
+            facts.join(",")
         };
-        let ls = match &self.lambda_s {
-            Some(l) => l.display_with(syms),
-            None => "null".to_owned(),
+        let fs = self
+            .s_idx
+            .map_or_else(|| "null".to_owned(), |si| facts(s, si));
+        let ls = match (self.kind, self.s_idx) {
+            (WindowKind::Overlapping, Some(si)) => s.tuple(si).lineage().display_with(syms),
+            (WindowKind::Negating, _) => {
+                let span = self.span.of(spans).iter();
+                let lineages = span.map(|&si| s.tuple(si as usize).lineage().clone());
+                Lineage::or(lineages.collect()).display_with(syms)
+            }
+            _ => "null".to_owned(),
         };
+        let lr = r.tuple(self.r_idx).lineage().display_with(syms);
+        let (kind, interval) = (self.kind, self.interval);
         format!(
-            "{}({}; {}; {}; {}; {})",
-            self.kind,
-            fr.join(","),
-            fs,
-            self.interval,
-            self.lambda_r.display_with(syms),
-            ls
+            "{kind}({}; {fs}; {interval}; {lr}; {ls})",
+            facts(r, self.r_idx)
         )
+    }
+}
+
+/// A materialized window set: the windows, and the span buffer their
+/// negating windows index. Derefs to the windows.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct WindowSet {
+    /// The windows.
+    pub windows: Vec<Window>,
+    /// The `s` indices the negating windows' spans list.
+    pub spans: Vec<u32>,
+}
+
+impl From<Vec<Window>> for WindowSet {
+    /// A set of windows without spans (no negating window).
+    fn from(windows: Vec<Window>) -> Self {
+        Self {
+            windows,
+            spans: Vec::new(),
+        }
+    }
+}
+
+impl Deref for WindowSet {
+    type Target = [Window];
+
+    fn deref(&self) -> &[Window] {
+        &self.windows
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tpdb_lineage::{SymbolTable, VarId};
 
     #[test]
     fn constructors_set_kinds_and_nulls() {
-        let lr = Lineage::var(VarId(0));
-        let ls = Lineage::var(VarId(1));
-        let o = Window::overlapping(Interval::new(4, 6), 0, 2, lr.clone(), ls.clone());
+        let o = Window::overlapping(Interval::new(4, 6), 0, 2);
         assert!(o.is_overlapping());
         assert_eq!(o.s_idx, Some(2));
-        assert_eq!(o.lambda_s, Some(ls.clone()));
+        assert_eq!(o.span, Span::default());
 
-        let u: Window = Window::unmatched(Interval::new(2, 4), 0, lr.clone());
+        let u = Window::unmatched(Interval::new(2, 4), 0);
         assert!(u.is_unmatched());
         assert!(u.s_idx.is_none());
-        assert!(u.lambda_s.is_none());
+        assert_eq!(u.span.of(&[]), &[] as &[u32]);
 
-        let n = Window::negating(
-            Interval::new(5, 6),
-            0,
-            lr,
-            Lineage::or2(ls, Lineage::var(VarId(2))),
-        );
+        let n = Window::negating(Interval::new(5, 6), 0, Span { start: 1, len: 2 });
         assert!(n.is_negating());
         assert!(n.s_idx.is_none());
-        assert!(n.lambda_s.is_some());
+        assert_eq!(n.span.of(&[7, 2, 1, 9]), &[2, 1]);
     }
 
     #[test]
@@ -234,6 +235,7 @@ mod tests {
         let mut syms = SymbolTable::new();
         let a1 = syms.intern("a1");
         let b3 = syms.intern("b3");
+        let b2 = syms.intern("b2");
         let mut r = TpRelation::new("a", Schema::tp(&[("Name", DataType::Str)]));
         r.push(TpTuple::new(
             vec![Value::str("Ann")],
@@ -243,24 +245,21 @@ mod tests {
         ))
         .unwrap();
         let mut s = TpRelation::new("b", Schema::tp(&[("Hotel", DataType::Str)]));
-        s.push(TpTuple::new(
-            vec![Value::str("hotel1")],
-            Lineage::var(b3),
-            Interval::new(4, 6),
-            0.7,
-        ))
-        .unwrap();
-        let w = Window::overlapping(
-            Interval::new(4, 6),
-            0,
-            0,
-            Lineage::var(a1),
-            Lineage::var(b3),
-        );
-        let text = w.display_with(&r, &s, &syms);
-        assert!(text.contains("WO"));
-        assert!(text.contains("Ann"));
-        assert!(text.contains("hotel1"));
-        assert!(text.contains("a1"));
+        for (hotel, var) in [("hotel1", b3), ("hotel2", b2)] {
+            let lineage = Lineage::var(var);
+            s.push(TpTuple::new(
+                vec![Value::str(hotel)],
+                lineage,
+                Interval::new(4, 6),
+                0.7,
+            ))
+            .unwrap();
+        }
+        let w = Window::overlapping(Interval::new(4, 6), 0, 0);
+        let text = w.display_with(&r, &s, &[], &syms);
+        assert_eq!(text, "WO(Ann; hotel1; [4,6); a1; b3)");
+        let w = Window::negating(Interval::new(5, 6), 0, Span { start: 0, len: 2 });
+        let text = w.display_with(&r, &s, &[0, 1], &syms);
+        assert_eq!(text, "WN(Ann; null; [5,6); a1; b3 ∨ b2)");
     }
 }

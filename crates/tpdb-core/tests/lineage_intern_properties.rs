@@ -1,18 +1,20 @@
 //! Property tests of the interned lineage layer: the hash-consed arena must
 //! be an *invisible* representation change. Interned probabilities agree
 //! with exact enumeration over the legacy trees, and the interned streaming
-//! join/set-op pipelines produce byte-identical relations to the legacy
-//! tree-based window path — for every join kind.
+//! join/set-op pipelines produce byte-identical relations to the tree
+//! reference (`tree_reference`) — for every join kind.
 
 use proptest::prelude::*;
 use tpdb_core::{
-    assemble_join_result, lawan, lawau, overlapping_windows, tp_join, tp_join_with_engine,
-    tp_union, tp_union_materialized, ThetaCondition, TpJoinKind, TpSetOpKind, TpSetOpStream,
-    Window,
+    all_columns_equal, lawan, lawau, overlapping_windows, tp_join, tp_join_with_engine, tp_union,
+    ThetaCondition, TpJoinKind, TpSetOpKind, TpSetOpStream,
 };
 use tpdb_lineage::{Lineage, LineageInterner, ProbabilityEngine, VarId};
 use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb_temporal::Interval;
+use tree_reference::{bits, tree_join, tree_rows, Op};
+
+mod tree_reference;
 
 const ALL_KINDS: [TpJoinKind; 5] = [
     TpJoinKind::Inner,
@@ -58,11 +60,8 @@ fn rows() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
     proptest::collection::vec((0i64..5, 0i64..40, 1i64..10), 1..15)
 }
 
-/// The legacy reference join: materialized tree-lineage windows fed through
-/// [`assemble_join_result`] / `form_output_tuple` — the pre-interning code
-/// path (still exercised by the TA baseline), with the same per-kind window
-/// participation as the streaming pipeline.
-fn legacy_join(r: &TpRelation, s: &TpRelation, kind: TpJoinKind) -> TpRelation {
+/// The tree reference join under `k = k`, over base relations.
+fn legacy_join(r: &TpRelation, s: &TpRelation, kind: TpJoinKind) -> Vec<TpTuple> {
     legacy_join_with_engine(r, s, kind, &mut engine_over(&[r, s]))
 }
 
@@ -82,21 +81,8 @@ fn legacy_join_with_engine(
     s: &TpRelation,
     kind: TpJoinKind,
     engine: &mut ProbabilityEngine,
-) -> TpRelation {
-    let theta = ThetaCondition::column_equals("k", "k");
-    let wo = overlapping_windows(r, s, &theta).unwrap();
-    let left: Vec<Window> = match kind {
-        TpJoinKind::Inner | TpJoinKind::RightOuter => wo,
-        TpJoinKind::Anti | TpJoinKind::LeftOuter | TpJoinKind::FullOuter => lawan(&lawau(&wo, r)),
-    };
-    let right: Vec<Window> = match kind {
-        TpJoinKind::RightOuter | TpJoinKind::FullOuter => {
-            let wo = overlapping_windows(s, r, &theta.flipped()).unwrap();
-            lawan(&lawau(&wo, s))
-        }
-        _ => Vec::new(),
-    };
-    assemble_join_result(r, s, kind, &left, &right, engine)
+) -> Vec<TpTuple> {
+    tree_join(r, s, &ThetaCondition::column_equals("k", "k"), kind, engine)
 }
 
 /// A random lineage formula over the variables `0..8` (small enough that
@@ -184,9 +170,9 @@ proptest! {
         prop_assert_eq!(engine.verify_arena(), Ok(()));
     }
 
-    /// The interned streaming join equals the legacy materialized tree path
-    /// byte for byte — facts, intervals, lineage trees and probabilities —
-    /// for all five join kinds.
+    /// The interned streaming join equals the tree reference's join byte for
+    /// byte — facts, intervals, lineage trees and probabilities — for all
+    /// five join kinds.
     #[test]
     fn interned_join_matches_legacy_tree_join(rr in rows(), ss in rows()) {
         let r = build("r", 0, &rr);
@@ -195,32 +181,24 @@ proptest! {
         for kind in ALL_KINDS {
             let interned = tp_join(&r, &s, &theta, kind).unwrap();
             let legacy = legacy_join(&r, &s, kind);
-            prop_assert_eq!(&interned, &legacy, "kind {:?}", kind);
+            prop_assert_eq!(interned.tuples(), &legacy[..], "kind {:?}", kind);
         }
-        // The one LAWAN sweep over tree and over interned windows: a left
-        // outer join emits every window as one tuple, in window order, so
-        // the streamed tuples are the tree windows after conversion. The
-        // negative side is a union, whose `Or` lineages recur across its
-        // tuples: the active set flattens operands and counts contributors.
+        // A left outer join emits every window as one tuple, in window
+        // order. The negative side is a union, whose `Or` lineages recur
+        // across its tuples: formation flattens each span's roots.
         let t = build("t", 2000, &rr);
         let u = tp_union(&s, &t).unwrap();
         let mut engine = engine_over(&[&r, &s, &t]);
         let streamed = tp_join_with_engine(&r, &u, &theta, TpJoinKind::LeftOuter, &mut engine).unwrap();
         let wuon = lawan(&lawau(&overlapping_windows(&r, &u, &theta).unwrap(), &r));
         prop_assert_eq!(streamed.len(), wuon.len());
-        for (tuple, w) in streamed.iter().zip(&wuon) {
-            let lineage = match &w.lambda_s {
-                None => w.lambda_r.clone(),
-                Some(ls) if w.is_negating() => Lineage::and_not_concat(&w.lambda_r, ls),
-                Some(ls) => Lineage::and_concat(&w.lambda_r, ls),
-            };
+        for (tuple, w) in streamed.iter().zip(wuon.iter()) {
             prop_assert_eq!(tuple.interval(), w.interval);
-            prop_assert_eq!(tuple.lineage(), &lineage);
         }
         for kind in ALL_KINDS {
             let interned = tp_join_with_engine(&r, &u, &theta, kind, &mut engine).unwrap();
             let legacy = legacy_join_with_engine(&r, &u, kind, &mut engine_over(&[&r, &s, &t]));
-            prop_assert_eq!(&interned, &legacy, "derived negative side, kind {:?}", kind);
+            prop_assert_eq!(interned.tuples(), &legacy[..], "derived negative side, kind {:?}", kind);
         }
     }
 
@@ -244,29 +222,28 @@ proptest! {
             }
         }
         let theta = ThetaCondition::column_equals("k", "k");
-        let bits = |rel: &TpRelation| -> Vec<(Lineage, Interval, u64)> {
-            rel.iter()
-                .map(|t| (t.lineage().clone(), t.interval(), t.probability().to_bits()))
-                .collect()
-        };
         for kind in ALL_KINDS {
             let spans = tp_join_with_engine(&r, &derived, &theta, kind, &mut engine_over(&[&r, &s]))
                 .unwrap();
             let nodes = legacy_join_with_engine(&r, &derived, kind, &mut engine_over(&[&r, &s]));
-            prop_assert_eq!(&spans, &nodes, "kind {:?}", kind);
-            prop_assert_eq!(bits(&spans), bits(&nodes), "kind {:?}", kind);
+            prop_assert_eq!(spans.tuples(), &nodes[..], "kind {:?}", kind);
+            prop_assert_eq!(bits(spans.tuples()), bits(&nodes), "kind {:?}", kind);
         }
     }
 
-    /// The interned streaming TP union equals the legacy materializing union
-    /// (which still builds `Lineage::or2` trees directly) tuple for tuple.
+    /// The interned streaming TP union equals the union the tree reference
+    /// materializes (building `Lineage::or2` trees directly) tuple for
+    /// tuple, probability bits included.
     #[test]
     fn interned_union_matches_materializing_union(rr in rows(), ss in rows()) {
         let r = build("r", 0, &rr);
         let s = build("s", 1000, &ss);
         let streamed = tp_union(&r, &s).unwrap();
-        let materialized = tp_union_materialized(&r, &s).unwrap();
-        prop_assert_eq!(streamed.tuples(), materialized.tuples());
+        let theta = all_columns_equal(&r, &s).unwrap();
+        let union = Op::SetOp(TpSetOpKind::Union);
+        let materialized = tree_rows(union, &r, &s, &theta, &mut engine_over(&[&r, &s]));
+        prop_assert_eq!(streamed.tuples(), &materialized[..]);
+        prop_assert_eq!(bits(streamed.tuples()), bits(&materialized));
     }
 
     /// Every output tuple of every interned join carries the probability of

@@ -6,12 +6,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tpdb_core::{
-    assemble_join_result, lawan, lawau, overlapping_windows, ThetaCondition, TpJoinKind,
-    TpJoinStream,
-};
+use tpdb_core::{ThetaCondition, TpJoinKind, TpJoinStream};
 use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{TpRelation, TpTuple};
+
+mod tree_reference;
 
 /// Counts every allocation and reallocation; frees are not counted.
 struct Counting;
@@ -46,7 +45,7 @@ static GLOBAL: Counting = Counting;
 
 /// Drains `kind` over `r` and `s`, returning the rows and the allocations
 /// per row (stream set-up included), and checks that the deferred trees,
-/// once read, are the trees of the materializing path.
+/// once read, are the trees of the tree reference.
 fn drain(r: &TpRelation, s: &TpRelation, column: &str, kind: TpJoinKind) -> (Vec<TpTuple>, f64) {
     let theta = ThetaCondition::column_equals(column, column);
     let rows = TpJoinStream::new(r, s, &theta, kind).unwrap().count();
@@ -56,18 +55,12 @@ fn drain(r: &TpRelation, s: &TpRelation, column: &str, kind: TpJoinKind) -> (Vec
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(out.len(), rows);
 
-    let wuon = |pos, neg, theta| lawan(&lawau(&overlapping_windows(pos, neg, theta).unwrap(), pos));
-    let left = wuon(r, s, &theta);
-    let right = match kind {
-        TpJoinKind::FullOuter => wuon(s, r, &theta.flipped()),
-        _ => Vec::new(),
-    };
     let mut engine = ProbabilityEngine::new();
     r.register_probabilities(&mut engine);
     s.register_probabilities(&mut engine);
-    let trees = assemble_join_result(r, s, kind, &left, &right, &mut engine);
+    let trees = tree_reference::tree_join(r, s, &theta, kind, &mut engine);
     assert_eq!(trees.len(), rows);
-    for (streamed, tree) in out.iter().zip(trees.iter()) {
+    for (streamed, tree) in out.iter().zip(&trees) {
         assert_eq!(streamed.lineage(), tree.lineage());
         assert_eq!(streamed, tree);
     }

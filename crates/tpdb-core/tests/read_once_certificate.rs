@@ -11,11 +11,14 @@
 
 use std::panic::{self, AssertUnwindSafe};
 use tpdb_core::{
-    assemble_join_result, lawan, lawau, overlapping_windows, tp_intersection, tp_join, tp_union,
-    ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind, TpSetOpStream, Window,
+    tp_intersection, tp_join, tp_union, ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind,
+    TpSetOpStream,
 };
 use tpdb_lineage::{Lineage, ProbabilityEngine, VarId};
 use tpdb_storage::{TpRelation, TpTuple};
+use tree_reference::{bits, tree_join};
+
+mod tree_reference;
 
 const KINDS: [TpJoinKind; 5] = [
     TpJoinKind::Inner,
@@ -44,30 +47,6 @@ fn engine_over(inputs: &[&TpRelation]) -> ProbabilityEngine {
     engine
 }
 
-/// The join over materialized tree windows, each root priced by interning
-/// its tree.
-fn tree_join(
-    r: &TpRelation,
-    s: &TpRelation,
-    theta: &ThetaCondition,
-    kind: TpJoinKind,
-    engine: &mut ProbabilityEngine,
-) -> TpRelation {
-    let wo = overlapping_windows(r, s, theta).unwrap();
-    let left: Vec<Window> = match kind {
-        TpJoinKind::Inner | TpJoinKind::RightOuter => wo,
-        _ => lawan(&lawau(&wo, r)),
-    };
-    let right: Vec<Window> = match kind {
-        TpJoinKind::RightOuter | TpJoinKind::FullOuter => lawan(&lawau(
-            &overlapping_windows(s, r, &theta.flipped()).unwrap(),
-            s,
-        )),
-        _ => Vec::new(),
-    };
-    assemble_join_result(r, s, kind, &left, &right, engine)
-}
-
 /// Runs every join kind with a fresh `engine()`, checks that exactly the
 /// kinds in `certified` are certified and, row for row, the tree path's
 /// answer and probability bits.
@@ -86,11 +65,8 @@ fn assert_joins(
         assert_eq!(stream.is_certified(), certified.contains(&kind), "{kind:?}");
         let streamed = stream.collect_relation();
         let tree = tree_join(r, s, theta, kind, &mut engine());
-        assert_eq!(streamed, tree, "{kind:?}");
-        let bits = |rel: &TpRelation| -> Vec<u64> {
-            rel.iter().map(|t| t.probability().to_bits()).collect()
-        };
-        assert_eq!(bits(&streamed), bits(&tree), "{kind:?}");
+        assert_eq!(streamed.tuples(), tree, "{kind:?}");
+        assert_eq!(bits(streamed.tuples()), bits(&tree), "{kind:?}");
     }
 }
 

@@ -6,11 +6,14 @@ use std::cell::Cell;
 use std::collections::VecDeque;
 use tpdb_core::{
     lawan, lawau, overlapping_windows, tp_union, LawanStream, LawauStream, OverlapWindowStream,
-    ThetaCondition, Window, WindowGroups, WindowKind,
+    ThetaCondition, Window, WindowGroups, WindowKind, WindowSet,
 };
 use tpdb_lineage::{Lineage, VarId};
 use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb_temporal::Interval;
+use tree_reference::{drain, resolved};
+
+mod tree_reference;
 
 /// Builds a duplicate-free single-key relation from raw rows, skipping rows
 /// that would overlap an existing same-key interval.
@@ -54,30 +57,23 @@ fn derived_negative(r: &TpRelation, s: &TpRelation) -> TpRelation {
     derived
 }
 
-/// WUON four ways — the stacked streams popped window by window, the same
-/// stages fed from a plain vector, the stack drained group by group, the
-/// materializing algorithms — which must agree window for window: order,
-/// kind, `s_idx`, λr and λs.
+/// WUON three ways — the stacked streams popped window by window, the same
+/// stages fed from a plain vector, the materializing algorithms (which
+/// sweep every group on the tail of one buffer and keep one span buffer) —
+/// which must agree window for window: order, kind, `s_idx` and the `s`
+/// tuples a span lists.
 fn assert_streamed_is_materialized(r: &TpRelation, s: &TpRelation, theta: &ThetaCondition) {
     let wo = overlapping_windows(r, s, theta).unwrap();
-    let materialized = lawan(&lawau(&wo, r));
+    let materialized = resolved(&lawan(&lawau(&wo, r)));
     let overlap = OverlapWindowStream::new(r, s, theta).unwrap();
-    let streamed: Vec<Window> = LawanStream::new(LawauStream::new(overlap, r)).collect();
+    let streamed = drain(LawanStream::new(LawauStream::new(overlap, r)));
     assert_eq!(streamed, materialized);
     let from_vec = LawauStream::new(wo.into_iter().peekable(), r);
-    let from_vec: Vec<Window> =
-        LawanStream::new(from_vec.collect::<Vec<_>>().into_iter().peekable()).collect();
-    assert_eq!(from_vec, materialized);
-    // As a group source, LAWAN sweeps each group on the tail of a buffer
-    // that still holds the earlier ones.
-    let overlap = OverlapWindowStream::new(r, s, theta).unwrap();
-    let mut groups = LawanStream::new(LawauStream::new(overlap, r));
-    let mut appended = VecDeque::new();
-    while groups.next_group(&mut appended).is_some() {}
-    assert_eq!(Vec::from(appended), materialized);
+    let from_vec = from_vec.collect::<Vec<_>>().into_iter().peekable();
+    assert_eq!(drain(LawanStream::new(from_vec)), materialized);
 }
 
-fn all_windows(r: &TpRelation, s: &TpRelation) -> Vec<Window> {
+fn all_windows(r: &TpRelation, s: &TpRelation) -> WindowSet {
     let theta = ThetaCondition::column_equals("k", "k");
     lawan(&lawau(&overlapping_windows(r, s, &theta).unwrap(), r))
 }
@@ -144,30 +140,30 @@ proptest! {
         }
     }
 
-    /// λs of a negating window is exactly the disjunction of the lineages of
-    /// the θ-matching s tuples valid over the window (checked at every
-    /// point: the set of variables never changes within the window, which is
-    /// the maximality condition of Definition 1).
+    /// λs of a negating window is the disjunction of the θ-matching s
+    /// tuples its span lists, and the span lists exactly those valid over
+    /// the window, each once (checked at every point: the set never changes
+    /// within the window, which is the maximality condition of Definition
+    /// 1), on a duplicate-free and on a derived negative side.
     #[test]
     fn negating_lambda_s_is_the_disjunction_of_valid_matches(rr in rows(), ss in rows()) {
         let r = build("r", 0, &rr);
         let s = build("s", 1000, &ss);
-        let windows = all_windows(&r, &s);
-        for w in windows.iter().filter(|w| w.kind == WindowKind::Negating) {
-            let rt = r.tuple(w.r_idx);
-            let expected_vars: std::collections::BTreeSet<_> = s
-                .iter()
-                .filter(|st| st.fact(0) == rt.fact(0) && st.interval().contains(&w.interval))
-                .flat_map(|st| st.lineage().vars())
-                .collect();
-            prop_assert_eq!(w.lambda_s.as_ref().unwrap().vars(), expected_vars);
-            for t in w.interval.points() {
-                let vars_at_t: std::collections::BTreeSet<_> = s
-                    .iter()
-                    .filter(|st| st.fact(0) == rt.fact(0) && st.valid_at(t))
-                    .flat_map(|st| st.lineage().vars())
-                    .collect();
-                prop_assert_eq!(&vars_at_t, &w.lambda_s.as_ref().unwrap().vars());
+        let derived = derived_negative(&r, &s);
+        for s in [&s, &derived] {
+            let windows = all_windows(&r, s);
+            for w in windows.iter().filter(|w| w.kind == WindowKind::Negating) {
+                let rt = r.tuple(w.r_idx);
+                let mut listed = w.span.of(&windows.spans).to_vec();
+                listed.sort_unstable();
+                prop_assert!(!listed.is_empty());
+                for t in w.interval.points() {
+                    let valid: Vec<u32> = (0..s.len())
+                        .filter(|&si| s.tuple(si).fact(0) == rt.fact(0) && s.tuple(si).valid_at(t))
+                        .map(|si| si as u32)
+                        .collect();
+                    prop_assert_eq!(&listed, &valid);
+                }
             }
         }
     }
@@ -199,7 +195,7 @@ proptest! {
         let r = build("r", 0, &rr);
         let s = build("s", 1000, &ss);
         let windows = all_windows(&r, &s);
-        for w in &windows {
+        for w in windows.iter() {
             prop_assert!(r.tuple(w.r_idx).interval().contains(&w.interval));
         }
         for kind in [WindowKind::Unmatched, WindowKind::Negating] {
@@ -251,7 +247,7 @@ fn large_empty_large() -> (TpRelation, TpRelation) {
 fn lawan_pulls_one_group_at_a_time() {
     /// Counts the groups LAWAN asks its upstream for.
     struct Counted<'a, G>(G, &'a Cell<usize>);
-    impl<G: WindowGroups<Lineage>> WindowGroups<Lineage> for Counted<'_, G> {
+    impl<G: WindowGroups> WindowGroups for Counted<'_, G> {
         fn next_group(&mut self, out: &mut VecDeque<Window>) -> Option<usize> {
             self.1.set(self.1.get() + 1);
             self.0.next_group(out)
@@ -303,23 +299,23 @@ fn sweep_state_is_clean_after_a_drained_group() {
     let (r, s) = large_empty_large();
     let theta = ThetaCondition::column_equals("k", "k");
     let overlap = OverlapWindowStream::new(&r, &s, &theta).unwrap();
-    let all: Vec<Window> = LawanStream::new(LawauStream::new(overlap, &r)).collect();
-    assert!(all.iter().any(|w| w.r_idx == 0 && w.is_negating()));
+    let all = drain(LawanStream::new(LawauStream::new(overlap, &r)));
+    assert!(all.iter().any(|(w, _)| w.r_idx == 0 && w.is_negating()));
     assert!(all
         .iter()
-        .filter(|w| w.r_idx == 1)
-        .all(|w| w.is_unmatched()));
+        .filter(|(w, _)| w.r_idx == 1)
+        .all(|(w, _)| w.is_unmatched()));
 
     let mut last = TpRelation::new("r", r.schema().clone());
     last.push(r.tuple(2).clone()).unwrap();
     let overlap = OverlapWindowStream::new(&last, &s, &theta).unwrap();
-    let fresh: Vec<Window> = LawanStream::new(LawauStream::new(overlap, &last)).collect();
-    let reused: Vec<Window> = all
+    let fresh = drain(LawanStream::new(LawauStream::new(overlap, &last)));
+    let reused: Vec<_> = all
         .into_iter()
-        .filter(|w| w.r_idx == 2)
-        .map(|w| Window { r_idx: 0, ..w })
+        .filter(|(w, _)| w.r_idx == 2)
+        .map(|(w, span)| (Window { r_idx: 0, ..w }, span))
         .collect();
     // [2,3), [3,9), [9,12), [12,18)
-    assert_eq!(fresh.iter().filter(|w| w.is_negating()).count(), 4);
+    assert_eq!(fresh.iter().filter(|(w, _)| w.is_negating()).count(), 4);
     assert_eq!(reused, fresh);
 }

@@ -152,27 +152,6 @@ impl Lineage {
         }
     }
 
-    /// Builds a disjunction from operands that are already flattened (no
-    /// nested `Or`, no constants) and deduplicated, skipping the
-    /// flattening/deduplication pass of [`Lineage::or`]. This is the emission
-    /// path of [`crate::IncrementalDisjunction`], which maintains such an
-    /// operand list across sweep boundaries.
-    #[must_use]
-    pub fn or_flattened(mut operands: Vec<Lineage>) -> Self {
-        debug_assert!(
-            operands.iter().all(|o| !matches!(
-                o.node(),
-                LineageNode::Or(_) | LineageNode::True | LineageNode::False
-            )),
-            "or_flattened operands must be flattened and constant-free"
-        );
-        match operands.len() {
-            0 => Self::fls(),
-            1 => operands.pop().expect("len checked"),
-            _ => Lineage(Arc::new(LineageNode::Or(operands))),
-        }
-    }
-
     /// Wraps a node that already satisfies the constructors' normal form
     /// (flattened, constant-free, deduplicated `And`/`Or` of ≥ 2 children;
     /// `Not` over neither a constant nor a `Not`) — the arena's invariants,

@@ -32,7 +32,6 @@
 //! children, which is what lets [`crate::ProbabilityEngine`] price the
 //! paper's output lineages without grouping children by shared variables.
 
-use crate::disjunction::Operands;
 use crate::formula::{Lineage, LineageNode};
 use crate::symbols::VarId;
 use std::collections::{BTreeSet, HashMap, HashSet};
@@ -919,83 +918,6 @@ impl LineageInterner {
     }
 }
 
-/// The id-keyed counterpart of [`crate::IncrementalDisjunction`]: a
-/// multiset of interned lineages as the operand list of their disjunction
-/// — the same ordered vector of reference-counted operands
-/// (first-activation order, linear search, order-preserving removal: the
-/// active sets of a sweep are a handful of operands, see
-/// [`crate::IncrementalDisjunction`]), so the operand order — and
-/// therefore the converted trees — match the tree sweep exactly. A
-/// membership check compares `u32`s; the disjunction is never interned.
-#[derive(Debug, Clone, Default)]
-pub struct InternedDisjunction {
-    /// Distinct non-constant operands.
-    operands: Operands<LineageRef>,
-    /// How many inserted lineages were the constant `true`.
-    true_count: usize,
-}
-
-impl InternedDisjunction {
-    /// Creates an empty disjunction (`∨ ∅ = false`).
-    #[must_use]
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds `lineage` to the multiset. `Or` operands are flattened,
-    /// constant `false` contributes nothing and constant `true` forces the
-    /// disjunction to `true` until removed.
-    pub fn insert(&mut self, lineage: LineageRef, interner: &LineageInterner) {
-        match interner.node(lineage) {
-            InternedNode::False => {}
-            InternedNode::True => self.true_count += 1,
-            InternedNode::Or(children) => {
-                // Children of a normalized Or are themselves neither Or
-                // nor constants, so one level of flattening suffices.
-                for &c in children.iter() {
-                    self.operands.insert((), &c);
-                }
-            }
-            _ => self.operands.insert((), &lineage),
-        }
-    }
-
-    /// Removes one previously [`insert`](Self::insert)ed occurrence of
-    /// `lineage`. Removing a lineage that was never inserted is a logic
-    /// error (debug-asserted).
-    pub fn remove(&mut self, lineage: LineageRef, interner: &LineageInterner) {
-        match interner.node(lineage) {
-            InternedNode::False => {}
-            InternedNode::True => {
-                debug_assert!(self.true_count > 0, "removing ⊤ that was never inserted");
-                self.true_count = self.true_count.saturating_sub(1);
-            }
-            InternedNode::Or(children) => {
-                for &c in children.iter() {
-                    self.operands.remove((), &c);
-                }
-            }
-            _ => self.operands.remove((), &lineage),
-        }
-    }
-
-    /// Is the disjunction `false` (no live operand, no `true`
-    /// contributor)?
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.operands.is_empty() && self.true_count == 0
-    }
-
-    /// The disjunction's operands: the distinct, flattened, constant-free
-    /// live ones in first-activation order, or `[⊤]` while a `true`
-    /// contributor is active.
-    pub fn operands(&self) -> impl Iterator<Item = LineageRef> + '_ {
-        let absorbed = self.true_count > 0;
-        let live = self.operands.iter().copied().filter(move |_| !absorbed);
-        absorbed.then_some(TRUE).into_iter().chain(live)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1179,72 +1101,5 @@ mod tests {
         assert!(!i.share_no_node(&[ab, a], &[not_c], true, true));
         assert!(!i.share_no_node(&[ab], &[or], false, false));
         assert!(!i.share_no_node(&[not_c], &[b, or], false, false));
-    }
-
-    /// The live operands of `d` as trees, in operand order.
-    fn operand_trees(d: &InternedDisjunction, interner: &mut LineageInterner) -> Vec<Lineage> {
-        let refs: Vec<LineageRef> = d.operands().collect();
-        refs.into_iter().map(|r| interner.to_lineage(r)).collect()
-    }
-
-    #[test]
-    fn interned_disjunction_matches_incremental_disjunction() {
-        use crate::IncrementalDisjunction;
-        let mut interner = LineageInterner::new();
-        let mut interned = InternedDisjunction::new();
-        let mut legacy = IncrementalDisjunction::new();
-        assert!(interned.is_empty());
-
-        // The tree twin's churn (re-activation after expiry, duplicate
-        // contributors, Or operands): the operand lists must agree in order
-        // after every step, not only at the end. `Lineage::or` over them
-        // only wraps them: they are flattened, constant-free and distinct.
-        for (activate, l, survivors) in crate::disjunction::tests::churn_script() {
-            let r = interner.intern(&l);
-            if activate {
-                interned.insert(r, &interner);
-                legacy.insert(&l);
-            } else {
-                interned.remove(r, &interner);
-                legacy.remove(&l);
-            }
-            assert_eq!(interned.operands().count(), legacy.len());
-            assert_eq!(interned.is_empty(), legacy.is_empty());
-            let operands = operand_trees(&interned, &mut interner);
-            if let Some(survivors) = survivors {
-                assert_eq!(operands, survivors);
-            }
-            assert_eq!(Lineage::or(operands), legacy.disjunction());
-        }
-        assert_eq!(interner.verify_arena(), Ok(()));
-    }
-
-    #[test]
-    fn interned_disjunction_flattens_and_handles_constants() {
-        let mut interner = LineageInterner::new();
-        let mut d = InternedDisjunction::new();
-        let or = interner.intern(&Lineage::or2(v(1), v(2)));
-        d.insert(or, &interner);
-        let two = interner.intern(&v(2));
-        d.insert(two, &interner);
-        assert_eq!(d.operands().count(), 2);
-        let fls = interner.fls();
-        d.insert(fls, &interner);
-        assert_eq!(d.operands().count(), 2);
-        let tru = interner.tru();
-        d.insert(tru, &interner);
-        assert_eq!(
-            d.operands().collect::<Vec<_>>(),
-            [tru],
-            "⊤ absorbs the rest"
-        );
-        d.remove(tru, &interner);
-        assert_eq!(operand_trees(&d, &mut interner), vec![v(1), v(2)]);
-        d.remove(or, &interner);
-        assert_eq!(operand_trees(&d, &mut interner), vec![v(2)]);
-        let nodes = interner.len();
-        d.remove(two, &interner);
-        assert!(d.is_empty());
-        assert_eq!(interner.len(), nodes, "the set never interns a node");
     }
 }

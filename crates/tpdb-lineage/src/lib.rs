@@ -20,7 +20,7 @@
 //!   independence-based decomposition with a Shannon-expansion fallback,
 //! * a hash-consed formula arena ([`LineageInterner`]) deduplicating
 //!   structurally equal nodes behind dense [`LineageRef`] ids — the
-//!   representation the window streams and the probability memo operate
+//!   representation output formation and the probability memo operate
 //!   on, with [`Lineage`] trees as the serde/test conversion boundary,
 //! * [`LazyLineage`], an output tuple's lineage: a tree, or a read-once
 //!   concatenation priced at output formation whose tree is built only
@@ -61,18 +61,14 @@
     clippy::print_stderr
 )]
 
-mod disjunction;
 mod formula;
 mod intern;
 mod lazy;
 mod prob;
 mod symbols;
 
-pub use disjunction::IncrementalDisjunction;
 pub use formula::{Lineage, LineageNode};
-pub use intern::{
-    FxHashMap, FxHashSet, FxHasher, InternedDisjunction, InternedNode, LineageInterner, LineageRef,
-};
+pub use intern::{FxHashMap, FxHashSet, FxHasher, InternedNode, LineageInterner, LineageRef};
 pub use lazy::LazyLineage;
 pub use prob::{Concat, MarginalMap, ProbabilityEngine, ProbabilityError, ReadOnceColumns};
 pub use symbols::{SymbolTable, SymbolTableError, VarId};

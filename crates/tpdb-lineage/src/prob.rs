@@ -1203,7 +1203,7 @@ mod tests {
     /// Forms `how(λr, λs)` the way output formation does: at the boundary
     /// when the engine certifies the columns `[λr]` and `s` (`s` spanned),
     /// else on the node path. `lambda_s` holds `λs`'s operands: the one
-    /// root of `s`, or the span an active set keeps over `s`'s roots.
+    /// root of `s`, or a span's roots of `s`, each `Or` flattened.
     fn form(
         e: &mut ProbabilityEngine,
         how: Concat,
@@ -1358,15 +1358,19 @@ mod tests {
         }
     }
 
-    /// The operand list an active set keeps for the disjunction of `ls`
-    /// (flattened, constant-free, distinct), interned into `e`.
+    /// The operands output formation reads for a span over the roots of
+    /// `ls`, interned into `e`: each root flattened by one `Or` level, in
+    /// span order.
     fn disjuncts(e: &mut ProbabilityEngine, ls: &[Lineage]) -> Vec<LineageRef> {
-        let mut set = crate::InternedDisjunction::new();
+        let mut operands = Vec::new();
         for l in ls {
-            let r = e.intern(l);
-            set.insert(r, e.interner());
+            let root = e.intern(l);
+            match e.interner().node(root) {
+                InternedNode::Or(disjuncts) => operands.extend_from_slice(disjuncts),
+                _ => operands.push(root),
+            }
         }
-        set.operands().collect()
+        operands
     }
 
     #[test]
@@ -1455,7 +1459,7 @@ mod tests {
             lr in 0u32..3,
             draws in proptest::collection::vec(3u32..8, 1..6),
         ) {
-            // An active set's operands: distinct, in first-activation order.
+            // A span's roots: distinct s tuples, in activation order.
             let mut ls: Vec<u32> = Vec::new();
             for i in draws {
                 if !ls.contains(&i) {

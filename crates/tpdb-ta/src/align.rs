@@ -6,8 +6,9 @@
 //! restricted to the sub-interval — this tuple replication is the defining
 //! characteristic (and the main cost) of the alignment approach.
 
+use std::collections::HashMap;
 use tpdb_core::{BoundTheta, ThetaCondition};
-use tpdb_storage::{StorageError, TpRelation};
+use tpdb_storage::{StorageError, TpRelation, TpTuple, Value};
 use tpdb_temporal::{Interval, TimePoint};
 
 /// A fragment of an `r` tuple produced by temporal alignment.
@@ -33,7 +34,7 @@ pub fn align(
     theta: &ThetaCondition,
 ) -> Result<Vec<AlignedFragment>, StorageError> {
     let bound = theta.bind(r.schema(), s.schema())?;
-    Ok(align_bound(r, s, &bound, bound.is_equi_join()))
+    Ok(align_bound(r, s, &bound, true))
 }
 
 /// [`align`] with a pre-bound θ condition and an explicit plan choice:
@@ -46,63 +47,80 @@ pub fn align_bound(
     bound: &BoundTheta,
     use_hash: bool,
 ) -> Vec<AlignedFragment> {
-    // Hash partition of s on the equi-join key (only used when allowed).
-    let partitions: Option<std::collections::HashMap<Vec<tpdb_storage::Value>, Vec<usize>>> =
-        if use_hash && bound.is_equi_join() {
-            let mut map: std::collections::HashMap<_, Vec<usize>> =
-                std::collections::HashMap::new();
-            for (si, st) in s.iter().enumerate() {
-                map.entry(bound.right_key(st)).or_default().push(si);
-            }
-            Some(map)
-        } else {
-            None
-        };
-
-    let mut fragments = Vec::new();
-    let mut candidate_buf: Vec<usize> = Vec::new();
-    for (ri, rt) in r.iter().enumerate() {
-        let r_iv = rt.interval();
-        // Candidate s tuples for this r tuple.
-        candidate_buf.clear();
-        match &partitions {
-            Some(map) => {
-                if let Some(list) = map.get(&bound.left_key(rt)) {
-                    candidate_buf.extend_from_slice(list);
-                }
-            }
-            None => candidate_buf.extend(0..s.len()),
-        }
-        // Collect the boundaries of every matching s tuple that fall inside
-        // the r tuple's interval.
-        let mut boundaries: Vec<TimePoint> = vec![r_iv.start(), r_iv.end()];
-        let mut matching: Vec<Interval> = Vec::new();
-        for &si in &candidate_buf {
-            let st = s.tuple(si);
-            if !bound.matches(rt, st) {
-                continue;
-            }
-            let Some(overlap) = r_iv.intersect(&st.interval()) else {
-                continue;
-            };
-            matching.push(overlap);
-            boundaries.push(overlap.start());
-            boundaries.push(overlap.end());
-        }
-        boundaries.sort_unstable();
-        boundaries.dedup();
-        // One fragment per consecutive pair of boundaries.
-        for pair in boundaries.windows(2) {
-            let interval = Interval::new(pair[0], pair[1]);
-            let covered = matching.iter().any(|m| m.overlaps(&interval));
-            fragments.push(AlignedFragment {
-                r_idx: ri,
+    let matcher = Matcher::new(s, bound, use_hash);
+    let mut out = Vec::new();
+    for (r_idx, rt) in r.iter().enumerate() {
+        let matches = matcher.matches(rt);
+        for interval in fragments(rt.interval(), &matches) {
+            let covered = matches.iter().any(|(m, _)| m.overlaps(&interval));
+            out.push(AlignedFragment {
+                r_idx,
                 interval,
                 covered,
             });
         }
     }
-    fragments
+    out
+}
+
+/// Finds the θ-matching `s` tuples of an `r` tuple the way a DBMS does
+/// inside the alignment operator: through a hash partition of `s` on the
+/// equi-join key when allowed and θ is an equi-join, by comparing every
+/// pair otherwise.
+pub(crate) struct Matcher<'a> {
+    s: &'a TpRelation,
+    bound: &'a BoundTheta,
+    partitions: Option<HashMap<Vec<Value>, Vec<usize>>>,
+}
+
+impl<'a> Matcher<'a> {
+    pub(crate) fn new(s: &'a TpRelation, bound: &'a BoundTheta, use_hash: bool) -> Self {
+        let partitions = (use_hash && bound.is_equi_join()).then(|| {
+            let mut map: HashMap<_, Vec<usize>> = HashMap::new();
+            for (si, st) in s.iter().enumerate() {
+                map.entry(bound.right_key(st)).or_default().push(si);
+            }
+            map
+        });
+        Self {
+            s,
+            bound,
+            partitions,
+        }
+    }
+
+    /// The overlaps `rt.T ∩ s.T` with the θ-matching `s` tuples, with their
+    /// `s` index, in `s` order.
+    pub(crate) fn matches(&self, rt: &TpTuple) -> Vec<(Interval, usize)> {
+        let overlap = |si: usize| {
+            let st = self.s.tuple(si);
+            let overlap = rt.interval().intersect(&st.interval())?;
+            self.bound.matches(rt, st).then_some((overlap, si))
+        };
+        match &self.partitions {
+            Some(map) => {
+                let list = map.get(&self.bound.left_key(rt));
+                list.into_iter()
+                    .flatten()
+                    .filter_map(|&si| overlap(si))
+                    .collect()
+            }
+            None => (0..self.s.len()).filter_map(overlap).collect(),
+        }
+    }
+}
+
+/// The fragments of `r_iv`: one per consecutive pair of the boundaries of
+/// `r_iv` and of the `matches` inside it.
+pub(crate) fn fragments(
+    r_iv: Interval,
+    matches: &[(Interval, usize)],
+) -> impl Iterator<Item = Interval> {
+    let mut boundaries: Vec<TimePoint> = vec![r_iv.start(), r_iv.end()];
+    boundaries.extend(matches.iter().flat_map(|(m, _)| [m.start(), m.end()]));
+    boundaries.sort_unstable();
+    boundaries.dedup();
+    (1..boundaries.len()).map(move |i| Interval::new(boundaries[i - 1], boundaries[i]))
 }
 
 #[cfg(test)]

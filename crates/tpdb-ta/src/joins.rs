@@ -1,9 +1,10 @@
 //! End-to-end TP joins with negation computed via Temporal Alignment.
 //!
 //! The window sets are produced by the alignment-based routines of
-//! [`crate::windows`]; output tuples are then formed exactly as in the NJ
-//! approach (shared code in `tpdb_core::assemble_join_result`), so the two
-//! systems return identical results and differ only in how the windows are
+//! [`crate::windows`]: the same windows NJ computes, a negating window's
+//! `s` tuples listed in a span. Output tuples are then formed by NJ's own
+//! output formation (`tpdb_core::assemble_join_result`), so the two systems
+//! return identical results and differ only in how the windows are
 //! computed.
 //!
 //! Following the observation of the paper's evaluation (Section IV), the
@@ -13,7 +14,7 @@
 //! up to two orders of magnitude slower than NJ on the full TP outer join.
 
 use crate::windows::{ta_wuo_with_plan, ta_wuon_with_plan};
-use tpdb_core::{assemble_join_result, ThetaCondition, TpJoinKind, Window};
+use tpdb_core::{assemble_join_result, ThetaCondition, TpJoinKind, Window, WindowSet};
 use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{StorageError, TpRelation};
 
@@ -72,52 +73,35 @@ pub fn ta_join(
     theta: &ThetaCondition,
     kind: TpJoinKind,
 ) -> Result<TpRelation, StorageError> {
-    let mut engine = ProbabilityEngine::new();
-    r.register_probabilities(&mut engine);
-    s.register_probabilities(&mut engine);
-    ta_join_with_engine(r, s, theta, kind, &mut engine)
-}
-
-/// [`ta_join`] with an explicit probability engine.
-pub fn ta_join_with_engine(
-    r: &TpRelation,
-    s: &TpRelation,
-    theta: &ThetaCondition,
-    kind: TpJoinKind,
-    engine: &mut ProbabilityEngine,
-) -> Result<TpRelation, StorageError> {
-    // Validate θ against the schemas up front (the *_with_plan helpers
-    // expect a bindable condition).
-    theta.bind(r.schema(), s.schema())?;
+    let bound = theta.bind(r.schema(), s.schema())?;
 
     // The end-to-end TA plan cannot exploit θ: nested loops everywhere.
     let use_hash = false;
 
-    let left_windows: Vec<Window> = match kind {
-        TpJoinKind::Inner | TpJoinKind::RightOuter => ta_wuo_with_plan(r, s, theta, use_hash)
-            .into_iter()
-            .filter(|w| w.is_overlapping())
-            .collect(),
+    let left_windows: WindowSet = match kind {
+        TpJoinKind::Inner | TpJoinKind::RightOuter => {
+            let mut wuo = ta_wuo_with_plan(r, s, &bound, use_hash);
+            wuo.retain(Window::is_overlapping);
+            wuo.into()
+        }
         TpJoinKind::Anti | TpJoinKind::LeftOuter | TpJoinKind::FullOuter => {
-            ta_wuon_with_plan(r, s, theta, use_hash)
+            ta_wuon_with_plan(r, s, &bound, use_hash)
         }
     };
 
-    let right_windows: Vec<Window> = match kind {
+    let right_windows = match kind {
         TpJoinKind::RightOuter | TpJoinKind::FullOuter => {
-            ta_wuon_with_plan(s, r, &theta.flipped(), use_hash)
+            let flipped = theta.flipped().bind(s.schema(), r.schema())?;
+            ta_wuon_with_plan(s, r, &flipped, use_hash)
         }
-        _ => Vec::new(),
+        _ => WindowSet::default(),
     };
 
-    Ok(assemble_join_result(
-        r,
-        s,
-        kind,
-        &left_windows,
-        &right_windows,
-        engine,
-    ))
+    let mut engine = ProbabilityEngine::new();
+    r.register_probabilities(&mut engine);
+    s.register_probabilities(&mut engine);
+    let (left, right) = (&left_windows, &right_windows);
+    Ok(assemble_join_result(r, s, kind, left, right, &mut engine))
 }
 
 #[cfg(test)]

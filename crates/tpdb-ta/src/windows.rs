@@ -8,14 +8,16 @@
 //!   the unmatched sub-intervals.
 //! * [`ta_negating_windows`] aligns the positive relation yet again and then
 //!   re-scans the matching negative tuples for every aligned fragment to
-//!   assemble the disjunction `λs`.
+//!   list them in the fragment's span, whose disjunction is `λs`.
 //! * [`ta_wuon_windows`] unions the two results and has to eliminate the
 //!   unmatched windows that were computed twice.
 
-use crate::align::align_bound;
-use tpdb_core::{overlapping_windows_with_plan, OverlapJoinPlan, ThetaCondition, Window};
+use crate::align::{align_bound, fragments, Matcher};
+use tpdb_core::{
+    overlapping_windows_with_plan, BoundTheta, OverlapJoinPlan, Span, ThetaCondition, Window,
+    WindowSet,
+};
 use tpdb_storage::{StorageError, TpRelation};
-use tpdb_temporal::{Interval, TimePoint};
 
 /// Overlapping + unmatched windows (`WUO`), computed the TA way: the overlap
 /// join runs once for the overlapping windows and the alignment pass
@@ -27,21 +29,17 @@ pub fn ta_wuo_windows(
     theta: &ThetaCondition,
 ) -> Result<Vec<Window>, StorageError> {
     let bound = theta.bind(r.schema(), s.schema())?;
-    Ok(ta_wuo_with_plan(r, s, theta, bound.is_equi_join()))
+    Ok(ta_wuo_with_plan(r, s, &bound, true))
 }
 
 /// [`ta_wuo_windows`] with an explicit plan choice (`use_hash = false`
 /// forces nested loops, as in the end-to-end TA join).
-#[must_use]
-pub fn ta_wuo_with_plan(
+pub(crate) fn ta_wuo_with_plan(
     r: &TpRelation,
     s: &TpRelation,
-    theta: &ThetaCondition,
+    bound: &BoundTheta,
     use_hash: bool,
 ) -> Vec<Window> {
-    let bound = theta
-        .bind(r.schema(), s.schema())
-        .expect("θ condition must bind to the input schemas");
     // TA models the plan a conventional DBMS picks inside the alignment
     // operator: a hash join when θ is usable as an equi-join, nested loops
     // otherwise. (The sweep plan is NJ's; TA never gets it.)
@@ -53,25 +51,16 @@ pub fn ta_wuo_with_plan(
 
     // Pass 1: conventional overlap join — overlapping windows (and the
     // whole-interval unmatched windows of tuples with no match at all).
-    let mut windows: Vec<Window> = overlapping_windows_with_plan(r, s, &bound, plan)
-        .expect("plan is chosen to match θ")
-        .into_iter()
-        .filter(|w| w.is_overlapping())
-        .collect();
+    let mut windows =
+        overlapping_windows_with_plan(r, s, bound, plan).expect("plan is chosen to match θ");
+    windows.retain(Window::is_overlapping);
 
     // Pass 2: alignment — recompute the matches of every r tuple to find the
     // uncovered fragments, which become the unmatched windows.
-    let fragments = align_bound(r, s, &bound, use_hash);
-    for frag in fragments {
-        if !frag.covered {
-            let rt = r.tuple(frag.r_idx);
-            windows.push(Window::unmatched(
-                frag.interval,
-                frag.r_idx,
-                rt.lineage().clone(),
-            ));
-        }
-    }
+    let uncovered = align_bound(r, s, bound, use_hash)
+        .into_iter()
+        .filter(|frag| !frag.covered);
+    windows.extend(uncovered.map(|frag| Window::unmatched(frag.interval, frag.r_idx)));
 
     windows.sort_by_key(|w| (w.r_idx, w.interval.start(), w.interval.end()));
     windows
@@ -79,97 +68,50 @@ pub fn ta_wuo_with_plan(
 
 /// Negating windows computed the TA way: align the positive relation against
 /// the negative one and, for every covered fragment, re-scan the matching
-/// negative tuples to build the disjunction of their lineages.
+/// negative tuples to list them in the fragment's span.
 pub fn ta_negating_windows(
     r: &TpRelation,
     s: &TpRelation,
     theta: &ThetaCondition,
-) -> Result<Vec<Window>, StorageError> {
+) -> Result<WindowSet, StorageError> {
     let bound = theta.bind(r.schema(), s.schema())?;
-    Ok(ta_negating_with_plan(r, s, theta, bound.is_equi_join()))
+    Ok(ta_negating_with_plan(r, s, &bound, true))
 }
 
 /// [`ta_negating_windows`] with an explicit plan choice.
-#[must_use]
-pub fn ta_negating_with_plan(
+fn ta_negating_with_plan(
     r: &TpRelation,
     s: &TpRelation,
-    theta: &ThetaCondition,
+    bound: &BoundTheta,
     use_hash: bool,
-) -> Vec<Window> {
-    let bound = theta
-        .bind(r.schema(), s.schema())
-        .expect("θ condition must bind to the input schemas");
-
-    // Candidate lookup structure (hash partition of s on the equi-join key
-    // when the plan is allowed to exploit θ).
-    let partitions: Option<std::collections::HashMap<Vec<tpdb_storage::Value>, Vec<usize>>> =
-        if use_hash && bound.is_equi_join() {
-            let mut map: std::collections::HashMap<_, Vec<usize>> =
-                std::collections::HashMap::new();
-            for (si, st) in s.iter().enumerate() {
-                map.entry(bound.right_key(st)).or_default().push(si);
-            }
-            Some(map)
-        } else {
-            None
-        };
-
-    let mut out = Vec::new();
-    let mut candidates: Vec<usize> = Vec::new();
+) -> WindowSet {
+    let index = |i: usize| u32::try_from(i).expect("indices fit u32");
+    let matcher = Matcher::new(s, bound, use_hash);
+    let mut out = WindowSet::default();
     for (ri, rt) in r.iter().enumerate() {
-        let r_iv = rt.interval();
-        candidates.clear();
-        match &partitions {
-            Some(map) => {
-                if let Some(list) = map.get(&bound.left_key(rt)) {
-                    candidates.extend_from_slice(list);
-                }
-            }
-            None => candidates.extend(0..s.len()),
-        }
         // Re-derive the matching overlaps of this tuple (alignment pass),
         // replicating the overlap computation that LAWAN gets for free from
         // the already-computed overlapping windows.
-        let mut matches: Vec<(Interval, usize)> = Vec::new();
-        let mut boundaries: Vec<TimePoint> = vec![r_iv.start(), r_iv.end()];
-        for &si in &candidates {
-            let st = s.tuple(si);
-            if !bound.matches(rt, st) {
-                continue;
-            }
-            if let Some(overlap) = r_iv.intersect(&st.interval()) {
-                boundaries.push(overlap.start());
-                boundaries.push(overlap.end());
-                matches.push((overlap, si));
-            }
-        }
-        if matches.is_empty() {
-            continue;
-        }
-        boundaries.sort_unstable();
-        boundaries.dedup();
+        let matches = matcher.matches(rt);
         // One pass per fragment over the matches of the tuple: quadratic in
         // the per-tuple match count, which is TA's replication overhead.
-        for pair in boundaries.windows(2) {
-            let fragment = Interval::new(pair[0], pair[1]);
-            let disjuncts: Vec<tpdb_lineage::Lineage> = matches
+        for fragment in fragments(rt.interval(), &matches) {
+            let start = out.spans.len();
+            let covering = matches
                 .iter()
-                .filter(|(overlap, _)| overlap.contains(&fragment))
-                .map(|(_, si)| s.tuple(*si).lineage().clone())
-                .collect();
-            if disjuncts.is_empty() {
-                continue; // uncovered fragment: an unmatched window, not a negating one
+                .filter(|(overlap, _)| overlap.contains(&fragment));
+            out.spans.extend(covering.map(|&(_, si)| index(si)));
+            let len = index(out.spans.len() - start);
+            // An uncovered fragment is an unmatched window, not a negating one.
+            if len > 0 {
+                let span = Span {
+                    start: index(start),
+                    len,
+                };
+                out.windows.push(Window::negating(fragment, ri, span));
             }
-            out.push(Window::negating(
-                fragment,
-                ri,
-                rt.lineage().clone(),
-                tpdb_lineage::Lineage::or(disjuncts),
-            ));
         }
     }
-    out.sort_by_key(|w| (w.r_idx, w.interval.start(), w.interval.end()));
     out
 }
 
@@ -181,55 +123,36 @@ pub fn ta_wuon_windows(
     r: &TpRelation,
     s: &TpRelation,
     theta: &ThetaCondition,
-) -> Result<Vec<Window>, StorageError> {
+) -> Result<WindowSet, StorageError> {
     let bound = theta.bind(r.schema(), s.schema())?;
-    Ok(ta_wuon_with_plan(r, s, theta, bound.is_equi_join()))
+    Ok(ta_wuon_with_plan(r, s, &bound, true))
 }
 
 /// [`ta_wuon_windows`] with an explicit plan choice.
-#[must_use]
-pub fn ta_wuon_with_plan(
+pub(crate) fn ta_wuon_with_plan(
     r: &TpRelation,
     s: &TpRelation,
-    theta: &ThetaCondition,
+    bound: &BoundTheta,
     use_hash: bool,
-) -> Vec<Window> {
-    let wuo = ta_wuo_with_plan(r, s, theta, use_hash);
-    let negating = ta_negating_with_plan(r, s, theta, use_hash);
+) -> WindowSet {
+    let wuo = ta_wuo_with_plan(r, s, bound, use_hash);
+    let mut all = ta_negating_with_plan(r, s, bound, use_hash);
 
     // The negating computation re-derives the unmatched fragments as part of
     // its alignment pass; emulate TA's union by concatenating both results
     // (including those re-derived unmatched windows) and eliminating
     // duplicates afterwards.
-    let bound = theta
-        .bind(r.schema(), s.schema())
-        .expect("θ condition must bind to the input schemas");
-    let re_derived_unmatched: Vec<Window> = align_bound(r, s, &bound, use_hash)
+    let re_derived_unmatched = align_bound(r, s, bound, use_hash)
         .into_iter()
         .filter(|f| !f.covered)
-        .map(|f| Window::unmatched(f.interval, f.r_idx, r.tuple(f.r_idx).lineage().clone()))
-        .collect();
-
-    let mut all = wuo;
-    all.extend(re_derived_unmatched);
-    all.extend(negating);
-    all.sort_by(|a, b| {
-        (
-            a.r_idx,
-            a.interval.start(),
-            a.interval.end(),
-            a.kind as u8,
-            a.s_idx,
-        )
-            .cmp(&(
-                b.r_idx,
-                b.interval.start(),
-                b.interval.end(),
-                b.kind as u8,
-                b.s_idx,
-            ))
+        .map(|f| Window::unmatched(f.interval, f.r_idx));
+    all.windows.extend(wuo);
+    all.windows.extend(re_derived_unmatched);
+    all.windows.sort_by_key(|w| {
+        let (start, end) = (w.interval.start(), w.interval.end());
+        (w.r_idx, start, end, w.kind as u8, w.s_idx)
     });
-    all.dedup();
+    all.windows.dedup();
     all
 }
 
@@ -283,7 +206,8 @@ mod tests {
     }
 
     /// Canonical form for window-set comparison: ignore input ordering.
-    fn canon(mut ws: Vec<Window>) -> Vec<(usize, WindowKind, i64, i64)> {
+    fn canon(ws: &[Window]) -> Vec<(usize, WindowKind, i64, i64)> {
+        let mut ws = ws.to_vec();
         ws.sort_by_key(|w| {
             (
                 w.r_idx,
@@ -303,27 +227,25 @@ mod tests {
         let (a, b) = booking();
         let nj = lawau(&overlapping_windows(&a, &b, &theta()).unwrap(), &a);
         let ta = ta_wuo_windows(&a, &b, &theta()).unwrap();
-        assert_eq!(canon(nj), canon(ta));
+        assert_eq!(canon(&nj), canon(&ta));
     }
 
     #[test]
     fn ta_negating_matches_nj_negating_on_paper_example() {
         let (a, b) = booking();
-        let nj: Vec<Window> = lawan(&lawau(&overlapping_windows(&a, &b, &theta()).unwrap(), &a))
-            .into_iter()
-            .filter(|w| w.is_negating())
-            .collect();
+        let nj = lawan(&lawau(&overlapping_windows(&a, &b, &theta()).unwrap(), &a));
         let ta = ta_negating_windows(&a, &b, &theta()).unwrap();
-        assert_eq!(canon(nj), canon(ta.clone()));
-        // λs of the [5,6) window must be a two-way disjunction in both
-        let w = ta
-            .iter()
-            .find(|w| w.interval == Interval::new(5, 6))
-            .unwrap();
-        match w.lambda_s.as_ref().unwrap().node() {
-            tpdb_lineage::LineageNode::Or(cs) => assert_eq!(cs.len(), 2),
-            other => panic!("expected Or, got {other:?}"),
-        }
+        let negating: Vec<Window> = nj.iter().copied().filter(Window::is_negating).collect();
+        assert_eq!(canon(&negating), canon(&ta));
+        // λs of the [5,6) window disjoins the same two s tuples in both
+        let span = |set: &WindowSet| {
+            let w = set.iter().find(|w| w.interval == Interval::new(5, 6));
+            let mut span = w.unwrap().span.of(&set.spans).to_vec();
+            span.sort_unstable();
+            span
+        };
+        assert_eq!(span(&ta), [1, 2]);
+        assert_eq!(span(&nj), span(&ta));
     }
 
     #[test]
@@ -331,7 +253,7 @@ mod tests {
         let (a, b) = booking();
         let nj = lawan(&lawau(&overlapping_windows(&a, &b, &theta()).unwrap(), &a));
         let ta = ta_wuon_windows(&a, &b, &theta()).unwrap();
-        assert_eq!(canon(nj), canon(ta));
+        assert_eq!(canon(&nj), canon(&ta));
     }
 
     #[test]
@@ -346,8 +268,9 @@ mod tests {
     #[test]
     fn nested_loop_plan_produces_identical_windows() {
         let (a, b) = booking();
-        let hash = ta_wuon_with_plan(&a, &b, &theta(), true);
-        let nl = ta_wuon_with_plan(&a, &b, &theta(), false);
-        assert_eq!(canon(hash), canon(nl));
+        let bound = theta().bind(a.schema(), b.schema()).unwrap();
+        let hash = ta_wuon_with_plan(&a, &b, &bound, true);
+        let nl = ta_wuon_with_plan(&a, &b, &bound, false);
+        assert_eq!(canon(&hash), canon(&nl));
     }
 }

@@ -91,8 +91,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let windows = overlapping_windows(&a, &b, &theta)?;
     let wuon = lawan(&lawau(&windows, &a));
     println!("generalized lineage-aware temporal windows of a with respect to b:");
-    for w in &wuon {
-        println!("  {}", w.display_with(&a, &b, session.catalog().symbols()));
+    for w in wuon.iter() {
+        let symbols = session.catalog().symbols();
+        println!("  {}", w.display_with(&a, &b, &wuon.spans, symbols));
     }
     Ok(())
 }

@@ -87,13 +87,19 @@ fn window_sets_match_fig_2() {
         3
     );
 
-    // The negating window over [5,6) carries λs = b3 ∨ b2.
+    // The negating window over [5,6) lists hotel1 (b3) and hotel2 (b2),
+    // in activation order: λs = b3 ∨ b2.
     let w6 = wuon
         .iter()
         .find(|w| w.kind == WindowKind::Negating && w.interval == Interval::new(5, 6))
         .unwrap();
-    let vars = w6.lambda_s.as_ref().unwrap().vars();
-    assert_eq!(vars.len(), 2);
+    let hotels: Vec<&Value> = w6
+        .span
+        .of(&wuon.spans)
+        .iter()
+        .map(|&si| b.tuple(si as usize).fact(0))
+        .collect();
+    assert_eq!(hotels, [&Value::str("hotel1"), &Value::str("hotel2")]);
 }
 
 #[test]

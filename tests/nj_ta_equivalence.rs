@@ -121,6 +121,58 @@ fn equivalence_with_asymmetric_cardinalities() {
     assert_equivalent(&r, &s, &theta, "asymmetric");
 }
 
+/// A negative tuple whose lineage is a constant: `⊥` exists in no possible
+/// world and `⊤` in every one, but either is a θ-matching tuple over its
+/// interval, so LAWAU counts that interval as covered and LAWAN must emit a
+/// negating window over it — alone, and next to a variable. Under `⊥` the
+/// anti join keeps `x0` over [2,5) at `p(x0)`, the possible-worlds answer;
+/// under `⊤` it keeps a row of probability 0. `EXCEPT` (the anti join under
+/// all-column equality) agrees with TA's anti join.
+#[test]
+fn equivalence_with_constant_negative_lineages() {
+    use tpdb::core::{all_columns_equal, tp_difference, tp_join, TpJoinKind};
+    use tpdb::lineage::{Lineage, VarId};
+    use tpdb::storage::{DataType, Schema, TpTuple, Value};
+    use tpdb::temporal::Interval;
+    let relation = |name: &str, rows: &[(Lineage, i64, i64, f64)]| {
+        let mut rel = TpRelation::new(name, Schema::tp(&[("k", DataType::Int)]));
+        for (lineage, from, to, p) in rows {
+            let interval = Interval::new(*from, *to);
+            let tuple = TpTuple::new(vec![Value::Int(1)], lineage.clone(), interval, *p);
+            rel.push(tuple).unwrap();
+        }
+        rel
+    };
+    let r = relation("r", &[(Lineage::var(VarId(0)), 0, 10, 0.5)]);
+    let theta = ThetaCondition::column_equals("k", "k");
+    for (constant, p) in [(Lineage::fls(), 0.0), (Lineage::tru(), 1.0)] {
+        let alone = relation("s", &[(constant.clone(), 2, 5, p)]);
+        let beside = relation(
+            "s",
+            &[
+                (constant.clone(), 2, 5, p),
+                (Lineage::var(VarId(1)), 4, 8, 0.4),
+            ],
+        );
+        for s in [&alone, &beside] {
+            let label = format!("{constant} negative ({} tuples)", s.len());
+            assert_equivalent(&r, s, &theta, &label);
+            let except = tp_difference(&r, s).unwrap();
+            let anti = ta_anti_join(&r, s, &all_columns_equal(&r, s).unwrap()).unwrap();
+            assert_eq!(canon(&except), canon(&anti), "EXCEPT, {label}");
+        }
+        let anti = tp_join(&r, &alone, &theta, TpJoinKind::Anti).unwrap();
+        let over = |from, to| {
+            let row = anti
+                .iter()
+                .find(|t| t.interval() == Interval::new(from, to));
+            row.map(|t| t.probability())
+        };
+        assert_eq!(anti.len(), 3, "{constant}: {anti}");
+        assert_eq!(over(2, 5), Some(0.5 * (1.0 - p)), "{constant}");
+    }
+}
+
 /// Order-independent checksum of a result's
 /// `(facts, interval, probability.to_bits())` rows: FNV-1a per row, summed.
 fn bits_checksum(rel: &TpRelation) -> (usize, u64) {
