@@ -11,12 +11,12 @@
 //!
 //! The NJ implementation executes the whole computation as a **streaming
 //! pipeline**: the overlap join produces windows one `r`-tuple group at a
-//! time ([`OverlapWindowStream`]), the LAWAU and LAWAN adaptors extend each
-//! group in place, and output tuples are formed as the windows come out —
-//! no intermediate window vector is ever materialized.
+//! time ([`OverlapWindowStream`](crate::OverlapWindowStream)), the LAWAU
+//! and LAWAN adaptors extend each group in place, and output tuples are
+//! formed as the windows come out — no intermediate window vector is ever
+//! materialized.
 
 use crate::optable::{LineageFn, PassSpec, TpOp};
-use crate::overlap::OverlapJoinPlan;
 use crate::stream::registered_engine;
 use crate::theta::ThetaCondition;
 use crate::window::{Window, WindowKind, WindowSet};
@@ -110,7 +110,7 @@ pub fn tp_join(
     theta: &ThetaCondition,
     kind: TpJoinKind,
 ) -> Result<TpRelation, StorageError> {
-    tp_join_with_plan(r, s, theta, kind, None)
+    tp_join_with_engine(r, s, theta, kind, &mut registered_engine(r, s))
 }
 
 /// [`tp_join`] under its former parallel name: a serial alias that ignores
@@ -136,27 +136,13 @@ pub fn tp_join_parallel(
     tp_join(r, s, theta, kind)
 }
 
-/// [`tp_join`] with an explicitly chosen overlap-join plan (`None` lets the
-/// engine pick: sweep for equi-joins, nested loop otherwise).
-///
-/// # Errors
-///
-/// Returns [`StorageError::PlanNotApplicable`] when a hash or sweep plan is
-/// forced but θ is not a pure equi-join.
-pub fn tp_join_with_plan(
-    r: &TpRelation,
-    s: &TpRelation,
-    theta: &ThetaCondition,
-    kind: TpJoinKind,
-    plan: Option<OverlapJoinPlan>,
-) -> Result<TpRelation, StorageError> {
-    let mut engine = registered_engine(r, s);
-    tp_join_with_engine_and_plan(r, s, theta, kind, plan, &mut engine)
-}
-
 /// Computes any TP join with negation using an explicit probability engine.
 /// Use this variant when the inputs are themselves derived relations whose
 /// compound lineages reference base tuples not present in `r`/`s`.
+///
+/// This is the fully streaming NJ join — overlap join → LAWAU → LAWAN →
+/// output formation — drained: build [`crate::TpJoinStream`] directly to
+/// consume output tuples lazily instead.
 pub fn tp_join_with_engine(
     r: &TpRelation,
     s: &TpRelation,
@@ -164,26 +150,7 @@ pub fn tp_join_with_engine(
     kind: TpJoinKind,
     engine: &mut ProbabilityEngine,
 ) -> Result<TpRelation, StorageError> {
-    tp_join_with_engine_and_plan(r, s, theta, kind, None, engine)
-}
-
-/// The fully streaming NJ join: overlap join → LAWAU → LAWAN → output
-/// formation, with output tuples formed as windows leave the pipeline.
-///
-/// This is the drain-everything entry point over [`crate::TpJoinStream`];
-/// build the stream directly to consume output tuples lazily instead.
-pub fn tp_join_with_engine_and_plan(
-    r: &TpRelation,
-    s: &TpRelation,
-    theta: &ThetaCondition,
-    kind: TpJoinKind,
-    plan: Option<OverlapJoinPlan>,
-    engine: &mut ProbabilityEngine,
-) -> Result<TpRelation, StorageError> {
-    Ok(
-        crate::TpJoinStream::with_engine_and_plan(r, s, theta, kind, plan, engine)?
-            .collect_relation(),
-    )
+    Ok(crate::TpJoinStream::with_engine(r, s, theta, kind, engine)?.collect_relation())
 }
 
 /// Forms the output relation of a TP join from already-computed window sets.

@@ -13,9 +13,9 @@
 //! 1. [`overlapping_windows`] — a conventional outer join with the overlap
 //!    predicate `θo ∧ θ`, producing the overlapping windows `WO(r;s,θ)` and
 //!    the whole-interval unmatched windows,
-//! 2. [`lawau`] — a sweep over each `r` tuple's windows filling the
+//! 2. [`lawau()`] — a sweep over each `r` tuple's windows filling the
 //!    uncovered gaps with the remaining unmatched windows `WU(r;s,θ)`,
-//! 3. [`lawan`] — a sweep with a priority queue of ending points producing
+//! 3. [`lawan()`] — a sweep with a priority queue of ending points producing
 //!    the negating windows `WN(r;s,θ)`.
 //!
 //! A [`Window`] carries tuple indices, not lineage: `r_idx`, the `s_idx` of
@@ -28,13 +28,14 @@
 //! TA baseline uses.
 //!
 //! The [`tp_join`] family executes all of this as a **streaming pipeline**:
-//! [`OverlapWindowStream`] (an endpoint-sorted sweep join by default — see
+//! [`OverlapWindowStream`] (an endpoint-sorted sweep join when θ is an
+//! equi-join, a nested loop otherwise: θ alone decides the
 //! [`OverlapJoinPlan`]) yields windows one `r`-tuple group at a time,
 //! already grouped and start-ordered; [`LawauStream`] and [`LawanStream`]
 //! extend each group in place; and output tuples are formed as the windows
-//! leave the pipeline. The materializing entry points ([`lawau`],
-//! [`lawan`], [`overlapping_windows`]) remain available for callers that
-//! need whole window sets; [`lawan`] returns a [`WindowSet`], the windows
+//! leave the pipeline. The materializing entry points ([`lawau()`],
+//! [`lawan()`], [`overlapping_windows`]) remain available for callers that
+//! need whole window sets; [`lawan()`] returns a [`WindowSet`], the windows
 //! with the span buffer of their negating windows.
 //!
 //! Every statement runs as one such pass on the caller's thread; the crate
@@ -106,15 +107,11 @@ pub(crate) mod tree_reference;
 
 pub use join::{
     assemble_join_result, tp_anti_join, tp_full_outer_join, tp_inner_join, tp_join,
-    tp_join_parallel, tp_join_with_engine, tp_join_with_engine_and_plan, tp_join_with_plan,
-    tp_left_outer_join, tp_right_outer_join, TpJoinKind,
+    tp_join_parallel, tp_join_with_engine, tp_left_outer_join, tp_right_outer_join, TpJoinKind,
 };
 pub use lawan::lawan;
 pub use lawau::lawau;
-pub use overlap::{
-    auto_plan, overlapping_windows, overlapping_windows_with_plan, OverlapJoinPlan,
-    OverlapWindowStream,
-};
+pub use overlap::{auto_plan, overlapping_windows, OverlapJoinPlan, OverlapWindowStream};
 pub use pipeline::{LawanStream, LawauStream, WindowGroups};
 pub use setops::{
     all_columns_equal, check_union_compatible, tp_difference, tp_intersection, tp_union,

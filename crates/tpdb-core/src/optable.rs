@@ -3,7 +3,7 @@
 //! Table II of the paper defines each TP join with negation as a union of
 //! window sets — `WO`, `WU`, `WN` of `r;s` and `WU`, `WN` of `s;r` — with
 //! one lineage-concatenation function per window class, and the set
-//! operations of its reference [1] ride the same windows. This module is
+//! operations of its reference \[1\] ride the same windows. This module is
 //! the one place that states it: per operator, its passes as *(flipped?,
 //! pipeline depth, lineage function per accepted window class, fact
 //! layout)*.

@@ -15,21 +15,21 @@
 //!
 //! ## Physical plans and output order
 //!
-//! All three plans probe the `r` tuples in index order and emit each probe's
-//! windows sorted by `(start, end)`, so the join output is always **grouped
-//! by `r_idx` and ordered by window start within each group** — the order
-//! LAWAU and LAWAN consume — without any global re-sort of the joined
-//! windows:
+//! θ alone decides the plan ([`auto_plan`]); nothing else can choose one:
 //!
-//! * [`OverlapJoinPlan::Sweep`] (the default for equi-joins) partitions `s`
+//! * [`OverlapJoinPlan::Sweep`] runs every pure equi-join. It partitions `s`
 //!   on the equi-join key and sorts each partition by interval start once
 //!   ([`SortedIntervalIndex`]); a probe binary-searches the first possibly
 //!   overlapping candidate and scans forward until the candidates start past
 //!   the probe interval, yielding intersections with non-decreasing starts.
-//! * [`OverlapJoinPlan::Hash`] partitions `s` on the equi-join key and scans
-//!   the whole partition per probe (the plan the TA baseline's DBMS picks).
-//! * [`OverlapJoinPlan::NestedLoop`] compares every pair; the only plan
-//!   applicable to non-equi θ conditions.
+//! * [`OverlapJoinPlan::NestedLoop`] runs every other θ: it compares each
+//!   probe with all of `s`.
+//!
+//! Both plans probe the `r` tuples in index order and emit each probe's
+//! windows sorted by `(start, end)`, so the join output is always **grouped
+//! by `r_idx` and ordered by window start within each group** — the order
+//! LAWAU and LAWAN consume — without any global re-sort of the joined
+//! windows.
 //!
 //! [`OverlapWindowStream`] exposes the same join as an iterator producing
 //! one `r`-tuple group at a time, which is what lets the full window
@@ -45,76 +45,43 @@ use std::fmt;
 use tpdb_storage::{StorageError, TpRelation, TpTuple, Value};
 use tpdb_temporal::{SortedIntervalIndex, SortedIntervalIndexBuilder};
 
-/// Which physical plan the overlap join uses.
-///
-/// The keyed plans (sweep, hash) require a pure equi-join θ. Forcing a
-/// keyed plan on a non-equi θ is a loud error, never a silent downgrade:
+/// The physical plan of an overlap join, as [`auto_plan`] decides it from
+/// θ: what `EXPLAIN` prints as `plan=…`.
 ///
 /// ```
-/// use tpdb_core::{overlapping_windows_with_plan, OverlapJoinPlan, ThetaCondition};
+/// use tpdb_core::{auto_plan, CompareOp, OverlapJoinPlan, ThetaCondition};
 ///
 /// let (a, b) = tpdb_datagen::booking_example();
-/// let equi = ThetaCondition::column_equals("Loc", "Loc")
-///     .bind(a.schema(), b.schema())
-///     .unwrap();
-/// let non_equi = ThetaCondition::always().bind(a.schema(), b.schema()).unwrap();
+/// let equi = ThetaCondition::column_equals("Loc", "Loc");
+/// let non_equi = equi.clone().and_compare("Name", CompareOp::Lt, "Hotel");
+/// let plan = |theta: &ThetaCondition| auto_plan(&theta.bind(a.schema(), b.schema()).unwrap());
 ///
-/// // the sweep runs on the equi-join ...
-/// assert!(overlapping_windows_with_plan(&a, &b, &equi, OverlapJoinPlan::Sweep).is_ok());
-/// // ... and refuses the non-equi θ instead of silently degrading
-/// assert!(overlapping_windows_with_plan(&a, &b, &non_equi, OverlapJoinPlan::Sweep).is_err());
+/// assert_eq!(plan(&equi), OverlapJoinPlan::Sweep);
+/// assert_eq!(plan(&non_equi), OverlapJoinPlan::NestedLoop);
+/// assert_eq!(plan(&non_equi).to_string(), "nested-loop");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OverlapJoinPlan {
-    /// Hash-partition `s` on the equi-join key, scan the whole partition per
-    /// probe. Only applicable when θ is a pure conjunction of equalities.
-    Hash,
-    /// Compare every pair of tuples. Always applicable.
+    /// Compare every pair of tuples: the plan of any θ that is not a pure
+    /// equi-join.
     NestedLoop,
     /// Hash-partition `s` on the equi-join key and sort each partition by
     /// interval start; probe with a binary search plus bounded forward scan.
-    /// Only applicable when θ is a pure conjunction of equalities. This is
-    /// the default plan for equi-joins.
+    /// The plan of every pure equi-join.
     Sweep,
-}
-
-impl OverlapJoinPlan {
-    /// Short lower-case plan name (used in `EXPLAIN` output and benchmark
-    /// series labels).
-    #[must_use]
-    pub fn label(&self) -> &'static str {
-        match self {
-            OverlapJoinPlan::Hash => "hash",
-            OverlapJoinPlan::NestedLoop => "nested-loop",
-            OverlapJoinPlan::Sweep => "sweep",
-        }
-    }
-
-    /// Does the plan require θ to be a pure equi-join?
-    #[must_use]
-    pub fn requires_equi_join(&self) -> bool {
-        !matches!(self, OverlapJoinPlan::NestedLoop)
-    }
-
-    /// The error returned when this plan is forced on a θ it cannot execute.
-    fn not_applicable(self) -> StorageError {
-        StorageError::PlanNotApplicable {
-            plan: self.label().to_owned(),
-            reason: "the overlap-join plan requires a pure equi-join θ condition; \
-                     use the nested-loop plan for general θ"
-                .to_owned(),
-        }
-    }
 }
 
 impl fmt::Display for OverlapJoinPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.label())
+        f.write_str(match self {
+            OverlapJoinPlan::NestedLoop => "nested-loop",
+            OverlapJoinPlan::Sweep => "sweep",
+        })
     }
 }
 
-/// The plan [`overlapping_windows`] picks automatically: sweep when θ is a
-/// pure equi-join, nested loop otherwise.
+/// The plan an overlap join under θ runs: sweep when θ is a pure equi-join,
+/// nested loop otherwise.
 #[must_use]
 pub fn auto_plan(bound: &BoundTheta) -> OverlapJoinPlan {
     if bound.is_equi_join() {
@@ -126,33 +93,13 @@ pub fn auto_plan(bound: &BoundTheta) -> OverlapJoinPlan {
 
 /// Computes the overlapping windows of `r` with respect to `s` under θ,
 /// together with the whole-interval unmatched windows of `r` tuples that
-/// match nothing. The plan is chosen automatically ([`auto_plan`]).
+/// match nothing.
 pub fn overlapping_windows(
     r: &TpRelation,
     s: &TpRelation,
     theta: &ThetaCondition,
 ) -> Result<Vec<Window>, StorageError> {
-    let bound = theta.bind(r.schema(), s.schema())?;
-    overlapping_windows_with_plan(r, s, &bound, auto_plan(&bound))
-}
-
-/// Computes the overlapping + whole-interval unmatched windows with an
-/// explicitly chosen plan (exposed for the planner and the ablation
-/// benchmarks).
-///
-/// # Errors
-///
-/// Returns [`StorageError::PlanNotApplicable`] when a hash or sweep plan is
-/// forced but θ is not a pure equi-join. A forced plan never silently
-/// downgrades to a nested loop — callers that report which plan ran can
-/// trust that it actually did.
-pub fn overlapping_windows_with_plan(
-    r: &TpRelation,
-    s: &TpRelation,
-    bound: &BoundTheta,
-    plan: OverlapJoinPlan,
-) -> Result<Vec<Window>, StorageError> {
-    Ok(OverlapWindowStream::with_plan(r, s, bound.clone(), plan)?.collect())
+    Ok(OverlapWindowStream::new(r, s, theta)?.collect())
 }
 
 /// The build-side structure of the overlap join, built once per pass and
@@ -160,22 +107,14 @@ pub fn overlapping_windows_with_plan(
 enum ProbeIndex {
     /// Per-key partitions sorted by interval start.
     Sweep(HashMap<Vec<Value>, SortedIntervalIndex>),
-    /// Per-key partitions in `s` index order.
-    Hash(HashMap<Vec<Value>, Vec<usize>>),
     /// No index: every probe scans all of `s`.
     NestedLoop,
 }
 
 impl ProbeIndex {
-    fn build(
-        s: &TpRelation,
-        bound: &BoundTheta,
-        plan: OverlapJoinPlan,
-    ) -> Result<Self, StorageError> {
-        if plan.requires_equi_join() && !bound.is_equi_join() {
-            return Err(plan.not_applicable());
-        }
-        Ok(match plan {
+    /// Builds the index of the plan θ decides ([`auto_plan`]).
+    fn build(s: &TpRelation, bound: &BoundTheta) -> Self {
+        match auto_plan(bound) {
             OverlapJoinPlan::Sweep => {
                 let mut builders: HashMap<Vec<Value>, SortedIntervalIndexBuilder> = HashMap::new();
                 for (si, st) in s.iter().enumerate() {
@@ -186,17 +125,9 @@ impl ProbeIndex {
                 }
                 ProbeIndex::Sweep(builders.into_iter().map(|(k, b)| (k, b.finish())).collect())
             }
-            OverlapJoinPlan::Hash => {
-                let mut partitions: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
-                for (si, st) in s.iter().enumerate() {
-                    partitions.entry(bound.right_key(st)).or_default().push(si);
-                }
-                ProbeIndex::Hash(partitions)
-            }
             OverlapJoinPlan::NestedLoop => ProbeIndex::NestedLoop,
-        })
+        }
     }
-
     /// Appends the windows of the probe tuple `r[ri]` to `out`, sorted by
     /// `(start, end)`: its overlapping windows, or one whole-interval
     /// unmatched window when nothing matches. Each window is written once,
@@ -231,17 +162,6 @@ impl ProbeIndex {
                     }
                 }
             }
-            ProbeIndex::Hash(partitions) => {
-                let candidates = partitions.get(&bound.left_key(rt));
-                for &si in candidates.into_iter().flatten() {
-                    let st = s.tuple(si);
-                    if let Some(inter) = r_iv.intersect(&st.interval()) {
-                        if bound.matches(rt, st) {
-                            emit(inter, si);
-                        }
-                    }
-                }
-            }
             ProbeIndex::NestedLoop => {
                 for (si, st) in s.iter().enumerate() {
                     if let Some(inter) = r_iv.intersect(&st.interval()) {
@@ -256,9 +176,8 @@ impl ProbeIndex {
             out.push_back(Window::unmatched(r_iv, ri));
         } else {
             // The sweep plan already yields non-decreasing intersection
-            // starts, so this is a near-no-op run detection; the hash and
-            // nested-loop plans emit in s-index order and genuinely sort
-            // here. Either way the sort is per probe group, never a global
+            // starts, so this is a near-no-op run detection; the nested
+            // loop emits in s-index order and genuinely sorts here. Either way the sort is per probe group, never a global
             // re-sort of the join output. (The buffer only ever grows from
             // a cleared state, so it is already contiguous.)
             out.make_contiguous()[from..].sort_by_key(|w| (w.interval.start(), w.interval.end()));
@@ -289,36 +208,24 @@ pub struct OverlapWindowStream<R: Borrow<TpRelation>, S: Borrow<TpRelation>> {
 }
 
 impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
-    /// Creates the stream with the automatically chosen plan
-    /// ([`auto_plan`]).
+    /// Creates the stream under θ; the plan is θ's ([`auto_plan`]).
     pub fn new(r: R, s: S, theta: &ThetaCondition) -> Result<Self, StorageError> {
         let bound = theta.bind(r.borrow().schema(), s.borrow().schema())?;
-        let plan = auto_plan(&bound);
-        Self::with_plan(r, s, bound, plan)
+        Ok(Self::from_bound(r, s, bound))
     }
 
-    /// Creates the stream with an explicitly chosen plan. The probe index
-    /// is built here.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::PlanNotApplicable`] when a hash or sweep plan
-    /// is forced but θ is not a pure equi-join.
-    pub fn with_plan(
-        r: R,
-        s: S,
-        bound: BoundTheta,
-        plan: OverlapJoinPlan,
-    ) -> Result<Self, StorageError> {
-        let index = ProbeIndex::build(s.borrow(), &bound, plan)?;
-        Ok(Self {
+    /// Creates the stream under an already bound θ. The probe index is
+    /// built here.
+    pub(crate) fn from_bound(r: R, s: S, bound: BoundTheta) -> Self {
+        let index = ProbeIndex::build(s.borrow(), &bound);
+        Self {
             r,
             s,
             bound,
             index,
             next_probe: 0,
             ready: VecDeque::new(),
-        })
+        }
     }
 }
 
@@ -375,40 +282,26 @@ mod tests {
         assert_eq!(unmatched[0].interval, Interval::new(7, 10));
     }
 
-    /// Canonical window order for plan-agreement comparisons (plans may
-    /// legitimately order windows with identical intervals differently).
-    fn canon(mut ws: Vec<Window>) -> Vec<Window> {
-        ws.sort_by_key(|w| (w.r_idx, w.interval.start(), w.interval.end(), w.s_idx));
-        ws
-    }
-
     #[test]
-    fn all_plans_agree() {
+    fn both_probe_indexes_agree_on_one_theta() {
+        // θ builds the sweep index; the nested loop runs over the same θ.
         let (a, b, _) = booking_relations();
         let theta = ThetaCondition::column_equals("Loc", "Loc");
         let bound = theta.bind(a.schema(), b.schema()).unwrap();
-        let hash = overlapping_windows_with_plan(&a, &b, &bound, OverlapJoinPlan::Hash).unwrap();
-        let nl =
-            overlapping_windows_with_plan(&a, &b, &bound, OverlapJoinPlan::NestedLoop).unwrap();
-        let sweep = overlapping_windows_with_plan(&a, &b, &bound, OverlapJoinPlan::Sweep).unwrap();
-        assert_eq!(hash, nl);
-        assert_eq!(canon(sweep), canon(hash));
-    }
-
-    #[test]
-    fn forced_hash_or_sweep_on_non_equi_theta_is_an_error() {
-        let (a, b, _) = booking_relations();
-        let theta = ThetaCondition::always().and_compare("Loc", CompareOp::Lt, "Loc");
-        let bound = theta.bind(a.schema(), b.schema()).unwrap();
-        for plan in [OverlapJoinPlan::Hash, OverlapJoinPlan::Sweep] {
-            let err = overlapping_windows_with_plan(&a, &b, &bound, plan).unwrap_err();
-            match err {
-                StorageError::PlanNotApplicable { plan: p, .. } => assert_eq!(p, plan.label()),
-                other => panic!("expected PlanNotApplicable, got {other:?}"),
-            }
+        let sweep = ProbeIndex::build(&b, &bound);
+        assert!(matches!(sweep, ProbeIndex::Sweep(_)));
+        for (ri, rt) in a.iter().enumerate() {
+            let (mut by_sweep, mut by_loop) = (VecDeque::new(), VecDeque::new());
+            sweep.probe_into(ri, rt, &b, &bound, &mut by_sweep);
+            ProbeIndex::NestedLoop.probe_into(ri, rt, &b, &bound, &mut by_loop);
+            assert_eq!(by_sweep, by_loop, "r[{ri}]");
         }
-        // the nested loop still runs
-        assert!(overlapping_windows_with_plan(&a, &b, &bound, OverlapJoinPlan::NestedLoop).is_ok());
+        let non_equi = theta.and_compare("Name", CompareOp::Lt, "Hotel");
+        let bound = non_equi.bind(a.schema(), b.schema()).unwrap();
+        assert!(matches!(
+            ProbeIndex::build(&b, &bound),
+            ProbeIndex::NestedLoop
+        ));
     }
 
     #[test]
@@ -490,15 +383,5 @@ mod tests {
         let mut sorted = keys.clone();
         sorted.sort();
         assert_eq!(keys, sorted);
-    }
-
-    #[test]
-    fn plan_labels_and_applicability() {
-        assert_eq!(OverlapJoinPlan::Sweep.to_string(), "sweep");
-        assert_eq!(OverlapJoinPlan::Hash.to_string(), "hash");
-        assert_eq!(OverlapJoinPlan::NestedLoop.to_string(), "nested-loop");
-        assert!(OverlapJoinPlan::Sweep.requires_equi_join());
-        assert!(OverlapJoinPlan::Hash.requires_equi_join());
-        assert!(!OverlapJoinPlan::NestedLoop.requires_equi_join());
     }
 }

@@ -3,7 +3,7 @@
 //! The generalized lineage-aware temporal windows of this crate were
 //! introduced as the TP-join counterpart of the window mechanism the same
 //! authors used for *set operations* in temporal-probabilistic databases
-//! (Papaioannou, Theobald, Böhlen — ICDE 2018, reference [1] of the paper).
+//! (Papaioannou, Theobald, Böhlen — ICDE 2018, reference \[1\] of the paper).
 //! This module closes the loop and expresses the three TP set operations on
 //! union-compatible relations through the join machinery:
 //!
@@ -26,7 +26,6 @@
 //! besides the output itself.
 
 use crate::optable::TpOp;
-use crate::overlap::OverlapJoinPlan;
 use crate::stream::{registered_engine, TpJoinStream};
 use crate::theta::ThetaCondition;
 use std::borrow::{Borrow, BorrowMut};
@@ -178,23 +177,11 @@ where
     S: Borrow<TpRelation> + Clone,
 {
     /// Creates the stream with an owned probability engine preloaded with
-    /// the base-tuple probabilities of the two inputs, and the
-    /// automatically chosen overlap-join plan (sweep — the all-attribute
-    /// equality θ is always an equi-join).
+    /// the base-tuple probabilities of the two inputs. The all-attribute
+    /// equality θ is an equi-join, so the overlap joins run the sweep.
     pub fn new(r: R, s: S, kind: TpSetOpKind) -> Result<Self, StorageError> {
-        Self::with_plan(r, s, kind, None)
-    }
-
-    /// [`TpSetOpStream::new`] with an explicitly chosen overlap-join plan
-    /// (`None` lets the engine pick).
-    pub fn with_plan(
-        r: R,
-        s: S,
-        kind: TpSetOpKind,
-        plan: Option<OverlapJoinPlan>,
-    ) -> Result<Self, StorageError> {
         let engine = registered_engine(r.borrow(), s.borrow());
-        Self::with_engine_and_plan(r, s, kind, plan, engine)
+        Self::with_engine(r, s, kind, engine)
     }
 }
 
@@ -205,25 +192,17 @@ where
     E: BorrowMut<ProbabilityEngine>,
 {
     /// Creates the stream with an explicit probability engine (owned or
-    /// `&mut`-borrowed) and an optional forced overlap-join plan. Use this
-    /// variant when the inputs are derived relations whose compound
-    /// lineages reference base tuples not present in `r`/`s`.
+    /// `&mut`-borrowed). Use this variant when the inputs are derived
+    /// relations whose compound lineages reference base tuples not present
+    /// in `r`/`s`.
     ///
     /// # Errors
     ///
     /// [`StorageError::ArityMismatch`] / [`StorageError::UnionIncompatible`]
-    /// when the inputs are not union-compatible;
-    /// [`StorageError::PlanNotApplicable`] never occurs for the automatic
-    /// plan (the all-attribute equality θ is an equi-join).
-    pub fn with_engine_and_plan(
-        r: R,
-        s: S,
-        kind: TpSetOpKind,
-        plan: Option<OverlapJoinPlan>,
-        engine: E,
-    ) -> Result<Self, StorageError> {
+    /// when the inputs are not union-compatible.
+    pub fn with_engine(r: R, s: S, kind: TpSetOpKind, engine: E) -> Result<Self, StorageError> {
         let theta = all_columns_equal(r.borrow(), s.borrow())?;
-        TpJoinStream::for_op(r, s, TpOp::SetOp(kind), &theta, plan, engine).map(Self)
+        TpJoinStream::for_op(r, s, TpOp::SetOp(kind), &theta, engine).map(Self)
     }
 
     /// The fact schema of the output tuples (always the left input's).

@@ -26,7 +26,7 @@
 
 use crate::join::Formation;
 use crate::optable::{PassSpec, TpOp};
-use crate::overlap::{auto_plan, OverlapJoinPlan, OverlapWindowStream};
+use crate::overlap::OverlapWindowStream;
 use crate::pipeline::{LawanStream, LawauStream};
 use crate::theta::ThetaCondition;
 use crate::window::Window;
@@ -75,17 +75,15 @@ where
     N: Borrow<TpRelation>,
 {
     /// Builds the pass pipe for windows of `pos` with respect to `neg`. The
-    /// probe index is built up front.
+    /// probe index of θ's plan is built up front.
     pub(crate) fn build(
         pos: P,
         neg: N,
         theta: &ThetaCondition,
-        plan: Option<OverlapJoinPlan>,
         depth: PipeDepth,
     ) -> Result<Self, StorageError> {
         let bound = theta.bind(pos.borrow().schema(), neg.borrow().schema())?;
-        let plan = plan.unwrap_or_else(|| auto_plan(&bound));
-        let wo = OverlapWindowStream::with_plan(pos.clone(), neg, bound, plan)?;
+        let wo = OverlapWindowStream::from_bound(pos.clone(), neg, bound);
         Ok(match depth {
             PipeDepth::Overlap => Pipe::Wo(wo),
             PipeDepth::Unmatched => Pipe::Wu(LawauStream::new(wo, pos)),
@@ -206,29 +204,10 @@ where
     S: Borrow<TpRelation> + Clone,
 {
     /// Creates the stream with an owned probability engine preloaded with
-    /// the base-tuple probabilities of the two inputs, and the
-    /// automatically chosen overlap-join plan.
+    /// the base-tuple probabilities of the two inputs.
     pub fn new(r: R, s: S, theta: &ThetaCondition, kind: TpJoinKind) -> Result<Self, StorageError> {
-        Self::with_plan(r, s, theta, kind, None)
-    }
-
-    /// [`TpJoinStream::new`] with an explicitly chosen overlap-join plan
-    /// (`None` lets the engine pick: sweep for equi-joins, nested loop
-    /// otherwise).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`StorageError::PlanNotApplicable`] when a hash or sweep
-    /// plan is forced but θ is not a pure equi-join.
-    pub fn with_plan(
-        r: R,
-        s: S,
-        theta: &ThetaCondition,
-        kind: TpJoinKind,
-        plan: Option<OverlapJoinPlan>,
-    ) -> Result<Self, StorageError> {
         let engine = registered_engine(r.borrow(), s.borrow());
-        Self::with_engine_and_plan(r, s, theta, kind, plan, engine)
+        Self::with_engine(r, s, theta, kind, engine)
     }
 }
 
@@ -248,18 +227,17 @@ where
     E: BorrowMut<ProbabilityEngine>,
 {
     /// Creates the stream with an explicit probability engine (owned or
-    /// `&mut`-borrowed) and an optional forced overlap-join plan. Use this
-    /// variant when the inputs are derived relations whose compound
-    /// lineages reference base tuples not present in `r`/`s`.
-    pub fn with_engine_and_plan(
+    /// `&mut`-borrowed). Use this variant when the inputs are derived
+    /// relations whose compound lineages reference base tuples not present
+    /// in `r`/`s`.
+    pub fn with_engine(
         r: R,
         s: S,
         theta: &ThetaCondition,
         kind: TpJoinKind,
-        plan: Option<OverlapJoinPlan>,
         engine: E,
     ) -> Result<Self, StorageError> {
-        Self::for_op(r, s, TpOp::Join(kind), theta, plan, engine)
+        Self::for_op(r, s, TpOp::Join(kind), theta, engine)
     }
 
     /// The runner behind every operator: builds the passes of `op`'s table
@@ -269,7 +247,6 @@ where
         s: S,
         op: TpOp,
         theta: &ThetaCondition,
-        plan: Option<OverlapJoinPlan>,
         mut engine: E,
     ) -> Result<Self, StorageError> {
         let (name, schema) = op.output(r.borrow(), s.borrow());
@@ -289,7 +266,7 @@ where
             } else {
                 (Input::Left(r.clone()), Input::Right(s.clone()), theta)
             };
-            let pipe = Pipe::build(pos.clone(), neg.clone(), theta, plan, spec.depth)?;
+            let pipe = Pipe::build(pos.clone(), neg.clone(), theta, spec.depth)?;
             passes.push_back(Pass {
                 spec,
                 pos,
@@ -475,7 +452,7 @@ mod tests {
             // + LAWAN: the three negating windows of Fig. 1b
             (PipeDepth::Full, vec![Overlapping, Unmatched, Negating], 7),
         ] {
-            let pipe = Pipe::build(&a, &b, &theta(), None, depth).unwrap();
+            let pipe = Pipe::build(&a, &b, &theta(), depth).unwrap();
             let seen: Vec<_> = pipe.map(|w| w.kind).collect();
             assert_eq!(seen.len(), windows, "{depth:?}");
             assert!(
@@ -511,7 +488,7 @@ mod tests {
             s.push_unchecked(tuple(var, interval));
         }
         let theta = ThetaCondition::column_equals("k", "k");
-        let mut pipe = Pipe::build(&r, &s, &theta, None, PipeDepth::Full).unwrap();
+        let mut pipe = Pipe::build(&r, &s, &theta, PipeDepth::Full).unwrap();
         let mut negating = Vec::new();
         while let Some(w) = pipe.next() {
             if w.kind == WindowKind::Negating {
@@ -615,7 +592,7 @@ mod tests {
             let s = with_probabilities(&keyed_relation("s", 100, &ss), &ps[ps.len() / 2..]);
             for (op, theta) in operators(&r, &s) {
                 let mut engine = registered_engine(&r, &s);
-                let stream = TpJoinStream::for_op(&r, &s, op, &theta, None, &mut engine).unwrap();
+                let stream = TpJoinStream::for_op(&r, &s, op, &theta, &mut engine).unwrap();
                 proptest::prop_assert!(stream.is_certified(), "{:?}", op);
                 let streamed = stream.collect_relation();
                 proptest::prop_assert_eq!(engine.interner().len(), 2 + r.len() + s.len());
@@ -665,7 +642,7 @@ mod tests {
                     for (op, theta) in operators(left, right) {
                         let mut engine = base();
                         let stream =
-                            TpJoinStream::for_op(left, right, op, &theta, None, &mut engine).unwrap();
+                            TpJoinStream::for_op(left, right, op, &theta, &mut engine).unwrap();
                         certified += usize::from(stream.is_certified());
                         let streamed = stream.collect_relation();
                         let tree = tree_path(op, left, right, &theta, &mut base());
@@ -679,22 +656,6 @@ mod tests {
             // of it: (d, t) under all but the right and full outer joins,
             // (t, d) under the inner and right outer joins and ∩.
             proptest::prop_assert!(certified >= 3 * 9, "{certified} certified statements");
-        }
-    }
-
-    #[test]
-    fn forced_plan_errors_match_the_one_shot_contract() {
-        let (a, b, _) = booking_relations();
-        let non_equi = ThetaCondition::always();
-        match TpJoinStream::with_plan(
-            &a,
-            &b,
-            &non_equi,
-            TpJoinKind::Inner,
-            Some(OverlapJoinPlan::Sweep),
-        ) {
-            Err(err) => assert!(matches!(err, StorageError::PlanNotApplicable { .. })),
-            Ok(_) => panic!("forced sweep on non-equi θ must fail"),
         }
     }
 

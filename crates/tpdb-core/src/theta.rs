@@ -71,8 +71,8 @@ impl fmt::Display for CompareOp {
 ///
 /// θ is a conjunction of column-to-column comparisons. The common case in
 /// the paper — and the only case its datasets use — is a single equality
-/// (`a.Loc = b.Loc`), for which the overlap join uses a hash-partitioned
-/// plan; general θ conditions fall back to a nested-loop plan.
+/// (`a.Loc = b.Loc`), for which the overlap join runs the sweep plan; any
+/// other θ runs the nested loop ([`crate::auto_plan`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ThetaCondition {
     comparisons: Vec<(String, CompareOp, String)>,
@@ -181,7 +181,8 @@ impl BoundTheta {
             .all(|(li, op, ri)| op.eval(left.fact(*li), right.fact(*ri)))
     }
 
-    /// Is the condition a pure conjunction of equalities (hash-joinable)?
+    /// Is the condition a non-empty conjunction of equalities only (keyed
+    /// on its equi-join key)?
     #[must_use]
     pub fn is_equi_join(&self) -> bool {
         self.pure_equi && !self.equi_keys.is_empty()

@@ -321,7 +321,7 @@ fn a_certified_full_join_interns_only_its_input_columns() {
 fn correlated_roots_are_still_interned_and_expanded() {
     let (r, s) = tpdb_datagen::meteo_like(300, 7);
     let mut engine = engine_over(&[&r, &s]);
-    let union = TpSetOpStream::with_engine_and_plan(&r, &s, TpSetOpKind::Union, None, &mut engine)
+    let union = TpSetOpStream::with_engine(&r, &s, TpSetOpKind::Union, &mut engine)
         .unwrap()
         .collect_relation();
     assert_eq!(
@@ -330,10 +330,9 @@ fn correlated_roots_are_still_interned_and_expanded() {
         "a union of base relations is read-once"
     );
     let before = engine.interner().len();
-    let chain =
-        TpSetOpStream::with_engine_and_plan(&union, &r, TpSetOpKind::Difference, None, &mut engine)
-            .unwrap()
-            .collect_relation();
+    let chain = TpSetOpStream::with_engine(&union, &r, TpSetOpKind::Difference, &mut engine)
+        .unwrap()
+        .collect_relation();
     assert!(engine.expansions() > 0);
     assert!(
         engine.interner().len() >= before + chain.len(),

@@ -59,9 +59,7 @@ fn assert_joins(
 ) {
     for kind in KINDS {
         let mut streamed_engine = engine();
-        let stream =
-            TpJoinStream::with_engine_and_plan(r, s, theta, kind, None, &mut streamed_engine)
-                .unwrap();
+        let stream = TpJoinStream::with_engine(r, s, theta, kind, &mut streamed_engine).unwrap();
         assert_eq!(stream.is_certified(), certified.contains(&kind), "{kind:?}");
         let streamed = stream.collect_relation();
         let tree = tree_join(r, s, theta, kind, &mut engine());
@@ -165,8 +163,7 @@ fn set_operations_over_derived_inputs_are_certified_when_disjoint() {
         (&union, &r, TpSetOpKind::Difference, false),
     ] {
         let mut engine = engine_over(&[&r, &s, &t]);
-        let stream =
-            TpSetOpStream::with_engine_and_plan(left, right, kind, None, &mut engine).unwrap();
+        let stream = TpSetOpStream::with_engine(left, right, kind, &mut engine).unwrap();
         assert_eq!(stream.is_certified(), certified, "{kind:?}");
         let rows = stream.collect_relation();
         assert!(!rows.is_empty(), "{kind:?}");
@@ -218,8 +215,7 @@ fn a_missing_marginal_is_not_certified_and_fails_as_before() {
     let (r, s, metric) = meteo();
     for kind in [TpJoinKind::LeftOuter, TpJoinKind::FullOuter] {
         let mut engine = engine_over(&[&r]);
-        let stream =
-            TpJoinStream::with_engine_and_plan(&r, &s, &metric, kind, None, &mut engine).unwrap();
+        let stream = TpJoinStream::with_engine(&r, &s, &metric, kind, &mut engine).unwrap();
         assert!(!stream.is_certified());
         let streamed = panic_message(|| {
             let _ = stream.count();

@@ -232,19 +232,6 @@ impl Lineage {
         }
     }
 
-    /// Number of nodes in the formula tree (a rough complexity measure used
-    /// by tests and the ablation benchmarks).
-    #[must_use]
-    pub fn size(&self) -> usize {
-        match self.node() {
-            LineageNode::True | LineageNode::False | LineageNode::Var(_) => 1,
-            LineageNode::Not(c) => 1 + c.size(),
-            LineageNode::And(cs) | LineageNode::Or(cs) => {
-                1 + cs.iter().map(Lineage::size).sum::<usize>()
-            }
-        }
-    }
-
     // ----- semantics ------------------------------------------------------
 
     /// Evaluates the formula in the possible world described by
@@ -494,13 +481,6 @@ mod tests {
         assert_eq!(f.condition(VarId(0), false), Lineage::fls());
         assert_eq!(f.condition(VarId(0), true), Lineage::or2(v(1), v(2)));
         assert_eq!(f.condition(VarId(1), true), v(0));
-    }
-
-    #[test]
-    fn size_counts_nodes() {
-        let f = Lineage::and2(v(0), Lineage::not(Lineage::or2(v(1), v(2))));
-        // And(Var, Not(Or(Var, Var))) = 1 + 1 + (1 + (1 + 1 + 1)) = 6
-        assert_eq!(f.size(), 6);
     }
 
     #[test]

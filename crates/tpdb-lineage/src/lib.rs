@@ -14,8 +14,10 @@
 //! * the lineage formula representation ([`Lineage`]) with structural
 //!   simplification,
 //! * the lineage concatenation functions used when forming output tuples
-//!   from generalized lineage-aware temporal windows — [`and_concat`],
-//!   [`and_not_concat`] and [`pass_through`] (Section II of the paper),
+//!   from generalized lineage-aware temporal windows (Section II of the
+//!   paper) — [`Concat`] names them for the interned path, and
+//!   [`Lineage::and_concat`] and [`Lineage::and_not_concat`] build them as
+//!   trees; the pass-through of an unmatched window is `λr` itself,
 //! * exact probability computation ([`ProbabilityEngine`]) using
 //!   independence-based decomposition with a Shannon-expansion fallback,
 //! * a hash-consed formula arena ([`LineageInterner`]) deduplicating
@@ -72,27 +74,3 @@ pub use intern::{FxHashMap, FxHashSet, FxHasher, InternedNode, LineageInterner, 
 pub use lazy::LazyLineage;
 pub use prob::{Concat, MarginalMap, ProbabilityEngine, ProbabilityError, ReadOnceColumns};
 pub use symbols::{SymbolTable, SymbolTableError, VarId};
-
-/// Lineage concatenation for overlapping windows: `λr ∧ λs`.
-///
-/// Convenience free function mirroring the paper's `and` concatenation
-/// function; equivalent to [`Lineage::and_concat`].
-#[must_use]
-pub fn and_concat(lambda_r: &Lineage, lambda_s: &Lineage) -> Lineage {
-    Lineage::and_concat(lambda_r, lambda_s)
-}
-
-/// Lineage concatenation for negating windows: `λr ∧ ¬λs`.
-///
-/// Convenience free function mirroring the paper's `andNot` concatenation
-/// function; equivalent to [`Lineage::and_not_concat`].
-#[must_use]
-pub fn and_not_concat(lambda_r: &Lineage, lambda_s: &Lineage) -> Lineage {
-    Lineage::and_not_concat(lambda_r, lambda_s)
-}
-
-/// Lineage concatenation for unmatched windows: only `λr` is passed on.
-#[must_use]
-pub fn pass_through(lambda_r: &Lineage) -> Lineage {
-    lambda_r.clone()
-}

@@ -6,10 +6,9 @@
 //! materializes its two inputs (the windows need the complete negative
 //! relation — exactly as the hash/merge join of a conventional DBMS
 //! materializes its build side) and then produces output tuples lazily: the
-//! NJ machinery drives the streaming
-//! [`TpJoinStream`](tpdb_core::TpJoinStream) /
-//! [`TpSetOpStream`](tpdb_core::TpSetOpStream) pipeline tuple by tuple on
-//! the caller's thread. The TA strategy runs the alignment baseline.
+//! NJ machinery drives the streaming [`TpJoinStream`] / [`TpSetOpStream`]
+//! pipeline tuple by tuple on the caller's thread. The TA strategy runs the
+//! alignment baseline.
 //!
 //! Operators yield `Result` items: any error cuts the stream short and is
 //! reported as the single unified [`TpdbError`].
@@ -19,7 +18,8 @@ use crate::plan::{JoinStrategy, LogicalPlan};
 use crate::TpdbError;
 use std::sync::Arc;
 use tpdb_core::{
-    OverlapJoinPlan, ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind, TpSetOpStream,
+    auto_plan, CompareOp, OverlapJoinPlan, ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind,
+    TpSetOpStream,
 };
 use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{Catalog, Schema, TpRelation, TpTuple};
@@ -270,7 +270,6 @@ pub struct WindowOpExec {
     left: Box<dyn PhysicalOperator>,
     right: Box<dyn PhysicalOperator>,
     op: WindowOp,
-    overlap_plan: Option<OverlapJoinPlan>,
     /// Base-tuple probabilities known to the catalog, preloaded by the
     /// planner and taken at start. The inputs' own base tuples are
     /// registered on top: the catalog engine is what lets the operator
@@ -283,10 +282,7 @@ pub struct WindowOpExec {
 }
 
 impl WindowOpExec {
-    /// Creates a window operator. `overlap_plan` forces the NJ overlap-join
-    /// plan (`None` = automatic: sweep for equi-joins — always, for set
-    /// operations — and nested loop otherwise); the TA strategy ignores it.
-    /// `base_engine` carries the base-tuple
+    /// Creates a window operator. `base_engine` carries the base-tuple
     /// probabilities known to the catalog (usually
     /// [`tpdb_storage::Catalog::probability_engine`]), so derived inputs
     /// with compound lineages can be priced.
@@ -295,7 +291,6 @@ impl WindowOpExec {
         left: Box<dyn PhysicalOperator>,
         right: Box<dyn PhysicalOperator>,
         op: WindowOp,
-        overlap_plan: Option<OverlapJoinPlan>,
         base_engine: ProbabilityEngine,
     ) -> Self {
         // Set operations and the anti join keep the left input's schema;
@@ -312,26 +307,35 @@ impl WindowOpExec {
             left,
             right,
             op,
-            overlap_plan,
             base_engine,
             schema,
             state: OpState::Pending,
         }
     }
 
-    /// The overlap-join plan that will run: the forced one, or the
-    /// automatic choice — for a join resolved against the child schemas
-    /// (`None` when θ does not bind; the error will surface at execution),
-    /// for a set operation always sweep (all-attribute equality is an
-    /// equi-join).
-    fn resolved_plan(&self) -> Option<OverlapJoinPlan> {
-        self.overlap_plan.or_else(|| match &self.op {
-            WindowOp::Join { theta, .. } => theta
-                .bind(self.left.schema(), self.right.schema())
-                .ok()
-                .map(|bound| tpdb_core::auto_plan(&bound)),
-            WindowOp::SetOp(_) => Some(OverlapJoinPlan::Sweep),
-        })
+    /// The overlap-join plan θ decides for the NJ machinery; `None` under
+    /// TA, which finds its matches with its own matcher, and when θ does
+    /// not bind (the error surfaces at execution).
+    fn plan(&self) -> Option<OverlapJoinPlan> {
+        let theta = match &self.op {
+            WindowOp::Join {
+                strategy: JoinStrategy::Ta,
+                ..
+            } => return None,
+            WindowOp::Join { theta, .. } => theta.clone(),
+            // All-attribute equality; the planner checked that both inputs
+            // name their columns alike.
+            WindowOp::SetOp(_) => self
+                .left
+                .schema()
+                .fields()
+                .iter()
+                .fold(ThetaCondition::always(), |theta, f| {
+                    theta.and_compare(&f.name, CompareOp::Eq, &f.name)
+                }),
+        };
+        let bound = theta.bind(self.left.schema(), self.right.schema()).ok()?;
+        Some(auto_plan(&bound))
     }
 
     /// Materializes the inputs and starts the operator. Scan children hand
@@ -351,28 +355,14 @@ impl WindowOpExec {
         let mut engine = std::mem::take(&mut self.base_engine);
         left.register_probabilities(&mut engine);
         right.register_probabilities(&mut engine);
-        let plan = self.overlap_plan;
         Ok(OpState::Running(match &self.op {
-            WindowOp::Join { theta, kind, .. } => Box::new(TpJoinStream::with_engine_and_plan(
-                left, right, theta, *kind, plan, engine,
+            WindowOp::Join { theta, kind, .. } => Box::new(TpJoinStream::with_engine(
+                left, right, theta, *kind, engine,
             )?),
-            WindowOp::SetOp(kind) => Box::new(TpSetOpStream::with_engine_and_plan(
-                left, right, *kind, plan, engine,
-            )?),
+            WindowOp::SetOp(kind) => {
+                Box::new(TpSetOpStream::with_engine(left, right, *kind, engine)?)
+            }
         }))
-    }
-
-    /// The ` plan=…` note of `EXPLAIN`: the overlap-join plan that will
-    /// actually run, not merely the requested one. TA always runs the
-    /// alignment baseline and only echoes a forced plan.
-    fn plan_note(&self) -> String {
-        let ta =
-            matches!(&self.op, WindowOp::Join { strategy, .. } if *strategy == JoinStrategy::Ta);
-        match (self.overlap_plan, self.resolved_plan().filter(|_| !ta)) {
-            (Some(p), _) => format!(" plan={p}"),
-            (None, Some(p)) => format!(" plan=auto({p})"),
-            (None, None) => String::new(),
-        }
     }
 }
 
@@ -398,7 +388,10 @@ impl PhysicalOperator for WindowOpExec {
     }
 
     fn describe(&self) -> String {
-        let notes = self.plan_note();
+        let notes = self
+            .plan()
+            .map(|p| format!(" plan={p}"))
+            .unwrap_or_default();
         let inputs = format!("[{}; {}]", self.left.describe(), self.right.describe());
         match &self.op {
             WindowOp::Join {
@@ -622,43 +615,41 @@ mod tests {
         let (r, s) = tpdb_datagen::meteo_like(50, 3);
         c.register(r).unwrap();
         c.register(s).unwrap();
-        let join = |strategy| {
+        let join = |strategy, theta| {
             LogicalPlan::scan("a").tp_join(
                 LogicalPlan::scan("b"),
-                ThetaCondition::column_equals("Loc", "Loc"),
+                theta,
                 TpJoinKind::LeftOuter,
                 strategy,
             )
         };
+        let equi = ThetaCondition::column_equals("Loc", "Loc");
+        let non_equi = equi.clone().and_compare("Name", CompareOp::Lt, "Hotel");
         let union =
             LogicalPlan::scan("meteo_r").set_op(TpSetOpKind::Union, LogicalPlan::scan("meteo_s"));
         let inputs = "[Scan a (2 tuples); Scan b (3 tuples)]";
         let meteo = "[Scan meteo_r (50 tuples); Scan meteo_s (50 tuples)]";
         for (plan, expected) in [
             (
-                join(JoinStrategy::Nj),
-                format!("TpJoin ⟕ [NJ plan=auto(sweep)] (r.Loc = s.Loc) over {inputs}"),
+                join(JoinStrategy::Nj, equi.clone()),
+                format!("TpJoin ⟕ [NJ plan=sweep] (r.Loc = s.Loc) over {inputs}"),
             ),
             (
-                join(JoinStrategy::Nj).with_overlap_plan(OverlapJoinPlan::Hash),
-                format!("TpJoin ⟕ [NJ plan=hash] (r.Loc = s.Loc) over {inputs}"),
+                join(JoinStrategy::Nj, non_equi.clone()),
+                format!(
+                    "TpJoin ⟕ [NJ plan=nested-loop] (r.Loc = s.Loc ∧ r.Name < s.Hotel) \
+                     over {inputs}"
+                ),
             ),
             (
-                join(JoinStrategy::Ta),
+                join(JoinStrategy::Ta, equi),
                 format!("TpJoin ⟕ [TA] (r.Loc = s.Loc) over {inputs}"),
             ),
             (
-                join(JoinStrategy::Ta).with_overlap_plan(OverlapJoinPlan::Sweep),
-                format!("TpJoin ⟕ [TA plan=sweep] (r.Loc = s.Loc) over {inputs}"),
+                join(JoinStrategy::Ta, non_equi),
+                format!("TpJoin ⟕ [TA] (r.Loc = s.Loc ∧ r.Name < s.Hotel) over {inputs}"),
             ),
-            (
-                union.clone(),
-                format!("SetOp UNION [∪ plan=auto(sweep)] over {meteo}"),
-            ),
-            (
-                union.with_overlap_plan(OverlapJoinPlan::NestedLoop),
-                format!("SetOp UNION [∪ plan=nested-loop] over {meteo}"),
-            ),
+            (union, format!("SetOp UNION [∪ plan=sweep] over {meteo}")),
         ] {
             assert_eq!(plan_query(&c, &plan).unwrap().describe(), expected);
         }

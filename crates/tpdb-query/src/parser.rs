@@ -31,6 +31,10 @@
 //! on the NJ window machinery). `PARALLEL n` is accepted for source
 //! compatibility and ignored: every statement runs on one thread.
 //!
+//! A statement may nest parentheses at most 64 levels deep and contain at
+//! most 100 set operations; anything deeper is a [`ParseError`], so no
+//! statement can exhaust the stack of the thread that runs it.
+//!
 //! Examples: `SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc STRATEGY TA`,
 //! `SELECT Name FROM a WHERE Loc = $1` (a parameterized statement — prepare
 //! it with [`crate::Session::prepare`] and bind a value per placeholder),
@@ -188,11 +192,28 @@ fn tokenize(input: &str) -> Result<Vec<(Token, Span)>, ParseError> {
     Ok(tokens)
 }
 
+/// The deepest parenthesis nesting a statement may use. Each level costs
+/// the parser two stack frames.
+const MAX_NESTING: usize = 64;
+
+/// The most set operations one statement may contain. Each adds a level to
+/// the plan tree, which the planner, `EXPLAIN`, the executing operators and
+/// the plan's drop each walk recursively. With [`MAX_NESTING`] this bounds
+/// the stack any statement needs: a debug build overflows a 2 MiB thread
+/// (the stack of a server connection) at about 200 chained set operations
+/// or 1 000 parentheses, so the deepest accepted statement runs there with
+/// half of it to spare.
+const MAX_SET_OPERATIONS: usize = 100;
+
 struct Parser {
     tokens: Vec<(Token, Span)>,
     pos: usize,
     /// Byte length of the input (end-of-input error position).
     end: usize,
+    /// Open parentheses around the current token.
+    nesting: usize,
+    /// Set operations parsed so far.
+    set_operations: usize,
 }
 
 impl Parser {
@@ -323,6 +344,8 @@ pub fn parse_query(input: &str) -> Result<LogicalPlan, ParseError> {
         tokens: tokenize(input)?,
         pos: 0,
         end: input.len(),
+        nesting: 0,
+        set_operations: 0,
     };
 
     let plan = if p.accept_keyword("SAVE") {
@@ -379,6 +402,15 @@ fn parse_set_expr(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
         } else {
             break;
         };
+        p.set_operations += 1;
+        if p.set_operations > MAX_SET_OPERATIONS {
+            let keyword = p.previous();
+            return Err(ParseError::new(format!(
+                "a statement may contain at most {MAX_SET_OPERATIONS} set operations"
+            ))
+            .at(keyword)
+            .with_token(kind.keyword()));
+        }
         let right = parse_term(p)?;
         plan = plan.set_op(kind, right);
     }
@@ -405,11 +437,20 @@ fn parse_set_expr(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
 fn parse_term(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
     if matches!(p.peek(), Some(Token::LParen)) {
         p.next();
+        p.nesting += 1;
+        if p.nesting > MAX_NESTING {
+            return Err(ParseError::new(format!(
+                "parentheses may nest at most {MAX_NESTING} levels deep"
+            ))
+            .at(p.previous())
+            .with_token("("));
+        }
         let plan = parse_set_expr(p)?;
         if !matches!(p.peek(), Some(Token::RParen)) {
             return Err(p.expected("')'"));
         }
         p.next();
+        p.nesting -= 1;
         return Ok(plan);
     }
     parse_select(p)
@@ -627,7 +668,6 @@ fn set_strategy(
             right,
             theta,
             kind,
-            overlap_plan,
             ..
         } => LogicalPlan::TpJoin {
             left,
@@ -635,7 +675,6 @@ fn set_strategy(
             theta,
             kind,
             strategy,
-            overlap_plan,
         },
         LogicalPlan::Filter { input, predicates } => LogicalPlan::Filter {
             input: Box::new(set_strategy(*input, strategy, at)?),
@@ -985,5 +1024,76 @@ mod tests {
         let err = parse_query("SELECT * FROM a WHERE Loc = #").unwrap_err();
         assert!(err.to_string().contains("unexpected character"));
         assert_eq!(err.span.start, 28);
+    }
+
+    /// Runs `f` on a thread with the stack of a server connection thread
+    /// (the 2 MiB default), so that a statement that would overflow a
+    /// served connection overflows here too.
+    fn on_a_connection_stack<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the test sizes its thread's stack"
+        )]
+        let thread = std::thread::Builder::new().stack_size(2 << 20).spawn(f);
+        thread.unwrap().join().unwrap()
+    }
+
+    /// `depth` parentheses around `SELECT * FROM a`.
+    fn nested(depth: usize) -> String {
+        format!("{}SELECT * FROM a{}", "(".repeat(depth), ")".repeat(depth))
+    }
+
+    /// `SELECT * FROM a`, then `set_operations` more terms under `UNION`.
+    fn union_chain(set_operations: usize) -> String {
+        let mut text = "SELECT * FROM a".to_owned();
+        for _ in 0..set_operations {
+            text.push_str(" UNION SELECT * FROM a");
+        }
+        text
+    }
+
+    #[test]
+    fn statements_beyond_the_nesting_bounds_are_parse_errors() {
+        let errors = on_a_connection_stack(|| {
+            [nested(100_000), union_chain(100_000)].map(|text| parse_query(&text).unwrap_err())
+        });
+        let [parentheses, chain] = errors;
+        assert!(parentheses.message.contains("nest"), "{parentheses}");
+        assert_eq!(parentheses.token.as_deref(), Some("("));
+        assert_eq!(parentheses.span.start, MAX_NESTING);
+        assert!(chain.message.contains("set operations"), "{chain}");
+        assert_eq!(chain.token.as_deref(), Some("UNION"));
+        // One past each bound is refused, the bound itself is not.
+        assert!(parse_query(&nested(MAX_NESTING + 1)).is_err());
+        assert!(parse_query(&nested(MAX_NESTING)).is_ok());
+        assert!(parse_query(&union_chain(MAX_SET_OPERATIONS + 1)).is_err());
+        assert!(parse_query(&union_chain(MAX_SET_OPERATIONS)).is_ok());
+    }
+
+    #[test]
+    fn the_deepest_accepted_statement_runs_on_a_connection_stack() {
+        // Both bounds at once: the longest set-operation chain, inside the
+        // deepest nesting. It parses, plans, explains, executes and drops;
+        // one set operation more is refused.
+        let nest = |chain: String| {
+            let depth = MAX_NESTING;
+            format!("{}{chain}{}", "(".repeat(depth), ")".repeat(depth))
+        };
+        let deepest = nest(union_chain(MAX_SET_OPERATIONS));
+        let one_more = nest(union_chain(MAX_SET_OPERATIONS + 1));
+        let (rows, explained, refused) = on_a_connection_stack(move || {
+            let mut catalog = tpdb_storage::Catalog::new();
+            catalog.register(tpdb_datagen::booking_example().0).unwrap();
+            let session = crate::Session::new(catalog);
+            let explained = session.explain(&deepest).unwrap();
+            let rows = session.execute(&deepest).unwrap().len();
+            (rows, explained, session.execute(&one_more).is_err())
+        });
+        assert_eq!(rows, 2);
+        assert_eq!(
+            explained.matches("SetOp UNION").count(),
+            2 * MAX_SET_OPERATIONS
+        );
+        assert!(refused);
     }
 }

@@ -2,7 +2,7 @@
 
 use crate::error::TpdbError;
 use crate::expr::LiteralPredicate;
-use tpdb_core::{OverlapJoinPlan, ThetaCondition, TpJoinKind, TpSetOpKind};
+use tpdb_core::{ThetaCondition, TpJoinKind, TpSetOpKind};
 use tpdb_storage::Value;
 
 /// The join strategy the planner should use for a TP join with negation.
@@ -62,11 +62,6 @@ pub enum LogicalPlan {
         kind: TpJoinKind,
         /// Which algorithm to use.
         strategy: JoinStrategy,
-        /// Overlap-join plan forced for the NJ strategy (`None` lets the
-        /// engine pick: sweep for equi-joins, nested loop otherwise). A
-        /// forced plan that cannot execute θ fails at planning time instead
-        /// of silently downgrading.
-        overlap_plan: Option<OverlapJoinPlan>,
     },
     /// A TP set operation (`UNION` / `INTERSECT` / `EXCEPT`) between two
     /// union-compatible sub-plans. Lowered onto the all-attribute-equality
@@ -80,10 +75,6 @@ pub enum LogicalPlan {
         left: Box<LogicalPlan>,
         /// Right input.
         right: Box<LogicalPlan>,
-        /// Overlap-join plan forced for the internal all-attribute-equality
-        /// machinery (`None` lets the engine pick — sweep, since the
-        /// condition is always an equi-join).
-        overlap_plan: Option<OverlapJoinPlan>,
     },
     /// `SAVE SNAPSHOT '<path>'` — serialize the whole catalog to a snapshot
     /// file. A utility statement: it reads the catalog instead of scanning
@@ -144,7 +135,6 @@ impl LogicalPlan {
             theta,
             kind,
             strategy,
-            overlap_plan: None,
         }
     }
 
@@ -156,7 +146,6 @@ impl LogicalPlan {
             kind,
             left: Box::new(self),
             right: Box::new(right),
-            overlap_plan: None,
         }
     }
 
@@ -169,49 +158,6 @@ impl LogicalPlan {
             self,
             LogicalPlan::SaveSnapshot { .. } | LogicalPlan::LoadSnapshot { .. }
         )
-    }
-
-    /// Forces the overlap-join plan of every TP join in this plan, looking
-    /// through filters and projections (ablation and regression studies pin
-    /// the physical plan this way).
-    #[must_use]
-    pub fn with_overlap_plan(self, plan: OverlapJoinPlan) -> Self {
-        match self {
-            LogicalPlan::TpJoin {
-                left,
-                right,
-                theta,
-                kind,
-                strategy,
-                ..
-            } => LogicalPlan::TpJoin {
-                left: Box::new(left.with_overlap_plan(plan)),
-                right: Box::new(right.with_overlap_plan(plan)),
-                theta,
-                kind,
-                strategy,
-                overlap_plan: Some(plan),
-            },
-            LogicalPlan::Filter { input, predicates } => LogicalPlan::Filter {
-                input: Box::new(input.with_overlap_plan(plan)),
-                predicates,
-            },
-            LogicalPlan::Project { input, columns } => LogicalPlan::Project {
-                input: Box::new(input.with_overlap_plan(plan)),
-                columns,
-            },
-            LogicalPlan::SetOp {
-                kind, left, right, ..
-            } => LogicalPlan::SetOp {
-                kind,
-                left: Box::new(left.with_overlap_plan(plan)),
-                right: Box::new(right.with_overlap_plan(plan)),
-                overlap_plan: Some(plan),
-            },
-            leaf @ (LogicalPlan::Scan { .. }
-            | LogicalPlan::SaveSnapshot { .. }
-            | LogicalPlan::LoadSnapshot { .. }) => leaf,
-        }
     }
 
     /// The number of `$n` parameter slots the plan references: the highest
@@ -279,25 +225,17 @@ impl LogicalPlan {
                 theta,
                 kind,
                 strategy,
-                overlap_plan,
             } => LogicalPlan::TpJoin {
                 left: Box::new(left.substitute(params)?),
                 right: Box::new(right.substitute(params)?),
                 theta: theta.clone(),
                 kind: *kind,
                 strategy: *strategy,
-                overlap_plan: *overlap_plan,
             },
-            LogicalPlan::SetOp {
-                kind,
-                left,
-                right,
-                overlap_plan,
-            } => LogicalPlan::SetOp {
+            LogicalPlan::SetOp { kind, left, right } => LogicalPlan::SetOp {
                 kind: *kind,
                 left: Box::new(left.substitute(params)?),
                 right: Box::new(right.substitute(params)?),
-                overlap_plan: *overlap_plan,
             },
         })
     }
@@ -329,33 +267,16 @@ impl LogicalPlan {
                     theta,
                     kind,
                     strategy,
-                    overlap_plan,
                 } => {
-                    let plan_note = match overlap_plan {
-                        Some(p) => format!(" plan={p}"),
-                        None => String::new(),
-                    };
                     out.push_str(&format!(
-                        "{pad}TpJoin {} ({theta}) strategy={strategy}{plan_note}\n",
+                        "{pad}TpJoin {} ({theta}) strategy={strategy}\n",
                         kind.symbol()
                     ));
                     go(left, indent + 1, out);
                     go(right, indent + 1, out);
                 }
-                LogicalPlan::SetOp {
-                    kind,
-                    left,
-                    right,
-                    overlap_plan,
-                } => {
-                    let plan_note = match overlap_plan {
-                        Some(p) => format!(" plan={p}"),
-                        None => String::new(),
-                    };
-                    out.push_str(&format!(
-                        "{pad}SetOp {kind} ({}){plan_note}\n",
-                        kind.symbol()
-                    ));
+                LogicalPlan::SetOp { kind, left, right } => {
+                    out.push_str(&format!("{pad}SetOp {kind} ({})\n", kind.symbol()));
                     go(left, indent + 1, out);
                     go(right, indent + 1, out);
                 }
@@ -471,23 +392,6 @@ mod tests {
         let bound = plan.bind_parameters(&[Value::Int(3)]).unwrap();
         assert_eq!(bound.parameter_count(), 0);
         assert!(bound.pretty().contains("k >= 3"), "{}", bound.pretty());
-        // forced plans reach the set op node
-        let text = bound.with_overlap_plan(OverlapJoinPlan::Hash).pretty();
-        assert!(text.contains("SetOp UNION (∪) plan=hash\n"), "{text}");
-    }
-
-    #[test]
-    fn with_overlap_plan_reaches_joins_under_filters_and_projections() {
-        let plan = LogicalPlan::scan("a")
-            .tp_join(
-                LogicalPlan::scan("b"),
-                ThetaCondition::column_equals("Loc", "Loc"),
-                TpJoinKind::LeftOuter,
-                JoinStrategy::Nj,
-            )
-            .filter(vec![])
-            .project(vec!["Name".to_owned()])
-            .with_overlap_plan(OverlapJoinPlan::Sweep);
-        assert!(plan.pretty().contains("plan=sweep"), "{}", plan.pretty());
+        assert!(bound.pretty().starts_with("SetOp UNION (∪)\n"));
     }
 }

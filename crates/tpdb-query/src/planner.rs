@@ -66,25 +66,12 @@ pub fn plan_query(
             theta,
             kind,
             strategy,
-            overlap_plan,
         } => {
             let left = plan_query(catalog, left)?;
             let right = plan_query(catalog, right)?;
             // Validate θ against the child schemas at plan time so that
             // errors surface before execution.
-            let bound = theta.bind(left.schema(), right.schema())?;
-            // A forced overlap-join plan must be executable for θ; failing
-            // here keeps EXPLAIN honest about the plan that will run.
-            if let Some(plan) = overlap_plan {
-                if plan.requires_equi_join() && !bound.is_equi_join() {
-                    return Err(TpdbError::Storage(
-                        tpdb_storage::StorageError::PlanNotApplicable {
-                            plan: plan.label().to_owned(),
-                            reason: format!("θ ({theta}) is not a pure equi-join"),
-                        },
-                    ));
-                }
-            }
+            theta.bind(left.schema(), right.schema())?;
             Ok(Box::new(WindowOpExec::new(
                 left,
                 right,
@@ -93,16 +80,10 @@ pub fn plan_query(
                     kind: *kind,
                     strategy: *strategy,
                 },
-                *overlap_plan,
                 catalog.probability_engine(),
             )))
         }
-        LogicalPlan::SetOp {
-            kind,
-            left,
-            right,
-            overlap_plan,
-        } => {
+        LogicalPlan::SetOp { kind, left, right } => {
             let left = plan_query(catalog, left)?;
             let right = plan_query(catalog, right)?;
             // Union compatibility fails at plan time, not at the first
@@ -125,7 +106,6 @@ pub fn plan_query(
                 left,
                 right,
                 WindowOp::SetOp(*kind),
-                *overlap_plan,
                 catalog.probability_engine(),
             )))
         }
@@ -185,7 +165,7 @@ pub fn explain(catalog: &Catalog, plan: &LogicalPlan) -> Result<String, TpdbErro
 mod tests {
     use super::*;
     use crate::plan::JoinStrategy;
-    use tpdb_core::{ThetaCondition, TpJoinKind};
+    use tpdb_core::{CompareOp, ThetaCondition, TpJoinKind};
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();
@@ -215,39 +195,27 @@ mod tests {
     }
 
     #[test]
-    fn forced_plan_on_non_equi_theta_fails_at_plan_time() {
+    fn theta_decides_the_plan_through_filters_and_executes() {
         let c = catalog();
-        let plan = LogicalPlan::scan("a")
-            .tp_join(
-                LogicalPlan::scan("b"),
-                ThetaCondition::always(),
-                TpJoinKind::LeftOuter,
-                JoinStrategy::Nj,
-            )
-            .with_overlap_plan(tpdb_core::OverlapJoinPlan::Sweep);
-        let err = match plan_query(&c, &plan) {
-            Err(e) => e,
-            Ok(_) => panic!("forced sweep on non-equi θ must fail at plan time"),
+        let join = |theta| {
+            LogicalPlan::scan("a")
+                .tp_join(
+                    LogicalPlan::scan("b"),
+                    theta,
+                    TpJoinKind::LeftOuter,
+                    JoinStrategy::Nj,
+                )
+                .filter(Vec::new())
         };
-        assert!(err.to_string().contains("sweep"), "{err}");
-    }
-
-    #[test]
-    fn forced_plan_reaches_through_filters_and_executes() {
-        let c = catalog();
-        let plan = LogicalPlan::scan("a")
-            .tp_join(
-                LogicalPlan::scan("b"),
-                ThetaCondition::column_equals("Loc", "Loc"),
-                TpJoinKind::LeftOuter,
-                JoinStrategy::Nj,
-            )
-            .filter(Vec::new())
-            .with_overlap_plan(tpdb_core::OverlapJoinPlan::Sweep);
-        let op = plan_query(&c, &plan).unwrap();
-        assert!(op.describe().contains("plan=sweep"), "{}", op.describe());
-        let result = crate::exec::execute_plan(&c, &plan).unwrap();
-        assert_eq!(result.len(), 7);
+        let equi = ThetaCondition::column_equals("Loc", "Loc");
+        let non_equi = equi.clone().and_compare("Loc", CompareOp::Le, "Loc");
+        for (theta, plan) in [(equi, "plan=sweep"), (non_equi, "plan=nested-loop")] {
+            let logical = join(theta.clone());
+            let op = plan_query(&c, &logical).unwrap();
+            assert!(op.describe().contains(plan), "{}", op.describe());
+            let result = crate::exec::execute_plan(&c, &logical).unwrap();
+            assert_eq!(result.len(), 7, "{theta}");
+        }
     }
 
     #[test]

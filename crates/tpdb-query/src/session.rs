@@ -469,7 +469,7 @@ mod tests {
         assert!(s.prepare("SELECT * FROM missing").is_err());
         // unknown column inside a parameterized predicate
         assert!(s.prepare("SELECT * FROM a WHERE Nope = $1").is_err());
-        // forced keyed plan on a valid equi-join still prepares
+        // a join under the TA strategy prepares like any other
         assert!(s
             .prepare("SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc STRATEGY TA")
             .is_ok());
@@ -612,7 +612,7 @@ mod tests {
         // EXPLAIN prints both plans and the cache line
         let text = session.explain(q).unwrap();
         assert!(text.contains("SetOp UNION (∪)"), "{text}");
-        assert!(text.contains("plan=auto(sweep)"), "{text}");
+        assert!(text.contains("[∪ plan=sweep]"), "{text}");
         assert!(text.contains("Plan cache:"), "{text}");
 
         // parameterized set operations prepare and bind like any statement

@@ -89,8 +89,8 @@ pub fn run_prepared(
 /// parse-and-validate path shared by [`crate::Session::prepare`] and the
 /// shared cache. Validation lowers the plan once (with `NULL` stand-ins
 /// for parameters), so unknown relations, unknown columns, θ binding
-/// failures and inapplicable forced plans all fail here — at prepare time,
-/// not at the first execution.
+/// failures and union-incompatible set operations all fail here — at
+/// prepare time, not at the first execution.
 pub fn prepare_plan(catalog: &Catalog, text: &str) -> Result<PreparedPlan, TpdbError> {
     let plan = parse_query(text)?;
     let parameters = plan.parameter_count();

@@ -355,3 +355,17 @@ fn closed_connections_are_forgotten_before_shutdown() {
     }
     server.shutdown();
 }
+
+#[test]
+fn a_deeply_nested_statement_is_refused_and_the_server_stays_up() {
+    // 100 000 parentheses once overflowed the connection thread's stack and
+    // aborted the whole server process.
+    let server = booking_server(ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let depth = 100_000;
+    let text = format!("{}SELECT * FROM a{}", "(".repeat(depth), ")".repeat(depth));
+    let err = client.query(&text).unwrap_err();
+    assert_eq!(server_code(&err), Some(ErrorCode::Parse), "{err}");
+    let mut fresh = Client::connect(server.local_addr()).unwrap();
+    fresh.ping().unwrap();
+}

@@ -37,12 +37,11 @@ pub enum StorageError {
         /// Description of the problem.
         message: String,
     },
-    /// A physical plan was forced that cannot execute the given condition
-    /// (e.g. a hash or sweep overlap join over a non-equi θ). Forced plans
-    /// fail loudly instead of silently downgrading so that benchmarks and
-    /// `EXPLAIN` never report a plan that did not actually run.
+    /// A statement was sent down a path that cannot execute it (e.g. a
+    /// snapshot statement asked for a result stream, or `LOAD SNAPSHOT`
+    /// through a shared session).
     PlanNotApplicable {
-        /// Human-readable plan name (e.g. `sweep`).
+        /// Human-readable plan name (e.g. `snapshot`).
         plan: String,
         /// Why the plan cannot run.
         reason: String,

@@ -23,6 +23,12 @@
 //!    computed twice, and because the θ condition is not usable at that
 //!    stage the engine falls back to nested-loop plans.
 //!
+//! Every overlap join and alignment pass of TA finds its matches with one
+//! matcher of its own: a hash partition of `s` on the equi-join key, the
+//! plan a DBMS picks inside the alignment operator, or nested loops where
+//! θ (or, in the end-to-end join, the plan) cannot use one. NJ's sweep is
+//! never TA's.
+//!
 //! Both systems produce identical results — the integration tests assert
 //! NJ ≡ TA on randomized inputs — only their costs differ.
 

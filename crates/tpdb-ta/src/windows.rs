@@ -13,10 +13,7 @@
 //!   unmatched windows that were computed twice.
 
 use crate::align::{align_bound, fragments, Matcher};
-use tpdb_core::{
-    overlapping_windows_with_plan, BoundTheta, OverlapJoinPlan, Span, ThetaCondition, Window,
-    WindowSet,
-};
+use tpdb_core::{BoundTheta, Span, ThetaCondition, Window, WindowSet};
 use tpdb_storage::{StorageError, TpRelation};
 
 /// Overlapping + unmatched windows (`WUO`), computed the TA way: the overlap
@@ -40,20 +37,15 @@ pub(crate) fn ta_wuo_with_plan(
     bound: &BoundTheta,
     use_hash: bool,
 ) -> Vec<Window> {
-    // TA models the plan a conventional DBMS picks inside the alignment
-    // operator: a hash join when θ is usable as an equi-join, nested loops
-    // otherwise. (The sweep plan is NJ's; TA never gets it.)
-    let plan = if use_hash && bound.is_equi_join() {
-        OverlapJoinPlan::Hash
-    } else {
-        OverlapJoinPlan::NestedLoop
-    };
-
-    // Pass 1: conventional overlap join — overlapping windows (and the
-    // whole-interval unmatched windows of tuples with no match at all).
-    let mut windows =
-        overlapping_windows_with_plan(r, s, bound, plan).expect("plan is chosen to match θ");
-    windows.retain(Window::is_overlapping);
+    // Pass 1: conventional overlap join — the overlapping windows, found
+    // with the plan a DBMS picks inside the alignment operator (a hash
+    // join when θ is usable as an equi-join, nested loops otherwise).
+    let matcher = Matcher::new(s, bound, use_hash);
+    let mut windows = Vec::new();
+    for (ri, rt) in r.iter().enumerate() {
+        let matches = matcher.matches(rt).into_iter();
+        windows.extend(matches.map(|(overlap, si)| Window::overlapping(overlap, ri, si)));
+    }
 
     // Pass 2: alignment — recompute the matches of every r tuple to find the
     // uncovered fragments, which become the unmatched windows.

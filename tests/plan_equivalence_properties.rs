@@ -1,5 +1,7 @@
 //! Property tests: NJ ≡ TA on adversarial synthetic data, for every TP join
-//! kind under **every** overlap-join plan (sweep, hash, nested loop).
+//! kind under **both** overlap-join plans. θ alone selects the plan: the
+//! equi-join `k = k` runs the sweep, and the equivalent non-equi
+//! `k = k ∧ k <= k` runs the nested loop.
 //!
 //! The generators deliberately produce the inputs that stress the sweep
 //! join and the window algorithms most:
@@ -12,17 +14,19 @@
 //!   windows, adjacent to everything around them.
 
 use proptest::prelude::*;
-use tpdb::core::{tp_join_with_plan, OverlapJoinPlan, ThetaCondition, TpJoinKind};
+use tpdb::core::{tp_join, CompareOp, ThetaCondition, TpJoinKind};
 use tpdb::lineage::{Lineage, VarId};
 use tpdb::storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb::ta::ta_join;
 use tpdb::temporal::Interval;
 
-const PLANS: [OverlapJoinPlan; 3] = [
-    OverlapJoinPlan::Sweep,
-    OverlapJoinPlan::Hash,
-    OverlapJoinPlan::NestedLoop,
-];
+/// One θ per plan, all meaning `k = k`: the equi-join runs the sweep, the
+/// conjunct `k <= k` makes it non-equi and runs the nested loop.
+fn thetas() -> [(&'static str, ThetaCondition); 2] {
+    let equi = ThetaCondition::column_equals("k", "k");
+    let non_equi = equi.clone().and_compare("k", CompareOp::Le, "k");
+    [("sweep", equi), ("nested-loop", non_equi)]
+}
 
 const KINDS: [TpJoinKind; 5] = [
     TpJoinKind::Inner,
@@ -80,11 +84,11 @@ fn canon(rel: &TpRelation) -> Vec<(Vec<String>, i64, i64, i64)> {
 }
 
 fn assert_all_plans_match_ta(r: &TpRelation, s: &TpRelation) {
-    let theta = ThetaCondition::column_equals("k", "k");
+    let equi = ThetaCondition::column_equals("k", "k");
     for kind in KINDS {
-        let ta = canon(&ta_join(r, s, &theta, kind).unwrap());
-        for plan in PLANS {
-            let nj = canon(&tp_join_with_plan(r, s, &theta, kind, Some(plan)).unwrap());
+        let ta = canon(&ta_join(r, s, &equi, kind).unwrap());
+        for (plan, theta) in thetas() {
+            let nj = canon(&tp_join(r, s, &theta, kind).unwrap());
             assert_eq!(
                 nj, ta,
                 "NJ ({plan}) and TA disagree on the {kind:?} join of r={r} s={s}"
@@ -113,26 +117,12 @@ proptest! {
     fn nj_equals_ta_under_every_plan(rr in adversarial_rows(), ss in adversarial_rows()) {
         let r = build("r", 0, &rr);
         let s = build("s", 1000, &ss);
-        let theta = ThetaCondition::column_equals("k", "k");
+        let equi = ThetaCondition::column_equals("k", "k");
         for kind in KINDS {
-            let ta = canon(&ta_join(&r, &s, &theta, kind).unwrap());
-            for plan in PLANS {
-                let nj = canon(&tp_join_with_plan(&r, &s, &theta, kind, Some(plan)).unwrap());
+            let ta = canon(&ta_join(&r, &s, &equi, kind).unwrap());
+            for (plan, theta) in thetas() {
+                let nj = canon(&tp_join(&r, &s, &theta, kind).unwrap());
                 prop_assert_eq!(&nj, &ta, "kind = {:?}, plan = {}", kind, plan);
-            }
-        }
-    }
-
-    #[test]
-    fn forced_plans_agree_with_each_other(rr in adversarial_rows(), ss in adversarial_rows()) {
-        let r = build("r", 0, &rr);
-        let s = build("s", 1000, &ss);
-        let theta = ThetaCondition::column_equals("k", "k");
-        for kind in KINDS {
-            let reference = canon(&tp_join_with_plan(&r, &s, &theta, kind, Some(OverlapJoinPlan::NestedLoop)).unwrap());
-            for plan in [OverlapJoinPlan::Sweep, OverlapJoinPlan::Hash] {
-                let got = canon(&tp_join_with_plan(&r, &s, &theta, kind, Some(plan)).unwrap());
-                prop_assert_eq!(&got, &reference, "kind = {:?}, plan = {}", kind, plan);
             }
         }
     }

@@ -186,7 +186,7 @@ fn chained_set_operations_compose_like_the_core_functions() {
     r.register_probabilities(&mut base_engine);
     s.register_probabilities(&mut base_engine);
     let over_derived = |left: &TpRelation, right: &TpRelation, kind| {
-        TpSetOpStream::with_engine_and_plan(left, right, kind, None, base_engine.clone())
+        TpSetOpStream::with_engine(left, right, kind, base_engine.clone())
             .unwrap()
             .collect_relation()
     };
