@@ -35,6 +35,13 @@
 //! one `r`-tuple group at a time, which is what lets the full window
 //! pipeline (overlap join → LAWAU → LAWAN → output formation) run without
 //! materializing any intermediate window vector.
+//!
+//! The stream builds its probe index on its first pull, not when it is
+//! created: a flipped second pass (right and full outer join, union) builds
+//! its index only once the first pass is exhausted and dropped, so one
+//! index is alive at a time and the first output row waits for one build.
+//! Keys are written into buffers the build and the probes reuse; an owned
+//! key is allocated once per *distinct* key of `s`.
 
 use crate::pipeline::{next_window, WindowGroups};
 use crate::theta::{BoundTheta, ThetaCondition};
@@ -102,9 +109,9 @@ pub fn overlapping_windows(
     Ok(OverlapWindowStream::new(r, s, theta)?.collect())
 }
 
-/// The build-side structure of the overlap join, built once per pass and
-/// probed once per `r` tuple.
-enum ProbeIndex {
+/// The build-side structure of the overlap join, built on the pass's first
+/// pull and probed once per `r` tuple.
+pub(crate) enum ProbeIndex {
     /// Per-key partitions sorted by interval start.
     Sweep(HashMap<Vec<Value>, SortedIntervalIndex>),
     /// No index: every probe scans all of `s`.
@@ -117,11 +124,16 @@ impl ProbeIndex {
         match auto_plan(bound) {
             OverlapJoinPlan::Sweep => {
                 let mut builders: HashMap<Vec<Value>, SortedIntervalIndexBuilder> = HashMap::new();
+                let mut key = Vec::new();
                 for (si, st) in s.iter().enumerate() {
-                    builders
-                        .entry(bound.right_key(st))
-                        .or_default()
-                        .push(st.interval(), si);
+                    bound.right_key_into(st, &mut key);
+                    if let Some(builder) = builders.get_mut(key.as_slice()) {
+                        builder.push(st.interval(), si);
+                    } else {
+                        let mut builder = SortedIntervalIndexBuilder::default();
+                        builder.push(st.interval(), si);
+                        builders.insert(key.clone(), builder);
+                    }
                 }
                 ProbeIndex::Sweep(builders.into_iter().map(|(k, b)| (k, b.finish())).collect())
             }
@@ -131,13 +143,15 @@ impl ProbeIndex {
     /// Appends the windows of the probe tuple `r[ri]` to `out`, sorted by
     /// `(start, end)`: its overlapping windows, or one whole-interval
     /// unmatched window when nothing matches. Each window is written once,
-    /// in the buffer its consumer reads it from.
+    /// in the buffer its consumer reads it from; `key` is the caller's
+    /// reused buffer for the probe's equi-join key.
     fn probe_into(
         &self,
         ri: usize,
         rt: &TpTuple,
         s: &TpRelation,
         bound: &BoundTheta,
+        key: &mut Vec<Value>,
         out: &mut VecDeque<Window>,
     ) {
         let from = out.len();
@@ -145,7 +159,8 @@ impl ProbeIndex {
         let mut emit = |inter, si| out.push_back(Window::overlapping(inter, ri, si));
         match self {
             ProbeIndex::Sweep(partitions) => {
-                if let Some(partition) = partitions.get(&bound.left_key(rt)) {
+                bound.left_key_into(rt, key);
+                if let Some(partition) = partitions.get(key.as_slice()) {
                     for (s_iv, si) in partition.overlapping(r_iv) {
                         // The sorted partition covers the equality part of θ
                         // and the temporal overlap; re-check the bound
@@ -190,7 +205,8 @@ impl ProbeIndex {
 /// group, one probe at a time. Feeding this into
 /// [`LawauStream`](crate::pipeline::LawauStream) and
 /// [`LawanStream`](crate::pipeline::LawanStream) pipelines the entire window
-/// computation without materializing any window vector.
+/// computation without materializing any window vector. The probe index is
+/// built by the first pull, so creating a stream costs only binding θ.
 ///
 /// The two relations are held through any [`Borrow`]`<TpRelation>`: plain
 /// references inside a join operator, `Arc<TpRelation>` in long-lived
@@ -199,7 +215,10 @@ pub struct OverlapWindowStream<R: Borrow<TpRelation>, S: Borrow<TpRelation>> {
     r: R,
     s: S,
     bound: BoundTheta,
-    index: ProbeIndex,
+    /// The probe index of θ's plan; `None` until the first pull.
+    pub(crate) index: Option<ProbeIndex>,
+    /// The probe's equi-join key (reused across probes).
+    key: Vec<Value>,
     /// The next `r` index to probe.
     next_probe: usize,
     /// The current probe's windows when the stream is consumed as an
@@ -215,14 +234,14 @@ impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
     }
 
     /// Creates the stream under an already bound θ. The probe index is
-    /// built here.
+    /// built on the first pull, not here.
     pub(crate) fn from_bound(r: R, s: S, bound: BoundTheta) -> Self {
-        let index = ProbeIndex::build(s.borrow(), &bound);
         Self {
             r,
             s,
             bound,
-            index,
+            index: None,
+            key: Vec::new(),
             next_probe: 0,
             ready: VecDeque::new(),
         }
@@ -231,13 +250,17 @@ impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
 
 impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> WindowGroups for OverlapWindowStream<R, S> {
     /// A probe *is* a group: the next `r` tuple's windows are written
-    /// straight into the consumer's buffer.
+    /// straight into the consumer's buffer. The first probe builds the
+    /// index.
     fn next_group(&mut self, out: &mut VecDeque<Window>) -> Option<usize> {
         let ri = self.next_probe;
         let rt = self.r.borrow().tuples().get(ri)?;
         self.next_probe += 1;
-        self.index
-            .probe_into(ri, rt, self.s.borrow(), &self.bound, out);
+        let (s, bound) = (self.s.borrow(), &self.bound);
+        let index = self
+            .index
+            .get_or_insert_with(|| ProbeIndex::build(s, bound));
+        index.probe_into(ri, rt, s, bound, &mut self.key, out);
         Some(ri)
     }
 }
@@ -290,10 +313,11 @@ mod tests {
         let bound = theta.bind(a.schema(), b.schema()).unwrap();
         let sweep = ProbeIndex::build(&b, &bound);
         assert!(matches!(sweep, ProbeIndex::Sweep(_)));
+        let mut key = Vec::new();
         for (ri, rt) in a.iter().enumerate() {
             let (mut by_sweep, mut by_loop) = (VecDeque::new(), VecDeque::new());
-            sweep.probe_into(ri, rt, &b, &bound, &mut by_sweep);
-            ProbeIndex::NestedLoop.probe_into(ri, rt, &b, &bound, &mut by_loop);
+            sweep.probe_into(ri, rt, &b, &bound, &mut key, &mut by_sweep);
+            ProbeIndex::NestedLoop.probe_into(ri, rt, &b, &bound, &mut key, &mut by_loop);
             assert_eq!(by_sweep, by_loop, "r[{ri}]");
         }
         let non_equi = theta.and_compare("Name", CompareOp::Lt, "Hotel");

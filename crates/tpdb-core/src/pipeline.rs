@@ -109,7 +109,7 @@ pub(crate) fn next_window<G: WindowGroups>(
 /// remaining unmatched windows, one `r`-tuple group at a time.
 #[derive(Debug)]
 pub struct LawauStream<I, P: Borrow<TpRelation>> {
-    input: I,
+    pub(crate) input: I,
     positive: P,
     /// The current input group (reused across groups), drained by value
     /// into the sweep.
@@ -153,7 +153,7 @@ impl<I: WindowGroups, P: Borrow<TpRelation>> Iterator for LawauStream<I, P> {
 /// `r`-tuple group at a time.
 #[derive(Debug)]
 pub struct LawanStream<I> {
-    input: I,
+    pub(crate) input: I,
     /// The current group, swept in place (reused across groups); windows are
     /// moved out of the front.
     ready: VecDeque<Window>,

@@ -151,8 +151,9 @@ pub fn tp_union(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageErr
 /// all-attribute equality θ (the intersection keeping `r`'s columns only);
 /// the union runs two window passes — `WO → LAWAU → LAWAN` of `r` against
 /// `s`, then `WO → LAWAU` of `s` against `r` for the right side's unmatched
-/// sub-intervals. Like the join stream, the probe indexes are built eagerly
-/// at construction; everything downstream is lazy.
+/// sub-intervals. Like the join stream, each pass builds its probe index on
+/// its first pull, so the second pass of a union builds its index only
+/// after the first pass is exhausted; everything else is lazy too.
 ///
 /// ```
 /// use tpdb_core::{TpSetOpKind, TpSetOpStream};
@@ -165,7 +166,7 @@ pub fn tp_union(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageErr
 /// let rest = stream.count();
 /// assert_eq!(1 + rest, tpdb_core::tp_difference(&a, &b).unwrap().len());
 /// ```
-pub struct TpSetOpStream<R, S, E = ProbabilityEngine>(TpJoinStream<R, S, E>)
+pub struct TpSetOpStream<R, S, E = ProbabilityEngine>(pub(crate) TpJoinStream<R, S, E>)
 where
     R: Borrow<TpRelation> + Clone,
     S: Borrow<TpRelation> + Clone,

@@ -14,10 +14,11 @@
 //! A statement is one such run on the caller's thread: the runner interns
 //! both lineage columns once per operator, asks the engine once whether
 //! they make every output root read-once
-//! ([`ProbabilityEngine::certify_columns`]), and [`Pipe::build`] builds each
-//! pass's probe index — eagerly, at construction, like the build side of a
-//! conventional hash join — under the window adaptors the pass needs.
-//! Everything downstream of the build side is lazy.
+//! ([`ProbabilityEngine::certify_columns`]), and [`Pipe::build`] binds θ
+//! for each pass under the window adaptors the pass needs. A pass builds
+//! its probe index when it is first pulled, so a flipped second pass builds
+//! its index only after the first pass is exhausted and dropped: one index
+//! is alive at a time, and the first output row waits for one index build.
 //!
 //! The input relations are held through any [`Borrow`]`<TpRelation>`, so
 //! the streams work with plain references inside a one-shot join (this is
@@ -74,8 +75,8 @@ where
     P: Borrow<TpRelation> + Clone,
     N: Borrow<TpRelation>,
 {
-    /// Builds the pass pipe for windows of `pos` with respect to `neg`. The
-    /// probe index of θ's plan is built up front.
+    /// Builds the pass pipe for windows of `pos` with respect to `neg`. θ is
+    /// bound here; the probe index of θ's plan is built on the first pull.
     pub(crate) fn build(
         pos: P,
         neg: N,
@@ -156,11 +157,12 @@ where
 /// …); `E` holds the probability engine (`ProbabilityEngine` owned, or
 /// `&mut ProbabilityEngine` borrowed from the caller).
 ///
-/// Like a conventional hash join, the stream builds its probe index (and,
-/// for right and full outer joins, the index of the flipped second pass)
-/// eagerly at construction; everything downstream of the build side is
-/// lazy — [`windows_consumed`](TpJoinStream::windows_consumed) counts how
-/// much of the window pipeline an iteration has actually pulled.
+/// Construction binds θ (an unbindable θ fails here) and interns the two
+/// lineage columns; each pass builds its probe index when it is first
+/// pulled, so the flipped second pass of a right or full outer join builds
+/// its index only after the first pass is exhausted.
+/// [`windows_consumed`](TpJoinStream::windows_consumed) counts how much of
+/// the window pipeline an iteration has actually pulled.
 ///
 /// ```
 /// use tpdb_core::{ThetaCondition, TpJoinKind, TpJoinStream};
@@ -180,7 +182,7 @@ where
 // The stream is the crate's one lazy pass runner: it executes the passes of
 // any row of the operator table ([`TpJoinStream::for_op`]) in table order,
 // forming one output tuple per accepted window. Finished passes are dropped
-// (releasing their probe index) before the next one starts.
+// (releasing their probe index) before the next one builds its own.
 pub struct TpJoinStream<R, S, E = ProbabilityEngine>
 where
     R: Borrow<TpRelation> + Clone,
@@ -657,6 +659,64 @@ mod tests {
             // (t, d) under the inner and right outer joins and ∩.
             proptest::prop_assert!(certified >= 3 * 9, "{certified} certified statements");
         }
+    }
+
+    /// Which passes still to run hold a probe index, the front pass first.
+    fn indexed<R, S, E>(stream: &TpJoinStream<R, S, E>) -> Vec<bool>
+    where
+        R: Borrow<TpRelation> + Clone,
+        S: Borrow<TpRelation> + Clone,
+        E: BorrowMut<ProbabilityEngine>,
+    {
+        let has_index = |pipe: &Pipe<_, _>| match pipe {
+            Pipe::Wo(wo) => wo.index.is_some(),
+            Pipe::Wu(wu) => wu.input.index.is_some(),
+            Pipe::Wuon(wuon) => wuon.input.input.index.is_some(),
+        };
+        stream
+            .passes
+            .iter()
+            .map(|pass| has_index(&pass.pipe))
+            .collect()
+    }
+
+    /// Pulls `stream` dry, checking that no pass holds an index before it
+    /// is the front pass: the flipped pass builds its own only after the
+    /// first one is exhausted and dropped.
+    fn assert_one_index_at_a_time<R, S, E>(mut stream: TpJoinStream<R, S, E>)
+    where
+        R: Borrow<TpRelation> + Clone,
+        S: Borrow<TpRelation> + Clone,
+        E: BorrowMut<ProbabilityEngine>,
+    {
+        assert_eq!(indexed(&stream), [false, false]);
+        assert!(stream.next().is_some());
+        assert_eq!(indexed(&stream), [true, false]);
+        let mut flipped_rows = 0;
+        loop {
+            let row = stream.next();
+            match indexed(&stream)[..] {
+                [true, false] => assert!(row.is_some()),
+                [true] => flipped_rows += usize::from(row.is_some()),
+                [] => break,
+                ref other => panic!("indexes held: {other:?}"),
+            }
+        }
+        assert!(flipped_rows > 0);
+    }
+
+    #[test]
+    fn each_pass_builds_its_index_when_it_starts() {
+        let (a, b, _) = booking_relations();
+        let full = TpJoinStream::new(&a, &b, &theta(), TpJoinKind::FullOuter).unwrap();
+        assert_one_index_at_a_time(full);
+        let r = crate::testutil::keyed_relation("r", 0, &[(0, 0, 5)]);
+        let s = crate::testutil::keyed_relation("s", 100, &[(0, 3, 5), (1, 0, 2)]);
+        let union = crate::TpSetOpStream::new(&r, &s, crate::TpSetOpKind::Union).unwrap();
+        assert_one_index_at_a_time(union.0);
+        // θ is still bound at construction.
+        let unbindable = ThetaCondition::column_equals("Loc", "NoSuchColumn");
+        assert!(TpJoinStream::new(&a, &b, &unbindable, TpJoinKind::FullOuter).is_err());
     }
 
     #[test]

@@ -188,22 +188,17 @@ impl BoundTheta {
         self.pure_equi && !self.equi_keys.is_empty()
     }
 
-    /// The left-side key of an equi-join condition.
-    #[must_use]
-    pub fn left_key(&self, t: &TpTuple) -> Vec<Value> {
-        self.equi_keys
-            .iter()
-            .map(|(l, _)| t.fact(*l).clone())
-            .collect()
+    /// Overwrites `key` with the left-side key of an equi-join condition.
+    /// The buffer is reused from call to call, so a probe allocates nothing.
+    pub fn left_key_into(&self, t: &TpTuple, key: &mut Vec<Value>) {
+        key.clear();
+        key.extend(self.equi_keys.iter().map(|(l, _)| t.fact(*l).clone()));
     }
 
-    /// The right-side key of an equi-join condition.
-    #[must_use]
-    pub fn right_key(&self, t: &TpTuple) -> Vec<Value> {
-        self.equi_keys
-            .iter()
-            .map(|(_, r)| t.fact(*r).clone())
-            .collect()
+    /// Overwrites `key` with the right-side key of an equi-join condition.
+    pub fn right_key_into(&self, t: &TpTuple, key: &mut Vec<Value>) {
+        key.clear();
+        key.extend(self.equi_keys.iter().map(|(_, r)| t.fact(*r).clone()));
     }
 }
 
@@ -236,8 +231,11 @@ mod tests {
         let hotel_sor = tup(vec![Value::str("hotel3"), Value::str("SOR")]);
         assert!(bound.matches(&ann, &hotel_zak));
         assert!(!bound.matches(&ann, &hotel_sor));
-        assert_eq!(bound.left_key(&ann), vec![Value::str("ZAK")]);
-        assert_eq!(bound.right_key(&hotel_sor), vec![Value::str("SOR")]);
+        let mut key = vec![Value::Null, Value::Null];
+        bound.left_key_into(&ann, &mut key);
+        assert_eq!(key, [Value::str("ZAK")]);
+        bound.right_key_into(&hotel_sor, &mut key);
+        assert_eq!(key, [Value::str("SOR")]);
     }
 
     #[test]

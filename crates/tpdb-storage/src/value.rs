@@ -10,7 +10,9 @@ use std::sync::Arc;
 ///
 /// Strings are reference-counted so that projecting/joining tuples never
 /// copies string payloads. Floats are compared with a total order
-/// ([`f64::total_cmp`]) so that values can be sorted and grouped.
+/// ([`f64::total_cmp`]) so that values can be sorted and grouped; an `Int`
+/// and a `Float` compare by their exact values, so an `Int` equals a
+/// `Float` only when the float represents it exactly.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Value {
     /// SQL-style NULL. In join results NULL marks padded attributes of
@@ -109,12 +111,22 @@ impl Ord for Value {
             (Bool(a), Bool(b)) => a.cmp(b),
             (Int(a), Int(b)) => a.cmp(b),
             (Float(a), Float(b)) => a.total_cmp(b),
-            (Int(a), Float(b)) => (*a as f64).total_cmp(b),
-            (Float(a), Int(b)) => a.total_cmp(&(*b as f64)),
+            (Int(a), Float(b)) => int_float_cmp(*a, *b),
+            (Float(a), Int(b)) => int_float_cmp(*b, *a).reverse(),
             (Str(a), Str(b)) => a.cmp(b),
             _ => self.type_rank().cmp(&other.type_rank()),
         }
     }
+}
+
+/// Compares an integer with a float by their exact values. Rounding `a` to
+/// a float is monotone, so it orders the two unless it ties; a tie means `b`
+/// is integral and in `i128` range, where both convert exactly (without this
+/// step `2^53 + 1` would equal `2^53` as a float but not as an integer).
+fn int_float_cmp(a: i64, b: f64) -> Ordering {
+    (a as f64)
+        .total_cmp(&b)
+        .then_with(|| i128::from(a).cmp(&(b as i128)))
 }
 
 impl Hash for Value {
@@ -220,6 +232,53 @@ mod tests {
     fn mixed_numeric_comparison() {
         assert!(Value::Int(1) < Value::Float(1.5));
         assert!(Value::Float(1.5) < Value::Int(2));
+    }
+
+    #[test]
+    fn int_float_equality_is_exact_and_transitive() {
+        let two_53 = 1i64 << 53;
+        let (a, b, c) = (
+            Value::Int(two_53 + 1),
+            Value::Float(two_53 as f64),
+            Value::Int(two_53),
+        );
+        assert_eq!(b, c);
+        assert_ne!(a, b);
+        assert_ne!(a, c);
+        assert!(c < a && b < a);
+        assert_eq!(a.cmp(&b), Ordering::Greater);
+        // The largest i64 rounds up to 2^63, one past it.
+        assert!(Value::Int(i64::MAX) < Value::Float(9_223_372_036_854_775_808.0));
+        assert_eq!(Value::Int(i64::MIN), Value::Float(i64::MIN as f64));
+    }
+
+    #[test]
+    fn equal_values_hash_equal() {
+        let two_53 = 1i64 << 53;
+        let values = [
+            Value::Null,
+            Value::Bool(true),
+            Value::Int(0),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Int(two_53),
+            Value::Int(two_53 + 1),
+            Value::Float(two_53 as f64),
+            Value::Int(-7),
+            Value::Float(-7.0),
+            Value::Float(0.5),
+            Value::Int(i64::MIN),
+            Value::Float(i64::MIN as f64),
+            Value::Float(f64::NAN),
+            Value::str("7"),
+        ];
+        for x in &values {
+            for y in &values {
+                if x == y {
+                    assert_eq!(hash_of(x), hash_of(y), "{x:?} == {y:?}");
+                }
+            }
+        }
     }
 
     #[test]

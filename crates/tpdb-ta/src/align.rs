@@ -47,7 +47,7 @@ pub fn align_bound(
     bound: &BoundTheta,
     use_hash: bool,
 ) -> Vec<AlignedFragment> {
-    let matcher = Matcher::new(s, bound, use_hash);
+    let mut matcher = Matcher::new(s, bound, use_hash);
     let mut out = Vec::new();
     for (r_idx, rt) in r.iter().enumerate() {
         let matches = matcher.matches(rt);
@@ -71,14 +71,22 @@ pub(crate) struct Matcher<'a> {
     s: &'a TpRelation,
     bound: &'a BoundTheta,
     partitions: Option<HashMap<Vec<Value>, Vec<usize>>>,
+    /// The probe's equi-join key (reused across probes).
+    key: Vec<Value>,
 }
 
 impl<'a> Matcher<'a> {
     pub(crate) fn new(s: &'a TpRelation, bound: &'a BoundTheta, use_hash: bool) -> Self {
+        let mut key = Vec::new();
         let partitions = (use_hash && bound.is_equi_join()).then(|| {
-            let mut map: HashMap<_, Vec<usize>> = HashMap::new();
+            let mut map: HashMap<Vec<Value>, Vec<usize>> = HashMap::new();
             for (si, st) in s.iter().enumerate() {
-                map.entry(bound.right_key(st)).or_default().push(si);
+                bound.right_key_into(st, &mut key);
+                if let Some(list) = map.get_mut(key.as_slice()) {
+                    list.push(si);
+                } else {
+                    map.insert(key.clone(), vec![si]);
+                }
             }
             map
         });
@@ -86,12 +94,13 @@ impl<'a> Matcher<'a> {
             s,
             bound,
             partitions,
+            key,
         }
     }
 
     /// The overlaps `rt.T ∩ s.T` with the θ-matching `s` tuples, with their
     /// `s` index, in `s` order.
-    pub(crate) fn matches(&self, rt: &TpTuple) -> Vec<(Interval, usize)> {
+    pub(crate) fn matches(&mut self, rt: &TpTuple) -> Vec<(Interval, usize)> {
         let overlap = |si: usize| {
             let st = self.s.tuple(si);
             let overlap = rt.interval().intersect(&st.interval())?;
@@ -99,7 +108,8 @@ impl<'a> Matcher<'a> {
         };
         match &self.partitions {
             Some(map) => {
-                let list = map.get(&self.bound.left_key(rt));
+                self.bound.left_key_into(rt, &mut self.key);
+                let list = map.get(self.key.as_slice());
                 list.into_iter()
                     .flatten()
                     .filter_map(|&si| overlap(si))

@@ -40,7 +40,7 @@ pub(crate) fn ta_wuo_with_plan(
     // Pass 1: conventional overlap join — the overlapping windows, found
     // with the plan a DBMS picks inside the alignment operator (a hash
     // join when θ is usable as an equi-join, nested loops otherwise).
-    let matcher = Matcher::new(s, bound, use_hash);
+    let mut matcher = Matcher::new(s, bound, use_hash);
     let mut windows = Vec::new();
     for (ri, rt) in r.iter().enumerate() {
         let matches = matcher.matches(rt).into_iter();
@@ -78,7 +78,7 @@ fn ta_negating_with_plan(
     use_hash: bool,
 ) -> WindowSet {
     let index = |i: usize| u32::try_from(i).expect("indices fit u32");
-    let matcher = Matcher::new(s, bound, use_hash);
+    let mut matcher = Matcher::new(s, bound, use_hash);
     let mut out = WindowSet::default();
     for (ri, rt) in r.iter().enumerate() {
         // Re-derive the matching overlaps of this tuple (alignment pass),

@@ -1,8 +1,13 @@
 #!/usr/bin/env bash
 # A/B two pre-built tpbench binaries on one workload: alternating runs per
 # seed, then per end-to-end metric the median, quartiles and win count of
-# each side. Exits non-zero when any run reports `correct: false` or
-# `failed > 0`, so a wrong answer can never be read as a speed-up.
+# each side, and a verdict against the metric's `bound` and `better` in
+# BENCHMARK.json (read, never written): REGRESSION when the change's median
+# is worse than the parent's by more than the bound, CLAIMABLE when the
+# change wins at least 9 pairs in 10 and the medians lie further apart than
+# the parent's q3 - q1. Exits non-zero when any run reports
+# `correct: false` or `failed > 0`, so a wrong answer can never be read as a
+# speed-up; a verdict never changes the exit status.
 #
 #   scripts/ab_tpbench.sh PARENT_BIN CHANGE_BIN WORKLOAD SECONDS SEED...
 #
@@ -16,13 +21,22 @@
 set -euo pipefail
 
 if [ "$#" -lt 5 ]; then
-    sed -n '2,15p' "$0" >&2
+    sed -n '2,20p' "$0" >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3 seconds=$4
 shift 4
 log=${AB_LOG:-ab_${workload}.log}
 : >"$log"
+
+# "name better bound" per end-to-end metric of BENCHMARK.json.
+spec=$(python3 - "$(dirname "$0")/../BENCHMARK.json" <<'EOF'
+import json, sys
+with open(sys.argv[1]) as f:
+    for m in json.load(f)["end_to_end"]:
+        print(m["name"], m["better"], m["bound"])
+EOF
+)
 
 # Runs one binary; prints its result line with minflt_per_stmt appended.
 run() {
@@ -58,12 +72,13 @@ for seed in "$@"; do
 done
 
 # One row per metric: "side seed value" triples are paired by seed.
-awk '
+awk -v spec="$spec" '
 function quantile(v, n, q,    h, lo) {
     h = (n - 1) * q + 1; lo = int(h)
     return lo >= n ? v[n] : v[lo] + (h - lo) * (v[lo + 1] - v[lo])
 }
-function summary(side, m,    n, i, j, x, v) {
+# Sets med, q1 and q3 of one side of metric m; returns its run count.
+function stats(side, m,    n, i, j, x, v) {
     n = 0
     for (i = 1; i <= seeds; i++) {
         if (!((side, seed[i], m) in val)) continue
@@ -72,8 +87,18 @@ function summary(side, m,    n, i, j, x, v) {
         for (j = n++; j >= 1 && v[j] > x; j--) v[j + 1] = v[j]
         v[j + 1] = x
     }
-    if (n == 0) return "-"
-    return sprintf("%.6g [%.6g-%.6g]", quantile(v, n, 0.5), quantile(v, n, 0.25), quantile(v, n, 0.75))
+    if (n > 0) { med = quantile(v, n, 0.5); q1 = quantile(v, n, 0.25); q3 = quantile(v, n, 0.75) }
+    return n
+}
+function summary(n) {
+    return n == 0 ? "-" : sprintf("%.6g [%.6g-%.6g]", med, q1, q3)
+}
+BEGIN {
+    lines = split(spec, line, "\n")
+    for (i = 1; i <= lines; i++) {
+        split(line[i], f, " ")
+        better[f[1]] = f[2]; bound[f[1]] = f[3]
+    }
 }
 {
     side = $1; s = $2
@@ -88,16 +113,27 @@ function summary(side, m,    n, i, j, x, v) {
     }
 }
 END {
-    printf "%-16s %-34s %-34s %s\n", "metric", "parent median [q1-q3]", "change median [q1-q3]", "change wins"
+    printf "%-16s %-34s %-34s %-11s %s\n", "metric", "parent median [q1-q3]", "change median [q1-q3]", "change wins", "verdict"
     for (k = 1; k <= metrics; k++) {
         m = metric[k]; wins = 0; pairs = 0
+        # A metric BENCHMARK.json does not declare (minflt_per_stmt) counts
+        # as lower-is-better and gets no verdict.
+        sign = better[m] == "higher" ? -1 : 1
         for (i = 1; i <= seeds; i++) {
             if (!(("parent", seed[i], m) in val) || !(("change", seed[i], m) in val)) continue
-            p = val["parent", seed[i], m]; c = val["change", seed[i], m]; pairs++
-            # out_per_s is the one higher-is-better end-to-end metric.
-            if (m == "out_per_s" ? c > p : c < p) wins++
+            pairs++
+            if (sign * (val["change", seed[i], m] - val["parent", seed[i], m]) < 0) wins++
         }
-        printf "%-16s %-34s %-34s %d/%d\n", m, summary("parent", m), summary("change", m), wins, pairs
+        np = stats("parent", m); p = summary(np); pm = med; iqr = q3 - q1
+        nc = stats("change", m); c = summary(nc); cm = med
+        verdict = ""
+        if ((m in bound) && np > 0 && nc > 0) {
+            # How far the change median lies on the worse side of the parent.
+            worse = sign * (cm - pm)
+            if (worse > bound[m] * (pm < 0 ? -pm : pm)) verdict = "REGRESSION"
+            else if (pairs > 0 && wins >= 0.9 * pairs && -worse > iqr) verdict = "CLAIMABLE"
+        }
+        printf "%-16s %-34s %-34s %-11s %s\n", m, p, c, wins "/" pairs, verdict
     }
 }' "$log"
 

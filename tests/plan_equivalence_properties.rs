@@ -12,6 +12,11 @@
 //!   many windows open/close at the same boundary,
 //! * **single-point intervals** `[t, t+1)` — the smallest representable
 //!   windows, adjacent to everything around them.
+//!
+//! Beside the single-key join, the plans are held to TA on keys that stress
+//! how the sweep index hashes and compares them: two-column keys, NULL keys
+//! (which hash together but never match) and an `Int` key against a `Float`
+//! key around 2^53, where rounding would equate distinct integers.
 
 use proptest::prelude::*;
 use tpdb::core::{tp_join, CompareOp, ThetaCondition, TpJoinKind};
@@ -20,12 +25,12 @@ use tpdb::storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb::ta::ta_join;
 use tpdb::temporal::Interval;
 
-/// One θ per plan, all meaning `k = k`: the equi-join runs the sweep, the
-/// conjunct `k <= k` makes it non-equi and runs the nested loop.
-fn thetas() -> [(&'static str, ThetaCondition); 2] {
-    let equi = ThetaCondition::column_equals("k", "k");
+/// One θ per plan, both meaning the equi-join `equi`: `equi` itself runs
+/// the sweep, and the vacuous conjunct `k <= k` makes it non-equi and runs
+/// the nested loop.
+fn plans(equi: &ThetaCondition) -> [(&'static str, ThetaCondition); 2] {
     let non_equi = equi.clone().and_compare("k", CompareOp::Le, "k");
-    [("sweep", equi), ("nested-loop", non_equi)]
+    [("sweep", equi.clone()), ("nested-loop", non_equi)]
 }
 
 const KINDS: [TpJoinKind; 5] = [
@@ -41,19 +46,34 @@ const KINDS: [TpJoinKind; 5] = [
 /// interval (the TP duplicate-free constraint). Probabilities vary per
 /// tuple so that the probability engine is stressed too.
 fn build(name: &str, var_offset: u32, rows: &[(i64, i64, i64)]) -> TpRelation {
-    let mut rel = TpRelation::new(name, Schema::tp(&[("k", DataType::Int)]));
+    let rows: Vec<_> = rows
+        .iter()
+        .map(|&(key, start, duration)| (vec![Value::Int(key)], start, duration))
+        .collect();
+    build_facts(name, var_offset, &[("k", DataType::Int)], &rows)
+}
+
+/// [`build`] over any columns: one tuple per `(facts, start, duration)` row,
+/// skipping rows that would overlap an earlier tuple with equal facts.
+fn build_facts(
+    name: &str,
+    var_offset: u32,
+    columns: &[(&str, DataType)],
+    rows: &[(Vec<Value>, i64, i64)],
+) -> TpRelation {
+    let mut rel = TpRelation::new(name, Schema::tp(columns));
     let mut var = var_offset;
-    for (key, start, duration) in rows {
+    for (facts, start, duration) in rows {
         let interval = Interval::new(*start, *start + *duration);
         if rel
             .iter()
-            .any(|t| t.fact(0) == &Value::Int(*key) && t.interval().overlaps(&interval))
+            .any(|t| t.facts() == facts && t.interval().overlaps(&interval))
         {
             continue;
         }
         let prob = 0.15 + 0.08 * f64::from(var % 10);
         rel.push(TpTuple::new(
-            vec![Value::Int(*key)],
+            facts.clone(),
             Lineage::var(VarId(var)),
             interval,
             prob,
@@ -84,10 +104,14 @@ fn canon(rel: &TpRelation) -> Vec<(Vec<String>, i64, i64, i64)> {
 }
 
 fn assert_all_plans_match_ta(r: &TpRelation, s: &TpRelation) {
-    let equi = ThetaCondition::column_equals("k", "k");
+    assert_plans_match_ta(r, s, &ThetaCondition::column_equals("k", "k"));
+}
+
+/// Both plans of the equi-join `equi` equal TA for every join kind.
+fn assert_plans_match_ta(r: &TpRelation, s: &TpRelation, equi: &ThetaCondition) {
     for kind in KINDS {
-        let ta = canon(&ta_join(r, s, &equi, kind).unwrap());
-        for (plan, theta) in thetas() {
+        let ta = canon(&ta_join(r, s, equi, kind).unwrap());
+        for (plan, theta) in plans(equi) {
             let nj = canon(&tp_join(r, s, &theta, kind).unwrap());
             assert_eq!(
                 nj, ta,
@@ -110,8 +134,54 @@ fn adversarial_rows() -> impl Strategy<Value = Vec<(i64, i64, i64)>> {
     )
 }
 
+/// Rows over `(k, k2)` with either key NULL now and then; `build_facts`
+/// keeps them duplicate-free.
+fn two_key_rows(nulls: bool) -> impl Strategy<Value = Vec<(Vec<Value>, i64, i64)>> {
+    let key = move || {
+        let keys = if nulls { 0i64..3 } else { 0i64..2 };
+        keys.prop_map(|k| if k == 2 { Value::Null } else { Value::Int(k) })
+    };
+    proptest::collection::vec(
+        (key(), key(), 0i64..10, 1i64..4).prop_map(|(k, k2, start, d)| (vec![k, k2], start, d)),
+        1..12,
+    )
+}
+
+fn two_key_relation(name: &str, var_offset: u32, rows: &[(Vec<Value>, i64, i64)]) -> TpRelation {
+    let columns = [("k", DataType::Int), ("k2", DataType::Int)];
+    build_facts(name, var_offset, &columns, rows)
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// A two-column key: the sweep partitions on `(k, k2)`.
+    #[test]
+    fn a_two_column_key_runs_every_plan_as_ta(rr in two_key_rows(false), ss in two_key_rows(false)) {
+        let r = two_key_relation("r", 0, &rr);
+        let s = two_key_relation("s", 1000, &ss);
+        let equi = ThetaCondition::column_equals("k", "k").and_compare("k2", CompareOp::Eq, "k2");
+        assert_plans_match_ta(&r, &s, &equi);
+    }
+
+    /// NULL keys on either side share a sweep partition but never match.
+    #[test]
+    fn null_keys_never_match_under_any_plan(rr in two_key_rows(true), ss in two_key_rows(true)) {
+        let r = two_key_relation("r", 0, &rr);
+        let s = two_key_relation("s", 1000, &ss);
+        // θ and the columns of an inner-join row (r's, then s's) it compares.
+        for (equi, keys) in [
+            (ThetaCondition::column_equals("k", "k"), &[0, 2][..]),
+            (
+                ThetaCondition::column_equals("k", "k").and_compare("k2", CompareOp::Eq, "k2"),
+                &[0, 1, 2, 3][..],
+            ),
+        ] {
+            assert_plans_match_ta(&r, &s, &equi);
+            let inner = tp_join(&r, &s, &equi, TpJoinKind::Inner).unwrap();
+            prop_assert!(inner.iter().all(|t| keys.iter().all(|&i| !t.fact(i).is_null())), "{}", inner);
+        }
+    }
 
     #[test]
     fn nj_equals_ta_under_every_plan(rr in adversarial_rows(), ss in adversarial_rows()) {
@@ -120,7 +190,7 @@ proptest! {
         let equi = ThetaCondition::column_equals("k", "k");
         for kind in KINDS {
             let ta = canon(&ta_join(&r, &s, &equi, kind).unwrap());
-            for (plan, theta) in thetas() {
+            for (plan, theta) in plans(&equi) {
                 let nj = canon(&tp_join(&r, &s, &theta, kind).unwrap());
                 prop_assert_eq!(&nj, &ta, "kind = {:?}, plan = {}", kind, plan);
             }
@@ -129,6 +199,34 @@ proptest! {
 }
 
 // ---- deterministic adversarial regressions --------------------------------
+
+#[test]
+fn an_int_key_matches_a_float_key_only_when_it_is_exactly_equal() {
+    // θ binding does not check types: `r.k` is an Int, `s.k` a Float. Around
+    // 2^53 distinct integers round to one float, yet only 2^53 itself
+    // equals 2^53.0, whichever plan or system runs the join.
+    let two_53 = 1i64 << 53;
+    let ints = [two_53 - 1, two_53, two_53 + 1, two_53 + 2];
+    let r_rows: Vec<_> = ints.iter().map(|&k| (vec![Value::Int(k)], 0, 10)).collect();
+    let r = build_facts("r", 0, &[("k", DataType::Int)], &r_rows);
+    let floats = [two_53 as f64, (two_53 + 2) as f64];
+    let s_rows: Vec<_> = floats
+        .iter()
+        .map(|&k| (vec![Value::Float(k)], 2, 4))
+        .collect();
+    let s = build_facts("s", 1000, &[("k", DataType::Float)], &s_rows);
+    let equi = ThetaCondition::column_equals("k", "k");
+    assert_plans_match_ta(&r, &s, &equi);
+    for (plan, theta) in plans(&equi) {
+        let inner = tp_join(&r, &s, &theta, TpJoinKind::Inner).unwrap();
+        let matched: Vec<&Value> = inner.iter().map(|t| t.fact(0)).collect();
+        assert_eq!(
+            matched,
+            [&Value::Int(two_53), &Value::Int(two_53 + 2)],
+            "{plan}"
+        );
+    }
+}
 
 #[test]
 fn identical_intervals_in_a_dense_partition() {
