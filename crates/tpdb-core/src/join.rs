@@ -22,7 +22,8 @@ use crate::theta::ThetaCondition;
 use crate::window::{Window, WindowKind, WindowSet};
 use std::slice;
 use tpdb_lineage::{
-    Concat, InternedNode, LineageInterner, LineageRef, ProbabilityEngine, ReadOnceColumns,
+    Concat, InternedNode, LineageInterner, LineageRef, ProbabilityEngine, ProbabilityError,
+    ReadOnceColumns,
 };
 use tpdb_storage::{StorageError, TpRelation, TpTuple};
 
@@ -163,6 +164,11 @@ pub fn tp_join_with_engine(
 /// exactly as the streaming join forms them, so the NJ implementation and
 /// the Temporal Alignment baseline differ only in *how the windows are
 /// computed*.
+///
+/// # Errors
+///
+/// [`StorageError::MissingMarginal`] when a lineage of `r` or `s` names a
+/// variable `engine` has no marginal for.
 pub fn assemble_join_result(
     r: &TpRelation,
     s: &TpRelation,
@@ -170,11 +176,11 @@ pub fn assemble_join_result(
     left_windows: &WindowSet,
     right_windows: &WindowSet,
     engine: &mut ProbabilityEngine,
-) -> TpRelation {
+) -> Result<TpRelation, StorageError> {
     let op = TpOp::Join(kind);
     let (name, schema) = op.output(r, s);
     let mut out = TpRelation::new(&name, schema);
-    let mut formation = Formation::new(op, r, s, engine);
+    let mut formation = Formation::new(op, r, s, engine)?;
     for spec in op.passes() {
         let (windows, pos, neg) = if spec.flipped {
             (right_windows, s, r)
@@ -188,14 +194,16 @@ pub fn assemble_join_result(
             }
         }
     }
-    out
+    Ok(out)
 }
 
 /// Output formation for one statement: both input lineage columns interned
-/// once, and the engine's decision whether they make every output root
-/// read-once. Windows carry indices only; a tuple's `λr` is its `r` root,
-/// an overlapping window's `λs` its `s` root, and a negating window's `λs`
-/// the disjunction of the roots its span lists.
+/// and checked once, and the engine's decision whether they make every
+/// output root read-once. A `Formation` exists only for inputs whose every
+/// variable has a marginal, so forming a row never checks one again.
+/// Windows carry indices only; a tuple's `λr` is its `r` root, an
+/// overlapping window's `λs` its `s` root, and a negating window's `λs` the
+/// disjunction of the roots its span lists.
 pub(crate) struct Formation {
     /// The roots of `r`'s and `s`'s lineage columns, by tuple index.
     r_col: Vec<LineageRef>,
@@ -211,13 +219,15 @@ pub(crate) struct Formation {
 impl Formation {
     /// Interns the lineage columns of `r` and `s` into `engine` and
     /// certifies them for `op`. A pass that emits negating windows draws
-    /// `λs` spans from its negative column.
+    /// `λs` spans from its negative column. Fails with
+    /// [`StorageError::MissingMarginal`] when a lineage of either input
+    /// names a variable with no marginal in `engine`.
     pub(crate) fn new(
         op: TpOp,
         r: &TpRelation,
         s: &TpRelation,
         engine: &mut ProbabilityEngine,
-    ) -> Self {
+    ) -> Result<Self, StorageError> {
         let interner = engine.interner_mut();
         let r_col = interner.intern_column(r.tuples().iter().map(TpTuple::lineage));
         let s_col = interner.intern_column(s.tuples().iter().map(TpTuple::lineage));
@@ -226,13 +236,15 @@ impl Formation {
                 spec.flipped == flipped && spec.lineage_fn(WindowKind::Negating).is_some()
             })
         };
-        let certificate = engine.certify_columns(&r_col, &s_col, spanned(true), spanned(false));
-        Self {
+        let certificate = engine
+            .certify_columns(&r_col, &s_col, spanned(true), spanned(false))
+            .map_err(|ProbabilityError::MissingVariable(var)| StorageError::MissingMarginal(var))?;
+        Ok(Self {
             r_col,
             s_col,
             certificate,
             operands: Vec::new(),
-        }
+        })
     }
 
     /// Forms the output tuple of `w` under the pass `spec` over `(pos,
@@ -395,7 +407,7 @@ mod tests {
             TpJoinKind::FullOuter,
         ] {
             let mut engine = registered_engine(&a, &b);
-            let assembled = assemble_join_result(&a, &b, kind, &left, &right, &mut engine);
+            let assembled = assemble_join_result(&a, &b, kind, &left, &right, &mut engine).unwrap();
             assert_eq!(
                 assembled,
                 tp_join(&a, &b, &theta(), kind).unwrap(),

@@ -200,7 +200,9 @@ where
     /// # Errors
     ///
     /// [`StorageError::ArityMismatch`] / [`StorageError::UnionIncompatible`]
-    /// when the inputs are not union-compatible.
+    /// when the inputs are not union-compatible, and
+    /// [`StorageError::MissingMarginal`] when a lineage of `r` or `s` names
+    /// a variable `engine` has no marginal for.
     pub fn with_engine(r: R, s: S, kind: TpSetOpKind, engine: E) -> Result<Self, StorageError> {
         let theta = all_columns_equal(r.borrow(), s.borrow())?;
         TpJoinStream::for_op(r, s, TpOp::SetOp(kind), &theta, engine).map(Self)

@@ -13,7 +13,8 @@
 //!
 //! A statement is one such run on the caller's thread: the runner interns
 //! both lineage columns once per operator, asks the engine once whether
-//! they make every output root read-once
+//! every variable under them has a marginal (the statement fails before its
+//! first row otherwise) and whether they make every output root read-once
 //! ([`ProbabilityEngine::certify_columns`]), and [`Pipe::build`] binds θ
 //! for each pass under the window adaptors the pass needs. A pass builds
 //! its probe index when it is first pulled, so a flipped second pass builds
@@ -232,6 +233,11 @@ where
     /// `&mut`-borrowed). Use this variant when the inputs are derived
     /// relations whose compound lineages reference base tuples not present
     /// in `r`/`s`.
+    ///
+    /// # Errors
+    ///
+    /// θ's binding errors, and [`StorageError::MissingMarginal`] when a
+    /// lineage of `r` or `s` names a variable `engine` has no marginal for.
     pub fn with_engine(
         r: R,
         s: S,
@@ -252,9 +258,9 @@ where
         mut engine: E,
     ) -> Result<Self, StorageError> {
         let (name, schema) = op.output(r.borrow(), s.borrow());
-        // Both lineage columns are interned and certified once per
+        // Both lineage columns are interned, checked and certified once per
         // operator; a flipped second pass swaps the same two columns.
-        let formation = Formation::new(op, r.borrow(), s.borrow(), engine.borrow_mut());
+        let formation = Formation::new(op, r.borrow(), s.borrow(), engine.borrow_mut())?;
         let mut passes = VecDeque::new();
         for spec in op.passes() {
             let flipped_theta;
@@ -317,8 +323,9 @@ where
     /// ([`ProbabilityEngine::certify_columns`])? Then every row is priced
     /// without an arena node and no lineage node is interned past the two
     /// input columns. Self-joins, inputs that share a variable, a negated
-    /// input whose rows share one, unregistered variables and the Shannon
-    /// ablation are not certified: each of their rows interns its root.
+    /// input whose rows share one and correlated roots are not certified:
+    /// each of their rows interns its root. (An input with an unregistered
+    /// variable has no stream: the constructor fails.)
     #[must_use]
     pub fn is_certified(&self) -> bool {
         self.formation.certificate.is_some()

@@ -119,11 +119,10 @@ impl Lineage {
             }
         }
         let mut flat = flat.into_vec();
-        match flat.len() {
-            0 => Self::tru(),
-            1 => flat.pop().expect("len checked"),
-            _ => Lineage(Arc::new(LineageNode::And(flat))),
+        if flat.len() > 1 {
+            return Lineage(Arc::new(LineageNode::And(flat)));
         }
+        flat.pop().unwrap_or_else(Self::tru)
     }
 
     /// N-ary disjunction with flattening, unit elimination and
@@ -145,11 +144,10 @@ impl Lineage {
             }
         }
         let mut flat = flat.into_vec();
-        match flat.len() {
-            0 => Self::fls(),
-            1 => flat.pop().expect("len checked"),
-            _ => Lineage(Arc::new(LineageNode::Or(flat))),
+        if flat.len() > 1 {
+            return Lineage(Arc::new(LineageNode::Or(flat)));
         }
+        flat.pop().unwrap_or_else(Self::fls)
     }
 
     /// Wraps a node that already satisfies the constructors' normal form
@@ -273,6 +271,7 @@ impl Lineage {
     /// Renders the formula with the names from `syms` (falling back to the
     /// raw variable id when a name is unknown).
     #[must_use]
+    #[expect(clippy::expect_used, reason = "writing to a String cannot fail")]
     pub fn display_with(&self, syms: &SymbolTable) -> String {
         let mut s = String::new();
         write_lineage(&mut s, self, Some(syms), prec::TOP)

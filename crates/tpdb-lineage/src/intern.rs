@@ -767,6 +767,10 @@ impl LineageInterner {
                 debug_assert!(false, "interning a malformed node: {problem}");
             }
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "node ids are u32 by design; an arena of 2³² nodes exceeds memory first"
+        )]
         let id = u32::try_from(self.nodes.len())
             .ok()
             .filter(|&id| id != EMPTY)

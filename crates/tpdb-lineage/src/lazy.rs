@@ -57,12 +57,10 @@ impl Recipe {
                 [conjuncts(a), slice::from_ref(&not)].concat()
             }
             Recipe::AndNotOr(operands) => {
-                let (lambda_r, disjuncts) = operands
-                    .split_first()
-                    .expect("a span recipe holds λr and its disjuncts");
+                let (conjuncts_r, disjuncts) = span_operands(operands);
                 let or = Lineage::from_normalized(LineageNode::Or(disjuncts.to_vec()));
                 let not = Lineage::from_normalized(LineageNode::Not(or));
-                [conjuncts(lambda_r), slice::from_ref(&not)].concat()
+                [conjuncts_r, slice::from_ref(&not)].concat()
             }
         };
         Lineage::from_normalized(LineageNode::And(conjuncts))
@@ -86,10 +84,8 @@ impl fmt::Display for Recipe {
                 write_lineage(f, b, None, prec::ATOM)
             }
             Recipe::AndNotOr(operands) => {
-                let (lambda_r, disjuncts) = operands
-                    .split_first()
-                    .expect("a span recipe holds λr and its disjuncts");
-                write_operands(f, and, conjuncts(lambda_r), None)?;
+                let (conjuncts_r, disjuncts) = span_operands(operands);
+                write_operands(f, and, conjuncts_r, None)?;
                 write!(f, "{}{NOT}", and.separator())?;
                 write_junction(f, Junction::Or, disjuncts, None, prec::ATOM)
             }
@@ -102,6 +98,15 @@ fn conjuncts(l: &Lineage) -> &[Lineage] {
     match l.node() {
         LineageNode::And(children) => children,
         _ => slice::from_ref(l),
+    }
+}
+
+/// A span recipe's `[λr, c₁, …, c_k]` split into the conjuncts of `λr` and
+/// the disjuncts `cᵢ`.
+fn span_operands(operands: &[Lineage]) -> (&[Lineage], &[Lineage]) {
+    match operands.split_first() {
+        Some((lambda_r, disjuncts)) => (conjuncts(lambda_r), disjuncts),
+        None => (&[], &[]),
     }
 }
 

@@ -62,6 +62,12 @@
     clippy::print_stdout,
     clippy::print_stderr
 )]
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 mod formula;
 mod intern;

@@ -21,8 +21,6 @@ pub type MarginalMap = FxHashMap<VarId, f64>;
 pub enum ProbabilityError {
     /// A variable occurring in the formula has no registered probability.
     MissingVariable(VarId),
-    /// A probability outside `[0, 1]` was supplied.
-    OutOfRange(f64),
 }
 
 impl fmt::Display for ProbabilityError {
@@ -30,9 +28,6 @@ impl fmt::Display for ProbabilityError {
         match self {
             ProbabilityError::MissingVariable(v) => {
                 write!(f, "no probability registered for variable {v}")
-            }
-            ProbabilityError::OutOfRange(p) => {
-                write!(f, "probability {p} is outside [0, 1]")
             }
         }
     }
@@ -62,8 +57,7 @@ pub enum Concat {
 /// [`certified_concat`](ProbabilityEngine::certified_concat), which price a
 /// row through the memo with no normalization, leaf walk or new node. It
 /// stays valid for the engine that issued it while that engine's marginals
-/// and `force_shannon` are unchanged — for as long as a pass runner holds
-/// the engine.
+/// are unchanged — for as long as a pass runner holds the engine.
 #[derive(Debug)]
 pub struct ReadOnceColumns {
     _sealed: (),
@@ -111,13 +105,16 @@ pub struct ReadOnceColumns {
 /// Callers on the hot path intern once ([`intern`](Self::intern), or
 /// [`LineageInterner::intern_column`] for a relation's lineage column) and
 /// evaluate with [`probability_ref`](Self::probability_ref). Output
-/// formation makes one pricing decision per statement: it asks
-/// [`certify_columns`](Self::certify_columns) whether every output root is
-/// read-once; if so, each row is priced without interning it by
-/// [`certified_concat`](Self::certified_concat), and its conjunction comes
-/// back as a [`LazyLineage`] whose tree is built only when read. Otherwise
-/// every row takes the node path, [`concat_output`](Self::concat_output):
-/// its root is interned and priced like any other node.
+/// formation checks a statement's inputs and makes its one pricing
+/// decision when the statement opens: it asks
+/// [`certify_columns`](Self::certify_columns), which fails if any input
+/// root names a variable with no marginal, and otherwise says whether every
+/// output root is read-once. If so, each row is priced without interning it
+/// by [`certified_concat`](Self::certified_concat), and its conjunction
+/// comes back as a [`LazyLineage`] whose tree is built only when read.
+/// Otherwise every row takes the node path,
+/// [`concat_output`](Self::concat_output): its root is interned and priced
+/// like any other node. Neither path checks a row's variables again.
 /// [`probability`](Self::probability) accepts legacy trees and interns on
 /// the fly.
 #[derive(Debug, Clone, Default)]
@@ -131,17 +128,13 @@ pub struct ProbabilityEngine {
     memo: Vec<f64>,
     /// Per-node flag over an arena prefix: every variable under the node
     /// has a registered probability. Extended bottom-up in arena order by
-    /// [`check_vars`](Self::check_vars); cleared with the memo, because a
+    /// [`missing_var`](Self::missing_var); cleared with the memo, because a
     /// registration can turn a `false` stale.
     verified: Vec<bool>,
     /// Reused buffers of the decomposition and Shannon fallbacks.
     scratch: Scratch,
-    /// Counts Shannon expansions performed (exposed for the ablation bench).
+    /// Counts Shannon expansions performed.
     expansions: u64,
-    /// When true, the decomposition shortcuts are disabled and every
-    /// compound formula goes through Shannon expansion. Only used by the
-    /// ablation experiment; keeps results identical, only slower.
-    force_shannon: bool,
 }
 
 /// Buffers the fallback paths fill and drain within one call; they only
@@ -166,8 +159,9 @@ impl ProbabilityEngine {
 
     /// Creates an engine over an existing marginal map without copying it.
     /// The map is shared until the engine registers a value that differs
-    /// (copy-on-write). Its values must already lie in `[0, 1]`, as the
-    /// [`try_set`](Self::try_set) family enforces for later registrations.
+    /// (copy-on-write). Its values must already lie in `[0, 1]`, as
+    /// [`set`](Self::set) and [`set_all`](Self::set_all) enforce for later
+    /// registrations.
     #[must_use]
     pub fn with_marginals(marginals: Arc<MarginalMap>) -> Self {
         debug_assert!(
@@ -181,27 +175,12 @@ impl ProbabilityEngine {
     }
 
     /// Registers (or overwrites) the marginal probability of a variable.
+    /// The memo is invalidated only if the value actually changes.
     ///
     /// # Panics
-    /// Panics if `p` is not within `[0, 1]`. Use [`ProbabilityEngine::try_set`]
-    /// for a fallible variant.
+    /// Panics if `p` is not within `[0, 1]`.
     pub fn set(&mut self, var: VarId, p: f64) {
-        self.try_set(var, p).expect("probability must be in [0, 1]");
-    }
-
-    /// Registers the marginal probability of a variable, validating range.
-    /// The memo is invalidated only if the value actually changes.
-    pub fn try_set(&mut self, var: VarId, p: f64) -> Result<(), ProbabilityError> {
-        if !(0.0..=1.0).contains(&p) || p.is_nan() {
-            return Err(ProbabilityError::OutOfRange(p));
-        }
-        if self.probs.get(&var) == Some(&p) {
-            return Ok(());
-        }
-        Arc::make_mut(&mut self.probs).insert(var, p);
-        self.memo.clear();
-        self.verified.clear();
-        Ok(())
+        self.set_all([(var, p)]);
     }
 
     /// Registers a batch of marginal probabilities, clearing the memo at
@@ -212,33 +191,27 @@ impl ProbabilityEngine {
     /// both the memo and the shared probability map untouched.
     ///
     /// # Panics
-    /// Panics if any probability is not within `[0, 1]`. Use
-    /// [`ProbabilityEngine::try_set_all`] for a fallible variant.
+    /// Panics if any probability is not within `[0, 1]`, before registering
+    /// any of the batch.
+    #[expect(
+        clippy::panic,
+        reason = "a marginal outside [0, 1] is a caller bug; storage validates every probability it accepts"
+    )]
     pub fn set_all<I>(&mut self, items: I)
-    where
-        I: IntoIterator<Item = (VarId, f64)>,
-    {
-        self.try_set_all(items)
-            .expect("probability must be in [0, 1]");
-    }
-
-    /// Registers a batch of marginal probabilities, validating ranges and
-    /// clearing the memo at most once. On error nothing is modified.
-    pub fn try_set_all<I>(&mut self, items: I) -> Result<(), ProbabilityError>
     where
         I: IntoIterator<Item = (VarId, f64)>,
     {
         let mut changed: Vec<(VarId, f64)> = Vec::new();
         for (var, p) in items {
-            if !(0.0..=1.0).contains(&p) || p.is_nan() {
-                return Err(ProbabilityError::OutOfRange(p));
+            if !(0.0..=1.0).contains(&p) {
+                panic!("probability {p} of {var} is outside [0, 1]");
             }
             if self.probs.get(&var) != Some(&p) {
                 changed.push((var, p));
             }
         }
         if changed.is_empty() {
-            return Ok(());
+            return;
         }
         let probs = Arc::make_mut(&mut self.probs);
         for (var, p) in changed {
@@ -246,7 +219,6 @@ impl ProbabilityEngine {
         }
         self.memo.clear();
         self.verified.clear();
-        Ok(())
     }
 
     /// The registered probability of a variable.
@@ -271,12 +243,6 @@ impl ProbabilityEngine {
     #[must_use]
     pub fn expansions(&self) -> u64 {
         self.expansions
-    }
-
-    /// Disables the independence-decomposition shortcuts (ablation only).
-    pub fn set_force_shannon(&mut self, force: bool) {
-        self.force_shannon = force;
-        self.memo.clear();
     }
 
     /// The formula arena backing this engine.
@@ -305,105 +271,93 @@ impl ProbabilityEngine {
     /// Computes `Pr(λ)`.
     ///
     /// # Panics
-    /// Panics if a variable of `λ` has no registered probability. Use
-    /// [`ProbabilityEngine::try_probability`] for a fallible variant.
+    /// Panics if a variable of `λ` has no registered probability.
     #[must_use]
     pub fn probability(&mut self, lineage: &Lineage) -> f64 {
-        self.try_probability(lineage)
-            .expect("all lineage variables must have probabilities")
-    }
-
-    /// Computes `Pr(λ)`, reporting missing variables as errors.
-    pub fn try_probability(&mut self, lineage: &Lineage) -> Result<f64, ProbabilityError> {
         let r = self.interner.intern(lineage);
-        self.try_probability_ref(r)
+        self.probability_ref(r)
     }
 
     /// Computes `Pr(λ)` for an interned formula.
     ///
     /// # Panics
-    /// Panics if a variable of `λ` has no registered probability. Use
-    /// [`ProbabilityEngine::try_probability_ref`] for a fallible variant.
+    /// Panics if a variable of `λ` has no registered probability.
     #[must_use]
+    #[expect(
+        clippy::expect_used,
+        reason = "documented panic; output formation checks registration with certify_columns instead"
+    )]
     pub fn probability_ref(&mut self, r: LineageRef) -> f64 {
         self.try_probability_ref(r)
             .expect("all lineage variables must have probabilities")
     }
 
-    /// Computes `Pr(λ)` for an interned formula, reporting missing
-    /// variables as errors (the *smallest* missing variable is reported,
-    /// matching the tree-walk order of the legacy engine).
-    pub fn try_probability_ref(&mut self, r: LineageRef) -> Result<f64, ProbabilityError> {
-        self.check_vars(r)?;
-        Ok(self.prob_rec(r))
+    /// Computes `Pr(λ)` for an interned formula, reporting the *smallest*
+    /// missing variable as an error (the tree-walk order of the legacy
+    /// engine).
+    fn try_probability_ref(&mut self, r: LineageRef) -> Result<f64, ProbabilityError> {
+        match self.missing_var(r) {
+            Some(var) => Err(ProbabilityError::MissingVariable(var)),
+            None => Ok(self.prob_rec(r)),
+        }
     }
 
     /// Prices the interned formula and converts it to a tree — what an
-    /// output tuple stores of a lineage that is already a node.
+    /// output tuple stores of a lineage that is already a node. `r` must be
+    /// a root of a column [`certify_columns`](Self::certify_columns)
+    /// accepted, or a node formed from such roots: its variables are not
+    /// checked again.
     ///
     /// # Panics
-    /// Panics if a variable of `λ` has no registered probability. Use
-    /// [`ProbabilityEngine::try_output`] for a fallible variant.
+    /// Panics if a variable of `λ` has no registered probability.
     pub fn output(&mut self, r: LineageRef) -> (LazyLineage, f64) {
-        self.try_output(r)
-            .expect("all lineage variables must have probabilities")
-    }
-
-    /// [`output`](Self::output), reporting missing variables as errors.
-    pub fn try_output(&mut self, r: LineageRef) -> Result<(LazyLineage, f64), ProbabilityError> {
-        let probability = self.try_probability_ref(r)?;
-        Ok((self.interner.to_lineage(r).into(), probability))
+        let probability = self.prob_rec(r);
+        (self.interner.to_lineage(r).into(), probability)
     }
 
     /// Forms an output tuple's lineage `how(λr, λs)` as an arena node —
     /// `λs` the disjunction of `lambda_s`: one node, or a negating window's
     /// span — and prices the node with [`output`](Self::output). This is the
     /// node path every row of an uncertified statement takes (self-joins,
-    /// inputs that share a variable, unregistered variables, the Shannon
-    /// ablation). The arena's read-once flags still price a read-once root
-    /// as a product over its children, so such a row costs its root node
-    /// (and `¬λs`, a span's `Or`) and nothing else; a root whose operands
-    /// share variables is priced by decomposition.
+    /// inputs that share a variable, correlated roots). The arena's
+    /// read-once flags still price a read-once root as a product over its
+    /// children, so such a row costs its root node (and `¬λs`, a span's
+    /// `Or`) and nothing else; a root whose operands share variables is
+    /// priced by decomposition. The operands come from columns
+    /// [`certify_columns`](Self::certify_columns) accepted, so the root's
+    /// variables are not checked again.
     ///
     /// # Panics
     /// Panics if a variable of either operand has no registered
-    /// probability. Use [`ProbabilityEngine::try_concat_output`] for a
-    /// fallible variant.
+    /// probability.
     pub fn concat_output(
         &mut self,
         how: Concat,
         lambda_r: LineageRef,
         lambda_s: &[LineageRef],
     ) -> (LazyLineage, f64) {
-        self.try_concat_output(how, lambda_r, lambda_s)
-            .expect("all lineage variables must have probabilities")
-    }
-
-    /// [`concat_output`](Self::concat_output), reporting missing variables
-    /// as errors (the smallest one missing from the concatenation).
-    pub fn try_concat_output(
-        &mut self,
-        how: Concat,
-        lambda_r: LineageRef,
-        lambda_s: &[LineageRef],
-    ) -> Result<(LazyLineage, f64), ProbabilityError> {
         let lambda_s = self.interner.or(lambda_s);
         let root = match how {
             Concat::And => self.interner.and2(lambda_r, lambda_s),
             Concat::AndNot => self.interner.and_not(lambda_r, lambda_s),
             Concat::Or => self.interner.or2(lambda_r, lambda_s),
         };
-        self.try_output(root)
+        self.output(root)
     }
 
-    /// Certifies a statement whose two lineage columns (their roots, as
-    /// [`LineageInterner::intern_column`] returns them) are `r` and `s`;
-    /// `r_spanned` / `s_spanned` say whether a negating window's `λs` span
-    /// may disjoin roots of that column (it is the negative side of a pass
-    /// that emits negating windows). `Some` when `force_shannon` is off and
+    /// Checks and certifies a statement whose two lineage columns (their
+    /// roots, as [`LineageInterner::intern_column`] returns them) are `r`
+    /// and `s`; `r_spanned` / `s_spanned` say whether a negating window's
+    /// `λs` span may disjoin roots of that column (it is the negative side
+    /// of a pass that emits negating windows).
     ///
-    /// - every root of both columns is read-once, registered, and neither
-    ///   a constant nor a negation;
+    /// `Err` names the smallest variable with no registered probability
+    /// under any root of either column: no row of the statement can be
+    /// priced safely, so it fails before its first row. Otherwise `Some`
+    /// when
+    ///
+    /// - every root of both columns is read-once and neither a constant
+    ///   nor a negation;
     /// - the two columns share no variable;
     /// - no two roots of a spanned column share a variable.
     ///
@@ -412,38 +366,47 @@ impl ProbabilityEngine {
     /// one column and `λs` a root of the other or a span's distinct operands
     /// — is read-once, and flattening its two operands gives the child list
     /// of its node: nothing to deduplicate, fold or absorb. One pass over
-    /// the roots, which also seeds each `Var` root's marginal into the dense
-    /// memo, and one stamp pass over their leaves. Base relations are
-    /// certified, and so are derived inputs that meet the conditions
-    /// (`(r ∪ s) − t`, `(r ∩ s) ∪ t`); every other statement gets `None` and
-    /// takes the node path.
+    /// the roots checks registration — a `Var` root by the marginal lookup
+    /// that also seeds it into the dense memo, a compound root by its
+    /// `verified` flag — and one stamp pass over their leaves follows. Base
+    /// relations are certified, and so are derived inputs that meet the
+    /// conditions (`(r ∪ s) − t`, `(r ∩ s) ∪ t`); every other statement gets
+    /// `Ok(None)` and takes the node path. Either way every root is
+    /// registered, so neither path checks a row's variables again.
     pub fn certify_columns(
         &mut self,
         r: &[LineageRef],
         s: &[LineageRef],
         r_spanned: bool,
         s_spanned: bool,
-    ) -> Option<ReadOnceColumns> {
-        if self.force_shannon {
-            return None;
-        }
+    ) -> Result<Option<ReadOnceColumns>, ProbabilityError> {
+        let mut read_once = true;
+        let mut missing: Option<VarId> = None;
         for &root in r.iter().chain(s) {
-            match *self.interner.node(root) {
+            let node = self.interner.node(root);
+            let unregistered = if let InternedNode::Var(var) = *node {
+                match self.probs.get(&var) {
+                    Some(&p) => {
+                        self.memo_insert(root, p);
+                        None
+                    }
+                    None => Some(var),
+                }
+            } else {
                 // `λr ∧ ¬¬x` would need normalizing to `λr ∧ x`.
-                InternedNode::True | InternedNode::False | InternedNode::Not(_) => return None,
-                InternedNode::Var(var) => {
-                    let p = *self.probs.get(&var)?;
-                    self.memo_insert(root, p);
-                }
-                _ if self.interner.is_read_once(root) => {
-                    self.try_probability_ref(root).ok()?;
-                }
-                _ => return None,
+                read_once &= matches!(node, InternedNode::And(_) | InternedNode::Or(_))
+                    && self.interner.is_read_once(root);
+                self.missing_var(root)
+            };
+            if let Some(var) = unregistered {
+                missing = Some(missing.map_or(var, |m| m.min(var)));
             }
         }
-        self.interner
-            .share_no_node(r, s, r_spanned, s_spanned)
-            .then_some(ReadOnceColumns { _sealed: () })
+        if let Some(var) = missing {
+            return Err(ProbabilityError::MissingVariable(var));
+        }
+        let certified = read_once && self.interner.share_no_node(r, s, r_spanned, s_spanned);
+        Ok(certified.then_some(ReadOnceColumns { _sealed: () }))
     }
 
     /// [`output`](Self::output) of a root of a certified column: its
@@ -477,7 +440,6 @@ impl ProbabilityEngine {
         lambda_r: LineageRef,
         lambda_s: &[LineageRef],
     ) -> (LazyLineage, f64) {
-        debug_assert!(!self.force_shannon, "a certificate outlived force_shannon");
         debug_assert!(!lambda_s.is_empty(), "λs has an operand");
         let tree_r = self.interner.to_lineage(lambda_r);
         if how == Concat::Or {
@@ -558,20 +520,17 @@ impl ProbabilityEngine {
         }
     }
 
-    /// Verifies every variable under `root` has a registered probability:
-    /// a table read once the flags cover the arena.
-    fn check_vars(&mut self, root: LineageRef) -> Result<(), ProbabilityError> {
+    /// The smallest variable under `root` with no registered probability,
+    /// if any: a table read once the flags cover the arena.
+    fn missing_var(&mut self, root: LineageRef) -> Option<VarId> {
         self.extend_verified();
         if self.verified[root.index()] {
-            return Ok(());
+            return None;
         }
-        let missing = self
-            .interner
+        self.interner
             .vars(root)
             .into_iter()
             .find(|v| !self.probs.contains_key(v))
-            .expect("an unverified node mentions an unregistered variable");
-        Err(ProbabilityError::MissingVariable(missing))
     }
 
     /// Checks the engine's arena and memo invariants, returning a
@@ -683,9 +642,7 @@ impl ProbabilityEngine {
         if let Some(p) = self.memo_get(r) {
             return p;
         }
-        let p = if self.force_shannon {
-            self.shannon(r)
-        } else if self.interner.is_read_once(r) {
+        let p = if self.interner.is_read_once(r) {
             self.prob_read_once(r, is_and)
         } else {
             let children = self.interner.children(r).to_vec();
@@ -819,28 +776,21 @@ impl ProbabilityEngine {
         if let Some(p) = self.memo_get(r) {
             return p;
         }
+        #[expect(
+            clippy::expect_used,
+            reason = "the interner folds constants away, so a compound node mentions a variable"
+        )]
         let var = self
             .most_frequent_var(r)
             .expect("compound formula must mention a variable");
         self.expansions += 1;
         let p_var = self.probs[&var];
+        // After conditioning, a cofactor frequently decomposes again.
         let pos = self.interner.condition(r, var, true);
         let neg = self.interner.condition(r, var, false);
-        let p =
-            p_var * self.shannon_or_decompose(pos) + (1.0 - p_var) * self.shannon_or_decompose(neg);
+        let p = p_var * self.prob_rec(pos) + (1.0 - p_var) * self.prob_rec(neg);
         self.memo_insert(r, p);
         p
-    }
-
-    /// After conditioning, the cofactor frequently becomes decomposable
-    /// again; route it through the main recursion unless the ablation flag
-    /// forces pure Shannon.
-    fn shannon_or_decompose(&mut self, r: LineageRef) -> f64 {
-        if self.force_shannon {
-            self.shannon(r)
-        } else {
-            self.prob_rec(r)
-        }
     }
 
     /// Exact probability by enumerating all assignments of the formula's
@@ -1040,43 +990,37 @@ mod tests {
     #[test]
     fn missing_variable_is_reported() {
         let mut e = engine(&[0.5]);
-        let f = Lineage::and2(v(0), v(7));
-        let err = e.try_probability(&f).unwrap_err();
+        let f = e.intern(&Lineage::and2(v(0), v(7)));
+        let err = e.try_probability_ref(f).unwrap_err();
         assert_eq!(err, ProbabilityError::MissingVariable(VarId(7)));
         // Registering the variable afterwards must un-stick the verdict.
         e.set(VarId(7), 0.5);
-        assert_eq!(e.try_probability(&f), Ok(0.25));
+        assert_eq!(e.try_probability_ref(f), Ok(0.25));
         assert_eq!(e.verify_arena(), Ok(()));
     }
 
     #[test]
     fn smallest_missing_variable_is_reported() {
         let mut e = engine(&[0.5]);
-        let f = Lineage::and(vec![v(0), v(9), v(3), v(6)]);
-        let err = e.try_probability(&f).unwrap_err();
+        let f = e.intern(&Lineage::and(vec![v(0), v(9), v(3), v(6)]));
+        let err = e.try_probability_ref(f).unwrap_err();
         assert_eq!(err, ProbabilityError::MissingVariable(VarId(3)));
+    }
+
+    /// Does `f` panic?
+    fn panics(f: impl FnOnce()) -> bool {
+        std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)).is_err()
     }
 
     #[test]
     fn out_of_range_probability_is_rejected() {
         let mut e = ProbabilityEngine::new();
-        assert!(e.try_set(VarId(0), 1.5).is_err());
-        assert!(e.try_set(VarId(0), -0.1).is_err());
-        assert!(e.try_set(VarId(0), f64::NAN).is_err());
-        assert!(e.try_set(VarId(0), 1.0).is_ok());
-    }
-
-    #[test]
-    fn force_shannon_gives_identical_results() {
-        let f = Lineage::or(vec![
-            Lineage::and2(v(0), v(1)),
-            Lineage::and2(v(2), Lineage::not(v(3))),
-            Lineage::and2(v(0), v(4)),
-        ]);
-        let mut fast = engine(&[0.3, 0.6, 0.2, 0.8, 0.5]);
-        let mut slow = engine(&[0.3, 0.6, 0.2, 0.8, 0.5]);
-        slow.set_force_shannon(true);
-        assert!((fast.probability(&f) - slow.probability(&f)).abs() < 1e-12);
+        for p in [1.5, -0.1, f64::NAN] {
+            assert!(panics(|| e.set(VarId(0), p)), "{p}");
+        }
+        assert_eq!(e.get(VarId(0)), None);
+        e.set(VarId(0), 1.0);
+        assert_eq!(e.get(VarId(0)), Some(1.0));
     }
 
     #[test]
@@ -1115,10 +1059,7 @@ mod tests {
     #[test]
     fn set_all_validates_before_mutating() {
         let mut e = engine(&[0.5]);
-        let err = e
-            .try_set_all([(VarId(1), 0.4), (VarId(2), 1.5)])
-            .unwrap_err();
-        assert_eq!(err, ProbabilityError::OutOfRange(1.5));
+        assert!(panics(|| e.set_all([(VarId(1), 0.4), (VarId(2), 1.5)])));
         assert_eq!(e.get(VarId(1)), None, "failed batch must not apply");
         assert_eq!(e.get(VarId(0)), Some(0.5));
     }
@@ -1200,9 +1141,10 @@ mod tests {
         output.map(|(lineage, p)| (lineage.get().clone(), p.to_bits()))
     }
 
-    /// Forms `how(λr, λs)` the way output formation does: at the boundary
-    /// when the engine certifies the columns `[λr]` and `s` (`s` spanned),
-    /// else on the node path. `lambda_s` holds `λs`'s operands: the one
+    /// Forms `how(λr, λs)` the way output formation does: an error when the
+    /// columns `[λr]` and `s` (`s` spanned) name an unregistered variable,
+    /// at the boundary when the engine certifies them, else on the node
+    /// path. `lambda_s` holds `λs`'s operands: the one
     /// root of `s`, or a span's roots of `s`, each `Or` flattened.
     fn form(
         e: &mut ProbabilityEngine,
@@ -1211,12 +1153,10 @@ mod tests {
         s: &[LineageRef],
         lambda_s: &[LineageRef],
     ) -> Result<(LazyLineage, f64), ProbabilityError> {
-        match e.certify_columns(&[lr], s, false, true) {
-            Some(proof) if !lambda_s.is_empty() => {
-                Ok(e.certified_concat(&proof, how, lr, lambda_s))
-            }
-            _ => e.try_concat_output(how, lr, lambda_s),
-        }
+        Ok(match e.certify_columns(&[lr], s, false, true)? {
+            Some(proof) if !lambda_s.is_empty() => e.certified_concat(&proof, how, lr, lambda_s),
+            _ => e.concat_output(how, lr, lambda_s),
+        })
     }
 
     /// Asserts [`form`] on `boundary` equals the arena path on `arena` —
@@ -1277,12 +1217,8 @@ mod tests {
         ];
         for (lr, ls) in &cases {
             for how in CONCATS {
-                for force in [false, true] {
-                    let (mut boundary, mut arena) = (engine(&ps), engine(&ps));
-                    boundary.set_force_shannon(force);
-                    arena.set_force_shannon(force);
-                    assert_boundary_equals_arena(&mut boundary, &mut arena, how, lr, ls);
-                }
+                let (mut boundary, mut arena) = (engine(&ps), engine(&ps));
+                assert_boundary_equals_arena(&mut boundary, &mut arena, how, lr, ls);
             }
         }
     }
@@ -1293,6 +1229,7 @@ mod tests {
         let lr = e.intern(&v(0));
         let ls = e.intern(&Lineage::or(vec![v(1), v(2), v(3)]));
         let proof = e.certify_columns(&[lr], &[ls], false, true).unwrap();
+        let proof = proof.unwrap();
         let before = e.interner().len();
         // Certified: λr ∧ λs, λr ∧ ¬λs and λr ∨ λs add nothing.
         let (lineage, p) = e.certified_concat(&proof, Concat::And, lr, &[ls]);
@@ -1321,12 +1258,10 @@ mod tests {
         // Shared variables: no certificate, and the root is priced by
         // expansion.
         let shared = e.intern(&Lineage::or2(v(0), v(1)));
-        assert!(e.certify_columns(&[ls], &[shared], false, false).is_none());
+        let certificate = e.certify_columns(&[ls], &[shared], false, false);
+        assert!(certificate.unwrap().is_none());
         let _ = e.concat_output(Concat::And, ls, &[shared]);
         assert_eq!(e.expansions(), 1);
-        // … and nothing is certified under the ablation switch.
-        e.set_force_shannon(true);
-        assert!(e.certify_columns(&[lr], &[ls], false, true).is_none());
         assert_eq!(e.verify_arena(), Ok(()));
     }
 
@@ -1339,17 +1274,18 @@ mod tests {
             let (lr, ls) = (Lineage::and2(v(0), v(9)), Lineage::or2(v(7), v(1)));
             assert_boundary_equals_arena(&mut boundary, &mut arena, how, &lr, &ls);
             let (br, bs) = (boundary.intern(&lr), boundary.intern(&ls));
-            assert!(boundary
-                .certify_columns(&[br], &[bs], false, false)
-                .is_none());
+            let missing = |e: &mut ProbabilityEngine| {
+                e.certify_columns(&[br], &[bs], false, false)
+                    .map(|proof| proof.is_some())
+            };
             assert_eq!(
-                boundary.try_concat_output(how, br, &[bs]),
+                missing(&mut boundary),
                 Err(ProbabilityError::MissingVariable(VarId(7)))
             );
             boundary.set(VarId(7), 0.5);
             arena.set(VarId(7), 0.5);
             assert_eq!(
-                boundary.try_concat_output(how, br, &[bs]),
+                missing(&mut boundary),
                 Err(ProbabilityError::MissingVariable(VarId(9)))
             );
             boundary.set(VarId(9), 0.5);
@@ -1379,6 +1315,7 @@ mod tests {
         let lr = e.intern(&Lineage::and2(v(0), v(3)));
         let s = column(&mut e, &[2, 1]);
         let proof = e.certify_columns(&[lr], &s, false, true).unwrap();
+        let proof = proof.unwrap();
         let ops = disjuncts(&mut e, &[v(2), v(1)]);
         let before = e.interner().len();
         let (lineage, p) = e.certified_concat(&proof, Concat::AndNot, lr, &ops);
@@ -1393,7 +1330,8 @@ mod tests {
         // A span that shares a variable with λr is not certified; the node
         // path interns its disjunction, negation and root.
         let shared = column(&mut e, &[3, 1]);
-        assert!(e.certify_columns(&[lr], &shared, false, true).is_none());
+        let certificate = e.certify_columns(&[lr], &shared, false, true);
+        assert!(certificate.unwrap().is_none());
         let _ = e.concat_output(Concat::AndNot, lr, &shared);
         assert!(e.interner().len() > before + 2);
         assert_eq!(e.verify_arena(), Ok(()));
@@ -1408,44 +1346,52 @@ mod tests {
     #[test]
     fn columns_are_certified_only_when_every_root_is_read_once() {
         let mut e = engine(&[0.5, 0.4, 0.3, 0.2, 0.1]);
+        // The verdict on registered columns: certified or not.
+        let certified = |e: &mut ProbabilityEngine, r: &[LineageRef], s: &[LineageRef], spans| {
+            let (r_spanned, s_spanned) = spans;
+            e.certify_columns(r, s, r_spanned, s_spanned)
+                .unwrap()
+                .is_some()
+        };
         let (r, s) = (column(&mut e, &[0, 1]), column(&mut e, &[2, 3]));
-        assert!(e.certify_columns(&r, &s, true, true).is_some());
-        assert!(
-            e.certify_columns(&r, &[], true, true).is_some(),
-            "an empty side"
-        );
+        assert!(certified(&mut e, &r, &s, (true, true)));
+        assert!(certified(&mut e, &r, &[], (true, true)), "an empty side");
         // Read-once compound roots are certified. Two of them may share a
         // variable unless a span draws from their column.
         let derived = [
             e.intern(&Lineage::and2(v(0), v(1))),
             e.intern(&Lineage::or2(v(0), Lineage::not(v(4)))),
         ];
-        assert!(e.certify_columns(&derived, &s, false, true).is_some());
-        assert!(e.certify_columns(&derived, &s, true, true).is_none());
-        assert!(e.certify_columns(&s, &derived, false, true).is_none());
+        assert!(certified(&mut e, &derived, &s, (false, true)));
+        assert!(!certified(&mut e, &derived, &s, (true, true)));
+        assert!(!certified(&mut e, &s, &derived, (false, true)));
         let twice = [s[0], s[0]];
-        assert!(e.certify_columns(&r, &twice, false, false).is_some());
-        assert!(e.certify_columns(&r, &twice, false, true).is_none());
-        // A shared variable, an unregistered one, a correlated root, a
-        // negation and a constant are not.
+        assert!(certified(&mut e, &r, &twice, (false, false)));
+        assert!(!certified(&mut e, &r, &twice, (false, true)));
+        // A shared variable, a correlated root, a negation and a constant
+        // are not.
         let shared = column(&mut e, &[3, 1]);
-        assert!(e.certify_columns(&r, &shared, false, false).is_none());
-        let unregistered = column(&mut e, &[9]);
-        assert!(e.certify_columns(&r, &unregistered, false, false).is_none());
-        let unregistered = e.intern(&Lineage::and2(v(2), v(9)));
-        assert!(e
-            .certify_columns(&r, &[unregistered], false, false)
-            .is_none());
+        assert!(!certified(&mut e, &r, &shared, (false, false)));
         let correlated = e.intern(&Lineage::and2(v(2), Lineage::or2(v(2), v(3))));
-        assert!(e.certify_columns(&r, &[correlated], false, false).is_none());
+        assert!(!certified(&mut e, &r, &[correlated], (false, false)));
         let negation = e.intern(&Lineage::not(v(2)));
-        assert!(e.certify_columns(&r, &[negation], false, false).is_none());
-        assert!(e
-            .certify_columns(&[e.interner().tru()], &s, false, false)
-            .is_none());
-        // The ablation switch keeps every root on the node path.
-        e.set_force_shannon(true);
-        assert!(e.certify_columns(&r, &s, true, true).is_none());
+        assert!(!certified(&mut e, &r, &[negation], (false, false)));
+        let tru = e.interner().tru();
+        assert!(!certified(&mut e, &[tru], &s, (false, false)));
+        // An unregistered variable fails the statement whatever else its
+        // columns hold, naming the smallest one under any root.
+        let verdict = |e: &mut ProbabilityEngine, r: &[LineageRef], s: &[LineageRef]| {
+            e.certify_columns(r, s, false, false)
+                .map(|proof| proof.is_some())
+        };
+        let missing = |v| Err(ProbabilityError::MissingVariable(VarId(v)));
+        let unregistered = column(&mut e, &[9]);
+        assert_eq!(verdict(&mut e, &r, &unregistered), missing(9));
+        let compound = e.intern(&Lineage::and2(v(2), v(9)));
+        assert_eq!(verdict(&mut e, &r, &[compound]), missing(9));
+        let negated = e.intern(&Lineage::or2(Lineage::not(v(8)), v(1)));
+        let mixed = [correlated, compound, negation, negated];
+        assert_eq!(verdict(&mut e, &mixed, &unregistered), missing(8));
         assert_eq!(e.verify_arena(), Ok(()));
     }
 
@@ -1468,7 +1414,7 @@ mod tests {
             }
             let (mut certified, mut arena) = (engine(&ps), engine(&ps));
             let (r, s) = (column(&mut certified, &[0, 1, 2]), column(&mut certified, &[3, 4, 5, 6, 7]));
-            let proof = certified.certify_columns(&r, &s, true, true).expect("distinct registered vars");
+            let proof = certified.certify_columns(&r, &s, true, true).unwrap().expect("distinct registered vars");
             let nodes = certified.interner().len();
             let lambda_s: Vec<LineageRef> = ls.iter().map(|&i| s[i as usize - 3]).collect();
             let span = Lineage::or(ls.iter().map(|&i| v(i)).collect());
@@ -1488,8 +1434,7 @@ mod tests {
         /// Output formation over an active set's operands equals interning
         /// the disjunction and taking the arena path — same tree,
         /// probability bits (or error) and expansion count, cold and warm
-        /// memo, with and without `force_shannon` — for every
-        /// concatenation. Disjuncts over λr's five variables make correlated
+        /// memo — for every concatenation. Disjuncts over λr's five variables make correlated
         /// roots, fresh variables read-once ones that are certified (λr and
         /// the operands of compound roots included); zero and one operand
         /// are covered as well.
@@ -1499,48 +1444,39 @@ mod tests {
             ls in proptest::collection::vec(prop_oneof![arb_lineage(), (0u32..12).prop_map(v)], 0..5),
             ps in proptest::collection::vec(0.0f64..=1.0, 11),
         ) {
-            for force in [false, true] {
-                // x11 is unregistered: some roots report it missing.
-                let (mut boundary, mut arena) = (engine(&ps), engine(&ps));
-                boundary.set_force_shannon(force);
-                arena.set_force_shannon(force);
-                for how in CONCATS {
-                    for round in ["cold", "warm"] {
-                        let (br, ops) = (boundary.intern(&lr), disjuncts(&mut boundary, &ls));
-                        let s: Vec<LineageRef> = ls.iter().map(|l| boundary.intern(l)).collect();
-                        let got = form(&mut boundary, how, br, &s, &ops);
-                        let (ar, as_) = (arena.intern(&lr), arena.intern(&Lineage::or(ls.clone())));
-                        let want = concat_through_the_arena(&mut arena, how, ar, as_);
-                        let want = want.map(|(tree, p)| (tree, p.to_bits()));
-                        prop_assert_eq!(tree_bits(got), want, "{:?}, {} memo", how, round);
-                        prop_assert_eq!(boundary.expansions(), arena.expansions());
-                        prop_assert_eq!(boundary.verify_arena(), Ok(()));
-                    }
+            // x11 is unregistered: some roots report it missing.
+            let (mut boundary, mut arena) = (engine(&ps), engine(&ps));
+            for how in CONCATS {
+                for round in ["cold", "warm"] {
+                    let (br, ops) = (boundary.intern(&lr), disjuncts(&mut boundary, &ls));
+                    let s: Vec<LineageRef> = ls.iter().map(|l| boundary.intern(l)).collect();
+                    let got = form(&mut boundary, how, br, &s, &ops);
+                    let (ar, as_) = (arena.intern(&lr), arena.intern(&Lineage::or(ls.clone())));
+                    let want = concat_through_the_arena(&mut arena, how, ar, as_);
+                    let want = want.map(|(tree, p)| (tree, p.to_bits()));
+                    prop_assert_eq!(tree_bits(got), want, "{:?}, {} memo", how, round);
+                    prop_assert_eq!(boundary.expansions(), arena.expansions());
+                    prop_assert_eq!(boundary.verify_arena(), Ok(()));
                 }
             }
         }
 
         /// Output formation equals the arena path: same tree, same
-        /// probability bits, same expansion count — cold and warm memo,
-        /// with and without `force_shannon`. Five variables make pairs that
-        /// share variables (the node path) as common as certified read-once
-        /// ones, whose compound roots and `¬¬x` the boundary must flatten
-        /// as the node would.
+        /// probability bits, same expansion count — cold and warm memo. Five
+        /// variables make pairs that share variables (the node path) as
+        /// common as certified read-once ones, whose compound roots and
+        /// `¬¬x` the boundary must flatten as the node would.
         #[test]
         fn prop_boundary_concatenation_equals_the_arena_path(
             lr in arb_lineage(),
             ls in arb_lineage(),
             ps in proptest::collection::vec(0.0f64..=1.0, 5),
         ) {
-            for force in [false, true] {
-                let (mut boundary, mut arena) = (engine(&ps), engine(&ps));
-                boundary.set_force_shannon(force);
-                arena.set_force_shannon(force);
-                // One engine pair across the three concatenations: later
-                // ones meet a warm memo and the earlier ones' nodes.
-                for how in CONCATS {
-                    assert_boundary_equals_arena(&mut boundary, &mut arena, how, &lr, &ls);
-                }
+            let (mut boundary, mut arena) = (engine(&ps), engine(&ps));
+            // One engine pair across the three concatenations: later ones
+            // meet a warm memo and the earlier ones' nodes.
+            for how in CONCATS {
+                assert_boundary_equals_arena(&mut boundary, &mut arena, how, &lr, &ls);
             }
         }
 

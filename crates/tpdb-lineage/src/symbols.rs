@@ -45,6 +45,13 @@ impl SymbolTable {
     }
 
     /// Returns the id for `name`, creating a fresh one on first use.
+    ///
+    /// # Panics
+    /// Panics when the table already holds `u32::MAX + 1` names.
+    #[expect(
+        clippy::expect_used,
+        reason = "variable ids are u32 by format; 2³² base tuples exceed any catalog"
+    )]
     pub fn intern(&mut self, name: &str) -> VarId {
         if let Some(&id) = self.by_name.get(name) {
             return id;

@@ -1,9 +1,13 @@
 //! Server lifecycle: protocol commands, typed error paths, backpressure
 //! (`ServerBusy`) and graceful shutdown (`ServerShuttingDown`).
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::time::{Duration, Instant};
+use tpdb_lineage::{Lineage, VarId};
 use tpdb_server::{Client, ClientError, ErrorCode, Server, ServerConfig, ServerHandle};
-use tpdb_storage::{Catalog, Value};
+use tpdb_storage::{Catalog, DataType, Schema, TpRelation, TpTuple, Value};
+use tpdb_temporal::Interval;
 
 fn booking_server(config: ServerConfig) -> ServerHandle {
     let mut catalog = Catalog::new();
@@ -100,6 +104,76 @@ fn snapshot_statements_flow_through_the_server() {
     assert_eq!(after, reference);
 
     client.close().unwrap();
+    server.shutdown();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sends one request line over a raw socket and reads its whole reply
+/// frame: the `ERR` line alone, or a `ROWS`/`TEXT` header through its `OK`
+/// terminator. A read past the socket's timeout fails the test instead of
+/// blocking it.
+fn exchange(stream: &mut BufReader<TcpStream>, line: &str) -> Vec<String> {
+    stream
+        .get_mut()
+        .write_all(format!("{line}\n").as_bytes())
+        .unwrap();
+    let mut read_line = || {
+        let mut reply = String::new();
+        let n = stream
+            .read_line(&mut reply)
+            .unwrap_or_else(|e| panic!("no reply to `{line}`: {e}"));
+        assert!(n > 0, "connection closed while answering `{line}`");
+        reply.trim_end().to_owned()
+    };
+    let header = read_line();
+    let mut frame = vec![header.clone()];
+    let body = match header.split_once(' ') {
+        Some(("ROWS", n)) => n.parse::<usize>().unwrap() + 2,
+        Some(("TEXT", n)) => n.parse::<usize>().unwrap() + 1,
+        _ => 0,
+    };
+    for _ in 0..body {
+        frame.push(read_line());
+    }
+    frame
+}
+
+#[test]
+fn a_join_over_an_unpriceable_snapshot_answers_a_storage_error() {
+    let dir = std::env::temp_dir().join(format!("tpdb-server-unpriced-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("unpriced.snap");
+    // `r`'s one tuple carries `x1 ∧ x2`, and neither variable has a
+    // marginal; `s` is a keyed base relation.
+    let keyed = |name: &str, lineage: Lineage| {
+        let mut rel = TpRelation::new(name, Schema::tp(&[("k", DataType::Int)]));
+        let tuple = TpTuple::new(vec![Value::Int(1)], lineage, Interval::new(0, 10), 0.5);
+        rel.push(tuple).unwrap();
+        rel
+    };
+    let var = |v| Lineage::var(VarId(v));
+    let mut catalog = Catalog::new();
+    catalog
+        .register(keyed("r", Lineage::and2(var(1), var(2))))
+        .unwrap();
+    catalog.register(keyed("s", var(10))).unwrap();
+    catalog.save_snapshot(&path).unwrap();
+
+    let server = booking_server(ServerConfig::default());
+    let socket = TcpStream::connect(server.local_addr()).unwrap();
+    socket
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let mut stream = BufReader::new(socket);
+    let loaded = exchange(&mut stream, &format!("LOAD SNAPSHOT '{}'", path.display()));
+    assert_eq!(loaded.last().map(String::as_str), Some("OK"), "{loaded:?}");
+    let join = exchange(&mut stream, "SELECT * FROM r TP LEFT JOIN s ON r.k = s.k");
+    assert!(
+        join[0].starts_with("ERR Storage ") && join[0].contains("x1"),
+        "{join:?}"
+    );
+    assert_eq!(exchange(&mut stream, "PING"), ["TEXT 1", "PONG", "OK"]);
+    drop(stream);
     server.shutdown();
     std::fs::remove_dir_all(&dir).ok();
 }

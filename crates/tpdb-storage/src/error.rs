@@ -2,6 +2,7 @@
 
 use crate::schema::DataType;
 use std::fmt;
+use tpdb_lineage::VarId;
 
 /// Errors raised by the storage layer.
 #[derive(Debug, Clone, PartialEq)]
@@ -26,6 +27,11 @@ pub enum StorageError {
     },
     /// A probability outside `[0, 1]` was supplied.
     InvalidProbability(f64),
+    /// An input lineage of a statement names a base-tuple variable that has
+    /// no marginal probability, so the statement's rows cannot be priced.
+    /// Raised when the statement opens, before its first row; the variable
+    /// is the smallest such one under any input lineage.
+    MissingMarginal(VarId),
     /// A relation with this name already exists in the catalog.
     RelationExists(String),
     /// No relation with this name exists in the catalog.
@@ -141,6 +147,11 @@ impl fmt::Display for StorageError {
             StorageError::InvalidProbability(p) => {
                 write!(f, "invalid probability {p}: must be within [0, 1]")
             }
+            StorageError::MissingMarginal(v) => write!(
+                f,
+                "lineage variable {v} has no marginal probability: the statement cannot price \
+                 its rows"
+            ),
             StorageError::RelationExists(n) => write!(f, "relation already exists: {n}"),
             StorageError::UnknownRelation(n) => write!(f, "unknown relation: {n}"),
             StorageError::ParseError { line, message } => {
@@ -230,6 +241,9 @@ mod tests {
         assert!(StorageError::InvalidProbability(1.2)
             .to_string()
             .contains("1.2"));
+        assert!(StorageError::MissingMarginal(VarId(7))
+            .to_string()
+            .contains("variable x7 "));
         assert!(StorageError::ParseError {
             line: 4,
             message: "bad interval".into()

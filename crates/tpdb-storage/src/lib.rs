@@ -60,7 +60,6 @@ mod relation;
 mod schema;
 mod shared;
 pub mod snapshot;
-mod text;
 mod tuple;
 mod value;
 
@@ -70,6 +69,5 @@ pub use integrity::{check_duplicate_free, IntegrityViolation};
 pub use relation::TpRelation;
 pub use schema::{DataType, Field, Schema};
 pub use shared::SharedCatalog;
-pub use text::{relation_from_text, relation_to_text};
 pub use tuple::TpTuple;
 pub use value::Value;

@@ -6,7 +6,7 @@ use crate::tuple::TpTuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use tpdb_lineage::{Lineage, ProbabilityEngine};
+use tpdb_lineage::ProbabilityEngine;
 use tpdb_temporal::TimePoint;
 
 /// A temporal-probabilistic relation with schema `(F, λ, T, p)`.
@@ -122,21 +122,6 @@ impl TpRelation {
         }
     }
 
-    /// Sorts the tuples in place by the given fact columns, breaking ties by
-    /// interval start and end. This is the ordering LAWAU/LAWAN expect.
-    pub fn sort_by_columns(&mut self, columns: &[usize]) {
-        self.tuples.sort_by(|a, b| {
-            for &c in columns {
-                let ord = a.fact(c).cmp(b.fact(c));
-                if ord != std::cmp::Ordering::Equal {
-                    return ord;
-                }
-            }
-            (a.interval().start(), a.interval().end())
-                .cmp(&(b.interval().start(), b.interval().end()))
-        });
-    }
-
     /// The distinct values of a fact column (used by the data generators and
     /// by selectivity statistics in the planner).
     #[must_use]
@@ -167,20 +152,6 @@ impl TpRelation {
         self.tuples.iter().filter(|tp| tp.valid_at(t)).collect()
     }
 
-    /// The disjunction of the lineages of all tuples valid at `t` whose fact
-    /// equals `facts`. This is the λ<sub>r,θ</sub><sup>t</sup> notation of
-    /// Definition 1, restricted to one fact.
-    #[must_use]
-    pub fn lineage_at(&self, facts: &[Value], t: TimePoint) -> Lineage {
-        let parts: Vec<Lineage> = self
-            .tuples
-            .iter()
-            .filter(|tp| tp.valid_at(t) && tp.facts() == facts)
-            .map(|tp| tp.lineage().clone())
-            .collect();
-        Lineage::or(parts)
-    }
-
     /// Renames the relation (used when the same stored relation is scanned
     /// twice under different correlation names).
     #[must_use]
@@ -207,7 +178,7 @@ impl fmt::Display for TpRelation {
 mod tests {
     use super::*;
     use crate::schema::DataType;
-    use tpdb_lineage::VarId;
+    use tpdb_lineage::{Lineage, VarId};
     use tpdb_temporal::Interval;
 
     fn rel() -> TpRelation {
@@ -270,26 +241,6 @@ mod tests {
     }
 
     #[test]
-    fn sort_by_columns_orders_by_value_then_interval() {
-        let mut r = TpRelation::new("b", Schema::tp(&[("k", DataType::Int)]));
-        for (k, s, e) in [(2, 5, 9), (1, 4, 6), (1, 1, 3), (2, 0, 2)] {
-            r.push(TpTuple::new(
-                vec![Value::Int(k)],
-                Lineage::tru(),
-                Interval::new(s, e),
-                1.0,
-            ))
-            .unwrap();
-        }
-        r.sort_by_columns(&[0]);
-        let keys: Vec<(i64, i64)> = r
-            .iter()
-            .map(|t| (t.fact(0).as_int().unwrap(), t.interval().start()))
-            .collect();
-        assert_eq!(keys, vec![(1, 1), (1, 4), (2, 0), (2, 5)]);
-    }
-
-    #[test]
     fn register_probabilities_covers_base_tuples_only() {
         let mut r = rel();
         // add a derived tuple with compound lineage; it must not be registered
@@ -308,15 +259,11 @@ mod tests {
     }
 
     #[test]
-    fn valid_at_and_lineage_at() {
+    fn valid_at_keeps_the_tuples_covering_the_point() {
         let r = rel();
         assert_eq!(r.valid_at(7).len(), 2);
         assert_eq!(r.valid_at(9).len(), 1);
         assert_eq!(r.valid_at(100).len(), 0);
-        let lin = r.lineage_at(&[Value::str("Ann"), Value::str("ZAK")], 3);
-        assert_eq!(lin, Lineage::var(VarId(0)));
-        let none = r.lineage_at(&[Value::str("Ann"), Value::str("ZAK")], 9);
-        assert!(none.is_false());
     }
 
     #[test]

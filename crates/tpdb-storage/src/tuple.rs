@@ -87,30 +87,6 @@ impl TpTuple {
         self.probability
     }
 
-    /// Returns a copy of the tuple restricted to the given interval
-    /// (used by the alignment operators of the TA baseline).
-    #[must_use]
-    pub fn with_interval(&self, interval: Interval) -> Self {
-        Self {
-            facts: self.facts.clone(),
-            lineage: self.lineage.clone(),
-            interval,
-            probability: self.probability,
-        }
-    }
-
-    /// Returns a copy of the tuple with a different lineage and
-    /// probability.
-    #[must_use]
-    pub fn with_lineage(&self, lineage: Lineage, probability: f64) -> Self {
-        Self {
-            facts: self.facts.clone(),
-            lineage: lineage.into(),
-            interval: self.interval,
-            probability,
-        }
-    }
-
     /// Is the tuple valid at time point `t`?
     #[must_use]
     pub fn valid_at(&self, t: tpdb_temporal::TimePoint) -> bool {
@@ -161,23 +137,6 @@ mod tests {
         assert!(t.valid_at(2));
         assert!(t.valid_at(7));
         assert!(!t.valid_at(8));
-    }
-
-    #[test]
-    fn with_interval_preserves_everything_else() {
-        let t = tuple().with_interval(Interval::new(4, 6));
-        assert_eq!(t.interval(), Interval::new(4, 6));
-        assert_eq!(t.fact(1), &Value::str("ZAK"));
-        assert_eq!(t.probability(), 0.7);
-    }
-
-    #[test]
-    fn with_lineage_swaps_lineage_and_probability() {
-        let new_lin = Lineage::and2(Lineage::var(VarId(0)), Lineage::var(VarId(1)));
-        let t = tuple().with_lineage(new_lin.clone(), 0.42);
-        assert_eq!(t.lineage(), &new_lin);
-        assert_eq!(t.probability(), 0.42);
-        assert_eq!(t.interval(), Interval::new(2, 8));
     }
 
     #[test]

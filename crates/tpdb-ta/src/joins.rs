@@ -67,6 +67,11 @@ pub fn ta_full_outer_join(
 ///
 /// Base-tuple probabilities are taken from the atomic lineages of the
 /// inputs, as in [`tpdb_core::tp_join`].
+///
+/// # Errors
+///
+/// θ's binding errors, and [`StorageError::MissingMarginal`] when a lineage
+/// of `r` or `s` names a variable that no atomic lineage gives a marginal.
 pub fn ta_join(
     r: &TpRelation,
     s: &TpRelation,
@@ -101,7 +106,7 @@ pub fn ta_join(
     r.register_probabilities(&mut engine);
     s.register_probabilities(&mut engine);
     let (left, right) = (&left_windows, &right_windows);
-    Ok(assemble_join_result(r, s, kind, left, right, &mut engine))
+    assemble_join_result(r, s, kind, left, right, &mut engine)
 }
 
 #[cfg(test)]

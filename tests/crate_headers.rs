@@ -1,8 +1,8 @@
 //! The workspace's crate-header policy: every crate root forbids `unsafe`
 //! and warns on missing docs, every engine crate denies the lints that
 //! state its library rules (`clippy.toml`'s disallowed methods and types,
-//! console output; panics too in `tpdb-core`, `tpdb-query` and
-//! `tpdb-storage`), and every manifest opts into `[workspace.lints]`. A new
+//! console output; panics too in `tpdb-core`, `tpdb-lineage`, `tpdb-query`
+//! and `tpdb-storage`), and every manifest opts into `[workspace.lints]`. A new
 //! crate that skips any of these fails here, not in review.
 //!
 //! `unsafe_code` stays a per-crate `forbid` rather than a workspace lint:
@@ -25,7 +25,7 @@ const ENGINE_LINTS: [&str; 4] = [
 ];
 
 /// Crates whose library code must return errors instead of panicking.
-const PANIC_FREE_CRATES: [&str; 3] = ["tpdb-core", "tpdb-query", "tpdb-storage"];
+const PANIC_FREE_CRATES: [&str; 4] = ["tpdb-core", "tpdb-lineage", "tpdb-query", "tpdb-storage"];
 
 /// Lints the panic-free crate roots deny on top of [`ENGINE_LINTS`].
 const PANIC_LINTS: [&str; 4] = [

@@ -288,7 +288,7 @@ fn imported_tuples_get_atomic_lineages_and_marginals() {
         .unwrap();
     let mut engine = catalog.probability_engine();
     for tuple in relation.iter() {
-        let p = engine.try_probability(tuple.lineage()).unwrap();
+        let p = engine.probability(tuple.lineage());
         assert_eq!(p, tuple.probability(), "marginal of {}", tuple.lineage());
     }
 }

@@ -124,8 +124,8 @@ fn assert_marginals_reprice(original: &Catalog, loaded: &Catalog, r: &TpRelation
     let mut before = original.probability_engine();
     let mut after = loaded.probability_engine();
     for formula in &compounds {
-        let p_before = before.try_probability(formula).unwrap();
-        let p_after = after.try_probability(formula).unwrap();
+        let p_before = before.probability(formula);
+        let p_after = after.probability(formula);
         assert_eq!(
             p_before.to_bits(),
             p_after.to_bits(),
