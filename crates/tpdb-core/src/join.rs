@@ -22,8 +22,8 @@ use crate::theta::ThetaCondition;
 use crate::window::{Window, WindowKind, WindowSet};
 use std::slice;
 use tpdb_lineage::{
-    Concat, InternedNode, LineageInterner, LineageRef, ProbabilityEngine, ProbabilityError,
-    ReadOnceColumns,
+    Concat, InternedNode, LineageColumn, LineageInterner, LineageRef, ProbabilityEngine,
+    ProbabilityError, ReadOnceColumns,
 };
 use tpdb_storage::{StorageError, TpRelation, TpTuple};
 
@@ -197,17 +197,19 @@ pub fn assemble_join_result(
     Ok(out)
 }
 
-/// Output formation for one statement: both input lineage columns interned
-/// and checked once, and the engine's decision whether they make every
-/// output root read-once. A `Formation` exists only for inputs whose every
+/// Output formation for one statement: both input lineage columns and the
+/// engine's decision whether they make every output root read-once. A
+/// stored input's column is its catalog arena's, taken by identity
+/// ([`ProbabilityEngine::column`]); a derived input's is interned into the
+/// statement's engine. A `Formation` exists only for inputs whose every
 /// variable has a marginal, so forming a row never checks one again.
 /// Windows carry indices only; a tuple's `λr` is its `r` root, an
 /// overlapping window's `λs` its `s` root, and a negating window's `λs` the
 /// disjunction of the roots its span lists.
 pub(crate) struct Formation {
     /// The roots of `r`'s and `s`'s lineage columns, by tuple index.
-    r_col: Vec<LineageRef>,
-    s_col: Vec<LineageRef>,
+    r_col: LineageColumn,
+    s_col: LineageColumn,
     /// The engine's proof that every output root is read-once
     /// ([`ProbabilityEngine::certify_columns`]); `None` prices each row as
     /// an arena node.
@@ -217,20 +219,20 @@ pub(crate) struct Formation {
 }
 
 impl Formation {
-    /// Interns the lineage columns of `r` and `s` into `engine` and
-    /// certifies them for `op`. A pass that emits negating windows draws
-    /// `λs` spans from its negative column. Fails with
-    /// [`StorageError::MissingMarginal`] when a lineage of either input
-    /// names a variable with no marginal in `engine`.
+    /// Takes the lineage columns of `r` and `s` from `engine` — a stored
+    /// relation's from its arena, any other interned — and certifies them
+    /// for `op`. A pass that emits negating windows draws `λs` spans from
+    /// its negative column. Fails with [`StorageError::MissingMarginal`]
+    /// when a lineage of either input names a variable with no marginal in
+    /// `engine`.
     pub(crate) fn new(
         op: TpOp,
         r: &TpRelation,
         s: &TpRelation,
         engine: &mut ProbabilityEngine,
     ) -> Result<Self, StorageError> {
-        let interner = engine.interner_mut();
-        let r_col = interner.intern_column(r.tuples().iter().map(TpTuple::lineage));
-        let s_col = interner.intern_column(s.tuples().iter().map(TpTuple::lineage));
+        let r_col = engine.column(r, r.tuples().iter().map(TpTuple::lineage));
+        let s_col = engine.column(s, s.tuples().iter().map(TpTuple::lineage));
         let spanned = |flipped| {
             op.passes().iter().any(|spec| {
                 spec.flipped == flipped && spec.lineage_fn(WindowKind::Negating).is_some()

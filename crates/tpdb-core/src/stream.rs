@@ -11,10 +11,12 @@
 //! — the full output is never materialized unless the caller drains the
 //! stream.
 //!
-//! A statement is one such run on the caller's thread: the runner interns
-//! both lineage columns once per operator, asks the engine once whether
-//! every variable under them has a marginal (the statement fails before its
-//! first row otherwise) and whether they make every output root read-once
+//! A statement is one such run on the caller's thread: the runner takes
+//! both lineage columns once per operator ([`ProbabilityEngine::column`]: a
+//! stored relation's from the engine's catalog arena, any other input's
+//! interned), asks the engine once whether every variable under them has a
+//! marginal (the statement fails before its first row otherwise) and
+//! whether they make every output root read-once
 //! ([`ProbabilityEngine::certify_columns`]), and [`Pipe::build`] binds θ
 //! for each pass under the window adaptors the pass needs. A pass builds
 //! its probe index when it is first pulled, so a flipped second pass builds
@@ -158,8 +160,9 @@ where
 /// …); `E` holds the probability engine (`ProbabilityEngine` owned, or
 /// `&mut ProbabilityEngine` borrowed from the caller).
 ///
-/// Construction binds θ (an unbindable θ fails here) and interns the two
-/// lineage columns; each pass builds its probe index when it is first
+/// Construction binds θ (an unbindable θ fails here) and takes the two
+/// lineage columns, interning those the engine's arena does not hold; each
+/// pass builds its probe index when it is first
 /// pulled, so the flipped second pass of a right or full outer join builds
 /// its index only after the first pass is exhausted.
 /// [`windows_consumed`](TpJoinStream::windows_consumed) counts how much of
@@ -258,7 +261,7 @@ where
         mut engine: E,
     ) -> Result<Self, StorageError> {
         let (name, schema) = op.output(r.borrow(), s.borrow());
-        // Both lineage columns are interned, checked and certified once per
+        // Both lineage columns are taken, checked and certified once per
         // operator; a flipped second pass swaps the same two columns.
         let formation = Formation::new(op, r.borrow(), s.borrow(), engine.borrow_mut())?;
         let mut passes = VecDeque::new();

@@ -2,14 +2,16 @@
 //! be an *invisible* representation change. Interned probabilities agree
 //! with exact enumeration over the legacy trees, and the interned streaming
 //! join/set-op pipelines produce byte-identical relations to the tree
-//! reference (`tree_reference`) — for every join kind.
+//! reference (`tree_reference`) — for every join kind. An engine over a
+//! frozen arena is the flat engine under another numbering.
 
 use proptest::prelude::*;
+use std::sync::Arc;
 use tpdb_core::{
     all_columns_equal, lawan, lawau, overlapping_windows, tp_join, tp_join_with_engine, tp_union,
     ThetaCondition, TpJoinKind, TpSetOpKind, TpSetOpStream,
 };
-use tpdb_lineage::{Lineage, LineageInterner, ProbabilityEngine, VarId};
+use tpdb_lineage::{Lineage, LineageArena, LineageInterner, MarginalMap, ProbabilityEngine, VarId};
 use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb_temporal::Interval;
 use tree_reference::{bits, tree_join, tree_rows, Op};
@@ -168,6 +170,53 @@ proptest! {
             prop_assert!(e.index() < interner.len());
         }
         prop_assert_eq!(engine.verify_arena(), Ok(()));
+    }
+
+    /// An engine over a frozen arena prices as a flat engine: formulas
+    /// interned partly into the frozen base and partly into the statement's
+    /// overlay get one id per structure across the two (a frozen formula
+    /// interns no new node), price to the flat engine's bits with as many
+    /// Shannon expansions, keep the arena invariants, and a `set` that
+    /// changes a frozen variable's marginal re-prices as on the flat engine.
+    #[test]
+    fn an_overlay_on_a_frozen_arena_prices_as_a_flat_engine(
+        frozen in proptest::collection::vec(formula(), 1..6),
+        overlay in proptest::collection::vec(formula(), 1..6),
+        var in 0u32..8,
+        p in 0.0f64..=1.0,
+    ) {
+        let marginals: MarginalMap = (0..8).map(|v| (VarId(v), prob_of(v))).collect();
+        let mut builder = LineageArena::builder(Arc::new(marginals));
+        builder.column(Arc::new(()), frozen.iter());
+        let mut stacked = ProbabilityEngine::over(Arc::new(builder.finish()));
+        let mut flat = engine_over_formula_vars();
+        let formulas: Vec<&Lineage> = frozen.iter().chain(&overlay).collect();
+        let frozen_len = stacked.interner().len();
+        for f in &frozen {
+            stacked.intern(f);
+        }
+        prop_assert_eq!(stacked.interner().len(), frozen_len);
+        let ids = |e: &mut ProbabilityEngine| formulas.iter().map(|f| e.intern(f)).collect::<Vec<_>>();
+        let (stacked_ids, flat_ids) = (ids(&mut stacked), ids(&mut flat));
+        for i in 0..formulas.len() {
+            for j in 0..i {
+                prop_assert_eq!(
+                    stacked_ids[i] == stacked_ids[j],
+                    flat_ids[i] == flat_ids[j],
+                    "{} / {}", formulas[i], formulas[j]
+                );
+            }
+        }
+        for round in 0..2 {
+            for (&a, &b) in stacked_ids.iter().zip(&flat_ids) {
+                let (got, want) = (stacked.probability_ref(a), flat.probability_ref(b));
+                prop_assert_eq!(got.to_bits(), want.to_bits(), "round {}: {} vs {}", round, got, want);
+            }
+            prop_assert_eq!(stacked.expansions(), flat.expansions());
+            prop_assert_eq!(stacked.verify_arena(), Ok(()));
+            stacked.set(VarId(var), p);
+            flat.set(VarId(var), p);
+        }
     }
 
     /// The interned streaming join equals the tree reference's join byte for

@@ -17,8 +17,22 @@
 //! dependency-free one used by rustc's `FxHashMap`), so interning a node
 //! costs one multiply-rotate per child and a hit allocates nothing.
 //!
-//! The arena only ever grows: ids stay valid for the interner's lifetime,
-//! which is the lifetime of one join/set-operation execution (the
+//! An interner is an **overlay** on a frozen, shared
+//! [`LineageArena`]: ids below the arena's length
+//! resolve in the arena — a catalog's stored lineage columns, interned
+//! once per catalog epoch — and the interner's own nodes append after
+//! them. A node that could be frozen is looked up in the frozen cons table
+//! before the local one (one with a local child cannot be, nor can a
+//! compound node when the arena holds none), so structural equality stays
+//! id equality across the two. The
+//! interner's own tables index `id − frozen length`, and the stamps of
+//! frozen nodes are allocated, zeroed, only when a pass first touches
+//! one, so an overlay costs nothing per frozen node.
+//! [`LineageInterner::new`] is the overlay on the empty arena, which holds
+//! the two constants only.
+//!
+//! The local part only ever grows: ids stay valid for the interner's
+//! lifetime, which is the lifetime of one join/set-operation execution (the
 //! [`crate::ProbabilityEngine`] owns the interner and both are dropped
 //! together). The legacy [`Lineage`] tree remains the *conversion
 //! boundary*: output tuples, serde and the equality-based tests convert
@@ -32,11 +46,13 @@
 //! children, which is what lets [`crate::ProbabilityEngine`] price the
 //! paper's output lineages without grouping children by shared variables.
 
+use crate::arena::LineageArena;
 use crate::formula::{Lineage, LineageNode};
 use crate::symbols::VarId;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem;
+use std::sync::Arc;
 
 /// The multiplier of the FxHash mix (the 64-bit golden-ratio constant used
 /// by rustc's `FxHasher`).
@@ -103,9 +119,9 @@ pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 /// A dense id referring to a node in a [`LineageInterner`].
 ///
 /// Refs are `Copy`, compare in `O(1)` (hash-consing makes structural
-/// equality id equality *within one interner*) and index the engine's
-/// probability memo directly. A ref is only meaningful together with the
-/// interner that produced it.
+/// equality id equality *within one interner* and the arena it overlays)
+/// and index the engine's probability memo directly. A ref is only
+/// meaningful together with the interner that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct LineageRef(u32);
 
@@ -115,6 +131,11 @@ impl LineageRef {
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
+    }
+
+    /// The ref of the node at position `i` (below the arena's length).
+    pub(crate) fn from_index(i: usize) -> Self {
+        Self(i as u32)
     }
 }
 
@@ -138,7 +159,130 @@ pub enum InternedNode {
     Or(Box<[LineageRef]>),
 }
 
-/// A hash-consed arena of lineage formula nodes.
+/// The node tables of one part of an arena — the frozen arena's, or an
+/// interner's own — indexed by `id − first id`, plus the cons table that
+/// finds its nodes.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Segment {
+    pub(crate) nodes: Vec<InternedNode>,
+    /// Cached structural hash per node (mixes the tag with the *child
+    /// hashes*, so it is stable across interners).
+    pub(crate) hashes: Vec<u64>,
+    /// Conversion cache: interned node → legacy tree (shared `Arc`s).
+    pub(crate) legacy: Vec<Option<Lineage>>,
+    /// Sticky per-node flag: no variable occurs twice in the node's tree
+    /// expansion (its children are read-once and pairwise
+    /// variable-disjoint). A function of the structure alone, so it is
+    /// decided once, when the node is interned.
+    pub(crate) read_once: Vec<bool>,
+    /// Cons table: open-addressed, linearly probed slots holding a node id
+    /// or [`EMPTY`]; a node's home slot is the top bits of its cached hash.
+    /// Always a power of two long and at most three quarters full.
+    table: Vec<u32>,
+}
+
+impl Segment {
+    /// Number of nodes in the segment.
+    pub(crate) fn len(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Appends a node; the caller seats it in the cons table.
+    pub(crate) fn push(&mut self, node: InternedNode, hash: u64, read_once: bool) {
+        self.nodes.push(node);
+        self.hashes.push(hash);
+        self.legacy.push(None);
+        self.read_once.push(read_once);
+    }
+
+    /// The home slot of a hash: its top bits (the well-mixed end of the
+    /// multiplicative hash).
+    fn home_slot(&self, hash: u64) -> usize {
+        (hash >> (u64::BITS - self.table.len().trailing_zeros())) as usize
+    }
+
+    /// Probes the cons table for a node with this hash that `matches`:
+    /// `Ok` is its id, `Err` the free slot a new node would take. `first`
+    /// is the id of the segment's first node.
+    fn probe(
+        &self,
+        first: u32,
+        hash: u64,
+        matches: impl Fn(&InternedNode) -> bool,
+    ) -> Result<LineageRef, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = self.home_slot(hash);
+        loop {
+            let id = self.table[slot];
+            if id == EMPTY {
+                return Err(slot);
+            }
+            let i = (id - first) as usize;
+            if self.hashes[i] == hash && matches(&self.nodes[i]) {
+                return Ok(LineageRef(id));
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Re-seats every node in a cons table of `slots` slots (a power of
+    /// two), or of as many more as the nodes need to fill at most three
+    /// quarters of it.
+    pub(crate) fn seat(&mut self, first: u32, slots: usize) {
+        let slots = slots_for(self.nodes.len(), slots);
+        self.table = vec![EMPTY; slots];
+        let mask = slots - 1;
+        for (i, &hash) in self.hashes.iter().enumerate() {
+            let mut slot = self.home_slot(hash);
+            while self.table[slot] != EMPTY {
+                slot = (slot + 1) & mask;
+            }
+            self.table[slot] = first + i as u32;
+        }
+    }
+
+    /// Is the cons table a power of two long and at most three quarters
+    /// full? (A probe then always terminates.)
+    fn table_is_sound(&self) -> bool {
+        self.table.len().is_power_of_two() && self.nodes.len() * 4 <= self.table.len() * 3
+    }
+}
+
+/// The cached structural hash of a node, given its children's (equal
+/// structures hash equal across interners).
+pub(crate) fn structural_hash(node: &InternedNode, child: impl Fn(LineageRef) -> u64) -> u64 {
+    match node {
+        InternedNode::True => fx_mix(0, 1),
+        InternedNode::False => fx_mix(0, 2),
+        InternedNode::Var(v) => fx_mix(fx_mix(0, 3), u64::from(v.0)),
+        InternedNode::Not(c) => fx_mix(fx_mix(0, 4), child(*c)),
+        InternedNode::And(cs) => nary_hash(true, cs, child),
+        InternedNode::Or(cs) => nary_hash(false, cs, child),
+    }
+}
+
+fn nary_hash(is_and: bool, children: &[LineageRef], child: impl Fn(LineageRef) -> u64) -> u64 {
+    children
+        .iter()
+        .fold(fx_mix(0, if is_and { 5 } else { 6 }), |h, &c| {
+            fx_mix(h, child(c))
+        })
+}
+
+/// The smallest power of two, at least `slots`, whose table holds `nodes`
+/// nodes at ≤ 3/4 load.
+fn slots_for(nodes: usize, mut slots: usize) -> usize {
+    while nodes * 4 > slots * 3 {
+        slots *= 2;
+    }
+    slots
+}
+
+/// The smallest cons table an interner starts with.
+pub(crate) const MIN_TABLE: usize = 16;
+
+/// A hash-consed arena of lineage formula nodes: an overlay on a frozen
+/// [`LineageArena`] (see the module docs).
 ///
 /// Structurally equal formulas intern to the same [`LineageRef`]; the
 /// constructors apply exactly the structural simplifications of the
@@ -148,27 +292,23 @@ pub enum InternedNode {
 /// very tree the legacy constructors would have produced.
 #[derive(Debug, Clone)]
 pub struct LineageInterner {
-    nodes: Vec<InternedNode>,
-    /// Cached structural hash per node (mixes the tag with the *child
-    /// hashes*, so it is stable across interners).
-    hashes: Vec<u64>,
-    /// Cons table: open-addressed, linearly probed slots holding a node id
-    /// or [`EMPTY`]; a node's home slot is the top bits of its cached hash.
-    /// Always a power of two long and at most three quarters full.
-    table: Vec<u32>,
-    /// Conversion cache: interned node → legacy tree (shared `Arc`s).
-    legacy: Vec<Option<Lineage>>,
-    /// Sticky per-node flag: no variable occurs twice in the node's tree
-    /// expansion (its children are read-once and pairwise
-    /// variable-disjoint). A function of the structure alone, so it is
-    /// decided once, when the node is interned.
-    read_once: Vec<bool>,
+    /// The frozen nodes below `base`.
+    arena: Arc<LineageArena>,
+    /// The arena's length: the id of the first local node.
+    base: u32,
+    /// The interner's own nodes, ids `base..`.
+    local: Segment,
     /// Per-node epoch stamps, the allocation-free "seen" set of operand
     /// deduplication and of the read-once leaf walk: a node is marked in
     /// the current pass iff its stamp equals `epoch`. Stamps are by *node
     /// id*, never by `VarId` — variable ids are sparse (the generators'
-    /// span 10⁸…6·10⁸), node ids are dense.
+    /// span 10⁸…6·10⁸), node ids are dense. `stamps` covers the local
+    /// nodes (by `id − base`), `frozen_stamps` the frozen ones (by id): it
+    /// is allocated zeroed when a pass first touches a frozen node, so a
+    /// statement that never does — a certified join — has none, and the
+    /// pages of the untouched frozen nodes are never written.
     stamps: Vec<u32>,
+    frozen_stamps: Vec<u32>,
     epoch: u32,
     /// Reused operand buffer of the n-ary constructors.
     operands: Vec<LineageRef>,
@@ -180,55 +320,83 @@ pub struct LineageInterner {
 /// panics before the arena reaches `u32::MAX` nodes).
 const EMPTY: u32 = u32::MAX;
 
-/// The pre-interned constant `true` (id 0 in every interner).
+/// The pre-interned constant `true` (id 0 in every arena).
 const TRUE: LineageRef = LineageRef(0);
-/// The pre-interned constant `false` (id 1 in every interner).
+/// The pre-interned constant `false` (id 1 in every arena).
 const FALSE: LineageRef = LineageRef(1);
 
 impl Default for LineageInterner {
     fn default() -> Self {
-        let mut interner = Self {
-            nodes: Vec::new(),
-            hashes: Vec::new(),
-            table: vec![EMPTY; 16],
-            legacy: Vec::new(),
-            read_once: Vec::new(),
-            stamps: Vec::new(),
-            epoch: 0,
-            operands: Vec::new(),
-            walk: Vec::new(),
-        };
-        let t = interner.intern_node(InternedNode::True);
-        let f = interner.intern_node(InternedNode::False);
-        debug_assert_eq!((t, f), (TRUE, FALSE));
-        interner
+        Self::over(LineageArena::empty())
     }
 }
 
 impl LineageInterner {
-    /// Creates an empty arena (the two constants are pre-interned).
+    /// Creates an empty arena: the overlay on the empty frozen arena, which
+    /// holds the two pre-interned constants.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of distinct nodes in the arena (the exclusive upper bound of
-    /// all ref indices — size id-keyed side tables with this).
+    /// An interner whose ids below `arena`'s length are `arena`'s nodes.
+    pub(crate) fn over(arena: Arc<LineageArena>) -> Self {
+        let base = arena.len() as u32;
+        let mut local = Segment::default();
+        local.seat(base, MIN_TABLE);
+        Self {
+            arena,
+            base,
+            local,
+            stamps: Vec::new(),
+            frozen_stamps: Vec::new(),
+            epoch: 0,
+            operands: Vec::new(),
+            walk: Vec::new(),
+        }
+    }
+
+    /// The frozen arena this interner overlays.
+    pub(crate) fn arena(&self) -> &LineageArena {
+        &self.arena
+    }
+
+    /// Number of distinct nodes in the arena, frozen ones included (the
+    /// exclusive upper bound of all ref indices).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.nodes.len()
+        self.base as usize + self.local.len()
     }
 
     /// Is the arena empty? (Never true: the constants are pre-interned.)
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+        self.len() == 0
+    }
+
+    /// The position of `r` among the interner's own nodes, `None` for a
+    /// frozen node — the index of every per-interner side table.
+    #[inline]
+    pub(crate) fn local_index(&self, r: LineageRef) -> Option<usize> {
+        r.0.checked_sub(self.base).map(|i| i as usize)
     }
 
     /// The node a ref points at.
     #[must_use]
+    #[inline]
     pub fn node(&self, r: LineageRef) -> &InternedNode {
-        &self.nodes[r.index()]
+        match self.local_index(r) {
+            Some(i) => &self.local.nodes[i],
+            None => &self.arena.nodes.nodes[r.index()],
+        }
+    }
+
+    /// The cached structural hash of a node.
+    fn hash(&self, r: LineageRef) -> u64 {
+        match self.local_index(r) {
+            Some(i) => self.local.hashes[i],
+            None => self.arena.nodes.hashes[r.index()],
+        }
     }
 
     /// Is the formula *read-once*: does no variable occur twice in its
@@ -237,7 +405,36 @@ impl LineageInterner {
     /// condition on. The flag is decided when the node is interned.
     #[must_use]
     pub fn is_read_once(&self, r: LineageRef) -> bool {
-        self.read_once[r.index()]
+        match self.local_index(r) {
+            Some(i) => self.local.read_once[i],
+            None => self.arena.nodes.read_once[r.index()],
+        }
+    }
+
+    /// The cached tree of a node, if it has been converted.
+    fn cached_tree(&self, r: LineageRef) -> Option<&Lineage> {
+        match self.local_index(r) {
+            Some(i) => self.local.legacy[i].as_ref(),
+            None => self.arena.nodes.legacy[r.index()].as_ref(),
+        }
+    }
+
+    /// The stamp of node `r` (see `stamps`).
+    fn stamp(&mut self, r: LineageRef) -> &mut u32 {
+        match self.local_index(r) {
+            Some(i) => &mut self.stamps[i],
+            None => {
+                if self.frozen_stamps.is_empty() {
+                    self.frozen_stamps = vec![0; self.base as usize];
+                }
+                &mut self.frozen_stamps[r.index()]
+            }
+        }
+    }
+
+    /// Marks `r` in the pass `epoch`; `true` when it was not marked yet.
+    fn mark(&mut self, r: LineageRef, epoch: u32) -> bool {
+        mem::replace(self.stamp(r), epoch) != epoch
     }
 
     // ----- constructors (mirror the `Lineage` tree constructors) ---------
@@ -262,7 +459,7 @@ impl LineageInterner {
     /// Negation with structural simplification:
     /// `¬true = false`, `¬false = true`, `¬¬φ = φ`.
     pub fn not(&mut self, operand: LineageRef) -> LineageRef {
-        match &self.nodes[operand.index()] {
+        match self.node(operand) {
             InternedNode::True => FALSE,
             InternedNode::False => TRUE,
             InternedNode::Not(inner) => *inner,
@@ -290,18 +487,11 @@ impl LineageInterner {
     /// the absorbing constant and deduplicates in first-occurrence order,
     /// through the epoch stamps and the reused operand buffer — and interns
     /// what is left of it. A call that finds its node already interned
-    /// allocates nothing.
+    /// allocates nothing (beyond a frozen operand's first stamp).
     fn nary(&mut self, is_and: bool, operands: &[LineageRef]) -> LineageRef {
         let (unit, absorbing) = if is_and { (TRUE, FALSE) } else { (FALSE, TRUE) };
         let epoch = self.next_epoch();
         let mut flat = mem::take(&mut self.operands);
-        let (nodes, stamps) = (&self.nodes, &mut self.stamps);
-        let mut push = |r: LineageRef| {
-            if stamps[r.index()] != epoch {
-                stamps[r.index()] = epoch;
-                flat.push(r);
-            }
-        };
         let mut absorbed = false;
         for &op in operands {
             if op == absorbing {
@@ -311,11 +501,19 @@ impl LineageInterner {
             if op == unit {
                 continue;
             }
-            match (&nodes[op.index()], is_and) {
-                (InternedNode::And(children), true) | (InternedNode::Or(children), false) => {
-                    children.iter().copied().for_each(&mut push);
+            let flatten = matches!(
+                (self.node(op), is_and),
+                (InternedNode::And(_), true) | (InternedNode::Or(_), false)
+            );
+            if flatten {
+                for k in 0..self.children(op).len() {
+                    let child = self.children(op)[k];
+                    if self.mark(child, epoch) {
+                        flat.push(child);
+                    }
                 }
-                _ => push(op),
+            } else if self.mark(op, epoch) {
+                flat.push(op);
             }
         }
         let result = match flat.len() {
@@ -373,11 +571,12 @@ impl LineageInterner {
 
     /// Interns a relation's lineage column — one tree per tuple, in tuple
     /// order — and returns its roots. The arena and the cons table are
-    /// sized for the column up front, and each root's conversion-cache slot
-    /// is seeded with the tuple's own tree (normalized, as every
+    /// sized for the column up front, and each new root's conversion-cache
+    /// slot is seeded with the tuple's own tree (normalized, as every
     /// constructor-built [`Lineage`] is), so converting a root back
     /// ([`to_lineage`](Self::to_lineage)) shares the input's `Arc` instead
-    /// of allocating a fresh tree.
+    /// of allocating a fresh tree. A root found in the frozen arena keeps
+    /// the arena's tree.
     pub fn intern_column<'a>(
         &mut self,
         column: impl ExactSizeIterator<Item = &'a Lineage>,
@@ -386,7 +585,9 @@ impl LineageInterner {
         column
             .map(|lineage| {
                 let root = self.intern(lineage);
-                self.legacy[root.index()].get_or_insert_with(|| lineage.clone());
+                if let Some(i) = self.local_index(root) {
+                    self.local.legacy[i].get_or_insert_with(|| lineage.clone());
+                }
                 root
             })
             .collect()
@@ -400,11 +601,12 @@ impl LineageInterner {
     /// shared sub-formulas (every `λr` of a window group, every
     /// disjunction operand) are shared `Arc`s — converting `n` output
     /// tuples allocates `O(distinct nodes)`, not `O(total tree size)`.
+    /// Every frozen node's tree is built when its arena is.
     pub fn to_lineage(&mut self, r: LineageRef) -> Lineage {
-        if let Some(l) = &self.legacy[r.index()] {
+        if let Some(l) = self.cached_tree(r) {
             return l.clone();
         }
-        let node = match &self.nodes[r.index()] {
+        let node = match self.node(r) {
             InternedNode::True => LineageNode::True,
             InternedNode::False => LineageNode::False,
             InternedNode::Var(v) => LineageNode::Var(*v),
@@ -416,7 +618,9 @@ impl LineageInterner {
             InternedNode::Or(_) => LineageNode::Or(self.children_to_lineage(r)),
         };
         let lineage = Lineage::from_normalized(node);
-        self.legacy[r.index()] = Some(lineage.clone());
+        if let Some(i) = self.local_index(r) {
+            self.local.legacy[i] = Some(lineage.clone());
+        }
         lineage
     }
 
@@ -430,16 +634,23 @@ impl LineageInterner {
             .collect()
     }
 
-    /// All nodes in arena (topological) order; position = ref index.
-    pub(crate) fn nodes(&self) -> &[InternedNode] {
-        &self.nodes
+    /// The interner's own nodes, in arena (topological) order: position
+    /// `i` is id `frozen length + i`.
+    pub(crate) fn local_nodes(&self) -> &[InternedNode] {
+        &self.local.nodes
+    }
+
+    /// The interner's own node tables, handed over when they become a
+    /// frozen arena.
+    pub(crate) fn into_local(self) -> Segment {
+        self.local
     }
 
     /// The child list of an `And`/`Or` node (empty for every other node).
     /// Re-borrowing it per child lets callers recurse with `&mut self`
     /// between children without copying the list out first.
     pub(crate) fn children(&self, r: LineageRef) -> &[LineageRef] {
-        match &self.nodes[r.index()] {
+        match self.node(r) {
             InternedNode::And(cs) | InternedNode::Or(cs) => cs,
             _ => &[],
         }
@@ -453,13 +664,13 @@ impl LineageInterner {
     #[must_use]
     pub fn vars(&self, r: LineageRef) -> BTreeSet<VarId> {
         let mut out = BTreeSet::new();
-        let mut visited: HashSet<LineageRef, BuildHasherDefault<FxHasher>> = HashSet::default();
+        let mut visited: FxHashSet<LineageRef> = HashSet::default();
         let mut stack = vec![r];
         while let Some(cur) = stack.pop() {
             if !visited.insert(cur) {
                 continue;
             }
-            match &self.nodes[cur.index()] {
+            match self.node(cur) {
                 InternedNode::True | InternedNode::False => {}
                 InternedNode::Var(v) => {
                     out.insert(*v);
@@ -473,16 +684,16 @@ impl LineageInterner {
 
     /// Calls `visit` with the variable of every distinct `Var` node under
     /// `r`, each once (a DAG walk: shared sub-formulas are entered once).
-    /// Allocation-free — visited nodes are marked in the stamp table.
+    /// Visited nodes are marked in the stamp tables.
     pub(crate) fn for_each_var(&mut self, r: LineageRef, mut visit: impl FnMut(VarId)) {
         let epoch = self.next_epoch();
         let mut stack = mem::take(&mut self.walk);
         stack.push(r);
         while let Some(cur) = stack.pop() {
-            if mem::replace(&mut self.stamps[cur.index()], epoch) == epoch {
+            if !self.mark(cur, epoch) {
                 continue;
             }
-            match &self.nodes[cur.index()] {
+            match self.node(cur) {
                 InternedNode::True | InternedNode::False => {}
                 InternedNode::Var(v) => visit(*v),
                 InternedNode::Not(c) => stack.push(*c),
@@ -495,7 +706,7 @@ impl LineageInterner {
     /// Conditions the formula on `var = value` (Shannon cofactor),
     /// mirroring [`Lineage::condition`] in interned space.
     pub fn condition(&mut self, r: LineageRef, var: VarId, value: bool) -> LineageRef {
-        match self.nodes[r.index()].clone() {
+        match self.node(r).clone() {
             InternedNode::True | InternedNode::False => r,
             InternedNode::Var(v) => {
                 if v == var {
@@ -525,13 +736,14 @@ impl LineageInterner {
         }
     }
 
-    /// Exhaustively checks the arena invariants, returning a description
-    /// of the first violation found (`Ok(())` on a healthy arena).
+    /// Exhaustively checks the arena invariants — of the frozen arena and
+    /// of the overlay — returning a description of the first violation
+    /// found (`Ok(())` on a healthy arena).
     ///
     /// Checked invariants:
     ///
     /// * the parallel tables (`nodes`, `hashes`, conversion cache,
-    ///   read-once flags, stamps) have equal lengths;
+    ///   read-once flags, and the overlay's stamps) have equal lengths;
     /// * ids 0/1 are the pre-interned constants `true`/`false`, and no
     ///   other node is a constant (the constructors always return the
     ///   canonical ids);
@@ -542,10 +754,11 @@ impl LineageInterner {
     ///   another `Not` (the canonical normal form of the tree
     ///   constructors);
     /// * every cached hash equals the recomputed structural hash and
-    ///   probing the cons table under it finds the id (a mismatch would
-    ///   make hash-consing silently duplicate nodes, breaking `O(1)`
-    ///   equality); the table is a power of two long and ≤ 3/4 full, so a
-    ///   probe always terminates;
+    ///   probing the cons tables under it — the frozen one first — finds
+    ///   the id (a mismatch would make hash-consing silently duplicate
+    ///   nodes, breaking `O(1)` equality; an overlay node equal to a frozen
+    ///   one is such a duplicate); each table is a power of two long and
+    ///   ≤ 3/4 full, so a probe always terminates;
     /// * every read-once flag equals a from-scratch recomputation over the
     ///   node's tree expansion (a wrong `true` would price a correlated
     ///   formula as a product);
@@ -558,55 +771,62 @@ impl LineageInterner {
     // free-form description of the first broken invariant, for assertion
     // messages.
     pub fn verify_arena(&self) -> Result<(), String> {
-        let side_tables = [
-            self.hashes.len(),
-            self.legacy.len(),
-            self.read_once.len(),
-            self.stamps.len(),
-        ];
-        if side_tables.iter().any(|&len| len != self.nodes.len()) {
-            return Err(format!(
-                "parallel tables out of sync: {} nodes, {side_tables:?} hashes / cached \
-                 conversions / read-once flags / stamps",
-                self.nodes.len(),
-            ));
+        for (part, segment, extra) in [
+            ("frozen", &self.arena.nodes, None),
+            ("overlay", &self.local, Some(self.stamps.len())),
+        ] {
+            let side_tables = [
+                segment.hashes.len(),
+                segment.legacy.len(),
+                segment.read_once.len(),
+                extra.unwrap_or(segment.len()),
+            ];
+            if side_tables.iter().any(|&len| len != segment.len()) {
+                return Err(format!(
+                    "{part} tables out of sync: {} nodes, {side_tables:?} hashes / cached \
+                     conversions / read-once flags / stamps",
+                    segment.len(),
+                ));
+            }
+            if !segment.table_is_sound() {
+                return Err(format!(
+                    "{part} cons table of {} slots cannot hold {} nodes at ≤ 3/4 load",
+                    segment.table.len(),
+                    segment.len()
+                ));
+            }
         }
-        if !self.table.len().is_power_of_two() || self.nodes.len() * 4 > self.table.len() * 3 {
-            return Err(format!(
-                "cons table of {} slots cannot hold {} nodes at ≤ 3/4 load",
-                self.table.len(),
-                self.nodes.len()
-            ));
-        }
-        if self.nodes.first() != Some(&InternedNode::True)
-            || self.nodes.get(1) != Some(&InternedNode::False)
+        if self.arena.nodes.nodes.first() != Some(&InternedNode::True)
+            || self.arena.nodes.nodes.get(1) != Some(&InternedNode::False)
         {
             return Err("ids 0/1 are not the pre-interned true/false constants".to_owned());
         }
-        for (i, node) in self.nodes.iter().enumerate() {
+        for i in 0..self.len() {
+            let r = LineageRef(i as u32);
+            let node = self.node(r);
             if let Some(problem) = self.check_node_shape(i, node) {
                 return Err(format!("node {i}: {problem}"));
             }
-            let expected = self.structural_hash(node);
-            if self.hashes[i] != expected {
+            let expected = structural_hash(node, |c| self.hash(c));
+            if self.hash(r) != expected {
                 return Err(format!(
                     "node {i}: cached hash {:#x} != recomputed structural hash {expected:#x}",
-                    self.hashes[i]
+                    self.hash(r)
                 ));
             }
-            if self.find(expected, |existing| existing == node) != Ok(LineageRef(i as u32)) {
+            if self.find(true, expected, |existing| existing == node) != Ok(r) {
                 return Err(format!(
-                    "probing the cons table for node {i} does not find it — interning its \
+                    "probing the cons tables for node {i} does not find it — interning its \
                      structure again would allocate a duplicate id"
                 ));
             }
-            if self.read_once[i] != self.recompute_read_once(i) {
+            if self.is_read_once(r) != self.recompute_read_once(r) {
                 return Err(format!(
                     "node {i}: read-once flag {} disagrees with a from-scratch recomputation",
-                    self.read_once[i]
+                    self.is_read_once(r)
                 ));
             }
-            if let Some(cached) = &self.legacy[i] {
+            if let Some(cached) = self.cached_tree(r) {
                 let shape_matches = matches!(
                     (node, cached.node()),
                     (InternedNode::True, LineageNode::True)
@@ -640,7 +860,7 @@ impl LineageInterner {
                     return Some(format!("child {} does not precede its parent", c.index()));
                 }
                 matches!(
-                    self.nodes[c.index()],
+                    self.node(*c),
                     InternedNode::True | InternedNode::False | InternedNode::Not(_)
                 )
                 .then(|| "Not wraps a constant or another Not".to_owned())
@@ -657,7 +877,7 @@ impl LineageInterner {
                     if !seen.insert(c) {
                         return Some(format!("duplicated child {}", c.index()));
                     }
-                    let child = &self.nodes[c.index()];
+                    let child = self.node(c);
                     let nested_same_kind = match node {
                         InternedNode::And(_) => matches!(child, InternedNode::And(_)),
                         _ => matches!(child, InternedNode::Or(_)),
@@ -676,31 +896,14 @@ impl LineageInterner {
 
     // ----- internals ------------------------------------------------------
 
-    /// The cached structural hash of a node (mixes child hashes, so equal
-    /// structures hash equal across interners).
-    fn structural_hash(&self, node: &InternedNode) -> u64 {
-        match node {
-            InternedNode::True => fx_mix(0, 1),
-            InternedNode::False => fx_mix(0, 2),
-            InternedNode::Var(v) => fx_mix(fx_mix(0, 3), u64::from(v.0)),
-            InternedNode::Not(c) => fx_mix(fx_mix(0, 4), self.hashes[c.index()]),
-            InternedNode::And(cs) => self.nary_hash(true, cs),
-            InternedNode::Or(cs) => self.nary_hash(false, cs),
-        }
-    }
-
-    fn nary_hash(&self, is_and: bool, children: &[LineageRef]) -> u64 {
-        children
-            .iter()
-            .fold(fx_mix(0, if is_and { 5 } else { 6 }), |h, c| {
-                fx_mix(h, self.hashes[c.index()])
-            })
-    }
-
     /// Interns a constant, variable or negation node.
     fn intern_node(&mut self, node: InternedNode) -> LineageRef {
-        let hash = self.structural_hash(&node);
-        match self.find(hash, |existing| *existing == node) {
+        let hash = structural_hash(&node, |c| self.hash(c));
+        let frozen = match node {
+            InternedNode::Not(c) => self.arena.compound && self.local_index(c).is_none(),
+            _ => true,
+        };
+        match self.find(frozen, hash, |existing| *existing == node) {
             Ok(found) => found,
             Err(slot) => self.push_node(node, hash, slot),
         }
@@ -709,8 +912,9 @@ impl LineageInterner {
     /// Interns an `And`/`Or` over normalized children. The lookup compares
     /// against the borrowed slice; only a miss boxes the children.
     fn intern_nary(&mut self, is_and: bool, children: &[LineageRef]) -> LineageRef {
-        let hash = self.nary_hash(is_and, children);
-        let found = self.find(hash, |existing| match (existing, is_and) {
+        let hash = nary_hash(is_and, children, |c| self.hash(c));
+        let frozen = self.arena.compound && children.iter().all(|&c| self.local_index(c).is_none());
+        let found = self.find(frozen, hash, |existing| match (existing, is_and) {
             (InternedNode::And(cs), true) | (InternedNode::Or(cs), false) => **cs == *children,
             _ => false,
         });
@@ -728,103 +932,76 @@ impl LineageInterner {
         }
     }
 
-    /// The home slot of a hash: its top bits (the well-mixed end of the
-    /// multiplicative hash).
-    fn home_slot(&self, hash: u64) -> usize {
-        (hash >> (u64::BITS - self.table.len().trailing_zeros())) as usize
-    }
-
-    /// Probes the cons table for a node with this hash that `matches`:
-    /// `Ok` is the interned id, `Err` the free slot a new node would take.
+    /// Probes the frozen cons table, then the local one, for a node with
+    /// this hash that `matches`: `Ok` is the interned id, `Err` the free
+    /// local slot a new node would take. The frozen table is skipped when
+    /// not `frozen`: when the node is a negation or an `And`/`Or` and the
+    /// arena holds none (stored base relations: variables only), or when
+    /// it has a local child (a frozen node's children are frozen).
     fn find(
         &self,
+        frozen: bool,
         hash: u64,
         matches: impl Fn(&InternedNode) -> bool,
     ) -> Result<LineageRef, usize> {
-        let mask = self.table.len() - 1;
-        let mut slot = self.home_slot(hash);
-        loop {
-            let id = self.table[slot];
-            if id == EMPTY {
-                return Err(slot);
+        if frozen {
+            if let Ok(found) = self.arena.nodes.probe(0, hash, &matches) {
+                return Ok(found);
             }
-            if self.hashes[id as usize] == hash && matches(&self.nodes[id as usize]) {
-                return Ok(LineageRef(id));
-            }
-            slot = (slot + 1) & mask;
         }
+        self.local.probe(self.base, hash, matches)
     }
 
     /// Appends a node that [`find`](Self::find) reported missing, claiming
-    /// the free `slot` it returned.
+    /// the free local `slot` it returned.
     fn push_node(&mut self, node: InternedNode, hash: u64, slot: usize) -> LineageRef {
         // In debug builds every freshly interned node is checked against
         // the canonical-form invariants (`verify_arena` documents them);
         // checking only the new node keeps interning O(node size).
         #[cfg(debug_assertions)]
-        if self.nodes.len() >= 2 {
-            if let Some(problem) = self.check_node_shape(self.nodes.len(), &node) {
-                debug_assert!(false, "interning a malformed node: {problem}");
-            }
+        if let Some(problem) = self.check_node_shape(self.len(), &node) {
+            debug_assert!(false, "interning a malformed node: {problem}");
         }
         #[expect(
             clippy::expect_used,
             reason = "node ids are u32 by design; an arena of 2³² nodes exceeds memory first"
         )]
-        let id = u32::try_from(self.nodes.len())
+        let id = u32::try_from(self.len())
             .ok()
             .filter(|&id| id != EMPTY)
             .expect("interner arena exceeds u32 ids");
         let read_once = self.classify(&node);
-        self.nodes.push(node);
-        self.hashes.push(hash);
-        self.legacy.push(None);
-        self.read_once.push(read_once);
+        self.local.push(node, hash, read_once);
         self.stamps.push(0);
-        self.table[slot] = id;
-        if self.nodes.len() * 4 > self.table.len() * 3 {
-            self.grow_table(self.table.len() * 2);
+        self.local.table[slot] = id;
+        if self.local.len() * 4 > self.local.table.len() * 3 {
+            self.local.seat(self.base, self.local.table.len() * 2);
         }
         LineageRef(id)
     }
 
-    /// Makes room for `additional` more nodes: the node tables reserve
-    /// them, and the cons table grows once to the size that holds them at
-    /// ≤ 3/4 load, instead of doubling (and re-seating every node) on the way.
+    /// Makes room for `additional` more local nodes: the node tables
+    /// reserve them, and the cons table grows once to the size that holds
+    /// them at ≤ 3/4 load, instead of doubling (and re-seating every node)
+    /// on the way.
     fn reserve(&mut self, additional: usize) {
-        self.nodes.reserve(additional);
-        self.hashes.reserve(additional);
-        self.legacy.reserve(additional);
-        self.read_once.reserve(additional);
+        let local = &mut self.local;
+        local.nodes.reserve(additional);
+        local.hashes.reserve(additional);
+        local.legacy.reserve(additional);
+        local.read_once.reserve(additional);
         self.stamps.reserve(additional);
-        let needed = self.nodes.len() + additional;
-        let mut slots = self.table.len();
-        while needed * 4 > slots * 3 {
-            slots *= 2;
-        }
-        if slots > self.table.len() {
-            self.grow_table(slots);
+        let needed = local.len() + additional;
+        if needed * 4 > local.table.len() * 3 {
+            local.seat(self.base, slots_for(needed, local.table.len()));
         }
     }
 
-    /// Replaces the cons table by one of `slots` slots (a power of two) and
-    /// re-seats every node from its cached hash.
-    fn grow_table(&mut self, slots: usize) {
-        self.table = vec![EMPTY; slots];
-        let mask = self.table.len() - 1;
-        for (id, &hash) in self.hashes.iter().enumerate() {
-            let mut slot = self.home_slot(hash);
-            while self.table[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.table[slot] = id as u32;
-        }
-    }
-
-    /// Starts a fresh marking pass over the stamp table.
+    /// Starts a fresh marking pass over the stamp tables.
     fn next_epoch(&mut self) -> u32 {
         if self.epoch == u32::MAX {
             self.stamps.fill(0);
+            self.frozen_stamps.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -836,10 +1013,9 @@ impl LineageInterner {
     fn classify(&mut self, node: &InternedNode) -> bool {
         match node {
             InternedNode::True | InternedNode::False | InternedNode::Var(_) => true,
-            InternedNode::Not(c) => self.read_once[c.index()],
+            InternedNode::Not(c) => self.is_read_once(*c),
             InternedNode::And(cs) | InternedNode::Or(cs) => {
-                cs.iter().all(|c| self.read_once[c.index()])
-                    && self.share_no_node(cs, &[], true, false)
+                cs.iter().all(|&c| self.is_read_once(c)) && self.share_no_node(cs, &[], true, false)
             }
         }
     }
@@ -872,8 +1048,8 @@ impl LineageInterner {
 
     /// Hands the stamp of every `Var` leaf of the tree expansions of
     /// `roots` — once per occurrence — to `visit`, and stops at the first
-    /// for which it returns `false`: returns whether none did.
-    /// Allocation-free: the stack is reused.
+    /// for which it returns `false`: returns whether none did. The stack is
+    /// reused.
     fn walk_leaves(
         &mut self,
         roots: impl Iterator<Item = LineageRef>,
@@ -883,10 +1059,10 @@ impl LineageInterner {
         stack.extend(roots);
         let mut all = true;
         while let Some(cur) = stack.pop() {
-            match &self.nodes[cur.index()] {
+            match self.node(cur) {
                 InternedNode::True | InternedNode::False => {}
                 InternedNode::Var(_) => {
-                    if !visit(&mut self.stamps[cur.index()]) {
+                    if !visit(self.stamp(cur)) {
                         all = false;
                         break;
                     }
@@ -900,14 +1076,14 @@ impl LineageInterner {
         all
     }
 
-    /// The read-once flag of node `i` recomputed from the structure alone
+    /// The read-once flag of node `r` recomputed from the structure alone
     /// (no cached flags, its own seen-set) — the oracle of
     /// [`verify_arena`](Self::verify_arena).
-    fn recompute_read_once(&self, i: usize) -> bool {
+    fn recompute_read_once(&self, r: LineageRef) -> bool {
         let mut seen: FxHashSet<VarId> = HashSet::default();
-        let mut stack = vec![LineageRef(i as u32)];
+        let mut stack = vec![r];
         while let Some(cur) = stack.pop() {
-            match &self.nodes[cur.index()] {
+            match self.node(cur) {
                 InternedNode::True | InternedNode::False => {}
                 InternedNode::Var(v) => {
                     if !seen.insert(*v) {

@@ -23,7 +23,9 @@
 //! * a hash-consed formula arena ([`LineageInterner`]) deduplicating
 //!   structurally equal nodes behind dense [`LineageRef`] ids — the
 //!   representation output formation and the probability memo operate
-//!   on, with [`Lineage`] trees as the serde/test conversion boundary,
+//!   on, with [`Lineage`] trees as the serde/test conversion boundary —
+//!   as an overlay on a frozen [`LineageArena`] that holds a catalog
+//!   epoch's stored columns and marginals, interned and priced once,
 //! * [`LazyLineage`], an output tuple's lineage: a tree, or a read-once
 //!   concatenation priced at output formation whose tree is built only
 //!   when it is first read,
@@ -69,12 +71,14 @@
     clippy::unreachable
 )]
 
+mod arena;
 mod formula;
 mod intern;
 mod lazy;
 mod prob;
 mod symbols;
 
+pub use arena::{ArenaBuilder, LineageArena, LineageColumn};
 pub use formula::{Lineage, LineageNode};
 pub use intern::{FxHashMap, FxHashSet, FxHasher, InternedNode, LineageInterner, LineageRef};
 pub use lazy::LazyLineage;

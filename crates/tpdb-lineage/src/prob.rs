@@ -1,5 +1,6 @@
 //! Exact probability computation for lineage formulas.
 
+use crate::arena::{LineageArena, LineageColumn};
 use crate::formula::{Lineage, LineageNode};
 use crate::intern::{FxHashMap, InternedNode, LineageInterner, LineageRef};
 use crate::lazy::LazyLineage;
@@ -7,13 +8,13 @@ use crate::symbols::VarId;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::fmt;
+use std::mem;
 use std::sync::Arc;
 
 /// Marginal probabilities by base-tuple variable: the one map type the
-/// catalog stores and the engine prices from, so handing a catalog's
-/// marginals to an engine is an [`Arc`] clone
-/// ([`ProbabilityEngine::with_marginals`]). Keys are variable ids the
-/// program assigns itself, so the fast non-keyed hasher is safe.
+/// catalog stores and a [`LineageArena`] prices from, so handing a
+/// catalog's marginals to its arena is an [`Arc`] clone. Keys are variable
+/// ids the program assigns itself, so the fast non-keyed hasher is safe.
 pub type MarginalMap = FxHashMap<VarId, f64>;
 
 /// Errors produced by the probability engine.
@@ -92,18 +93,22 @@ pub struct ReadOnceColumns {
 ///
 /// # Representation
 ///
-/// The engine owns a [`LineageInterner`]: formulas are evaluated in
-/// hash-consed form ([`LineageRef`]), and the memo is a dense vector
-/// indexed by node id (`NaN` marking absent entries) instead of a map
-/// keyed by deep structural hashes of trees; a `Var` node's entry is its
-/// marginal, so pricing hashes each variable once, not once per
-/// occurrence. Registered marginals live behind an [`Arc`] with
-/// copy-on-write semantics: the query layer builds each operator's engine
-/// over the catalog's map with [`with_marginals`](Self::with_marginals)
-/// without copying the registered probabilities until one side writes.
+/// The engine owns a [`LineageInterner`], an overlay on a frozen
+/// [`LineageArena`]: formulas are evaluated in hash-consed form
+/// ([`LineageRef`]). The arena carries a dense marginal per `Var` node and
+/// the engine a dense memo over its own nodes (`NaN` marking absent
+/// entries; a `Var` node's entry is its marginal, so pricing hashes each
+/// variable once, not once per occurrence) and a sparse one over the
+/// frozen compound nodes it prices. The query layer builds each operator's
+/// engine over its catalog's arena ([`over`](Self::over)), so a statement
+/// over stored relations registers, interns and checks nothing per input
+/// tuple; [`new`](Self::new) is the overlay on the empty arena, into which
+/// the free-relation API registers its inputs' marginals
+/// ([`set_all`](Self::set_all)). A registration that changes an arena
+/// variable's marginal overrides it for this engine alone.
 ///
 /// Callers on the hot path intern once ([`intern`](Self::intern), or
-/// [`LineageInterner::intern_column`] for a relation's lineage column) and
+/// [`column`](Self::column) for a relation's lineage column) and
 /// evaluate with [`probability_ref`](Self::probability_ref). Output
 /// formation checks a statement's inputs and makes its one pricing
 /// decision when the statement opens: it asks
@@ -119,17 +124,22 @@ pub struct ReadOnceColumns {
 /// the fly.
 #[derive(Debug, Clone, Default)]
 pub struct ProbabilityEngine {
-    probs: Arc<MarginalMap>,
+    /// Marginals registered on this engine: they override the arena's.
+    probs: MarginalMap,
     interner: LineageInterner,
-    /// Dense memo indexed by node id; `NaN` marks an absent entry. Holds
-    /// the probability of every priced `And`/`Or` node and — the dense
-    /// marginal table — of every priced `Var` node. Cleared when a
-    /// registered probability changes.
+    /// Dense memo over the engine's own nodes, indexed by `id − frozen
+    /// length`; `NaN` marks an absent entry. Holds the probability of every
+    /// priced `And`/`Or` node and — the dense marginal table — of every
+    /// priced `Var` node. Cleared when a registered probability changes.
     memo: Vec<f64>,
-    /// Per-node flag over an arena prefix: every variable under the node
-    /// has a registered probability. Extended bottom-up in arena order by
-    /// [`missing_var`](Self::missing_var); cleared with the memo, because a
-    /// registration can turn a `false` stale.
+    /// The memo of the frozen `And`/`Or` nodes this engine has priced (a
+    /// frozen `Var` node's marginal is the arena's). Cleared with `memo`.
+    frozen_memo: FxHashMap<LineageRef, f64>,
+    /// Per-node flag over a prefix of the engine's own nodes: every
+    /// variable under the node has a registered probability. Extended
+    /// bottom-up in arena order by [`missing_var`](Self::missing_var);
+    /// cleared with the memo, because a registration can turn a `false`
+    /// stale. A frozen node's flag is the arena's.
     verified: Vec<bool>,
     /// Reused buffers of the decomposition and Shannon fallbacks.
     scratch: Scratch,
@@ -151,25 +161,26 @@ struct Scratch {
 }
 
 impl ProbabilityEngine {
-    /// Creates an engine with no registered variables.
+    /// Creates an engine with no registered variables: the overlay on the
+    /// empty arena.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an engine over an existing marginal map without copying it.
-    /// The map is shared until the engine registers a value that differs
-    /// (copy-on-write). Its values must already lie in `[0, 1]`, as
-    /// [`set`](Self::set) and [`set_all`](Self::set_all) enforce for later
-    /// registrations.
+    /// Creates an engine over a frozen arena: its nodes, marginals and
+    /// stored columns are shared, not copied, and the engine's own nodes
+    /// and memo start empty. The arena's marginals must lie in `[0, 1]`,
+    /// as [`set`](Self::set) and [`set_all`](Self::set_all) enforce for
+    /// later registrations.
     #[must_use]
-    pub fn with_marginals(marginals: Arc<MarginalMap>) -> Self {
+    pub fn over(arena: Arc<LineageArena>) -> Self {
         debug_assert!(
-            marginals.values().all(|p| (0.0..=1.0).contains(p)),
-            "shared marginals must be probabilities"
+            arena.marginals.values().all(|p| (0.0..=1.0).contains(p)),
+            "arena marginals must be probabilities"
         );
         Self {
-            probs: marginals,
+            interner: LineageInterner::over(arena),
             ..Self::default()
         }
     }
@@ -206,37 +217,45 @@ impl ProbabilityEngine {
             if !(0.0..=1.0).contains(&p) {
                 panic!("probability {p} of {var} is outside [0, 1]");
             }
-            if self.probs.get(&var) != Some(&p) {
+            if self.get(var) != Some(p) {
                 changed.push((var, p));
             }
         }
         if changed.is_empty() {
             return;
         }
-        let probs = Arc::make_mut(&mut self.probs);
-        for (var, p) in changed {
-            probs.insert(var, p);
-        }
+        self.probs.extend(changed);
         self.memo.clear();
+        self.frozen_memo.clear();
         self.verified.clear();
     }
 
-    /// The registered probability of a variable.
+    /// The registered probability of a variable: the engine's own
+    /// registration, else the arena's marginal.
     #[must_use]
     pub fn get(&self, var: VarId) -> Option<f64> {
-        self.probs.get(&var).copied()
+        self.probs
+            .get(&var)
+            .or_else(|| self.interner.arena().marginals.get(&var))
+            .copied()
     }
 
-    /// Number of registered variables.
+    /// Number of registered variables (the arena's and the engine's own).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.probs.len()
+        let frozen = &self.interner.arena().marginals;
+        frozen.len()
+            + self
+                .probs
+                .keys()
+                .filter(|v| !frozen.contains_key(v))
+                .count()
     }
 
     /// Is the engine empty (no variables registered)?
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.probs.is_empty()
+        self.len() == 0
     }
 
     /// Number of Shannon expansions performed so far.
@@ -345,11 +364,31 @@ impl ProbabilityEngine {
         self.output(root)
     }
 
-    /// Checks and certifies a statement whose two lineage columns (their
-    /// roots, as [`LineageInterner::intern_column`] returns them) are `r`
-    /// and `s`; `r_spanned` / `s_spanned` say whether a negating window's
-    /// `λs` span may disjoin roots of that column (it is the negative side
-    /// of a pass that emits negating windows).
+    /// The lineage column of `relation`, whose tuples' lineages
+    /// `lineages` lists in tuple order. A stored relation of the engine's
+    /// arena — found by identity: `relation` must be the very value the
+    /// arena was built from — hands over the arena's column and interns
+    /// nothing; any other relation (a derived input, a relation of the
+    /// free-relation API) is interned into the engine's own nodes
+    /// ([`LineageInterner::intern_column`]), where its `Var` leaves find
+    /// the arena's nodes.
+    pub fn column<'a, T>(
+        &mut self,
+        relation: &T,
+        lineages: impl ExactSizeIterator<Item = &'a Lineage>,
+    ) -> LineageColumn {
+        let arena = self.interner.arena();
+        match arena.column_of(relation) {
+            Some(k) => LineageColumn::stored(arena, k),
+            None => LineageColumn::interned(self.interner.intern_column(lineages)),
+        }
+    }
+
+    /// Checks and certifies a statement whose two lineage columns are `r`
+    /// and `s` ([`column`](Self::column)); `r_spanned` / `s_spanned` say
+    /// whether a negating window's `λs` span may disjoin roots of that
+    /// column (it is the negative side of a pass that emits negating
+    /// windows).
     ///
     /// `Err` names the smallest variable with no registered probability
     /// under any root of either column: no row of the statement can be
@@ -365,15 +404,44 @@ impl ProbabilityEngine {
     /// `λr ∧ ¬(c₁ ∨ … ∨ c_k)` and the union's `λr ∨ λs`, with `λr` a root of
     /// one column and `λs` a root of the other or a span's distinct operands
     /// — is read-once, and flattening its two operands gives the child list
-    /// of its node: nothing to deduplicate, fold or absorb. One pass over
-    /// the roots checks registration — a `Var` root by the marginal lookup
-    /// that also seeds it into the dense memo, a compound root by its
-    /// `verified` flag — and one stamp pass over their leaves follows. Base
+    /// of its node: nothing to deduplicate, fold or absorb.
+    ///
+    /// Two stored columns of the arena are decided in `O(1)` from what the
+    /// arena recorded of them, when they are different relations and the
+    /// engine overrides no marginal: their smallest unregistered variables,
+    /// and — if each column alone meets the conditions and shares no
+    /// variable with any other stored column — the certificate. Every
+    /// other pair is decided over its roots: one pass checks registration —
+    /// a root by its `verified` flag, a `Var` root without one by its
+    /// marginal lookup — and one stamp pass over their leaves follows. Base
     /// relations are certified, and so are derived inputs that meet the
     /// conditions (`(r ∪ s) − t`, `(r ∩ s) ∪ t`); every other statement gets
     /// `Ok(None)` and takes the node path. Either way every root is
     /// registered, so neither path checks a row's variables again.
     pub fn certify_columns(
+        &mut self,
+        r: &LineageColumn,
+        s: &LineageColumn,
+        r_spanned: bool,
+        s_spanned: bool,
+    ) -> Result<Option<ReadOnceColumns>, ProbabilityError> {
+        if let (Some(a), Some(b)) = (r.stored, s.stored) {
+            if a != b && self.probs.is_empty() {
+                let columns = &self.interner.arena().columns;
+                let (a, b) = (&columns[a], &columns[b]);
+                if let Some(var) = a.missing.into_iter().chain(b.missing).min() {
+                    return Err(ProbabilityError::MissingVariable(var));
+                }
+                if a.alone && b.alone && !a.shared && !b.shared {
+                    return Ok(Some(ReadOnceColumns { _sealed: () }));
+                }
+            }
+        }
+        self.certify_roots(r, s, r_spanned, s_spanned)
+    }
+
+    /// [`certify_columns`](Self::certify_columns) over two root lists.
+    fn certify_roots(
         &mut self,
         r: &[LineageRef],
         s: &[LineageRef],
@@ -382,16 +450,11 @@ impl ProbabilityEngine {
     ) -> Result<Option<ReadOnceColumns>, ProbabilityError> {
         let mut read_once = true;
         let mut missing: Option<VarId> = None;
+        self.extend_verified();
         for &root in r.iter().chain(s) {
             let node = self.interner.node(root);
             let unregistered = if let InternedNode::Var(var) = *node {
-                match self.probs.get(&var) {
-                    Some(&p) => {
-                        self.memo_insert(root, p);
-                        None
-                    }
-                    None => Some(var),
-                }
+                (!self.is_verified(root) && self.get(var).is_none()).then_some(var)
             } else {
                 // `λr ∧ ¬¬x` would need normalizing to `λr ∧ x`.
                 read_once &= matches!(node, InternedNode::And(_) | InternedNode::Or(_))
@@ -514,9 +577,38 @@ impl ProbabilityEngine {
     /// call, in one bottom-up pass — the arena is topologically ordered, so
     /// a node's flag is the conjunction of its children's.
     fn extend_verified(&mut self) {
-        for node in &self.interner.nodes()[self.verified.len()..] {
-            let verified = vars_registered(&self.probs, node, &self.verified);
-            self.verified.push(verified);
+        let mut verified = mem::take(&mut self.verified);
+        for node in &self.interner.local_nodes()[verified.len()..] {
+            let flag = self.vars_registered(node, &verified);
+            verified.push(flag);
+        }
+        self.verified = verified;
+    }
+
+    /// Is every variable under the own node `node` registered, given the
+    /// flags `below` of the own nodes before it? A frozen child's flag is
+    /// the arena's.
+    fn vars_registered(&self, node: &InternedNode, below: &[bool]) -> bool {
+        let flag = |c: &LineageRef| match self.interner.local_index(*c) {
+            Some(i) => below[i],
+            None => self.interner.arena().verified[c.index()],
+        };
+        match node {
+            InternedNode::True | InternedNode::False => true,
+            InternedNode::Var(v) => self.get(*v).is_some(),
+            InternedNode::Not(c) => flag(c),
+            InternedNode::And(cs) | InternedNode::Or(cs) => cs.iter().all(flag),
+        }
+    }
+
+    /// The `verified` flag of a node the flags cover: the arena's for a
+    /// frozen node. (An override can register a variable the arena has no
+    /// marginal for, so a frozen `false` only sends the caller to the
+    /// walk.)
+    fn is_verified(&self, r: LineageRef) -> bool {
+        match self.interner.local_index(r) {
+            Some(i) => self.verified[i],
+            None => self.interner.arena().verified[r.index()],
         }
     }
 
@@ -524,46 +616,56 @@ impl ProbabilityEngine {
     /// if any: a table read once the flags cover the arena.
     fn missing_var(&mut self, root: LineageRef) -> Option<VarId> {
         self.extend_verified();
-        if self.verified[root.index()] {
+        if self.is_verified(root) {
             return None;
         }
         self.interner
             .vars(root)
             .into_iter()
-            .find(|v| !self.probs.contains_key(v))
+            .find(|v| self.get(*v).is_none())
     }
 
     /// Checks the engine's arena and memo invariants, returning a
     /// description of the first violation (`Ok(())` when healthy):
-    /// the owned interner passes [`LineageInterner::verify_arena`], the
-    /// id-keyed side tables never outgrow the arena, every present memo
-    /// entry is a probability in `[0, 1]`, the two constants — when
-    /// memoized — carry their exact probabilities, every memoized `Var`
-    /// node (the dense marginal table) holds exactly the registered value
-    /// of its variable, and every `verified` flag equals a from-scratch
-    /// bottom-up recomputation against the registered variables.
+    /// the interner passes [`LineageInterner::verify_arena`] and the frozen
+    /// arena's dense marginals and flags match its nodes, the engine's
+    /// id-keyed side tables never outgrow its own nodes, every present memo
+    /// entry is a probability in `[0, 1]`, the sparse memo holds frozen
+    /// `And`/`Or` nodes only, every memoized `Var` node (the dense marginal
+    /// table) holds exactly the registered value of its variable, and every
+    /// `verified` flag equals a from-scratch bottom-up recomputation
+    /// against the registered variables.
     ///
     /// `O(arena size)`; intended for debug builds and property tests.
-    // The constants are seeded with exactly 1.0/0.0, so the sentinel check
-    // is a legitimate exact comparison.
-    #[allow(clippy::float_cmp)]
     // A diagnostic self-check like the interner's: the String payload is an
     // assertion message, not an error callers match on.
     pub fn verify_arena(&self) -> Result<(), String> {
         self.interner.verify_arena()?;
-        if self.memo.len() > self.interner.len() {
+        self.interner.arena().verify()?;
+        let own = self.interner.local_nodes();
+        if self.memo.len() > own.len() || self.verified.len() > own.len() {
             return Err(format!(
-                "memo has {} entries for {} arena nodes",
+                "memo / verified tables have {} / {} entries for {} own nodes",
                 self.memo.len(),
-                self.interner.len()
+                self.verified.len(),
+                own.len()
             ));
         }
-        if self.verified.len() > self.interner.len() {
-            return Err(format!(
-                "verified table has {} entries for {} arena nodes",
-                self.verified.len(),
-                self.interner.len()
-            ));
+        for (&r, &p) in &self.frozen_memo {
+            if self.interner.local_index(r).is_some()
+                || !matches!(
+                    self.interner.node(r),
+                    InternedNode::And(_) | InternedNode::Or(_)
+                )
+            {
+                return Err(format!("sparse memo holds node {}", r.index()));
+            }
+            if !(0.0..=1.0).contains(&p) {
+                return Err(format!(
+                    "sparse memo[{}] = {p} is outside [0, 1]",
+                    r.index()
+                ));
+            }
         }
         for (i, &p) in self.memo.iter().enumerate() {
             if p.is_nan() {
@@ -572,11 +674,8 @@ impl ProbabilityEngine {
             if !(0.0..=1.0).contains(&p) {
                 return Err(format!("memo[{i}] = {p} is outside [0, 1]"));
             }
-            if (i == 0 && p != 1.0) || (i == 1 && p != 0.0) {
-                return Err(format!("constant node {i} memoized with probability {p}"));
-            }
-            if let InternedNode::Var(v) = &self.interner.nodes()[i] {
-                if self.probs.get(v).map(|q| q.to_bits()) != Some(p.to_bits()) {
+            if let InternedNode::Var(v) = &own[i] {
+                if self.get(*v).map(f64::to_bits) != Some(p.to_bits()) {
                     return Err(format!(
                         "dense marginal memo[{i}] = {p} differs from the registered value of {v}"
                     ));
@@ -584,11 +683,8 @@ impl ProbabilityEngine {
             }
         }
         let mut fresh: Vec<bool> = Vec::with_capacity(self.verified.len());
-        for (i, node) in self.interner.nodes()[..self.verified.len()]
-            .iter()
-            .enumerate()
-        {
-            fresh.push(vars_registered(&self.probs, node, &fresh));
+        for (i, node) in own[..self.verified.len()].iter().enumerate() {
+            fresh.push(self.vars_registered(node, &fresh));
             if fresh[i] != self.verified[i] {
                 return Err(format!(
                     "verified[{i}] = {} but its variables are{} all registered",
@@ -601,25 +697,50 @@ impl ProbabilityEngine {
     }
 
     fn memo_get(&self, r: LineageRef) -> Option<f64> {
-        self.memo.get(r.index()).copied().filter(|p| !p.is_nan())
+        match self.interner.local_index(r) {
+            Some(i) => self.memo.get(i).copied().filter(|p| !p.is_nan()),
+            None => self.frozen_memo.get(&r).copied(),
+        }
     }
 
     fn memo_insert(&mut self, r: LineageRef, p: f64) {
-        let i = r.index();
+        let Some(i) = self.interner.local_index(r) else {
+            self.frozen_memo.insert(r, p);
+            return;
+        };
         if self.memo.len() <= i {
-            self.memo.resize(self.interner.len().max(i + 1), f64::NAN);
+            let own = self.interner.local_nodes().len();
+            self.memo.resize(own.max(i + 1), f64::NAN);
         }
         self.memo[i] = p;
     }
 
-    /// The marginal of the variable at `Var` node `r`, through the dense
-    /// table: the shared map is hashed once per variable node per memo
-    /// lifetime.
+    /// The registered probability of `var`, which must have one.
+    fn marginal_of(&self, var: VarId) -> f64 {
+        match self.probs.get(&var) {
+            Some(&p) => p,
+            None => self.interner.arena().marginals[&var],
+        }
+    }
+
+    /// The marginal of the variable at `Var` node `r`: a frozen node's from
+    /// the arena's dense table unless the engine overrides it, an own
+    /// node's through the memo — the shared map is hashed once per variable
+    /// node per memo lifetime.
     fn marginal(&mut self, r: LineageRef, var: VarId) -> f64 {
+        if self.interner.local_index(r).is_none() {
+            if !self.probs.is_empty() {
+                if let Some(&p) = self.probs.get(&var) {
+                    return p;
+                }
+            }
+            let p = self.interner.arena().dense[r.index()];
+            return if p.is_nan() { self.marginal_of(var) } else { p };
+        }
         if let Some(p) = self.memo_get(r) {
             return p;
         }
-        let p = self.probs[&var];
+        let p = self.marginal_of(var);
         self.memo_insert(r, p);
         p
     }
@@ -784,7 +905,7 @@ impl ProbabilityEngine {
             .most_frequent_var(r)
             .expect("compound formula must mention a variable");
         self.expansions += 1;
-        let p_var = self.probs[&var];
+        let p_var = self.marginal_of(var);
         // After conditioning, a cofactor frequently decomposes again.
         let pos = self.interner.condition(r, var, true);
         let neg = self.interner.condition(r, var, false);
@@ -798,7 +919,7 @@ impl ProbabilityEngine {
     pub fn probability_by_enumeration(&self, lineage: &Lineage) -> Result<f64, ProbabilityError> {
         let vars: Vec<VarId> = lineage.vars().into_iter().collect();
         for v in &vars {
-            if !self.probs.contains_key(v) {
+            if self.get(*v).is_none() {
                 return Err(ProbabilityError::MissingVariable(*v));
             }
         }
@@ -817,7 +938,7 @@ impl ProbabilityEngine {
             if lineage.evaluate(assignment) {
                 let mut w = 1.0;
                 for (i, v) in vars.iter().enumerate() {
-                    let p = self.probs[v];
+                    let p = self.marginal_of(*v);
                     w *= if mask & (1 << i) != 0 { p } else { 1.0 - p };
                 }
                 total += w;
@@ -829,17 +950,6 @@ impl ProbabilityEngine {
     #[cfg(test)]
     fn memo_entries(&self) -> usize {
         self.memo.iter().filter(|p| !p.is_nan()).count()
-    }
-}
-
-/// Is every variable under `node` registered in `probs`, given that verdict
-/// (`below`) for every node interned before it?
-fn vars_registered(probs: &MarginalMap, node: &InternedNode, below: &[bool]) -> bool {
-    match node {
-        InternedNode::True | InternedNode::False => true,
-        InternedNode::Var(v) => probs.contains_key(v),
-        InternedNode::Not(c) => below[c.index()],
-        InternedNode::And(cs) | InternedNode::Or(cs) => cs.iter().all(|c| below[c.index()]),
     }
 }
 
@@ -1153,7 +1263,7 @@ mod tests {
         s: &[LineageRef],
         lambda_s: &[LineageRef],
     ) -> Result<(LazyLineage, f64), ProbabilityError> {
-        Ok(match e.certify_columns(&[lr], s, false, true)? {
+        Ok(match e.certify_roots(&[lr], s, false, true)? {
             Some(proof) if !lambda_s.is_empty() => e.certified_concat(&proof, how, lr, lambda_s),
             _ => e.concat_output(how, lr, lambda_s),
         })
@@ -1228,7 +1338,7 @@ mod tests {
         let mut e = engine(&[0.5, 0.5, 0.5, 0.5]);
         let lr = e.intern(&v(0));
         let ls = e.intern(&Lineage::or(vec![v(1), v(2), v(3)]));
-        let proof = e.certify_columns(&[lr], &[ls], false, true).unwrap();
+        let proof = e.certify_roots(&[lr], &[ls], false, true).unwrap();
         let proof = proof.unwrap();
         let before = e.interner().len();
         // Certified: λr ∧ λs, λr ∧ ¬λs and λr ∨ λs add nothing.
@@ -1258,7 +1368,7 @@ mod tests {
         // Shared variables: no certificate, and the root is priced by
         // expansion.
         let shared = e.intern(&Lineage::or2(v(0), v(1)));
-        let certificate = e.certify_columns(&[ls], &[shared], false, false);
+        let certificate = e.certify_roots(&[ls], &[shared], false, false);
         assert!(certificate.unwrap().is_none());
         let _ = e.concat_output(Concat::And, ls, &[shared]);
         assert_eq!(e.expansions(), 1);
@@ -1275,7 +1385,7 @@ mod tests {
             assert_boundary_equals_arena(&mut boundary, &mut arena, how, &lr, &ls);
             let (br, bs) = (boundary.intern(&lr), boundary.intern(&ls));
             let missing = |e: &mut ProbabilityEngine| {
-                e.certify_columns(&[br], &[bs], false, false)
+                e.certify_roots(&[br], &[bs], false, false)
                     .map(|proof| proof.is_some())
             };
             assert_eq!(
@@ -1314,7 +1424,7 @@ mod tests {
         let mut e = engine(&[0.7, 0.6, 0.7, 0.5]);
         let lr = e.intern(&Lineage::and2(v(0), v(3)));
         let s = column(&mut e, &[2, 1]);
-        let proof = e.certify_columns(&[lr], &s, false, true).unwrap();
+        let proof = e.certify_roots(&[lr], &s, false, true).unwrap();
         let proof = proof.unwrap();
         let ops = disjuncts(&mut e, &[v(2), v(1)]);
         let before = e.interner().len();
@@ -1330,7 +1440,7 @@ mod tests {
         // A span that shares a variable with λr is not certified; the node
         // path interns its disjunction, negation and root.
         let shared = column(&mut e, &[3, 1]);
-        let certificate = e.certify_columns(&[lr], &shared, false, true);
+        let certificate = e.certify_roots(&[lr], &shared, false, true);
         assert!(certificate.unwrap().is_none());
         let _ = e.concat_output(Concat::AndNot, lr, &shared);
         assert!(e.interner().len() > before + 2);
@@ -1349,7 +1459,7 @@ mod tests {
         // The verdict on registered columns: certified or not.
         let certified = |e: &mut ProbabilityEngine, r: &[LineageRef], s: &[LineageRef], spans| {
             let (r_spanned, s_spanned) = spans;
-            e.certify_columns(r, s, r_spanned, s_spanned)
+            e.certify_roots(r, s, r_spanned, s_spanned)
                 .unwrap()
                 .is_some()
         };
@@ -1381,7 +1491,7 @@ mod tests {
         // An unregistered variable fails the statement whatever else its
         // columns hold, naming the smallest one under any root.
         let verdict = |e: &mut ProbabilityEngine, r: &[LineageRef], s: &[LineageRef]| {
-            e.certify_columns(r, s, false, false)
+            e.certify_roots(r, s, false, false)
                 .map(|proof| proof.is_some())
         };
         let missing = |v| Err(ProbabilityError::MissingVariable(VarId(v)));
@@ -1414,7 +1524,7 @@ mod tests {
             }
             let (mut certified, mut arena) = (engine(&ps), engine(&ps));
             let (r, s) = (column(&mut certified, &[0, 1, 2]), column(&mut certified, &[3, 4, 5, 6, 7]));
-            let proof = certified.certify_columns(&r, &s, true, true).unwrap().expect("distinct registered vars");
+            let proof = certified.certify_roots(&r, &s, true, true).unwrap().expect("distinct registered vars");
             let nodes = certified.interner().len();
             let lambda_s: Vec<LineageRef> = ls.iter().map(|&i| s[i as usize - 3]).collect();
             let span = Lineage::or(ls.iter().map(|&i| v(i)).collect());

@@ -270,22 +270,24 @@ pub struct WindowOpExec {
     left: Box<dyn PhysicalOperator>,
     right: Box<dyn PhysicalOperator>,
     op: WindowOp,
-    /// Base-tuple probabilities known to the catalog, preloaded by the
-    /// planner and taken at start. The inputs' own base tuples are
-    /// registered on top: the catalog engine is what lets the operator
-    /// price lineages of *derived* inputs (e.g. `(r UNION s) EXCEPT r`)
-    /// whose compound lineages reference base tuples not present in the
-    /// input itself.
+    /// The engine over the catalog's lineage arena, made by the planner and
+    /// taken at start: a stored input's lineage column, its marginals and
+    /// its certification facts are the arena's, so the operator registers
+    /// and interns nothing for it. A *derived* input (a `WHERE` result, a
+    /// set-operation result such as `r UNION s` under `... EXCEPT r`) is
+    /// interned into the engine's own nodes, where its base-tuple
+    /// variables find the arena's marginals.
     base_engine: ProbabilityEngine,
     schema: Schema,
     state: OpState,
 }
 
 impl WindowOpExec {
-    /// Creates a window operator. `base_engine` carries the base-tuple
-    /// probabilities known to the catalog (usually
-    /// [`tpdb_storage::Catalog::probability_engine`]), so derived inputs
-    /// with compound lineages can be priced.
+    /// Creates a window operator. `base_engine` is the engine over the
+    /// catalog's lineage arena
+    /// ([`tpdb_storage::Catalog::probability_engine`]), which holds every
+    /// base-tuple probability, so stored inputs arrive interned and derived
+    /// inputs with compound lineages can be priced.
     #[must_use]
     pub fn new(
         left: Box<dyn PhysicalOperator>,
@@ -352,9 +354,7 @@ impl WindowOpExec {
             let result = tpdb_ta::ta_join(&left, &right, theta, *kind)?;
             return Ok(OpState::Running(Box::new(result.into_tuples().into_iter())));
         }
-        let mut engine = std::mem::take(&mut self.base_engine);
-        left.register_probabilities(&mut engine);
-        right.register_probabilities(&mut engine);
+        let engine = std::mem::take(&mut self.base_engine);
         Ok(OpState::Running(match &self.op {
             WindowOp::Join { theta, kind, .. } => Box::new(TpJoinStream::with_engine(
                 left, right, theta, *kind, engine,

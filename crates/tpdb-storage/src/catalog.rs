@@ -6,9 +6,9 @@ use crate::relation::TpRelation;
 use crate::schema::Schema;
 use crate::tuple::TpTuple;
 use crate::value::Value;
-use std::collections::HashMap;
-use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
-use tpdb_lineage::{Lineage, MarginalMap, ProbabilityEngine, SymbolTable, VarId};
+use std::collections::{HashMap, HashSet};
+use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use tpdb_lineage::{Lineage, LineageArena, MarginalMap, ProbabilityEngine, SymbolTable, VarId};
 use tpdb_temporal::Interval;
 
 /// The catalog of a TP database.
@@ -18,8 +18,14 @@ use tpdb_temporal::Interval;
 /// * the registered base relations (shared, read-mostly — guarded by a
 ///   [`RwLock`] so that the query engine can scan relations from multiple
 ///   operator threads),
-/// * the [`SymbolTable`] assigning one lineage variable per base tuple, and
-/// * the marginal probabilities of those variables.
+/// * the [`SymbolTable`] assigning one lineage variable per base tuple,
+/// * the marginal probabilities of the variables its relations carry —
+///   one per variable: every atomic tuple of every relation carries its
+///   variable's marginal, which [`register`](Self::register) and snapshot
+///   loading enforce, a [`RelationBuilder`] gives fresh variables, and
+///   [`drop_relation`](Self::drop_relation) takes the marginals no
+///   remaining relation carries, and
+/// * the [`LineageArena`] of its current contents, built on first use.
 ///
 /// It plays the role of the PostgreSQL system catalog in the paper's
 /// implementation.
@@ -28,7 +34,9 @@ use tpdb_temporal::Interval;
 /// catalog's **schema epoch** ([`schema_epoch`](Self::schema_epoch)), a
 /// monotonic counter that cached query plans are keyed on: a plan prepared
 /// against epoch `e` is stale — and must be re-validated — once the
-/// catalog reports an epoch other than `e`.
+/// catalog reports an epoch other than `e`. A mutation also drops the
+/// arena; the next [`probability_engine`](Self::probability_engine) builds
+/// the new epoch's.
 #[derive(Debug, Default)]
 pub struct Catalog {
     relations: RwLock<HashMap<String, Arc<TpRelation>>>,
@@ -41,6 +49,11 @@ pub struct Catalog {
     probabilities: Arc<MarginalMap>,
     /// Monotonic counter of relation-set mutations (the plan-cache key).
     epoch: u64,
+    /// The stored columns and marginals of the current contents, interned
+    /// and priced once: built by the first
+    /// [`probability_engine`](Self::probability_engine) after a mutation,
+    /// so that importing eight relations builds it once, not eight times.
+    arena: OnceLock<Arc<LineageArena>>,
 }
 
 /// The relation map guarded by the catalog lock.
@@ -49,8 +62,8 @@ type RelationMap = HashMap<String, Arc<TpRelation>>;
 impl Clone for Catalog {
     /// Deep-clones the catalog metadata while sharing the relation data:
     /// the clone gets its own relation map, symbol table and epoch counter,
-    /// but the `Arc<TpRelation>` payloads and the marginal map (until one
-    /// side writes) are shared. This
+    /// but the `Arc<TpRelation>` payloads, the marginal map and the lineage
+    /// arena (until one side writes) are shared. This
     /// is the copy-on-write step of [`crate::SharedCatalog::update`]: a
     /// mutation clones the current catalog, applies its change and swaps
     /// the result in, so pinned readers keep an immutable view.
@@ -69,6 +82,7 @@ impl Clone for Catalog {
             symbols: self.symbols.clone(),
             probabilities: Arc::clone(&self.probabilities),
             epoch: self.epoch,
+            arena: self.arena.clone(),
         }
     }
 }
@@ -99,7 +113,7 @@ impl Catalog {
     /// Starts building a new base relation. Tuples pushed through the
     /// returned [`RelationBuilder`] are assigned fresh atomic lineage
     /// variables named `<relation><ordinal>` (e.g. `a1`, `a2`, ...), exactly
-    /// like the running example of the paper.
+    /// like the running example of the paper ([`RelationBuilder::push`]).
     pub fn create_relation(
         &mut self,
         name: &str,
@@ -118,20 +132,38 @@ impl Catalog {
     /// Registers an externally built relation (e.g. produced by a generator
     /// or an operator) under its own name. Atomic lineages already present
     /// in the relation are registered with their tuple probabilities.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::RelationExists`], and
+    /// [`StorageError::ConflictingMarginal`] when an atomic tuple's
+    /// probability differs from its variable's marginal — the catalog's,
+    /// or another atomic tuple's of the relation. Either leaves the
+    /// catalog and its epoch unchanged.
     pub fn register(&mut self, relation: TpRelation) -> Result<(), StorageError> {
+        self.insert(relation).map(drop)
+    }
+
+    /// [`register`](Self::register), returning the shared handle.
+    fn insert(&mut self, relation: TpRelation) -> Result<Arc<TpRelation>, StorageError> {
         let name = relation.name().to_owned();
         if self.read_relations()?.contains_key(&name) {
             return Err(StorageError::RelationExists(name));
         }
-        let probabilities = Arc::make_mut(&mut self.probabilities);
-        for t in relation.iter() {
-            if let Some(v) = t.lazy_lineage().as_var() {
-                probabilities.insert(v, t.probability());
-            }
+        let fresh = atomic_marginals(&self.probabilities, [&relation])?;
+        if !fresh.is_empty() {
+            Arc::make_mut(&mut self.probabilities).extend(fresh);
         }
-        self.write_relations()?.insert(name, Arc::new(relation));
+        let relation = Arc::new(relation);
+        self.write_relations()?.insert(name, Arc::clone(&relation));
+        self.bump();
+        Ok(relation)
+    }
+
+    /// Records a mutation: the epoch moves on and the arena is dropped.
+    fn bump(&mut self) {
         self.epoch += 1;
-        Ok(())
+        self.arena = OnceLock::new();
     }
 
     /// The current schema epoch: a monotonic counter bumped on every
@@ -151,13 +183,35 @@ impl Catalog {
             .ok_or_else(|| StorageError::UnknownRelation(name.to_owned()))
     }
 
-    /// Removes a relation from the catalog.
+    /// Removes a relation from the catalog, with the marginals of the
+    /// variables no remaining relation carries: a later relation may give
+    /// them other probabilities.
     pub fn drop_relation(&mut self, name: &str) -> Result<(), StorageError> {
-        self.write_relations()?
+        let dropped = self
+            .write_relations()?
             .remove(name)
-            .map(|_| ())
             .ok_or_else(|| StorageError::UnknownRelation(name.to_owned()))?;
-        self.epoch += 1;
+        let mut orphans: HashSet<VarId> = dropped
+            .iter()
+            .flat_map(|t| t.lineage().vars())
+            .filter(|v| self.probabilities.contains_key(v))
+            .collect();
+        if !orphans.is_empty() {
+            // The relation is gone: a poisoned lock must not stop the
+            // epoch bump (recovered as in `relation_names`).
+            let remaining = self
+                .relations
+                .read()
+                .unwrap_or_else(PoisonError::into_inner);
+            for tuple in remaining.values().flat_map(|r| r.iter()) {
+                for var in tuple.lineage().vars() {
+                    orphans.remove(&var);
+                }
+            }
+            drop(remaining);
+            Arc::make_mut(&mut self.probabilities).retain(|v, _| !orphans.contains(v));
+        }
+        self.bump();
         Ok(())
     }
 
@@ -198,13 +252,36 @@ impl Catalog {
         self.probabilities.get(&var).copied()
     }
 
-    /// A [`ProbabilityEngine`] over every base-tuple probability known to
-    /// the catalog. The engine shares the catalog's map — an `Arc` clone,
-    /// whatever the number of base tuples; every value in it was
-    /// range-checked when its tuple was pushed or its snapshot decoded.
+    /// A [`ProbabilityEngine`] over the catalog's lineage arena: every
+    /// base-tuple probability and every stored relation's lineage column,
+    /// interned and priced once per schema epoch and shared — an `Arc`
+    /// clone, whatever the number of base tuples. The first call after a
+    /// mutation builds the arena; every value in it was range-checked when
+    /// its tuple was pushed or its snapshot decoded. A statement's join or
+    /// set operation over stored relations then finds their columns in the
+    /// arena ([`ProbabilityEngine::column`]) and registers nothing.
     #[must_use]
     pub fn probability_engine(&self) -> ProbabilityEngine {
-        ProbabilityEngine::with_marginals(Arc::clone(&self.probabilities))
+        let arena = self.arena.get_or_init(|| Arc::new(self.build_arena()));
+        ProbabilityEngine::over(Arc::clone(arena))
+    }
+
+    /// Interns every stored relation's lineage column, in name order, into
+    /// a fresh arena over the catalog's marginals. A poisoned lock is
+    /// recovered as in [`relation_names`](Self::relation_names).
+    fn build_arena(&self) -> LineageArena {
+        let relations = self
+            .relations
+            .read()
+            .unwrap_or_else(PoisonError::into_inner);
+        let mut stored: Vec<&Arc<TpRelation>> = relations.values().collect();
+        stored.sort_by(|a, b| a.name().cmp(b.name()));
+        let mut builder = LineageArena::builder(Arc::clone(&self.probabilities));
+        for relation in stored {
+            let lineages = relation.tuples().iter().map(TpTuple::lineage);
+            builder.column(Arc::clone(relation) as _, lineages);
+        }
+        builder.finish()
     }
 
     /// The full marginal-probability map (snapshot serialization support).
@@ -230,9 +307,38 @@ impl Catalog {
         *self.write_relations()? = map;
         self.symbols = symbols;
         self.probabilities = Arc::new(probabilities);
-        self.epoch += 1;
+        self.bump();
         Ok(())
     }
+}
+
+/// The marginals that the atomic tuples of `relations` give variables
+/// `registered` has none for — or [`StorageError::ConflictingMarginal`]
+/// when an atomic tuple's probability differs from its variable's marginal
+/// in `registered`, or from another atomic tuple's of the same variable.
+pub(crate) fn atomic_marginals<'a>(
+    registered: &MarginalMap,
+    relations: impl IntoIterator<Item = &'a TpRelation>,
+) -> Result<MarginalMap, StorageError> {
+    let mut fresh = MarginalMap::default();
+    for tuple in relations.into_iter().flat_map(TpRelation::iter) {
+        let Some(var) = tuple.lazy_lineage().as_var() else {
+            continue;
+        };
+        let found = tuple.probability();
+        let marginal = match registered.get(&var) {
+            Some(&p) => p,
+            None => *fresh.entry(var).or_insert(found),
+        };
+        if marginal.to_bits() != found.to_bits() {
+            return Err(StorageError::ConflictingMarginal {
+                var,
+                marginal,
+                found,
+            });
+        }
+    }
+    Ok(fresh)
 }
 
 /// Incremental builder for base relations registered in a [`Catalog`].
@@ -246,20 +352,25 @@ pub struct RelationBuilder<'a> {
 impl RelationBuilder<'_> {
     /// Appends a base tuple with the given facts, validity interval and
     /// probability. A fresh lineage variable `<relation><ordinal>` is
-    /// interned for it. Errors are deferred until [`RelationBuilder::finish`]
-    /// / [`RelationBuilder::try_finish`] so pushes can be chained.
+    /// interned for it — with a `'` appended for as long as the variable
+    /// already has a marginal, i.e. a stored relation carries it (relation
+    /// `a`'s eleventh tuple and relation `a1`'s first are both `a11`).
+    /// Errors are deferred until [`RelationBuilder::finish`] /
+    /// [`RelationBuilder::try_finish`] so pushes can be chained.
     pub fn push(&mut self, facts: Vec<Value>, interval: Interval, probability: f64) -> &mut Self {
         if self.error.is_some() {
             return self;
         }
         let ordinal = self.relation.len() + 1;
-        let symbol = format!("{}{}", self.relation.name(), ordinal);
-        let var = self.catalog.symbols.intern(&symbol);
+        let mut symbol = format!("{}{}", self.relation.name(), ordinal);
+        let mut var = self.catalog.symbols.intern(&symbol);
+        while self.catalog.probabilities.contains_key(&var) {
+            symbol.push('\'');
+            var = self.catalog.symbols.intern(&symbol);
+        }
         let tuple = TpTuple::new(facts, Lineage::var(var), interval, probability);
         if let Err(e) = self.relation.push(tuple) {
             self.error = Some(e);
-        } else {
-            Arc::make_mut(&mut self.catalog.probabilities).insert(var, probability);
         }
         self
     }
@@ -279,18 +390,13 @@ impl RelationBuilder<'_> {
         self.try_finish().expect("relation construction failed")
     }
 
-    /// Finalizes the relation, surfacing any deferred error.
+    /// Finalizes the relation and registers it, with its tuples'
+    /// marginals, surfacing any deferred error.
     pub fn try_finish(self) -> Result<Arc<TpRelation>, StorageError> {
         if let Some(e) = self.error {
             return Err(e);
         }
-        let name = self.relation.name().to_owned();
-        let arc = Arc::new(self.relation);
-        self.catalog
-            .write_relations()?
-            .insert(name, Arc::clone(&arc));
-        self.catalog.epoch += 1;
-        Ok(arc)
+        self.catalog.insert(self.relation)
     }
 }
 
@@ -392,6 +498,120 @@ mod tests {
         assert_eq!(c.probability_of(v), Some(0.25));
         let engine = c.probability_engine();
         assert_eq!(engine.get(v), Some(0.25));
+    }
+
+    #[test]
+    fn register_refuses_a_second_marginal_for_a_variable() {
+        let tuple = |var, p| {
+            let facts = vec![Value::str("Ann"), Value::str("ZAK")];
+            TpTuple::new(facts, Lineage::var(VarId(var)), Interval::new(0, 5), p)
+        };
+        let relation = |name, tuples: Vec<TpTuple>| {
+            let mut r = TpRelation::new(name, schema());
+            tuples.into_iter().for_each(|t| r.push(t).unwrap());
+            r
+        };
+        let mut c = Catalog::new();
+        c.register(relation("x", vec![tuple(1, 0.25)])).unwrap();
+        let engine = c.probability_engine();
+        let epoch = c.schema_epoch();
+        // The same variable under another probability, in a later relation
+        // or twice in one, is refused; the catalog stays as it was.
+        for tuples in [
+            vec![tuple(2, 0.5), tuple(1, 0.3)],
+            vec![tuple(3, 0.5), tuple(3, 0.6)],
+        ] {
+            let refused = c.register(relation("y", tuples));
+            assert!(
+                matches!(refused, Err(StorageError::ConflictingMarginal { .. })),
+                "{refused:?}"
+            );
+            assert_eq!(c.schema_epoch(), epoch);
+            assert_eq!(c.relation_names(), ["x"]);
+            assert_eq!(c.probability_of(VarId(2)), None);
+            assert_eq!(c.probability_of(VarId(3)), None);
+        }
+        assert_eq!(
+            c.register(relation("y", vec![tuple(1, 0.3)])),
+            Err(StorageError::ConflictingMarginal {
+                var: VarId(1),
+                marginal: 0.25,
+                found: 0.3
+            })
+        );
+        assert_eq!(engine.get(VarId(1)), Some(0.25));
+        // The same variable under the same probability is one marginal.
+        c.register(relation("y", vec![tuple(1, 0.25)])).unwrap();
+        assert_eq!(c.probability_of(VarId(1)), Some(0.25));
+    }
+
+    #[test]
+    fn a_dropped_relation_takes_the_marginals_no_other_relation_carries() {
+        let tuple = |lineage, p| {
+            let facts = vec![Value::str("Ann"), Value::str("ZAK")];
+            TpTuple::new(facts, lineage, Interval::new(0, 5), p)
+        };
+        let atomic = |name, vars: &[(u32, f64)]| {
+            let mut r = TpRelation::new(name, schema());
+            for &(v, p) in vars {
+                r.push(tuple(Lineage::var(VarId(v)), p)).unwrap();
+            }
+            r
+        };
+        let mut c = Catalog::new();
+        c.register(atomic("x", &[(1, 0.25)])).unwrap();
+        c.register(atomic("y", &[(2, 0.5), (3, 0.6)])).unwrap();
+        let mut derived = TpRelation::new("d", schema());
+        let both = Lineage::and2(Lineage::var(VarId(2)), Lineage::var(VarId(3)));
+        derived.push(tuple(both, 0.3)).unwrap();
+        c.register(derived).unwrap();
+
+        // Regenerated under other probabilities after a drop: accepted.
+        c.drop_relation("x").unwrap();
+        assert_eq!(c.probability_of(VarId(1)), None);
+        c.register(atomic("x", &[(1, 0.75)])).unwrap();
+        assert_eq!(c.probability_of(VarId(1)), Some(0.75));
+        // `d` still carries x2 and x3, so their marginals stay.
+        c.drop_relation("y").unwrap();
+        assert_eq!(c.probability_of(VarId(2)), Some(0.5));
+        assert!(matches!(
+            c.register(atomic("z", &[(2, 0.9)])),
+            Err(StorageError::ConflictingMarginal { .. })
+        ));
+
+        // A dropped relation re-created under its name reuses its symbols.
+        let row = || vec![Value::str("Ann"), Value::str("ZAK")];
+        let mut builder = c.create_relation("a", schema()).unwrap();
+        builder.push(row(), Interval::new(0, 5), 0.7);
+        let first = builder.finish();
+        c.drop_relation("a").unwrap();
+        let mut builder = c.create_relation("a", schema()).unwrap();
+        builder.push(row(), Interval::new(0, 5), 0.2);
+        let second = builder.finish();
+        assert_eq!(first.tuple(0).lineage(), second.tuple(0).lineage());
+        let a1 = c.symbols().lookup("a1").unwrap();
+        assert_eq!(second.tuple(0).lineage(), &Lineage::var(a1));
+        assert_eq!(c.probability_of(a1), Some(0.2));
+    }
+
+    #[test]
+    fn each_mutation_drops_the_arena_and_a_clone_shares_it() {
+        let mut c = Catalog::new();
+        let _ = c.create_relation("a", schema()).unwrap().finish();
+        let arena = |c: &Catalog| Arc::clone(c.arena.get_or_init(|| Arc::new(c.build_arena())));
+        let first = arena(&c);
+        assert!(Arc::ptr_eq(&first, &arena(&c)), "built once per epoch");
+        let clone = c.clone();
+        assert!(Arc::ptr_eq(&first, &arena(&clone)));
+        c.register(TpRelation::new("b", schema())).unwrap();
+        let second = arena(&c);
+        assert!(!Arc::ptr_eq(&first, &second));
+        c.drop_relation("b").unwrap();
+        assert!(!Arc::ptr_eq(&second, &arena(&c)));
+        assert!(
+            Arc::ptr_eq(&first, &arena(&clone)),
+            "the clone keeps its own"
+        );
     }
 
     #[test]

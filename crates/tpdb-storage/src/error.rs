@@ -32,6 +32,19 @@ pub enum StorageError {
     /// Raised when the statement opens, before its first row; the variable
     /// is the smallest such one under any input lineage.
     MissingMarginal(VarId),
+    /// An atomic tuple's probability differs from its variable's marginal:
+    /// the catalog's (or a snapshot's marginal table's), or another atomic
+    /// tuple's of the same variable. A variable has one marginal, so the
+    /// relation or snapshot carrying the tuple is refused and the catalog
+    /// is left unchanged.
+    ConflictingMarginal {
+        /// The variable.
+        var: VarId,
+        /// Its marginal.
+        marginal: f64,
+        /// The probability the tuple carries.
+        found: f64,
+    },
     /// A relation with this name already exists in the catalog.
     RelationExists(String),
     /// No relation with this name exists in the catalog.
@@ -152,6 +165,15 @@ impl fmt::Display for StorageError {
                 "lineage variable {v} has no marginal probability: the statement cannot price \
                  its rows"
             ),
+            StorageError::ConflictingMarginal {
+                var,
+                marginal,
+                found,
+            } => write!(
+                f,
+                "lineage variable {var} has marginal probability {marginal}, but an atomic tuple \
+                 of it carries {found}"
+            ),
             StorageError::RelationExists(n) => write!(f, "relation already exists: {n}"),
             StorageError::UnknownRelation(n) => write!(f, "unknown relation: {n}"),
             StorageError::ParseError { line, message } => {
@@ -244,6 +266,16 @@ mod tests {
         assert!(StorageError::MissingMarginal(VarId(7))
             .to_string()
             .contains("variable x7 "));
+        let e = StorageError::ConflictingMarginal {
+            var: VarId(3),
+            marginal: 0.25,
+            found: 0.5,
+        }
+        .to_string();
+        assert!(
+            e.contains("x3") && e.contains("0.25") && e.contains("0.5"),
+            "{e}"
+        );
         assert!(StorageError::ParseError {
             line: 4,
             message: "bad interval".into()

@@ -50,7 +50,13 @@
 //! [`SnapshotCorrupt`](StorageError::SnapshotCorrupt),
 //! [`SnapshotBadSymbol`](StorageError::SnapshotBadSymbol),
 //! [`SnapshotInvalidProbability`](StorageError::SnapshotInvalidProbability)
-//! and [`SnapshotIo`](StorageError::SnapshotIo).
+//! and [`SnapshotIo`](StorageError::SnapshotIo). A snapshot whose atomic
+//! tuple carries a probability other than its variable's marginal (the
+//! table's, or — for a variable the table lacks — another atomic tuple's)
+//! fails with [`ConflictingMarginal`](StorageError::ConflictingMarginal), as
+//! registering such a relation does: a variable has one marginal. A
+//! variable the table lacks takes its atomic tuples' probability as its
+//! marginal in the loaded catalog.
 
 use crate::catalog::Catalog;
 use crate::error::StorageError;
@@ -860,8 +866,11 @@ fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, StorageError> {
         .get(&TAG_RELATIONS)
         .ok_or_else(|| missing(SECTION_RELATIONS))?;
     let (symbols, var_bound) = decode_symbols(symbols_payload)?;
-    let marginals = decode_marginals(marginals_payload, var_bound)?;
+    let mut marginals = decode_marginals(marginals_payload, var_bound)?;
     let relations = decode_relations(relations_payload, var_bound)?;
+    // An atomic tuple whose variable the table lacks gives it its marginal.
+    let untabled = crate::catalog::atomic_marginals(&marginals, &relations)?;
+    marginals.extend(untabled);
     Ok(DecodedSnapshot {
         symbols,
         marginals,
@@ -1289,6 +1298,51 @@ mod tests {
         loaded.load_snapshot_bytes(&bytes).unwrap();
         let joined = loaded.relation("joined").unwrap();
         assert_eq!(joined.tuple(0).lineage(), &lineage);
+    }
+
+    #[test]
+    fn an_atomic_tuple_that_disagrees_with_its_marginal_is_refused() {
+        // Hand-built: the marginal table says x1 = 0.25, the tuple of x1
+        // carries 0.5. `register` refuses such a relation, so the catalog
+        // is assembled through the snapshot commit point itself.
+        let tuple = |var, p| {
+            let lineage = Lineage::var(VarId(var));
+            TpTuple::new(vec![Value::Int(1)], lineage, Interval::new(0, 5), p)
+        };
+        let schema = Schema::tp(&[("K", DataType::Int)]);
+        let mut r = TpRelation::new("r", schema.clone());
+        r.push_unchecked(tuple(1, 0.5));
+        let marginals: MarginalMap = [(VarId(1), 0.25)].into_iter().collect();
+        let mut inconsistent = Catalog::new();
+        inconsistent
+            .replace_contents(SymbolTable::new(), marginals, vec![r])
+            .unwrap();
+        let bytes = inconsistent.to_snapshot_bytes().unwrap();
+        let mut target = sample_catalog();
+        let (names, epoch) = (target.relation_names(), target.schema_epoch());
+        let conflict = StorageError::ConflictingMarginal {
+            var: VarId(1),
+            marginal: 0.25,
+            found: 0.5,
+        };
+        assert_eq!(target.load_snapshot_bytes(&bytes), Err(conflict));
+        assert_eq!(target.relation_names(), names, "load is all-or-nothing");
+        assert_eq!(target.schema_epoch(), epoch);
+
+        // Two atomic tuples of a variable the table lacks must agree too.
+        let mut s = TpRelation::new("s", schema);
+        s.push_unchecked(tuple(2, 0.5));
+        s.push_unchecked(tuple(2, 0.75));
+        let mut inconsistent = Catalog::new();
+        inconsistent
+            .replace_contents(SymbolTable::new(), MarginalMap::default(), vec![s])
+            .unwrap();
+        let bytes = inconsistent.to_snapshot_bytes().unwrap();
+        assert!(matches!(
+            target.load_snapshot_bytes(&bytes),
+            Err(StorageError::ConflictingMarginal { var: VarId(2), .. })
+        ));
+        assert_eq!(target.schema_epoch(), epoch);
     }
 
     #[test]
