@@ -213,6 +213,15 @@ pub fn run_ta_wuo(w: &Workload) -> Measurement {
 
 /// NJ-WN series of Fig. 6: LAWAN only (its input `WUO` is pre-computed and
 /// not part of the measured time).
+///
+/// This series can be *slower* than the whole streamed NJ-WUON pipeline,
+/// because the materializing [`lawan`] writes every window and span entry
+/// into fresh buffers, where the stream reuses one group's. On
+/// `meteo_like(20000)` (2-core Xeon, minimum of 7 runs) `lawan` writes
+/// 1.7M windows and 13.4M span entries, takes 37k minor page faults and
+/// 150 ms; [`LawanStream`] over the same `WUO` takes no fault and 65–71 ms,
+/// and 150–168 ms with 37k faults once it copies its output into fresh
+/// vectors; the whole NJ-WUON stream takes 98–101 ms.
 #[must_use]
 pub fn run_nj_wn(w: &Workload) -> Measurement {
     let wo = overlapping_windows(&w.r, &w.s, &w.theta).expect("θ binds");

@@ -13,11 +13,23 @@
 //! The three cases of Fig. 4 of the paper determine the ending point of the
 //! sweeping window: (1) the current elementary interval is covered by a
 //! single overlapping window which is simply copied, (2) the next boundary
-//! is the ending point of an active `s` tuple (taken from the priority
-//! queue of ending points), (3) the next boundary is the starting point of
-//! the next group. The implementation keeps the ending points of the active
-//! overlapping windows in a priority queue ([`EventQueue`]) exactly as the
-//! paper describes.
+//! is the ending point of an active `s` tuple, (3) the next boundary is the
+//! starting point of the next group.
+//!
+//! The paper takes Case 2's ending points from a priority queue. Here the
+//! active set carries them instead: it is one `Vec<(end, s index)>` of the
+//! active overlapping windows in activation order, and the smallest end is
+//! cached beside it. The next boundary is `min(next start, cached min end)`
+//! — the queue's head — and at every boundary where the set is non-empty
+//! one pass over it copies the span of the window that closes there, drops
+//! the entries ending at the boundary (the queue's pops) and recomputes the
+//! min end. The windows starting at the boundary are then appended. The two
+//! are equivalent because a negating window must copy the whole active set
+//! anyway: the pass costs what the emitted span costs, so a group sweeps in
+//! `O(|WUO| + Σ|span|)`, with no heap, no search and no shifting. The
+//! retained entries keep their order, so a span lists its `s` tuples in
+//! activation order — the operand order that fixes the bits of
+//! `1 − ∏(1 − p(cᵢ))`.
 //!
 //! There is **one sweep body**, [`sweep_group`], and it runs **in place**
 //! on the tail of the output buffer: the group's `WUO` windows are already
@@ -27,20 +39,15 @@
 //! negating windows after: the output stays grouped by `r` tuple, in the
 //! row order every golden fixture pins.
 //!
-//! The sweep touches no lineage. Its active set is the list of the `s`
-//! indices of the active overlapping windows in activation order (a group
-//! has one overlapping window per `(r, s)` pair, so an index occurs once);
-//! an expiring window is removed in place. A negating window copies the
-//! set into a span buffer and carries its [`Span`]; output formation reads
-//! `λs` from the `s` tuples it lists. The set is searched linearly: it
-//! holds the `s` tuples valid at one time point under one `r` tuple (6 on
-//! average on the meteo workload, 1 on webkit), and every change is
-//! followed by an emission that copies all of it anyway. The queue and the
-//! set are empty between groups, so their storage is reused.
+//! The sweep touches no lineage. A negating window copies the active `s`
+//! indices into a span buffer and carries its [`Span`]; output formation
+//! reads `λs` from the `s` tuples it lists (a group has one overlapping
+//! window per `(r, s)` pair, so an index occurs once). The active set is
+//! empty between groups, so its storage is reused.
 
 use crate::window::{Span, Window, WindowSet};
 use std::collections::VecDeque;
-use tpdb_temporal::{EventQueue, Interval};
+use tpdb_temporal::{Interval, TimePoint};
 
 /// Runs LAWAN over the output `WUO` of [`lawau`](crate::lawau::lawau).
 ///
@@ -50,11 +57,11 @@ use tpdb_temporal::{EventQueue, Interval};
 #[must_use]
 pub fn lawan(wuo: &[Window]) -> WindowSet {
     let mut out = VecDeque::with_capacity(wuo.len() * 2);
-    let (mut queue, mut active, mut spans) = (EventQueue::new(), Vec::new(), Vec::new());
+    let (mut active, mut spans) = (Vec::new(), Vec::new());
     for group in wuo.chunk_by(|a, b| a.r_idx == b.r_idx) {
         let from = out.len();
         out.extend(group);
-        sweep_group(&mut out, from, &mut queue, &mut active, &mut spans);
+        sweep_group(&mut out, from, &mut active, &mut spans);
     }
     WindowSet {
         windows: out.into(),
@@ -87,64 +94,64 @@ fn next_overlapping(out: &VecDeque<Window>, mut i: usize, end: usize) -> (usize,
 /// Sweeps one group in place: `out[from..]` holds all `WUO` windows of a
 /// single `r` tuple in start order; the negating windows derived from the
 /// overlapping ones are appended behind them, their spans to `spans`.
-/// `queue` and `active` — the sweep state whose storage outlives a group —
-/// are empty on entry and on return.
+/// `active` — the sweep state whose storage outlives a group: the `(end,
+/// s index)` of each active overlapping window, in activation order — is
+/// empty on entry and on return.
 pub(crate) fn sweep_group(
     out: &mut VecDeque<Window>,
     from: usize,
-    queue: &mut EventQueue,
-    active: &mut Vec<u32>,
+    active: &mut Vec<(TimePoint, u32)>,
     spans: &mut Vec<u32>,
 ) {
-    debug_assert!(queue.is_empty() && active.is_empty());
-    // Sweep the overlapping windows of the group in start order, keeping the
-    // ending points of the active windows in the priority queue (by `s`
-    // index) and their `s` indices in the active set.
+    debug_assert!(active.is_empty());
     let (end, r_idx) = (out.len(), out[from].r_idx);
     let (mut i, mut si) = next_overlapping(out, from, end);
-    let mut wind_ts = None;
+    // The start of the sweeping window (meaningful while `active` is
+    // non-empty) and the smallest end in `active` (`MAX` when it is empty).
+    let (mut wind_ts, mut min_end) = (0, TimePoint::MAX);
     loop {
-        // Determine the next boundary: the smaller of the next start point
-        // (Case 3: a new window group/start follows) and the next ending
-        // point in the priority queue (Case 2).
-        let next_start = (i < end).then(|| out[i].interval.start());
-        let next_end = queue.peek().map(|(t, _)| t);
-        let boundary = match (next_start, next_end) {
-            (Some(s), Some(e)) => s.min(e),
-            (Some(s), None) => s,
-            (None, Some(e)) => e,
-            (None, None) => break,
+        // The next boundary: the smaller of the next start point (Case 3)
+        // and the smallest ending point of an active window (Case 2).
+        let boundary = match (i < end).then(|| out[i].interval.start()) {
+            Some(start) => start.min(min_end),
+            None if active.is_empty() => break,
+            None => min_end,
         };
 
-        // Close the sweeping window [wind_ts, boundary) if any s tuple was
-        // active over it.
-        if let Some(ts) = wind_ts {
-            if !active.is_empty() && ts < boundary {
-                let start = as_u32(spans.len());
-                let span = Span {
-                    start,
-                    len: as_u32(active.len()),
-                };
-                spans.extend_from_slice(active);
-                out.push_back(Window::negating(Interval::new(ts, boundary), r_idx, span));
-            }
+        // Close the sweeping window [wind_ts, boundary) over the active s
+        // tuples and expire the windows ending at `boundary` (intervals are
+        // half-open), in one pass that keeps activation order.
+        if !active.is_empty() {
+            let span = Span {
+                start: as_u32(spans.len()),
+                len: as_u32(active.len()),
+            };
+            min_end = TimePoint::MAX;
+            active.retain(|&(e, s)| {
+                spans.push(s);
+                let keep = e != boundary;
+                if keep {
+                    min_end = min_end.min(e);
+                }
+                keep
+            });
+            out.push_back(Window::negating(
+                Interval::new(wind_ts, boundary),
+                r_idx,
+                span,
+            ));
         }
 
-        // Apply all events at `boundary`: expire ended windows first (their
-        // intervals are half-open), then activate windows starting here.
-        while let Some(expired) = queue.pop_if_expired(boundary) {
-            if let Some(pos) = active.iter().position(|&a| a as usize == expired) {
-                active.remove(pos);
-            }
-        }
+        // Activate the windows starting here.
         while i < end && out[i].interval.start() == boundary {
-            active.push(as_u32(si));
-            queue.push(out[i].interval.end(), si);
+            let e = out[i].interval.end();
+            active.push((e, as_u32(si)));
+            min_end = min_end.min(e);
             (i, si) = next_overlapping(out, i + 1, end);
         }
-        wind_ts = Some(boundary);
+        wind_ts = boundary;
     }
-    debug_assert!(queue.is_empty() && active.is_empty());
+    debug_assert!(active.is_empty());
 }
 
 #[cfg(test)]

@@ -15,8 +15,8 @@
 //!    the whole-interval unmatched windows,
 //! 2. [`lawau()`] — a sweep over each `r` tuple's windows filling the
 //!    uncovered gaps with the remaining unmatched windows `WU(r;s,θ)`,
-//! 3. [`lawan()`] — a sweep with a priority queue of ending points producing
-//!    the negating windows `WN(r;s,θ)`.
+//! 3. [`lawan()`] — a sweep over an active set that carries its ending
+//!    points, producing the negating windows `WN(r;s,θ)`.
 //!
 //! A [`Window`] carries tuple indices, not lineage: `r_idx`, the `s_idx` of
 //! an overlapping window, or the [`Span`] of a negating window listing the

@@ -22,6 +22,12 @@
 //!   ([`SortedIntervalIndex`]); a probe binary-searches the first possibly
 //!   overlapping candidate and scans forward until the candidates start past
 //!   the probe interval, yielding intersections with non-decreasing starts.
+//!   The partition key decides θ: a pure equi-join holds for a pair exactly
+//!   when their keys are equal and hold no NULL, `Value`'s `Eq` is θ's `=`
+//!   except that NULL equals NULL, and its `Hash` agrees with its `Eq`. So a
+//!   NULL-free key's partition is exactly the θ-matching `s` tuples: keys
+//!   holding a NULL are neither indexed nor looked up (such a probe gets its
+//!   whole-interval unmatched window), and no candidate is re-checked.
 //! * [`OverlapJoinPlan::NestedLoop`] runs every other θ: it compares each
 //!   probe with all of `s`.
 //!
@@ -109,10 +115,16 @@ pub fn overlapping_windows(
     Ok(OverlapWindowStream::new(r, s, theta)?.collect())
 }
 
+/// Does an equi-join key hold a NULL? Such a key matches nothing.
+fn has_null(key: &[Value]) -> bool {
+    key.iter().any(Value::is_null)
+}
+
 /// The build-side structure of the overlap join, built on the pass's first
 /// pull and probed once per `r` tuple.
 pub(crate) enum ProbeIndex {
-    /// Per-key partitions sorted by interval start.
+    /// Per-key partitions sorted by interval start, one per NULL-free key
+    /// of `s`.
     Sweep(HashMap<Vec<Value>, SortedIntervalIndex>),
     /// No index: every probe scans all of `s`.
     NestedLoop,
@@ -127,6 +139,9 @@ impl ProbeIndex {
                 let mut key = Vec::new();
                 for (si, st) in s.iter().enumerate() {
                     bound.right_key_into(st, &mut key);
+                    if has_null(&key) {
+                        continue;
+                    }
                     if let Some(builder) = builders.get_mut(key.as_slice()) {
                         builder.push(st.interval(), si);
                     } else {
@@ -160,15 +175,15 @@ impl ProbeIndex {
         match self {
             ProbeIndex::Sweep(partitions) => {
                 bound.left_key_into(rt, key);
-                if let Some(partition) = partitions.get(key.as_slice()) {
+                // The partition of a NULL-free key is exactly the θ-matching
+                // `s` tuples, so no candidate is re-checked.
+                let partition = if has_null(key) {
+                    None
+                } else {
+                    partitions.get(key.as_slice())
+                };
+                if let Some(partition) = partition {
                     for (s_iv, si) in partition.overlapping(r_iv) {
-                        // The sorted partition covers the equality part of θ
-                        // and the temporal overlap; re-check the bound
-                        // condition for its NULL semantics (NULL keys hash
-                        // together but never satisfy θ).
-                        if !bound.matches(rt, s.tuple(si)) {
-                            continue;
-                        }
                         #[expect(clippy::expect_used, reason = "index invariant")]
                         let inter = r_iv
                             .intersect(&s_iv)

@@ -66,7 +66,7 @@ use std::borrow::Borrow;
 use std::collections::VecDeque;
 use std::iter::Peekable;
 use tpdb_storage::TpRelation;
-use tpdb_temporal::EventQueue;
+use tpdb_temporal::TimePoint;
 
 /// A source of windows handed over one whole `r`-tuple group at a time —
 /// what a window stage consumes. Implemented by the overlap join and LAWAU
@@ -157,10 +157,10 @@ pub struct LawanStream<I> {
     /// The current group, swept in place (reused across groups); windows are
     /// moved out of the front.
     ready: VecDeque<Window>,
-    /// The sweep's ending-point queue and active set (empty between groups,
-    /// storage reused).
-    queue: EventQueue,
-    active: Vec<u32>,
+    /// The sweep's active set: the `(end, s index)` of each active
+    /// overlapping window in activation order (empty between groups, storage
+    /// reused).
+    active: Vec<(TimePoint, u32)>,
     /// The current group's span buffer (cleared per group).
     spans: Vec<u32>,
 }
@@ -172,7 +172,6 @@ impl<I: WindowGroups> LawanStream<I> {
         Self {
             input,
             ready: VecDeque::new(),
-            queue: EventQueue::new(),
             active: Vec::new(),
             spans: Vec::new(),
         }
@@ -196,12 +195,11 @@ impl<I: WindowGroups> Iterator for LawanStream<I> {
             if self.input.next_group(&mut self.ready).is_some() {
                 let Self {
                     ready,
-                    queue,
                     active,
                     spans,
                     ..
                 } = self;
-                lawan::sweep_group(ready, 0, queue, active, spans);
+                lawan::sweep_group(ready, 0, active, spans);
             }
         }
         self.ready.pop_front()

@@ -168,6 +168,37 @@ proptest! {
         }
     }
 
+    /// A span lists its `s` tuples in activation order — the operand order
+    /// that fixes the bits of `1 − ∏(1 − p(cᵢ))` — which is brute-forced
+    /// here: the θ-matching `s` tuples valid over the window, ordered by
+    /// the start of their overlapping window, then by that window's
+    /// position in the group. On a duplicate-free and on a derived negative
+    /// side, under the key equality and under θ = true.
+    #[test]
+    fn spans_list_the_valid_matches_in_activation_order(rr in rows(), ss in rows()) {
+        let r = build("r", 0, &rr);
+        let s = build("s", 1000, &ss);
+        let derived = derived_negative(&r, &s);
+        for s in [&s, &derived] {
+            for theta in [ThetaCondition::column_equals("k", "k"), ThetaCondition::always()] {
+                let windows = lawan(&lawau(&overlapping_windows(&r, s, &theta).unwrap(), &r));
+                for w in windows.iter().filter(|w| w.kind == WindowKind::Negating) {
+                    let mut valid: Vec<(i64, usize, u32)> = windows
+                        .iter()
+                        .filter(|o| o.r_idx == w.r_idx)
+                        .enumerate()
+                        .filter_map(|(position, o)| Some((o.interval.start(), position, o.s_idx?)))
+                        .filter(|&(_, _, si)| s.tuple(si).interval().contains(&w.interval))
+                        .map(|(start, position, si)| (start, position, si as u32))
+                        .collect();
+                    valid.sort_unstable();
+                    let expected: Vec<u32> = valid.into_iter().map(|(_, _, si)| si).collect();
+                    prop_assert_eq!(w.span.of(&windows.spans), &expected[..], "{:?}", w);
+                }
+            }
+        }
+    }
+
     /// Overlapping windows are exactly the pairwise intersections of
     /// θ-matching tuples.
     #[test]
@@ -295,7 +326,7 @@ fn lawan_pulls_one_group_at_a_time() {
 fn sweep_state_is_clean_after_a_drained_group() {
     // One stream sweeps a group with a large active set, one with none, and
     // a second large one that re-activates the very same operands: the
-    // reused queue and active set must behave as new.
+    // reused active set (and its cached smallest end) must behave as new.
     let (r, s) = large_empty_large();
     let theta = ThetaCondition::column_equals("k", "k");
     let overlap = OverlapWindowStream::new(&r, &s, &theta).unwrap();

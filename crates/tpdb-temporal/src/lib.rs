@@ -4,9 +4,8 @@
 //! join.
 //!
 //! This crate provides the temporal substrate of the TPDB system: half-open
-//! validity intervals `[start, end)` over a discrete integer timeline, the
-//! start-sorted [`SortedIntervalIndex`] the sweep overlap join probes, and
-//! the [`EventQueue`] of ending points LAWAN sweeps with.
+//! validity intervals `[start, end)` over a discrete integer timeline and
+//! the start-sorted [`SortedIntervalIndex`] the sweep overlap join probes.
 //!
 //! The time domain is a discrete, totally ordered set of [`TimePoint`]s
 //! (chronons). All intervals are half-open: a tuple with interval `[2, 8)` is
@@ -38,12 +37,10 @@
     clippy::print_stderr
 )]
 
-mod event;
 mod interval;
 mod point;
 mod sorted;
 
-pub use event::EventQueue;
 pub use interval::{Interval, IntervalError};
 pub use point::{TimePoint, MAX_TIME, MIN_TIME};
 pub use sorted::{SortedIntervalIndex, SortedIntervalIndexBuilder};

@@ -15,8 +15,10 @@
 //!
 //! Beside the single-key join, the plans are held to TA on keys that stress
 //! how the sweep index hashes and compares them: two-column keys, NULL keys
-//! (which hash together but never match) and an `Int` key against a `Float`
-//! key around 2^53, where rounding would equate distinct integers.
+//! (which hash together but never match), an `Int` key against a `Float`
+//! key around 2^53, where rounding would equate distinct integers, and the
+//! signed zeros and NaN. The sweep does not re-check θ on the tuples of a
+//! partition, so these cases are what hold its partition key to θ.
 
 use proptest::prelude::*;
 use tpdb::core::{tp_join, CompareOp, ThetaCondition, TpJoinKind};
@@ -226,6 +228,76 @@ fn an_int_key_matches_a_float_key_only_when_it_is_exactly_equal() {
             "{plan}"
         );
     }
+}
+
+#[test]
+fn the_sweep_partition_of_a_key_is_exactly_its_theta_matches() {
+    // The sweep trusts its partition key: two keys share a partition iff
+    // they are equal as `Value`s, which must be θ's `=` for every key that
+    // holds no NULL. The keys where the two could part: an Int and a Float
+    // zero (equal), a negative zero (equal only to itself under the total
+    // order), a NaN (equal to itself), 2^53 - 1 (exact as a float) and
+    // 2^53 + 1 (which rounds to 2^53.0 but does not equal it), and NULL
+    // (in no partition). Every key occurs on both sides; `id` names the
+    // tuple.
+    let two_53 = 1i64 << 53;
+    let keys = [
+        Value::Int(0),
+        Value::Float(0.0),
+        Value::Float(-0.0),
+        Value::Float(f64::NAN),
+        Value::Int(two_53 - 1),
+        Value::Float((two_53 - 1) as f64),
+        Value::Int(two_53 + 1),
+        Value::Float((two_53 + 1) as f64),
+        Value::Null,
+    ];
+    let columns = [("k", DataType::Float), ("id", DataType::Int)];
+    let rows = |interval: fn(usize) -> (i64, i64)| -> Vec<(Vec<Value>, i64, i64)> {
+        let row = |(i, k): (usize, &Value)| {
+            let (start, duration) = interval(i);
+            (vec![k.clone(), Value::Int(i as i64)], start, duration)
+        };
+        keys.iter().enumerate().map(row).collect()
+    };
+    // r's tuples cover [0, 10); s's are staggered, so keys that match
+    // twice give negating windows with two operands.
+    let r = build_facts("r", 0, &columns, &rows(|_| (0, 10)));
+    let s = build_facts("s", 1000, &columns, &rows(|i| (2 + (i % 3) as i64, 4)));
+    assert_eq!((r.len(), s.len()), (keys.len(), keys.len()));
+    let equi = ThetaCondition::column_equals("k", "k");
+    assert_plans_match_ta(&r, &s, &equi);
+
+    // The matching (r id, s id) pairs, by key index above.
+    let expected = [
+        (0, 0),
+        (0, 1),
+        (1, 0),
+        (1, 1),
+        (2, 2),
+        (3, 3),
+        (4, 4),
+        (4, 5),
+        (5, 4),
+        (5, 5),
+        (6, 6),
+        (7, 7),
+    ];
+    let ids = |join: &TpRelation| {
+        let id = |t: &TpTuple, i| t.fact(i).as_int().unwrap();
+        let mut pairs: Vec<(i64, i64)> = join.iter().map(|t| (id(t, 1), id(t, 3))).collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
+    };
+    for (plan, theta) in plans(&equi) {
+        let inner = tp_join(&r, &s, &theta, TpJoinKind::Inner).unwrap();
+        assert_eq!(ids(&inner), expected, "{plan}");
+    }
+    assert_eq!(
+        ids(&ta_join(&r, &s, &equi, TpJoinKind::Inner).unwrap()),
+        expected
+    );
 }
 
 #[test]
