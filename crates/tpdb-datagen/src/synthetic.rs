@@ -50,13 +50,6 @@ impl GeneratorConfig {
         self.seed = seed;
         self
     }
-
-    /// Overrides the average interval duration.
-    #[must_use]
-    pub fn with_avg_duration(mut self, avg_duration: i64) -> Self {
-        self.avg_duration = avg_duration.max(1);
-        self
-    }
 }
 
 /// Appends `count` tuples for the fact `facts` to `rel`, walking the

@@ -84,6 +84,6 @@ pub use plan::{JoinStrategy, LogicalPlan};
 pub use planner::{explain, plan_query, plan_query_with, QueryOptions};
 pub use session::{snapshot_summary, PreparedQuery, Session, SessionStats};
 pub use shared_cache::{
-    normalize_text, prepare_plan, run_prepared, PreparedPlan, ShardedPlanCache, SharedCacheStats,
+    normalize_text, prepare_plan, run_prepared, PlanCache, PlanCacheStats, PreparedPlan,
 };
 pub use tpdb_core::TpSetOpKind;

@@ -5,7 +5,7 @@ use crate::cursor::ResultCursor;
 use crate::exec::execute_plan;
 use crate::plan::LogicalPlan;
 use crate::planner::{explain, plan_query};
-use crate::shared_cache::{run_prepared, PreparedPlan, ShardedPlanCache};
+use crate::shared_cache::{run_prepared, PlanCache, PreparedPlan};
 use crate::TpdbError;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -66,8 +66,8 @@ const MAX_CACHED_PLANS: usize = 128;
 #[derive(Debug)]
 pub struct Session {
     catalog: Catalog,
-    /// The plan cache: a session is a one-shard [`ShardedPlanCache`].
-    cache: ShardedPlanCache,
+    /// The session's private [`PlanCache`] of `MAX_CACHED_PLANS` plans.
+    cache: PlanCache,
     /// `prepare` calls served (a statistic; publishes no other data).
     prepared: AtomicU64,
     /// Statements executed (a statistic; publishes no other data).
@@ -97,7 +97,7 @@ impl Session {
     pub fn new(catalog: Catalog) -> Self {
         Self {
             catalog,
-            cache: ShardedPlanCache::new(1, MAX_CACHED_PLANS),
+            cache: PlanCache::new(MAX_CACHED_PLANS),
             prepared: AtomicU64::new(0),
             executions: AtomicU64::new(0),
         }
@@ -334,12 +334,6 @@ impl PreparedQuery<'_> {
     #[must_use]
     pub fn parameter_count(&self) -> usize {
         self.plan.parameters
-    }
-
-    /// The parsed logical plan (placeholders unbound).
-    #[must_use]
-    pub fn logical_plan(&self) -> &LogicalPlan {
-        &self.plan.plan
     }
 
     /// Executes the statement with the given parameter values and returns

@@ -1,14 +1,12 @@
-//! Plan preparation and the shared, sharded plan cache.
+//! Plan preparation and the plan cache.
 //!
 //! [`prepare_plan`] is the one parse-and-validate path of the query layer:
 //! it turns statement text into a [`PreparedPlan`] — the parsed
 //! [`LogicalPlan`], its `$n` parameter-slot count, and the catalog schema
-//! epoch the validation ran against. [`ShardedPlanCache`] is the one plan
-//! cache: N independently locked shards (keyed by a hash of the normalized
-//! statement text) so that concurrent workers preparing different
-//! statements never contend on one mutex. The server front-end hangs a
-//! shared one off an `Arc`; a [`crate::Session`] owns a private one-shard
-//! instance.
+//! epoch the validation ran against. [`PlanCache`] is the one plan cache:
+//! one mutex over the map, its FIFO order and its counters, held for a
+//! probe or an insert and never while parsing. The server front-end shares
+//! one across its connections; a [`crate::Session`] owns a private one.
 //!
 //! The whitespace-normalized text is the key, and an entry only answers a
 //! lookup when its recorded schema epoch matches the reading catalog's
@@ -16,7 +14,7 @@
 //! implicitly.
 //!
 //! ```
-//! use tpdb_query::ShardedPlanCache;
+//! use tpdb_query::PlanCache;
 //! use tpdb_storage::Catalog;
 //!
 //! let mut catalog = Catalog::new();
@@ -24,7 +22,7 @@
 //! catalog.register(a).unwrap();
 //! catalog.register(b).unwrap();
 //!
-//! let cache = ShardedPlanCache::default();
+//! let cache = PlanCache::new(16);
 //! let q = "SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc";
 //! let first = cache.get_or_prepare(&catalog, q).unwrap();
 //! let again = cache.get_or_prepare(&catalog, q).unwrap();
@@ -40,12 +38,11 @@ use crate::planner::plan_query;
 use crate::session::snapshot_summary;
 use crate::TpdbError;
 use std::collections::{HashMap, VecDeque};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use tpdb_storage::{Catalog, TpRelation, Value};
 
 /// A statement parsed and validated once: the immutable unit the
-/// [`ShardedPlanCache`] hands out behind `Arc`s.
+/// [`PlanCache`] hands out behind `Arc`s.
 #[derive(Debug)]
 pub struct PreparedPlan {
     /// The parsed logical plan, `$n` placeholders unbound.
@@ -148,66 +145,54 @@ pub fn normalize_text(text: &str) -> String {
     out
 }
 
-/// One independently locked shard of the cache.
-#[derive(Debug, Default)]
-struct Shard {
-    entries: HashMap<String, Arc<PreparedPlan>>,
-    /// Insertion order for FIFO eviction.
-    order: VecDeque<String>,
-}
-
-/// Counters of a [`ShardedPlanCache`] ([`ShardedPlanCache::stats`]).
+/// Counters of a [`PlanCache`] ([`PlanCache::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SharedCacheStats {
+pub struct PlanCacheStats {
     /// Lookups answered from the cache (text found, epoch current).
     pub hits: u64,
     /// Lookups that had to parse + validate (including epoch-stale hits).
     pub misses: u64,
-    /// Plans currently cached across all shards.
+    /// Plans currently cached.
     pub entries: usize,
 }
 
-/// A plan cache shared by many concurrent sessions: N shards, each its own
-/// mutex-guarded map, selected by a hash of the normalized statement text.
-/// Entries are validated against the reading catalog's schema epoch on
-/// every lookup, so one cache serves sessions pinned at different epochs
-/// correctly — a stale entry is re-prepared and replaced in place.
+/// What the cache's mutex guards.
+#[derive(Debug, Default)]
+struct Entries {
+    plans: HashMap<String, Arc<PreparedPlan>>,
+    /// Insertion order for FIFO eviction.
+    order: VecDeque<String>,
+    hits: u64,
+    misses: u64,
+}
+
+/// A plan cache that many sessions may share: one mutex-guarded map keyed
+/// by normalized statement text ([`normalize_text`]). Entries are
+/// validated against the reading catalog's schema epoch on every lookup,
+/// so one cache serves sessions pinned at different epochs correctly — a
+/// stale entry is re-prepared and replaced in place.
 ///
-/// Eviction is FIFO per shard with a fixed per-shard capacity, bounding
-/// the cache at `shards × capacity` plans.
+/// Eviction is FIFO with a fixed capacity.
 #[derive(Debug)]
-pub struct ShardedPlanCache {
-    shards: Vec<Mutex<Shard>>,
-    capacity_per_shard: usize,
-    hits: AtomicU64,
-    misses: AtomicU64,
+pub struct PlanCache {
+    entries: Mutex<Entries>,
+    capacity: usize,
 }
 
-impl Default for ShardedPlanCache {
-    /// Eight shards of 64 plans each — 512 plans, matching a few hundred
-    /// distinct prepared statements across a worker pool.
-    fn default() -> Self {
-        Self::new(8, 64)
-    }
-}
-
-impl ShardedPlanCache {
-    /// Creates a cache with `shards` independently locked shards of
-    /// `capacity_per_shard` plans each (both clamped to at least 1).
+impl PlanCache {
+    /// Creates a cache of `capacity` plans (clamped to at least 1).
     #[must_use]
-    pub fn new(shards: usize, capacity_per_shard: usize) -> Self {
+    pub fn new(capacity: usize) -> Self {
         Self {
-            shards: (0..shards.max(1)).map(|_| Mutex::default()).collect(),
-            capacity_per_shard: capacity_per_shard.max(1),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
+            entries: Mutex::default(),
+            capacity: capacity.max(1),
         }
     }
 
     /// Looks the statement up (keyed by normalized text, validated against
     /// `catalog`'s schema epoch) or parses, validates and caches it.
-    /// Parsing happens outside the shard lock; a racing prepare of the
-    /// same text at worst parses twice and the later insert wins.
+    /// Parsing happens outside the lock; a racing prepare of the same text
+    /// at worst parses twice and the later insert wins.
     pub fn get_or_prepare(
         &self,
         catalog: &Catalog,
@@ -216,80 +201,50 @@ impl ShardedPlanCache {
         let key = normalize_text(text);
         let epoch = catalog.schema_epoch();
         {
-            let shard = self.shard(&key);
-            let cached = shard
-                .entries
+            let mut entries = self.lock();
+            let cached = entries
+                .plans
                 .get(&key)
                 .filter(|entry| entry.epoch == epoch)
                 .map(Arc::clone);
             if let Some(entry) = cached {
-                self.hits.fetch_add(1, Ordering::Relaxed);
+                entries.hits += 1;
                 return Ok(entry);
             }
+            entries.misses += 1;
         }
-        self.misses.fetch_add(1, Ordering::Relaxed);
         let prepared = Arc::new(prepare_plan(catalog, text)?);
-        let mut shard = self.shard(&key);
-        if !shard.entries.contains_key(&key) {
-            shard.order.push_back(key.clone());
-            if shard.order.len() > self.capacity_per_shard {
-                if let Some(evicted) = shard.order.pop_front() {
-                    shard.entries.remove(&evicted);
+        let mut entries = self.lock();
+        if !entries.plans.contains_key(&key) {
+            entries.order.push_back(key.clone());
+            if entries.order.len() > self.capacity {
+                if let Some(evicted) = entries.order.pop_front() {
+                    entries.plans.remove(&evicted);
                 }
             }
         }
-        shard.entries.insert(key, Arc::clone(&prepared));
+        entries.plans.insert(key, Arc::clone(&prepared));
         Ok(prepared)
     }
 
     /// A snapshot of the cache's hit/miss counters and current size.
     #[must_use]
-    pub fn stats(&self) -> SharedCacheStats {
-        SharedCacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            entries: self
-                .shards
-                .iter()
-                .map(|s| {
-                    s.lock()
-                        .unwrap_or_else(PoisonError::into_inner)
-                        .entries
-                        .len()
-                })
-                .sum(),
+    pub fn stats(&self) -> PlanCacheStats {
+        let entries = self.lock();
+        PlanCacheStats {
+            hits: entries.hits,
+            misses: entries.misses,
+            entries: entries.plans.len(),
         }
     }
 
-    /// Locks the shard owning `key`. Poisoning is recovered: every shard
-    /// mutation is a single map/deque call on `Arc`'d immutable plans, so
-    /// a panicking thread cannot leave a shard torn — and a best-effort
+    /// Locks the cache. Poisoning is recovered: every mutation is a single
+    /// map/deque call or counter bump on `Arc`'d immutable plans, so a
+    /// panicking thread cannot leave the cache torn — and a best-effort
     /// cache must never take the server down with it.
-    fn shard(&self, key: &str) -> MutexGuard<'_, Shard> {
-        let idx = (fx_hash(key.as_bytes()) as usize) % self.shards.len();
-        self.shards[idx]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
+    fn lock(&self) -> MutexGuard<'_, Entries> {
+        self.entries.lock().unwrap_or_else(PoisonError::into_inner)
     }
-}
-
-/// An FxHash-style byte hasher (multiply-xor over 8-byte words) — the same
-/// no-dependency construction `tpdb-lineage`'s interner uses. Only shard
-/// *selection* depends on it, so quality beyond "spreads typical statement
-/// texts" is not required.
-fn fx_hash(bytes: &[u8]) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mut hash = 0u64;
-    let mut chunks = bytes.chunks_exact(8);
-    for chunk in chunks.by_ref() {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(chunk); // chunks_exact(8) guarantees the length
-        hash = (hash.rotate_left(5) ^ u64::from_le_bytes(word)).wrapping_mul(SEED);
-    }
-    for &b in chunks.remainder() {
-        hash = (hash.rotate_left(5) ^ u64::from(b)).wrapping_mul(SEED);
-    }
-    hash
 }
 
 #[cfg(test)]
@@ -308,7 +263,7 @@ mod tests {
     #[test]
     fn lookups_hit_after_one_miss_and_survive_reformatting() {
         let c = catalog();
-        let cache = ShardedPlanCache::default();
+        let cache = PlanCache::new(16);
         let q = "SELECT * FROM a TP ANTI JOIN b ON a.Loc = b.Loc";
         cache.get_or_prepare(&c, q).unwrap();
         cache
@@ -321,7 +276,7 @@ mod tests {
     #[test]
     fn epoch_changes_invalidate_entries_in_place() {
         let mut c = catalog();
-        let cache = ShardedPlanCache::default();
+        let cache = PlanCache::new(16);
         let q = "SELECT * FROM a";
         let first = cache.get_or_prepare(&c, q).unwrap();
         c.register(TpRelation::new("x", Schema::tp(&[("X", DataType::Int)])))
@@ -338,7 +293,7 @@ mod tests {
     #[test]
     fn dropped_relations_fail_loudly_instead_of_reusing_stale_plans() {
         let mut c = catalog();
-        let cache = ShardedPlanCache::default();
+        let cache = PlanCache::new(16);
         let q = "SELECT * FROM a";
         cache.get_or_prepare(&c, q).unwrap();
         c.drop_relation("a").unwrap();
@@ -349,9 +304,9 @@ mod tests {
     }
 
     #[test]
-    fn per_shard_capacity_bounds_the_cache() {
+    fn capacity_bounds_the_cache() {
         let c = catalog();
-        let cache = ShardedPlanCache::new(2, 4);
+        let cache = PlanCache::new(8);
         for i in 0..64 {
             let q = format!("SELECT * FROM a WHERE Loc = 'L{i}'");
             cache.get_or_prepare(&c, &q).unwrap();

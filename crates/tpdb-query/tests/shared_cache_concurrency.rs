@@ -1,6 +1,6 @@
 //! The shared plan cache under concurrent lookups from several threads.
 
-use tpdb_query::ShardedPlanCache;
+use tpdb_query::PlanCache;
 use tpdb_storage::Catalog;
 
 #[test]
@@ -9,7 +9,7 @@ fn concurrent_lookups_agree_with_serial_preparation() {
     let (a, b) = tpdb_datagen::booking_example();
     c.register(a).unwrap();
     c.register(b).unwrap();
-    let cache = ShardedPlanCache::default();
+    let cache = PlanCache::new(512);
     let queries: Vec<String> = (0..16)
         .map(|i| format!("SELECT Name FROM a WHERE Loc = 'L{}'", i % 4))
         .collect();

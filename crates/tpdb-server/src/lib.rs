@@ -17,9 +17,8 @@
 //!   [`SharedCatalog`](tpdb_storage::SharedCatalog); `LOAD SNAPSHOT` and
 //!   DDL swap the published catalog atomically, so readers see one schema
 //!   epoch — never a torn mix.
-//! * **Shared plan cache**: one
-//!   [`ShardedPlanCache`](tpdb_query::ShardedPlanCache) serves all
-//!   sessions, keyed by normalized text + schema epoch.
+//! * **Shared plan cache**: one [`PlanCache`](tpdb_query::PlanCache)
+//!   serves all connections, keyed by normalized text + schema epoch.
 //! * **Blocking client** ([`Client`]): used by the tests, the
 //!   `concurrent_clients` example and `tpbench`'s `served_mix` workload.
 //!

@@ -64,9 +64,9 @@ pub enum Request {
     },
     /// `EXPLAIN <text>`: plan without executing.
     Explain(String),
-    /// `SLEEP <millis>`: occupy an execution slot for the given time
-    /// (diagnostics; the concurrency tests use it to create deterministic
-    /// backlog).
+    /// `SLEEP <millis>`: occupy an execution slot for the given time, at
+    /// most [`MAX_SLEEP_MS`] (diagnostics; the concurrency tests use it to
+    /// create deterministic backlog).
     Sleep(u64),
     /// `PING`: liveness probe.
     Ping,
@@ -203,6 +203,11 @@ impl Response {
         }
     }
 }
+
+/// The longest `SLEEP` accepted. A sleeping statement holds an execution
+/// slot, and shutdown waits for every slot to drain, so an unbounded sleep
+/// would hold shutdown (and the handle's `Drop`) for as long as it lasts.
+pub const MAX_SLEEP_MS: u64 = 10_000;
 
 /// The terminator line of `ROWS` and `TEXT` frames.
 const FRAME_END: &str = "OK\n";
@@ -412,10 +417,12 @@ pub fn parse_request(line: &str) -> Result<Request, RequestError> {
         "CLOSE" => expect_bare(trimmed, head, Request::Close),
         "SLEEP" => {
             let rest = trimmed[head.len()..].trim();
-            let millis: u64 = rest.parse().map_err(|_| {
-                RequestError::new(format!("SLEEP expects milliseconds, got `{rest}`"))
-            })?;
-            Ok(Request::Sleep(millis))
+            match rest.parse() {
+                Ok(millis) if millis <= MAX_SLEEP_MS => Ok(Request::Sleep(millis)),
+                _ => Err(RequestError::new(format!(
+                    "SLEEP expects at most {MAX_SLEEP_MS} milliseconds, got `{rest}`"
+                ))),
+            }
         }
         "EXPLAIN" => {
             let rest = trimmed[head.len()..].trim();
@@ -650,6 +657,8 @@ mod tests {
         assert!(parse_request("").is_err());
         assert!(parse_request("PING now").is_err());
         assert!(parse_request("SLEEP soon").is_err());
+        assert!(parse_request("SLEEP 10001").is_err());
+        assert!(parse_request(&format!("SLEEP {}", u64::MAX)).is_err());
         assert!(parse_request("PREPARE q1").is_err());
         assert!(parse_request("PREPARE q1 SELECT 1").is_err());
         assert!(parse_request("PREPARE 1q AS SELECT 1").is_err());

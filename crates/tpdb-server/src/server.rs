@@ -7,7 +7,7 @@
 //! acceptor ──► connection threads (1/conn), each in a loop:
 //!                read a line, parse the request
 //!                pass the admission gate (run │ wait in line │ `ServerBusy`)
-//!                pin catalog snapshot, plan via sharded cache, execute,
+//!                pin catalog snapshot, plan via shared cache, execute,
 //!                  render into the connection's buffer
 //!                give the slot back, then write the buffer (one `write_all`)
 //! ```
@@ -36,8 +36,9 @@
 //! ([`SharedCatalog::snapshot`]) and executes entirely against it, so a
 //! query sees one schema epoch — never a torn mix — while `LOAD SNAPSHOT`
 //! or DDL swaps the published catalog atomically underneath. Plans come
-//! from one [`ShardedPlanCache`] shared by all connections, keyed by
-//! normalized text and validated against the pinned snapshot's epoch.
+//! from one [`PlanCache`] of [`PLAN_CACHE_CAPACITY`] plans shared by all
+//! connections, keyed by normalized text and validated against the pinned
+//! snapshot's epoch.
 //!
 //! ## Shutdown sequence
 //!
@@ -63,7 +64,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use tpdb_query::{
-    explain, run_prepared, snapshot_summary, LogicalPlan, PreparedPlan, ShardedPlanCache, TpdbError,
+    explain, run_prepared, snapshot_summary, LogicalPlan, PlanCache, PreparedPlan, TpdbError,
 };
 use tpdb_storage::{Catalog, SharedCatalog};
 
@@ -178,7 +179,7 @@ struct Conn {
 /// Everything the threads share.
 struct Inner {
     shared: SharedCatalog,
-    cache: ShardedPlanCache,
+    cache: PlanCache,
     /// Statements that may execute at once.
     workers: usize,
     /// Requests that may wait for a slot.
@@ -206,7 +207,7 @@ impl Server {
         let addr = listener.local_addr()?;
         let inner = Arc::new(Inner {
             shared: SharedCatalog::new(catalog),
-            cache: ShardedPlanCache::default(),
+            cache: PlanCache::new(PLAN_CACHE_CAPACITY),
             workers: config.workers.max(1),
             queue_depth: config.queue_depth.max(1),
             gate: Mutex::new(Gate::default()),
@@ -356,6 +357,10 @@ const GRACE_POLL: Duration = Duration::from_millis(1);
 /// How long the acceptor pauses after a failed `accept()` (out of file
 /// descriptors, typically) before trying again.
 const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
+
+/// Plans the shared cache holds: four times a session's 128, for the
+/// distinct statements of all connections together.
+const PLAN_CACHE_CAPACITY: usize = 512;
 
 /// The largest reply buffer a connection keeps for its next request.
 const MAX_RETAINED_REPLY: usize = 1 << 20;
@@ -592,7 +597,7 @@ fn run_statement(
                 // loaded state for the summary even if another update
                 // lands right behind this one.
                 Ok::<Catalog, tpdb_storage::StorageError>(catalog.clone())
-            })??;
+            })?;
             snapshot_summary(&loaded)?
         }
         _ => run_prepared(&snapshot, &prepared, params)?,

@@ -7,7 +7,7 @@ use crate::schema::Schema;
 use crate::tuple::TpTuple;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, OnceLock, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, OnceLock};
 use tpdb_lineage::{Lineage, LineageArena, MarginalMap, ProbabilityEngine, SymbolTable, VarId};
 use tpdb_temporal::Interval;
 
@@ -15,9 +15,8 @@ use tpdb_temporal::Interval;
 ///
 /// The catalog owns
 ///
-/// * the registered base relations (shared, read-mostly — guarded by a
-///   [`RwLock`] so that the query engine can scan relations from multiple
-///   operator threads),
+/// * the registered base relations, each behind an `Arc` that scans and
+///   clones share,
 /// * the [`SymbolTable`] assigning one lineage variable per base tuple,
 /// * the marginal probabilities of the variables its relations carry —
 ///   one per variable: every atomic tuple of every relation carries its
@@ -37,9 +36,17 @@ use tpdb_temporal::Interval;
 /// catalog reports an epoch other than `e`. A mutation also drops the
 /// arena; the next [`probability_engine`](Self::probability_engine) builds
 /// the new epoch's.
-#[derive(Debug, Default)]
+///
+/// The catalog holds no lock: every mutation takes `&mut self`, and
+/// threads share a catalog only through the immutable `Arc<Catalog>`
+/// snapshots of a [`SharedCatalog`](crate::SharedCatalog), whose
+/// [`update`](crate::SharedCatalog::update) mutates a private clone.
+/// `Clone` copies the relation map and symbol table and shares the
+/// relation payloads, the marginal map and the arena (until one side
+/// writes).
+#[derive(Debug, Default, Clone)]
 pub struct Catalog {
-    relations: RwLock<HashMap<String, Arc<TpRelation>>>,
+    relations: HashMap<String, Arc<TpRelation>>,
     symbols: SymbolTable,
     /// One entry per base tuple, in the map type the probability engine
     /// prices from and behind an `Arc`, so every engine handed out shares
@@ -56,58 +63,11 @@ pub struct Catalog {
     arena: OnceLock<Arc<LineageArena>>,
 }
 
-/// The relation map guarded by the catalog lock.
-type RelationMap = HashMap<String, Arc<TpRelation>>;
-
-impl Clone for Catalog {
-    /// Deep-clones the catalog metadata while sharing the relation data:
-    /// the clone gets its own relation map, symbol table and epoch counter,
-    /// but the `Arc<TpRelation>` payloads, the marginal map and the lineage
-    /// arena (until one side writes) are shared. This
-    /// is the copy-on-write step of [`crate::SharedCatalog::update`]: a
-    /// mutation clones the current catalog, applies its change and swaps
-    /// the result in, so pinned readers keep an immutable view.
-    fn clone(&self) -> Self {
-        // A poisoned lock is recovered with `into_inner`: the map cannot be
-        // observed torn (its mutations are single `HashMap` calls), and
-        // `Clone` has no error channel. Same justification as
-        // `relation_names`.
-        let relations = self
-            .relations
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .clone();
-        Self {
-            relations: RwLock::new(relations),
-            symbols: self.symbols.clone(),
-            probabilities: Arc::clone(&self.probabilities),
-            epoch: self.epoch,
-            arena: self.arena.clone(),
-        }
-    }
-}
-
 impl Catalog {
     /// Creates an empty catalog.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Read access to the relation map; a poisoned lock surfaces as
-    /// [`StorageError::CatalogPoisoned`].
-    fn read_relations(&self) -> Result<RwLockReadGuard<'_, RelationMap>, StorageError> {
-        self.relations
-            .read()
-            .map_err(|_| StorageError::CatalogPoisoned)
-    }
-
-    /// Write access to the relation map; a poisoned lock surfaces as
-    /// [`StorageError::CatalogPoisoned`].
-    fn write_relations(&self) -> Result<RwLockWriteGuard<'_, RelationMap>, StorageError> {
-        self.relations
-            .write()
-            .map_err(|_| StorageError::CatalogPoisoned)
     }
 
     /// Starts building a new base relation. Tuples pushed through the
@@ -119,7 +79,7 @@ impl Catalog {
         name: &str,
         schema: Schema,
     ) -> Result<RelationBuilder<'_>, StorageError> {
-        if self.read_relations()?.contains_key(name) {
+        if self.relations.contains_key(name) {
             return Err(StorageError::RelationExists(name.to_owned()));
         }
         Ok(RelationBuilder {
@@ -147,7 +107,7 @@ impl Catalog {
     /// [`register`](Self::register), returning the shared handle.
     fn insert(&mut self, relation: TpRelation) -> Result<Arc<TpRelation>, StorageError> {
         let name = relation.name().to_owned();
-        if self.read_relations()?.contains_key(&name) {
+        if self.relations.contains_key(&name) {
             return Err(StorageError::RelationExists(name));
         }
         let fresh = atomic_marginals(&self.probabilities, [&relation])?;
@@ -155,7 +115,7 @@ impl Catalog {
             Arc::make_mut(&mut self.probabilities).extend(fresh);
         }
         let relation = Arc::new(relation);
-        self.write_relations()?.insert(name, Arc::clone(&relation));
+        self.relations.insert(name, Arc::clone(&relation));
         self.bump();
         Ok(relation)
     }
@@ -177,7 +137,7 @@ impl Catalog {
 
     /// Looks up a relation by name.
     pub fn relation(&self, name: &str) -> Result<Arc<TpRelation>, StorageError> {
-        self.read_relations()?
+        self.relations
             .get(name)
             .cloned()
             .ok_or_else(|| StorageError::UnknownRelation(name.to_owned()))
@@ -188,7 +148,7 @@ impl Catalog {
     /// them other probabilities.
     pub fn drop_relation(&mut self, name: &str) -> Result<(), StorageError> {
         let dropped = self
-            .write_relations()?
+            .relations
             .remove(name)
             .ok_or_else(|| StorageError::UnknownRelation(name.to_owned()))?;
         let mut orphans: HashSet<VarId> = dropped
@@ -197,18 +157,11 @@ impl Catalog {
             .filter(|v| self.probabilities.contains_key(v))
             .collect();
         if !orphans.is_empty() {
-            // The relation is gone: a poisoned lock must not stop the
-            // epoch bump (recovered as in `relation_names`).
-            let remaining = self
-                .relations
-                .read()
-                .unwrap_or_else(PoisonError::into_inner);
-            for tuple in remaining.values().flat_map(|r| r.iter()) {
+            for tuple in self.relations.values().flat_map(|r| r.iter()) {
                 for var in tuple.lineage().vars() {
                     orphans.remove(&var);
                 }
             }
-            drop(remaining);
             Arc::make_mut(&mut self.probabilities).retain(|v, _| !orphans.contains(v));
         }
         self.bump();
@@ -216,20 +169,9 @@ impl Catalog {
     }
 
     /// Names of all registered relations (sorted).
-    ///
-    /// Infallible by design: a poisoned lock is recovered with
-    /// [`PoisonError::into_inner`] — the map cannot be observed torn (its
-    /// mutations are single `HashMap` calls), and a read-only listing must
-    /// not fail an otherwise healthy session.
     #[must_use]
     pub fn relation_names(&self) -> Vec<String> {
-        let mut names: Vec<String> = self
-            .relations
-            .read()
-            .unwrap_or_else(PoisonError::into_inner)
-            .keys()
-            .cloned()
-            .collect();
+        let mut names: Vec<String> = self.relations.keys().cloned().collect();
         names.sort();
         names
     }
@@ -267,14 +209,9 @@ impl Catalog {
     }
 
     /// Interns every stored relation's lineage column, in name order, into
-    /// a fresh arena over the catalog's marginals. A poisoned lock is
-    /// recovered as in [`relation_names`](Self::relation_names).
+    /// a fresh arena over the catalog's marginals.
     fn build_arena(&self) -> LineageArena {
-        let relations = self
-            .relations
-            .read()
-            .unwrap_or_else(PoisonError::into_inner);
-        let mut stored: Vec<&Arc<TpRelation>> = relations.values().collect();
+        let mut stored: Vec<&Arc<TpRelation>> = self.relations.values().collect();
         stored.sort_by(|a, b| a.name().cmp(b.name()));
         let mut builder = LineageArena::builder(Arc::clone(&self.probabilities));
         for relation in stored {
@@ -299,16 +236,14 @@ impl Catalog {
         symbols: SymbolTable,
         probabilities: MarginalMap,
         relations: Vec<TpRelation>,
-    ) -> Result<(), StorageError> {
-        let map: RelationMap = relations
+    ) {
+        self.relations = relations
             .into_iter()
             .map(|r| (r.name().to_owned(), Arc::new(r)))
             .collect();
-        *self.write_relations()? = map;
         self.symbols = symbols;
         self.probabilities = Arc::new(probabilities);
         self.bump();
-        Ok(())
     }
 }
 

@@ -75,12 +75,6 @@ pub enum StorageError {
         /// How the sides differ (e.g. `left is INT, right is STR`).
         detail: String,
     },
-    /// The catalog's relation lock was poisoned: another thread panicked
-    /// while holding it. The relation map itself cannot be observed torn
-    /// (every mutation is a single `HashMap` call), but the panic signals a
-    /// broken invariant elsewhere, so catalog entry points surface the
-    /// condition instead of unwinding the caller.
-    CatalogPoisoned,
     /// A snapshot file did not start with the `TPDBSNAP` magic bytes.
     SnapshotBadMagic,
     /// A snapshot file uses a format version this build cannot read.
@@ -186,12 +180,6 @@ impl fmt::Display for StorageError {
                 write!(
                     f,
                     "set operation inputs are not union-compatible at column {column}: {detail}"
-                )
-            }
-            StorageError::CatalogPoisoned => {
-                write!(
-                    f,
-                    "catalog lock poisoned: a thread panicked while holding it"
                 )
             }
             StorageError::SnapshotBadMagic => {

@@ -26,15 +26,14 @@
 //! assert_eq!(pinned.schema_epoch(), 1);
 //!
 //! // ... that survives a concurrent mutation unchanged.
-//! shared.update(|c| c.drop_relation("a")).unwrap().unwrap();
+//! shared.update(|c| c.drop_relation("a")).unwrap();
 //! assert!(pinned.relation("a").is_ok()); // the pinned view still has it
 //! assert!(shared.snapshot().relation("a").is_err()); // a fresh pin does not
 //! assert_eq!(shared.snapshot().schema_epoch(), 2);
 //! ```
 
 use crate::catalog::Catalog;
-use crate::error::StorageError;
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 /// A swap-on-write handle to a [`Catalog`] shared by many sessions.
 ///
@@ -63,14 +62,8 @@ impl SharedCatalog {
     pub fn snapshot(&self) -> Arc<Catalog> {
         // A poisoned lock is recovered with `into_inner`: the slot holds a
         // single `Arc` pointer, which cannot be observed torn, and a
-        // read-only pin must not fail an otherwise healthy server. Same
-        // justification as `Catalog::relation_names`.
-        Arc::clone(
-            &self
-                .current
-                .read()
-                .unwrap_or_else(std::sync::PoisonError::into_inner),
-        )
+        // read-only pin must not fail an otherwise healthy server.
+        Arc::clone(&self.current.read().unwrap_or_else(PoisonError::into_inner))
     }
 
     /// The schema epoch of the currently published catalog.
@@ -86,28 +79,29 @@ impl SharedCatalog {
     /// handle's write lock.
     ///
     /// `f`'s return value is passed through, so fallible catalog calls
-    /// compose: `shared.update(|c| c.drop_relation("a"))?` yields
-    /// `Result<Result<(), StorageError>, StorageError>` — the outer error
-    /// is the handle's own lock failure. **A mutation that fails must leave
-    /// the catalog unchanged or report it**: the clone is swapped in
-    /// regardless of what `f` returns, because `f` may legitimately make
-    /// several changes before one fails (the catalog's own mutators are
-    /// individually atomic, so this matches single-owner behavior).
-    pub fn update<R>(&self, f: impl FnOnce(&mut Catalog) -> R) -> Result<R, StorageError> {
-        let mut slot = self
-            .current
-            .write()
-            .map_err(|_| StorageError::CatalogPoisoned)?;
+    /// compose: `shared.update(|c| c.drop_relation("a"))?`. **A mutation
+    /// that fails must leave the catalog unchanged or report it**: the
+    /// clone is swapped in regardless of what `f` returns, because `f` may
+    /// legitimately make several changes before one fails (the catalog's
+    /// own mutators are individually atomic, so this matches single-owner
+    /// behavior).
+    ///
+    /// Infallible: a lock poisoned by an `f` that panicked is recovered.
+    /// `f` ran on a private copy and the slot is written only after `f`
+    /// returns, so a panic leaves the published catalog as it was.
+    pub fn update<R>(&self, f: impl FnOnce(&mut Catalog) -> R) -> R {
+        let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
         let mut copy = Catalog::clone(&slot);
         let out = f(&mut copy);
         *slot = Arc::new(copy);
-        Ok(out)
+        out
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::StorageError;
     use crate::schema::{DataType, Schema};
     use crate::TpRelation;
 
@@ -125,7 +119,6 @@ mod tests {
         let epoch = before.schema_epoch();
         shared
             .update(|c| c.register(TpRelation::new("s", Schema::tp(&[("Y", DataType::Int)]))))
-            .unwrap()
             .unwrap();
         // The pinned view is untouched; the published one moved on.
         assert_eq!(before.schema_epoch(), epoch);
@@ -138,7 +131,7 @@ mod tests {
     #[test]
     fn update_passes_the_closure_result_through() {
         let shared = SharedCatalog::new(catalog());
-        let inner = shared.update(|c| c.drop_relation("missing")).unwrap();
+        let inner = shared.update(|c| c.drop_relation("missing"));
         assert!(matches!(inner, Err(StorageError::UnknownRelation(_))));
         // The failed drop mutated nothing; r is still there.
         assert!(shared.snapshot().relation("r").is_ok());
@@ -159,7 +152,6 @@ mod tests {
                                 Schema::tp(&[("X", DataType::Int)]),
                             ))
                         })
-                        .unwrap()
                         .unwrap();
                 });
             }
@@ -173,12 +165,31 @@ mod tests {
     fn cloned_catalogs_share_relation_payloads() {
         let shared = SharedCatalog::new(catalog());
         let a = shared.snapshot();
-        shared.update(|_| ()).unwrap();
+        shared.update(|_| ());
         let b = shared.snapshot();
         // The update cloned the map, not the relations.
         assert!(Arc::ptr_eq(
             &a.relation("r").unwrap(),
             &b.relation("r").unwrap()
         ));
+    }
+
+    #[test]
+    fn a_panicking_update_leaves_the_handle_usable() {
+        let shared = SharedCatalog::new(catalog());
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            shared.update(|c| {
+                c.drop_relation("r").unwrap();
+                panic!("mutation failed midway");
+            })
+        }));
+        assert!(panicked.is_err());
+        // The half-done copy was never published ...
+        assert!(shared.snapshot().relation("r").is_ok());
+        // ... and the next update runs and is seen.
+        shared
+            .update(|c| c.register(TpRelation::new("s", Schema::tp(&[("Y", DataType::Int)]))))
+            .unwrap();
+        assert!(shared.snapshot().relation("s").is_ok());
     }
 }

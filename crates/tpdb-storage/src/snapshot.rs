@@ -926,7 +926,8 @@ impl Catalog {
     /// once on success.
     pub fn load_snapshot_bytes(&mut self, bytes: &[u8]) -> Result<(), StorageError> {
         let decoded = decode_snapshot(bytes)?;
-        self.replace_contents(decoded.symbols, decoded.marginals, decoded.relations)
+        self.replace_contents(decoded.symbols, decoded.marginals, decoded.relations);
+        Ok(())
     }
 
     /// Saves the catalog to a snapshot file at `path`.
@@ -1314,9 +1315,7 @@ mod tests {
         r.push_unchecked(tuple(1, 0.5));
         let marginals: MarginalMap = [(VarId(1), 0.25)].into_iter().collect();
         let mut inconsistent = Catalog::new();
-        inconsistent
-            .replace_contents(SymbolTable::new(), marginals, vec![r])
-            .unwrap();
+        inconsistent.replace_contents(SymbolTable::new(), marginals, vec![r]);
         let bytes = inconsistent.to_snapshot_bytes().unwrap();
         let mut target = sample_catalog();
         let (names, epoch) = (target.relation_names(), target.schema_epoch());
@@ -1334,9 +1333,7 @@ mod tests {
         s.push_unchecked(tuple(2, 0.5));
         s.push_unchecked(tuple(2, 0.75));
         let mut inconsistent = Catalog::new();
-        inconsistent
-            .replace_contents(SymbolTable::new(), MarginalMap::default(), vec![s])
-            .unwrap();
+        inconsistent.replace_contents(SymbolTable::new(), MarginalMap::default(), vec![s]);
         let bytes = inconsistent.to_snapshot_bytes().unwrap();
         assert!(matches!(
             target.load_snapshot_bytes(&bytes),

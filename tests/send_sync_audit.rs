@@ -6,7 +6,7 @@
 //! not an assumption.
 
 use tpdb::prelude::*;
-use tpdb::query::{PreparedPlan, ShardedPlanCache};
+use tpdb::query::{PlanCache, PreparedPlan};
 use tpdb::server::{Client, Response, ServerHandle, ServerStats};
 use tpdb::storage::SharedCatalog;
 
@@ -42,7 +42,7 @@ fn query_layer_types_cross_thread_boundaries() {
     // makes the whole pipeline movable to the thread that drains it.
     assert_send::<ResultCursor>();
     // The shared plan cache is the one all workers hit concurrently.
-    assert_send_sync::<ShardedPlanCache>();
+    assert_send_sync::<PlanCache>();
     assert_send_sync::<PreparedPlan>();
     assert_send_sync::<TpdbError>();
 }

@@ -9,10 +9,16 @@
 //! — produce **identical** `TpRelation`s, for all five TP join kinds. The
 //! generators reuse the adversarial shapes of the plan-equivalence suite
 //! (dense keys, shared endpoints, single-point intervals).
+//!
+//! A second group checks the plan-cache key contract: whitespace outside
+//! string literals does not change a statement's [`normalize_text`] key or
+//! its parsed plan, texts that share a key parse to one plan, and
+//! whitespace inside a literal is part of the key.
 
 use proptest::prelude::*;
 use tpdb::lineage::{Lineage, VarId};
 use tpdb::prelude::Session;
+use tpdb::query::{normalize_text, parse_query};
 use tpdb::storage::{Catalog, DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb::temporal::Interval;
 
@@ -116,6 +122,130 @@ proptest! {
         let r = build("r", 0, &rr);
         let s = build("s", 1000, &ss);
         assert_paths_identical(&r, &s, threshold);
+    }
+}
+
+// ---- the plan-cache key contract ------------------------------------------
+
+/// One statement as tokens; `Err(inner)` is a string literal whose inner
+/// whitespace is `inner` (between the words `x` and `y`).
+type Tokens = Vec<Result<&'static str, &'static str>>;
+
+/// Whitespace runs a string literal may carry inside.
+const INNER_GAPS: [&str; 5] = [" ", "  ", "\t", " \t", "\n"];
+
+/// One of `items`, uniformly.
+fn pick<T: Copy>(items: &'static [T]) -> impl Strategy<Value = T> {
+    (0..items.len()).prop_map(move |i| items[i])
+}
+
+/// The head of a statement over `a` and `b`: a projection and, unless
+/// the drawn kind is past the last, a TP join.
+fn head() -> impl Strategy<Value = Tokens> {
+    const PROJECTIONS: [&[&str]; 3] = [&["*"], &["Name"], &["Name", ",", "Loc"]];
+    (0..PROJECTIONS.len(), 0..=KIND_KEYWORDS.len()).prop_map(|(projection, kind)| {
+        let mut tokens: Tokens = vec![Ok("SELECT")];
+        tokens.extend(PROJECTIONS[projection].iter().copied().map(Ok));
+        tokens.extend([Ok("FROM"), Ok("a")]);
+        if let Some(kw) = KIND_KEYWORDS.get(kind) {
+            tokens.push(Ok("TP"));
+            tokens.extend(kw.split(' ').map(Ok));
+            let on = ["JOIN", "b", "ON", "a", ".", "Loc", "=", "b", ".", "Loc"];
+            tokens.extend(on.map(Ok));
+        }
+        tokens
+    })
+}
+
+/// A statement: a [`head`] and an optional filter whose operand is an
+/// integer or a two-word string literal.
+fn statement() -> impl Strategy<Value = Tokens> {
+    let operand = prop_oneof![
+        pick(&["1", "22"]).prop_map(Ok),
+        pick(&INNER_GAPS).prop_map(Err),
+    ];
+    let filter = (
+        pick(&[false, true]),
+        pick(&["Name", "k"]),
+        pick(&["=", ">=", "<>"]),
+        operand,
+    );
+    (head(), filter).prop_map(|(mut tokens, (filtered, column, op, operand))| {
+        if filtered {
+            tokens.extend([Ok("WHERE"), Ok(column), Ok(op), operand]);
+        }
+        tokens
+    })
+}
+
+/// A non-empty whitespace run.
+fn gap() -> impl Strategy<Value = String> {
+    proptest::collection::vec(pick(&[' ', '\t', '\n', '\r']), 1..4).prop_map(String::from_iter)
+}
+
+/// Lays `tokens` out with the whitespace runs of `gaps`, cycled: one
+/// before the first token, one between each two, one after the last.
+fn render(tokens: &Tokens, gaps: &[String]) -> String {
+    let mut gaps = gaps.iter().cycle();
+    let mut text = String::new();
+    for token in tokens {
+        text.push_str(gaps.next().map_or(" ", String::as_str));
+        match token {
+            Ok(word) => text.push_str(word),
+            Err(inner) => {
+                text.push_str("'x");
+                text.push_str(inner);
+                text.push_str("y'");
+            }
+        }
+    }
+    text.push_str(gaps.next().map_or("", String::as_str));
+    text
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn reshuffled_whitespace_keeps_one_key_and_one_plan(
+        tokens in statement(),
+        first in proptest::collection::vec(gap(), 1..8),
+        second in proptest::collection::vec(gap(), 1..8),
+    ) {
+        let (a, b) = (render(&tokens, &first), render(&tokens, &second));
+        prop_assert_eq!(normalize_text(&a), normalize_text(&b));
+        prop_assert_eq!(parse_query(&a).unwrap(), parse_query(&b).unwrap());
+    }
+
+    /// The key of a text is a text of its own key that parses to the same
+    /// plan; so any two texts sharing a key both parse to the key's plan.
+    #[test]
+    fn texts_that_share_a_key_parse_to_one_plan(
+        tokens in statement(),
+        gaps in proptest::collection::vec(gap(), 1..8),
+    ) {
+        let text = render(&tokens, &gaps);
+        let key = normalize_text(&text);
+        prop_assert_eq!(&normalize_text(&key), &key);
+        prop_assert_eq!(parse_query(&key).unwrap(), parse_query(&text).unwrap());
+    }
+
+    #[test]
+    fn literal_inner_whitespace_is_part_of_the_key(
+        tokens in head(),
+        gaps in proptest::collection::vec(gap(), 1..8),
+        one in 0..INNER_GAPS.len(),
+        step in 1..INNER_GAPS.len(),
+    ) {
+        let with_literal = |inner| {
+            let mut tokens = tokens.clone();
+            tokens.extend([Ok("WHERE"), Ok("Name"), Ok("="), Err(inner)]);
+            render(&tokens, &gaps)
+        };
+        let other = (one + step) % INNER_GAPS.len();
+        let (a, b) = (with_literal(INNER_GAPS[one]), with_literal(INNER_GAPS[other]));
+        prop_assert_ne!(normalize_text(&a), normalize_text(&b));
+        prop_assert_ne!(parse_query(&a).unwrap(), parse_query(&b).unwrap());
     }
 }
 
