@@ -28,9 +28,9 @@
 //! TA baseline uses.
 //!
 //! The [`tp_join`] family executes all of this as a **streaming pipeline**:
-//! [`OverlapWindowStream`] (an endpoint-sorted sweep join when θ is an
-//! equi-join, a nested loop otherwise: θ alone decides the
-//! [`OverlapJoinPlan`]) yields windows one `r`-tuple group at a time,
+//! [`OverlapWindowStream`] (an endpoint-sorted sweep over `s` partitioned
+//! on θ's equalities, checking θ's other comparisons per candidate — one
+//! plan for every θ) yields windows one `r`-tuple group at a time,
 //! already grouped and start-ordered; [`LawauStream`] and [`LawanStream`]
 //! extend each group in place; and output tuples are formed as the windows
 //! leave the pipeline. The materializing entry points ([`lawau()`],
@@ -111,7 +111,7 @@ pub use join::{
 };
 pub use lawan::lawan;
 pub use lawau::lawau;
-pub use overlap::{auto_plan, overlapping_windows, OverlapJoinPlan, OverlapWindowStream};
+pub use overlap::{overlapping_windows, OverlapWindowStream};
 pub use pipeline::{LawanStream, LawauStream, WindowGroups};
 pub use setops::{
     all_columns_equal, check_union_compatible, tp_difference, tp_intersection, tp_union,

@@ -13,27 +13,27 @@
 //! The remaining unmatched windows — sub-intervals of partially covered `r`
 //! tuples — are added afterwards by [`lawau`](crate::lawau::lawau).
 //!
-//! ## Physical plans and output order
+//! ## One plan for every θ, and its output order
 //!
-//! θ alone decides the plan ([`auto_plan`]); nothing else can choose one:
+//! The join partitions `s` on the values of θ's equality conjuncts and
+//! sorts each partition by interval start once ([`SortedIntervalIndex`]); a
+//! θ with no equality has the empty key, so one partition. A probe
+//! binary-searches the first possibly overlapping candidate of its key's
+//! partition and scans forward until the candidates start past the probe
+//! interval, yielding intersections with non-decreasing starts. Each
+//! candidate is then checked against θ's other comparisons, its residual;
+//! the partition key decides the equalities:
 //!
-//! * [`OverlapJoinPlan::Sweep`] runs every pure equi-join. It partitions `s`
-//!   on the equi-join key and sorts each partition by interval start once
-//!   ([`SortedIntervalIndex`]); a probe binary-searches the first possibly
-//!   overlapping candidate and scans forward until the candidates start past
-//!   the probe interval, yielding intersections with non-decreasing starts.
-//!   The partition key decides θ: a pure equi-join holds for a pair exactly
-//!   when their keys are equal and hold no NULL, `Value`'s `Eq` is θ's `=`
-//!   except that NULL equals NULL, and its `Hash` agrees with its `Eq`. So a
-//!   NULL-free key's partition is exactly the θ-matching `s` tuples: keys
-//!   holding a NULL are neither indexed nor looked up (such a probe gets its
-//!   whole-interval unmatched window), and no candidate is re-checked.
-//! * [`OverlapJoinPlan::NestedLoop`] runs every other θ: it compares each
-//!   probe with all of `s`.
+//! * `Value`'s `Eq` is θ's `=` except that NULL equals NULL, and its `Hash`
+//!   agrees with its `Eq`, so a NULL-free key's partition is exactly the `s`
+//!   tuples whose equalities hold. Keys holding a NULL are neither indexed
+//!   nor looked up (such a probe gets its whole-interval unmatched window).
+//! * A pure equi-join has an empty residual, and its probe checks no
+//!   candidate at all.
 //!
-//! Both plans probe the `r` tuples in index order and emit each probe's
-//! windows sorted by `(start, end)`, so the join output is always **grouped
-//! by `r_idx` and ordered by window start within each group** — the order
+//! The `r` tuples are probed in index order and each probe's windows are
+//! sorted by `(start, end)`, so the join output is always **grouped by
+//! `r_idx` and ordered by window start within each group** — the order
 //! LAWAU and LAWAN consume — without any global re-sort of the joined
 //! windows.
 //!
@@ -54,55 +54,8 @@ use crate::theta::{BoundTheta, ThetaCondition};
 use crate::window::Window;
 use std::borrow::Borrow;
 use std::collections::{HashMap, VecDeque};
-use std::fmt;
 use tpdb_storage::{StorageError, TpRelation, TpTuple, Value};
 use tpdb_temporal::{SortedIntervalIndex, SortedIntervalIndexBuilder};
-
-/// The physical plan of an overlap join, as [`auto_plan`] decides it from
-/// θ: what `EXPLAIN` prints as `plan=…`.
-///
-/// ```
-/// use tpdb_core::{auto_plan, CompareOp, OverlapJoinPlan, ThetaCondition};
-///
-/// let (a, b) = tpdb_datagen::booking_example();
-/// let equi = ThetaCondition::column_equals("Loc", "Loc");
-/// let non_equi = equi.clone().and_compare("Name", CompareOp::Lt, "Hotel");
-/// let plan = |theta: &ThetaCondition| auto_plan(&theta.bind(a.schema(), b.schema()).unwrap());
-///
-/// assert_eq!(plan(&equi), OverlapJoinPlan::Sweep);
-/// assert_eq!(plan(&non_equi), OverlapJoinPlan::NestedLoop);
-/// assert_eq!(plan(&non_equi).to_string(), "nested-loop");
-/// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum OverlapJoinPlan {
-    /// Compare every pair of tuples: the plan of any θ that is not a pure
-    /// equi-join.
-    NestedLoop,
-    /// Hash-partition `s` on the equi-join key and sort each partition by
-    /// interval start; probe with a binary search plus bounded forward scan.
-    /// The plan of every pure equi-join.
-    Sweep,
-}
-
-impl fmt::Display for OverlapJoinPlan {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            OverlapJoinPlan::NestedLoop => "nested-loop",
-            OverlapJoinPlan::Sweep => "sweep",
-        })
-    }
-}
-
-/// The plan an overlap join under θ runs: sweep when θ is a pure equi-join,
-/// nested loop otherwise.
-#[must_use]
-pub fn auto_plan(bound: &BoundTheta) -> OverlapJoinPlan {
-    if bound.is_equi_join() {
-        OverlapJoinPlan::Sweep
-    } else {
-        OverlapJoinPlan::NestedLoop
-    }
-}
 
 /// Computes the overlapping windows of `r` with respect to `s` under θ,
 /// together with the whole-interval unmatched windows of `r` tuples that
@@ -121,45 +74,37 @@ fn has_null(key: &[Value]) -> bool {
 }
 
 /// The build-side structure of the overlap join, built on the pass's first
-/// pull and probed once per `r` tuple.
-pub(crate) enum ProbeIndex {
-    /// Per-key partitions sorted by interval start, one per NULL-free key
-    /// of `s`.
-    Sweep(HashMap<Vec<Value>, SortedIntervalIndex>),
-    /// No index: every probe scans all of `s`.
-    NestedLoop,
-}
+/// pull and probed once per `r` tuple: per-key partitions sorted by
+/// interval start, one per NULL-free key of `s` on θ's equalities.
+pub(crate) struct ProbeIndex(HashMap<Vec<Value>, SortedIntervalIndex>);
 
 impl ProbeIndex {
-    /// Builds the index of the plan θ decides ([`auto_plan`]).
+    /// Partitions `s` on θ's equalities; a tuple whose key holds a NULL
+    /// matches nothing and is left out.
     fn build(s: &TpRelation, bound: &BoundTheta) -> Self {
-        match auto_plan(bound) {
-            OverlapJoinPlan::Sweep => {
-                let mut builders: HashMap<Vec<Value>, SortedIntervalIndexBuilder> = HashMap::new();
-                let mut key = Vec::new();
-                for (si, st) in s.iter().enumerate() {
-                    bound.right_key_into(st, &mut key);
-                    if has_null(&key) {
-                        continue;
-                    }
-                    if let Some(builder) = builders.get_mut(key.as_slice()) {
-                        builder.push(st.interval(), si);
-                    } else {
-                        let mut builder = SortedIntervalIndexBuilder::default();
-                        builder.push(st.interval(), si);
-                        builders.insert(key.clone(), builder);
-                    }
-                }
-                ProbeIndex::Sweep(builders.into_iter().map(|(k, b)| (k, b.finish())).collect())
+        let mut builders: HashMap<Vec<Value>, SortedIntervalIndexBuilder> = HashMap::new();
+        let mut key = Vec::new();
+        for (si, st) in s.iter().enumerate() {
+            bound.right_key_into(st, &mut key);
+            if has_null(&key) {
+                continue;
             }
-            OverlapJoinPlan::NestedLoop => ProbeIndex::NestedLoop,
+            if let Some(builder) = builders.get_mut(key.as_slice()) {
+                builder.push(st.interval(), si);
+            } else {
+                let mut builder = SortedIntervalIndexBuilder::default();
+                builder.push(st.interval(), si);
+                builders.insert(key.clone(), builder);
+            }
         }
+        ProbeIndex(builders.into_iter().map(|(k, b)| (k, b.finish())).collect())
     }
+
     /// Appends the windows of the probe tuple `r[ri]` to `out`, sorted by
     /// `(start, end)`: its overlapping windows, or one whole-interval
     /// unmatched window when nothing matches. Each window is written once,
     /// in the buffer its consumer reads it from; `key` is the caller's
-    /// reused buffer for the probe's equi-join key.
+    /// reused buffer for the probe's partition key.
     fn probe_into(
         &self,
         ri: usize,
@@ -171,45 +116,38 @@ impl ProbeIndex {
     ) {
         let from = out.len();
         let r_iv = rt.interval();
-        let mut emit = |inter, si| out.push_back(Window::overlapping(inter, ri, si));
-        match self {
-            ProbeIndex::Sweep(partitions) => {
-                bound.left_key_into(rt, key);
-                // The partition of a NULL-free key is exactly the θ-matching
-                // `s` tuples, so no candidate is re-checked.
-                let partition = if has_null(key) {
-                    None
-                } else {
-                    partitions.get(key.as_slice())
-                };
-                if let Some(partition) = partition {
-                    for (s_iv, si) in partition.overlapping(r_iv) {
-                        #[expect(clippy::expect_used, reason = "index invariant")]
-                        let inter = r_iv
-                            .intersect(&s_iv)
-                            .expect("sorted-partition candidates overlap the probe");
-                        emit(inter, si);
-                    }
-                }
-            }
-            ProbeIndex::NestedLoop => {
-                for (si, st) in s.iter().enumerate() {
-                    if let Some(inter) = r_iv.intersect(&st.interval()) {
-                        if bound.matches(rt, st) {
-                            emit(inter, si);
-                        }
-                    }
-                }
+        bound.left_key_into(rt, key);
+        let partition = if has_null(key) {
+            None
+        } else {
+            self.0.get(key.as_slice())
+        };
+        if let Some(partition) = partition {
+            let candidates = partition.overlapping(r_iv);
+            let window = |(s_iv, si)| {
+                #[expect(clippy::expect_used, reason = "index invariant")]
+                let inter = r_iv
+                    .intersect(&s_iv)
+                    .expect("sorted-partition candidates overlap the probe");
+                Window::overlapping(inter, ri, si)
+            };
+            // The partition decides θ's equalities; only a residual is
+            // checked per candidate.
+            if bound.has_residual() {
+                let residual = |&(_, si): &(_, usize)| bound.residual_matches(rt, s.tuple(si));
+                out.extend(candidates.filter(residual).map(window));
+            } else {
+                out.extend(candidates.map(window));
             }
         }
         if out.len() == from {
             out.push_back(Window::unmatched(r_iv, ri));
         } else {
-            // The sweep plan already yields non-decreasing intersection
-            // starts, so this is a near-no-op run detection; the nested
-            // loop emits in s-index order and genuinely sorts here. Either way the sort is per probe group, never a global
-            // re-sort of the join output. (The buffer only ever grows from
-            // a cleared state, so it is already contiguous.)
+            // The candidates come in start order, so the intersection starts
+            // never decrease; the sort only orders the ends of the windows
+            // clipped to the probe's start. It is per probe group, never a
+            // global re-sort (the buffer only ever grows from a cleared
+            // state, so it is already contiguous).
             out.make_contiguous()[from..].sort_by_key(|w| (w.interval.start(), w.interval.end()));
         }
     }
@@ -230,9 +168,9 @@ pub struct OverlapWindowStream<R: Borrow<TpRelation>, S: Borrow<TpRelation>> {
     r: R,
     s: S,
     bound: BoundTheta,
-    /// The probe index of θ's plan; `None` until the first pull.
+    /// The probe index; `None` until the first pull.
     pub(crate) index: Option<ProbeIndex>,
-    /// The probe's equi-join key (reused across probes).
+    /// The probe's partition key (reused across probes).
     key: Vec<Value>,
     /// The next `r` index to probe.
     next_probe: usize,
@@ -242,7 +180,7 @@ pub struct OverlapWindowStream<R: Borrow<TpRelation>, S: Borrow<TpRelation>> {
 }
 
 impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
-    /// Creates the stream under θ; the plan is θ's ([`auto_plan`]).
+    /// Creates the stream under θ.
     pub fn new(r: R, s: S, theta: &ThetaCondition) -> Result<Self, StorageError> {
         let bound = theta.bind(r.borrow().schema(), s.borrow().schema())?;
         Ok(Self::from_bound(r, s, bound))
@@ -320,27 +258,73 @@ mod tests {
         assert_eq!(unmatched[0].interval, Interval::new(7, 10));
     }
 
-    #[test]
-    fn both_probe_indexes_agree_on_one_theta() {
-        // θ builds the sweep index; the nested loop runs over the same θ.
-        let (a, b, _) = booking_relations();
-        let theta = ThetaCondition::column_equals("Loc", "Loc");
-        let bound = theta.bind(a.schema(), b.schema()).unwrap();
-        let sweep = ProbeIndex::build(&b, &bound);
-        assert!(matches!(sweep, ProbeIndex::Sweep(_)));
-        let mut key = Vec::new();
-        for (ri, rt) in a.iter().enumerate() {
-            let (mut by_sweep, mut by_loop) = (VecDeque::new(), VecDeque::new());
-            sweep.probe_into(ri, rt, &b, &bound, &mut key, &mut by_sweep);
-            ProbeIndex::NestedLoop.probe_into(ri, rt, &b, &bound, &mut key, &mut by_loop);
-            assert_eq!(by_sweep, by_loop, "r[{ri}]");
+    /// The overlap join of one probe by definition: every `s` tuple that
+    /// overlaps `r[ri]` and satisfies θ, or the whole-interval unmatched
+    /// window when there is none.
+    fn nested_loop(ri: usize, r: &TpRelation, s: &TpRelation, bound: &BoundTheta) -> Vec<Window> {
+        let rt = r.tuple(ri);
+        let mut windows: Vec<Window> = s
+            .iter()
+            .enumerate()
+            .filter(|(_, st)| bound.matches(rt, st))
+            .filter_map(|(si, st)| {
+                let inter = rt.interval().intersect(&st.interval())?;
+                Some(Window::overlapping(inter, ri, si))
+            })
+            .collect();
+        if windows.is_empty() {
+            windows.push(Window::unmatched(rt.interval(), ri));
         }
-        let non_equi = theta.and_compare("Name", CompareOp::Lt, "Hotel");
-        let bound = non_equi.bind(a.schema(), b.schema()).unwrap();
-        assert!(matches!(
-            ProbeIndex::build(&b, &bound),
-            ProbeIndex::NestedLoop
-        ));
+        windows
+    }
+
+    #[test]
+    fn the_probe_equals_a_nested_loop_reference() {
+        // Pure equi-joins, equalities with a residual, residuals alone and
+        // θ = true, over the running example and over meteo data, whose
+        // few keys give crowded partitions and many clipped windows.
+        let (a, b, _) = booking_relations();
+        let (mr, ms) = tpdb_datagen::meteo_like(160, 3);
+        let loc = || ThetaCondition::column_equals("Loc", "Loc");
+        let metric = || ThetaCondition::column_equals("Metric", "Metric");
+        let station = |op| ThetaCondition::always().and_compare("Station", op, "Station");
+        let cases = [
+            (&a, &b, loc()),
+            (&a, &b, loc().and_compare("Name", CompareOp::Lt, "Hotel")),
+            (
+                &a,
+                &b,
+                ThetaCondition::always().and_compare("Loc", CompareOp::Ne, "Loc"),
+            ),
+            (&a, &b, ThetaCondition::always()),
+            (&mr, &ms, metric()),
+            (
+                &mr,
+                &ms,
+                metric().and_compare("Station", CompareOp::Le, "Station"),
+            ),
+            (&mr, &ms, station(CompareOp::Ge)),
+            (&mr, &ms, station(CompareOp::Ne)),
+            (&mr, &ms, ThetaCondition::always()),
+        ];
+        for (r, s, theta) in cases {
+            let bound = theta.bind(r.schema(), s.schema()).unwrap();
+            let index = ProbeIndex::build(s, &bound);
+            let mut key = Vec::new();
+            for (ri, rt) in r.iter().enumerate() {
+                let mut probed = VecDeque::new();
+                index.probe_into(ri, rt, s, &bound, &mut key, &mut probed);
+                let mut probed = Vec::from(probed);
+                let order = |w: &Window| (w.interval.start(), w.interval.end());
+                assert!(probed.is_sorted_by_key(order), "θ = {theta}, r[{ri}]");
+                // Windows with equal (start, end) may come in any order.
+                let full = |w: &Window| (order(w), w.s_idx);
+                probed.sort_by_key(full);
+                let mut expected = nested_loop(ri, r, s, &bound);
+                expected.sort_by_key(full);
+                assert_eq!(probed, expected, "θ = {theta}, r[{ri}]");
+            }
+        }
     }
 
     #[test]

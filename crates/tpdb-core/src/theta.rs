@@ -71,8 +71,9 @@ impl fmt::Display for CompareOp {
 ///
 /// θ is a conjunction of column-to-column comparisons. The common case in
 /// the paper — and the only case its datasets use — is a single equality
-/// (`a.Loc = b.Loc`), for which the overlap join runs the sweep plan; any
-/// other θ runs the nested loop ([`crate::auto_plan`]).
+/// (`a.Loc = b.Loc`). Every θ runs the same overlap join: it partitions `s`
+/// on θ's equalities and checks the other comparisons per candidate
+/// ([`BoundTheta`]).
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ThetaCondition {
     comparisons: Vec<(String, CompareOp, String)>,
@@ -129,21 +130,20 @@ impl ThetaCondition {
 
     /// Resolves the column names against concrete schemas.
     pub fn bind(&self, left: &Schema, right: &Schema) -> Result<BoundTheta, StorageError> {
-        let mut comparisons = Vec::with_capacity(self.comparisons.len());
         let mut equi_keys = Vec::new();
+        let mut residual = Vec::new();
         for (l, op, r) in &self.comparisons {
             let li = left.require(l)?;
             let ri = right.require(r)?;
-            comparisons.push((li, *op, ri));
             if *op == CompareOp::Eq {
                 equi_keys.push((li, ri));
+            } else {
+                residual.push((li, *op, ri));
             }
         }
-        let pure_equi = comparisons.len() == equi_keys.len();
         Ok(BoundTheta {
-            comparisons,
             equi_keys,
-            pure_equi,
+            residual,
         })
     }
 }
@@ -164,38 +164,53 @@ impl fmt::Display for ThetaCondition {
 }
 
 /// A [`ThetaCondition`] resolved to column positions of two concrete
-/// schemas.
+/// schemas and split for the overlap join: its equalities are the key the
+/// sweep partitions `s` on, and the other comparisons are the residual it
+/// checks per candidate. A θ with no equality has the empty key.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BoundTheta {
-    comparisons: Vec<(usize, CompareOp, usize)>,
     equi_keys: Vec<(usize, usize)>,
-    pure_equi: bool,
+    residual: Vec<(usize, CompareOp, usize)>,
 }
 
 impl BoundTheta {
     /// Does the pair of tuples satisfy θ?
     #[must_use]
     pub fn matches(&self, left: &TpTuple, right: &TpTuple) -> bool {
-        self.comparisons
+        self.equi_keys
+            .iter()
+            .all(|(li, ri)| CompareOp::Eq.eval(left.fact(*li), right.fact(*ri)))
+            && self.residual_matches(left, right)
+    }
+
+    /// Does the pair satisfy θ's comparisons other than its equalities?
+    pub(crate) fn residual_matches(&self, left: &TpTuple, right: &TpTuple) -> bool {
+        self.residual
             .iter()
             .all(|(li, op, ri)| op.eval(left.fact(*li), right.fact(*ri)))
+    }
+
+    /// Has θ a comparison other than its equalities?
+    pub(crate) fn has_residual(&self) -> bool {
+        !self.residual.is_empty()
     }
 
     /// Is the condition a non-empty conjunction of equalities only (keyed
     /// on its equi-join key)?
     #[must_use]
     pub fn is_equi_join(&self) -> bool {
-        self.pure_equi && !self.equi_keys.is_empty()
+        self.residual.is_empty() && !self.equi_keys.is_empty()
     }
 
-    /// Overwrites `key` with the left-side key of an equi-join condition.
-    /// The buffer is reused from call to call, so a probe allocates nothing.
+    /// Overwrites `key` with the left-side values of θ's equalities (empty
+    /// when it has none). The buffer is reused from call to call, so a probe
+    /// allocates nothing.
     pub fn left_key_into(&self, t: &TpTuple, key: &mut Vec<Value>) {
         key.clear();
         key.extend(self.equi_keys.iter().map(|(l, _)| t.fact(*l).clone()));
     }
 
-    /// Overwrites `key` with the right-side key of an equi-join condition.
+    /// Overwrites `key` with the right-side values of θ's equalities.
     pub fn right_key_into(&self, t: &TpTuple, key: &mut Vec<Value>) {
         key.clear();
         key.extend(self.equi_keys.iter().map(|(_, r)| t.fact(*r).clone()));

@@ -17,10 +17,7 @@ use crate::expr::BoundPredicate;
 use crate::plan::{JoinStrategy, LogicalPlan};
 use crate::TpdbError;
 use std::sync::Arc;
-use tpdb_core::{
-    auto_plan, CompareOp, OverlapJoinPlan, ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind,
-    TpSetOpStream,
-};
+use tpdb_core::{ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind, TpSetOpStream};
 use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{Catalog, Schema, TpRelation, TpTuple};
 
@@ -315,31 +312,6 @@ impl WindowOpExec {
         }
     }
 
-    /// The overlap-join plan θ decides for the NJ machinery; `None` under
-    /// TA, which finds its matches with its own matcher, and when θ does
-    /// not bind (the error surfaces at execution).
-    fn plan(&self) -> Option<OverlapJoinPlan> {
-        let theta = match &self.op {
-            WindowOp::Join {
-                strategy: JoinStrategy::Ta,
-                ..
-            } => return None,
-            WindowOp::Join { theta, .. } => theta.clone(),
-            // All-attribute equality; the planner checked that both inputs
-            // name their columns alike.
-            WindowOp::SetOp(_) => self
-                .left
-                .schema()
-                .fields()
-                .iter()
-                .fold(ThetaCondition::always(), |theta, f| {
-                    theta.and_compare(&f.name, CompareOp::Eq, &f.name)
-                }),
-        };
-        let bound = theta.bind(self.left.schema(), self.right.schema()).ok()?;
-        Some(auto_plan(&bound))
-    }
-
     /// Materializes the inputs and starts the operator. Scan children hand
     /// over their stored relation without a tuple-by-tuple copy.
     fn start(&mut self) -> Result<OpState, TpdbError> {
@@ -388,10 +360,6 @@ impl PhysicalOperator for WindowOpExec {
     }
 
     fn describe(&self) -> String {
-        let notes = self
-            .plan()
-            .map(|p| format!(" plan={p}"))
-            .unwrap_or_default();
         let inputs = format!("[{}; {}]", self.left.describe(), self.right.describe());
         match &self.op {
             WindowOp::Join {
@@ -399,11 +367,11 @@ impl PhysicalOperator for WindowOpExec {
                 kind,
                 strategy,
             } => format!(
-                "TpJoin {} [{strategy}{notes}] ({theta}) over {inputs}",
+                "TpJoin {} [{strategy}] ({theta}) over {inputs}",
                 kind.symbol()
             ),
             WindowOp::SetOp(kind) => {
-                format!("SetOp {kind} [{}{notes}] over {inputs}", kind.symbol())
+                format!("SetOp {kind} [{}] over {inputs}", kind.symbol())
             }
         }
     }
@@ -421,6 +389,7 @@ mod tests {
     use super::*;
     use crate::expr::{LiteralPredicate, PredicateOp};
     use crate::planner::plan_query;
+    use tpdb_core::CompareOp;
     use tpdb_storage::Value;
 
     fn catalog() -> Catalog {
@@ -632,14 +601,11 @@ mod tests {
         for (plan, expected) in [
             (
                 join(JoinStrategy::Nj, equi.clone()),
-                format!("TpJoin ⟕ [NJ plan=sweep] (r.Loc = s.Loc) over {inputs}"),
+                format!("TpJoin ⟕ [NJ] (r.Loc = s.Loc) over {inputs}"),
             ),
             (
                 join(JoinStrategy::Nj, non_equi.clone()),
-                format!(
-                    "TpJoin ⟕ [NJ plan=nested-loop] (r.Loc = s.Loc ∧ r.Name < s.Hotel) \
-                     over {inputs}"
-                ),
+                format!("TpJoin ⟕ [NJ] (r.Loc = s.Loc ∧ r.Name < s.Hotel) over {inputs}"),
             ),
             (
                 join(JoinStrategy::Ta, equi),
@@ -649,7 +615,7 @@ mod tests {
                 join(JoinStrategy::Ta, non_equi),
                 format!("TpJoin ⟕ [TA] (r.Loc = s.Loc ∧ r.Name < s.Hotel) over {inputs}"),
             ),
-            (union, format!("SetOp UNION [∪ plan=sweep] over {meteo}")),
+            (union, format!("SetOp UNION [∪] over {meteo}")),
         ] {
             assert_eq!(plan_query(&c, &plan).unwrap().describe(), expected);
         }

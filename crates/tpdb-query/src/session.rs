@@ -606,7 +606,7 @@ mod tests {
         // EXPLAIN prints both plans and the cache line
         let text = session.explain(q).unwrap();
         assert!(text.contains("SetOp UNION (∪)"), "{text}");
-        assert!(text.contains("[∪ plan=sweep]"), "{text}");
+        assert!(text.contains("SetOp UNION [∪] over"), "{text}");
         assert!(text.contains("Plan cache:"), "{text}");
 
         // parameterized set operations prepare and bind like any statement

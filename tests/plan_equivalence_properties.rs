@@ -1,7 +1,9 @@
 //! Property tests: NJ ≡ TA on adversarial synthetic data, for every TP join
-//! kind under **both** overlap-join plans. θ alone selects the plan: the
-//! equi-join `k = k` runs the sweep, and the equivalent non-equi
-//! `k = k ∧ k <= k` runs the nested loop.
+//! kind under four θ shapes. The overlap join has one plan: it partitions
+//! `s` on θ's equalities and checks θ's other comparisons per candidate. So
+//! the shapes are what vary: the pure equi-join `k = k` (no residual, no
+//! re-check), an equi-join with a residual `k = k ∧ k <= k`, a residual
+//! alone (`k < k`, one partition) and θ = `true`.
 //!
 //! The generators deliberately produce the inputs that stress the sweep
 //! join and the window algorithms most:
@@ -11,14 +13,17 @@
 //! * **shared interval endpoints** — starts drawn from a small grid, so
 //!   many windows open/close at the same boundary,
 //! * **single-point intervals** `[t, t+1)` — the smallest representable
-//!   windows, adjacent to everything around them.
+//!   windows, adjacent to everything around them,
+//! * **long-lived tuples** — one `s` tuple per key spanning the whole
+//!   history, which every probe of that key scans.
 //!
-//! Beside the single-key join, the plans are held to TA on keys that stress
+//! Beside the single-key join, the shapes are held to TA on keys that stress
 //! how the sweep index hashes and compares them: two-column keys, NULL keys
 //! (which hash together but never match), an `Int` key against a `Float`
 //! key around 2^53, where rounding would equate distinct integers, and the
-//! signed zeros and NaN. The sweep does not re-check θ on the tuples of a
-//! partition, so these cases are what hold its partition key to θ.
+//! signed zeros and NaN. The sweep does not re-check θ's equalities on the
+//! tuples of a partition, so these cases are what hold its partition key
+//! to θ.
 
 use proptest::prelude::*;
 use tpdb::core::{tp_join, CompareOp, ThetaCondition, TpJoinKind};
@@ -27,12 +32,27 @@ use tpdb::storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb::ta::ta_join;
 use tpdb::temporal::Interval;
 
-/// One θ per plan, both meaning the equi-join `equi`: `equi` itself runs
-/// the sweep, and the vacuous conjunct `k <= k` makes it non-equi and runs
-/// the nested loop.
-fn plans(equi: &ThetaCondition) -> [(&'static str, ThetaCondition); 2] {
-    let non_equi = equi.clone().and_compare("k", CompareOp::Le, "k");
-    [("sweep", equi.clone()), ("nested-loop", non_equi)]
+/// The four θ shapes over the key columns `keys`: the pure equi-join on all
+/// of them, an equality on the first with a residual `<=` on the last, a
+/// residual `<` on the last alone, and θ = `true`.
+fn shapes(keys: &[&str]) -> [(&'static str, ThetaCondition); 4] {
+    let (first, last) = (keys[0], keys[keys.len() - 1]);
+    let equi = keys.iter().fold(ThetaCondition::always(), |theta, k| {
+        theta.and_compare(k, CompareOp::Eq, k)
+    });
+    let keyed = ThetaCondition::column_equals(first, first);
+    [
+        ("equi", equi),
+        (
+            "equi + residual",
+            keyed.and_compare(last, CompareOp::Le, last),
+        ),
+        (
+            "residual",
+            ThetaCondition::always().and_compare(last, CompareOp::Lt, last),
+        ),
+        ("true", ThetaCondition::always()),
+    ]
 }
 
 const KINDS: [TpJoinKind; 5] = [
@@ -88,7 +108,7 @@ fn build_facts(
 
 /// Canonical form of a join result: facts, interval and probability rounded
 /// to 1e-9, sorted. Lineage *syntax* may legitimately differ between the
-/// systems and plans; semantics — and therefore probabilities — may not.
+/// systems; semantics — and therefore probabilities — may not.
 fn canon(rel: &TpRelation) -> Vec<(Vec<String>, i64, i64, i64)> {
     let mut out: Vec<(Vec<String>, i64, i64, i64)> = rel
         .iter()
@@ -105,21 +125,22 @@ fn canon(rel: &TpRelation) -> Vec<(Vec<String>, i64, i64, i64)> {
     out
 }
 
-fn assert_all_plans_match_ta(r: &TpRelation, s: &TpRelation) {
-    assert_plans_match_ta(r, s, &ThetaCondition::column_equals("k", "k"));
+/// NJ equals TA under θ for every join kind.
+fn assert_matches_ta(r: &TpRelation, s: &TpRelation, name: &str, theta: &ThetaCondition) {
+    for kind in KINDS {
+        let ta = canon(&ta_join(r, s, theta, kind).unwrap());
+        let nj = canon(&tp_join(r, s, theta, kind).unwrap());
+        assert_eq!(
+            nj, ta,
+            "NJ and TA disagree on the {kind:?} join under {name} θ = {theta} of r={r} s={s}"
+        );
+    }
 }
 
-/// Both plans of the equi-join `equi` equal TA for every join kind.
-fn assert_plans_match_ta(r: &TpRelation, s: &TpRelation, equi: &ThetaCondition) {
-    for kind in KINDS {
-        let ta = canon(&ta_join(r, s, equi, kind).unwrap());
-        for (plan, theta) in plans(equi) {
-            let nj = canon(&tp_join(r, s, &theta, kind).unwrap());
-            assert_eq!(
-                nj, ta,
-                "NJ ({plan}) and TA disagree on the {kind:?} join of r={r} s={s}"
-            );
-        }
+/// Every θ shape over `keys` equals TA for every join kind.
+fn assert_shapes_match_ta(r: &TpRelation, s: &TpRelation, keys: &[&str]) {
+    for (name, theta) in shapes(keys) {
+        assert_matches_ta(r, s, name, &theta);
     }
 }
 
@@ -154,49 +175,83 @@ fn two_key_relation(name: &str, var_offset: u32, rows: &[(Vec<Value>, i64, i64)]
     build_facts(name, var_offset, &columns, rows)
 }
 
+/// Relations over `(k, v)` from adversarial rows, `v` = `(start + d) % 2`,
+/// with one more `s` tuple per key of either side: `(key, 2)`, valid over
+/// the whole history and a little beyond. Its facts differ from every
+/// other tuple's, so `s` stays duplicate-free. The residual `v <= v` holds
+/// for every long-lived tuple and for some of the others.
+fn with_long_lived(rr: &[(i64, i64, i64)], ss: &[(i64, i64, i64)]) -> (TpRelation, TpRelation) {
+    let columns = [("k", DataType::Int), ("v", DataType::Int)];
+    let facts = |rows: &[(i64, i64, i64)]| -> Vec<(Vec<Value>, i64, i64)> {
+        let fact = |&(k, start, d): &(i64, i64, i64)| {
+            (vec![Value::Int(k), Value::Int((start + d) % 2)], start, d)
+        };
+        rows.iter().map(fact).collect()
+    };
+    let mut s_rows = facts(ss);
+    let all = || rr.iter().chain(ss);
+    let first = all().map(|&(_, start, _)| start).min().unwrap_or(0) - 1;
+    let last = all().map(|&(_, start, d)| start + d).max().unwrap_or(0) + 1;
+    let mut keys: Vec<i64> = all().map(|&(k, _, _)| k).collect();
+    keys.sort_unstable();
+    keys.dedup();
+    s_rows.extend(
+        keys.into_iter()
+            .map(|k| (vec![Value::Int(k), Value::Int(2)], first, last - first)),
+    );
+    let r = build_facts("r", 0, &columns, &facts(rr));
+    (r, build_facts("s", 1000, &columns, &s_rows))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(40))]
 
-    /// A two-column key: the sweep partitions on `(k, k2)`.
+    /// A two-column key: the sweep partitions on `(k, k2)`, or on `k` with
+    /// the residual `k2 <= k2`.
     #[test]
     fn a_two_column_key_runs_every_plan_as_ta(rr in two_key_rows(false), ss in two_key_rows(false)) {
         let r = two_key_relation("r", 0, &rr);
         let s = two_key_relation("s", 1000, &ss);
-        let equi = ThetaCondition::column_equals("k", "k").and_compare("k2", CompareOp::Eq, "k2");
-        assert_plans_match_ta(&r, &s, &equi);
+        assert_shapes_match_ta(&r, &s, &["k", "k2"]);
     }
 
-    /// NULL keys on either side share a sweep partition but never match.
+    /// NULL keys on either side share a sweep partition but never match,
+    /// and a NULL never satisfies a residual.
     #[test]
     fn null_keys_never_match_under_any_plan(rr in two_key_rows(true), ss in two_key_rows(true)) {
         let r = two_key_relation("r", 0, &rr);
         let s = two_key_relation("s", 1000, &ss);
-        // θ and the columns of an inner-join row (r's, then s's) it compares.
-        for (equi, keys) in [
-            (ThetaCondition::column_equals("k", "k"), &[0, 2][..]),
-            (
-                ThetaCondition::column_equals("k", "k").and_compare("k2", CompareOp::Eq, "k2"),
-                &[0, 1, 2, 3][..],
-            ),
-        ] {
-            assert_plans_match_ta(&r, &s, &equi);
-            let inner = tp_join(&r, &s, &equi, TpJoinKind::Inner).unwrap();
-            prop_assert!(inner.iter().all(|t| keys.iter().all(|&i| !t.fact(i).is_null())), "{}", inner);
+        // The column of an inner-join row (r's, then s's) a θ column names.
+        let column = |name: &str, side: usize| usize::from(name == "k2") + 2 * side;
+        for keys in [&["k"][..], &["k", "k2"][..]] {
+            assert_shapes_match_ta(&r, &s, keys);
+            for (name, theta) in shapes(keys) {
+                let inner = tp_join(&r, &s, &theta, TpJoinKind::Inner).unwrap();
+                let compared: Vec<usize> = theta.comparisons().iter()
+                    .flat_map(|(l, _, r)| [column(l, 0), column(r, 1)])
+                    .collect();
+                let non_null = |t: &TpTuple| compared.iter().all(|&i| !t.fact(i).is_null());
+                prop_assert!(inner.iter().all(non_null), "{} θ = {}: {}", name, theta, inner);
+            }
         }
     }
 
     #[test]
-    fn nj_equals_ta_under_every_plan(rr in adversarial_rows(), ss in adversarial_rows()) {
+    fn nj_equals_ta_under_every_theta_shape(rr in adversarial_rows(), ss in adversarial_rows()) {
         let r = build("r", 0, &rr);
         let s = build("s", 1000, &ss);
+        assert_shapes_match_ta(&r, &s, &["k"]);
+    }
+
+    /// A long-lived `s` tuple per key: every probe of the key scans it, and
+    /// it bounds the partition's scan start (`start − max_duration`).
+    #[test]
+    fn long_lived_tuples_run_as_ta(rr in adversarial_rows(), ss in adversarial_rows()) {
+        let (r, s) = with_long_lived(&rr, &ss);
         let equi = ThetaCondition::column_equals("k", "k");
-        for kind in KINDS {
-            let ta = canon(&ta_join(&r, &s, &equi, kind).unwrap());
-            for (plan, theta) in plans(&equi) {
-                let nj = canon(&tp_join(&r, &s, &theta, kind).unwrap());
-                prop_assert_eq!(&nj, &ta, "kind = {:?}, plan = {}", kind, plan);
-            }
-        }
+        let residual = equi.clone().and_compare("v", CompareOp::Le, "v");
+        assert_matches_ta(&r, &s, "equi", &equi);
+        assert_matches_ta(&r, &s, "equi + residual", &residual);
     }
 }
 
@@ -206,7 +261,7 @@ proptest! {
 fn an_int_key_matches_a_float_key_only_when_it_is_exactly_equal() {
     // θ binding does not check types: `r.k` is an Int, `s.k` a Float. Around
     // 2^53 distinct integers round to one float, yet only 2^53 itself
-    // equals 2^53.0, whichever plan or system runs the join.
+    // equals 2^53.0, whichever θ shape or system runs the join.
     let two_53 = 1i64 << 53;
     let ints = [two_53 - 1, two_53, two_53 + 1, two_53 + 2];
     let r_rows: Vec<_> = ints.iter().map(|&k| (vec![Value::Int(k)], 0, 10)).collect();
@@ -217,15 +272,15 @@ fn an_int_key_matches_a_float_key_only_when_it_is_exactly_equal() {
         .map(|&k| (vec![Value::Float(k)], 2, 4))
         .collect();
     let s = build_facts("s", 1000, &[("k", DataType::Float)], &s_rows);
-    let equi = ThetaCondition::column_equals("k", "k");
-    assert_plans_match_ta(&r, &s, &equi);
-    for (plan, theta) in plans(&equi) {
+    assert_shapes_match_ta(&r, &s, &["k"]);
+    // The two shapes that hold `k = k`.
+    for (name, theta) in shapes(&["k"]).into_iter().take(2) {
         let inner = tp_join(&r, &s, &theta, TpJoinKind::Inner).unwrap();
         let matched: Vec<&Value> = inner.iter().map(|t| t.fact(0)).collect();
         assert_eq!(
             matched,
             [&Value::Int(two_53), &Value::Int(two_53 + 2)],
-            "{plan}"
+            "{name}"
         );
     }
 }
@@ -265,8 +320,7 @@ fn the_sweep_partition_of_a_key_is_exactly_its_theta_matches() {
     let r = build_facts("r", 0, &columns, &rows(|_| (0, 10)));
     let s = build_facts("s", 1000, &columns, &rows(|i| (2 + (i % 3) as i64, 4)));
     assert_eq!((r.len(), s.len()), (keys.len(), keys.len()));
-    let equi = ThetaCondition::column_equals("k", "k");
-    assert_plans_match_ta(&r, &s, &equi);
+    assert_shapes_match_ta(&r, &s, &["k"]);
 
     // The matching (r id, s id) pairs, by key index above.
     let expected = [
@@ -290,14 +344,13 @@ fn the_sweep_partition_of_a_key_is_exactly_its_theta_matches() {
         pairs.dedup();
         pairs
     };
-    for (plan, theta) in plans(&equi) {
+    // The two shapes that hold `k = k`.
+    for (name, theta) in shapes(&["k"]).into_iter().take(2) {
         let inner = tp_join(&r, &s, &theta, TpJoinKind::Inner).unwrap();
-        assert_eq!(ids(&inner), expected, "{plan}");
+        assert_eq!(ids(&inner), expected, "{name}");
+        let ta = ta_join(&r, &s, &theta, TpJoinKind::Inner).unwrap();
+        assert_eq!(ids(&ta), expected, "{name}");
     }
-    assert_eq!(
-        ids(&ta_join(&r, &s, &equi, TpJoinKind::Inner).unwrap()),
-        expected
-    );
 }
 
 #[test]
@@ -312,7 +365,7 @@ fn identical_intervals_in_a_dense_partition() {
     );
     // duplicate-free pruning keeps only the first of the identical rows, so
     // force distinct-but-touching copies too
-    assert_all_plans_match_ta(&r, &s);
+    assert_shapes_match_ta(&r, &s, &["k"]);
 }
 
 #[test]
@@ -325,7 +378,7 @@ fn chain_of_single_point_intervals() {
         1000,
         &[(0, 2, 1), (0, 3, 1), (0, 4, 1), (0, 5, 1), (0, 6, 1)],
     );
-    assert_all_plans_match_ta(&r, &s);
+    assert_shapes_match_ta(&r, &s, &["k"]);
 }
 
 #[test]
@@ -343,7 +396,7 @@ fn shared_endpoints_staircase() {
         ))
         .unwrap();
     }
-    assert_all_plans_match_ta(&r, &s);
+    assert_shapes_match_ta(&r, &s, &["k"]);
 }
 
 #[test]
@@ -356,5 +409,5 @@ fn single_point_probe_tuples() {
         &[(0, 3, 1), (0, 4, 1), (0, 7, 1), (1, 3, 1), (1, 9, 1)],
     );
     let s = build("s", 1000, &[(0, 0, 4), (0, 4, 4), (1, 2, 2), (1, 8, 1)]);
-    assert_all_plans_match_ta(&r, &s);
+    assert_shapes_match_ta(&r, &s, &["k"]);
 }

@@ -344,3 +344,61 @@ proptest! {
         check(&r, &s, &query, &expected)?;
     }
 }
+
+// ---- projection: pinned ahead of its fix ----------------------------------
+//
+// A projection that drops a column must coalesce the rows whose projected
+// facts are equal: over the time points where several of them hold, the
+// fact holds with the probability of their disjunction. ROADMAP item 1
+// fixes this; until then these tests are ignored.
+
+/// `r(k, v)` = {(1, 1) on [0,5), (1, 2) on [2,8)} and `s` = {(1, 3) on
+/// [4,9)}, each with probability 0.5.
+fn projection_inputs() -> (Vec<Base>, Vec<Base>) {
+    let r = bases(&[(1, 1, 0, 5, 0.5), (1, 2, 2, 6, 0.5)]);
+    let s = bases(&[(1, 3, 4, 5, 0.5)]);
+    (r, s)
+}
+
+/// The deterministic `π_k` of a snapshot's rows, whose `k` is column `at`.
+fn project_k(rows: impl IntoIterator<Item = Row>, at: usize) -> Vec<Row> {
+    let mut ks: Vec<Row> = rows.into_iter().map(|row| vec![row[at]]).collect();
+    ks.sort();
+    ks.dedup();
+    ks
+}
+
+#[test]
+#[ignore = "projection keeps duplicates: fact 1 is reported twice at t=2 (x0 and x1, \
+            0.5 each) instead of once as x0 ∨ x1 = 0.75 on [2,5); ROADMAP item 1"]
+fn a_projection_coalesces_equal_facts() {
+    let (r, s) = projection_inputs();
+    let expected = oracle(&r, &s, |r_t, _| project_k(r_t.iter().map(single), 0));
+    assert_eq!(expected.get(&(vec![Some(1)], 2)), Some(&0.75));
+    check(&r, &s, &|_| "SELECT k FROM r".to_owned(), &expected).unwrap();
+}
+
+#[test]
+#[ignore = "projection keeps duplicates: fact 1 is reported twice at t=4 (x0 ∨ x2 and \
+            x1 ∨ x2, 0.75 each) instead of once as x0 ∨ x1 ∨ x2 = 0.875; ROADMAP item 1"]
+fn a_union_of_projections_coalesces_equal_facts() {
+    let (r, s) = projection_inputs();
+    let expected = oracle(&r, &s, |r_t, s_t| {
+        project_k(r_t.iter().chain(s_t).map(single), 0)
+    });
+    assert_eq!(expected.get(&(vec![Some(1)], 4)), Some(&0.875));
+    let query = |_: &str| "(SELECT k FROM r) UNION (SELECT k FROM s)".to_owned();
+    check(&r, &s, &query, &expected).unwrap();
+}
+
+#[test]
+#[ignore = "projection keeps duplicates: fact 1 is reported four times at t=4 (x0 ∧ x2, \
+            x0 ∧ ¬x2, x1 ∧ x2, x1 ∧ ¬x2, 0.25 each) instead of once as x0 ∨ x1 = 0.75; \
+            ROADMAP item 1"]
+fn a_projected_left_outer_join_coalesces_equal_facts() {
+    let (r, s) = projection_inputs();
+    let expected = oracle(&r, &s, |r_t, s_t| project_k(Op::Left.eval(r_t, s_t), 0));
+    assert_eq!(expected.get(&(vec![Some(1)], 4)), Some(&0.75));
+    let query = |suffix: &str| format!("SELECT k FROM r TP LEFT JOIN s ON r.k = s.k{suffix}");
+    check(&r, &s, &query, &expected).unwrap();
+}
