@@ -164,7 +164,7 @@ pub fn zipf(config: &GeneratorConfig, skew: f64) -> TpRelation {
 /// version intervals per file and a selective equi-join on the file id.
 ///
 /// Returns the positive and negative relation of the experiments (schema
-/// `(File: INT)` each), with disjoint lineage variable ranges.
+/// `(Key: INT)` each, the file id), with disjoint lineage variable ranges.
 #[must_use]
 pub fn webkit_like(tuples: usize, seed: u64) -> (TpRelation, TpRelation) {
     let keys = (tuples / 20).max(1);
@@ -184,7 +184,7 @@ pub fn webkit_like(tuples: usize, seed: u64) -> (TpRelation, TpRelation) {
         avg_gap: 5,
         seed: seed.wrapping_add(1),
     });
-    (r.renamed("webkit_r"), rename_keys(s, "webkit_s"))
+    (r, s)
 }
 
 /// Generates a **Meteo-like** dataset pair: station measurements with very
@@ -250,10 +250,6 @@ fn meteo_relation(name: &str, tuples: usize, seed: u64, symbol_offset: u64) -> T
         extra_station += 1;
     }
     rel
-}
-
-fn rename_keys(rel: TpRelation, name: &str) -> TpRelation {
-    rel.renamed(name)
 }
 
 #[cfg(test)]

@@ -3,6 +3,7 @@
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
+use std::sync::Arc;
 
 /// Identifier of a base-tuple boolean random variable.
 ///
@@ -31,10 +32,15 @@ impl fmt::Display for VarId {
 /// The storage layer interns one symbol per base tuple (typically
 /// `"<relation><ordinal>"`, e.g. `a1`, `b3`); lineage formulas store only the
 /// compact [`VarId`]s.
+///
+/// Each name is allocated once: the id→name vector and the name→id index
+/// share it. The index keeps std's randomly keyed hasher, because names
+/// come from files: a predictable hash would let a crafted snapshot make
+/// loading quadratic.
 #[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct SymbolTable {
-    names: Vec<String>,
-    by_name: HashMap<String, VarId>,
+    names: Vec<Arc<str>>,
+    by_name: HashMap<Arc<str>, VarId>,
 }
 
 impl SymbolTable {
@@ -57,9 +63,20 @@ impl SymbolTable {
             return id;
         }
         let id = VarId(u32::try_from(self.names.len()).expect("too many lineage variables"));
-        self.names.push(name.to_owned());
-        self.by_name.insert(name.to_owned(), id);
+        self.insert_new(Arc::from(name), id);
         id
+    }
+
+    /// Records a name known to be absent under `id`, the next position.
+    fn insert_new(&mut self, name: Arc<str>, id: VarId) {
+        self.names.push(Arc::clone(&name));
+        self.by_name.insert(name, id);
+    }
+
+    /// Reserves room for `additional` more names.
+    pub fn reserve(&mut self, additional: usize) {
+        self.names.reserve(additional);
+        self.by_name.reserve(additional);
     }
 
     /// Allocates a fresh anonymous variable with a generated name.
@@ -77,7 +94,7 @@ impl SymbolTable {
     /// The name of a variable, if it was interned through this table.
     #[must_use]
     pub fn name(&self, id: VarId) -> Option<&str> {
-        self.names.get(id.0 as usize).map(String::as_str)
+        self.names.get(id.0 as usize).map(AsRef::as_ref)
     }
 
     /// Number of interned variables.
@@ -97,25 +114,29 @@ impl SymbolTable {
         self.names
             .iter()
             .enumerate()
-            .map(|(i, n)| (VarId(i as u32), n.as_str()))
+            .map(|(i, n)| (VarId(i as u32), n.as_ref()))
     }
 
     /// Rebuilds a table from an id-ordered name list (the inverse of
     /// [`SymbolTable::iter`]): position `i` becomes `VarId(i)`. Used by the
-    /// storage layer's snapshot import. Fails if the list contains a
-    /// duplicate or exceeds the `u32` id space, since such a dictionary
-    /// cannot have been produced by [`SymbolTable::intern`].
-    pub fn from_names(names: Vec<String>) -> Result<Self, SymbolTableError> {
-        if u32::try_from(names.len()).is_err() {
-            return Err(SymbolTableError::IdSpaceExhausted);
-        }
-        let mut by_name = HashMap::with_capacity(names.len());
-        for (i, name) in names.iter().enumerate() {
-            if by_name.insert(name.clone(), VarId(i as u32)).is_some() {
-                return Err(SymbolTableError::DuplicateName(name.clone()));
+    /// storage layer's snapshot import, which hands in slices of the
+    /// snapshot's payload. Fails if the list contains a duplicate or
+    /// exceeds the `u32` id space, since such a dictionary cannot have been
+    /// produced by [`SymbolTable::intern`].
+    pub fn from_names<'a>(
+        names: impl IntoIterator<Item = &'a str>,
+    ) -> Result<Self, SymbolTableError> {
+        let names = names.into_iter();
+        let mut table = Self::new();
+        table.reserve(names.size_hint().0);
+        for (i, name) in names.enumerate() {
+            let id = VarId(u32::try_from(i).map_err(|_| SymbolTableError::IdSpaceExhausted)?);
+            if table.by_name.contains_key(name) {
+                return Err(SymbolTableError::DuplicateName(name.to_owned()));
             }
+            table.insert_new(Arc::from(name), id);
         }
-        Ok(Self { names, by_name })
+        Ok(table)
     }
 }
 
@@ -195,8 +216,7 @@ mod tests {
         let mut t = SymbolTable::new();
         t.intern("a1");
         t.intern("b1");
-        let names: Vec<String> = t.iter().map(|(_, n)| n.to_owned()).collect();
-        let rebuilt = SymbolTable::from_names(names).unwrap();
+        let rebuilt = SymbolTable::from_names(t.iter().map(|(_, n)| n)).unwrap();
         assert_eq!(rebuilt.lookup("a1"), Some(VarId(0)));
         assert_eq!(rebuilt.lookup("b1"), Some(VarId(1)));
         assert_eq!(rebuilt.len(), 2);
@@ -204,7 +224,7 @@ mod tests {
 
     #[test]
     fn from_names_rejects_duplicates() {
-        let err = SymbolTable::from_names(vec!["a".into(), "a".into()]).unwrap_err();
+        let err = SymbolTable::from_names(["a", "a"]).unwrap_err();
         assert_eq!(err, SymbolTableError::DuplicateName("a".into()));
     }
 }

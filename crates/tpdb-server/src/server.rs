@@ -593,9 +593,10 @@ fn run_statement(
         LogicalPlan::LoadSnapshot { path } => {
             let loaded = inner.shared.update(|catalog| {
                 catalog.load_snapshot(path)?;
-                // A cheap clone (relations stay shared) pins the freshly
-                // loaded state for the summary even if another update
-                // lands right behind this one.
+                // A clone that allocates per relation, not per tuple
+                // (relations, symbols and marginals stay shared), pins the
+                // freshly loaded state for the summary even if another
+                // update lands right behind this one.
                 Ok::<Catalog, tpdb_storage::StorageError>(catalog.clone())
             })?;
             snapshot_summary(&loaded)?

@@ -7,6 +7,7 @@ use crate::schema::Schema;
 use crate::tuple::TpTuple;
 use crate::value::Value;
 use std::collections::{HashMap, HashSet};
+use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
 use tpdb_lineage::{Lineage, LineageArena, MarginalMap, ProbabilityEngine, SymbolTable, VarId};
 use tpdb_temporal::Interval;
@@ -41,13 +42,15 @@ use tpdb_temporal::Interval;
 /// threads share a catalog only through the immutable `Arc<Catalog>`
 /// snapshots of a [`SharedCatalog`](crate::SharedCatalog), whose
 /// [`update`](crate::SharedCatalog::update) mutates a private clone.
-/// `Clone` copies the relation map and symbol table and shares the
-/// relation payloads, the marginal map and the arena (until one side
-/// writes).
+/// `Clone` copies the relation map — one entry per relation — and shares
+/// the relation payloads, the symbol table, the marginal map and the arena
+/// (until one side writes), so it allocates per relation, never per tuple.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     relations: HashMap<String, Arc<TpRelation>>,
-    symbols: SymbolTable,
+    /// Behind an `Arc` with copy-on-write through `Arc::make_mut`, like
+    /// `probabilities`: a clone shares it until one side interns a name.
+    symbols: Arc<SymbolTable>,
     /// One entry per base tuple, in the map type the probability engine
     /// prices from and behind an `Arc`, so every engine handed out shares
     /// it ([`probability_engine`](Self::probability_engine)); mutations go
@@ -85,6 +88,7 @@ impl Catalog {
         Ok(RelationBuilder {
             catalog: self,
             relation: TpRelation::new(name, schema),
+            symbol: String::new(),
             error: None,
         })
     }
@@ -185,7 +189,7 @@ impl Catalog {
     /// Mutable access to the symbol table (used by generators that intern
     /// their own variables).
     pub fn symbols_mut(&mut self) -> &mut SymbolTable {
-        &mut self.symbols
+        Arc::make_mut(&mut self.symbols)
     }
 
     /// The registered probability of a base-tuple variable.
@@ -241,7 +245,7 @@ impl Catalog {
             .into_iter()
             .map(|r| (r.name().to_owned(), Arc::new(r)))
             .collect();
-        self.symbols = symbols;
+        self.symbols = Arc::new(symbols);
         self.probabilities = Arc::new(probabilities);
         self.bump();
     }
@@ -281,6 +285,8 @@ pub(crate) fn atomic_marginals<'a>(
 pub struct RelationBuilder<'a> {
     catalog: &'a mut Catalog,
     relation: TpRelation,
+    /// The name being interned, rewritten in place by every push.
+    symbol: String,
     error: Option<StorageError>,
 }
 
@@ -297,17 +303,26 @@ impl RelationBuilder<'_> {
             return self;
         }
         let ordinal = self.relation.len() + 1;
-        let mut symbol = format!("{}{}", self.relation.name(), ordinal);
-        let mut var = self.catalog.symbols.intern(&symbol);
+        self.symbol.clear();
+        self.symbol.push_str(self.relation.name());
+        let _ = write!(self.symbol, "{ordinal}");
+        let symbols = Arc::make_mut(&mut self.catalog.symbols);
+        let mut var = symbols.intern(&self.symbol);
         while self.catalog.probabilities.contains_key(&var) {
-            symbol.push('\'');
-            var = self.catalog.symbols.intern(&symbol);
+            self.symbol.push('\'');
+            var = symbols.intern(&self.symbol);
         }
         let tuple = TpTuple::new(facts, Lineage::var(var), interval, probability);
         if let Err(e) = self.relation.push(tuple) {
             self.error = Some(e);
         }
         self
+    }
+
+    /// Reserves room for `additional` more tuples and their symbols.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.relation.reserve(additional);
+        Arc::make_mut(&mut self.catalog.symbols).reserve(additional);
     }
 
     /// Finalizes the relation, registers it in the catalog and returns a

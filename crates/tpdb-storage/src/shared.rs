@@ -6,8 +6,9 @@
 //! `Arc<Catalog>` **pinned at one schema epoch** — an immutable view no
 //! concurrent mutation can tear, because mutations never touch a published
 //! catalog. [`update`](SharedCatalog::update) instead clones the current
-//! catalog (relation payloads stay shared behind their own `Arc`s), applies
-//! the mutation to the private copy, and swaps the handle atomically. A
+//! catalog (relation payloads, symbol table and marginals stay shared
+//! behind their own `Arc`s), applies the mutation to the private copy, and
+//! swaps the handle atomically. A
 //! query that pinned epoch `e` therefore sees *all* of epoch `e` and
 //! *nothing* of epoch `e + 1`, even while DDL or a `LOAD SNAPSHOT` runs in
 //! parallel — the read path of the server front-end.
@@ -72,8 +73,10 @@ impl SharedCatalog {
         self.snapshot().schema_epoch()
     }
 
-    /// Applies a mutation atomically: clones the published catalog, runs
-    /// `f` on the private copy, and swaps the copy in. Readers pinned on
+    /// Applies a mutation atomically: clones the published catalog — one
+    /// allocation per relation, none per tuple: payloads, symbol table and
+    /// marginals are shared until `f` writes them — runs `f` on the
+    /// private copy, and swaps the copy in. Readers pinned on
     /// the old epoch keep their view; the next [`snapshot`](Self::snapshot)
     /// sees the whole mutation or none of it. Writers serialize on the
     /// handle's write lock.

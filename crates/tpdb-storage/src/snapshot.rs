@@ -64,6 +64,7 @@ use crate::relation::TpRelation;
 use crate::schema::{DataType, Field, Schema};
 use crate::tuple::TpTuple;
 use crate::value::Value;
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -275,10 +276,11 @@ impl<'a> Reader<'a> {
             .collect())
     }
 
-    fn str(&mut self, what: &str) -> Result<String, StorageError> {
+    /// A length-prefixed UTF-8 string, borrowed from the payload.
+    fn str(&mut self, what: &str) -> Result<&'a str, StorageError> {
         let len = self.u32(what)? as usize;
         let bytes = self.take(len, what)?;
-        String::from_utf8(bytes.to_vec()).map_err(|_| StorageError::SnapshotCorrupt {
+        std::str::from_utf8(bytes).map_err(|_| StorageError::SnapshotCorrupt {
             section: self.section.to_owned(),
             detail: format!("{what} is not valid UTF-8"),
         })
@@ -534,7 +536,7 @@ fn decode_value(r: &mut Reader<'_>) -> Result<Value, StorageError> {
         },
         VAL_INT => Value::Int(r.i64("int value")?),
         VAL_FLOAT => Value::Float(r.f64_bits("float value")?),
-        VAL_STR => Value::str(&r.str("string value")?),
+        VAL_STR => Value::str(r.str("string value")?),
         other => {
             return Err(corrupt(
                 SECTION_RELATIONS,
@@ -649,7 +651,7 @@ fn decode_symbols(payload: &[u8]) -> Result<(SymbolTable, u32), StorageError> {
     let mut r = Reader::new(payload, SECTION_SYMBOLS);
     let raw = r.u32("symbol count")?;
     let count = r.checked_count(u64::from(raw), 4, "symbol count")?;
-    let mut names = Vec::with_capacity(count);
+    let mut names: Vec<&str> = Vec::with_capacity(count);
     for _ in 0..count {
         names.push(r.str("symbol name")?);
     }
@@ -706,7 +708,7 @@ fn decode_relations(payload: &[u8], var_bound: u32) -> Result<Vec<TpRelation>, S
     let raw = r.u32("relation count")?;
     let count = r.checked_count(u64::from(raw), 4, "relation count")?;
     let mut relations = Vec::with_capacity(count);
-    let mut seen_names: Vec<String> = Vec::with_capacity(count);
+    let mut seen_names: Vec<&str> = Vec::with_capacity(count);
     for _ in 0..count {
         let name = r.str("relation name")?;
         if seen_names.contains(&name) {
@@ -715,7 +717,7 @@ fn decode_relations(payload: &[u8], var_bound: u32) -> Result<Vec<TpRelation>, S
                 format!("duplicate relation name `{name}`"),
             ));
         }
-        seen_names.push(name.clone());
+        seen_names.push(name);
         let raw_arity = r.u32("schema arity")?;
         let arity = r.checked_count(u64::from(raw_arity), 5, "schema arity")?;
         let mut fields = Vec::with_capacity(arity);
@@ -725,7 +727,7 @@ fn decode_relations(payload: &[u8], var_bound: u32) -> Result<Vec<TpRelation>, S
             let dtype = dtype_from_tag(tag).ok_or_else(|| {
                 corrupt(SECTION_RELATIONS, format!("unknown field type tag {tag}"))
             })?;
-            fields.push(Field::new(&field_name, dtype));
+            fields.push(Field::new(field_name, dtype));
         }
         let schema = Schema::new(fields);
         // Every tuple needs at least one value tag per column plus the
@@ -763,7 +765,7 @@ fn decode_relations(payload: &[u8], var_bound: u32) -> Result<Vec<TpRelation>, S
                 return Err(StorageError::SnapshotInvalidProbability(prob));
             }
         }
-        let mut relation = TpRelation::new(&name, schema);
+        let mut relation = TpRelation::new(name, schema);
         relation.reserve(n_tuples);
         let mut stack: Vec<Lineage> = Vec::new();
         let tuples = rows.into_iter().zip(intervals).zip(probabilities);
@@ -968,9 +970,13 @@ impl Catalog {
     /// with `"` (doubled quotes escape, delimiters and newlines are literal
     /// inside quotes); CRLF line endings are accepted; an empty unquoted
     /// field is `NULL`. Every malformed record — wrong field count, bad
-    /// value, malformed interval or probability, duplicate key (same fact
-    /// valid over overlapping intervals) — is reported with its 1-based line
-    /// number via [`StorageError::ParseError`].
+    /// value, malformed interval or probability, unterminated quote — is
+    /// reported with its 1-based line number via
+    /// [`StorageError::ParseError`]; records are read and typed in one pass,
+    /// so the first faulty record in file order is the one reported. Once
+    /// every record is typed, the duplicate-key check (same fact valid over
+    /// overlapping intervals) reports an offending pair against its later
+    /// line.
     pub fn import_delimited(
         &mut self,
         name: &str,
@@ -978,87 +984,17 @@ impl Catalog {
         delimiter: char,
         text: &str,
     ) -> Result<Arc<TpRelation>, StorageError> {
-        let records = parse_delimited_records(text, delimiter)?;
-        let arity = schema.arity();
-        let mut rows: Vec<(usize, Vec<Value>, Interval, f64)> = Vec::with_capacity(records.len());
-        for (line, fields) in records {
-            if fields.len() != arity + 3 {
-                return Err(StorageError::ParseError {
-                    line,
-                    message: format!("expected {} field(s), got {}", arity + 3, fields.len()),
-                });
-            }
-            let mut facts = Vec::with_capacity(arity);
-            for (field, spec) in fields.iter().zip(schema.fields()) {
-                facts.push(delimited_value(field, spec, line)?);
-            }
-            let time = |field: &CsvField, what: &str| -> Result<i64, StorageError> {
-                field
-                    .text
-                    .parse::<i64>()
-                    .map_err(|_| StorageError::ParseError {
-                        line,
-                        message: format!("invalid interval {what}: `{}`", field.text),
-                    })
-            };
-            let (start_f, end_f, prob_f) = match fields.get(arity..) {
-                Some([s, e, p]) => (s, e, p),
-                _ => {
-                    return Err(StorageError::ParseError {
-                        line,
-                        message: "missing interval/probability fields".to_owned(),
-                    })
-                }
-            };
-            let start = time(start_f, "start")?;
-            let end = time(end_f, "end")?;
-            let interval = Interval::try_new(start, end).map_err(|e| StorageError::ParseError {
-                line,
-                message: e.to_string(),
-            })?;
-            let probability: f64 = prob_f.text.parse().map_err(|_| StorageError::ParseError {
-                line,
-                message: format!("invalid probability: `{}`", prob_f.text),
-            })?;
-            if !probability.is_finite() || !(0.0..=1.0).contains(&probability) {
-                return Err(StorageError::ParseError {
-                    line,
-                    message: format!(
-                        "invalid probability {probability}: must be finite and within [0, 1]"
-                    ),
-                });
-            }
-            rows.push((line, facts, interval, probability));
+        let mut records = Records::new(text, delimiter);
+        let mut fields = Vec::with_capacity(schema.arity() + 3);
+        let mut rows = Vec::new();
+        while let Some(line) = records.next_into(&mut fields)? {
+            rows.push(typed_row(&fields, &schema, line)?);
         }
-        // Duplicate-key check (the TP duplicate-free constraint): for every
-        // fact, validity intervals must not overlap. Reported against the
-        // later of the two offending lines.
-        let mut by_fact: HashMap<&[Value], Vec<(Interval, usize)>> = HashMap::new();
-        for (line, facts, interval, _) in &rows {
-            by_fact
-                .entry(facts.as_slice())
-                .or_default()
-                .push((*interval, *line));
-        }
-        for intervals in by_fact.values_mut() {
-            intervals.sort_by_key(|(i, _)| (i.start(), i.end()));
-            for pair in intervals.windows(2) {
-                if let [(first, _), (second, second_line)] = pair {
-                    if first.overlaps(second) {
-                        return Err(StorageError::ParseError {
-                            line: *second_line,
-                            message: format!(
-                                "duplicate key: fact already valid over {first}, which overlaps \
-                                 {second}"
-                            ),
-                        });
-                    }
-                }
-            }
-        }
+        check_duplicate_keys(&rows)?;
         let mut builder = self.create_relation(name, schema)?;
-        for (_, facts, interval, probability) in rows {
-            builder.push(facts, interval, probability);
+        builder.reserve(rows.len());
+        for row in rows {
+            builder.push(row.facts, row.interval, row.probability);
         }
         builder.try_finish()
     }
@@ -1088,116 +1024,265 @@ impl Catalog {
 // Delimited-text record parsing
 // ---------------------------------------------------------------------------
 
-/// One parsed field: its unquoted text and whether it was quoted (an empty
-/// unquoted field is `NULL`; an empty quoted field is the empty string).
-struct CsvField {
-    text: String,
+/// One field of a record: its unquoted text and whether it was quoted (an
+/// empty unquoted field is `NULL`; an empty quoted field is the empty
+/// string). The text borrows the input unless the field is quoted and
+/// holds a doubled `""` or text after its closing quote.
+struct CsvField<'a> {
+    text: Cow<'a, str>,
     quoted: bool,
 }
 
-fn delimited_value(field: &CsvField, spec: &Field, line: usize) -> Result<Value, StorageError> {
-    if field.text.is_empty() && !field.quoted {
+/// One typed record: its facts, interval and probability, with the line
+/// it starts on.
+struct Row {
+    line: usize,
+    facts: Vec<Value>,
+    interval: Interval,
+    probability: f64,
+}
+
+/// Types a record's fields against `schema`: the facts, then interval
+/// start, interval end and probability.
+fn typed_row(fields: &[CsvField<'_>], schema: &Schema, line: usize) -> Result<Row, StorageError> {
+    let arity = schema.arity();
+    let Some((facts_f, [start_f, end_f, prob_f])) = fields.split_at_checked(arity) else {
+        return Err(StorageError::ParseError {
+            line,
+            message: format!("expected {} field(s), got {}", arity + 3, fields.len()),
+        });
+    };
+    let mut facts = Vec::with_capacity(arity);
+    for (field, spec) in facts_f.iter().zip(schema.fields()) {
+        facts.push(delimited_value(field, spec, line)?);
+    }
+    let time = |field: &CsvField<'_>, what: &str| -> Result<i64, StorageError> {
+        field
+            .text
+            .parse::<i64>()
+            .map_err(|_| StorageError::ParseError {
+                line,
+                message: format!("invalid interval {what}: `{}`", field.text),
+            })
+    };
+    let start = time(start_f, "start")?;
+    let end = time(end_f, "end")?;
+    let interval = Interval::try_new(start, end).map_err(|e| StorageError::ParseError {
+        line,
+        message: e.to_string(),
+    })?;
+    let probability: f64 = prob_f.text.parse().map_err(|_| StorageError::ParseError {
+        line,
+        message: format!("invalid probability: `{}`", prob_f.text),
+    })?;
+    if !probability.is_finite() || !(0.0..=1.0).contains(&probability) {
+        return Err(StorageError::ParseError {
+            line,
+            message: format!("invalid probability {probability}: must be finite and within [0, 1]"),
+        });
+    }
+    Ok(Row {
+        line,
+        facts,
+        interval,
+        probability,
+    })
+}
+
+fn delimited_value(field: &CsvField<'_>, spec: &Field, line: usize) -> Result<Value, StorageError> {
+    let text: &str = &field.text;
+    if text.is_empty() && !field.quoted {
         return Ok(Value::Null);
     }
     let err = || StorageError::ParseError {
         line,
-        message: format!(
-            "invalid {} in column {}: `{}`",
-            spec.dtype, spec.name, field.text
-        ),
+        message: format!("invalid {} in column {}: `{text}`", spec.dtype, spec.name),
     };
     Ok(match spec.dtype {
-        DataType::Bool => Value::Bool(field.text.parse::<bool>().map_err(|_| err())?),
-        DataType::Int => Value::Int(field.text.parse::<i64>().map_err(|_| err())?),
-        DataType::Float => Value::Float(field.text.parse::<f64>().map_err(|_| err())?),
-        DataType::Str => Value::str(&field.text),
+        DataType::Bool => Value::Bool(text.parse::<bool>().map_err(|_| err())?),
+        DataType::Int => Value::Int(text.parse::<i64>().map_err(|_| err())?),
+        DataType::Float => Value::Float(text.parse::<f64>().map_err(|_| err())?),
+        DataType::Str => Value::str(text),
     })
 }
 
-/// Splits delimited text into records of fields, tracking the 1-based line
-/// number each record starts on. Handles quoting (`"`, doubled to escape),
-/// delimiters and newlines inside quotes, CRLF endings, and skips blank
-/// lines.
-fn parse_delimited_records(
-    text: &str,
-    delimiter: char,
-) -> Result<Vec<(usize, Vec<CsvField>)>, StorageError> {
-    let mut records = Vec::new();
-    let mut fields: Vec<CsvField> = Vec::new();
-    let mut cur = String::new();
-    let mut cur_quoted = false;
-    let mut in_quotes = false;
-    let mut any_content = false;
-    let mut line = 1usize;
-    let mut record_line = 1usize;
-    let mut chars = text.chars().peekable();
-    loop {
-        let c = chars.next();
-        // Record terminators: newline outside quotes, or end of input.
-        let ends_record = match c {
-            None => true,
-            Some('\n') if !in_quotes => true,
-            Some('\r') if !in_quotes && chars.peek() == Some(&'\n') => {
-                chars.next();
-                true
+/// The TP duplicate-free constraint: for every fact, validity intervals
+/// must not overlap. Row indices are sorted by (facts, interval), so each
+/// fact's intervals are adjacent and start-ordered, and any overlap shows
+/// between two neighbours; the first such pair is reported against its
+/// later line.
+fn check_duplicate_keys(rows: &[Row]) -> Result<(), StorageError> {
+    let mut order: Vec<usize> = (0..rows.len()).collect();
+    order.sort_unstable_by(|&a, &b| {
+        let (x, y) = (&rows[a], &rows[b]);
+        x.facts
+            .cmp(&y.facts)
+            .then(x.interval.start().cmp(&y.interval.start()))
+            .then(x.interval.end().cmp(&y.interval.end()))
+            .then(a.cmp(&b))
+    });
+    for pair in order.windows(2) {
+        let (mut first, mut second) = (&rows[pair[0]], &rows[pair[1]]);
+        if first.facts == second.facts && first.interval.overlaps(&second.interval) {
+            if first.line > second.line {
+                std::mem::swap(&mut first, &mut second);
             }
-            _ => false,
-        };
-        if ends_record {
-            if in_quotes {
+            return Err(StorageError::ParseError {
+                line: second.line,
+                message: format!(
+                    "duplicate key: fact already valid over {}, which overlaps {}",
+                    first.interval, second.interval
+                ),
+            });
+        }
+    }
+    Ok(())
+}
+
+/// A streaming reader of delimited records: quoting with `"` (doubled to
+/// escape), delimiters and newlines literal inside quotes, CRLF endings,
+/// blank lines skipped but counted. It scans bytes, and every byte it cuts
+/// at is ASCII or the first byte of the delimiter's encoding, so each slice
+/// lies on character boundaries.
+struct Records<'a> {
+    text: &'a str,
+    /// The delimiter's UTF-8 encoding: its first `width` bytes.
+    delimiter: [u8; 4],
+    width: usize,
+    pos: usize,
+    /// The 1-based line at `pos`.
+    line: usize,
+}
+
+impl<'a> Records<'a> {
+    fn new(text: &'a str, delimiter: char) -> Self {
+        let mut encoded = [0u8; 4];
+        let width = delimiter.encode_utf8(&mut encoded).len();
+        Self {
+            text,
+            delimiter: encoded,
+            width,
+            pos: 0,
+            line: 1,
+        }
+    }
+
+    /// The length of the record terminator at `at` (`\n` or `\r\n`), or 0.
+    fn terminator_at(&self, at: usize) -> usize {
+        match self.text.as_bytes().get(at..) {
+            Some([b'\n', ..]) => 1,
+            Some([b'\r', b'\n', ..]) => 2,
+            _ => 0,
+        }
+    }
+
+    fn delimiter_at(&self, at: usize) -> bool {
+        let delimiter = &self.delimiter[..self.width];
+        self.text
+            .as_bytes()
+            .get(at..)
+            .is_some_and(|rest| rest.starts_with(delimiter))
+    }
+
+    /// Reads the next non-blank record into `fields` (cleared first) and
+    /// returns the line it starts on, or `None` at the end of the input.
+    fn next_into(&mut self, fields: &mut Vec<CsvField<'a>>) -> Result<Option<usize>, StorageError> {
+        fields.clear();
+        loop {
+            if self.pos >= self.text.len() {
+                return Ok(None);
+            }
+            let blank = self.terminator_at(self.pos);
+            if blank == 0 {
+                break;
+            }
+            self.pos += blank;
+            self.line += 1;
+        }
+        let record_line = self.line;
+        loop {
+            let field = self.field(record_line)?;
+            fields.push(field);
+            let end = self.terminator_at(self.pos);
+            if end > 0 {
+                self.pos += end;
+                self.line += 1;
+                return Ok(Some(record_line));
+            }
+            if self.pos >= self.text.len() {
+                return Ok(Some(record_line));
+            }
+            self.pos += self.width;
+        }
+    }
+
+    /// Reads the field at `pos`, leaving `pos` at the delimiter,
+    /// terminator or end of input that ends it.
+    fn field(&mut self, record_line: usize) -> Result<CsvField<'a>, StorageError> {
+        let (text, bytes) = (self.text, self.text.as_bytes());
+        if bytes.get(self.pos) != Some(&b'"') {
+            let start = self.pos;
+            self.skip_unquoted();
+            let text = Cow::Borrowed(&text[start..self.pos]);
+            return Ok(CsvField {
+                text,
+                quoted: false,
+            });
+        }
+        let mut start = self.pos + 1;
+        let mut unescaped: Option<String> = None;
+        loop {
+            let quote = bytes
+                .get(start..)
+                .and_then(|rest| rest.iter().position(|&b| b == b'"'))
+                .map(|i| start + i);
+            let Some(quote) = quote else {
                 return Err(StorageError::ParseError {
                     line: record_line,
                     message: "unterminated quoted field".to_owned(),
                 });
+            };
+            self.line += bytes[start..quote].iter().filter(|&&b| b == b'\n').count();
+            if bytes.get(quote + 1) == Some(&b'"') {
+                // A doubled quote: keep the text up to and including one.
+                unescaped
+                    .get_or_insert_with(String::new)
+                    .push_str(&text[start..=quote]);
+                start = quote + 2;
+                continue;
             }
-            if any_content || !fields.is_empty() {
-                fields.push(CsvField {
-                    text: std::mem::take(&mut cur),
-                    quoted: cur_quoted,
-                });
-                records.push((record_line, std::mem::take(&mut fields)));
-            }
-            cur_quoted = false;
-            any_content = false;
-            if c.is_none() {
-                break;
-            }
-            line += 1;
-            record_line = line;
-            continue;
-        }
-        let Some(c) = c else { break };
-        if in_quotes {
-            if c == '"' {
-                if chars.peek() == Some(&'"') {
-                    chars.next();
-                    cur.push('"');
-                } else {
-                    in_quotes = false;
+            // The closing quote; any text after it, up to the delimiter or
+            // the end of the record, is literal.
+            self.pos = quote + 1;
+            self.skip_unquoted();
+            let (inside, after) = (&text[start..quote], &text[quote + 1..self.pos]);
+            let text = match unescaped {
+                None if after.is_empty() => Cow::Borrowed(inside),
+                unescaped => {
+                    let mut owned = unescaped.unwrap_or_default();
+                    owned.push_str(inside);
+                    owned.push_str(after);
+                    Cow::Owned(owned)
                 }
-            } else {
-                if c == '\n' {
-                    line += 1;
-                }
-                cur.push(c);
-            }
-        } else if c == '"' && cur.is_empty() && !cur_quoted {
-            in_quotes = true;
-            cur_quoted = true;
-            any_content = true;
-        } else if c == delimiter {
-            fields.push(CsvField {
-                text: std::mem::take(&mut cur),
-                quoted: cur_quoted,
-            });
-            cur_quoted = false;
-            any_content = true;
-        } else {
-            cur.push(c);
-            any_content = true;
+            };
+            return Ok(CsvField { text, quoted: true });
         }
     }
-    Ok(records)
+
+    /// Advances `pos` to the next delimiter, record terminator or the end of
+    /// the input.
+    fn skip_unquoted(&mut self) {
+        let bytes = self.text.as_bytes();
+        let first = self.delimiter[0];
+        while let Some(&b) = bytes.get(self.pos) {
+            if (b == b'\n' || b == b'\r' || b == first)
+                && (self.terminator_at(self.pos) > 0 || self.delimiter_at(self.pos))
+            {
+                return;
+            }
+            self.pos += 1;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -7,8 +7,13 @@
 // Tests assert bit-exact values on purpose (reproducibility contract).
 #![allow(clippy::float_cmp)]
 
-use tpdb::storage::{Catalog, DataType, Schema, StorageError, Value};
+use csv_text::to_csv;
+use proptest::prelude::*;
+use tpdb::lineage::Lineage;
+use tpdb::storage::{Catalog, DataType, Schema, StorageError, TpTuple, Value};
 use tpdb::temporal::Interval;
+
+mod csv_text;
 
 fn meteo_schema() -> Schema {
     Schema::tp(&[("city", DataType::Str), ("temp", DataType::Float)])
@@ -69,6 +74,16 @@ fn unterminated_quote_reports_the_record_line() {
     let (line, message) = parse_error("a,1.0,0,5,0.9\n\"oops,2.0,0,5,0.9\n");
     assert_eq!(line, 2);
     assert!(message.contains("unterminated quoted field"), "{message}");
+}
+
+#[test]
+fn the_first_faulty_record_in_file_order_is_reported() {
+    // A bad value on line 2 and an unterminated quote on line 4: records
+    // are typed as they are read, so line 2 is reported.
+    let (line, message) =
+        parse_error("a,1.0,0,5,0.9\nb,warm,0,5,0.9\nc,2.0,0,5,0.9\n\"oops,3.0,0,5,0.9\n");
+    assert_eq!(line, 2);
+    assert!(message.contains("`warm`"), "{message}");
 }
 
 #[test]
@@ -290,5 +305,102 @@ fn imported_tuples_get_atomic_lineages_and_marginals() {
     for tuple in relation.iter() {
         let p = engine.probability(tuple.lineage());
         assert_eq!(p, tuple.probability(), "marginal of {}", tuple.lineage());
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Round trip: rendered relations import as the builder makes them
+// ---------------------------------------------------------------------------
+
+/// A string built from the pieces quoting must survive: quotes, the
+/// delimiter, bare and CRLF newlines, doubled quotes, carriage returns and
+/// multi-byte characters — or NULL.
+fn awkward_value() -> impl Strategy<Value = Value> {
+    let piece = prop_oneof![
+        Just("\""),
+        Just(","),
+        Just("\n"),
+        Just("\r\n"),
+        Just("\"\""),
+        Just("\r"),
+        Just(""),
+        Just("a"),
+        Just(" b "),
+        Just("é∆"),
+    ];
+    let text =
+        proptest::collection::vec(piece, 0..6).prop_map(|pieces| Value::str(&pieces.concat()));
+    prop_oneof![text.clone(), text, Just(Value::Null)]
+}
+
+/// Rows of `(name, tag, key)` facts, an interval and a probability; every
+/// key is its row's index, so no two rows share a fact.
+fn awkward_rows() -> impl Strategy<Value = Vec<(Value, Value, Interval, f64)>> {
+    let row = (
+        awkward_value(),
+        awkward_value(),
+        (-50i64..50, 1i64..20),
+        any::<u64>(),
+    )
+        .prop_map(|(name, tag, (start, len), bits)| {
+            let probability = (bits >> 11) as f64 / (1u64 << 53) as f64;
+            (name, tag, Interval::new(start, start + len), probability)
+        });
+    proptest::collection::vec(row, 0..12)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(200))]
+
+    #[test]
+    fn rendered_relations_import_as_the_builder_makes_them(rows in awkward_rows()) {
+        let schema = Schema::tp(&[
+            ("name", DataType::Str),
+            ("tag", DataType::Str),
+            ("key", DataType::Int),
+        ]);
+        let facts = |i: usize, name: &Value, tag: &Value| {
+            vec![name.clone(), tag.clone(), Value::Int(i as i64)]
+        };
+        let tuples: Vec<TpTuple> = rows
+            .iter()
+            .enumerate()
+            .map(|(i, (name, tag, interval, p))| {
+                TpTuple::new(facts(i, name, tag), Lineage::tru(), *interval, *p)
+            })
+            .collect();
+        let text = to_csv(&tuples);
+
+        let mut imported = Catalog::new();
+        let got = imported
+            .import_delimited("m", schema.clone(), ',', &text)
+            .map_err(|e| format!("{e} importing {text:?}"))?;
+        let mut built = Catalog::new();
+        let mut builder = built.create_relation("m", schema).unwrap();
+        for (i, (name, tag, interval, p)) in rows.iter().enumerate() {
+            builder.push(facts(i, name, tag), *interval, *p);
+        }
+        let want = builder.finish();
+
+        prop_assert_eq!(got.len(), want.len());
+        for (ordinal, (g, w)) in got.iter().zip(want.iter()).enumerate() {
+            prop_assert_eq!(g.facts(), w.facts());
+            prop_assert_eq!(g.interval(), w.interval());
+            prop_assert_eq!(g.probability().to_bits(), w.probability().to_bits());
+            prop_assert_eq!(g.lineage(), w.lineage());
+            let var = g.lazy_lineage().as_var().unwrap();
+            let name = format!("m{}", ordinal + 1);
+            prop_assert_eq!(imported.symbols().name(var), Some(name.as_str()));
+            prop_assert_eq!(imported.probability_of(var), Some(g.probability()));
+        }
+
+        // Line numbers count physical lines, the newlines inside quoted
+        // fields included.
+        let bad = format!("{text}x,y,z,0,5,0.5\n");
+        let line = text.matches('\n').count() + 1;
+        match imported.import_delimited("bad", got.schema().clone(), ',', &bad) {
+            Err(StorageError::ParseError { line: l, .. }) => prop_assert_eq!(l, line),
+            other => return Err(format!("expected a ParseError, got {other:?}")),
+        }
     }
 }
