@@ -16,8 +16,9 @@
 //! ## One plan for every θ, and its output order
 //!
 //! The join partitions `s` on the values of θ's equality conjuncts and
-//! sorts each partition by interval start once ([`SortedIntervalIndex`]); a
-//! θ with no equality has the empty key, so one partition. A probe
+//! sorts each partition by interval start once ([`ProbeIndex`], which lives
+//! next to [`TpRelation`] in `tpdb-storage`); a θ with no equality has the
+//! empty key, so one partition. A probe
 //! binary-searches the first possibly overlapping candidate of its key's
 //! partition and scans forward until the candidates start past the probe
 //! interval, yielding intersections with non-decreasing starts. Each
@@ -42,20 +43,25 @@
 //! pipeline (overlap join → LAWAU → LAWAN → output formation) run without
 //! materializing any intermediate window vector.
 //!
-//! The stream builds its probe index on its first pull, not when it is
-//! created: a flipped second pass (right and full outer join, union) builds
-//! its index only once the first pass is exhausted and dropped, so one
-//! index is alive at a time and the first output row waits for one build.
-//! Keys are written into buffers the build and the probes reuse; an owned
-//! key is allocated once per *distinct* key of `s`.
+//! The stream takes its probe index on its first pull, not when it is
+//! created, from [`TpRelation::probe_index`] on θ's equality columns of
+//! `s`. A relation stored in a catalog keeps that index: the first pass
+//! that probes it on a column list builds it, and every later pass and
+//! statement shares it, so a prepared join's first row waits for no build.
+//! Any other `s` (the free API, a derived input, a relation cloned out of
+//! a catalog) builds one index per pass, and a flipped second pass (right
+//! and full outer join, union) builds its own only once the first pass is
+//! exhausted and dropped. This module keeps the probing and the window
+//! writing; a probe looks its partition up by `&[Value]` from the stream's
+//! reused key buffer.
 
 use crate::pipeline::{next_window, WindowGroups};
 use crate::theta::{BoundTheta, ThetaCondition};
 use crate::window::Window;
 use std::borrow::Borrow;
-use std::collections::{HashMap, VecDeque};
-use tpdb_storage::{StorageError, TpRelation, TpTuple, Value};
-use tpdb_temporal::{SortedIntervalIndex, SortedIntervalIndexBuilder};
+use std::collections::VecDeque;
+use std::sync::Arc;
+use tpdb_storage::{ProbeIndex, StorageError, TpRelation, TpTuple, Value};
 
 /// Computes the overlapping windows of `r` with respect to `s` under θ,
 /// together with the whole-interval unmatched windows of `r` tuples that
@@ -68,88 +74,49 @@ pub fn overlapping_windows(
     Ok(OverlapWindowStream::new(r, s, theta)?.collect())
 }
 
-/// Does an equi-join key hold a NULL? Such a key matches nothing.
-fn has_null(key: &[Value]) -> bool {
-    key.iter().any(Value::is_null)
-}
-
-/// The build-side structure of the overlap join, built on the pass's first
-/// pull and probed once per `r` tuple: per-key partitions sorted by
-/// interval start, one per NULL-free key of `s` on θ's equalities.
-pub(crate) struct ProbeIndex(HashMap<Vec<Value>, SortedIntervalIndex>);
-
-impl ProbeIndex {
-    /// Partitions `s` on θ's equalities; a tuple whose key holds a NULL
-    /// matches nothing and is left out.
-    fn build(s: &TpRelation, bound: &BoundTheta) -> Self {
-        let mut builders: HashMap<Vec<Value>, SortedIntervalIndexBuilder> = HashMap::new();
-        let mut key = Vec::new();
-        for (si, st) in s.iter().enumerate() {
-            bound.right_key_into(st, &mut key);
-            if has_null(&key) {
-                continue;
-            }
-            if let Some(builder) = builders.get_mut(key.as_slice()) {
-                builder.push(st.interval(), si);
-            } else {
-                let mut builder = SortedIntervalIndexBuilder::default();
-                builder.push(st.interval(), si);
-                builders.insert(key.clone(), builder);
-            }
-        }
-        ProbeIndex(builders.into_iter().map(|(k, b)| (k, b.finish())).collect())
-    }
-
-    /// Appends the windows of the probe tuple `r[ri]` to `out`, sorted by
-    /// `(start, end)`: its overlapping windows, or one whole-interval
-    /// unmatched window when nothing matches. Each window is written once,
-    /// in the buffer its consumer reads it from; `key` is the caller's
-    /// reused buffer for the probe's partition key.
-    fn probe_into(
-        &self,
-        ri: usize,
-        rt: &TpTuple,
-        s: &TpRelation,
-        bound: &BoundTheta,
-        key: &mut Vec<Value>,
-        out: &mut VecDeque<Window>,
-    ) {
-        let from = out.len();
-        let r_iv = rt.interval();
-        bound.left_key_into(rt, key);
-        let partition = if has_null(key) {
-            None
-        } else {
-            self.0.get(key.as_slice())
+/// Appends the windows of the probe tuple `r[ri]` to `out`, sorted by
+/// `(start, end)`: its overlapping windows, or one whole-interval unmatched
+/// window when nothing matches. Each window is written once, in the buffer
+/// its consumer reads it from; `key` is the caller's reused buffer for the
+/// probe's partition key.
+fn probe_into(
+    index: &ProbeIndex,
+    ri: usize,
+    rt: &TpTuple,
+    s: &TpRelation,
+    bound: &BoundTheta,
+    key: &mut Vec<Value>,
+    out: &mut VecDeque<Window>,
+) {
+    let from = out.len();
+    let r_iv = rt.interval();
+    bound.left_key_into(rt, key);
+    if let Some(candidates) = index.overlapping(key, r_iv) {
+        let window = |(s_iv, si)| {
+            #[expect(clippy::expect_used, reason = "index invariant")]
+            let inter = r_iv
+                .intersect(&s_iv)
+                .expect("sorted-partition candidates overlap the probe");
+            Window::overlapping(inter, ri, si)
         };
-        if let Some(partition) = partition {
-            let candidates = partition.overlapping(r_iv);
-            let window = |(s_iv, si)| {
-                #[expect(clippy::expect_used, reason = "index invariant")]
-                let inter = r_iv
-                    .intersect(&s_iv)
-                    .expect("sorted-partition candidates overlap the probe");
-                Window::overlapping(inter, ri, si)
-            };
-            // The partition decides θ's equalities; only a residual is
-            // checked per candidate.
-            if bound.has_residual() {
-                let residual = |&(_, si): &(_, usize)| bound.residual_matches(rt, s.tuple(si));
-                out.extend(candidates.filter(residual).map(window));
-            } else {
-                out.extend(candidates.map(window));
-            }
-        }
-        if out.len() == from {
-            out.push_back(Window::unmatched(r_iv, ri));
+        // The partition decides θ's equalities; only a residual is
+        // checked per candidate.
+        if bound.has_residual() {
+            let residual = |&(_, si): &(_, usize)| bound.residual_matches(rt, s.tuple(si));
+            out.extend(candidates.filter(residual).map(window));
         } else {
-            // The candidates come in start order, so the intersection starts
-            // never decrease; the sort only orders the ends of the windows
-            // clipped to the probe's start. It is per probe group, never a
-            // global re-sort (the buffer only ever grows from a cleared
-            // state, so it is already contiguous).
-            out.make_contiguous()[from..].sort_by_key(|w| (w.interval.start(), w.interval.end()));
+            out.extend(candidates.map(window));
         }
+    }
+    if out.len() == from {
+        out.push_back(Window::unmatched(r_iv, ri));
+    } else {
+        // The candidates come in start order, so the intersection starts
+        // never decrease; the sort only orders the ends of the windows
+        // clipped to the probe's start. It is per probe group, never a
+        // global re-sort (the buffer only ever grows from a cleared state,
+        // so it is already contiguous).
+        out.make_contiguous()[from..].sort_by_key(|w| (w.interval.start(), w.interval.end()));
     }
 }
 
@@ -159,7 +126,7 @@ impl ProbeIndex {
 /// [`LawauStream`](crate::pipeline::LawauStream) and
 /// [`LawanStream`](crate::pipeline::LawanStream) pipelines the entire window
 /// computation without materializing any window vector. The probe index is
-/// built by the first pull, so creating a stream costs only binding θ.
+/// taken by the first pull, so creating a stream costs only binding θ.
 ///
 /// The two relations are held through any [`Borrow`]`<TpRelation>`: plain
 /// references inside a join operator, `Arc<TpRelation>` in long-lived
@@ -168,8 +135,9 @@ pub struct OverlapWindowStream<R: Borrow<TpRelation>, S: Borrow<TpRelation>> {
     r: R,
     s: S,
     bound: BoundTheta,
-    /// The probe index; `None` until the first pull.
-    pub(crate) index: Option<ProbeIndex>,
+    /// The probe index of `s` on θ's equality columns; `None` until the
+    /// first pull, which takes it from a stored `s`'s memo or builds it.
+    pub(crate) index: Option<Arc<ProbeIndex>>,
     /// The probe's partition key (reused across probes).
     key: Vec<Value>,
     /// The next `r` index to probe.
@@ -203,7 +171,7 @@ impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> OverlapWindowStream<R, S> {
 
 impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> WindowGroups for OverlapWindowStream<R, S> {
     /// A probe *is* a group: the next `r` tuple's windows are written
-    /// straight into the consumer's buffer. The first probe builds the
+    /// straight into the consumer's buffer. The first probe takes the
     /// index.
     fn next_group(&mut self, out: &mut VecDeque<Window>) -> Option<usize> {
         let ri = self.next_probe;
@@ -212,8 +180,8 @@ impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> WindowGroups for OverlapWindo
         let (s, bound) = (self.s.borrow(), &self.bound);
         let index = self
             .index
-            .get_or_insert_with(|| ProbeIndex::build(s, bound));
-        index.probe_into(ri, rt, s, bound, &mut self.key, out);
+            .get_or_insert_with(|| s.probe_index(&bound.right_columns()));
+        probe_into(index, ri, rt, s, bound, &mut self.key, out);
         Some(ri)
     }
 }
@@ -309,11 +277,11 @@ mod tests {
         ];
         for (r, s, theta) in cases {
             let bound = theta.bind(r.schema(), s.schema()).unwrap();
-            let index = ProbeIndex::build(s, &bound);
+            let index = ProbeIndex::build(s, &bound.right_columns());
             let mut key = Vec::new();
             for (ri, rt) in r.iter().enumerate() {
                 let mut probed = VecDeque::new();
-                index.probe_into(ri, rt, s, &bound, &mut key, &mut probed);
+                probe_into(&index, ri, rt, s, &bound, &mut key, &mut probed);
                 let mut probed = Vec::from(probed);
                 let order = |w: &Window| (w.interval.start(), w.interval.end());
                 assert!(probed.is_sorted_by_key(order), "θ = {theta}, r[{ri}]");

@@ -151,9 +151,10 @@ pub fn tp_union(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageErr
 /// all-attribute equality θ (the intersection keeping `r`'s columns only);
 /// the union runs two window passes — `WO → LAWAU → LAWAN` of `r` against
 /// `s`, then `WO → LAWAU` of `s` against `r` for the right side's unmatched
-/// sub-intervals. Like the join stream, each pass builds its probe index on
-/// its first pull, so the second pass of a union builds its index only
-/// after the first pass is exhausted; everything else is lazy too.
+/// sub-intervals. Like the join stream, each pass takes its probe index (on
+/// every column) on its first pull — a stored relation's from its memo — so
+/// the second pass of a union builds an index only after the first pass is
+/// exhausted; everything else is lazy too.
 ///
 /// ```
 /// use tpdb_core::{TpSetOpKind, TpSetOpStream};

@@ -18,10 +18,13 @@
 //! marginal (the statement fails before its first row otherwise) and
 //! whether they make every output root read-once
 //! ([`ProbabilityEngine::certify_columns`]), and [`Pipe::build`] binds θ
-//! for each pass under the window adaptors the pass needs. A pass builds
-//! its probe index when it is first pulled, so a flipped second pass builds
-//! its index only after the first pass is exhausted and dropped: one index
-//! is alive at a time, and the first output row waits for one index build.
+//! for each pass under the window adaptors the pass needs. A pass takes
+//! its probe index when it is first pulled
+//! ([`TpRelation::probe_index`]): a stored relation's is built by the first
+//! statement that probes it on θ's columns and shared by every later one,
+//! so a prepared statement's first output row waits for no index build.
+//! Any other input builds one index per pass, and a flipped second pass
+//! builds its own only after the first pass is exhausted and dropped.
 //!
 //! The input relations are held through any [`Borrow`]`<TpRelation>`, so
 //! the streams work with plain references inside a one-shot join (this is
@@ -79,7 +82,7 @@ where
     N: Borrow<TpRelation>,
 {
     /// Builds the pass pipe for windows of `pos` with respect to `neg`. θ is
-    /// bound here; the probe index of θ's plan is built on the first pull.
+    /// bound here; the probe index is taken on the first pull.
     pub(crate) fn build(
         pos: P,
         neg: N,
@@ -162,9 +165,10 @@ where
 ///
 /// Construction binds θ (an unbindable θ fails here) and takes the two
 /// lineage columns, interning those the engine's arena does not hold; each
-/// pass builds its probe index when it is first
-/// pulled, so the flipped second pass of a right or full outer join builds
-/// its index only after the first pass is exhausted.
+/// pass takes its probe index when it is first pulled — from a stored
+/// relation's memo, or built for this pass — so the flipped second pass of
+/// a right or full outer join builds an index only after the first pass is
+/// exhausted.
 /// [`windows_consumed`](TpJoinStream::windows_consumed) counts how much of
 /// the window pipeline an iteration has actually pulled.
 ///
@@ -186,7 +190,7 @@ where
 // The stream is the crate's one lazy pass runner: it executes the passes of
 // any row of the operator table ([`TpJoinStream::for_op`]) in table order,
 // forming one output tuple per accepted window. Finished passes are dropped
-// (releasing their probe index) before the next one builds its own.
+// (releasing their hold on a probe index) before the next one takes its own.
 pub struct TpJoinStream<R, S, E = ProbabilityEngine>
 where
     R: Borrow<TpRelation> + Clone,

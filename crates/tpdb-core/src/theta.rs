@@ -210,6 +210,14 @@ impl BoundTheta {
         key.extend(self.equi_keys.iter().map(|(l, _)| t.fact(*l).clone()));
     }
 
+    /// The right-side columns of θ's equalities, in order: the column list
+    /// the overlap join partitions `s` on
+    /// ([`TpRelation::probe_index`](tpdb_storage::TpRelation::probe_index)).
+    #[must_use]
+    pub fn right_columns(&self) -> Vec<usize> {
+        self.equi_keys.iter().map(|&(_, r)| r).collect()
+    }
+
     /// Overwrites `key` with the right-side values of θ's equalities.
     pub fn right_key_into(&self, t: &TpTuple, key: &mut Vec<Value>) {
         key.clear();

@@ -424,6 +424,9 @@ fn serve_connection(inner: &Inner, stream: &TcpStream) {
     let mut conn = ConnState::new();
     let mut line = String::new();
     let mut reply = String::new();
+    // The catalog the current statement pinned, released only once its
+    // reply is written (see `run_statement`).
+    let mut pinned = None;
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -450,7 +453,9 @@ fn serve_connection(inner: &Inner, stream: &TcpStream) {
             // the frame is written, so a slow reader never holds one.
             Ok(request) => match admit(inner) {
                 Ok(_slot) => {
-                    if let Err(e) = handle_request(inner, &mut conn, request, &mut reply) {
+                    if let Err(e) =
+                        handle_request(inner, &mut conn, request, &mut reply, &mut pinned)
+                    {
                         reply.clear();
                         Response::from_error(&e).encode_into(&mut reply);
                     }
@@ -461,6 +466,7 @@ fn serve_connection(inner: &Inner, stream: &TcpStream) {
         if writer.write_all(reply.as_bytes()).is_err() {
             return;
         }
+        pinned = None;
         recycle(&mut reply);
     }
 }
@@ -516,17 +522,19 @@ fn admit(inner: &Inner) -> Result<Slot<'_>, Response> {
 }
 
 /// Executes one request on its connection's thread (which holds a slot),
-/// writing its response frame into `reply`.
+/// writing its response frame into `reply`; a statement hands the catalog
+/// it pinned to `pinned`.
 fn handle_request(
     inner: &Inner,
     conn: &mut ConnState,
     request: Request,
     reply: &mut String,
+    pinned: &mut Option<Arc<Catalog>>,
 ) -> Result<(), TpdbError> {
     let response = match request {
-        Request::Query(text) => return run_statement(inner, &text, &[], reply),
+        Request::Query(text) => return run_statement(inner, &text, &[], reply, pinned),
         Request::Execute { name, params } => match conn.get(&name) {
-            Some(text) => return run_statement(inner, text, &params, reply),
+            Some(text) => return run_statement(inner, text, &params, reply, pinned),
             None => Response::Error {
                 code: ErrorCode::Protocol,
                 message: format!("unknown prepared statement `{name}`"),
@@ -582,13 +590,20 @@ fn plan(inner: &Inner, text: &str) -> Result<(Arc<Catalog>, Arc<PreparedPlan>), 
 /// bind, execute, and write the result's `ROWS` frame into `reply`.
 /// `LOAD SNAPSHOT` is the one mutating statement and goes through the
 /// shared catalog's atomic swap instead.
+///
+/// The pinned snapshot is handed to `pinned` rather than dropped here:
+/// after a `LOAD SNAPSHOT` it may be the last reference to the catalog the
+/// load replaced, whose relations, arena and probe indexes are then freed
+/// by the caller once the reply is out.
 fn run_statement(
     inner: &Inner,
     text: &str,
     params: &[tpdb_storage::Value],
     reply: &mut String,
+    pinned: &mut Option<Arc<Catalog>>,
 ) -> Result<(), TpdbError> {
     let (snapshot, prepared) = plan(inner, text)?;
+    let snapshot = pinned.insert(snapshot);
     let relation = match &prepared.plan {
         LogicalPlan::LoadSnapshot { path } => {
             let loaded = inner.shared.update(|catalog| {
@@ -601,7 +616,7 @@ fn run_statement(
             })?;
             snapshot_summary(&loaded)?
         }
-        _ => run_prepared(&snapshot, &prepared, params)?,
+        _ => run_prepared(snapshot, &prepared, params)?,
     };
     inner.counters.executed.fetch_add(1, Ordering::Relaxed);
     write_rows_frame(reply, &relation);

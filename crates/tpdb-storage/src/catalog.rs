@@ -17,7 +17,11 @@ use tpdb_temporal::Interval;
 /// The catalog owns
 ///
 /// * the registered base relations, each behind an `Arc` that scans and
-///   clones share,
+///   clones share, and each with the overlap join's probe indexes it has
+///   been probed with ([`TpRelation::probe_index`]): the first statement
+///   that probes a stored relation on a column list builds that index, and
+///   every later statement and catalog clone shares it until the relation
+///   is dropped or replaced,
 /// * the [`SymbolTable`] assigning one lineage variable per base tuple,
 /// * the marginal probabilities of the variables its relations carry —
 ///   one per variable: every atomic tuple of every relation carries its
@@ -43,8 +47,12 @@ use tpdb_temporal::Interval;
 /// snapshots of a [`SharedCatalog`](crate::SharedCatalog), whose
 /// [`update`](crate::SharedCatalog::update) mutates a private clone.
 /// `Clone` copies the relation map — one entry per relation — and shares
-/// the relation payloads, the symbol table, the marginal map and the arena
-/// (until one side writes), so it allocates per relation, never per tuple.
+/// the relation payloads with their probe indexes, the symbol table, the
+/// marginal map and the arena (until one side writes), so it allocates per
+/// relation, never per tuple. A relation taken out of the catalog and
+/// cloned (or [`renamed`](TpRelation::renamed), or
+/// [`filter`](TpRelation::filter)ed) is a value of its own and has no
+/// probe memo.
 #[derive(Debug, Default, Clone)]
 pub struct Catalog {
     relations: HashMap<String, Arc<TpRelation>>,
@@ -109,7 +117,7 @@ impl Catalog {
     }
 
     /// [`register`](Self::register), returning the shared handle.
-    fn insert(&mut self, relation: TpRelation) -> Result<Arc<TpRelation>, StorageError> {
+    fn insert(&mut self, mut relation: TpRelation) -> Result<Arc<TpRelation>, StorageError> {
         let name = relation.name().to_owned();
         if self.relations.contains_key(&name) {
             return Err(StorageError::RelationExists(name));
@@ -118,6 +126,7 @@ impl Catalog {
         if !fresh.is_empty() {
             Arc::make_mut(&mut self.probabilities).extend(fresh);
         }
+        relation.memoize_probes();
         let relation = Arc::new(relation);
         self.relations.insert(name, Arc::clone(&relation));
         self.bump();
@@ -243,7 +252,10 @@ impl Catalog {
     ) {
         self.relations = relations
             .into_iter()
-            .map(|r| (r.name().to_owned(), Arc::new(r)))
+            .map(|mut r| {
+                r.memoize_probes();
+                (r.name().to_owned(), Arc::new(r))
+            })
             .collect();
         self.symbols = Arc::new(symbols);
         self.probabilities = Arc::new(probabilities);

@@ -56,6 +56,7 @@
 mod catalog;
 mod error;
 mod integrity;
+mod probe;
 mod relation;
 mod schema;
 mod shared;
@@ -66,6 +67,7 @@ mod value;
 pub use catalog::{Catalog, RelationBuilder};
 pub use error::StorageError;
 pub use integrity::{check_duplicate_free, IntegrityViolation};
+pub use probe::ProbeIndex;
 pub use relation::TpRelation;
 pub use schema::{DataType, Field, Schema};
 pub use shared::SharedCatalog;

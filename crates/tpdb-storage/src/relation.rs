@@ -1,11 +1,13 @@
 //! TP relations: named, schema-typed collections of TP tuples.
 
 use crate::error::StorageError;
+use crate::probe::{ProbeIndex, ProbeMemo};
 use crate::schema::Schema;
 use crate::tuple::TpTuple;
 use crate::value::Value;
 use serde::{Deserialize, Serialize};
 use std::fmt;
+use std::sync::Arc;
 use tpdb_lineage::ProbabilityEngine;
 use tpdb_temporal::TimePoint;
 
@@ -15,11 +17,49 @@ use tpdb_temporal::TimePoint;
 /// a fact [`Schema`]. Base relations are created through the
 /// [`Catalog`](crate::Catalog) (which assigns atomic lineage variables);
 /// derived relations are produced by the join operators.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A relation the catalog stores keeps the overlap join's probe index of
+/// each column list it is probed on ([`probe_index`](Self::probe_index)).
+/// The memo is not part of the relation's value: `Clone`,
+/// [`renamed`](Self::renamed) and [`filter`](Self::filter) give a relation
+/// without one, [`push`](Self::push), [`push_unchecked`](Self::push_unchecked)
+/// and [`reserve`](Self::reserve) drop it, and `PartialEq` and `Debug` ignore
+/// it.
+#[derive(Serialize, Deserialize)]
 pub struct TpRelation {
     name: String,
     schema: Schema,
     tuples: Vec<TpTuple>,
+    /// Installed by the catalog; `None` elsewhere.
+    #[serde(skip)]
+    pub(crate) probes: Option<ProbeMemo>,
+}
+
+impl Clone for TpRelation {
+    fn clone(&self) -> Self {
+        Self {
+            name: self.name.clone(),
+            schema: self.schema.clone(),
+            tuples: self.tuples.clone(),
+            probes: None,
+        }
+    }
+}
+
+impl PartialEq for TpRelation {
+    fn eq(&self, other: &Self) -> bool {
+        self.name == other.name && self.schema == other.schema && self.tuples == other.tuples
+    }
+}
+
+impl fmt::Debug for TpRelation {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("TpRelation")
+            .field("name", &self.name)
+            .field("schema", &self.schema)
+            .field("tuples", &self.tuples)
+            .finish()
+    }
 }
 
 impl TpRelation {
@@ -30,6 +70,7 @@ impl TpRelation {
             name: name.to_owned(),
             schema,
             tuples: Vec::new(),
+            probes: None,
         }
     }
 
@@ -90,13 +131,14 @@ impl TpRelation {
         if !(0.0..=1.0).contains(&p) || p.is_nan() {
             return Err(StorageError::InvalidProbability(p));
         }
-        self.tuples.push(tuple);
+        self.push_unchecked(tuple);
         Ok(())
     }
 
     /// Appends a tuple without validation (used by operators whose inputs
     /// are already validated relations).
     pub fn push_unchecked(&mut self, tuple: TpTuple) {
+        self.probes = None;
         self.tuples.push(tuple);
     }
 
@@ -104,7 +146,26 @@ impl TpRelation {
     /// support: loaders that know the final cardinality up front avoid the
     /// doubling reallocations of repeated pushes).
     pub fn reserve(&mut self, additional: usize) {
+        self.probes = None;
         self.tuples.reserve(additional);
+    }
+
+    /// The overlap join's probe index of this relation on `columns`
+    /// ([`ProbeIndex::build`]). A relation stored in a catalog builds it on
+    /// the first call and shares it with every later call, pass and
+    /// catalog clone; any other relation builds a fresh one per call.
+    #[must_use]
+    pub fn probe_index(&self, columns: &[usize]) -> Arc<ProbeIndex> {
+        match &self.probes {
+            Some(memo) => memo.get_or_build(self, columns),
+            None => Arc::new(ProbeIndex::build(self, columns)),
+        }
+    }
+
+    /// Gives the relation a probe-index memo: the catalog stores it, so its
+    /// tuples no longer change.
+    pub(crate) fn memoize_probes(&mut self) {
+        self.probes = Some(ProbeMemo::default());
     }
 
     /// Returns a new relation containing the tuples satisfying `predicate`.
@@ -119,6 +180,7 @@ impl TpRelation {
                 .filter(|t| predicate(t))
                 .cloned()
                 .collect(),
+            probes: None,
         }
     }
 
@@ -160,6 +222,7 @@ impl TpRelation {
             name: name.to_owned(),
             schema: self.schema.clone(),
             tuples: self.tuples.clone(),
+            probes: None,
         }
     }
 }

@@ -34,7 +34,7 @@
 //! ```
 
 use crate::catalog::Catalog;
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::{Arc, Mutex, PoisonError, RwLock};
 
 /// A swap-on-write handle to a [`Catalog`] shared by many sessions.
 ///
@@ -43,7 +43,12 @@ use std::sync::{Arc, PoisonError, RwLock};
 /// takes `&self`.
 #[derive(Debug)]
 pub struct SharedCatalog {
+    /// The published catalog. Readers hold its lock only to clone the
+    /// `Arc`, a writer only to swap it.
     current: RwLock<Arc<Catalog>>,
+    /// Taken by writers alone, for the whole of an update: writers
+    /// serialize on it, and readers never wait for a mutation's work.
+    writer: Mutex<()>,
 }
 
 impl SharedCatalog {
@@ -52,6 +57,7 @@ impl SharedCatalog {
     pub fn new(catalog: Catalog) -> Self {
         Self {
             current: RwLock::new(Arc::new(catalog)),
+            writer: Mutex::new(()),
         }
     }
 
@@ -78,8 +84,9 @@ impl SharedCatalog {
     /// marginals are shared until `f` writes them — runs `f` on the
     /// private copy, and swaps the copy in. Readers pinned on
     /// the old epoch keep their view; the next [`snapshot`](Self::snapshot)
-    /// sees the whole mutation or none of it. Writers serialize on the
-    /// handle's write lock.
+    /// sees the whole mutation or none of it. Writers serialize on a lock
+    /// of their own, held for the whole update, so no update is lost;
+    /// readers wait only for the swap, never for `f`.
     ///
     /// `f`'s return value is passed through, so fallible catalog calls
     /// compose: `shared.update(|c| c.drop_relation("a"))?`. **A mutation
@@ -93,10 +100,16 @@ impl SharedCatalog {
     /// `f` ran on a private copy and the slot is written only after `f`
     /// returns, so a panic leaves the published catalog as it was.
     pub fn update<R>(&self, f: impl FnOnce(&mut Catalog) -> R) -> R {
-        let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
-        let mut copy = Catalog::clone(&slot);
+        let _writer = self.writer.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut copy = Catalog::clone(&self.snapshot());
         let out = f(&mut copy);
-        *slot = Arc::new(copy);
+        let replaced = {
+            let mut slot = self.current.write().unwrap_or_else(PoisonError::into_inner);
+            std::mem::replace(&mut *slot, Arc::new(copy))
+        };
+        // The replaced catalog is released outside the readers' lock: when
+        // this was its last pin, freeing it is the writer's work alone.
+        drop(replaced);
         out
     }
 }
@@ -175,6 +188,46 @@ mod tests {
             &a.relation("r").unwrap(),
             &b.relation("r").unwrap()
         ));
+    }
+
+    #[test]
+    fn readers_do_not_wait_for_an_update_in_progress() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let shared = &SharedCatalog::new(catalog());
+        let epoch = shared.schema_epoch();
+        let (parked_tx, parked_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        #[expect(clippy::disallowed_methods, reason = "the test parks a writer")]
+        std::thread::scope(|scope| {
+            let first = scope.spawn(move || {
+                shared.update(|c| {
+                    parked_tx.send(()).unwrap();
+                    release_rx.recv().unwrap();
+                    c.register(TpRelation::new("s", Schema::tp(&[("Y", DataType::Int)])))
+                })
+            });
+            parked_rx.recv().unwrap();
+            // The first update's closure is parked: a reader pins the
+            // published catalog without waiting for it ...
+            let (pinned_tx, pinned_rx) = mpsc::channel();
+            scope.spawn(move || pinned_tx.send(shared.snapshot().schema_epoch()).unwrap());
+            let pinned = pinned_rx.recv_timeout(Duration::from_secs(10));
+            // ... and a second writer queues behind it.
+            let second = scope.spawn(move || {
+                shared.update(|c| {
+                    c.register(TpRelation::new("t", Schema::tp(&[("Z", DataType::Int)])))
+                })
+            });
+            release_tx.send(()).unwrap();
+            assert_eq!(pinned, Ok(epoch), "the reader waited for the update");
+            first.join().unwrap().unwrap();
+            second.join().unwrap().unwrap();
+        });
+        // Both updates landed, one after the other.
+        let after = shared.snapshot();
+        assert_eq!(after.schema_epoch(), epoch + 2);
+        assert!(after.relation("s").is_ok() && after.relation("t").is_ok());
     }
 
     #[test]

@@ -43,4 +43,4 @@ mod sorted;
 
 pub use interval::{Interval, IntervalError};
 pub use point::{TimePoint, MAX_TIME, MIN_TIME};
-pub use sorted::{SortedIntervalIndex, SortedIntervalIndexBuilder};
+pub use sorted::{overlapping_in, sort_partition, SortedIntervalIndex, SortedIntervalIndexBuilder};

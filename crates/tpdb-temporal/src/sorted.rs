@@ -36,12 +36,7 @@ impl SortedIntervalIndex {
     /// Builds the index from an unsorted `(interval, payload)` list.
     #[must_use]
     pub fn new(mut items: Vec<(Interval, usize)>) -> Self {
-        items.sort_unstable_by_key(|(iv, payload)| (iv.start(), iv.end(), *payload));
-        let max_duration = items
-            .iter()
-            .map(|(iv, _)| i128::from(iv.end()) - i128::from(iv.start()))
-            .max()
-            .unwrap_or(0);
+        let max_duration = sort_partition(&mut items);
         Self {
             items,
             max_duration,
@@ -96,21 +91,44 @@ impl SortedIntervalIndex {
     /// All `(interval, payload)` pairs overlapping `query`, in ascending
     /// `(start, end, payload)` order.
     pub fn overlapping(&self, query: Interval) -> impl Iterator<Item = (Interval, usize)> + '_ {
-        let qs: TimePoint = query.start();
-        let qe: TimePoint = query.end();
-        // Intervals starting at or before this cutoff ended at or before
-        // `query.start` (their duration is bounded by `max_duration`), so the
-        // scan may begin past them. Computed in i128 — see `max_duration`.
-        let cutoff = i128::from(qs) - self.max_duration;
-        let lo = self
-            .items
-            .partition_point(|(iv, _)| i128::from(iv.start()) <= cutoff);
-        self.items[lo..]
-            .iter()
-            .take_while(move |(iv, _)| iv.start() < qe)
-            .filter(move |(iv, _)| iv.end() > qs)
-            .copied()
+        overlapping_in(&self.items, self.max_duration, query)
     }
+}
+
+/// Sorts one partition's `(interval, payload)` pairs by
+/// `(start, end, payload)` in place and returns its largest duration (0
+/// when empty), the two facts [`overlapping_in`] probes it with. A caller
+/// that keeps many partitions in one array sorts each range with it.
+pub fn sort_partition(items: &mut [(Interval, usize)]) -> i128 {
+    items.sort_unstable_by_key(|(iv, payload)| (iv.start(), iv.end(), *payload));
+    items
+        .iter()
+        .map(|(iv, _)| i128::from(iv.end()) - i128::from(iv.start()))
+        .max()
+        .unwrap_or(0)
+}
+
+/// All `(interval, payload)` pairs of a partition sorted by
+/// [`sort_partition`] that overlap `query`, in ascending
+/// `(start, end, payload)` order; `max_duration` is what the sort returned.
+pub fn overlapping_in(
+    items: &[(Interval, usize)],
+    max_duration: i128,
+    query: Interval,
+) -> impl Iterator<Item = (Interval, usize)> + '_ {
+    let qs: TimePoint = query.start();
+    let qe: TimePoint = query.end();
+    // Intervals starting at or before this cutoff ended at or before
+    // `query.start` (their duration is bounded by `max_duration`), so the
+    // scan may begin past them. Computed in i128 — see
+    // `SortedIntervalIndex::max_duration`.
+    let cutoff = i128::from(qs) - max_duration;
+    let lo = items.partition_point(|(iv, _)| i128::from(iv.start()) <= cutoff);
+    items[lo..]
+        .iter()
+        .take_while(move |(iv, _)| iv.start() < qe)
+        .filter(move |(iv, _)| iv.end() > qs)
+        .copied()
 }
 
 /// Incremental construction of a [`SortedIntervalIndex`] (see
