@@ -115,7 +115,7 @@ pub use overlap::{overlapping_windows, OverlapWindowStream};
 pub use pipeline::{LawanStream, LawauStream, WindowGroups};
 pub use setops::{
     all_columns_equal, check_union_compatible, tp_difference, tp_intersection, tp_union,
-    TpSetOpKind, TpSetOpStream,
+    TpSetOpKind,
 };
 pub use stream::TpJoinStream;
 pub use theta::{BoundTheta, CompareOp, ThetaCondition};

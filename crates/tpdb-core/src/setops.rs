@@ -17,20 +17,21 @@
 //!   the lineage `λr ∨ λs`, assembled from the overlapping, unmatched and
 //!   negating windows of both sides.
 //!
-//! All three operations execute lazily through [`TpSetOpStream`] — the set
-//! operation counterpart of [`TpJoinStream`], running its rows of the
-//! operator table ([`crate::optable`]) through that same pass runner, and
-//! the engine behind the query layer's set-operation result cursors.
-//! The one-shot functions ([`tp_union`], [`tp_intersection`],
-//! [`tp_difference`]) simply drain the stream; nothing is materialized
-//! besides the output itself.
+//! All three operations are rows of the operator table
+//! ([`crate::optable`]) and execute lazily through the joins' one pass
+//! runner, [`TpJoinStream`]: its constructors [`TpJoinStream::set_op`] and
+//! [`TpJoinStream::set_op_with_engine`] build the all-attribute equality θ
+//! and run the operation's row, and they are the engine behind the query
+//! layer's set-operation result cursors. The one-shot functions
+//! ([`tp_union`], [`tp_intersection`], [`tp_difference`]) simply drain the
+//! stream; nothing is materialized besides the output itself.
 
 use crate::optable::TpOp;
 use crate::stream::{registered_engine, TpJoinStream};
 use crate::theta::ThetaCondition;
 use std::borrow::{Borrow, BorrowMut};
 use tpdb_lineage::ProbabilityEngine;
-use tpdb_storage::{Schema, StorageError, TpRelation, TpTuple};
+use tpdb_storage::{Schema, StorageError, TpRelation};
 
 /// Which TP set operation to compute.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -120,83 +121,73 @@ pub fn all_columns_equal(r: &TpRelation, s: &TpRelation) -> Result<ThetaConditio
 ///
 /// The result contains, per fact and time point, the probability that the
 /// fact holds in `r` and does not hold in `s` — i.e. the TP anti join under
-/// all-attribute equality. Executes streaming via [`TpSetOpStream`].
+/// all-attribute equality. Executes streaming via [`TpJoinStream::set_op`].
 pub fn tp_difference(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageError> {
-    Ok(TpSetOpStream::new(r, s, TpSetOpKind::Difference)?.collect_relation())
+    Ok(TpJoinStream::set_op(r, s, TpSetOpKind::Difference)?.collect_relation())
 }
 
 /// TP set intersection `r ∩Tp s` on union-compatible relations: per fact and
 /// time point, the probability that the fact holds in both relations.
-/// Executes streaming via [`TpSetOpStream`].
+/// Executes streaming via [`TpJoinStream::set_op`].
 pub fn tp_intersection(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageError> {
-    Ok(TpSetOpStream::new(r, s, TpSetOpKind::Intersection)?.collect_relation())
+    Ok(TpJoinStream::set_op(r, s, TpSetOpKind::Intersection)?.collect_relation())
 }
 
 /// TP set union `r ∪Tp s` on union-compatible relations: per fact and time
 /// point, the probability that the fact holds in `r` **or** in `s`
 /// (lineage `λr ∨ λs` where both are valid, and the single-side lineage
-/// elsewhere). Executes streaming via [`TpSetOpStream`] — no window list is
+/// elsewhere). Executes streaming via [`TpJoinStream::set_op`] — no window list is
 /// materialized.
 pub fn tp_union(r: &TpRelation, s: &TpRelation) -> Result<TpRelation, StorageError> {
-    Ok(TpSetOpStream::new(r, s, TpSetOpKind::Union)?.collect_relation())
+    Ok(TpJoinStream::set_op(r, s, TpSetOpKind::Union)?.collect_relation())
 }
 
-/// A TP set operation executed lazily: an iterator producing the output
-/// tuples of [`tp_union`] / [`tp_intersection`] / [`tp_difference`] one at
-/// a time, in the identical order. Collecting the stream
-/// ([`TpSetOpStream::collect_relation`]) gives exactly the relation the
-/// one-shot functions return — they are implemented as this collect.
-///
-/// Difference and intersection are the TP anti and inner join under the
-/// all-attribute equality θ (the intersection keeping `r`'s columns only);
-/// the union runs two window passes — `WO → LAWAU → LAWAN` of `r` against
-/// `s`, then `WO → LAWAU` of `s` against `r` for the right side's unmatched
-/// sub-intervals. Like the join stream, each pass takes its probe index (on
-/// every column) on its first pull — a stored relation's from its memo — so
-/// the second pass of a union builds an index only after the first pass is
-/// exhausted; everything else is lazy too.
-///
-/// ```
-/// use tpdb_core::{TpSetOpKind, TpSetOpStream};
-///
-/// let (a, b) = tpdb_datagen::booking_example();
-/// let mut stream = TpSetOpStream::new(&a, &b, TpSetOpKind::Difference).unwrap();
-/// let first = stream.next().unwrap();
-/// assert!((0.0..=1.0).contains(&first.probability()));
-/// // Draining the stream gives exactly `tp_difference(&a, &b)`.
-/// let rest = stream.count();
-/// assert_eq!(1 + rest, tpdb_core::tp_difference(&a, &b).unwrap().len());
-/// ```
-pub struct TpSetOpStream<R, S, E = ProbabilityEngine>(pub(crate) TpJoinStream<R, S, E>)
-where
-    R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
-    E: BorrowMut<ProbabilityEngine>;
-
-impl<R, S> TpSetOpStream<R, S, ProbabilityEngine>
-where
-    R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
-{
-    /// Creates the stream with an owned probability engine preloaded with
-    /// the base-tuple probabilities of the two inputs. The all-attribute
-    /// equality θ is an equi-join, so the overlap joins run the sweep.
-    pub fn new(r: R, s: S, kind: TpSetOpKind) -> Result<Self, StorageError> {
+/// The set-operation rows of the operator table, run by the one pass
+/// runner. Difference and intersection are the TP anti and inner join
+/// under the all-attribute equality θ (the intersection keeping `r`'s
+/// columns only); the union runs two window passes — `WO → LAWAU → LAWAN`
+/// of `r` against `s`, then `WO → LAWAU` of `s` against `r` for the right
+/// side's unmatched sub-intervals. Like a join, each pass takes its probe
+/// index (on every column) on its first pull — a stored relation's from its
+/// memo — so the second pass of a union builds an index only after the
+/// first pass is exhausted; everything else is lazy too.
+impl<R: Borrow<TpRelation> + Clone> TpJoinStream<R, ProbabilityEngine> {
+    /// Creates the stream of a set operation with an owned probability
+    /// engine preloaded with the base-tuple probabilities of the two inputs:
+    /// an iterator producing the output tuples of [`tp_union`] /
+    /// [`tp_intersection`] / [`tp_difference`] one at a time, in the
+    /// identical order (the one-shot functions collect it).
+    ///
+    /// ```
+    /// use tpdb_core::{TpJoinStream, TpSetOpKind};
+    ///
+    /// let (a, b) = tpdb_datagen::booking_example();
+    /// let mut stream = TpJoinStream::set_op(&a, &b, TpSetOpKind::Difference).unwrap();
+    /// let first = stream.next().unwrap();
+    /// assert!((0.0..=1.0).contains(&first.probability()));
+    /// // Draining the stream gives exactly `tp_difference(&a, &b)`.
+    /// let rest = stream.count();
+    /// assert_eq!(1 + rest, tpdb_core::tp_difference(&a, &b).unwrap().len());
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As [`TpJoinStream::set_op_with_engine`].
+    pub fn set_op(r: R, s: R, kind: TpSetOpKind) -> Result<Self, StorageError> {
         let engine = registered_engine(r.borrow(), s.borrow());
-        Self::with_engine(r, s, kind, engine)
+        Self::set_op_with_engine(r, s, kind, engine)
     }
 }
 
-impl<R, S, E> TpSetOpStream<R, S, E>
+impl<R, E> TpJoinStream<R, E>
 where
     R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
     E: BorrowMut<ProbabilityEngine>,
 {
-    /// Creates the stream with an explicit probability engine (owned or
-    /// `&mut`-borrowed). Use this variant when the inputs are derived
-    /// relations whose compound lineages reference base tuples not present
-    /// in `r`/`s`.
+    /// Creates the stream of a set operation with an explicit probability
+    /// engine (owned or `&mut`-borrowed). Use this variant when the inputs
+    /// are derived relations whose compound lineages reference base tuples
+    /// not present in `r`/`s`.
     ///
     /// # Errors
     ///
@@ -204,60 +195,14 @@ where
     /// when the inputs are not union-compatible, and
     /// [`StorageError::MissingMarginal`] when a lineage of `r` or `s` names
     /// a variable `engine` has no marginal for.
-    pub fn with_engine(r: R, s: S, kind: TpSetOpKind, engine: E) -> Result<Self, StorageError> {
+    pub fn set_op_with_engine(
+        r: R,
+        s: R,
+        kind: TpSetOpKind,
+        engine: E,
+    ) -> Result<Self, StorageError> {
         let theta = all_columns_equal(r.borrow(), s.borrow())?;
-        TpJoinStream::for_op(r, s, TpOp::SetOp(kind), &theta, engine).map(Self)
-    }
-
-    /// The fact schema of the output tuples (always the left input's).
-    #[must_use]
-    pub fn schema(&self) -> &Schema {
-        self.0.schema()
-    }
-
-    /// The name the collected result relation carries (`r∪s`, `r∩s`,
-    /// `r∖s`).
-    #[must_use]
-    pub fn name(&self) -> &str {
-        self.0.name()
-    }
-
-    /// How many windows have left the underlying pipeline so far — the
-    /// laziness probe: after pulling the first output tuple of a union,
-    /// only the windows inspected to form it have been consumed (at least
-    /// 1; skipped overlapping windows count too) — not the total window
-    /// count of the operation.
-    #[must_use]
-    pub fn windows_consumed(&self) -> usize {
-        self.0.windows_consumed()
-    }
-
-    /// Did the engine certify the statement read-once? See
-    /// [`TpJoinStream::is_certified`].
-    #[must_use]
-    pub fn is_certified(&self) -> bool {
-        self.0.is_certified()
-    }
-
-    /// Drains the remaining stream into a materialized relation — the exact
-    /// relation the one-shot set operation functions return when called on
-    /// fresh inputs.
-    #[must_use]
-    pub fn collect_relation(self) -> TpRelation {
-        self.0.collect_relation()
-    }
-}
-
-impl<R, S, E> Iterator for TpSetOpStream<R, S, E>
-where
-    R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
-    E: BorrowMut<ProbabilityEngine>,
-{
-    type Item = TpTuple;
-
-    fn next(&mut self) -> Option<TpTuple> {
-        self.0.next()
+        Self::for_op(r, s, TpOp::SetOp(kind), &theta, engine)
     }
 }
 
@@ -266,7 +211,7 @@ mod tests {
     use super::*;
     use std::sync::Arc;
     use tpdb_lineage::{Lineage, SymbolTable, VarId};
-    use tpdb_storage::{DataType, Value};
+    use tpdb_storage::{DataType, TpTuple, Value};
     use tpdb_temporal::Interval;
 
     /// Two union-compatible single-column relations:
@@ -396,7 +341,7 @@ mod tests {
             TpSetOpKind::Intersection,
             TpSetOpKind::Difference,
         ] {
-            let mut stream = TpSetOpStream::new(&r, &s, kind).unwrap();
+            let mut stream = TpJoinStream::set_op(&r, &s, kind).unwrap();
             assert!(stream.next().is_some(), "{kind}");
             // Forming the first tuple consumes exactly one window: on this
             // seeded workload the first window of every operation is of a
@@ -419,7 +364,7 @@ mod tests {
             (TpSetOpKind::Difference, tp_difference(&r, &s).unwrap()),
         ] {
             let (ar, ars) = (Arc::new(r.clone()), Arc::new(s.clone()));
-            let streamed = TpSetOpStream::new(ar, ars, kind)
+            let streamed = TpJoinStream::set_op(ar, ars, kind)
                 .unwrap()
                 .collect_relation();
             assert_eq!(streamed, reference, "kind = {kind:?}");
@@ -506,7 +451,7 @@ mod tests {
     #[test]
     fn stream_names_and_schemas_are_available_before_iteration() {
         let (r, s, _) = fixtures();
-        let stream = TpSetOpStream::new(&r, &s, TpSetOpKind::Union).unwrap();
+        let stream = TpJoinStream::set_op(&r, &s, TpSetOpKind::Union).unwrap();
         assert_eq!(stream.name(), "r∪s");
         assert_eq!(stream.schema().arity(), 1);
         assert_eq!(TpSetOpKind::Union.keyword(), "UNION");

@@ -4,12 +4,12 @@
 //! of the operator table ([`crate::optable`]) through the streaming window
 //! pipeline (`OverlapWindowStream → LawauStream → LawanStream → output
 //! formation`) one **output tuple** at a time, instead of collecting the
-//! result into a [`TpRelation`]. Its public constructors run the join
-//! rows, [`crate::TpSetOpStream`] wraps it for the set-operation rows; both
-//! are the engine behind the query layer's result cursors: the first output
-//! tuple is available after probing a single positive tuple's window group
-//! — the full output is never materialized unless the caller drains the
-//! stream.
+//! result into a [`TpRelation`]. Its constructors here run the join rows,
+//! those in [`crate::setops`] ([`TpJoinStream::set_op`]) the set-operation
+//! rows; it is the engine behind the query layer's result cursors: the
+//! first output tuple is available after probing a single positive tuple's
+//! window group — the full output is never materialized unless the caller
+//! drains the stream.
 //!
 //! A statement is one such run on the caller's thread: the runner takes
 //! both lineage columns once per operator ([`ProbabilityEngine::column`]: a
@@ -26,10 +26,11 @@
 //! Any other input builds one index per pass, and a flipped second pass
 //! builds its own only after the first pass is exhausted and dropped.
 //!
-//! The input relations are held through any [`Borrow`]`<TpRelation>`, so
-//! the streams work with plain references inside a one-shot join (this is
-//! how [`crate::tp_join`] itself is implemented) and with
-//! `Arc<TpRelation>` in long-lived cursors that must own their inputs.
+//! Both input relations are held through one handle type, any
+//! [`Borrow`]`<TpRelation>` + [`Clone`], so the stream works with plain
+//! references inside a one-shot join (this is how [`crate::tp_join`] itself
+//! is implemented) and with `Arc<TpRelation>` in long-lived cursors that
+//! must own their inputs; a flipped pass swaps the two handles.
 
 use crate::join::Formation;
 use crate::optable::{PassSpec, TpOp};
@@ -57,35 +58,27 @@ pub(crate) enum PipeDepth {
 }
 
 /// The overlap join → LAWAU stack (the `Wu` depth of a [`Pipe`]).
-type WuStream<P, N> = LawauStream<OverlapWindowStream<P, N>, P>;
+type WuStream<R> = LawauStream<OverlapWindowStream<R, R>, R>;
 
 /// One pass of the window pipeline, cut off at a [`PipeDepth`].
 // A handful of Pipes exist per statement (one per pass); the size
 // difference between the variants is irrelevant at that cardinality.
 #[allow(clippy::large_enum_variant)]
-pub(crate) enum Pipe<P, N>
-where
-    P: Borrow<TpRelation> + Clone,
-    N: Borrow<TpRelation>,
-{
+pub(crate) enum Pipe<R: Borrow<TpRelation> + Clone> {
     /// Overlapping + whole-interval unmatched windows only.
-    Wo(OverlapWindowStream<P, N>),
+    Wo(OverlapWindowStream<R, R>),
     /// Overlap join → LAWAU.
-    Wu(WuStream<P, N>),
+    Wu(WuStream<R>),
     /// The full pipeline: overlap join → LAWAU → LAWAN.
-    Wuon(LawanStream<WuStream<P, N>>),
+    Wuon(LawanStream<WuStream<R>>),
 }
 
-impl<P, N> Pipe<P, N>
-where
-    P: Borrow<TpRelation> + Clone,
-    N: Borrow<TpRelation>,
-{
+impl<R: Borrow<TpRelation> + Clone> Pipe<R> {
     /// Builds the pass pipe for windows of `pos` with respect to `neg`. θ is
     /// bound here; the probe index is taken on the first pull.
     pub(crate) fn build(
-        pos: P,
-        neg: N,
+        pos: R,
+        neg: R,
         theta: &ThetaCondition,
         depth: PipeDepth,
     ) -> Result<Self, StorageError> {
@@ -108,11 +101,7 @@ where
     }
 }
 
-impl<P, N> Iterator for Pipe<P, N>
-where
-    P: Borrow<TpRelation> + Clone,
-    N: Borrow<TpRelation>,
-{
+impl<R: Borrow<TpRelation> + Clone> Iterator for Pipe<R> {
     type Item = Window;
 
     fn next(&mut self) -> Option<Window> {
@@ -124,43 +113,23 @@ where
     }
 }
 
-/// Either input of an operator, so that a pass over `r;s` and a flipped
-/// pass over `s;r` share one pipe type.
-#[derive(Clone)]
-enum Input<R, S> {
-    Left(R),
-    Right(S),
-}
-
-impl<R: Borrow<TpRelation>, S: Borrow<TpRelation>> Borrow<TpRelation> for Input<R, S> {
-    fn borrow(&self) -> &TpRelation {
-        match self {
-            Input::Left(r) => r.borrow(),
-            Input::Right(s) => s.borrow(),
-        }
-    }
-}
-
 /// One table row being executed: its spec, its positive and negative
 /// relation, and the window pipe between them.
-struct Pass<R, S>
-where
-    R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
-{
+struct Pass<R: Borrow<TpRelation> + Clone> {
     spec: &'static PassSpec,
-    pos: Input<R, S>,
-    neg: Input<R, S>,
-    pipe: Pipe<Input<R, S>, Input<R, S>>,
+    pos: R,
+    neg: R,
+    pipe: Pipe<R>,
 }
 
-/// A TP join with negation, executed lazily: an iterator producing the
-/// output tuples of [`crate::tp_join`] one at a time, in the identical
-/// order. Collecting the stream ([`TpJoinStream::collect_relation`]) gives
-/// exactly the relation the one-shot join returns.
+/// A TP operator executed lazily: an iterator producing the output tuples
+/// of [`crate::tp_join`] (or of a set operation, [`TpJoinStream::set_op`])
+/// one at a time, in the identical order. Collecting the stream
+/// ([`TpJoinStream::collect_relation`]) gives exactly the relation the
+/// one-shot function returns.
 ///
-/// `R`/`S` hold the two input relations (`&TpRelation`, `Arc<TpRelation>`,
-/// …); `E` holds the probability engine (`ProbabilityEngine` owned, or
+/// `R` holds both input relations (`&TpRelation`, `Arc<TpRelation>`, …);
+/// `E` holds the probability engine (`ProbabilityEngine` owned, or
 /// `&mut ProbabilityEngine` borrowed from the caller).
 ///
 /// Construction binds θ (an unbindable θ fails here) and takes the two
@@ -191,31 +160,26 @@ where
 // any row of the operator table ([`TpJoinStream::for_op`]) in table order,
 // forming one output tuple per accepted window. Finished passes are dropped
 // (releasing their hold on a probe index) before the next one takes its own.
-pub struct TpJoinStream<R, S, E = ProbabilityEngine>
+pub struct TpJoinStream<R, E = ProbabilityEngine>
 where
     R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
     E: BorrowMut<ProbabilityEngine>,
 {
     engine: E,
     schema: Schema,
     name: String,
     /// The passes still to run; the front one is executing.
-    passes: VecDeque<Pass<R, S>>,
+    passes: VecDeque<Pass<R>>,
     /// The statement's lineage columns and read-once decision.
     formation: Formation,
     windows_consumed: usize,
     produced: usize,
 }
 
-impl<R, S> TpJoinStream<R, S, ProbabilityEngine>
-where
-    R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
-{
+impl<R: Borrow<TpRelation> + Clone> TpJoinStream<R, ProbabilityEngine> {
     /// Creates the stream with an owned probability engine preloaded with
     /// the base-tuple probabilities of the two inputs.
-    pub fn new(r: R, s: S, theta: &ThetaCondition, kind: TpJoinKind) -> Result<Self, StorageError> {
+    pub fn new(r: R, s: R, theta: &ThetaCondition, kind: TpJoinKind) -> Result<Self, StorageError> {
         let engine = registered_engine(r.borrow(), s.borrow());
         Self::with_engine(r, s, theta, kind, engine)
     }
@@ -230,10 +194,9 @@ pub(crate) fn registered_engine(r: &TpRelation, s: &TpRelation) -> ProbabilityEn
     engine
 }
 
-impl<R, S, E> TpJoinStream<R, S, E>
+impl<R, E> TpJoinStream<R, E>
 where
     R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
     E: BorrowMut<ProbabilityEngine>,
 {
     /// Creates the stream with an explicit probability engine (owned or
@@ -247,7 +210,7 @@ where
     /// lineage of `r` or `s` names a variable `engine` has no marginal for.
     pub fn with_engine(
         r: R,
-        s: S,
+        s: R,
         theta: &ThetaCondition,
         kind: TpJoinKind,
         engine: E,
@@ -259,7 +222,7 @@ where
     /// row over `r` and `s` under θ (flipped for the `s;r` passes).
     pub(crate) fn for_op(
         r: R,
-        s: S,
+        s: R,
         op: TpOp,
         theta: &ThetaCondition,
         mut engine: E,
@@ -273,13 +236,9 @@ where
             let flipped_theta;
             let (pos, neg, theta) = if spec.flipped {
                 flipped_theta = theta.flipped();
-                (
-                    Input::Right(s.clone()),
-                    Input::Left(r.clone()),
-                    &flipped_theta,
-                )
+                (s.clone(), r.clone(), &flipped_theta)
             } else {
-                (Input::Left(r.clone()), Input::Right(s.clone()), theta)
+                (r.clone(), s.clone(), theta)
             };
             let pipe = Pipe::build(pos.clone(), neg.clone(), theta, spec.depth)?;
             passes.push_back(Pass {
@@ -299,7 +258,6 @@ where
             produced: 0,
         })
     }
-
     /// The fact schema of the output tuples.
     #[must_use]
     pub fn schema(&self) -> &Schema {
@@ -314,7 +272,9 @@ where
 
     /// How many windows have left the pipeline so far — the laziness probe:
     /// after pulling the first output tuple of a left outer join this is
-    /// `1`, not the total window count of the join.
+    /// `1`, not the total window count of the join. Windows a pass inspects
+    /// without forming a tuple (the overlapping windows of a difference)
+    /// count too.
     #[must_use]
     pub fn windows_consumed(&self) -> usize {
         self.windows_consumed
@@ -339,7 +299,8 @@ where
     }
 
     /// Drains the remaining stream into a materialized relation — the exact
-    /// relation [`crate::tp_join`] returns when called on fresh inputs.
+    /// relation the one-shot function ([`crate::tp_join`],
+    /// [`crate::tp_union`], …) returns when called on fresh inputs.
     #[must_use]
     pub fn collect_relation(self) -> TpRelation {
         let mut out = TpRelation::new(&self.name, self.schema.clone());
@@ -350,10 +311,9 @@ where
     }
 }
 
-impl<R, S, E> Iterator for TpJoinStream<R, S, E>
+impl<R, E> Iterator for TpJoinStream<R, E>
 where
     R: Borrow<TpRelation> + Clone,
-    S: Borrow<TpRelation> + Clone,
     E: BorrowMut<ProbabilityEngine>,
 {
     type Item = TpTuple;
@@ -676,13 +636,12 @@ mod tests {
     }
 
     /// Which passes still to run hold a probe index, the front pass first.
-    fn indexed<R, S, E>(stream: &TpJoinStream<R, S, E>) -> Vec<bool>
+    fn indexed<R, E>(stream: &TpJoinStream<R, E>) -> Vec<bool>
     where
         R: Borrow<TpRelation> + Clone,
-        S: Borrow<TpRelation> + Clone,
         E: BorrowMut<ProbabilityEngine>,
     {
-        let has_index = |pipe: &Pipe<_, _>| match pipe {
+        let has_index = |pipe: &Pipe<_>| match pipe {
             Pipe::Wo(wo) => wo.index.is_some(),
             Pipe::Wu(wu) => wu.input.index.is_some(),
             Pipe::Wuon(wuon) => wuon.input.input.index.is_some(),
@@ -697,10 +656,9 @@ mod tests {
     /// Pulls `stream` dry, checking that no pass holds an index before it
     /// is the front pass: the flipped pass builds its own only after the
     /// first one is exhausted and dropped.
-    fn assert_one_index_at_a_time<R, S, E>(mut stream: TpJoinStream<R, S, E>)
+    fn assert_one_index_at_a_time<R, E>(mut stream: TpJoinStream<R, E>)
     where
         R: Borrow<TpRelation> + Clone,
-        S: Borrow<TpRelation> + Clone,
         E: BorrowMut<ProbabilityEngine>,
     {
         assert_eq!(indexed(&stream), [false, false]);
@@ -726,8 +684,8 @@ mod tests {
         assert_one_index_at_a_time(full);
         let r = crate::testutil::keyed_relation("r", 0, &[(0, 0, 5)]);
         let s = crate::testutil::keyed_relation("s", 100, &[(0, 3, 5), (1, 0, 2)]);
-        let union = crate::TpSetOpStream::new(&r, &s, crate::TpSetOpKind::Union).unwrap();
-        assert_one_index_at_a_time(union.0);
+        let union = TpJoinStream::set_op(&r, &s, crate::TpSetOpKind::Union).unwrap();
+        assert_one_index_at_a_time(union);
         // θ is still bound at construction.
         let unbindable = ThetaCondition::column_equals("Loc", "NoSuchColumn");
         assert!(TpJoinStream::new(&a, &b, &unbindable, TpJoinKind::FullOuter).is_err());

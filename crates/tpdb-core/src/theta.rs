@@ -4,7 +4,8 @@ use serde::{Deserialize, Serialize};
 use std::fmt;
 use tpdb_storage::{Schema, StorageError, TpTuple, Value};
 
-/// A comparison operator between two fact attributes.
+/// A comparison operator between two values: two fact attributes in θ, or a
+/// fact attribute and a literal in a query's `WHERE` clause.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CompareOp {
     /// `=`
@@ -22,10 +23,12 @@ pub enum CompareOp {
 }
 
 impl CompareOp {
-    fn eval(self, l: &Value, r: &Value) -> bool {
+    /// Does `l op r` hold? Values compare by [`Value`]'s total order; NULL
+    /// never satisfies a comparison (SQL's three-valued logic collapsed to
+    /// false, which is what a join or filter predicate needs).
+    #[must_use]
+    pub fn eval(self, l: &Value, r: &Value) -> bool {
         use std::cmp::Ordering::*;
-        // NULL never satisfies a comparison (SQL three-valued logic collapsed
-        // to false, which is what a join predicate needs).
         if l.is_null() || r.is_null() {
             return false;
         }
@@ -40,7 +43,10 @@ impl CompareOp {
         }
     }
 
-    fn flip(self) -> Self {
+    /// The operator with its operands swapped: `l op r` holds exactly when
+    /// `r op.flip() l` does.
+    #[must_use]
+    pub fn flip(self) -> Self {
         match self {
             CompareOp::Eq => CompareOp::Eq,
             CompareOp::Ne => CompareOp::Ne,

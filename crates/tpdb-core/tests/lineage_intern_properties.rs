@@ -9,7 +9,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 use tpdb_core::{
     all_columns_equal, lawan, lawau, overlapping_windows, tp_join, tp_join_with_engine, tp_union,
-    ThetaCondition, TpJoinKind, TpSetOpKind, TpSetOpStream,
+    ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind,
 };
 use tpdb_lineage::{Lineage, LineageArena, LineageInterner, MarginalMap, ProbabilityEngine, VarId};
 use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
@@ -370,7 +370,7 @@ fn a_certified_full_join_interns_only_its_input_columns() {
 fn correlated_roots_are_still_interned_and_expanded() {
     let (r, s) = tpdb_datagen::meteo_like(300, 7);
     let mut engine = engine_over(&[&r, &s]);
-    let union = TpSetOpStream::with_engine(&r, &s, TpSetOpKind::Union, &mut engine)
+    let union = TpJoinStream::set_op_with_engine(&r, &s, TpSetOpKind::Union, &mut engine)
         .unwrap()
         .collect_relation();
     assert_eq!(
@@ -379,7 +379,7 @@ fn correlated_roots_are_still_interned_and_expanded() {
         "a union of base relations is read-once"
     );
     let before = engine.interner().len();
-    let chain = TpSetOpStream::with_engine(&union, &r, TpSetOpKind::Difference, &mut engine)
+    let chain = TpJoinStream::set_op_with_engine(&union, &r, TpSetOpKind::Difference, &mut engine)
         .unwrap()
         .collect_relation();
     assert!(engine.expansions() > 0);

@@ -11,7 +11,6 @@
 
 use tpdb_core::{
     tp_intersection, tp_join, tp_union, ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind,
-    TpSetOpStream,
 };
 use tpdb_lineage::{Lineage, ProbabilityEngine, VarId};
 use tpdb_storage::{StorageError, TpRelation, TpTuple};
@@ -109,7 +108,7 @@ fn base_relations_are_certified() {
         TpSetOpKind::Difference,
     ] {
         let (r, s, _) = meteo();
-        assert!(TpSetOpStream::new(&r, &s, kind).unwrap().is_certified());
+        assert!(TpJoinStream::set_op(&r, &s, kind).unwrap().is_certified());
     }
 }
 
@@ -162,7 +161,7 @@ fn set_operations_over_derived_inputs_are_certified_when_disjoint() {
         (&union, &r, TpSetOpKind::Difference, false),
     ] {
         let mut engine = engine_over(&[&r, &s, &t]);
-        let stream = TpSetOpStream::with_engine(left, right, kind, &mut engine).unwrap();
+        let stream = TpJoinStream::set_op_with_engine(left, right, kind, &mut engine).unwrap();
         assert_eq!(stream.is_certified(), certified, "{kind:?}");
         let rows = stream.collect_relation();
         assert!(!rows.is_empty(), "{kind:?}");

@@ -6,8 +6,8 @@
 //! materializes its two inputs (the windows need the complete negative
 //! relation — exactly as the hash/merge join of a conventional DBMS
 //! materializes its build side) and then produces output tuples lazily: the
-//! NJ machinery drives the streaming [`TpJoinStream`] / [`TpSetOpStream`]
-//! pipeline tuple by tuple on the caller's thread. The TA strategy runs the
+//! NJ machinery drives the streaming [`TpJoinStream`] pipeline tuple by
+//! tuple on the caller's thread. The TA strategy runs the
 //! alignment baseline.
 //!
 //! Operators yield `Result` items: any error cuts the stream short and is
@@ -17,7 +17,7 @@ use crate::expr::BoundPredicate;
 use crate::plan::{JoinStrategy, LogicalPlan};
 use crate::TpdbError;
 use std::sync::Arc;
-use tpdb_core::{ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind, TpSetOpStream};
+use tpdb_core::{ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind};
 use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{Catalog, Schema, TpRelation, TpTuple};
 
@@ -261,8 +261,7 @@ enum OpState {
 /// / `EXCEPT`). The two inputs are materialized when the first output tuple
 /// is requested — the operators need the complete negative side to build
 /// windows. Output tuples are then produced lazily through
-/// [`TpJoinStream`] / [`TpSetOpStream`] (NJ), or streamed from the
-/// materialized TA result.
+/// [`TpJoinStream`] (NJ), or streamed from the materialized TA result.
 pub struct WindowOpExec {
     left: Box<dyn PhysicalOperator>,
     right: Box<dyn PhysicalOperator>,
@@ -327,14 +326,13 @@ impl WindowOpExec {
             return Ok(OpState::Running(Box::new(result.into_tuples().into_iter())));
         }
         let engine = std::mem::take(&mut self.base_engine);
-        Ok(OpState::Running(match &self.op {
-            WindowOp::Join { theta, kind, .. } => Box::new(TpJoinStream::with_engine(
-                left, right, theta, *kind, engine,
-            )?),
-            WindowOp::SetOp(kind) => {
-                Box::new(TpSetOpStream::with_engine(left, right, *kind, engine)?)
+        let stream = match &self.op {
+            WindowOp::Join { theta, kind, .. } => {
+                TpJoinStream::with_engine(left, right, theta, *kind, engine)?
             }
-        }))
+            WindowOp::SetOp(kind) => TpJoinStream::set_op_with_engine(left, right, *kind, engine)?,
+        };
+        Ok(OpState::Running(Box::new(stream)))
     }
 }
 
@@ -387,7 +385,7 @@ pub fn execute_plan(catalog: &Catalog, plan: &LogicalPlan) -> Result<TpRelation,
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::{LiteralPredicate, PredicateOp};
+    use crate::expr::LiteralPredicate;
     use crate::planner::plan_query;
     use tpdb_core::CompareOp;
     use tpdb_storage::Value;
@@ -406,7 +404,7 @@ mod tests {
         let plan = LogicalPlan::scan("a")
             .filter(vec![LiteralPredicate::new(
                 "Loc",
-                PredicateOp::Eq,
+                CompareOp::Eq,
                 Value::str("ZAK"),
             )])
             .project(vec!["Name".to_owned()]);
@@ -459,7 +457,7 @@ mod tests {
             )
             .filter(vec![LiteralPredicate::new(
                 "Hotel",
-                PredicateOp::Eq,
+                CompareOp::Eq,
                 Value::str("hotel1"),
             )])
             .project(vec!["Name".to_owned(), "Hotel".to_owned()]);

@@ -1,62 +1,10 @@
-//! Filter predicates over fact attributes.
+//! Filter predicates over fact attributes. A predicate compares with
+//! θ's operator, [`CompareOp`], and so follows θ's NULL rule and order.
 
 use crate::error::TpdbError;
 use std::fmt;
+use tpdb_core::CompareOp;
 use tpdb_storage::{Schema, TpTuple, Value};
-
-/// Comparison operator of a literal predicate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PredicateOp {
-    /// `=`
-    Eq,
-    /// `<>`
-    Ne,
-    /// `<`
-    Lt,
-    /// `<=`
-    Le,
-    /// `>`
-    Gt,
-    /// `>=`
-    Ge,
-}
-
-impl PredicateOp {
-    /// The operator as it appears in query text.
-    #[must_use]
-    pub fn symbol(self) -> &'static str {
-        match self {
-            PredicateOp::Eq => "=",
-            PredicateOp::Ne => "<>",
-            PredicateOp::Lt => "<",
-            PredicateOp::Le => "<=",
-            PredicateOp::Gt => ">",
-            PredicateOp::Ge => ">=",
-        }
-    }
-
-    fn eval(self, l: &Value, r: &Value) -> bool {
-        use std::cmp::Ordering::*;
-        if l.is_null() || r.is_null() {
-            return false;
-        }
-        let ord = l.cmp(r);
-        match self {
-            PredicateOp::Eq => ord == Equal,
-            PredicateOp::Ne => ord != Equal,
-            PredicateOp::Lt => ord == Less,
-            PredicateOp::Le => ord != Greater,
-            PredicateOp::Gt => ord == Greater,
-            PredicateOp::Ge => ord != Less,
-        }
-    }
-}
-
-impl fmt::Display for PredicateOp {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.symbol())
-    }
-}
 
 /// The right-hand side of a filter predicate: an inline literal or a `$n`
 /// placeholder bound at execution time.
@@ -72,7 +20,7 @@ pub enum Operand {
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Operand::Literal(Value::Str(s)) => write!(f, "'{s}'"),
+            Operand::Literal(Value::Str(s)) => write!(f, "'{}'", s.replace('\'', "''")),
             Operand::Literal(v) => write!(f, "{v}"),
             Operand::Param(i) => write!(f, "${i}"),
         }
@@ -87,7 +35,7 @@ pub struct LiteralPredicate {
     /// Column name.
     pub column: String,
     /// Comparison operator.
-    pub op: PredicateOp,
+    pub op: CompareOp,
     /// Literal to compare against, or the `$n` slot supplying it.
     pub operand: Operand,
 }
@@ -95,7 +43,7 @@ pub struct LiteralPredicate {
 impl LiteralPredicate {
     /// Creates a predicate comparing against an inline literal.
     #[must_use]
-    pub fn new(column: &str, op: PredicateOp, literal: Value) -> Self {
+    pub fn new(column: &str, op: CompareOp, literal: Value) -> Self {
         Self {
             column: column.to_owned(),
             op,
@@ -106,7 +54,7 @@ impl LiteralPredicate {
     /// Creates a predicate comparing against the `$index` placeholder
     /// (1-based).
     #[must_use]
-    pub fn param(column: &str, op: PredicateOp, index: usize) -> Self {
+    pub fn param(column: &str, op: CompareOp, index: usize) -> Self {
         Self {
             column: column.to_owned(),
             op,
@@ -166,7 +114,7 @@ impl fmt::Display for LiteralPredicate {
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundPredicate {
     column: usize,
-    op: PredicateOp,
+    op: CompareOp,
     literal: Value,
 }
 
@@ -200,7 +148,7 @@ mod tests {
 
     #[test]
     fn bind_and_match() {
-        let p = LiteralPredicate::new("Age", PredicateOp::Ge, Value::Int(30))
+        let p = LiteralPredicate::new("Age", CompareOp::Ge, Value::Int(30))
             .bind(&schema())
             .unwrap();
         assert!(p.matches(&tup("Ann", 31)));
@@ -210,7 +158,7 @@ mod tests {
 
     #[test]
     fn string_equality() {
-        let p = LiteralPredicate::new("Name", PredicateOp::Eq, Value::str("Ann"))
+        let p = LiteralPredicate::new("Name", CompareOp::Eq, Value::str("Ann"))
             .bind(&schema())
             .unwrap();
         assert!(p.matches(&tup("Ann", 1)));
@@ -219,16 +167,14 @@ mod tests {
 
     #[test]
     fn unknown_column_fails_binding() {
-        assert!(
-            LiteralPredicate::new("Nope", PredicateOp::Eq, Value::Int(0))
-                .bind(&schema())
-                .is_err()
-        );
+        assert!(LiteralPredicate::new("Nope", CompareOp::Eq, Value::Int(0))
+            .bind(&schema())
+            .is_err());
     }
 
     #[test]
     fn unbound_parameter_fails_binding_with_its_index() {
-        let p = LiteralPredicate::param("Age", PredicateOp::Ge, 2);
+        let p = LiteralPredicate::param("Age", CompareOp::Ge, 2);
         assert_eq!(p.parameter_index(), Some(2));
         match p.bind(&schema()) {
             Err(TpdbError::UnboundParameter { index }) => assert_eq!(index, 2),
@@ -238,12 +184,12 @@ mod tests {
 
     #[test]
     fn with_params_substitutes_placeholders() {
-        let p = LiteralPredicate::param("Age", PredicateOp::Ge, 1);
+        let p = LiteralPredicate::param("Age", CompareOp::Ge, 1);
         let bound = p.with_params(&[Value::Int(30)]).unwrap();
         assert_eq!(bound.operand, Operand::Literal(Value::Int(30)));
         assert!(bound.bind(&schema()).unwrap().matches(&tup("Ann", 31)));
         // literals pass through untouched
-        let lit = LiteralPredicate::new("Age", PredicateOp::Lt, Value::Int(5));
+        let lit = LiteralPredicate::new("Age", CompareOp::Lt, Value::Int(5));
         assert_eq!(lit.with_params(&[]).unwrap(), lit);
         // missing value
         assert!(matches!(
@@ -255,22 +201,22 @@ mod tests {
     #[test]
     fn predicates_render_as_query_text() {
         assert_eq!(
-            LiteralPredicate::new("Name", PredicateOp::Eq, Value::str("Ann")).to_string(),
+            LiteralPredicate::new("Name", CompareOp::Eq, Value::str("Ann")).to_string(),
             "Name = 'Ann'"
         );
         assert_eq!(
-            LiteralPredicate::param("Age", PredicateOp::Ge, 3).to_string(),
+            LiteralPredicate::param("Age", CompareOp::Ge, 3).to_string(),
             "Age >= $3"
         );
         assert_eq!(
-            LiteralPredicate::new("Age", PredicateOp::Lt, Value::Int(5)).to_string(),
+            LiteralPredicate::new("Age", CompareOp::Lt, Value::Int(5)).to_string(),
             "Age < 5"
         );
     }
 
     #[test]
     fn null_never_matches() {
-        let p = LiteralPredicate::new("Name", PredicateOp::Ne, Value::str("Ann"))
+        let p = LiteralPredicate::new("Name", CompareOp::Ne, Value::str("Ann"))
             .bind(&schema())
             .unwrap();
         let t = TpTuple::new(
@@ -289,11 +235,11 @@ mod tests {
                 .bind(&schema())
                 .unwrap()
         };
-        assert!(mk(PredicateOp::Eq).matches(&tup("x", 30)));
-        assert!(mk(PredicateOp::Ne).matches(&tup("x", 31)));
-        assert!(mk(PredicateOp::Lt).matches(&tup("x", 29)));
-        assert!(mk(PredicateOp::Le).matches(&tup("x", 30)));
-        assert!(mk(PredicateOp::Gt).matches(&tup("x", 31)));
-        assert!(mk(PredicateOp::Ge).matches(&tup("x", 30)));
+        assert!(mk(CompareOp::Eq).matches(&tup("x", 30)));
+        assert!(mk(CompareOp::Ne).matches(&tup("x", 31)));
+        assert!(mk(CompareOp::Lt).matches(&tup("x", 29)));
+        assert!(mk(CompareOp::Le).matches(&tup("x", 30)));
+        assert!(mk(CompareOp::Gt).matches(&tup("x", 31)));
+        assert!(mk(CompareOp::Ge).matches(&tup("x", 30)));
     }
 }

@@ -78,7 +78,7 @@ mod shared_cache;
 pub use cursor::ResultCursor;
 pub use error::{ParseError, Span, TpdbError};
 pub use exec::{execute_plan, PhysicalOperator};
-pub use expr::{LiteralPredicate, Operand, PredicateOp};
+pub use expr::{LiteralPredicate, Operand};
 pub use parser::parse_query;
 pub use plan::{JoinStrategy, LogicalPlan};
 pub use planner::{explain, plan_query, plan_query_with, QueryOptions};
@@ -86,4 +86,4 @@ pub use session::{snapshot_summary, PreparedQuery, Session, SessionStats};
 pub use shared_cache::{
     normalize_text, prepare_plan, run_prepared, PlanCache, PlanCacheStats, PreparedPlan,
 };
-pub use tpdb_core::TpSetOpKind;
+pub use tpdb_core::{CompareOp, TpSetOpKind};

@@ -16,7 +16,7 @@
 //! where   := WHERE pred (AND pred)*
 //! pred    := ident cmp (literal | param)
 //! cmp     := '=' | '<>' | '<' | '<=' | '>' | '>='
-//! literal := number | 'string'
+//! literal := integer | decimal | 'string'  -- '' escapes a quote
 //! param   := '$' integer          -- 1-based placeholder, bound at execution
 //! strategy:= STRATEGY (NJ | TA)
 //! parallel:= PARALLEL integer
@@ -44,7 +44,7 @@
 //! offending token's lexeme.
 
 use crate::error::{ParseError, Span};
-use crate::expr::{LiteralPredicate, Operand, PredicateOp};
+use crate::expr::{LiteralPredicate, Operand};
 use crate::plan::{JoinStrategy, LogicalPlan};
 use tpdb_core::{CompareOp, ThetaCondition, TpJoinKind, TpSetOpKind};
 use tpdb_storage::Value;
@@ -52,7 +52,10 @@ use tpdb_storage::Value;
 #[derive(Debug, Clone, PartialEq)]
 enum Token {
     Ident(String),
-    Number(f64),
+    /// A literal of digits (with an optional `-`), read exactly.
+    Int(i64),
+    /// A literal holding a `.`.
+    Float(f64),
     Str(String),
     /// A `$n` parameter placeholder (1-based).
     Param(usize),
@@ -70,7 +73,8 @@ impl Token {
     fn lexeme(&self) -> String {
         match self {
             Token::Ident(s) => s.clone(),
-            Token::Number(n) => n.to_string(),
+            Token::Int(n) => n.to_string(),
+            Token::Float(n) => n.to_string(),
             Token::Str(s) => format!("'{s}'"),
             Token::Param(i) => format!("${i}"),
             Token::Star => "*".to_owned(),
@@ -122,14 +126,23 @@ fn tokenize(input: &str) -> Result<Vec<(Token, Span)>, ParseError> {
             '\'' => {
                 let mut s = String::new();
                 i += 1;
-                while i < bytes.len() && bytes[i].1 != '\'' {
-                    s.push(bytes[i].1);
-                    i += 1;
-                }
-                if i >= bytes.len() {
-                    return Err(
-                        ParseError::new("unterminated string literal").at(Span::new(start, end))
-                    );
+                loop {
+                    match bytes.get(i) {
+                        None => {
+                            return Err(ParseError::new("unterminated string literal")
+                                .at(Span::new(start, end)))
+                        }
+                        // `''` is a quote inside the literal
+                        Some((_, '\'')) if matches!(bytes.get(i + 1), Some((_, '\''))) => {
+                            s.push('\'');
+                            i += 2;
+                        }
+                        Some((_, '\'')) => break,
+                        Some(&(_, c)) => {
+                            s.push(c);
+                            i += 1;
+                        }
+                    }
                 }
                 i += 1; // closing quote
                 tokens.push((Token::Str(s), Span::new(start, offset(&bytes, i, end))));
@@ -157,19 +170,23 @@ fn tokenize(input: &str) -> Result<Vec<(Token, Span)>, ParseError> {
                 tokens.push((Token::Param(index), span));
             }
             c if c.is_ascii_digit() || c == '-' => {
-                let from = i;
                 i += 1;
                 while i < bytes.len() && (bytes[i].1.is_ascii_digit() || bytes[i].1 == '.') {
                     i += 1;
                 }
                 let span = Span::new(start, offset(&bytes, i, end));
-                let text: String = bytes[from..i].iter().map(|&(_, c)| c).collect();
-                let n: f64 = text.parse().map_err(|_| {
-                    ParseError::new(format!("invalid number: {text}"))
-                        .at(span)
-                        .with_token(text.clone())
-                })?;
-                tokens.push((Token::Number(n), span));
+                let text = &input[span.start..span.end];
+                let digits = text.strip_prefix('-').unwrap_or(text);
+                let token = if !digits.is_empty() && digits.bytes().all(|b| b.is_ascii_digit()) {
+                    text.parse().map(Token::Int).map_err(|_| {
+                        ParseError::new(format!("integer literal out of range: {text}"))
+                    })
+                } else {
+                    text.parse()
+                        .map(Token::Float)
+                        .map_err(|_| ParseError::new(format!("invalid number: {text}")))
+                };
+                tokens.push((token.map_err(|e| e.at(span).with_token(text))?, span));
             }
             c if c.is_alphanumeric() || c == '_' => {
                 let from = i;
@@ -316,24 +333,6 @@ fn compare_op(op: &str, at: Span) -> Result<CompareOp, ParseError> {
     })
 }
 
-fn predicate_op(op: &str, at: Span) -> Result<PredicateOp, ParseError> {
-    Ok(match op {
-        "=" => PredicateOp::Eq,
-        "<>" => PredicateOp::Ne,
-        "<" => PredicateOp::Lt,
-        "<=" => PredicateOp::Le,
-        ">" => PredicateOp::Gt,
-        ">=" => PredicateOp::Ge,
-        other => {
-            return Err(
-                ParseError::new(format!("unknown comparison operator {other}"))
-                    .at(at)
-                    .with_token(other.to_owned()),
-            )
-        }
-    })
-}
-
 /// Parses a query string into a logical plan.
 ///
 /// `$1..$n` placeholders parse into [`Operand::Param`] slots of the plan's
@@ -414,7 +413,12 @@ fn parse_set_expr(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
         let right = parse_term(p)?;
         plan = plan.set_op(kind, right);
     }
-    // Deferred STRATEGY / PARALLEL suffixes, in any order.
+    parse_suffixes(p, plan)
+}
+
+/// `[strategy | parallel]*` — the STRATEGY / PARALLEL suffixes, in any
+/// order, applied to `plan`.
+fn parse_suffixes(p: &mut Parser, mut plan: LogicalPlan) -> Result<LogicalPlan, ParseError> {
     loop {
         if p.accept_keyword("STRATEGY") {
             let keyword_span = p.previous();
@@ -427,10 +431,9 @@ fn parse_set_expr(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
             expect_degree(p)?;
             accept_parallel(&plan, keyword_span)?;
         } else {
-            break;
+            return Ok(plan);
         }
     }
-    Ok(plan)
 }
 
 /// `term := '(' setexpr ')' | select`.
@@ -472,7 +475,7 @@ fn parse_strategy_name(name: &str, at: Span) -> Result<JoinStrategy, ParseError>
 /// Consumes the positive integer operand of a PARALLEL suffix.
 fn expect_degree(p: &mut Parser) -> Result<(), ParseError> {
     match p.peek() {
-        Some(&Token::Number(n)) if n >= 1.0 && n.fract() == 0.0 => {
+        Some(&Token::Int(n)) if n >= 1 => {
             p.next();
             Ok(())
         }
@@ -563,17 +566,7 @@ fn parse_select(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
             let (lc, op, rc) = if q1 == left_name && q2 == right_name {
                 (c1, op, c2)
             } else if q1 == right_name && q2 == left_name {
-                (
-                    c2,
-                    match op {
-                        CompareOp::Lt => CompareOp::Gt,
-                        CompareOp::Le => CompareOp::Ge,
-                        CompareOp::Gt => CompareOp::Lt,
-                        CompareOp::Ge => CompareOp::Le,
-                        other => other,
-                    },
-                    c1,
-                )
+                (c2, op.flip(), c1)
             } else {
                 return Err(ParseError::new(format!(
                     "join condition must reference {left_name} and {right_name}"
@@ -602,23 +595,15 @@ fn parse_select(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
         loop {
             let column = p.expect_ident()?;
             let op_span = p.here();
-            let op = predicate_op(&p.expect_cmp()?, op_span)?;
-            let not_literal = |p: &Parser| p.expected("literal or $n placeholder in WHERE clause");
+            let op = compare_op(&p.expect_cmp()?, op_span)?;
             let operand = match p.peek() {
-                Some(Token::Number(_) | Token::Str(_) | Token::Param(_)) => match p.next() {
-                    Some((Token::Number(n), _)) => {
-                        if n.fract() == 0.0 {
-                            Operand::Literal(Value::Int(n as i64))
-                        } else {
-                            Operand::Literal(Value::Float(n))
-                        }
-                    }
-                    Some((Token::Str(s), _)) => Operand::Literal(Value::str(&s)),
-                    Some((Token::Param(index), _)) => Operand::Param(index),
-                    _ => return Err(not_literal(p)),
-                },
-                _ => return Err(not_literal(p)),
+                Some(&Token::Int(n)) => Operand::Literal(Value::Int(n)),
+                Some(&Token::Float(n)) => Operand::Literal(Value::Float(n)),
+                Some(Token::Str(s)) => Operand::Literal(Value::str(s)),
+                Some(&Token::Param(index)) => Operand::Param(index),
+                _ => return Err(p.expected("literal or $n placeholder in WHERE clause")),
             };
+            p.next();
             predicates.push(LiteralPredicate {
                 column,
                 op,
@@ -631,23 +616,11 @@ fn parse_select(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
         plan = plan.filter(predicates);
     }
 
-    // Optional STRATEGY / PARALLEL suffixes, in any order. A select
-    // without a TP join leaves them unconsumed: they then bind to the
-    // enclosing set expression (or fail there, for a plain scan query).
-    while contains_join(&plan) {
-        if p.accept_keyword("STRATEGY") {
-            let keyword_span = p.previous();
-            let name_span = p.here();
-            let name = p.expect_ident()?;
-            let strategy = parse_strategy_name(&name, name_span)?;
-            plan = set_strategy(plan, strategy, keyword_span)?;
-        } else if p.accept_keyword("PARALLEL") {
-            let keyword_span = p.previous();
-            expect_degree(p)?;
-            accept_parallel(&plan, keyword_span)?;
-        } else {
-            break;
-        }
+    // Optional STRATEGY / PARALLEL suffixes. A select without a TP join
+    // leaves them unconsumed: they then bind to the enclosing set
+    // expression (or fail there, for a plain scan query).
+    if contains_join(&plan) {
+        plan = parse_suffixes(p, plan)?;
     }
 
     if let Some(cols) = projection {
@@ -796,7 +769,13 @@ mod tests {
             let err = parse_query(no_operator).unwrap_err();
             assert_eq!(err.token.as_deref(), Some("PARALLEL"), "{no_operator}");
         }
-        for bad in ["PARALLEL 0", "PARALLEL 2.5", "PARALLEL x", "PARALLEL"] {
+        for bad in [
+            "PARALLEL 0",
+            "PARALLEL 2.5",
+            "PARALLEL 2.0",
+            "PARALLEL x",
+            "PARALLEL",
+        ] {
             for q in [
                 format!("SELECT * FROM a TP LEFT JOIN b ON a.Loc = b.Loc {bad}"),
                 format!("SELECT * FROM a UNION SELECT * FROM b {bad}"),
@@ -848,14 +827,45 @@ mod tests {
 
     #[test]
     fn numeric_literals_are_typed() {
-        let plan = parse_query("SELECT * FROM a WHERE Key = 5 AND P < 0.5").unwrap();
-        match plan {
-            LogicalPlan::Filter { predicates, .. } => {
-                assert_eq!(predicates[0].operand, Operand::Literal(Value::Int(5)));
-                assert_eq!(predicates[1].operand, Operand::Literal(Value::Float(0.5)));
-            }
-            other => panic!("unexpected plan {other:?}"),
-        }
+        let plan = parse_query(
+            "SELECT * FROM a WHERE Key = 5 AND P < 0.5 AND K = 9007199254740993 \
+             AND P = 1.0 AND Q = -0.0 AND M = -9223372036854775808",
+        )
+        .unwrap();
+        let LogicalPlan::Filter { predicates, .. } = plan else {
+            panic!("unexpected plan {plan:?}")
+        };
+        // `Value`'s `==` is numeric (`Int(1) == Float(1.0)`): match variants.
+        let operand = |i: usize| match &predicates[i].operand {
+            Operand::Literal(v) => v.clone(),
+            Operand::Param(_) => panic!("literal expected"),
+        };
+        assert!(matches!(operand(0), Value::Int(5)));
+        assert!(matches!(operand(1), Value::Float(f) if f.to_bits() == 0.5f64.to_bits()));
+        assert!(matches!(operand(2), Value::Int(9_007_199_254_740_993)));
+        assert!(matches!(operand(3), Value::Float(f) if f.to_bits() == 1.0f64.to_bits()));
+        assert!(matches!(operand(4), Value::Float(f) if f.to_bits() == (-0.0f64).to_bits()));
+        assert!(matches!(operand(5), Value::Int(i64::MIN)));
+
+        let text = "SELECT * FROM a WHERE K = 9223372036854775808";
+        let err = parse_query(text).unwrap_err();
+        assert_eq!(err.span, Span::new(26, text.len()));
+        assert_eq!(err.token.as_deref(), Some("9223372036854775808"));
+        assert!(err.message.contains("out of range"), "{}", err.message);
+    }
+
+    #[test]
+    fn a_doubled_quote_is_a_quote_in_a_string_literal() {
+        let plan = parse_query("SELECT * FROM a WHERE Name = 'O''Brien' AND Loc = ''''").unwrap();
+        let LogicalPlan::Filter { predicates, .. } = plan else {
+            panic!("unexpected plan {plan:?}")
+        };
+        assert_eq!(
+            predicates[0].operand,
+            Operand::Literal(Value::str("O'Brien"))
+        );
+        assert_eq!(predicates[1].operand, Operand::Literal(Value::str("'")));
+        assert_eq!(predicates[0].to_string(), "Name = 'O''Brien'");
     }
 
     #[test]

@@ -297,7 +297,7 @@ impl LogicalPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::PredicateOp;
+    use tpdb_core::CompareOp;
     use tpdb_storage::Value;
 
     #[test]
@@ -305,7 +305,7 @@ mod tests {
         let plan = LogicalPlan::scan("a")
             .filter(vec![LiteralPredicate::new(
                 "Loc",
-                PredicateOp::Eq,
+                CompareOp::Eq,
                 Value::str("ZAK"),
             )])
             .tp_join(
@@ -332,8 +332,8 @@ mod tests {
     #[test]
     fn parameter_slots_are_counted_and_bound() {
         let plan = LogicalPlan::scan("a").filter(vec![
-            LiteralPredicate::param("Loc", PredicateOp::Eq, 1),
-            LiteralPredicate::param("Key", PredicateOp::Ge, 2),
+            LiteralPredicate::param("Loc", CompareOp::Eq, 1),
+            LiteralPredicate::param("Key", CompareOp::Ge, 2),
         ]);
         assert_eq!(plan.parameter_count(), 2);
         assert!(plan.pretty().contains("Filter (Loc = $1 AND Key >= $2)"));
@@ -364,7 +364,7 @@ mod tests {
     #[test]
     fn highest_slot_index_counts_even_when_lower_slots_are_unused() {
         let plan =
-            LogicalPlan::scan("a").filter(vec![LiteralPredicate::param("Key", PredicateOp::Eq, 2)]);
+            LogicalPlan::scan("a").filter(vec![LiteralPredicate::param("Key", CompareOp::Eq, 2)]);
         assert_eq!(plan.parameter_count(), 2);
         let bound = plan
             .bind_parameters(&[Value::Int(0), Value::Int(7)])
@@ -375,14 +375,10 @@ mod tests {
     #[test]
     fn set_op_builders_print_count_and_bind() {
         let plan = LogicalPlan::scan("a")
-            .filter(vec![LiteralPredicate::param("k", PredicateOp::Ge, 1)])
+            .filter(vec![LiteralPredicate::param("k", CompareOp::Ge, 1)])
             .set_op(
                 TpSetOpKind::Union,
-                LogicalPlan::scan("b").filter(vec![LiteralPredicate::param(
-                    "k",
-                    PredicateOp::Ge,
-                    1,
-                )]),
+                LogicalPlan::scan("b").filter(vec![LiteralPredicate::param("k", CompareOp::Ge, 1)]),
             );
         assert_eq!(plan.parameter_count(), 1);
         let text = plan.pretty();

@@ -28,6 +28,22 @@ pub fn plan_query_with(
     plan_query(catalog, plan)
 }
 
+/// Lowers `plan` with a `NULL` standing in for each `$n` placeholder: the
+/// validation lowering of a statement that may not be bound yet (prepare
+/// and `EXPLAIN`). Unknown relations and columns, θ binding failures and
+/// union-incompatible set operations fail here; the operators are built but
+/// never pulled.
+pub(crate) fn lower_with_null_parameters(
+    catalog: &Catalog,
+    plan: &LogicalPlan,
+) -> Result<Box<dyn PhysicalOperator>, TpdbError> {
+    let slots = plan.parameter_count();
+    if slots == 0 {
+        return plan_query(catalog, plan);
+    }
+    plan_query(catalog, &plan.bind_parameters(&vec![Value::Null; slots])?)
+}
+
 /// Lowers a logical plan to a tree of physical operators, resolving
 /// relation names and column references against the catalog.
 ///
@@ -129,17 +145,9 @@ pub fn plan_query(
 /// stand-ins, and a trailing `Parameters:` line reports the open slots.
 pub fn explain(catalog: &Catalog, plan: &LogicalPlan) -> Result<String, TpdbError> {
     let slots = plan.parameter_count();
-    // Validate and describe the physical plan; placeholders are stood in
-    // by NULLs so that a parameterized query can be explained (but not
-    // executed) without binding.
-    let lowered = if slots > 0 {
-        plan.bind_parameters(&vec![Value::Null; slots])?
-    } else {
-        plan.clone()
-    };
     // Utility statements are described directly — they never lower to a
     // stream operator.
-    let physical = match &lowered {
+    let physical = match plan {
         LogicalPlan::SaveSnapshot { path } => format!(
             "SnapshotWrite '{path}' ({} relation(s))",
             catalog.relation_names().len()
@@ -147,7 +155,7 @@ pub fn explain(catalog: &Catalog, plan: &LogicalPlan) -> Result<String, TpdbErro
         LogicalPlan::LoadSnapshot { path } => {
             format!("SnapshotRead '{path}' (replaces the catalog, all-or-nothing)")
         }
-        other => plan_query(catalog, other)?.describe(),
+        other => lower_with_null_parameters(catalog, other)?.describe(),
     };
     let mut out = format!(
         "Logical plan:\n{}\nPhysical plan:\n  {physical}\n",

@@ -34,7 +34,7 @@
 use crate::exec::execute_plan;
 use crate::parser::parse_query;
 use crate::plan::LogicalPlan;
-use crate::planner::plan_query;
+use crate::planner::lower_with_null_parameters;
 use crate::session::snapshot_summary;
 use crate::TpdbError;
 use std::collections::{HashMap, VecDeque};
@@ -94,12 +94,7 @@ pub fn prepare_plan(catalog: &Catalog, text: &str) -> Result<PreparedPlan, TpdbE
     // Utility statements (snapshot save/load) have no physical plan to
     // probe; everything else validates by lowering once.
     if !plan.is_utility() {
-        let probe = if parameters > 0 {
-            plan.bind_parameters(&vec![Value::Null; parameters])?
-        } else {
-            plan.clone()
-        };
-        plan_query(catalog, &probe)?;
+        lower_with_null_parameters(catalog, &plan)?;
     }
     Ok(PreparedPlan {
         plan,

@@ -587,20 +587,17 @@ fn parse_literal(s: &str) -> Result<(Value, &str), RequestError> {
     Err(RequestError::new(format!("invalid literal: `{word}`")))
 }
 
-/// Formats a [`Value`] as a literal [`parse_literals`] reads back — used
-/// by [`crate::Client::execute`] to send bound parameters.
-///
-/// `Float` values are rendered via `{}`; a float with an integral value
-/// (e.g. `1.0`) therefore reads back as an `Int`. Statements comparing
-/// floats should send explicitly fractional values or inline the literal
-/// in the statement text.
+/// Formats a [`Value`] as a literal [`parse_literals`] reads back as the
+/// same value — used by [`crate::Client::execute`] to send bound
+/// parameters. A `Float` is written so that it reads back as a `Float`
+/// (`1.0`, `-0.0`, `1e16`, `NaN`).
 #[must_use]
 pub fn format_literal(value: &Value) -> String {
     match value {
         Value::Null => "NULL".to_owned(),
         Value::Bool(b) => if *b { "TRUE" } else { "FALSE" }.to_owned(),
         Value::Int(i) => i.to_string(),
-        Value::Float(f) => f.to_string(),
+        Value::Float(f) => format!("{f:?}"),
         Value::Str(s) => format!("'{}'", s.replace('\'', "''")),
     }
 }
@@ -673,6 +670,27 @@ mod tests {
         let formatted = format_literal(&v);
         let parsed = parse_literals(&formatted).unwrap();
         assert_eq!(parsed, vec![v]);
+    }
+
+    #[test]
+    fn formatted_literals_read_back_as_the_same_value() {
+        for v in [
+            Value::Int(i64::MIN),
+            Value::Int((1 << 53) + 1),
+            Value::Float(1.0),
+            Value::Float(-0.0),
+            Value::Float(1e16),
+            Value::Float(0.1),
+            Value::Float(f64::NEG_INFINITY),
+            Value::str("O'Brien"),
+            Value::Bool(false),
+            Value::Null,
+        ] {
+            let formatted = format_literal(&v);
+            let parsed = parse_literals(&formatted).unwrap();
+            // Debug tells `Int(1)` from `Float(1.0)` and `0.0` from `-0.0`.
+            assert_eq!(format!("{parsed:?}"), format!("{:?}", [v]), "{formatted}");
+        }
     }
 
     #[test]

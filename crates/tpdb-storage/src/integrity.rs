@@ -2,7 +2,6 @@
 
 use crate::relation::TpRelation;
 use crate::value::Value;
-use std::collections::HashMap;
 use std::fmt;
 use tpdb_temporal::Interval;
 
@@ -36,33 +35,41 @@ impl fmt::Display for IntegrityViolation {
 /// interval overlapping with [7,10)"). The window algorithms do not require
 /// it for termination, but output probabilities are only meaningful on
 /// duplicate-free inputs, so generators and importers validate it.
+///
+/// The violations are ordered by the starts of their two intervals, ties by
+/// fact.
 #[must_use]
 pub fn check_duplicate_free(relation: &TpRelation) -> Vec<IntegrityViolation> {
-    let mut by_fact: HashMap<Vec<Value>, Vec<Interval>> = HashMap::new();
-    for t in relation.iter() {
-        by_fact
-            .entry(t.facts().to_vec())
-            .or_default()
-            .push(t.interval());
-    }
-    let mut violations = Vec::new();
-    for (facts, mut intervals) in by_fact {
-        intervals.sort_by_key(|i| (i.start(), i.end()));
-        for w in intervals.windows(2) {
-            let [first, second] = w else { continue };
-            if first.overlaps(second) {
-                violations.push(IntegrityViolation {
-                    facts: facts.clone(),
-                    first: *first,
-                    second: *second,
-                });
-            }
-        }
-    }
-    violations.sort_by(|a, b| {
-        (a.first.start(), a.second.start()).cmp(&(b.first.start(), b.second.start()))
-    });
+    let tuples = relation.tuples();
+    let mut violations: Vec<IntegrityViolation> =
+        overlapping_neighbours(tuples.len(), |i| (tuples[i].facts(), tuples[i].interval()))
+            .map(|(a, b)| IntegrityViolation {
+                facts: tuples[a].facts().to_vec(),
+                first: tuples[a].interval(),
+                second: tuples[b].interval(),
+            })
+            .collect();
+    violations.sort_by_key(|v| (v.first.start(), v.second.start()));
     violations
+}
+
+/// The pairs `(a, b)` of items with the same fact over overlapping
+/// intervals that are neighbours once the items are sorted by fact,
+/// interval start, interval end and position — each fact's intervals are
+/// then adjacent and start-ordered, so a fact that is not duplicate-free
+/// shows at least one such pair. `item(i)` gives the fact and interval of
+/// item `i` of `len`; pairs come in sorted order, `a` sorting before `b`.
+pub(crate) fn overlapping_neighbours<'a>(
+    len: usize,
+    item: impl Fn(usize) -> (&'a [Value], Interval),
+) -> impl Iterator<Item = (usize, usize)> {
+    let mut order: Vec<usize> = (0..len).collect();
+    order.sort_unstable_by_key(|&i| (item(i), i));
+    (1..order.len()).filter_map(move |k| {
+        let (a, b) = (order[k - 1], order[k]);
+        let ((fa, ia), (fb, ib)) = (item(a), item(b));
+        (fa == fb && ia.overlaps(&ib)).then_some((a, b))
+    })
 }
 
 #[cfg(test)]

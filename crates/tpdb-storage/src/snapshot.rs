@@ -60,6 +60,7 @@
 
 use crate::catalog::Catalog;
 use crate::error::StorageError;
+use crate::integrity::overlapping_neighbours;
 use crate::relation::TpRelation;
 use crate::schema::{DataType, Field, Schema};
 use crate::tuple::TpTuple;
@@ -1107,36 +1108,23 @@ fn delimited_value(field: &CsvField<'_>, spec: &Field, line: usize) -> Result<Va
 }
 
 /// The TP duplicate-free constraint: for every fact, validity intervals
-/// must not overlap. Row indices are sorted by (facts, interval), so each
-/// fact's intervals are adjacent and start-ordered, and any overlap shows
-/// between two neighbours; the first such pair is reported against its
-/// later line.
+/// must not overlap. The first overlapping pair in sorted order
+/// ([`overlapping_neighbours`]) is reported against its later line.
 fn check_duplicate_keys(rows: &[Row]) -> Result<(), StorageError> {
-    let mut order: Vec<usize> = (0..rows.len()).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (x, y) = (&rows[a], &rows[b]);
-        x.facts
-            .cmp(&y.facts)
-            .then(x.interval.start().cmp(&y.interval.start()))
-            .then(x.interval.end().cmp(&y.interval.end()))
-            .then(a.cmp(&b))
-    });
-    for pair in order.windows(2) {
-        let (mut first, mut second) = (&rows[pair[0]], &rows[pair[1]]);
-        if first.facts == second.facts && first.interval.overlaps(&second.interval) {
-            if first.line > second.line {
-                std::mem::swap(&mut first, &mut second);
-            }
-            return Err(StorageError::ParseError {
-                line: second.line,
-                message: format!(
-                    "duplicate key: fact already valid over {}, which overlaps {}",
-                    first.interval, second.interval
-                ),
-            });
-        }
-    }
-    Ok(())
+    let Some((a, b)) =
+        overlapping_neighbours(rows.len(), |i| (&rows[i].facts, rows[i].interval)).next()
+    else {
+        return Ok(());
+    };
+    // `rows` are in file order: the larger index is the later line.
+    let (first, second) = (&rows[a.min(b)], &rows[a.max(b)]);
+    Err(StorageError::ParseError {
+        line: second.line,
+        message: format!(
+            "duplicate key: fact already valid over {}, which overlaps {}",
+            first.interval, second.interval
+        ),
+    })
 }
 
 /// A streaming reader of delimited records: quoting with `"` (doubled to

@@ -5,7 +5,10 @@
 //!
 //! This crate provides the temporal substrate of the TPDB system: half-open
 //! validity intervals `[start, end)` over a discrete integer timeline and
-//! the start-sorted [`SortedIntervalIndex`] the sweep overlap join probes.
+//! the start-sorted partition kernels ([`sort_partition`],
+//! [`overlapping_in`]) that the overlap join's probe index
+//! (`tpdb_storage::ProbeIndex`) is built and probed with.
+//! [`SortedIntervalIndex`] wraps them for a single partition.
 //!
 //! The time domain is a discrete, totally ordered set of [`TimePoint`]s
 //! (chronons). All intervals are half-open: a tuple with interval `[2, 8)` is

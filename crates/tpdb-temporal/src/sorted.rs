@@ -1,9 +1,13 @@
 //! Endpoint-sorted interval partitions for sweep-based overlap joins.
 //!
-//! [`SortedIntervalIndex`] is the build-side structure of the sweep overlap
-//! join: the intervals of one join-key partition sorted by starting point,
-//! together with the largest interval duration of the partition. An overlap
-//! probe then needs a single binary search plus a bounded forward scan:
+//! [`sort_partition`] and [`overlapping_in`] are the two kernels of the
+//! overlap join's build side: the intervals of one join-key partition
+//! sorted by starting point, together with the largest interval duration
+//! of the partition. The join's probe index (`tpdb_storage::ProbeIndex`)
+//! keeps one such partition per key and calls them;
+//! [`SortedIntervalIndex`] wraps them for a single partition (tpbench's
+//! `temporal.index_build_ms` times its build). An overlap probe then needs
+//! a single binary search plus a bounded forward scan:
 //!
 //! * every interval with `start <= query.start - max_duration` has
 //!   `end <= query.start` and can be skipped wholesale (the binary search),

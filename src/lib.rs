@@ -55,7 +55,7 @@ pub mod prelude {
     pub use tpdb_core::{
         lawan, lawau, overlapping_windows, tp_anti_join, tp_difference, tp_full_outer_join,
         tp_inner_join, tp_intersection, tp_left_outer_join, tp_right_outer_join, tp_union,
-        ThetaCondition, TpJoinStream, TpSetOpKind, TpSetOpStream, Window, WindowKind,
+        ThetaCondition, TpJoinStream, TpSetOpKind, Window, WindowKind,
     };
     pub use tpdb_lineage::{Lineage, ProbabilityEngine, SymbolTable, VarId};
     pub use tpdb_query::{PreparedQuery, ResultCursor, Session, SessionStats, TpdbError};

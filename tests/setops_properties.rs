@@ -9,7 +9,7 @@
 //! suite (dense keys, shared endpoints, single-point intervals).
 
 use proptest::prelude::*;
-use tpdb::core::{tp_difference, tp_intersection, tp_union, TpSetOpKind, TpSetOpStream};
+use tpdb::core::{tp_difference, tp_intersection, tp_union, TpJoinStream, TpSetOpKind};
 use tpdb::lineage::{Lineage, ProbabilityEngine, VarId};
 use tpdb::prelude::Session;
 use tpdb::storage::{Catalog, DataType, Schema, TpRelation, TpTuple, Value};
@@ -186,7 +186,7 @@ fn chained_set_operations_compose_like_the_core_functions() {
     r.register_probabilities(&mut base_engine);
     s.register_probabilities(&mut base_engine);
     let over_derived = |left: &TpRelation, right: &TpRelation, kind| {
-        TpSetOpStream::with_engine(left, right, kind, base_engine.clone())
+        TpJoinStream::set_op_with_engine(left, right, kind, base_engine.clone())
             .unwrap()
             .collect_relation()
     };
