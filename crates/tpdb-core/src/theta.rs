@@ -135,12 +135,25 @@ impl ThetaCondition {
     }
 
     /// Resolves the column names against concrete schemas.
+    ///
+    /// # Errors
+    ///
+    /// [`StorageError::UnknownColumn`] for a name neither schema has, and
+    /// [`StorageError::Incomparable`] for a comparison between columns whose
+    /// types cannot compare ([`tpdb_storage::DataType::compares_with`]).
     pub fn bind(&self, left: &Schema, right: &Schema) -> Result<BoundTheta, StorageError> {
         let mut equi_keys = Vec::new();
         let mut residual = Vec::new();
         for (l, op, r) in &self.comparisons {
             let li = left.require(l)?;
             let ri = right.require(r)?;
+            let (lt, rt) = (left.fields()[li].dtype, right.fields()[ri].dtype);
+            if !lt.compares_with(rt) {
+                return Err(StorageError::Incomparable {
+                    column: format!("r.{l}"),
+                    detail: format!("r.{l} is {lt}, s.{r} is {rt}"),
+                });
+            }
             if *op == CompareOp::Eq {
                 equi_keys.push((li, ri));
             } else {
@@ -319,6 +332,24 @@ mod tests {
     fn unknown_columns_are_rejected_at_bind_time() {
         let theta = ThetaCondition::column_equals("Loc", "Missing");
         assert!(theta.bind(&schema_a(), &schema_b()).is_err());
+    }
+
+    #[test]
+    fn comparisons_across_incomparable_types_are_rejected_at_bind_time() {
+        let numbers = Schema::tp(&[("I", DataType::Int), ("F", DataType::Float)]);
+        // INT against FLOAT compares by exact value.
+        let mixed = ThetaCondition::column_equals("I", "F").and_compare("F", CompareOp::Lt, "I");
+        assert!(mixed.bind(&numbers, &numbers).is_ok());
+        for op in [CompareOp::Eq, CompareOp::Lt] {
+            let theta = ThetaCondition::always().and_compare("Loc", op, "I");
+            match theta.bind(&schema_a(), &numbers) {
+                Err(StorageError::Incomparable { column, detail }) => {
+                    assert_eq!(column, "r.Loc");
+                    assert_eq!(detail, "r.Loc is STR, s.I is INT");
+                }
+                other => panic!("expected Incomparable, got {other:?}"),
+            }
+        }
     }
 
     #[test]

@@ -17,7 +17,7 @@ use crate::expr::BoundPredicate;
 use crate::plan::{JoinStrategy, LogicalPlan};
 use crate::TpdbError;
 use std::sync::Arc;
-use tpdb_core::{ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind};
+use tpdb_core::{CompareOp, ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind};
 use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{Catalog, Schema, TpRelation, TpTuple};
 
@@ -111,23 +111,61 @@ impl PhysicalOperator for ScanExec {
 
 /// Streaming filter.
 ///
-/// Over a fresh scan it reads the stored tuples by reference: the
-/// predicates are tested on each stored tuple, and only the matches are
-/// cloned. Over any other input it filters the tuples the input produces.
+/// Over a fresh scan it reads the stored tuples by reference, visits a
+/// list of candidate positions in relation order, tests every predicate on
+/// each candidate and clones only the matches. The candidates are every
+/// position, or, when the relation is stored in a catalog
+/// ([`TpRelation::memoizes_probes`]) and a predicate is an `=`, the
+/// positions of the first such predicate's literal in the relation's
+/// memoized probe index on that column ([`TpRelation::probe_index`]), read
+/// at the first pull. A NULL literal matches nothing and reads no index.
+/// Over any other input it filters the tuples the input produces.
 pub struct FilterExec {
     input: Box<dyn PhysicalOperator>,
     predicates: Vec<BoundPredicate>,
-    /// The input's stored relation and the position of the next tuple to
-    /// test, when the input is a fresh scan; the input itself is then never
-    /// pulled.
-    stored: Option<(Arc<TpRelation>, usize)>,
+    /// The input's stored relation and the candidates still to test, when
+    /// the input is a fresh scan; the input itself is then never pulled.
+    stored: Option<Stored>,
+}
+
+/// A fresh scan's relation as a filter reads it.
+struct Stored {
+    relation: Arc<TpRelation>,
+    /// The `=` predicate whose column's index yields the candidates.
+    lookup: Option<usize>,
+    /// The candidate positions, ascending; `None` until the first pull
+    /// reads the index, and when there is no lookup (every position is a
+    /// candidate).
+    positions: Option<Vec<usize>>,
+    /// How many candidates were tested.
+    cursor: usize,
+}
+
+impl Stored {
+    /// The next candidate position.
+    fn next_candidate(&mut self) -> Option<usize> {
+        let position = match &self.positions {
+            Some(positions) => *positions.get(self.cursor)?,
+            None => self.cursor,
+        };
+        self.cursor += 1;
+        Some(position)
+    }
 }
 
 impl FilterExec {
     /// Creates a filter over `input`.
     #[must_use]
     pub fn new(input: Box<dyn PhysicalOperator>, predicates: Vec<BoundPredicate>) -> Self {
-        let stored = input.as_relation().map(|relation| (relation, 0));
+        let stored = input.as_relation().map(|relation| Stored {
+            lookup: relation
+                .memoizes_probes()
+                .then(|| predicates.iter().position(|p| p.op == CompareOp::Eq))
+                .flatten(),
+            relation,
+            positions: None,
+            cursor: 0,
+        });
         Self {
             input,
             predicates,
@@ -147,14 +185,26 @@ impl PhysicalOperator for FilterExec {
     }
 
     fn next(&mut self) -> Option<Result<TpTuple, TpdbError>> {
-        if let Some((relation, cursor)) = &mut self.stored {
-            let rest = relation.tuples().get(*cursor..).unwrap_or_default();
-            let Some(i) = rest.iter().position(|t| satisfies(&self.predicates, t)) else {
-                *cursor = relation.len();
-                return None;
-            };
-            *cursor += i + 1;
-            return Some(Ok(rest[i].clone()));
+        if let Some(stored) = &mut self.stored {
+            let lookup = stored.lookup.and_then(|i| self.predicates.get(i));
+            if let (Some(p), None) = (lookup, &stored.positions) {
+                let mut positions: Vec<usize> = if p.literal.is_null() {
+                    Vec::new()
+                } else {
+                    let index = stored.relation.probe_index(&[p.column]);
+                    let key = std::slice::from_ref(&p.literal);
+                    index.positions(key).collect()
+                };
+                positions.sort_unstable();
+                stored.positions = Some(positions);
+            }
+            while let Some(position) = stored.next_candidate() {
+                let tuple = stored.relation.tuples().get(position)?;
+                if satisfies(&self.predicates, tuple) {
+                    return Some(Ok(tuple.clone()));
+                }
+            }
+            return None;
         }
         loop {
             match self.input.next()? {
@@ -169,9 +219,17 @@ impl PhysicalOperator for FilterExec {
     }
 
     fn describe(&self) -> String {
+        let schema = self.input.schema();
+        let rendered: Vec<String> = self.predicates.iter().map(|p| p.render(schema)).collect();
+        let lookup = self
+            .stored
+            .as_ref()
+            .and_then(|s| self.predicates.get(s.lookup?))
+            .map(|p| format!(" by index on {}", schema.fields()[p.column].name))
+            .unwrap_or_default();
         format!(
-            "Filter ({} predicates) -> {}",
-            self.predicates.len(),
+            "Filter ({}){lookup} -> {}",
+            rendered.join(" AND "),
             self.input.describe()
         )
     }
@@ -279,8 +337,9 @@ pub struct WindowOpExec {
 }
 
 impl WindowOpExec {
-    /// Creates a window operator. `base_engine` is the engine over the
-    /// catalog's lineage arena
+    /// Creates a window operator producing `schema`, the planner's output
+    /// schema of `op` over the two inputs. `base_engine` is the engine over
+    /// the catalog's lineage arena
     /// ([`tpdb_storage::Catalog::probability_engine`]), which holds every
     /// base-tuple probability, so stored inputs arrive interned and derived
     /// inputs with compound lineages can be priced.
@@ -289,18 +348,9 @@ impl WindowOpExec {
         left: Box<dyn PhysicalOperator>,
         right: Box<dyn PhysicalOperator>,
         op: WindowOp,
+        schema: Schema,
         base_engine: ProbabilityEngine,
     ) -> Self {
-        // Set operations and the anti join keep the left input's schema;
-        // the other joins append the right input's columns.
-        let schema = match &op {
-            WindowOp::SetOp(_)
-            | WindowOp::Join {
-                kind: TpJoinKind::Anti,
-                ..
-            } => left.schema().clone(),
-            WindowOp::Join { .. } => left.schema().concat(right.schema(), "s_"),
-        };
         Self {
             left,
             right,

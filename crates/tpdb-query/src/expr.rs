@@ -1,10 +1,12 @@
 //! Filter predicates over fact attributes. A predicate compares with
-//! θ's operator, [`CompareOp`], and so follows θ's NULL rule and order.
+//! θ's operator, [`CompareOp`], and so follows θ's NULL rule and order,
+//! and it binds only where θ would: a literal whose type cannot compare
+//! with its column's ([`DataType::compares_with`]) fails the statement.
 
 use crate::error::TpdbError;
 use std::fmt;
 use tpdb_core::CompareOp;
-use tpdb_storage::{Schema, TpTuple, Value};
+use tpdb_storage::{DataType, Schema, StorageError, TpTuple, Value};
 
 /// The right-hand side of a filter predicate: an inline literal or a `$n`
 /// placeholder bound at execution time.
@@ -17,10 +19,15 @@ pub enum Operand {
     Param(usize),
 }
 
+/// Written as query text: a string quoted with `''` for a quote, a float
+/// in `{:?}` form (`1.0`, `1e16`), which reads back as the same `Float`,
+/// and NULL as `NULL` (a bound parameter; query text has no NULL literal).
 impl fmt::Display for Operand {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             Operand::Literal(Value::Str(s)) => write!(f, "'{}'", s.replace('\'', "''")),
+            Operand::Literal(Value::Float(x)) => write!(f, "{x:?}"),
+            Operand::Literal(Value::Null) => write!(f, "NULL"),
             Operand::Literal(v) => write!(f, "{v}"),
             Operand::Param(i) => write!(f, "${i}"),
         }
@@ -89,14 +96,30 @@ impl LiteralPredicate {
 
     /// Resolves the column index against a schema. The operand must be a
     /// literal — a `$n` placeholder here means the statement was executed
-    /// without binding values ([`TpdbError::UnboundParameter`]).
+    /// without binding values ([`TpdbError::UnboundParameter`]) — whose
+    /// type compares with the column's: a NULL, the column's own type, or
+    /// an `Int` against a `Float` column and back
+    /// ([`StorageError::Incomparable`] otherwise).
     pub fn bind(&self, schema: &Schema) -> Result<BoundPredicate, TpdbError> {
         let literal = match &self.operand {
             Operand::Literal(v) => v.clone(),
             Operand::Param(i) => return Err(TpdbError::UnboundParameter { index: *i }),
         };
+        let column = schema.require(&self.column)?;
+        let dtype = schema.fields()[column].dtype;
+        if let Some(ltype) = DataType::of(&literal) {
+            if !dtype.compares_with(ltype) {
+                return Err(TpdbError::Storage(StorageError::Incomparable {
+                    column: self.column.clone(),
+                    detail: format!(
+                        "{} is {dtype}, the literal {} is {ltype}",
+                        self.column, self.operand
+                    ),
+                }));
+            }
+        }
         Ok(BoundPredicate {
-            column: schema.require(&self.column)?,
+            column,
             op: self.op,
             literal,
         })
@@ -113,9 +136,9 @@ impl fmt::Display for LiteralPredicate {
 /// literal.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BoundPredicate {
-    column: usize,
-    op: CompareOp,
-    literal: Value,
+    pub(crate) column: usize,
+    pub(crate) op: CompareOp,
+    pub(crate) literal: Value,
 }
 
 impl BoundPredicate {
@@ -123,6 +146,14 @@ impl BoundPredicate {
     #[must_use]
     pub fn matches(&self, tuple: &TpTuple) -> bool {
         self.op.eval(tuple.fact(self.column), &self.literal)
+    }
+
+    /// The predicate as query text, its column named after `schema`, the
+    /// schema it was bound against.
+    pub(crate) fn render(&self, schema: &Schema) -> String {
+        let name = schema.fields().get(self.column).map_or("?", |f| &f.name);
+        let literal = Operand::Literal(self.literal.clone());
+        format!("{name} {} {literal}", self.op)
     }
 }
 
@@ -212,6 +243,41 @@ mod tests {
             LiteralPredicate::new("Age", CompareOp::Lt, Value::Int(5)).to_string(),
             "Age < 5"
         );
+    }
+
+    #[test]
+    fn float_literals_render_as_floats() {
+        for (value, text) in [
+            (Value::Float(1.0), "Age = 1.0"),
+            (Value::Float(1e16), "Age = 1e16"),
+            (Value::Float(-0.0), "Age = -0.0"),
+            (Value::Float(1.5e-7), "Age = 1.5e-7"),
+            (Value::Int(1), "Age = 1"),
+        ] {
+            let p = LiteralPredicate::new("Age", CompareOp::Eq, value);
+            assert_eq!(p.to_string(), text);
+        }
+    }
+
+    #[test]
+    fn literals_of_incomparable_types_fail_binding() {
+        let ok = |column: &str, value: Value| {
+            LiteralPredicate::new(column, CompareOp::Lt, value)
+                .bind(&schema())
+                .is_ok()
+        };
+        assert!(ok("Age", Value::Float(2.5)));
+        assert!(ok("Age", Value::Null));
+        assert!(ok("Name", Value::Null));
+        assert!(!ok("Age", Value::Bool(true)));
+        match LiteralPredicate::new("Name", CompareOp::Eq, Value::Int(1)).bind(&schema()) {
+            Err(TpdbError::Storage(StorageError::Incomparable { column, detail })) => {
+                assert_eq!(column, "Name");
+                assert_eq!(detail, "Name is STR, the literal 1 is INT");
+            }
+            other => panic!("expected Incomparable, got {other:?}"),
+        }
+        assert!(!ok("Age", Value::str("30")));
     }
 
     #[test]

@@ -16,7 +16,9 @@
 //! where   := WHERE pred (AND pred)*
 //! pred    := ident cmp (literal | param)
 //! cmp     := '=' | '<>' | '<' | '<=' | '>' | '>='
-//! literal := integer | decimal | 'string'  -- '' escapes a quote
+//! literal := integer | float | 'string'  -- '' escapes a quote
+//! float   := integer '.' digits* [exp] | integer exp
+//! exp     := (e | E) [+ | -] digits
 //! param   := '$' integer          -- 1-based placeholder, bound at execution
 //! strategy:= STRATEGY (NJ | TA)
 //! parallel:= PARALLEL integer
@@ -40,6 +42,12 @@
 //! it with [`crate::Session::prepare`] and bind a value per placeholder),
 //! `SELECT * FROM a UNION SELECT * FROM b PARALLEL 2`.
 //!
+//! A literal is read as `EXECUTE` reads a parameter: digits are an exact
+//! `i64`, a `.` or an exponent makes a `Float`, so the `{:?}` form a float
+//! is written in (`1.0`, `1e16`, `1.5e-7`) reads back as the same value.
+//! `NaN` and `inf` have no literal form in query text; bind them to a `$n`
+//! placeholder.
+//!
 //! Parse errors ([`ParseError`]) carry the byte span of the failure and the
 //! offending token's lexeme.
 
@@ -54,7 +62,7 @@ enum Token {
     Ident(String),
     /// A literal of digits (with an optional `-`), read exactly.
     Int(i64),
-    /// A literal holding a `.`.
+    /// A literal holding a `.` or an exponent.
     Float(f64),
     Str(String),
     /// A `$n` parameter placeholder (1-based).
@@ -173,6 +181,17 @@ fn tokenize(input: &str) -> Result<Vec<(Token, Span)>, ParseError> {
                 i += 1;
                 while i < bytes.len() && (bytes[i].1.is_ascii_digit() || bytes[i].1 == '.') {
                     i += 1;
+                }
+                // An exponent (`e16`, `E+3`, `e-7`) when digits follow it.
+                let digit_at = |j: usize| bytes.get(j).is_some_and(|&(_, c)| c.is_ascii_digit());
+                if matches!(bytes.get(i), Some((_, 'e' | 'E'))) {
+                    let sign = usize::from(matches!(bytes.get(i + 1), Some((_, '+' | '-'))));
+                    if digit_at(i + 1 + sign) {
+                        i += 1 + sign;
+                        while digit_at(i) {
+                            i += 1;
+                        }
+                    }
                 }
                 let span = Span::new(start, offset(&bytes, i, end));
                 let text = &input[span.start..span.end];
@@ -852,6 +871,31 @@ mod tests {
         assert_eq!(err.span, Span::new(26, text.len()));
         assert_eq!(err.token.as_deref(), Some("9223372036854775808"));
         assert!(err.message.contains("out of range"), "{}", err.message);
+    }
+
+    #[test]
+    fn exponent_literals_are_floats() {
+        let plan =
+            parse_query("SELECT * FROM a WHERE P = 1e16 AND P = 1.5e-7 AND P = -2E+3 AND P = 2e0")
+                .unwrap();
+        let LogicalPlan::Filter { predicates, .. } = plan else {
+            panic!("unexpected plan {plan:?}")
+        };
+        for (predicate, want) in predicates.iter().zip([1e16, 1.5e-7, -2e3, 2.0_f64]) {
+            assert!(
+                matches!(predicate.operand, Operand::Literal(Value::Float(f)) if f.to_bits() == want.to_bits()),
+                "{predicate}"
+            );
+        }
+        // An `e` with no digits after it is not an exponent.
+        for text in [
+            "SELECT * FROM a WHERE P = 1e",
+            "SELECT * FROM a WHERE P = 1e+",
+            "SELECT * FROM a WHERE P = inf",
+            "SELECT * FROM a WHERE P = NaN",
+        ] {
+            assert!(parse_query(text).is_err(), "{text}");
+        }
     }
 
     #[test]

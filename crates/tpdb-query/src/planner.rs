@@ -1,9 +1,11 @@
 //! Lowering of logical plans to physical operator trees.
 
 use crate::exec::{FilterExec, PhysicalOperator, ProjectExec, ScanExec, WindowOp, WindowOpExec};
-use crate::plan::LogicalPlan;
+use crate::expr::{BoundPredicate, LiteralPredicate};
+use crate::plan::{JoinStrategy, LogicalPlan};
 use crate::TpdbError;
-use tpdb_storage::{Catalog, Value};
+use tpdb_core::{ThetaCondition, TpJoinKind};
+use tpdb_storage::{Catalog, Schema, Value};
 
 /// Execution options, kept for source compatibility: statements run on one
 /// thread and there is nothing left to configure.
@@ -61,11 +63,18 @@ pub fn plan_query(
             Ok(Box::new(ScanExec::new(rel)))
         }
         LogicalPlan::Filter { input, predicates } => {
+            if let LogicalPlan::TpJoin {
+                left,
+                right,
+                theta,
+                kind,
+                strategy,
+            } = &**input
+            {
+                return lower_join(catalog, left, right, theta, *kind, *strategy, predicates);
+            }
             let child = plan_query(catalog, input)?;
-            let bound = predicates
-                .iter()
-                .map(|p| p.bind(child.schema()))
-                .collect::<Result<Vec<_>, _>>()?;
+            let bound = bind_all(predicates, child.schema())?;
             Ok(Box::new(FilterExec::new(child, bound)))
         }
         LogicalPlan::Project { input, columns } => {
@@ -82,23 +91,7 @@ pub fn plan_query(
             theta,
             kind,
             strategy,
-        } => {
-            let left = plan_query(catalog, left)?;
-            let right = plan_query(catalog, right)?;
-            // Validate θ against the child schemas at plan time so that
-            // errors surface before execution.
-            theta.bind(left.schema(), right.schema())?;
-            Ok(Box::new(WindowOpExec::new(
-                left,
-                right,
-                WindowOp::Join {
-                    theta: theta.clone(),
-                    kind: *kind,
-                    strategy: *strategy,
-                },
-                catalog.probability_engine(),
-            )))
-        }
+        } => lower_join(catalog, left, right, theta, *kind, *strategy, &[]),
         LogicalPlan::SetOp { kind, left, right } => {
             let left = plan_query(catalog, left)?;
             let right = plan_query(catalog, right)?;
@@ -118,10 +111,12 @@ pub fn plan_query(
                     ));
                 }
             }
+            let schema = left.schema().clone();
             Ok(Box::new(WindowOpExec::new(
                 left,
                 right,
                 WindowOp::SetOp(*kind),
+                schema,
                 catalog.probability_engine(),
             )))
         }
@@ -137,12 +132,118 @@ pub fn plan_query(
     }
 }
 
+/// Binds each predicate against `schema`.
+fn bind_all(
+    predicates: &[LiteralPredicate],
+    schema: &Schema,
+) -> Result<Vec<BoundPredicate>, TpdbError> {
+    predicates.iter().map(|p| p.bind(schema)).collect()
+}
+
+/// `input` under a filter of `predicates`, or `input` itself when there
+/// are none.
+fn filtered(
+    input: Box<dyn PhysicalOperator>,
+    predicates: Vec<BoundPredicate>,
+) -> Box<dyn PhysicalOperator> {
+    if predicates.is_empty() {
+        return input;
+    }
+    Box::new(FilterExec::new(input, predicates))
+}
+
+/// Lowers a TP join and the `WHERE` predicates directly over it (none
+/// for a bare join): each predicate runs below the join where [`route`]
+/// allows, the rest above it. θ is bound against the input schemas here,
+/// so its errors surface before execution.
+fn lower_join(
+    catalog: &Catalog,
+    left: &LogicalPlan,
+    right: &LogicalPlan,
+    theta: &ThetaCondition,
+    kind: TpJoinKind,
+    strategy: JoinStrategy,
+    predicates: &[LiteralPredicate],
+) -> Result<Box<dyn PhysicalOperator>, TpdbError> {
+    let left = plan_query(catalog, left)?;
+    let right = plan_query(catalog, right)?;
+    theta.bind(left.schema(), right.schema())?;
+    // The anti join keeps the left input's schema; the other joins append
+    // the right input's columns, a name the left already has prefixed with
+    // `s_`.
+    let schema = match kind {
+        TpJoinKind::Anti => left.schema().clone(),
+        _ => left.schema().concat(right.schema(), "s_"),
+    };
+    let bound = bind_all(predicates, &schema)?;
+    let (to_left, to_right, above) = route(bound, kind, left.schema().arity());
+    let join = WindowOpExec::new(
+        filtered(left, to_left),
+        filtered(right, to_right),
+        WindowOp::Join {
+            theta: theta.clone(),
+            kind,
+            strategy,
+        },
+        schema,
+        catalog.probability_engine(),
+    );
+    Ok(filtered(Box::new(join), above))
+}
+
+/// Splits a `WHERE` over a TP join, bound against the join's output
+/// schema, into the predicates that move below the join (onto its left
+/// and its right input, renumbered to that input's columns) and the ones
+/// that stay above it.
+///
+/// Every output row of a TP join is one tuple of a preserved relation with
+/// one of its windows (Table II), and a preserved side's columns hold that
+/// tuple's facts on every row, never a NULL pad: so a predicate on them
+/// keeps or drops the tuple's whole group, and filtering the tuple out of
+/// the input first yields the same rows. Both sides are preserved in an
+/// inner join, the left in a left outer and an anti join, the right in a
+/// right outer join, and neither in a full outer join (each side is padded
+/// on the other's unmatched windows), where nothing moves. Right columns
+/// follow the left ones in the output, so a right predicate's column is
+/// its output index minus the left arity (names may carry the `s_`
+/// prefix). The choice does not depend on the strategy.
+fn route(
+    predicates: Vec<BoundPredicate>,
+    kind: TpJoinKind,
+    left_arity: usize,
+) -> (
+    Vec<BoundPredicate>,
+    Vec<BoundPredicate>,
+    Vec<BoundPredicate>,
+) {
+    let (left_moves, right_moves) = match kind {
+        TpJoinKind::Inner => (true, true),
+        TpJoinKind::LeftOuter | TpJoinKind::Anti => (true, false),
+        TpJoinKind::RightOuter => (false, true),
+        TpJoinKind::FullOuter => (false, false),
+    };
+    let (mut left, mut right, mut above) = (Vec::new(), Vec::new(), Vec::new());
+    for mut p in predicates {
+        let on_left = p.column < left_arity;
+        if on_left && left_moves {
+            left.push(p);
+        } else if !on_left && right_moves {
+            p.column -= left_arity;
+            right.push(p);
+        } else {
+            above.push(p);
+        }
+    }
+    (left, right, above)
+}
+
 /// Returns the physical plan description for a logical plan — the moral
 /// equivalent of `EXPLAIN`.
 ///
 /// A parameterized plan explains without binding: the logical plan prints
 /// the `$n` placeholder slots, the physical plan is validated with `NULL`
-/// stand-ins, and a trailing `Parameters:` line reports the open slots.
+/// stand-ins (its filters print `NULL` for each slot), and a trailing
+/// `Parameters:` line reports the open slots.
 pub fn explain(catalog: &Catalog, plan: &LogicalPlan) -> Result<String, TpdbError> {
     let slots = plan.parameter_count();
     // Utility statements are described directly — they never lower to a
@@ -172,8 +273,7 @@ pub fn explain(catalog: &Catalog, plan: &LogicalPlan) -> Result<String, TpdbErro
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::plan::JoinStrategy;
-    use tpdb_core::{CompareOp, ThetaCondition, TpJoinKind};
+    use tpdb_core::CompareOp;
 
     fn catalog() -> Catalog {
         let mut c = Catalog::new();

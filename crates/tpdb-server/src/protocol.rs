@@ -674,22 +674,81 @@ mod tests {
 
     #[test]
     fn formatted_literals_read_back_as_the_same_value() {
+        use tpdb_storage::{Catalog, DataType, Schema};
+        // A literal in EXPLAIN text reads back too: bound to a parameter
+        // (in the logical and the physical plan), and written inline where
+        // query text has a form for the value.
+        let mut catalog = Catalog::new();
+        let schema = Schema::tp(&[
+            ("i", DataType::Int),
+            ("f", DataType::Float),
+            ("s", DataType::Str),
+            ("b", DataType::Bool),
+        ]);
+        let mut t = catalog.create_relation("t", schema).unwrap();
+        t.push(
+            vec![
+                Value::Int(1),
+                Value::Float(1.0),
+                Value::str("x"),
+                Value::Bool(true),
+            ],
+            tpdb_temporal::Interval::new(0, 1),
+            0.5,
+        );
+        let _ = t.finish();
+        let session = tpdb_query::Session::new(catalog);
+        // The literal of each `Filter (column = literal)` in `text`.
+        let explained = |text: &str, column: &str| -> Vec<String> {
+            let prefix = format!("Filter ({column} = ");
+            text.lines()
+                .filter_map(|line| {
+                    let rest = &line[line.find(&prefix)? + prefix.len()..];
+                    Some(rest[..rest.find(')')?].to_owned())
+                })
+                .collect()
+        };
         for v in [
             Value::Int(i64::MIN),
             Value::Int((1 << 53) + 1),
             Value::Float(1.0),
             Value::Float(-0.0),
             Value::Float(1e16),
+            Value::Float(1.5e-7),
             Value::Float(0.1),
             Value::Float(f64::NEG_INFINITY),
+            Value::Float(f64::NAN),
             Value::str("O'Brien"),
             Value::Bool(false),
             Value::Null,
         ] {
             let formatted = format_literal(&v);
-            let parsed = parse_literals(&formatted).unwrap();
-            // Debug tells `Int(1)` from `Float(1.0)` and `0.0` from `-0.0`.
-            assert_eq!(format!("{parsed:?}"), format!("{:?}", [v]), "{formatted}");
+            let mut literals = vec![formatted.clone()];
+            let column = match v {
+                Value::Int(_) | Value::Null => "i",
+                Value::Float(_) => "f",
+                Value::Str(_) => "s",
+                Value::Bool(_) => "b",
+            };
+            let statement = session
+                .prepare(&format!("SELECT * FROM t WHERE {column} = $1"))
+                .unwrap();
+            let text = statement.explain_bound(std::slice::from_ref(&v)).unwrap();
+            literals.extend(explained(&text, column));
+            assert_eq!(literals.len(), 3, "{text}");
+            let inline = matches!(&v, Value::Int(_) | Value::Str(_))
+                || matches!(v, Value::Float(x) if x.is_finite());
+            if inline {
+                let query = format!("SELECT * FROM t WHERE {column} = {formatted}");
+                let text = session.explain(&query).unwrap();
+                literals.extend(explained(&text, column));
+                assert_eq!(literals.len(), 5, "{text}");
+            }
+            for literal in literals {
+                let parsed = parse_literals(&literal).unwrap();
+                // Debug tells `Int(1)` from `Float(1.0)` and `0.0` from `-0.0`.
+                assert_eq!(format!("{parsed:?}"), format!("{:?}", [&v]), "{literal}");
+            }
         }
     }
 

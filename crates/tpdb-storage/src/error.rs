@@ -75,6 +75,15 @@ pub enum StorageError {
         /// How the sides differ (e.g. `left is INT, right is STR`).
         detail: String,
     },
+    /// A `WHERE` predicate or a θ comparison compares values of types that
+    /// cannot compare ([`DataType::compares_with`]): a string column with a
+    /// number, say. Raised when the statement binds, before any row.
+    Incomparable {
+        /// The column (`r.col` / `s.col` for θ).
+        column: String,
+        /// The two types (e.g. `Name is STR, the literal 1 is INT`).
+        detail: String,
+    },
     /// A snapshot file did not start with the `TPDBSNAP` magic bytes.
     SnapshotBadMagic,
     /// A snapshot file uses a format version this build cannot read.
@@ -182,6 +191,9 @@ impl fmt::Display for StorageError {
                     "set operation inputs are not union-compatible at column {column}: {detail}"
                 )
             }
+            StorageError::Incomparable { column, detail } => {
+                write!(f, "cannot compare column {column}: {detail}")
+            }
             StorageError::SnapshotBadMagic => {
                 write!(f, "snapshot has bad magic bytes: not a TPDB snapshot file")
             }
@@ -277,6 +289,12 @@ mod tests {
         .to_string();
         assert!(e.contains("union-compatible"), "{e}");
         assert!(e.contains("column Loc"), "{e}");
+        let e = StorageError::Incomparable {
+            column: "Name".into(),
+            detail: "Name is STR, the literal 1 is INT".into(),
+        }
+        .to_string();
+        assert!(e.contains("cannot compare column Name"), "{e}");
     }
 
     #[test]

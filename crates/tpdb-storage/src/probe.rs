@@ -13,6 +13,10 @@
 //! the first probe builds it, every later statement, pass and catalog
 //! clone shares it, and it is freed with the relation. Any other relation
 //! has no memo and builds one index per pass.
+//!
+//! The query layer's `WHERE column = literal` over a stored relation reads
+//! the same memo: [`ProbeIndex::positions`] is a key's tuples, so an
+//! equality selection visits its matches instead of every tuple.
 
 use crate::relation::TpRelation;
 use crate::value::Value;
@@ -121,6 +125,20 @@ impl ProbeIndex {
             query,
         ))
     }
+
+    /// The tuple indices of `key`'s partition, in `(start, end, tuple
+    /// index)` order; empty when `key` holds a NULL or no tuple has it.
+    /// A key matches by [`Value`]'s equality, which is θ's and `WHERE`'s `=`.
+    pub fn positions(&self, key: &[Value]) -> impl Iterator<Item = usize> + '_ {
+        let range = if has_null(key) {
+            None
+        } else {
+            self.partitions.get(key).map(|p| p.start..p.end)
+        };
+        self.items[range.unwrap_or_default()]
+            .iter()
+            .map(|&(_, si)| si)
+    }
 }
 
 /// Overwrites `key` with `facts`' values at `columns`.
@@ -147,21 +165,21 @@ type Memoized = (Box<[usize]>, Arc<ProbeIndex>);
 impl ProbeMemo {
     /// The index of `s` on `columns`, built on the first call.
     pub(crate) fn get_or_build(&self, s: &TpRelation, columns: &[usize]) -> Arc<ProbeIndex> {
-        let find = |memo: &[Memoized]| {
-            memo.iter()
-                .find(|(c, _)| **c == *columns)
-                .map(|(_, index)| Arc::clone(index))
-        };
-        if let Some(index) = find(&self.lock()) {
+        if let Some(index) = self.get(columns) {
             return index;
         }
         let built = Arc::new(ProbeIndex::build(s, columns));
         let mut memo = self.lock();
-        if let Some(index) = find(&memo) {
+        if let Some(index) = find(&memo, columns) {
             return index;
         }
         memo.push((columns.into(), Arc::clone(&built)));
         built
+    }
+
+    /// The index on `columns`, when it was built.
+    pub(crate) fn get(&self, columns: &[usize]) -> Option<Arc<ProbeIndex>> {
+        find(&self.lock(), columns)
     }
 
     /// A poisoned lock is recovered: an entry is pushed whole, after its
@@ -169,6 +187,13 @@ impl ProbeMemo {
     fn lock(&self) -> MutexGuard<'_, Vec<Memoized>> {
         self.0.lock().unwrap_or_else(PoisonError::into_inner)
     }
+}
+
+/// The memoized index on `columns`.
+fn find(memo: &[Memoized], columns: &[usize]) -> Option<Arc<ProbeIndex>> {
+    memo.iter()
+        .find(|(c, _)| **c == *columns)
+        .map(|(_, index)| Arc::clone(index))
 }
 
 #[cfg(test)]
@@ -230,6 +255,20 @@ mod tests {
     }
 
     #[test]
+    fn positions_are_a_keys_tuples_whatever_their_intervals() {
+        let s = relation("s", &rows());
+        let index = ProbeIndex::build(&s, &[0]);
+        let positions = |key: Value| index.positions(&[key]).collect::<Vec<_>>();
+        assert_eq!(positions(Value::Int(1)), [3, 4, 0]);
+        // An exactly representable float is the integer's key.
+        assert_eq!(positions(Value::Float(2.0)), [1, 5]);
+        assert_eq!(positions(Value::Float(2.5)), []);
+        assert_eq!(positions(Value::Int(3)), []);
+        // The NULL-keyed tuple 2 is in no partition and NULL finds nothing.
+        assert_eq!(positions(Value::Null), []);
+    }
+
+    #[test]
     fn the_documented_layout_sizes_hold() {
         // docs/ARCHITECTURE.md's memory formula: 24 bytes per item, 48 per
         // map entry, 24 per key value.
@@ -244,8 +283,11 @@ mod tests {
         catalog.register(relation("s", &rows())).unwrap();
         let stored = catalog.relation("s").unwrap();
         assert!(stored.probes.is_some());
+        assert!(stored.memoized_probe_index(&[0]).is_none());
         let first = stored.probe_index(&[0]);
         assert!(Arc::ptr_eq(&first, &stored.probe_index(&[0])));
+        let memoized = stored.memoized_probe_index(&[0]).unwrap();
+        assert!(Arc::ptr_eq(&first, &memoized));
         // A catalog clone shares the relation, so the index too.
         let clone = catalog.clone().relation("s").unwrap();
         assert!(Arc::ptr_eq(&first, &clone.probe_index(&[0])));
@@ -266,6 +308,8 @@ mod tests {
         let filtered = stored.filter(|_| true);
         for made in [&cloned, &renamed, &filtered] {
             assert!(made.probes.is_none(), "{}", made.name());
+            assert!(!made.memoizes_probes());
+            assert!(made.memoized_probe_index(&[0]).is_none());
             assert!(!Arc::ptr_eq(
                 &made.probe_index(&[0]),
                 &made.probe_index(&[0])

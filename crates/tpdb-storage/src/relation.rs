@@ -162,6 +162,20 @@ impl TpRelation {
         }
     }
 
+    /// Does the relation keep its probe indexes, that is, is it stored in a
+    /// catalog? Only then is an index worth building for one statement.
+    #[must_use]
+    pub fn memoizes_probes(&self) -> bool {
+        self.probes.is_some()
+    }
+
+    /// The probe index on `columns` this relation already keeps, if any;
+    /// builds nothing.
+    #[must_use]
+    pub fn memoized_probe_index(&self, columns: &[usize]) -> Option<Arc<ProbeIndex>> {
+        self.probes.as_ref()?.get(columns)
+    }
+
     /// Gives the relation a probe-index memo: the catalog stores it, so its
     /// tuples no longer change.
     pub(crate) fn memoize_probes(&mut self) {

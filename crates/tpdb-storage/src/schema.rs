@@ -33,6 +33,28 @@ impl DataType {
                 | (DataType::Str, Value::Str(_))
         )
     }
+
+    /// The type of a non-NULL value.
+    #[must_use]
+    pub fn of(value: &Value) -> Option<DataType> {
+        match value {
+            Value::Null => None,
+            Value::Bool(_) => Some(DataType::Bool),
+            Value::Int(_) => Some(DataType::Int),
+            Value::Float(_) => Some(DataType::Float),
+            Value::Str(_) => Some(DataType::Str),
+        }
+    }
+
+    /// Can a comparison between values of these types hold? Only within a
+    /// type, or between `Int` and `Float`, which compare by exact value;
+    /// across other types [`Value`]'s order is a type rank, so `=` would
+    /// never hold and `<` would hold for every row.
+    #[must_use]
+    pub fn compares_with(self, other: DataType) -> bool {
+        use DataType::{Float, Int};
+        self == other || matches!((self, other), (Int, Float) | (Float, Int))
+    }
 }
 
 impl fmt::Display for DataType {

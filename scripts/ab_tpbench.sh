@@ -16,12 +16,15 @@
 # copy `tpbench/target/release/tpbench` out, and pass the two copies. The
 # side that runs first alternates with the seed's position. Every run's
 # result line is kept in $AB_LOG (default: ab_<workload>.log in $PWD).
-# A seventh, informational row, minflt_per_stmt, is the run's minor page
-# faults (the child's ru_minflt, set-up included) over its statements.
+# Two informational rows follow the metrics: minflt_per_stmt, the run's
+# minor page faults (the child's ru_minflt, set-up included) over its
+# statements, and ref_ms, the calibration kernel's mean time from the run's
+# info line (`bench.ref_ms`), which shows whether the machine's speed moved
+# between the two sides.
 set -euo pipefail
 
 if [ "$#" -lt 5 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 fi
 parent=$1 change=$2 workload=$3 seconds=$4
@@ -38,7 +41,8 @@ with open(sys.argv[1]) as f:
 EOF
 )
 
-# Runs one binary; prints its result line with minflt_per_stmt appended.
+# Runs one binary; prints its result line with minflt_per_stmt and ref_ms
+# appended.
 run() {
     python3 - "$@" <<'EOF'
 import re, resource, subprocess, sys
@@ -46,9 +50,12 @@ out = subprocess.run(sys.argv[1:], stdin=subprocess.DEVNULL, stdout=subprocess.P
 faults = resource.getrusage(resource.RUSAGE_CHILDREN).ru_minflt
 samples = re.search(r'"samples": (\d+)', out)
 n = int(samples.group(1)) if samples else 0
+ref = re.search(r'"bench\.ref_ms": ([-+0-9.eE]+)', out)
 for line in out.splitlines():
     if '"metrics"' in line:
-        print(line + (' "minflt_per_stmt": {"value": %.1f}' % (faults / n) if n else ""))
+        extra = ' "minflt_per_stmt": {"value": %.1f}' % (faults / n) if n else ""
+        extra += ' "ref_ms": {"value": %s}' % ref.group(1) if ref else ""
+        print(line + extra)
 EOF
 }
 
@@ -116,8 +123,8 @@ END {
     printf "%-16s %-34s %-34s %-11s %s\n", "metric", "parent median [q1-q3]", "change median [q1-q3]", "change wins", "verdict"
     for (k = 1; k <= metrics; k++) {
         m = metric[k]; wins = 0; pairs = 0
-        # A metric BENCHMARK.json does not declare (minflt_per_stmt) counts
-        # as lower-is-better and gets no verdict.
+        # A metric BENCHMARK.json does not declare (minflt_per_stmt,
+        # ref_ms) counts as lower-is-better and gets no verdict.
         sign = better[m] == "higher" ? -1 : 1
         for (i = 1; i <= seeds; i++) {
             if (!(("parent", seed[i], m) in val) || !(("change", seed[i], m) in val)) continue
