@@ -22,8 +22,8 @@ use crate::theta::ThetaCondition;
 use crate::window::{Window, WindowKind, WindowSet};
 use std::slice;
 use tpdb_lineage::{
-    Concat, InternedNode, LineageColumn, LineageInterner, LineageRef, ProbabilityEngine,
-    ProbabilityError, ReadOnceColumns,
+    InternedNode, LineageColumn, LineageInterner, LineageRef, ProbabilityEngine, ProbabilityError,
+    ReadOnceColumns,
 };
 use tpdb_storage::{StorageError, TpRelation, TpTuple};
 
@@ -231,8 +231,8 @@ impl Formation {
         s: &TpRelation,
         engine: &mut ProbabilityEngine,
     ) -> Result<Self, StorageError> {
-        let r_col = engine.column(r, r.tuples().iter().map(TpTuple::lineage));
-        let s_col = engine.column(s, s.tuples().iter().map(TpTuple::lineage));
+        let r_col = engine.column(r, r.tuples().iter().map(TpTuple::lazy_lineage));
+        let s_col = engine.column(s, s.tuples().iter().map(TpTuple::lazy_lineage));
         let spanned = |flipped| {
             op.passes().iter().any(|spec| {
                 spec.flipped == flipped && spec.lineage_fn(WindowKind::Negating).is_some()
@@ -276,12 +276,7 @@ impl Formation {
         let (lineage, probability) = match (lineage_fn, &self.certificate) {
             (LineageFn::Pos, Some(proof)) => engine.certified_output(proof, lr),
             (LineageFn::Pos, None) => engine.output(lr),
-            (lineage_fn, certificate) => {
-                let how = match lineage_fn {
-                    LineageFn::And => Concat::And,
-                    LineageFn::AndNot => Concat::AndNot,
-                    _ => Concat::Or,
-                };
+            (LineageFn::Concat(how), certificate) => {
                 let ops = &mut self.operands;
                 let lambda_s = lambda_s(w, neg_col, spans, engine.interner(), ops);
                 match certificate {

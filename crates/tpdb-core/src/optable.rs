@@ -28,9 +28,9 @@ use crate::join::TpJoinKind;
 use crate::setops::TpSetOpKind;
 use crate::stream::PipeDepth;
 use crate::window::WindowKind;
+use tpdb_lineage::Concat;
 use tpdb_storage::{Schema, TpRelation, Value};
 use FactLayout::{NegPos, PosNeg, PosOnly};
-use LineageFn::{And, AndNot, Or, Pos};
 use PipeDepth::{Full, Overlap, Unmatched};
 
 /// One of the eight TP operators the window pipeline executes.
@@ -42,19 +42,20 @@ pub(crate) enum TpOp {
     SetOp(TpSetOpKind),
 }
 
-/// The lineage-concatenation function applied to a window's `(λr, λs)`,
-/// with `r` the *positive* relation of the pass.
+/// The lineage function applied to a window's `(λr, λs)`, with `r` the
+/// *positive* relation of the pass.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum LineageFn {
     /// `λr` (pass-through; `λs` is null).
     Pos,
-    /// `λr ∧ λs`.
-    And,
-    /// `λr ∧ ¬λs`.
-    AndNot,
-    /// `λr ∨ λs`.
-    Or,
+    /// One of the paper's lineage-concatenation functions of `λr` and `λs`.
+    Concat(Concat),
 }
+
+const POS: Option<LineageFn> = Some(LineageFn::Pos);
+const AND: Option<LineageFn> = Some(LineageFn::Concat(Concat::And));
+const AND_NOT: Option<LineageFn> = Some(LineageFn::Concat(Concat::AndNot));
+const OR: Option<LineageFn> = Some(LineageFn::Concat(Concat::Or));
 
 /// How the output facts are laid out from the pass's positive (`Fr`) and
 /// negative (`Fs`, `NULL`-padded when the window has no `s` tuple) facts.
@@ -141,11 +142,11 @@ const fn pass(
 }
 
 /// `WO` only — the inner-join part.
-const INNER: [Option<LineageFn>; 3] = [Some(And), None, None];
+const INNER: [Option<LineageFn>; 3] = [AND, None, None];
 /// `WU` and `WN` — the anti-join part of the pass's positive relation.
-const ANTI: [Option<LineageFn>; 3] = [None, Some(Pos), Some(AndNot)];
+const ANTI: [Option<LineageFn>; 3] = [None, POS, AND_NOT];
 /// All three classes — inner plus anti part.
-const OUTER: [Option<LineageFn>; 3] = [Some(And), Some(Pos), Some(AndNot)];
+const OUTER: [Option<LineageFn>; 3] = [AND, POS, AND_NOT];
 
 static INNER_JOIN: [PassSpec; 1] = [pass(false, Overlap, INNER, PosNeg)];
 static ANTI_JOIN: [PassSpec; 1] = [pass(false, Full, ANTI, PosOnly)];
@@ -162,8 +163,8 @@ static FULL_OUTER: [PassSpec; 2] = [
 // identical sub-intervals and already carry the full disjunction λs. From
 // s's perspective only the unmatched sub-intervals are new.
 static UNION: [PassSpec; 2] = [
-    pass(false, Full, [None, Some(Pos), Some(Or)], PosOnly),
-    pass(true, Unmatched, [None, Some(Pos), None], PosOnly),
+    pass(false, Full, [None, POS, OR], PosOnly),
+    pass(true, Unmatched, [None, POS, None], PosOnly),
 ];
 static INTERSECTION: [PassSpec; 1] = [pass(false, Overlap, INNER, PosOnly)];
 
@@ -206,7 +207,7 @@ mod tests {
 
     /// Which `(pass, window class, lineage function)` triples an operator
     /// emits, flattened from the table.
-    fn emitted(op: TpOp) -> Vec<(bool, WindowKind, LineageFn)> {
+    fn emitted(op: TpOp) -> Vec<(bool, WindowKind, Option<LineageFn>)> {
         let mut out = Vec::new();
         for spec in op.passes() {
             for kind in [
@@ -214,7 +215,7 @@ mod tests {
                 WindowKind::Unmatched,
                 WindowKind::Negating,
             ] {
-                if let Some(f) = spec.lineage_fn(kind) {
+                if let f @ Some(_) = spec.lineage_fn(kind) {
                     out.push((spec.flipped, kind, f));
                 }
             }
@@ -227,9 +228,9 @@ mod tests {
         use WindowKind::{Negating as WN, Overlapping as WO, Unmatched as WU};
         // Table II: the window sets per join, with `and` for overlapping,
         // pass-through for unmatched and `andNot` for negating windows.
-        let wo = (R_S, WO, And);
-        let left = [(R_S, WU, Pos), (R_S, WN, AndNot)];
-        let right = [(S_R, WU, Pos), (S_R, WN, AndNot)];
+        let wo = (R_S, WO, AND);
+        let left = [(R_S, WU, POS), (R_S, WN, AND_NOT)];
+        let right = [(S_R, WU, POS), (S_R, WN, AND_NOT)];
         assert_eq!(emitted(TpOp::Join(TpJoinKind::Inner)), [wo]);
         assert_eq!(emitted(TpOp::Join(TpJoinKind::Anti)), left);
         assert_eq!(
@@ -250,7 +251,7 @@ mod tests {
         assert_eq!(emitted(TpOp::SetOp(TpSetOpKind::Intersection)), [wo]);
         assert_eq!(
             emitted(TpOp::SetOp(TpSetOpKind::Union)),
-            [(R_S, WU, Pos), (R_S, WN, Or), (S_R, WU, Pos)]
+            [(R_S, WU, POS), (R_S, WN, OR), (S_R, WU, POS)]
         );
     }
 

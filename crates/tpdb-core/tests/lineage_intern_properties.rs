@@ -11,7 +11,9 @@ use tpdb_core::{
     all_columns_equal, lawan, lawau, overlapping_windows, tp_join, tp_join_with_engine, tp_union,
     ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind,
 };
-use tpdb_lineage::{Lineage, LineageArena, LineageInterner, MarginalMap, ProbabilityEngine, VarId};
+use tpdb_lineage::{
+    LazyLineage, Lineage, LineageArena, LineageInterner, MarginalMap, ProbabilityEngine, VarId,
+};
 use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb_temporal::Interval;
 use tree_reference::{bits, tree_join, tree_rows, Op};
@@ -187,7 +189,8 @@ proptest! {
     ) {
         let marginals: MarginalMap = (0..8).map(|v| (VarId(v), prob_of(v))).collect();
         let mut builder = LineageArena::builder(Arc::new(marginals));
-        builder.column(Arc::new(()), frozen.iter());
+        let column: Vec<LazyLineage> = frozen.iter().cloned().map(LazyLineage::from).collect();
+        builder.column(Arc::new(()), column.iter());
         let mut stacked = ProbabilityEngine::over(Arc::new(builder.finish()));
         let mut flat = engine_over_formula_vars();
         let formulas: Vec<&Lineage> = frozen.iter().chain(&overlay).collect();

@@ -2,15 +2,17 @@
 //! output root is priced from its operands and its lineage tree is built only
 //! when `lineage()` is read, so draining a join allocates little more than
 //! each row's facts and its deferred lineage. One test per binary: the counter
-//! is process-wide, so both drains share the one `#[test]`.
+//! is process-wide, so every drain shares the one `#[test]`.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use tpdb_core::{ThetaCondition, TpJoinKind, TpJoinStream};
+use tpdb_core::{all_columns_equal, ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind};
 use tpdb_lineage::ProbabilityEngine;
 use tpdb_storage::{TpRelation, TpTuple};
 
 mod tree_reference;
+
+use tree_reference::Op;
 
 /// Counts every allocation and reallocation; frees are not counted.
 struct Counting;
@@ -43,22 +45,30 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// Drains `kind` over `r` and `s`, returning the rows and the allocations
-/// per row (stream set-up included), and checks that the deferred trees,
-/// once read, are the trees of the tree reference.
-fn drain(r: &TpRelation, s: &TpRelation, column: &str, kind: TpJoinKind) -> (Vec<TpTuple>, f64) {
-    let theta = ThetaCondition::column_equals(column, column);
-    let rows = TpJoinStream::new(r, s, &theta, kind).unwrap().count();
+/// Drains `op` over `r` and `s` (a join under the equality on `column`, a
+/// set operation under the all-column equality), returning the rows and
+/// the allocations per row (stream set-up included), and checks that the
+/// deferred trees, once read, are the trees of the tree reference.
+fn drain(r: &TpRelation, s: &TpRelation, column: &str, op: Op) -> (Vec<TpTuple>, f64) {
+    let theta = match op {
+        Op::Join(_) => ThetaCondition::column_equals(column, column),
+        Op::SetOp(_) => all_columns_equal(r, s).unwrap(),
+    };
+    let stream = || match op {
+        Op::Join(kind) => TpJoinStream::new(r, s, &theta, kind).unwrap(),
+        Op::SetOp(kind) => TpJoinStream::set_op(r, s, kind).unwrap(),
+    };
+    let rows = stream().count();
     let mut out = Vec::with_capacity(rows);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    out.extend(TpJoinStream::new(r, s, &theta, kind).unwrap());
+    out.extend(stream());
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert_eq!(out.len(), rows);
 
     let mut engine = ProbabilityEngine::new();
     r.register_probabilities(&mut engine);
     s.register_probabilities(&mut engine);
-    let trees = tree_reference::tree_join(r, s, &theta, kind, &mut engine);
+    let trees = tree_reference::tree_rows(op, r, s, &theta, &mut engine);
     assert_eq!(trees.len(), rows);
     for (streamed, tree) in out.iter().zip(&trees) {
         assert_eq!(streamed.lineage(), tree.lineage());
@@ -68,21 +78,30 @@ fn drain(r: &TpRelation, s: &TpRelation, column: &str, kind: TpJoinKind) -> (Vec
 }
 
 /// A left outer join over the meteo workload (40 keys, long `λs`
-/// disjunctions) allocates at most 2.5 times per output row (2.44 measured),
-/// and a full outer join over the webkit workload (mostly single-operand
-/// `λs`) at most 1.9 times (1.81): no `And`/`Or`/`Not` wrapper of a
-/// read-once root is built while the stream drains, no `¬λs` is interned as
-/// a node, and the probe indexes allocate one key per distinct key, none
-/// per tuple or probe.
+/// disjunctions) allocates at most 2.5 times per output row (2.44
+/// measured), and a full outer join over the webkit workload (mostly
+/// single-operand `λs`) at most 1.8 times (1.75): no `And`/`Or`/`Not`
+/// wrapper of a read-once root is built while the stream drains, no `¬λs`
+/// is interned as a node, and the probe indexes allocate one key per
+/// distinct key, none per tuple or probe. A union allocates at most 1.55
+/// times per row over either workload (1.49 meteo, 1.51 webkit; 1.91 and
+/// 1.98 while each `λr ∨ λs` was built as a tree): a disjunction row holds
+/// its facts and a recipe over node ids, an unmatched row its facts only.
 #[test]
 fn a_drained_left_join_allocates_at_most_three_times_per_row() {
     let (r, s) = tpdb_datagen::meteo_like(3000, 64);
-    let (rows, per_row) = drain(&r, &s, "Metric", TpJoinKind::LeftOuter);
+    let (rows, per_row) = drain(&r, &s, "Metric", Op::Join(TpJoinKind::LeftOuter));
     assert!(rows.len() > 10_000, "{} rows", rows.len());
     assert!(per_row <= 2.5, "{per_row} allocations per row");
+    let (rows, per_row) = drain(&r, &s, "Metric", Op::SetOp(TpSetOpKind::Union));
+    assert!(rows.len() > 5_000, "{} rows", rows.len());
+    assert!(per_row <= 1.55, "{per_row} allocations per union row");
 
     let (r, s) = tpdb_datagen::webkit_like(12_000, 64);
-    let (rows, per_row) = drain(&r, &s, "Key", TpJoinKind::FullOuter);
+    let (rows, per_row) = drain(&r, &s, "Key", Op::Join(TpJoinKind::FullOuter));
     assert!(rows.len() > 50_000, "{} rows", rows.len());
-    assert!(per_row <= 1.9, "{per_row} allocations per row");
+    assert!(per_row <= 1.8, "{per_row} allocations per row");
+    let (rows, per_row) = drain(&r, &s, "Key", Op::SetOp(TpSetOpKind::Union));
+    assert!(rows.len() > 30_000, "{} rows", rows.len());
+    assert!(per_row <= 1.55, "{per_row} allocations per union row");
 }

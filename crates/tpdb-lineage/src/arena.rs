@@ -31,6 +31,7 @@ use crate::formula::Lineage;
 use crate::intern::{
     structural_hash, InternedNode, LineageInterner, LineageRef, Segment, MIN_TABLE,
 };
+use crate::lazy::LazyLineage;
 use crate::prob::MarginalMap;
 use crate::symbols::VarId;
 use std::any::Any;
@@ -205,7 +206,7 @@ impl ArenaBuilder {
     pub fn column<'a>(
         &mut self,
         owner: Arc<dyn Any + Send + Sync>,
-        lineages: impl ExactSizeIterator<Item = &'a Lineage>,
+        lineages: impl ExactSizeIterator<Item = &'a LazyLineage>,
     ) {
         let roots = self.interner.intern_column(lineages);
         self.columns.push((owner, roots));

@@ -2,6 +2,7 @@
 
 use crate::symbols::{SymbolTable, VarId};
 use serde::{Deserialize, Serialize};
+use std::borrow::Borrow;
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::Arc;
@@ -25,34 +26,6 @@ pub enum LineageNode {
     And(Vec<Lineage>),
     /// Disjunction of at least two sub-formulas.
     Or(Vec<Lineage>),
-}
-
-/// Order-preserving duplicate elimination used when flattening `And`/`Or`
-/// operand lists. Windows over wide groups (e.g. the Meteo workload) build
-/// disjunctions with hundreds of operands, so membership checks go through a
-/// hash set instead of a linear scan.
-struct Deduper {
-    ordered: Vec<Lineage>,
-    seen: std::collections::HashSet<Lineage>,
-}
-
-impl Deduper {
-    fn with_capacity(capacity: usize) -> Self {
-        Self {
-            ordered: Vec::with_capacity(capacity),
-            seen: std::collections::HashSet::with_capacity(capacity),
-        }
-    }
-
-    fn push(&mut self, lineage: Lineage) {
-        if self.seen.insert(lineage.clone()) {
-            self.ordered.push(lineage);
-        }
-    }
-
-    fn into_vec(self) -> Vec<Lineage> {
-        self.ordered
-    }
 }
 
 /// An immutable, cheaply clonable lineage formula.
@@ -105,24 +78,7 @@ impl Lineage {
     /// collapses to `false`.
     #[must_use]
     pub fn and(operands: Vec<Lineage>) -> Self {
-        let mut flat = Deduper::with_capacity(operands.len());
-        for op in operands {
-            match op.node() {
-                LineageNode::True => {}
-                LineageNode::False => return Self::fls(),
-                LineageNode::And(children) => {
-                    for c in children {
-                        flat.push(c.clone());
-                    }
-                }
-                _ => flat.push(op),
-            }
-        }
-        let mut flat = flat.into_vec();
-        if flat.len() > 1 {
-            return Lineage(Arc::new(LineageNode::And(flat)));
-        }
-        flat.pop().unwrap_or_else(Self::tru)
+        Self::nary(true, operands)
     }
 
     /// N-ary disjunction with flattening, unit elimination and
@@ -130,24 +86,40 @@ impl Lineage {
     /// collapses to `true`.
     #[must_use]
     pub fn or(operands: Vec<Lineage>) -> Self {
-        let mut flat = Deduper::with_capacity(operands.len());
-        for op in operands {
-            match op.node() {
-                LineageNode::False => {}
-                LineageNode::True => return Self::tru(),
-                LineageNode::Or(children) => {
-                    for c in children {
-                        flat.push(c.clone());
-                    }
+        Self::nary(false, operands)
+    }
+
+    /// The shared body of [`and`](Self::and) / [`or`](Self::or): flattens
+    /// one level, drops the unit, collapses on the absorbing constant and
+    /// deduplicates in first-occurrence order. Windows over wide groups
+    /// (e.g. the Meteo workload) build disjunctions with hundreds of
+    /// operands, so membership checks go through a hash set.
+    fn nary(is_and: bool, operands: Vec<Lineage>) -> Self {
+        let mut seen = std::collections::HashSet::with_capacity(operands.len());
+        let mut flat = Vec::with_capacity(operands.len());
+        let mut push = |l: &Lineage| {
+            if seen.insert(l.clone()) {
+                flat.push(l.clone());
+            }
+        };
+        for op in &operands {
+            match (op.node(), is_and) {
+                (LineageNode::True, true) | (LineageNode::False, false) => {}
+                (LineageNode::False, true) => return Self::fls(),
+                (LineageNode::True, false) => return Self::tru(),
+                (LineageNode::And(children), true) | (LineageNode::Or(children), false) => {
+                    children.iter().for_each(&mut push);
                 }
-                _ => flat.push(op),
+                _ => push(op),
             }
         }
-        let mut flat = flat.into_vec();
-        if flat.len() > 1 {
-            return Lineage(Arc::new(LineageNode::Or(flat)));
+        match flat.len() {
+            0 if is_and => Self::tru(),
+            0 => Self::fls(),
+            1 => flat.swap_remove(0),
+            _ if is_and => Lineage(Arc::new(LineageNode::And(flat))),
+            _ => Lineage(Arc::new(LineageNode::Or(flat))),
         }
-        flat.pop().unwrap_or_else(Self::fls)
     }
 
     /// Wraps a node that already satisfies the constructors' normal form
@@ -195,18 +167,6 @@ impl Lineage {
         &self.0
     }
 
-    /// Is this the constant-true formula?
-    #[must_use]
-    pub fn is_true(&self) -> bool {
-        matches!(self.node(), LineageNode::True)
-    }
-
-    /// Is this the constant-false formula?
-    #[must_use]
-    pub fn is_false(&self) -> bool {
-        matches!(self.node(), LineageNode::False)
-    }
-
     /// The set of variables mentioned anywhere in the formula.
     #[must_use]
     pub fn vars(&self) -> BTreeSet<VarId> {
@@ -230,8 +190,6 @@ impl Lineage {
         }
     }
 
-    // ----- semantics ------------------------------------------------------
-
     /// Evaluates the formula in the possible world described by
     /// `assignment`.
     pub fn evaluate<F: Fn(VarId) -> bool + Copy>(&self, assignment: F) -> bool {
@@ -242,29 +200,6 @@ impl Lineage {
             LineageNode::Not(c) => !c.evaluate(assignment),
             LineageNode::And(cs) => cs.iter().all(|c| c.evaluate(assignment)),
             LineageNode::Or(cs) => cs.iter().any(|c| c.evaluate(assignment)),
-        }
-    }
-
-    /// Conditions the formula on `var = value` (Shannon cofactor), applying
-    /// the usual structural simplifications.
-    #[must_use]
-    pub fn condition(&self, var: VarId, value: bool) -> Lineage {
-        match self.node() {
-            LineageNode::True | LineageNode::False => self.clone(),
-            LineageNode::Var(v) => {
-                if *v == var {
-                    if value {
-                        Self::tru()
-                    } else {
-                        Self::fls()
-                    }
-                } else {
-                    self.clone()
-                }
-            }
-            LineageNode::Not(c) => Self::not(c.condition(var, value)),
-            LineageNode::And(cs) => Self::and(cs.iter().map(|c| c.condition(var, value)).collect()),
-            LineageNode::Or(cs) => Self::or(cs.iter().map(|c| c.condition(var, value)).collect()),
         }
     }
 
@@ -356,10 +291,10 @@ pub(crate) fn write_lineage<W: fmt::Write + ?Sized>(
 
 /// Writes the `junction` of `operands` in a context of precedence
 /// `parent`, parenthesized when the junction binds more loosely.
-pub(crate) fn write_junction<W: fmt::Write + ?Sized>(
+pub(crate) fn write_junction<W: fmt::Write + ?Sized, L: Borrow<Lineage>>(
     out: &mut W,
     junction: Junction,
-    operands: &[Lineage],
+    operands: impl IntoIterator<Item = L>,
     syms: Option<&SymbolTable>,
     parent: u8,
 ) -> fmt::Result {
@@ -376,25 +311,58 @@ pub(crate) fn write_junction<W: fmt::Write + ?Sized>(
 
 /// Writes `operands` separated by `junction`'s separator, each in the
 /// junction's context, without parentheses around the list.
-pub(crate) fn write_operands<W: fmt::Write + ?Sized>(
+pub(crate) fn write_operands<W: fmt::Write + ?Sized, L: Borrow<Lineage>>(
     out: &mut W,
     junction: Junction,
-    operands: &[Lineage],
+    operands: impl IntoIterator<Item = L>,
     syms: Option<&SymbolTable>,
 ) -> fmt::Result {
-    for (i, c) in operands.iter().enumerate() {
+    for (i, c) in operands.into_iter().enumerate() {
         if i > 0 {
             out.write_str(junction.separator())?;
         }
-        write_lineage(out, c, syms, junction.prec())?;
+        write_lineage(out, c.borrow(), syms, junction.prec())?;
     }
     Ok(())
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The Shannon cofactor on trees, the reference of the arena's
+    /// [`crate::LineageInterner::condition`].
+    pub(crate) trait Cofactor {
+        /// Conditions the formula on `var = value`, applying the
+        /// constructors' simplifications.
+        fn condition(&self, var: VarId, value: bool) -> Lineage;
+    }
+
+    impl Cofactor for Lineage {
+        fn condition(&self, var: VarId, value: bool) -> Lineage {
+            match self.node() {
+                LineageNode::Var(v) if *v == var && value => Lineage::tru(),
+                LineageNode::Var(v) if *v == var => Lineage::fls(),
+                LineageNode::True | LineageNode::False | LineageNode::Var(_) => self.clone(),
+                LineageNode::Not(c) => Lineage::not(c.condition(var, value)),
+                LineageNode::And(cs) => {
+                    Lineage::and(cs.iter().map(|c| c.condition(var, value)).collect())
+                }
+                LineageNode::Or(cs) => {
+                    Lineage::or(cs.iter().map(|c| c.condition(var, value)).collect())
+                }
+            }
+        }
+    }
+
+    fn is_false(l: &Lineage) -> bool {
+        matches!(l.node(), LineageNode::False)
+    }
+
+    fn is_true(l: &Lineage) -> bool {
+        matches!(l.node(), LineageNode::True)
+    }
 
     fn v(i: u32) -> Lineage {
         Lineage::var(VarId(i))
@@ -402,24 +370,24 @@ mod tests {
 
     #[test]
     fn constants_and_atoms() {
-        assert!(Lineage::tru().is_true());
-        assert!(Lineage::fls().is_false());
-        assert!(!v(0).is_true());
+        assert!(is_true(&Lineage::tru()));
+        assert!(is_false(&Lineage::fls()));
+        assert!(!is_true(&v(0)));
         assert_eq!(v(3).vars().into_iter().collect::<Vec<_>>(), vec![VarId(3)]);
     }
 
     #[test]
     fn not_simplifications() {
-        assert!(Lineage::not(Lineage::tru()).is_false());
-        assert!(Lineage::not(Lineage::fls()).is_true());
+        assert!(is_false(&Lineage::not(Lineage::tru())));
+        assert!(is_true(&Lineage::not(Lineage::fls())));
         assert_eq!(Lineage::not(Lineage::not(v(1))), v(1));
     }
 
     #[test]
     fn and_simplifications() {
-        assert!(Lineage::and(vec![]).is_true());
+        assert!(is_true(&Lineage::and(vec![])));
         assert_eq!(Lineage::and(vec![v(1)]), v(1));
-        assert!(Lineage::and(vec![v(1), Lineage::fls()]).is_false());
+        assert!(is_false(&Lineage::and(vec![v(1), Lineage::fls()])));
         assert_eq!(Lineage::and(vec![v(1), Lineage::tru()]), v(1));
         // flattening and dedup
         let nested = Lineage::and(vec![Lineage::and(vec![v(1), v(2)]), v(2), v(3)]);
@@ -431,9 +399,9 @@ mod tests {
 
     #[test]
     fn or_simplifications() {
-        assert!(Lineage::or(vec![]).is_false());
+        assert!(is_false(&Lineage::or(vec![])));
         assert_eq!(Lineage::or(vec![v(1)]), v(1));
-        assert!(Lineage::or(vec![v(1), Lineage::tru()]).is_true());
+        assert!(is_true(&Lineage::or(vec![v(1), Lineage::tru()])));
         assert_eq!(Lineage::or(vec![v(1), Lineage::fls()]), v(1));
         let nested = Lineage::or(vec![Lineage::or(vec![v(1), v(2)]), v(1)]);
         match nested.node() {

@@ -48,11 +48,12 @@
 
 use crate::arena::LineageArena;
 use crate::formula::{Lineage, LineageNode};
+use crate::lazy::{FrozenOverlay, LazyLineage};
 use crate::symbols::VarId;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
 use std::mem;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// The multiplier of the FxHash mix (the 64-bit golden-ratio constant used
 /// by rustc's `FxHasher`).
@@ -569,28 +570,54 @@ impl LineageInterner {
         }
     }
 
-    /// Interns a relation's lineage column — one tree per tuple, in tuple
-    /// order — and returns its roots. The arena and the cons table are
-    /// sized for the column up front, and each new root's conversion-cache
-    /// slot is seeded with the tuple's own tree (normalized, as every
-    /// constructor-built [`Lineage`] is), so converting a root back
+    /// Interns a relation's lineage column — one lineage per tuple, in
+    /// tuple order — and returns its roots. The arena and the cons table
+    /// are sized for the column up front. A tree is interned as a tree, and
+    /// a new root's conversion-cache slot is seeded with it (normalized, as
+    /// every constructor-built [`Lineage`] is), so converting the root back
     /// ([`to_lineage`](Self::to_lineage)) shares the input's `Arc` instead
-    /// of allocating a fresh tree. A root found in the frozen arena keeps
-    /// the arena's tree.
+    /// of allocating a fresh tree; a root found in the frozen arena keeps
+    /// the arena's tree. A deferred lineage is interned from its recipe's
+    /// node ids, building no tree ([`LazyLineage`]).
     pub fn intern_column<'a>(
         &mut self,
-        column: impl ExactSizeIterator<Item = &'a Lineage>,
+        column: impl ExactSizeIterator<Item = &'a LazyLineage>,
     ) -> Vec<LineageRef> {
         self.reserve(column.len());
-        column
-            .map(|lineage| {
-                let root = self.intern(lineage);
-                if let Some(i) = self.local_index(root) {
-                    self.local.legacy[i].get_or_insert_with(|| lineage.clone());
-                }
-                root
-            })
-            .collect()
+        column.map(|lineage| lineage.intern_into(self)).collect()
+    }
+
+    /// Interns `tree` and seeds its root's conversion cache with it, unless
+    /// the root has a tree already (a frozen root always has).
+    pub(crate) fn intern_seeded(&mut self, tree: &Lineage) -> LineageRef {
+        let root = self.intern(tree);
+        if let Some(i) = self.local_index(root) {
+            self.local.legacy[i].get_or_insert_with(|| tree.clone());
+        }
+        root
+    }
+
+    /// The node `r` of `from`, interned here: `r` itself when it is a node
+    /// of this interner's frozen arena, else its tree.
+    pub(crate) fn import(&mut self, from: &FrozenOverlay, r: LineageRef) -> LineageRef {
+        if r.index() < from.arena.len() && Arc::ptr_eq(&from.arena, &self.arena) {
+            return r;
+        }
+        self.intern(&from.tree(r))
+    }
+
+    /// The frozen arena and a copy of the interner's own nodes, with the
+    /// trees converted of them so far: what a certified statement's
+    /// recipes resolve their ids in.
+    pub(crate) fn freeze(&self) -> Arc<FrozenOverlay> {
+        let trees = self.local.legacy.iter().cloned();
+        Arc::new(FrozenOverlay {
+            arena: Arc::clone(&self.arena),
+            own: self.local.nodes.as_slice().into(),
+            trees: trees
+                .map(|t| t.map_or_else(OnceLock::new, OnceLock::from))
+                .collect(),
+        })
     }
 
     /// Converts an interned formula back into a legacy [`Lineage`] tree.
@@ -704,7 +731,7 @@ impl LineageInterner {
     }
 
     /// Conditions the formula on `var = value` (Shannon cofactor),
-    /// mirroring [`Lineage::condition`] in interned space.
+    /// applying the constructors' structural simplifications.
     pub fn condition(&mut self, r: LineageRef, var: VarId, value: bool) -> LineageRef {
         match self.node(r).clone() {
             InternedNode::True | InternedNode::False => r,
@@ -1101,6 +1128,7 @@ impl LineageInterner {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::formula::tests::Cofactor;
 
     fn v(i: u32) -> Lineage {
         Lineage::var(VarId(i))
@@ -1231,7 +1259,10 @@ mod tests {
     fn intern_column_seeds_the_conversion_cache_with_the_input_trees() {
         let mut i = LineageInterner::new();
         let column = [v(1), Lineage::and2(v(2), Lineage::not(v(3))), v(1), v(4)];
-        let roots = i.intern_column(column.iter());
+        let lazy = |trees: &[Lineage]| -> Vec<LazyLineage> {
+            trees.iter().cloned().map(LazyLineage::from).collect()
+        };
+        let roots = i.intern_column(lazy(&column).iter());
         assert_eq!(roots[0], roots[2], "hash-consed roots");
         assert_eq!(i.len(), 8, "⊤, ⊥, x1, x2, x3, ¬x3, x2 ∧ ¬x3, x4");
         for (tree, &root) in column.iter().zip(&roots) {
@@ -1255,10 +1286,10 @@ mod tests {
         // The cons table was sized for the column at once and still finds
         // every node.
         let wide: Vec<Lineage> = (0..1000).map(|k| v(k * 7919)).collect();
-        let roots = i.intern_column(wide.iter());
+        let roots = i.intern_column(lazy(&wide).iter());
         assert_eq!(i.verify_arena(), Ok(()));
         let nodes = i.len();
-        assert_eq!(i.intern_column(wide.iter()), roots);
+        assert_eq!(i.intern_column(lazy(&wide).iter()), roots);
         assert_eq!(i.len(), nodes, "re-interning allocates nothing");
     }
 

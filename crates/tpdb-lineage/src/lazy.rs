@@ -1,23 +1,47 @@
 //! Output lineages whose tree is built on first read.
 //!
 //! The consumer of a TP join needs each output tuple's probability, which
-//! [`crate::ProbabilityEngine`] prices from the operands at output
-//! formation; the formula itself is read only by some consumers (display,
-//! snapshots, a join over the result). A read-once concatenation therefore
-//! travels as a *recipe* over its operands' already-converted trees, and the
-//! `And`/`Or`/`Not` wrapper of the root is allocated the first time
-//! [`LazyLineage::get`] is called — once, shared by every clone.
+//! [`crate::ProbabilityEngine`] prices from the operands' arena nodes at
+//! output formation; the formula itself is read only by some consumers
+//! (display, the wire, snapshots, a join over the result). A read-once
+//! concatenation of Table II — `λr ∧ λs`, `λr ∧ ¬λs`,
+//! `λr ∧ ¬(c₁ ∨ … ∨ c_k)`, the union's `λr ∨ λs` — therefore travels as a
+//! *recipe*: the concatenation function and its operands' `u32` node ids
+//! (a span's in one boxed slice), plus one [`Arc`] of the
+//! [`FrozenOverlay`] the ids resolve in. The tree is built the first time
+//! [`LazyLineage::get`] is called — once, shared by every clone — from the
+//! overlay's per-node trees; `Display` writes the same text from those
+//! trees without building the root. Forming a row touches no tree: it
+//! clones one `Arc` and copies ids. (While recipes held clones of the
+//! operands' trees — one reference count per operand, on nodes scattered
+//! over the arena — the lineage half of certified formation over
+//! `meteo_like(3000, 64)` took 5.3–5.9 ms per pass; over ids, 3.3–3.8 ms.)
+//!
+//! A recipe keeps its overlay alive, and with it the catalog arena under
+//! it: a row stays readable after its statement, its session and its
+//! catalog epoch are gone (a `LOAD SNAPSHOT` included).
+//!
+//! The recipe sits behind the `Arc`, so a [`LazyLineage`] is 16 bytes
+//! whatever it holds: every stored tuple carries one, and `TpTuple` must
+//! stay within 64 bytes (an inline recipe made it 96 and raised
+//! `webkit_full`'s peak RSS by 15 %).
+//!
+//! A derived input interns a recipe straight from its ids
+//! ([`LazyLineage::intern_into`]), building no tree.
 
+use crate::arena::LineageArena;
 use crate::formula::{
     prec, write_junction, write_lineage, write_operands, Junction, Lineage, LineageNode, NOT,
 };
+use crate::intern::{InternedNode, LineageInterner, LineageRef};
+use crate::prob::Concat;
 use crate::symbols::VarId;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::slice;
 use std::sync::{Arc, OnceLock};
 
-/// An output tuple's lineage: a built [`Lineage`] tree, or a read-once
-/// concatenation whose tree is built on the first [`get`](Self::get).
+/// An output tuple's lineage: a built [`Lineage`] tree, or a recipe over
+/// arena node ids whose tree is built on the first [`get`](Self::get).
 /// Sixteen bytes either way; cloning is a reference-count increment.
 #[derive(Clone)]
 pub struct LazyLineage(Repr);
@@ -28,112 +52,153 @@ enum Repr {
     Deferred(Arc<Deferred>),
 }
 
-/// A recipe and the tree it builds, once.
+/// A recipe, the overlay its ids resolve in, and the tree it builds, once.
 struct Deferred {
     tree: OnceLock<Lineage>,
+    nodes: Arc<FrozenOverlay>,
     recipe: Recipe,
 }
 
-/// How a read-once root is assembled from its operands' trees. Every shape
-/// is only formed when the operands share no variable, so concatenating
-/// their conjuncts is already the constructors' normal form.
+/// How a root is assembled from arena nodes. It is only formed over a
+/// certified statement's operands: read-once, sharing no variable, neither
+/// a constant nor a negation, so concatenating their conjuncts (disjuncts)
+/// is already the constructors' normal form.
 enum Recipe {
-    /// `a ∧ b`: the conjuncts of `a`, then those of `b`.
-    And2(Lineage, Lineage),
-    /// `a ∧ ¬b` (`b` neither a constant nor a negation): the conjuncts of
-    /// `a`, then `¬b`.
-    AndNot(Lineage, Lineage),
-    /// `[λr, c₁, …, c_k]` (k ≥ 2, the `cᵢ` flattened and distinct):
-    /// `λr ∧ ¬(c₁ ∨ … ∨ c_k)`.
-    AndNotOr(Box<[Lineage]>),
+    /// `how(λr, c)`: `λs` is one node.
+    Pair(Concat, LineageRef, LineageRef),
+    /// `how(λr, c₁ ∨ … ∨ c_k)` over a span's k ≥ 2 distinct, flattened
+    /// disjuncts.
+    Span(Concat, LineageRef, Box<[LineageRef]>),
 }
 
 impl Recipe {
-    fn build(&self) -> Lineage {
-        let conjuncts = match self {
-            Recipe::And2(a, b) => [conjuncts(a), conjuncts(b)].concat(),
-            Recipe::AndNot(a, b) => {
-                let not = Lineage::from_normalized(LineageNode::Not(b.clone()));
-                [conjuncts(a), slice::from_ref(&not)].concat()
-            }
-            Recipe::AndNotOr(operands) => {
-                let (conjuncts_r, disjuncts) = span_operands(operands);
-                let or = Lineage::from_normalized(LineageNode::Or(disjuncts.to_vec()));
-                let not = Lineage::from_normalized(LineageNode::Not(or));
-                [conjuncts_r, slice::from_ref(&not)].concat()
-            }
-        };
-        Lineage::from_normalized(LineageNode::And(conjuncts))
-    }
-}
-
-/// The text of the tree [`Recipe::build`] builds, written without building
-/// it: the root's conjuncts in order, the negated operand last.
-impl fmt::Display for Recipe {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let and = Junction::And;
+    /// The concatenation function, `λr` and the operands of `λs`.
+    fn parts(&self) -> (Concat, LineageRef, &[LineageRef]) {
         match self {
-            Recipe::And2(a, b) => {
-                write_operands(f, and, conjuncts(a), None)?;
-                f.write_str(and.separator())?;
-                write_operands(f, and, conjuncts(b), None)
-            }
-            Recipe::AndNot(a, b) => {
-                write_operands(f, and, conjuncts(a), None)?;
-                write!(f, "{}{NOT}", and.separator())?;
-                write_lineage(f, b, None, prec::ATOM)
-            }
-            Recipe::AndNotOr(operands) => {
-                let (conjuncts_r, disjuncts) = span_operands(operands);
-                write_operands(f, and, conjuncts_r, None)?;
-                write!(f, "{}{NOT}", and.separator())?;
-                write_junction(f, Junction::Or, disjuncts, None, prec::ATOM)
-            }
+            Recipe::Pair(how, r, c) => (*how, *r, slice::from_ref(c)),
+            Recipe::Span(how, r, span) => (*how, *r, span),
         }
     }
 }
 
-/// The operands a conjunction flattens `l` into.
-fn conjuncts(l: &Lineage) -> &[Lineage] {
-    match l.node() {
-        LineageNode::And(children) => children,
+/// The nodes a recipe's ids resolve in: a frozen [`LineageArena`] — the
+/// catalog's, for a statement over stored relations — and the statement
+/// engine's own nodes, frozen on top of it when the statement was
+/// certified, before its first row (a derived or free-relation input's
+/// column). Ids below the arena's length are the arena's; the rest index
+/// the own nodes. Immutable but for each own node's tree, built on first
+/// read unless the engine had converted it.
+#[derive(Debug)]
+pub(crate) struct FrozenOverlay {
+    pub(crate) arena: Arc<LineageArena>,
+    pub(crate) own: Box<[InternedNode]>,
+    pub(crate) trees: Box<[OnceLock<Lineage>]>,
+}
+
+impl FrozenOverlay {
+    /// The tree of node `r`: an arena node's, or an own node's, built from
+    /// its children's trees the first time it is asked for.
+    pub(crate) fn tree(&self, r: LineageRef) -> Lineage {
+        let own = r.index().checked_sub(self.arena.len());
+        let build = || {
+            let node = match own {
+                Some(i) => &self.own[i],
+                None => &self.arena.nodes.nodes[r.index()],
+            };
+            let children = |cs: &[LineageRef]| cs.iter().map(|&c| self.tree(c)).collect();
+            Lineage::from_normalized(match node {
+                InternedNode::True => LineageNode::True,
+                InternedNode::False => LineageNode::False,
+                InternedNode::Var(v) => LineageNode::Var(*v),
+                InternedNode::Not(c) => LineageNode::Not(self.tree(*c)),
+                InternedNode::And(cs) => LineageNode::And(children(cs)),
+                InternedNode::Or(cs) => LineageNode::Or(children(cs)),
+            })
+        };
+        match own {
+            Some(i) => self.trees[i].get_or_init(build).clone(),
+            None => self.arena.nodes.legacy[r.index()]
+                .clone()
+                .unwrap_or_else(build),
+        }
+    }
+}
+
+/// The operands a conjunction (`and`) or a disjunction flattens `l` into.
+fn flatten(l: &Lineage, and: bool) -> &[Lineage] {
+    match (l.node(), and) {
+        (LineageNode::And(children), true) | (LineageNode::Or(children), false) => children,
         _ => slice::from_ref(l),
     }
 }
 
-/// A span recipe's `[λr, c₁, …, c_k]` split into the conjuncts of `λr` and
-/// the disjuncts `cᵢ`.
-fn span_operands(operands: &[Lineage]) -> (&[Lineage], &[Lineage]) {
-    match operands.split_first() {
-        Some((lambda_r, disjuncts)) => (conjuncts(lambda_r), disjuncts),
-        None => (&[], &[]),
+impl Deferred {
+    /// The tree of the recipe: the root's conjuncts (disjuncts) in order,
+    /// `¬λs` last.
+    fn build(&self) -> Lineage {
+        let tree = |c: &LineageRef| self.nodes.tree(*c);
+        let (how, r, span) = self.recipe.parts();
+        let and = how != Concat::Or;
+        let lambda_s = match span {
+            [c] => tree(c),
+            _ => Lineage::from_normalized(LineageNode::Or(span.iter().map(tree).collect())),
+        };
+        let negated;
+        let tail = if how == Concat::AndNot {
+            negated = Lineage::from_normalized(LineageNode::Not(lambda_s));
+            slice::from_ref(&negated)
+        } else {
+            flatten(&lambda_s, and)
+        };
+        let children = [flatten(&tree(&r), and), tail].concat();
+        Lineage::from_normalized(if and {
+            LineageNode::And(children)
+        } else {
+            LineageNode::Or(children)
+        })
+    }
+}
+
+/// The text of the tree [`Deferred::build`] builds, written from the
+/// operands' trees without building it.
+impl fmt::Display for Deferred {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let tree = |c: &LineageRef| self.nodes.tree(*c);
+        let (how, r, span) = self.recipe.parts();
+        let and = how != Concat::Or;
+        let junction = if and { Junction::And } else { Junction::Or };
+        write_operands(f, junction, flatten(&tree(&r), and), None)?;
+        f.write_str(junction.separator())?;
+        if how == Concat::AndNot {
+            f.write_char(NOT)?;
+        }
+        match span {
+            [c] if how == Concat::AndNot => write_lineage(f, &tree(c), None, prec::ATOM),
+            [c] => write_operands(f, junction, flatten(&tree(c), and), None),
+            _ if and => write_junction(f, Junction::Or, span.iter().map(tree), None, prec::ATOM),
+            _ => write_operands(f, junction, span.iter().map(tree), None),
+        }
     }
 }
 
 impl LazyLineage {
-    /// `a ∧ b` over two non-constant trees that share no variable and
-    /// whose conjuncts are pairwise distinct.
-    pub(crate) fn and2(a: Lineage, b: Lineage) -> Self {
-        Self::deferred(Recipe::And2(a, b))
-    }
-
-    /// `a ∧ ¬b` over a non-constant `a` and a `b` that is neither a constant
-    /// nor a negation, sharing no variable with `a`: the tree of
-    /// `and2(a, ¬b)` without an interned `¬b`.
-    pub(crate) fn and_not(a: Lineage, b: Lineage) -> Self {
-        Self::deferred(Recipe::AndNot(a, b))
-    }
-
-    /// `λr ∧ ¬(c₁ ∨ … ∨ c_k)` over `[λr, c₁, …, c_k]`: a non-constant `λr`
-    /// and k ≥ 2 distinct, flattened disjuncts, no two sharing a variable.
-    pub(crate) fn and_not_or(operands: Vec<Lineage>) -> Self {
-        debug_assert!(operands.len() >= 3, "a span recipe needs two disjuncts");
-        Self::deferred(Recipe::AndNotOr(operands.into_boxed_slice()))
-    }
-
-    fn deferred(recipe: Recipe) -> Self {
+    /// `how(λr, c₁ ∨ … ∨ c_k)` over `lambda_s = [c₁, …, c_k]` (k ≥ 1) of a
+    /// certified statement, whose ids resolve in `nodes`: `λr` is a root of
+    /// one column, and the `cᵢ` one root of the other column or a span's
+    /// distinct, flattened disjuncts.
+    pub(crate) fn concat(
+        nodes: &Arc<FrozenOverlay>,
+        how: Concat,
+        lambda_r: LineageRef,
+        lambda_s: &[LineageRef],
+    ) -> Self {
+        let recipe = match *lambda_s {
+            [c] => Recipe::Pair(how, lambda_r, c),
+            _ => Recipe::Span(how, lambda_r, lambda_s.into()),
+        };
         Self(Repr::Deferred(Arc::new(Deferred {
             tree: OnceLock::new(),
+            nodes: Arc::clone(nodes),
             recipe,
         })))
     }
@@ -144,12 +209,12 @@ impl LazyLineage {
     pub fn get(&self) -> &Lineage {
         match &self.0 {
             Repr::Tree(tree) => tree,
-            Repr::Deferred(d) => d.tree.get_or_init(|| d.recipe.build()),
+            Repr::Deferred(d) => d.tree.get_or_init(|| d.build()),
         }
     }
 
     /// The base-tuple variable when the lineage is atomic, without building
-    /// a deferred tree (a deferred root is always a conjunction).
+    /// a deferred tree (a concatenation is never atomic).
     #[must_use]
     pub fn as_var(&self) -> Option<VarId> {
         match &self.0 {
@@ -165,6 +230,31 @@ impl LazyLineage {
     #[must_use]
     pub fn is_deferred(&self) -> bool {
         matches!(&self.0, Repr::Deferred(d) if d.tree.get().is_none())
+    }
+
+    /// Interns the lineage into `interner` and returns its root: a tree as
+    /// a tree, a recipe from its ids — the overlay's nodes are interned
+    /// structurally unless they are the interner's own arena's — with the
+    /// constructors [`intern`](LineageInterner::intern) of the built tree
+    /// would call, so the root is the same node and no tree is built.
+    pub(crate) fn intern_into(&self, interner: &mut LineageInterner) -> LineageRef {
+        let d = match &self.0 {
+            Repr::Tree(tree) => return interner.intern_seeded(tree),
+            Repr::Deferred(d) => d,
+        };
+        let (how, r, span) = d.recipe.parts();
+        let operands: Vec<LineageRef> = (std::iter::once(&r).chain(span))
+            .map(|&c| interner.import(&d.nodes, c))
+            .collect();
+        if how == Concat::Or {
+            return interner.or(&operands);
+        }
+        let lambda_s = interner.or(&operands[1..]);
+        if how == Concat::And {
+            interner.and2(operands[0], lambda_s)
+        } else {
+            interner.and_not(operands[0], lambda_s)
+        }
     }
 }
 
@@ -186,7 +276,7 @@ impl fmt::Display for LazyLineage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match &self.0 {
             Repr::Tree(tree) => tree.fmt(f),
-            Repr::Deferred(d) => d.recipe.fmt(f),
+            Repr::Deferred(d) => d.fmt(f),
         }
     }
 }
@@ -200,28 +290,80 @@ impl fmt::Debug for LazyLineage {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ProbabilityEngine;
 
     fn var(v: u32) -> Lineage {
         Lineage::var(VarId(v))
     }
 
+    /// An engine over `column`, interned, certified: the overlay the
+    /// recipes resolve in, and the column's roots.
+    fn overlay(column: &[Lineage]) -> (Arc<FrozenOverlay>, Vec<LineageRef>) {
+        let mut engine = ProbabilityEngine::new();
+        let column: Vec<LazyLineage> = column.iter().cloned().map(LazyLineage::from).collect();
+        let roots = engine.interner_mut().intern_column(column.iter());
+        (engine.interner().freeze(), roots)
+    }
+
     #[test]
     fn recipes_build_the_constructors_trees() {
-        let (x, y, z) = (var(0), var(1), var(2));
+        let (x, y, z, w) = (var(0), var(1), var(2), var(3));
         let xy = Lineage::and2(x.clone(), y.clone());
-        let lazy = LazyLineage::and2(xy.clone(), Lineage::not(z.clone()));
-        assert!(lazy.is_deferred());
-        assert_eq!(lazy.get(), &Lineage::and_not_concat(&xy, &z));
-        assert!(!lazy.is_deferred());
-
-        let negated = LazyLineage::and_not(xy.clone(), z.clone());
-        assert_eq!(negated.get(), &Lineage::and_not_concat(&xy, &z));
-
-        let span = LazyLineage::and_not_or(vec![x.clone(), y.clone(), z.clone()]);
-        let or = Lineage::or2(y, z);
-        assert_eq!(span.get(), &Lineage::and_not_concat(&x, &or));
-        assert_eq!(span.as_var(), None);
-        assert_eq!(LazyLineage::from(x).as_var(), Some(VarId(0)));
+        let zw = Lineage::or2(z.clone(), w.clone());
+        let (nodes, ids) = overlay(&[x.clone(), xy.clone(), z.clone(), w.clone(), zw.clone()]);
+        let [x_, xy_, z_, w_, zw_] = ids[..] else {
+            panic!("five roots")
+        };
+        let cases = [
+            (
+                Concat::And,
+                xy_,
+                vec![zw_],
+                Lineage::and2(xy.clone(), zw.clone()),
+            ),
+            (
+                Concat::AndNot,
+                xy_,
+                vec![zw_],
+                Lineage::and_not_concat(&xy, &zw),
+            ),
+            (
+                Concat::AndNot,
+                x_,
+                vec![z_, w_],
+                Lineage::and_not_concat(&x, &zw),
+            ),
+            (
+                Concat::And,
+                x_,
+                vec![z_, w_],
+                Lineage::and2(x.clone(), zw.clone()),
+            ),
+            (
+                Concat::Or,
+                xy_,
+                vec![zw_],
+                Lineage::or2(xy.clone(), zw.clone()),
+            ),
+            (
+                Concat::Or,
+                x_,
+                vec![z_, w_],
+                Lineage::or(vec![x.clone(), z.clone(), w]),
+            ),
+        ];
+        for (how, r, span, want) in cases {
+            let lazy = LazyLineage::concat(&nodes, how, r, &span);
+            assert!(lazy.is_deferred());
+            assert_eq!(lazy.as_var(), None);
+            assert_eq!(lazy.get(), &want, "{how:?}");
+            assert!(!lazy.is_deferred());
+        }
+        assert!(
+            std::ptr::eq(nodes.tree(xy_).node(), xy.node()),
+            "a seeded tree"
+        );
+        assert_eq!(LazyLineage::from(nodes.tree(x_)).as_var(), Some(VarId(0)));
     }
 
     #[test]
@@ -229,23 +371,95 @@ mod tests {
         let (x, y, z, w) = (var(0), var(1), var(2), var(3));
         let xy = Lineage::and2(x.clone(), y.clone());
         let zw = Lineage::or2(z.clone(), w.clone());
+        let z_and_w = Lineage::and2(z.clone(), w.clone());
+        let (nodes, ids) = overlay(&[x, xy, z, w, zw, z_and_w, var(4)]);
+        let [x_, xy_, z_, w_, zw_, z_and_w_, v4] = ids[..] else {
+            panic!("seven roots")
+        };
         let cases = [
-            LazyLineage::and2(x.clone(), y.clone()),
-            LazyLineage::and2(xy.clone(), Lineage::not(zw.clone())),
-            LazyLineage::and_not(x.clone(), z.clone()),
-            LazyLineage::and_not(xy.clone(), zw.clone()),
-            LazyLineage::and_not(x.clone(), Lineage::and2(z.clone(), w.clone())),
-            LazyLineage::and_not_or(vec![xy, z, Lineage::and2(w, Lineage::not(x))]),
+            (Concat::And, x_, vec![z_]),
+            (Concat::And, xy_, vec![zw_]),
+            (Concat::And, xy_, vec![z_and_w_]),
+            (Concat::And, x_, vec![z_, w_]),
+            (Concat::AndNot, x_, vec![z_]),
+            (Concat::AndNot, xy_, vec![zw_]),
+            (Concat::AndNot, x_, vec![z_and_w_]),
+            (Concat::AndNot, xy_, vec![z_, z_and_w_]),
+            (Concat::Or, x_, vec![zw_]),
+            (Concat::Or, zw_, vec![xy_]),
+            (Concat::Or, xy_, vec![z_, w_]),
         ];
-        for lazy in cases {
+        for (how, r, span) in cases {
+            let lazy = LazyLineage::concat(&nodes, how, r, &span);
             let text = lazy.to_string();
             assert!(lazy.is_deferred(), "{text}");
             assert_eq!(text, lazy.get().to_string());
         }
         assert_eq!(
-            LazyLineage::and_not_or(vec![var(0), var(4), var(3)]).to_string(),
+            LazyLineage::concat(&nodes, Concat::AndNot, x_, &[v4, w_]).to_string(),
             "x0 ∧ ¬(x4 ∨ x3)"
         );
+    }
+
+    #[test]
+    fn a_recipe_interns_to_the_node_of_its_tree_without_building_it() {
+        let (x, y, z, w) = (var(0), var(1), var(2), var(3));
+        let xy = Lineage::and2(x.clone(), y.clone());
+        let (nodes, ids) = overlay(&[x, xy, z, w]);
+        let [x_, xy_, z_, w_] = ids[..] else {
+            panic!("four roots")
+        };
+        for (how, r, span) in [
+            (Concat::And, xy_, vec![z_]),
+            (Concat::AndNot, xy_, vec![z_, w_]),
+            (Concat::Or, x_, vec![z_, w_]),
+        ] {
+            let lazy = LazyLineage::concat(&nodes, how, r, &span);
+            let (mut by_ids, mut by_tree) = (ProbabilityEngine::new(), ProbabilityEngine::new());
+            let root = lazy.intern_into(by_ids.interner_mut());
+            assert!(lazy.is_deferred());
+            by_tree.intern(lazy.get());
+            if how == Concat::Or {
+                // No `Or` of the span alone: the root is the one compound node.
+                assert_eq!(by_ids.interner().len(), by_tree.interner().len());
+            }
+            assert_eq!(by_ids.intern(lazy.get()), root, "{how:?}");
+            assert_eq!(by_ids.verify_arena(), Ok(()));
+        }
+    }
+
+    /// An engine over a frozen arena of `column`'s trees.
+    fn over_arena(column: &[Lineage]) -> ProbabilityEngine {
+        let marginals = (0..8).map(|v| (VarId(v), 0.5)).collect();
+        let mut builder = LineageArena::builder(Arc::new(marginals));
+        let column: Vec<LazyLineage> = column.iter().cloned().map(LazyLineage::from).collect();
+        builder.column(Arc::new(()), column.iter());
+        ProbabilityEngine::over(Arc::new(builder.finish()))
+    }
+
+    #[test]
+    fn a_recipe_over_another_arena_interns_by_structure() {
+        let (x, y, z) = (var(0), var(1), var(2));
+        let xy = Lineage::and2(x.clone(), y.clone());
+        let mut formed = over_arena(&[xy.clone(), z.clone()]);
+        let ids = formed
+            .interner_mut()
+            .intern_column([xy.into(), LazyLineage::from(z.clone())].iter());
+        let nodes = formed.interner().freeze();
+        let lazy = LazyLineage::concat(&nodes, Concat::AndNot, ids[0], &ids[1..]);
+        // The same arena: the ids are taken as they are. Another arena
+        // numbers its nodes otherwise: the recipe is interned by structure.
+        let same = over_arena(&[Lineage::and2(x.clone(), y.clone()), z.clone()]);
+        let other = over_arena(&[z, Lineage::or2(x, y)]);
+        let mut engines = [formed, same, other];
+        let roots = engines
+            .each_mut()
+            .map(|e| lazy.intern_into(e.interner_mut()));
+        assert!(lazy.is_deferred());
+        for (engine, root) in engines.iter_mut().zip(roots) {
+            assert_eq!(engine.intern(lazy.get()), root);
+            assert_eq!(engine.verify_arena(), Ok(()));
+        }
     }
 
     #[test]

@@ -27,8 +27,9 @@
 //!   as an overlay on a frozen [`LineageArena`] that holds a catalog
 //!   epoch's stored columns and marginals, interned and priced once,
 //! * [`LazyLineage`], an output tuple's lineage: a tree, or a read-once
-//!   concatenation priced at output formation whose tree is built only
-//!   when it is first read,
+//!   concatenation priced at output formation — a recipe over its
+//!   operands' arena node ids — whose tree is built only when it is first
+//!   read,
 //! * a [`SymbolTable`] mapping human-readable base-tuple names (`a1`, `b3`,
 //!   ...) to variable identifiers.
 //!

@@ -1,9 +1,9 @@
 //! Exact probability computation for lineage formulas.
 
 use crate::arena::{LineageArena, LineageColumn};
-use crate::formula::{Lineage, LineageNode};
+use crate::formula::Lineage;
 use crate::intern::{FxHashMap, InternedNode, LineageInterner, LineageRef};
-use crate::lazy::LazyLineage;
+use crate::lazy::{FrozenOverlay, LazyLineage};
 use crate::symbols::VarId;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -59,9 +59,13 @@ pub enum Concat {
 /// row through the memo with no normalization, leaf walk or new node. It
 /// stays valid for the engine that issued it while that engine's marginals
 /// are unchanged — for as long as a pass runner holds the engine.
+///
+/// It also holds the nodes the statement's rows refer to: the engine's
+/// arena and its own nodes, frozen when the certificate was granted — so
+/// the columns' every node — and shared by every deferred row's recipe.
 #[derive(Debug)]
 pub struct ReadOnceColumns {
-    _sealed: (),
+    nodes: Arc<FrozenOverlay>,
 }
 
 /// Exact probability computation under tuple independence.
@@ -371,11 +375,12 @@ impl ProbabilityEngine {
     /// nothing; any other relation (a derived input, a relation of the
     /// free-relation API) is interned into the engine's own nodes
     /// ([`LineageInterner::intern_column`]), where its `Var` leaves find
-    /// the arena's nodes.
+    /// the arena's nodes; a deferred lineage is interned from its recipe's
+    /// node ids, without building its tree.
     pub fn column<'a, T>(
         &mut self,
         relation: &T,
-        lineages: impl ExactSizeIterator<Item = &'a Lineage>,
+        lineages: impl ExactSizeIterator<Item = &'a LazyLineage>,
     ) -> LineageColumn {
         let arena = self.interner.arena();
         match arena.column_of(relation) {
@@ -433,7 +438,8 @@ impl ProbabilityEngine {
                     return Err(ProbabilityError::MissingVariable(var));
                 }
                 if a.alone && b.alone && !a.shared && !b.shared {
-                    return Ok(Some(ReadOnceColumns { _sealed: () }));
+                    let nodes = self.interner.freeze();
+                    return Ok(Some(ReadOnceColumns { nodes }));
                 }
             }
         }
@@ -469,18 +475,21 @@ impl ProbabilityEngine {
             return Err(ProbabilityError::MissingVariable(var));
         }
         let certified = read_once && self.interner.share_no_node(r, s, r_spanned, s_spanned);
-        Ok(certified.then_some(ReadOnceColumns { _sealed: () }))
+        Ok(certified.then(|| ReadOnceColumns {
+            nodes: self.interner.freeze(),
+        }))
     }
 
     /// [`output`](Self::output) of a root of a certified column: its
-    /// probability and its cached tree.
+    /// probability and its tree — as stored, or built once per node from
+    /// the frozen nodes.
     pub fn certified_output(
         &mut self,
-        _proof: &ReadOnceColumns,
+        proof: &ReadOnceColumns,
         lambda_r: LineageRef,
     ) -> (LazyLineage, f64) {
         let p = self.prob_rec(lambda_r);
-        (self.interner.to_lineage(lambda_r).into(), p)
+        (proof.nodes.tree(lambda_r).into(), p)
     }
 
     /// The output root `how(λr, c₁ ∨ … ∨ c_k)` of a certified statement:
@@ -493,62 +502,38 @@ impl ProbabilityEngine {
     /// `λr ∨ λs` (then complemented) — where `λs'` of `andNot` is the one
     /// conjunct `¬λs`, priced `1 − p(λs)`, and a span's `p(λs)` is
     /// `1 − ∏(1 − p(cᵢ))` in span order from `1.0`. So `andNot` over a span
-    /// is `p(λr) · (1 − (1 − ∏(1 − p(cᵢ))))`. No node is interned: a
-    /// conjunction comes back deferred (`¬λs` included), the union's
-    /// disjunction as a tree.
+    /// is `p(λr) · (1 − (1 − ∏(1 − p(cᵢ))))`. No node is interned and no
+    /// tree is touched: the lineage comes back as a recipe over the
+    /// operands' ids.
     pub fn certified_concat(
         &mut self,
-        _proof: &ReadOnceColumns,
+        proof: &ReadOnceColumns,
         how: Concat,
         lambda_r: LineageRef,
         lambda_s: &[LineageRef],
     ) -> (LazyLineage, f64) {
         debug_assert!(!lambda_s.is_empty(), "λs has an operand");
-        let tree_r = self.interner.to_lineage(lambda_r);
+        let lineage = LazyLineage::concat(&proof.nodes, how, lambda_r, lambda_s);
+        let operands = std::iter::once(&lambda_r).chain(lambda_s);
         if how == Concat::Or {
-            let none = self.fold_operands(1.0, lambda_r, false);
-            let none = lambda_s
-                .iter()
-                .fold(none, |none, &c| self.fold_operands(none, c, false));
-            let mut trees = Vec::with_capacity(1 + lambda_s.len());
-            let operands = lambda_s.iter().map(|&c| self.interner.to_lineage(c));
-            for tree in std::iter::once(tree_r).chain(operands) {
-                match tree.node() {
-                    LineageNode::Or(disjuncts) => trees.extend_from_slice(disjuncts),
-                    _ => trees.push(tree),
-                }
-            }
-            let tree = Lineage::from_normalized(LineageNode::Or(trees));
-            return (tree.into(), 1.0 - none);
+            let none = operands.fold(1.0, |none, &c| self.fold_operands(none, c, false));
+            return (lineage, 1.0 - none);
         }
         // The product over λr's conjuncts from 1.0 is p(λr) itself.
         let p_r = self.prob_rec(lambda_r);
-        match (how, lambda_s) {
-            (Concat::AndNot, &[c]) => {
-                let p = p_r * (1.0 - self.prob_rec(c));
-                (LazyLineage::and_not(tree_r, self.interner.to_lineage(c)), p)
-            }
-            (_, &[c]) => {
-                let p = self.fold_operands(p_r, c, true);
-                (LazyLineage::and2(tree_r, self.interner.to_lineage(c)), p)
-            }
+        let p = match (how, lambda_s) {
+            (Concat::AndNot, &[c]) => p_r * (1.0 - self.prob_rec(c)),
+            (_, &[c]) => self.fold_operands(p_r, c, true),
             // A span's operands are flattened: no `cᵢ` is an `Or`.
             (_, span) => {
-                let mut none = 1.0;
-                let mut trees = Vec::with_capacity(1 + span.len());
-                trees.push(tree_r);
-                for &c in span {
-                    none *= 1.0 - self.prob_rec(c);
-                    trees.push(self.interner.to_lineage(c));
-                }
-                if how == Concat::AndNot {
-                    return (LazyLineage::and_not_or(trees), p_r * (1.0 - (1.0 - none)));
-                }
-                let tree_r = trees.remove(0);
-                let or = Lineage::from_normalized(LineageNode::Or(trees));
-                (LazyLineage::and2(tree_r, or), p_r * (1.0 - none))
+                let none = span
+                    .iter()
+                    .fold(1.0, |none, &c| none * (1.0 - self.prob_rec(c)));
+                let negated = how == Concat::AndNot;
+                p_r * (1.0 - if negated { 1.0 - none } else { none })
             }
-        }
+        };
+        (lineage, p)
     }
 
     /// Continues a read-once product over the operands `r` contributes to a
@@ -1449,8 +1434,8 @@ mod tests {
 
     /// Interns `vars` as a column of base lineages.
     fn column(e: &mut ProbabilityEngine, vars: &[u32]) -> Vec<LineageRef> {
-        let trees: Vec<Lineage> = vars.iter().map(|&i| v(i)).collect();
-        e.interner_mut().intern_column(trees.iter())
+        let column: Vec<LazyLineage> = vars.iter().map(|&i| v(i).into()).collect();
+        e.interner_mut().intern_column(column.iter())
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //! where   := WHERE pred (AND pred)*
 //! pred    := ident cmp (literal | param)
 //! cmp     := '=' | '<>' | '<' | '<=' | '>' | '>='
-//! literal := integer | float | 'string'  -- '' escapes a quote
+//! literal := integer | float | 'string' | TRUE | FALSE  -- '' escapes a quote
 //! float   := integer '.' digits* [exp] | integer exp
 //! exp     := (e | E) [+ | -] digits
 //! param   := '$' integer          -- 1-based placeholder, bound at execution
@@ -619,6 +619,9 @@ fn parse_select(p: &mut Parser) -> Result<LogicalPlan, ParseError> {
                 Some(&Token::Int(n)) => Operand::Literal(Value::Int(n)),
                 Some(&Token::Float(n)) => Operand::Literal(Value::Float(n)),
                 Some(Token::Str(s)) => Operand::Literal(Value::str(s)),
+                Some(Token::Ident(w)) if matches!(&*w.to_ascii_lowercase(), "true" | "false") => {
+                    Operand::Literal(Value::Bool(w.eq_ignore_ascii_case("true")))
+                }
                 Some(&Token::Param(index)) => Operand::Param(index),
                 _ => return Err(p.expected("literal or $n placeholder in WHERE clause")),
             };

@@ -720,6 +720,7 @@ mod tests {
             Value::Float(f64::NAN),
             Value::str("O'Brien"),
             Value::Bool(false),
+            Value::Bool(true),
             Value::Null,
         ] {
             let formatted = format_literal(&v);
@@ -736,7 +737,7 @@ mod tests {
             let text = statement.explain_bound(std::slice::from_ref(&v)).unwrap();
             literals.extend(explained(&text, column));
             assert_eq!(literals.len(), 3, "{text}");
-            let inline = matches!(&v, Value::Int(_) | Value::Str(_))
+            let inline = matches!(&v, Value::Int(_) | Value::Str(_) | Value::Bool(_))
                 || matches!(v, Value::Float(x) if x.is_finite());
             if inline {
                 let query = format!("SELECT * FROM t WHERE {column} = {formatted}");

@@ -228,7 +228,7 @@ impl Catalog {
         stored.sort_by(|a, b| a.name().cmp(b.name()));
         let mut builder = LineageArena::builder(Arc::clone(&self.probabilities));
         for relation in stored {
-            let lineages = relation.tuples().iter().map(TpTuple::lineage);
+            let lineages = relation.tuples().iter().map(TpTuple::lazy_lineage);
             builder.column(Arc::clone(relation) as _, lineages);
         }
         builder.finish()

@@ -9,15 +9,21 @@ use tpdb_temporal::Interval;
 /// A temporal-probabilistic tuple `(F, λ, T, p)`.
 ///
 /// * `facts` — the values of the non-temporal attributes `F`,
-/// * `lineage` — the boolean lineage formula `λ` (an output tuple's may be
-///   a deferred read-once concatenation, built on the first
-///   [`lineage`](Self::lineage) call),
+/// * `lineage` — the boolean lineage formula `λ`. An output tuple's may be
+///   a deferred read-once concatenation: a recipe over the `u32` node ids
+///   of its operands and one shared `Arc` of the lineage arena they live
+///   in, whose tree is built on the first [`lineage`](Self::lineage) call.
+///   The tuple keeps that arena alive, even after the catalog it came from
+///   has moved on (a `LOAD SNAPSHOT`, a new relation),
 /// * `interval` — the validity interval `T = [Ts, Te)`,
 /// * `probability` — `p = Pr(λ)`, the probability that the fact holds at
 ///   each time point of `T`.
 ///
 /// Equality and `Debug` compare and print the lineage as a tree, building a
 /// deferred one; `Display` prints a deferred lineage from its recipe.
+///
+/// A tuple is at most 64 bytes — every stored tuple carries the lineage
+/// field, so the recipe lives behind the `Arc`, not inline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct TpTuple {
     facts: Vec<Value>,

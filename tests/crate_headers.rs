@@ -3,7 +3,9 @@
 //! state its library rules (`clippy.toml`'s disallowed methods and types,
 //! console output; panics too in `tpdb-core`, `tpdb-lineage`, `tpdb-query`
 //! and `tpdb-storage`), and every manifest opts into `[workspace.lints]`. A new
-//! crate that skips any of these fails here, not in review.
+//! crate that skips any of these fails here, not in review. Every
+//! `ignore` attribute of a test carries its reason and the ROADMAP item that
+//! fixes the defect it pins.
 //!
 //! `unsafe_code` stays a per-crate `forbid` rather than a workspace lint:
 //! integration tests such as `output_allocations.rs` install a counting
@@ -145,4 +147,111 @@ fn every_manifest_opts_into_the_workspace_lints() {
             krate.name
         );
     }
+}
+
+/// The Rust sources of the workspace's packages: every `.rs` file under a
+/// crate's `src`, `tests`, `benches` and `examples` directories.
+fn workspace_sources() -> Vec<PathBuf> {
+    fn walk(dir: &Path, out: &mut Vec<PathBuf>) {
+        let Ok(entries) = fs::read_dir(dir) else {
+            return;
+        };
+        for entry in entries {
+            let path = entry.expect("directory entry").path();
+            if path.is_dir() {
+                walk(&path, out);
+            } else if path.extension().is_some_and(|e| e == "rs") {
+                out.push(path);
+            }
+        }
+    }
+    let mut sources = Vec::new();
+    for krate in workspace_crates() {
+        for sub in ["src", "tests", "benches", "examples"] {
+            walk(&krate.dir.join(sub), &mut sources);
+        }
+    }
+    sources.sort();
+    sources
+}
+
+/// The reason string of the `ignore` attribute whose text follows `rest`
+/// (what comes after the attribute's name), or `None` when the attribute
+/// has no `= "…"` reason.
+fn ignore_reason(rest: &str) -> Option<String> {
+    let rest = rest.trim_start().strip_prefix('=')?.trim_start();
+    let body = rest.strip_prefix('"')?;
+    let mut reason = String::new();
+    let mut chars = body.chars();
+    while let Some(c) = chars.next() {
+        match c {
+            '"' => {
+                return chars
+                    .as_str()
+                    .trim_start()
+                    .starts_with(']')
+                    .then_some(reason)
+            }
+            // A `\` line continuation skips the line break and the next
+            // line's indentation; other escapes keep the escaped character.
+            '\\' => match chars.next()? {
+                '\n' => chars = chars.as_str().trim_start().chars(),
+                escaped => reason.push(escaped),
+            },
+            c => reason.push(c),
+        }
+    }
+    None
+}
+
+/// Does `reason` name a ROADMAP item (`item <number>`)?
+fn names_an_item(reason: &str) -> bool {
+    reason
+        .match_indices("item ")
+        .any(|(at, word)| reason[at + word.len()..].starts_with(|c: char| c.is_ascii_digit()))
+}
+
+/// A test that pins a known defect may be ignored only with a reason that
+/// says what fails and which ROADMAP item fixes it: the attribute reads
+/// `ignore = "<what fails, measured value; ROADMAP item n>"`. A bare
+/// `ignore` or one whose reason names no item fails here.
+#[test]
+fn every_ignored_test_names_its_reason_and_item() {
+    let attribute = concat!("#[", "ignore");
+    let mut ignored = 0;
+    for path in workspace_sources() {
+        let source = read(&path);
+        for (at, _) in source.match_indices(attribute) {
+            let line = source[..at].lines().count().max(1);
+            let rest = &source[at + attribute.len()..];
+            let reason = ignore_reason(rest).unwrap_or_else(|| {
+                panic!(
+                    "{}:{line}: an ignored test needs `= \"<reason; item n>\"`",
+                    path.display()
+                )
+            });
+            assert!(
+                names_an_item(&reason),
+                "{}:{line}: the ignore reason names no ROADMAP item: {reason:?}",
+                path.display()
+            );
+            ignored += 1;
+        }
+    }
+    assert!(ignored >= 1, "the scan found the pinned defects' tests");
+}
+
+#[test]
+fn ignore_reasons_are_read_as_the_compiler_reads_them() {
+    let reason =
+        ignore_reason(" = \"fails at t=2 (\\\"x0\\\"), \\\n        ROADMAP item 1\"]\nfn f() {}");
+    assert_eq!(
+        reason.as_deref(),
+        Some("fails at t=2 (\"x0\"), ROADMAP item 1")
+    );
+    assert!(names_an_item(reason.as_deref().unwrap()));
+    assert_eq!(ignore_reason("]\nfn f() {}"), None);
+    assert_eq!(ignore_reason(" = \"unterminated"), None);
+    assert!(!names_an_item("flaky on slow hosts"));
+    assert!(!names_an_item("see the item list"));
 }

@@ -1,12 +1,17 @@
 //! Output tuples of a join carry deferred lineages: a read-once root is
 //! priced at output formation, and its tree is built on the first
 //! `lineage()` call. These tests pin the laziness contract (one tree per
-//! tuple, shared by its clones and across threads) and the consumers that
-//! force the tree: a join over a join result, and a snapshot of one.
+//! tuple, shared by its clones and across threads), the consumers that
+//! force the tree — a join over a join result, and a snapshot of one — and
+//! the two that must not: a row read after its statement, session and
+//! catalog epoch are gone, and a set operation opened over a derived input.
 
 use std::sync::Arc;
-use tpdb::core::{tp_join, tp_join_with_engine, ThetaCondition, TpJoinKind};
+use tpdb::core::TpSetOpKind;
+use tpdb::core::{tp_join, tp_join_with_engine, ThetaCondition, TpJoinKind, TpJoinStream};
 use tpdb::lineage::{Lineage, ProbabilityEngine, VarId};
+use tpdb::query::Session;
+use tpdb::server::protocol;
 use tpdb::storage::{Catalog, TpRelation, TpTuple};
 
 // Deferral must not grow every stored tuple, and tuples stay shareable.
@@ -87,6 +92,124 @@ fn threads_reading_one_relation_see_equal_trees() {
 /// eagerly built copy, probability bits included. The other input is `s`
 /// under fresh variables (read-once roots over derived `λr`) or `s` itself
 /// (roots sharing variables).
+/// `s` under fresh variables: no variable in common with `r` or `s`.
+fn fresh_copy(s: &TpRelation, name: &str) -> TpRelation {
+    let mut fresh = TpRelation::new(name, s.schema().clone());
+    for t in s.iter() {
+        let Some(VarId(v)) = t.lazy_lineage().as_var() else {
+            unreachable!("meteo tuples are base tuples")
+        };
+        let lineage = Lineage::var(VarId(v + 1_000_000_000));
+        fresh.push_unchecked(TpTuple::new(
+            t.facts().to_vec(),
+            lineage,
+            t.interval(),
+            t.probability(),
+        ));
+    }
+    fresh
+}
+
+/// `r`, `s` and `t` (`s` under fresh variables) of a small meteo pair.
+fn meteo_catalog() -> Catalog {
+    let (r, s) = tpdb::datagen::meteo_like(300, 7);
+    let mut catalog = Catalog::new();
+    catalog.register(fresh_copy(&s, "t")).unwrap();
+    catalog.register(r.renamed("r")).unwrap();
+    catalog.register(s.renamed("s")).unwrap();
+    catalog
+}
+
+/// A certified statement's rows hold their recipes' nodes: the catalog
+/// arena for a join of stored relations, and the statement's own nodes
+/// frozen over it for an `EXCEPT` whose input is a union (a derived
+/// compound input). Drained through a session that is then dropped, after
+/// its catalog was reloaded and mutated, every row still reads — as a
+/// tree, as text and on the wire — what the same statement's rows read
+/// with their trees built while the catalog was live.
+#[test]
+fn rows_read_the_same_after_their_statement_and_catalog_are_gone() {
+    let snapshot =
+        std::env::temp_dir().join(format!("tpdb-deferred-outlive-{}.snap", std::process::id()));
+    Catalog::new().save_snapshot(&snapshot).unwrap();
+    for text in [
+        "SELECT * FROM r TP LEFT JOIN s ON r.Metric = s.Metric",
+        "(SELECT * FROM r UNION SELECT * FROM s) EXCEPT SELECT * FROM t",
+    ] {
+        let mut session = Session::new(meteo_catalog());
+        let rows = session.execute(text).unwrap();
+        let reference = with_tree_lineages(&session.execute(text).unwrap());
+        let deferred_rows = deferred(&rows);
+        assert!(deferred_rows > 100, "{text}: {deferred_rows} deferred rows");
+        if text.contains("EXCEPT") {
+            // λr is a union row's disjunction, an own node of the statement.
+            let over_own = rows
+                .iter()
+                .filter(|t| t.lazy_lineage().is_deferred())
+                .any(|t| t.lazy_lineage().to_string().starts_with('('));
+            assert!(over_own, "{text}: no row negates a disjunction's span");
+        }
+        session
+            .execute_statement(&format!("LOAD SNAPSHOT '{}'", snapshot.display()))
+            .unwrap();
+        let (u, _) = tpdb::datagen::meteo_like(50, 3);
+        session.catalog_mut().register(u.renamed("u")).unwrap();
+        drop(session);
+
+        assert_eq!(rows.len(), reference.len());
+        for (row, tree) in rows.iter().zip(reference.iter()) {
+            assert_eq!(row.to_string(), tree.to_string(), "{text}");
+            assert_eq!(protocol::render_tuple(row), protocol::render_tuple(tree));
+        }
+        assert_eq!(deferred(&rows), deferred_rows, "printing builds no tree");
+        for (row, tree) in rows.iter().zip(reference.iter()) {
+            assert_eq!(row.lineage(), tree.lineage(), "{text}");
+            assert_eq!(row, tree);
+        }
+    }
+    std::fs::remove_file(&snapshot).ok();
+}
+
+/// The chain's `EXCEPT` opens over its union input without building the
+/// union rows' trees: each row is interned from its recipe's node ids, to
+/// the node its tree interns to. The chain shares `r`'s variables, so the
+/// `EXCEPT` is not certified and its own rows take the node path.
+#[test]
+fn a_set_operation_over_a_union_interns_its_rows_from_their_ids() {
+    let catalog = meteo_catalog();
+    let session = Session::new(catalog.clone());
+    let union = session
+        .execute("SELECT * FROM r UNION SELECT * FROM s")
+        .unwrap();
+    let deferred_rows = deferred(&union);
+    assert!(deferred_rows > 100, "{deferred_rows} deferred union rows");
+
+    let r = catalog.relation("r").unwrap();
+    let stream = TpJoinStream::set_op_with_engine(
+        &union,
+        &*r,
+        TpSetOpKind::Difference,
+        catalog.probability_engine(),
+    )
+    .unwrap();
+    assert!(!stream.is_certified());
+    assert_eq!(deferred(&union), deferred_rows, "opening builds no tree");
+    let mut engine = catalog.probability_engine();
+    let column = engine.column(&union, union.tuples().iter().map(TpTuple::lazy_lineage));
+    assert_eq!(deferred(&union), deferred_rows, "interning builds no tree");
+    let own_nodes = engine.interner().len();
+    for (t, &root) in union.iter().zip(column.iter()) {
+        assert_eq!(engine.intern(t.lineage()), root);
+    }
+    assert_eq!(
+        engine.interner().len(),
+        own_nodes,
+        "the same nodes, no more"
+    );
+    let drained: Vec<TpTuple> = stream.collect();
+    assert!(!drained.is_empty());
+}
+
 #[test]
 fn a_join_over_deferred_lineages_equals_one_over_trees() {
     let (r, s, joined) = left_join();

@@ -3,7 +3,8 @@
 //! escapes a quote inside a string, and an integer literal out of `i64`'s
 //! range is a typed parse error. Each value is checked three ways — inline,
 //! prepared in process, and prepared on a server and sent by `EXECUTE` — and
-//! the three results must render to the same rows.
+//! the three results must render to the same rows. `TRUE` and `FALSE` are
+//! the literals of a `Bool`.
 
 use tpdb::query::{Session, TpdbError};
 use tpdb::server::{protocol, Client, ClientError, ErrorCode, Server, ServerConfig};
@@ -90,6 +91,58 @@ fn inline_literals_select_the_rows_their_parameters_select() {
         assert_eq!(rendered, served.rows, "inline vs EXECUTE: {text}");
         if predicate.ends_with("= ") {
             assert!(!rendered.is_empty(), "{text} selects its own tuple");
+        }
+    }
+    client.close().unwrap();
+    server.shutdown();
+}
+
+/// `TRUE` and `FALSE`, in any case, are the literals of `Value::Bool`: each
+/// spelling selects the rows `$1` bound to the same `Bool` selects, in
+/// process and on a server.
+#[test]
+fn boolean_literals_select_the_rows_their_parameters_select() {
+    let mut catalog = Catalog::new();
+    let schema = Schema::tp(&[("k", DataType::Int), ("ok", DataType::Bool)]);
+    let mut flags = catalog.create_relation("flags", schema).unwrap();
+    for k in 0..6 {
+        flags.push(
+            vec![Value::Int(k), Value::Bool(k % 3 == 0)],
+            Interval::new(0, 10),
+            0.5,
+        );
+    }
+    flags.try_finish().unwrap();
+    let server = Server::start(catalog.clone(), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let session = Session::new(catalog);
+
+    for (literals, value) in [
+        (["TRUE", "true", "True"], Value::Bool(true)),
+        (["FALSE", "false", "fAlSe"], Value::Bool(false)),
+    ] {
+        for op in ["=", "<>"] {
+            let prefix = format!("SELECT * FROM flags WHERE ok {op} ");
+            let prepared = session
+                .prepare(&format!("{prefix}$1"))
+                .unwrap()
+                .execute(std::slice::from_ref(&value))
+                .unwrap();
+            let rendered = protocol::render_relation_rows(&prepared);
+            assert!(!rendered.is_empty(), "{prefix}{value}");
+            let name = format!("b{value}{}", op.len());
+            client.prepare(&name, &format!("{prefix}$1")).unwrap();
+            let served = client.execute(&name, std::slice::from_ref(&value)).unwrap();
+            assert_eq!(rendered, served.rows, "$1 vs EXECUTE: {prefix}{value}");
+            for literal in literals {
+                let text = format!("{prefix}{literal}");
+                let inline_rows = session.execute(&text).unwrap();
+                assert_eq!(
+                    protocol::render_relation_rows(&inline_rows),
+                    rendered,
+                    "inline vs $1: {text}"
+                );
+            }
         }
     }
     client.close().unwrap();
