@@ -278,7 +278,10 @@ pub(crate) fn write_lineage<W: fmt::Write + ?Sized>(
         LineageNode::False => out.write_char('⊥'),
         LineageNode::Var(v) => match syms.and_then(|s| s.name(*v)) {
             Some(name) => out.write_str(name),
-            None => write!(out, "{v}"),
+            None => {
+                out.write_char('x')?;
+                write_decimal(out, v.0.into())
+            }
         },
         LineageNode::Not(c) => {
             out.write_char(NOT)?;
@@ -287,6 +290,22 @@ pub(crate) fn write_lineage<W: fmt::Write + ?Sized>(
         LineageNode::And(cs) => write_junction(out, Junction::And, cs, syms, parent),
         LineageNode::Or(cs) => write_junction(out, Junction::Or, cs, syms, parent),
     }
+}
+
+/// Writes `n` in decimal — the text of its `Display` — with plain byte
+/// writes: the row writers' digits (variable ids here, integer facts and
+/// interval endpoints on the wire) go through no `fmt::Arguments`.
+pub fn write_decimal<W: fmt::Write + ?Sized>(out: &mut W, n: i64) -> fmt::Result {
+    let mut digits = [b'-'; 20];
+    let mut at = digits.len();
+    let mut rest = n.unsigned_abs();
+    while at == digits.len() || rest > 0 {
+        at -= 1;
+        digits[at] = b'0' + (rest % 10) as u8;
+        rest /= 10;
+    }
+    at -= usize::from(n < 0);
+    out.write_str(std::str::from_utf8(&digits[at..]).map_err(|_| fmt::Error)?)
 }
 
 /// Writes the `junction` of `operands` in a context of precedence

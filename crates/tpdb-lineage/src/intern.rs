@@ -489,7 +489,7 @@ impl LineageInterner {
     /// through the epoch stamps and the reused operand buffer — and interns
     /// what is left of it. A call that finds its node already interned
     /// allocates nothing (beyond a frozen operand's first stamp).
-    fn nary(&mut self, is_and: bool, operands: &[LineageRef]) -> LineageRef {
+    pub(crate) fn nary(&mut self, is_and: bool, operands: &[LineageRef]) -> LineageRef {
         let (unit, absorbing) = if is_and { (TRUE, FALSE) } else { (FALSE, TRUE) };
         let epoch = self.next_epoch();
         let mut flat = mem::take(&mut self.operands);

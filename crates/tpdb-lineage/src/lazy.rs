@@ -36,7 +36,7 @@ use crate::formula::{
 use crate::intern::{InternedNode, LineageInterner, LineageRef};
 use crate::prob::Concat;
 use crate::symbols::VarId;
-use std::fmt::{self, Write as _};
+use std::fmt;
 use std::slice;
 use std::sync::{Arc, OnceLock};
 
@@ -96,17 +96,21 @@ pub(crate) struct FrozenOverlay {
 }
 
 impl FrozenOverlay {
+    /// Node `r`: the arena's, or an own node.
+    fn node(&self, r: LineageRef) -> &InternedNode {
+        match r.index().checked_sub(self.arena.len()) {
+            Some(i) => &self.own[i],
+            None => &self.arena.nodes.nodes[r.index()],
+        }
+    }
+
     /// The tree of node `r`: an arena node's, or an own node's, built from
     /// its children's trees the first time it is asked for.
     pub(crate) fn tree(&self, r: LineageRef) -> Lineage {
         let own = r.index().checked_sub(self.arena.len());
         let build = || {
-            let node = match own {
-                Some(i) => &self.own[i],
-                None => &self.arena.nodes.nodes[r.index()],
-            };
             let children = |cs: &[LineageRef]| cs.iter().map(|&c| self.tree(c)).collect();
-            Lineage::from_normalized(match node {
+            Lineage::from_normalized(match self.node(r) {
                 InternedNode::True => LineageNode::True,
                 InternedNode::False => LineageNode::False,
                 InternedNode::Var(v) => LineageNode::Var(*v),
@@ -157,12 +161,10 @@ impl Deferred {
             LineageNode::Or(children)
         })
     }
-}
 
-/// The text of the tree [`Deferred::build`] builds, written from the
-/// operands' trees without building it.
-impl fmt::Display for Deferred {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+    /// Writes the text of the tree [`build`](Self::build) builds, from the
+    /// operands' trees without building it.
+    fn write_text<W: fmt::Write + ?Sized>(&self, f: &mut W) -> fmt::Result {
         let tree = |c: &LineageRef| self.nodes.tree(*c);
         let (how, r, span) = self.recipe.parts();
         let and = how != Concat::Or;
@@ -232,6 +234,16 @@ impl LazyLineage {
         matches!(&self.0, Repr::Deferred(d) if d.tree.get().is_none())
     }
 
+    /// Writes the text of [`get`](Self::get)'s tree — what `Display`
+    /// writes — straight into `out`; a deferred root is printed from its
+    /// recipe and stays deferred.
+    pub fn write_text<W: fmt::Write + ?Sized>(&self, out: &mut W) -> fmt::Result {
+        match &self.0 {
+            Repr::Tree(tree) => write_lineage(out, tree, None, prec::TOP),
+            Repr::Deferred(d) => d.write_text(out),
+        }
+    }
+
     /// Interns the lineage into `interner` and returns its root: a tree as
     /// a tree, a recipe from its ids — the overlay's nodes are interned
     /// structurally unless they are the interner's own arena's — with the
@@ -243,18 +255,34 @@ impl LazyLineage {
             Repr::Deferred(d) => d,
         };
         let (how, r, span) = d.recipe.parts();
-        let operands: Vec<LineageRef> = (std::iter::once(&r).chain(span))
-            .map(|&c| interner.import(&d.nodes, c))
-            .collect();
-        if how == Concat::Or {
-            return interner.or(&operands);
+        let and = how != Concat::Or;
+        // The root's conjuncts (disjuncts), as `build` flattens them: a
+        // matching compound operand is imported child by child, so no node
+        // of it is appended that the tree's interning would not append.
+        let mut operands = Vec::new();
+        let mut import_flat =
+            |interner: &mut LineageInterner, c: LineageRef| match (d.nodes.node(c), and) {
+                (InternedNode::And(cs), true) | (InternedNode::Or(cs), false) => {
+                    operands.extend(cs.iter().map(|&k| interner.import(&d.nodes, k)));
+                }
+                _ => operands.push(interner.import(&d.nodes, c)),
+            };
+        import_flat(interner, r);
+        match (how, span) {
+            (Concat::Or, _) | (Concat::And, [_]) => {
+                span.iter().for_each(|&c| import_flat(interner, c));
+            }
+            _ => {
+                let disjuncts: Vec<LineageRef> =
+                    span.iter().map(|&c| interner.import(&d.nodes, c)).collect();
+                let lambda_s = interner.or(&disjuncts);
+                operands.push(match how {
+                    Concat::AndNot => interner.not(lambda_s),
+                    _ => lambda_s,
+                });
+            }
         }
-        let lambda_s = interner.or(&operands[1..]);
-        if how == Concat::And {
-            interner.and2(operands[0], lambda_s)
-        } else {
-            interner.and_not(operands[0], lambda_s)
-        }
+        interner.nary(and, &operands)
     }
 }
 
@@ -274,10 +302,7 @@ impl PartialEq for LazyLineage {
 /// its recipe and stays deferred.
 impl fmt::Display for LazyLineage {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match &self.0 {
-            Repr::Tree(tree) => tree.fmt(f),
-            Repr::Deferred(d) => d.fmt(f),
-        }
+        self.write_text(f)
     }
 }
 
@@ -411,6 +436,7 @@ mod tests {
         };
         for (how, r, span) in [
             (Concat::And, xy_, vec![z_]),
+            (Concat::And, z_, vec![xy_]),
             (Concat::AndNot, xy_, vec![z_, w_]),
             (Concat::Or, x_, vec![z_, w_]),
         ] {
@@ -419,10 +445,11 @@ mod tests {
             let root = lazy.intern_into(by_ids.interner_mut());
             assert!(lazy.is_deferred());
             by_tree.intern(lazy.get());
-            if how == Concat::Or {
-                // No `Or` of the span alone: the root is the one compound node.
-                assert_eq!(by_ids.interner().len(), by_tree.interner().len());
-            }
+            assert_eq!(
+                by_ids.interner().len(),
+                by_tree.interner().len(),
+                "{how:?}: the nodes of the tree, no more"
+            );
             assert_eq!(by_ids.intern(lazy.get()), root, "{how:?}");
             assert_eq!(by_ids.verify_arena(), Ok(()));
         }

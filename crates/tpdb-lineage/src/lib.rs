@@ -80,7 +80,7 @@ mod prob;
 mod symbols;
 
 pub use arena::{ArenaBuilder, LineageArena, LineageColumn};
-pub use formula::{Lineage, LineageNode};
+pub use formula::{write_decimal, Lineage, LineageNode};
 pub use intern::{FxHashMap, FxHashSet, FxHasher, InternedNode, LineageInterner, LineageRef};
 pub use lazy::LazyLineage;
 pub use prob::{Concat, MarginalMap, ProbabilityEngine, ProbabilityError, ReadOnceColumns};

@@ -25,12 +25,16 @@
 //!
 //! Row lines are tab-separated `fact₁ .. fact_k  [s,e)  p  λ` — the fact
 //! values, the validity interval, the probability and the lineage of one
-//! tuple, each field escaped ([`escape_field`]) so embedded tabs or
-//! newlines cannot break the framing.
+//! tuple. A string fact is escaped ([`escape_field`]) so embedded tabs or
+//! newlines cannot break the framing; no other field can hold one of the
+//! escaped characters, so no other field is scanned for them.
 //!
-//! One row writer, [`write_tuple`], appends a row to a caller's buffer
-//! through an escaping [`fmt::Write`] adapter: no per-field `String`, and a
-//! deferred lineage is printed from its recipe without building its tree.
+//! One row writer, [`write_tuple`], appends a row to a caller's buffer with
+//! plain byte writes: integer facts and interval endpoints digit by digit
+//! ([`write_decimal`]), the other non-string facts and the probability by
+//! their `Display` (shortest round-trip for a float), and the lineage by its
+//! own text writer — no per-field `String`, and a deferred lineage is
+//! printed from its recipe without building its tree.
 //! The server writes a whole `ROWS` frame with [`write_rows_frame`] into
 //! its connection's reused buffer; [`render_tuple`],
 //! [`render_relation_rows`] and [`rows_response`] are one-shot wrappers
@@ -40,7 +44,7 @@
 
 use std::fmt::{self, Write as _};
 use tpdb_query::TpdbError;
-use tpdb_storage::{Schema, TpRelation, TpTuple, Value};
+use tpdb_storage::{write_decimal, Schema, TpRelation, TpTuple, Value};
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq)]
@@ -175,14 +179,14 @@ impl Response {
             Self::Text(lines) => {
                 push_fmt(out, format_args!("TEXT {}\n", lines.len()));
                 for line in lines {
-                    push_escaped(out, format_args!("{line}"));
+                    push_escaped(out, line);
                     out.push('\n');
                 }
                 out.push_str(FRAME_END);
             }
             Self::Error { code, message } => {
                 push_fmt(out, format_args!("ERR {code} "));
-                push_escaped(out, format_args!("{message}"));
+                push_escaped(out, message);
                 out.push('\n');
             }
         }
@@ -230,38 +234,25 @@ fn push_fmt(out: &mut String, args: fmt::Arguments<'_>) {
         .expect("writing to a String cannot fail");
 }
 
-/// Appends formatted text to a `String`, escaped as [`escape_field`]
-/// escapes it.
-fn push_escaped(out: &mut String, args: fmt::Arguments<'_>) {
-    Escaped(out)
-        .write_fmt(args)
-        .expect("writing to a String cannot fail");
-}
-
-/// A [`fmt::Write`] adapter that escapes everything written through it for
-/// the wire: backslash, tab, newline and carriage return become
-/// two-character escapes. Formatting a value through it gives the bytes of
-/// `escape_field(&value.to_string())` without the intermediate `String`.
-struct Escaped<'a>(&'a mut String);
-
-impl fmt::Write for Escaped<'_> {
-    fn write_str(&mut self, s: &str) -> fmt::Result {
-        let mut rest = s;
-        // The four escaped characters are ASCII, so every split falls on a
-        // character boundary; runs between them are copied whole.
-        while let Some(i) = rest.find(['\\', '\t', '\n', '\r']) {
-            self.0.push_str(&rest[..i]);
-            self.0.push_str(match rest.as_bytes()[i] {
-                b'\\' => "\\\\",
-                b'\t' => "\\t",
-                b'\n' => "\\n",
-                _ => "\\r",
-            });
-            rest = &rest[i + 1..];
-        }
-        self.0.push_str(rest);
-        Ok(())
+/// Appends `s` to `out` escaped as [`escape_field`] escapes it. The four
+/// escaped characters are ASCII, so every split falls on a character
+/// boundary; runs between them are copied whole.
+fn push_escaped(out: &mut String, s: &str) {
+    let mut rest = s;
+    while let Some(i) = rest
+        .bytes()
+        .position(|b| matches!(b, b'\\' | b'\t' | b'\n' | b'\r'))
+    {
+        out.push_str(&rest[..i]);
+        out.push_str(match rest.as_bytes()[i] {
+            b'\\' => "\\\\",
+            b'\t' => "\\t",
+            b'\n' => "\\n",
+            _ => "\\r",
+        });
+        rest = &rest[i + 1..];
     }
+    out.push_str(rest);
 }
 
 /// Escapes a field or text line for the wire: backslash, tab, newline and
@@ -270,7 +261,7 @@ impl fmt::Write for Escaped<'_> {
 #[must_use]
 pub fn escape_field(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
-    push_escaped(&mut out, format_args!("{s}"));
+    push_escaped(&mut out, s);
     out
 }
 
@@ -311,25 +302,43 @@ fn write_schema(out: &mut String, schema: &Schema) {
         if i > 0 {
             out.push('\t');
         }
-        push_escaped(out, format_args!("{}", field.name));
+        push_escaped(out, &field.name);
         push_fmt(out, format_args!(":{}", field.dtype));
     }
 }
 
 /// Appends one tuple as a wire row, without its line terminator, to `out`:
-/// tab-separated escaped fact values, then the interval, the probability
-/// and the lineage. A deferred lineage is printed from its recipe and stays
-/// deferred; nothing is allocated beyond the growth of `out`.
+/// tab-separated fact values, then the interval, the probability and the
+/// lineage. Only a `Str` fact can hold a character the framing escapes; an
+/// `Int` and the interval's endpoints are written digit by digit, the other
+/// facts and the probability by their `Display`, and the lineage — `x<id>`,
+/// constants, connectives, parentheses and spaces — by its text writer. A
+/// deferred lineage is printed from its recipe and stays deferred; nothing
+/// is allocated beyond the growth of `out`.
 pub fn write_tuple(out: &mut String, tuple: &TpTuple) {
     for value in tuple.facts() {
-        push_escaped(out, format_args!("{value}"));
+        match value {
+            Value::Str(s) => push_escaped(out, s),
+            Value::Int(i) => push_decimal(out, *i),
+            other => push_fmt(out, format_args!("{other}")),
+        }
         out.push('\t');
     }
-    push_fmt(
-        out,
-        format_args!("{}\t{}\t", tuple.interval(), tuple.probability()),
-    );
-    push_escaped(out, format_args!("{}", tuple.lazy_lineage()));
+    out.push('[');
+    push_decimal(out, tuple.interval().start());
+    out.push(',');
+    push_decimal(out, tuple.interval().end());
+    out.push_str(")\t");
+    push_fmt(out, format_args!("{}\t", tuple.probability()));
+    tuple
+        .lazy_lineage()
+        .write_text(out)
+        .expect("writing to a String cannot fail");
+}
+
+/// Appends `n` in decimal ([`write_decimal`]).
+fn push_decimal(out: &mut String, n: i64) {
+    write_decimal(out, n).expect("writing to a String cannot fail");
 }
 
 /// Appends the whole `ROWS` frame of `relation` to `out`: the header, the

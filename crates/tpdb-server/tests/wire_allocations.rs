@@ -1,13 +1,17 @@
 //! The heap cost of the served read path, counted by a global allocator:
 //! a response is written into a buffer that already has room without one
-//! allocation, deferred lineages included, and a filtered scan copies only
-//! the tuples it returns. One test per binary: the counter is process-wide.
+//! allocation, deferred lineages included, the client reads it with one
+//! allocation per row, and a filtered scan copies only the tuples it
+//! returns. One test per binary: the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::io::{Read, Write};
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tpdb_core::{tp_join, ThetaCondition, TpJoinKind};
 use tpdb_query::{parse_query, plan_query};
 use tpdb_server::protocol::write_rows_frame;
+use tpdb_server::Client;
 use tpdb_storage::{Catalog, TpRelation, TpTuple};
 
 /// Counts every allocation and reallocation; frees are not counted.
@@ -74,6 +78,31 @@ fn the_served_read_path_allocates_only_for_the_rows_it_returns() {
     assert_eq!(written, 0, "allocations writing into a sized buffer");
     assert_eq!((reply.capacity(), reply.len()), (capacity, len));
     assert_eq!(deferred(&anti), before, "rendering built a deferred tree");
+
+    // The client reads a frame with one allocation per row: a connection
+    // whose peer has written two copies of the frame, the first read to
+    // size the client's line buffer, the second counted.
+    let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+    let addr = listener.local_addr().unwrap();
+    let frames = reply.repeat(2);
+    let peer = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().unwrap();
+        stream.write_all(frames.as_bytes()).unwrap();
+        // Drain the requests until the client hangs up, allocating nothing.
+        let mut sink = [0u8; 256];
+        while stream.read(&mut sink).is_ok_and(|n| n > 0) {}
+    });
+    let mut client = Client::connect(addr).unwrap();
+    assert_eq!(client.query("first").unwrap().rows.len(), anti.len());
+    let (rows, read) = allocations(|| client.query("second").unwrap());
+    assert_eq!(rows.rows.len(), anti.len());
+    assert!(
+        read <= anti.len() + 4,
+        "{read} allocations reading {} rows",
+        anti.len()
+    );
+    drop(client);
+    peer.join().unwrap();
 
     // A filter over a stored scan clones the matches, not every tuple.
     let (meteo, _) = tpdb_datagen::meteo_like(4000, 7);

@@ -19,7 +19,7 @@ use tpdb_query::Session;
 use tpdb_server::protocol::{render_relation_rows, render_tuple, rows_response, write_rows_frame};
 use tpdb_server::{Client, Server, ServerConfig};
 use tpdb_storage::{Catalog, DataType, Field, Schema, TpRelation, TpTuple, Value};
-use tpdb_temporal::Interval;
+use tpdb_temporal::{Interval, MAX_TIME, MIN_TIME};
 
 /// The rendering of the wire before rows were written in place.
 mod reference {
@@ -164,6 +164,13 @@ fn check_against_reference(relation: &TpRelation) -> Result<(), String> {
     }
     if rows != reference::rows(relation) {
         return Err(format!("rows of `{}` differ", relation.name()));
+    }
+    // A lineage is written unescaped: its text holds no escaped character.
+    for t in relation.iter() {
+        let text = t.lazy_lineage().to_string();
+        if text.contains(['\\', '\t', '\n', '\r']) {
+            return Err(format!("lineage text {text:?} needs escaping"));
+        }
     }
     Ok(())
 }
@@ -320,6 +327,62 @@ proptest! {
             check_against_reference(&output)?;
         }
     }
+}
+
+/// The values at the edges of each field's writer: the digit writer's
+/// (integer facts, interval endpoints and variable ids at their extremes
+/// and around every power of ten), the `Display`-written floats, booleans
+/// and NULL, and strings holding every escape and multi-byte text.
+#[test]
+fn field_writer_edges_render_as_the_reference() {
+    let mut ints = vec![i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX];
+    for k in 0..19 {
+        let p = 10i64.pow(k);
+        ints.extend([p - 1, p, p + 1, -p - 1, -p, 1 - p]);
+    }
+    let mut facts: Vec<Value> = ints.into_iter().map(Value::Int).collect();
+    facts.extend(
+        [
+            -0.0,
+            0.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            5e-324,
+            0.1,
+        ]
+        .map(Value::Float),
+    );
+    facts.extend([Value::Bool(true), Value::Bool(false), Value::Null]);
+    facts.extend(["\\\t\n\r", "a\\tb", "ä中🦀¬", "", "-"].map(Value::str));
+    let intervals = [
+        Interval::new(MIN_TIME, MAX_TIME),
+        Interval::new(i64::MIN, i64::MAX),
+        Interval::new(-1, 0),
+        Interval::new(9, 10),
+        Interval::new(99_999, 100_001),
+    ];
+    let (low, high) = (Lineage::var(VarId(0)), Lineage::var(VarId(u32::MAX)));
+    let lineages = [
+        low.clone(),
+        high.clone(),
+        Lineage::and_not_concat(&low, &Lineage::or2(high.clone(), Lineage::var(VarId(10)))),
+        Lineage::or2(Lineage::and2(low, high), Lineage::var(VarId(999_999_999))),
+    ];
+    let schema = Schema::new(vec![Field::new("v", DataType::Str)]);
+    let mut relation = TpRelation::new("edges", schema);
+    for (i, fact) in facts.into_iter().enumerate() {
+        let tuple = TpTuple::new(
+            vec![fact],
+            lineages[i % lineages.len()].clone(),
+            intervals[i % intervals.len()],
+            [0.0, 1.0, 0.1, 5e-324][i % 4],
+        );
+        assert_eq!(render_tuple(&tuple), reference::tuple(&tuple));
+        relation.push_unchecked(tuple);
+    }
+    check_against_reference(&relation).unwrap();
 }
 
 /// Over the meteo workload every recipe shape occurs — `λr ∧ λs`,

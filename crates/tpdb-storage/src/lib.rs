@@ -71,5 +71,8 @@ pub use probe::ProbeIndex;
 pub use relation::TpRelation;
 pub use schema::{DataType, Field, Schema};
 pub use shared::SharedCatalog;
+/// The decimal digit writer of lineage text, for the row writers above this
+/// crate: the wire writes integer facts and interval endpoints with it.
+pub use tpdb_lineage::write_decimal;
 pub use tuple::TpTuple;
 pub use value::Value;

@@ -5,6 +5,8 @@
 //! force the tree — a join over a join result, and a snapshot of one — and
 //! the two that must not: a row read after its statement, session and
 //! catalog epoch are gone, and a set operation opened over a derived input.
+//! One ignored test pins a known defect: a registered deferred result keeps
+//! the arena of the epoch that formed it alive.
 
 use std::sync::Arc;
 use tpdb::core::TpSetOpKind;
@@ -287,4 +289,47 @@ fn a_snapshot_of_a_join_result_round_trips_byte_identically() {
             "relation `{name}`"
         );
     }
+}
+
+/// The catalog-side references to the stored `r` after each of three
+/// rounds of registering a session's join result and rebuilding the arena,
+/// with the result's rows as the session formed them (`eager` false) or
+/// with their trees built.
+fn retained_by_registered_results(eager: bool) -> Vec<usize> {
+    let (r, s) = tpdb::datagen::meteo_like(300, 7);
+    let mut catalog = Catalog::new();
+    catalog.register(r.renamed("r")).unwrap();
+    catalog.register(s.renamed("s")).unwrap();
+    let references = |catalog: &Catalog| Arc::strong_count(&catalog.relation("r").unwrap()) - 1;
+    let mut counts = vec![references(&catalog)];
+    for round in 0..3 {
+        let session = Session::new(catalog.clone());
+        let rows = session
+            .execute("SELECT * FROM r TP LEFT JOIN s ON r.Metric = s.Metric")
+            .unwrap();
+        drop(session);
+        let rows = if eager {
+            with_tree_lineages(&rows)
+        } else {
+            rows
+        };
+        catalog
+            .register(rows.renamed(&format!("j{round}")))
+            .unwrap();
+        drop(catalog.probability_engine());
+        counts.push(references(&catalog));
+    }
+    counts
+}
+
+/// A registered result holds no more of the catalog than its rows' text
+/// needs: each round of registering a deferred join result keeps alive
+/// what registering the same rows as trees keeps alive.
+#[test]
+#[ignore = "each registered deferred result keeps the lineage arena of the epoch that formed it alive, and that arena the stored relations: over three register-and-rebuild rounds the references to r read [1, 3, 4, 5] against [1, 3, 3, 3] for the rows as trees (Arc::strong_count 2, 4, 5, 6 with the caller's handle); ROADMAP item 12 (stored lineage as arena ids, re-interned at register) removes the chain"]
+fn a_registered_deferred_result_keeps_no_old_arena_alive() {
+    assert_eq!(
+        retained_by_registered_results(false),
+        retained_by_registered_results(true)
+    );
 }
