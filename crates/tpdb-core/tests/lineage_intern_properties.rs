@@ -368,7 +368,9 @@ fn a_certified_full_join_interns_only_its_input_columns() {
 
 /// … while roots that share variables still take the node path: every row
 /// of `(r ∪ s) − r` mentions an `r` variable on both sides of the negation,
-/// so its root is interned and priced by Shannon expansion.
+/// so its root is interned. Each such root holds a literal that shares its
+/// variable with a sibling (`(x_r ∨ x_s) ∧ ¬x_r`, `x_r ∧ ¬x_r`), and unit
+/// propagation prices it with no Shannon expansion.
 #[test]
 fn correlated_roots_are_still_interned_and_expanded() {
     let (r, s) = tpdb_datagen::meteo_like(300, 7);
@@ -385,7 +387,7 @@ fn correlated_roots_are_still_interned_and_expanded() {
     let chain = TpJoinStream::set_op_with_engine(&union, &r, TpSetOpKind::Difference, &mut engine)
         .unwrap()
         .collect_relation();
-    assert!(engine.expansions() > 0);
+    assert_eq!(engine.expansions(), 0);
     assert!(
         engine.interner().len() >= before + chain.len(),
         "every correlated root is a node"

@@ -315,6 +315,8 @@ pub struct LineageInterner {
     operands: Vec<LineageRef>,
     /// Reused stack of the read-once leaf walk.
     walk: Vec<LineageRef>,
+    /// Reused stack of [`condition`](Self::condition)'s cofactor lists.
+    cofactors: Vec<LineageRef>,
 }
 
 /// The cons-table marker of a free slot (never a node id: interning
@@ -354,6 +356,7 @@ impl LineageInterner {
             epoch: 0,
             operands: Vec::new(),
             walk: Vec::new(),
+            cofactors: Vec::new(),
         }
     }
 
@@ -731,36 +734,35 @@ impl LineageInterner {
     }
 
     /// Conditions the formula on `var = value` (Shannon cofactor),
-    /// applying the constructors' structural simplifications.
+    /// applying the constructors' structural simplifications. A node none
+    /// of whose children changes is returned as it is.
     pub fn condition(&mut self, r: LineageRef, var: VarId, value: bool) -> LineageRef {
-        match self.node(r).clone() {
-            InternedNode::True | InternedNode::False => r,
-            InternedNode::Var(v) => {
-                if v == var {
-                    if value {
-                        TRUE
-                    } else {
-                        FALSE
-                    }
-                } else {
-                    r
-                }
-            }
+        let is_and = match *self.node(r) {
+            InternedNode::True | InternedNode::False => return r,
+            InternedNode::Var(v) if v == var => return if value { TRUE } else { FALSE },
+            InternedNode::Var(_) => return r,
             InternedNode::Not(c) => {
                 let inner = self.condition(c, var, value);
-                self.not(inner)
+                return self.not(inner);
             }
-            InternedNode::And(cs) => {
-                let conditioned: Vec<LineageRef> =
-                    cs.iter().map(|&c| self.condition(c, var, value)).collect();
-                self.and(&conditioned)
-            }
-            InternedNode::Or(cs) => {
-                let conditioned: Vec<LineageRef> =
-                    cs.iter().map(|&c| self.condition(c, var, value)).collect();
-                self.or(&conditioned)
-            }
+            InternedNode::And(_) => true,
+            InternedNode::Or(_) => false,
+        };
+        let base = self.cofactors.len();
+        for k in 0..self.children(r).len() {
+            let child = self.children(r)[k];
+            let cofactor = self.condition(child, var, value);
+            self.cofactors.push(cofactor);
         }
+        let cofactors = mem::take(&mut self.cofactors);
+        let result = if cofactors[base..] == *self.children(r) {
+            r
+        } else {
+            self.nary(is_and, &cofactors[base..])
+        };
+        self.cofactors = cofactors;
+        self.cofactors.truncate(base);
+        result
     }
 
     /// Exhaustively checks the arena invariants — of the frozen arena and

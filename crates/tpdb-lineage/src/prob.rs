@@ -1,4 +1,10 @@
 //! Exact probability computation for lineage formulas.
+//!
+//! A node is priced in one order ([`ProbabilityEngine`]'s `prob_rec`):
+//! the memo; the product over the children of a read-once node; the
+//! connected components of any other `And`/`Or`, independent of each
+//! other; inside a component that shares variables, unit propagation on a
+//! literal member; and Shannon expansion for a component with no literal.
 
 use crate::arena::{LineageArena, LineageColumn};
 use crate::formula::Lineage;
@@ -9,6 +15,7 @@ use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
 use std::fmt;
 use std::mem;
+use std::ops::Range;
 use std::sync::Arc;
 
 /// Marginal probabilities by base-tuple variable: the one map type the
@@ -85,15 +92,21 @@ pub struct ReadOnceColumns {
 ///    components are mutually independent and combine as above (singleton
 ///    components in child order — the same multiplications, bit for bit, as
 ///    case 2),
-/// 4. a *Shannon expansion* fallback for components whose children share
-///    variables, expanding on the most frequent variable and memoizing
-///    intermediate results.
+/// 4. *unit propagation* inside a component whose children share
+///    variables and one of which is a literal `ℓ` (`x` or `¬x`): the others
+///    are conditioned on the value that decides the component (`ℓ` true
+///    under `And`, false under `Or`), and the conditioned rest is priced
+///    from case 1 again,
+/// 5. a *Shannon expansion* fallback for a component with no literal,
+///    expanding on the most frequent variable and memoizing intermediate
+///    results.
 ///
 /// The lineages produced by TP joins with negation are of the shapes
 /// `λr ∧ λs`, `λr`, and `λr ∧ ¬(s₁ ∨ s₂ ∨ …)` over *distinct base tuples* —
-/// read-once — so case 2 answers almost every query; the fallbacks keep the
-/// engine exact for arbitrarily correlated lineages (e.g. after self-joins
-/// or `(r ∪ s) − r`).
+/// read-once — so case 2 answers almost every query. The rows of
+/// `(r ∪ s) − r` — `(x_r ∨ x_s) ∧ ¬x_r`, `x_r ∧ ¬x_r` — are case 4; the
+/// fallback keeps the engine exact for arbitrarily correlated lineages
+/// (e.g. after self-joins).
 ///
 /// # Representation
 ///
@@ -162,6 +175,11 @@ struct Scratch {
     /// Variable → occurrences (`most_frequent_var`).
     counts: FxHashMap<VarId, usize>,
     stack: Vec<LineageRef>,
+    /// The component runs of every `prob_nary` on the recursion path, each
+    /// call's above its caller's (`connected_components`).
+    groups: Vec<(usize, usize)>,
+    /// The members of the node `prob_group` interns.
+    refs: Vec<LineageRef>,
 }
 
 impl ProbabilityEngine {
@@ -730,6 +748,11 @@ impl ProbabilityEngine {
         p
     }
 
+    /// Probability of the node `r`: a constant, variable or negation
+    /// directly; an `And`/`Or` from the memo, else as a read-once product
+    /// ([`prob_read_once`](Self::prob_read_once)), else by components, unit
+    /// propagation and Shannon expansion ([`prob_nary`](Self::prob_nary)),
+    /// and memoized.
     fn prob_rec(&mut self, r: LineageRef) -> f64 {
         let is_and = match self.interner.node(r) {
             InternedNode::True => return 1.0,
@@ -751,8 +774,7 @@ impl ProbabilityEngine {
         let p = if self.interner.is_read_once(r) {
             self.prob_read_once(r, is_and)
         } else {
-            let children = self.interner.children(r).to_vec();
-            self.prob_nary(&children, is_and)
+            self.prob_nary(r, is_and)
         };
         self.memo_insert(r, p);
         p
@@ -772,32 +794,39 @@ impl ProbabilityEngine {
         }
     }
 
-    /// Probability of an n-ary conjunction (`is_and`) or disjunction whose
-    /// children may share variables.
-    fn prob_nary(&mut self, children: &[LineageRef], is_and: bool) -> f64 {
-        // Group children into connected components over shared variables.
-        let groups = self.connected_components(children);
+    /// Probability of the conjunction (`is_and`) or disjunction `r`, whose
+    /// children may share variables: the children are grouped into
+    /// connected components over shared variables, which are mutually
+    /// independent and combine as in [`prob_read_once`](Self::prob_read_once),
+    /// in order of first member. A one-member group is its child's
+    /// probability, with no conditioning walk; a larger one is priced by
+    /// unit propagation or Shannon expansion ([`prob_group`](Self::prob_group)).
+    fn prob_nary(&mut self, r: LineageRef, is_and: bool) -> f64 {
+        // The groups stay on the scratch stack while their members recurse.
+        let base = self.scratch.groups.len();
+        self.connected_components(r);
+        let end = self.scratch.groups.len();
         let mut acc = 1.0;
-        for group in groups.chunk_by(|a, b| a.0 == b.0) {
-            let p_group = if let [(_, only)] = group {
-                self.prob_rec(children[*only])
+        let mut start = base;
+        while start < end {
+            let first = self.scratch.groups[start].0;
+            let stop = (start..end)
+                .find(|&k| self.scratch.groups[k].0 != first)
+                .unwrap_or(end);
+            let p_group = if stop == start + 1 {
+                let child = self.member(r, start);
+                self.prob_rec(child)
             } else {
-                // children in this group share variables: expand the joint
-                // sub-formula with Shannon.
-                let subs: Vec<LineageRef> = group.iter().map(|&(_, i)| children[i]).collect();
-                let joint = if is_and {
-                    self.interner.and(&subs)
-                } else {
-                    self.interner.or(&subs)
-                };
-                self.shannon(joint)
+                self.prob_group(r, start..stop, is_and)
             };
             if is_and {
                 acc *= p_group;
             } else {
                 acc *= 1.0 - p_group;
             }
+            start = stop;
         }
+        self.scratch.groups.truncate(base);
         if is_and {
             acc
         } else {
@@ -805,11 +834,63 @@ impl ProbabilityEngine {
         }
     }
 
-    /// Groups child indices into connected components over shared
-    /// variables, as `(first member, member)` pairs sorted so that each
-    /// group is a run, groups come in order of their first member and
-    /// members ascend within a group.
-    fn connected_components(&mut self, children: &[LineageRef]) -> Vec<(usize, usize)> {
+    /// The child of `r` that `scratch.groups[k]` names.
+    fn member(&self, r: LineageRef, k: usize) -> LineageRef {
+        self.interner.children(r)[self.scratch.groups[k].1]
+    }
+
+    /// The variable of a literal `x` or `¬x` and whether it is positive.
+    fn literal(&self, r: LineageRef) -> Option<(VarId, bool)> {
+        match *self.interner.node(r) {
+            InternedNode::Var(v) => Some((v, true)),
+            // The interner keeps no `¬¬`: `c` is not a negation.
+            InternedNode::Not(c) => self.literal(c).map(|(v, _)| (v, false)),
+            _ => None,
+        }
+    }
+
+    /// Probability of one component `scratch.groups[members]` of `r`'s
+    /// children: children that share variables, joined by `And`
+    /// (`is_and`) or `Or`. *Unit propagation* comes first: if a member is
+    /// a literal `ℓ`, an `And` fixes it true and an `Or` fixes it false,
+    /// the other members are conditioned on that value, and the group is
+    /// `P(ℓ) · P(rest | ℓ)`, or `1 − (1 − P(ℓ)) · (1 − P(rest | ¬ℓ))` under
+    /// `Or` — Shannon's identity on `ℓ`'s variable with one cofactor known.
+    /// The rest goes back through [`prob_rec`](Self::prob_rec), so
+    /// propagation repeats while a literal is shared. A group with no
+    /// literal member is expanded by [`shannon`](Self::shannon).
+    fn prob_group(&mut self, r: LineageRef, members: Range<usize>, is_and: bool) -> f64 {
+        let unit = members
+            .clone()
+            .find_map(|k| Some((k, self.literal(self.member(r, k))?)));
+        let mut rest = mem::take(&mut self.scratch.refs);
+        for k in members.filter(|&k| unit.is_none_or(|(u, _)| u != k)) {
+            let mut child = self.member(r, k);
+            if let Some((_, (var, positive))) = unit {
+                child = self.interner.condition(child, var, positive == is_and);
+            }
+            rest.push(child);
+        }
+        let joint = self.interner.nary(is_and, &rest);
+        rest.clear();
+        self.scratch.refs = rest;
+        let Some((u, _)) = unit else {
+            return self.shannon(joint);
+        };
+        let p_unit = self.prob_rec(self.member(r, u));
+        let p_rest = self.prob_rec(joint);
+        if is_and {
+            p_unit * p_rest
+        } else {
+            1.0 - (1.0 - p_unit) * (1.0 - p_rest)
+        }
+    }
+
+    /// Appends the children of `r` to `scratch.groups`, grouped into
+    /// connected components over shared variables, as `(first member,
+    /// member)` pairs sorted so that each group is a run, groups come in
+    /// order of their first member and members ascend within a group.
+    fn connected_components(&mut self, r: LineageRef) {
         fn find(parent: &mut [usize], mut i: usize) -> usize {
             while parent[i] != i {
                 parent[i] = parent[parent[i]];
@@ -817,15 +898,22 @@ impl ProbabilityEngine {
             }
             i
         }
-        let Scratch { owner, parent, .. } = &mut self.scratch;
+        let n = self.interner.children(r).len();
+        let Scratch {
+            owner,
+            parent,
+            groups,
+            ..
+        } = &mut self.scratch;
         owner.clear();
         parent.clear();
-        parent.extend(0..children.len());
+        parent.extend(0..n);
         // Union children that share at least one variable. We link via a map
         // from variable to the first child using it, so the cost is
         // O(total vars · α(n)) instead of O(n²) pairwise comparisons. The
         // smaller index becomes the root: a group's root is its first member.
-        for (i, &child) in children.iter().enumerate() {
+        for i in 0..n {
+            let child = self.interner.children(r)[i];
             self.interner.for_each_var(child, |v| match owner.entry(v) {
                 Entry::Occupied(first) => {
                     let (a, b) = (find(parent, i), find(parent, *first.get()));
@@ -836,10 +924,9 @@ impl ProbabilityEngine {
                 }
             });
         }
-        let mut groups: Vec<(usize, usize)> =
-            (0..children.len()).map(|i| (find(parent, i), i)).collect();
-        groups.sort_unstable();
-        groups
+        let base = groups.len();
+        groups.extend((0..n).map(|i| (find(parent, i), i)));
+        groups[base..].sort_unstable();
     }
 
     /// The variable occurring in the largest number of sub-formulas (a
@@ -1033,10 +1120,11 @@ mod tests {
         assert!((p - e.probability_by_enumeration(&g).unwrap()).abs() < 1e-12);
         assert_eq!(e.expansions(), 1);
         // … and a read-once-looking wrapper over a correlated child is not
-        // read-once either: x0 occurs under both conjuncts.
+        // read-once either: x0 occurs under both conjuncts. The literal x0
+        // is propagated: conditioned on x0, g is `true`, so no expansion.
         let wrapped = Lineage::and2(g, v(0));
         assert_eq!(e.probability(&wrapped).to_bits(), 0x3fd3_3333_3333_3333);
-        assert_eq!(e.expansions(), 2);
+        assert_eq!(e.expansions(), 1);
 
         // Mixed: two children share x0, the third is independent of both.
         let mut e = engine(&[0.3, 0.6, 0.2, 0.8, 0.5]);
@@ -1490,7 +1578,82 @@ mod tests {
         assert_eq!(e.verify_arena(), Ok(()));
     }
 
+    #[test]
+    fn unit_propagation_prices_the_except_chain_rows_without_expansion() {
+        // The rows of `(r ∪ s) − r`: x = x_r, y = x_s.
+        let (px, py) = (0.3, 0.6);
+        let mut e = engine(&[px, py]);
+        let contradiction = Lineage::and_not_concat(&v(0), &v(0));
+        assert_eq!(e.probability(&contradiction).to_bits(), 0.0f64.to_bits());
+        let absorbed = Lineage::and_not_concat(&v(0), &Lineage::or2(v(0), v(1)));
+        assert_eq!(e.probability(&absorbed).to_bits(), 0.0f64.to_bits());
+        let survivor = Lineage::and_not_concat(&Lineage::or2(v(0), v(1)), &v(0));
+        assert_eq!(
+            e.probability(&survivor).to_bits(),
+            (py * (1.0 - px)).to_bits(),
+            "the bits Shannon expansion on x gave"
+        );
+        // The disjunctive shapes fix the literal false instead.
+        let tautology = Lineage::or2(v(0), Lineage::not(v(0)));
+        assert_eq!(e.probability(&tautology), 1.0);
+        let or_shape = Lineage::or2(Lineage::and2(v(0), v(1)), Lineage::not(v(0)));
+        assert!((e.probability(&or_shape) - (1.0 - px * (1.0 - py))).abs() < 1e-15);
+        assert_eq!(e.expansions(), 0);
+        // What propagation cannot resolve is still expanded.
+        let g = Lineage::and2(Lineage::or2(v(0), v(1)), Lineage::or2(v(0), v(2)));
+        let mut e = engine(&[0.3, 0.6, 0.2]);
+        let _ = e.probability(&g);
+        assert_eq!(e.expansions(), 1);
+        assert_eq!(e.verify_arena(), Ok(()));
+    }
+
+    /// A formula over eight variables whose `And`/`Or` nodes carry literal
+    /// siblings: `ℓ ∧ φ`, `ℓ ∨ φ`, literals under `Not` and a literal next
+    /// to its own negation, `φ` drawn over the same variables.
+    fn arb_literal_lineage() -> impl Strategy<Value = Lineage> {
+        let literal =
+            (0u32..8, any::<bool>()).prop_map(
+                |(i, positive)| {
+                    if positive {
+                        v(i)
+                    } else {
+                        Lineage::not(v(i))
+                    }
+                },
+            );
+        literal.clone().prop_recursive(4, 32, 3, move |inner| {
+            let lit = literal.clone();
+            prop_oneof![
+                inner.clone().prop_map(Lineage::not),
+                (lit.clone(), inner.clone()).prop_map(|(l, f)| Lineage::and2(l, f)),
+                (lit.clone(), inner.clone()).prop_map(|(l, f)| Lineage::or2(l, f)),
+                (lit.clone(), inner.clone()).prop_map(|(l, f)| Lineage::not(Lineage::and2(l, f))),
+                (0u32..8, inner.clone())
+                    .prop_map(|(i, f)| { Lineage::and(vec![v(i), f, Lineage::not(v(i))]) }),
+                (lit, proptest::collection::vec(inner, 1..3)).prop_map(|(l, mut fs)| {
+                    fs.push(l);
+                    Lineage::or(fs)
+                }),
+            ]
+        })
+    }
+
     proptest! {
+        /// Unit propagation is exact: every shape it takes prices to the
+        /// enumeration over all assignments.
+        #[test]
+        fn prop_unit_propagation_matches_enumeration(
+            f in arb_literal_lineage(),
+            ps in proptest::collection::vec(0.0f64..=1.0, 8),
+        ) {
+            let mut e = engine(&ps);
+            let r = e.intern(&f);
+            let exact = e.probability_by_enumeration(&f).unwrap();
+            let computed = e.probability_ref(r);
+            prop_assert!((exact - computed).abs() <= 1e-12, "exact {exact} vs computed {computed} for {f:?}");
+            prop_assert_eq!(e.verify_arena(), Ok(()));
+        }
+
         /// Certified pricing is the node path, bit for bit and tree for
         /// tree, for every concatenation of a root with one node or a span
         /// of distinct roots of the other column — and interns nothing.

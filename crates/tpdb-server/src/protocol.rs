@@ -362,11 +362,21 @@ pub fn render_tuple(tuple: &TpTuple) -> String {
     out
 }
 
-/// Renders a whole relation as wire rows, one [`render_tuple`] each — the
-/// rows of [`write_rows_frame`] as the client reads them back.
+/// Renders a whole relation as wire rows — the rows of
+/// [`write_rows_frame`] as the client reads them back. Every row is written
+/// ([`write_tuple`]) into one reused buffer and copied out at its exact
+/// size: one allocation per row.
 #[must_use]
 pub fn render_relation_rows(relation: &TpRelation) -> Vec<String> {
-    relation.iter().map(render_tuple).collect()
+    let mut row = String::new();
+    relation
+        .iter()
+        .map(|tuple| {
+            row.clear();
+            write_tuple(&mut row, tuple);
+            row.as_str().to_owned()
+        })
+        .collect()
 }
 
 /// Builds the `ROWS` response for a result relation; its

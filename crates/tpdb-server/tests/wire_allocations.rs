@@ -1,8 +1,9 @@
 //! The heap cost of the served read path, counted by a global allocator:
 //! a response is written into a buffer that already has room without one
 //! allocation, deferred lineages included, the client reads it with one
-//! allocation per row, and a filtered scan copies only the tuples it
-//! returns. One test per binary: the counter is process-wide.
+//! allocation per row, so does the one-shot `render_relation_rows`, and a
+//! filtered scan copies only the tuples it returns. One test per binary:
+//! the counter is process-wide.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::io::{Read, Write};
@@ -10,7 +11,7 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tpdb_core::{tp_join, ThetaCondition, TpJoinKind};
 use tpdb_query::{parse_query, plan_query};
-use tpdb_server::protocol::write_rows_frame;
+use tpdb_server::protocol::{render_relation_rows, write_rows_frame};
 use tpdb_server::Client;
 use tpdb_storage::{Catalog, TpRelation, TpTuple};
 
@@ -103,6 +104,17 @@ fn the_served_read_path_allocates_only_for_the_rows_it_returns() {
     );
     drop(client);
     peer.join().unwrap();
+
+    // The one-shot renderer writes every row through one reused buffer and
+    // copies it out at its exact size (measured: rows + 5, the result
+    // vector and the buffer's growth).
+    let (rendered, rendering) = allocations(|| render_relation_rows(&anti));
+    assert_eq!(rendered.len(), anti.len());
+    assert!(
+        rendering <= anti.len() + 8,
+        "{rendering} allocations rendering {} rows",
+        anti.len()
+    );
 
     // A filter over a stored scan clones the matches, not every tuple.
     let (meteo, _) = tpdb_datagen::meteo_like(4000, 7);

@@ -17,7 +17,8 @@
 //! What `Session` returns must agree to `1e-12` at every time point (a
 //! missing row is probability 0), hold each fact at most once per time
 //! point, and be maximal: adjacent rows with equal facts and equal lineage
-//! never meet.
+//! never meet. The same statement prepared in process and sent to a server
+//! must return the same rows, byte for byte.
 //!
 //! A `WHERE` over each of the five joins is checked the same way, the
 //! deterministic selection applied to the join's rows of each snapshot;
@@ -26,6 +27,7 @@
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use tpdb::prelude::{Catalog, Interval, Schema, Session, TpRelation, Value};
+use tpdb::server::{protocol, Client, Server, ServerConfig};
 use tpdb::storage::DataType;
 
 /// The time domain is `0..HORIZON`.
@@ -207,10 +209,9 @@ fn bases(rows: &[(i64, i64, i64, i64, f64)]) -> Vec<Base> {
     kept
 }
 
-/// A serial session over `r` and `s` (fresh lineage variable per tuple) and
-/// `r2`, a copy of `r` that shares `r`'s variables — the other side of a
-/// self-join.
-fn session(r: &[Base], s: &[Base]) -> Session {
+/// A catalog of `r` and `s` (fresh lineage variable per tuple) and `r2`, a
+/// copy of `r` that shares `r`'s variables — the other side of a self-join.
+fn catalog(r: &[Base], s: &[Base]) -> Catalog {
     let mut catalog = Catalog::new();
     for (name, rel) in [("r", r), ("s", s)] {
         let mut builder = catalog.create_relation(name, schema()).unwrap();
@@ -225,9 +226,7 @@ fn session(r: &[Base], s: &[Base]) -> Session {
     }
     let copy = catalog.relation("r").unwrap().renamed("r2");
     catalog.register(copy).unwrap();
-    let mut session = Session::new(catalog);
-    session.set_parallelism(1);
-    session
+    catalog
 }
 
 /// What the engine says per (facts, time point), after checking that no
@@ -274,17 +273,22 @@ fn engine_pointwise(result: &TpRelation) -> Result<Pointwise, String> {
 }
 
 /// Runs `query` at both degrees of parallelism and compares every time
-/// point with the oracle.
+/// point with the oracle; the same text prepared in process and sent to a
+/// server must return the same rows, byte for byte.
 fn check(
     r: &[Base],
     s: &[Base],
     query: &dyn Fn(&str) -> String,
     expected: &Pointwise,
 ) -> Result<(), String> {
+    let mut session = Session::new(catalog(r, s));
+    session.set_parallelism(1);
+    let server = Server::start(catalog(r, s), ServerConfig::default()).unwrap();
+    let mut client = Client::connect(server.local_addr()).unwrap();
     for suffix in ["", " PARALLEL 2"] {
         let text = query(suffix);
         let context = |what: String| format!("{text}\n  r = {r:?}\n  s = {s:?}\n  {what}");
-        let result = session(r, s)
+        let result = session
             .execute(&text)
             .map_err(|e| context(format!("failed: {e}")))?;
         let measured = engine_pointwise(&result).map_err(context)?;
@@ -298,7 +302,21 @@ fn check(
                 )));
             }
         }
+        let rows = protocol::render_relation_rows(&result);
+        let prepared = session.prepare(&text).and_then(|q| q.execute(&[]));
+        let prepared = prepared.map_err(|e| context(format!("prepared: {e}")))?;
+        if protocol::render_relation_rows(&prepared) != rows {
+            return Err(context("the prepared statement returns other rows".into()));
+        }
+        let served = client
+            .query(&text)
+            .map_err(|e| context(format!("served: {e}")))?;
+        if served.rows != rows {
+            return Err(context("the server returns other rows".into()));
+        }
     }
+    client.close().unwrap();
+    server.shutdown();
     Ok(())
 }
 
@@ -382,6 +400,52 @@ proptest! {
         let query = |suffix: &str| {
             format!(
                 "(SELECT * FROM r UNION SELECT * FROM s{suffix}) EXCEPT SELECT * FROM r{suffix}"
+            )
+        };
+        check(&r, &s, &query, &expected)?;
+    }
+
+    /// `(r ∪ s) ∩ r`: a row over both is `(x_r ∨ x_s) ∧ x_r`.
+    #[test]
+    fn union_then_intersect_over_shared_lineage(rows_r in rows_strategy(), rows_s in rows_strategy()) {
+        let (r, s) = (bases(&rows_r), bases(&rows_s));
+        let expected = oracle(&r, &s, |r_t, s_t| {
+            Op::Intersect.eval(&facts_of(&Op::Union.eval(r_t, s_t)), r_t)
+        });
+        let query = |suffix: &str| {
+            format!(
+                "(SELECT * FROM r UNION SELECT * FROM s{suffix}) INTERSECT SELECT * FROM r{suffix}"
+            )
+        };
+        check(&r, &s, &query, &expected)?;
+    }
+
+    /// `r − (r ∪ s)`: a row negates a union over its own variable,
+    /// `x_r ∧ ¬(x_r ∨ x_s)`.
+    #[test]
+    fn except_a_union_over_shared_lineage(rows_r in rows_strategy(), rows_s in rows_strategy()) {
+        let (r, s) = (bases(&rows_r), bases(&rows_s));
+        let expected = oracle(&r, &s, |r_t, s_t| {
+            Op::Except.eval(r_t, &facts_of(&Op::Union.eval(r_t, s_t)))
+        });
+        let query = |suffix: &str| {
+            format!(
+                "SELECT * FROM r EXCEPT (SELECT * FROM r UNION SELECT * FROM s{suffix})"
+            )
+        };
+        check(&r, &s, &query, &expected)?;
+    }
+
+    /// `(r ∪ s) − s`: the chain above with the other side negated.
+    #[test]
+    fn union_then_except_its_right_side(rows_r in rows_strategy(), rows_s in rows_strategy()) {
+        let (r, s) = (bases(&rows_r), bases(&rows_s));
+        let expected = oracle(&r, &s, |r_t, s_t| {
+            Op::Except.eval(&facts_of(&Op::Union.eval(r_t, s_t)), s_t)
+        });
+        let query = |suffix: &str| {
+            format!(
+                "(SELECT * FROM r UNION SELECT * FROM s{suffix}) EXCEPT SELECT * FROM s{suffix}"
             )
         };
         check(&r, &s, &query, &expected)?;
