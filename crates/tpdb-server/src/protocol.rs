@@ -35,12 +35,18 @@
 //! their `Display` (shortest round-trip for a float), and the lineage by its
 //! own text writer — no per-field `String`, and a deferred lineage is
 //! printed from its recipe without building its tree.
-//! The server writes a whole `ROWS` frame with [`write_rows_frame`] into
-//! its connection's reused buffer; [`render_tuple`],
-//! [`render_relation_rows`] and [`rows_response`] are one-shot wrappers
-//! over the same writer for the tests and the benchmark, which is what
-//! makes "byte-identical to a serial [`Session`](tpdb_query::Session) run"
-//! a checkable property.
+//!
+//! The server writes a `ROWS` frame with [`write_rows_frame`], which
+//! encodes it through the connection's one reused buffer and hands the
+//! buffer to a flush callback (the socket's `write_all`) each time it holds
+//! [`CHUNK_BYTES`] (64 KiB), and once after the terminator. A chunk is at
+//! most 64 KiB plus one line, so the client parses chunk *k* while chunk
+//! *k + 1* is encoded, and a reply in flight takes one chunk of memory
+//! beside its result relation. The chunks concatenate to the same frame
+//! whatever the chunk size. [`render_tuple`], [`render_relation_rows`] and
+//! [`rows_response`] are one-shot wrappers over the same row writer for the
+//! tests and the benchmark, which is what makes "byte-identical to a serial
+//! [`Session`](tpdb_query::Session) run" a checkable property.
 
 use std::fmt::{self, Write as _};
 use tpdb_query::TpdbError;
@@ -341,17 +347,51 @@ fn push_decimal(out: &mut String, n: i64) {
     write_decimal(out, n).expect("writing to a String cannot fail");
 }
 
-/// Appends the whole `ROWS` frame of `relation` to `out`: the header, the
-/// schema, one row line per tuple ([`write_tuple`]) and the terminator.
-pub fn write_rows_frame(out: &mut String, relation: &TpRelation) {
+/// The size at which [`write_rows_frame`] hands its buffer to `flush`.
+pub const CHUNK_BYTES: usize = 64 * 1024;
+
+/// Writes the whole `ROWS` frame of `relation` — the header, the schema,
+/// one row line per tuple ([`write_tuple`]) and the terminator — through
+/// `out` (expected empty) in chunks: whenever `out` holds [`CHUNK_BYTES`]
+/// or more after a line, and once after the terminator, `out` is passed to
+/// `flush` and cleared. A chunk is therefore at most `CHUNK_BYTES` plus one
+/// line, and the chunks concatenate to the frame. The first error `flush`
+/// returns ends the frame and is returned; `out` then holds the unsent
+/// chunk.
+///
+/// `out` is given `CHUNK_BYTES` of room, and before each row room for the
+/// frame's longest line so far, so the line that crosses the chunk size
+/// grows it to what that line needs rather than doubling it: its capacity
+/// ends at most one chunk plus the longest line (unless a line longer than
+/// every line before it in its frame is the one that crosses), and a
+/// buffer that has written a frame writes it again without allocating.
+pub fn write_rows_frame<E>(
+    out: &mut String,
+    relation: &TpRelation,
+    mut flush: impl FnMut(&str) -> Result<(), E>,
+) -> Result<(), E> {
+    let mut send = |out: &mut String| {
+        flush(out)?;
+        out.clear();
+        Ok(())
+    };
+    out.reserve(CHUNK_BYTES);
     write_rows_header(out, relation.len(), |out| {
         write_schema(out, relation.schema());
     });
+    let mut longest = out.len();
     for tuple in relation.iter() {
+        out.reserve_exact(longest);
+        let start = out.len();
         write_tuple(out, tuple);
         out.push('\n');
+        longest = longest.max(out.len() - start);
+        if out.len() >= CHUNK_BYTES {
+            send(out)?;
+        }
     }
     out.push_str(FRAME_END);
+    send(out)
 }
 
 /// Renders one tuple as a wire row ([`write_tuple`] into a fresh `String`).

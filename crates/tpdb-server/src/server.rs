@@ -7,9 +7,12 @@
 //! acceptor ──► connection threads (1/conn), each in a loop:
 //!                read a line, parse the request
 //!                pass the admission gate (run │ wait in line │ `ServerBusy`)
-//!                pin catalog snapshot, plan via shared cache, execute,
-//!                  render into the connection's buffer
-//!                give the slot back, then write the buffer (one `write_all`)
+//!                pin catalog snapshot, plan via shared cache, execute
+//!                  into a materialized result relation
+//!                give the slot back
+//!                encode the frame into the connection's buffer, one
+//!                  `write_all` per 64 KiB chunk
+//!                drop the result, then the pinned catalog
 //! ```
 //!
 //! Every thread is spawned through [`crate::pool`] and joined at
@@ -19,16 +22,27 @@
 //! at most `queue_depth` requests wait — first come, first served — and
 //! the next one is answered `ERR ServerBusy` on the spot (explicit
 //! backpressure). The slot is given back before the response frame is
-//! written, so a client that is slow to read its reply keeps its own
-//! thread busy, never an execution slot.
+//! encoded and written, so a client that is slow to read its reply keeps
+//! its own thread busy, never an execution slot.
 //!
-//! Each connection owns one reply buffer. A statement's result rows are
-//! written into it straight from the result relation
-//! ([`write_rows_frame`]), lineage printed from its recipe, and the buffer
-//! goes out with a single `write_all`. It is cleared and reused for the
-//! next request, unless a reply grew it beyond [`MAX_RETAINED_REPLY`]: then
-//! it is released, so one huge reply does not pin its memory for the rest
-//! of the connection.
+//! Every fallible step of a request — plan, bind, execute, materialize —
+//! finishes under the slot, so nothing after a frame's header can fail but
+//! the socket, and a failed write closes the connection. Each connection
+//! owns one reply buffer. A statement's rows are encoded into it straight
+//! from the result relation ([`write_rows_frame`]), lineage printed from
+//! its recipe, and the buffer is written out each time it reaches
+//! [`CHUNK_BYTES`] (64 KiB): the client parses one chunk while the next is
+//! encoded, and a `ROWS` frame never fills the buffer beyond one chunk
+//! plus one row, so it is kept for the connection's next request as it is
+//! (there is no release rule). `TEXT` and `ERR` frames, and a snapshot
+//! statement's summary rows, go out the same way after the slot is given
+//! back; a `TEXT` or `ERR` frame is written whole. The result relation,
+//! and then the catalog its statement pinned, are freed only after the
+//! frame's last byte is written, while the client reads it: a connection
+//! holds its materialized result plus one chunk for as long as a slow
+//! reader takes.
+//!
+//! [`CHUNK_BYTES`]: crate::protocol::CHUNK_BYTES
 //!
 //! ## Reads, writes and epochs
 //!
@@ -66,7 +80,7 @@ use std::time::Duration;
 use tpdb_query::{
     explain, run_prepared, snapshot_summary, LogicalPlan, PlanCache, PreparedPlan, TpdbError,
 };
-use tpdb_storage::{Catalog, SharedCatalog};
+use tpdb_storage::{Catalog, SharedCatalog, TpRelation};
 
 /// Server sizing and execution knobs.
 #[derive(Debug, Clone, Copy)]
@@ -362,19 +376,6 @@ const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 /// distinct statements of all connections together.
 const PLAN_CACHE_CAPACITY: usize = 512;
 
-/// The largest reply buffer a connection keeps for its next request.
-const MAX_RETAINED_REPLY: usize = 1 << 20;
-
-/// Readies a connection's reply buffer for the next request: cleared, or
-/// released when the last reply grew it beyond [`MAX_RETAINED_REPLY`].
-fn recycle(reply: &mut String) {
-    if reply.capacity() > MAX_RETAINED_REPLY {
-        *reply = String::new();
-    } else {
-        reply.clear();
-    }
-}
-
 /// Accepts connections until the shutdown flag is raised; each connection
 /// gets its own thread, registered with a clone of its socket for
 /// shutdown. Threads that have finished are joined and their sockets
@@ -415,6 +416,20 @@ fn acceptor_loop(inner: &Arc<Inner>, listener: &TcpListener) {
     }
 }
 
+/// A request's answer: built under the slot, written after it is given
+/// back.
+enum Reply {
+    /// A `TEXT` or `ERR` frame.
+    Frame(Response),
+    /// A statement's result and the catalog the statement pinned, dropped
+    /// in this order once the `ROWS` frame is written (see
+    /// [`run_statement`]).
+    Rows {
+        relation: TpRelation,
+        _pinned: Arc<Catalog>,
+    },
+}
+
 /// Reads request lines off one connection, executes them behind the
 /// admission gate and writes response frames back — strictly one request
 /// in flight per connection.
@@ -423,10 +438,7 @@ fn serve_connection(inner: &Inner, stream: &TcpStream) {
     let mut writer = stream;
     let mut conn = ConnState::new();
     let mut line = String::new();
-    let mut reply = String::new();
-    // The catalog the current statement pinned, released only once its
-    // reply is written (see `run_statement`).
-    let mut pinned = None;
+    let mut out = String::new();
     loop {
         line.clear();
         match reader.read_line(&mut line) {
@@ -438,36 +450,44 @@ fn serve_connection(inner: &Inner, stream: &TcpStream) {
             continue;
         }
         inner.counters.requests.fetch_add(1, Ordering::Relaxed);
-        match parse_request(text) {
-            Err(e) => Response::Error {
+        let reply = match parse_request(text) {
+            Err(e) => Reply::Frame(Response::Error {
                 code: ErrorCode::Protocol,
                 message: e.into_message(),
-            }
-            .encode_into(&mut reply),
+            }),
             Ok(Request::Close) => {
-                Response::Text(vec!["BYE".to_owned()]).encode_into(&mut reply);
-                drop(writer.write_all(reply.as_bytes()));
+                let bye = Reply::Frame(Response::Text(vec!["BYE".to_owned()]));
+                drop(write_reply(&mut writer, &mut out, &bye));
                 return;
             }
             // The slot lives for this arm only: it is given back before
-            // the frame is written, so a slow reader never holds one.
+            // the frame is encoded, so a slow reader never holds one.
             Ok(request) => match admit(inner) {
-                Ok(_slot) => {
-                    if let Err(e) =
-                        handle_request(inner, &mut conn, request, &mut reply, &mut pinned)
-                    {
-                        reply.clear();
-                        Response::from_error(&e).encode_into(&mut reply);
-                    }
-                }
-                Err(refusal) => refusal.encode_into(&mut reply),
+                Ok(_slot) => handle_request(inner, &mut conn, request)
+                    .unwrap_or_else(|e| Reply::Frame(Response::from_error(&e))),
+                Err(refusal) => Reply::Frame(refusal),
             },
-        }
-        if writer.write_all(reply.as_bytes()).is_err() {
+        };
+        if write_reply(&mut writer, &mut out, &reply).is_err() {
             return;
         }
-        pinned = None;
-        recycle(&mut reply);
+        // `reply` drops here, after its last byte is written.
+    }
+}
+
+/// Encodes `reply` through `out` and writes it to `writer`: a `ROWS` frame
+/// one chunk at a time ([`write_rows_frame`]), any other frame whole. `out`
+/// is left empty unless the write fails.
+fn write_reply(writer: &mut impl Write, out: &mut String, reply: &Reply) -> io::Result<()> {
+    let mut send = |chunk: &str| writer.write_all(chunk.as_bytes());
+    match reply {
+        Reply::Rows { relation, .. } => write_rows_frame(out, relation, send),
+        Reply::Frame(response) => {
+            response.encode_into(out);
+            send(out)?;
+            out.clear();
+            Ok(())
+        }
     }
 }
 
@@ -521,20 +541,17 @@ fn admit(inner: &Inner) -> Result<Slot<'_>, Response> {
     Ok(Slot { inner })
 }
 
-/// Executes one request on its connection's thread (which holds a slot),
-/// writing its response frame into `reply`; a statement hands the catalog
-/// it pinned to `pinned`.
+/// Executes one request on its connection's thread (which holds a slot)
+/// and returns its reply.
 fn handle_request(
     inner: &Inner,
     conn: &mut ConnState,
     request: Request,
-    reply: &mut String,
-    pinned: &mut Option<Arc<Catalog>>,
-) -> Result<(), TpdbError> {
+) -> Result<Reply, TpdbError> {
     let response = match request {
-        Request::Query(text) => return run_statement(inner, &text, &[], reply, pinned),
+        Request::Query(text) => return run_statement(inner, &text, &[]),
         Request::Execute { name, params } => match conn.get(&name) {
-            Some(text) => return run_statement(inner, text, &params, reply, pinned),
+            Some(text) => return run_statement(inner, text, &params),
             None => Response::Error {
                 code: ErrorCode::Protocol,
                 message: format!("unknown prepared statement `{name}`"),
@@ -574,8 +591,7 @@ fn handle_request(
         // Close is answered before admission (see `serve_connection`).
         Request::Close => Response::Text(vec!["BYE".to_owned()]),
     };
-    response.encode_into(reply);
-    Ok(())
+    Ok(Reply::Frame(response))
 }
 
 /// Pins a catalog snapshot and plans `text` against it through the shared
@@ -587,23 +603,21 @@ fn plan(inner: &Inner, text: &str) -> Result<(Arc<Catalog>, Arc<PreparedPlan>), 
 }
 
 /// Runs one statement: pin a snapshot, plan through the shared cache,
-/// bind, execute, and write the result's `ROWS` frame into `reply`.
-/// `LOAD SNAPSHOT` is the one mutating statement and goes through the
-/// shared catalog's atomic swap instead.
+/// bind and execute into a materialized result, whose `ROWS` frame the
+/// caller writes once the slot is given back. `LOAD SNAPSHOT` is the one
+/// mutating statement and goes through the shared catalog's atomic swap
+/// instead.
 ///
-/// The pinned snapshot is handed to `pinned` rather than dropped here:
-/// after a `LOAD SNAPSHOT` it may be the last reference to the catalog the
-/// load replaced, whose relations, arena and probe indexes are then freed
-/// by the caller once the reply is out.
+/// The pinned snapshot is returned with the result rather than dropped
+/// here: after a `LOAD SNAPSHOT` it may be the last reference to the
+/// catalog the load replaced, whose relations, arena and probe indexes are
+/// then freed by the caller once the reply is out.
 fn run_statement(
     inner: &Inner,
     text: &str,
     params: &[tpdb_storage::Value],
-    reply: &mut String,
-    pinned: &mut Option<Arc<Catalog>>,
-) -> Result<(), TpdbError> {
+) -> Result<Reply, TpdbError> {
     let (snapshot, prepared) = plan(inner, text)?;
-    let snapshot = pinned.insert(snapshot);
     let relation = match &prepared.plan {
         LogicalPlan::LoadSnapshot { path } => {
             let loaded = inner.shared.update(|catalog| {
@@ -616,30 +630,11 @@ fn run_statement(
             })?;
             snapshot_summary(&loaded)?
         }
-        _ => run_prepared(snapshot, &prepared, params)?,
+        _ => run_prepared(&snapshot, &prepared, params)?,
     };
     inner.counters.executed.fetch_add(1, Ordering::Relaxed);
-    write_rows_frame(reply, &relation);
-    Ok(())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn a_reply_buffer_is_kept_up_to_one_mib_and_released_beyond() {
-        let mut reply = String::with_capacity(MAX_RETAINED_REPLY);
-        reply.push_str("ROWS 0\nSCHEMA \nOK\n");
-        recycle(&mut reply);
-        assert!(reply.is_empty());
-        assert_eq!(reply.capacity(), MAX_RETAINED_REPLY, "kept for reuse");
-
-        reply.reserve(MAX_RETAINED_REPLY + 1);
-        reply.push_str("a huge reply");
-        recycle(&mut reply);
-        assert!(reply.is_empty());
-        assert_eq!(reply.capacity(), 0, "released");
-        assert_eq!(MAX_RETAINED_REPLY, 1024 * 1024);
-    }
+    Ok(Reply::Rows {
+        relation,
+        _pinned: snapshot,
+    })
 }

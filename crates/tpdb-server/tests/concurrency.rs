@@ -4,7 +4,7 @@
 //! gate keeps its bounds under load and never waits on a client's socket.
 
 use std::collections::HashSet;
-use std::io::Write;
+use std::io::{Read, Write};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 use tpdb_query::Session;
@@ -283,6 +283,59 @@ fn a_reader_that_stalls_on_its_reply_holds_no_slot() {
 
     // Hanging up fails A's pending write, so its thread can be joined.
     drop(stalled);
+    server.shutdown();
+}
+
+#[test]
+fn a_slow_reader_gets_every_row_and_holds_no_slot_while_they_are_written() {
+    let catalog = meteo_catalog(3000, 1);
+    let expected = serial_rows(&Session::new(catalog.clone()), QUERIES[1]);
+    let server = Server::start(
+        catalog,
+        ServerConfig {
+            workers: 1,
+            queue_depth: 1,
+            ..ServerConfig::default()
+        },
+    )
+    .unwrap();
+
+    // The reply is several MB, written in 64 KiB chunks; the client takes
+    // at most 64 KiB per read and sleeps between reads.
+    let mut stream = std::net::TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .write_all(format!("{}\n", QUERIES[1]).as_bytes())
+        .unwrap();
+    let mut frame = Vec::new();
+    let mut buf = vec![0u8; protocol::CHUNK_BYTES];
+    let (mut reads, mut lines) = (0, 0);
+    // The frame is whole once it holds the header, the schema, its rows
+    // and `OK`: the row count plus three lines.
+    while lines != expected.len() + 3 {
+        let n = stream.read(&mut buf).unwrap();
+        assert!(n > 0, "EOF after {} bytes", frame.len());
+        frame.extend_from_slice(&buf[..n]);
+        lines += buf[..n].iter().filter(|&&b| b == b'\n').count();
+        reads += 1;
+        // The statement has run and its slot is free while its frame is
+        // still on its way.
+        let stats = server.stats();
+        assert_eq!((stats.executed, stats.executing), (1, 0), "{stats:?}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    assert!(
+        frame.len() > 8 * protocol::CHUNK_BYTES,
+        "{} bytes",
+        frame.len()
+    );
+    assert!(reads > 8, "{reads} reads");
+    let text = String::from_utf8(frame).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines[0], format!("ROWS {}", expected.len()));
+    assert_eq!(lines.last(), Some(&"OK"));
+    assert_eq!(lines[2..lines.len() - 1], expected[..]);
+
+    drop(stream);
     server.shutdown();
 }
 

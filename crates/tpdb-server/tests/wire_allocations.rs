@@ -1,6 +1,7 @@
 //! The heap cost of the served read path, counted by a global allocator:
-//! a response is written into a buffer that already has room without one
-//! allocation, deferred lineages included, the client reads it with one
+//! a response is written in chunks through a buffer that already has room
+//! without one allocation, deferred lineages included, the buffer never
+//! grows beyond one chunk plus one row, the client reads it with one
 //! allocation per row, so does the one-shot `render_relation_rows`, and a
 //! filtered scan copies only the tuples it returns. One test per binary:
 //! the counter is process-wide.
@@ -11,7 +12,7 @@ use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use tpdb_core::{tp_join, ThetaCondition, TpJoinKind};
 use tpdb_query::{parse_query, plan_query};
-use tpdb_server::protocol::{render_relation_rows, write_rows_frame};
+use tpdb_server::protocol::{render_relation_rows, write_rows_frame, CHUNK_BYTES};
 use tpdb_server::Client;
 use tpdb_storage::{Catalog, TpRelation, TpTuple};
 
@@ -71,21 +72,44 @@ fn the_served_read_path_allocates_only_for_the_rows_it_returns() {
         before.iter().filter(|&&d| d).count() > 100,
         "the anti join must defer its roots"
     );
-    let mut reply = String::new();
-    write_rows_frame(&mut reply, &anti);
-    let (capacity, len) = (reply.capacity(), reply.len());
-    reply.clear();
-    let ((), written) = allocations(|| write_rows_frame(&mut reply, &anti));
+    // The first write sizes the buffer and keeps the frame; the second,
+    // counted, compares every chunk with the frame in place.
+    let mut out = String::new();
+    let mut frame = String::new();
+    write_rows_frame(&mut out, &anti, |chunk| {
+        frame.push_str(chunk);
+        Ok::<(), ()>(())
+    })
+    .unwrap();
+    let capacity = out.capacity();
+    let mut sent = 0;
+    let (sink, written) = allocations(|| {
+        write_rows_frame(&mut out, &anti, |chunk| {
+            assert_eq!(chunk, &frame[sent..sent + chunk.len()]);
+            sent += chunk.len();
+            Ok::<(), ()>(())
+        })
+    });
+    sink.unwrap();
     assert_eq!(written, 0, "allocations writing into a sized buffer");
-    assert_eq!((reply.capacity(), reply.len()), (capacity, len));
+    assert_eq!((sent, out.capacity()), (frame.len(), capacity));
     assert_eq!(deferred(&anti), before, "rendering built a deferred tree");
+    // The buffer holds one chunk plus the longest line (measured: capacity
+    // 65 588 = 64 KiB + 52 for a 137 936-byte frame, three chunks, whose
+    // longest line is 64 bytes).
+    let longest = frame.lines().map(|line| line.len() + 1).max().unwrap();
+    assert!(
+        capacity <= CHUNK_BYTES + longest,
+        "capacity {capacity}, longest line {longest}, frame {}",
+        frame.len()
+    );
 
     // The client reads a frame with one allocation per row: a connection
     // whose peer has written two copies of the frame, the first read to
     // size the client's line buffer, the second counted.
     let listener = TcpListener::bind("127.0.0.1:0").unwrap();
     let addr = listener.local_addr().unwrap();
-    let frames = reply.repeat(2);
+    let frames = frame.repeat(2);
     let peer = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().unwrap();
         stream.write_all(frames.as_bytes()).unwrap();

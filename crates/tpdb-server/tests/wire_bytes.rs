@@ -16,7 +16,9 @@ use std::net::TcpStream;
 use tpdb_core::{tp_difference, tp_intersection, tp_join, tp_union, ThetaCondition, TpJoinKind};
 use tpdb_lineage::{Lineage, LineageNode, VarId};
 use tpdb_query::Session;
-use tpdb_server::protocol::{render_relation_rows, render_tuple, rows_response, write_rows_frame};
+use tpdb_server::protocol::{
+    render_relation_rows, render_tuple, rows_response, write_rows_frame, CHUNK_BYTES,
+};
 use tpdb_server::{Client, Server, ServerConfig};
 use tpdb_storage::{Catalog, DataType, Field, Schema, TpRelation, TpTuple, Value};
 use tpdb_temporal::{Interval, MAX_TIME, MIN_TIME};
@@ -129,6 +131,19 @@ mod reference {
     }
 }
 
+/// The chunks [`write_rows_frame`] hands to its flush, in order.
+fn chunks(relation: &TpRelation) -> Vec<String> {
+    let mut chunks = Vec::new();
+    let mut out = String::new();
+    write_rows_frame(&mut out, relation, |chunk| {
+        chunks.push(chunk.to_owned());
+        Ok::<(), ()>(())
+    })
+    .unwrap();
+    assert!(out.is_empty(), "the last chunk was not flushed");
+    chunks
+}
+
 /// Which lineages of `relation` are still deferred.
 fn deferred(relation: &TpRelation) -> Vec<bool> {
     relation
@@ -142,8 +157,7 @@ fn deferred(relation: &TpRelation) -> Vec<bool> {
 /// deferred lineage was built and that all three equal the reference.
 fn check_against_reference(relation: &TpRelation) -> Result<(), String> {
     let before = deferred(relation);
-    let mut frame = String::new();
-    write_rows_frame(&mut frame, relation);
+    let frame = chunks(relation).concat();
     let rows = render_relation_rows(relation);
     let encoded = rows_response(relation).encode();
     if deferred(relation) != before {
@@ -383,6 +397,82 @@ fn field_writer_edges_render_as_the_reference() {
         relation.push_unchecked(tuple);
     }
     check_against_reference(&relation).unwrap();
+}
+
+/// A `ROWS` frame leaves in chunks that concatenate to the reference
+/// frame. Every chunk ends on a line; each but the last holds at least
+/// `CHUNK_BYTES` and at most `CHUNK_BYTES` plus its last line, the last
+/// less than `CHUNK_BYTES` plus the terminator. Checked with no rows, one
+/// row, rows that end exactly on the chunk boundary and one byte short of
+/// it, and the 2 575-row webkit anti join (three chunks).
+#[test]
+fn chunked_frames_concatenate_to_the_reference() {
+    let schema = Schema::new(vec![Field::new("pad", DataType::Str)]);
+    // `n` rows of a 1 000-byte string fact, the last grown by `extra` bytes.
+    let padded = |n: usize, extra: usize| {
+        let mut relation = TpRelation::new("padded", schema.clone());
+        for i in 0..n {
+            let len = if i + 1 == n { 1000 + extra } else { 1000 };
+            relation.push_unchecked(TpTuple::new(
+                vec![Value::str(&"p".repeat(len))],
+                Lineage::var(VarId(i as u32)),
+                Interval::new(i as i64, i as i64 + 1),
+                0.5,
+            ));
+        }
+        relation
+    };
+    // 60 rows end this many bytes into their frame; growing the last row
+    // by the rest puts its end on the boundary.
+    let ends_at = reference::frame(&padded(60, 0)).len() - "OK\n".len();
+    assert!(ends_at < CHUNK_BYTES, "{ends_at}");
+    let (r, s) = tpdb_datagen::webkit_like(1000, 7);
+    let theta = ThetaCondition::column_equals("Key", "Key");
+    let anti = tp_join(&r, &s, &theta, TpJoinKind::Anti).unwrap();
+    assert_eq!(anti.len(), 2575);
+    let cases = [
+        (padded(0, 0), Some(vec![25])),
+        (padded(1, 0), None),
+        (
+            padded(60, CHUNK_BYTES - ends_at),
+            Some(vec![CHUNK_BYTES, 3]),
+        ),
+        (
+            padded(60, CHUNK_BYTES - ends_at - 1),
+            Some(vec![CHUNK_BYTES + 2]),
+        ),
+        (anti, None),
+    ];
+    for (relation, sizes) in cases {
+        let want = reference::frame(&relation);
+        let chunks = chunks(&relation);
+        assert_eq!(chunks.concat(), want, "{} rows", relation.len());
+        let lengths: Vec<usize> = chunks.iter().map(String::len).collect();
+        if let Some(sizes) = sizes {
+            assert_eq!(lengths, sizes);
+        }
+        let (last, full) = chunks.split_last().unwrap();
+        assert!(last.ends_with("OK\n") && last.len() < CHUNK_BYTES + 3);
+        for chunk in full {
+            let line = chunk[..chunk.len() - 1]
+                .rfind('\n')
+                .map_or(chunk.len(), |i| chunk.len() - i - 1);
+            assert!(chunk.ends_with('\n'), "a chunk ends mid-line");
+            assert!(
+                (CHUNK_BYTES..CHUNK_BYTES + line).contains(&chunk.len()),
+                "a {}-byte chunk whose last line is {line} bytes",
+                chunk.len()
+            );
+        }
+        if relation.len() == 2575 {
+            assert_eq!(
+                chunks.len(),
+                want.len().div_ceil(CHUNK_BYTES),
+                "{lengths:?}"
+            );
+            check_against_reference(&relation).unwrap();
+        }
+    }
 }
 
 /// Over the meteo workload every recipe shape occurs — `λr ∧ λs`,
