@@ -3,7 +3,7 @@
 //! with exact enumeration over the legacy trees, and the interned streaming
 //! join/set-op pipelines produce byte-identical relations to the tree
 //! reference (`tree_reference`) — for every join kind. An engine over a
-//! frozen arena is the flat engine under another numbering.
+//! sealed segment is the flat engine under another numbering.
 
 use proptest::prelude::*;
 use std::sync::Arc;
@@ -12,7 +12,7 @@ use tpdb_core::{
     ThetaCondition, TpJoinKind, TpJoinStream, TpSetOpKind,
 };
 use tpdb_lineage::{
-    LazyLineage, Lineage, LineageArena, LineageInterner, MarginalMap, ProbabilityEngine, VarId,
+    LazyLineage, Lineage, LineageInterner, LineageStack, MarginalMap, ProbabilityEngine, VarId,
 };
 use tpdb_storage::{DataType, Schema, TpRelation, TpTuple, Value};
 use tpdb_temporal::Interval;
@@ -174,7 +174,7 @@ proptest! {
         prop_assert_eq!(engine.verify_arena(), Ok(()));
     }
 
-    /// An engine over a frozen arena prices as a flat engine: formulas
+    /// An engine over a sealed segment prices as a flat engine: formulas
     /// interned partly into the frozen base and partly into the statement's
     /// overlay get one id per structure across the two (a frozen formula
     /// interns no new node), price to the flat engine's bits with as many
@@ -188,10 +188,9 @@ proptest! {
         p in 0.0f64..=1.0,
     ) {
         let marginals: MarginalMap = (0..8).map(|v| (VarId(v), prob_of(v))).collect();
-        let mut builder = LineageArena::builder(Arc::new(marginals));
         let column: Vec<LazyLineage> = frozen.iter().cloned().map(LazyLineage::from).collect();
-        builder.column(Arc::new(()), column.iter());
-        let mut stacked = ProbabilityEngine::over(Arc::new(builder.finish()));
+        let stack = LineageStack::empty().push(&Arc::new(()), column.iter(), &marginals);
+        let mut stacked = ProbabilityEngine::over(stack, Arc::new(marginals));
         let mut flat = engine_over_formula_vars();
         let formulas: Vec<&Lineage> = frozen.iter().chain(&overlay).collect();
         let frozen_len = stacked.interner().len();

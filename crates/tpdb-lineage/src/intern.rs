@@ -17,28 +17,26 @@
 //! dependency-free one used by rustc's `FxHashMap`), so interning a node
 //! costs one multiply-rotate per child and a hit allocates nothing.
 //!
-//! An interner is an **overlay** on a frozen, shared
-//! [`LineageArena`]: ids below the arena's length
-//! resolve in the arena — a catalog's stored lineage columns, interned
-//! once per catalog epoch — and the interner's own nodes append after
-//! them. A node that could be frozen is looked up in the frozen cons table
-//! before the local one (one with a local child cannot be, nor can a
-//! compound node when the arena holds none), so structural equality stays
-//! id equality across the two. The
-//! interner's own tables index `id − frozen length`, and the stamps of
-//! frozen nodes are allocated, zeroed, only when a pass first touches
-//! one, so an overlay costs nothing per frozen node.
-//! [`LineageInterner::new`] is the overlay on the empty arena, which holds
-//! the two constants only.
+//! An interner is a [`LineageStack`] of sealed segments — a catalog's
+//! stored lineage columns, one segment per relation — plus one open
+//! [`Segment`] its own nodes append to (see [`crate::segment`]). A node
+//! is looked up in the segments that could hold it — a compound node in
+//! those from its highest child's up that hold compound nodes — and then
+//! in the open one, so structural equality stays id equality across them.
+//! The interner's own tables index `id − first own id`, and the stamps of
+//! sealed nodes are allocated, zeroed, only when a pass first touches one,
+//! so a stack costs nothing per sealed node. [`LineageInterner::new`]
+//! starts on the empty stack, its open segment holding the two constants.
 //!
-//! The local part only ever grows: ids stay valid for the interner's
-//! lifetime, which is the lifetime of one join/set-operation execution (the
-//! [`crate::ProbabilityEngine`] owns the interner and both are dropped
-//! together). The legacy [`Lineage`] tree remains the *conversion
-//! boundary*: output tuples, serde and the equality-based tests convert
-//! back through [`LineageInterner::to_lineage`], which wraps each arena
-//! node — already in the tree constructors' normal form — directly and
-//! caches conversions per node so shared sub-formulas become shared `Arc`s.
+//! Ids stay valid for the interner's lifetime, which is the lifetime of
+//! one join/set-operation execution (the [`crate::ProbabilityEngine`] owns
+//! the interner and both are dropped together), and in the view
+//! [`freeze`](LineageInterner::freeze) seals for the statement's rows. The
+//! legacy [`Lineage`] tree remains the *conversion boundary*: output
+//! tuples, serde and the equality-based tests convert back through
+//! [`LineageInterner::to_lineage`], which wraps each node — already in the
+//! tree constructors' normal form — directly and caches conversions per
+//! node so shared sub-formulas become shared `Arc`s.
 //!
 //! Every node also carries a sticky **read-once** flag, decided when the
 //! node is interned: no variable occurs twice in the node's tree expansion.
@@ -46,12 +44,13 @@
 //! children, which is what lets [`crate::ProbabilityEngine`] price the
 //! paper's output lineages without grouping children by shared variables.
 
-use crate::arena::LineageArena;
 use crate::formula::{Lineage, LineageNode};
-use crate::lazy::{FrozenOverlay, LazyLineage};
+use crate::lazy::LazyLineage;
+use crate::segment::{self, LineageStack, Pages, Segment};
 use crate::symbols::VarId;
 use std::collections::{BTreeSet, HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::iter;
 use std::mem;
 use std::sync::{Arc, OnceLock};
 
@@ -66,7 +65,8 @@ fn fx_mix(hash: u64, word: u64) -> u64 {
 
 /// A vendored FxHash-style hasher (multiply-rotate mix, no allocation, no
 /// external dependency). Not cryptographic — used only for the interner's
-/// cons table and id-keyed side tables, whose keys are small integers.
+/// cons table and id-keyed side tables, whose keys are `u32` ids
+/// (`VarId`, `LineageRef`): one mix per key.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct FxHasher {
     hash: u64,
@@ -86,28 +86,8 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    fn write_u8(&mut self, i: u8) {
-        self.hash = fx_mix(self.hash, u64::from(i));
-    }
-
-    #[inline]
-    fn write_u16(&mut self, i: u16) {
-        self.hash = fx_mix(self.hash, u64::from(i));
-    }
-
-    #[inline]
     fn write_u32(&mut self, i: u32) {
         self.hash = fx_mix(self.hash, u64::from(i));
-    }
-
-    #[inline]
-    fn write_u64(&mut self, i: u64) {
-        self.hash = fx_mix(self.hash, i);
-    }
-
-    #[inline]
-    fn write_usize(&mut self, i: usize) {
-        self.hash = fx_mix(self.hash, i as u64);
     }
 }
 
@@ -120,11 +100,11 @@ pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 /// A dense id referring to a node in a [`LineageInterner`].
 ///
 /// Refs are `Copy`, compare in `O(1)` (hash-consing makes structural
-/// equality id equality *within one interner* and the arena it overlays)
+/// equality id equality *within one interner* and the stack it extends)
 /// and index the engine's probability memo directly. A ref is only
 /// meaningful together with the interner that produced it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct LineageRef(u32);
+pub struct LineageRef(pub(crate) u32);
 
 impl LineageRef {
     /// The position of the node in the arena (usable as a dense table
@@ -132,11 +112,6 @@ impl LineageRef {
     #[must_use]
     pub fn index(self) -> usize {
         self.0 as usize
-    }
-
-    /// The ref of the node at position `i` (below the arena's length).
-    pub(crate) fn from_index(i: usize) -> Self {
-        Self(i as u32)
     }
 }
 
@@ -160,95 +135,6 @@ pub enum InternedNode {
     Or(Box<[LineageRef]>),
 }
 
-/// The node tables of one part of an arena — the frozen arena's, or an
-/// interner's own — indexed by `id − first id`, plus the cons table that
-/// finds its nodes.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct Segment {
-    pub(crate) nodes: Vec<InternedNode>,
-    /// Cached structural hash per node (mixes the tag with the *child
-    /// hashes*, so it is stable across interners).
-    pub(crate) hashes: Vec<u64>,
-    /// Conversion cache: interned node → legacy tree (shared `Arc`s).
-    pub(crate) legacy: Vec<Option<Lineage>>,
-    /// Sticky per-node flag: no variable occurs twice in the node's tree
-    /// expansion (its children are read-once and pairwise
-    /// variable-disjoint). A function of the structure alone, so it is
-    /// decided once, when the node is interned.
-    pub(crate) read_once: Vec<bool>,
-    /// Cons table: open-addressed, linearly probed slots holding a node id
-    /// or [`EMPTY`]; a node's home slot is the top bits of its cached hash.
-    /// Always a power of two long and at most three quarters full.
-    table: Vec<u32>,
-}
-
-impl Segment {
-    /// Number of nodes in the segment.
-    pub(crate) fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// Appends a node; the caller seats it in the cons table.
-    pub(crate) fn push(&mut self, node: InternedNode, hash: u64, read_once: bool) {
-        self.nodes.push(node);
-        self.hashes.push(hash);
-        self.legacy.push(None);
-        self.read_once.push(read_once);
-    }
-
-    /// The home slot of a hash: its top bits (the well-mixed end of the
-    /// multiplicative hash).
-    fn home_slot(&self, hash: u64) -> usize {
-        (hash >> (u64::BITS - self.table.len().trailing_zeros())) as usize
-    }
-
-    /// Probes the cons table for a node with this hash that `matches`:
-    /// `Ok` is its id, `Err` the free slot a new node would take. `first`
-    /// is the id of the segment's first node.
-    fn probe(
-        &self,
-        first: u32,
-        hash: u64,
-        matches: impl Fn(&InternedNode) -> bool,
-    ) -> Result<LineageRef, usize> {
-        let mask = self.table.len() - 1;
-        let mut slot = self.home_slot(hash);
-        loop {
-            let id = self.table[slot];
-            if id == EMPTY {
-                return Err(slot);
-            }
-            let i = (id - first) as usize;
-            if self.hashes[i] == hash && matches(&self.nodes[i]) {
-                return Ok(LineageRef(id));
-            }
-            slot = (slot + 1) & mask;
-        }
-    }
-
-    /// Re-seats every node in a cons table of `slots` slots (a power of
-    /// two), or of as many more as the nodes need to fill at most three
-    /// quarters of it.
-    pub(crate) fn seat(&mut self, first: u32, slots: usize) {
-        let slots = slots_for(self.nodes.len(), slots);
-        self.table = vec![EMPTY; slots];
-        let mask = slots - 1;
-        for (i, &hash) in self.hashes.iter().enumerate() {
-            let mut slot = self.home_slot(hash);
-            while self.table[slot] != EMPTY {
-                slot = (slot + 1) & mask;
-            }
-            self.table[slot] = first + i as u32;
-        }
-    }
-
-    /// Is the cons table a power of two long and at most three quarters
-    /// full? (A probe then always terminates.)
-    fn table_is_sound(&self) -> bool {
-        self.table.len().is_power_of_two() && self.nodes.len() * 4 <= self.table.len() * 3
-    }
-}
-
 /// The cached structural hash of a node, given its children's (equal
 /// structures hash equal across interners).
 pub(crate) fn structural_hash(node: &InternedNode, child: impl Fn(LineageRef) -> u64) -> u64 {
@@ -270,20 +156,21 @@ fn nary_hash(is_and: bool, children: &[LineageRef], child: impl Fn(LineageRef) -
         })
 }
 
-/// The smallest power of two, at least `slots`, whose table holds `nodes`
-/// nodes at ≤ 3/4 load.
-fn slots_for(nodes: usize, mut slots: usize) -> usize {
-    while nodes * 4 > slots * 3 {
-        slots *= 2;
+/// The child that bounds the segments a node can be found in from below
+/// (its highest; `None` for a leaf, which any segment can hold).
+fn lowest(node: &InternedNode) -> Option<LineageRef> {
+    match node {
+        InternedNode::True | InternedNode::False | InternedNode::Var(_) => None,
+        InternedNode::Not(c) => Some(*c),
+        InternedNode::And(cs) | InternedNode::Or(cs) => cs.iter().max().copied(),
     }
-    slots
 }
 
 /// The smallest cons table an interner starts with.
 pub(crate) const MIN_TABLE: usize = 16;
 
-/// A hash-consed arena of lineage formula nodes: an overlay on a frozen
-/// [`LineageArena`] (see the module docs).
+/// A hash-consed arena of lineage formula nodes: a stack of sealed
+/// segments plus an open one (see the module docs).
 ///
 /// Structurally equal formulas intern to the same [`LineageRef`]; the
 /// constructors apply exactly the structural simplifications of the
@@ -293,23 +180,30 @@ pub(crate) const MIN_TABLE: usize = 16;
 /// very tree the legacy constructors would have produced.
 #[derive(Debug, Clone)]
 pub struct LineageInterner {
-    /// The frozen nodes below `base`.
-    arena: Arc<LineageArena>,
-    /// The arena's length: the id of the first local node.
-    base: u32,
-    /// The interner's own nodes, ids `base..`.
-    local: Segment,
+    /// The sealed segments below the open one: a catalog's, then those
+    /// [`freeze`](Self::freeze) sealed.
+    stack: Arc<LineageStack>,
+    /// The stack's page table, kept here so that a lookup of a sealed node
+    /// starts from the interner's own fields.
+    pages: Pages,
+    /// The first id the interner handed out itself: its own nodes are the
+    /// open segment's and those of the segments its freezes sealed.
+    own: u32,
+    /// The segment new nodes append to.
+    pub(crate) open: Segment,
+    /// Per open node: its tree, once converted (see [`Segment::trees`]).
+    trees: Vec<Option<Lineage>>,
     /// Per-node epoch stamps, the allocation-free "seen" set of operand
     /// deduplication and of the read-once leaf walk: a node is marked in
     /// the current pass iff its stamp equals `epoch`. Stamps are by *node
     /// id*, never by `VarId` — variable ids are sparse (the generators'
-    /// span 10⁸…6·10⁸), node ids are dense. `stamps` covers the local
-    /// nodes (by `id − base`), `frozen_stamps` the frozen ones (by id): it
-    /// is allocated zeroed when a pass first touches a frozen node, so a
+    /// span 10⁸…6·10⁸), node ids are dense. `stamps` covers the own nodes
+    /// (by `id − own`), `sealed_stamps` the stack's below them (by id): it
+    /// is allocated zeroed when a pass first touches a sealed node, so a
     /// statement that never does — a certified join — has none, and the
-    /// pages of the untouched frozen nodes are never written.
+    /// pages of the untouched sealed nodes are never written.
     stamps: Vec<u32>,
-    frozen_stamps: Vec<u32>,
+    sealed_stamps: Vec<u32>,
     epoch: u32,
     /// Reused operand buffer of the n-ary constructors.
     operands: Vec<LineageRef>,
@@ -320,8 +214,8 @@ pub struct LineageInterner {
 }
 
 /// The cons-table marker of a free slot (never a node id: interning
-/// panics before the arena reaches `u32::MAX` nodes).
-const EMPTY: u32 = u32::MAX;
+/// panics before an id reaches `u32::MAX`).
+pub(crate) const EMPTY: u32 = u32::MAX;
 
 /// The pre-interned constant `true` (id 0 in every arena).
 const TRUE: LineageRef = LineageRef(0);
@@ -330,29 +224,29 @@ const FALSE: LineageRef = LineageRef(1);
 
 impl Default for LineageInterner {
     fn default() -> Self {
-        Self::over(LineageArena::empty())
+        Self::over(LineageStack::empty())
     }
 }
 
 impl LineageInterner {
-    /// Creates an empty arena: the overlay on the empty frozen arena, which
-    /// holds the two pre-interned constants.
+    /// Creates an empty arena: the empty stack and an open segment holding
+    /// the two pre-interned constants.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// An interner whose ids below `arena`'s length are `arena`'s nodes.
-    pub(crate) fn over(arena: Arc<LineageArena>) -> Self {
-        let base = arena.len() as u32;
-        let mut local = Segment::default();
-        local.seat(base, MIN_TABLE);
+    /// An interner whose ids below its open segment are `stack`'s nodes.
+    pub(crate) fn over(stack: Arc<LineageStack>) -> Self {
+        let open = Segment::open(stack.next_base());
         Self {
-            arena,
-            base,
-            local,
-            stamps: Vec::new(),
-            frozen_stamps: Vec::new(),
+            own: open.base,
+            pages: Arc::clone(&stack.pages),
+            stack,
+            stamps: vec![0; open.len()],
+            trees: vec![None; open.len()],
+            open,
+            sealed_stamps: Vec::new(),
             epoch: 0,
             operands: Vec::new(),
             walk: Vec::new(),
@@ -360,16 +254,25 @@ impl LineageInterner {
         }
     }
 
-    /// The frozen arena this interner overlays.
-    pub(crate) fn arena(&self) -> &LineageArena {
-        &self.arena
+    /// The sealed segments below the open one.
+    #[must_use]
+    pub fn stack(&self) -> &LineageStack {
+        &self.stack
     }
 
-    /// Number of distinct nodes in the arena, frozen ones included (the
-    /// exclusive upper bound of all ref indices).
+    /// Takes the open segment, its trees moved into its cells, to be
+    /// sealed; an empty one takes its place.
+    pub(crate) fn take_open(&mut self) -> Segment {
+        let mut open = mem::take(&mut self.open);
+        let cell = |tree: Option<Lineage>| tree.map_or_else(OnceLock::new, OnceLock::from);
+        open.trees = self.trees.drain(..).map(cell).collect();
+        open
+    }
+
+    /// Number of distinct nodes, sealed ones included.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.base as usize + self.local.len()
+        self.stack.len() + self.open.len()
     }
 
     /// Is the arena empty? (Never true: the constants are pre-interned.)
@@ -378,29 +281,54 @@ impl LineageInterner {
         self.len() == 0
     }
 
-    /// The position of `r` among the interner's own nodes, `None` for a
-    /// frozen node — the index of every per-interner side table.
+    /// The position of `r` among the interner's own ids, `None` for a node
+    /// of the stack below them — the index of every per-interner side
+    /// table.
     #[inline]
-    pub(crate) fn local_index(&self, r: LineageRef) -> Option<usize> {
-        r.0.checked_sub(self.base).map(|i| i as usize)
+    pub(crate) fn own_index(&self, r: LineageRef) -> Option<usize> {
+        r.0.checked_sub(self.own).map(|i| i as usize)
+    }
+
+    /// One past the largest own index: the own ids span the segments the
+    /// interner sealed and the open one, page gaps included.
+    pub(crate) fn own_span(&self) -> usize {
+        (self.open.base - self.own) as usize + self.open.len()
+    }
+
+    /// The interner's own nodes, a run per segment: the own index of the
+    /// run's first node, and its nodes in id (topological) order.
+    pub(crate) fn own_runs(&self) -> impl Iterator<Item = (usize, &[InternedNode])> {
+        let segments = &self.stack.segments;
+        let first = segments.partition_point(|s| s.base < self.own);
+        let own = self.own;
+        segments[first..]
+            .iter()
+            .map(|s| &**s)
+            .chain(iter::once(&self.open))
+            .map(move |s| ((s.base - own) as usize, &s.nodes[..]))
+    }
+
+    /// The segment of `r` and `r`'s index in it.
+    #[inline]
+    pub(crate) fn locate(&self, r: LineageRef) -> (&Segment, usize) {
+        match r.0.checked_sub(self.open.base) {
+            Some(i) => (&self.open, i as usize),
+            None => segment::locate(&self.pages, r),
+        }
     }
 
     /// The node a ref points at.
     #[must_use]
     #[inline]
     pub fn node(&self, r: LineageRef) -> &InternedNode {
-        match self.local_index(r) {
-            Some(i) => &self.local.nodes[i],
-            None => &self.arena.nodes.nodes[r.index()],
-        }
+        let (segment, i) = self.locate(r);
+        &segment.nodes[i]
     }
 
     /// The cached structural hash of a node.
     fn hash(&self, r: LineageRef) -> u64 {
-        match self.local_index(r) {
-            Some(i) => self.local.hashes[i],
-            None => self.arena.nodes.hashes[r.index()],
-        }
+        let (segment, i) = self.locate(r);
+        segment.hashes[i]
     }
 
     /// Is the formula *read-once*: does no variable occur twice in its
@@ -409,29 +337,19 @@ impl LineageInterner {
     /// condition on. The flag is decided when the node is interned.
     #[must_use]
     pub fn is_read_once(&self, r: LineageRef) -> bool {
-        match self.local_index(r) {
-            Some(i) => self.local.read_once[i],
-            None => self.arena.nodes.read_once[r.index()],
-        }
-    }
-
-    /// The cached tree of a node, if it has been converted.
-    fn cached_tree(&self, r: LineageRef) -> Option<&Lineage> {
-        match self.local_index(r) {
-            Some(i) => self.local.legacy[i].as_ref(),
-            None => self.arena.nodes.legacy[r.index()].as_ref(),
-        }
+        let (segment, i) = self.locate(r);
+        segment.read_once[i]
     }
 
     /// The stamp of node `r` (see `stamps`).
     fn stamp(&mut self, r: LineageRef) -> &mut u32 {
-        match self.local_index(r) {
+        match self.own_index(r) {
             Some(i) => &mut self.stamps[i],
             None => {
-                if self.frozen_stamps.is_empty() {
-                    self.frozen_stamps = vec![0; self.base as usize];
+                if self.sealed_stamps.is_empty() {
+                    self.sealed_stamps = vec![0; self.own as usize];
                 }
-                &mut self.frozen_stamps[r.index()]
+                &mut self.sealed_stamps[r.index()]
             }
         }
     }
@@ -491,7 +409,7 @@ impl LineageInterner {
     /// the absorbing constant and deduplicates in first-occurrence order,
     /// through the epoch stamps and the reused operand buffer — and interns
     /// what is left of it. A call that finds its node already interned
-    /// allocates nothing (beyond a frozen operand's first stamp).
+    /// allocates nothing (beyond a sealed operand's first stamp).
     pub(crate) fn nary(&mut self, is_and: bool, operands: &[LineageRef]) -> LineageRef {
         let (unit, absorbing) = if is_and { (TRUE, FALSE) } else { (FALSE, TRUE) };
         let epoch = self.next_epoch();
@@ -574,66 +492,71 @@ impl LineageInterner {
     }
 
     /// Interns a relation's lineage column — one lineage per tuple, in
-    /// tuple order — and returns its roots. The arena and the cons table
-    /// are sized for the column up front. A tree is interned as a tree, and
-    /// a new root's conversion-cache slot is seeded with it (normalized, as
+    /// tuple order — and returns its roots. The open segment and its cons
+    /// table are sized for the column up front. A tree is interned as a
+    /// tree, and a new root's tree slot is seeded with it (normalized, as
     /// every constructor-built [`Lineage`] is), so converting the root back
     /// ([`to_lineage`](Self::to_lineage)) shares the input's `Arc` instead
-    /// of allocating a fresh tree; a root found in the frozen arena keeps
-    /// the arena's tree. A deferred lineage is interned from its recipe's
-    /// node ids, building no tree ([`LazyLineage`]).
+    /// of allocating a fresh tree; a root found in a sealed segment keeps
+    /// that segment's tree. A deferred lineage is interned from its
+    /// recipe's node ids, building no tree ([`LazyLineage`]).
     pub fn intern_column<'a>(
         &mut self,
         column: impl ExactSizeIterator<Item = &'a LazyLineage>,
     ) -> Vec<LineageRef> {
-        self.reserve(column.len());
+        self.open.reserve(column.len());
+        self.stamps.reserve(column.len());
+        self.trees.reserve(column.len());
         column.map(|lineage| lineage.intern_into(self)).collect()
     }
 
-    /// Interns `tree` and seeds its root's conversion cache with it, unless
-    /// the root has a tree already (a frozen root always has).
+    /// Interns `tree` and seeds its root's tree slot with it, unless the
+    /// root has a tree already or is sealed.
     pub(crate) fn intern_seeded(&mut self, tree: &Lineage) -> LineageRef {
         let root = self.intern(tree);
-        if let Some(i) = self.local_index(root) {
-            self.local.legacy[i].get_or_insert_with(|| tree.clone());
+        if let Some(i) = root.0.checked_sub(self.open.base) {
+            self.trees[i as usize].get_or_insert_with(|| tree.clone());
         }
         root
     }
 
-    /// The node `r` of `from`, interned here: `r` itself when it is a node
-    /// of this interner's frozen arena, else its tree.
-    pub(crate) fn import(&mut self, from: &FrozenOverlay, r: LineageRef) -> LineageRef {
-        if r.index() < from.arena.len() && Arc::ptr_eq(&from.arena, &self.arena) {
-            return r;
+    /// The node `r` of the view `from`, interned here: `r` itself when it
+    /// resolves to the same sealed segment in both, else its tree.
+    pub(crate) fn import(&mut self, from: &LineageStack, r: LineageRef) -> LineageRef {
+        match (self.stack.segment_at(r), from.segment_at(r)) {
+            (Some(mine), Some(theirs)) if Arc::ptr_eq(mine, theirs) => r,
+            _ => self.intern(&from.tree(r)),
         }
-        self.intern(&from.tree(r))
     }
 
-    /// The frozen arena and a copy of the interner's own nodes, with the
-    /// trees converted of them so far: what a certified statement's
-    /// recipes resolve their ids in.
-    pub(crate) fn freeze(&self) -> Arc<FrozenOverlay> {
-        let trees = self.local.legacy.iter().cloned();
-        Arc::new(FrozenOverlay {
-            arena: Arc::clone(&self.arena),
-            own: self.local.nodes.as_slice().into(),
-            trees: trees
-                .map(|t| t.map_or_else(OnceLock::new, OnceLock::from))
-                .collect(),
-        })
+    /// Seals the open segment on top of the stack — copying no node — and
+    /// returns that view: what a certified statement's recipes resolve
+    /// their ids in. Later nodes go to a new open segment above it.
+    pub(crate) fn freeze(&mut self) -> Arc<LineageStack> {
+        if !self.open.nodes.is_empty() {
+            let open = self.take_open();
+            self.stack = Arc::new(self.stack.with(open));
+            self.pages = Arc::clone(&self.stack.pages);
+            self.open = Segment::open(self.stack.next_base());
+            self.stamps.resize(self.own_span(), 0);
+        }
+        Arc::clone(&self.stack)
     }
 
     /// Converts an interned formula back into a legacy [`Lineage`] tree.
     ///
-    /// An arena node is already in the tree constructors' normal form, so
-    /// it is wrapped as is — no re-flattening, no deep-hashing
-    /// deduplication. Conversions are cached per node, so the trees of
-    /// shared sub-formulas (every `λr` of a window group, every
-    /// disjunction operand) are shared `Arc`s — converting `n` output
-    /// tuples allocates `O(distinct nodes)`, not `O(total tree size)`.
-    /// Every frozen node's tree is built when its arena is.
+    /// A node is already in the tree constructors' normal form, so it is
+    /// wrapped as is — no re-flattening, no deep-hashing deduplication.
+    /// Conversions are cached per node, so the trees of shared
+    /// sub-formulas (every `λr` of a window group, every disjunction
+    /// operand) are shared `Arc`s — converting `n` output tuples allocates
+    /// `O(distinct nodes)`, not `O(total tree size)`. A sealed node's tree
+    /// is kept in its segment.
     pub fn to_lineage(&mut self, r: LineageRef) -> Lineage {
-        if let Some(l) = self.cached_tree(r) {
+        let Some(i) = r.0.checked_sub(self.open.base).map(|i| i as usize) else {
+            return self.stack.tree(r);
+        };
+        if let Some(l) = &self.trees[i] {
             return l.clone();
         }
         let node = match self.node(r) {
@@ -648,9 +571,7 @@ impl LineageInterner {
             InternedNode::Or(_) => LineageNode::Or(self.children_to_lineage(r)),
         };
         let lineage = Lineage::from_normalized(node);
-        if let Some(i) = self.local_index(r) {
-            self.local.legacy[i] = Some(lineage.clone());
-        }
+        self.trees[i] = Some(lineage.clone());
         lineage
     }
 
@@ -662,18 +583,6 @@ impl LineageInterner {
                 self.to_lineage(child)
             })
             .collect()
-    }
-
-    /// The interner's own nodes, in arena (topological) order: position
-    /// `i` is id `frozen length + i`.
-    pub(crate) fn local_nodes(&self) -> &[InternedNode] {
-        &self.local.nodes
-    }
-
-    /// The interner's own node tables, handed over when they become a
-    /// frozen arena.
-    pub(crate) fn into_local(self) -> Segment {
-        self.local
     }
 
     /// The child list of an `And`/`Or` node (empty for every other node).
@@ -689,26 +598,14 @@ impl LineageInterner {
     // ----- inspection -----------------------------------------------------
 
     /// The set of variables mentioned anywhere in the formula (ascending,
-    /// matching [`Lineage::vars`]). The walk visits each distinct node
-    /// once.
+    /// matching [`Lineage::vars`]), found by a walk that enters each
+    /// distinct node once.
     #[must_use]
-    pub fn vars(&self, r: LineageRef) -> BTreeSet<VarId> {
+    pub fn vars(&mut self, r: LineageRef) -> BTreeSet<VarId> {
         let mut out = BTreeSet::new();
-        let mut visited: FxHashSet<LineageRef> = HashSet::default();
-        let mut stack = vec![r];
-        while let Some(cur) = stack.pop() {
-            if !visited.insert(cur) {
-                continue;
-            }
-            match self.node(cur) {
-                InternedNode::True | InternedNode::False => {}
-                InternedNode::Var(v) => {
-                    out.insert(*v);
-                }
-                InternedNode::Not(c) => stack.push(*c),
-                InternedNode::And(cs) | InternedNode::Or(cs) => stack.extend(cs.iter().copied()),
-            }
-        }
+        self.for_each_var(r, |v| {
+            out.insert(v);
+        });
         out
     }
 
@@ -765,109 +662,102 @@ impl LineageInterner {
         result
     }
 
-    /// Exhaustively checks the arena invariants — of the frozen arena and
-    /// of the overlay — returning a description of the first violation
-    /// found (`Ok(())` on a healthy arena).
+    /// Exhaustively checks the arena invariants — of every sealed segment
+    /// of the stack and of the open one — returning a description of the
+    /// first violation found (`Ok(())` on a healthy arena).
     ///
     /// Checked invariants:
     ///
-    /// * the parallel tables (`nodes`, `hashes`, conversion cache,
-    ///   read-once flags, and the overlay's stamps) have equal lengths;
+    /// * each segment's parallel tables (`nodes`, `hashes`, trees,
+    ///   read-once flags, and pricing tables where it has them) have equal
+    ///   lengths, and the stamps cover the own ids;
     /// * ids 0/1 are the pre-interned constants `true`/`false`, and no
     ///   other node is a constant (the constructors always return the
     ///   canonical ids);
+    /// * the page table resolves every node's id to its own segment;
     /// * every child ref points strictly below its parent — the arena is
     ///   topologically ordered and can contain no dangling refs;
     /// * `And`/`Or` hold ≥ 2 deduplicated children, none a constant or a
     ///   nested node of the same kind; `Not` wraps neither a constant nor
     ///   another `Not` (the canonical normal form of the tree
     ///   constructors);
-    /// * every cached hash equals the recomputed structural hash and
-    ///   probing the cons tables under it — the frozen one first — finds
-    ///   the id (a mismatch would make hash-consing silently duplicate
-    ///   nodes, breaking `O(1)` equality; an overlay node equal to a frozen
-    ///   one is such a duplicate); each table is a power of two long and
-    ///   ≤ 3/4 full, so a probe always terminates;
+    /// * every cached hash equals the recomputed structural hash, and
+    ///   probing the segments that could hold the node, lowest first, finds
+    ///   its id (a mismatch would make hash-consing silently duplicate
+    ///   nodes, breaking `O(1)` equality; a node equal to one in a lower
+    ///   segment — a second `Var` node of one variable — is such a
+    ///   duplicate); each cons table is a power of two long and ≤ 3/4
+    ///   full, so a probe always terminates;
     /// * every read-once flag equals a from-scratch recomputation over the
     ///   node's tree expansion (a wrong `true` would price a correlated
     ///   formula as a product);
-    /// * every cached legacy conversion has the same top-level shape as
-    ///   the node it was converted from.
+    /// * every cached tree has the same top-level shape as its node.
     ///
-    /// The check is `O(arena size)` and intended for debug builds and
-    /// property tests; the engine's hot paths never call it.
+    /// The check is `O(arena size · depth)` and intended for debug builds
+    /// and property tests; the engine's hot paths never call it.
     // A diagnostic self-check, not an operational API: the payload is a
     // free-form description of the first broken invariant, for assertion
     // messages.
     pub fn verify_arena(&self) -> Result<(), String> {
-        for (part, segment, extra) in [
-            ("frozen", &self.arena.nodes, None),
-            ("overlay", &self.local, Some(self.stamps.len())),
-        ] {
-            let side_tables = [
-                segment.hashes.len(),
-                segment.legacy.len(),
-                segment.read_once.len(),
-                extra.unwrap_or(segment.len()),
-            ];
-            if side_tables.iter().any(|&len| len != segment.len()) {
-                return Err(format!(
-                    "{part} tables out of sync: {} nodes, {side_tables:?} hashes / cached \
-                     conversions / read-once flags / stamps",
-                    segment.len(),
-                ));
-            }
-            if !segment.table_is_sound() {
-                return Err(format!(
-                    "{part} cons table of {} slots cannot hold {} nodes at ≤ 3/4 load",
-                    segment.table.len(),
-                    segment.len()
-                ));
-            }
+        let sealed = self.stack.segments.iter().map(|s| &**s);
+        let segments: Vec<&Segment> = sealed.chain(iter::once(&self.open)).collect();
+        for segment in &segments {
+            segment.check_tables()?;
         }
-        if self.arena.nodes.nodes.first() != Some(&InternedNode::True)
-            || self.arena.nodes.nodes.get(1) != Some(&InternedNode::False)
-        {
+        if self.stamps.len() != self.own_span() || self.trees.len() != self.open.len() {
+            return Err("the stamps or the open trees are out of sync with the nodes".to_owned());
+        }
+        if self.node(TRUE) != &InternedNode::True || self.node(FALSE) != &InternedNode::False {
             return Err("ids 0/1 are not the pre-interned true/false constants".to_owned());
         }
-        for i in 0..self.len() {
-            let r = LineageRef(i as u32);
-            let node = self.node(r);
-            if let Some(problem) = self.check_node_shape(i, node) {
-                return Err(format!("node {i}: {problem}"));
-            }
-            let expected = structural_hash(node, |c| self.hash(c));
-            if self.hash(r) != expected {
-                return Err(format!(
-                    "node {i}: cached hash {:#x} != recomputed structural hash {expected:#x}",
-                    self.hash(r)
-                ));
-            }
-            if self.find(true, expected, |existing| existing == node) != Ok(r) {
-                return Err(format!(
-                    "probing the cons tables for node {i} does not find it — interning its \
-                     structure again would allocate a duplicate id"
-                ));
-            }
-            if self.is_read_once(r) != self.recompute_read_once(r) {
-                return Err(format!(
-                    "node {i}: read-once flag {} disagrees with a from-scratch recomputation",
-                    self.is_read_once(r)
-                ));
-            }
-            if let Some(cached) = self.cached_tree(r) {
-                let shape_matches = matches!(
-                    (node, cached.node()),
-                    (InternedNode::True, LineageNode::True)
-                        | (InternedNode::False, LineageNode::False)
-                        | (InternedNode::Var(_), LineageNode::Var(_))
-                        | (InternedNode::Not(_), LineageNode::Not(_))
-                        | (InternedNode::And(_), LineageNode::And(_))
-                        | (InternedNode::Or(_), LineageNode::Or(_))
-                );
-                if !shape_matches {
+        for segment in segments {
+            for (k, node) in segment.nodes.iter().enumerate() {
+                let r = LineageRef(segment.base + k as u32);
+                let i = r.index();
+                if !std::ptr::eq(self.locate(r).0, segment) {
+                    return Err(format!("node {i} does not resolve to its segment"));
+                }
+                if let Some(problem) = self.check_node_shape(i, node) {
+                    return Err(format!("node {i}: {problem}"));
+                }
+                let expected = structural_hash(node, |c| self.hash(c));
+                if segment.hashes[k] != expected {
                     return Err(format!(
-                        "node {i}: cached legacy conversion has a different top-level shape"
+                        "node {i}: its cached hash is not its structural hash"
+                    ));
+                }
+                // A node equal to one in a lower segment is found there: a
+                // duplicate, which interning the structure again would return.
+                if self.find(lowest(node), expected, |existing| existing == node) != Ok(r) {
+                    return Err(format!(
+                        "probing the segments for node {i} finds another id"
+                    ));
+                }
+                if segment.read_once[k] != self.recompute_read_once(r) {
+                    return Err(format!(
+                        "node {i}: its read-once flag is not a recomputation's"
+                    ));
+                }
+                let open = std::ptr::eq(segment, &self.open);
+                let tree = if open {
+                    self.trees[k].as_ref()
+                } else {
+                    segment.trees[k].get()
+                };
+                let shape_matches = |tree: &Lineage| {
+                    matches!(
+                        (node, tree.node()),
+                        (InternedNode::True, LineageNode::True)
+                            | (InternedNode::False, LineageNode::False)
+                            | (InternedNode::Var(_), LineageNode::Var(_))
+                            | (InternedNode::Not(_), LineageNode::Not(_))
+                            | (InternedNode::And(_), LineageNode::And(_))
+                            | (InternedNode::Or(_), LineageNode::Or(_))
+                    )
+                };
+                if !tree.is_none_or(shape_matches) {
+                    return Err(format!(
+                        "node {i}: its cached tree has another top-level shape"
                     ));
                 }
             }
@@ -925,14 +815,10 @@ impl LineageInterner {
 
     // ----- internals ------------------------------------------------------
 
-    /// Interns a constant, variable or negation node.
+    /// Interns a variable or negation node.
     fn intern_node(&mut self, node: InternedNode) -> LineageRef {
         let hash = structural_hash(&node, |c| self.hash(c));
-        let frozen = match node {
-            InternedNode::Not(c) => self.arena.compound && self.local_index(c).is_none(),
-            _ => true,
-        };
-        match self.find(frozen, hash, |existing| *existing == node) {
+        match self.find(lowest(&node), hash, |existing| *existing == node) {
             Ok(found) => found,
             Err(slot) => self.push_node(node, hash, slot),
         }
@@ -942,10 +828,11 @@ impl LineageInterner {
     /// against the borrowed slice; only a miss boxes the children.
     fn intern_nary(&mut self, is_and: bool, children: &[LineageRef]) -> LineageRef {
         let hash = nary_hash(is_and, children, |c| self.hash(c));
-        let frozen = self.arena.compound && children.iter().all(|&c| self.local_index(c).is_none());
-        let found = self.find(frozen, hash, |existing| match (existing, is_and) {
-            (InternedNode::And(cs), true) | (InternedNode::Or(cs), false) => **cs == *children,
-            _ => false,
+        let found = self.find(children.iter().max().copied(), hash, |existing| {
+            match (existing, is_and) {
+                (InternedNode::And(cs), true) | (InternedNode::Or(cs), false) => **cs == *children,
+                _ => false,
+            }
         });
         match found {
             Ok(found) => found,
@@ -961,76 +848,63 @@ impl LineageInterner {
         }
     }
 
-    /// Probes the frozen cons table, then the local one, for a node with
-    /// this hash that `matches`: `Ok` is the interned id, `Err` the free
-    /// local slot a new node would take. The frozen table is skipped when
-    /// not `frozen`: when the node is a negation or an `And`/`Or` and the
-    /// arena holds none (stored base relations: variables only), or when
-    /// it has a local child (a frozen node's children are frozen).
+    /// Probes the segments that could hold a node with this hash that
+    /// `matches`, lowest first, then the open one: `Ok` is the interned id,
+    /// `Err` the free open slot a new node would take. A compound node's
+    /// `highest` child bounds the search from below — a node is never
+    /// interned under its children — and only segments holding compound
+    /// nodes are probed for it; a variable (`highest` is `None`) is looked
+    /// up in every segment.
     fn find(
         &self,
-        frozen: bool,
+        highest: Option<LineageRef>,
         hash: u64,
         matches: impl Fn(&InternedNode) -> bool,
     ) -> Result<LineageRef, usize> {
-        if frozen {
-            if let Ok(found) = self.arena.nodes.probe(0, hash, &matches) {
-                return Ok(found);
+        if highest.is_none_or(|c| c.0 < self.open.base) {
+            let first = highest.map_or(0, |c| self.stack.position(c));
+            for segment in &self.stack.segments[first..] {
+                if highest.is_some() && !segment.compound {
+                    continue;
+                }
+                if let Ok(found) = segment.probe(hash, &matches) {
+                    return Ok(found);
+                }
             }
         }
-        self.local.probe(self.base, hash, matches)
+        self.open.probe(hash, matches)
     }
 
     /// Appends a node that [`find`](Self::find) reported missing, claiming
-    /// the free local `slot` it returned.
+    /// the free open `slot` it returned.
     fn push_node(&mut self, node: InternedNode, hash: u64, slot: usize) -> LineageRef {
+        #[expect(
+            clippy::expect_used,
+            reason = "node ids are u32 by design; an arena of 2³² ids exceeds memory first"
+        )]
+        let id = u32::try_from(self.open.base as usize + self.open.len())
+            .ok()
+            .filter(|&id| id != EMPTY)
+            .expect("interner arena exceeds u32 ids");
         // In debug builds every freshly interned node is checked against
         // the canonical-form invariants (`verify_arena` documents them);
         // checking only the new node keeps interning O(node size).
         #[cfg(debug_assertions)]
-        if let Some(problem) = self.check_node_shape(self.len(), &node) {
+        if let Some(problem) = self.check_node_shape(id as usize, &node) {
             debug_assert!(false, "interning a malformed node: {problem}");
         }
-        #[expect(
-            clippy::expect_used,
-            reason = "node ids are u32 by design; an arena of 2³² nodes exceeds memory first"
-        )]
-        let id = u32::try_from(self.len())
-            .ok()
-            .filter(|&id| id != EMPTY)
-            .expect("interner arena exceeds u32 ids");
         let read_once = self.classify(&node);
-        self.local.push(node, hash, read_once);
+        self.open.push(node, hash, read_once, slot);
         self.stamps.push(0);
-        self.local.table[slot] = id;
-        if self.local.len() * 4 > self.local.table.len() * 3 {
-            self.local.seat(self.base, self.local.table.len() * 2);
-        }
+        self.trees.push(None);
         LineageRef(id)
-    }
-
-    /// Makes room for `additional` more local nodes: the node tables
-    /// reserve them, and the cons table grows once to the size that holds
-    /// them at ≤ 3/4 load, instead of doubling (and re-seating every node)
-    /// on the way.
-    fn reserve(&mut self, additional: usize) {
-        let local = &mut self.local;
-        local.nodes.reserve(additional);
-        local.hashes.reserve(additional);
-        local.legacy.reserve(additional);
-        local.read_once.reserve(additional);
-        self.stamps.reserve(additional);
-        let needed = local.len() + additional;
-        if needed * 4 > local.table.len() * 3 {
-            local.seat(self.base, slots_for(needed, local.table.len()));
-        }
     }
 
     /// Starts a fresh marking pass over the stamp tables.
     fn next_epoch(&mut self) -> u32 {
         if self.epoch == u32::MAX {
             self.stamps.fill(0);
-            self.frozen_stamps.fill(0);
+            self.sealed_stamps.fill(0);
             self.epoch = 0;
         }
         self.epoch += 1;
@@ -1064,9 +938,9 @@ impl LineageInterner {
         b_distinct: bool,
     ) -> bool {
         let epoch = self.next_epoch();
-        self.walk_leaves(a.iter().copied(), |stamp| {
+        self.walk_leaves(a.iter().copied(), |_, stamp| {
             mem::replace(stamp, epoch) != epoch || !a_distinct
-        }) && self.walk_leaves(b.iter().copied(), |stamp| {
+        }) && self.walk_leaves(b.iter().copied(), |_, stamp| {
             let fresh = *stamp != epoch;
             if b_distinct {
                 *stamp = epoch;
@@ -1075,14 +949,14 @@ impl LineageInterner {
         })
     }
 
-    /// Hands the stamp of every `Var` leaf of the tree expansions of
-    /// `roots` — once per occurrence — to `visit`, and stops at the first
-    /// for which it returns `false`: returns whether none did. The stack is
+    /// Hands every `Var` leaf of the tree expansions of `roots` — once per
+    /// occurrence — and its stamp to `visit`, and stops at the first for
+    /// which it returns `false`: returns whether none did. The stack is
     /// reused.
-    fn walk_leaves(
+    pub(crate) fn walk_leaves(
         &mut self,
         roots: impl Iterator<Item = LineageRef>,
-        mut visit: impl FnMut(&mut u32) -> bool,
+        mut visit: impl FnMut(LineageRef, &mut u32) -> bool,
     ) -> bool {
         let mut stack = mem::take(&mut self.walk);
         stack.extend(roots);
@@ -1091,7 +965,7 @@ impl LineageInterner {
             match self.node(cur) {
                 InternedNode::True | InternedNode::False => {}
                 InternedNode::Var(_) => {
-                    if !visit(self.stamp(cur)) {
+                    if !visit(cur, self.stamp(cur)) {
                         all = false;
                         break;
                     }

@@ -7,19 +7,21 @@
 //! concatenation of Table II — `λr ∧ λs`, `λr ∧ ¬λs`,
 //! `λr ∧ ¬(c₁ ∨ … ∨ c_k)`, the union's `λr ∨ λs` — therefore travels as a
 //! *recipe*: the concatenation function and its operands' `u32` node ids
-//! (a span's in one boxed slice), plus one [`Arc`] of the
-//! [`FrozenOverlay`] the ids resolve in. The tree is built the first time
+//! (a span's in one boxed slice), plus one [`Arc`] of the sealed
+//! [`LineageStack`] the ids resolve in — the view the statement's engine
+//! sealed when it was certified. The tree is built the first time
 //! [`LazyLineage::get`] is called — once, shared by every clone — from the
-//! overlay's per-node trees; `Display` writes the same text from those
+//! segments' per-node trees; `Display` writes the same text from those
 //! trees without building the root. Forming a row touches no tree: it
 //! clones one `Arc` and copies ids. (While recipes held clones of the
 //! operands' trees — one reference count per operand, on nodes scattered
 //! over the arena — the lineage half of certified formation over
 //! `meteo_like(3000, 64)` took 5.3–5.9 ms per pass; over ids, 3.3–3.8 ms.)
 //!
-//! A recipe keeps its overlay alive, and with it the catalog arena under
-//! it: a row stays readable after its statement, its session and its
-//! catalog epoch are gone (a `LOAD SNAPSHOT` included).
+//! A recipe keeps its view's segments alive — the catalog's segments it
+//! was formed over and the statement's own, not the relations they were
+//! sealed for: a row stays readable after its statement, its session and
+//! its catalog's contents are gone (a `LOAD SNAPSHOT` included).
 //!
 //! The recipe sits behind the `Arc`, so a [`LazyLineage`] is 16 bytes
 //! whatever it holds: every stored tuple carries one, and `TpTuple` must
@@ -27,14 +29,15 @@
 //! `webkit_full`'s peak RSS by 15 %).
 //!
 //! A derived input interns a recipe straight from its ids
-//! ([`LazyLineage::intern_into`]), building no tree.
+//! ([`LazyLineage::intern_into`]), building no root tree: an id whose
+//! segment the consumer's stack shares is taken as it is.
 
-use crate::arena::LineageArena;
 use crate::formula::{
     prec, write_junction, write_lineage, write_operands, Junction, Lineage, LineageNode, NOT,
 };
 use crate::intern::{InternedNode, LineageInterner, LineageRef};
 use crate::prob::Concat;
+use crate::segment::LineageStack;
 use crate::symbols::VarId;
 use std::fmt;
 use std::slice;
@@ -52,10 +55,10 @@ enum Repr {
     Deferred(Arc<Deferred>),
 }
 
-/// A recipe, the overlay its ids resolve in, and the tree it builds, once.
+/// A recipe, the view its ids resolve in, and the tree it builds, once.
 struct Deferred {
     tree: OnceLock<Lineage>,
-    nodes: Arc<FrozenOverlay>,
+    nodes: Arc<LineageStack>,
     recipe: Recipe,
 }
 
@@ -77,53 +80,6 @@ impl Recipe {
         match self {
             Recipe::Pair(how, r, c) => (*how, *r, slice::from_ref(c)),
             Recipe::Span(how, r, span) => (*how, *r, span),
-        }
-    }
-}
-
-/// The nodes a recipe's ids resolve in: a frozen [`LineageArena`] — the
-/// catalog's, for a statement over stored relations — and the statement
-/// engine's own nodes, frozen on top of it when the statement was
-/// certified, before its first row (a derived or free-relation input's
-/// column). Ids below the arena's length are the arena's; the rest index
-/// the own nodes. Immutable but for each own node's tree, built on first
-/// read unless the engine had converted it.
-#[derive(Debug)]
-pub(crate) struct FrozenOverlay {
-    pub(crate) arena: Arc<LineageArena>,
-    pub(crate) own: Box<[InternedNode]>,
-    pub(crate) trees: Box<[OnceLock<Lineage>]>,
-}
-
-impl FrozenOverlay {
-    /// Node `r`: the arena's, or an own node.
-    fn node(&self, r: LineageRef) -> &InternedNode {
-        match r.index().checked_sub(self.arena.len()) {
-            Some(i) => &self.own[i],
-            None => &self.arena.nodes.nodes[r.index()],
-        }
-    }
-
-    /// The tree of node `r`: an arena node's, or an own node's, built from
-    /// its children's trees the first time it is asked for.
-    pub(crate) fn tree(&self, r: LineageRef) -> Lineage {
-        let own = r.index().checked_sub(self.arena.len());
-        let build = || {
-            let children = |cs: &[LineageRef]| cs.iter().map(|&c| self.tree(c)).collect();
-            Lineage::from_normalized(match self.node(r) {
-                InternedNode::True => LineageNode::True,
-                InternedNode::False => LineageNode::False,
-                InternedNode::Var(v) => LineageNode::Var(*v),
-                InternedNode::Not(c) => LineageNode::Not(self.tree(*c)),
-                InternedNode::And(cs) => LineageNode::And(children(cs)),
-                InternedNode::Or(cs) => LineageNode::Or(children(cs)),
-            })
-        };
-        match own {
-            Some(i) => self.trees[i].get_or_init(build).clone(),
-            None => self.arena.nodes.legacy[r.index()]
-                .clone()
-                .unwrap_or_else(build),
         }
     }
 }
@@ -189,7 +145,7 @@ impl LazyLineage {
     /// one column, and the `cᵢ` one root of the other column or a span's
     /// distinct, flattened disjuncts.
     pub(crate) fn concat(
-        nodes: &Arc<FrozenOverlay>,
+        nodes: &Arc<LineageStack>,
         how: Concat,
         lambda_r: LineageRef,
         lambda_s: &[LineageRef],
@@ -245,8 +201,9 @@ impl LazyLineage {
     }
 
     /// Interns the lineage into `interner` and returns its root: a tree as
-    /// a tree, a recipe from its ids — the overlay's nodes are interned
-    /// structurally unless they are the interner's own arena's — with the
+    /// a tree, a recipe from its ids — an id is taken as it is when it
+    /// resolves to the same sealed segment in the interner's stack, and
+    /// interned by its tree otherwise — with the
     /// constructors [`intern`](LineageInterner::intern) of the built tree
     /// would call, so the root is the same node and no tree is built.
     pub(crate) fn intern_into(&self, interner: &mut LineageInterner) -> LineageRef {
@@ -260,13 +217,16 @@ impl LazyLineage {
         // matching compound operand is imported child by child, so no node
         // of it is appended that the tree's interning would not append.
         let mut operands = Vec::new();
-        let mut import_flat =
-            |interner: &mut LineageInterner, c: LineageRef| match (d.nodes.node(c), and) {
-                (InternedNode::And(cs), true) | (InternedNode::Or(cs), false) => {
-                    operands.extend(cs.iter().map(|&k| interner.import(&d.nodes, k)));
-                }
-                _ => operands.push(interner.import(&d.nodes, c)),
-            };
+        let node = |c: LineageRef| {
+            let (segment, i) = d.nodes.locate(c);
+            &segment.nodes[i]
+        };
+        let mut import_flat = |interner: &mut LineageInterner, c: LineageRef| match (node(c), and) {
+            (InternedNode::And(cs), true) | (InternedNode::Or(cs), false) => {
+                operands.extend(cs.iter().map(|&k| interner.import(&d.nodes, k)));
+            }
+            _ => operands.push(interner.import(&d.nodes, c)),
+        };
         import_flat(interner, r);
         match (how, span) {
             (Concat::Or, _) | (Concat::And, [_]) => {
@@ -321,13 +281,13 @@ mod tests {
         Lineage::var(VarId(v))
     }
 
-    /// An engine over `column`, interned, certified: the overlay the
-    /// recipes resolve in, and the column's roots.
-    fn overlay(column: &[Lineage]) -> (Arc<FrozenOverlay>, Vec<LineageRef>) {
+    /// An engine over `column`, interned, certified: the view the recipes
+    /// resolve in, and the column's roots.
+    fn sealed(column: &[Lineage]) -> (Arc<LineageStack>, Vec<LineageRef>) {
         let mut engine = ProbabilityEngine::new();
         let column: Vec<LazyLineage> = column.iter().cloned().map(LazyLineage::from).collect();
         let roots = engine.interner_mut().intern_column(column.iter());
-        (engine.interner().freeze(), roots)
+        (engine.interner_mut().freeze(), roots)
     }
 
     #[test]
@@ -335,7 +295,7 @@ mod tests {
         let (x, y, z, w) = (var(0), var(1), var(2), var(3));
         let xy = Lineage::and2(x.clone(), y.clone());
         let zw = Lineage::or2(z.clone(), w.clone());
-        let (nodes, ids) = overlay(&[x.clone(), xy.clone(), z.clone(), w.clone(), zw.clone()]);
+        let (nodes, ids) = sealed(&[x.clone(), xy.clone(), z.clone(), w.clone(), zw.clone()]);
         let [x_, xy_, z_, w_, zw_] = ids[..] else {
             panic!("five roots")
         };
@@ -397,7 +357,7 @@ mod tests {
         let xy = Lineage::and2(x.clone(), y.clone());
         let zw = Lineage::or2(z.clone(), w.clone());
         let z_and_w = Lineage::and2(z.clone(), w.clone());
-        let (nodes, ids) = overlay(&[x, xy, z, w, zw, z_and_w, var(4)]);
+        let (nodes, ids) = sealed(&[x, xy, z, w, zw, z_and_w, var(4)]);
         let [x_, xy_, z_, w_, zw_, z_and_w_, v4] = ids[..] else {
             panic!("seven roots")
         };
@@ -430,7 +390,7 @@ mod tests {
     fn a_recipe_interns_to_the_node_of_its_tree_without_building_it() {
         let (x, y, z, w) = (var(0), var(1), var(2), var(3));
         let xy = Lineage::and2(x.clone(), y.clone());
-        let (nodes, ids) = overlay(&[x, xy, z, w]);
+        let (nodes, ids) = sealed(&[x, xy, z, w]);
         let [x_, xy_, z_, w_] = ids[..] else {
             panic!("four roots")
         };
@@ -455,13 +415,12 @@ mod tests {
         }
     }
 
-    /// An engine over a frozen arena of `column`'s trees.
+    /// An engine over a stack of one segment sealed for `column`'s trees.
     fn over_arena(column: &[Lineage]) -> ProbabilityEngine {
-        let marginals = (0..8).map(|v| (VarId(v), 0.5)).collect();
-        let mut builder = LineageArena::builder(Arc::new(marginals));
+        let marginals: crate::MarginalMap = (0..8).map(|v| (VarId(v), 0.5)).collect();
         let column: Vec<LazyLineage> = column.iter().cloned().map(LazyLineage::from).collect();
-        builder.column(Arc::new(()), column.iter());
-        ProbabilityEngine::over(Arc::new(builder.finish()))
+        let stack = LineageStack::empty().push(&Arc::new(()), column.iter(), &marginals);
+        ProbabilityEngine::over(stack, Arc::new(marginals))
     }
 
     #[test]
@@ -472,10 +431,11 @@ mod tests {
         let ids = formed
             .interner_mut()
             .intern_column([xy.into(), LazyLineage::from(z.clone())].iter());
-        let nodes = formed.interner().freeze();
+        let nodes = formed.interner_mut().freeze();
         let lazy = LazyLineage::concat(&nodes, Concat::AndNot, ids[0], &ids[1..]);
-        // The same arena: the ids are taken as they are. Another arena
-        // numbers its nodes otherwise: the recipe is interned by structure.
+        // The same view: the ids are taken as they are. Another stack's
+        // segments are others, equal or not: the recipe is interned by
+        // structure.
         let same = over_arena(&[Lineage::and2(x.clone(), y.clone()), z.clone()]);
         let other = over_arena(&[z, Lineage::or2(x, y)]);
         let mut engines = [formed, same, other];

@@ -23,9 +23,11 @@
 //! * a hash-consed formula arena ([`LineageInterner`]) deduplicating
 //!   structurally equal nodes behind dense [`LineageRef`] ids — the
 //!   representation output formation and the probability memo operate
-//!   on, with [`Lineage`] trees as the serde/test conversion boundary —
-//!   as an overlay on a frozen [`LineageArena`] that holds a catalog
-//!   epoch's stored columns and marginals, interned and priced once,
+//!   on, with [`Lineage`] trees as the serde/test conversion boundary.
+//!   Every node lives in a segment: a catalog keeps a [`LineageStack`] of
+//!   sealed segments, one per stored relation, each interned and priced
+//!   once when its relation arrives; a statement's interner is that stack
+//!   plus one open segment, sealed on top when the statement is certified,
 //! * [`LazyLineage`], an output tuple's lineage: a tree, or a read-once
 //!   concatenation priced at output formation — a recipe over its
 //!   operands' arena node ids — whose tree is built only when it is first
@@ -72,16 +74,16 @@
     clippy::unreachable
 )]
 
-mod arena;
 mod formula;
 mod intern;
 mod lazy;
 mod prob;
+mod segment;
 mod symbols;
 
-pub use arena::{ArenaBuilder, LineageArena, LineageColumn};
 pub use formula::{write_decimal, Lineage, LineageNode};
 pub use intern::{FxHashMap, FxHashSet, FxHasher, InternedNode, LineageInterner, LineageRef};
 pub use lazy::LazyLineage;
 pub use prob::{Concat, MarginalMap, ProbabilityEngine, ProbabilityError, ReadOnceColumns};
+pub use segment::{LineageColumn, LineageStack};
 pub use symbols::{SymbolTable, SymbolTableError, VarId};

@@ -6,10 +6,10 @@
 //! other; inside a component that shares variables, unit propagation on a
 //! literal member; and Shannon expansion for a component with no literal.
 
-use crate::arena::{LineageArena, LineageColumn};
 use crate::formula::Lineage;
 use crate::intern::{FxHashMap, InternedNode, LineageInterner, LineageRef};
-use crate::lazy::{FrozenOverlay, LazyLineage};
+use crate::lazy::LazyLineage;
+use crate::segment::{LineageColumn, LineageStack};
 use crate::symbols::VarId;
 use std::cmp::Reverse;
 use std::collections::hash_map::Entry;
@@ -19,8 +19,8 @@ use std::ops::Range;
 use std::sync::Arc;
 
 /// Marginal probabilities by base-tuple variable: the one map type the
-/// catalog stores and a [`LineageArena`] prices from, so handing a
-/// catalog's marginals to its arena is an [`Arc`] clone. Keys are variable
+/// catalog stores and its segments and engines price from, so handing a
+/// catalog's marginals to an engine is an [`Arc`] clone. Keys are variable
 /// ids the program assigns itself, so the fast non-keyed hasher is safe.
 pub type MarginalMap = FxHashMap<VarId, f64>;
 
@@ -68,11 +68,12 @@ pub enum Concat {
 /// are unchanged — for as long as a pass runner holds the engine.
 ///
 /// It also holds the nodes the statement's rows refer to: the engine's
-/// arena and its own nodes, frozen when the certificate was granted — so
-/// the columns' every node — and shared by every deferred row's recipe.
+/// stack with its open segment sealed on top when the certificate was
+/// granted — so the columns' every node, and no node copied — shared by
+/// every deferred row's recipe.
 #[derive(Debug)]
 pub struct ReadOnceColumns {
-    nodes: Arc<FrozenOverlay>,
+    nodes: Arc<LineageStack>,
 }
 
 /// Exact probability computation under tuple independence.
@@ -110,19 +111,19 @@ pub struct ReadOnceColumns {
 ///
 /// # Representation
 ///
-/// The engine owns a [`LineageInterner`], an overlay on a frozen
-/// [`LineageArena`]: formulas are evaluated in hash-consed form
-/// ([`LineageRef`]). The arena carries a dense marginal per `Var` node and
-/// the engine a dense memo over its own nodes (`NaN` marking absent
-/// entries; a `Var` node's entry is its marginal, so pricing hashes each
-/// variable once, not once per occurrence) and a sparse one over the
-/// frozen compound nodes it prices. The query layer builds each operator's
-/// engine over its catalog's arena ([`over`](Self::over)), so a statement
-/// over stored relations registers, interns and checks nothing per input
-/// tuple; [`new`](Self::new) is the overlay on the empty arena, into which
-/// the free-relation API registers its inputs' marginals
-/// ([`set_all`](Self::set_all)). A registration that changes an arena
-/// variable's marginal overrides it for this engine alone.
+/// The engine owns a [`LineageInterner`], a [`LineageStack`] of sealed
+/// segments plus an open one: formulas are evaluated in hash-consed form
+/// ([`LineageRef`]). A catalog's segment carries a dense marginal per
+/// `Var` node and the engine a dense memo over its own nodes (`NaN`
+/// marking absent entries; a `Var` node's entry is its marginal, so
+/// pricing hashes each variable once, not once per occurrence) and a
+/// sparse one over the sealed compound nodes it prices. The query layer
+/// builds each operator's engine over its catalog's stack
+/// ([`over`](Self::over)), so a statement over stored relations
+/// registers, interns and checks nothing per input tuple; [`new`](Self::new)
+/// starts on the empty stack, and the free-relation API registers its
+/// inputs' marginals ([`set_all`](Self::set_all)). A registration that
+/// changes a stored variable's marginal overrides it for this engine alone.
 ///
 /// Callers on the hot path intern once ([`intern`](Self::intern), or
 /// [`column`](Self::column) for a relation's lineage column) and
@@ -141,22 +142,25 @@ pub struct ReadOnceColumns {
 /// the fly.
 #[derive(Debug, Clone, Default)]
 pub struct ProbabilityEngine {
-    /// Marginals registered on this engine: they override the arena's.
+    /// Marginals registered on this engine: they override `marginals`.
     probs: MarginalMap,
+    /// The marginals of the stack's catalog, which its segments were
+    /// priced from.
+    marginals: Arc<MarginalMap>,
     interner: LineageInterner,
-    /// Dense memo over the engine's own nodes, indexed by `id − frozen
-    /// length`; `NaN` marks an absent entry. Holds the probability of every
+    /// Dense memo over the engine's own nodes, indexed by their own index
+    /// ([`LineageInterner::own_index`]); `NaN` marks an absent entry. Holds the probability of every
     /// priced `And`/`Or` node and — the dense marginal table — of every
     /// priced `Var` node. Cleared when a registered probability changes.
     memo: Vec<f64>,
-    /// The memo of the frozen `And`/`Or` nodes this engine has priced (a
-    /// frozen `Var` node's marginal is the arena's). Cleared with `memo`.
-    frozen_memo: FxHashMap<LineageRef, f64>,
+    /// The memo of the sealed `And`/`Or` nodes this engine has priced (a
+    /// sealed `Var` node's marginal is its segment's). Cleared with `memo`.
+    sealed_memo: FxHashMap<LineageRef, f64>,
     /// Per-node flag over a prefix of the engine's own nodes: every
     /// variable under the node has a registered probability. Extended
     /// bottom-up in arena order by [`missing_var`](Self::missing_var);
     /// cleared with the memo, because a registration can turn a `false`
-    /// stale. A frozen node's flag is the arena's.
+    /// stale. A sealed node's flag is its segment's.
     verified: Vec<bool>,
     /// Reused buffers of the decomposition and Shannon fallbacks.
     scratch: Scratch,
@@ -183,27 +187,32 @@ struct Scratch {
 }
 
 impl ProbabilityEngine {
-    /// Creates an engine with no registered variables: the overlay on the
-    /// empty arena.
+    /// Creates an engine with no registered variables, on the empty stack.
     #[must_use]
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Creates an engine over a frozen arena: its nodes, marginals and
-    /// stored columns are shared, not copied, and the engine's own nodes
-    /// and memo start empty. The arena's marginals must lie in `[0, 1]`,
-    /// as [`set`](Self::set) and [`set_all`](Self::set_all) enforce for
-    /// later registrations.
+    /// Creates an engine over a catalog's `stack`, whose segments were
+    /// priced from `marginals`: nodes, pricing tables and stored columns
+    /// are shared, not copied, and the engine's own nodes and memo start
+    /// empty. The marginals must lie in `[0, 1]`, as [`set`](Self::set)
+    /// and [`set_all`](Self::set_all) enforce for later registrations.
     #[must_use]
-    pub fn over(arena: Arc<LineageArena>) -> Self {
+    pub fn over(stack: Arc<LineageStack>, marginals: Arc<MarginalMap>) -> Self {
         debug_assert!(
-            arena.marginals.values().all(|p| (0.0..=1.0).contains(p)),
-            "arena marginals must be probabilities"
+            marginals.values().all(|p| (0.0..=1.0).contains(p)),
+            "catalog marginals must be probabilities"
         );
         Self {
-            interner: LineageInterner::over(arena),
-            ..Self::default()
+            probs: MarginalMap::default(),
+            marginals,
+            interner: LineageInterner::over(stack),
+            memo: Vec::new(),
+            sealed_memo: FxHashMap::default(),
+            verified: Vec::new(),
+            scratch: Scratch::default(),
+            expansions: 0,
         }
     }
 
@@ -248,29 +257,29 @@ impl ProbabilityEngine {
         }
         self.probs.extend(changed);
         self.memo.clear();
-        self.frozen_memo.clear();
+        self.sealed_memo.clear();
         self.verified.clear();
     }
 
     /// The registered probability of a variable: the engine's own
-    /// registration, else the arena's marginal.
+    /// registration, else the catalog's marginal.
     #[must_use]
     pub fn get(&self, var: VarId) -> Option<f64> {
         self.probs
             .get(&var)
-            .or_else(|| self.interner.arena().marginals.get(&var))
+            .or_else(|| self.marginals.get(&var))
             .copied()
     }
 
-    /// Number of registered variables (the arena's and the engine's own).
+    /// Number of registered variables (the catalog's and the engine's own).
     #[must_use]
     pub fn len(&self) -> usize {
-        let frozen = &self.interner.arena().marginals;
-        frozen.len()
+        let catalog = &self.marginals;
+        catalog.len()
             + self
                 .probs
                 .keys()
-                .filter(|v| !frozen.contains_key(v))
+                .filter(|v| !catalog.contains_key(v))
                 .count()
     }
 
@@ -387,24 +396,26 @@ impl ProbabilityEngine {
     }
 
     /// The lineage column of `relation`, whose tuples' lineages
-    /// `lineages` lists in tuple order. A stored relation of the engine's
-    /// arena — found by identity: `relation` must be the very value the
-    /// arena was built from — hands over the arena's column and interns
-    /// nothing; any other relation (a derived input, a relation of the
-    /// free-relation API) is interned into the engine's own nodes
-    /// ([`LineageInterner::intern_column`]), where its `Var` leaves find
-    /// the arena's nodes; a deferred lineage is interned from its recipe's
-    /// node ids, without building its tree.
+    /// `lineages` lists in tuple order. A relation with a segment in the
+    /// engine's stack — found by identity: `relation` must be the very value
+    /// the segment was sealed for ([`LineageStack::push`]) — hands over the
+    /// segment's column and interns nothing; any other relation (a derived
+    /// input, a relation of the free-relation API) is interned into the
+    /// engine's open segment ([`LineageInterner::intern_column`]), where
+    /// its `Var` leaves find the stack's nodes; a deferred lineage is
+    /// interned from its recipe's node ids, without building its tree.
     pub fn column<'a, T>(
         &mut self,
         relation: &T,
         lineages: impl ExactSizeIterator<Item = &'a LazyLineage>,
     ) -> LineageColumn {
-        let arena = self.interner.arena();
-        match arena.column_of(relation) {
-            Some(k) => LineageColumn::stored(arena, k),
-            None => LineageColumn::interned(self.interner.intern_column(lineages)),
-        }
+        let stack = self.interner.stack();
+        let stored = stack.position_of(relation);
+        let roots = match stored.and_then(|k| stack.segments[k].column.as_ref()) {
+            Some(column) => Arc::clone(&column.roots),
+            None => self.interner.intern_column(lineages).into(),
+        };
+        LineageColumn { roots, stored }
     }
 
     /// Checks and certifies a statement whose two lineage columns are `r`
@@ -429,11 +440,11 @@ impl ProbabilityEngine {
     /// — is read-once, and flattening its two operands gives the child list
     /// of its node: nothing to deduplicate, fold or absorb.
     ///
-    /// Two stored columns of the arena are decided in `O(1)` from what the
-    /// arena recorded of them, when they are different relations and the
-    /// engine overrides no marginal: their smallest unregistered variables,
-    /// and — if each column alone meets the conditions and shares no
-    /// variable with any other stored column — the certificate. Every
+    /// Two stored columns are certified from what their segments recorded
+    /// of them, when they are different relations, the engine overrides no
+    /// marginal, every variable under them had a marginal when they were
+    /// sealed, each column alone meets the conditions and no segment holds
+    /// a `Var` node of both. Every
     /// other pair is decided over its roots: one pass checks registration —
     /// a root by its `verified` flag, a `Var` root without one by its
     /// marginal lookup — and one stamp pass over their leaves follows. Base
@@ -449,13 +460,13 @@ impl ProbabilityEngine {
         s_spanned: bool,
     ) -> Result<Option<ReadOnceColumns>, ProbabilityError> {
         if let (Some(a), Some(b)) = (r.stored, s.stored) {
-            if a != b && self.probs.is_empty() {
-                let columns = &self.interner.arena().columns;
-                let (a, b) = (&columns[a], &columns[b]);
-                if let Some(var) = a.missing.into_iter().chain(b.missing).min() {
-                    return Err(ProbabilityError::MissingVariable(var));
-                }
-                if a.alone && b.alone && !a.shared && !b.shared {
+            let segments = &self.interner.stack().segments;
+            let column = |k: usize| segments[k].column.as_ref();
+            if let (true, Some(a), Some(b)) =
+                (a != b && self.probs.is_empty(), column(a), column(b))
+            {
+                let disjoint = !a.sources.iter().zip(&b.sources).any(|(x, y)| *x && *y);
+                if a.alone && b.alone && a.priced && b.priced && disjoint {
                     let nodes = self.interner.freeze();
                     return Ok(Some(ReadOnceColumns { nodes }));
                 }
@@ -499,8 +510,8 @@ impl ProbabilityEngine {
     }
 
     /// [`output`](Self::output) of a root of a certified column: its
-    /// probability and its tree — as stored, or built once per node from
-    /// the frozen nodes.
+    /// probability and its tree — as stored, or built once per node in its
+    /// sealed segment.
     pub fn certified_output(
         &mut self,
         proof: &ReadOnceColumns,
@@ -576,26 +587,30 @@ impl ProbabilityEngine {
         }
     }
 
-    /// Extends the `verified` flags over the nodes appended since the last
-    /// call, in one bottom-up pass — the arena is topologically ordered, so
-    /// a node's flag is the conjunction of its children's.
+    /// Extends the `verified` flags over the own nodes appended since the
+    /// last call, in one bottom-up pass — ids are topologically ordered, so
+    /// a node's flag is the conjunction of its children's. A page gap
+    /// between own segments holds flags no id reads.
     fn extend_verified(&mut self) {
         let mut verified = mem::take(&mut self.verified);
-        for node in &self.interner.local_nodes()[verified.len()..] {
-            let flag = self.vars_registered(node, &verified);
-            verified.push(flag);
+        for (start, nodes) in self.interner.own_runs() {
+            if verified.len() >= start + nodes.len() {
+                continue;
+            }
+            verified.resize(verified.len().max(start), true);
+            for node in &nodes[verified.len() - start..] {
+                let flag = self.vars_registered(node, &verified);
+                verified.push(flag);
+            }
         }
         self.verified = verified;
     }
 
     /// Is every variable under the own node `node` registered, given the
-    /// flags `below` of the own nodes before it? A frozen child's flag is
-    /// the arena's.
+    /// flags `below` of the own nodes before it? A sealed child's flag is
+    /// its segment's.
     fn vars_registered(&self, node: &InternedNode, below: &[bool]) -> bool {
-        let flag = |c: &LineageRef| match self.interner.local_index(*c) {
-            Some(i) => below[i],
-            None => self.interner.arena().verified[c.index()],
-        };
+        let flag = |c: &LineageRef| self.flag(*c, below);
         match node {
             InternedNode::True | InternedNode::False => true,
             InternedNode::Var(v) => self.get(*v).is_some(),
@@ -604,14 +619,19 @@ impl ProbabilityEngine {
         }
     }
 
-    /// The `verified` flag of a node the flags cover: the arena's for a
-    /// frozen node. (An override can register a variable the arena has no
-    /// marginal for, so a frozen `false` only sends the caller to the
+    /// The `verified` flag of a node the flags cover: its segment's for a
+    /// sealed node. (An override can register a variable the catalog has no
+    /// marginal for, so a sealed `false` only sends the caller to the
     /// walk.)
     fn is_verified(&self, r: LineageRef) -> bool {
-        match self.interner.local_index(r) {
-            Some(i) => self.verified[i],
-            None => self.interner.arena().verified[r.index()],
+        self.flag(r, &self.verified)
+    }
+
+    /// The `verified` flag of `r`: `own[own index]`, or its segment's.
+    fn flag(&self, r: LineageRef, own: &[bool]) -> bool {
+        match self.interner.own_index(r) {
+            Some(i) => own[i],
+            None => self.interner.stack().verified(r),
         }
     }
 
@@ -622,97 +642,90 @@ impl ProbabilityEngine {
         if self.is_verified(root) {
             return None;
         }
-        self.interner
-            .vars(root)
-            .into_iter()
-            .find(|v| self.get(*v).is_none())
+        let vars = self.interner.vars(root);
+        vars.into_iter().find(|v| self.get(*v).is_none())
     }
 
     /// Checks the engine's arena and memo invariants, returning a
     /// description of the first violation (`Ok(())` when healthy):
-    /// the interner passes [`LineageInterner::verify_arena`] and the frozen
-    /// arena's dense marginals and flags match its nodes, the engine's
-    /// id-keyed side tables never outgrow its own nodes, every present memo
-    /// entry is a probability in `[0, 1]`, the sparse memo holds frozen
-    /// `And`/`Or` nodes only, every memoized `Var` node (the dense marginal
-    /// table) holds exactly the registered value of its variable, and every
-    /// `verified` flag equals a from-scratch bottom-up recomputation
-    /// against the registered variables.
+    /// the interner passes [`LineageInterner::verify_arena`], every catalog
+    /// segment's dense marginals and flags agree with the catalog's
+    /// marginals (a cache may lack one registered since, never contradict
+    /// one), the engine's id-keyed side tables never outgrow
+    /// its own ids, every present memo entry is a probability in `[0, 1]`,
+    /// the sparse memo holds sealed `And`/`Or` nodes below the own ids
+    /// only, every memoized `Var` node (the dense marginal table) holds
+    /// exactly the registered value of its variable, and every `verified`
+    /// flag equals a from-scratch bottom-up recomputation against the
+    /// registered variables.
     ///
-    /// `O(arena size)`; intended for debug builds and property tests.
+    /// `O(arena size · depth)`; intended for debug builds and property
+    /// tests.
     // A diagnostic self-check like the interner's: the String payload is an
     // assertion message, not an error callers match on.
     pub fn verify_arena(&self) -> Result<(), String> {
         self.interner.verify_arena()?;
-        self.interner.arena().verify()?;
-        let own = self.interner.local_nodes();
-        if self.memo.len() > own.len() || self.verified.len() > own.len() {
-            return Err(format!(
-                "memo / verified tables have {} / {} entries for {} own nodes",
-                self.memo.len(),
-                self.verified.len(),
-                own.len()
-            ));
-        }
-        for (&r, &p) in &self.frozen_memo {
-            if self.interner.local_index(r).is_some()
-                || !matches!(
-                    self.interner.node(r),
-                    InternedNode::And(_) | InternedNode::Or(_)
-                )
-            {
-                return Err(format!("sparse memo holds node {}", r.index()));
-            }
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!(
-                    "sparse memo[{}] = {p} is outside [0, 1]",
-                    r.index()
-                ));
+        let stack = self.interner.stack();
+        for segment in stack.segments.iter().filter(|s| !s.dense.is_empty()) {
+            // A cache may lack a marginal registered since, never differ.
+            let (dense, verified) = stack.pricing_tables(segment, &self.marginals);
+            let stale = |(p, q): (&f64, &f64)| !p.is_nan() && p.to_bits() != q.to_bits();
+            let mut flags = segment.verified.iter().zip(&verified);
+            if segment.dense.iter().zip(&dense).any(stale) || flags.any(|(a, b)| *a && !b) {
+                return Err(format!("segment at {}: stale pricing tables", segment.base));
             }
         }
-        for (i, &p) in self.memo.iter().enumerate() {
-            if p.is_nan() {
-                continue; // NaN is the absent-entry sentinel
-            }
-            if !(0.0..=1.0).contains(&p) {
-                return Err(format!("memo[{i}] = {p} is outside [0, 1]"));
-            }
-            if let InternedNode::Var(v) = &own[i] {
-                if self.get(*v).map(f64::to_bits) != Some(p.to_bits()) {
-                    return Err(format!(
-                        "dense marginal memo[{i}] = {p} differs from the registered value of {v}"
-                    ));
-                }
+        let span = self.interner.own_span();
+        if self.memo.len() > span || self.verified.len() > span {
+            return Err(format!("memo / verified tables outgrow {span} own ids"));
+        }
+        for (&r, &p) in &self.sealed_memo {
+            let compound = matches!(
+                self.interner.node(r),
+                InternedNode::And(_) | InternedNode::Or(_)
+            );
+            if self.interner.own_index(r).is_some() || !compound || !(0.0..=1.0).contains(&p) {
+                return Err(format!("sparse memo[{}] = {p}", r.index()));
             }
         }
         let mut fresh: Vec<bool> = Vec::with_capacity(self.verified.len());
-        for (i, node) in own[..self.verified.len()].iter().enumerate() {
-            fresh.push(self.vars_registered(node, &fresh));
-            if fresh[i] != self.verified[i] {
-                return Err(format!(
-                    "verified[{i}] = {} but its variables are{} all registered",
-                    self.verified[i],
-                    if fresh[i] { "" } else { " not" }
-                ));
+        for (start, nodes) in self.interner.own_runs() {
+            for (i, node) in (start..).zip(nodes) {
+                // NaN is the absent-entry sentinel.
+                let p = self.memo.get(i).copied().unwrap_or(f64::NAN);
+                let registered = match node {
+                    InternedNode::Var(v) => self.get(*v).map(f64::to_bits) == Some(p.to_bits()),
+                    _ => (0.0..=1.0).contains(&p),
+                };
+                if !p.is_nan() && !registered {
+                    return Err(format!("memo[{i}] = {p} is no probability of its node"));
+                }
+                if i < self.verified.len() {
+                    fresh.resize(i, true);
+                    fresh.push(self.vars_registered(node, &fresh));
+                    if fresh[i] != self.verified[i] {
+                        return Err(format!("verified[{i}] = {} is stale", self.verified[i]));
+                    }
+                }
             }
         }
         Ok(())
     }
 
     fn memo_get(&self, r: LineageRef) -> Option<f64> {
-        match self.interner.local_index(r) {
+        match self.interner.own_index(r) {
             Some(i) => self.memo.get(i).copied().filter(|p| !p.is_nan()),
-            None => self.frozen_memo.get(&r).copied(),
+            None => self.sealed_memo.get(&r).copied(),
         }
     }
 
     fn memo_insert(&mut self, r: LineageRef, p: f64) {
-        let Some(i) = self.interner.local_index(r) else {
-            self.frozen_memo.insert(r, p);
+        let Some(i) = self.interner.own_index(r) else {
+            self.sealed_memo.insert(r, p);
             return;
         };
         if self.memo.len() <= i {
-            let own = self.interner.local_nodes().len();
+            let own = self.interner.own_span();
             self.memo.resize(own.max(i + 1), f64::NAN);
         }
         self.memo[i] = p;
@@ -722,22 +735,23 @@ impl ProbabilityEngine {
     fn marginal_of(&self, var: VarId) -> f64 {
         match self.probs.get(&var) {
             Some(&p) => p,
-            None => self.interner.arena().marginals[&var],
+            None => self.marginals[&var],
         }
     }
 
-    /// The marginal of the variable at `Var` node `r`: a frozen node's from
-    /// the arena's dense table unless the engine overrides it, an own
+    /// The marginal of the variable at `Var` node `r`: a sealed node's from
+    /// its segment's dense table unless the engine overrides it, an own
     /// node's through the memo — the shared map is hashed once per variable
     /// node per memo lifetime.
     fn marginal(&mut self, r: LineageRef, var: VarId) -> f64 {
-        if self.interner.local_index(r).is_none() {
+        if self.interner.own_index(r).is_none() {
             if !self.probs.is_empty() {
                 if let Some(&p) = self.probs.get(&var) {
                     return p;
                 }
             }
-            let p = self.interner.arena().dense[r.index()];
+            let (segment, i) = self.interner.stack().locate(r);
+            let p = segment.dense[i];
             return if p.is_nan() { self.marginal_of(var) } else { p };
         }
         if let Some(p) = self.memo_get(r) {
@@ -754,10 +768,17 @@ impl ProbabilityEngine {
     /// propagation and Shannon expansion ([`prob_nary`](Self::prob_nary)),
     /// and memoized.
     fn prob_rec(&mut self, r: LineageRef) -> f64 {
-        let is_and = match self.interner.node(r) {
+        let (segment, i) = self.interner.locate(r);
+        let is_and = match &segment.nodes[i] {
             InternedNode::True => return 1.0,
             InternedNode::False => return 0.0,
             InternedNode::Var(v) => {
+                // A catalog segment's marginal, when the engine overrides
+                // none.
+                match segment.dense.get(i) {
+                    Some(&p) if !p.is_nan() && self.probs.is_empty() => return p,
+                    _ => {}
+                }
                 let v = *v;
                 return self.marginal(r, v);
             }

@@ -71,7 +71,7 @@
 use crate::pool;
 use crate::protocol::{parse_request, write_rows_frame, ErrorCode, Request, Response};
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
@@ -430,6 +430,12 @@ enum Reply {
     },
 }
 
+/// The longest request line a connection reads, its line break included:
+/// a client that sends more without a `\n` is answered `ERR Protocol` and
+/// disconnected, so its line cannot grow the connection's buffer without
+/// bound.
+const MAX_REQUEST_LINE: u64 = 1 << 20;
+
 /// Reads request lines off one connection, executes them behind the
 /// admission gate and writes response frames back — strictly one request
 /// in flight per connection.
@@ -441,8 +447,20 @@ fn serve_connection(inner: &Inner, stream: &TcpStream) {
     let mut out = String::new();
     loop {
         line.clear();
-        match reader.read_line(&mut line) {
+        match (&mut reader).take(MAX_REQUEST_LINE).read_line(&mut line) {
             Ok(0) | Err(_) => return, // EOF or torn connection
+            Ok(n) if n as u64 == MAX_REQUEST_LINE && !line.ends_with('\n') => {
+                let message = format!("request line exceeds {MAX_REQUEST_LINE} bytes");
+                let refusal = Response::Error {
+                    code: ErrorCode::Protocol,
+                    message,
+                };
+                drop(write_reply(&mut writer, &mut out, &Reply::Frame(refusal)));
+                // The accept loop's clone of the stream keeps the socket
+                // open after this thread ends: end the stream here.
+                drop(stream.shutdown(Shutdown::Write));
+                return;
+            }
             Ok(_) => {}
         }
         let text = line.trim_end_matches(['\r', '\n']);

@@ -1,7 +1,7 @@
 //! Server lifecycle: protocol commands, typed error paths, backpressure
 //! (`ServerBusy`) and graceful shutdown (`ServerShuttingDown`).
 
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use tpdb_lineage::{Lineage, VarId};
@@ -442,4 +442,32 @@ fn a_deeply_nested_statement_is_refused_and_the_server_stays_up() {
     assert_eq!(server_code(&err), Some(ErrorCode::Parse), "{err}");
     let mut fresh = Client::connect(server.local_addr()).unwrap();
     fresh.ping().unwrap();
+}
+
+/// A client that sends a 2 MiB line with no line break is answered
+/// `ERR Protocol` and disconnected once the line passes the bound, and the
+/// server keeps serving others. The read timeout turns a server that keeps
+/// buffering into a failure instead of a hang.
+#[test]
+fn an_endless_request_line_is_refused_and_its_connection_closed() {
+    let server = booking_server(ServerConfig::default());
+    let mut stream = TcpStream::connect(server.local_addr()).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    stream
+        .set_write_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    let line = vec![b'x'; 2 << 20];
+    // The server may stop reading, or close the socket, before every byte
+    // is sent.
+    drop(stream.write_all(&line));
+    let mut reply = String::new();
+    let mut reader = BufReader::new(stream);
+    reader.read_line(&mut reply).unwrap();
+    assert!(reply.starts_with("ERR Protocol"), "{reply:?}");
+    let mut rest = Vec::new();
+    assert_eq!(reader.read_to_end(&mut rest).unwrap(), 0, "then EOF");
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    client.ping().unwrap();
 }

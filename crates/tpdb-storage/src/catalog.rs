@@ -9,7 +9,7 @@ use crate::value::Value;
 use std::collections::{HashMap, HashSet};
 use std::fmt::Write as _;
 use std::sync::{Arc, OnceLock};
-use tpdb_lineage::{Lineage, LineageArena, MarginalMap, ProbabilityEngine, SymbolTable, VarId};
+use tpdb_lineage::{Lineage, LineageStack, MarginalMap, ProbabilityEngine, SymbolTable, VarId};
 use tpdb_temporal::Interval;
 
 /// The catalog of a TP database.
@@ -29,7 +29,10 @@ use tpdb_temporal::Interval;
 ///   loading enforce, a [`RelationBuilder`] gives fresh variables, and
 ///   [`drop_relation`](Self::drop_relation) takes the marginals no
 ///   remaining relation carries, and
-/// * the [`LineageArena`] of its current contents, built on first use.
+/// * the [`LineageStack`] of its relations' lineage: one sealed segment per
+///   stored relation, in arrival order, holding the relation's interned
+///   column, its pricing tables and the facts a statement is certified
+///   from.
 ///
 /// It plays the role of the PostgreSQL system catalog in the paper's
 /// implementation.
@@ -38,9 +41,17 @@ use tpdb_temporal::Interval;
 /// catalog's **schema epoch** ([`schema_epoch`](Self::schema_epoch)), a
 /// monotonic counter that cached query plans are keyed on: a plan prepared
 /// against epoch `e` is stale — and must be re-validated — once the
-/// catalog reports an epoch other than `e`. A mutation also drops the
-/// arena; the next [`probability_engine`](Self::probability_engine) builds
-/// the new epoch's.
+/// catalog reports an epoch other than `e`. A mutation changes only the
+/// segments it must: registering, creating or importing a relation adds the
+/// new relation's segment on top of the stack; dropping one seals again the
+/// segments above it (their nodes may name its nodes); a
+/// [`load_snapshot`](Self::load_snapshot) seals every segment anew. The
+/// segments a mutation leaves to seal are sealed by the next
+/// [`probability_engine`](Self::probability_engine), so a catalog that is
+/// only imported and saved seals none, and eight imports seal eight
+/// segments once. A segment does not keep its relation alive, so a
+/// registered result whose deferred rows hold an older stack keeps that
+/// stack's segments, not its relations.
 ///
 /// The catalog holds no lock: every mutation takes `&mut self`, and
 /// threads share a catalog only through the immutable `Arc<Catalog>`
@@ -48,7 +59,7 @@ use tpdb_temporal::Interval;
 /// [`update`](crate::SharedCatalog::update) mutates a private clone.
 /// `Clone` copies the relation map — one entry per relation — and shares
 /// the relation payloads with their probe indexes, the symbol table, the
-/// marginal map and the arena (until one side writes), so it allocates per
+/// marginal map and the lineage stack (until one side writes), so it allocates per
 /// relation, never per tuple. A relation taken out of the catalog and
 /// cloned (or [`renamed`](TpRelation::renamed), or
 /// [`filter`](TpRelation::filter)ed) is a value of its own and has no
@@ -67,11 +78,14 @@ pub struct Catalog {
     probabilities: Arc<MarginalMap>,
     /// Monotonic counter of relation-set mutations (the plan-cache key).
     epoch: u64,
-    /// The stored columns and marginals of the current contents, interned
-    /// and priced once: built by the first
-    /// [`probability_engine`](Self::probability_engine) after a mutation,
-    /// so that importing eight relations builds it once, not eight times.
-    arena: OnceLock<Arc<LineageArena>>,
+    /// Sealed segments of stored relations, each over the ones below it
+    /// and priced from `probabilities`: every relation's once `complete`
+    /// is set, else those the mutations since left standing.
+    lineage: Arc<LineageStack>,
+    /// `lineage` with a segment for every relation it lacks, sealed by the
+    /// first [`probability_engine`](Self::probability_engine) after a
+    /// mutation; every engine handed out starts on it.
+    complete: OnceLock<Arc<LineageStack>>,
 }
 
 impl Catalog {
@@ -123,20 +137,19 @@ impl Catalog {
             return Err(StorageError::RelationExists(name));
         }
         let fresh = atomic_marginals(&self.probabilities, [&relation])?;
+        // The segments the last engine sealed are kept; the next engine
+        // seals what a mutation leaves to seal.
+        if let Some(complete) = self.complete.take() {
+            self.lineage = complete;
+        }
         if !fresh.is_empty() {
             Arc::make_mut(&mut self.probabilities).extend(fresh);
         }
         relation.memoize_probes();
         let relation = Arc::new(relation);
         self.relations.insert(name, Arc::clone(&relation));
-        self.bump();
-        Ok(relation)
-    }
-
-    /// Records a mutation: the epoch moves on and the arena is dropped.
-    fn bump(&mut self) {
         self.epoch += 1;
-        self.arena = OnceLock::new();
+        Ok(relation)
     }
 
     /// The current schema epoch: a monotonic counter bumped on every
@@ -177,7 +190,13 @@ impl Catalog {
             }
             Arc::make_mut(&mut self.probabilities).retain(|v, _| !orphans.contains(v));
         }
-        self.bump();
+        if let Some(complete) = self.complete.take() {
+            self.lineage = complete;
+        }
+        if let Some(k) = self.lineage.position_of(&*dropped) {
+            self.lineage = Arc::new(self.lineage.truncate(k));
+        }
+        self.epoch += 1;
         Ok(())
     }
 
@@ -207,31 +226,29 @@ impl Catalog {
         self.probabilities.get(&var).copied()
     }
 
-    /// A [`ProbabilityEngine`] over the catalog's lineage arena: every
+    /// A [`ProbabilityEngine`] over the catalog's lineage stack: every
     /// base-tuple probability and every stored relation's lineage column,
-    /// interned and priced once per schema epoch and shared — an `Arc`
-    /// clone, whatever the number of base tuples. The first call after a
-    /// mutation builds the arena; every value in it was range-checked when
-    /// its tuple was pushed or its snapshot decoded. A statement's join or
-    /// set operation over stored relations then finds their columns in the
-    /// arena ([`ProbabilityEngine::column`]) and registers nothing.
+    /// interned and priced once per segment, and shared — two `Arc` clones,
+    /// whatever the number of base tuples. The first call after a mutation
+    /// seals the segments the stack lacks, in name order, on top of those it
+    /// kept; every value in it was range-checked when its tuple was pushed
+    /// or its snapshot decoded. A statement's join or set operation over
+    /// stored relations then finds their columns in the stack
+    /// ([`ProbabilityEngine::column`]) and registers nothing.
     #[must_use]
     pub fn probability_engine(&self) -> ProbabilityEngine {
-        let arena = self.arena.get_or_init(|| Arc::new(self.build_arena()));
-        ProbabilityEngine::over(Arc::clone(arena))
-    }
-
-    /// Interns every stored relation's lineage column, in name order, into
-    /// a fresh arena over the catalog's marginals.
-    fn build_arena(&self) -> LineageArena {
-        let mut stored: Vec<&Arc<TpRelation>> = self.relations.values().collect();
-        stored.sort_by(|a, b| a.name().cmp(b.name()));
-        let mut builder = LineageArena::builder(Arc::clone(&self.probabilities));
-        for relation in stored {
-            let lineages = relation.tuples().iter().map(TpTuple::lazy_lineage);
-            builder.column(Arc::clone(relation) as _, lineages);
-        }
-        builder.finish()
+        let stack = self.complete.get_or_init(|| {
+            let mut missing: Vec<&Arc<TpRelation>> = self.relations.values().collect();
+            missing.retain(|r| self.lineage.position_of(Arc::as_ref(r)).is_none());
+            missing.sort_by(|a, b| a.name().cmp(b.name()));
+            let mut stack = Arc::clone(&self.lineage);
+            for r in missing {
+                let lineages = r.tuples().iter().map(TpTuple::lazy_lineage);
+                stack = stack.push(r, lineages, &self.probabilities);
+            }
+            stack
+        });
+        ProbabilityEngine::over(Arc::clone(stack), Arc::clone(&self.probabilities))
     }
 
     /// The full marginal-probability map (snapshot serialization support).
@@ -259,7 +276,9 @@ impl Catalog {
             .collect();
         self.symbols = Arc::new(symbols);
         self.probabilities = Arc::new(probabilities);
-        self.bump();
+        self.lineage = LineageStack::empty();
+        self.complete = OnceLock::new();
+        self.epoch += 1;
     }
 }
 
@@ -557,21 +576,33 @@ mod tests {
     }
 
     #[test]
-    fn each_mutation_drops_the_arena_and_a_clone_shares_it() {
+    fn each_mutation_seals_only_the_segments_it_changes() {
         let mut c = Catalog::new();
         let _ = c.create_relation("a", schema()).unwrap().finish();
-        let arena = |c: &Catalog| Arc::clone(c.arena.get_or_init(|| Arc::new(c.build_arena())));
-        let first = arena(&c);
-        assert!(Arc::ptr_eq(&first, &arena(&c)), "built once per epoch");
+        assert_eq!(c.lineage.depth(), 0, "nothing sealed before an engine");
+        let stack = |c: &Catalog| {
+            let _ = c.probability_engine();
+            Arc::clone(c.complete.get().unwrap())
+        };
+        let first = stack(&c);
+        assert!(Arc::ptr_eq(&first, &stack(&c)), "sealed once");
         let clone = c.clone();
-        assert!(Arc::ptr_eq(&first, &arena(&clone)));
+        assert!(Arc::ptr_eq(&first, &stack(&clone)), "a clone shares it");
+        c.register(TpRelation::new("d", schema())).unwrap();
         c.register(TpRelation::new("b", schema())).unwrap();
-        let second = arena(&c);
-        assert!(!Arc::ptr_eq(&first, &second));
+        let second = stack(&c);
+        assert_eq!(second.depth(), 3);
+        let position = |c: &Catalog, name| stack(c).position_of(&*c.relation(name).unwrap());
+        assert_eq!(
+            (position(&c, "a"), position(&c, "b"), position(&c, "d")),
+            (Some(0), Some(1), Some(2)),
+            "a kept, the two new ones sealed in name order"
+        );
         c.drop_relation("b").unwrap();
-        assert!(!Arc::ptr_eq(&second, &arena(&c)));
+        assert_eq!(c.lineage.depth(), 1, "the segments above b are dropped");
+        assert_eq!((position(&c, "a"), position(&c, "d")), (Some(0), Some(1)));
         assert!(
-            Arc::ptr_eq(&first, &arena(&clone)),
+            Arc::ptr_eq(&first, &stack(&clone)),
             "the clone keeps its own"
         );
     }

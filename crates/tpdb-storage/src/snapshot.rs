@@ -67,7 +67,10 @@ use crate::tuple::TpTuple;
 use crate::value::Value;
 use std::borrow::Cow;
 use std::collections::HashMap;
+use std::fs::File;
+use std::io::{self, Write as _};
 use std::path::Path;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use tpdb_lineage::{Lineage, LineageNode, MarginalMap, SymbolTable, VarId};
 use tpdb_temporal::Interval;
@@ -881,6 +884,34 @@ fn decode_snapshot(bytes: &[u8]) -> Result<DecodedSnapshot, StorageError> {
     })
 }
 
+/// Replaces the file at `path` with what `write` writes: into a new,
+/// uniquely named temporary file in `path`'s directory, which is synced to
+/// disk and renamed over `path` (POSIX `rename(2)` replaces the target
+/// atomically); the directory is synced last, so the rename survives a
+/// crash. On an error before the rename the temporary file is removed and
+/// `path` is untouched.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "snapshot.rs owns the catalog's filesystem access and its typed SnapshotIo errors"
+)]
+fn replace_file(path: &Path, write: impl FnOnce(&mut File) -> io::Result<()>) -> io::Result<()> {
+    static SAVES: AtomicU64 = AtomicU64::new(0);
+    let no_name = || io::Error::new(io::ErrorKind::InvalidInput, "the path names no file");
+    let name = path.file_name().ok_or_else(no_name)?.to_string_lossy();
+    let save = SAVES.fetch_add(1, Ordering::Relaxed);
+    let dir = path.parent().filter(|dir| !dir.as_os_str().is_empty());
+    let dir = dir.unwrap_or(Path::new("."));
+    let temporary = dir.join(format!(".{name}.{}.{save}.tmp", std::process::id()));
+    let mut file = File::create_new(&temporary)?;
+    let written = write(&mut file).and_then(|()| file.sync_all());
+    drop(file);
+    if let Err(e) = written.and_then(|()| std::fs::rename(&temporary, path)) {
+        let _ = std::fs::remove_file(&temporary);
+        return Err(e);
+    }
+    File::open(dir)?.sync_all()
+}
+
 impl Catalog {
     /// Serializes the whole catalog — symbol dictionary, marginal
     /// probabilities and every relation — into the versioned, checksummed
@@ -933,15 +964,16 @@ impl Catalog {
         Ok(())
     }
 
-    /// Saves the catalog to a snapshot file at `path`.
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "snapshot.rs owns the catalog's filesystem access and its typed SnapshotIo errors"
-    )]
+    /// Saves the catalog to a snapshot file at `path`, atomically and
+    /// durably: the bytes go to a new temporary file in `path`'s directory,
+    /// which is synced and renamed over `path`, and the directory is synced.
+    /// A concurrent [`load_snapshot`](Self::load_snapshot) of `path` reads
+    /// the old file or the new one, never a prefix, and a failed save
+    /// leaves `path` as it was and no temporary file behind.
     pub fn save_snapshot(&self, path: impl AsRef<Path>) -> Result<(), StorageError> {
         let path = path.as_ref();
         let bytes = self.to_snapshot_bytes()?;
-        std::fs::write(path, bytes).map_err(|e| StorageError::SnapshotIo {
+        replace_file(path, |file| file.write_all(&bytes)).map_err(|e| StorageError::SnapshotIo {
             path: path.display().to_string(),
             message: e.to_string(),
         })
@@ -1495,6 +1527,61 @@ mod tests {
         }
         assert_eq!(c.schema_epoch(), epoch);
         assert_eq!(c.relation_names(), vec!["a".to_owned(), "b".to_owned()]);
+    }
+
+    /// The files in `dir`, by name.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test inspects the files a save leaves behind"
+    )]
+    fn listing(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        names
+    }
+
+    #[test]
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the test arranges the directory a save writes into and reads the target back"
+    )]
+    fn a_save_that_fails_part_way_leaves_the_old_file_and_no_temporary_one() {
+        let dir = std::env::temp_dir().join(format!("tpdb-save-fails-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("catalog.snap");
+        let c = sample_catalog();
+        c.save_snapshot(&path).unwrap();
+        let before = std::fs::read(&path).unwrap();
+        // Half the bytes are written, then the disk fails.
+        let failed = replace_file(&path, |file| {
+            file.write_all(&before[..before.len() / 2])?;
+            Err(io::Error::other("no space left on device"))
+        });
+        assert_eq!(failed.unwrap_err().to_string(), "no space left on device");
+        assert_eq!(
+            std::fs::read(&path).unwrap(),
+            before,
+            "the target is untouched"
+        );
+        assert_eq!(listing(&dir), ["catalog.snap"], "no temporary file is left");
+        // The rename fails: a directory stands at the target. The error
+        // names the target, and the temporary file is gone.
+        let obstacle = dir.join("obstacle.snap");
+        std::fs::create_dir(&obstacle).unwrap();
+        let named = |err: StorageError| match err {
+            StorageError::SnapshotIo { path, .. } => path,
+            other => panic!("{other:?}"),
+        };
+        let err = c.save_snapshot(&obstacle).unwrap_err();
+        assert_eq!(named(err), obstacle.display().to_string());
+        assert_eq!(listing(&dir), ["catalog.snap", "obstacle.snap"]);
+        // The temporary file cannot be created: the directory is gone.
+        std::fs::remove_dir_all(&dir).unwrap();
+        let err = c.save_snapshot(&path).unwrap_err();
+        assert_eq!(named(err), path.display().to_string());
     }
 
     #[test]

@@ -1,14 +1,17 @@
-//! Statements over stored relations run on their catalog's lineage arena:
-//! the stored columns, marginals and certification facts, built once per
-//! schema epoch. These tests hold the arena to the catalog it was built
-//! from. After each kind of mutation — `register`, `drop_relation`,
+//! Statements over stored relations run on their catalog's lineage stack:
+//! one sealed segment per stored relation, holding its interned column,
+//! pricing tables and certification facts, sealed once and kept until a
+//! mutation below it. These tests hold the stack to the catalog it was
+//! sealed from. After each kind of mutation — `register`, `drop_relation`,
 //! `import_delimited`, `LOAD SNAPSHOT` — a re-executed statement answers
 //! exactly what a fresh session over the same catalog answers, and a cursor
 //! opened before the mutation drains the old answer, in process and over a
 //! connection. The shapes the arena must not certify — a self-join,
 //! relations that share a variable, constant lineages — are priced exactly,
 //! and an import whose symbols a stored relation already carries gets
-//! variables of its own.
+//! variables of its own. An import seals only its own segment, a drop only
+//! the segments above the dropped one, and a relation that reuses another's
+//! variables finds their nodes (one `Var` node per variable).
 
 use std::sync::Arc;
 use tpdb::core::{tp_join, ThetaCondition, TpJoinKind, TpJoinStream};
@@ -413,4 +416,153 @@ fn an_imported_relation_whose_symbols_are_taken_gets_fresh_variables() {
             assert_eq!(nj_sorted, ta, "{nj}: NJ equals TA");
         }
     }
+}
+
+/// Eight `webkit_like` relations, sealed: a 2-tuple import followed by an
+/// engine seals one segment on top — the import's two nodes, no more —
+/// and keeps every earlier segment, not a copy of it.
+#[test]
+fn an_import_seals_only_its_own_segment() {
+    let mut catalog = Catalog::new();
+    for i in 0..4 {
+        let (r, s) = tpdb::datagen::webkit_like(1500, 10 + i);
+        catalog.register(r.renamed(&format!("w{i}_r"))).unwrap();
+        catalog.register(s.renamed(&format!("w{i}_s"))).unwrap();
+    }
+    let before = catalog.probability_engine();
+    let schema = Schema::tp(&[("k", DataType::Int)]);
+    for round in 0..3 {
+        let depth = before.interner().stack().depth() + round;
+        let previous = catalog.probability_engine();
+        let text = "1,0,5,0.5\n2,3,9,0.25\n";
+        let name = format!("small{round}");
+        catalog
+            .import_delimited(&name, schema.clone(), ',', text)
+            .unwrap();
+        let after = catalog.probability_engine();
+        let stack = after.interner().stack();
+        assert_eq!(stack.depth(), depth + 1);
+        assert_eq!(after.interner().len(), previous.interner().len() + 2);
+        assert!(stack.shares_segments(previous.interner().stack(), depth));
+        assert!(stack.shares_segments(before.interner().stack(), 8));
+        assert_eq!(after.verify_arena(), Ok(()));
+    }
+}
+
+/// A relation registered as a renaming of another reuses its variables:
+/// its segment finds their `Var` nodes instead of interning its own, so a
+/// join of the two shares variables, is not certified and is priced
+/// exactly — in either order, next to a relation of its own variables.
+#[test]
+fn a_renamed_relation_shares_its_variables_nodes() {
+    let r = keyed("r", 1000, 1);
+    let catalog = catalog([r.renamed("r2"), r, keyed("s", 1100, 2)]);
+    let engine = catalog.probability_engine();
+    assert_eq!(engine.verify_arena(), Ok(()));
+    assert_eq!(
+        engine.interner().len(),
+        2 + 12 + 12,
+        "the constants, r's and s's variables: r2 adds no node"
+    );
+    for kind in [
+        TpJoinKind::LeftOuter,
+        TpJoinKind::FullOuter,
+        TpJoinKind::Anti,
+    ] {
+        check_uncertified(&catalog, "r", "r2", kind);
+        check_uncertified(&catalog, "r2", "r", kind);
+    }
+    let (r2, s) = (
+        catalog.relation("r2").unwrap(),
+        catalog.relation("s").unwrap(),
+    );
+    let theta = ThetaCondition::column_equals("k", "k");
+    let stream = TpJoinStream::with_engine(r2, s, &theta, TpJoinKind::FullOuter, engine).unwrap();
+    assert!(stream.is_certified(), "r2 and s share nothing");
+}
+
+/// Dropping a relation in the middle of the stack keeps the segments below
+/// it and seals the ones above again: a relation that reused the dropped
+/// one's variables interns them itself. Every statement over what remains
+/// answers what a fresh catalog of the same relations answers, bit for bit.
+#[test]
+fn dropping_a_middle_relation_answers_as_a_fresh_catalog() {
+    let m = keyed("m", 1200, 3);
+    let relations = || {
+        [
+            keyed("r", 1000, 1),
+            m.clone(),
+            m.renamed("t"),
+            keyed("s", 1100, 2),
+        ]
+    };
+    // An engine after each registration seals the stack in this order.
+    let mut dropped = Catalog::new();
+    for relation in relations() {
+        dropped.register(relation).unwrap();
+        drop(dropped.probability_engine());
+    }
+    let sealed = dropped.probability_engine();
+    assert_eq!(sealed.interner().stack().depth(), 4);
+    dropped.drop_relation("m").unwrap();
+    let engine = dropped.probability_engine();
+    let stack = engine.interner().stack();
+    assert_eq!(stack.depth(), 3);
+    let position = |name: &str| stack.position_of(&*dropped.relation(name).unwrap());
+    let r = position("r").unwrap();
+    assert_eq!(r, 0);
+    assert!(
+        stack.shares_segments(sealed.interner().stack(), r + 1),
+        "r's segment is kept"
+    );
+    assert_eq!(engine.verify_arena(), Ok(()));
+
+    let fresh = catalog(relations().into_iter().filter(|rel| rel.name() != "m"));
+    let texts = [
+        "SELECT * FROM r TP FULL OUTER JOIN s ON r.k = s.k",
+        "SELECT * FROM t TP LEFT JOIN s ON t.k = s.k",
+        "SELECT * FROM r TP ANTI JOIN t ON r.k = t.k",
+        "(SELECT * FROM t UNION SELECT * FROM s) EXCEPT SELECT * FROM t",
+    ];
+    let (dropped, fresh) = (Session::new(dropped), Session::new(fresh));
+    for text in texts {
+        assert_eq!(
+            rows(&dropped.execute(text).unwrap()),
+            rows(&fresh.execute(text).unwrap()),
+            "{text}"
+        );
+    }
+    assert!(dropped.execute("SELECT * FROM m").is_err());
+}
+
+/// A derived relation whose variables have no marginal is sealed unpriced:
+/// a join over it fails when it opens. Registering the base relation that
+/// carries those variables afterwards keeps its segment — the segment's
+/// pricing tables are a cache that defers to the marginals — and the join
+/// then answers what a fresh catalog answers, priced exactly.
+#[test]
+fn a_marginal_registered_later_prices_an_earlier_segment() {
+    let base = keyed("x", 1300, 5);
+    let mut derived = TpRelation::new("d", Schema::tp(&[("k", DataType::Int)]));
+    for (i, t) in base.iter().enumerate().step_by(2) {
+        let pair = Lineage::and2(t.lineage().clone(), Lineage::var(VarId(1301 + i as u32)));
+        derived.push_unchecked(TpTuple::new(t.facts().to_vec(), pair, t.interval(), 0.5));
+    }
+    let mut catalog = catalog([derived.clone(), keyed("s", 1100, 2)]);
+    let before = catalog.probability_engine();
+    let session = Session::new(catalog.clone());
+    let text = "SELECT * FROM d TP LEFT JOIN s ON d.k = s.k";
+    assert!(session.execute(text).is_err(), "x's marginals are missing");
+    catalog.register(base.clone()).unwrap();
+    let after = catalog.probability_engine();
+    let kept = before.interner().stack().depth();
+    assert!(after
+        .interner()
+        .stack()
+        .shares_segments(before.interner().stack(), kept));
+    assert_eq!(after.verify_arena(), Ok(()));
+    let fresh = Session::new(self::catalog([base, derived, keyed("s", 1100, 2)]));
+    let answer = rows(&Session::new(catalog.clone()).execute(text).unwrap());
+    assert_eq!(answer, rows(&fresh.execute(text).unwrap()));
+    check_uncertified(&catalog, "d", "x", TpJoinKind::LeftOuter);
 }

@@ -5,8 +5,8 @@
 //! force the tree — a join over a join result, and a snapshot of one — and
 //! the two that must not: a row read after its statement, session and
 //! catalog epoch are gone, and a set operation opened over a derived input.
-//! One ignored test pins a known defect: a registered deferred result keeps
-//! the arena of the epoch that formed it alive.
+//! A registered deferred result keeps the lineage segments its rows were
+//! formed over alive, not the relations they were sealed for.
 
 use std::sync::Arc;
 use tpdb::core::TpSetOpKind;
@@ -122,10 +122,10 @@ fn meteo_catalog() -> Catalog {
     catalog
 }
 
-/// A certified statement's rows hold their recipes' nodes: the catalog
-/// arena for a join of stored relations, and the statement's own nodes
-/// frozen over it for an `EXCEPT` whose input is a union (a derived
-/// compound input). Drained through a session that is then dropped, after
+/// A certified statement's rows hold their recipes' nodes: the catalog's
+/// segments for a join of stored relations, and the statement's own
+/// segment sealed over them for an `EXCEPT` whose input is a union (a
+/// derived compound input). Drained through a session that is then dropped, after
 /// its catalog was reloaded and mutated, every row still reads — as a
 /// tree, as text and on the wire — what the same statement's rows read
 /// with their trees built while the catalog was live.
@@ -292,9 +292,9 @@ fn a_snapshot_of_a_join_result_round_trips_byte_identically() {
 }
 
 /// The catalog-side references to the stored `r` after each of three
-/// rounds of registering a session's join result and rebuilding the arena,
-/// with the result's rows as the session formed them (`eager` false) or
-/// with their trees built.
+/// rounds of registering a session's join result and opening an engine on
+/// the catalog's lineage stack, with the result's rows as the session
+/// formed them (`eager` false) or with their trees built.
 fn retained_by_registered_results(eager: bool) -> Vec<usize> {
     let (r, s) = tpdb::datagen::meteo_like(300, 7);
     let mut catalog = Catalog::new();
@@ -326,7 +326,6 @@ fn retained_by_registered_results(eager: bool) -> Vec<usize> {
 /// needs: each round of registering a deferred join result keeps alive
 /// what registering the same rows as trees keeps alive.
 #[test]
-#[ignore = "each registered deferred result keeps the lineage arena of the epoch that formed it alive, and that arena the stored relations: over three register-and-rebuild rounds the references to r read [1, 3, 4, 5] against [1, 3, 3, 3] for the rows as trees (Arc::strong_count 2, 4, 5, 6 with the caller's handle); ROADMAP item 12 (stored lineage as arena ids, re-interned at register) removes the chain"]
 fn a_registered_deferred_result_keeps_no_old_arena_alive() {
     assert_eq!(
         retained_by_registered_results(false),
